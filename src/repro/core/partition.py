@@ -13,10 +13,12 @@ from __future__ import annotations
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..config import DatasetConfig
+from ..errors import KeyNotFoundError
 from ..lsm import LSMBTree, LSMIOScheduler, SecondaryIndexDef, make_merge_policy, recover_index
 from ..lsm.lifecycle import FlushCallback
 from ..schema import InferredSchema
 from ..types import AMultiset, Datatype, Missing
+from ..vector import BatchExtractor
 from .environment import StorageEnvironment
 from .formats import DictRecordView, RecordFormatCodec
 from .tuple_compactor import TupleCompactor
@@ -173,14 +175,24 @@ class Partition:
     def create_secondary_index(self, name: str, field_path: Tuple[str, ...]) -> None:
         codec = self.codec
         field_path = tuple(field_path)
+        # Built once per index: flushes, merges and the range search's
+        # re-check all read the indexed field through it.  Vector-based
+        # records go through one compiled extractor; ADM views navigate by
+        # offsets and have no consolidated access.
+        if self.config.storage_format.uses_vector_format:
+            extract = BatchExtractor((field_path,)).extract
+
+            def read(view: Any) -> Any:
+                return _indexable(extract(view)[0])
+        else:
+            def read(view: Any) -> Any:
+                return _indexable(view.get_field(*field_path))
 
         def extractor(payload: bytes, schema: Optional[InferredSchema]) -> Any:
-            view = codec.view(payload, schema)
-            value = view.get_field(*field_path)
-            return _indexable(value)
+            return read(codec.view(payload, schema))
 
-        self.index.add_secondary_index(
-            SecondaryIndexDef(name=name, extractor=extractor, field_path=field_path))
+        self.index.add_secondary_index(SecondaryIndexDef(
+            name=name, extractor=extractor, field_path=field_path, read=read))
 
     def list_secondary_indexes(self) -> List[Tuple[str, Tuple[str, ...]]]:
         """``(name, field_path)`` of every secondary index on this partition."""
@@ -201,10 +213,12 @@ class Partition:
         result matches a scan-with-predicate exactly.
         """
         definition = self.index.secondary_index_def(index_name)
-        field_path = definition.field_path or () if definition is not None else ()
+        if definition is None:
+            raise KeyNotFoundError(f"unknown secondary index {index_name!r}")
+        read = definition.read
         records = []
         for view in self.probe_views(index_name, low, high):
-            value = _indexable(view.get_field(*field_path))
+            value = read(view)
             if value is None:
                 continue
             try:

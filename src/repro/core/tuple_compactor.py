@@ -5,14 +5,14 @@ partition's primary index when the dataset is created with
 ``{"tuple-compactor-enabled": true}`` (paper Figure 8).  During each flush
 it:
 
-1. scans the type-tag and field-name vectors of every flushed record and
-   folds them into the partition's in-memory schema
-   (:class:`~repro.schema.InferredSchema`);
+1. scans the type-tag and field-name vectors of every flushed record,
+   folding them into the partition's in-memory schema
+   (:class:`~repro.schema.InferredSchema`) and, in the same pass, rewriting
+   the record into its compacted form — field names replaced by the
+   schema's ``FieldNameID``\\ s (§3.3.2);
 2. processes the anti-schemas carried by delete/upsert entries, decrementing
    the schema's counters so it can shrink again (§3.2.2);
-3. rewrites each record into its compacted form — field names replaced by
-   the schema's ``FieldNameID``\\ s (§3.3.2);
-4. persists a snapshot of the inferred schema into the new component's
+3. persists a snapshot of the inferred schema into the new component's
    metadata page (§3.1.1).
 
 Merges never touch the in-memory schema: the merged component simply keeps
@@ -31,7 +31,7 @@ from ..lsm.component_id import ComponentId
 from ..lsm.lifecycle import FlushCallback
 from ..schema import InferredSchema
 from ..types import Datatype
-from ..vector import VectorRecordView, compact_record
+from ..vector import VectorRecordView, infer_and_compact
 
 
 class TupleCompactor(FlushCallback):
@@ -72,22 +72,17 @@ class TupleCompactor(FlushCallback):
          self.records_compacted, self.bytes_saved) = state
 
     def transform_record(self, key: Any, record: Optional[Dict[str, Any]], encoded: bytes) -> bytes:
-        """Infer the record's schema, then compact it.
+        """Infer the record's schema and compact it, in one pass.
 
-        Inference deliberately goes through
-        :meth:`~repro.vector.VectorRecordView.structure`, which reads only
-        the type-tag and field-name vectors — the same access pattern the
-        paper describes for the flush-time scan — rather than re-using the
-        Python dict that happens to still be in the memtable.
+        :func:`~repro.vector.infer_and_compact` reads only the type-tag and
+        field-name vectors of ``encoded`` — the flush-time scan the paper
+        describes — rather than re-using the Python dict that happens to
+        still be in the memtable; the value vectors are copied through.
         """
-        view = VectorRecordView(encoded, self.datatype)
-        skeleton = view.structure()
-        self.schema.observe(skeleton)
-        if not self.compact:
-            return encoded
-        compacted = compact_record(encoded, self.schema.dictionary)
-        self.records_compacted += 1
-        self.bytes_saved += len(encoded) - len(compacted)
+        compacted = infer_and_compact(encoded, self.schema, self.compact)
+        if self.compact:
+            self.records_compacted += 1
+            self.bytes_saved += len(encoded) - len(compacted)
         return compacted
 
     def process_antischema(self, antischema: Optional[Dict[str, Any]]) -> None:
@@ -114,8 +109,8 @@ class TupleCompactor(FlushCallback):
         schema.datatype = self.datatype
         self.schema = schema
 
-    def decode_record(self, payload: bytes, component_schema: Optional[InferredSchema]) -> Dict[str, Any]:
-        """Materialize a stored (possibly compacted) record for maintenance.
+    def record_antischema(self, payload: bytes, component_schema: Optional[InferredSchema]) -> Dict[str, Any]:
+        """The anti-schema of a stored record: its skeleton, values unread (§3.2.2).
 
         Field-name ids are stable across schema versions within a partition
         (the dictionary is append-only), so the *current* dictionary decodes
@@ -124,4 +119,4 @@ class TupleCompactor(FlushCallback):
         dictionary = self.schema.dictionary
         if component_schema is not None and len(component_schema.dictionary) > len(dictionary):
             dictionary = component_schema.dictionary
-        return VectorRecordView(payload, self.datatype, dictionary).materialize()
+        return VectorRecordView(payload, self.datatype, dictionary).structure()

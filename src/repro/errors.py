@@ -112,7 +112,7 @@ class ComponentStateError(ReproError):
 
 class MaintenanceDecodeError(ComponentStateError):
     """A delete/upsert needed to decode a stored payload but the index's
-    flush callback provides no ``decode_record()`` method.
+    flush callback provides no ``record_antischema()`` method.
 
     Raised by :meth:`~repro.lsm.LSMBTree._decode_for_maintenance` when an
     anti-schema fetch (paper §3.2.2) hits an index that stores opaque

@@ -56,6 +56,8 @@ class SecondaryIndexDef:
 
     ``extractor`` receives the stored payload bytes and the component's
     schema and returns the indexed value (or ``None`` to skip the record).
+    ``read`` does the same for an already opened record view (the range
+    search's re-check); the LSM index itself never calls it.
     ``field_path`` is the indexed field's path when the index covers a plain
     field access — the optimizer matches WHERE conjuncts against it.  Field
     statistics (min/max/count for the cost model) live per component in
@@ -66,6 +68,7 @@ class SecondaryIndexDef:
     name: str
     extractor: Callable[[bytes, Optional[InferredSchema]], Any]
     field_path: Optional[Tuple[str, ...]] = None
+    read: Optional[Callable[[Any], Any]] = None
 
 
 @dataclass
@@ -306,17 +309,16 @@ class LSMBTree:
             if result is None:
                 return _NOT_FOUND
             payload, component = result
-            record = self._decode_for_maintenance(payload, component)
-        return extract_antischema(record)
+            return self._decode_for_maintenance(payload, component)
 
     def _decode_for_maintenance(self, payload: bytes, component: OnDiskComponent) -> Dict[str, Any]:
-        """Decode a stored payload far enough to extract its anti-schema."""
-        decoder = getattr(self.flush_callback, "decode_record", None)
+        """The anti-schema of a stored payload, as the flush callback reads it."""
+        decoder = getattr(self.flush_callback, "record_antischema", None)
         if decoder is not None:
             return decoder(payload, component.schema)
         raise MaintenanceDecodeError(
             "this index stores opaque payloads; deletes/upserts need a flush callback "
-            "with a decode_record() method"
+            "with a record_antischema() method"
         )
 
     def _memory_lookup(self, key: Any) -> Optional[MemEntry]:

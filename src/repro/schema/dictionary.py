@@ -24,6 +24,13 @@ class FieldNameDictionary:
     def __init__(self) -> None:
         self._name_to_id: Dict[str, int] = {}
         self._id_to_name: List[str] = []  # index i holds the name with id i+1
+        #: UTF-8 bytes -> id memo of :meth:`encode_utf8`, so the flush-time
+        #: pass never decodes an inline name it has met before.  Part of the
+        #: dictionary's state: :meth:`copy` carries it, which keeps a schema
+        #: restored after a failed flush free of ids it never assigned.  Hot
+        #: loops may read it (``ids_by_utf8.get``) but fill it only through
+        #: :meth:`encode_utf8`.
+        self.ids_by_utf8: Dict[bytes, int] = {}
 
     # -- core mapping ---------------------------------------------------------
 
@@ -36,6 +43,13 @@ class FieldNameDictionary:
         self._name_to_id[name] = new_id
         self._id_to_name.append(name)
         return new_id
+
+    def encode_utf8(self, raw: bytes) -> int:
+        """:meth:`encode` for a name given as its UTF-8 bytes."""
+        existing = self.ids_by_utf8.get(raw)
+        if existing is None:
+            existing = self.ids_by_utf8[raw] = self.encode(raw.decode("utf-8"))
+        return existing
 
     def lookup(self, name: str) -> Optional[int]:
         """Return the id for ``name`` or ``None`` without assigning one."""
@@ -65,6 +79,7 @@ class FieldNameDictionary:
         clone = FieldNameDictionary()
         clone._name_to_id = dict(self._name_to_id)
         clone._id_to_name = list(self._id_to_name)
+        clone.ids_by_utf8 = dict(self.ids_by_utf8)
         return clone
 
     def is_prefix_of(self, other: "FieldNameDictionary") -> bool:

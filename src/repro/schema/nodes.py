@@ -209,6 +209,15 @@ class UnionNode(SchemaNode):
         return f"UnionNode(options={sorted(t.name for t in self.options)}, counter={self.counter})"
 
 
+def new_node(tag: TypeTag, counter: int = 0) -> SchemaNode:
+    """A fresh node describing a value of type ``tag``."""
+    if tag is TypeTag.OBJECT:
+        return ObjectNode(counter)
+    if tag.is_collection:
+        return CollectionNode(tag, counter)
+    return ScalarNode(tag, counter)
+
+
 def nodes_equal(left: SchemaNode, right: SchemaNode, *, compare_counters: bool = False) -> bool:
     """Structural equality of two schema subtrees.
 

@@ -36,6 +36,7 @@ from .nodes import (
     ScalarNode,
     SchemaNode,
     UnionNode,
+    new_node,
     nodes_equal,
 )
 
@@ -83,24 +84,42 @@ class InferredSchema:
     def _observe_object_fields(self, node: ObjectNode, record: Dict[str, Any], is_root: bool) -> None:
         skip = self._declared_root_names() if is_root else set()
         for name, value in record.items():
-            if name in skip or isinstance(value, Missing):
+            if isinstance(value, Missing):
+                continue
+            if name in skip:
+                self._register_names(value)
                 continue
             field_name_id = self.dictionary.encode(name)
             child = node.child(field_name_id)
             node.set_child(field_name_id, self._observe_value(child, value))
 
+    def _register_names(self, value: Any) -> None:
+        """Give ids to the names nested under a declared field.
+
+        The field itself is described by the catalog and not inferred, but a
+        compacted record stores a ``FieldNameID`` for every inline name.
+        """
+        if isinstance(value, dict):
+            for name, child in value.items():
+                if not isinstance(child, Missing):
+                    self.dictionary.encode(name)
+                    self._register_names(child)
+        elif isinstance(value, (list, tuple, AMultiset)):
+            for item in value:
+                self._register_names(item)
+
     def _observe_value(self, existing: Optional[SchemaNode], value: Any) -> SchemaNode:
         """Merge one observed value into an existing child node (or create it)."""
-        tag = self._tag_of(value)
+        tag = type_tag_of(value)
         if existing is None:
-            node = self._new_node(tag)
+            node = new_node(tag)
             self._descend(node, value)
             node.increment()
             return node
         if isinstance(existing, UnionNode):
             option = existing.option(tag)
             if option is None:
-                option = self._new_node(tag)
+                option = new_node(tag)
                 existing.set_option(option)
             self._descend(option, value)
             option.increment()
@@ -114,7 +133,7 @@ class InferredSchema:
         # (the paper's age: int -> union(int, string) transition, Figure 9b).
         union = UnionNode(existing.counter)
         union.set_option(existing)
-        fresh = self._new_node(tag)
+        fresh = new_node(tag)
         self._descend(fresh, value)
         fresh.increment()
         union.set_option(fresh)
@@ -126,26 +145,8 @@ class InferredSchema:
         if isinstance(node, ObjectNode):
             self._observe_object_fields(node, value, is_root=False)
         elif isinstance(node, CollectionNode):
-            for item in self._iter_items(value):
+            for item in value:
                 node.item = self._observe_value(node.item, item)
-
-    @staticmethod
-    def _iter_items(value: Any) -> Sequence[Any]:
-        if isinstance(value, AMultiset):
-            return list(value.items)
-        return list(value)
-
-    @staticmethod
-    def _tag_of(value: Any) -> TypeTag:
-        return type_tag_of(value)
-
-    @staticmethod
-    def _new_node(tag: TypeTag) -> SchemaNode:
-        if tag is TypeTag.OBJECT:
-            return ObjectNode()
-        if tag in (TypeTag.ARRAY, TypeTag.MULTISET):
-            return CollectionNode(tag)
-        return ScalarNode(tag)
 
     # ------------------------------------------------------------------ delete
 
@@ -180,7 +181,7 @@ class InferredSchema:
                 node.set_child(field_name_id, replacement)
 
     def _remove_value(self, node: SchemaNode, value: Any) -> Optional[SchemaNode]:
-        tag = self._tag_of(value)
+        tag = type_tag_of(value)
         if isinstance(node, UnionNode):
             option = node.option(tag)
             if option is None:
@@ -201,7 +202,7 @@ class InferredSchema:
         if isinstance(node, ObjectNode):
             self._remove_object_fields(node, value, is_root=False)
         elif isinstance(node, CollectionNode):
-            for item in self._iter_items(value):
+            for item in value:
                 if node.item is None:
                     raise SchemaError("anti-schema removes items from an empty collection node")
                 node.item = self._remove_value(node.item, item)

@@ -1,42 +1,45 @@
 """Batched column extraction over vector-based records (ROADMAP item 2).
 
-The row pipeline resolves a query's access paths one record at a time
-through :meth:`VectorRecordView.get_values`, which drives a generator of
-walk events and decodes *every* scalar it passes — row-store costs on a
-columnar layout.  This module is the batch engine's answer: a
-:class:`BatchExtractor` compiles the requested paths into a small trie once
-per query, then walks each record's tag/fixed/varlen/name vectors in a
-tight loop that
+A :class:`BatchExtractor` compiles the requested paths into a small trie
+once per query, then walks each record's tag/fixed/varlen/name vectors (the
+cursor discipline of :mod:`repro.vector.decoder`) in a tight loop that
 
 * skips decoding scalars on paths nobody asked for (cursors advance by the
   tag's known width instead of unpacking the value),
 * skips decoding field names inside irrelevant subtrees, and
 * allocates no per-value event or path objects.
 
-Semantics are identical to ``get_values`` (exact paths, aligned
-single-wildcard paths with scalar/object passthrough, subtree capture for
-nested values) — the property suite asserts extractor-vs-``get_values``
-parity on random records.  :func:`get_values_batch` applies one extractor
-across N records; :class:`ColumnBatch` is the column-major container the
-batch operators consume.
+It is the one implementation of the ``get_values`` semantics (exact paths,
+aligned single-wildcard paths with scalar/object passthrough, subtree
+capture for nested values): :meth:`VectorRecordView.get_values` delegates
+here, and the property suite asserts parity with the plain-dict
+``DictRecordView`` on random records.  :func:`get_values_batch` applies one
+extractor across N records; :class:`ColumnBatch` is the column-major
+container the batch operators consume.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..types import AMultiset, MISSING, TypeTag, unpack_fixed, unpack_variable
-from .decoder import Path, PathStep, VectorRecordView, WILDCARD, _NestedBuilder
-from .layout import DECLARED_FIELD_BIT, NAME_ENTRY_MAX, POP_MARKER_BIT, U16, U32
-
-_EOV = TypeTag.EOV.value
-_NULL = TypeTag.NULL.value
-_MISSING = TypeTag.MISSING.value
-_OBJECT = TypeTag.OBJECT.value
-_NESTED = frozenset((TypeTag.OBJECT.value, TypeTag.ARRAY.value, TypeTag.MULTISET.value))
-_TAG_FROM_BYTE = {tag.value: tag for tag in TypeTag}
-_FIXED_SIZE = {tag.value: tag.fixed_length for tag in TypeTag if tag.is_fixed_length}
-_VARLEN = frozenset((TypeTag.STRING.value, TypeTag.BINARY.value))
+from ..types import AMultiset, MISSING, unpack_fixed, unpack_variable
+from .decoder import Path, PathStep, VectorRecordView, WILDCARD
+from .layout import (
+    DECLARED_FIELD_BIT,
+    FIXED_WIDTH,
+    NAME_ENTRY_MAX,
+    POP_MARKER_BIT,
+    RAW_EOV,
+    RAW_MISSING,
+    RAW_MULTISET,
+    RAW_NESTED,
+    RAW_NULL,
+    RAW_OBJECT,
+    RAW_VARLEN,
+    TAG_OF_RAW,
+    U16,
+    U32,
+)
 
 
 class _TrieNode:
@@ -59,36 +62,74 @@ class _TrieNode:
 
 
 class _SubtreeCapture:
-    """Builds one nested value inline while the tight walk passes over it."""
+    """Builds one nested value inline while the tight walk passes over it.
 
-    __slots__ = ("slot", "builders", "value")
+    Same container discipline as :meth:`VectorRecordView.materialize`: every
+    value goes straight into its parent, a multiset is wrapped when it closes.
+    """
 
-    def __init__(self, slot: Tuple[Any, ...], tag: TypeTag, step: Optional[PathStep]) -> None:
+    __slots__ = ("slot", "stack", "container", "kind", "value")
+
+    def __init__(self, slot: Tuple[Any, ...], raw: int) -> None:
         self.slot = slot
-        self.builders = [_NestedBuilder(tag, (step,) if step is not None else ())]
+        #: One ``(parent container, parent kind, key in parent)`` per open child.
+        self.stack: List[Tuple[Any, int, Optional[PathStep]]] = []
+        self.container: Any = {} if raw == RAW_OBJECT else []
+        self.kind = raw
         self.value: Any = MISSING
 
-    def feed_enter(self, step: Optional[PathStep], tag: TypeTag) -> None:
-        self.builders.append(_NestedBuilder(tag, (step,) if step is not None else ()))
+    def feed_scalar(self, step: Optional[PathStep], value: Any) -> None:
+        if self.kind == RAW_OBJECT:
+            self.container[step] = value
+        else:
+            self.container.append(value)
+
+    def feed_enter(self, step: Optional[PathStep], raw: int) -> None:
+        child: Any = {} if raw == RAW_OBJECT else []
+        self.feed_scalar(step, child)
+        self.stack.append((self.container, self.kind, step))
+        self.container, self.kind = child, raw
 
     def feed_exit(self) -> bool:
-        finished = self.builders.pop()
-        value = finished.finish()
-        if self.builders:
-            self.builders[-1].add(finished.path[-1] if finished.path else None, value)
-            return False
-        self.value = value
-        return True
+        is_multiset = self.kind == RAW_MULTISET
+        finished = AMultiset(self.container) if is_multiset else self.container
+        if not self.stack:
+            self.value = finished
+            return True
+        self.container, self.kind, step = self.stack.pop()
+        if is_multiset:
+            if self.kind == RAW_OBJECT:
+                self.container[step] = finished
+            else:
+                self.container[-1] = finished
+        return False
 
-    def feed_scalar(self, step: Optional[PathStep], value: Any) -> None:
-        self.builders[-1].add(step, value)
+
+def _flatten_wildcards(record: Any, path: Path) -> List[Any]:
+    """Every value a path with several wildcards reaches, in document order."""
+    reached = [record]
+    for step in path:
+        values, reached = reached, []
+        for value in values:
+            items = value.items if isinstance(value, AMultiset) else value
+            if isinstance(step, str) and step != WILDCARD:
+                if isinstance(value, dict) and step in value:
+                    reached.append(value[step])
+            elif isinstance(items, (list, tuple)):
+                if step == WILDCARD:
+                    reached.extend(items)
+                elif 0 <= step < len(items):
+                    reached.append(items[step])
+    return reached
 
 
 class BatchExtractor:
     """Compiled multi-path extractor, reusable across records.
 
-    Paths with more than one wildcard (never produced by the optimizer) and
-    non-vector record views fall back to the view's own ``get_values``.
+    Non-vector record views resolve the paths through their own
+    ``get_values``.  Paths with more than one wildcard (never produced by
+    the optimizer) stay out of the trie and are resolved over the
+    materialized record.
     """
 
     def __init__(self, paths: Sequence[Sequence[PathStep]]) -> None:
@@ -96,11 +137,11 @@ class BatchExtractor:
         self.root = _TrieNode()
         self.exact_count = 0
         self.wild_ids: List[int] = []
-        self.fallback = False
+        self.multi_wild_ids: List[int] = []
         for rid, request in enumerate(self.requests):
             stars = sum(1 for step in request if step == WILDCARD)
             if stars > 1:
-                self.fallback = True
+                self.multi_wild_ids.append(rid)
                 continue
             node = self.root
             wild_node: Optional[_TrieNode] = None
@@ -124,12 +165,17 @@ class BatchExtractor:
         """Resolve every compiled path against one record view."""
         if not self.requests:
             return []
-        if self.fallback or not isinstance(view, VectorRecordView):
+        if not isinstance(view, VectorRecordView):
             return view.get_values(*self.requests)
-        return self._extract_vector(view)
+        results = self._extract_vector(view)
+        if self.multi_wild_ids:
+            record = view.materialize()
+            for rid in self.multi_wild_ids:
+                results[rid] = _flatten_wildcards(record, self.requests[rid])
+        return results
 
-    # The tight walk.  Mirrors VectorRecordView._walk's cursor discipline but
-    # inlined, allocation-free for untouched values, and guided by the trie.
+    # The tight walk: the decoder module's cursor discipline, allocation-free
+    # for untouched values and guided by the trie.
     def _extract_vector(self, view: VectorRecordView) -> List[Any]:
         payload = view.payload
         tags_start = view.offset_tags
@@ -201,7 +247,7 @@ class BatchExtractor:
                 if not pending_exact and not open_wild and not captures:
                     return results
                 continue
-            if raw == _EOV:
+            if raw == RAW_EOV:
                 while stack:
                     frame = stack.pop()
                     close_frame(frame[3])
@@ -246,25 +292,24 @@ class BatchExtractor:
                 # record root (no parent): matched by the trie root itself
                 child_pairs = [(self.root, -1)]
 
-            if raw in _NESTED:
-                tag = _TAG_FROM_BYTE[raw]
+            if raw in RAW_NESTED:
                 for cap in captures:
-                    cap.feed_enter(step, tag)
+                    cap.feed_enter(step, raw)
                 counting: List[int] = []
                 for node, ctx in child_pairs:
                     for rid in node.exact_ids:
-                        captures.append(_SubtreeCapture(("e", rid), tag, step))
+                        captures.append(_SubtreeCapture(("e", rid), raw))
                     for wid in node.wild_ids:
-                        captures.append(_SubtreeCapture(("w", wid, ctx), tag, step))
+                        captures.append(_SubtreeCapture(("w", wid, ctx), raw))
                     if node.wild is not None:
-                        if raw == _OBJECT:
+                        if raw == RAW_OBJECT:
                             remaining = [wid for wid in node.wild.subtree_ids
                                          if wid in open_wild]
                             if remaining:
-                                captures.append(_SubtreeCapture(("p", remaining), tag, step))
+                                captures.append(_SubtreeCapture(("p", remaining), raw))
                         else:
                             counting.extend(node.wild.subtree_ids)
-                stack.append([raw == _OBJECT, 0, child_pairs, counting])
+                stack.append([raw == RAW_OBJECT, 0, child_pairs, counting])
                 continue
 
             # scalar value: decode only when someone needs it
@@ -274,21 +319,21 @@ class BatchExtractor:
                     if node.exact_ids or node.wild_ids or node.wild is not None:
                         need_value = True
                         break
-            if raw == _NULL:
+            if raw == RAW_NULL:
                 value = None
-            elif raw == _MISSING:
+            elif raw == RAW_MISSING:
                 value = MISSING
-            elif raw in _VARLEN:
+            elif raw in RAW_VARLEN:
                 (length,) = U32.unpack_from(payload, var_length_cursor)
                 var_length_cursor += 4
-                value = (unpack_variable(_TAG_FROM_BYTE[raw],
+                value = (unpack_variable(TAG_OF_RAW[raw],
                                          payload[var_value_cursor:var_value_cursor + length])
                          if need_value else None)
                 var_value_cursor += length
             else:
-                value = (unpack_fixed(_TAG_FROM_BYTE[raw], payload, fixed_cursor)
+                value = (unpack_fixed(TAG_OF_RAW[raw], payload, fixed_cursor)
                          if need_value else None)
-                fixed_cursor += _FIXED_SIZE[raw]
+                fixed_cursor += FIXED_WIDTH[raw]
             if need_value:
                 for cap in captures:
                     cap.feed_scalar(step, value)

@@ -7,6 +7,12 @@ names vector and the header change; the tags vector and both value vectors
 are copied through untouched, which is why compaction is cheap enough to
 run inside LSM flush operations.
 
+:func:`infer_and_compact` is what a flush runs: schema inference and
+compaction fused into the metadata-only walk of the record (see the cursor
+discipline in :mod:`repro.vector.decoder`).  :func:`compact_record` is the
+bytes-side half alone — with ``InferredSchema.observe(view.structure())`` it
+forms the reference the fused pass is tested against.
+
 Where the paper signals compaction by zeroing the fourth header offset,
 this implementation keeps the offset (the section still holds the ID
 entries) and records compaction in the header's flags byte; the effect —
@@ -20,100 +26,185 @@ tests, tooling, and data export.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+import struct
+from typing import Sequence, Tuple
 
 from ..errors import EncodingError, SchemaError
 from ..schema.dictionary import FieldNameDictionary
+from ..schema.nodes import UnionNode, new_node
 from .layout import (
     DECLARED_FIELD_BIT,
     FLAG_COMPACTED,
     HEADER,
     NAME_ENTRY_MAX,
-    U16,
+    POP_MARKER_BIT,
+    RAW_EOV,
+    RAW_NESTED,
+    RAW_OBJECT,
+    TAG_OF_RAW,
     U32,
 )
 
 
-def _parse_names_section(payload: bytes, offset_names: int) -> Tuple[int, List[int], int]:
-    """Return ``(count, entries, bytes_cursor)`` of the names section."""
+def _name_entries(payload: bytes, offset_names: int) -> Tuple[int, ...]:
+    """The u16 entries of the names section."""
     (count,) = U32.unpack_from(payload, offset_names)
-    entries = []
-    cursor = offset_names + 4
-    for _ in range(count):
-        (entry,) = U16.unpack_from(payload, cursor)
-        entries.append(entry)
-        cursor += 2
-    return count, entries, cursor
+    return struct.unpack_from("<%dH" % count, payload, offset_names + 4)
+
+
+def _with_names(payload: bytes, header: Tuple[int, ...], flags: int,
+                entries: Sequence[int], name_bytes: bytes = b"") -> bytes:
+    """``payload`` with its name entries (and inline name bytes) replaced."""
+    offset_names = header[9]
+    count = len(entries)
+    new_total = offset_names + 4 + 2 * count + len(name_bytes)
+    return b"".join((
+        HEADER.pack(new_total, header[1], flags, *header[3:]),
+        payload[HEADER.size:offset_names + 4],  # tags, both value vectors, the count
+        struct.pack("<%dH" % count, *entries),
+        name_bytes,
+    ))
+
+
+def _id_overflow(field_name_id: int) -> EncodingError:
+    return EncodingError(f"FieldNameID {field_name_id} exceeds the 15-bit entry capacity")
+
+
+def infer_and_compact(payload: bytes, schema, compact: bool = True) -> bytes:
+    """Fold one uncompacted record into ``schema`` and return its compacted form.
+
+    One loop over the tags vector, consuming one name entry per child of an
+    object; the value vectors are never read.  The stack holds *schema
+    nodes*: each value resolves its node under the parent by
+    ``(FieldNameID, tag byte)`` and creates it, promotes it to a union, or
+    increments it in place — the counters, unions and ``FieldNameID`` order
+    come out exactly as ``schema.observe(view.structure())`` leaves them.
+    Fields the datatype declares are not inferred (their description lives
+    in the catalog) but names nested under them still get ids.
+
+    ``compact=False`` infers only and returns ``payload`` unchanged.
+    """
+    header = HEADER.unpack_from(payload, 0)
+    if header[2] & FLAG_COMPACTED:
+        raise EncodingError("cannot infer from an already compacted record")
+    tag_count, offset_tags, offset_names = header[1], header[6], header[9]
+    entries = _name_entries(payload, offset_names)
+    name_cursor = offset_names + 4 + 2 * len(entries)
+    name_index = 0
+    ids = list(entries)
+    dictionary = schema.dictionary
+    known_id = dictionary.ids_by_utf8.get
+
+    # ``node`` describes the open container; None inside a declared field.
+    node = schema.root
+    node.counter += 1
+    in_object = True
+    stack = []
+    field_name_id = 0
+    for raw in payload[offset_tags + 1:offset_tags + tag_count]:  # [0] is the root OBJECT
+        if raw & POP_MARKER_BIT:
+            node, in_object = stack.pop()
+            continue
+        if raw == RAW_EOV:
+            break
+        inferred = node is not None
+        if in_object:
+            entry = entries[name_index]
+            if entry & DECLARED_FIELD_BIT:
+                inferred = False
+            else:
+                name = payload[name_cursor:name_cursor + entry]
+                name_cursor += entry
+                field_name_id = known_id(name)
+                if field_name_id is None:
+                    field_name_id = dictionary.encode_utf8(name)
+                if field_name_id > NAME_ENTRY_MAX and compact:
+                    raise _id_overflow(field_name_id)
+                ids[name_index] = field_name_id
+            name_index += 1
+        if inferred:
+            child = node.fields.get(field_name_id) if in_object else node.item
+            slot = None  # set when the parent has to point at another node
+            if child is None:
+                slot = child = new_node(TAG_OF_RAW[raw], 1)
+            elif child.tag == raw:
+                child.counter += 1
+            elif type(child) is UnionNode:
+                union = child
+                union.counter += 1
+                child = union.options.get(raw)
+                if child is None:
+                    child = new_node(TAG_OF_RAW[raw], 1)
+                    union.set_option(child)
+                else:
+                    child.counter += 1
+            else:  # type conflict: promote to a union of both (Figure 9b)
+                slot = UnionNode(child.counter + 1)
+                slot.set_option(child)
+                child = new_node(TAG_OF_RAW[raw], 1)
+                slot.set_option(child)
+            if slot is not None:
+                if in_object:
+                    node.fields[field_name_id] = slot
+                else:
+                    node.item = slot
+        else:
+            child = None
+        if raw in RAW_NESTED:
+            stack.append((node, in_object))
+            node, in_object = child, raw == RAW_OBJECT
+    schema.version += 1
+    if not compact:
+        return payload
+    return _with_names(payload, header, header[2] | FLAG_COMPACTED, ids)
 
 
 def compact_record(payload: bytes, dictionary: FieldNameDictionary) -> bytes:
     """Compact an uncompacted vector-based record.
 
-    Every inline field name must already be present in ``dictionary`` (the
-    tuple compactor calls schema inference on the record first), otherwise a
-    :class:`SchemaError` is raised — compaction never mutates the schema.
+    Every inline field name must already be present in ``dictionary``,
+    otherwise a :class:`SchemaError` is raised — compaction alone never
+    mutates the schema.
     """
     header = HEADER.unpack_from(payload, 0)
-    (total_length, tag_count, flags, r0, r1, r2,
-     offset_tags, offset_fixed, offset_varlen, offset_names) = header
-    if flags & FLAG_COMPACTED:
+    if header[2] & FLAG_COMPACTED:
         return payload  # already compacted; idempotent
 
-    count, entries, bytes_cursor = _parse_names_section(payload, offset_names)
-    new_entries = bytearray()
-    cursor = bytes_cursor
-    for entry in entries:
+    entries = _name_entries(payload, header[9])
+    cursor = header[9] + 4 + 2 * len(entries)
+    ids = list(entries)
+    for index, entry in enumerate(entries):
         if entry & DECLARED_FIELD_BIT:
-            new_entries += U16.pack(entry)
             continue
-        length = entry
-        name = payload[cursor:cursor + length].decode("utf-8")
-        cursor += length
+        name = payload[cursor:cursor + entry].decode("utf-8")
+        cursor += entry
         field_name_id = dictionary.lookup(name)
         if field_name_id is None:
             raise SchemaError(f"cannot compact: field name {name!r} is not in the schema dictionary")
         if field_name_id > NAME_ENTRY_MAX:
-            raise EncodingError(f"FieldNameID {field_name_id} exceeds the 15-bit entry capacity")
-        new_entries += U16.pack(field_name_id)
-
-    names_section = U32.pack(count) + bytes(new_entries)
-    new_total = offset_names + len(names_section)
-    new_header = HEADER.pack(
-        new_total, tag_count, flags | FLAG_COMPACTED, r0, r1, r2,
-        offset_tags, offset_fixed, offset_varlen, offset_names,
-    )
-    return new_header + payload[HEADER.size:offset_names] + names_section
+            raise _id_overflow(field_name_id)
+        ids[index] = field_name_id
+    return _with_names(payload, header, header[2] | FLAG_COMPACTED, ids)
 
 
 def expand_record(payload: bytes, dictionary: FieldNameDictionary) -> bytes:
     """Inverse of :func:`compact_record`: re-inline the field-name strings."""
     header = HEADER.unpack_from(payload, 0)
-    (total_length, tag_count, flags, r0, r1, r2,
-     offset_tags, offset_fixed, offset_varlen, offset_names) = header
-    if not flags & FLAG_COMPACTED:
+    if not header[2] & FLAG_COMPACTED:
         return payload
 
-    count, entries, _ = _parse_names_section(payload, offset_names)
-    new_entries = bytearray()
+    lengths = list(_name_entries(payload, header[9]))
     name_bytes = bytearray()
-    for entry in entries:
+    for index, entry in enumerate(lengths):
         if entry & DECLARED_FIELD_BIT:
-            new_entries += U16.pack(entry)
             continue
         name = dictionary.decode(entry)
         encoded = name.encode("utf-8")
         if len(encoded) > NAME_ENTRY_MAX:
             raise EncodingError(f"field name too long to re-inline: {name[:32]!r}...")
-        new_entries += U16.pack(len(encoded))
+        lengths[index] = len(encoded)
         name_bytes += encoded
-
-    names_section = U32.pack(count) + bytes(new_entries) + bytes(name_bytes)
-    new_total = offset_names + len(names_section)
-    new_header = HEADER.pack(
-        new_total, tag_count, flags & ~FLAG_COMPACTED, r0, r1, r2,
-        offset_tags, offset_fixed, offset_varlen, offset_names,
-    )
-    return new_header + payload[HEADER.size:offset_names] + names_section
+    return _with_names(payload, header, header[2] & ~FLAG_COMPACTED, lengths, bytes(name_bytes))
 
 
 def compaction_savings(uncompacted: bytes, compacted: bytes) -> int:

@@ -11,11 +11,39 @@ Compacted records store field-name ids instead of names, so resolving them
 requires the dataset's declared datatype (for declared-index entries) and
 the inferred schema's field-name dictionary (for FieldNameID entries);
 uncompacted records are fully self-describing.
+
+The cursor discipline
+---------------------
+Every reader of a record is the same walk: one pass over the tags vector,
+with up to three more cursors advancing in lockstep.
+
+* **tags** — one byte per entry, the first being the root ``OBJECT``.  A
+  byte with ``POP_MARKER_BIT`` closes the innermost open nested value,
+  ``EOV`` closes the record, any other byte is a value: a nested tag opens a
+  container, a scalar tag is a leaf.
+* **names** — a value whose parent is an object consumes one u16 name entry
+  (plus, for an inline name of an uncompacted record, that many bytes of
+  the name-bytes tail); items of arrays and multisets consume none.
+* **fixed** — a fixed-length scalar consumes its type's width.
+* **varlen** — a string or binary consumes one u32 length and that many
+  value bytes.  ``NULL`` and ``MISSING`` consume nothing but their tag.
+
+Three loops specialise that walk by the cursors they touch:
+
+* metadata only (tags + names): :func:`~repro.vector.compaction.infer_and_compact`
+  at flush time and :meth:`VectorRecordView.structure`;
+* every value (all four): :meth:`VectorRecordView.materialize`;
+* trie-guided (all four, decoding only what was asked for and stopping
+  early): :class:`~repro.vector.batch.BatchExtractor`, which also serves
+  :meth:`VectorRecordView.get_values`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+import struct
+import uuid
+from functools import lru_cache
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import DecodingError
 from ..types import (
@@ -32,11 +60,19 @@ from ..types import (
 )
 from .layout import (
     DECLARED_FIELD_BIT,
+    FIXED_WIDTH,
     FLAG_COMPACTED,
     HEADER,
     NAME_ENTRY_MAX,
     POP_MARKER_BIT,
-    U16,
+    RAW_EOV,
+    RAW_MISSING,
+    RAW_MULTISET,
+    RAW_NESTED,
+    RAW_NULL,
+    RAW_OBJECT,
+    RAW_VARLEN,
+    TAG_OF_RAW,
     U32,
 )
 
@@ -46,8 +82,13 @@ Path = Tuple[PathStep, ...]
 
 WILDCARD = "*"
 
-#: Cheap scalar placeholders used by :meth:`VectorRecordView.structure`.
+#: Scalar placeholders of :meth:`VectorRecordView.structure` (an IntEnum key
+#: is found by the raw tag byte).  Each has the type its tag decodes to, so
+#: the skeleton of a stored record infers (and, as an anti-schema, removes)
+#: the node types the record's own tags would.
 _STRUCTURE_PLACEHOLDERS = {
+    TypeTag.MISSING: MISSING,
+    TypeTag.NULL: None,
     TypeTag.BOOLEAN: False,
     TypeTag.INT8: 0,
     TypeTag.INT16: 0,
@@ -61,23 +102,16 @@ _STRUCTURE_PLACEHOLDERS = {
     TypeTag.TIME: ATime(0),
     TypeTag.DATETIME: ADateTime(0),
     TypeTag.POINT: APoint(0.0, 0.0),
+    TypeTag.UUID: uuid.UUID(int=0),
 }
 
 
-class _WalkEvent:
-    """One event produced by the linear walk over a record's vectors."""
+@lru_cache(maxsize=256)
+def _extractor_for(paths: Tuple[Path, ...]):
+    """The compiled extractor serving ``get_values`` for one path set."""
+    from .batch import BatchExtractor  # batch imports this module
 
-    __slots__ = ("kind", "path", "tag", "value")
-
-    ENTER = 0   # start of a nested value (object/array/multiset)
-    EXIT = 1    # end of a nested value
-    SCALAR = 2  # a scalar value (value decoded lazily only when asked)
-
-    def __init__(self, kind: int, path: Path, tag: TypeTag, value: Any = None) -> None:
-        self.kind = kind
-        self.path = path
-        self.tag = tag
-        self.value = value
+    return BatchExtractor(paths)
 
 
 class VectorRecordView:
@@ -116,10 +150,7 @@ class VectorRecordView:
 
     def materialize(self) -> Dict[str, Any]:
         """Decode the record back into Python objects."""
-        value = self._build(decode_values=True)
-        if not isinstance(value, dict):
-            raise DecodingError("vector-based payload does not hold an object record")
-        return value
+        return self._build(decode_values=True)
 
     def structure(self) -> Dict[str, Any]:
         """Return the record's structural skeleton with placeholder scalars.
@@ -128,10 +159,7 @@ class VectorRecordView:
         information the tuple compactor scans when inferring a schema
         (paper §3.3.2) — leaving fixed- and variable-length values unread.
         """
-        value = self._build(decode_values=False)
-        if not isinstance(value, dict):
-            raise DecodingError("vector-based payload does not hold an object record")
-        return value
+        return self._build(decode_values=False)
 
     # -- consolidated field access (the getValues() function) --------------------
 
@@ -157,107 +185,11 @@ class VectorRecordView:
         every wildcard collection has been closed, so access cost grows with
         the position of the requested values within the record (Figure 22).
         """
-        requests = [tuple(path) for path in paths]
-        results: List[Any] = [MISSING] * len(requests)
-        single_wild: Dict[int, int] = {}   # request index -> wildcard position
-        multi_wild: List[int] = []
-        for index, request in enumerate(requests):
-            positions = [at for at, step in enumerate(request) if step == WILDCARD]
-            if len(positions) == 1:
-                single_wild[index] = positions[0]
-                results[index] = []
-            elif positions:
-                multi_wild.append(index)
-                results[index] = []
-        pending_exact = len(requests) - len(single_wild) - len(multi_wild)
-        open_wild = dict(single_wild)      # still-unresolved single-wildcard requests
-        wild_matches: Dict[int, Dict[int, Any]] = {index: {} for index in single_wild}
-        wild_counts: Dict[int, int] = {index: 0 for index in single_wild}
-        # Capture keys: request index (exact paths), (index, item_index)
-        # (wildcard item subtrees), or (index, None) (object at a wildcard
-        # prefix, captured whole for singleton semantics).
-        capture: Dict[Any, _Capture] = {}
-
-        def finish_aligned(index: int) -> None:
-            open_wild.pop(index)
-            matches = wild_matches[index]
-            results[index] = [matches.get(item, MISSING)
-                              for item in range(wild_counts[index])]
-
-        for event in self._walk():
-            # feed open captures first (they consume the whole subtree)
-            if capture:
-                finished = [key for key, cap in capture.items() if cap.feed(event)]
-                for key in finished:
-                    cap = capture.pop(key)
-                    if isinstance(key, int):
-                        if key in multi_wild:
-                            results[key].append(cap.result())
-                        else:
-                            results[key] = cap.result()
-                            pending_exact -= 1
-                    else:
-                        index, slot = key
-                        if slot is None:
-                            open_wild.pop(index, None)
-                            results[index] = cap.result()
-                        else:
-                            wild_matches[index][slot] = cap.result()
-
-            path = event.path
-            depth = len(path)
-            if event.kind == _WalkEvent.EXIT:
-                for index in [i for i, at in open_wild.items()
-                              if depth == at and path == requests[i][:at]]:
-                    finish_aligned(index)
-            else:
-                for index, at in list(open_wild.items()):
-                    if (index, None) in capture:
-                        continue
-                    request = requests[index]
-                    if depth == at and path == request[:at]:
-                        # the wildcard's prefix itself: a scalar or an object
-                        # means a non-collection "collection" — pass it
-                        # through for singleton semantics.
-                        if event.kind == _WalkEvent.SCALAR:
-                            open_wild.pop(index)
-                            results[index] = event.value
-                        elif event.tag is TypeTag.OBJECT:
-                            capture[(index, None)] = _Capture(event)
-                        continue
-                    if (depth == at + 1 and isinstance(path[at], int)
-                            and path[:at] == request[:at]):
-                        wild_counts[index] += 1
-                    if self._path_matches(request, path):
-                        if event.kind == _WalkEvent.SCALAR:
-                            wild_matches[index][path[at]] = event.value
-                        else:
-                            capture[(index, path[at])] = _Capture(event)
-                for index in multi_wild:
-                    if index in capture:
-                        continue
-                    if self._path_matches(requests[index], path):
-                        if event.kind == _WalkEvent.SCALAR:
-                            results[index].append(event.value)
-                        else:
-                            capture[index] = _Capture(event)
-                for index, request in enumerate(requests):
-                    if index in single_wild or index in multi_wild or index in capture:
-                        continue
-                    if self._path_matches(request, path):
-                        if event.kind == _WalkEvent.SCALAR:
-                            results[index] = event.value
-                            pending_exact -= 1
-                        else:
-                            capture[index] = _Capture(event)
-
-            if pending_exact == 0 and not open_wild and not multi_wild and not capture:
-                break
-        return results
+        return _extractor_for(tuple(map(tuple, paths))).extract(self)
 
     def get_field(self, *path: PathStep) -> Any:
         """Single-path access (the un-consolidated ``getField()``)."""
-        return self.get_values(tuple(path))[0]
+        return self.get_values(path)[0]
 
     def get_items(self, *path: PathStep) -> Sequence[Any]:
         """Items of the collection at ``path`` (used by UNNEST)."""
@@ -270,194 +202,106 @@ class VectorRecordView:
             return []
         return [value]
 
-    @staticmethod
-    def _path_matches(request: Path, path: Path) -> bool:
-        if len(request) != len(path):
-            return False
-        for wanted, actual in zip(request, path):
-            if wanted == WILDCARD:
-                if not isinstance(actual, int):
-                    return False
-            elif wanted != actual:
-                return False
-        return True
+    # -- the full-record walks -------------------------------------------------------
 
-    # -- the linear walk -----------------------------------------------------------
-
-    def _walk(self, decode_values: bool = True) -> Iterator[_WalkEvent]:
-        """Yield structural events in tag order (one linear pass)."""
+    def _field_names(self) -> List[str]:
+        """Every name entry resolved to its string, in tag order."""
         payload = self.payload
-        tags_start = self.offset_tags
-        tag_count = self.tag_count
-        fixed_cursor = self.offset_fixed
-
-        (var_count,) = U32.unpack_from(payload, self.offset_varlen)
-        var_length_cursor = self.offset_varlen + 4
-        var_value_cursor = var_length_cursor + 4 * var_count
-
-        (name_count,) = U32.unpack_from(payload, self.offset_names)
-        name_entry_cursor = self.offset_names + 4
-        name_bytes_cursor = name_entry_cursor + 2 * name_count
-
-        # Stack entries: [container_tag, next_item_index] — for objects the
-        # index is unused (children are keyed by name).
-        stack: List[List[Any]] = []
-        path: List[PathStep] = []
-
-        index = 0
-        while index < tag_count:
-            raw = payload[tags_start + index]
-            index += 1
-            if raw & POP_MARKER_BIT:
-                exited_tag = stack.pop()[0]
-                exited_path = tuple(path)
-                if path:
-                    path.pop()
-                yield _WalkEvent(_WalkEvent.EXIT, exited_path, exited_tag)
-                continue
-            tag = TypeTag(raw)
-            if tag is TypeTag.EOV:
-                if stack:
-                    exited_tag = stack.pop()[0]
-                    yield _WalkEvent(_WalkEvent.EXIT, tuple(path), exited_tag)
-                break
-
-            # Determine this value's path component from its parent container.
-            if stack:
-                parent = stack[-1]
-                if parent[0] is TypeTag.OBJECT:
-                    name = self._read_name(payload, name_entry_cursor, name_bytes_cursor)
-                    name_entry_cursor += 2
-                    name_bytes_cursor += name[1]
-                    path.append(name[0])
-                else:
-                    path.append(parent[1])
-                    parent[1] += 1
-            value_path = tuple(path)
-
-            if tag is TypeTag.OBJECT or tag in (TypeTag.ARRAY, TypeTag.MULTISET):
-                stack.append([tag, 0])
-                yield _WalkEvent(_WalkEvent.ENTER, value_path, tag)
-                # nested values do not pop `path` here; the pop marker does
-                continue
-
-            if tag is TypeTag.NULL:
-                value = None
-            elif tag is TypeTag.MISSING:
-                value = MISSING
-            elif tag.is_fixed_length:
-                value = unpack_fixed(tag, payload, fixed_cursor) if decode_values else \
-                    _STRUCTURE_PLACEHOLDERS.get(tag, 0)
-                fixed_cursor += tag.fixed_length
-            elif tag.is_variable_length:
-                (length,) = U32.unpack_from(payload, var_length_cursor)
-                var_length_cursor += 4
-                if decode_values:
-                    value = unpack_variable(tag, payload[var_value_cursor:var_value_cursor + length])
-                else:
-                    value = _STRUCTURE_PLACEHOLDERS.get(tag, "")
-                var_value_cursor += length
+        (count,) = U32.unpack_from(payload, self.offset_names)
+        entries = struct.unpack_from("<%dH" % count, payload, self.offset_names + 4)
+        cursor = self.offset_names + 4 + 2 * count
+        compacted = self.flags & FLAG_COMPACTED
+        dictionary = self.dictionary
+        declared = self.datatype.fields if self.datatype is not None else ()
+        names = []
+        for entry in entries:
+            if entry & DECLARED_FIELD_BIT:
+                index = entry & NAME_ENTRY_MAX
+                if index >= len(declared):
+                    raise DecodingError(
+                        f"declared field index {index} cannot be resolved without a datatype")
+                names.append(declared[index].name)
+            elif compacted:
+                if dictionary is None:
+                    raise DecodingError(
+                        "compacted record requires a field-name dictionary to decode")
+                names.append(dictionary.decode(entry))
             else:
-                raise DecodingError(f"unexpected tag {tag.name} in tags vector")
-            yield _WalkEvent(_WalkEvent.SCALAR, value_path, tag, value)
-            if path:
-                path.pop()
+                names.append(payload[cursor:cursor + entry].decode("utf-8"))
+                cursor += entry
+        return names
 
-    def _read_name(self, payload: bytes, entry_cursor: int, bytes_cursor: int) -> Tuple[str, int]:
-        """Decode one field-name entry.
+    def _build(self, decode_values: bool) -> Dict[str, Any]:
+        """Build the record in one pass, each value appended straight into its parent.
 
-        Returns ``(name, inline_bytes_consumed)`` where the second element is
-        non-zero only for uncompacted inline names.
+        With ``decode_values`` off the fixed and varlen cursors are never
+        touched: scalars become the placeholder of their tag.
         """
-        (entry,) = U16.unpack_from(payload, entry_cursor)
-        if entry & DECLARED_FIELD_BIT:
-            index = entry & NAME_ENTRY_MAX
-            if self.datatype is None or index >= len(self.datatype.fields):
-                raise DecodingError(f"declared field index {index} cannot be resolved without a datatype")
-            return self.datatype.fields[index].name, 0
-        if self.is_compacted:
-            if self.dictionary is None:
-                raise DecodingError("compacted record requires a field-name dictionary to decode")
-            return self.dictionary.decode(entry), 0
-        length = entry
-        name = payload[bytes_cursor:bytes_cursor + length].decode("utf-8")
-        return name, length
+        payload = self.payload
+        tags = payload[self.offset_tags:self.offset_tags + self.tag_count]
+        if not tags or tags[0] != RAW_OBJECT:
+            raise DecodingError("vector-based payload does not hold an object record")
+        names = self._field_names()
+        name_index = 0
+        if decode_values:
+            fixed_cursor = self.offset_fixed
+            (var_count,) = U32.unpack_from(payload, self.offset_varlen)
+            var_lengths = struct.unpack_from("<%dI" % var_count, payload, self.offset_varlen + 4)
+            var_index = 0
+            var_cursor = self.offset_varlen + 4 + 4 * var_count
 
-    # -- building nested Python values ---------------------------------------------
-
-    def _build(self, decode_values: bool) -> Any:
-        root: Any = None
-        builders: List[_NestedBuilder] = []
-        for event in self._walk(decode_values=decode_values):
-            if event.kind == _WalkEvent.ENTER:
-                builders.append(_NestedBuilder(event.tag, event.path))
-            elif event.kind == _WalkEvent.EXIT:
-                finished = builders.pop()
-                value = finished.finish()
-                if builders:
-                    builders[-1].add(finished.path[-1] if finished.path else None, value)
+        root: Dict[str, Any] = {}
+        container: Any = root
+        kind = RAW_OBJECT
+        key: Any = None
+        # One frame per open nested value: its parent container, the parent's
+        # kind, and the key it sits under when the parent is an object.
+        stack: List[Tuple[Any, int, Any]] = []
+        for raw in tags[1:]:
+            if raw & POP_MARKER_BIT:
+                finished, finished_kind = container, kind
+                container, kind, key = stack.pop()
+                if finished_kind == RAW_MULTISET:  # immutable: wrap once complete
+                    if kind == RAW_OBJECT:
+                        container[key] = AMultiset(finished)
+                    else:
+                        container[-1] = AMultiset(finished)
+                continue
+            if raw == RAW_EOV:
+                break
+            if kind == RAW_OBJECT:
+                key = names[name_index]
+                name_index += 1
+            if raw in RAW_NESTED:
+                child: Any = {} if raw == RAW_OBJECT else []
+                if kind == RAW_OBJECT:
+                    container[key] = child
                 else:
-                    root = value
+                    container.append(child)
+                stack.append((container, kind, key))
+                container, kind = child, raw
+                continue
+            if not decode_values:
+                try:
+                    value = _STRUCTURE_PLACEHOLDERS[raw]
+                except KeyError:
+                    raise DecodingError(f"unexpected tag {raw} in tags vector") from None
+            elif raw == RAW_NULL:
+                value = None
+            elif raw == RAW_MISSING:
+                value = MISSING
+            elif raw in RAW_VARLEN:
+                length = var_lengths[var_index]
+                var_index += 1
+                value = unpack_variable(TAG_OF_RAW[raw], payload[var_cursor:var_cursor + length])
+                var_cursor += length
+            elif raw in FIXED_WIDTH:
+                value = unpack_fixed(TAG_OF_RAW[raw], payload, fixed_cursor)
+                fixed_cursor += FIXED_WIDTH[raw]
             else:
-                if builders:
-                    builders[-1].add(event.path[-1], event.value)
-                else:
-                    root = event.value
+                raise DecodingError(f"unexpected tag {raw} in tags vector")
+            if kind == RAW_OBJECT:
+                container[key] = value
+            else:
+                container.append(value)
         return root
-
-
-class _NestedBuilder:
-    """Accumulates children of one nested value during materialization."""
-
-    __slots__ = ("tag", "path", "object_fields", "items")
-
-    def __init__(self, tag: TypeTag, path: Path) -> None:
-        self.tag = tag
-        self.path = path
-        self.object_fields: Dict[str, Any] = {}
-        self.items: List[Any] = []
-
-    def add(self, key: Optional[PathStep], value: Any) -> None:
-        if self.tag is TypeTag.OBJECT:
-            self.object_fields[key] = value
-        else:
-            self.items.append(value)
-
-    def finish(self) -> Any:
-        if self.tag is TypeTag.OBJECT:
-            return self.object_fields
-        if self.tag is TypeTag.MULTISET:
-            return AMultiset(self.items)
-        return self.items
-
-
-class _Capture:
-    """Captures one nested subtree encountered during :meth:`get_values`."""
-
-    def __init__(self, enter_event: _WalkEvent) -> None:
-        self._root_path = enter_event.path
-        self._depth = 1
-        self._builders = [_NestedBuilder(enter_event.tag, enter_event.path)]
-        self._result: Any = MISSING
-
-    def feed(self, event: _WalkEvent) -> bool:
-        """Consume one walk event; returns True when the subtree is complete."""
-        if event.kind == _WalkEvent.ENTER:
-            self._depth += 1
-            self._builders.append(_NestedBuilder(event.tag, event.path))
-            return False
-        if event.kind == _WalkEvent.EXIT:
-            self._depth -= 1
-            finished = self._builders.pop()
-            value = finished.finish()
-            if self._builders:
-                self._builders[-1].add(finished.path[-1] if finished.path else None, value)
-                return False
-            self._result = value
-            return True
-        # scalar
-        self._builders[-1].add(event.path[-1], event.value)
-        return False
-
-    def result(self) -> Any:
-        return self._result

@@ -49,6 +49,8 @@ from __future__ import annotations
 
 import struct
 
+from ..types import TypeTag
+
 HEADER = struct.Struct("<IIBBBBIIII")
 HEADER_SIZE = HEADER.size  # 28 bytes
 
@@ -65,3 +67,15 @@ DECLARED_FIELD_BIT = 0x8000
 
 #: Maximum value storable in the low 15 bits of a field-name entry.
 NAME_ENTRY_MAX = 0x7FFF
+
+# Raw tag bytes and per-byte tables for the hot loops, which compare the ints
+# they read from the tags vector instead of building TypeTag members.
+RAW_MISSING = TypeTag.MISSING.value
+RAW_NULL = TypeTag.NULL.value
+RAW_EOV = TypeTag.EOV.value
+RAW_OBJECT = TypeTag.OBJECT.value
+RAW_MULTISET = TypeTag.MULTISET.value
+RAW_NESTED = frozenset((TypeTag.OBJECT.value, TypeTag.ARRAY.value, TypeTag.MULTISET.value))
+RAW_VARLEN = frozenset((TypeTag.STRING.value, TypeTag.BINARY.value))
+TAG_OF_RAW = {tag.value: tag for tag in TypeTag}
+FIXED_WIDTH = {tag.value: tag.fixed_length for tag in TypeTag if tag.is_fixed_length}

@@ -5,7 +5,7 @@ import pytest
 from repro import Dataset, DeviceKind, StorageEnvironment, StorageFormat
 from repro.config import DatasetConfig, LSMConfig, StorageConfig
 from repro.core.dataset import hash_partition
-from repro.errors import DatasetError
+from repro.errors import ComponentStateError, DatasetError, KeyNotFoundError
 from repro.types import deep_equals
 
 RECORDS = [
@@ -166,6 +166,31 @@ class TestDatasetBehaviour:
         dataset.flush_all()
         results = dataset.secondary_range_search("by_followers", 0, 70)
         assert {record["id"] for record in results} == set(range(11))
+
+    @pytest.mark.parametrize("storage_format", [StorageFormat.INFERRED, StorageFormat.OPEN])
+    def test_rejected_duplicate_index_leaves_the_original_answering(self, storage_format):
+        # The re-check reads the field the *registered* definition names; a
+        # rejected CREATE INDEX of the same name over another field (before
+        # and after data exists, so the backfill path is covered too) must
+        # not change that.
+        dataset = _dataset(storage_format)
+        dataset.create_secondary_index("ix", ("age",))
+        with pytest.raises(ComponentStateError, match="already exists"):
+            dataset.create_secondary_index("ix", ("profile", "followers"))
+        dataset.insert_all(RECORDS)
+        dataset.flush_all()
+        expected = {record["id"] for record in RECORDS if 30 <= record["age"] <= 35}
+        assert {r["id"] for r in dataset.secondary_range_search("ix", 30, 35)} == expected
+        with pytest.raises(ComponentStateError, match="already exists"):
+            dataset.create_secondary_index("ix", ("profile", "followers"))
+        assert dataset.list_secondary_indexes() == [("ix", ("age",))]
+        assert {r["id"] for r in dataset.secondary_range_search("ix", 30, 35)} == expected
+
+    def test_range_search_of_unknown_index_raises(self):
+        dataset = _dataset(StorageFormat.INFERRED)
+        dataset.insert(RECORDS[0])  # a memtable record must not be swept first
+        with pytest.raises(KeyNotFoundError):
+            dataset.secondary_range_search("nope", 0, 1)
 
 
 class TestCrashRecoveryEndToEnd:

@@ -4,6 +4,10 @@ Invariants covered:
 
 * both physical record formats round-trip arbitrary JSON-like records;
 * vector-based compaction is lossless and never grows a record;
+* the flush-time fused infer-and-compact pass equals its reference
+  ``observe(structure()) + compact_record`` byte for byte and counter for
+  counter on heterogeneous nested records, and the one-pass builders equal
+  the dict side on the three dataset generators;
 * schema inference is insensitive to record order, monotone under
   observation, and returns to the empty schema after removing everything it
   observed;
@@ -30,8 +34,15 @@ from repro.core import TupleCompactor
 from repro.lsm import LSMBTree, NoMergePolicy
 from repro.schema import InferredSchema, extract_antischema
 from repro.storage import BufferCache, InMemoryFileManager, SimulatedStorageDevice
-from repro.types import deep_equals, open_only_primary_key
-from repro.vector import VectorEncoder, VectorRecordView, compact_record, expand_record
+from repro.datasets import sensors, twitter, wos
+from repro.errors import EncodingError
+from repro.types import (
+    ADate, AMultiset, Datatype, FieldDeclaration, MISSING, TypeTag, deep_equals,
+    open_only_primary_key,
+)
+from repro.vector import (
+    VectorEncoder, VectorRecordView, compact_record, expand_record, infer_and_compact,
+)
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -96,6 +107,100 @@ class TestFormatRoundTrips:
         view = VectorRecordView(compacted, datatype, schema.dictionary)
         assert deep_equals(view.materialize(), record)
         assert expand_record(compacted, schema.dictionary) == payload
+
+
+# ---------------------------------------------------------------------------
+# the fused flush-time pass against its reference
+# ---------------------------------------------------------------------------
+
+# Few names and many types: the same name turns up at several depths and
+# with conflicting types, so unions form and a third type joins them.
+_few_names = st.sampled_from(["a", "b", "c", "d", "name", "é"])
+
+_typed_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2 ** 62), max_value=2 ** 62),
+    st.floats(allow_nan=False, allow_infinity=False, width=64),
+    st.text(max_size=8),
+    st.binary(max_size=4),
+    st.builds(ADate, st.integers(min_value=0, max_value=20000)),
+    st.uuids(),
+)
+
+
+def _typed_values(depth: int = 3):
+    if depth == 0:
+        return _typed_scalars
+    children = _typed_values(depth - 1)
+    items = st.lists(st.one_of(children, st.just(MISSING)), max_size=3)  # empty, nested, MISSING items
+    return st.one_of(
+        _typed_scalars,
+        items,
+        items.map(AMultiset),
+        st.dictionaries(_few_names, children, max_size=3),  # empty objects
+    )
+
+
+_typed_records = st.lists(st.dictionaries(_few_names, _typed_values(), max_size=5),
+                          min_size=1, max_size=6)
+
+#: ``id`` and ``d`` are declared; ``d`` may hold any nested value.
+_DECLARING = Datatype.open_type("T", [
+    FieldDeclaration("id", TypeTag.INT64),
+    FieldDeclaration("d", TypeTag.ANY, optional=True),
+])
+
+
+def _reference(schema, datatype, payload):
+    """What a flush did before the passes were fused: three walks."""
+    schema.observe(VectorRecordView(payload, datatype).structure())
+    return compact_record(payload, schema.dictionary)
+
+
+class TestFusedInferAndCompact:
+    @_slow_settings
+    @given(records=_typed_records, declaring=st.booleans())
+    def test_equals_reference_and_removes_back_to_empty(self, records, declaring):
+        datatype = _DECLARING if declaring else open_only_primary_key("T")
+        encoder = VectorEncoder(datatype)
+        fused, reference, inferring = (InferredSchema(datatype) for _ in range(3))
+        payloads = [encoder.encode(dict(record, id=key)) for key, record in enumerate(records)]
+        compacted = [infer_and_compact(payload, fused) for payload in payloads]
+        for payload, fused_bytes in zip(payloads, compacted):
+            assert fused_bytes == _reference(reference, datatype, payload)
+            assert infer_and_compact(payload, inferring, compact=False) is payload
+        for schema in (fused, inferring):
+            assert schema.structurally_equal(reference, compare_counters=True)
+            assert schema.to_bytes() == reference.to_bytes()
+        assert fused.dictionary.ids_by_utf8 == {
+            name.encode("utf-8"): name_id for name_id, name in fused.dictionary.items()}
+
+        for key, payload in enumerate(payloads):
+            view = VectorRecordView(compacted[key], datatype, fused.dictionary)
+            assert deep_equals(view.materialize(), dict(records[key], id=key))
+            fused.remove(VectorRecordView(payload, datatype).structure())
+        assert fused.root.counter == 0 and not fused.root.fields
+        assert fused.version == 2 * len(payloads)
+
+    def test_compacted_input_is_rejected(self):
+        schema = InferredSchema()
+        compacted = infer_and_compact(VectorEncoder(None).encode({"a": 1}), schema)
+        with pytest.raises(EncodingError):
+            infer_and_compact(compacted, schema)
+        assert compact_record(compacted, schema.dictionary) is compacted
+
+    @pytest.mark.parametrize("generator", [twitter, wos, sensors], ids=lambda module: module.__name__)
+    def test_builders_equal_the_dict_side(self, generator):
+        datatype = open_only_primary_key("T")
+        schema = InferredSchema(datatype)
+        for record in generator.generate(60):
+            payload = VectorEncoder(datatype).encode(record)
+            compacted = infer_and_compact(payload, schema)
+            for view in (VectorRecordView(payload, datatype),
+                         VectorRecordView(compacted, datatype, schema.dictionary)):
+                assert deep_equals(view.materialize(), record)
+                assert view.structure() == extract_antischema(record)
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +429,6 @@ class TestLSMOracle:
         for key, record in oracle.items():
             found = index.search(key)
             assert found is not None
-            decoded = compactor.decode_record(found.payload, found.schema) \
-                if found.record is None else found.record
+            decoded = found.record if found.record is not None else VectorRecordView(
+                found.payload, compactor.datatype, compactor.schema.dictionary).materialize()
             assert decoded == record

@@ -1,14 +1,19 @@
 """Tests for the tuple compactor attached to the LSM flush lifecycle."""
 
+import uuid
+
 import pytest
 
 from repro.config import DatasetConfig, LSMConfig, StorageFormat
 from repro.core import Dataset, StorageEnvironment, TupleCompactor
+from repro.datasets import twitter
+from repro.errors import TransientIOError
+from repro.faults import get_injector
 from repro.lsm import LSMBTree, NoMergePolicy
 from repro.schema import InferredSchema
 from repro.storage import BufferCache, InMemoryFileManager, SimulatedStorageDevice
 from repro.types import TypeTag, deep_equals, open_only_primary_key
-from repro.vector import VectorEncoder, is_compacted
+from repro.vector import VectorEncoder, VectorRecordView, compact_record, is_compacted
 
 
 def _compacting_index(memory_budget=1 << 20, maintain_pk=True):
@@ -59,7 +64,7 @@ class TestFlushTimeInference:
         entry = index.components[0].search(1)
         assert is_compacted(entry.value)
         assert len(entry.value) < len(encoder.encode(record))
-        decoded = compactor.decode_record(entry.value, index.components[0].schema)
+        decoded = VectorRecordView(entry.value, compactor.datatype, compactor.schema.dictionary).materialize()
         assert deep_equals(decoded, record)
 
     def test_memtable_records_stay_uncompacted(self):
@@ -169,6 +174,102 @@ class TestDeleteAndUpsertMaintenance:
         assert index.stats.maintenance_point_lookups == before + 1
 
 
+    def test_uuid_field_survives_upsert_and_delete(self):
+        """A fixed-length scalar without a cheap placeholder keeps its type on
+        both sides: inferred from the tag byte, removed through the skeleton."""
+        dataset = Dataset.create("u", StorageFormat.INFERRED)
+        dataset.insert({"id": 1, "u": uuid.uuid4()})
+        dataset.flush_all()
+        schema = dataset.partitions[0].compactor.schema
+        assert schema.root.child(schema.field_name_id("u")).tag is TypeTag.UUID
+        replacement = uuid.uuid4()
+        dataset.upsert({"id": 1, "u": replacement})  # old version: disk lookup -> skeleton
+        dataset.flush_all()
+        assert dataset.get(1) == {"id": 1, "u": replacement}
+        dataset.delete(1)
+        dataset.flush_all()
+        schema = dataset.partitions[0].compactor.schema
+        assert schema.root.counter == 0 and not schema.root.fields
+        dataset.close()
+
+
+def _stored(dataset):
+    """Every component's schema blob and record payloads, newest component first."""
+    return [[(component.metadata.schema_bytes,
+              [(entry.key, entry.value) for entry in component.scan()])
+             for component in partition.index.components]
+            for partition in dataset.partitions]
+
+
+class TestOnePassEverywhere:
+    """Flush, flush-retry and bulk load run the same fused pass."""
+
+    def test_failed_then_retried_flush_equals_an_unfailed_one(self):
+        """The bytes->id memo is rolled back with the dictionary: a retry that
+        meets the names in another order must not reuse the failed attempt's ids."""
+        first = {"id": 5, "zeta": 1, "alpha": {"beta": 2.5, "zeta": [None]}}
+        second = {"id": 1, "gamma": "x", "zeta": "now a string", "alpha": 7}
+        clean = Dataset.create("clean", StorageFormat.INFERRED)
+        retried = Dataset.create("retried", StorageFormat.INFERRED)
+        try:
+            clean.insert(first)
+            retried.insert(first)
+            get_injector().add_rule("device.write", nth=1, times=1)
+            with pytest.raises(TransientIOError):
+                retried.partitions[0].index.flush()  # every record transformed, then the write fails
+            assert len(retried.partitions[0].compactor.schema.dictionary) == 0
+            for dataset in (clean, retried):
+                dataset.insert(second)  # sorts before ``first``: its names get ids first now
+                dataset.flush_all()
+            assert _stored(retried) == _stored(clean)
+            assert (list(retried.partitions[0].compactor.schema.dictionary.items())
+                    == list(clean.partitions[0].compactor.schema.dictionary.items()))
+            assert retried.get(5) == first and retried.get(1) == second
+        finally:
+            get_injector().clear()
+            clean.close()
+            retried.close()
+
+    def test_bulk_load_equals_insert_and_flush(self):
+        records = list(twitter.generate(80))
+        loaded = Dataset.create("loaded", StorageFormat.INFERRED)
+        flushed = Dataset.create("flushed", StorageFormat.INFERRED)
+        loaded.bulk_load(records)
+        flushed.insert_all(records)
+        flushed.flush_all()
+        assert _stored(loaded) == _stored(flushed)
+        compactor = loaded.partitions[0].compactor
+        assert compactor.records_compacted == len(records) and compactor.bytes_saved > 0
+        loaded.close()
+        flushed.close()
+
+    def test_flushed_payloads_equal_the_three_walk_reference(self):
+        index, compactor, encoder = _compacting_index()
+        reference = InferredSchema(compactor.datatype)
+        records = sorted(twitter.generate(40), key=lambda record: record["id"])
+        for record in records:
+            _insert(index, encoder, record)
+        index.flush()
+        for record in records:
+            payload = encoder.encode(record)
+            reference.observe(VectorRecordView(payload, compactor.datatype).structure())
+            assert index.components[0].search(record["id"]).value == compact_record(
+                payload, reference.dictionary)
+        assert index.components[0].metadata.schema_bytes == reference.to_bytes()
+
+    def test_compact_off_infers_without_rewriting(self):
+        datatype = open_only_primary_key("EmployeeType")
+        inferring, compacting = TupleCompactor(datatype, compact=False), TupleCompactor(datatype)
+        payload = VectorEncoder(datatype).encode({"id": 1, "name": "Ann", "tags": ["a", {"b": 1}]})
+        assert inferring.transform_record(1, None, payload) is payload
+        assert is_compacted(compacting.transform_record(1, None, payload))
+        assert inferring.schema.to_bytes() == compacting.schema.to_bytes()
+        assert (inferring.records_compacted, inferring.bytes_saved) == (0, 0)
+        assert compacting.records_compacted == 1
+        assert compacting.bytes_saved == len(payload) - len(compact_record(
+            payload, compacting.schema.dictionary))
+
+
 class TestCompactorRecovery:
     def test_schema_reloaded_from_newest_valid_component(self):
         from repro.lsm import recover_index
@@ -194,5 +295,5 @@ class TestCompactorRecovery:
         assert fresh_compactor.schema.field_name_id("name") is not None
         # recovered index can still decode its compacted records
         entry = fresh.search(1)
-        decoded = fresh_compactor.decode_record(entry.payload, fresh.components[0].schema)
+        decoded = VectorRecordView(entry.payload, datatype, fresh_compactor.schema.dictionary).materialize()
         assert decoded["age"] == 5

@@ -136,6 +136,13 @@ class TestGetValues:
         (salaries,) = view.get_values(("salaries", "*"))
         assert salaries == [70000, 90000]
 
+    def test_several_wildcards_flatten_present_values(self):
+        record = {"id": 1, "rows": [[{"v": 1}, {"w": 2}], [], [{"v": None}], "scalar"]}
+        view = VectorRecordView(VectorEncoder(None).encode(record))
+        flattened, rows = view.get_values(("rows", "*", "*", "v"), ("rows", "*"))
+        assert flattened == [1, None]  # document order, no holes for absent paths
+        assert rows == record["rows"]
+
     def test_nested_value_materialized_by_exact_path(self):
         datatype = _datatype()
         view = VectorRecordView(VectorEncoder(datatype).encode(APPENDIX_RECORD), datatype)
