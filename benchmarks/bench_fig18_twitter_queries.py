@@ -15,8 +15,6 @@ costs of the Java runtime do not transfer to Python).
 """
 
 from harness import (
-    batch_row_comparison,
-    check_batch_speedup,
     check_compression_reduces_io,
     check_io_correlates_with_storage,
     check_results_agree,
@@ -25,7 +23,6 @@ from harness import (
     print_table,
     query_figure,
     repeated_query_caching,
-    scale_factor,
 )
 
 QUERY_NAMES = ("Q1", "Q2", "Q3", "Q4")
@@ -45,27 +42,6 @@ def test_fig18_twitter_queries(benchmark):
     # which is why the paper's NVMe runs expose CPU cost instead.
     for key, measurement in measurements.items():
         assert measurement["nvme_io"] <= measurement["sata_io"]
-
-
-def test_fig18_batch_vs_row(benchmark):
-    """Vectorized batch execution against the row pipeline, same queries.
-
-    Q2 and Q3 are the scan-heavy aggregations where one trie-guided extractor
-    pass per record replaces per-field navigation, so they carry the speedup
-    assertion.  Q1 (count(*) decodes no columns) and Q4 (SELECT * is bound by
-    result materialization, not extraction) still run batch and still win,
-    but by smaller factors that are printed rather than asserted.
-    """
-    rows, measurements = benchmark.pedantic(
-        lambda: batch_row_comparison("twitter", QUERY_NAMES),
-        rounds=1, iterations=1)
-    print_table("Figure 18 (detail) — batch vs row execution, inferred format "
-                "(hot cache, best of 3)", rows)
-    # >=3x at default scale and above; at the reduced CI smoke scale the
-    # fixed per-query costs (plan compile, warmup) occupy a larger share of
-    # the shrunken runtime, so the floor relaxes to 2x there.
-    min_speedup = 3.0 if scale_factor() >= 1.0 else 2.0
-    check_batch_speedup("twitter", measurements, ("Q2", "Q3"), min_speedup=min_speedup)
 
 
 def test_fig18_repeated_query_caching(benchmark):

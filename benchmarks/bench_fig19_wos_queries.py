@@ -10,15 +10,12 @@ configurations.
 """
 
 from harness import (
-    batch_row_comparison,
-    check_batch_engages,
     check_compression_reduces_io,
     check_io_correlates_with_storage,
     check_results_agree,
     check_sqlpp_parity,
     print_table,
     query_figure,
-    shape_check,
 )
 
 QUERY_NAMES = ("Q1", "Q2", "Q3", "Q4")
@@ -32,23 +29,3 @@ def test_fig19_wos_queries(benchmark):
     check_compression_reduces_io("wos", measurements, QUERY_NAMES)
     check_results_agree(measurements, QUERY_NAMES)
     check_sqlpp_parity("wos", QUERY_NAMES)
-
-
-def test_fig19_batch_vs_row(benchmark):
-    """Batch-vs-row over WoS: Q1/Q2 vectorize; Q3/Q4 exercise the fallback.
-
-    Q3 and Q4 refer to the unnested item variable directly (not through a
-    pushed-down field path), which the batch planner does not vectorize — the
-    check here is that the fallback is *transparent*: the executor reports
-    row mode with a reason and returns identical rows either way.
-    """
-    rows, measurements = benchmark.pedantic(
-        lambda: batch_row_comparison("wos", QUERY_NAMES),
-        rounds=1, iterations=1)
-    print_table("Figure 19 (detail) — batch vs row execution, inferred format "
-                "(hot cache, best of 3)", rows)
-    check_batch_engages("wos", measurements, ("Q1", "Q2"))
-    for query_name in ("Q3", "Q4"):
-        shape_check(f"wos {query_name}: batch planner reports a fallback reason",
-                    measurements[query_name]["mode"] == "row"
-                    and measurements[query_name]["fallback"] is not None)

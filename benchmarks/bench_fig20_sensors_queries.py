@@ -15,8 +15,6 @@ selective Q4 no worse, which is the crossover the paper reports.
 """
 
 from harness import (
-    batch_row_comparison,
-    check_batch_engages,
     build_dataset,
     check_compression_reduces_io,
     check_io_correlates_with_storage,
@@ -41,26 +39,6 @@ def test_fig20_sensors_queries(benchmark):
     check_compression_reduces_io("sensors", measurements, QUERY_NAMES)
     check_results_agree(measurements, QUERY_NAMES)
     check_sqlpp_parity("sensors", QUERY_NAMES)
-
-
-def test_fig20_batch_vs_row(benchmark):
-    """Batch-vs-row over Sensors: the pushed-down UNNEST queries vectorize.
-
-    Q2–Q4 all unnest ``readings`` through the pushdown, so their item-field
-    accesses become flattened columns and run batch; Q1 counts over an UNNEST
-    whose items are never accessed, which the batch planner declines (no item
-    paths to push), so it must transparently fall back to row mode with
-    identical results.
-    """
-    rows, measurements = benchmark.pedantic(
-        lambda: batch_row_comparison("sensors", QUERY_NAMES),
-        rounds=1, iterations=1)
-    print_table("Figure 20 (detail) — batch vs row execution, inferred format "
-                "(hot cache, best of 3)", rows)
-    check_batch_engages("sensors", measurements, ("Q2", "Q3", "Q4"))
-    shape_check("sensors Q1: batch planner reports a fallback reason",
-                measurements["Q1"]["mode"] == "row"
-                and measurements["Q1"]["fallback"] is not None)
 
 
 def test_fig20_selective_q4_interaction(benchmark):

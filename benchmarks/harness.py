@@ -199,62 +199,6 @@ def query_time(built: BuiltDataset, spec: QuerySpec, device: DeviceKind,
     return total, result
 
 
-def batch_row_comparison(workload: str, query_names: Sequence[str],
-                         format_name: str = "inferred",
-                         repeats: int = 3) -> Tuple[List[Dict[str, Any]], Dict]:
-    """Batch-vs-row execution comparison shared by the Figure 18/19/20 modules.
-
-    Runs each workload query with a warm buffer cache in both execution modes,
-    keeps the best of ``repeats`` wall-clock timings per mode (hot + best-of-N
-    isolates the CPU cost the two modes differ in from I/O and scheduling
-    noise), and checks that both modes return identical rows.  Returns
-    printable rows plus a measurements dict per query: ``row_seconds``,
-    ``batch_seconds``, ``speedup``, and the ``mode`` the executor actually
-    used — "row" with a ``fallback`` reason when the batch planner declined
-    the plan (UNNEST without pushdown etc.), which the figure modules assert
-    on so a silent fallback cannot masquerade as a comparison.
-    """
-    built = build_dataset(workload, format_name)
-    rows: List[Dict[str, Any]] = []
-    measurements: Dict[str, Dict[str, Any]] = {}
-    for query_name in query_names:
-        make = GENERATORS[workload].QUERIES[query_name]
-        timings: Dict[str, float] = {}
-        result_rows: Dict[str, List] = {}
-        engaged = fallback = None
-        for mode in ("batch", "row"):
-            executor = QueryExecutor(execution_mode=mode)
-            executor.execute(built.dataset, make())  # warm the buffer cache
-            best = None
-            for _ in range(repeats):
-                result = executor.execute(built.dataset, make())
-                seconds = result.stats.wall_seconds
-                best = seconds if best is None else min(best, seconds)
-            timings[mode] = best
-            result_rows[mode] = result.rows
-            if mode == "batch":
-                engaged = result.stats.execution_mode
-                fallback = result.stats.fallback_reason
-        shape_check(f"{workload} {query_name}: batch and row modes return identical rows",
-                    result_rows["batch"] == result_rows["row"])
-        speedup = (timings["row"] / timings["batch"]) if timings["batch"] else float("inf")
-        measurements[query_name] = {
-            "row_seconds": timings["row"],
-            "batch_seconds": timings["batch"],
-            "speedup": speedup,
-            "mode": engaged,
-            "fallback": fallback,
-        }
-        rows.append({
-            "Query": query_name,
-            "Mode": "batch" if engaged == "batch" else f"row ({fallback})",
-            "Row CPU (s)": timings["row"],
-            "Batch CPU (s)": timings["batch"],
-            "Speedup": speedup,
-        })
-    return rows, measurements
-
-
 def repeated_query_caching(workload: str, query_names: Sequence[str],
                            format_name: str = "inferred",
                            repeats: int = 3) -> Tuple[List[Dict[str, Any]], Dict]:
@@ -335,29 +279,6 @@ def check_warm_cache_speedup(workload: str, measurements: Dict, queries: Iterabl
                     measurement["warm_bytes"] < measurement["cold_bytes"])
         shape_check(f"{workload} {query_name}: warm execution is >= {min_speedup:.1f}x "
                     f"faster than cold (measured {measurement['speedup']:.2f}x)",
-                    measurement["speedup"] >= min_speedup)
-
-
-def check_batch_engages(workload: str, measurements: Dict,
-                        queries: Iterable[str]) -> None:
-    """The batch planner must accept these queries (no silent row fallback)."""
-    for query_name in queries:
-        measurement = measurements[query_name]
-        shape_check(f"{workload} {query_name}: batch execution engages "
-                    f"(fallback: {measurement['fallback']})",
-                    measurement["mode"] == "batch")
-
-
-def check_batch_speedup(workload: str, measurements: Dict, queries: Iterable[str],
-                        min_speedup: float) -> None:
-    """Batch mode must beat row mode by ``min_speedup``x on these queries."""
-    for query_name in queries:
-        measurement = measurements[query_name]
-        shape_check(f"{workload} {query_name}: batch execution engages "
-                    f"(fallback: {measurement['fallback']})",
-                    measurement["mode"] == "batch")
-        shape_check(f"{workload} {query_name}: batch is >= {min_speedup:.1f}x faster "
-                    f"than row (measured {measurement['speedup']:.2f}x)",
                     measurement["speedup"] >= min_speedup)
 
 

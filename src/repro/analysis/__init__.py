@@ -4,8 +4,8 @@ Two halves:
 
 * :mod:`repro.analysis.lint` + :mod:`repro.analysis.rules` — an AST lint
   framework with project rules (lock discipline LOCK001–003, knob
-  documentation KNOB001, metric naming OBS001, row/batch parity PAR001),
-  runnable as ``python -m repro.analysis src/``;
+  documentation KNOB001, metric naming OBS001), runnable as
+  ``python -m repro.analysis src/``;
 * :mod:`repro.analysis.locktrack` — an opt-in (``REPRO_LOCKTRACK=1``)
   dynamic lock-order tracker that records the per-thread acquisition graph
   while tier-1 tests run and fails the session on lock-order cycles.

@@ -19,7 +19,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="engine-specific static analysis (lock discipline, knob "
-                    "documentation, metric naming, row/batch parity)")
+                    "documentation, metric naming)")
     parser.add_argument("paths", nargs="*", default=None,
                         help="files or directories to scan (default: src/ "
                              "if present, else the current directory)")

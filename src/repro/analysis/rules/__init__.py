@@ -15,7 +15,6 @@ from .fault_rules import FaultPointRule
 from .knob_rules import KnobAccessorRule
 from .lock_rules import BlockingUnderLockRule, GuardedByRule, LockHierarchyRule
 from .obs_rules import MetricNameRule
-from .parity_rules import RowBatchParityRule
 
 __all__ = [
     "BlockingUnderLockRule",
@@ -24,7 +23,6 @@ __all__ = [
     "KnobAccessorRule",
     "FaultPointRule",
     "MetricNameRule",
-    "RowBatchParityRule",
     "default_rules",
 ]
 
@@ -38,5 +36,4 @@ def default_rules() -> List[Rule]:
         KnobAccessorRule(),
         FaultPointRule(),
         MetricNameRule(),
-        RowBatchParityRule(),
     ]

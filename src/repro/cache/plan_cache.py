@@ -13,9 +13,8 @@ choice, and the compiled batch plan — as one :class:`PhysicalPlan` keyed by
   LSM structure version — flush, merge, ``CREATE INDEX``, bulk load, and
   quarantine all bump it, and component swaps are exactly when per-component
   ``FieldStatistics`` change, so a stats refresh re-optimizes too), and
-* the executor's plan-relevant knobs (optimizer flags, access-path policy,
-  execution mode, batch sizing), so differently-configured executors never
-  share entries.
+* the executor's plan-relevant knobs (optimizer flags, access-path policy),
+  so differently-configured executors never share entries.
 
 Entries are never invalidated in place: a bumped epoch simply stops
 matching, and the stale entries age out of the LRU.  Capacity comes from
@@ -123,10 +122,8 @@ class PhysicalPlan:
     access_plan: Any
     #: Cost-based :class:`~repro.query.optimizer.AccessPathChoice`.
     choice: Any
-    #: Compiled :class:`~repro.query.batch_compile.BatchQueryPlan`, or None.
+    #: Compiled :class:`~repro.query.batch_compile.BatchQueryPlan`.
     batch_plan: Any
-    #: Why batch compilation fell back to the row pipeline (None = batch ran).
-    fallback_reason: Optional[str] = None
 
 
 class PlanCache:

@@ -1,32 +1,30 @@
-"""Batch (columnar) compilation of query expressions.
+"""Compilation of query expressions into column evaluators.
 
-The row pipeline interprets an expression tree once per environment.  Batch
-execution compiles the same tree once per query into *column evaluators* —
-closures mapping a :class:`~repro.vector.batch.ColumnBatch` to a list of
-per-row values — so the per-record interpreter dispatch, environment dicts,
-and EXTRACTED lookups disappear from the hot loop.
+The partition pipelines never interpret an expression tree per record: each
+tree is compiled once per query into a *column evaluator* — a closure mapping
+a :class:`~repro.vector.batch.ColumnBatch` to a list of per-row values — so
+interpreter dispatch and per-row environment dicts stay out of the hot loop.
 
-Two invariants keep batch results row-identical:
-
-* every evaluator reuses the row operators' building blocks
-  (``Comparison._OPS``, ``_FUNCTIONS``, ``access_path``, the MISSING/NULL
-  propagation rules), so a value computed from a column is the value the
-  row evaluator would have computed from the environment;
-* anything the compiler cannot express raises :class:`BatchUnsupported`,
-  which :func:`plan_batch` turns into a fallback reason — the executor then
-  runs the unchanged row pipeline.
+The evaluators are built from the same tables the interpreter
+(``Expr.evaluate``, kept for the coordinator and the tests' reference model)
+uses — ``Comparison._OPS``, ``_FUNCTIONS``, ``access_path``, the MISSING/NULL
+propagation rules — so a value computed from a column is the value the
+interpreter computes from an environment.  A plan the compiler cannot
+express (an unbound variable, an unknown :class:`Expr` subclass) fails here,
+at plan time, with a :class:`~repro.errors.QueryError`.
 
 ``AND``/``OR`` are the one deliberate divergence in *evaluation order*: the
-row evaluator short-circuits, the batch evaluator computes every operand
-column.  All expression functions here are pure (arithmetic returns None on
+interpreter short-circuits, a column evaluator computes every operand
+column.  All expression functions are pure (arithmetic returns None on
 division by zero instead of raising), so the results are identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
+from ..errors import QueryError
 from ..types import MISSING, Missing
 from ..vector.batch import BatchExtractor, ColumnBatch
 from .expressions import (
@@ -53,35 +51,34 @@ from .plan import QuerySpec
 #: A compiled expression: batch in, one value per row out.
 ColumnEval = Callable[[ColumnBatch], List[Any]]
 
-#: Expr subclasses deliberately left to the row pipeline, with the reason.
-#: PAR001 (``python -m repro.analysis``) requires every Expr subclass to be
-#: either dispatched by :func:`compile_expr` or registered here — an entry
-#: makes the row-only fallback a recorded decision instead of a silent one.
-ROW_ONLY_EXPRESSIONS: Dict[str, str] = {}
-
-
-class BatchUnsupported(Exception):
-    """An expression or plan shape the batch compiler cannot handle."""
-
 
 class _Context:
     """Which columns an evaluator may address, by variable."""
 
-    __slots__ = ("record_var", "record_paths", "let_names", "item_var", "item_paths",
+    __slots__ = ("record_var", "record_paths", "access_at_scan", "bound", "item_columns",
                  "uses_views")
 
     def __init__(self, record_var: str, record_paths: Set[Path],
-                 item_var: Optional[str] = None,
-                 item_paths: frozenset = frozenset()) -> None:
+                 access_at_scan: bool) -> None:
         self.record_var = record_var
         #: Mutable: compiling a field access on the scan variable registers
-        #: its path here, so the batch scan extracts every addressed column
+        #: its path here, so the scan extracts every addressed column
         #: (including paths the optimizer dropped from its own scan list,
         #: e.g. a projected collection whose UNNEST was pushed down).
         self.record_paths = record_paths
-        self.let_names: Set[str] = set()
-        self.item_var = item_var
-        self.item_paths = item_paths
+        #: Whether the scan fills a column per field access on the scan
+        #: variable (the consolidated ``get_values`` of a vector format).
+        #: Otherwise no access is moved: each one calls ``get_field`` on the
+        #: record view wherever the query evaluates it — above an UNNEST that
+        #: is once per item, below a WHERE only for the rows it kept.  That is
+        #: ADM's offset-guided access, and on a vector format the paper's
+        #: "Inferred (un-op)" plan (Figure 23), where every call is a walk.
+        self.access_at_scan = access_at_scan
+        #: LET names and UNNEST item variables bound so far, each held whole
+        #: in the column keyed ``(name, ())``.
+        self.bound: Set[str] = set()
+        #: ``(item_var, item_path)`` columns a pushed-down UNNEST binds.
+        self.item_columns: Set[Tuple[str, Path]] = set()
         #: Set when an evaluator addresses the whole record variable
         #: (``SELECT t``): such plans need ``batch.views``, so the scan must
         #: materialize record views and cannot run purely from cached column
@@ -89,14 +86,14 @@ class _Context:
         self.uses_views = False
 
 
-def _mentions(expr: Expr, name: str) -> bool:
-    return any((isinstance(node, Var) and node.name == name)
-               or (isinstance(node, FieldAccess) and node.source == name)
+def _mentions(expr: Expr, names: FrozenSet[str]) -> bool:
+    return any((isinstance(node, Var) and node.name in names)
+               or (isinstance(node, FieldAccess) and node.source in names)
                for node in expr.walk())
 
 
 def compile_expr(expr: Expr, ctx: _Context) -> ColumnEval:
-    """Compile one expression into a column evaluator (or raise)."""
+    """Compile one expression into a column evaluator (or raise QueryError)."""
     if isinstance(expr, Literal):
         value = expr.value
         return lambda batch: [value] * batch.length
@@ -106,25 +103,28 @@ def compile_expr(expr: Expr, ctx: _Context) -> ColumnEval:
         if name == ctx.record_var:
             ctx.uses_views = True
             return lambda batch: batch.views
-        if name in ctx.let_names:
+        if name in ctx.bound:
             key = (name, ())
             return lambda batch: batch.columns[key]
-        raise BatchUnsupported(f"variable ${name} has no batch column")
+        raise QueryError(f"unbound variable ${name}")
 
     if isinstance(expr, FieldAccess):
         source, path = expr.source, expr.path
         if source == ctx.record_var:
+            if not ctx.access_at_scan:
+                ctx.uses_views = True
+                return lambda batch: [view.get_field(*path) for view in batch.views]
             ctx.record_paths.add(path)
             key = (source, path)
             return lambda batch: batch.columns[key]
-        if source == ctx.item_var and path in ctx.item_paths:
+        if (source, path) in ctx.item_columns:
             key = (source, path)
             return lambda batch: batch.columns[key]
-        if source in ctx.let_names:
+        if source in ctx.bound:
             key = (source, ())
             return lambda batch: [access_path(value, path)
                                   for value in batch.columns[key]]
-        raise BatchUnsupported(f"field access on ${source} has no batch column")
+        raise QueryError(f"unbound variable ${source}")
 
     if isinstance(expr, (Comparison, Arithmetic)):
         left = compile_expr(expr.left, ctx)
@@ -213,33 +213,33 @@ def compile_expr(expr: Expr, ctx: _Context) -> ColumnEval:
         return function
 
     if isinstance(expr, Exists):
-        for node in expr.predicate.walk():
-            if isinstance(node, Exists) and node.item_var == expr.item_var:
-                raise BatchUnsupported("nested EXISTS re-binds the quantifier variable")
+        item_var = expr.item_var
         collection = compile_expr(expr.collection, ctx)
-        predicate = _compile_item_predicate(expr.predicate, expr.item_var, ctx)
+        predicate = _compile_item_predicate(expr.predicate, frozenset((item_var,)), ctx)
 
         def exists(batch: ColumnBatch) -> List[Any]:
-            values = collection(batch)
             test = predicate(batch)
-            out = []
-            for row, value in enumerate(values):
-                items = _collection_items(value)
-                if items is None:
-                    out.append(False)
-                    continue
-                result = False
-                for item in items:
-                    verdict = test(row, item)
-                    if not is_absent(verdict) and verdict:
-                        result = True
-                        break
-                out.append(result)
-            return out
+            items: Dict[str, Any] = {}
+            return [_any_item_satisfies(value, item_var, test, row, items)
+                    for row, value in enumerate(collection(batch))]
 
         return exists
 
-    raise BatchUnsupported(f"expression {type(expr).__name__} is not batch-compilable")
+    raise QueryError(f"expression {type(expr).__name__} is not supported by the executor")
+
+
+def _any_item_satisfies(collection: Any, item_var: str, test, row: int,
+                        items: Dict[str, Any]) -> bool:
+    """EXISTS over one row's collection; ``items`` is the quantifier scope."""
+    candidates = _collection_items(collection)
+    if candidates is None:
+        return False
+    for item in candidates:
+        items[item_var] = item
+        verdict = test(row, items)
+        if not is_absent(verdict) and verdict:
+            return True
+    return False
 
 
 def _is_test(expr: IsTest) -> Callable[[Any], bool]:
@@ -261,40 +261,43 @@ def _is_test(expr: IsTest) -> Callable[[Any], bool]:
 # EXISTS item predicates: per-(row, item) scalar evaluators
 # ---------------------------------------------------------------------------
 
-#: factory(batch) -> fn(row, item) -> value.  Subexpressions that do not
-#: mention the quantifier variable are hoisted: compiled as ordinary column
+#: factory(batch) -> fn(row, items) -> value, where ``items`` maps every
+#: quantifier variable in scope to its current item.  Subexpressions that
+#: mention no quantifier variable are hoisted: compiled as ordinary column
 #: evaluators, computed once per batch, and indexed by row.
-_ItemEval = Callable[[ColumnBatch], Callable[[int, Any], Any]]
+_ItemEval = Callable[[ColumnBatch], Callable[[int, Dict[str, Any]], Any]]
 
 
-def _compile_item_predicate(expr: Expr, item_var: str, ctx: _Context) -> _ItemEval:
-    if not _mentions(expr, item_var):
+def _compile_item_predicate(expr: Expr, item_vars: FrozenSet[str],
+                            ctx: _Context) -> _ItemEval:
+    if not _mentions(expr, item_vars):
         column = compile_expr(expr, ctx)
 
         def hoisted(batch: ColumnBatch):
             values = column(batch)
-            return lambda row, item: values[row]
+            return lambda row, items: values[row]
 
         return hoisted
 
-    if isinstance(expr, Var) and expr.name == item_var:
-        return lambda batch: lambda row, item: item
+    if isinstance(expr, Var):
+        name = expr.name
+        return lambda batch: lambda row, items: items[name]
 
-    if isinstance(expr, FieldAccess) and expr.source == item_var:
-        path = expr.path
-        return lambda batch: lambda row, item: access_path(item, path)
+    if isinstance(expr, FieldAccess):
+        source, path = expr.source, expr.path
+        return lambda batch: lambda row, items: access_path(items[source], path)
 
     if isinstance(expr, (Comparison, Arithmetic)):
-        left = _compile_item_predicate(expr.left, item_var, ctx)
-        right = _compile_item_predicate(expr.right, item_var, ctx)
+        left = _compile_item_predicate(expr.left, item_vars, ctx)
+        right = _compile_item_predicate(expr.right, item_vars, ctx)
         op = type(expr)._OPS[expr.op]
 
         def binary(batch: ColumnBatch):
             lhs, rhs = left(batch), right(batch)
 
-            def evaluate(row: int, item: Any) -> Any:
-                left_value = lhs(row, item)
-                right_value = rhs(row, item)
+            def evaluate(row: int, items: Dict[str, Any]) -> Any:
+                left_value = lhs(row, items)
+                right_value = rhs(row, items)
                 if is_absent(left_value) or is_absent(right_value):
                     return MISSING
                 try:
@@ -307,15 +310,15 @@ def _compile_item_predicate(expr: Expr, item_var: str, ctx: _Context) -> _ItemEv
         return binary
 
     if isinstance(expr, And):
-        operands = [_compile_item_predicate(operand, item_var, ctx)
+        operands = [_compile_item_predicate(operand, item_vars, ctx)
                     for operand in expr.operands]
 
         def conjunction(batch: ColumnBatch):
             tests = [operand(batch) for operand in operands]
 
-            def evaluate(row: int, item: Any) -> Any:
+            def evaluate(row: int, items: Dict[str, Any]) -> Any:
                 for test in tests:
-                    value = test(row, item)
+                    value = test(row, items)
                     if is_absent(value) or not value:
                         return False
                 return True
@@ -325,28 +328,28 @@ def _compile_item_predicate(expr: Expr, item_var: str, ctx: _Context) -> _ItemEv
         return conjunction
 
     if isinstance(expr, Or):
-        operands = [_compile_item_predicate(operand, item_var, ctx)
+        operands = [_compile_item_predicate(operand, item_vars, ctx)
                     for operand in expr.operands]
 
         def disjunction(batch: ColumnBatch):
             tests = [operand(batch) for operand in operands]
 
-            def evaluate(row: int, item: Any) -> Any:
+            def evaluate(row: int, items: Dict[str, Any]) -> Any:
                 return any(not is_absent(value) and bool(value)
-                           for value in (test(row, item) for test in tests))
+                           for value in (test(row, items) for test in tests))
 
             return evaluate
 
         return disjunction
 
     if isinstance(expr, Not):
-        operand = _compile_item_predicate(expr.operand, item_var, ctx)
+        operand = _compile_item_predicate(expr.operand, item_vars, ctx)
 
         def negation(batch: ColumnBatch):
             test = operand(batch)
 
-            def evaluate(row: int, item: Any) -> Any:
-                value = test(row, item)
+            def evaluate(row: int, items: Dict[str, Any]) -> Any:
+                value = test(row, items)
                 if is_absent(value):
                     return MISSING
                 return not value
@@ -356,26 +359,26 @@ def _compile_item_predicate(expr: Expr, item_var: str, ctx: _Context) -> _ItemEv
         return negation
 
     if isinstance(expr, IsTest):
-        operand = _compile_item_predicate(expr.operand, item_var, ctx)
+        operand = _compile_item_predicate(expr.operand, item_vars, ctx)
         test = _is_test(expr)
 
         def membership(batch: ColumnBatch):
             source = operand(batch)
-            return lambda row, item: test(source(row, item))
+            return lambda row, items: test(source(row, items))
 
         return membership
 
     if isinstance(expr, Func):
         name = expr.name
-        arguments = [_compile_item_predicate(argument, item_var, ctx)
+        arguments = [_compile_item_predicate(argument, item_vars, ctx)
                      for argument in expr.args]
 
         def function(batch: ColumnBatch):
             sources = [argument(batch) for argument in arguments]
             implementation = _FUNCTIONS[name]
 
-            def evaluate(row: int, item: Any) -> Any:
-                values = [source(row, item) for source in sources]
+            def evaluate(row: int, items: Dict[str, Any]) -> Any:
+                values = [source(row, items) for source in sources]
                 if values and is_absent(values[0]):
                     return MISSING
                 return implementation(*values)
@@ -384,8 +387,22 @@ def _compile_item_predicate(expr: Expr, item_var: str, ctx: _Context) -> _ItemEv
 
         return function
 
-    raise BatchUnsupported(
-        f"EXISTS predicate over {type(expr).__name__} is not batch-compilable")
+    if isinstance(expr, Exists):
+        # A nested quantifier: its scope is a copy, so an inner binding of
+        # the same name shadows the outer one only inside the inner predicate.
+        item_var = expr.item_var
+        collection = _compile_item_predicate(expr.collection, item_vars, ctx)
+        predicate = _compile_item_predicate(expr.predicate, item_vars | {item_var}, ctx)
+
+        def exists(batch: ColumnBatch):
+            source, test = collection(batch), predicate(batch)
+            return lambda row, items: _any_item_satisfies(
+                source(row, items), item_var, test, row, dict(items))
+
+        return exists
+
+    raise QueryError(
+        f"EXISTS predicate over {type(expr).__name__} is not supported by the executor")
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +410,7 @@ def _compile_item_predicate(expr: Expr, item_var: str, ctx: _Context) -> _ItemEv
 # ---------------------------------------------------------------------------
 
 @dataclass
-class BatchUnnestPlan:
+class PushdownUnnest:
     """Pushed-down UNNEST: flatten per-row aligned item columns."""
 
     item_var: str
@@ -402,8 +419,16 @@ class BatchUnnestPlan:
 
 
 @dataclass
+class ItemUnnest:
+    """Generic UNNEST: evaluate the collection, bind each item whole."""
+
+    item_var: str
+    collection: ColumnEval
+
+
+@dataclass
 class BatchQueryPlan:
-    """Everything the batch pipeline needs, compiled once per query.
+    """Everything the partition pipeline needs, compiled once per query.
 
     The plan is immutable and shared across partition workers: the
     extractor's request trie is read-only after construction, and every
@@ -411,12 +436,13 @@ class BatchQueryPlan:
     """
 
     record_var: str
-    #: Columns the batch scan extracts per record (superset of the access
-    #: plan's scan paths: every path an evaluator addresses).
+    #: Columns the scan extracts per record (superset of the access plan's
+    #: scan paths: every path an evaluator addresses).
     scan_paths: List[Path]
     extractor: BatchExtractor
     lets: List[Tuple[str, ColumnEval]] = field(default_factory=list)
-    unnest: Optional[BatchUnnestPlan] = None
+    #: UNNEST stages in clause order; the access plan decides each shape.
+    unnests: List[Union[PushdownUnnest, ItemUnnest]] = field(default_factory=list)
     where: Optional[ColumnEval] = None
     group_keys: List[Tuple[str, ColumnEval]] = field(default_factory=list)
     #: One entry per aggregate spec; None marks COUNT(*).
@@ -430,52 +456,41 @@ class BatchQueryPlan:
     needs_views: bool = True
 
 
-def plan_batch(spec: QuerySpec, access_plan: AccessPlan):
-    """Compile ``spec`` for batch execution.
+def compile_query(spec: QuerySpec, access_plan: AccessPlan) -> BatchQueryPlan:
+    """Compile ``spec`` — the access plan's *effective* spec (EXISTS rewrites
+    applied) — into a :class:`BatchQueryPlan`, or raise :class:`QueryError`.
 
-    Returns ``(plan, None)`` on success or ``(None, reason)`` when the query
-    must run on the row pipeline.  ``spec`` is the access plan's *effective*
-    spec (EXISTS rewrites applied).
+    Clauses bind their names in pipeline order (LETs, then UNNESTs, then
+    everything downstream), so a later clause sees every earlier binding.
     """
-    if not access_plan.consolidate:
-        return None, "no consolidated vector access (ADM format or consolidation disabled)"
-    if len(spec.unnests) > 1:
-        return None, "multiple UNNEST clauses"
-    unnest: Optional[BatchUnnestPlan] = None
-    if spec.unnests:
-        unnest_plan = access_plan.unnest_plans[0]
-        if not unnest_plan.pushed_down:
-            return None, "UNNEST without access pushdown"
-        unnest = BatchUnnestPlan(unnest_plan.clause.item_var,
-                                 dict(unnest_plan.pushdown_paths))
-
-    ctx = _Context(spec.record_var, set(access_plan.scan_paths),
-                   item_var=unnest.item_var if unnest is not None else None,
-                   item_paths=frozenset(unnest.pushdown_paths) if unnest is not None
-                   else frozenset())
-    try:
-        lets: List[Tuple[str, ColumnEval]] = []
-        for clause in spec.lets:
-            lets.append((clause.name, compile_expr(clause.expr, ctx)))
-            ctx.let_names.add(clause.name)
-        where = compile_expr(spec.where, ctx) if spec.where is not None else None
-        group_keys = [(name, compile_expr(expr, ctx)) for name, expr in spec.group_keys]
-        aggregate_args = [compile_expr(aggregate.argument, ctx)
-                          if aggregate.argument is not None else None
-                          for aggregate in spec.aggregates]
-        projections: List[Tuple[str, ColumnEval]] = []
-        order_keys: List[ColumnEval] = []
-        if not spec.is_aggregation:
-            projections = [(name, compile_expr(expr, ctx))
-                           for name, expr in spec.projections]
-            for key in spec.order_by:
-                if not isinstance(key.expr_or_column, Expr):
-                    # The row pipeline raises QueryError for this shape; fall
-                    # back so the error surfaces from the same place.
-                    raise BatchUnsupported("ORDER BY column name in a non-grouped query")
-                order_keys.append(compile_expr(key.expr_or_column, ctx))
-    except BatchUnsupported as exc:
-        return None, str(exc)
+    ctx = _Context(spec.record_var, set(access_plan.scan_paths), access_plan.consolidate)
+    lets: List[Tuple[str, ColumnEval]] = []
+    for clause in spec.lets:
+        lets.append((clause.name, compile_expr(clause.expr, ctx)))
+        ctx.bound.add(clause.name)
+    unnests: List[Union[PushdownUnnest, ItemUnnest]] = []
+    for unnest_plan in access_plan.unnest_plans:
+        clause = unnest_plan.clause
+        if unnest_plan.pushed_down:
+            unnests.append(PushdownUnnest(clause.item_var, dict(unnest_plan.pushdown_paths)))
+            ctx.item_columns.update((clause.item_var, item_path)
+                                    for item_path in unnest_plan.pushdown_paths)
+        else:
+            unnests.append(ItemUnnest(clause.item_var, compile_expr(clause.collection, ctx)))
+            ctx.bound.add(clause.item_var)
+    where = compile_expr(spec.where, ctx) if spec.where is not None else None
+    group_keys = [(name, compile_expr(expr, ctx)) for name, expr in spec.group_keys]
+    aggregate_args = [compile_expr(aggregate.argument, ctx)
+                      if aggregate.argument is not None else None
+                      for aggregate in spec.aggregates]
+    projections: List[Tuple[str, ColumnEval]] = []
+    order_keys: List[ColumnEval] = []
+    if not spec.is_aggregation:
+        projections = [(name, compile_expr(expr, ctx)) for name, expr in spec.projections]
+        for key in spec.order_by:
+            if not isinstance(key.expr_or_column, Expr):
+                raise QueryError("non-grouped queries must ORDER BY an expression")
+            order_keys.append(compile_expr(key.expr_or_column, ctx))
 
     scan_paths = sorted(ctx.record_paths,
                         key=lambda path: (len(path), tuple(map(str, path))))
@@ -484,11 +499,11 @@ def plan_batch(spec: QuerySpec, access_plan: AccessPlan):
         scan_paths=scan_paths,
         extractor=BatchExtractor(scan_paths),
         lets=lets,
-        unnest=unnest,
+        unnests=unnests,
         where=where,
         group_keys=group_keys,
         aggregate_args=aggregate_args,
         projections=projections,
         order_keys=order_keys,
         needs_views=ctx.uses_views,
-    ), None
+    )

@@ -39,37 +39,30 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..cache import PhysicalPlan
-from ..config import env_float, env_int, env_str
+from ..config import env_float, env_int
 from ..core.dataset import Dataset
 from ..errors import QueryDeadlineError, QueryError
 from ..obs import CARDINALITY_MISESTIMATE, NULL_SPAN, StatsDictMixin, emit_event
 from ..obs import tracer as _tracer
-from .batch_compile import BatchQueryPlan
+from .batch_compile import BatchQueryPlan, PushdownUnnest, compile_query
 from .expressions import is_absent
 from .operators import (
     BatchGroupByOperator,
     BatchLetOperator,
     BatchProjectOperator,
+    BatchPushdownUnnestOperator,
     BatchScanOperator,
     BatchSelectOperator,
     BatchUnnestOperator,
-    IndexProbeOperator,
-    LetOperator,
-    PartialGroupByOperator,
-    ProjectOperator,
-    ScanOperator,
-    SelectOperator,
-    UnnestOperator,
     _orderable,
     finalize_groups,
     merge_partials,
     order_and_limit,
 )
-from .optimizer import AccessPathChoice, AccessPlan, Optimizer, choose_access_path
+from .optimizer import AccessPathChoice, Optimizer, choose_access_path
 from .plan import QuerySpec
 
 #: Environment variable overriding the *default* worker count (an explicit
@@ -77,12 +70,8 @@ from .plan import QuerySpec
 #: ``REPRO_PARALLELISM=1`` to keep the sequential path covered.
 PARALLELISM_ENV_VAR = "REPRO_PARALLELISM"
 
-#: Environment variable overriding the default execution mode ("batch" or
-#: "row"); an explicit ``execution_mode=`` argument always wins.
-EXECUTION_MODE_ENV_VAR = "REPRO_EXECUTION_MODE"
-
-#: Environment variable overriding the default batch size; ``0`` disables
-#: batch execution entirely, ``1`` stress-tests the chunking logic.
+#: Environment variable overriding the default batch size (>= 1; ``1``
+#: stress-tests the chunking logic).
 BATCH_SIZE_ENV_VAR = "REPRO_BATCH_SIZE"
 
 #: Environment variable setting a default per-query deadline in seconds; an
@@ -91,20 +80,6 @@ DEADLINE_ENV_VAR = "REPRO_QUERY_DEADLINE"
 
 #: Records per ColumnBatch when nothing overrides it.
 DEFAULT_BATCH_SIZE = 1024
-
-
-class ExecutionMode(Enum):
-    """How partition pipelines evaluate the query.
-
-    ``BATCH`` (the default) runs the vectorized columnar pipeline whenever
-    the plan compiles for it and falls back to the row pipeline otherwise —
-    results are row-identical by construction, so the fallback is
-    transparent (the chosen mode and any fallback reason are recorded in
-    :class:`ExecutionStats`).  ``ROW`` forces the row-at-a-time pipeline.
-    """
-
-    ROW = "row"
-    BATCH = "batch"
 
 
 @dataclass
@@ -124,8 +99,8 @@ class OperatorStats(StatsDictMixin):
     #: Device bytes attributed to this operator (only the source operator
     #: reads pages; downstream operators show 0).
     bytes_read: int = 0
-    #: Column batches pulled through this stage (batch-mode runs only;
-    #: ``rows_out`` still counts rows, summed across batches).
+    #: Column batches pulled through this stage (``rows_out`` counts rows,
+    #: summed across batches; terminal stages drain in one call and show 0).
     batches: int = 0
     #: perf_counter stamps of the first/last pull (span synthesis).
     start: float = 0.0
@@ -133,7 +108,10 @@ class OperatorStats(StatsDictMixin):
 
 
 class _OperatorProbe:
-    """Iterator wrapper counting rows and inclusive wall time of one stage."""
+    """Iterator wrapper counting rows and inclusive wall time of one stage.
+
+    Items are column batches: ``rows_out`` counts rows (``len()`` of each
+    batch), ``batches`` counts the pulls."""
 
     __slots__ = ("_source", "stats")
 
@@ -142,40 +120,6 @@ class _OperatorProbe:
         self.stats = OperatorStats(operator=name)
 
     def __iter__(self) -> "_OperatorProbe":
-        return self
-
-    def __next__(self):
-        stats = self.stats
-        started = time.perf_counter()
-        if stats.start == 0.0:
-            stats.start = started
-        try:
-            item = next(self._source)
-        except StopIteration:
-            stats.end = time.perf_counter()
-            stats.seconds += stats.end - started
-            raise
-        now = time.perf_counter()
-        stats.seconds += now - started
-        stats.end = now
-        stats.rows_out += 1
-        return item
-
-
-class _BatchOperatorProbe:
-    """Probe for batch pipelines: items are row blocks, not single rows.
-
-    ``rows_out`` counts rows (``len()`` of each ColumnBatch / projected
-    block) so EXPLAIN ANALYZE actuals stay comparable across execution
-    modes; ``batches`` counts the pulls."""
-
-    __slots__ = ("_source", "stats")
-
-    def __init__(self, source: Iterator, name: str) -> None:
-        self._source = iter(source)
-        self.stats = OperatorStats(operator=name)
-
-    def __iter__(self) -> "_BatchOperatorProbe":
         return self
 
     def __next__(self):
@@ -210,7 +154,7 @@ class PartitionStats(StatsDictMixin):
     #: True when the LIMIT cancellation token stopped (or skipped) this
     #: partition because earlier partitions already satisfied the limit.
     cancelled: bool = False
-    #: Column batches the partition's scan emitted (batch-mode runs only).
+    #: Column batches the partition's scan emitted.
     batches: int = 0
     #: Per-operator actuals, pipeline order (instrumented runs only).
     operators: List[OperatorStats] = field(default_factory=list)
@@ -219,8 +163,8 @@ class PartitionStats(StatsDictMixin):
     #: environment's, summed at the execution level).
     cache_hits: int = 0
     cache_misses: int = 0
-    #: Column-slice cache rows served / decoded by this partition's batch
-    #: scan (always collected — the scan counts them anyway).
+    #: Column-slice cache rows served / decoded by this partition's scan
+    #: (always collected — the scan counts them anyway).
     slice_hits: int = 0
     slice_misses: int = 0
 
@@ -229,9 +173,8 @@ class PartitionStats(StatsDictMixin):
 class ExecutionStats(StatsDictMixin):
     """Measured and simulated costs of one query execution."""
 
-    _DERIVED = ("parallel_wall_seconds", "sequential_equivalent_seconds",
-                "measured_speedup", "total_seconds", "cache_hit_ratio",
-                "cardinality_error")
+    _DERIVED = ("sequential_equivalent_seconds", "measured_speedup",
+                "cache_hit_ratio", "cardinality_error")
 
     wall_seconds: float = 0.0
     #: Measured time of the coordinator stage (merge partials / global sort /
@@ -246,14 +189,9 @@ class ExecutionStats(StatsDictMixin):
     simulated_io_seconds: float = 0.0
     schema_broadcast_bytes: int = 0
     schema_broadcasts: int = 0
-    #: Pipeline the partitions actually ran: "batch" or "row".
-    execution_mode: str = "row"
-    #: Records per ColumnBatch (batch mode only).
-    batch_size: Optional[int] = None
-    #: Why a batch-mode request fell back to the row pipeline (None when
-    #: batch ran, or when row mode was requested explicitly).
-    fallback_reason: Optional[str] = None
-    #: Column batches scanned across all partitions (batch mode only).
+    #: Records per ColumnBatch.
+    batch_size: int = 0
+    #: Column batches scanned across all partitions.
     batches_processed: int = 0
     per_partition: List[PartitionStats] = field(default_factory=list)
     #: Access path the optimizer chose: "FullScan" or "IndexProbe".
@@ -269,7 +207,7 @@ class ExecutionStats(StatsDictMixin):
     cache_hits: int = 0
     cache_misses: int = 0
     #: Column-slice cache rows served from / decoded into the cache across
-    #: all partitions (batch-mode full scans; zero elsewhere).
+    #: all partitions (full scans; zero for index probes).
     slice_cache_hits: int = 0
     slice_cache_misses: int = 0
     #: Where the physical plan came from: "cache" (plan-cache hit — parse,
@@ -327,22 +265,6 @@ class ExecutionStats(StatsDictMixin):
         return [partition.seconds for partition in self.per_partition]
 
     @property
-    def parallel_wall_seconds(self) -> float:
-        """Measured critical path: the slowest partition plus the coordinator.
-
-        .. deprecated:: PR 3
-           This used to be *simulated* from a sequential run as
-           ``max(per_partition) + (wall - sum(per_partition))`` with the
-           coordinator share clamped at zero — meaningless once partitions
-           really overlap.  It is now derived purely from measured data
-           (``coordinator_seconds`` is captured explicitly); compare it with
-           ``wall_seconds`` to see scheduling/GIL overhead of the real run.
-        """
-        if not self.per_partition:
-            return self.wall_seconds
-        return max(self.per_partition_seconds) + self.coordinator_seconds
-
-    @property
     def sequential_equivalent_seconds(self) -> float:
         """What a one-worker run of the same partition work would cost
         (sum of measured partition times plus the measured coordinator)."""
@@ -356,11 +278,6 @@ class ExecutionStats(StatsDictMixin):
         if self.wall_seconds <= 0.0:
             return 1.0
         return self.sequential_equivalent_seconds / self.wall_seconds
-
-    @property
-    def total_seconds(self) -> float:
-        """Wall time plus simulated device time (the benchmark headline number)."""
-        return self.wall_seconds + self.simulated_io_seconds
 
 
 @dataclass
@@ -416,7 +333,7 @@ class _DeadlineGuard:
     """Per-query deadline shared by every partition worker.
 
     Cooperative cancellation in the same spirit as :class:`LimitCancellation`:
-    the pipeline checks the guard at row/batch boundaries, and the first
+    the pipeline checks the guard at every batch boundary, and the first
     worker to notice expiry flips ``expired`` — a plain bool write (atomic
     under the GIL, and this is advisory: a sibling that misses the flip just
     hits its own clock check) — so its siblings fail fast instead of each
@@ -436,12 +353,11 @@ class _DeadlineGuard:
             raise QueryDeadlineError(
                 f"query exceeded its {self.seconds:g}s deadline")
 
-    def guarded(self, source: Iterator, stride: int = 32) -> Iterator:
-        """Wrap a pipeline iterator, checking the clock every ``stride`` pulls
-        (batch pipelines pass ``stride=1`` — one pull is many rows)."""
-        for count, item in enumerate(source):
-            if count % stride == 0:
-                self.check()
+    def guarded(self, source: Iterator) -> Iterator:
+        """Wrap a pipeline iterator, checking the clock on every pull (one
+        pull is a whole ColumnBatch)."""
+        for item in source:
+            self.check()
             yield item
 
 
@@ -454,7 +370,6 @@ class QueryExecutor:
                  access_path: str = "auto",
                  parallelism: Optional[int] = None,
                  analyze: bool = False,
-                 execution_mode: Optional[Union[ExecutionMode, str]] = None,
                  batch_size: Optional[int] = None,
                  deadline: Optional[float] = None) -> None:
         self.optimizer = Optimizer(consolidate_field_access, pushdown_through_unnest)
@@ -470,30 +385,20 @@ class QueryExecutor:
         self.parallelism = parallelism
         #: Collect per-operator actuals (rows, inclusive time, bytes, cache
         #: activity) for EXPLAIN ANALYZE.  Off by default: the probes cost a
-        #: perf_counter call per row pulled, which the plain path must not
+        #: perf_counter call per batch pulled, which the plain path must not
         #: pay.  Instrumentation also engages while tracing is enabled.
         self.analyze = analyze
-        #: Pipeline flavor: BATCH (vectorized, with transparent row
-        #: fallback) or ROW.  ``None`` defers to ``REPRO_EXECUTION_MODE``,
-        #: then to BATCH.
-        self.execution_mode = execution_mode
-        #: Records per ColumnBatch.  ``None`` defers to ``REPRO_BATCH_SIZE``,
-        #: then to ``DEFAULT_BATCH_SIZE``; ``0`` disables batch execution.
-        self.batch_size = batch_size
-        #: Per-query deadline in seconds; queries that exceed it raise
-        #: :class:`~repro.errors.QueryDeadlineError` cooperatively at
-        #: row/batch boundaries.  ``None`` defers to ``REPRO_QUERY_DEADLINE``,
-        #: then to no deadline; ``0`` expires immediately (tests).
-        self.deadline = deadline
-        #: Optimizer flags, kept for the plan-cache signature.
-        self._consolidate_field_access = consolidate_field_access
-        self._pushdown_through_unnest = pushdown_through_unnest
-        # Env-knob reads hoisted out of the per-query hot path: each knob is
-        # read (through the repro.config accessors) exactly once, here, and
+        # Env-knob reads are hoisted out of the per-query hot path: each knob
+        # is read (through the repro.config accessors) exactly once, here, and
         # invalid values fail fast at construction instead of at execute.
-        self._resolved_execution_mode = self._read_execution_mode()
-        self._resolved_batch_size = self._read_batch_size()
-        self._resolved_deadline = self._read_deadline()
+        #: Records per ColumnBatch (>= 1): the argument, else
+        #: ``REPRO_BATCH_SIZE``, else ``DEFAULT_BATCH_SIZE``.
+        self.batch_size = self._read_batch_size(batch_size)
+        #: Per-query deadline in seconds; queries that exceed it raise
+        #: :class:`~repro.errors.QueryDeadlineError` cooperatively at batch
+        #: boundaries.  The argument, else ``REPRO_QUERY_DEADLINE``, else
+        #: ``None`` (no deadline); ``0`` expires immediately (tests).
+        self.deadline = self._read_deadline(deadline)
         self._env_parallelism = self._read_env_parallelism()
 
     # ------------------------------------------------------------------ public API
@@ -540,24 +445,16 @@ class QueryExecutor:
         The returned plan is immutable and shared safely across executions
         and threads; pair it with :meth:`execute_physical`.  Cache keys must
         include :meth:`plan_signature` — the plan bakes in this executor's
-        optimizer flags, access-path policy, and batch-mode resolution.
+        optimizer flags and access-path policy.  A query the pipeline cannot
+        run raises :class:`~repro.errors.QueryError` here, before any I/O.
         """
         with _tracer.span("query.optimize"):
             access_plan = self.optimizer.plan(
                 spec, dataset.config.storage_format.uses_vector_format)
             effective_spec = access_plan.effective_spec(spec)
             choice = choose_access_path(effective_spec, dataset, force=self.access_path)
-        batch_plan: Optional[BatchQueryPlan] = None
-        fallback_reason: Optional[str] = None
-        if self._resolved_execution_mode is ExecutionMode.BATCH:
-            if self._resolved_batch_size > 0:
-                batch_plan, fallback_reason = self.optimizer.plan_batch(
-                    effective_spec, access_plan)
-            else:
-                fallback_reason = "batch size 0 disables batch execution"
-        return PhysicalPlan(spec=effective_spec, access_plan=access_plan,
-                            choice=choice, batch_plan=batch_plan,
-                            fallback_reason=fallback_reason)
+        return PhysicalPlan(spec=effective_spec, access_plan=access_plan, choice=choice,
+                            batch_plan=compile_query(effective_spec, access_plan))
 
     def plan_signature(self) -> Tuple:
         """The plan-relevant part of this executor's configuration.
@@ -566,9 +463,8 @@ class QueryExecutor:
         :class:`PhysicalPlan` objects for the same spec and dataset state,
         so the signature is part of every plan-cache key.
         """
-        return (self._consolidate_field_access, self._pushdown_through_unnest,
-                self.access_path, self._resolved_execution_mode.value,
-                self._resolved_batch_size > 0)
+        return (self.optimizer.consolidate_field_access,
+                self.optimizer.pushdown_through_unnest, self.access_path)
 
     def _execute(self, dataset: Dataset, spec: QuerySpec,
                  physical: Optional[PhysicalPlan] = None) -> QueryResult:
@@ -576,19 +472,13 @@ class QueryExecutor:
         if physical is None:
             physical = self.prepare_physical(dataset, spec)
         spec = physical.spec
-        access_plan = physical.access_plan
         choice = physical.choice
-        batch_plan: Optional[BatchQueryPlan] = physical.batch_plan
+        batch_plan: BatchQueryPlan = physical.batch_plan
         stats.access_path = choice.path.name
         if choice.uses_index:
             stats.index_name = choice.path.index_name
         stats.estimated_rows = choice.estimated_rows
-        stats.fallback_reason = physical.fallback_reason
-
-        batch_size = self._resolved_batch_size
-        stats.execution_mode = "batch" if batch_plan is not None else "row"
-        if batch_plan is not None:
-            stats.batch_size = batch_size
+        stats.batch_size = self.batch_size
 
         if self.cold_cache:
             for environment in {id(env): env for env in dataset.environments}.values():
@@ -611,15 +501,14 @@ class QueryExecutor:
                 and dataset.partition_count > 1):
             token = LimitCancellation(spec.limit, dataset.partition_count)
 
-        deadline = self._resolve_deadline()
-        guard = _DeadlineGuard(deadline) if deadline is not None else None
+        guard = _DeadlineGuard(self.deadline) if self.deadline is not None else None
 
         outputs: List[Tuple[str, Any]] = [None] * dataset.partition_count
         if parallelism <= 1:
             for index, partition in enumerate(dataset.partitions):
                 outputs[index], partition_stats = self._run_partition(
-                    index, partition, spec, access_plan, choice, token, instrument,
-                    batch_plan, batch_size, guard)
+                    index, partition, spec, choice, token, instrument,
+                    batch_plan, guard)
                 stats.per_partition.append(partition_stats)
         else:
             with ThreadPoolExecutor(max_workers=parallelism,
@@ -628,9 +517,8 @@ class QueryExecutor:
                 # context copy (a Context can only be entered once at a
                 # time), and the no-op path returns the method unchanged.
                 futures = [pool.submit(_tracer.wrap_context(self._run_partition),
-                                       index, partition, spec, access_plan, choice,
-                                       token, instrument, batch_plan, batch_size,
-                                       guard)
+                                       index, partition, spec, choice,
+                                       token, instrument, batch_plan, guard)
                            for index, partition in enumerate(dataset.partitions)]
                 for index, future in enumerate(futures):
                     outputs[index], partition_stats = future.result()
@@ -700,30 +588,10 @@ class QueryExecutor:
         registry.counter("query_rows_returned").inc(stats.rows_returned)
         registry.counter("query_records_scanned").inc(stats.records_scanned)
         registry.histogram("query_wall_seconds").observe(stats.wall_seconds)
-        if stats.execution_mode == "batch":
-            registry.counter("query_batch_executions").inc()
-            registry.counter("query_batches_processed").inc(stats.batches_processed)
-        elif stats.fallback_reason is not None:
-            registry.counter("query_batch_fallbacks").inc()
+        registry.counter("query_batches_processed").inc(stats.batches_processed)
 
-    def _read_execution_mode(self) -> ExecutionMode:
-        mode = self.execution_mode
-        if mode is None:
-            env_value = env_str(EXECUTION_MODE_ENV_VAR)
-            if not env_value:
-                return ExecutionMode.BATCH
-            mode = env_value
-        if isinstance(mode, ExecutionMode):
-            return mode
-        try:
-            return ExecutionMode(str(mode).lower())
-        except ValueError:
-            raise QueryError(
-                f"unknown execution mode {mode!r}; use "
-                f"{' or '.join(member.value for member in ExecutionMode)}")
-
-    def _read_batch_size(self) -> int:
-        size = self.batch_size
+    @staticmethod
+    def _read_batch_size(size: Optional[int]) -> int:
         if size is None:
             try:
                 size = env_int(BATCH_SIZE_ENV_VAR)
@@ -731,12 +599,12 @@ class QueryExecutor:
                 raise QueryError(str(exc))
             if size is None:
                 return DEFAULT_BATCH_SIZE
-        if size < 0:
-            raise QueryError(f"batch size must be >= 0, got {size}")
+        if size < 1:
+            raise QueryError(f"batch size must be >= 1, got {size}")
         return size
 
-    def _read_deadline(self) -> Optional[float]:
-        seconds = self.deadline
+    @staticmethod
+    def _read_deadline(seconds: Optional[float]) -> Optional[float]:
         if seconds is None:
             try:
                 seconds = env_float(DEADLINE_ENV_VAR)
@@ -756,18 +624,6 @@ class QueryExecutor:
         except ValueError as exc:
             raise QueryError(str(exc))
 
-    # Resolved-knob accessors: construction-time values, no env reads here
-    # (EXPLAIN renders them and the execute path consumes them per query).
-
-    def _resolve_execution_mode(self) -> ExecutionMode:
-        return self._resolved_execution_mode
-
-    def _resolve_batch_size(self) -> int:
-        return self._resolved_batch_size
-
-    def _resolve_deadline(self) -> Optional[float]:
-        return self._resolved_deadline
-
     def _resolve_parallelism(self, dataset: Dataset) -> int:
         requested = self.parallelism
         if requested is None:
@@ -781,11 +637,10 @@ class QueryExecutor:
     # ------------------------------------------------------------------ local stage
 
     def _run_partition(self, index: int, partition, spec: QuerySpec,
-                       access_plan: AccessPlan, choice: AccessPathChoice,
+                       choice: AccessPathChoice,
                        token: Optional[LimitCancellation],
-                       instrument: bool = False,
-                       batch_plan: Optional[BatchQueryPlan] = None,
-                       batch_size: int = 0,
+                       instrument: bool,
+                       batch_plan: BatchQueryPlan,
                        guard: Optional[_DeadlineGuard] = None):
         """One partition's full local pipeline (runs on a worker thread)."""
         partition_stats = PartitionStats(partition_id=partition.partition_id)
@@ -801,74 +656,46 @@ class QueryExecutor:
         with _tracer.span("query.partition",
                           partition=partition.partition_id) as partition_span:
             with device.accounting_scope() as io_scope:
-                if batch_plan is not None:
-                    pipeline, scan, probes = self._local_pipeline_batch(
-                        partition, spec, choice, batch_plan, batch_size, instrument)
-                else:
-                    pipeline, scan, probes = self._local_pipeline(
-                        partition, spec, access_plan, choice, instrument)
+                pipeline, scan, probes = self._local_pipeline(
+                    partition, spec, choice, batch_plan, instrument)
                 if guard is not None:
-                    # One pull is a whole ColumnBatch in batch mode, so the
-                    # clock is checked every pull there and every 32 rows in
-                    # row mode — the same cadence as LIMIT cancellation.
-                    pipeline = guard.guarded(
-                        pipeline, stride=1 if batch_plan is not None else 32)
+                    pipeline = guard.guarded(pipeline)
+                stage_started = time.perf_counter()
                 if spec.is_aggregation:
-                    if batch_plan is not None:
-                        grouping = BatchGroupByOperator(pipeline, batch_plan.group_keys,
-                                                        spec.aggregates,
-                                                        batch_plan.aggregate_args)
-                    else:
-                        grouping = PartialGroupByOperator(pipeline, spec.group_keys,
-                                                          spec.aggregates)
-                    stage_started = time.perf_counter()
-                    partial = grouping.run()
+                    partial = BatchGroupByOperator(pipeline, batch_plan.group_keys,
+                                                   spec.aggregates,
+                                                   batch_plan.aggregate_args).run()
                     output = ("partial", partial)
-                    if instrument:
-                        probes.append(_terminal_stats("GROUP BY (partial)",
-                                                      len(partial), stage_started))
+                    terminal = ("GROUP BY (partial)", len(partial))
                 elif spec.order_by:
-                    stage_started = time.perf_counter()
-                    if batch_plan is not None:
-                        candidates = self._collect_ordered_batch(pipeline, batch_plan, spec)
-                    else:
-                        candidates = self._collect_ordered(pipeline, spec)
+                    candidates = self._collect_ordered(pipeline, batch_plan, spec)
                     output = ("ordered", candidates)
-                    if instrument:
-                        probes.append(_terminal_stats("SORT+PROJECT",
-                                                      len(candidates), stage_started))
+                    terminal = ("SORT+PROJECT", len(candidates))
                 else:
                     abort_check = (lambda: token.satisfied_before(index)) if token else None
-                    stage_started = time.perf_counter()
-                    if batch_plan is not None:
-                        rows, aborted = self._collect_plain_batch(pipeline, batch_plan,
-                                                                  spec, abort_check)
-                    else:
-                        rows, aborted = self._collect_plain(pipeline, spec, abort_check)
+                    rows, aborted = self._collect_plain(pipeline, batch_plan, spec,
+                                                        abort_check)
                     partition_stats.cancelled = aborted
                     if token is not None and not aborted:
                         token.mark_complete(index, len(rows))
                     output = ("plain", rows)
-                    if instrument:
-                        probes.append(_terminal_stats("PROJECT", len(rows), stage_started))
+                    terminal = ("PROJECT", len(rows))
             partition_span.set_attribute("rows_scanned", scan.records_scanned)
         partition_stats.seconds = time.perf_counter() - partition_started
         partition_stats.records_scanned = scan.records_scanned
-        if batch_plan is not None:
-            partition_stats.batches = scan.batches_emitted
-            partition_stats.slice_hits = scan.slice_stats.hits
-            partition_stats.slice_misses = scan.slice_stats.misses
+        partition_stats.batches = scan.batches_emitted
+        partition_stats.slice_hits = scan.slice_stats.hits
+        partition_stats.slice_misses = scan.slice_stats.misses
         partition_stats.bytes_read = io_scope.bytes_read
         partition_stats.bytes_written = io_scope.bytes_written
         partition_stats.simulated_io_seconds = device.simulated_seconds(io_scope)
-        if instrument and probes:
+        if instrument:
             # All page reads happen while the source operator pulls pages;
             # downstream operators only touch decoded rows.
             probes[0].stats.bytes_read = io_scope.bytes_read
-            for probe in probes:
-                op_stats = (probe.stats
-                            if isinstance(probe, (_OperatorProbe, _BatchOperatorProbe))
-                            else probe)
+            operators = [probe.stats for probe in probes]
+            operators.append(_terminal_stats(*terminal, stage_started))
+            for op_stats in operators:
                 partition_stats.operators.append(op_stats)
                 self._synthesize_operator_span(op_stats, partition_span)
         return output, partition_stats
@@ -889,8 +716,8 @@ class QueryExecutor:
                             rows=op_stats.rows_out,
                             seconds=round(op_stats.seconds, 6))
 
-    def _local_pipeline(self, partition, spec: QuerySpec, access_plan: AccessPlan,
-                        choice: AccessPathChoice, instrument: bool = False):
+    def _local_pipeline(self, partition, spec: QuerySpec, choice: AccessPathChoice,
+                        batch_plan: BatchQueryPlan, instrument: bool):
         """Build the local operator chain; with ``instrument``, each stage is
         wrapped in an :class:`_OperatorProbe` and the probe list is returned
         (pipeline order) for EXPLAIN ANALYZE / trace synthesis."""
@@ -903,40 +730,10 @@ class QueryExecutor:
             probes.append(probe)
             return probe
 
-        if choice.uses_index:
-            scan = IndexProbeOperator(partition, spec.record_var, access_plan, choice.path)
-            scan_name = f"IndexProbe({choice.path.index_name})"
-        else:
-            scan = ScanOperator(partition, spec.record_var, access_plan)
-            scan_name = "FullScan"
-        pipeline: Iterator = tap(iter(scan), scan_name)
-        if spec.lets:
-            pipeline = tap(iter(LetOperator(pipeline, spec.lets)), "LET")
-        unnest_count = len(access_plan.unnest_plans)
-        for position, unnest_plan in enumerate(access_plan.unnest_plans):
-            name = "UNNEST" if unnest_count == 1 else f"UNNEST[{position}]"
-            pipeline = tap(iter(UnnestOperator(pipeline, unnest_plan, spec.record_var)), name)
-        if spec.where is not None:
-            pipeline = tap(iter(SelectOperator(pipeline, spec.where)), "SELECT")
-        return pipeline, scan, probes
-
-    def _local_pipeline_batch(self, partition, spec: QuerySpec,
-                              choice: AccessPathChoice, batch_plan: BatchQueryPlan,
-                              batch_size: int, instrument: bool = False):
-        """Batch counterpart of :meth:`_local_pipeline`: same stage names,
-        ColumnBatch iterators instead of environment iterators."""
-        probes: List[_BatchOperatorProbe] = []
-
-        def tap(source: Iterator, name: str) -> Iterator:
-            if not instrument:
-                return source
-            probe = _BatchOperatorProbe(source, name)
-            probes.append(probe)
-            return probe
-
+        batch_size = self.batch_size
         if spec.limit is not None and not spec.is_aggregation and not spec.order_by:
-            # Plain LIMIT stops the row scan after `limit` records; chunking
-            # by at most `limit` keeps the batch scan equally lazy (it may
+            # Plain LIMIT: chunking by at most `limit` keeps the scan lazy —
+            # it stops within one batch of the limit being satisfied (it may
             # overshoot by less than one batch when a WHERE filters rows).
             batch_size = min(batch_size, spec.limit)
         probe = choice.path if choice.uses_index else None
@@ -948,61 +745,23 @@ class QueryExecutor:
         pipeline: Iterator = tap(iter(scan), scan_name)
         if batch_plan.lets:
             pipeline = tap(iter(BatchLetOperator(pipeline, batch_plan.lets)), "LET")
-        if batch_plan.unnest is not None:
-            unnest = BatchUnnestOperator(pipeline, spec.record_var,
-                                         batch_plan.unnest.item_var,
-                                         batch_plan.unnest.pushdown_paths)
-            pipeline = tap(iter(unnest), "UNNEST")
+        for position, unnest in enumerate(batch_plan.unnests):
+            if isinstance(unnest, PushdownUnnest):
+                stage = BatchPushdownUnnestOperator(pipeline, spec.record_var,
+                                                    unnest.item_var, unnest.pushdown_paths)
+            else:
+                stage = BatchUnnestOperator(pipeline, unnest.item_var, unnest.collection)
+            name = "UNNEST" if len(batch_plan.unnests) == 1 else f"UNNEST[{position}]"
+            pipeline = tap(iter(stage), name)
         if batch_plan.where is not None:
             pipeline = tap(iter(BatchSelectOperator(pipeline, batch_plan.where)), "SELECT")
         return pipeline, scan, probes
 
-    def _collect_plain(self, pipeline: Iterator, spec: QuerySpec,
+    def _collect_plain(self, pipeline: Iterator, batch_plan: BatchQueryPlan,
+                       spec: QuerySpec,
                        abort_check=None) -> Tuple[List[Dict[str, Any]], bool]:
-        """Project rows up to the limit; abort when the token says the
-        partitions before this one already satisfy it."""
-        rows = []
-        for count, row in enumerate(ProjectOperator(pipeline, spec.projections)):
-            rows.append(row)
-            if spec.limit is not None and len(rows) >= spec.limit:
-                break
-            if abort_check is not None and count % 32 == 0 and abort_check():
-                return rows, True
-        return rows, False
-
-    def _collect_ordered(self, pipeline: Iterator, spec: QuerySpec):
-        """Project rows while remembering their sort keys (evaluated pre-projection)."""
-        candidates = []
-        order_exprs = []
-        for key in spec.order_by:
-            if isinstance(key.expr_or_column, str):
-                raise QueryError("non-grouped queries must ORDER BY an expression")
-            order_exprs.append(key)
-        for env in pipeline:
-            sort_key = []
-            for key in order_exprs:
-                value = key.expr_or_column.evaluate(env)
-                value = (is_absent(value), _orderable(value))
-                sort_key.append(value)
-            row = {}
-            for name, expr in spec.projections:
-                value = expr.evaluate(env)
-                if hasattr(value, "materialize"):
-                    value = value.materialize()
-                row[name] = value
-            candidates.append((tuple(sort_key), row))
-        if spec.limit is not None and len(candidates) > spec.limit:
-            # Per-partition top-k: under the coordinator's stable comparator a
-            # row beyond this partition's local top-`limit` can never reach
-            # the global answer, so only `limit` candidates cross the
-            # exchange and the coordinator sorts parallelism*limit rows.
-            candidates = _sort_candidates(candidates, spec.order_by)[:spec.limit]
-        return candidates
-
-    def _collect_plain_batch(self, pipeline: Iterator, batch_plan: BatchQueryPlan,
-                             spec: QuerySpec,
-                             abort_check=None) -> Tuple[List[Dict[str, Any]], bool]:
-        """Batch counterpart of :meth:`_collect_plain` (abort checked per batch)."""
+        """Project rows up to the limit; abort (checked per batch) when the
+        token says the partitions before this one already satisfy it."""
         rows: List[Dict[str, Any]] = []
         for block in BatchProjectOperator(pipeline, batch_plan.projections):
             rows.extend(block)
@@ -1012,10 +771,10 @@ class QueryExecutor:
                 return rows, True
         return rows, False
 
-    def _collect_ordered_batch(self, pipeline: Iterator, batch_plan: BatchQueryPlan,
-                               spec: QuerySpec):
-        """Batch counterpart of :meth:`_collect_ordered`: identical
-        ``(sort_key, row)`` candidates, sort keys evaluated columnwise."""
+    def _collect_ordered(self, pipeline: Iterator, batch_plan: BatchQueryPlan,
+                         spec: QuerySpec):
+        """Project rows while remembering their sort keys (evaluated
+        pre-projection, columnwise) as ``(sort_key, row)`` candidates."""
         candidates = []
         for batch in pipeline:
             key_columns = [evaluate(batch) for evaluate in batch_plan.order_keys]
@@ -1034,6 +793,10 @@ class QueryExecutor:
                     row[name] = value
                 candidates.append((tuple(sort_key), row))
         if spec.limit is not None and len(candidates) > spec.limit:
+            # Per-partition top-k: under the coordinator's stable comparator a
+            # row beyond this partition's local top-`limit` can never reach
+            # the global answer, so only `limit` candidates cross the
+            # exchange and the coordinator sorts parallelism*limit rows.
             candidates = _sort_candidates(candidates, spec.order_by)[:spec.limit]
         return candidates
 
@@ -1086,7 +849,7 @@ def _terminal_stats(name: str, rows_out: int, started: float) -> OperatorStats:
     """Stats for a materializing terminal stage (GROUP BY / sort / project).
 
     These stages drain their input inside one call rather than being pulled
-    row by row, so they are timed around the drain instead of per ``next()``;
+    batch by batch, so they are timed around the drain instead of per ``next()``;
     ``seconds`` stays inclusive, consistent with the probe convention."""
     ended = time.perf_counter()
     return OperatorStats(operator=name, rows_out=rows_out,

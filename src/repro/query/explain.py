@@ -153,22 +153,13 @@ def explain(dataset, query: Union[str, QuerySpec], access_path: str = "auto",
         rendered = ", ".join(".".join(map(str, path)) for path in access_plan.scan_paths)
         lines.append(f"  consolidated field access: get_values({rendered})")
 
-    from .executor import ExecutionMode, QueryExecutor
+    from .executor import QueryExecutor
 
     executor = QueryExecutor(consolidate_field_access=consolidate_field_access,
                              pushdown_through_unnest=pushdown_through_unnest,
                              access_path=access_path, analyze=True,
                              **executor_options)
-    mode = executor._resolve_execution_mode()
-    batch_size = executor._resolve_batch_size()
-    if mode is ExecutionMode.BATCH and batch_size > 0:
-        batch_plan, reason = optimizer.plan_batch(spec, access_plan)
-        if batch_plan is not None:
-            lines.append(f"  execution mode: batch (size={batch_size})")
-        else:
-            lines.append(f"  execution mode: row (batch fallback: {reason})")
-    else:
-        lines.append("  execution mode: row")
+    lines.append(f"  execution: batch (size={executor.batch_size})")
 
     if not analyze:
         return "\n".join(lines)
@@ -195,19 +186,13 @@ def _analyze_lines(stats) -> list:
     lines = ["  ANALYZE (query executed):"]
     totals = stats.operator_totals()
     if totals:
-        show_batches = any(op.batches for op in totals)
         width = max(max(len(op.operator) for op in totals), len("operator"))
-        header = (f"    {'operator':<{width}}  {'actual rows':>12}  "
-                  f"{'time':>10}  {'bytes read':>12}")
-        if show_batches:
-            header += f"  {'batches':>8}"
-        lines.append(header)
+        lines.append(f"    {'operator':<{width}}  {'actual rows':>12}  "
+                     f"{'time':>10}  {'bytes read':>12}  {'batches':>8}")
         for op in totals:
-            line = (f"    {op.operator:<{width}}  {op.rows_out:>12}  "
-                    f"{_format_seconds(op.seconds):>10}  {op.bytes_read:>12,}")
-            if show_batches:
-                line += f"  {op.batches:>8}"
-            lines.append(line)
+            lines.append(f"    {op.operator:<{width}}  {op.rows_out:>12}  "
+                         f"{_format_seconds(op.seconds):>10}  {op.bytes_read:>12,}"
+                         f"  {op.batches:>8}")
         lines.append("    (time is inclusive wall time, summed across partitions)")
     if stats.plan_source is not None:
         lines.append("    plan: cached" if stats.plan_source == "cache"
@@ -231,16 +216,10 @@ def _analyze_lines(stats) -> list:
     elif stats.actual_matched_rows is not None:
         lines.append(f"    cardinality: actual {stats.actual_matched_rows} row(s) "
                      "matched (optimizer made no estimate)")
-    if stats.execution_mode == "batch":
-        mode = (f"mode=batch (size={stats.batch_size}, "
-                f"{stats.batches_processed} batch(es))")
-    else:
-        mode = "mode=row"
     lines.append(f"    execution: wall {_format_seconds(stats.wall_seconds)} "
                  f"(coordinator {_format_seconds(stats.coordinator_seconds)}), "
                  f"{stats.rows_returned} row(s) returned, "
                  f"simulated I/O {_format_seconds(stats.simulated_io_seconds)}, "
-                 f"parallelism {stats.parallelism}, {mode}")
-    if stats.fallback_reason is not None:
-        lines.append(f"    batch fallback: {stats.fallback_reason}")
+                 f"parallelism {stats.parallelism}, "
+                 f"batch (size={stats.batch_size}, {stats.batches_processed} batch(es))")
     return lines

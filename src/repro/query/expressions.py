@@ -9,12 +9,11 @@ any comparison or function over MISSING/NULL evaluates to a non-true value,
 so predicates silently drop such records — exactly how the Twitter Q3
 hashtag filter behaves on tweets without hashtags.
 
-Field accesses evaluate against the *record views* produced by the scan
-operator (ADM, vector-based, or plain dict views).  When the optimizer has
-consolidated a query's accesses into a single ``get_values()`` call
-(paper §3.4.2), the extracted values are placed in the environment under
-``EXTRACTED`` and field accesses read from there instead of re-scanning the
-record — that is what makes consolidation effective for the vector format.
+The partition pipelines do not call :meth:`Expr.evaluate`: they run the
+column evaluators :mod:`repro.query.batch_compile` builds from these trees.
+``evaluate`` is the interpreter of the coordinator's ORDER BY over output
+rows and of the tests' reference model (``tests/reference.py``), where the
+environment maps variable names to plain values.
 """
 
 from __future__ import annotations
@@ -23,9 +22,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import QueryError
 from ..types import AMultiset, MISSING, Missing
-
-#: Environment key holding {(var, path): value} produced by consolidation.
-EXTRACTED = "__extracted__"
 
 
 def is_absent(value: Any) -> bool:
@@ -82,13 +78,7 @@ class FieldAccess(Expr):
         self.path = tuple(path)
 
     def evaluate(self, env: Dict[str, Any]) -> Any:
-        extracted = env.get(EXTRACTED)
-        if extracted is not None:
-            key = (self.source, self.path)
-            if key in extracted:
-                return extracted[key]
-        value = env.get(self.source, MISSING)
-        return access_path(value, self.path)
+        return access_path(env.get(self.source, MISSING), self.path)
 
     def __repr__(self) -> str:
         return f"FieldAccess({self.source}, {'.'.join(map(str, self.path))})"

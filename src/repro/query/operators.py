@@ -1,16 +1,16 @@
-"""Physical operators: iterator-based, one pipeline per partition.
+"""Physical operators: one pipeline of :class:`ColumnBatch` iterators per partition.
 
 A compiled job (paper Figure 5) is a chain of operators per partition —
 scan, assign/let, unnest, select, project, pre-aggregation — connected to a
-coordinator stage through an exchange.  Each operator here is a Python
-iterator of *environments* (dicts mapping variable names to values/views),
-which keeps the pipeline lazy: a LIMIT without ORDER BY, for example, stops
-scanning as soon as it is satisfied.
+coordinator stage through an exchange.  Each stage here is a Python iterator
+of column batches, which keeps the pipeline lazy: a LIMIT without ORDER BY
+stops scanning as soon as it is satisfied.  The stages evaluate the query's
+*compiled* expressions (see :mod:`repro.query.batch_compile`) over column
+lists, so untouched fields are never materialized.
 
-The scan operator is where the paper's field-access consolidation happens:
-when the access plan says so, it calls ``get_values()`` once per record and
-publishes the extracted values in the environment for the expression
-evaluator to pick up (see :mod:`repro.query.expressions`).
+The scan is where the paper's field-access consolidation happens: for a
+vector-based format it fills one column per requested path with a single
+``get_values()`` walk per record (paper §3.4.2).
 """
 
 from __future__ import annotations
@@ -21,225 +21,8 @@ from ..cache import SliceScanStats
 from ..types import AMultiset, MISSING, Missing
 from ..vector.batch import ColumnBatch
 from .aggregates import get_aggregate
-from .expressions import EXTRACTED, Expr, access_path, is_absent
-from .optimizer import AccessPlan, UnnestAccessPlan
-from .plan import AggregateSpec, IndexProbe, LetClause, QuerySpec
-
-Environment = Dict[str, Any]
-
-
-class ScanOperator:
-    """Data-source scan over one partition, yielding one environment per record."""
-
-    def __init__(self, partition, record_var: str, access_plan: AccessPlan) -> None:
-        self.partition = partition
-        self.record_var = record_var
-        self.access_plan = access_plan
-        self.records_scanned = 0
-
-    def __iter__(self) -> Iterator[Environment]:
-        consolidate = self.access_plan.consolidate and self.access_plan.scan_paths
-        paths = self.access_plan.scan_paths
-        for view in self.partition.scan_views():
-            self.records_scanned += 1
-            env: Environment = {self.record_var: view}
-            if consolidate:
-                values = view.get_values(*paths)
-                env[EXTRACTED] = {(self.record_var, path): value
-                                  for path, value in zip(paths, values)}
-            yield env
-
-
-class IndexProbeOperator:
-    """Secondary-index probe source: candidate record views instead of a scan.
-
-    Drop-in replacement for :class:`ScanOperator` at the head of a partition
-    pipeline.  The candidates are a superset of the answer (stale index
-    entries, unindexed memtable records — see ``Partition.probe_views``), so
-    the probe's residual predicate (the query's full WHERE clause) is always
-    re-applied downstream by the usual :class:`SelectOperator`.
-    ``records_scanned`` counts candidates examined, mirroring the scan
-    operator's accounting.
-    """
-
-    def __init__(self, partition, record_var: str, access_plan: AccessPlan,
-                 probe: IndexProbe) -> None:
-        self.partition = partition
-        self.record_var = record_var
-        self.access_plan = access_plan
-        self.probe = probe
-        self.records_scanned = 0
-
-    def __iter__(self) -> Iterator[Environment]:
-        consolidate = self.access_plan.consolidate and self.access_plan.scan_paths
-        paths = self.access_plan.scan_paths
-        probe = self.probe
-        views = self.partition.probe_views(probe.index_name, probe.low, probe.high,
-                                           probe.low_inclusive, probe.high_inclusive)
-        for view in views:
-            self.records_scanned += 1
-            env: Environment = {self.record_var: view}
-            if consolidate:
-                values = view.get_values(*paths)
-                env[EXTRACTED] = {(self.record_var, path): value
-                                  for path, value in zip(paths, values)}
-            yield env
-
-
-class LetOperator:
-    """Evaluates LET clauses, adding computed bindings to each environment."""
-
-    def __init__(self, child: Iterator[Environment], lets: Sequence[LetClause]) -> None:
-        self.child = child
-        self.lets = lets
-
-    def __iter__(self) -> Iterator[Environment]:
-        for env in self.child:
-            for clause in self.lets:
-                env[clause.name] = clause.expr.evaluate(env)
-            yield env
-
-
-class UnnestOperator:
-    """UNNEST a collection, producing one environment per item.
-
-    With access pushdown (paper §3.4.2) the operator iterates the extracted
-    scalar lists instead of materializing the item objects; the item variable
-    is still bound (to MISSING) so that stray uses fail loudly rather than
-    silently reading stale data.
-    """
-
-    def __init__(self, child: Iterator[Environment], plan: UnnestAccessPlan,
-                 record_var: str) -> None:
-        self.child = child
-        self.plan = plan
-        self.record_var = record_var
-
-    def __iter__(self) -> Iterator[Environment]:
-        clause = self.plan.clause
-        for env in self.child:
-            if self.plan.pushed_down:
-                yield from self._iterate_pushed_down(env)
-                continue
-            collection = clause.collection.evaluate(env)
-            items = self._items(collection)
-            for item in items:
-                item_env = dict(env)
-                item_env[clause.item_var] = item
-                yield item_env
-
-    def _iterate_pushed_down(self, env: Environment) -> Iterator[Environment]:
-        clause = self.plan.clause
-        extracted = env.get(EXTRACTED, {})
-        columns: Dict[Tuple[Any, ...], List[Any]] = {}
-        length = 0
-        collection_value: Any = None
-        collection_is_scalar = False
-        for item_path, full_path in self.plan.pushdown_paths.items():
-            values = extracted.get((self.record_var, full_path), [])
-            if not isinstance(values, list):
-                # Extraction passes a non-collection value at the wildcard
-                # prefix through unchanged; SQL++ unnests such a value as a
-                # singleton collection, so emit the same one row the
-                # non-pushdown path would instead of dropping the record.
-                collection_is_scalar = True
-                collection_value = values
-                continue
-            columns[item_path] = values
-            length = max(length, len(values))
-        if collection_is_scalar and length == 0:
-            for item in self._items(collection_value):
-                item_env = dict(env)
-                item_extracted = dict(extracted)
-                for item_path in self.plan.pushdown_paths:
-                    item_extracted[(clause.item_var, item_path)] = access_path(item, item_path)
-                item_env[EXTRACTED] = item_extracted
-                item_env[clause.item_var] = MISSING
-                yield item_env
-            return
-        for index in range(length):
-            item_env = dict(env)
-            item_extracted = dict(extracted)
-            for item_path, values in columns.items():
-                value = values[index] if index < len(values) else MISSING
-                item_extracted[(clause.item_var, item_path)] = value
-            item_env[EXTRACTED] = item_extracted
-            item_env[clause.item_var] = MISSING
-            yield item_env
-
-    @staticmethod
-    def _items(collection: Any) -> List[Any]:
-        if isinstance(collection, AMultiset):
-            return list(collection.items)
-        if isinstance(collection, (list, tuple)):
-            return list(collection)
-        if is_absent(collection):
-            return []
-        return [collection]
-
-
-class SelectOperator:
-    """WHERE filter."""
-
-    def __init__(self, child: Iterator[Environment], predicate: Expr) -> None:
-        self.child = child
-        self.predicate = predicate
-
-    def __iter__(self) -> Iterator[Environment]:
-        for env in self.child:
-            value = self.predicate.evaluate(env)
-            if not is_absent(value) and value:
-                yield env
-
-
-class ProjectOperator:
-    """SELECT projections (non-grouped queries)."""
-
-    def __init__(self, child: Iterator[Environment], projections: Sequence[Tuple[str, Expr]]) -> None:
-        self.child = child
-        self.projections = projections
-
-    def __iter__(self) -> Iterator[Dict[str, Any]]:
-        for env in self.child:
-            row = {}
-            for name, expr in self.projections:
-                value = expr.evaluate(env)
-                if hasattr(value, "materialize"):
-                    value = value.materialize()
-                row[name] = value
-            yield row
-
-
-class PartialGroupByOperator:
-    """Per-partition hash aggregation producing mergeable partial states.
-
-    This is the local half of the parallel aggregation in paper Figure 5;
-    the coordinator merges partials that arrive over the (conceptual)
-    hash-partition exchange.
-    """
-
-    def __init__(self, child: Iterator[Environment], group_keys: Sequence[Tuple[str, Expr]],
-                 aggregates: Sequence[AggregateSpec]) -> None:
-        self.child = child
-        self.group_keys = group_keys
-        self.aggregates = aggregates
-
-    def run(self) -> Dict[Tuple[Any, ...], List[Any]]:
-        functions = [get_aggregate(spec.function) for spec in self.aggregates]
-        groups: Dict[Tuple[Any, ...], List[Any]] = {}
-        for env in self.child:
-            key = tuple(expr.evaluate(env) for _, expr in self.group_keys)
-            if any(isinstance(part, Missing) for part in key):
-                continue
-            key = tuple(_hashable(part) for part in key)
-            states = groups.get(key)
-            if states is None:
-                states = [function.create() for function in functions]
-                groups[key] = states
-            for index, (function, spec) in enumerate(zip(functions, self.aggregates)):
-                value = spec.argument.evaluate(env) if spec.argument is not None else True
-                states[index] = function.accumulate(states[index], value)
-        return groups
+from .expressions import access_path, is_absent
+from .plan import AggregateSpec, IndexProbe, QuerySpec
 
 
 def merge_partials(partials: Sequence[Dict[Tuple[Any, ...], List[Any]]],
@@ -367,27 +150,40 @@ def _orderable(value: Any) -> Tuple[int, Any]:
 
 
 # ---------------------------------------------------------------------------
-# batch (columnar) operators
+# partition pipeline stages
 # ---------------------------------------------------------------------------
-#
-# Batch counterparts of the row operators above: each pipeline stage is an
-# iterator of ColumnBatch objects instead of an iterator of environments.
-# The scan decodes all requested column slices for a whole batch of records
-# in one extractor pass per record, and the downstream stages evaluate the
-# query's *compiled* expressions (see batch_compile) over column lists —
-# untouched fields are never materialized.
+
+
+def unnest_items(collection: Any) -> List[Any]:
+    """The items an UNNEST iterates: SQL++ treats a non-collection value as a
+    singleton collection and an absent one as empty."""
+    if isinstance(collection, AMultiset):
+        return list(collection.items)
+    if isinstance(collection, (list, tuple)):
+        return list(collection)
+    if is_absent(collection):
+        return []
+    return [collection]
 
 
 class BatchScanOperator:
-    """Batched data source: chunks a partition's record views into ColumnBatches.
+    """Data source: chunks a partition's record views into ColumnBatches.
 
-    Also serves as the batched index-probe source when ``probe`` is given
-    (candidate views instead of a full scan — the residual predicate is
-    re-applied by the batch SELECT downstream, exactly like the row path).
+    Also the index-probe source when ``probe`` is given (candidate views
+    instead of a full scan).  The candidates are a superset of the answer
+    (stale index entries, unindexed memtable records — see
+    ``Partition.probe_views``), so the probe's residual predicate (the
+    query's full WHERE clause) is always re-applied by the SELECT downstream.
+
+    The ``extractor`` resolves every requested path of a record in one pass
+    (a single trie-guided walk for vector-based records), and full scans may
+    be served from the decoded column-slice cache instead.  Plans without
+    consolidated access request no paths here: their evaluators call
+    ``get_field`` on ``batch.views`` where the query uses the value.
     """
 
     def __init__(self, partition, record_var: str, scan_paths: Sequence[Tuple[Any, ...]],
-                 batch_size: int, extractor=None, probe: Optional[IndexProbe] = None,
+                 batch_size: int, extractor, probe: Optional[IndexProbe] = None,
                  use_slice_cache: bool = False) -> None:
         self.partition = partition
         self.record_var = record_var
@@ -400,6 +196,7 @@ class BatchScanOperator:
         #: executor checks ``BatchQueryPlan.needs_views``): cached batches
         #: are built column-first with ``views=None``.
         self.use_slice_cache = use_slice_cache
+        #: Records (or index-probe candidates) examined.
         self.records_scanned = 0
         self.batches_emitted = 0
         #: Column-slice cache row hits/misses of this scan (EXPLAIN ANALYZE).
@@ -413,7 +210,7 @@ class BatchScanOperator:
         return self.partition.scan_views()
 
     def __iter__(self) -> Iterator[ColumnBatch]:
-        if self.probe is None and self.use_slice_cache and self.extractor is not None:
+        if self.probe is None and self.use_slice_cache:
             source = self.partition.slice_scan_views(self.scan_paths, self.extractor,
                                                      self.slice_stats)
             if source is not None:
@@ -476,12 +273,41 @@ class BatchLetOperator:
 
 
 class BatchUnnestOperator:
-    """Flatten a pushed-down UNNEST: replicate rows, add item columns.
+    """UNNEST a collection column: replicate rows, bind the item as a column.
 
-    Mirrors ``UnnestOperator._iterate_pushed_down`` row by row: aligned list
-    values fan out one output row per item (MISSING-padded when a column is
-    short), and a non-list value at the wildcard prefix unnests as a SQL++
-    singleton collection.
+    The item is keyed ``(item_var, ())`` exactly like a LET name, so whole-item
+    uses, field accesses on the item and further UNNESTs over it compile
+    like any other bound variable.
+    """
+
+    def __init__(self, child: Iterator[ColumnBatch], item_var: str, collection) -> None:
+        self.child = child
+        self.item_var = item_var
+        self.collection = collection
+
+    def __iter__(self) -> Iterator[ColumnBatch]:
+        for batch in self.child:
+            indices: List[int] = []
+            items: List[Any] = []
+            for row, collection in enumerate(self.collection(batch)):
+                row_items = unnest_items(collection)
+                indices.extend([row] * len(row_items))
+                items.extend(row_items)
+            if indices:
+                flattened = batch.take(indices)
+                flattened.columns[(self.item_var, ())] = items
+                yield flattened
+
+
+class BatchPushdownUnnestOperator:
+    """Flatten a pushed-down UNNEST (paper §3.4.2): the scan extracted only the
+    requested scalars of each item — aligned wildcard columns on the record
+    variable — and this stage fans them out into item columns keyed
+    ``(item_var, item_path)`` without ever materializing the item objects.
+
+    Aligned list values produce one output row per item (MISSING-padded when
+    a column is short); a non-list value at the wildcard prefix unnests as a
+    SQL++ singleton collection.
     """
 
     def __init__(self, child: Iterator[ColumnBatch], record_var: str, item_var: str,
@@ -516,7 +342,7 @@ class BatchUnnestOperator:
                     has_scalar = True
                     scalar = value
             if has_scalar and length == 0:
-                for item in UnnestOperator._items(scalar):
+                for item in unnest_items(scalar):
                     indices.append(row)
                     for item_path, column in item_columns.items():
                         column.append(access_path(item, item_path))
@@ -576,11 +402,12 @@ class BatchProjectOperator:
 
 
 class BatchGroupByOperator:
-    """Per-partition hash aggregation over column batches.
+    """Per-partition hash aggregation producing mergeable partial states.
 
-    Produces the same mergeable ``{key tuple: [states]}`` structure as
-    :class:`PartialGroupByOperator` — the coordinator's merge_partials /
-    finalize_groups path is shared between execution modes.
+    This is the local half of the parallel aggregation in paper Figure 5:
+    the ``{key tuple: [states]}`` partials arrive at the coordinator over the
+    (conceptual) hash-partition exchange, where :func:`merge_partials` and
+    :func:`finalize_groups` combine them.
     """
 
     def __init__(self, child: Iterator[ColumnBatch],

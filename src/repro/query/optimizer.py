@@ -9,7 +9,7 @@ UNNEST and EXISTS so that only the requested nested scalars — not whole
 nested objects — flow through the rest of the plan.
 
 :class:`Optimizer` implements both rewrites and produces an
-:class:`AccessPlan` the scan/unnest operators consult at runtime:
+:class:`AccessPlan` the plan compiler turns into scan and UNNEST stages:
 
 * ``scan_paths`` — every path rooted at the scan variable, extracted once
   per record with one ``get_values()`` call;
@@ -128,16 +128,6 @@ class Optimizer:
             unnest_plans=unnest_plans,
             rewritten_spec=rewritten if rewritten is not spec else None,
         )
-
-    def plan_batch(self, spec: QuerySpec, access_plan: AccessPlan):
-        """Compile the query for batch (columnar) execution when possible.
-
-        Returns ``(BatchQueryPlan, None)`` or ``(None, fallback_reason)``;
-        ``spec`` must be the access plan's effective spec.
-        """
-        from .batch_compile import plan_batch
-
-        return plan_batch(spec, access_plan)
 
     # ------------------------------------------------------------------ helpers
 

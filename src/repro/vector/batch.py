@@ -126,10 +126,13 @@ def _flatten_wildcards(record: Any, path: Path) -> List[Any]:
 class BatchExtractor:
     """Compiled multi-path extractor, reusable across records.
 
-    Non-vector record views resolve the paths through their own
-    ``get_values``.  Paths with more than one wildcard (never produced by
-    the optimizer) stay out of the trie and are resolved over the
-    materialized record.
+    Record views of other formats resolve the paths themselves: a
+    ``DictRecordView`` (memtable row) through its own ``get_values``, which
+    shares the wildcard semantics above; an ``ADMRecordView``, which
+    navigates by offset and has no consolidated access, with one
+    ``get_field`` per path.  Paths with more than one wildcard (never
+    produced by the optimizer) stay out of the trie and are resolved over
+    the materialized record.
     """
 
     def __init__(self, paths: Sequence[Sequence[PathStep]]) -> None:
@@ -166,7 +169,9 @@ class BatchExtractor:
         if not self.requests:
             return []
         if not isinstance(view, VectorRecordView):
-            return view.get_values(*self.requests)
+            if hasattr(view, "get_values"):
+                return view.get_values(*self.requests)
+            return [view.get_field(*request) for request in self.requests]
         results = self._extract_vector(view)
         if self.multi_wild_ids:
             record = view.materialize()
@@ -362,6 +367,8 @@ def get_values_batch(views: Iterable[Any], paths: Sequence[Sequence[PathStep]],
     (paper §3.4.2): the request trie is compiled once and amortized across
     the batch, and each record is walked exactly once.
     """
+    if not paths:
+        return []
     if extractor is None:
         extractor = BatchExtractor(paths)
     columns: List[List[Any]] = [[] for _ in paths]
@@ -375,11 +382,10 @@ def get_values_batch(views: Iterable[Any], paths: Sequence[Sequence[PathStep]],
 class ColumnBatch:
     """Column-major container for N records' requested value slices.
 
-    ``columns`` is keyed exactly like the row pipeline's ``EXTRACTED``
-    environment entry — ``(variable, path) -> list of values`` — so batch
-    expression evaluation reads the same shapes the row evaluator would.
-    ``views`` retains the record views for whole-record projections
-    (``SELECT t``) and is replicated through UNNEST flattening.
+    ``columns`` is keyed ``(variable, path) -> list of values``; a variable
+    bound whole (a LET name, an UNNEST item) uses the empty path.  ``views``
+    retains the record views for whole-record projections (``SELECT t``)
+    and is replicated through UNNEST flattening.
     """
 
     __slots__ = ("length", "views", "columns")

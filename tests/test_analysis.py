@@ -32,7 +32,6 @@ from repro.analysis.rules.lock_rules import (
     LockHierarchyRule,
 )
 from repro.analysis.rules.obs_rules import MetricNameRule
-from repro.analysis.rules.parity_rules import RowBatchParityRule
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -405,80 +404,6 @@ class TestObs001:
 
 
 # ---------------------------------------------------------------------------
-# PAR001 — row/batch dispatch parity
-# ---------------------------------------------------------------------------
-
-class TestPar001:
-    EXPRESSIONS = (
-        "class Expr:\n"
-        "    pass\n"
-        "class Literal(Expr):\n"
-        "    pass\n"
-        "class Shiny(Expr):\n"
-        "    pass\n"
-    )
-
-    def write_pair(self, tmp_path, batch_source):
-        (tmp_path / "query").mkdir(exist_ok=True)
-        (tmp_path / "query" / "expressions.py").write_text(
-            self.EXPRESSIONS, encoding="utf-8")
-        (tmp_path / "query" / "batch_compile.py").write_text(
-            batch_source, encoding="utf-8")
-        return run_analysis([tmp_path], [RowBatchParityRule()],
-                            readme_text="", root=tmp_path)
-
-    def test_unhandled_subclass_flagged(self, tmp_path):
-        findings = self.write_pair(tmp_path, (
-            "from .expressions import Literal\n"
-            "ROW_ONLY_EXPRESSIONS = {}\n"
-            "def compile_expr(expr):\n"
-            "    if isinstance(expr, Literal):\n"
-            "        return lambda batch: []\n"
-        ))
-        assert [f.rule_id for f in findings] == ["PAR001"]
-        assert "Shiny" in findings[0].message
-
-    def test_registered_fallback_passes(self, tmp_path):
-        findings = self.write_pair(tmp_path, (
-            "from .expressions import Literal\n"
-            "ROW_ONLY_EXPRESSIONS = {'Shiny': 'needs per-row dynamic dispatch'}\n"
-            "def compile_expr(expr):\n"
-            "    if isinstance(expr, Literal):\n"
-            "        return lambda batch: []\n"
-        ))
-        assert findings == []
-
-    def test_stale_registry_entry_flagged(self, tmp_path):
-        findings = self.write_pair(tmp_path, (
-            "from .expressions import Literal, Shiny\n"
-            "ROW_ONLY_EXPRESSIONS = {'Shiny': 'old reason'}\n"
-            "def compile_expr(expr):\n"
-            "    if isinstance(expr, (Literal, Shiny)):\n"
-            "        return lambda batch: []\n"
-        ))
-        assert len(findings) == 1
-        assert "stale" in findings[0].message
-
-    def test_copied_table_flagged(self, tmp_path):
-        findings = self.write_pair(tmp_path, (
-            "from .expressions import Literal, Shiny\n"
-            "ROW_ONLY_EXPRESSIONS = {}\n"
-            "_FUNCTIONS = {'lower': str.lower}\n"
-            "def compile_expr(expr):\n"
-            "    if isinstance(expr, (Literal, Shiny)):\n"
-            "        return lambda batch: []\n"
-        ))
-        assert len(findings) == 1
-        assert "drift" in findings[0].message
-
-    def test_shipped_tree_parity_holds(self):
-        findings = run_analysis(
-            [REPO_ROOT / "src" / "repro"], [RowBatchParityRule()],
-            readme_text="")
-        assert findings == []
-
-
-# ---------------------------------------------------------------------------
 # locktrack — dynamic tracker unit tests
 # ---------------------------------------------------------------------------
 
@@ -660,7 +585,7 @@ class TestCliMeta:
         result = self.run_cli("--list-rules")
         assert result.returncode == 0
         for rule_id in ("LOCK001", "LOCK002", "LOCK003",
-                        "KNOB001", "OBS001", "PAR001"):
+                        "KNOB001", "OBS001"):
             assert rule_id in result.stdout
 
     def test_every_engine_lock_is_declared(self):
@@ -676,7 +601,7 @@ class TestCliMeta:
     def test_default_rules_cover_required_ids(self):
         ids = {rule.rule_id for rule in default_rules()}
         assert {"LOCK001", "LOCK002", "LOCK003",
-                "KNOB001", "OBS001", "PAR001"} <= ids
+                "KNOB001", "OBS001"} <= ids
 
     def test_parse_error_is_reported_not_raised(self, tmp_path):
         bad = tmp_path / "broken.py"

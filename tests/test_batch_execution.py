@@ -1,15 +1,15 @@
-"""Vectorized batch execution: batch-vs-row parity, fallback, regressions.
+"""The partition pipeline against the reference model, plus its plan-time errors.
 
-The batch pipeline (``ExecutionMode.BATCH``, the default) must be an invisible
-optimization: every query returns exactly the rows the row pipeline returns,
-across storage formats, compression, partitioning, and batch sizes — and when
-the batch planner cannot vectorize a plan it must fall back to row execution
-transparently, recording the reason in ``ExecutionStats``.
+The ColumnBatch pipeline is the only executor: every query must return
+exactly the rows ``tests/reference.py`` (a naive interpreter over plain
+dicts) returns — across storage formats, compression, partitioning,
+parallelism and batch sizes — and a query the pipeline cannot run must fail
+with ``QueryError`` when it is planned, never part-way through a scan.
 
-Also hosts the regression tests for the three row-pipeline correctness fixes
-that shipped with the batch work: mixed-type ORDER BY, pushed-down UNNEST
-over scalar collections (SQL++ singleton semantics), and group-by keys
-returning their original (unhashable) values.
+Also hosts the regression tests for three correctness fixes that shipped
+with the batch work: mixed-type ORDER BY, pushed-down UNNEST over scalar
+collections (SQL++ singleton semantics), and group-by keys returning their
+original (unhashable) values.
 """
 
 import string
@@ -19,13 +19,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Dataset, DeviceKind, StorageEnvironment, StorageFormat
+from repro.adm import ADMEncoder, ADMRecordView
 from repro.core.formats import DictRecordView
 from repro.errors import QueryError
 from repro.query import (
+    And,
     Comparison,
     DEFAULT_BATCH_SIZE,
-    ExecutionMode,
     Exists,
+    Expr,
     Func,
     QueryExecutor,
     Var,
@@ -34,8 +36,10 @@ from repro.query import (
     lit,
     scan,
 )
-from repro.types import Datatype
+from repro.types import Datatype, MISSING
 from repro.vector import BatchExtractor, VectorEncoder, VectorRecordView, WILDCARD
+
+from reference import partition_records, reference_rows
 
 RECORDS = [
     {
@@ -45,6 +49,7 @@ RECORDS = [
         "timestamp_ms": 1_000_000 + (i * 37) % 1000,
         "entities": {"hashtags": [{"text": "jobs" if i % 5 == 0 else f"tag{i % 7}", "pos": 0}]},
         "readings": [{"temp": float(i % 50), "ts": i}, {"temp": float((i * 3) % 50), "ts": i + 1}],
+        "groups": [{"members": [i % 3, 7]}, {"members": []}] if i % 2 else [],
     }
     for i in range(150)
 ]
@@ -77,8 +82,6 @@ def partitioned_dataset():
     return _dataset(partitions=4, name="batch_tweets_p4")
 
 
-# Queries that the batch planner accepts (no UNNEST-item Var uses, ≤1 UNNEST,
-# all of them pushed down) — the parity gauntlet.
 def _q_count():
     return scan("t").count_star().build()
 
@@ -128,6 +131,43 @@ def _q_unnest_pushdown():
             .build())
 
 
+def _q_unnest_item_var():
+    """Whole-item uses defeat the access pushdown: the generic UNNEST runs."""
+    return (scan("t")
+            .unnest(field("t", "readings"), "r")
+            .where(Comparison(">", field("r", "temp"), lit(40.0)))
+            .select(("id", field("t", "id")), ("reading", Var("r")))
+            .build())
+
+
+def _q_two_unnests():
+    return (scan("t")
+            .unnest(field("t", "readings"), "r")
+            .unnest(field("t", "entities", "hashtags"), "ht")
+            .group_by(("tag", field("ht", "text")))
+            .aggregate("max_temp", "max", field("r", "temp"))
+            .build())
+
+
+def _q_chained_unnests():
+    """The second UNNEST iterates a field of the first one's item."""
+    return (scan("t")
+            .unnest(field("t", "groups"), "g")
+            .unnest(field("g", "members"), "m")
+            .group_by(("member", Var("m")))
+            .count_star("n")
+            .build())
+
+
+def _q_nested_exists():
+    """Nested quantifiers; the inner one re-binds (shadows) the outer name."""
+    inner = Exists(field("g", "members"), "g", Comparison("=", Var("g"), field("t", "id")))
+    return (scan("t")
+            .where(Exists(field("t", "groups"), "g", inner))
+            .select(("id", field("t", "id")))
+            .build())
+
+
 PARITY_QUERIES = {
     "count_star": _q_count,
     "group_avg": _q_group_avg,
@@ -136,164 +176,168 @@ PARITY_QUERIES = {
     "select_star": _q_select_star,
     "let_where": _q_let_where,
     "unnest_pushdown": _q_unnest_pushdown,
+    "unnest_item_var": _q_unnest_item_var,
+    "two_unnests": _q_two_unnests,
+    "chained_unnests": _q_chained_unnests,
+    "nested_exists": _q_nested_exists,
 }
 
-
-def _run(dataset, spec, mode, **options):
-    return QueryExecutor(execution_mode=mode, **options).execute(dataset, spec)
-
-
-def _assert_parity(dataset, make_spec, **options):
-    batch = _run(dataset, make_spec(), ExecutionMode.BATCH, **options)
-    row = _run(dataset, make_spec(), ExecutionMode.ROW, **options)
-    assert row.stats.execution_mode == "row"
-    assert batch.rows == row.rows
-    return batch, row
+ALL_FORMATS = [StorageFormat.OPEN, StorageFormat.CLOSED, StorageFormat.INFERRED,
+               StorageFormat.SL_VB]
 
 
-class TestBatchRowParity:
+def _assert_matches_reference(dataset, make_spec, records=RECORDS, **options):
+    result = QueryExecutor(**options).execute(dataset, make_spec())
+    expected = reference_rows(make_spec(),
+                              partition_records(records, dataset.partition_count))
+    assert result.rows == expected
+    assert result.stats.batches_processed > 0
+    return result
+
+
+class TestReferenceParity:
     @pytest.mark.parametrize("query_name", sorted(PARITY_QUERIES))
-    @pytest.mark.parametrize("storage_format", [StorageFormat.OPEN, StorageFormat.CLOSED,
-                                                StorageFormat.INFERRED, StorageFormat.SL_VB])
+    @pytest.mark.parametrize("storage_format", ALL_FORMATS)
     def test_parity_across_formats(self, storage_format, query_name):
+        """ADM formats run the same pipeline: offset-guided get_field where
+        the query uses a value, where a vector format walks the record once."""
         dataset = _dataset(storage_format, name=f"batch_{storage_format.value}")
-        batch, _ = _assert_parity(dataset, PARITY_QUERIES[query_name])
-        if storage_format.uses_vector_format:
-            assert batch.stats.execution_mode == "batch"
-        else:
-            # ADM formats never consolidate field accesses, so batch planning
-            # must decline them with a reason rather than crash or mis-run.
-            assert batch.stats.execution_mode == "row"
-            assert batch.stats.fallback_reason is not None
+        _assert_matches_reference(dataset, PARITY_QUERIES[query_name])
 
     @pytest.mark.parametrize("query_name", sorted(PARITY_QUERIES))
     def test_parity_compressed(self, query_name):
         dataset = _dataset(compression="snappy", name="batch_snappy")
-        _assert_parity(dataset, PARITY_QUERIES[query_name])
+        _assert_matches_reference(dataset, PARITY_QUERIES[query_name])
 
     @pytest.mark.parametrize("query_name", sorted(PARITY_QUERIES))
     def test_parity_multi_partition(self, partitioned_dataset, query_name):
-        _assert_parity(partitioned_dataset, PARITY_QUERIES[query_name])
+        _assert_matches_reference(partitioned_dataset, PARITY_QUERIES[query_name])
 
     @pytest.mark.parametrize("query_name", sorted(PARITY_QUERIES))
     def test_parity_multi_partition_inline(self, partitioned_dataset, query_name):
-        _assert_parity(partitioned_dataset, PARITY_QUERIES[query_name], parallelism=1)
+        _assert_matches_reference(partitioned_dataset, PARITY_QUERIES[query_name],
+                                  parallelism=1)
 
     @pytest.mark.parametrize("query_name", sorted(PARITY_QUERIES))
-    def test_parity_batch_size_one(self, inferred_dataset, query_name):
+    @pytest.mark.parametrize("batch_size", [1, 64, 1024])
+    def test_parity_across_batch_sizes(self, inferred_dataset, batch_size, query_name):
         """Size-1 batches stress every chunk boundary; results must not change."""
-        batch = _run(inferred_dataset, PARITY_QUERIES[query_name](),
-                     ExecutionMode.BATCH, batch_size=1)
-        row = _run(inferred_dataset, PARITY_QUERIES[query_name](), ExecutionMode.ROW)
-        assert batch.rows == row.rows
+        _assert_matches_reference(inferred_dataset, PARITY_QUERIES[query_name],
+                                  batch_size=batch_size)
 
-    def test_parity_unflushed_memtable(self):
-        dataset = _dataset(name="batch_memtable", flush=False)
+    @pytest.mark.parametrize("storage_format", [StorageFormat.OPEN, StorageFormat.INFERRED])
+    def test_parity_unflushed_memtable(self, storage_format):
+        dataset = _dataset(storage_format, name=f"batch_memtable_{storage_format.value}",
+                           flush=False)
         for make_spec in PARITY_QUERIES.values():
-            _assert_parity(dataset, make_spec)
+            _assert_matches_reference(dataset, make_spec)
+
+    @pytest.mark.parametrize("query_name", sorted(PARITY_QUERIES))
+    @pytest.mark.parametrize("pushdown", [True, False])
+    def test_parity_with_consolidation_off(self, inferred_dataset, pushdown, query_name):
+        """The Figure 23 ablation runs the same pipeline with per-path walks."""
+        _assert_matches_reference(inferred_dataset, PARITY_QUERIES[query_name],
+                                  consolidate_field_access=False,
+                                  pushdown_through_unnest=pushdown)
+
+    @pytest.mark.parametrize("query_name", sorted(PARITY_QUERIES))
+    def test_parity_without_unnest_pushdown(self, inferred_dataset, query_name):
+        _assert_matches_reference(inferred_dataset, PARITY_QUERIES[query_name],
+                                  pushdown_through_unnest=False)
 
     def test_batch_stats_reported(self, inferred_dataset, monkeypatch):
         monkeypatch.delenv("REPRO_BATCH_SIZE", raising=False)
-        result = _run(inferred_dataset, _q_group_avg(), ExecutionMode.BATCH)
-        assert result.stats.execution_mode == "batch"
+        result = QueryExecutor().execute(inferred_dataset, _q_group_avg())
         assert result.stats.batch_size == DEFAULT_BATCH_SIZE
-        assert result.stats.fallback_reason is None
         assert result.stats.batches_processed >= 1
 
     def test_batch_size_one_batch_count(self, inferred_dataset):
-        result = _run(inferred_dataset, _q_group_avg(), ExecutionMode.BATCH, batch_size=1)
+        result = QueryExecutor(batch_size=1).execute(inferred_dataset, _q_group_avg())
         assert result.stats.batches_processed == len(RECORDS)
-
-
-class TestFallback:
-    def test_unnest_item_var_falls_back(self, inferred_dataset):
-        """Direct Var uses of the unnested item defeat pushdown → row mode."""
-        spec = (scan("t")
-                .unnest(field("t", "readings"), "r")
-                .where(Comparison("=", Func("is_array", Var("r")), lit(True)))
-                .count_star()
-                .build())
-        batch = _run(inferred_dataset, spec, ExecutionMode.BATCH)
-        row = _run(inferred_dataset, spec, ExecutionMode.ROW)
-        assert batch.stats.execution_mode == "row"
-        assert batch.stats.fallback_reason is not None
-        assert batch.rows == row.rows
-
-    def test_multiple_unnests_fall_back(self, inferred_dataset):
-        spec = (scan("t")
-                .unnest(field("t", "readings"), "r")
-                .unnest(field("t", "entities", "hashtags"), "ht")
-                .count_star()
-                .build())
-        batch = _run(inferred_dataset, spec, ExecutionMode.BATCH)
-        row = _run(inferred_dataset, spec, ExecutionMode.ROW)
-        assert batch.stats.execution_mode == "row"
-        assert batch.rows == row.rows
-
-    def test_explicit_row_mode(self, inferred_dataset):
-        result = _run(inferred_dataset, _q_count(), ExecutionMode.ROW)
-        assert result.stats.execution_mode == "row"
-        assert result.stats.batches_processed == 0
-
-    def test_batch_size_zero_disables(self, inferred_dataset):
-        result = _run(inferred_dataset, _q_count(), ExecutionMode.BATCH, batch_size=0)
-        assert result.stats.execution_mode == "row"
-        assert "batch size 0" in result.stats.fallback_reason
-
-    def test_consolidation_disabled_falls_back(self, inferred_dataset):
-        executor = QueryExecutor(consolidate_field_access=False,
-                                 execution_mode=ExecutionMode.BATCH)
-        result = executor.execute(inferred_dataset, _q_group_avg())
-        assert result.stats.execution_mode == "row"
-        assert result.stats.fallback_reason is not None
-
-    def test_mode_env_var(self, inferred_dataset, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTION_MODE", "row")
-        result = QueryExecutor().execute(inferred_dataset, _q_group_avg())
-        assert result.stats.execution_mode == "row"
-        monkeypatch.setenv("REPRO_EXECUTION_MODE", "batch")
-        result = QueryExecutor().execute(inferred_dataset, _q_group_avg())
-        assert result.stats.execution_mode == "batch"
 
     def test_batch_size_env_var(self, inferred_dataset, monkeypatch):
         monkeypatch.setenv("REPRO_BATCH_SIZE", "7")
-        result = QueryExecutor(execution_mode=ExecutionMode.BATCH).execute(
-            inferred_dataset, _q_group_avg())
+        result = QueryExecutor().execute(inferred_dataset, _q_group_avg())
         assert result.stats.batch_size == 7
         assert result.stats.batches_processed == -(-len(RECORDS) // 7)
 
-    def test_invalid_mode_and_size_rejected(self, inferred_dataset, monkeypatch):
+
+class _Opaque(Expr):
+    """An Expr subclass the plan compiler has no case for."""
+
+    def evaluate(self, env):
+        return 1
+
+
+class _WrapsItem(_Opaque):
+    """Unknown subclass that mentions the quantifier variable."""
+
+    def children(self):
+        return (Var("r"),)
+
+
+class TestPlanTimeErrors:
+    """What the pipeline cannot run fails when planned, before any scan."""
+
+    def _assert_rejected(self, dataset, spec):
         with pytest.raises(QueryError):
-            _run(inferred_dataset, _q_count(), "columnar")
+            QueryExecutor().prepare_physical(dataset, spec)
         with pytest.raises(QueryError):
-            _run(inferred_dataset, _q_count(), ExecutionMode.BATCH, batch_size=-1)
-        monkeypatch.setenv("REPRO_BATCH_SIZE", "lots")
-        with pytest.raises(QueryError):
-            QueryExecutor().execute(inferred_dataset, _q_count())
+            QueryExecutor().execute(dataset, spec)
+
+    def test_unbound_variable(self, inferred_dataset):
+        self._assert_rejected(
+            inferred_dataset,
+            scan("t").select(("x", Var("nobody"))).build())
+        self._assert_rejected(
+            inferred_dataset,
+            scan("t").where(Comparison("=", field("nobody", "a"), lit(1))).count_star().build())
+
+    def test_let_cannot_see_a_later_unnest(self, inferred_dataset):
+        """LETs bind before UNNESTs, as in the pipeline order."""
+        self._assert_rejected(
+            inferred_dataset,
+            scan("t").let("x", Var("r")).unnest(field("t", "readings"), "r")
+            .count_star().build())
+
+    def test_order_by_column_name_in_non_grouped_query(self, inferred_dataset):
+        self._assert_rejected(
+            inferred_dataset,
+            scan("t").select(("id", field("t", "id"))).order_by("id").build())
+
+    def test_unknown_expr_subclass(self, inferred_dataset):
+        self._assert_rejected(
+            inferred_dataset, scan("t").select(("x", _Opaque())).build())
+        quantified = Exists(field("t", "readings"), "r",
+                            And(Comparison("=", Var("r"), lit(1)), _WrapsItem()))
+        self._assert_rejected(
+            inferred_dataset, scan("t").where(quantified).count_star().build())
+
+    def test_batch_size_must_be_positive(self, monkeypatch):
+        for size in (0, -1):
+            with pytest.raises(QueryError):
+                QueryExecutor(batch_size=size)
+        for text in ("0", "lots"):
+            monkeypatch.setenv("REPRO_BATCH_SIZE", text)
+            with pytest.raises(QueryError):
+                QueryExecutor()
 
 
 class TestExplainIntegration:
-    def test_explain_shows_batch_mode(self, inferred_dataset):
+    def test_explain_shows_execution_line(self, inferred_dataset):
         rendered = explain(inferred_dataset, _q_group_avg(), analyze=True,
-                           execution_mode="batch", batch_size=DEFAULT_BATCH_SIZE)
-        assert f"execution mode: batch (size={DEFAULT_BATCH_SIZE})" in rendered
-        assert "mode=batch" in rendered
-        assert "batch(es)" in rendered
+                           batch_size=DEFAULT_BATCH_SIZE)
+        assert f"execution: batch (size={DEFAULT_BATCH_SIZE})" in rendered
+        assert "batch(es))" in rendered
+        assert "fallback" not in rendered
 
-    def test_explain_shows_fallback(self, inferred_dataset):
-        spec = (scan("t")
-                .unnest(field("t", "readings"), "r")
-                .where(Comparison("=", Func("is_array", Var("r")), lit(True)))
-                .count_star()
-                .build())
-        rendered = explain(inferred_dataset, spec, analyze=True,
-                           execution_mode="batch")
-        assert "execution mode: row (batch fallback:" in rendered
-        assert "mode=row" in rendered
+    def test_explain_marks_the_unnest_shape(self, inferred_dataset):
+        assert "[pushdown]" in explain(inferred_dataset, _q_unnest_pushdown())
+        assert "[pushdown]" not in explain(inferred_dataset, _q_unnest_item_var())
 
 
 # ---------------------------------------------------------------------------
-# row-pipeline correctness regressions (fixed alongside the batch work)
+# correctness regressions (fixed alongside the batch work)
 # ---------------------------------------------------------------------------
 
 class TestRegressions:
@@ -311,14 +355,15 @@ class TestRegressions:
             {"id": 7, "v": "a"},
         ]
         dataset = _dataset(records=records, name="batch_mixed_order")
-        spec = (scan("t")
-                .select(("id", field("t", "id")), ("v", field("t", "v")))
-                .order_by(field("t", "v"))
-                .build())
-        batch = _run(dataset, spec, ExecutionMode.BATCH)
-        row = _run(dataset, spec, ExecutionMode.ROW)
-        assert batch.rows == row.rows
-        ids = [r["id"] for r in row.rows]
+
+        def make_spec():
+            return (scan("t")
+                    .select(("id", field("t", "id")), ("v", field("t", "v")))
+                    .order_by(field("t", "v"))
+                    .build())
+
+        result = _assert_matches_reference(dataset, make_spec, records)
+        ids = [r["id"] for r in result.rows]
         # Type-ranked groups, each internally sorted; absent values sort last.
         assert ids.index(3) < ids.index(6)          # bool before numbers
         assert ids.index(6) < ids.index(0)          # 2.5 < 3
@@ -339,20 +384,23 @@ class TestRegressions:
         ]
         dataset = _dataset(records=records, name=f"batch_scalar_unnest_{flush}",
                            flush=flush)
-        spec = (scan("t")
-                .unnest(field("t", "tags"), "tag")
-                .group_by(("id", field("t", "id")))
-                .count_star("n")
-                .build())
-        pushed = QueryExecutor(pushdown_through_unnest=True).execute(dataset, spec)
-        unpushed = QueryExecutor(pushdown_through_unnest=False).execute(dataset, spec)
-        expected = {0: 2, 1: 1, 4: 1}
-        assert {r["id"]: r["n"] for r in pushed.rows} == expected
-        assert sorted(pushed.rows, key=lambda r: r["id"]) == \
-            sorted(unpushed.rows, key=lambda r: r["id"])
-        batch = _run(dataset, spec, ExecutionMode.BATCH)
-        assert sorted(batch.rows, key=lambda r: r["id"]) == \
-            sorted(pushed.rows, key=lambda r: r["id"])
+
+        def make_spec(item_path=()):
+            return (scan("t")
+                    .unnest(field("t", "tags"), "tag")
+                    .group_by(("id", field("t", "id")))
+                    .aggregate("n", "count", field("tag", *item_path) if item_path else None)
+                    .build())
+
+        for pushdown in (True, False):
+            result = _assert_matches_reference(dataset, make_spec, records,
+                                               pushdown_through_unnest=pushdown)
+            assert {r["id"]: r["n"] for r in result.rows} == {0: 2, 1: 1, 4: 1}
+            # An item path makes the pushdown engage: "solo".text is MISSING,
+            # but the singleton still produces its one row.
+            result = _assert_matches_reference(dataset, lambda: make_spec(("text",)),
+                                               records, pushdown_through_unnest=pushdown)
+            assert {r["id"]: r["n"] for r in result.rows} == {0: 0, 1: 0, 4: 0}
 
     def test_group_by_returns_original_key_values(self):
         """Grouping on list/object-valued keys must emit the first-seen
@@ -365,16 +413,63 @@ class TestRegressions:
             {"id": 4, "k": "plain"},
         ]
         dataset = _dataset(records=records, name="batch_group_keys")
-        spec = (scan("t")
-                .group_by(("k", field("t", "k")))
-                .count_star("n")
-                .build())
-        for mode in (ExecutionMode.BATCH, ExecutionMode.ROW):
-            result = _run(dataset, spec, mode)
-            by_count = {repr(r["k"]): r["n"] for r in result.rows}
-            assert by_count == {"[1, 2]": 2, "{'a': 1}": 2, "'plain'": 1}
-            kinds = {type(r["k"]) for r in result.rows}
-            assert kinds == {list, dict, str}
+
+        def make_spec():
+            return (scan("t")
+                    .group_by(("k", field("t", "k")))
+                    .count_star("n")
+                    .build())
+
+        result = _assert_matches_reference(dataset, make_spec, records)
+        by_count = {repr(r["k"]): r["n"] for r in result.rows}
+        assert by_count == {"[1, 2]": 2, "{'a': 1}": 2, "'plain'": 1}
+        assert {type(r["k"]) for r in result.rows} == {list, dict, str}
+
+
+# ---------------------------------------------------------------------------
+# the extractor over every kind of record view
+# ---------------------------------------------------------------------------
+
+class TestExtractorViews:
+    RECORD = {"id": 7, "user": {"name": "ann"},
+              "readings": [{"temp": 1.5, "ts": 1}, {"ts": 2}], "tags": "solo"}
+    PATHS = [("id",), ("user", "name"), ("readings", WILDCARD, "temp"),
+             ("readings", 1, "ts"), ("nope",)]
+    EXPECTED = [7, "ann", [1.5, MISSING], 2, MISSING]
+
+    def test_adm_view_resolves_with_get_field(self):
+        """ADMRecordView has no get_values: one get_field per request."""
+        view = ADMRecordView(ADMEncoder(None).encode(self.RECORD))
+        assert not hasattr(view, "get_values")
+        assert BatchExtractor(self.PATHS).extract(view) == self.EXPECTED
+
+    def test_dict_view_keeps_get_values_wildcard_semantics(self):
+        view = DictRecordView(self.RECORD)
+        assert BatchExtractor(self.PATHS).extract(view) == self.EXPECTED
+        # Passthrough of a non-collection at the wildcard prefix, [] when absent.
+        assert BatchExtractor([("tags", WILDCARD), ("nope", WILDCARD)]).extract(view) == \
+            ["solo", []]
+
+    def test_slice_scan_of_an_adm_dataset(self, monkeypatch):
+        """The cached component scan hands ADM views to the extractor."""
+        monkeypatch.delenv("REPRO_COLUMN_CACHE_BYTES", raising=False)
+        dataset = _dataset(StorageFormat.OPEN, records=[self.RECORD], name="extract_adm_slices")
+        source = dataset.partitions[0].slice_scan_views(self.PATHS, BatchExtractor(self.PATHS))
+        assert [(list(values), view) for values, view in source] == [(self.EXPECTED, None)]
+
+    @pytest.mark.parametrize("storage_format", [StorageFormat.OPEN, StorageFormat.INFERRED])
+    def test_memtable_and_disk_records_extract_alike(self, storage_format):
+        dataset = _dataset(storage_format, records=[self.RECORD],
+                           name=f"extract_views_{storage_format.value}", flush=False)
+        extractor = BatchExtractor(self.PATHS)
+        partition = dataset.partitions[0]
+        (memtable_view,) = partition.scan_views()
+        assert isinstance(memtable_view, DictRecordView)
+        assert extractor.extract(memtable_view) == self.EXPECTED
+        dataset.flush_all()
+        (disk_view,) = partition.scan_views()
+        assert not isinstance(disk_view, DictRecordView)
+        assert extractor.extract(disk_view) == self.EXPECTED
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +537,11 @@ class TestBatchProperties:
         assert view.get_values(*paths) == expected
 
     @_engine_settings
-    @given(records=st.lists(_records, min_size=1, max_size=12))
-    def test_engine_parity_on_random_records(self, records):
-        """Batch and row modes agree on random documents end to end."""
+    @given(records=st.lists(_records, min_size=1, max_size=12),
+           storage_format=st.sampled_from([StorageFormat.OPEN, StorageFormat.INFERRED]))
+    def test_engine_matches_reference_on_random_records(self, records, storage_format):
         records = [dict(record, id=index) for index, record in enumerate(records)]
-        dataset = _dataset(records=records, name="batch_prop")
+        dataset = _dataset(storage_format, records=records, name="batch_prop")
         queries = [
             scan("t").count_star().build,
             lambda: scan("t").select_record().order_by(field("t", "id")).build(),
@@ -454,8 +549,10 @@ class TestBatchProperties:
                      .group_by(("k", field("t", "k")))
                      .aggregate("n", "count", field("t", "id"))
                      .build()),
+            lambda: (scan("t")
+                     .unnest(field("t", "k"), "item")
+                     .select(("id", field("t", "id")), ("item", Var("item")))
+                     .build()),
         ]
         for make_spec in queries:
-            batch = _run(dataset, make_spec(), ExecutionMode.BATCH)
-            row = _run(dataset, make_spec(), ExecutionMode.ROW)
-            assert batch.rows == row.rows
+            _assert_matches_reference(dataset, make_spec, records)

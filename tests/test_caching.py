@@ -41,6 +41,9 @@ from repro.errors import DatasetError, QuarantinedComponentError
 from repro.faults import FAULTS_ENV_VAR, get_injector
 from repro.config import env_str
 from repro.obs import MetricsRegistry
+from repro.sqlpp import compile as compile_sqlpp
+
+from reference import partition_records, reference_rows
 
 
 @pytest.fixture(autouse=True)
@@ -49,12 +52,12 @@ def _default_cache_env(monkeypatch):
 
     CI runs the whole tier-1 suite under knob legs that disable the very
     layers this module asserts on (``REPRO_PLAN_CACHE=0``,
-    ``REPRO_COLUMN_CACHE_BYTES=0``, ``REPRO_EXECUTION_MODE=row``); the
+    ``REPRO_COLUMN_CACHE_BYTES=0``); the
     knob-off behaviors are covered explicitly by the tests below, so the
     rest of the module runs against the defaults regardless of the leg.
     """
     for variable in (PLAN_CACHE_ENV_VAR, COLUMN_CACHE_BYTES_ENV_VAR,
-                     "REPRO_EXECUTION_MODE", "REPRO_BATCH_SIZE",
+                     "REPRO_BATCH_SIZE",
                      "REPRO_LSM_SCHEDULER"):
         monkeypatch.delenv(variable, raising=False)
 
@@ -70,12 +73,15 @@ def _isolated_injector():
         injector.load_spec(spec)
 
 
+def _records(rows=60):
+    return [{"id": key, "name": f"user{key}", "age": key % 45, "city": f"c{key % 7}"}
+            for key in range(rows)]
+
+
 def _dataset(name, rows=60, partitions=1, **overrides):
     dataset = Dataset.create(name, StorageFormat.INFERRED, partitions=partitions,
                              **overrides)
-    for key in range(rows):
-        dataset.insert({"id": key, "name": f"user{key}", "age": key % 45,
-                        "city": f"c{key % 7}"})
+    dataset.insert_all(_records(rows))
     dataset.flush_all()
     return dataset
 
@@ -85,6 +91,12 @@ QUERY = "SELECT d.name AS name FROM Ds AS d WHERE d.age < 20"
 
 def _rows(result):
     return sorted(row["name"] for row in result.rows)
+
+
+def _reference_names(records):
+    """QUERY's answer over ``records`` by the tests' reference model."""
+    rows = reference_rows(compile_sqlpp(QUERY).spec, partition_records(records))
+    return sorted(row["name"] for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +362,11 @@ class TestPlanCacheIntegration:
 
     def test_executor_signature_partitions_entries(self):
         dataset = _dataset("PcSig")
-        dataset.query(QUERY)  # batch-mode entry
-        row_mode = dataset.query(QUERY, execution_mode="row")
-        assert row_mode.stats.plan_source == "compiled"
-        assert dataset.query(QUERY, execution_mode="row").stats.plan_source == "cache"
+        dataset.query(QUERY)  # default-executor entry
+        forced_scan = dataset.query(QUERY, access_path="scan")
+        assert forced_scan.stats.plan_source == "compiled"
+        assert _rows(forced_scan) == _reference_names(_records())
+        assert dataset.query(QUERY, access_path="scan").stats.plan_source == "cache"
         dataset.close()
 
     def test_knob_zero_disables_plan_cache(self, monkeypatch):
@@ -370,7 +383,7 @@ class TestPlanCacheIntegration:
         dataset = _dataset("PsBasic")
         statement = dataset.prepare(QUERY)
         assert isinstance(statement, PreparedStatement)
-        oracle = _rows(dataset.query(QUERY, execution_mode="row"))
+        oracle = _reference_names(_records())
         first = statement.execute()
         assert first.stats.plan_source == "cache"
         assert _rows(first) == oracle

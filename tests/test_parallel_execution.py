@@ -213,8 +213,6 @@ class TestMeasuredParallelism:
                 .aggregate("n", "count").order_by("lang").build())
         stats = QueryExecutor(parallelism=PARTITIONS).execute(dataset, spec).stats
         assert stats.coordinator_seconds >= 0.0
-        assert stats.parallel_wall_seconds == pytest.approx(
-            max(stats.per_partition_seconds) + stats.coordinator_seconds)
         assert stats.sequential_equivalent_seconds == pytest.approx(
             sum(stats.per_partition_seconds) + stats.coordinator_seconds)
 

@@ -16,7 +16,7 @@ from repro.query import (
     lit,
     scan,
 )
-from repro.query.expressions import EXTRACTED, Not
+from repro.query.expressions import Not
 from repro.query.optimizer import Optimizer
 from repro.types import MISSING
 
@@ -57,10 +57,6 @@ class TestExpressions:
         env = {"t": {"a": {"b": [1, 2, 3]}}}
         assert field("t", "a", "b", 1).evaluate(env) == 2
         assert field("t", "a", "zzz").evaluate(env) is MISSING
-
-    def test_extracted_values_short_circuit(self):
-        env = {"t": {"a": 1}, EXTRACTED: {("t", ("a",)): 99}}
-        assert field("t", "a").evaluate(env) == 99
 
     def test_comparison_missing_propagation(self):
         env = {"t": {"a": 5}}
