@@ -26,7 +26,7 @@ from ..lint import Finding, Module, Project, Rule, dotted_name
 _KNOB_NAME_RE = re.compile(r"^REPRO_[A-Z0-9_]+$")
 
 #: The accessor functions exported by ``repro.config``.
-_ACCESSORS = ("env_str", "env_flag", "env_int", "env_float")
+_ACCESSORS = ("env_str", "env_flag", "env_int")
 
 
 class KnobAccessorRule(Rule):

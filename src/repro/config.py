@@ -29,8 +29,7 @@ def env_str(name: str, default: str = "") -> str:
 
     This module is the engine's *single* environment accessor: every other
     module reads its knobs through :func:`env_str` / :func:`env_int` /
-    :func:`env_float` / :func:`env_flag` instead of touching ``os.environ``
-    directly, so the
+    :func:`env_flag` instead of touching ``os.environ`` directly, so the
     KNOB001 lint rule can prove each knob is documented in the README table
     (``python -m repro.analysis`` enforces this).
     """
@@ -55,21 +54,6 @@ def env_int(name: str) -> Optional[int]:
         return int(value)
     except ValueError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
-def env_float(name: str) -> Optional[float]:
-    """Read a float knob (e.g. a seconds value); ``None`` when unset/empty.
-
-    Raises :class:`ValueError` (with the knob name) on a non-numeric value —
-    callers translate it into their own error type when they need to.
-    """
-    value = env_str(name)
-    if not value:
-        return None
-    try:
-        return float(value)
-    except ValueError:
-        raise ValueError(f"{name} must be a number, got {value!r}") from None
 
 
 def lsm_scheduler_env_default() -> bool:
@@ -181,8 +165,9 @@ class LSMConfig:
     #: asynchronous LSM lifecycle) instead of inline on the writer's thread.
     #: ``None`` defers to the ``REPRO_LSM_SCHEDULER`` environment variable
     #: (off unless set); an explicit ``True``/``False`` always wins.
-    #: Synchronous mode remains the escape hatch: parity between the two
-    #: modes holds by construction (same entries, same flush order).
+    #: The setting only picks *where* a flush or merge task runs — the
+    #: lifecycle (seal, build, install) is one path, so both settings write
+    #: the same entries in the same flush order.
     background_maintenance: Optional[bool] = None
     #: Background scheduler: worker threads running flushes (across all of a
     #: dataset's partitions — per-index flushes stay serialized in seal order).

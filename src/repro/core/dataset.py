@@ -203,8 +203,8 @@ class Dataset:
 
         Drains every partition's in-flight flushes and merges, then shuts
         the scheduler's worker pools down.  The dataset remains readable —
-        and even writable: post-close writes fall back to synchronous,
-        inline maintenance, the default-off escape hatch mode.
+        and even writable: post-close flushes and merges are the same tasks,
+        run on the writer's thread.
         """
         if self._closed:
             return

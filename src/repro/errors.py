@@ -148,10 +148,10 @@ class QueryError(ReproError):
 class QueryDeadlineError(QueryError):
     """A query exceeded its deadline and was cooperatively cancelled.
 
-    Raised by the executor when ``deadline`` (or ``REPRO_QUERY_DEADLINE``)
-    elapses before the query completes; partition workers observe the shared
-    cancellation flag at row/batch boundaries, so the abort is prompt but
-    never tears a partially-consumed iterator.
+    Raised by the executor when its ``deadline`` elapses before the query
+    completes; partition workers observe the shared cancellation flag at
+    row/batch boundaries, so the abort is prompt but never tears a
+    partially-consumed iterator.
     """
 
 

@@ -85,13 +85,6 @@ class InMemoryComponent:
         entries.sort(key=lambda entry: entry.key)
         return entries
 
-    def clear(self) -> None:
-        self._entries.clear()
-        self.size_bytes = 0
-
-    def iter_entries(self) -> Iterator[MemEntry]:
-        return iter(self._entries.values())
-
 
 @dataclass
 class ComponentMetadata:
@@ -179,6 +172,11 @@ class OnDiskComponent:
         #: Optional key-only B+-tree used to cheapen upsert existence checks.
         self.primary_key_index: Optional[BTree] = None
         self.primary_key_file: Optional[str] = None
+        #: Per secondary index name: this component's index file, its opened
+        #: B+-tree, and the indexed field's statistics for the cost model.
+        self.secondary_files: Dict[str, str] = {}
+        self.secondary_trees: Dict[str, BTree] = {}
+        self.secondary_stats: Dict[str, Any] = {}
 
     # -- convenience -----------------------------------------------------------------
 
@@ -276,6 +274,20 @@ class ComponentWriter:
             self.buffer_cache.write_page(self.file_name, start_page + pages, page)
             pages += 1
         return pages
+
+
+def delete_component_files(buffer_cache: BufferCache, file_name: str) -> List[str]:
+    """Delete a component's primary file and whatever auxiliary files
+    (``.pk``, ``.ix.*``) exist beside it, registered on a component object or
+    not — the clean-up after a failed build and of an INVALID component
+    found by recovery.  Returns the names deleted."""
+    manager = buffer_cache.file_manager
+    doomed = [name for name in manager.list_files()
+              if name == file_name or name.startswith(file_name + ".")]
+    for name in doomed:
+        buffer_cache.invalidate_file(name)
+        manager.delete_file(name)
+    return doomed
 
 
 def read_component_metadata(buffer_cache: BufferCache, file_name: str) -> Optional[ComponentMetadata]:

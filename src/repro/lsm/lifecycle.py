@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Sequence, Tuple
 
+from ..errors import MaintenanceDecodeError
 from ..schema import InferredSchema
 from .component import OnDiskComponent
 from .component_id import ComponentId
@@ -41,6 +42,10 @@ class FlushCallback:
     #: skip that lookup entirely, which is why the paper's open/closed
     #: configurations ingest the 50 %-update workload at insert-only speed.
     needs_antischema = False
+
+    #: The partition's current in-memory schema; ``None`` when the callback
+    #: infers nothing (pass-through datasets).
+    schema: Optional[InferredSchema] = None
 
     def begin_flush(self, component_id: ComponentId) -> None:
         """Called when a flush starts, before any entry is processed."""
@@ -71,6 +76,18 @@ class FlushCallback:
 
     def on_component_deleted(self, component: OnDiskComponent) -> None:
         """Called when a merged-away (or invalid) component is dropped."""
+
+    def load_schema(self, schema: InferredSchema) -> None:
+        """Adopt the schema recovery read from the newest valid component."""
+
+    def record_antischema(self, payload: bytes,
+                          component_schema: Optional[InferredSchema]) -> Dict[str, Any]:
+        """The anti-schema of a stored payload, for a delete/upsert over an
+        already-flushed record (only asked for when ``needs_antischema``)."""
+        raise MaintenanceDecodeError(
+            "this index stores opaque payloads; deletes/upserts need a flush callback "
+            "that overrides record_antischema()"
+        )
 
     def snapshot_state(self) -> Any:
         """Capture whatever cumulative state a flush mutates.

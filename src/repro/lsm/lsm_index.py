@@ -17,33 +17,27 @@ from __future__ import annotations
 import heapq
 import threading
 import time
-from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..btree import BTree, BulkLoader, LeafEntry
+from ..btree import BTree, LeafEntry
 from ..errors import (
     ComponentStateError,
     CorruptPageError,
     DuplicateKeyError,
     KeyNotFoundError,
-    MaintenanceDecodeError,
     QuarantinedComponentError,
     SchedulerError,
 )
 from ..obs import (COMPONENT_QUARANTINED, MetricsRegistry, StatsDictMixin,
                    emit_event, get_registry)
 from ..obs import tracer as _tracer
-from ..schema import InferredSchema
+from ..schema import InferredSchema, extract_antischema
 from ..storage.buffer_cache import BufferCache
 from ..storage.wal import LogRecordType, WriteAheadLog
-from .component import (
-    ComponentWriter,
-    InMemoryComponent,
-    MemEntry,
-    OnDiskComponent,
-    read_component_metadata,
-)
+from .component import (ComponentWriter, InMemoryComponent, MemEntry, OnDiskComponent,
+                        delete_component_files)
 from .component_id import ComponentId
 from .lifecycle import FlushCallback
 from .merge_policy import MergePolicy, NoMergePolicy
@@ -86,7 +80,8 @@ class IngestStats(StatsDictMixin):
     bytes_flushed: int = 0
     bytes_merged: int = 0
     #: Wall seconds the writer spent blocked in backpressure waits (sealed
-    #: memtables at the cap, or merge debt) under background maintenance.
+    #: memtables at the cap, or merge debt); only a scheduler's workers can
+    #: fall behind a writer, so always 0.0 without one.
     ingest_stall_seconds: float = 0.0
 
     @property
@@ -101,12 +96,12 @@ class IngestStats(StatsDictMixin):
 class SealedMemtable:
     """An immutable, flush-pending in-memory component.
 
-    Sealed at memtable rotation: the writer moves its full mutable memtable
-    here, installs a fresh empty one, and hands this object to the background
-    flush pipeline.  ``up_to_lsn`` records the last WAL position the sealed
-    entries cover, so the flush that persists them truncates exactly that
-    prefix of the partition's log — entries logged after the seal (living in
-    newer memtables) survive for crash recovery.
+    Sealed at memtable rotation and by :meth:`LSMBTree.flush`: the writer
+    moves its mutable memtable here and installs a fresh empty one; a flush
+    only ever persists a sealed memtable.  ``up_to_lsn`` records the last
+    WAL position the sealed entries cover, so the flush that persists them
+    truncates exactly that prefix of the partition's log — entries logged
+    after the seal (living in newer memtables) survive for crash recovery.
     """
 
     memtable: InMemoryComponent
@@ -151,9 +146,14 @@ class LSMBTree:
         self.wal = wal
         self.maintain_primary_key_index = maintain_primary_key_index
         self.check_duplicate_keys = check_duplicate_keys
-        #: Background maintenance scheduler; ``None`` = synchronous mode
-        #: (flushes and merges run inline on the writer's thread).
+        #: Where maintenance tasks run: on this scheduler's workers, or —
+        #: ``None`` — on the thread that triggered them (:meth:`_submit_or_run`).
         self.scheduler = scheduler
+        #: Surfaces a latched background failure on the caller's thread
+        #: (backpressure waits, drain).  Without a scheduler every task runs
+        #: on, and raises to, its caller: there is no latch.
+        self._raise_if_maintenance_failed: Callable[[], None] = (
+            scheduler.raise_if_failed if scheduler is not None else _no_failure_latch)
         self.max_sealed_memtables = max_sealed_memtables
         self.max_merge_debt = max_merge_debt
         #: Decoded column-slice cache shared by the owning environment's
@@ -169,9 +169,9 @@ class LSMBTree:
         self.structure_version = 0
 
         self.memory_component = InMemoryComponent()
-        #: Sealed (immutable, flush-pending) memtables, oldest first.  Only
-        #: populated under background maintenance; flushed strictly in order
-        #: so component sequence numbers keep encoding recency.
+        #: Sealed (immutable, flush-pending) memtables, oldest first: what
+        #: every flush consumes.  Flushed strictly in order so component
+        #: sequence numbers keep encoding recency.
         # guarded-by: _rotation_cond
         self.sealed_memtables: List[SealedMemtable] = []
         #: On-disk components, newest first.
@@ -208,7 +208,8 @@ class LSMBTree:
         # structure-mutating operations (flush, merge) of this index — the
         # background pools parallelize *across* partitions, never within one.
         # The rotation condition guards the sealed-memtable list and the
-        # in-flight counters, and is what backpressured writers and
+        # in-flight counters (submissions a scheduler holds; always zero
+        # without one), and is what backpressured writers and
         # drain_maintenance() wait on.
         self._maintenance_lock = threading.Lock()
         # An explicit plain Lock (not Condition()'s implicit RLock) so the
@@ -274,22 +275,15 @@ class LSMBTree:
         common "key does not exist yet" case without touching the (larger)
         primary components.
         """
-        from ..schema import extract_antischema
-
-        memory_entry = self.memory_component.get(key)
-        if memory_entry is not None:
-            if memory_entry.is_antimatter:
-                return _NOT_FOUND
-            # The old version only ever lived in memory: it was never observed
-            # by the schema, so carry forward whatever it was itself carrying.
-            return memory_entry.antischema
-
-        for sealed in reversed(list(self.sealed_memtables)):  # newest first
-            entry = sealed.memtable.get(key)
-            if entry is None:
-                continue
+        entry = self._memory_lookup(key)
+        if entry is not None:
             if entry.is_antimatter:
                 return _NOT_FOUND
+            if self.memory_component.get(key) is entry:
+                # The old version only ever lived in the mutable memtable: it
+                # was never observed by the schema, so carry forward whatever
+                # it was itself carrying.
+                return entry.antischema
             # A sealed version *will* be observed by the schema: its flush is
             # ordered before the mutable memtable's flush, so by the time this
             # new entry's anti-schema is processed the old version has been
@@ -309,17 +303,7 @@ class LSMBTree:
             if result is None:
                 return _NOT_FOUND
             payload, component = result
-            return self._decode_for_maintenance(payload, component)
-
-    def _decode_for_maintenance(self, payload: bytes, component: OnDiskComponent) -> Dict[str, Any]:
-        """The anti-schema of a stored payload, as the flush callback reads it."""
-        decoder = getattr(self.flush_callback, "record_antischema", None)
-        if decoder is not None:
-            return decoder(payload, component.schema)
-        raise MaintenanceDecodeError(
-            "this index stores opaque payloads; deletes/upserts need a flush callback "
-            "with a record_antischema() method"
-        )
+            return self.flush_callback.record_antischema(payload, component.schema)
 
     def _memory_lookup(self, key: Any) -> Optional[MemEntry]:
         """Newest in-memory version of ``key``: mutable, then sealed memtables."""
@@ -344,77 +328,148 @@ class LSMBTree:
             self.wal.append(record_type, self.name, self.partition, key=key, payload=payload)
 
     def _flush_if_full(self) -> None:
-        if self.memory_component.size_bytes < self.memory_budget:
-            return
-        if self._background_active():
-            self._rotate_and_submit()
-        else:
-            self.flush()
+        if self.memory_component.size_bytes >= self.memory_budget:
+            self._submit_or_run(self._rotate)
 
-    def _background_active(self) -> bool:
-        return self.scheduler is not None and not self.scheduler.closed
+    # ------------------------------------------------------------------ where maintenance runs
 
-    # ------------------------------------------------------------------ flush
+    def _submit_or_run(self, reserve: Callable[[], bool], merge: bool = False) -> None:
+        """Run one flush or merge task — the only place that decides where.
+
+        While a scheduler is configured and accepting work, ``reserve()``
+        books the submission (False = nothing to do) and a worker runs the
+        task; the scheduler retries its transient failures and latches the
+        rest.  Otherwise — no scheduler, a closed one, or one that closed
+        between the check and the submission — the same work runs right
+        here through the public :meth:`flush` / :meth:`maybe_merge`, and a
+        failure reaches the caller directly: un-retried and un-latched.
+        """
+        task, retire, inline = (
+            (self._background_merge, self._retire_merge_submission, self.maybe_merge) if merge
+            else (self._background_flush, self._retire_flush_submission, self.flush))
+        scheduler = self.scheduler
+        if scheduler is not None and not scheduler.closed:
+            if not reserve():
+                return
+            try:
+                submit = scheduler.submit_merge if merge else scheduler.submit_flush
+                submit(task, on_abandoned=retire)
+                return
+            except SchedulerError:
+                retire()
+        inline()
+
+    # ------------------------------------------------------------------ seal -> build -> install
+
+    def _seal(self) -> bool:
+        """Move the mutable memtable to the sealed queue; False when empty.
+
+        # requires-lock: _rotation_cond
+        """
+        if self.memory_component.is_empty:
+            return False
+        # Ordering contract with readers: the memtable is appended to the
+        # sealed list *before* the fresh mutable one is installed, and
+        # readers snapshot the mutable memtable *before* the sealed list —
+        # so every entry is visible in at least one snapshot (duplicates
+        # reconcile by recency rank).
+        self.sealed_memtables.append(SealedMemtable(
+            self.memory_component, self.wal.last_lsn if self.wal is not None else 0))
+        self.memory_component = InMemoryComponent()
+        self._seals_metric.inc()
+        self._sealed_gauge.set(len(self.sealed_memtables))
+        return True
+
+    def _rotate(self) -> bool:
+        """Seal the mutable memtable for a flush worker, after backpressure.
+
+        Writer backpressure (AsterixDB-style) lives here: when the sealed
+        queue is at ``max_sealed_memtables``, or merge debt has piled past
+        ``max_merge_debt`` components while a merge is pending, the writer
+        blocks until the workers catch up.  A failed background operation
+        surfaces as :class:`~repro.errors.SchedulerError` instead of hanging.
+        """
+        stall_started: Optional[float] = None
+        with self._rotation_cond:
+            while (len(self.sealed_memtables) >= self.max_sealed_memtables
+                   or self._merge_debt_exceeded()):
+                self._raise_if_maintenance_failed()
+                if stall_started is None:
+                    stall_started = time.perf_counter()
+                self._rotation_cond.wait(timeout=0.05)
+            if stall_started is not None:
+                stalled = time.perf_counter() - stall_started
+                self.stats.ingest_stall_seconds += stalled
+                self._stall_metric.inc(stalled)
+            if not self._seal():
+                return False
+            self._inflight_flushes += 1
+            return True
+
+    def _merge_debt_exceeded(self) -> bool:
+        """True while a merge is pending and components have piled up past
+        the debt cap — never true without a merge in flight (no deadlock)."""
+        if not (self._merge_scheduled or self._inflight_merges):
+            return False
+        return len(self.components) >= self.max_merge_debt
 
     def flush(self, fail_before_footer: bool = False) -> Optional[OnDiskComponent]:
-        """Flush the in-memory component into a new on-disk component.
+        """Persist everything in memory: a synchronous barrier.
 
-        Under background maintenance this is a *synchronous barrier*: it
-        first drains every pending sealed-memtable flush and merge of this
-        index (preserving flush order), then flushes the mutable memtable
-        inline, then drains again so a merge the flush scheduled has settled
-        before returning — callers like ``flush_all()`` and feed ``close()``
-        keep their deterministic semantics.
+        Waits out in-flight maintenance, seals the mutable memtable,
+        persists every sealed memtable oldest first on the caller's thread
+        (including one a failed earlier flush left behind), and waits again
+        so a merge handed to the scheduler has settled before returning —
+        ``flush_all()`` and feed ``close()`` see the same state wherever
+        maintenance runs.  Returns the newest component written, if any.
         """
-        if self._background_active():
-            self.drain_maintenance()
-            with self._maintenance_lock:
-                component = self._flush_memtable(self.memory_component,
-                                                 fail_before_footer=fail_before_footer)
-            self.drain_maintenance()
-            return component
+        self.drain_maintenance()
+        with self._rotation_cond:
+            self._seal()
+        component = None
         with self._maintenance_lock:
-            return self._flush_memtable(self.memory_component,
-                                        fail_before_footer=fail_before_footer)
+            while self.sealed_memtables:
+                component = self._flush_oldest_sealed(fail_before_footer)
+        self.drain_maintenance()
+        return component
 
-    def _flush_memtable(self, memtable: InMemoryComponent,
-                        up_to_lsn: Optional[int] = None,
-                        fail_before_footer: bool = False) -> Optional[OnDiskComponent]:
-        """Flush one memtable (mutable or sealed); caller holds the
-        maintenance lock.  ``up_to_lsn`` bounds the WAL truncation for sealed
-        memtables; ``None`` means "everything logged so far" (the synchronous
-        path, where the memtable covers the whole unflushed log)."""
-        if memtable.is_empty:
-            return None
-        with _tracer.span("lsm.flush", index=self.name,
-                          partition=self.partition) as span:
-            # Bytes come from the stats delta, not component.size_bytes():
-            # the post-flush merge inside the impl may already have deleted
-            # the new component's file by the time the span closes.
-            bytes_before = self.stats.bytes_flushed
-            component = self._flush_memtable_impl(memtable, up_to_lsn, fail_before_footer)
-            if component is not None:
-                span.set_attribute("component", component.file_name)
-                span.set_attribute("bytes", self.stats.bytes_flushed - bytes_before)
-            return component
+    def _flush_oldest_sealed(self, fail_before_footer: bool = False) -> Optional[OnDiskComponent]:
+        """Persist the oldest sealed memtable; caller holds the maintenance lock.
 
-    def _flush_memtable_impl(self, memtable: InMemoryComponent,
-                             up_to_lsn: Optional[int] = None,
-                             fail_before_footer: bool = False) -> Optional[OnDiskComponent]:
+        Flush tasks are anonymous — whoever runs one takes the *oldest*
+        sealed memtable, so per-index flush order matches seal order (and
+        component sequence numbers keep encoding recency) even with several
+        flush workers.
+        """
+        with self._rotation_cond:
+            if not self.sealed_memtables:
+                return None
+            sealed = self.sealed_memtables[0]
+        component = self._flush_memtable(sealed.memtable, sealed.up_to_lsn, fail_before_footer)
+        # Pop only after the on-disk component is installed (and while still
+        # holding the maintenance lock, so the next flush cannot observe this
+        # memtable again): readers always find the entries in the sealed
+        # snapshot or the component snapshot.  The merge comes after the pop,
+        # so a merge that fails inline cannot make a retry flush it twice.
+        with self._rotation_cond:
+            self.sealed_memtables.pop(0)
+            self._sealed_gauge.set(len(self.sealed_memtables))
+            self._rotation_cond.notify_all()
+        self._submit_or_run(self._reserve_merge, merge=True)
+        return component
+
+    def _flush_memtable(self, memtable: InMemoryComponent, up_to_lsn: int,
+                        fail_before_footer: bool = False) -> OnDiskComponent:
+        """Turn one immutable memtable into the next on-disk component.
+
+        ``up_to_lsn`` is the last WAL position the memtable covers (recorded
+        at seal time; 0 for a bulk load, whose rows were never logged).
+        """
         component_id = ComponentId.flushed(self._next_sequence)
         callback = self.flush_callback
-        # Everything before the in-memory install below is rolled back on
-        # failure (callback state restored, partial files deleted), so the
-        # scheduler can retry a transiently-failed flush task from scratch.
-        # The one exception is the simulated crash (fail_before_footer),
-        # which must leave its partial file behind for recovery to find —
-        # a crashed process does not get to clean up.
-        callback_state = callback.snapshot_state()
-        file_name = self._component_file(component_id)
-        component: Optional[OnDiskComponent] = None
-        try:
-            callback.begin_flush(component_id)
 
+        def produce():
+            callback.begin_flush(component_id)
             leaf_entries: List[LeafEntry] = []
             for entry in memtable.sorted_entries():
                 if entry.antischema is not None or entry.is_antimatter:
@@ -424,156 +479,122 @@ class LSMBTree:
                 else:
                     payload = callback.transform_record(entry.key, entry.record, entry.encoded)
                     leaf_entries.append(LeafEntry(entry.key, payload, is_antimatter=False))
-
             schema_bytes, schema = callback.end_flush()
             if self.wal is not None:
                 self.wal.append(LogRecordType.FLUSH_START, self.name, self.partition)
-            writer = ComponentWriter(self.buffer_cache, file_name)
-            metadata = writer.write(component_id, leaf_entries, schema_bytes,
-                                    fail_before_footer=fail_before_footer)
-            component = OnDiskComponent(component_id, file_name, self.buffer_cache, metadata,
-                                        schema=schema, valid=True)
-            self._build_auxiliary_indexes(component, leaf_entries)
-            if self.wal is not None:
-                # Per-partition truncation: the log is shared across
-                # partitions, and under background flushing only the sealed
-                # prefix of *this* partition's records is covered by the new
-                # component.  Truncating before the install is safe — the
-                # component's validity bit is already on disk — and keeps
-                # the install the last, infallible step, so a retried task
-                # never observes a half-committed flush.
-                covered_lsn = self.wal.last_lsn if up_to_lsn is None else up_to_lsn
-                self.wal.append(LogRecordType.FLUSH_END, self.name, self.partition)
-                self.wal.truncate_partition(self.name, self.partition, covered_lsn)
-        except BaseException:
-            callback.restore_state(callback_state)
-            if not fail_before_footer:
-                if component is not None:
-                    self._delete_component_files(component)
-                elif self.buffer_cache.file_manager.exists(file_name):
-                    self.buffer_cache.invalidate_file(file_name)
-                    self.buffer_cache.file_manager.delete_file(file_name)
-            raise
+            return leaf_entries, schema_bytes, schema
 
-        # Commit point: pure in-memory bookkeeping, nothing below can fail.
-        self.components.insert(0, component)
-        self._next_sequence += 1
-        self.structure_version += 1
-        self.stats.flushes += 1
-        self.stats.bytes_flushed += component.size_bytes()
-        self._flushes_metric.inc()
-        self._bytes_flushed_metric.inc(component.size_bytes())
-        if memtable is self.memory_component:
-            memtable.clear()
-        self._after_flush_maintenance()
-        return component
+        def truncate_log():
+            # Per-partition truncation: the log is shared across partitions,
+            # and only the sealed prefix of *this* partition's records is
+            # covered by the new component — entries logged after the seal
+            # live in newer memtables.  Truncating before the install is
+            # safe — the component's validity bit is already on disk — and
+            # keeps the install the last, infallible step.
+            self.wal.append(LogRecordType.FLUSH_END, self.name, self.partition)
+            self.wal.truncate_partition(self.name, self.partition, up_to_lsn)
 
-    def _after_flush_maintenance(self) -> None:
-        """Run (synchronous) or schedule (background) the post-flush merge."""
-        if not self._background_active():
-            self.maybe_merge()
-            return
-        with self._rotation_cond:
-            if self._merge_scheduled:
-                return
-            if len(self.merge_policy.select_merge(self.components)) < 2:
-                return
-            self._merge_scheduled = True
-        try:
-            self.scheduler.submit_merge(self._background_merge,
-                                        on_abandoned=self._retire_merge_submission)
-        except SchedulerError:
-            with self._rotation_cond:
-                self._merge_scheduled = False
-            self.maybe_merge()
+        return self._build_and_install(
+            component_id, produce, commit=truncate_log if self.wal is not None else None,
+            fail_before_footer=fail_before_footer)
 
-    # ------------------------------------------------------------------ background lifecycle
+    def _build_and_install(self, component_id: ComponentId,
+                           produce: Callable[[], Tuple[List[LeafEntry], bytes, Optional[InferredSchema]]],
+                           replacing: Sequence[OnDiskComponent] = (),
+                           commit: Optional[Callable[[], None]] = None,
+                           fail_before_footer: bool = False) -> OnDiskComponent:
+        """The one way a primary component comes into existence.
 
-    def _rotate_and_submit(self) -> None:
-        """Seal the mutable memtable and queue its flush on the scheduler.
+        Flush, bulk load and merge differ only in what they feed this:
+        ``produce()`` returns the sorted leaf entries and the schema to
+        persist (a flush grows the callback's state on the way),
+        ``commit()`` is the caller's last fallible step, and ``replacing``
+        names the components the new one supersedes — a merge's inputs;
+        empty for a flush or load, which add one.
 
-        Writer backpressure (AsterixDB-style) lives here: when the sealed
-        queue is at ``max_sealed_memtables``, or merge debt has piled past
-        ``max_merge_debt`` components while a merge is pending, the writer
-        blocks until maintenance catches up.  A failed background operation
-        surfaces as :class:`~repro.errors.SchedulerError` instead of hanging.
+        Everything before the install is rolled back on failure (callback
+        state restored, every partial file deleted), so the caller — or the
+        scheduler — can retry from scratch.  The one exception is the
+        simulated crash (``fail_before_footer``), which must leave its
+        partial file behind for recovery: a crashed process cannot clean up.
         """
-        scheduler = self.scheduler
-        stall_started: Optional[float] = None
-        with self._rotation_cond:
-            while (len(self.sealed_memtables) >= self.max_sealed_memtables
-                   or self._merge_debt_exceeded()):
-                scheduler.raise_if_failed()
-                if stall_started is None:
-                    stall_started = time.perf_counter()
-                self._rotation_cond.wait(timeout=0.05)
-            if stall_started is not None:
-                stalled = time.perf_counter() - stall_started
-                self.stats.ingest_stall_seconds += stalled
-                self._stall_metric.inc(stalled)
-            if self.memory_component.is_empty:
-                return
-            sealed = SealedMemtable(
-                self.memory_component,
-                self.wal.last_lsn if self.wal is not None else 0)
-            # Ordering contract with readers: the memtable is appended to the
-            # sealed list *before* the fresh mutable one is installed, and
-            # readers snapshot the mutable memtable *before* the sealed list —
-            # so every entry is visible in at least one snapshot (duplicates
-            # reconcile by recency rank).
-            self.sealed_memtables.append(sealed)
-            self.memory_component = InMemoryComponent()
-            self._inflight_flushes += 1
-            self._seals_metric.inc()
-            self._sealed_gauge.set(len(self.sealed_memtables))
-        try:
-            scheduler.submit_flush(self._background_flush,
-                                   on_abandoned=self._retire_flush_submission)
-        except SchedulerError:
-            # Scheduler closed between the rotation and the submission: fall
-            # back to flushing the sealed memtable inline (synchronously).
+        callback = self.flush_callback
+        callback_state = callback.snapshot_state()
+        file_name = self._component_file(component_id)
+        with _tracer.span("lsm.merge" if replacing else "lsm.flush", index=self.name,
+                          partition=self.partition, inputs=len(replacing)) as span:
             try:
-                self._background_flush()
+                entries, schema_bytes, schema = produce()
+                metadata = ComponentWriter(self.buffer_cache, file_name).write(
+                    component_id, entries, schema_bytes, fail_before_footer=fail_before_footer)
+                component = OnDiskComponent(component_id, file_name, self.buffer_cache,
+                                            metadata, schema=schema, valid=True)
+                self._build_auxiliary_indexes(component, entries)
+                if commit is not None:
+                    commit()
             except BaseException:
-                self._retire_flush_submission()
+                callback.restore_state(callback_state)
+                if not fail_before_footer:
+                    delete_component_files(self.buffer_cache, file_name)
                 raise
 
-    def _merge_debt_exceeded(self) -> bool:
-        """True while a merge is pending and components have piled up past
-        the debt cap — never true without a merge in flight (no deadlock)."""
-        if not (self._merge_scheduled or self._inflight_merges):
-            return False
-        return len(self.components) >= self.max_merge_debt
+            # Commit point: pure in-memory bookkeeping, nothing below can
+            # fail, so a retried task never observes a half-committed
+            # operation.  The new list goes in with a single assignment, so
+            # a concurrent scan snapshotting `self.components` never sees an
+            # intermediate state (some inputs removed, result not yet in).
+            replaced = {id(existing) for existing in replacing}
+            position = next((index for index, existing in enumerate(self.components)
+                             if id(existing) in replaced), 0)
+            components = [existing for existing in self.components if id(existing) not in replaced]
+            components.insert(position, component)
+            self.components = components
+            self.structure_version += 1
+            for existing in replacing:
+                self._drop_component(existing)
+            size = component.size_bytes()
+            if replacing:
+                self.stats.merges += 1
+                self.stats.bytes_merged += size
+                self._merges_metric.inc()
+                self._bytes_merged_metric.inc(size)
+            else:
+                self._next_sequence += 1
+                self.stats.flushes += 1
+                self.stats.bytes_flushed += size
+                self._flushes_metric.inc()
+                self._bytes_flushed_metric.inc(size)
+            span.set_attribute("component", file_name)
+            span.set_attribute("bytes", size)
+        return component
+
+    # ------------------------------------------------------------------ on a worker
+
+    def _reserve_merge(self) -> bool:
+        """Book the (single) pending merge submission if the policy wants one."""
+        with self._rotation_cond:
+            if (self._merge_scheduled
+                    or len(self.merge_policy.select_merge(self.components)) < 2):
+                return False
+            self._merge_scheduled = True
+            return True
+
+    def _count_flush_submission(self) -> bool:
+        with self._rotation_cond:
+            self._inflight_flushes += 1
+        return True
 
     def _background_flush(self) -> None:
-        """Flush the *oldest* sealed memtable (runs on a flush worker).
-
-        Tasks are anonymous — any worker executing any task pops the oldest
-        sealed memtable under the maintenance lock, so per-index flush order
-        matches seal order even with several flush workers.
+        """Flush the oldest sealed memtable (runs on a flush worker).
 
         ``_inflight_flushes`` is per-*submission*, not per-attempt: the
         scheduler may run this task several times (transient-failure
         retries), so the count drops only on success here — or exactly once
-        via :meth:`_flush_abandoned` when the scheduler gives up on the
-        submission (including giving up before the task body ever ran), so
-        the count drops exactly once per submission either way.
+        via ``on_abandoned`` when the scheduler gives up on the submission
+        (including giving up before the task body ever ran).
         """
-        with self._maintenance_lock:
-            with self._rotation_cond:
-                sealed = self.sealed_memtables[0] if self.sealed_memtables else None
-            if sealed is not None:
-                with self._maintenance_io_scope():
-                    self._flush_memtable(sealed.memtable, up_to_lsn=sealed.up_to_lsn)
-                # Pop only after the on-disk component is installed (and
-                # while still holding the maintenance lock, so the next
-                # flush task cannot observe this memtable again): readers
-                # always find the entries in the sealed snapshot or the
-                # component snapshot.
-                with self._rotation_cond:
-                    self.sealed_memtables.pop(0)
-                    self._sealed_gauge.set(len(self.sealed_memtables))
-                    self._rotation_cond.notify_all()
+        with self._maintenance_lock, self._maintenance_io_scope():
+            self._flush_oldest_sealed()
         self._retire_flush_submission()
 
     def _retire_flush_submission(self) -> None:
@@ -598,9 +619,7 @@ class LSMBTree:
                     self._merge_scheduled = False
                     self._inflight_merges += 1
                 with self._maintenance_io_scope():
-                    selected = self.merge_policy.select_merge(self.components)
-                    if len(selected) >= 2:
-                        self.merge(selected)
+                    self.maybe_merge()
         finally:
             with self._rotation_cond:
                 self._inflight_merges -= 1
@@ -608,50 +627,37 @@ class LSMBTree:
 
     def _maintenance_io_scope(self):
         """Tag this worker's device traffic with the "maintenance" I/O class."""
-        device = getattr(self.buffer_cache.file_manager, "device", None)
-        if device is None:
-            return nullcontext()
-        return device.io_class_scope("maintenance")
+        return self.buffer_cache.file_manager.device.io_class_scope("maintenance")
 
     def resume_maintenance(self) -> int:
-        """Resubmit flush tasks for sealed memtables orphaned by a failure.
+        """Give every orphaned sealed memtable a flush task again.
 
         When a background flush exhausts its retry budget, its task dies with
-        the sealed memtable still queued — nothing would ever flush it, so
-        ``flush()``/``drain()`` would raise forever even after the operator
-        clears the scheduler's failure latch.  Called by
-        :meth:`~repro.core.dataset.Dataset.resume_maintenance` after
-        ``clear_failure()``; returns the number of flush tasks resubmitted.
+        the sealed memtable still queued and nothing would ever flush it.
+        Called by :meth:`~repro.core.dataset.Dataset.resume_maintenance`
+        after ``clear_failure()``; returns the number of orphans it found.
         """
-        if self.scheduler is None or self.scheduler.closed:
-            return 0
-        resubmitted = 0
         with self._rotation_cond:
-            missing = len(self.sealed_memtables) - self._inflight_flushes
-            for _ in range(max(0, missing)):
-                self.scheduler.submit_flush(
-                    self._background_flush,
-                    on_abandoned=self._retire_flush_submission)
-                self._inflight_flushes += 1
-                resubmitted += 1
-        return resubmitted
+            orphaned = max(0, len(self.sealed_memtables) - self._inflight_flushes)
+        for _ in range(orphaned):
+            self._submit_or_run(self._count_flush_submission)
+        return orphaned
 
     def drain_maintenance(self) -> None:
-        """Block until no sealed memtable, flush, or merge is outstanding.
+        """Block until no submitted flush or merge of this index is outstanding.
 
-        The deterministic quiescence point of the background lifecycle:
+        The deterministic quiescence point of the lifecycle:
         ``Dataset.close()``/``flush_all()`` call this so post-drain state
-        (component counts, stats, WAL) is identical to synchronous mode's.
-        Raises :class:`~repro.errors.SchedulerError` if maintenance failed.
+        (component counts, stats, WAL) is the same wherever maintenance
+        runs.  Raises :class:`~repro.errors.SchedulerError` if maintenance
+        failed — also after the fact: an abandoned submission retires its
+        count but leaves the failure latched.
         """
-        if self.scheduler is None:
-            return
         with self._rotation_cond:
-            while (self.sealed_memtables or self._inflight_flushes
-                   or self._inflight_merges or self._merge_scheduled):
-                self.scheduler.raise_if_failed()
+            while self._inflight_flushes or self._inflight_merges or self._merge_scheduled:
+                self._raise_if_maintenance_failed()
                 self._rotation_cond.wait(timeout=0.05)
-        self.scheduler.raise_if_failed()
+        self._raise_if_maintenance_failed()
 
     # ------------------------------------------------------------------ bulk load
 
@@ -661,38 +667,22 @@ class LSMBTree:
         This is AsterixDB's LOAD path (paper §4.3): the rows are sorted by
         primary key, the B+-tree is built bottom-up in one pass, and the
         tuple compactor infers the schema and compacts records during that
-        pass, leaving one component with one schema.  The WAL is not
-        involved (loads are not logged in AsterixDB either).
+        pass, leaving one component with one schema.  It is a flush of a
+        memtable that was never logged (loads are not logged in AsterixDB
+        either) and never visible: a failed load leaves nothing behind.
         """
         if not self.memory_component.is_empty or self.sealed_memtables or self.components:
             raise ComponentStateError("bulk load requires an empty index")
-        if not rows:
-            return None
-        ordered = sorted(rows, key=lambda row: row[0])
-        component_id = ComponentId.flushed(self._next_sequence)
-        callback = self.flush_callback
-        callback.begin_flush(component_id)
-        leaf_entries = []
-        previous_key = object()
-        for key, record, encoded in ordered:
-            if key == previous_key:
+        memtable = InMemoryComponent()
+        for key, record, encoded in rows:
+            if memtable.get(key) is not None:
                 raise DuplicateKeyError(f"bulk load saw duplicate primary key {key!r}")
-            previous_key = key
-            payload = callback.transform_record(key, record, encoded)
-            leaf_entries.append(LeafEntry(key, payload, is_antimatter=False))
-        schema_bytes, schema = callback.end_flush()
-        file_name = self._component_file(component_id)
-        metadata = ComponentWriter(self.buffer_cache, file_name).write(
-            component_id, leaf_entries, schema_bytes)
-        component = OnDiskComponent(component_id, file_name, self.buffer_cache, metadata,
-                                    schema=schema, valid=True)
-        self._build_auxiliary_indexes(component, leaf_entries)
-        self.components.insert(0, component)
-        self._next_sequence += 1
-        self.structure_version += 1
-        self.stats.inserts += len(leaf_entries)
-        self.stats.flushes += 1
-        self.stats.bytes_flushed += component.size_bytes()
+            memtable.put(MemEntry(key, is_antimatter=False, record=record, encoded=encoded))
+        if memtable.is_empty:
+            return None
+        with self._maintenance_lock:
+            component = self._flush_memtable(memtable, up_to_lsn=0)
+        self.stats.inserts += len(memtable)
         return component
 
     # ------------------------------------------------------------------ merge
@@ -705,116 +695,33 @@ class LSMBTree:
         return self.merge(selected)
 
     def merge(self, selected: Sequence[OnDiskComponent]) -> OnDiskComponent:
-        """Merge ``selected`` (contiguous, newest first) into one component."""
-        with _tracer.span("lsm.merge", index=self.name, partition=self.partition,
-                          inputs=len(selected)) as span:
-            bytes_before = self.stats.bytes_merged
-            merged = self._merge_impl(selected)
-            span.set_attribute("component", merged.file_name)
-            span.set_attribute("bytes", self.stats.bytes_merged - bytes_before)
-            return merged
+        """Merge ``selected`` (contiguous, newest first) into one component.
 
-    def _merge_impl(self, selected: Sequence[OnDiskComponent]) -> OnDiskComponent:
+        For duplicate keys the entry from the most recent component wins; a
+        winning anti-matter entry annihilates the older record and is itself
+        dropped when nothing older than the merged range remains — otherwise
+        it must keep shadowing (paper Figure 4b).  A merge mutates nothing
+        until the install, so the inputs stay live if it fails and a retried
+        merge task re-selects from scratch.
+        """
         selected = list(selected)
-        selected_ids = {id(component) for component in selected}
         for component in selected:
             if not component.valid:
                 raise ComponentStateError("cannot merge an INVALID component")
         merged_id = ComponentId.merged([component.component_id for component in selected])
-        # Anti-matter entries may only be garbage-collected when nothing older
-        # than the merged range remains (otherwise they must keep shadowing).
         oldest_selected = min(component.component_id for component in selected)
-        has_older_left = any(
-            component.component_id < oldest_selected and id(component) not in selected_ids
-            for component in self.components
-        )
-        file_name = self._component_file(merged_id)
-        merged: Optional[OnDiskComponent] = None
-        try:
-            entries = list(self._merge_entries(selected, drop_antimatter=not has_older_left))
+        keep_antimatter = any(component.component_id < oldest_selected
+                              for component in self.components)
 
+        def produce():
+            sources = [((entry.key, entry) for entry in component.scan())
+                       for component in selected]
+            entries = [entry for _, (_, entry) in _reconcile(sources)
+                       if keep_antimatter or not entry.is_antimatter]
             schema_bytes, schema = self.flush_callback.select_merge_schema(selected)
-            writer = ComponentWriter(self.buffer_cache, file_name)
-            metadata = writer.write(merged_id, entries, schema_bytes)
-            merged = OnDiskComponent(merged_id, file_name, self.buffer_cache, metadata,
-                                     schema=schema, valid=True)
-            self._build_auxiliary_indexes(merged, entries)
-        except BaseException:
-            # Merges mutate nothing until the component-list swap below, so
-            # rollback is just removing the partial output file; the inputs
-            # stay live and a retried merge task re-selects from scratch.
-            if merged is not None:
-                self._delete_component_files(merged)
-            elif self.buffer_cache.file_manager.exists(file_name):
-                self.buffer_cache.invalidate_file(file_name)
-                self.buffer_cache.file_manager.delete_file(file_name)
-            raise
+            return entries, schema_bytes, schema
 
-        # Swap in the post-merge component list with a single assignment so a
-        # concurrent scan snapshotting `self.components` never observes an
-        # intermediate state (some inputs removed, merged result not yet in).
-        new_components: List[OnDiskComponent] = []
-        replaced = False
-        for component in self.components:
-            if id(component) in selected_ids:
-                if not replaced:
-                    new_components.append(merged)
-                    replaced = True
-                continue
-            new_components.append(component)
-        self.components = new_components
-        self.structure_version += 1
-        for component in selected:
-            self._drop_component(component)
-        self.stats.merges += 1
-        self.stats.bytes_merged += merged.size_bytes()
-        self._merges_metric.inc()
-        self._bytes_merged_metric.inc(merged.size_bytes())
-        return merged
-
-    def _merge_entries(self, selected: Sequence[OnDiskComponent],
-                       drop_antimatter: bool) -> Iterator[LeafEntry]:
-        """K-way merge of the selected components' leaf entries.
-
-        For duplicate keys the entry from the most recent component wins; a
-        winning anti-matter entry annihilates the older record and is itself
-        dropped when ``drop_antimatter`` is true (paper Figure 4b).
-        """
-        # heap items: (key, recency_rank, sequence, entry) — rank 0 is newest.
-        iterators = []
-        for rank, component in enumerate(selected):
-            iterators.append((rank, component.scan()))
-        heap: List[Tuple[Any, int, int, LeafEntry]] = []
-        sequence = 0
-        for rank, iterator in iterators:
-            entry = next(iterator, None)
-            if entry is not None:
-                heap.append((entry.key, rank, sequence, entry))
-                sequence += 1
-        heapq.heapify(heap)
-        advance: Dict[int, Iterator[LeafEntry]] = {rank: iterator for rank, iterator in iterators}
-
-        current_key = object()
-        winner: Optional[LeafEntry] = None
-        winner_rank = None
-        while heap:
-            key, rank, _, entry = heapq.heappop(heap)
-            following = next(advance[rank], None)
-            if following is not None:
-                heapq.heappush(heap, (following.key, rank, sequence, following))
-                sequence += 1
-            if key != current_key:
-                if winner is not None:
-                    if not (winner.is_antimatter and drop_antimatter):
-                        yield winner
-                current_key = key
-                winner = entry
-                winner_rank = rank
-            elif rank < winner_rank:
-                winner = entry
-                winner_rank = rank
-        if winner is not None and not (winner.is_antimatter and drop_antimatter):
-            yield winner
+        return self._build_and_install(merged_id, produce, replacing=selected)
 
     def _drop_component(self, component: OnDiskComponent) -> None:
         self.flush_callback.on_component_deleted(component)
@@ -840,7 +747,7 @@ class LSMBTree:
         manager.delete_file(component.file_name)
         if component.primary_key_file is not None:
             manager.delete_file(component.primary_key_file)
-        for file_name in getattr(component, "secondary_files", {}).values():
+        for file_name in component.secondary_files.values():
             manager.delete_file(file_name)
 
     @contextmanager
@@ -896,10 +803,9 @@ class LSMBTree:
     def _remove_secondary_index_artifacts(self, index_name: str) -> None:
         manager = self.buffer_cache.file_manager
         for component in self.components:
-            files = getattr(component, "secondary_files", None) or {}
-            ix_file = files.pop(index_name, None)
-            (getattr(component, "secondary_trees", None) or {}).pop(index_name, None)
-            (getattr(component, "secondary_stats", None) or {}).pop(index_name, None)
+            ix_file = component.secondary_files.pop(index_name, None)
+            component.secondary_trees.pop(index_name, None)
+            component.secondary_stats.pop(index_name, None)
             if ix_file is not None and manager.exists(ix_file):
                 self.buffer_cache.invalidate_file(ix_file)
                 manager.delete_file(ix_file)
@@ -926,11 +832,6 @@ class LSMBTree:
                               definition: SecondaryIndexDef,
                               entries: Sequence[LeafEntry]) -> None:
         """Build one component's B+-tree for one secondary index definition."""
-        if not hasattr(component, "secondary_files") or component.secondary_files is None:
-            component.secondary_files = {}
-            component.secondary_trees = {}
-        if not hasattr(component, "secondary_stats") or component.secondary_stats is None:
-            component.secondary_stats = {}
         from ..datasets.stats import FieldStatistics
 
         statistics = FieldStatistics(field_path=definition.field_path or ())
@@ -977,14 +878,10 @@ class LSMBTree:
 
         merged = FieldStatistics(field_path=definition.field_path or ())
         for component in list(self.components):
-            statistics = (getattr(component, "secondary_stats", None) or {}).get(index_name)
+            statistics = component.secondary_stats.get(index_name)
             if statistics is not None:
                 merged = merged.merge(statistics)
         return merged
-
-    def secondary_range_lookup(self, index_name: str, low: Any, high: Any) -> List[Any]:
-        """Primary keys whose indexed value lies in ``[low, high]``."""
-        return self.secondary_candidate_keys(index_name, low, high)
 
     def secondary_candidate_keys(self, index_name: str, low: Any, high: Any,
                                  low_inclusive: bool = True,
@@ -1005,7 +902,7 @@ class LSMBTree:
         components = list(self.components)
         self._raise_if_quarantined(components)
         for component in components:
-            tree = getattr(component, "secondary_trees", {}).get(index_name)
+            tree = component.secondary_trees.get(index_name)
             if tree is None:
                 continue
             try:
@@ -1146,14 +1043,15 @@ class LSMBTree:
     def scan(self, component_source=None) -> Iterator[SearchResult]:
         """Full scan in key order, reconciling duplicates by recency.
 
-        Both sources are snapshotted up front so the scan stays consistent
-        while a concurrent flush runs: the memtable *must* be snapshotted
-        before the component list, because a flush installs the new on-disk
-        component before clearing the memtable — in that order a scan either
-        sees the data in the memtable snapshot, in the component snapshot,
-        or in both (reconciled by recency rank), but never in neither.
-        The read guard keeps concurrent merges from deleting snapshotted
-        components' files while this generator is live.
+        All sources are snapshotted up front so the scan stays consistent
+        while a concurrent flush runs, and the order matters: the mutable
+        memtable first (sealing appends to the sealed list *before*
+        installing a fresh mutable memtable), then the sealed memtables (a
+        flush installs the on-disk component *before* popping the sealed
+        source), then the component list — so a scan sees every entry in at
+        least one snapshot (duplicates reconcile by recency rank), never in
+        none.  The read guard keeps concurrent merges from deleting
+        snapshotted components' files while this generator is live.
 
         ``component_source(component)``, when given, replaces the raw
         ``component.scan()`` iterator per on-disk component (the column-slice
@@ -1163,90 +1061,47 @@ class LSMBTree:
         :attr:`SearchResult.values` for rows that win reconciliation.
         """
         with self.read_guard():
-            yield from self._scan_guarded(component_source)
+            memory_snapshots: List[List[MemEntry]] = [self.memory_component.sorted_entries()]
+            for sealed in reversed(list(self.sealed_memtables)):  # newest first
+                memory_snapshots.append(sealed.memtable.sorted_entries())
+            schema = self.current_schema()
+            components = list(self.components)
+            self._raise_if_quarantined(components)
 
-    def _scan_guarded(self, component_source=None) -> Iterator[SearchResult]:
-        # Snapshot order matters: mutable memtable first (rotation appends to
-        # the sealed list *before* installing a fresh mutable memtable), then
-        # the sealed memtables (flush completion installs the on-disk
-        # component *before* popping the sealed source), then the component
-        # list — every entry is visible in at least one snapshot, and
-        # duplicates reconcile by recency rank.
-        memory_snapshots: List[List[MemEntry]] = [self.memory_component.sorted_entries()]
-        for sealed in reversed(list(self.sealed_memtables)):  # newest first
-            memory_snapshots.append(sealed.memtable.sorted_entries())
-        schema = self.current_schema()
-        components = list(self.components)
-        self._raise_if_quarantined(components)
+            def component_iterator(component: OnDiskComponent):
+                try:
+                    if component_source is not None:
+                        yield from component_source(component)
+                    else:
+                        for entry in component.scan():
+                            yield entry.key, entry.is_antimatter, entry.value, None, component.schema, None
+                except CorruptPageError as exc:
+                    self._quarantine_component(component, exc)
 
-        # Sources by recency: mutable memtable, sealed memtables newest
-        # first (negative ranks), then components (ranks 0..) by recency.
-        # Items are (key, is_antimatter, payload, record, schema, values).
-        sources: List[Tuple[int, Iterator[Tuple]]] = []
-
-        def memory_iterator(entries: List[MemEntry]):
-            for entry in entries:
-                yield entry.key, entry.is_antimatter, entry.encoded, entry.record, schema, None
-
-        def component_iterator(component: OnDiskComponent):
-            try:
-                if component_source is not None:
-                    yield from component_source(component)
-                else:
-                    for entry in component.scan():
-                        yield entry.key, entry.is_antimatter, entry.value, None, component.schema, None
-            except CorruptPageError as exc:
-                self._quarantine_component(component, exc)
-
-        for position, entries in enumerate(memory_snapshots):
-            sources.append((position - len(memory_snapshots), memory_iterator(entries)))
-        for rank, component in enumerate(components):
-            sources.append((rank, component_iterator(component)))
-
-        heap: List[Tuple[Any, int, int, Tuple]] = []
-        sequence = 0
-        iterators = {}
-        for rank, iterator in sources:
-            iterators[rank] = iterator
-            item = next(iterator, None)
-            if item is not None:
-                heap.append((item[0], rank, sequence, item))
-                sequence += 1
-        heapq.heapify(heap)
-
-        current_key = object()
-        best_rank = None
-        best_item = None
-        while heap:
-            key, rank, _, item = heapq.heappop(heap)
-            following = next(iterators[rank], None)
-            if following is not None:
-                heapq.heappush(heap, (following[0], rank, sequence, following))
-                sequence += 1
-            if key != current_key:
-                if best_item is not None and not best_item[1]:
-                    yield SearchResult(best_item[0], best_item[2], best_item[4],
-                                       from_memory=best_rank < 0, record=best_item[3],
-                                       values=best_item[5])
-                current_key = key
-                best_rank = rank
-                best_item = item
-            elif rank < best_rank:
-                best_rank = rank
-                best_item = item
-        if best_item is not None and not best_item[1]:
-            yield SearchResult(best_item[0], best_item[2], best_item[4],
-                               from_memory=best_rank < 0, record=best_item[3],
-                               values=best_item[5])
+            # Sources newest first: mutable memtable, sealed memtables, then
+            # components.  Items are (key, is_antimatter, payload, record,
+            # schema, values).
+            sources: List[Iterator[Tuple]] = [
+                ((entry.key, entry.is_antimatter, entry.encoded, entry.record, schema, None)
+                 for entry in entries)
+                for entries in memory_snapshots]
+            sources.extend(component_iterator(component) for component in components)
+            memory_ranks = len(memory_snapshots)
+            for rank, item in _reconcile(sources):
+                if not item[1]:  # a winning anti-matter entry hides the key
+                    yield SearchResult(item[0], item[2], item[4], from_memory=rank < memory_ranks,
+                                       record=item[3], values=item[5])
 
     # ------------------------------------------------------------------ inspection
 
     def current_schema(self) -> Optional[InferredSchema]:
         """Schema exposed by the flush callback (None for pass-through datasets)."""
-        return getattr(self.flush_callback, "schema", None)
+        return self.flush_callback.schema
 
     def storage_size(self) -> int:
-        """Total on-disk bytes of all valid components and auxiliary indexes."""
+        """Total on-disk bytes of the valid components: each one's primary
+        B+-tree file and its primary-key index file.  Secondary-index files
+        are not counted."""
         return sum(component.size_bytes() for component in self.components)
 
     def component_count(self) -> int:
@@ -1284,6 +1139,42 @@ class LSMBTree:
 
 
 _NOT_FOUND = object()
+
+
+def _no_failure_latch() -> None:
+    """Stands in for ``scheduler.raise_if_failed`` when there is no scheduler."""
+
+
+def _reconcile(sources: Sequence[Iterator[Tuple]]) -> Iterator[Tuple[int, Tuple]]:
+    """Newest-wins k-way merge: the one reconcile scans and merges share.
+
+    ``sources`` are key-sorted iterators of tuples whose first element is
+    the key, ordered newest first (a source's position is its recency
+    rank).  Yields ``(rank, item)`` for the newest version of every key, in
+    key order — anti-matter winners included; what to do with one is the
+    consumer's call (a scan hides the key, a merge keeps the entry while
+    anything older remains).
+    """
+    heap = []
+    for rank, source in enumerate(sources):
+        item = next(source, None)
+        if item is not None:
+            heap.append((item[0], rank, item, source))
+    heapq.heapify(heap)
+    newest_key = _NOT_FOUND
+    while heap:
+        # Ordered by (key, rank) — ranks are distinct, so the tuples never
+        # compare further — which makes the first entry popped for a key its
+        # newest version; later ones for the same key are shadowed.
+        key, rank, item, source = heap[0]
+        following = next(source, None)
+        if following is not None:
+            heapq.heapreplace(heap, (following[0], rank, following, source))
+        else:
+            heapq.heappop(heap)
+        if key != newest_key:
+            newest_key = key
+            yield rank, item
 
 
 def _encode_primary_ref(primary_key: Any) -> bytes:

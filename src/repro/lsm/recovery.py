@@ -24,12 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
+from ..btree import BTree
 from ..errors import ReproError
 from ..schema import InferredSchema
 from ..storage.wal import LogRecordType, WriteAheadLog
 from ..types import Datatype
-from .btree_reload import reload_auxiliary_tree
-from .component import OnDiskComponent, read_component_metadata
+from .component import (ComponentMetadata, MemEntry, OnDiskComponent, delete_component_files,
+                        read_component_metadata)
 from .lsm_index import LSMBTree
 
 
@@ -83,20 +84,14 @@ def recover_index(index: LSMBTree, wal: Optional[WriteAheadLog] = None,
         if metadata is None:
             # INVALID component: remove it and any auxiliary files it left.
             report.invalid_components_removed += 1
-            report.removed_files.append(file_name)
-            index.buffer_cache.invalidate_file(file_name)
-            manager.delete_file(file_name)
-            for candidate in list(manager.list_files()):
-                if candidate.startswith(file_name + "."):
-                    manager.delete_file(candidate)
-                    report.removed_files.append(candidate)
+            report.removed_files.extend(delete_component_files(index.buffer_cache, file_name))
             continue
         schema = None
         if metadata.schema_bytes:
             schema = InferredSchema.from_bytes(metadata.schema_bytes, datatype)
         component = OnDiskComponent(metadata.component_id, file_name, index.buffer_cache,
                                     metadata, schema=schema, valid=True)
-        reload_auxiliary_tree(index, component)
+        _reopen_auxiliary_trees(index, component)
         recovered.append(component)
     recovered.sort(key=lambda component: component.component_id, reverse=True)
     index.components = recovered
@@ -105,9 +100,8 @@ def recover_index(index: LSMBTree, wal: Optional[WriteAheadLog] = None,
         index._next_sequence = recovered[0].component_id.max_seq + 1
 
     # Load the newest valid component's schema into the tuple compactor.
-    loader = getattr(index.flush_callback, "load_schema", None)
-    if loader is not None and recovered and recovered[0].schema is not None:
-        loader(recovered[0].schema)
+    if recovered and recovered[0].schema is not None:
+        index.flush_callback.load_schema(recovered[0].schema)
         report.schema_loaded = True
 
     # Replay the surviving log records into the in-memory component —
@@ -125,8 +119,6 @@ def recover_index(index: LSMBTree, wal: Optional[WriteAheadLog] = None,
                     # The deleted record's anti-schema may be unavailable if
                     # its insert is also being replayed later; fall back to a
                     # plain anti-matter entry.
-                    from .component import MemEntry
-
                     index.memory_component.put(MemEntry(record.key, is_antimatter=True))
                 continue
             if payload_decoder is None:
@@ -141,3 +133,51 @@ def recover_index(index: LSMBTree, wal: Optional[WriteAheadLog] = None,
         index.flush()
         report.flushed_after_replay = True
     return report
+
+
+def _reopen_auxiliary_trees(index: LSMBTree, component: OnDiskComponent) -> None:
+    """Attach ``component``'s primary-key and secondary index trees.
+
+    Auxiliary trees are written with their own footer and metadata section
+    (:meth:`LSMBTree._build_auxiliary_indexes`), so after a crash they are
+    re-opened rather than rebuilt.  One that is itself INVALID (a crash
+    during its construction) is discarded: what it held is reconstructable
+    from the primary component, which just runs without it.
+    """
+    manager = index.buffer_cache.file_manager
+
+    def reopen(file_name: str) -> Optional[ComponentMetadata]:
+        if not manager.exists(file_name):
+            return None
+        metadata = read_component_metadata(index.buffer_cache, file_name)
+        if metadata is None:
+            manager.delete_file(file_name)
+        return metadata
+
+    if index.maintain_primary_key_index:
+        pk_file = component.file_name + ".pk"
+        metadata = reopen(pk_file)
+        if metadata is not None:
+            component.primary_key_file = pk_file
+            component.primary_key_index = BTree(index.buffer_cache, pk_file, metadata.btree_info)
+    for definition in index.secondary_indexes:
+        ix_file = f"{component.file_name}.ix.{definition.name}"
+        metadata = reopen(ix_file)
+        if metadata is None:
+            continue
+        tree = BTree(index.buffer_cache, ix_file, metadata.btree_info)
+        component.secondary_files[definition.name] = ix_file
+        component.secondary_trees[definition.name] = tree
+        # Re-derive this component's field statistics for the cost model
+        # from two page reads: the tree is sorted on (value, primary_key),
+        # so min/max are the first and last entries and the count is in
+        # the component metadata — no full tree walk needed.
+        from ..datasets.stats import FieldStatistics
+
+        statistics = FieldStatistics(field_path=definition.field_path or ())
+        statistics.count = metadata.record_count
+        first, last = tree.first_entry(), tree.last_entry()
+        if first is not None and last is not None:
+            statistics.min_value = first.key[0]
+            statistics.max_value = last.key[0]
+        component.secondary_stats[definition.name] = statistics

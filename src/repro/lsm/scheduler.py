@@ -5,9 +5,11 @@ lifecycle, where flushes and merges are *asynchronous* I/O operations that
 overlap ingestion (§2.2: the tree manager schedules them on dedicated
 threads while the writer keeps appending to a fresh in-memory component).
 :class:`LSMIOScheduler` reproduces that lifecycle: two bounded worker pools
-— one for flushes, one for merges — run maintenance off the ingest path,
-while :class:`~repro.lsm.LSMBTree` handles memtable rotation, sealing, and
-writer backpressure.
+— one for flushes, one for merges — run maintenance off the ingest path.
+The lifecycle itself (seal → build → install, writer backpressure) belongs
+to :class:`~repro.lsm.LSMBTree` and is the same with or without a
+scheduler; a scheduler only changes *where* a task runs and what happens
+to its failures.
 
 Design contract with the index:
 
@@ -19,7 +21,7 @@ Design contract with the index:
 * **Failure propagation** — *transient* I/O failures
   (:class:`~repro.errors.TransientIOError`) are retried inside the worker
   with exponential backoff and jitter up to a retry budget
-  (``REPRO_RETRY_BUDGET``); tasks restore their pre-attempt state on failure
+  (``retry_budget=``); tasks restore their pre-attempt state on failure
   so re-running them is safe.  Any other exception — or an exhausted budget —
   is recorded and re-raised (wrapped in :class:`~repro.errors.SchedulerError`)
   by the writer's backpressure wait, by :meth:`drain`, and by :meth:`close`,
@@ -27,8 +29,9 @@ Design contract with the index:
   The latch is explicit: only :meth:`clear_failure` resets it.
 * **Quiescence** — :meth:`drain` blocks until every submitted task has
   finished; :meth:`close` drains, then shuts the pools down.  Both are
-  idempotent, and a closed scheduler makes indexes fall back to synchronous
-  (inline) maintenance, so ``Dataset.close()`` is safe to call twice.
+  idempotent, and once the scheduler is closed an index runs the same tasks
+  on the writer's thread instead, so ``Dataset.close()`` is safe to call
+  twice and the dataset stays writable.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ..config import env_int
 from ..errors import SchedulerError, TransientIOError
 from ..faults import fire_fault
 from ..obs import MetricsRegistry, StatsDictMixin, get_registry
@@ -48,8 +50,6 @@ from ..obs import tracer as _tracer
 
 #: Retries each background task gets for *transient* I/O failures before the
 #: failure latches (overridable per scheduler via ``retry_budget=``).
-RETRY_BUDGET_ENV_VAR = "REPRO_RETRY_BUDGET"
-
 _DEFAULT_RETRY_BUDGET = 4
 
 #: First-retry backoff in seconds; doubles per attempt, with deterministic
@@ -75,19 +75,12 @@ class LSMIOScheduler:
 
     def __init__(self, max_flush_workers: int = 2, max_merge_workers: int = 1,
                  metrics: Optional[MetricsRegistry] = None,
-                 retry_budget: Optional[int] = None,
+                 retry_budget: int = _DEFAULT_RETRY_BUDGET,
                  backoff_base: float = _BACKOFF_BASE_SECONDS) -> None:
         if max_flush_workers < 1:
             raise SchedulerError("max_flush_workers must be >= 1")
         if max_merge_workers < 1:
             raise SchedulerError("max_merge_workers must be >= 1")
-        if retry_budget is None:
-            try:
-                retry_budget = env_int(RETRY_BUDGET_ENV_VAR)
-            except ValueError as exc:
-                raise SchedulerError(str(exc)) from None
-            if retry_budget is None:
-                retry_budget = _DEFAULT_RETRY_BUDGET
         if retry_budget < 0:
             raise SchedulerError("retry_budget must be >= 0")
         self.retry_budget = retry_budget
@@ -187,7 +180,7 @@ class LSMIOScheduler:
                     # Classify-retry-or-surface: transient I/O failures are
                     # retried in place with exponential backoff + jitter
                     # (tasks restore their pre-attempt state on failure, see
-                    # LSMBTree._flush_memtable_impl), so a hiccup never
+                    # LSMBTree._build_and_install), so a hiccup never
                     # latches the scheduler.  Anything else — or a budget
                     # exhausted — surfaces through the failure latch below.
                     if attempt >= self.retry_budget:

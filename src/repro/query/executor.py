@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..cache import PhysicalPlan
-from ..config import env_float, env_int
+from ..config import env_int
 from ..core.dataset import Dataset
 from ..errors import QueryDeadlineError, QueryError
 from ..obs import CARDINALITY_MISESTIMATE, NULL_SPAN, StatsDictMixin, emit_event
@@ -73,10 +73,6 @@ PARALLELISM_ENV_VAR = "REPRO_PARALLELISM"
 #: Environment variable overriding the default batch size (>= 1; ``1``
 #: stress-tests the chunking logic).
 BATCH_SIZE_ENV_VAR = "REPRO_BATCH_SIZE"
-
-#: Environment variable setting a default per-query deadline in seconds; an
-#: explicit ``deadline=`` argument always wins.  Unset means no deadline.
-DEADLINE_ENV_VAR = "REPRO_QUERY_DEADLINE"
 
 #: Records per ColumnBatch when nothing overrides it.
 DEFAULT_BATCH_SIZE = 1024
@@ -396,9 +392,11 @@ class QueryExecutor:
         self.batch_size = self._read_batch_size(batch_size)
         #: Per-query deadline in seconds; queries that exceed it raise
         #: :class:`~repro.errors.QueryDeadlineError` cooperatively at batch
-        #: boundaries.  The argument, else ``REPRO_QUERY_DEADLINE``, else
-        #: ``None`` (no deadline); ``0`` expires immediately (tests).
-        self.deadline = self._read_deadline(deadline)
+        #: boundaries.  ``None`` = no deadline; ``0`` expires immediately
+        #: (tests).
+        if deadline is not None and deadline < 0:
+            raise QueryError(f"query deadline must be >= 0 seconds, got {deadline}")
+        self.deadline = None if deadline is None else float(deadline)
         self._env_parallelism = self._read_env_parallelism()
 
     # ------------------------------------------------------------------ public API
@@ -602,19 +600,6 @@ class QueryExecutor:
         if size < 1:
             raise QueryError(f"batch size must be >= 1, got {size}")
         return size
-
-    @staticmethod
-    def _read_deadline(seconds: Optional[float]) -> Optional[float]:
-        if seconds is None:
-            try:
-                seconds = env_float(DEADLINE_ENV_VAR)
-            except ValueError as exc:
-                raise QueryError(str(exc))
-            if seconds is None:
-                return None
-        if seconds < 0:
-            raise QueryError(f"query deadline must be >= 0 seconds, got {seconds}")
-        return float(seconds)
 
     def _read_env_parallelism(self) -> Optional[int]:
         if self.parallelism is not None:

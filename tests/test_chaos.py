@@ -198,8 +198,8 @@ class TestCrashTornTailRecovery:
         index = dataset.partitions[0].index
         original = index._flush_memtable
 
-        def crashing_flush(memtable, up_to_lsn=None, fail_before_footer=False):
-            return original(memtable, up_to_lsn=up_to_lsn, fail_before_footer=True)
+        def crashing_flush(memtable, up_to_lsn, fail_before_footer=False):
+            return original(memtable, up_to_lsn, fail_before_footer=True)
 
         index._flush_memtable = crashing_flush
 

@@ -13,7 +13,7 @@ The contract pinned down here:
 * a component that fails its checksum is quarantined: queries raise
   ``QuarantinedComponentError`` instead of returning partial rows, and the
   ``component_quarantined`` event + metrics flow through ``repro.obs``;
-* queries get a cooperative deadline (``REPRO_QUERY_DEADLINE``).
+* queries get a cooperative deadline (``QueryExecutor(deadline=...)``).
 """
 
 import threading
@@ -28,7 +28,6 @@ from repro.errors import (
     PermanentIOError,
     QuarantinedComponentError,
     QueryDeadlineError,
-    QueryError,
     SchedulerError,
     TransientIOError,
 )
@@ -42,10 +41,9 @@ from repro.faults import (
     parse_spec,
 )
 from repro.faults.points import is_registered
-from repro.lsm import LSMBTree, LSMIOScheduler, NoMergePolicy
+from repro.lsm import ComponentId, LSMBTree, LSMIOScheduler, NoMergePolicy
 from repro.obs import get_registry
 from repro.query import QueryExecutor
-from repro.query.executor import DEADLINE_ENV_VAR
 from repro.storage import BufferCache, InMemoryFileManager, SimulatedStorageDevice
 from repro.storage.wal import LogRecordType, WriteAheadLog
 
@@ -378,19 +376,6 @@ class TestSchedulerResilience:
         with pytest.raises(SchedulerError):
             scheduler.close()
 
-    def test_retry_budget_env_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RETRY_BUDGET", "7")
-        scheduler = LSMIOScheduler()
-        assert scheduler.retry_budget == 7
-        scheduler.close()
-        monkeypatch.setenv("REPRO_RETRY_BUDGET", "junk")
-        with pytest.raises(SchedulerError):
-            LSMIOScheduler()
-        monkeypatch.delenv("REPRO_RETRY_BUDGET")
-        scheduler = LSMIOScheduler(retry_budget=0)
-        assert scheduler.retry_budget == 0
-        scheduler.close()
-
 
 # ---------------------------------------------------------------------------
 # end-to-end: ingest + flush survive transient device faults
@@ -432,6 +417,59 @@ class TestFlushRetrySafety:
         assert partition.index.component_count() == 1
         assert dataset.get(1) == {"id": 1, "name": "a"}
         dataset.close()
+
+    def test_inline_flush_failure_leaves_a_sealed_memtable_the_next_flush_persists(self):
+        """Without a scheduler a failed flush() reaches the caller un-retried
+        and un-latched.  The memtable it sealed stays readable, the writer
+        keeps going, and the next flush() persists the leftover and the
+        current memtable in seal order, each truncating its own WAL prefix."""
+        _, _, cache = _cache()
+        wal = WriteAheadLog()
+        index = _index(cache, wal=wal)
+        for key in range(20):
+            index.insert(key, {"id": key}, b"old-%03d" % key)
+        sealed_up_to = wal.last_lsn
+        get_injector().add_rule("device.write", nth=1, times=1)
+        with pytest.raises(TransientIOError):
+            index.flush()
+        assert index.component_count() == 0 and cache.file_manager.list_files() == []
+        assert [sealed.up_to_lsn for sealed in index.sealed_memtables] == [sealed_up_to]
+        assert index.memory_component.is_empty
+        assert [result.key for result in index.scan()] == list(range(20))
+        assert all(index.search(key).payload == b"old-%03d" % key for key in range(20))
+
+        for key in range(20, 30):
+            index.insert(key, {"id": key}, b"new-%03d" % key)
+        index.upsert(3, {"id": 3}, b"new-003")  # shadows the sealed version
+        assert index.search(3).payload == b"new-003"
+        index.drain_maintenance()  # nothing was submitted anywhere: returns
+
+        def logged_keys():
+            return sorted(record.key for record in wal.replay(dataset="ds", partition=0))
+
+        assert logged_keys() == sorted(list(range(30)) + [3])
+        original = index._flush_memtable
+        logged_after_each_flush = []
+
+        def observing_flush(memtable, up_to_lsn, fail_before_footer=False):
+            component = original(memtable, up_to_lsn, fail_before_footer)
+            logged_after_each_flush.append(logged_keys())
+            return component
+
+        index._flush_memtable = observing_flush
+        newest = index.flush()
+        # The leftover's flush retires exactly the sealed prefix of the log.
+        assert logged_after_each_flush == [[3] + list(range(20, 30)), []]
+        assert index.sealed_memtables == []
+        assert newest is index.components[0]
+        assert [component.component_id for component in index.components] == [
+            ComponentId.flushed(1), ComponentId.flushed(0)]
+        assert [entry.key for entry in index.components[1].scan()] == list(range(20))
+        assert [entry.key for entry in index.components[0].scan()] == [3] + list(range(20, 30))
+        index.drain_maintenance()
+        assert index.stats.flushes == 2 and index.stats.ingest_stall_seconds == 0.0
+        assert [result.key for result in index.scan()] == list(range(30))
+        assert index.search(3).payload == b"new-003"
 
 
 # ---------------------------------------------------------------------------
@@ -521,23 +559,6 @@ class TestQueryDeadline:
         with pytest.raises(QueryDeadlineError):
             dataset.query("SELECT d.id AS id FROM deadline_ds AS d",
                           executor=executor)
-        dataset.close()
-
-    def test_env_knob(self, monkeypatch):
-        dataset = self._dataset(partitions=1)
-        monkeypatch.setenv(DEADLINE_ENV_VAR, "0")
-        with pytest.raises(QueryDeadlineError):
-            dataset.query("SELECT d.id AS id FROM deadline_ds AS d")
-        # An explicit executor argument wins over the environment.
-        rows = dataset.query("SELECT d.id AS id FROM deadline_ds AS d",
-                             executor=QueryExecutor(deadline=60.0))
-        assert len(rows) == 300
-        monkeypatch.setenv(DEADLINE_ENV_VAR, "junk")
-        with pytest.raises(QueryError):
-            dataset.query("SELECT d.id AS id FROM deadline_ds AS d")
-        monkeypatch.setenv(DEADLINE_ENV_VAR, "-1")
-        with pytest.raises(QueryError):
-            dataset.query("SELECT d.id AS id FROM deadline_ds AS d")
         dataset.close()
 
 

@@ -10,6 +10,7 @@ from repro.datasets import twitter
 from repro.errors import TransientIOError
 from repro.faults import get_injector
 from repro.lsm import LSMBTree, NoMergePolicy
+from repro.obs import MetricsRegistry
 from repro.schema import InferredSchema
 from repro.storage import BufferCache, InMemoryFileManager, SimulatedStorageDevice
 from repro.types import TypeTag, deep_equals, open_only_primary_key
@@ -205,8 +206,9 @@ class TestOnePassEverywhere:
     """Flush, flush-retry and bulk load run the same fused pass."""
 
     def test_failed_then_retried_flush_equals_an_unfailed_one(self):
-        """The bytes->id memo is rolled back with the dictionary: a retry that
-        meets the names in another order must not reuse the failed attempt's ids."""
+        """The bytes->id memo is rolled back with the dictionary: the retry
+        replays the sealed memtable against the restored (empty) dictionary and
+        must give every name an id again, not reuse the failed attempt's."""
         first = {"id": 5, "zeta": 1, "alpha": {"beta": 2.5, "zeta": [None]}}
         second = {"id": 1, "gamma": "x", "zeta": "now a string", "alpha": 7}
         clean = Dataset.create("clean", StorageFormat.INFERRED)
@@ -218,13 +220,48 @@ class TestOnePassEverywhere:
             with pytest.raises(TransientIOError):
                 retried.partitions[0].index.flush()  # every record transformed, then the write fails
             assert len(retried.partitions[0].compactor.schema.dictionary) == 0
+            clean.flush_all()
             for dataset in (clean, retried):
-                dataset.insert(second)  # sorts before ``first``: its names get ids first now
-                dataset.flush_all()
+                dataset.insert(second)
+                dataset.flush_all()  # retried: the memtable the failed flush sealed, then ``second``
             assert _stored(retried) == _stored(clean)
             assert (list(retried.partitions[0].compactor.schema.dictionary.items())
                     == list(clean.partitions[0].compactor.schema.dictionary.items()))
             assert retried.get(5) == first and retried.get(1) == second
+        finally:
+            get_injector().clear()
+            clean.close()
+            retried.close()
+
+    def test_failed_then_retried_bulk_load_equals_a_clean_one(self):
+        """A load is a flush of a never-logged memtable: a mid-write fault rolls
+        the compactor back and deletes the partial file, so the retry infers
+        every field once and the lifecycle counters agree with each other."""
+        records = list(twitter.generate(60))
+        clean_env, retried_env = (StorageEnvironment(metrics=MetricsRegistry())
+                                  for _ in range(2))
+        clean = Dataset.create("load", StorageFormat.INFERRED, environment=clean_env)
+        retried = Dataset.create("load", StorageFormat.INFERRED, environment=retried_env)
+        try:
+            clean.bulk_load(records)
+            get_injector().add_rule("file.write_page", nth=1, times=1)
+            with pytest.raises(TransientIOError):
+                retried.bulk_load(records)
+            assert retried_env.file_manager.list_files() == []
+            retried.bulk_load(records)
+            clean_compactor, compactor = (dataset.partitions[0].compactor
+                                          for dataset in (clean, retried))
+            assert compactor.schema.describe() == clean_compactor.schema.describe()
+            assert compactor.schema.to_bytes() == clean_compactor.schema.to_bytes()
+            assert compactor.flush_count == clean_compactor.flush_count == 1
+            assert retried_env.file_manager.list_files() == clean_env.file_manager.list_files()
+            assert _stored(retried) == _stored(clean)
+            assert retried.storage_size() == clean.storage_size()
+            flushes = retried.partitions[0].index.stats.flushes
+            assert flushes == 1
+            assert retried_env.metrics.counter("lsm_flushes").value == flushes
+            assert sorted(row["id"] for row in retried.scan()) == sorted(
+                record["id"] for record in records)
         finally:
             get_injector().clear()
             clean.close()
