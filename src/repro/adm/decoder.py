@@ -24,7 +24,8 @@ import struct
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import DecodingError
-from ..types import AMultiset, Datatype, MISSING, TypeTag, unpack_fixed, unpack_variable
+from ..types import (AMultiset, Datatype, MISSING, TypeTag, WILDCARD, navigate, unpack_fixed,
+                     unpack_variable)
 
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
@@ -185,24 +186,6 @@ class ADMDecoder:
         return items, end
 
 
-def _navigate_plain(value: Any, path) -> Any:
-    """Navigate a path over already-materialized Python values."""
-    current = value
-    for step in path:
-        if isinstance(step, str):
-            if not isinstance(current, dict) or step not in current:
-                return MISSING
-            current = current[step]
-        else:
-            items = list(current.items) if isinstance(current, AMultiset) else current
-            if not isinstance(items, list) or not isinstance(step, int):
-                return MISSING
-            if step < 0 or step >= len(items):
-                return MISSING
-            current = items[step]
-    return current
-
-
 class ADMRecordView:
     """Lazy field access over an encoded ADM record.
 
@@ -224,22 +207,14 @@ class ADMRecordView:
         """Follow ``path`` (field names and array indexes) and return the value.
 
         Returns :data:`~repro.types.MISSING` when any step is absent, which
-        matches SQL++ MISSING propagation.  A ``"*"`` step matches every item
-        of a collection and turns the result into a list (one entry per item).
+        matches SQL++ MISSING propagation.  Up to the first ``"*"`` the path
+        is followed by offset; the decoded value found there is handed to
+        :func:`~repro.types.navigate`, which defines what wildcards return.
         """
-        if "*" in path:
-            index = path.index("*")
-            prefix, suffix = path[:index], path[index + 1:]
-            collection = self.get_field(*prefix) if prefix else self.materialize()
-            if isinstance(collection, AMultiset):
-                items = list(collection.items)
-            elif isinstance(collection, list):
-                items = collection
-            else:
-                return MISSING
-            if not suffix:
-                return items
-            return [_navigate_plain(item, suffix) for item in items]
+        if WILDCARD in path:
+            at = path.index(WILDCARD)
+            prefix = self.get_field(*path[:at]) if at else self.materialize()
+            return navigate(prefix, path[at:])
         return self._get(0, self.datatype, list(path))
 
     def get_items(self, *path: Any) -> Sequence[Any]:

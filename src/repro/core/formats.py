@@ -7,10 +7,11 @@ fields are accessed at query time: offset-guided navigation for ADM records
 versus a consolidated linear scan for vector-based records.
 
 To keep the query engine format-agnostic, every stored record is exposed to
-it through the small ``RecordView`` protocol — ``get_field``, ``get_values``,
-``get_items``, ``materialize`` — implemented by the ADM view, the vector
-view, and a plain-dict view (used for records still in the memtable and for
-intermediate query results).
+it through the small ``RecordView`` protocol — ``get_field``, ``materialize``
+and, where one walk can serve several paths, ``get_values`` — implemented by
+the ADM view, the vector view, and a plain-dict view (records still in the
+memtable).  What a path *means* is the same for all three and is written
+down once, on :func:`repro.types.navigate`.
 """
 
 from __future__ import annotations
@@ -20,27 +21,8 @@ from typing import Any, Dict, List, Optional, Sequence
 from ..adm import ADMEncoder, ADMRecordView
 from ..config import StorageFormat
 from ..schema import InferredSchema
-from ..types import AMultiset, Datatype, MISSING
+from ..types import Datatype, navigate
 from ..vector import VectorEncoder, VectorRecordView
-
-
-def _navigate(value: Any, path: Sequence[Any]) -> Any:
-    """Navigate a path of field names / collection indexes into plain values."""
-    for step in path:
-        if value is MISSING or value is None:
-            return MISSING
-        if isinstance(step, str):
-            if isinstance(value, dict) and step in value:
-                value = value[step]
-            else:
-                return MISSING
-        else:
-            items = value.items if isinstance(value, AMultiset) else value
-            if (not isinstance(items, (list, tuple)) or not isinstance(step, int)
-                    or step < 0 or step >= len(items)):
-                return MISSING
-            value = items[step]
-    return value
 
 
 class DictRecordView:
@@ -53,63 +35,10 @@ class DictRecordView:
         return self.record
 
     def get_field(self, *path: Any) -> Any:
-        if "*" in path:
-            index = path.index("*")
-            prefix, suffix = path[:index], path[index + 1:]
-            collection = self.get_field(*prefix) if prefix else self.record
-            items = collection.items if isinstance(collection, AMultiset) else collection
-            if not isinstance(items, (list, tuple)):
-                return MISSING
-            if not suffix:
-                return list(items)
-            return [DictRecordView(item).get_field(*suffix) if isinstance(item, dict) else MISSING
-                    for item in items]
-        value: Any = self.record
-        for step in path:
-            if isinstance(step, str):
-                if not isinstance(value, dict) or step not in value:
-                    return MISSING
-                value = value[step]
-            else:
-                items = value.items if isinstance(value, AMultiset) else value
-                if not isinstance(items, (list, tuple)) or not isinstance(step, int):
-                    return MISSING
-                if step < 0 or step >= len(items):
-                    return MISSING
-                value = items[step]
-        return value
+        return navigate(self.record, path)
 
     def get_values(self, *paths: Sequence[Any]) -> List[Any]:
-        results = []
-        for path in paths:
-            if "*" in path:
-                index = path.index("*")
-                prefix, suffix = list(path[:index]), list(path[index + 1:])
-                collection = self.get_field(*prefix) if prefix else self.record
-                items = collection.items if isinstance(collection, AMultiset) else collection
-                if isinstance(items, (list, tuple)):
-                    results.append([_navigate(item, suffix) for item in items]
-                                   if suffix else list(items))
-                elif collection is MISSING or collection is None:
-                    results.append([])
-                else:
-                    # Non-collection at the wildcard prefix: pass the value
-                    # through so callers can apply SQL++ singleton semantics
-                    # (mirrors VectorRecordView.get_values).
-                    results.append(collection)
-            else:
-                results.append(self.get_field(*path))
-        return results
-
-    def get_items(self, *path: Any) -> Sequence[Any]:
-        value = self.get_field(*path)
-        if isinstance(value, AMultiset):
-            return list(value.items)
-        if isinstance(value, list):
-            return value
-        if value is MISSING or value is None:
-            return []
-        return [value]
+        return [navigate(self.record, path) for path in paths]
 
 
 class RecordFormatCodec:
@@ -146,6 +75,3 @@ class RecordFormatCodec:
     def decode(self, payload: bytes, schema: Optional[InferredSchema] = None) -> Dict[str, Any]:
         """Materialize a stored payload back into a Python record."""
         return self.view(payload, schema).materialize()
-
-    def view_of_record(self, record: Dict[str, Any]) -> DictRecordView:
-        return DictRecordView(record)

@@ -1,35 +1,38 @@
 """Compilation of query expressions into column evaluators.
 
-The partition pipelines never interpret an expression tree per record: each
-tree is compiled once per query into a *column evaluator* — a closure mapping
-a :class:`~repro.vector.batch.ColumnBatch` to a list of per-row values — so
+This is the engine's one expression evaluator.  The partition pipelines
+never interpret an expression tree per record: each tree is compiled once
+per query into a *column evaluator* — a closure mapping a
+:class:`~repro.vector.batch.ColumnBatch` to a list of per-row values — so
 interpreter dispatch and per-row environment dicts stay out of the hot loop.
+A quantifier is no exception: ``SOME x IN c SATISFIES p`` flattens ``c`` into
+a batch of items and runs ``p``'s ordinary column evaluator over it.
 
-The evaluators are built from the same tables the interpreter
-(``Expr.evaluate``, kept for the coordinator and the tests' reference model)
-uses — ``Comparison._OPS``, ``_FUNCTIONS``, ``access_path``, the MISSING/NULL
-propagation rules — so a value computed from a column is the value the
-interpreter computes from an environment.  A plan the compiler cannot
-express (an unbound variable, an unknown :class:`Expr` subclass) fails here,
-at plan time, with a :class:`~repro.errors.QueryError`.
+The evaluators apply the tables of :mod:`repro.query.expressions`
+(``Comparison._OPS``, ``_FUNCTIONS``, ``access_path``) and state the
+MISSING/NULL propagation rules; the tests' reference model
+(``tests/reference.py``) interprets the same trees independently and every
+query is held to it.  A plan the compiler cannot express (an unbound
+variable, an unknown :class:`Expr` subclass — anywhere, a quantifier's
+predicate included) fails here, at plan time, with a
+:class:`~repro.errors.QueryError`.
 
-``AND``/``OR`` are the one deliberate divergence in *evaluation order*: the
-interpreter short-circuits, a column evaluator computes every operand
-column.  All expression functions are pure (arithmetic returns None on
-division by zero instead of raising), so the results are identical.
+``AND``/``OR``/``SOME`` compute every operand column and every item where an
+interpreter would short-circuit.  All expression functions are pure
+(arithmetic returns None on division by zero instead of raising), so the
+results are identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from ..errors import QueryError
-from ..types import MISSING, Missing
+from ..types import MISSING, Missing, collection_items
 from ..vector.batch import BatchExtractor, ColumnBatch
 from .expressions import (
     _FUNCTIONS,
-    _collection_items,
     And,
     Arithmetic,
     Comparison,
@@ -45,6 +48,7 @@ from .expressions import (
     access_path,
     is_absent,
 )
+from .operators import unnest_batch
 from .optimizer import AccessPlan, Path
 from .plan import QuerySpec
 
@@ -58,7 +62,7 @@ class _Context:
     __slots__ = ("record_var", "record_paths", "access_at_scan", "bound", "item_columns",
                  "uses_views")
 
-    def __init__(self, record_var: str, record_paths: Set[Path],
+    def __init__(self, record_var: Optional[str], record_paths: Set[Path],
                  access_at_scan: bool) -> None:
         self.record_var = record_var
         #: Mutable: compiling a field access on the scan variable registers
@@ -85,11 +89,18 @@ class _Context:
         #: slices.
         self.uses_views = False
 
-
-def _mentions(expr: Expr, names: FrozenSet[str]) -> bool:
-    return any((isinstance(node, Var) and node.name in names)
-               or (isinstance(node, FieldAccess) and node.source in names)
-               for node in expr.walk())
+    def quantifier_scope(self, item_var: str) -> "_Context":
+        """The scope of a quantifier's predicate: everything visible here plus
+        ``item_var``, which shadows any outer binding of the same name — a
+        LET or UNNEST name, a pushed-down item's columns, an enclosing
+        quantifier's variable, even the scan variable — inside the predicate
+        only.  Scan paths the predicate addresses register in the shared set.
+        """
+        scope = _Context(None if item_var == self.record_var else self.record_var,
+                         self.record_paths, self.access_at_scan)
+        scope.bound = self.bound | {item_var}
+        scope.item_columns = {key for key in self.item_columns if key[0] != item_var}
+        return scope
 
 
 def compile_expr(expr: Expr, ctx: _Context) -> ColumnEval:
@@ -213,33 +224,29 @@ def compile_expr(expr: Expr, ctx: _Context) -> ColumnEval:
         return function
 
     if isinstance(expr, Exists):
+        # The quantifier is an UNNEST folded back: flatten the collection
+        # column into an item batch (one row per item, the item bound whole
+        # as a column like any UNNEST item), evaluate the predicate over it
+        # columnwise, and reduce "any item true" per source row.  A
+        # non-collection — absent, scalar or object — has no items: false.
         item_var = expr.item_var
         collection = compile_expr(expr.collection, ctx)
-        predicate = _compile_item_predicate(expr.predicate, frozenset((item_var,)), ctx)
+        scope = ctx.quantifier_scope(item_var)
+        predicate = compile_expr(expr.predicate, scope)
+        ctx.uses_views |= scope.uses_views
 
         def exists(batch: ColumnBatch) -> List[Any]:
-            test = predicate(batch)
-            items: Dict[str, Any] = {}
-            return [_any_item_satisfies(value, item_var, test, row, items)
-                    for row, value in enumerate(collection(batch))]
+            item_lists = [collection_items(value) or () for value in collection(batch)]
+            indices, item_batch = unnest_batch(batch, item_lists, item_var)
+            out = [False] * batch.length
+            for row, verdict in zip(indices, predicate(item_batch)):
+                if not is_absent(verdict) and verdict:
+                    out[row] = True
+            return out
 
         return exists
 
     raise QueryError(f"expression {type(expr).__name__} is not supported by the executor")
-
-
-def _any_item_satisfies(collection: Any, item_var: str, test, row: int,
-                        items: Dict[str, Any]) -> bool:
-    """EXISTS over one row's collection; ``items`` is the quantifier scope."""
-    candidates = _collection_items(collection)
-    if candidates is None:
-        return False
-    for item in candidates:
-        items[item_var] = item
-        verdict = test(row, items)
-        if not is_absent(verdict) and verdict:
-            return True
-    return False
 
 
 def _is_test(expr: IsTest) -> Callable[[Any], bool]:
@@ -255,154 +262,6 @@ def _is_test(expr: IsTest) -> Callable[[Any], bool]:
         return not result if negated else result
 
     return test
-
-
-# ---------------------------------------------------------------------------
-# EXISTS item predicates: per-(row, item) scalar evaluators
-# ---------------------------------------------------------------------------
-
-#: factory(batch) -> fn(row, items) -> value, where ``items`` maps every
-#: quantifier variable in scope to its current item.  Subexpressions that
-#: mention no quantifier variable are hoisted: compiled as ordinary column
-#: evaluators, computed once per batch, and indexed by row.
-_ItemEval = Callable[[ColumnBatch], Callable[[int, Dict[str, Any]], Any]]
-
-
-def _compile_item_predicate(expr: Expr, item_vars: FrozenSet[str],
-                            ctx: _Context) -> _ItemEval:
-    if not _mentions(expr, item_vars):
-        column = compile_expr(expr, ctx)
-
-        def hoisted(batch: ColumnBatch):
-            values = column(batch)
-            return lambda row, items: values[row]
-
-        return hoisted
-
-    if isinstance(expr, Var):
-        name = expr.name
-        return lambda batch: lambda row, items: items[name]
-
-    if isinstance(expr, FieldAccess):
-        source, path = expr.source, expr.path
-        return lambda batch: lambda row, items: access_path(items[source], path)
-
-    if isinstance(expr, (Comparison, Arithmetic)):
-        left = _compile_item_predicate(expr.left, item_vars, ctx)
-        right = _compile_item_predicate(expr.right, item_vars, ctx)
-        op = type(expr)._OPS[expr.op]
-
-        def binary(batch: ColumnBatch):
-            lhs, rhs = left(batch), right(batch)
-
-            def evaluate(row: int, items: Dict[str, Any]) -> Any:
-                left_value = lhs(row, items)
-                right_value = rhs(row, items)
-                if is_absent(left_value) or is_absent(right_value):
-                    return MISSING
-                try:
-                    return op(left_value, right_value)
-                except TypeError:
-                    return MISSING
-
-            return evaluate
-
-        return binary
-
-    if isinstance(expr, And):
-        operands = [_compile_item_predicate(operand, item_vars, ctx)
-                    for operand in expr.operands]
-
-        def conjunction(batch: ColumnBatch):
-            tests = [operand(batch) for operand in operands]
-
-            def evaluate(row: int, items: Dict[str, Any]) -> Any:
-                for test in tests:
-                    value = test(row, items)
-                    if is_absent(value) or not value:
-                        return False
-                return True
-
-            return evaluate
-
-        return conjunction
-
-    if isinstance(expr, Or):
-        operands = [_compile_item_predicate(operand, item_vars, ctx)
-                    for operand in expr.operands]
-
-        def disjunction(batch: ColumnBatch):
-            tests = [operand(batch) for operand in operands]
-
-            def evaluate(row: int, items: Dict[str, Any]) -> Any:
-                return any(not is_absent(value) and bool(value)
-                           for value in (test(row, items) for test in tests))
-
-            return evaluate
-
-        return disjunction
-
-    if isinstance(expr, Not):
-        operand = _compile_item_predicate(expr.operand, item_vars, ctx)
-
-        def negation(batch: ColumnBatch):
-            test = operand(batch)
-
-            def evaluate(row: int, items: Dict[str, Any]) -> Any:
-                value = test(row, items)
-                if is_absent(value):
-                    return MISSING
-                return not value
-
-            return evaluate
-
-        return negation
-
-    if isinstance(expr, IsTest):
-        operand = _compile_item_predicate(expr.operand, item_vars, ctx)
-        test = _is_test(expr)
-
-        def membership(batch: ColumnBatch):
-            source = operand(batch)
-            return lambda row, items: test(source(row, items))
-
-        return membership
-
-    if isinstance(expr, Func):
-        name = expr.name
-        arguments = [_compile_item_predicate(argument, item_vars, ctx)
-                     for argument in expr.args]
-
-        def function(batch: ColumnBatch):
-            sources = [argument(batch) for argument in arguments]
-            implementation = _FUNCTIONS[name]
-
-            def evaluate(row: int, items: Dict[str, Any]) -> Any:
-                values = [source(row, items) for source in sources]
-                if values and is_absent(values[0]):
-                    return MISSING
-                return implementation(*values)
-
-            return evaluate
-
-        return function
-
-    if isinstance(expr, Exists):
-        # A nested quantifier: its scope is a copy, so an inner binding of
-        # the same name shadows the outer one only inside the inner predicate.
-        item_var = expr.item_var
-        collection = _compile_item_predicate(expr.collection, item_vars, ctx)
-        predicate = _compile_item_predicate(expr.predicate, item_vars | {item_var}, ctx)
-
-        def exists(batch: ColumnBatch):
-            source, test = collection(batch), predicate(batch)
-            return lambda row, items: _any_item_satisfies(
-                source(row, items), item_var, test, row, dict(items))
-
-        return exists
-
-    raise QueryError(
-        f"EXISTS predicate over {type(expr).__name__} is not supported by the executor")
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +344,10 @@ def compile_query(spec: QuerySpec, access_plan: AccessPlan) -> BatchQueryPlan:
                       for aggregate in spec.aggregates]
     projections: List[Tuple[str, ColumnEval]] = []
     order_keys: List[ColumnEval] = []
-    if not spec.is_aggregation:
+    if spec.is_aggregation:
+        if any(isinstance(key.expr_or_column, Expr) for key in spec.order_by):
+            raise QueryError("grouped queries must ORDER BY an output column")
+    else:
         projections = [(name, compile_expr(expr, ctx)) for name, expr in spec.projections]
         for key in spec.order_by:
             if not isinstance(key.expr_or_column, Expr):

@@ -48,7 +48,6 @@ from ..errors import QueryDeadlineError, QueryError
 from ..obs import CARDINALITY_MISESTIMATE, NULL_SPAN, StatsDictMixin, emit_event
 from ..obs import tracer as _tracer
 from .batch_compile import BatchQueryPlan, PushdownUnnest, compile_query
-from .expressions import is_absent
 from .operators import (
     BatchGroupByOperator,
     BatchLetOperator,
@@ -57,10 +56,11 @@ from .operators import (
     BatchScanOperator,
     BatchSelectOperator,
     BatchUnnestOperator,
-    _orderable,
     finalize_groups,
     merge_partials,
     order_and_limit,
+    sort_candidates,
+    sort_key,
 )
 from .optimizer import AccessPathChoice, Optimizer, choose_access_path
 from .plan import QuerySpec
@@ -766,23 +766,20 @@ class QueryExecutor:
             projection_columns = [(name, evaluate(batch))
                                   for name, evaluate in batch_plan.projections]
             for index in range(len(batch)):
-                sort_key = []
-                for column in key_columns:
-                    value = column[index]
-                    sort_key.append((is_absent(value), _orderable(value)))
+                keys = [sort_key(column[index]) for column in key_columns]
                 row = {}
                 for name, column in projection_columns:
                     value = column[index]
                     if hasattr(value, "materialize"):
                         value = value.materialize()
                     row[name] = value
-                candidates.append((tuple(sort_key), row))
+                candidates.append((keys, row))
         if spec.limit is not None and len(candidates) > spec.limit:
             # Per-partition top-k: under the coordinator's stable comparator a
             # row beyond this partition's local top-`limit` can never reach
             # the global answer, so only `limit` candidates cross the
             # exchange and the coordinator sorts parallelism*limit rows.
-            candidates = _sort_candidates(candidates, spec.order_by)[:spec.limit]
+            candidates = sort_candidates(candidates, spec.order_by, spec.limit)
         return candidates
 
     # ------------------------------------------------------------------ coordinator stage
@@ -796,13 +793,10 @@ class QueryExecutor:
             rows = finalize_groups(merged, spec)
             return order_and_limit(rows, spec)
         if spec.order_by:
-            candidates: List[Tuple[Tuple[Any, ...], Dict[str, Any]]] = []
+            candidates: List[Tuple[Sequence[Any], Dict[str, Any]]] = []
             for _, payload in outputs:
                 candidates.extend(payload)
-            rows = [row for _, row in _sort_candidates(candidates, spec.order_by)]
-            if spec.limit is not None:
-                rows = rows[:spec.limit]
-            return rows
+            return [row for _, row in sort_candidates(candidates, spec.order_by, spec.limit)]
         plain_rows: List[Dict[str, Any]] = []
         for _, payload in outputs:
             plain_rows.extend(payload)
@@ -839,16 +833,3 @@ def _terminal_stats(name: str, rows_out: int, started: float) -> OperatorStats:
     ended = time.perf_counter()
     return OperatorStats(operator=name, rows_out=rows_out,
                          seconds=ended - started, start=started, end=ended)
-
-
-def _sort_candidates(candidates: List[Tuple[Tuple[Any, ...], Dict[str, Any]]],
-                     order_by) -> List[Tuple[Tuple[Any, ...], Dict[str, Any]]]:
-    """Stable per-key passes, least-significant key first, so each key
-    honours its own ASC/DESC direction (mirrors order_and_limit).  Shared by
-    the per-partition top-k truncation and the coordinator's global sort so
-    both apply the exact same comparator."""
-    for position in range(len(order_by) - 1, -1, -1):
-        candidates = sorted(candidates,
-                            key=lambda pair, p=position: pair[0][p],
-                            reverse=order_by[position].descending)
-    return candidates

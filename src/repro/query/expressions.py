@@ -1,27 +1,30 @@
-"""Expression tree evaluated by the query operators.
+"""Expression trees: the slice of SQL++ the paper's experiment queries need.
 
-Expressions mirror the slice of SQL++ the paper's experiment queries need:
-field access (``t.user.name``), comparisons, boolean connectives,
+Field access (``t.user.name``), comparisons, boolean connectives,
 arithmetic, and a handful of builtin functions (``length``, ``lowercase``,
-``array_count``, ``array_contains``, ``is_array``...).  SQL++'s MISSING
-semantics are preserved: accessing an absent field yields ``MISSING`` and
+``array_count``, ``array_contains``, ``is_array``...).  The classes here are
+data: they say what a query computes, not how.  The engine has exactly one
+way to compute it — :func:`repro.query.batch_compile.compile_expr` turns a
+tree into a column evaluator — and this module holds the tables that
+evaluator applies (``Comparison._OPS``, ``Arithmetic._OPS``, ``_FUNCTIONS``)
+plus :func:`access_path`.
+
+SQL++'s MISSING semantics: accessing an absent field yields ``MISSING`` and
 any comparison or function over MISSING/NULL evaluates to a non-true value,
 so predicates silently drop such records — exactly how the Twitter Q3
 hashtag filter behaves on tweets without hashtags.
 
-The partition pipelines do not call :meth:`Expr.evaluate`: they run the
-column evaluators :mod:`repro.query.batch_compile` builds from these trees.
-``evaluate`` is the interpreter of the coordinator's ORDER BY over output
-rows and of the tests' reference model (``tests/reference.py``), where the
-environment maps variable names to plain values.
+The tests' reference model (``tests/reference.py``) interprets the same
+trees with a tree walk of its own; it shares these tables with the compiler
+and nothing else.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Sequence, Tuple
 
 from ..errors import QueryError
-from ..types import AMultiset, MISSING, Missing
+from ..types import MISSING, Missing, collection_items, navigate
 
 
 def is_absent(value: Any) -> bool:
@@ -31,9 +34,6 @@ def is_absent(value: Any) -> bool:
 
 class Expr:
     """Base expression."""
-
-    def evaluate(self, env: Dict[str, Any]) -> Any:
-        raise NotImplementedError
 
     def children(self) -> Sequence["Expr"]:
         return ()
@@ -48,9 +48,6 @@ class Literal(Expr):
     def __init__(self, value: Any) -> None:
         self.value = value
 
-    def evaluate(self, env: Dict[str, Any]) -> Any:
-        return self.value
-
     def __repr__(self) -> str:
         return f"Literal({self.value!r})"
 
@@ -60,11 +57,6 @@ class Var(Expr):
 
     def __init__(self, name: str) -> None:
         self.name = name
-
-    def evaluate(self, env: Dict[str, Any]) -> Any:
-        if self.name not in env:
-            raise QueryError(f"unbound variable ${self.name}")
-        return env[self.name]
 
     def __repr__(self) -> str:
         return f"Var({self.name})"
@@ -77,36 +69,16 @@ class FieldAccess(Expr):
         self.source = source
         self.path = tuple(path)
 
-    def evaluate(self, env: Dict[str, Any]) -> Any:
-        return access_path(env.get(self.source, MISSING), self.path)
-
     def __repr__(self) -> str:
         return f"FieldAccess({self.source}, {'.'.join(map(str, self.path))})"
 
 
 def access_path(value: Any, path: Tuple[Any, ...]) -> Any:
-    """Navigate ``path`` into a record view, dict, or collection value."""
-    if not path:
-        return value
+    """``path`` into a bound value: a record view answers it itself, anything
+    else — an UNNEST item, a LET value — is a plain value to navigate."""
     if hasattr(value, "get_field"):
         return value.get_field(*path)
-    current = value
-    for step in path:
-        if is_absent(current):
-            return MISSING
-        if isinstance(step, str):
-            if isinstance(current, dict) and step in current:
-                current = current[step]
-            else:
-                return MISSING
-        else:
-            items = current.items if isinstance(current, AMultiset) else current
-            if not isinstance(items, (list, tuple)) or not isinstance(step, int):
-                return MISSING
-            if step < 0 or step >= len(items):
-                return MISSING
-            current = items[step]
-    return current
+    return navigate(value, path)
 
 
 class Comparison(Expr):
@@ -129,16 +101,6 @@ class Comparison(Expr):
     def children(self) -> Sequence[Expr]:
         return (self.left, self.right)
 
-    def evaluate(self, env: Dict[str, Any]) -> Any:
-        left = self.left.evaluate(env)
-        right = self.right.evaluate(env)
-        if is_absent(left) or is_absent(right):
-            return MISSING
-        try:
-            return self._OPS[self.op](left, right)
-        except TypeError:
-            return MISSING
-
     def __repr__(self) -> str:
         return f"({self.left!r} {self.op} {self.right!r})"
 
@@ -150,13 +112,6 @@ class And(Expr):
     def children(self) -> Sequence[Expr]:
         return self.operands
 
-    def evaluate(self, env: Dict[str, Any]) -> Any:
-        for operand in self.operands:
-            value = operand.evaluate(env)
-            if is_absent(value) or not value:
-                return False
-        return True
-
 
 class Or(Expr):
     def __init__(self, *operands: Expr) -> None:
@@ -165,10 +120,6 @@ class Or(Expr):
     def children(self) -> Sequence[Expr]:
         return self.operands
 
-    def evaluate(self, env: Dict[str, Any]) -> Any:
-        return any(not is_absent(value) and bool(value)
-                   for value in (operand.evaluate(env) for operand in self.operands))
-
 
 class Not(Expr):
     def __init__(self, operand: Expr) -> None:
@@ -176,12 +127,6 @@ class Not(Expr):
 
     def children(self) -> Sequence[Expr]:
         return (self.operand,)
-
-    def evaluate(self, env: Dict[str, Any]) -> Any:
-        value = self.operand.evaluate(env)
-        if is_absent(value):
-            return MISSING
-        return not value
 
 
 class IsTest(Expr):
@@ -204,16 +149,6 @@ class IsTest(Expr):
 
     def children(self) -> Sequence[Expr]:
         return (self.operand,)
-
-    def evaluate(self, env: Dict[str, Any]) -> Any:
-        value = self.operand.evaluate(env)
-        if self.kind == "null":
-            result = value is None
-        elif self.kind == "missing":
-            result = isinstance(value, Missing)
-        else:
-            result = is_absent(value)
-        return not result if self.negated else result
 
     def __repr__(self) -> str:
         negation = "NOT " if self.negated else ""
@@ -239,23 +174,10 @@ class Arithmetic(Expr):
     def children(self) -> Sequence[Expr]:
         return (self.left, self.right)
 
-    def evaluate(self, env: Dict[str, Any]) -> Any:
-        left = self.left.evaluate(env)
-        right = self.right.evaluate(env)
-        if is_absent(left) or is_absent(right):
-            return MISSING
-        try:
-            return self._OPS[self.op](left, right)
-        except TypeError:
-            return MISSING
 
-
-def _collection_items(value: Any) -> Optional[List[Any]]:
-    if isinstance(value, AMultiset):
-        return list(value.items)
-    if isinstance(value, (list, tuple)):
-        return list(value)
-    return None
+def _array_count(value: Any) -> Any:
+    items = collection_items(value)
+    return MISSING if items is None else len(items)
 
 
 _FUNCTIONS: Dict[str, Callable[..., Any]] = {
@@ -263,10 +185,10 @@ _FUNCTIONS: Dict[str, Callable[..., Any]] = {
     "lowercase": lambda value: value.lower() if isinstance(value, str) else MISSING,
     "uppercase": lambda value: value.upper() if isinstance(value, str) else MISSING,
     "abs": lambda value: abs(value) if isinstance(value, (int, float)) else MISSING,
-    "is_array": lambda value: _collection_items(value) is not None,
-    "array_count": lambda value: len(_collection_items(value) or []) if _collection_items(value) is not None else MISSING,
-    "array_contains": lambda value, needle: needle in (_collection_items(value) or []),
-    "array_distinct": lambda value: sorted(set(_collection_items(value) or []), key=repr),
+    "is_array": lambda value: collection_items(value) is not None,
+    "array_count": _array_count,
+    "array_contains": lambda value, needle: needle in (collection_items(value) or []),
+    "array_distinct": lambda value: sorted(set(collection_items(value) or []), key=repr),
     "to_string": lambda value: str(value),
 }
 
@@ -288,12 +210,6 @@ class Func(Expr):
     def children(self) -> Sequence[Expr]:
         return self.args
 
-    def evaluate(self, env: Dict[str, Any]) -> Any:
-        values = [argument.evaluate(env) for argument in self.args]
-        if values and is_absent(values[0]):
-            return MISSING
-        return _FUNCTIONS[self.name](*values)
-
     def __repr__(self) -> str:
         return f"Func({self.name})"
 
@@ -308,18 +224,6 @@ class Exists(Expr):
 
     def children(self) -> Sequence[Expr]:
         return (self.collection, self.predicate)
-
-    def evaluate(self, env: Dict[str, Any]) -> Any:
-        items = _collection_items(self.collection.evaluate(env))
-        if items is None:
-            return False
-        inner = dict(env)
-        for item in items:
-            inner[self.item_var] = item
-            value = self.predicate.evaluate(inner)
-            if not is_absent(value) and value:
-                return True
-        return False
 
 
 # -- convenience constructors used by workload query definitions ----------------

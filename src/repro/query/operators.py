@@ -18,11 +18,11 @@ from __future__ import annotations
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..cache import SliceScanStats
-from ..types import AMultiset, MISSING, Missing
+from ..types import AMultiset, MISSING, Missing, collection_items
 from ..vector.batch import ColumnBatch
 from .aggregates import get_aggregate
 from .expressions import access_path, is_absent
-from .plan import AggregateSpec, IndexProbe, QuerySpec
+from .plan import AggregateSpec, IndexProbe, OrderKey, QuerySpec
 
 
 def merge_partials(partials: Sequence[Dict[Tuple[Any, ...], List[Any]]],
@@ -55,26 +55,53 @@ def finalize_groups(groups: Dict[Tuple[Any, ...], List[Any]], spec: QuerySpec) -
     return rows
 
 
+#: Type ranks of :func:`sort_key`, in ascending order.
+_RANK_BOOL, _RANK_NUMBER, _RANK_STRING, _RANK_OTHER, _RANK_ABSENT = range(5)
+
+
+def sort_key(value: Any) -> Tuple[int, Any]:
+    """Total-order sort key for one ORDER BY value.
+
+    Open schemas make mixed-type columns routine (an int in one record, a
+    string in another), and raw comparisons across types raise ``TypeError``.
+    Ranking by type first, value within the type second, gives every pair of
+    values a defined order.  Ascending, that order is booleans, numbers,
+    strings, everything else by textual form, and NULL/MISSING **last**;
+    ``DESC`` reverses all of it, absent values included.
+    """
+    if is_absent(value):
+        return (_RANK_ABSENT, 0)
+    if isinstance(value, bool):
+        return (_RANK_BOOL, value)
+    if isinstance(value, (int, float)):
+        return (_RANK_NUMBER, value)
+    if isinstance(value, str):
+        return (_RANK_STRING, value)
+    return (_RANK_OTHER, str(value))
+
+
+def sort_candidates(candidates: List[Tuple[Sequence[Any], Any]], order_by: Sequence[OrderKey],
+                    limit: Optional[int] = None) -> List[Tuple[Sequence[Any], Any]]:
+    """The one ORDER BY + LIMIT: ``candidates`` pair a row with its keys, one
+    :func:`sort_key` per ``order_by`` entry.
+
+    Stable per-key passes, least-significant key first, so each key honours
+    its own ASC/DESC direction and ties keep their input order.  The
+    per-partition top-k, the coordinator's global sort and the grouped
+    :func:`order_and_limit` all sort here, so they apply the exact same
+    comparator — which is what makes the top-k truncation safe.
+    """
+    for position in range(len(order_by) - 1, -1, -1):
+        candidates = sorted(candidates, key=lambda pair, p=position: pair[0][p],
+                            reverse=order_by[position].descending)
+    return candidates if limit is None else candidates[:limit]
+
+
 def order_and_limit(rows: List[Dict[str, Any]], spec: QuerySpec) -> List[Dict[str, Any]]:
-    """Apply ORDER BY (on output columns or expressions over rows) and LIMIT."""
-    ordered = rows
-    for key in reversed(spec.order_by):
-        if isinstance(key.expr_or_column, str):
-            column = key.expr_or_column
-
-            def sort_key(row, column=column):
-                value = row.get(column)
-                return (is_absent(value), _orderable(value))
-        else:
-            expr = key.expr_or_column
-
-            def sort_key(row, expr=expr):
-                value = expr.evaluate(row)
-                return (is_absent(value), _orderable(value))
-        ordered = sorted(ordered, key=sort_key, reverse=key.descending)
-    if spec.limit is not None:
-        ordered = ordered[:spec.limit]
-    return ordered
+    """ORDER BY and LIMIT of a grouped query: its keys name output columns."""
+    candidates = [([sort_key(row.get(key.expr_or_column)) for key in spec.order_by], row)
+                  for row in rows]
+    return [row for _, row in sort_candidates(candidates, spec.order_by, spec.limit)]
 
 
 class _HashableKey:
@@ -121,34 +148,6 @@ def _converted(value: Any) -> Any:
     return value
 
 
-#: Type ranks for ORDER BY over mixed-type columns: absent values first,
-#: then booleans, numbers, strings, everything else by textual form.
-_RANK_ABSENT = -1
-_RANK_BOOL = 0
-_RANK_NUMBER = 1
-_RANK_STRING = 2
-_RANK_OTHER = 3
-
-
-def _orderable(value: Any) -> Tuple[int, Any]:
-    """Total-order sort key for one ORDER BY value.
-
-    Open schemas make mixed-type columns routine (an int in one record, a
-    string in another), and raw comparisons across types raise ``TypeError``.
-    Ranking by type first, value within the type second, gives every pair of
-    values a defined order.
-    """
-    if is_absent(value):
-        return (_RANK_ABSENT, 0)
-    if isinstance(value, bool):
-        return (_RANK_BOOL, value)
-    if isinstance(value, (int, float)):
-        return (_RANK_NUMBER, value)
-    if isinstance(value, str):
-        return (_RANK_STRING, value)
-    return (_RANK_OTHER, str(value))
-
-
 # ---------------------------------------------------------------------------
 # partition pipeline stages
 # ---------------------------------------------------------------------------
@@ -157,13 +156,27 @@ def _orderable(value: Any) -> Tuple[int, Any]:
 def unnest_items(collection: Any) -> List[Any]:
     """The items an UNNEST iterates: SQL++ treats a non-collection value as a
     singleton collection and an absent one as empty."""
-    if isinstance(collection, AMultiset):
-        return list(collection.items)
-    if isinstance(collection, (list, tuple)):
-        return list(collection)
-    if is_absent(collection):
-        return []
-    return [collection]
+    items = collection_items(collection)
+    if items is not None:
+        return items
+    return [] if is_absent(collection) else [collection]
+
+
+def unnest_batch(batch: ColumnBatch, item_lists: Sequence[Sequence[Any]],
+                 item_var: str) -> Tuple[List[int], ColumnBatch]:
+    """One row per item: row ``i`` of ``batch`` replicated once per item of
+    ``item_lists[i]``, the item bound whole in the column ``(item_var, ())``
+    exactly like a LET name (overriding any column of that name).  Returns
+    each output row's source row and the flattened batch — the step shared by
+    the generic UNNEST and a quantifier's item batch."""
+    indices: List[int] = []
+    items: List[Any] = []
+    for row, row_items in enumerate(item_lists):
+        indices.extend([row] * len(row_items))
+        items.extend(row_items)
+    flattened = batch.take(indices)
+    flattened.columns[(item_var, ())] = items
+    return indices, flattened
 
 
 class BatchScanOperator:
@@ -287,15 +300,9 @@ class BatchUnnestOperator:
 
     def __iter__(self) -> Iterator[ColumnBatch]:
         for batch in self.child:
-            indices: List[int] = []
-            items: List[Any] = []
-            for row, collection in enumerate(self.collection(batch)):
-                row_items = unnest_items(collection)
-                indices.extend([row] * len(row_items))
-                items.extend(row_items)
+            item_lists = [unnest_items(collection) for collection in self.collection(batch)]
+            indices, flattened = unnest_batch(batch, item_lists, self.item_var)
             if indices:
-                flattened = batch.take(indices)
-                flattened.columns[(self.item_var, ())] = items
                 yield flattened
 
 

@@ -9,7 +9,10 @@ from .values import (
     ATime,
     MISSING,
     Missing,
+    WILDCARD,
+    collection_items,
     deep_equals,
+    navigate,
     pack_fixed,
     pack_variable,
     type_tag_of,
@@ -29,6 +32,9 @@ __all__ = [
     "AMultiset",
     "MISSING",
     "Missing",
+    "WILDCARD",
+    "collection_items",
+    "navigate",
     "deep_equals",
     "type_tag_of",
     "pack_fixed",

@@ -14,7 +14,7 @@ import datetime as _dt
 import struct
 import uuid as _uuid
 from dataclasses import dataclass
-from typing import Any, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from ..errors import TypeError_
 from .typetag import TypeTag
@@ -112,6 +112,73 @@ class Missing:
 
 #: The canonical MISSING singleton used across the query engine.
 MISSING = Missing()
+
+#: The path step that matches every item of a collection (``t.tags[*]``).
+WILDCARD = "*"
+
+
+def collection_items(value: Any) -> Optional[List[Any]]:
+    """The items of an array or multiset as a list; ``None`` for any other value."""
+    if isinstance(value, AMultiset):
+        return list(value.items)
+    if isinstance(value, (list, tuple)):
+        return list(value)
+    return None
+
+
+def navigate(value: Any, path: Sequence[Any]) -> Any:
+    """Follow ``path`` — field names, collection indexes, ``"*"`` — into a plain value.
+
+    This is the one statement of what a path means.  Every record view
+    answers ``get_field``/``get_values`` with exactly this function's result
+    for the record it holds — the dict view by calling it, the ADM view by
+    calling it from the first ``"*"`` on, the vector view through the
+    trie-guided walk the property suite holds to it — so a path reads the
+    same on every storage format, in the memtable and on disk.
+
+    * No wildcard — *exact*: the value, or ``MISSING`` as soon as a step is
+      absent (a name the object lacks, an index out of range, a step into a
+      scalar, NULL or MISSING).
+    * One ``"*"`` — *aligned*: one entry per item of the collection at the
+      wildcard's prefix, ``MISSING`` where the rest of the path does not
+      resolve in an item, so the list has the collection's cardinality
+      whatever the items look like.  An absent (NULL or MISSING) prefix
+      gives ``[]``; a scalar or object prefix gives that value itself, not a
+      list, so the caller can apply SQL++'s singleton-collection rule (the
+      pushed-down UNNEST does).
+    * Several ``"*"`` — *flattened*: every value the path reaches, in
+      document order, with no entry for items where it does not resolve.
+    """
+    if WILDCARD in path:
+        at = path.index(WILDCARD)
+        suffix = path[at + 1:]
+        if WILDCARD in suffix:
+            reached = [value]
+            for step in path:
+                if step == WILDCARD:
+                    reached = [item for each in reached
+                               for item in collection_items(each) or ()]
+                else:
+                    found = (navigate(each, (step,)) for each in reached)
+                    reached = [each for each in found if each is not MISSING]
+            return reached
+        collection = navigate(value, path[:at])
+        items = collection_items(collection)
+        if items is None:
+            return [] if collection is None or collection is MISSING else collection
+        return [navigate(item, suffix) for item in items] if suffix else items
+    for step in path:
+        if isinstance(step, str):
+            if not isinstance(value, dict) or step not in value:
+                return MISSING
+            value = value[step]
+        else:
+            items = value.items if isinstance(value, AMultiset) else value
+            if (not isinstance(items, (list, tuple)) or not isinstance(step, int)
+                    or not 0 <= step < len(items)):
+                return MISSING
+            value = items[step]
+    return value
 
 
 def type_tag_of(value: Any) -> TypeTag:

@@ -9,11 +9,12 @@ cursor discipline of :mod:`repro.vector.decoder`) in a tight loop that
 * skips decoding field names inside irrelevant subtrees, and
 * allocates no per-value event or path objects.
 
-It is the one implementation of the ``get_values`` semantics (exact paths,
-aligned single-wildcard paths with scalar/object passthrough, subtree
-capture for nested values): :meth:`VectorRecordView.get_values` delegates
-here, and the property suite asserts parity with the plain-dict
-``DictRecordView`` on random records.  :func:`get_values_batch` applies one
+It computes, from the encoded bytes, what :func:`repro.types.navigate`
+defines over the materialized record (exact paths, aligned single-wildcard
+paths with scalar/object passthrough, subtree capture for nested values):
+:meth:`VectorRecordView.get_values` delegates here, and the property suite
+asserts equality with ``navigate`` on random records, for this walk and for
+every other record view.  :func:`get_values_batch` applies one
 extractor across N records; :class:`ColumnBatch` is the column-major
 container the batch operators consume.
 """
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..types import AMultiset, MISSING, unpack_fixed, unpack_variable
+from ..types import AMultiset, MISSING, navigate, unpack_fixed, unpack_variable
 from .decoder import Path, PathStep, VectorRecordView, WILDCARD
 from .layout import (
     DECLARED_FIELD_BIT,
@@ -105,34 +106,15 @@ class _SubtreeCapture:
         return False
 
 
-def _flatten_wildcards(record: Any, path: Path) -> List[Any]:
-    """Every value a path with several wildcards reaches, in document order."""
-    reached = [record]
-    for step in path:
-        values, reached = reached, []
-        for value in values:
-            items = value.items if isinstance(value, AMultiset) else value
-            if isinstance(step, str) and step != WILDCARD:
-                if isinstance(value, dict) and step in value:
-                    reached.append(value[step])
-            elif isinstance(items, (list, tuple)):
-                if step == WILDCARD:
-                    reached.extend(items)
-                elif 0 <= step < len(items):
-                    reached.append(items[step])
-    return reached
-
-
 class BatchExtractor:
     """Compiled multi-path extractor, reusable across records.
 
     Record views of other formats resolve the paths themselves: a
-    ``DictRecordView`` (memtable row) through its own ``get_values``, which
-    shares the wildcard semantics above; an ``ADMRecordView``, which
-    navigates by offset and has no consolidated access, with one
-    ``get_field`` per path.  Paths with more than one wildcard (never
-    produced by the optimizer) stay out of the trie and are resolved over
-    the materialized record.
+    ``DictRecordView`` (memtable row) through its own ``get_values``; an
+    ``ADMRecordView``, which navigates by offset and has no consolidated
+    access, with one ``get_field`` per path.  Paths with more than one
+    wildcard (never produced by the optimizer) stay out of the trie and are
+    resolved by ``navigate`` over the materialized record.
     """
 
     def __init__(self, paths: Sequence[Sequence[PathStep]]) -> None:
@@ -176,7 +158,7 @@ class BatchExtractor:
         if self.multi_wild_ids:
             record = view.materialize()
             for rid in self.multi_wild_ids:
-                results[rid] = _flatten_wildcards(record, self.requests[rid])
+                results[rid] = navigate(record, self.requests[rid])
         return results
 
     # The tight walk: the decoder module's cursor discipline, allocation-free
@@ -350,10 +332,12 @@ class BatchExtractor:
                         wild_matches[wid][ctx] = value
                     if node.wild is not None:
                         # scalar where a collection was expected: passthrough
+                        # (an absent one — NULL or MISSING — stays [])
                         for wid in node.wild.subtree_ids:
                             if wid in open_wild:
                                 open_wild.discard(wid)
-                                results[wid] = value
+                                if value is not None and value is not MISSING:
+                                    results[wid] = value
                 if not pending_exact and not open_wild and not captures:
                     return results
         return results
@@ -406,9 +390,6 @@ class ColumnBatch:
         columns = {(record_var, tuple(path)): column
                    for path, column in zip(paths, extracted)}
         return cls(views, columns, len(views))
-
-    def column(self, var: str, path: Path) -> List[Any]:
-        return self.columns[(var, path)]
 
     def take(self, indices: Sequence[int]) -> "ColumnBatch":
         """Row subset (the batch SELECT's filtered output)."""

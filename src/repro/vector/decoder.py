@@ -55,6 +55,7 @@ from ..types import (
     Datatype,
     MISSING,
     TypeTag,
+    WILDCARD,
     unpack_fixed,
     unpack_variable,
 )
@@ -79,8 +80,6 @@ from .layout import (
 #: A path step: an object field name, a collection index, or "*" (all items).
 PathStep = Union[str, int]
 Path = Tuple[PathStep, ...]
-
-WILDCARD = "*"
 
 #: Scalar placeholders of :meth:`VectorRecordView.structure` (an IntEnum key
 #: is found by the raw tag byte).  Each has the type its tag decodes to, so
@@ -167,19 +166,11 @@ class VectorRecordView:
         """Resolve several access paths in one linear scan (paper §3.4.2).
 
         Each path is a sequence of field names, collection indexes, and the
-        ``"*"`` wildcard which matches every item of a collection.  Paths
-        without a wildcard resolve to a single value (``MISSING`` when
-        absent).
-
-        A path with a single wildcard resolves *aligned*: one entry per
-        collection item, ``MISSING`` for items where the sub-path does not
-        resolve, so the result has the collection's cardinality regardless of
-        per-item heterogeneity (matching :class:`DictRecordView`).  When the
-        wildcard's prefix resolves to a non-collection value (a scalar or an
-        object), that value itself is returned instead of a list, so callers
-        can apply SQL++'s singleton-collection semantics; an absent or empty
-        collection yields ``[]``.  Paths with several wildcards keep the
-        legacy flattened present-values-only semantics.
+        ``"*"`` wildcard; each result is what :func:`~repro.types.navigate`
+        returns for that path over the materialized record — exact paths a
+        value or ``MISSING``, one wildcard an aligned list (or ``[]`` / the
+        scalar or object found at its prefix), several wildcards the
+        flattened present values.
 
         The scan stops as soon as every exact path has been resolved and
         every wildcard collection has been closed, so access cost grows with
@@ -190,17 +181,6 @@ class VectorRecordView:
     def get_field(self, *path: PathStep) -> Any:
         """Single-path access (the un-consolidated ``getField()``)."""
         return self.get_values(path)[0]
-
-    def get_items(self, *path: PathStep) -> Sequence[Any]:
-        """Items of the collection at ``path`` (used by UNNEST)."""
-        value = self.get_field(*path)
-        if isinstance(value, AMultiset):
-            return list(value.items)
-        if isinstance(value, list):
-            return value
-        if value is MISSING or value is None:
-            return []
-        return [value]
 
     # -- the full-record walks -------------------------------------------------------
 

@@ -1,24 +1,96 @@
 """Reference model of query evaluation: the oracle the engine is checked against.
 
-A deliberately naive evaluator over plain dict records: nested loops for
-LET / UNNEST / WHERE on the ``Expr.evaluate`` interpreter, one partial
-aggregation per partition, then the coordinator functions the engine itself
-uses (``merge_partials`` / ``finalize_groups`` / ``order_and_limit``).  It
-shares no code with the partition pipeline — no column batches, no compiled
-evaluators, no optimizer rewrites, no storage — so agreement with it is
-evidence, not tautology.  Records are wrapped in ``DictRecordView`` only so
-that ``t.a[*].b`` wildcard steps (WoS Q3/Q4) navigate plain dicts.
+A deliberately naive evaluator over plain dict records: a tree-walking
+expression interpreter (:func:`evaluate` — one environment dict per binding,
+short-circuiting connectives, a Python loop per quantifier), nested loops for
+LET / UNNEST / WHERE, one partial aggregation per partition, then the
+coordinator functions the engine itself uses (``merge_partials`` /
+``finalize_groups`` / ``order_and_limit``).  With the engine it shares the
+operator and function *tables* (``Comparison._OPS``, ``Arithmetic._OPS``,
+``_FUNCTIONS``), the ``sort_key`` ordering and path navigation
+(``DictRecordView`` is ``repro.types.navigate``, itself held to the vector
+walk by the property suite) — and no evaluation code: no column batches, no
+compiled evaluators, no optimizer rewrites, no storage.  Agreement with it
+is evidence, not tautology.
 """
 
 from typing import Any, Dict, Iterable, Iterator, List, Sequence
 
 from repro.core.dataset import hash_partition
 from repro.core.formats import DictRecordView
-from repro.query import QuerySpec, get_aggregate
-from repro.query.expressions import is_absent
-from repro.query.operators import (_hashable, _orderable, finalize_groups, merge_partials,
-                                   order_and_limit)
-from repro.types import AMultiset, Missing
+from repro.errors import QueryError
+from repro.query import (And, Arithmetic, Comparison, Exists, FieldAccess, Func, IsTest, Literal,
+                         Not, Or, QuerySpec, Var, get_aggregate)
+from repro.query.expressions import _FUNCTIONS
+from repro.query.operators import (_hashable, finalize_groups, merge_partials, order_and_limit,
+                                   sort_key)
+from repro.types import AMultiset, MISSING, Missing, navigate
+
+
+def _absent(value: Any) -> bool:
+    return value is None or isinstance(value, Missing)
+
+
+def _items(collection: Any) -> Any:
+    """A collection's items, or None for a value that is not a collection."""
+    if isinstance(collection, AMultiset):
+        return list(collection.items)
+    return list(collection) if isinstance(collection, (list, tuple)) else None
+
+
+def evaluate(expr: Any, env: Dict[str, Any]) -> Any:
+    """The value of ``expr`` where ``env`` maps variable names to plain values
+    (the scan variable to a ``DictRecordView``)."""
+    if isinstance(expr, Literal):
+        return expr.value
+    if isinstance(expr, Var):
+        if expr.name not in env:
+            raise QueryError(f"unbound variable ${expr.name}")
+        return env[expr.name]
+    if isinstance(expr, FieldAccess):
+        value = env.get(expr.source, MISSING)
+        if isinstance(value, DictRecordView):
+            return value.get_field(*expr.path)
+        return navigate(value, expr.path)
+    if isinstance(expr, (Comparison, Arithmetic)):
+        left, right = evaluate(expr.left, env), evaluate(expr.right, env)
+        if _absent(left) or _absent(right):
+            return MISSING
+        try:
+            return expr._OPS[expr.op](left, right)
+        except TypeError:
+            return MISSING
+    if isinstance(expr, And):
+        for operand in expr.operands:
+            value = evaluate(operand, env)
+            if _absent(value) or not value:
+                return False
+        return True
+    if isinstance(expr, Or):
+        return any(not _absent(value) and bool(value)
+                   for value in (evaluate(operand, env) for operand in expr.operands))
+    if isinstance(expr, Not):
+        value = evaluate(expr.operand, env)
+        return MISSING if _absent(value) else not value
+    if isinstance(expr, IsTest):
+        value = evaluate(expr.operand, env)
+        result = {"null": value is None, "missing": isinstance(value, Missing),
+                  "unknown": _absent(value)}[expr.kind]
+        return not result if expr.negated else result
+    if isinstance(expr, Func):
+        values = [evaluate(argument, env) for argument in expr.args]
+        if values and _absent(values[0]):
+            return MISSING
+        return _FUNCTIONS[expr.name](*values)
+    if isinstance(expr, Exists):
+        inner = dict(env)
+        for item in _items(evaluate(expr.collection, env)) or ():
+            inner[expr.item_var] = item
+            value = evaluate(expr.predicate, inner)
+            if not _absent(value) and value:
+                return True
+        return False
+    raise QueryError(f"the reference model cannot evaluate {type(expr).__name__}")
 
 
 def partition_records(records: Iterable[Dict[str, Any]], partitions: int = 1,
@@ -31,12 +103,11 @@ def partition_records(records: Iterable[Dict[str, Any]], partitions: int = 1,
     return buckets
 
 
-def _items(collection: Any) -> List[Any]:
-    if isinstance(collection, AMultiset):
-        return list(collection.items)
-    if isinstance(collection, (list, tuple)):
-        return list(collection)
-    return [] if is_absent(collection) else [collection]
+def _unnested(collection: Any) -> List[Any]:
+    items = _items(collection)
+    if items is not None:
+        return items
+    return [] if _absent(collection) else [collection]
 
 
 def _bindings(spec: QuerySpec, records: Sequence[Dict[str, Any]]) -> Iterator[Dict[str, Any]]:
@@ -44,14 +115,14 @@ def _bindings(spec: QuerySpec, records: Sequence[Dict[str, Any]]) -> Iterator[Di
     for record in records:
         env = {spec.record_var: DictRecordView(record)}
         for clause in spec.lets:
-            env[clause.name] = clause.expr.evaluate(env)
+            env[clause.name] = evaluate(clause.expr, env)
         envs = [env]
         for clause in spec.unnests:
             envs = [{**outer, clause.item_var: item} for outer in envs
-                    for item in _items(clause.collection.evaluate(outer))]
+                    for item in _unnested(evaluate(clause.collection, outer))]
         for env in envs:
-            verdict = True if spec.where is None else spec.where.evaluate(env)
-            if not is_absent(verdict) and verdict:
+            verdict = True if spec.where is None else evaluate(spec.where, env)
+            if not _absent(verdict) and verdict:
                 yield env
 
 
@@ -59,13 +130,13 @@ def _partial(spec: QuerySpec, records: Sequence[Dict[str, Any]]) -> Dict[Any, Li
     functions = [get_aggregate(aggregate.function) for aggregate in spec.aggregates]
     groups: Dict[Any, List[Any]] = {}
     for env in _bindings(spec, records):
-        key = tuple(expr.evaluate(env) for _, expr in spec.group_keys)
+        key = tuple(evaluate(expr, env) for _, expr in spec.group_keys)
         if any(isinstance(part, Missing) for part in key):
             continue
         states = groups.setdefault(tuple(_hashable(part) for part in key),
                                    [function.create() for function in functions])
         for index, (function, aggregate) in enumerate(zip(functions, spec.aggregates)):
-            value = True if aggregate.argument is None else aggregate.argument.evaluate(env)
+            value = True if aggregate.argument is None else evaluate(aggregate.argument, env)
             states[index] = function.accumulate(states[index], value)
     return groups
 
@@ -80,12 +151,9 @@ def reference_rows(spec: QuerySpec,
     candidates = []
     for records in partitions:
         for env in _bindings(spec, records):
-            sort_key = []
-            for key in spec.order_by:
-                value = key.expr_or_column.evaluate(env)
-                sort_key.append((is_absent(value), _orderable(value)))
-            values = [(name, expr.evaluate(env)) for name, expr in spec.projections]
-            candidates.append((sort_key, {
+            keys = [sort_key(evaluate(key.expr_or_column, env)) for key in spec.order_by]
+            values = [(name, evaluate(expr, env)) for name, expr in spec.projections]
+            candidates.append((keys, {
                 name: value.record if isinstance(value, DictRecordView) else value
                 for name, value in values}))
     for position in range(len(spec.order_by) - 1, -1, -1):

@@ -36,8 +36,10 @@ from repro.query import (
     lit,
     scan,
 )
-from repro.types import Datatype, MISSING
-from repro.vector import BatchExtractor, VectorEncoder, VectorRecordView, WILDCARD
+from repro.schema import InferredSchema
+from repro.types import Datatype, MISSING, navigate
+from repro.vector import (BatchExtractor, VectorEncoder, VectorRecordView, WILDCARD,
+                          compact_record)
 
 from reference import partition_records, reference_rows
 
@@ -47,7 +49,8 @@ RECORDS = [
         "user": {"name": f"user{i % 10}", "verified": i % 4 == 0},
         "text": "x" * (10 + i % 20),
         "timestamp_ms": 1_000_000 + (i * 37) % 1000,
-        "entities": {"hashtags": [{"text": "jobs" if i % 5 == 0 else f"tag{i % 7}", "pos": 0}]},
+        "entities": {"hashtags": [{"text": "jobs" if i % 5 == 0 else f"tag{i % 7}", "pos": 0},
+                                  {"text": f"user{i % 3}", "pos": 1}]},
         "readings": [{"temp": float(i % 50), "ts": i}, {"temp": float((i * 3) % 50), "ts": i + 1}],
         "groups": [{"members": [i % 3, 7]}, {"members": []}] if i % 2 else [],
     }
@@ -168,6 +171,16 @@ def _q_nested_exists():
             .build())
 
 
+def _q_exists_row_and_item():
+    """The predicate mixes the item variable with a row-only subexpression."""
+    predicate = Comparison("=", field("ht", "text"),
+                           Func("lowercase", field("t", "user", "name")))
+    return (scan("t")
+            .where(Exists(field("t", "entities", "hashtags"), "ht", predicate))
+            .select(("id", field("t", "id")))
+            .build())
+
+
 PARITY_QUERIES = {
     "count_star": _q_count,
     "group_avg": _q_group_avg,
@@ -180,6 +193,7 @@ PARITY_QUERIES = {
     "two_unnests": _q_two_unnests,
     "chained_unnests": _q_chained_unnests,
     "nested_exists": _q_nested_exists,
+    "exists_row_and_item": _q_exists_row_and_item,
 }
 
 ALL_FORMATS = [StorageFormat.OPEN, StorageFormat.CLOSED, StorageFormat.INFERRED,
@@ -265,16 +279,6 @@ class TestReferenceParity:
 class _Opaque(Expr):
     """An Expr subclass the plan compiler has no case for."""
 
-    def evaluate(self, env):
-        return 1
-
-
-class _WrapsItem(_Opaque):
-    """Unknown subclass that mentions the quantifier variable."""
-
-    def children(self):
-        return (Var("r"),)
-
 
 class TestPlanTimeErrors:
     """What the pipeline cannot run fails when planned, before any scan."""
@@ -305,13 +309,20 @@ class TestPlanTimeErrors:
             inferred_dataset,
             scan("t").select(("id", field("t", "id"))).order_by("id").build())
 
+    def test_order_by_expression_in_grouped_query(self, inferred_dataset):
+        self._assert_rejected(
+            inferred_dataset,
+            scan("t").group_by(("id", field("t", "id"))).count_star("n")
+            .order_by(Var("n")).build())
+
     def test_unknown_expr_subclass(self, inferred_dataset):
         self._assert_rejected(
             inferred_dataset, scan("t").select(("x", _Opaque())).build())
-        quantified = Exists(field("t", "readings"), "r",
-                            And(Comparison("=", Var("r"), lit(1)), _WrapsItem()))
-        self._assert_rejected(
-            inferred_dataset, scan("t").where(quantified).count_star().build())
+        for unplannable in (_Opaque(), Var("nobody")):
+            quantified = Exists(field("t", "readings"), "r",
+                                And(Comparison("=", Var("r"), lit(1)), unplannable))
+            self._assert_rejected(
+                inferred_dataset, scan("t").where(quantified).count_star().build())
 
     def test_batch_size_must_be_positive(self, monkeypatch):
         for size in (0, -1):
@@ -426,6 +437,41 @@ class TestRegressions:
         assert {type(r["k"]) for r in result.rows} == {list, dict, str}
 
 
+    @pytest.mark.parametrize("storage_format", ALL_FORMATS)
+    def test_wildcard_paths_read_alike_on_every_format_and_flush_state(self, storage_format):
+        """``t.tags[*].t`` (one wildcard: aligned, ``[]`` for an absent
+        collection, a scalar or object passed through) and
+        ``t.rows[*][*].v`` (several: flattened) used to depend on the format
+        and on whether the record had been flushed."""
+        records = [
+            {"id": 0, "tags": [{"t": "a"}, {"u": 1}, {"t": "b"}],
+             "rows": [[{"v": 1}, {"w": 0}], [{"v": 2}]]},
+            {"id": 1},
+            {"id": 2, "tags": "solo", "rows": [[{"v": 3}], []]},
+            {"id": 3, "tags": {"t": "obj"}, "rows": []},
+            {"id": 4, "tags": None, "rows": [[{"v": 4}], "scalar"]},
+        ]
+        dataset = _dataset(storage_format, records=records, flush=False,
+                           name=f"batch_wildcards_{storage_format.value}")
+
+        def one_wildcard():
+            return (scan("t").select(("id", field("t", "id")),
+                                     ("ts", field("t", "tags", WILDCARD, "t"))).build())
+
+        def two_wildcards():
+            return (scan("t").select(("id", field("t", "id")),
+                                     ("vs", field("t", "rows", WILDCARD, WILDCARD, "v"))).build())
+
+        for flushed in (False, True):
+            if flushed:
+                dataset.flush_all()
+            result = _assert_matches_reference(dataset, one_wildcard, records)
+            assert [row["ts"] for row in result.rows] == \
+                [["a", MISSING, "b"], [], "solo", {"t": "obj"}, []]
+            result = _assert_matches_reference(dataset, two_wildcards, records)
+            assert [row["vs"] for row in result.rows] == [[1, 2], [], [3], [], [4]]
+
+
 # ---------------------------------------------------------------------------
 # the extractor over every kind of record view
 # ---------------------------------------------------------------------------
@@ -499,17 +545,20 @@ def _values(depth=2):
 _records = st.dictionaries(_field_names, _values(2), max_size=5)
 
 
-def _paths_of(value, prefix=(), wild_used=False):
-    """Single-wildcard paths reachable in a record (extractor test requests)."""
-    paths = []
+def _paths_of(value, prefix=()):
+    """Paths reachable in a record: exact ones, and at every value a ``"*"``
+    (over a list, an object, a scalar or NULL alike) — below a list also
+    under another ``"*"`` or an index (several wildcards, index after one)."""
+    paths = [prefix + (WILDCARD,)] if prefix else []
     if isinstance(value, dict):
         for key, child in value.items():
             paths.append(prefix + (key,))
-            paths.extend(_paths_of(child, prefix + (key,), wild_used))
-    elif isinstance(value, list) and not wild_used:
-        paths.append(prefix + (WILDCARD,))
-        for item in value[:2]:
-            paths.extend(_paths_of(item, prefix + (WILDCARD,), True))
+            paths.extend(_paths_of(child, prefix + (key,)))
+    elif isinstance(value, list):
+        paths.append(prefix + (0,))
+        for step, items in ((WILDCARD, value[:2]), (0, value[:1])):
+            for item in items:
+                paths.extend(_paths_of(item, prefix + (step,)))
     return paths
 
 
@@ -523,18 +572,26 @@ class TestBatchProperties:
     @_prop_settings
     @given(record=_records)
     def test_extractor_matches_get_values(self, record):
-        """The trie walk over the bytes must equal plain-dict navigation.
-
-        ``VectorRecordView.get_values`` is the same extractor (cached per
-        path set), so the reference is the dict-side view of the record.
-        """
+        """Every way to read a path out of a record — the trie walk over the
+        vector bytes (uncompacted and compacted), offset-guided ADM access,
+        the plain-dict view — must equal ``navigate`` over the record."""
+        schema = InferredSchema(None)
+        schema.observe(record)
         payload = VectorEncoder(None).encode(record)
-        view = VectorRecordView(payload)
-        paths = list(dict.fromkeys(_paths_of(record)))[:24]
-        paths.append(("definitely_not_a_field",))
-        expected = DictRecordView(record).get_values(*paths)
-        assert BatchExtractor(paths).extract(view) == expected
-        assert view.get_values(*paths) == expected
+        views = [VectorRecordView(payload),
+                 VectorRecordView(compact_record(payload, schema.dictionary), None,
+                                  schema.dictionary),
+                 ADMRecordView(ADMEncoder(None).encode(record)),
+                 DictRecordView(record)]
+        paths = list(dict.fromkeys(_paths_of(record)))[:32]
+        paths += [("definitely_not_a_field",), ("definitely_not_a_field", WILDCARD),
+                  (WILDCARD,), (0,)]
+        expected = [navigate(record, path) for path in paths]
+        for view in views:
+            assert [view.get_field(*path) for path in paths] == expected
+            assert BatchExtractor(paths).extract(view) == expected
+        assert views[0].get_values(*paths) == expected
+        assert views[-1].get_values(*paths) == expected
 
     @_engine_settings
     @given(records=st.lists(_records, min_size=1, max_size=12),

@@ -16,9 +16,13 @@ from repro.query import (
     lit,
     scan,
 )
+from repro.query.batch_compile import _Context, compile_expr
 from repro.query.expressions import Not
 from repro.query.optimizer import Optimizer
 from repro.types import MISSING
+from repro.vector import ColumnBatch
+
+from reference import evaluate
 
 RECORDS = [
     {
@@ -52,38 +56,50 @@ def open_dataset():
     return _dataset(StorageFormat.OPEN)
 
 
+def _assert_evaluates(expr, env, expected):
+    """``expr`` under ``env`` (variable name -> plain value) yields ``expected``
+    both from the engine's compiled evaluator, run over a one-row batch that
+    binds each name as a column, and from the reference interpreter."""
+    ctx = _Context("record", set(), access_at_scan=False)
+    ctx.bound = set(env)
+    batch = ColumnBatch(None, {(name, ()): [value] for name, value in env.items()}, 1)
+    (compiled,) = compile_expr(expr, ctx)(batch)
+    for value in (compiled, evaluate(expr, env)):
+        assert type(value) is type(expected) and value == expected
+
+
 class TestExpressions:
     def test_field_access_on_dict(self):
         env = {"t": {"a": {"b": [1, 2, 3]}}}
-        assert field("t", "a", "b", 1).evaluate(env) == 2
-        assert field("t", "a", "zzz").evaluate(env) is MISSING
+        _assert_evaluates(field("t", "a", "b", 1), env, 2)
+        _assert_evaluates(field("t", "a", "zzz"), env, MISSING)
 
     def test_comparison_missing_propagation(self):
         env = {"t": {"a": 5}}
-        assert Comparison(">", field("t", "b"), lit(1)).evaluate(env) is MISSING
-        assert And(Comparison(">", field("t", "b"), lit(1))).evaluate(env) is False
+        _assert_evaluates(Comparison(">", field("t", "b"), lit(1)), env, MISSING)
+        _assert_evaluates(And(Comparison(">", field("t", "b"), lit(1))), env, False)
 
     def test_boolean_operators(self):
         env = {}
-        assert And(lit(True), lit(1)).evaluate(env) is True
-        assert And(lit(True), lit(0)).evaluate(env) is False
-        assert Or(lit(False), lit(3)).evaluate(env) is True
-        assert Not(lit(False)).evaluate(env) is True
+        _assert_evaluates(And(lit(True), lit(1)), env, True)
+        _assert_evaluates(And(lit(True), lit(0)), env, False)
+        _assert_evaluates(Or(lit(False), lit(3)), env, True)
+        _assert_evaluates(Not(lit(False)), env, True)
 
     def test_functions(self):
         env = {"t": {"name": "Ann", "tags": ["a", "b"]}}
-        assert Func("length", field("t", "name")).evaluate(env) == 3
-        assert Func("lowercase", lit("ABC")).evaluate(env) == "abc"
-        assert Func("array_count", field("t", "tags")).evaluate(env) == 2
-        assert Func("array_contains", field("t", "tags"), lit("a")).evaluate(env) is True
-        assert Func("is_array", field("t", "name")).evaluate(env) is False
+        _assert_evaluates(Func("length", field("t", "name")), env, 3)
+        _assert_evaluates(Func("lowercase", lit("ABC")), env, "abc")
+        _assert_evaluates(Func("array_count", field("t", "tags")), env, 2)
+        _assert_evaluates(Func("array_contains", field("t", "tags"), lit("a")), env, True)
+        _assert_evaluates(Func("is_array", field("t", "name")), env, False)
 
     def test_exists(self):
         env = {"t": {"hashtags": [{"text": "jobs"}, {"text": "other"}]}}
         predicate = Comparison("=", field("ht", "text"), lit("jobs"))
-        assert Exists(field("t", "hashtags"), "ht", predicate).evaluate(env) is True
+        _assert_evaluates(Exists(field("t", "hashtags"), "ht", predicate), env, True)
         bad = Comparison("=", field("ht", "text"), lit("nope"))
-        assert Exists(field("t", "hashtags"), "ht", bad).evaluate(env) is False
+        _assert_evaluates(Exists(field("t", "hashtags"), "ht", bad), env, False)
 
     def test_unknown_function_rejected(self):
         from repro.errors import QueryError

@@ -2,7 +2,7 @@
 exactly the rows of its fluent-builder twin (the ISSUE's acceptance bar).
 
 Runs all twelve workload queries (Twitter, WoS, Sensors × Q1–Q4) on the
-open, inferred, and closed storage formats, plus the examples' quickstart
+open, inferred, closed and SL-VB storage formats, plus the examples' quickstart
 query — the textual plan and the builder plan go through the same optimizer
 and executor, so their rows must be *identical*, not merely equivalent.
 """
@@ -19,7 +19,8 @@ WORKLOADS = {
     "sensors": (sensors, 90),
 }
 
-FORMATS = (StorageFormat.OPEN, StorageFormat.INFERRED, StorageFormat.CLOSED)
+FORMATS = (StorageFormat.OPEN, StorageFormat.INFERRED, StorageFormat.CLOSED,
+           StorageFormat.SL_VB)
 
 _datasets = {}
 

@@ -155,12 +155,6 @@ class TestGetValues:
         assert view.get_field("does_not_exist") is MISSING
         assert view.get_field("name", "oops") is MISSING
 
-    def test_get_items(self):
-        datatype = _datatype()
-        view = VectorRecordView(VectorEncoder(datatype).encode(APPENDIX_RECORD), datatype)
-        assert len(view.get_items("dependents")) == 3
-        assert view.get_items("missing_field") == []
-
 
 class TestCompaction:
     def _schema_for(self, records, datatype):
