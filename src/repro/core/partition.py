@@ -6,12 +6,19 @@ dataset's record-format codec, and — when the dataset enables the tuple
 compactor — hosts the partition-local :class:`~repro.core.TupleCompactor`
 whose schema is entirely independent of other partitions' schemas
 (paper §3.4.1).
+
+It is also the only translator between the two: the LSM index hands out
+stored rows (:class:`~repro.lsm.lsm_index.SearchResult`) from lookups, scans
+and probes alike, and :meth:`Partition._view` is the one place a stored row
+becomes a record view.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from ..cache import cached_component_scan
+from ..cache.column_cache import paths_cache_key
 from ..config import DatasetConfig
 from ..errors import KeyNotFoundError
 from ..lsm import LSMBTree, LSMIOScheduler, SecondaryIndexDef, make_merge_policy, recover_index
@@ -111,64 +118,56 @@ class Partition:
 
     # ------------------------------------------------------------------ reads
 
+    def _view(self, payload: bytes, schema: Optional[InferredSchema],
+              record: Optional[Dict[str, Any]] = None) -> Any:
+        """The one stored row → record view conversion: the dict of a row
+        still in a memtable, else the payload opened under the schema of the
+        component it came from."""
+        if record is not None:
+            return DictRecordView(record)
+        return self.codec.view(payload, schema or self.current_schema())
+
     def search(self, key: Any) -> Optional[Dict[str, Any]]:
         result = self.index.search(key)
         if result is None:
             return None
-        if result.record is not None:
-            return result.record
-        return self.codec.decode(result.payload, result.schema or self.current_schema())
+        return self._view(result.payload, result.schema, result.record).materialize()
+
+    def scan_rows(self, paths: Sequence[Tuple[Any, ...]] = (), extractor: Any = None,
+                  slice_stats: Any = None) -> Iterator[Tuple[Any, Any]]:
+        """The row stream of a full scan: one ``(values, view)`` pair per live
+        record in key order, exactly one of the two non-None.
+
+        Given an ``extractor`` (compiled for ``paths``) and an enabled
+        column-slice cache, on-disk components are scanned through the cache
+        and their rows arrive decoded: ``values`` is the tuple of column
+        values aligned with ``paths``.  Every other row — memtable hits, and
+        all rows otherwise — arrives as its record ``view``.
+        """
+        cache = self.environment.column_cache
+        source = None
+        if extractor is not None and cache.enabled:
+            pkey = paths_cache_key(paths)
+
+            def source(component):
+                return cached_component_scan(
+                    cache, component, lambda payload: self._view(payload, component.schema),
+                    extractor, pkey, slice_stats)
+
+        for result in self.index.scan(component_source=source):
+            if result.values is not None:
+                yield result.values, None
+            else:
+                yield None, self._view(result.payload, result.schema, result.record)
 
     def scan_views(self) -> Iterator[Any]:
-        """Yield a record view per live record (the query engine's scan source)."""
-        for result in self.index.scan():
-            if result.record is not None:
-                yield DictRecordView(result.record)
-            else:
-                yield self.codec.view(result.payload, result.schema or self.current_schema())
+        """Yield a record view per live record."""
+        for _, view in self.scan_rows():
+            yield view
 
     def scan_records(self) -> Iterator[Dict[str, Any]]:
         for view in self.scan_views():
             yield view.materialize()
-
-    def slice_scan_views(self, paths: Sequence[Tuple[Any, ...]], extractor: Any,
-                         slice_stats: Any = None) -> Optional[Iterator[Tuple[Any, Any]]]:
-        """Scan through the environment's decoded column-slice cache.
-
-        Yields one ``(values, view)`` pair per live record in key order:
-        ``values`` is the tuple of decoded column values aligned with
-        ``paths`` for rows served (or freshly decoded) on the cached disk
-        path, ``view`` is the record view for rows that still need
-        extraction (memtable hits).  Exactly one of the two is non-None.
-        Returns ``None`` when the cache is disabled, in which case callers
-        use :meth:`scan_views` unchanged.
-        """
-        cache = self.environment.column_cache
-        if cache is None or not cache.enabled:
-            return None
-        from ..cache import cached_component_scan
-        from ..cache.column_cache import paths_cache_key
-
-        pkey = paths_cache_key(paths)
-
-        def source(component):
-            def decode(payload):
-                return self.codec.view(payload, component.schema or self.current_schema())
-
-            return cached_component_scan(cache, component, decode, extractor,
-                                         pkey, slice_stats)
-
-        def generate():
-            for result in self.index.scan(component_source=source):
-                if result.values is not None:
-                    yield result.values, None
-                elif result.record is not None:
-                    yield None, DictRecordView(result.record)
-                else:
-                    yield None, self.codec.view(result.payload,
-                                                result.schema or self.current_schema())
-
-        return generate()
 
     # ------------------------------------------------------------------ secondary indexes
 
@@ -231,38 +230,11 @@ class Partition:
 
     def probe_views(self, index_name: str, low: Any, high: Any,
                     low_inclusive: bool = True, high_inclusive: bool = True) -> Iterator[Any]:
-        """Candidate record views for an index probe (the query engine's source).
-
-        Yields the newest version of every record the secondary index places
-        in the range, plus every live memtable record (the in-memory
-        component is not secondary-indexed, so it is swept wholesale — a
-        memory-only operation).  The stream is a *superset* of the true
-        answer: callers must re-apply the predicate, because an indexed key's
-        newest version may no longer satisfy it.
-        """
-        with self.index.read_guard():
-            memtable_keys = set()
-            # Sweep the mutable *and* sealed memtables (reconciled newest
-            # wins): sealed entries are not secondary-indexed yet either.
-            for entry in self.index.memory_entries_snapshot():
-                memtable_keys.add(entry.key)
-                if entry.is_antimatter:
-                    continue
-                if entry.record is not None:
-                    yield DictRecordView(entry.record)
-                else:
-                    yield self.codec.view(entry.encoded, self.current_schema())
-            keys = self.index.secondary_candidate_keys(index_name, low, high,
-                                                       low_inclusive, high_inclusive)
-            keys.sort()
-            for key in keys:
-                if key in memtable_keys:
-                    continue  # the memtable sweep already yielded the newest version
-                disk = self.index._search_disk(key)
-                if disk is None:
-                    continue
-                payload, component = disk
-                yield self.codec.view(payload, component.schema or self.current_schema())
+        """Candidate record views for an index probe (the query engine's
+        source): the rows of :meth:`LSMBTree.probe` — a *superset* of the
+        true answer, so callers must re-apply the predicate."""
+        for result in self.index.probe(index_name, low, high, low_inclusive, high_inclusive):
+            yield self._view(result.payload, result.schema, result.record)
 
     # ------------------------------------------------------------------ maintenance & stats
 

@@ -13,22 +13,34 @@ key range, basic statistics, and — for datasets with the tuple compactor
 enabled — the serialized schema snapshot that covers the component
 (paper §3.1: "the component's inferred in-memory schema is persisted in the
 component's Metadata Page before setting the component as VALID").
+
+The component owns what hangs off it: its primary-key and secondary index
+trees (:meth:`OnDiskComponent.attach_auxiliaries` builds or re-opens them;
+only this module knows their file names), each index's field statistics,
+the reason it was quarantined, and how its files die
+(:func:`delete_component_files`).
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..btree import BTree, BTreeInfo, BulkLoader, LeafEntry
-from ..errors import ComponentStateError, StorageError
+from ..btree.keycodec import decode_key, encode_key
+from ..errors import ComponentStateError, QuarantinedComponentError, StorageError
 from ..schema import InferredSchema
 from ..storage.buffer_cache import BufferCache
 from .component_id import ComponentId
 
 _FOOTER_MAGIC = 0x4C534D43  # "LSMC"
 _FOOTER = struct.Struct("<IIIII")  # magic, valid, metadata_start, metadata_pages, metadata_length
+
+#: What follows a component's own file name in its auxiliary files' names:
+#: the primary-key index, and (before the index's name) a secondary index.
+_PK_SUFFIX = ".pk"
+_IX_INFIX = ".ix."
 
 
 @dataclass
@@ -100,8 +112,6 @@ class ComponentMetadata:
     schema_bytes: bytes = b""
 
     def to_bytes(self) -> bytes:
-        from ..btree.keycodec import encode_key
-
         def _key_blob(key: Any) -> bytes:
             if key is None:
                 return struct.pack("<I", 0)
@@ -125,8 +135,6 @@ class ComponentMetadata:
 
     @classmethod
     def from_bytes(cls, payload: bytes) -> "ComponentMetadata":
-        from ..btree.keycodec import decode_key
-
         values = struct.unpack_from("<iiIIIIIII", payload, 0)
         cursor = struct.calcsize("<iiIIIIIII")
 
@@ -172,11 +180,16 @@ class OnDiskComponent:
         #: Optional key-only B+-tree used to cheapen upsert existence checks.
         self.primary_key_index: Optional[BTree] = None
         self.primary_key_file: Optional[str] = None
-        #: Per secondary index name: this component's index file, its opened
-        #: B+-tree, and the indexed field's statistics for the cost model.
-        self.secondary_files: Dict[str, str] = {}
+        #: Per secondary index name: this component's opened B+-tree and the
+        #: indexed field's statistics for the cost model.  A live component
+        #: has a tree for every index registered on its LSM index.
         self.secondary_trees: Dict[str, BTree] = {}
         self.secondary_stats: Dict[str, Any] = {}
+        #: Why reads of this component fail — one of its pages failed its
+        #: CRC32 check — or None.  With no replica to route to, every read
+        #: touching a quarantined component raises QuarantinedComponentError:
+        #: a typed error beats silently missing rows.
+        self.quarantine_reason: Optional[str] = None
 
     # -- convenience -----------------------------------------------------------------
 
@@ -210,6 +223,94 @@ class OnDiskComponent:
             return self.primary_key_index.search(key) is not None
         return self.search(key) is not None
 
+    def quarantined_error(self) -> QuarantinedComponentError:
+        return QuarantinedComponentError(
+            f"component {self.file_name} is quarantined: {self.quarantine_reason}",
+            component_name=self.file_name)
+
+    # -- auxiliary trees -------------------------------------------------------------
+
+    def attach_auxiliaries(self, definitions: Sequence[Any], primary_key_index: bool,
+                           entries: Optional[Sequence[LeafEntry]] = None) -> None:
+        """Attach the key-only primary-key index (when ``primary_key_index``)
+        and one ``(value, primary key)`` tree per secondary index definition.
+
+        With ``entries`` — the primary tree's leaf entries, in hand after a
+        flush, merge or bulk load, or scanned for a CREATE INDEX backfill —
+        every tree is built.  Without (crash recovery) a file left VALID
+        before the crash is re-opened, and one that is missing or INVALID is
+        rebuilt from a scan of the primary tree, which holds everything an
+        auxiliary tree does.  Auxiliary trees are written through
+        :class:`ComponentWriter` too, so they carry their own footer and
+        metadata and re-open without a rebuild.  A failure leaves what was
+        written so far for the caller to delete (:func:`delete_component_files`,
+        or :meth:`drop_secondary_index` after a failed backfill).
+        """
+        from ..datasets.stats import FieldStatistics
+
+        reopen = entries is None
+
+        def attach(suffix: str, derive) -> Tuple[BTree, ComponentMetadata]:
+            nonlocal entries
+            file_name = self.file_name + suffix
+            metadata = read_component_metadata(self.buffer_cache, file_name) if reopen else None
+            if metadata is None:
+                if entries is None:
+                    entries = list(self.scan())
+                metadata = ComponentWriter(self.buffer_cache, file_name).write(
+                    self.component_id, derive(entries))
+            return BTree(self.buffer_cache, file_name, metadata.btree_info), metadata
+
+        if primary_key_index:
+            self.primary_key_index, _ = attach(_PK_SUFFIX, _key_only_entries)
+            self.primary_key_file = self.primary_key_index.file_name
+        for definition in definitions:
+            tree, metadata = attach(
+                _IX_INFIX + definition.name,
+                lambda primary: _secondary_entries(definition, primary, self.schema))
+            # The tree is sorted on (value, primary key) — the sort rejects
+            # values that do not share an order — so the field's min and max
+            # sit in the key range its metadata records, beside the count.
+            statistics = FieldStatistics(definition.field_path or (), metadata.record_count)
+            if metadata.min_key is not None:
+                statistics.min_value, statistics.max_value = metadata.min_key[0], metadata.max_key[0]
+            self.secondary_trees[definition.name] = tree
+            self.secondary_stats[definition.name] = statistics
+
+    def drop_secondary_index(self, index_name: str) -> None:
+        """Forget one secondary index: tree, statistics and file, attached or
+        half-written — the rollback of a failed CREATE INDEX backfill."""
+        self.secondary_trees.pop(index_name, None)
+        self.secondary_stats.pop(index_name, None)
+        _delete_file(self.buffer_cache, self.file_name + _IX_INFIX + index_name)
+
+    def secondary_keys(self, index_name: str, low: Any, high: Any,
+                       low_inclusive: bool, high_inclusive: bool) -> List[Any]:
+        """Primary keys whose indexed value this component places in the range."""
+        tree = self.secondary_trees.get(index_name)
+        if tree is None:
+            raise ComponentStateError(
+                f"component {self.file_name} has no tree for index {index_name!r}")
+        matched: List[Any] = []
+        try:
+            # The composite keys are (value, primary_key); a 1-tuple lower
+            # bound compares below every composite sharing the same value.
+            for entry in tree.range_scan((low,) if low is not None else None, None):
+                value, primary_key = entry.key
+                if high is not None and (value > high
+                                         or (not high_inclusive and value == high)):
+                    break
+                if low_inclusive or low is None or value != low:
+                    matched.append(primary_key)
+        except TypeError:
+            # The bounds and this component's values do not share an order
+            # (a numeric predicate over a string-valued component).  The
+            # values themselves do — the build sorted them — so no entry can
+            # be compared with the bounds and none satisfies the predicate,
+            # like the scan path's residual comparison evaluating to MISSING.
+            return []
+        return matched
+
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         state = "VALID" if self.valid else "INVALID"
         return f"OnDiskComponent({self.component_id}, {state}, records={self.record_count})"
@@ -232,16 +333,13 @@ class ComponentWriter:
         leaving the component INVALID on disk — used by crash-recovery tests
         to model a crash in the middle of a flush (paper §3.1.2).
         """
-        manager = self.buffer_cache.file_manager
-        if manager.exists(self.file_name):
-            # Component files are write-once; an existing file is a leftover
-            # from a failed earlier attempt (e.g. a transient I/O fault mid
-            # flush).  Resuming into it would violate the sequential-write
-            # invariant, so recreate from scratch — that is what makes
-            # flush/merge tasks safely retryable.
-            self.buffer_cache.invalidate_file(self.file_name)
-            manager.delete_file(self.file_name)
-        manager.create_file(self.file_name)
+        # Component files are write-once; an existing file is a leftover
+        # from a failed earlier attempt (e.g. a transient I/O fault mid
+        # flush).  Resuming into it would violate the sequential-write
+        # invariant, so recreate from scratch — that is what makes
+        # flush/merge tasks safely retryable.
+        _delete_file(self.buffer_cache, self.file_name)
+        self.buffer_cache.file_manager.create_file(self.file_name)
         info = BulkLoader(self.buffer_cache, self.file_name).build(entries)
 
         record_count = sum(1 for entry in entries if not entry.is_antimatter)
@@ -276,17 +374,53 @@ class ComponentWriter:
         return pages
 
 
-def delete_component_files(buffer_cache: BufferCache, file_name: str) -> List[str]:
-    """Delete a component's primary file and whatever auxiliary files
-    (``.pk``, ``.ix.*``) exist beside it, registered on a component object or
-    not — the clean-up after a failed build and of an INVALID component
-    found by recovery.  Returns the names deleted."""
+def _key_only_entries(entries: Sequence[LeafEntry]) -> List[LeafEntry]:
+    return [LeafEntry(entry.key, b"", entry.is_antimatter) for entry in entries]
+
+
+def _secondary_entries(definition: Any, entries: Sequence[LeafEntry],
+                       schema: Optional[InferredSchema]) -> List[LeafEntry]:
+    """One secondary index's leaf entries for a component: ``(value, primary
+    key)`` composites in order, each pointing back at its primary key.
+    Raises ``TypeError`` when the indexed values do not share an order."""
+    keyed = []
+    for entry in entries:
+        if entry.is_antimatter:
+            continue
+        value = definition.extractor(entry.value, schema)
+        if value is not None:
+            keyed.append((value, entry.key))
+    keyed.sort()
+    return [LeafEntry(key, encode_key(key[1])) for key in keyed]
+
+
+def _delete_file(buffer_cache: BufferCache, file_name: str) -> None:
     manager = buffer_cache.file_manager
-    doomed = [name for name in manager.list_files()
+    if manager.exists(file_name):
+        buffer_cache.invalidate_file(file_name)
+        manager.delete_file(file_name)
+
+
+def primary_component_files(buffer_cache: BufferCache, prefix: str) -> List[str]:
+    """The primary component files under ``prefix`` (an index's
+    :meth:`~repro.lsm.LSMBTree.file_prefix`).  A file is auxiliary by what
+    follows the component's own name — after the prefix, a component id and
+    nothing else — never by a substring of the whole name: a dataset may
+    well be called ``logs.pkg``."""
+    return [name for name in buffer_cache.file_manager.list_files()
+            if name.startswith(prefix) and "." not in name[len(prefix):]]
+
+
+def delete_component_files(buffer_cache: BufferCache, file_name: str) -> List[str]:
+    """Delete a component's primary file and whatever auxiliary files exist
+    beside it, attached to a component object or not — the one way a
+    component's files go: a dropped (merged-away) component, the clean-up
+    after a failed build, and an INVALID component found by recovery.
+    Returns the names deleted."""
+    doomed = [name for name in buffer_cache.file_manager.list_files()
               if name == file_name or name.startswith(file_name + ".")]
     for name in doomed:
-        buffer_cache.invalidate_file(name)
-        manager.delete_file(name)
+        _delete_file(buffer_cache, name)
     return doomed
 
 

@@ -21,13 +21,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..btree import BTree, LeafEntry
+from ..btree import LeafEntry
 from ..errors import (
     ComponentStateError,
     CorruptPageError,
     DuplicateKeyError,
     KeyNotFoundError,
-    QuarantinedComponentError,
     SchedulerError,
 )
 from ..obs import (COMPONENT_QUARANTINED, MetricsRegistry, StatsDictMixin,
@@ -158,8 +157,8 @@ class LSMBTree:
         self.max_merge_debt = max_merge_debt
         #: Decoded column-slice cache shared by the owning environment's
         #: datasets (:class:`repro.cache.ColumnSliceCache`), or None.  The
-        #: index only *invalidates* it (component drops and quarantines);
-        #: population happens on the scan path via ``component_source``.
+        #: index only *invalidates* it (:meth:`_evict_slices`); population
+        #: happens on the scan path via ``component_source``.
         self.column_cache = column_cache
         #: Monotone component-lifecycle counter: bumped by every flush,
         #: merge, bulk load, CREATE INDEX backfill, and quarantine — i.e.
@@ -198,15 +197,10 @@ class LSMBTree:
         self._read_lock = threading.Lock()
         self._active_reads = 0  # guarded-by: _read_lock
         self._deferred_drops: List[OnDiskComponent] = []  # guarded-by: _read_lock
-        #: Components whose pages failed their CRC32 check, keyed by file
-        #: name with the failure reason.  With no replica to route to, every
-        #: read touching a quarantined component raises
-        #: QuarantinedComponentError — a typed error beats silently missing
-        #: rows (the chaos suite's core guarantee).
-        self._quarantined: Dict[str, str] = {}  # guarded-by: _read_lock
         # Maintenance bookkeeping.  The maintenance lock serializes all
-        # structure-mutating operations (flush, merge) of this index — the
-        # background pools parallelize *across* partitions, never within one.
+        # structure-mutating operations (flush, merge, CREATE INDEX) of this
+        # index — the background pools parallelize *across* partitions,
+        # never within one.
         # The rotation condition guards the sealed-memtable list and the
         # in-flight counters (submissions a scheduler holds; always zero
         # without one), and is what backpressured writers and
@@ -221,17 +215,16 @@ class LSMBTree:
 
     # ------------------------------------------------------------------ naming
 
-    def _component_file(self, component_id: ComponentId) -> str:
-        return f"{self.name}_p{self.partition}_c{component_id.file_suffix}"
-
     def file_prefix(self) -> str:
+        """What every component file of this index starts with; the
+        component id's ``file_suffix`` follows."""
         return f"{self.name}_p{self.partition}_c"
 
     # ------------------------------------------------------------------ write path
 
     def insert(self, key: Any, record: Dict[str, Any], encoded: bytes) -> None:
         """Insert a new record (data feeds and loads; key assumed fresh)."""
-        if self.check_duplicate_keys and self._exists_anywhere(key):
+        if self.check_duplicate_keys and self.search(key) is not None:
             raise DuplicateKeyError(f"primary key {key!r} already exists")
         self._log(LogRecordType.INSERT, key, encoded)
         self.memory_component.put(MemEntry(key, is_antimatter=False, record=record, encoded=encoded))
@@ -302,8 +295,7 @@ class LSMBTree:
             self.stats.maintenance_point_lookups += 1
             if result is None:
                 return _NOT_FOUND
-            payload, component = result
-            return self.flush_callback.record_antischema(payload, component.schema)
+            return self.flush_callback.record_antischema(result.payload, result.schema)
 
     def _memory_lookup(self, key: Any) -> Optional[MemEntry]:
         """Newest in-memory version of ``key``: mutable, then sealed memtables."""
@@ -315,13 +307,6 @@ class LSMBTree:
             if entry is not None:
                 return entry
         return None
-
-    def _exists_anywhere(self, key: Any) -> bool:
-        entry = self._memory_lookup(key)
-        if entry is not None:
-            return not entry.is_antimatter
-        with self.read_guard():  # survive a concurrent background merge
-            return self._search_disk(key) is not None
 
     def _log(self, record_type: LogRecordType, key: Any, payload: bytes) -> None:
         if self.wal is not None:
@@ -520,7 +505,7 @@ class LSMBTree:
         """
         callback = self.flush_callback
         callback_state = callback.snapshot_state()
-        file_name = self._component_file(component_id)
+        file_name = self.file_prefix() + component_id.file_suffix
         with _tracer.span("lsm.merge" if replacing else "lsm.flush", index=self.name,
                           partition=self.partition, inputs=len(replacing)) as span:
             try:
@@ -529,7 +514,8 @@ class LSMBTree:
                     component_id, entries, schema_bytes, fail_before_footer=fail_before_footer)
                 component = OnDiskComponent(component_id, file_name, self.buffer_cache,
                                             metadata, schema=schema, valid=True)
-                self._build_auxiliary_indexes(component, entries)
+                component.attach_auxiliaries(self.secondary_indexes,
+                                             self.maintain_primary_key_index, entries)
                 if commit is not None:
                     commit()
             except BaseException:
@@ -726,29 +712,34 @@ class LSMBTree:
     def _drop_component(self, component: OnDiskComponent) -> None:
         self.flush_callback.on_component_deleted(component)
         with self._read_lock:
-            if self._active_reads:
-                # A concurrent scan/probe may still hold this component in
-                # its snapshot; a merged-away component stays readable (and
-                # VALID) until the last reader finishes and deletes its
-                # files — the moral equivalent of AsterixDB's ref-counted
-                # component lifecycle.
-                self._deferred_drops.append(component)
-                return
-        self._delete_component_files(component)
+            self._deferred_drops.append(component)
+        self._drain_drops()
 
-    def _delete_component_files(self, component: OnDiskComponent) -> None:
-        component.valid = False
-        manager = self.buffer_cache.file_manager
-        if self.column_cache is not None:
-            # Evict decoded slices before the file goes away: a cached read
+    def _drain_drops(self) -> None:
+        """Delete the files of dropped components no reader can still hold.
+
+        A concurrent scan/probe may still hold a merged-away component in
+        its snapshot; it stays readable (and VALID) until the last reader
+        finishes and deletes its files here — the moral equivalent of
+        AsterixDB's ref-counted component lifecycle.
+        """
+        with self._read_lock:
+            if self._active_reads:
+                return
+            drained, self._deferred_drops = self._deferred_drops, []
+        for component in drained:
+            component.valid = False
+            # Evict decoded slices before the files go away: a cached read
             # must never resurrect a merged-away component.
+            self._evict_slices(component)
+            delete_component_files(self.buffer_cache, component.file_name)
+
+    def _evict_slices(self, component: OnDiskComponent) -> None:
+        """Drop a component's decoded column slices: the one eviction hook,
+        called when the component leaves the tree (drop) and when it is
+        quarantined."""
+        if self.column_cache is not None:
             self.column_cache.invalidate_component(component.file_name)
-        self.buffer_cache.invalidate_file(component.file_name)
-        manager.delete_file(component.file_name)
-        if component.primary_key_file is not None:
-            manager.delete_file(component.primary_key_file)
-        for file_name in component.secondary_files.values():
-            manager.delete_file(file_name)
 
     @contextmanager
     def read_guard(self):
@@ -756,24 +747,19 @@ class LSMBTree:
 
         Ordering contract with :meth:`merge`: readers increment the counter
         *before* snapshotting ``self.components``; merge swaps the list
-        *before* checking the counter in :meth:`_drop_component`.  Any
+        *before* checking the counter in :meth:`_drain_drops`.  Any
         snapshot that can still reference a merged-away component was
         therefore taken by a reader the merge sees as active, and the
         component's files are deferred instead of deleted mid-read.
         """
         with self._read_lock:
             self._active_reads += 1
-        drained: List[OnDiskComponent] = []
         try:
             yield
         finally:
             with self._read_lock:
                 self._active_reads -= 1
-                if self._active_reads == 0 and self._deferred_drops:
-                    drained = self._deferred_drops
-                    self._deferred_drops = []
-            for component in drained:
-                self._delete_component_files(component)
+            self._drain_drops()
 
     # ------------------------------------------------------------------ auxiliary indexes
 
@@ -783,77 +769,27 @@ class LSMBTree:
         Newly flushed/merged components index themselves as they are built;
         components that already exist are scanned once here so that
         ``CREATE INDEX`` works on datasets with data (AsterixDB's bulk
-        secondary-index build).
+        secondary-index build).  Backfill and registration happen under the
+        maintenance lock, so a flush or merge in flight either installs its
+        component before the backfill sees the list or builds it against
+        the new definition list — never a live component without the tree.
         """
-        if any(existing.name == definition.name for existing in self.secondary_indexes):
-            raise ComponentStateError(f"secondary index {definition.name!r} already exists")
-        try:
-            for component in self.components:
-                entries = list(component.scan())
-                self._build_secondary_tree(component, definition, entries)
-        except Exception:
-            # Atomic create: a backfill failure (e.g. values of incomparable
-            # mixed types that cannot share one sort order) must not leave a
-            # half-built index behind.
-            self._remove_secondary_index_artifacts(definition.name)
-            raise
-        self.secondary_indexes.append(definition)
-        self.structure_version += 1
-
-    def _remove_secondary_index_artifacts(self, index_name: str) -> None:
-        manager = self.buffer_cache.file_manager
-        for component in self.components:
-            ix_file = component.secondary_files.pop(index_name, None)
-            component.secondary_trees.pop(index_name, None)
-            component.secondary_stats.pop(index_name, None)
-            if ix_file is not None and manager.exists(ix_file):
-                self.buffer_cache.invalidate_file(ix_file)
-                manager.delete_file(ix_file)
-
-    def _build_auxiliary_indexes(self, component: OnDiskComponent,
-                                 entries: Sequence[LeafEntry]) -> None:
-        """Build the per-component primary-key and secondary index B+-trees.
-
-        Auxiliary trees are written through :class:`ComponentWriter` too so
-        that they carry their own footer/metadata and can be re-opened during
-        crash recovery without rebuilding them.
-        """
-        if self.maintain_primary_key_index:
-            pk_file = component.file_name + ".pk"
-            pk_entries = [LeafEntry(entry.key, b"", entry.is_antimatter) for entry in entries]
-            metadata = ComponentWriter(self.buffer_cache, pk_file).write(
-                component.component_id, pk_entries)
-            component.primary_key_file = pk_file
-            component.primary_key_index = BTree(self.buffer_cache, pk_file, metadata.btree_info)
-        for definition in self.secondary_indexes:
-            self._build_secondary_tree(component, definition, entries)
-
-    def _build_secondary_tree(self, component: OnDiskComponent,
-                              definition: SecondaryIndexDef,
-                              entries: Sequence[LeafEntry]) -> None:
-        """Build one component's B+-tree for one secondary index definition."""
-        from ..datasets.stats import FieldStatistics
-
-        statistics = FieldStatistics(field_path=definition.field_path or ())
-        keyed = []
-        for entry in entries:
-            if entry.is_antimatter:
-                continue
-            value = definition.extractor(entry.value, component.schema)
-            if value is None:
-                continue
-            statistics.observe(value)
-            keyed.append(((value, entry.key), entry.key))
-        keyed.sort(key=lambda pair: pair[0])
-        ix_file = f"{component.file_name}.ix.{definition.name}"
-        ix_entries = [LeafEntry(key, _encode_primary_ref(primary))
-                      for key, primary in keyed]
-        metadata = ComponentWriter(self.buffer_cache, ix_file).write(
-            component.component_id, ix_entries)
-        component.secondary_files[definition.name] = ix_file
-        component.secondary_trees[definition.name] = BTree(
-            self.buffer_cache, ix_file, metadata.btree_info)
-        component.secondary_stats[definition.name] = statistics
+        self.drain_maintenance()
+        with self._maintenance_lock:
+            if self.secondary_index_def(definition.name) is not None:
+                raise ComponentStateError(f"secondary index {definition.name!r} already exists")
+            try:
+                for component in self.components:
+                    component.attach_auxiliaries([definition], False, list(component.scan()))
+            except Exception:
+                # Atomic create: a backfill failure (e.g. values of incomparable
+                # mixed types that cannot share one sort order) must not leave a
+                # half-built index behind.
+                for component in self.components:
+                    component.drop_secondary_index(definition.name)
+                raise
+            self.secondary_indexes.append(definition)
+            self.structure_version += 1
 
     def secondary_index_def(self, index_name: str) -> Optional[SecondaryIndexDef]:
         for definition in self.secondary_indexes:
@@ -878,9 +814,7 @@ class LSMBTree:
 
         merged = FieldStatistics(field_path=definition.field_path or ())
         for component in list(self.components):
-            statistics = component.secondary_stats.get(index_name)
-            if statistics is not None:
-                merged = merged.merge(statistics)
+            merged = merged.merge(component.secondary_stats[index_name])
         return merged
 
     def secondary_candidate_keys(self, index_name: str, low: Any, high: Any,
@@ -897,69 +831,46 @@ class LSMBTree:
         """
         if self.secondary_index_def(index_name) is None:
             raise KeyNotFoundError(f"unknown secondary index {index_name!r}")
-        keys: List[Any] = []
-        seen: set = set()
         components = list(self.components)
         self._raise_if_quarantined(components)
+        keys: Dict[Any, None] = {}  # insertion-ordered set
         for component in components:
-            tree = component.secondary_trees.get(index_name)
-            if tree is None:
-                continue
             try:
-                try:
-                    matched = self._tree_range_keys(tree, low, high, low_inclusive, high_inclusive)
-                except TypeError:
-                    # The bounds and this component's indexed values do not share
-                    # an order (e.g. a numeric predicate over a string-valued
-                    # component): the B+-tree descent cannot compare them.  Fall
-                    # back to walking the whole tree, keeping only entries that
-                    # *are* comparable and in range — incomparable values can
-                    # never satisfy the predicate, exactly like the scan path,
-                    # where the residual comparison evaluates to MISSING.
-                    matched = self._tree_filtered_keys(tree, low, high, low_inclusive, high_inclusive)
+                keys.update(dict.fromkeys(component.secondary_keys(
+                    index_name, low, high, low_inclusive, high_inclusive)))
             except CorruptPageError as exc:
                 self._quarantine_component(component, exc)
-            for primary_key in matched:
-                if primary_key in seen:
-                    continue
-                seen.add(primary_key)
-                keys.append(primary_key)
-        return keys
+        return list(keys)
 
-    @staticmethod
-    def _tree_range_keys(tree: BTree, low: Any, high: Any,
-                         low_inclusive: bool, high_inclusive: bool) -> List[Any]:
-        # The composite keys are (value, primary_key); a 1-tuple lower
-        # bound compares below every composite sharing the same value.
-        low_key = (low,) if low is not None else None
-        matched: List[Any] = []
-        for entry in tree.range_scan(low_key, None):
-            value, primary_key = entry.key
-            if high is not None and (value > high
-                                     or (not high_inclusive and value == high)):
-                break
-            if not low_inclusive and low is not None and value == low:
-                continue
-            matched.append(primary_key)
-        return matched
+    def probe(self, index_name: str, low: Any, high: Any, low_inclusive: bool = True,
+              high_inclusive: bool = True) -> Iterator[SearchResult]:
+        """Index-probe candidates, leaving the index the way a scan does.
 
-    @staticmethod
-    def _tree_filtered_keys(tree: BTree, low: Any, high: Any,
-                            low_inclusive: bool, high_inclusive: bool) -> List[Any]:
-        matched: List[Any] = []
-        for entry in tree.scan_all():
-            value, primary_key = entry.key
-            try:
-                if low is not None and (value < low
-                                        or (not low_inclusive and value == low)):
-                    continue
-                if high is not None and (value > high
-                                         or (not high_inclusive and value == high)):
-                    continue
-            except TypeError:
-                continue
-            matched.append(primary_key)
-        return matched
+        Yields the newest version of every record the secondary index places
+        in the range, plus every live memtable record — mutable *and* sealed,
+        reconciled newest wins: the in-memory components are not
+        secondary-indexed, so they are swept wholesale (a memory-only
+        operation).  The stream is a *superset* of the true answer: callers
+        must re-apply the predicate, because an indexed key's newest version
+        may no longer satisfy it.  One read guard spans the sweep, the
+        candidate keys and the lookups.
+        """
+        with self.read_guard():
+            schema = self.current_schema()
+            swept = self.memory_entries_snapshot()
+            for entry in swept:
+                if not entry.is_antimatter:
+                    yield SearchResult(entry.key, entry.encoded, schema, True, entry.record)
+            memtable_keys = {entry.key for entry in swept}
+            keys = self.secondary_candidate_keys(index_name, low, high,
+                                                 low_inclusive, high_inclusive)
+            keys.sort()
+            for key in keys:
+                if key in memtable_keys:
+                    continue  # the memtable sweep already yielded the newest version
+                result = self._search_disk(key)
+                if result is not None:
+                    yield result
 
     # ------------------------------------------------------------------ read path
 
@@ -976,13 +887,9 @@ class LSMBTree:
                     return None
                 return SearchResult(key, entry.encoded, self.current_schema(), from_memory=True,
                                     record=entry.record)
-            disk = self._search_disk(key)
-            if disk is None:
-                return None
-            payload, component = disk
-            return SearchResult(key, payload, component.schema)
+            return self._search_disk(key)
 
-    def _search_disk(self, key: Any) -> Optional[Tuple[bytes, OnDiskComponent]]:
+    def _search_disk(self, key: Any) -> Optional[SearchResult]:
         components = list(self.components)
         self._raise_if_quarantined(components)
         for component in components:
@@ -994,15 +901,16 @@ class LSMBTree:
                 continue
             if found.is_antimatter:
                 return None
-            return found.value, component
+            return SearchResult(key, found.value, component.schema)
         return None
 
     # ------------------------------------------------------------------ quarantine
 
     def quarantined_components(self) -> Dict[str, str]:
-        """Quarantined component file names with their failure reasons."""
-        with self._read_lock:
-            return dict(self._quarantined)
+        """Quarantined live components' file names with their failure reasons."""
+        return {component.file_name: component.quarantine_reason
+                for component in list(self.components)
+                if component.quarantine_reason is not None}
 
     def _raise_if_quarantined(self, components: Sequence[OnDiskComponent]) -> None:
         """Fail fast when a read snapshot includes a quarantined component.
@@ -1010,35 +918,26 @@ class LSMBTree:
         A query whose snapshot needs a corrupt, replica-less component can
         only be answered wrong; the typed error is the correct outcome.
         """
-        with self._read_lock:
-            if not self._quarantined:
-                return
-            for component in components:
-                reason = self._quarantined.get(component.file_name)
-                if reason is not None:
-                    raise QuarantinedComponentError(
-                        f"component {component.file_name} is quarantined: {reason}",
-                        component_name=component.file_name)
+        for component in components:
+            if component.quarantine_reason is not None:
+                raise component.quarantined_error()
 
     def _quarantine_component(self, component: OnDiskComponent,
                               exc: CorruptPageError) -> None:
         """Record a corrupt component and surface the typed error."""
         with self._read_lock:
-            first_offender = component.file_name not in self._quarantined
-            self._quarantined[component.file_name] = str(exc)
+            first_offender = component.quarantine_reason is None
+            component.quarantine_reason = str(exc)
         if first_offender:
             self.structure_version += 1
-            if self.column_cache is not None:
-                # A corrupt component's decoded slices must not outlive its
-                # quarantine: evict them so every later read goes through
-                # _raise_if_quarantined instead of a warm cache.
-                self.column_cache.invalidate_component(component.file_name)
+            # A corrupt component's decoded slices must not outlive its
+            # quarantine: evict them so every later read goes through
+            # _raise_if_quarantined instead of a warm cache.
+            self._evict_slices(component)
             emit_event(COMPONENT_QUARANTINED, dataset=self.name,
                        partition=self.partition, component=component.file_name,
                        reason=str(exc))
-        raise QuarantinedComponentError(
-            f"component {component.file_name} is quarantined: {exc}",
-            component_name=component.file_name) from exc
+        raise component.quarantined_error() from exc
 
     def scan(self, component_source=None) -> Iterator[SearchResult]:
         """Full scan in key order, reconciling duplicates by recency.
@@ -1061,9 +960,7 @@ class LSMBTree:
         :attr:`SearchResult.values` for rows that win reconciliation.
         """
         with self.read_guard():
-            memory_snapshots: List[List[MemEntry]] = [self.memory_component.sorted_entries()]
-            for sealed in reversed(list(self.sealed_memtables)):  # newest first
-                memory_snapshots.append(sealed.memtable.sorted_entries())
+            memory_snapshots = self._memory_snapshots()
             schema = self.current_schema()
             components = list(self.components)
             self._raise_if_quarantined(components)
@@ -1107,6 +1004,14 @@ class LSMBTree:
     def component_count(self) -> int:
         return len(self.components)
 
+    def _memory_snapshots(self) -> List[List[MemEntry]]:
+        """Key-ordered snapshots of the in-memory components, newest first:
+        the mutable memtable *before* the sealed list (see :meth:`scan`)."""
+        snapshots = [self.memory_component.sorted_entries()]
+        snapshots.extend(sealed.memtable.sorted_entries()
+                         for sealed in reversed(list(self.sealed_memtables)))
+        return snapshots
+
     def memory_entries_snapshot(self) -> List[MemEntry]:
         """Newest in-memory version of every key with an in-memory entry.
 
@@ -1117,12 +1022,8 @@ class LSMBTree:
         secondary-indexed either.
         """
         merged: Dict[Any, MemEntry] = {}
-        mutable_snapshot = self.memory_component.sorted_entries()
-        for sealed in list(self.sealed_memtables):  # oldest -> newest
-            for entry in sealed.memtable.sorted_entries():
-                merged[entry.key] = entry
-        for entry in mutable_snapshot:
-            merged[entry.key] = entry
+        for entries in reversed(self._memory_snapshots()):  # oldest -> newest
+            merged.update((entry.key, entry) for entry in entries)
         return sorted(merged.values(), key=lambda entry: entry.key)
 
     def record_count(self) -> int:
@@ -1175,9 +1076,3 @@ def _reconcile(sources: Sequence[Iterator[Tuple]]) -> Iterator[Tuple[int, Tuple]
         if key != newest_key:
             newest_key = key
             yield rank, item
-
-
-def _encode_primary_ref(primary_key: Any) -> bytes:
-    from ..btree.keycodec import encode_key
-
-    return encode_key(primary_key)

@@ -3,8 +3,12 @@
 Recovery follows AsterixDB's protocol:
 
 1. discover the component files of the index and inspect their validity —
-   a component whose footer never made it to disk is INVALID and removed;
-2. reload the surviving VALID components, newest first, and load the
+   a component whose footer never made it to disk is INVALID and removed,
+   with whatever auxiliary files it left;
+2. reload the surviving VALID components, newest first — each re-opens its
+   VALID auxiliary trees and rebuilds, from its primary tree, any tree a
+   registered index lacks (:meth:`OnDiskComponent.attach_auxiliaries`; the
+   component never "just runs without it") — and load the
    *newest* valid component's persisted schema into the tuple compactor
    ("As C0 is the newest valid flushed component, the recovery manager will
    read and load the schema S0 into memory");
@@ -24,13 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from ..btree import BTree
 from ..errors import ReproError
 from ..schema import InferredSchema
 from ..storage.wal import LogRecordType, WriteAheadLog
 from ..types import Datatype
-from .component import (ComponentMetadata, MemEntry, OnDiskComponent, delete_component_files,
-                        read_component_metadata)
+from .component import (MemEntry, OnDiskComponent, delete_component_files,
+                        primary_component_files, read_component_metadata)
 from .lsm_index import LSMBTree
 
 
@@ -71,15 +74,8 @@ def recover_index(index: LSMBTree, wal: Optional[WriteAheadLog] = None,
         alongside their encodings).
     """
     report = RecoveryReport()
-    manager = index.buffer_cache.file_manager
-    prefix = index.file_prefix()
-    component_files = [
-        name for name in manager.list_files()
-        if name.startswith(prefix) and ".pk" not in name and ".ix." not in name
-    ]
-
     recovered: List[OnDiskComponent] = []
-    for file_name in component_files:
+    for file_name in primary_component_files(index.buffer_cache, index.file_prefix()):
         metadata = read_component_metadata(index.buffer_cache, file_name)
         if metadata is None:
             # INVALID component: remove it and any auxiliary files it left.
@@ -91,7 +87,7 @@ def recover_index(index: LSMBTree, wal: Optional[WriteAheadLog] = None,
             schema = InferredSchema.from_bytes(metadata.schema_bytes, datatype)
         component = OnDiskComponent(metadata.component_id, file_name, index.buffer_cache,
                                     metadata, schema=schema, valid=True)
-        _reopen_auxiliary_trees(index, component)
+        component.attach_auxiliaries(index.secondary_indexes, index.maintain_primary_key_index)
         recovered.append(component)
     recovered.sort(key=lambda component: component.component_id, reverse=True)
     index.components = recovered
@@ -134,50 +130,3 @@ def recover_index(index: LSMBTree, wal: Optional[WriteAheadLog] = None,
         report.flushed_after_replay = True
     return report
 
-
-def _reopen_auxiliary_trees(index: LSMBTree, component: OnDiskComponent) -> None:
-    """Attach ``component``'s primary-key and secondary index trees.
-
-    Auxiliary trees are written with their own footer and metadata section
-    (:meth:`LSMBTree._build_auxiliary_indexes`), so after a crash they are
-    re-opened rather than rebuilt.  One that is itself INVALID (a crash
-    during its construction) is discarded: what it held is reconstructable
-    from the primary component, which just runs without it.
-    """
-    manager = index.buffer_cache.file_manager
-
-    def reopen(file_name: str) -> Optional[ComponentMetadata]:
-        if not manager.exists(file_name):
-            return None
-        metadata = read_component_metadata(index.buffer_cache, file_name)
-        if metadata is None:
-            manager.delete_file(file_name)
-        return metadata
-
-    if index.maintain_primary_key_index:
-        pk_file = component.file_name + ".pk"
-        metadata = reopen(pk_file)
-        if metadata is not None:
-            component.primary_key_file = pk_file
-            component.primary_key_index = BTree(index.buffer_cache, pk_file, metadata.btree_info)
-    for definition in index.secondary_indexes:
-        ix_file = f"{component.file_name}.ix.{definition.name}"
-        metadata = reopen(ix_file)
-        if metadata is None:
-            continue
-        tree = BTree(index.buffer_cache, ix_file, metadata.btree_info)
-        component.secondary_files[definition.name] = ix_file
-        component.secondary_trees[definition.name] = tree
-        # Re-derive this component's field statistics for the cost model
-        # from two page reads: the tree is sorted on (value, primary_key),
-        # so min/max are the first and last entries and the count is in
-        # the component metadata — no full tree walk needed.
-        from ..datasets.stats import FieldStatistics
-
-        statistics = FieldStatistics(field_path=definition.field_path or ())
-        statistics.count = metadata.record_count
-        first, last = tree.first_entry(), tree.last_entry()
-        if first is not None and last is not None:
-            statistics.min_value = first.key[0]
-            statistics.max_value = last.key[0]
-        component.secondary_stats[definition.name] = statistics

@@ -206,7 +206,7 @@ class BatchScanOperator:
         self.probe = probe
         #: Serve full scans through the environment's decoded column-slice
         #: cache.  Only set for plans that never read ``batch.views`` (the
-        #: executor checks ``BatchQueryPlan.needs_views``): cached batches
+        #: executor checks ``BatchQueryPlan.needs_views``): their batches
         #: are built column-first with ``views=None``.
         self.use_slice_cache = use_slice_cache
         #: Records (or index-probe candidates) examined.
@@ -215,59 +215,43 @@ class BatchScanOperator:
         #: Column-slice cache row hits/misses of this scan (EXPLAIN ANALYZE).
         self.slice_stats = SliceScanStats()
 
-    def _views(self):
+    def _rows(self) -> Iterator[Tuple[Any, Any]]:
+        """``(values, view)`` per candidate: ``values`` for a row the slice
+        cache served decoded, else the ``view`` to extract from."""
         if self.probe is not None:
             probe = self.probe
-            return self.partition.probe_views(probe.index_name, probe.low, probe.high,
-                                              probe.low_inclusive, probe.high_inclusive)
-        return self.partition.scan_views()
+            return ((None, view) for view in self.partition.probe_views(
+                probe.index_name, probe.low, probe.high,
+                probe.low_inclusive, probe.high_inclusive))
+        if self.use_slice_cache:
+            return self.partition.scan_rows(self.scan_paths, self.extractor, self.slice_stats)
+        return self.partition.scan_rows()
 
     def __iter__(self) -> Iterator[ColumnBatch]:
-        if self.probe is None and self.use_slice_cache:
-            source = self.partition.slice_scan_views(self.scan_paths, self.extractor,
-                                                     self.slice_stats)
-            if source is not None:
-                yield from self._iter_slices(source)
-                return
-        buffer: List[Any] = []
-        for view in self._views():
-            self.records_scanned += 1
-            buffer.append(view)
-            if len(buffer) >= self.batch_size:
-                yield self._emit(buffer)
-                buffer = []
-        if buffer:
-            yield self._emit(buffer)
-
-    def _emit(self, views: List[Any]) -> ColumnBatch:
-        self.batches_emitted += 1
-        return ColumnBatch.from_views(views, self.record_var, self.scan_paths,
-                                      self.extractor)
-
-    def _iter_slices(self, source) -> Iterator[ColumnBatch]:
-        """Chunk ``(values, view)`` pairs into view-less ColumnBatches."""
         pending: List[Tuple[Any, Any]] = []
-        for pair in source:
+        for row in self._rows():
             self.records_scanned += 1
-            pending.append(pair)
+            pending.append(row)
             if len(pending) >= self.batch_size:
-                yield self._emit_slices(pending)
+                yield self._emit(pending)
                 pending = []
         if pending:
-            yield self._emit_slices(pending)
+            yield self._emit(pending)
 
-    def _emit_slices(self, pending: List[Tuple[Any, Any]]) -> ColumnBatch:
+    def _emit(self, rows: List[Tuple[Any, Any]]) -> ColumnBatch:
         self.batches_emitted += 1
-        extractor = self.extractor
         columns: List[List[Any]] = [[] for _ in self.scan_paths]
-        for values, view in pending:
-            if values is None:
-                values = extractor.extract(view)
-            for column, value in zip(columns, values):
-                column.append(value)
+        if columns:
+            extract = self.extractor.extract
+            for values, view in rows:
+                if values is None:
+                    values = extract(view)
+                for column, value in zip(columns, values):
+                    column.append(value)
         keyed = {(self.record_var, tuple(path)): column
                  for path, column in zip(self.scan_paths, columns)}
-        return ColumnBatch(None, keyed, len(pending))
+        views = None if self.use_slice_cache else [view for _, view in rows]
+        return ColumnBatch(views, keyed, len(rows))
 
 
 class BatchLetOperator:

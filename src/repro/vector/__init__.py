@@ -2,7 +2,7 @@
 
 from .encoder import VectorEncoder, is_compacted, record_total_length
 from .decoder import VectorRecordView, WILDCARD
-from .batch import BatchExtractor, ColumnBatch, get_values_batch
+from .batch import BatchExtractor, ColumnBatch
 from .compaction import compact_record, compaction_savings, expand_record, infer_and_compact
 
 __all__ = [
@@ -11,7 +11,6 @@ __all__ = [
     "WILDCARD",
     "BatchExtractor",
     "ColumnBatch",
-    "get_values_batch",
     "is_compacted",
     "record_total_length",
     "compact_record",

@@ -14,14 +14,14 @@ defines over the materialized record (exact paths, aligned single-wildcard
 paths with scalar/object passthrough, subtree capture for nested values):
 :meth:`VectorRecordView.get_values` delegates here, and the property suite
 asserts equality with ``navigate`` on random records, for this walk and for
-every other record view.  :func:`get_values_batch` applies one
-extractor across N records; :class:`ColumnBatch` is the column-major
-container the batch operators consume.
+every other record view.  :class:`ColumnBatch` is the column-major
+container the batch operators consume; the scan operator fills it with one
+extractor applied across N records.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..types import AMultiset, MISSING, navigate, unpack_fixed, unpack_variable
 from .decoder import Path, PathStep, VectorRecordView, WILDCARD
@@ -343,26 +343,6 @@ class BatchExtractor:
         return results
 
 
-def get_values_batch(views: Iterable[Any], paths: Sequence[Sequence[PathStep]],
-                     extractor: Optional[BatchExtractor] = None) -> List[List[Any]]:
-    """Resolve ``paths`` for every view; returns one column per path.
-
-    The multi-record extension of :meth:`VectorRecordView.get_values`
-    (paper §3.4.2): the request trie is compiled once and amortized across
-    the batch, and each record is walked exactly once.
-    """
-    if not paths:
-        return []
-    if extractor is None:
-        extractor = BatchExtractor(paths)
-    columns: List[List[Any]] = [[] for _ in paths]
-    for view in views:
-        values = extractor.extract(view)
-        for column, value in zip(columns, values):
-            column.append(value)
-    return columns
-
-
 class ColumnBatch:
     """Column-major container for N records' requested value slices.
 
@@ -380,16 +360,6 @@ class ColumnBatch:
         self.views = views
         self.columns = columns
         self.length = len(views) if length is None else length
-
-    @classmethod
-    def from_views(cls, views: List[Any], record_var: str,
-                   paths: Sequence[Path],
-                   extractor: Optional[BatchExtractor] = None) -> "ColumnBatch":
-        """Decode the requested column slices for a batch of record views."""
-        extracted = get_values_batch(views, paths, extractor)
-        columns = {(record_var, tuple(path)): column
-                   for path, column in zip(paths, extracted)}
-        return cls(views, columns, len(views))
 
     def take(self, indices: Sequence[int]) -> "ColumnBatch":
         """Row subset (the batch SELECT's filtered output)."""

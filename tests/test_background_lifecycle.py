@@ -266,6 +266,52 @@ class TestBackgroundParity:
         assert stats["maintenance_point_lookups"] > 0
         dataset.close()
 
+    def test_create_index_waits_out_an_in_flight_flush(self):
+        """Regression: CREATE INDEX racing one background flush.  The flush
+        is held at its commit step — component and auxiliary trees written
+        against the old definition list, not yet installed — while CREATE
+        INDEX is issued.  Backfill and registration take the maintenance
+        lock, so the new component cannot go live without a tree for the
+        index (at the parent the probe then skipped it: 0 rows for 10)."""
+        dataset = Dataset.create("bg_create_index", StorageFormat.INFERRED, partitions=1,
+                                 lsm=_lsm(background=True, memory_component_budget=1 << 20))
+        index = dataset.partitions[0].index
+        held, release = threading.Event(), threading.Event()
+        truncate = index.wal.truncate_partition
+
+        def held_truncate(*args):
+            held.set()
+            assert release.wait(timeout=10)
+            return truncate(*args)
+
+        index.wal.truncate_partition = held_truncate
+        dataset.insert_all({"id": i, "v": i} for i in range(50))
+        index._submit_or_run(index._rotate)  # one background flush
+        assert held.wait(timeout=10)
+        failures = []
+
+        def create_index():
+            try:
+                dataset.create_index("by_v", "v")
+            except BaseException as exc:  # surfaced on the test thread below
+                failures.append(exc)
+
+        creator = threading.Thread(target=create_index)
+        creator.start()
+        creator.join(timeout=0.3)  # an unlocked CREATE INDEX has finished by now
+        release.set()
+        creator.join(timeout=10)
+        assert not creator.is_alive() and not failures
+        dataset.drain()
+        assert index.component_count() == 1
+        text = "SELECT VALUE t.id FROM bg_create_index AS t WHERE t.v >= 10 AND t.v < 20"
+        via_index = dataset.query(text, access_path="index")
+        assert via_index.stats.access_path == "IndexProbe"
+        assert (sorted(row["value"] for row in via_index.rows)
+                == sorted(row["value"] for row in dataset.query(text, access_path="scan").rows)
+                == list(range(10, 20)))
+        dataset.close()
+
     def test_backpressure_stalls_writer_and_is_reported(self):
         """With one sealed memtable allowed and a throttled device, the
         writer must block on rotation and the stall time must be recorded."""

@@ -500,7 +500,7 @@ class TestExtractorViews:
         """The cached component scan hands ADM views to the extractor."""
         monkeypatch.delenv("REPRO_COLUMN_CACHE_BYTES", raising=False)
         dataset = _dataset(StorageFormat.OPEN, records=[self.RECORD], name="extract_adm_slices")
-        source = dataset.partitions[0].slice_scan_views(self.PATHS, BatchExtractor(self.PATHS))
+        source = dataset.partitions[0].scan_rows(self.PATHS, BatchExtractor(self.PATHS))
         assert [(list(values), view) for values, view in source] == [(self.EXPECTED, None)]
 
     @pytest.mark.parametrize("storage_format", [StorageFormat.OPEN, StorageFormat.INFERRED])

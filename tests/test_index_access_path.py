@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro import Dataset, DeviceKind, StorageEnvironment, StorageFormat
 from repro.datasets.stats import FieldStatistics
-from repro.errors import SqlppError
+from repro.errors import ComponentStateError, SqlppError
 from repro.query import choose_access_path
 from repro.sqlpp import CompiledCreateIndex
 from repro.sqlpp import compile as compile_sqlpp
@@ -194,12 +194,33 @@ class TestLsmLifecycle:
 
         put({"id": 200, "ts": 150, "payload": "post-merge, unflushed"})
 
-        # Crash: forget all in-memory state, keep files + WAL, recover.
+        # Crash: forget all in-memory state, keep files + WAL, recover — with
+        # one component's by_ts file left INVALID (a crash mid-build) and a
+        # second index that did not exist before the crash.  Recovery rebuilds
+        # both trees from the primary component instead of running without.
+        manager = environment.buffer_cache.file_manager
+        torn = partition.index.components[0].secondary_trees["by_ts"].file_name
+        manager.delete_file(torn)
+        manager.create_file(torn)
         revived = Dataset.create("apaths", StorageFormat.INFERRED, environment=environment)
         revived.create_index("by_ts", "ts")
+        revived.create_index("by_payload", "payload")
         for part in revived.partitions:
             part.recover()
         self._assert_parity(revived, oracle)            # recovered components + WAL replay
+        text = 'SELECT VALUE t.id FROM apaths AS t WHERE t.payload >= "p1" AND t.payload <= "p3"'
+        via_index, result = _rows(revived, text, "index")
+        assert result.stats.index_name == "by_payload"
+        expected = sorted(key for key, record in oracle.items()
+                          if "p1" <= record["payload"] <= "p3")
+        assert expected and via_index == expected == _rows(revived, text, "scan")[0]
+
+        # A live component without a tree for a registered index is a broken
+        # invariant, not something a probe may skip.
+        index = revived.partitions[0].index
+        index.components[-1].drop_secondary_index("by_payload")
+        with pytest.raises(ComponentStateError):
+            index.secondary_candidate_keys("by_payload", None, None)
 
     def test_index_created_after_data_backfills(self):
         dataset = _build(StorageFormat.OPEN, index=False)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cache import ColumnSliceCache
 from repro.errors import ComponentStateError, DuplicateKeyError
 from repro.lsm import (
     ComponentId,
@@ -11,6 +12,7 @@ from repro.lsm import (
     LSMBTree,
     NoMergePolicy,
     PrefixMergePolicy,
+    SecondaryIndexDef,
     make_merge_policy,
     read_component_metadata,
     recover_index,
@@ -301,6 +303,61 @@ class TestPrimaryKeyIndex:
         component = index.components[0]
         manager = index.buffer_cache.file_manager
         assert manager.file_size(component.primary_key_file) < manager.file_size(component.file_name)
+
+
+class TestAuxiliaryFileLifecycle:
+    @pytest.mark.parametrize("reader_held", [False, True])
+    def test_only_live_components_keep_files_and_slices(self, reader_held):
+        """A component's primary, ``.pk`` and ``.ix.*`` files and its cached
+        slices all go with it — right away, or when the last reader leaves —
+        and a failed CREATE INDEX backfill leaves nothing behind."""
+        _, cache = _cache()
+        manager = cache.file_manager
+        slices = ColumnSliceCache(capacity_bytes=1 << 20)
+        index = LSMBTree(name="ds", partition=0, buffer_cache=cache, memory_budget=1 << 20,
+                         maintain_primary_key_index=True, column_cache=slices)
+
+        def key_of(payload):
+            return int(payload.split(b"-", 1)[0])
+
+        for name, modulus in (("by_mod3", 3), ("by_mod7", 7)):
+            index.add_secondary_index(SecondaryIndexDef(
+                name, lambda payload, schema, modulus=modulus: key_of(payload) % modulus))
+        for first in (0, 20, 40):
+            for key in range(first, first + 20):
+                index.insert(key, {"id": key}, _payload(key))
+            index.flush()
+        flushed = list(index.components)
+        for component in flushed:
+            slices.store_chunk(component.file_name, ("p",), 0, [(0, False, (0,))], last=True)
+        files = manager.list_files()
+        assert len(files) == 3 * 4
+
+        # Values that cannot share one sort order, in the component the
+        # backfill reaches last: the trees already built are taken back.
+        def mixed(payload, schema):
+            key = key_of(payload)
+            return str(key) if key < 20 and key % 2 else key
+
+        with pytest.raises(TypeError):
+            index.add_secondary_index(SecondaryIndexDef("bad", mixed))
+        assert manager.list_files() == files
+        assert index.secondary_statistics("bad") is None
+        assert not any("bad" in component.secondary_trees or "bad" in component.secondary_stats
+                       for component in flushed)
+
+        if reader_held:
+            with index.read_guard():
+                index.merge(flushed)
+                assert set(files) < set(manager.list_files())  # drops deferred
+        else:
+            index.merge(flushed)
+        index.drain_maintenance()
+        (merged,) = index.components
+        assert manager.list_files() == sorted(
+            merged.file_name + suffix for suffix in ("", ".pk", ".ix.by_mod3", ".ix.by_mod7"))
+        assert [slices.entry_count(component.file_name) for component in flushed] == [0, 0, 0]
+        assert index.secondary_statistics("by_mod7").count == 60
 
 
 class TestWALAndRecovery:
