@@ -3,8 +3,9 @@
 ``Dataset.query(text)`` historically re-lexed, re-parsed, re-bound, and
 re-optimized the SQL++ text on every call.  This cache memoizes the result
 of that whole front half — the effective :class:`~repro.query.plan.QuerySpec`
-after rewrites, the optimizer's access plan, the cost-based access-path
-choice, and the compiled batch plan — as one :class:`PhysicalPlan` keyed by
+after rewrites, the cost-based access-path choice, and the compiled batch
+plan (whose stage list is what EXPLAIN prints and the executor runs) — as
+one :class:`PhysicalPlan` keyed by
 
 * the *normalized* statement text (whitespace and comments outside string
   literals collapsed; quoted literals are preserved verbatim, so two
@@ -118,8 +119,6 @@ class PhysicalPlan:
 
     #: Effective :class:`~repro.query.plan.QuerySpec` (rewrites applied).
     spec: Any
-    #: The optimizer's :class:`~repro.query.optimizer.AccessPlan`.
-    access_plan: Any
     #: Cost-based :class:`~repro.query.optimizer.AccessPathChoice`.
     choice: Any
     #: Compiled :class:`~repro.query.batch_compile.BatchQueryPlan`.

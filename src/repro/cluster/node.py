@@ -14,7 +14,6 @@ from typing import Dict, Optional
 
 from ..config import DatasetConfig, StorageConfig
 from ..core.environment import StorageEnvironment
-from ..types import Datatype
 
 
 class NodeController:
@@ -27,7 +26,6 @@ class NodeController:
         self.environment = StorageEnvironment(storage_config, node_id=node_id)
         #: Metadata-node bookkeeping (only consulted on node 0).
         self.dataset_catalog: Dict[str, DatasetConfig] = {}
-        self.datatype_catalog: Dict[str, Datatype] = {}
 
     @property
     def is_metadata_node(self) -> bool:
@@ -35,9 +33,8 @@ class NodeController:
 
     # -- metadata-node duties ------------------------------------------------------
 
-    def register_dataset(self, config: DatasetConfig, datatype: Datatype) -> None:
+    def register_dataset(self, config: DatasetConfig) -> None:
         self.dataset_catalog[config.name] = config
-        self.datatype_catalog[config.name] = datatype
 
     # -- reporting ---------------------------------------------------------------------
 

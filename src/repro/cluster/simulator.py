@@ -108,7 +108,7 @@ class ClusterSimulator:
         dataset = Dataset(config, [node.environment for node in self.nodes],
                           partitions_per_environment=self.config.partitions_per_node,
                           datatype=datatype)
-        self.metadata_node.register_dataset(config, datatype)
+        self.metadata_node.register_dataset(config)
         self.datasets[name] = dataset
         return dataset
 

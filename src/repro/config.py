@@ -129,7 +129,6 @@ class StorageConfig:
     buffer_cache_pages: int = 4096
     device_kind: DeviceKind = DeviceKind.NVME_SSD
     compression: Optional[str] = None  # codec name, e.g. "zlib"; None = off
-    compression_level: int = 1
     #: Fraction of every operation's *simulated* device seconds to spend in a
     #: real ``time.sleep`` (0.0 = pure accounting).  Sleeping releases the
     #: GIL, so tests and scale-out benchmarks use this to make the wall-clock

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ..cache import PlanCache, normalize_statement
+from ..cache import PhysicalPlan, PlanCache, normalize_statement
 from ..config import DatasetConfig, StorageFormat
 from ..errors import DatasetError
 from ..lsm import LSMIOScheduler
@@ -270,38 +270,15 @@ class Dataset:
         until a CREATE INDEX, flush/merge component swap, or
         :meth:`invalidate_plans` call moves the epoch forward.
         """
-        from ..query.executor import ExecutionStats, QueryExecutor, QueryResult
-        from ..sqlpp import CompiledCreateIndex
-        from ..sqlpp import compile as compile_sqlpp
+        from ..query.executor import ExecutionStats, QueryResult
 
-        if executor is not None and executor_options:
-            raise DatasetError(
-                "pass either a prebuilt executor or executor options, not both")
-        explicit_executor = executor is not None or bool(executor_options)
-        with _tracer.span("query", text=normalize_statement(text)[:200]) as span:
-            if span.trace_id:
-                self._last_trace_id = span.trace_id
-            runner = executor if executor is not None else QueryExecutor(**executor_options)
-            key = None
-            if self.plan_cache.enabled:
-                key = (normalize_statement(text), self.reuse_epoch(),
-                       runner.plan_signature())
-                physical = self.plan_cache.get(key)
-                if physical is not None:
-                    result = runner.execute_physical(self, physical)
-                    result.stats.plan_source = "cache"
-                    return result
-            compiled = compile_sqlpp(text)
-            if isinstance(compiled, CompiledCreateIndex):
-                if explicit_executor:
-                    raise DatasetError("CREATE INDEX does not take an executor")
-                self.create_index(compiled.index_name, compiled.field_path)
-                return QueryResult(rows=[], stats=ExecutionStats())
-            result, physical = runner.execute_prepared(self, compiled.spec)
-            result.stats.plan_source = "compiled"
-            if key is not None:
-                self.plan_cache.put(key, physical)
-            return result
+        result, plan = self._run(text, self._runner(executor, executor_options))
+        if result is None:  # CREATE INDEX: ``plan`` is the compiled statement
+            if executor is not None or executor_options:
+                raise DatasetError("CREATE INDEX does not take an executor")
+            self.create_index(plan.index_name, plan.field_path)
+            return QueryResult(rows=[], stats=ExecutionStats())
+        return result
 
     def prepare(self, text: str, executor: Optional[Any] = None,
                 **executor_options) -> "PreparedStatement":
@@ -315,14 +292,64 @@ class Dataset:
         the same rules as :meth:`query`; CREATE INDEX statements cannot be
         prepared.
         """
+        return PreparedStatement(self, text, self._runner(executor, executor_options))
+
+    @staticmethod
+    def _runner(executor: Optional[Any], executor_options: Dict[str, Any]):
+        """The executor a statement runs on: the caller's, or a fresh one."""
         from ..query.executor import QueryExecutor
 
         if executor is not None and executor_options:
             raise DatasetError(
                 "pass either a prebuilt executor or executor options, not both")
-        if executor is None:
-            executor = QueryExecutor(**executor_options)
-        return PreparedStatement(self, text, executor)
+        return executor if executor is not None else QueryExecutor(**executor_options)
+
+    def _plan(self, query: Any, runner: Any) -> Tuple[Any, Optional[str]]:
+        """The one road from a statement to its physical plan.
+
+        ``query`` is SQL++ text or a prebuilt
+        :class:`~repro.query.plan.QuerySpec`; returns the
+        :class:`~repro.cache.PhysicalPlan` ``runner.prepare_physical`` built
+        and where it came from — ``"cache"`` (plan-cache hit: parse, bind and
+        optimize all skipped), ``"compiled"``, or ``None`` for a prebuilt
+        spec, which has no text to key a cache entry.  :meth:`query`,
+        :class:`PreparedStatement` and :meth:`explain` all plan here, so
+        this is the only place a statement is normalized and the plan cache
+        probed or filled.  A CREATE INDEX statement has no plan: its compiled
+        form comes back in the plan's place, with source ``None``.
+        """
+        if not isinstance(query, str):
+            return runner.prepare_physical(self, query), None
+        key = (normalize_statement(query), self.reuse_epoch(), runner.plan_signature())
+        physical = self.plan_cache.get(key)
+        if physical is not None:
+            return physical, "cache"
+        from ..sqlpp import CompiledCreateIndex
+        from ..sqlpp import compile as compile_sqlpp
+
+        compiled = compile_sqlpp(query)
+        if isinstance(compiled, CompiledCreateIndex):
+            return compiled, None
+        physical = runner.prepare_physical(self, compiled.spec)
+        self.plan_cache.put(key, physical)
+        return physical, "compiled"
+
+    def _run(self, query: Any, runner: Any,
+             planned: Optional[Tuple[Any, Optional[str]]] = None) -> Tuple[Any, Any]:
+        """Plan ``query`` (unless the caller brings the ``(plan, source)`` it
+        already holds) and execute it under one ``query`` span; returns the
+        result, stamped with the plan's source, and the plan that ran.  A
+        CREATE INDEX statement runs nothing here: ``(None, compiled)``."""
+        label = query.strip()[:200] if isinstance(query, str) else "<query spec>"
+        with _tracer.span("query", text=label) as span:
+            if span.trace_id:
+                self._last_trace_id = span.trace_id
+            physical, source = planned or self._plan(query, runner)
+            if not isinstance(physical, PhysicalPlan):
+                return None, physical
+            result = runner.execute_physical(self, physical)
+            result.stats.plan_source = source
+            return result, physical
 
     def reuse_epoch(self) -> Tuple:
         """The dataset state a cached physical plan is valid against.
@@ -348,21 +375,23 @@ class Dataset:
         self._plan_epoch += 1
         self.plan_cache.clear()
 
-    def explain(self, query: Any, access_path: str = "auto", analyze: bool = False,
+    def explain(self, query: Any, analyze: bool = False, executor: Optional[Any] = None,
                 **executor_options: Any) -> str:
         """Render the plan (access path, pipeline, costs) for ``query``.
 
         ``query`` is a SQL++ string or a prebuilt
         :class:`~repro.query.plan.QuerySpec`; see :mod:`repro.query.explain`.
-        With ``analyze=True`` the plan is *executed* and per-operator actual
-        rows, wall time, and bytes are rendered next to the optimizer's
-        estimates — including the estimated-vs-actual cardinality error.
-        ``executor_options`` (e.g. ``parallelism=1``, ``cold_cache=True``)
-        configure the analyzing executor.
+        The plan rendered is the one :meth:`query` would run with the same
+        ``executor``/``executor_options`` (e.g. ``access_path="scan"``,
+        ``parallelism=1``, ``cold_cache=True``) — it comes from the same
+        planner call and the same plan cache.  With ``analyze=True`` that
+        plan is *executed* and per-operator actual rows, wall time, and bytes
+        are rendered next to the optimizer's estimates — including the
+        estimated-vs-actual cardinality error.
         """
         from ..query.explain import explain as explain_plan
 
-        return explain_plan(self, query, access_path=access_path, analyze=analyze,
+        return explain_plan(self, query, analyze=analyze, executor=executor,
                             **executor_options)
 
     # ------------------------------------------------------------------ observability
@@ -479,44 +508,24 @@ class PreparedStatement:
         #: The statement exactly as prepared — this is what gets compiled,
         #: so string literals keep their spacing byte-for-byte.
         self.text = text
-        # The text component of the shared plan-cache key this statement
-        # seeds (must match what Dataset.query computes for the same text).
-        self._key_text = normalize_statement(text)
         self._executor = executor
-        self._signature = executor.plan_signature()
-        self._epoch: Optional[Tuple] = None
-        self._physical: Optional[Any] = None
-        self._warm()
-
-    def _warm(self) -> None:
-        from ..sqlpp import CompiledCreateIndex
-        from ..sqlpp import compile as compile_sqlpp
-
-        epoch = self._dataset.reuse_epoch()
-        compiled = compile_sqlpp(self.text)
-        if isinstance(compiled, CompiledCreateIndex):
+        self._epoch = dataset.reuse_epoch()
+        # Planning through the dataset seeds the shared cache too: plain
+        # dataset.query(text) calls with a signature-compatible executor hit.
+        self._physical, _ = dataset._plan(text, executor)
+        if not isinstance(self._physical, PhysicalPlan):
             raise DatasetError("only queries can be prepared, not CREATE INDEX")
-        self._physical = self._executor.prepare_physical(self._dataset, compiled.spec)
-        self._epoch = epoch
-        # Seed the shared cache too: plain dataset.query(text) calls with a
-        # signature-compatible executor hit immediately.
-        if self._dataset.plan_cache.enabled:
-            self._dataset.plan_cache.put((self._key_text, epoch, self._signature),
-                                         self._physical)
 
     def execute(self):
         """Run the prepared plan; returns a :class:`~repro.query.QueryResult`.
 
         ``result.stats.plan_source`` is ``"cache"`` when the pinned plan was
-        reused as-is and ``"compiled"`` when a reuse-epoch change forced a
-        re-prepare on this call.
+        reused as-is; after a reuse-epoch change the statement is planned
+        again on this call and the source says how (``"compiled"``, unless
+        the shared plan cache already held the new epoch's plan).
         """
-        with _tracer.span("query", text=self._key_text[:200]) as span:
-            if span.trace_id:
-                self._dataset._last_trace_id = span.trace_id
-            reused = self._epoch == self._dataset.reuse_epoch()
-            if not reused:
-                self._warm()
-            result = self._executor.execute_physical(self._dataset, self._physical)
-            result.stats.plan_source = "cache" if reused else "compiled"
-            return result
+        epoch = self._dataset.reuse_epoch()
+        pinned = (self._physical, "cache") if epoch == self._epoch else None
+        result, self._physical = self._dataset._run(self.text, self._executor, pinned)
+        self._epoch = epoch
+        return result

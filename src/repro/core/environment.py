@@ -17,7 +17,6 @@ from ..config import DeviceKind, StorageConfig
 from ..obs import MetricsRegistry, get_registry
 from ..storage import (
     BufferCache,
-    FileManager,
     InMemoryFileManager,
     SimulatedStorageDevice,
     WriteAheadLog,
@@ -29,7 +28,7 @@ class StorageEnvironment:
     """Everything a node needs to host dataset partitions."""
 
     def __init__(self, storage_config: Optional[StorageConfig] = None,
-                 base_dir: Optional[str] = None, node_id: int = 0,
+                 node_id: int = 0,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self.config = storage_config or StorageConfig()
         self.node_id = node_id
@@ -41,11 +40,8 @@ class StorageEnvironment:
         self.device = SimulatedStorageDevice(self.config.device_kind,
                                              throttle=self.config.io_throttle,
                                              metrics=self.metrics)
-        codec = get_codec(self.config.compression, self.config.compression_level)
-        if base_dir is None:
-            self.file_manager = InMemoryFileManager(self.device, self.config.page_size, codec)
-        else:
-            self.file_manager = FileManager(base_dir, self.device, self.config.page_size, codec)
+        self.file_manager = InMemoryFileManager(self.device, self.config.page_size,
+                                                get_codec(self.config.compression))
         self.buffer_cache = BufferCache(self.file_manager, self.config.buffer_cache_pages,
                                         metrics=self.metrics)
         self.wal = WriteAheadLog(self.device, metrics=self.metrics)
@@ -57,19 +53,12 @@ class StorageEnvironment:
 
     # -- reporting -------------------------------------------------------------
 
-    @property
-    def compression_enabled(self) -> bool:
-        return self.config.compression is not None
-
     def storage_size(self) -> int:
         """Total bytes stored across every file of this environment."""
         return self.file_manager.total_size()
 
     def simulated_io_seconds(self) -> float:
         return self.device.simulated_seconds()
-
-    def reset_io_accounting(self) -> None:
-        self.device.reset()
 
     def drop_caches(self) -> None:
         """Empty the buffer and column-slice caches (cold-start a query

@@ -25,8 +25,9 @@ results are identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable, Iterator, List, Optional, Set, Tuple
 
 from ..errors import QueryError
 from ..types import MISSING, Missing, collection_items
@@ -47,9 +48,19 @@ from .expressions import (
     Var,
     access_path,
     is_absent,
+    render_expr,
 )
-from .operators import unnest_batch
-from .optimizer import AccessPlan, Path
+from .operators import (
+    BatchLetOperator,
+    BatchPushdownUnnestOperator,
+    BatchSelectOperator,
+    BatchUnnestOperator,
+    group_partials,
+    project_rows,
+    project_sorted,
+    unnest_batch,
+)
+from .optimizer import AccessPathChoice, AccessPlan, Path
 from .plan import QuerySpec
 
 #: A compiled expression: batch in, one value per row out.
@@ -269,20 +280,17 @@ def _is_test(expr: IsTest) -> Callable[[Any], bool]:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class PushdownUnnest:
-    """Pushed-down UNNEST: flatten per-row aligned item columns."""
+class Stage:
+    """One step of a partition's pipeline, in the one list that both runs
+    and renders: the executor folds ``operator`` over the scan and names the
+    step's cost record ``name``; EXPLAIN prints ``name`` and ``detail``."""
 
-    item_var: str
-    #: item-var path -> full wildcard path on the scan variable.
-    pushdown_paths: Dict[Path, Path]
-
-
-@dataclass
-class ItemUnnest:
-    """Generic UNNEST: evaluate the collection, bind each item whole."""
-
-    item_var: str
-    collection: ColumnEval
+    name: str
+    detail: str = ""
+    #: Upstream batch iterator -> this stage's batches; the last stage drains
+    #: its input into the partition's payload instead.  ``None`` on the source
+    #: stage: the executor opens the scan (its partition, its batch size).
+    operator: Optional[Callable[[Iterator[ColumnBatch]], Any]] = None
 
 
 @dataclass
@@ -294,28 +302,23 @@ class BatchQueryPlan:
     evaluator closure only reads the batch it is given.
     """
 
-    record_var: str
-    #: Columns the scan extracts per record (superset of the access plan's
-    #: scan paths: every path an evaluator addresses).
+    #: Columns the scan extracts per record — every path an evaluator
+    #: addresses (a superset of the access plan's scan paths).
     scan_paths: List[Path]
     extractor: BatchExtractor
-    lets: List[Tuple[str, ColumnEval]] = field(default_factory=list)
-    #: UNNEST stages in clause order; the access plan decides each shape.
-    unnests: List[Union[PushdownUnnest, ItemUnnest]] = field(default_factory=list)
-    where: Optional[ColumnEval] = None
-    group_keys: List[Tuple[str, ColumnEval]] = field(default_factory=list)
-    #: One entry per aggregate spec; None marks COUNT(*).
-    aggregate_args: List[Optional[ColumnEval]] = field(default_factory=list)
-    projections: List[Tuple[str, ColumnEval]] = field(default_factory=list)
-    #: Sort-key evaluators for non-grouped ORDER BY, in key order.
-    order_keys: List[ColumnEval] = field(default_factory=list)
+    #: The source, then LET / UNNEST / SELECT, then the terminal stage.
+    stages: List[Stage]
+    #: The LIMIT a partition may stop scanning at: set only when neither an
+    #: ORDER BY nor an aggregation needs every row first.
+    plain_limit: Optional[int]
     #: Whether any evaluator reads ``batch.views`` (whole-record projection).
     #: When False the scan may serve purely from the column-slice cache and
     #: build view-less batches.
-    needs_views: bool = True
+    needs_views: bool
 
 
-def compile_query(spec: QuerySpec, access_plan: AccessPlan) -> BatchQueryPlan:
+def compile_query(spec: QuerySpec, access_plan: AccessPlan,
+                  choice: AccessPathChoice) -> BatchQueryPlan:
     """Compile ``spec`` — the access plan's *effective* spec (EXISTS rewrites
     applied) — into a :class:`BatchQueryPlan`, or raise :class:`QueryError`.
 
@@ -323,49 +326,71 @@ def compile_query(spec: QuerySpec, access_plan: AccessPlan) -> BatchQueryPlan:
     everything downstream), so a later clause sees every earlier binding.
     """
     ctx = _Context(spec.record_var, set(access_plan.scan_paths), access_plan.consolidate)
-    lets: List[Tuple[str, ColumnEval]] = []
-    for clause in spec.lets:
-        lets.append((clause.name, compile_expr(clause.expr, ctx)))
-        ctx.bound.add(clause.name)
-    unnests: List[Union[PushdownUnnest, ItemUnnest]] = []
-    for unnest_plan in access_plan.unnest_plans:
+    stages = [Stage(f"IndexProbe({choice.path.index_name})" if choice.uses_index
+                    else "FullScan")]
+    if spec.lets:
+        lets: List[Tuple[str, ColumnEval]] = []
+        for clause in spec.lets:
+            lets.append((clause.name, compile_expr(clause.expr, ctx)))
+            ctx.bound.add(clause.name)
+        stages.append(Stage("LET", ", ".join(f"{clause.name} = {render_expr(clause.expr)}"
+                                             for clause in spec.lets),
+                            partial(BatchLetOperator, lets=lets)))
+    for position, unnest_plan in enumerate(access_plan.unnest_plans):
         clause = unnest_plan.clause
+        detail = f"{render_expr(clause.collection)} AS {clause.item_var}"
         if unnest_plan.pushed_down:
-            unnests.append(PushdownUnnest(clause.item_var, dict(unnest_plan.pushdown_paths)))
+            detail += " [pushdown]"
+            operator = partial(BatchPushdownUnnestOperator, record_var=spec.record_var,
+                               item_var=clause.item_var,
+                               pushdown_paths=dict(unnest_plan.pushdown_paths))
             ctx.item_columns.update((clause.item_var, item_path)
                                     for item_path in unnest_plan.pushdown_paths)
         else:
-            unnests.append(ItemUnnest(clause.item_var, compile_expr(clause.collection, ctx)))
+            operator = partial(BatchUnnestOperator, item_var=clause.item_var,
+                               collection=compile_expr(clause.collection, ctx))
             ctx.bound.add(clause.item_var)
-    where = compile_expr(spec.where, ctx) if spec.where is not None else None
-    group_keys = [(name, compile_expr(expr, ctx)) for name, expr in spec.group_keys]
-    aggregate_args = [compile_expr(aggregate.argument, ctx)
-                      if aggregate.argument is not None else None
-                      for aggregate in spec.aggregates]
-    projections: List[Tuple[str, ColumnEval]] = []
-    order_keys: List[ColumnEval] = []
+        name = "UNNEST" if len(access_plan.unnest_plans) == 1 else f"UNNEST[{position}]"
+        stages.append(Stage(name, detail, operator))
+    if spec.where is not None:
+        stages.append(Stage("SELECT", render_expr(spec.where),
+                            partial(BatchSelectOperator,
+                                    predicate=compile_expr(spec.where, ctx))))
+    plain_limit = None
     if spec.is_aggregation:
         if any(isinstance(key.expr_or_column, Expr) for key in spec.order_by):
             raise QueryError("grouped queries must ORDER BY an output column")
+        keys = ", ".join(name for name, _ in spec.group_keys) or "<global>"
+        aggregates = ", ".join(f"{agg.function}->{agg.output}" for agg in spec.aggregates)
+        stages.append(Stage(
+            "GROUP BY (partial)", f"[{keys}] AGGREGATE [{aggregates}]",
+            partial(group_partials,
+                    group_keys=[(name, compile_expr(expr, ctx))
+                                for name, expr in spec.group_keys],
+                    aggregates=spec.aggregates,
+                    argument_evals=[compile_expr(aggregate.argument, ctx)
+                                    if aggregate.argument is not None else None
+                                    for aggregate in spec.aggregates])))
     else:
         projections = [(name, compile_expr(expr, ctx)) for name, expr in spec.projections]
-        for key in spec.order_by:
-            if not isinstance(key.expr_or_column, Expr):
+        outputs = "[" + ", ".join(name for name, _ in spec.projections) + "]"
+        if spec.order_by:
+            if not all(isinstance(key.expr_or_column, Expr) for key in spec.order_by):
                 raise QueryError("non-grouped queries must ORDER BY an expression")
-            order_keys.append(compile_expr(key.expr_or_column, ctx))
+            stages.append(Stage(
+                "SORT+PROJECT", outputs,
+                partial(project_sorted, projections=projections,
+                        order_keys=[compile_expr(key.expr_or_column, ctx)
+                                    for key in spec.order_by],
+                        order_by=spec.order_by, limit=spec.limit)))
+        else:
+            plain_limit = spec.limit
+            stages.append(Stage("PROJECT", outputs,
+                                partial(project_rows, projections=projections,
+                                        limit=spec.limit)))
 
     scan_paths = sorted(ctx.record_paths,
                         key=lambda path: (len(path), tuple(map(str, path))))
-    return BatchQueryPlan(
-        record_var=spec.record_var,
-        scan_paths=scan_paths,
-        extractor=BatchExtractor(scan_paths),
-        lets=lets,
-        unnests=unnests,
-        where=where,
-        group_keys=group_keys,
-        aggregate_args=aggregate_args,
-        projections=projections,
-        order_keys=order_keys,
-        needs_views=ctx.uses_views,
-    )
+    return BatchQueryPlan(scan_paths=scan_paths, extractor=BatchExtractor(scan_paths),
+                          stages=stages, plain_limit=plain_limit,
+                          needs_views=ctx.uses_views)

@@ -1,10 +1,16 @@
 """Query executor: parallel per-partition pipelines + a coordinator stage.
 
 Execution follows the paper's Hyracks job model (Figure 5): every partition
-runs the same local pipeline (scan → let → unnest → select → partial
-aggregation / projection); results then flow through a conceptual exchange
-to a coordinator stage that merges partial aggregates, applies global
-ordering and LIMIT, and returns the rows.
+folds the compiled plan's stage list (:class:`~repro.query.batch_compile.Stage`:
+the scan, then LET / UNNEST / SELECT over column batches, then a terminal
+projection, sort or partial aggregation) into one local pipeline; results
+then flow through a conceptual exchange to a coordinator stage that merges
+partial aggregates, applies global ordering and LIMIT, and returns the rows.
+:meth:`QueryExecutor.prepare_physical` is the one planner — EXPLAIN,
+prepared statements and the plan cache all hold what it returns — and
+:class:`ExecutionStats` is the one cost record: every stage is timed on
+every run (two clock reads per batch), and EXPLAIN ANALYZE, the tracer's
+``operator.*`` spans and the metrics registry all read that record.
 
 Partitions genuinely fan out across a worker pool (§2.2: one LSM index per
 partition, jobs run against all of them concurrently).  The ``parallelism``
@@ -45,22 +51,15 @@ from ..cache import PhysicalPlan
 from ..config import env_int
 from ..core.dataset import Dataset
 from ..errors import QueryDeadlineError, QueryError
-from ..obs import CARDINALITY_MISESTIMATE, NULL_SPAN, StatsDictMixin, emit_event
+from ..obs import NULL_SPAN, StatsDictMixin
 from ..obs import tracer as _tracer
-from .batch_compile import BatchQueryPlan, PushdownUnnest, compile_query
+from .batch_compile import compile_query
 from .operators import (
-    BatchGroupByOperator,
-    BatchLetOperator,
-    BatchProjectOperator,
-    BatchPushdownUnnestOperator,
     BatchScanOperator,
-    BatchSelectOperator,
-    BatchUnnestOperator,
     finalize_groups,
     merge_partials,
     order_and_limit,
     sort_candidates,
-    sort_key,
 )
 from .optimizer import AccessPathChoice, Optimizer, choose_access_path
 from .plan import QuerySpec
@@ -84,9 +83,8 @@ class OperatorStats(StatsDictMixin):
 
     ``seconds`` is *inclusive* time — the wall clock spent pulling rows out
     of this operator, which includes everything upstream of it (the same
-    convention as PostgreSQL's ``EXPLAIN ANALYZE`` actual times).  Only
-    populated when the executor instruments (``analyze=True`` or tracing
-    enabled); the disabled fast path never builds probes.
+    convention as PostgreSQL's ``EXPLAIN ANALYZE`` actual times).  Measured
+    on every run: a stage costs two clock reads per batch pulled.
     """
 
     operator: str
@@ -152,24 +150,29 @@ class PartitionStats(StatsDictMixin):
     cancelled: bool = False
     #: Column batches the partition's scan emitted.
     batches: int = 0
-    #: Per-operator actuals, pipeline order (instrumented runs only).
+    #: Per-operator actuals, one per plan stage in pipeline order (empty
+    #: only for a partition the LIMIT token skipped before it started).
     operators: List[OperatorStats] = field(default_factory=list)
-    #: Buffer-cache activity of this partition's pipeline (instrumented
-    #: runs only; shared caches mean cross-partition attribution is the
-    #: environment's, summed at the execution level).
-    cache_hits: int = 0
-    cache_misses: int = 0
-    #: Column-slice cache rows served / decoded by this partition's scan
-    #: (always collected — the scan counts them anyway).
+    #: Column-slice cache rows served / decoded by this partition's scan.
     slice_hits: int = 0
     slice_misses: int = 0
 
 
+def _partition_total(attribute: str, doc: str) -> property:
+    return property(lambda self: sum(getattr(partition, attribute)
+                                     for partition in self.per_partition), doc=doc)
+
+
 @dataclass
 class ExecutionStats(StatsDictMixin):
-    """Measured and simulated costs of one query execution."""
+    """Measured and simulated costs of one query execution: the one cost
+    record EXPLAIN ANALYZE, the tracer's operator spans and the metrics
+    registry read.  Whatever sums over partitions is derived from
+    ``per_partition``, never stored beside it."""
 
-    _DERIVED = ("sequential_equivalent_seconds", "measured_speedup",
+    _DERIVED = ("records_scanned", "bytes_read", "bytes_written", "simulated_io_seconds",
+                "batches_processed", "slice_cache_hits", "slice_cache_misses",
+                "sequential_equivalent_seconds", "measured_speedup",
                 "cache_hit_ratio", "cardinality_error")
 
     wall_seconds: float = 0.0
@@ -178,17 +181,11 @@ class ExecutionStats(StatsDictMixin):
     coordinator_seconds: float = 0.0
     #: Worker-pool width the execution actually used.
     parallelism: int = 1
-    records_scanned: int = 0
     rows_returned: int = 0
-    bytes_read: int = 0
-    bytes_written: int = 0
-    simulated_io_seconds: float = 0.0
     schema_broadcast_bytes: int = 0
     schema_broadcasts: int = 0
     #: Records per ColumnBatch.
     batch_size: int = 0
-    #: Column batches scanned across all partitions.
-    batches_processed: int = 0
     per_partition: List[PartitionStats] = field(default_factory=list)
     #: Access path the optimizer chose: "FullScan" or "IndexProbe".
     access_path: str = "FullScan"
@@ -197,20 +194,29 @@ class ExecutionStats(StatsDictMixin):
     #: Optimizer's cardinality estimate at the access path (rows expected to
     #: match the WHERE clause); ``None`` when the cost model had no estimate.
     estimated_rows: Optional[float] = None
-    #: Measured rows surviving the filter stage (instrumented runs only).
+    #: Measured rows surviving the filter stage; ``None`` when a LIMIT or the
+    #: cancellation token stopped a partition before its scan ran dry.
     actual_matched_rows: Optional[int] = None
-    #: Buffer-cache activity during the execution (instrumented runs only).
+    #: Buffer-cache activity of the dataset's environments during the
+    #: execution (shared caches: concurrent work on them is counted too).
     cache_hits: int = 0
     cache_misses: int = 0
-    #: Column-slice cache rows served from / decoded into the cache across
-    #: all partitions (full scans; zero for index probes).
-    slice_cache_hits: int = 0
-    slice_cache_misses: int = 0
     #: Where the physical plan came from: "cache" (plan-cache hit — parse,
     #: bind, and optimize were all skipped), "compiled" (cache miss or a
     #: cache-bypassing path), or None when the executor was driven with a
     #: prebuilt QuerySpec directly.
     plan_source: Optional[str] = None
+
+    records_scanned = _partition_total(
+        "records_scanned", "Records (or index-probe candidates) examined.")
+    bytes_read = _partition_total("bytes_read", "Device bytes the partition pipelines read.")
+    bytes_written = _partition_total("bytes_written", "Device bytes written inside the pipelines.")
+    simulated_io_seconds = _partition_total("simulated_io_seconds", "Simulated device time.")
+    batches_processed = _partition_total("batches", "Column batches the scans emitted.")
+    slice_cache_hits = _partition_total(
+        "slice_hits", "Rows served from the column-slice cache (full scans only).")
+    slice_cache_misses = _partition_total(
+        "slice_misses", "Rows decoded into the column-slice cache (full scans only).")
 
     @property
     def cache_hit_ratio(self) -> float:
@@ -222,8 +228,8 @@ class ExecutionStats(StatsDictMixin):
         """Estimated-vs-actual row-count divergence factor (>= 1.0).
 
         Computed with +1 smoothing so zero estimates/actuals stay finite:
-        ``(max(est, act) + 1) / (min(est, act) + 1)``.  ``None`` until an
-        instrumented run measured the actual cardinality.
+        ``(max(est, act) + 1) / (min(est, act) + 1)``.  ``None`` without an
+        estimate or a measured actual cardinality.
         """
         if self.estimated_rows is None or self.actual_matched_rows is None:
             return None
@@ -365,10 +371,12 @@ class QueryExecutor:
                  cold_cache: bool = False,
                  access_path: str = "auto",
                  parallelism: Optional[int] = None,
-                 analyze: bool = False,
                  batch_size: Optional[int] = None,
                  deadline: Optional[float] = None) -> None:
-        self.optimizer = Optimizer(consolidate_field_access, pushdown_through_unnest)
+        #: Optimizer rewrites (paper §3.4.2); both off is the Figure 23
+        #: "Inferred (un-op)" plan.
+        self.consolidate_field_access = consolidate_field_access
+        self.pushdown_through_unnest = pushdown_through_unnest
         #: Drop buffer caches before running (used to make query benchmarks
         #: I/O-bound like the paper's cold runs).
         self.cold_cache = cold_cache
@@ -379,11 +387,6 @@ class QueryExecutor:
         #: (overridable via the ``REPRO_PARALLELISM`` environment variable);
         #: ``1`` runs partitions inline, sequentially, in partition order.
         self.parallelism = parallelism
-        #: Collect per-operator actuals (rows, inclusive time, bytes, cache
-        #: activity) for EXPLAIN ANALYZE.  Off by default: the probes cost a
-        #: perf_counter call per batch pulled, which the plain path must not
-        #: pay.  Instrumentation also engages while tracing is enabled.
-        self.analyze = analyze
         # Env-knob reads are hoisted out of the per-query hot path: each knob
         # is read (through the repro.config accessors) exactly once, here, and
         # invalid values fail fast at construction instead of at execute.
@@ -402,37 +405,27 @@ class QueryExecutor:
     # ------------------------------------------------------------------ public API
 
     def execute(self, dataset: Dataset, spec: QuerySpec) -> QueryResult:
-        with _tracer.span("query.execute", dataset=dataset.config.name) as execute_span:
-            result = self._execute(dataset, spec)
-            execute_span.set_attribute("rows", len(result.rows))
-            execute_span.set_attribute("access_path", result.stats.access_path)
-            return result
+        """Optimize and run ``spec``."""
+        return self._spanned(dataset, spec=spec)[0]
 
     def execute_physical(self, dataset: Dataset, physical: PhysicalPlan) -> QueryResult:
-        """Run a previously prepared :class:`PhysicalPlan` (plan-cache hits).
-
-        Skips parse/bind (never entered) *and* optimize (cached); everything
-        downstream — partition fan-out, stats, metrics — is identical to
-        :meth:`execute`.
-        """
-        with _tracer.span("query.execute", dataset=dataset.config.name) as execute_span:
-            result = self._execute(dataset, physical.spec, physical=physical)
-            execute_span.set_attribute("rows", len(result.rows))
-            execute_span.set_attribute("access_path", result.stats.access_path)
-            return result
+        """Run a plan :meth:`prepare_physical` returned (now or on an earlier
+        call: the plan cache and prepared statements hold such plans)."""
+        return self._spanned(dataset, physical=physical)[0]
 
     def execute_prepared(self, dataset: Dataset,
                          spec: QuerySpec) -> Tuple[QueryResult, PhysicalPlan]:
-        """Optimize *and* run ``spec``, returning the plan alongside the result.
+        """:meth:`execute`, returning the plan it ran alongside the result."""
+        return self._spanned(dataset, spec=spec)
 
-        The plan-cache miss path: :meth:`prepare_physical` runs inside the
-        ``query.execute`` span (so traces keep ``query.optimize`` nested
-        exactly as :meth:`execute` does) and the resulting plan is handed
-        back for the caller to cache.
-        """
+    def _spanned(self, dataset: Dataset, spec: Optional[QuerySpec] = None,
+                 physical: Optional[PhysicalPlan] = None) -> Tuple[QueryResult, PhysicalPlan]:
+        """The one ``query.execute`` span: plan ``spec`` unless the caller
+        brought a plan, run it, label the span with the outcome."""
         with _tracer.span("query.execute", dataset=dataset.config.name) as execute_span:
-            physical = self.prepare_physical(dataset, spec)
-            result = self._execute(dataset, physical.spec, physical=physical)
+            if physical is None:
+                physical = self.prepare_physical(dataset, spec)
+            result = self._execute(dataset, physical)
             execute_span.set_attribute("rows", len(result.rows))
             execute_span.set_attribute("access_path", result.stats.access_path)
             return result, physical
@@ -440,19 +433,23 @@ class QueryExecutor:
     def prepare_physical(self, dataset: Dataset, spec: QuerySpec) -> PhysicalPlan:
         """Optimize ``spec`` down to the physical plan without executing it.
 
-        The returned plan is immutable and shared safely across executions
-        and threads; pair it with :meth:`execute_physical`.  Cache keys must
-        include :meth:`plan_signature` — the plan bakes in this executor's
-        optimizer flags and access-path policy.  A query the pipeline cannot
-        run raises :class:`~repro.errors.QueryError` here, before any I/O.
+        The engine's one planner: execution, EXPLAIN, prepared statements
+        and the plan cache all hold what this returns, so what is shown or
+        cached is what runs.  The plan is immutable and shared safely across
+        executions and threads; pair it with :meth:`execute_physical`.  Cache
+        keys must include :meth:`plan_signature` — the plan bakes in this
+        executor's optimizer flags and access-path policy.  A query the
+        pipeline cannot run raises :class:`~repro.errors.QueryError` here,
+        before any I/O.
         """
         with _tracer.span("query.optimize"):
-            access_plan = self.optimizer.plan(
+            access_plan = Optimizer(self.consolidate_field_access,
+                                    self.pushdown_through_unnest).plan(
                 spec, dataset.config.storage_format.uses_vector_format)
             effective_spec = access_plan.effective_spec(spec)
             choice = choose_access_path(effective_spec, dataset, force=self.access_path)
-        return PhysicalPlan(spec=effective_spec, access_plan=access_plan, choice=choice,
-                            batch_plan=compile_query(effective_spec, access_plan))
+            return PhysicalPlan(spec=effective_spec, choice=choice,
+                                batch_plan=compile_query(effective_spec, access_plan, choice))
 
     def plan_signature(self) -> Tuple:
         """The plan-relevant part of this executor's configuration.
@@ -461,65 +458,52 @@ class QueryExecutor:
         :class:`PhysicalPlan` objects for the same spec and dataset state,
         so the signature is part of every plan-cache key.
         """
-        return (self.optimizer.consolidate_field_access,
-                self.optimizer.pushdown_through_unnest, self.access_path)
+        return (self.consolidate_field_access, self.pushdown_through_unnest,
+                self.access_path)
 
-    def _execute(self, dataset: Dataset, spec: QuerySpec,
-                 physical: Optional[PhysicalPlan] = None) -> QueryResult:
-        stats = ExecutionStats()
-        if physical is None:
-            physical = self.prepare_physical(dataset, spec)
-        spec = physical.spec
-        choice = physical.choice
-        batch_plan: BatchQueryPlan = physical.batch_plan
-        stats.access_path = choice.path.name
-        if choice.uses_index:
-            stats.index_name = choice.path.index_name
-        stats.estimated_rows = choice.estimated_rows
-        stats.batch_size = self.batch_size
-
-        if self.cold_cache:
-            for environment in {id(env): env for env in dataset.environments}.values():
-                environment.drop_caches()
-
-        instrument = self.analyze or _tracer.enabled
+    def _execute(self, dataset: Dataset, physical: PhysicalPlan) -> QueryResult:
+        spec, choice = physical.spec, physical.choice
+        stats = ExecutionStats(access_path=choice.path.name,
+                               index_name=choice.path.index_name if choice.uses_index else None,
+                               estimated_rows=choice.estimated_rows,
+                               batch_size=self.batch_size,
+                               parallelism=self._resolve_parallelism(dataset))
         environments = list({id(env): env for env in dataset.environments}.values())
-        caches_before = ([environment.buffer_cache.stats_snapshot()
-                          for environment in environments] if instrument else None)
-
-        parallelism = self._resolve_parallelism(dataset)
-        stats.parallelism = parallelism
+        if self.cold_cache:
+            for environment in environments:
+                environment.drop_caches()
+        caches_before = [environment.buffer_cache.stats_snapshot()
+                         for environment in environments]
         started = time.perf_counter()
 
         if spec.repartitions:
             self._broadcast_schemas(dataset, stats)
 
         token: Optional[LimitCancellation] = None
-        if (spec.limit is not None and not spec.is_aggregation and not spec.order_by
-                and dataset.partition_count > 1):
+        if physical.batch_plan.plain_limit is not None and dataset.partition_count > 1:
             token = LimitCancellation(spec.limit, dataset.partition_count)
 
         guard = _DeadlineGuard(self.deadline) if self.deadline is not None else None
 
-        outputs: List[Tuple[str, Any]] = [None] * dataset.partition_count
-        if parallelism <= 1:
+        outputs: List[Any] = []
+        if stats.parallelism <= 1:
             for index, partition in enumerate(dataset.partitions):
-                outputs[index], partition_stats = self._run_partition(
-                    index, partition, spec, choice, token, instrument,
-                    batch_plan, guard)
+                output, partition_stats = self._run_partition(
+                    index, partition, physical, token, guard)
+                outputs.append(output)
                 stats.per_partition.append(partition_stats)
         else:
-            with ThreadPoolExecutor(max_workers=parallelism,
+            with ThreadPoolExecutor(max_workers=stats.parallelism,
                                     thread_name_prefix="repro-query") as pool:
                 # wrap_context per submission: each worker needs its own
                 # context copy (a Context can only be entered once at a
                 # time), and the no-op path returns the method unchanged.
                 futures = [pool.submit(_tracer.wrap_context(self._run_partition),
-                                       index, partition, spec, choice,
-                                       token, instrument, batch_plan, guard)
+                                       index, partition, physical, token, guard)
                            for index, partition in enumerate(dataset.partitions)]
-                for index, future in enumerate(futures):
-                    outputs[index], partition_stats = future.result()
+                for future in futures:
+                    output, partition_stats = future.result()
+                    outputs.append(output)
                     stats.per_partition.append(partition_stats)
         if guard is not None:
             guard.check()
@@ -531,53 +515,34 @@ class QueryExecutor:
         stats.coordinator_seconds = ended - coordinator_started
         stats.wall_seconds = ended - started
         stats.rows_returned = len(rows)
-        for partition_stats in stats.per_partition:
-            stats.records_scanned += partition_stats.records_scanned
-            stats.bytes_read += partition_stats.bytes_read
-            stats.bytes_written += partition_stats.bytes_written
-            stats.simulated_io_seconds += partition_stats.simulated_io_seconds
-            stats.batches_processed += partition_stats.batches
-            stats.slice_cache_hits += partition_stats.slice_hits
-            stats.slice_cache_misses += partition_stats.slice_misses
-
-        if instrument:
-            for environment, before in zip(environments, caches_before):
-                cache_delta = environment.buffer_cache.stats_snapshot().diff(before)
-                stats.cache_hits += cache_delta.hits
-                stats.cache_misses += cache_delta.misses
-            self._measure_cardinality(dataset, stats)
+        for environment, before in zip(environments, caches_before):
+            cache_delta = environment.buffer_cache.stats_snapshot().diff(before)
+            stats.cache_hits += cache_delta.hits
+            stats.cache_misses += cache_delta.misses
+        stats.actual_matched_rows = self._matched_rows(physical.batch_plan.plain_limit, stats)
         self._publish_metrics(dataset, stats)
         return QueryResult(rows, stats, access_path=choice)
 
-    def _measure_cardinality(self, dataset: Dataset, stats: ExecutionStats) -> None:
-        """Record actual matched rows; warn on >10x estimate divergence.
+    @staticmethod
+    def _matched_rows(plain_limit: Optional[int], stats: ExecutionStats) -> Optional[int]:
+        """Rows that left the filter stage, summed over the partitions — the
+        measured analog of the cost model's selectivity-based estimate, and
+        the feedback signal adaptive statistics would consume.
 
-        "Matched rows" are the rows leaving the filter stage (the last
-        pipeline operator before projection/grouping), the measured analog
-        of the cost model's selectivity-based estimate — the feedback signal
-        ROADMAP item 5's adaptive statistics will consume.
+        ``None`` when any partition stopped before its scan ran dry (its
+        LIMIT filled, or the cancellation token stopped or skipped it): the
+        rows counted so far say nothing about how many match the predicate.
         """
         matched = 0
-        measured = False
         for partition in stats.per_partition:
-            if len(partition.operators) >= 2:
-                # [-1] is the terminal stage (PROJECT / GROUP BY / SORT);
-                # [-2] is the last pipeline operator — SELECT when a WHERE
-                # clause exists, otherwise the scan/unnest feeding it.
-                matched += partition.operators[-2].rows_out
-                measured = True
-        if not measured:
-            return
-        stats.actual_matched_rows = matched
-        error = stats.cardinality_error
-        if self.analyze and error is not None and error > 10.0:
-            emit_event(CARDINALITY_MISESTIMATE,
-                       dataset=dataset.config.name,
-                       access_path=stats.access_path,
-                       index=stats.index_name,
-                       estimated_rows=round(stats.estimated_rows, 1),
-                       actual_rows=matched,
-                       error_factor=round(error, 1))
+            if partition.cancelled or (plain_limit is not None
+                                       and partition.operators[-1].rows_out >= plain_limit):
+                return None
+            # [-1] is the terminal stage (PROJECT / GROUP BY / SORT); [-2] is
+            # the last pipeline operator — SELECT when a WHERE clause exists,
+            # otherwise the scan/unnest feeding it.
+            matched += partition.operators[-2].rows_out
+        return matched
 
     @staticmethod
     def _publish_metrics(dataset: Dataset, stats: ExecutionStats) -> None:
@@ -621,12 +586,9 @@ class QueryExecutor:
 
     # ------------------------------------------------------------------ local stage
 
-    def _run_partition(self, index: int, partition, spec: QuerySpec,
-                       choice: AccessPathChoice,
+    def _run_partition(self, index: int, partition, physical: PhysicalPlan,
                        token: Optional[LimitCancellation],
-                       instrument: bool,
-                       batch_plan: BatchQueryPlan,
-                       guard: Optional[_DeadlineGuard] = None):
+                       guard: Optional[_DeadlineGuard]):
         """One partition's full local pipeline (runs on a worker thread)."""
         partition_stats = PartitionStats(partition_id=partition.partition_id)
         partition_started = time.perf_counter()
@@ -635,36 +597,27 @@ class QueryExecutor:
         if token is not None and token.satisfied_before(index):
             partition_stats.cancelled = True
             partition_stats.seconds = time.perf_counter() - partition_started
-            return ("plain", []), partition_stats
+            return [], partition_stats
 
         device = partition.environment.device
+        terminal = physical.batch_plan.stages[-1]
         with _tracer.span("query.partition",
                           partition=partition.partition_id) as partition_span:
             with device.accounting_scope() as io_scope:
-                pipeline, scan, probes = self._local_pipeline(
-                    partition, spec, choice, batch_plan, instrument)
+                scan, probes = self._local_pipeline(partition, physical)
+                pipeline: Iterator = probes[-1]
                 if guard is not None:
                     pipeline = guard.guarded(pipeline)
+                if token is not None:
+                    pipeline = self._until_satisfied(pipeline, token, index, partition_stats)
+                # The terminal stage drains its input inside one call rather
+                # than being pulled batch by batch, so it is timed around the
+                # drain; ``seconds`` stays inclusive like the probes'.
                 stage_started = time.perf_counter()
-                if spec.is_aggregation:
-                    partial = BatchGroupByOperator(pipeline, batch_plan.group_keys,
-                                                   spec.aggregates,
-                                                   batch_plan.aggregate_args).run()
-                    output = ("partial", partial)
-                    terminal = ("GROUP BY (partial)", len(partial))
-                elif spec.order_by:
-                    candidates = self._collect_ordered(pipeline, batch_plan, spec)
-                    output = ("ordered", candidates)
-                    terminal = ("SORT+PROJECT", len(candidates))
-                else:
-                    abort_check = (lambda: token.satisfied_before(index)) if token else None
-                    rows, aborted = self._collect_plain(pipeline, batch_plan, spec,
-                                                        abort_check)
-                    partition_stats.cancelled = aborted
-                    if token is not None and not aborted:
-                        token.mark_complete(index, len(rows))
-                    output = ("plain", rows)
-                    terminal = ("PROJECT", len(rows))
+                output = terminal.operator(pipeline)
+                stage_ended = time.perf_counter()
+                if token is not None and not partition_stats.cancelled:
+                    token.mark_complete(index, len(output))
             partition_span.set_attribute("rows_scanned", scan.records_scanned)
         partition_stats.seconds = time.perf_counter() - partition_started
         partition_stats.records_scanned = scan.records_scanned
@@ -674,131 +627,76 @@ class QueryExecutor:
         partition_stats.bytes_read = io_scope.bytes_read
         partition_stats.bytes_written = io_scope.bytes_written
         partition_stats.simulated_io_seconds = device.simulated_seconds(io_scope)
-        if instrument:
-            # All page reads happen while the source operator pulls pages;
-            # downstream operators only touch decoded rows.
-            probes[0].stats.bytes_read = io_scope.bytes_read
-            operators = [probe.stats for probe in probes]
-            operators.append(_terminal_stats(*terminal, stage_started))
-            for op_stats in operators:
-                partition_stats.operators.append(op_stats)
-                self._synthesize_operator_span(op_stats, partition_span)
+        # All page reads happen while the source operator pulls pages;
+        # downstream operators only touch decoded rows.
+        probes[0].stats.bytes_read = io_scope.bytes_read
+        partition_stats.operators = [probe.stats for probe in probes]
+        partition_stats.operators.append(OperatorStats(
+            operator=terminal.name, rows_out=len(output),
+            seconds=stage_ended - stage_started, start=stage_started, end=stage_ended))
+        if _tracer.enabled and partition_span is not NULL_SPAN:
+            # Operator timing comes from iterator probes, not context
+            # managers, so the spans are synthesized after the fact from the
+            # same record, stamped with the probes' first/last pull.
+            for op_stats in partition_stats.operators:
+                if op_stats.start:
+                    _tracer.record_span(f"operator.{op_stats.operator}",
+                                        trace_id=partition_span.trace_id,
+                                        parent_id=partition_span.span_id,
+                                        start=op_stats.start, end=op_stats.end,
+                                        rows=op_stats.rows_out,
+                                        seconds=round(op_stats.seconds, 6))
         return output, partition_stats
 
     @staticmethod
-    def _synthesize_operator_span(op_stats: OperatorStats, partition_span) -> None:
-        """Record a per-operator span under the partition span (tracing only).
+    def _until_satisfied(pipeline: Iterator, token: LimitCancellation, index: int,
+                         partition_stats: PartitionStats) -> Iterator:
+        """Stop pulling (checked per batch) once the partitions before this
+        one fill the LIMIT: nothing this partition finds can reach the answer."""
+        for batch in pipeline:
+            yield batch
+            if token.satisfied_before(index):
+                partition_stats.cancelled = True
+                return
 
-        Operator timing is collected by iterator probes, not context
-        managers, so the spans are synthesized after the fact from the
-        probes' first/last pull stamps."""
-        if not _tracer.enabled or partition_span is NULL_SPAN or op_stats.start == 0.0:
-            return
-        _tracer.record_span(f"operator.{op_stats.operator}",
-                            trace_id=partition_span.trace_id,
-                            parent_id=partition_span.span_id,
-                            start=op_stats.start, end=op_stats.end,
-                            rows=op_stats.rows_out,
-                            seconds=round(op_stats.seconds, 6))
-
-    def _local_pipeline(self, partition, spec: QuerySpec, choice: AccessPathChoice,
-                        batch_plan: BatchQueryPlan, instrument: bool):
-        """Build the local operator chain; with ``instrument``, each stage is
-        wrapped in an :class:`_OperatorProbe` and the probe list is returned
-        (pipeline order) for EXPLAIN ANALYZE / trace synthesis."""
-        probes: List[_OperatorProbe] = []
-
-        def tap(source: Iterator, name: str) -> Iterator:
-            if not instrument:
-                return source
-            probe = _OperatorProbe(source, name)
-            probes.append(probe)
-            return probe
-
+    def _local_pipeline(self, partition, physical: PhysicalPlan):
+        """Fold the plan's stage list into this partition's operator chain,
+        each stage behind an :class:`_OperatorProbe` named after it; returns
+        the scan and the probes in pipeline order (the last is the chain's tail)."""
+        spec, choice, batch_plan = physical.spec, physical.choice, physical.batch_plan
         batch_size = self.batch_size
-        if spec.limit is not None and not spec.is_aggregation and not spec.order_by:
+        if batch_plan.plain_limit is not None:
             # Plain LIMIT: chunking by at most `limit` keeps the scan lazy —
             # it stops within one batch of the limit being satisfied (it may
             # overshoot by less than one batch when a WHERE filters rows).
-            batch_size = min(batch_size, spec.limit)
-        probe = choice.path if choice.uses_index else None
+            batch_size = min(batch_size, batch_plan.plain_limit)
+        source, *operators, _ = batch_plan.stages
         scan = BatchScanOperator(partition, spec.record_var, batch_plan.scan_paths,
-                                 batch_size, batch_plan.extractor, probe=probe,
+                                 batch_size, batch_plan.extractor,
+                                 probe=choice.path if choice.uses_index else None,
                                  use_slice_cache=not batch_plan.needs_views)
-        scan_name = (f"IndexProbe({choice.path.index_name})" if choice.uses_index
-                     else "FullScan")
-        pipeline: Iterator = tap(iter(scan), scan_name)
-        if batch_plan.lets:
-            pipeline = tap(iter(BatchLetOperator(pipeline, batch_plan.lets)), "LET")
-        for position, unnest in enumerate(batch_plan.unnests):
-            if isinstance(unnest, PushdownUnnest):
-                stage = BatchPushdownUnnestOperator(pipeline, spec.record_var,
-                                                    unnest.item_var, unnest.pushdown_paths)
-            else:
-                stage = BatchUnnestOperator(pipeline, unnest.item_var, unnest.collection)
-            name = "UNNEST" if len(batch_plan.unnests) == 1 else f"UNNEST[{position}]"
-            pipeline = tap(iter(stage), name)
-        if batch_plan.where is not None:
-            pipeline = tap(iter(BatchSelectOperator(pipeline, batch_plan.where)), "SELECT")
-        return pipeline, scan, probes
-
-    def _collect_plain(self, pipeline: Iterator, batch_plan: BatchQueryPlan,
-                       spec: QuerySpec,
-                       abort_check=None) -> Tuple[List[Dict[str, Any]], bool]:
-        """Project rows up to the limit; abort (checked per batch) when the
-        token says the partitions before this one already satisfy it."""
-        rows: List[Dict[str, Any]] = []
-        for block in BatchProjectOperator(pipeline, batch_plan.projections):
-            rows.extend(block)
-            if spec.limit is not None and len(rows) >= spec.limit:
-                return rows[:spec.limit], False
-            if abort_check is not None and abort_check():
-                return rows, True
-        return rows, False
-
-    def _collect_ordered(self, pipeline: Iterator, batch_plan: BatchQueryPlan,
-                         spec: QuerySpec):
-        """Project rows while remembering their sort keys (evaluated
-        pre-projection, columnwise) as ``(sort_key, row)`` candidates."""
-        candidates = []
-        for batch in pipeline:
-            key_columns = [evaluate(batch) for evaluate in batch_plan.order_keys]
-            projection_columns = [(name, evaluate(batch))
-                                  for name, evaluate in batch_plan.projections]
-            for index in range(len(batch)):
-                keys = [sort_key(column[index]) for column in key_columns]
-                row = {}
-                for name, column in projection_columns:
-                    value = column[index]
-                    if hasattr(value, "materialize"):
-                        value = value.materialize()
-                    row[name] = value
-                candidates.append((keys, row))
-        if spec.limit is not None and len(candidates) > spec.limit:
-            # Per-partition top-k: under the coordinator's stable comparator a
-            # row beyond this partition's local top-`limit` can never reach
-            # the global answer, so only `limit` candidates cross the
-            # exchange and the coordinator sorts parallelism*limit rows.
-            candidates = sort_candidates(candidates, spec.order_by, spec.limit)
-        return candidates
+        probes = [_OperatorProbe(scan, source.name)]
+        for stage in operators:
+            probes.append(_OperatorProbe(stage.operator(probes[-1]), stage.name))
+        return scan, probes
 
     # ------------------------------------------------------------------ coordinator stage
 
-    def _coordinator_stage(self, spec: QuerySpec, outputs: Sequence[Tuple[str, Any]]):
-        """Merge per-partition outputs, always in partition-id order, so the
-        result is independent of worker scheduling."""
+    def _coordinator_stage(self, spec: QuerySpec, outputs: Sequence[Any]):
+        """Merge per-partition payloads (what each plan's terminal stage
+        returned), always in partition-id order, so the result is independent
+        of worker scheduling."""
         if spec.is_aggregation:
-            partials = [payload for _, payload in outputs]
-            merged = merge_partials(partials, spec.aggregates)
+            merged = merge_partials(outputs, spec.aggregates)
             rows = finalize_groups(merged, spec)
             return order_and_limit(rows, spec)
         if spec.order_by:
             candidates: List[Tuple[Sequence[Any], Dict[str, Any]]] = []
-            for _, payload in outputs:
+            for payload in outputs:
                 candidates.extend(payload)
             return [row for _, row in sort_candidates(candidates, spec.order_by, spec.limit)]
         plain_rows: List[Dict[str, Any]] = []
-        for _, payload in outputs:
+        for payload in outputs:
             plain_rows.extend(payload)
             if spec.limit is not None and len(plain_rows) >= spec.limit:
                 break
@@ -822,14 +720,3 @@ class QueryExecutor:
         receivers = dataset.partition_count - 1
         stats.schema_broadcasts += 1
         stats.schema_broadcast_bytes += sum(len(payload) for payload in payloads.values()) * receivers
-
-
-def _terminal_stats(name: str, rows_out: int, started: float) -> OperatorStats:
-    """Stats for a materializing terminal stage (GROUP BY / sort / project).
-
-    These stages drain their input inside one call rather than being pulled
-    batch by batch, so they are timed around the drain instead of per ``next()``;
-    ``seconds`` stays inclusive, consistent with the probe convention."""
-    ended = time.perf_counter()
-    return OperatorStats(operator=name, rows_out=rows_out,
-                         seconds=ended - started, start=started, end=ended)

@@ -1,76 +1,25 @@
 """Compact plan renderer: which access path won, and why.
 
-``explain(dataset, query)`` compiles (or accepts) a query, runs the same
-optimizer passes the executor would — field-access consolidation and
-cost-based access-path selection — and renders the resulting plan as
-indented text without executing anything.  Benchmarks and tests assert on
-the rendered access-path line ("IndexProbe(...)" vs "FullScan"); humans get
-the cost estimates and the residual filter alongside.
+``explain(dataset, query)`` asks the dataset for the physical plan exactly
+as :meth:`~repro.core.dataset.Dataset.query` would — same planner call
+(:meth:`QueryExecutor.prepare_physical`), same plan cache — and renders it
+as indented text: the access-path decision with its costs, the plan's own
+stage list (the one the executor folds into operators, so the names here
+are the names in ``stats.per_partition[i].operators``) and the columns the
+scan extracts.  Nothing is executed unless ``analyze=True``, which runs that
+same plan object and appends the measured cost record.  Benchmarks and tests
+assert on the rendered access-path line ("IndexProbe(...)" vs "FullScan").
 """
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Any, Optional, Union
 
-from .expressions import (
-    And,
-    Arithmetic,
-    Comparison,
-    Exists,
-    Expr,
-    FieldAccess,
-    Func,
-    IsTest,
-    Literal,
-    Not,
-    Or,
-    Var,
-)
-from .optimizer import AccessPathChoice, Optimizer, choose_access_path
+from ..cache import PhysicalPlan
+from ..obs import CARDINALITY_MISESTIMATE, emit_event
+from .expressions import render_expr
+from .optimizer import AccessPathChoice
 from .plan import QuerySpec
-
-
-def render_expr(expr: Expr) -> str:
-    """Render an executable expression tree back to readable SQL++-ish text."""
-    if isinstance(expr, Literal):
-        return repr(expr.value)
-    if isinstance(expr, Var):
-        return expr.name
-    if isinstance(expr, FieldAccess):
-        steps = "".join(f"[{step}]" if not isinstance(step, str) or step == "*"
-                        else f".{step}" for step in expr.path)
-        return f"{expr.source}{steps}"
-    if isinstance(expr, Comparison):
-        return f"{render_expr(expr.left)} {expr.op} {render_expr(expr.right)}"
-    if isinstance(expr, Arithmetic):
-        return f"({render_expr(expr.left)} {expr.op} {render_expr(expr.right)})"
-    if isinstance(expr, And):
-        return " AND ".join(f"({render_expr(operand)})" for operand in expr.operands)
-    if isinstance(expr, Or):
-        return " OR ".join(f"({render_expr(operand)})" for operand in expr.operands)
-    if isinstance(expr, Not):
-        return f"NOT ({render_expr(expr.operand)})"
-    if isinstance(expr, IsTest):
-        negation = "NOT " if expr.negated else ""
-        return f"{render_expr(expr.operand)} IS {negation}{expr.kind.upper()}"
-    if isinstance(expr, Func):
-        return f"{expr.name}({', '.join(render_expr(argument) for argument in expr.args)})"
-    if isinstance(expr, Exists):
-        return (f"SOME {expr.item_var} IN {render_expr(expr.collection)} "
-                f"SATISFIES {render_expr(expr.predicate)}")
-    return repr(expr)
-
-
-def _spec_of(query: Union[str, QuerySpec]) -> QuerySpec:
-    if isinstance(query, QuerySpec):
-        return query
-    from ..sqlpp import CompiledCreateIndex
-    from ..sqlpp import compile as compile_sqlpp
-
-    compiled = compile_sqlpp(query)
-    if isinstance(compiled, CompiledCreateIndex):
-        raise ValueError("explain() renders query plans; CREATE INDEX has none")
-    return compiled.spec
 
 
 def _access_path_lines(choice: AccessPathChoice) -> list:
@@ -90,48 +39,32 @@ def _access_path_lines(choice: AccessPathChoice) -> list:
     return lines
 
 
-def explain(dataset, query: Union[str, QuerySpec], access_path: str = "auto",
-            consolidate_field_access: bool = True,
-            pushdown_through_unnest: bool = True,
-            analyze: bool = False, **executor_options) -> str:
+def explain(dataset, query: Union[str, QuerySpec], analyze: bool = False,
+            executor: Optional[Any] = None, **executor_options) -> str:
     """Render the plan for ``query`` over ``dataset``.
 
-    Without ``analyze`` nothing is executed.  With ``analyze=True`` the query
-    runs through an instrumented executor and an ``ANALYZE`` section renders
-    per-operator actual rows / inclusive wall time / bytes read next to the
-    plan, plus buffer-cache activity and the estimated-vs-actual cardinality
-    error; ``executor_options`` (e.g. ``parallelism=1``) configure that
-    executor."""
-    spec = _spec_of(query)
-    original_spec = spec
-    optimizer = Optimizer(consolidate_field_access, pushdown_through_unnest)
-    access_plan = optimizer.plan(spec, dataset.config.storage_format.uses_vector_format)
-    spec = access_plan.effective_spec(spec)
-    choice = choose_access_path(spec, dataset, force=access_path)
+    ``executor`` / ``executor_options`` (e.g. ``access_path="scan"``,
+    ``parallelism=1``) mean what they mean to ``dataset.query``.  Without
+    ``analyze`` nothing is executed.  With ``analyze=True`` the rendered plan
+    runs and an ``ANALYZE`` section shows per-operator actual rows /
+    inclusive wall time / bytes read, plus buffer-cache activity and the
+    estimated-vs-actual cardinality error."""
+    runner = dataset._runner(executor, executor_options)
+    physical, source = dataset._plan(query, runner)
+    if not isinstance(physical, PhysicalPlan):
+        raise ValueError("explain() renders query plans; CREATE INDEX has none")
+    spec, batch_plan = physical.spec, physical.batch_plan
 
     lines = [f"QUERY PLAN over dataset {dataset.config.name!r} "
              f"(format={dataset.config.storage_format.value}, "
              f"partitions={dataset.partition_count}, "
              f"~{dataset.approximate_record_count()} records)"]
-    lines.extend("  " + line for line in _access_path_lines(choice))
+    lines.extend("  " + line for line in _access_path_lines(physical.choice))
 
     lines.append("  pipeline (per partition):")
-    lines.append(f"    {choice.path.describe()}")
-    for clause in spec.lets:
-        lines.append(f"    -> LET {clause.name} = {render_expr(clause.expr)}")
-    for plan in access_plan.unnest_plans:
-        suffix = " [pushdown]" if plan.pushed_down else ""
-        lines.append(f"    -> UNNEST {render_expr(plan.clause.collection)} "
-                     f"AS {plan.clause.item_var}{suffix}")
-    if spec.where is not None:
-        lines.append(f"    -> SELECT {render_expr(spec.where)}")
-    if spec.is_aggregation:
-        keys = ", ".join(name for name, _ in spec.group_keys) or "<global>"
-        aggregates = ", ".join(f"{agg.function}->{agg.output}" for agg in spec.aggregates)
-        lines.append(f"    -> GROUP BY [{keys}] AGGREGATE [{aggregates}]")
-    elif spec.projections:
-        outputs = ", ".join(name for name, _ in spec.projections)
-        lines.append(f"    -> PROJECT [{outputs}]")
+    for position, stage in enumerate(batch_plan.stages):
+        lines.append(("    -> " if position else "    ") + stage.name
+                     + (f": {stage.detail}" if stage.detail else ""))
 
     coordinator = []
     if spec.is_aggregation:
@@ -149,29 +82,14 @@ def explain(dataset, query: Union[str, QuerySpec], access_path: str = "auto",
                  "merged in partition order (worker pool, default one worker per partition)")
     lines.append("  coordinator: " + ("; ".join(coordinator) if coordinator else "concatenate"))
 
-    if access_plan.consolidate and access_plan.scan_paths:
-        rendered = ", ".join(".".join(map(str, path)) for path in access_plan.scan_paths)
+    if batch_plan.scan_paths:
+        rendered = ", ".join(".".join(map(str, path)) for path in batch_plan.scan_paths)
         lines.append(f"  consolidated field access: get_values({rendered})")
+    lines.append(f"  execution: batch (size={runner.batch_size})")
 
-    from .executor import QueryExecutor
-
-    executor = QueryExecutor(consolidate_field_access=consolidate_field_access,
-                             pushdown_through_unnest=pushdown_through_unnest,
-                             access_path=access_path, analyze=True,
-                             **executor_options)
-    lines.append(f"  execution: batch (size={executor.batch_size})")
-
-    if not analyze:
-        return "\n".join(lines)
-
-    if isinstance(query, str):
-        # Route through Dataset.query so the plan cache is probed exactly as
-        # a production call would — ANALYZE then reports "plan: cached" vs
-        # "plan: compiled" truthfully.
-        result = dataset.query(query, executor=executor)
-    else:
-        result = executor.execute(dataset, original_spec)
-    lines.extend(_analyze_lines(result.stats))
+    if analyze:
+        result, _ = dataset._run(query, runner, planned=(physical, source))
+        lines.extend(_analyze_lines(dataset, result.stats))
     return "\n".join(lines)
 
 
@@ -181,19 +99,18 @@ def _format_seconds(seconds: float) -> str:
     return f"{seconds * 1000.0:.3f}ms"
 
 
-def _analyze_lines(stats) -> list:
-    """Render the ANALYZE section from instrumented ExecutionStats."""
+def _analyze_lines(dataset, stats) -> list:
+    """Render the ANALYZE section from the execution's cost record."""
     lines = ["  ANALYZE (query executed):"]
     totals = stats.operator_totals()
-    if totals:
-        width = max(max(len(op.operator) for op in totals), len("operator"))
-        lines.append(f"    {'operator':<{width}}  {'actual rows':>12}  "
-                     f"{'time':>10}  {'bytes read':>12}  {'batches':>8}")
-        for op in totals:
-            lines.append(f"    {op.operator:<{width}}  {op.rows_out:>12}  "
-                         f"{_format_seconds(op.seconds):>10}  {op.bytes_read:>12,}"
-                         f"  {op.batches:>8}")
-        lines.append("    (time is inclusive wall time, summed across partitions)")
+    width = max(max(len(op.operator) for op in totals), len("operator"))
+    lines.append(f"    {'operator':<{width}}  {'actual rows':>12}  "
+                 f"{'time':>10}  {'bytes read':>12}  {'batches':>8}")
+    for op in totals:
+        lines.append(f"    {op.operator:<{width}}  {op.rows_out:>12}  "
+                     f"{_format_seconds(op.seconds):>10}  {op.bytes_read:>12,}"
+                     f"  {op.batches:>8}")
+    lines.append("    (time is inclusive wall time, summed across partitions)")
     if stats.plan_source is not None:
         lines.append("    plan: cached" if stats.plan_source == "cache"
                      else "    plan: compiled")
@@ -213,6 +130,14 @@ def _analyze_lines(stats) -> list:
         lines.append(f"    cardinality: estimated {stats.estimated_rows:.1f} row(s), "
                      f"actual {stats.actual_matched_rows} row(s) matched "
                      f"(error factor {stats.cardinality_error:.1f}x)")
+        if stats.cardinality_error > 10.0:
+            emit_event(CARDINALITY_MISESTIMATE,
+                       dataset=dataset.config.name,
+                       access_path=stats.access_path,
+                       index=stats.index_name,
+                       estimated_rows=round(stats.estimated_rows, 1),
+                       actual_rows=stats.actual_matched_rows,
+                       error_factor=round(stats.cardinality_error, 1))
     elif stats.actual_matched_rows is not None:
         lines.append(f"    cardinality: actual {stats.actual_matched_rows} row(s) "
                      "matched (optimizer made no estimate)")

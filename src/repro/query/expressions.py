@@ -226,6 +226,37 @@ class Exists(Expr):
         return (self.collection, self.predicate)
 
 
+def render_expr(expr: Expr) -> str:
+    """Render an expression tree back to readable SQL++-ish text (EXPLAIN)."""
+    if isinstance(expr, Literal):
+        return repr(expr.value)
+    if isinstance(expr, Var):
+        return expr.name
+    if isinstance(expr, FieldAccess):
+        steps = "".join(f"[{step}]" if not isinstance(step, str) or step == "*"
+                        else f".{step}" for step in expr.path)
+        return f"{expr.source}{steps}"
+    if isinstance(expr, Comparison):
+        return f"{render_expr(expr.left)} {expr.op} {render_expr(expr.right)}"
+    if isinstance(expr, Arithmetic):
+        return f"({render_expr(expr.left)} {expr.op} {render_expr(expr.right)})"
+    if isinstance(expr, And):
+        return " AND ".join(f"({render_expr(operand)})" for operand in expr.operands)
+    if isinstance(expr, Or):
+        return " OR ".join(f"({render_expr(operand)})" for operand in expr.operands)
+    if isinstance(expr, Not):
+        return f"NOT ({render_expr(expr.operand)})"
+    if isinstance(expr, IsTest):
+        negation = "NOT " if expr.negated else ""
+        return f"{render_expr(expr.operand)} IS {negation}{expr.kind.upper()}"
+    if isinstance(expr, Func):
+        return f"{expr.name}({', '.join(render_expr(argument) for argument in expr.args)})"
+    if isinstance(expr, Exists):
+        return (f"SOME {expr.item_var} IN {render_expr(expr.collection)} "
+                f"SATISFIES {render_expr(expr.predicate)}")
+    return repr(expr)
+
+
 # -- convenience constructors used by workload query definitions ----------------
 
 def field(source: str, *path: Any) -> FieldAccess:

@@ -369,81 +369,99 @@ class BatchSelectOperator:
                 yield batch.take(indices)
 
 
-class BatchProjectOperator:
-    """SELECT projections, one list of output rows per input batch."""
-
-    def __init__(self, child: Iterator[ColumnBatch],
-                 projections: Sequence[Tuple[str, Any]]) -> None:
-        self.child = child
-        self.projections = projections
-
-    def __iter__(self) -> Iterator[List[Dict[str, Any]]]:
-        for batch in self.child:
-            columns = [(name, evaluate(batch)) for name, evaluate in self.projections]
-            block = []
-            for row in range(batch.length):
-                out: Dict[str, Any] = {}
-                for name, column in columns:
-                    value = column[row]
-                    if hasattr(value, "materialize"):
-                        value = value.materialize()
-                    out[name] = value
-                block.append(out)
-            yield block
+# ---------------------------------------------------------------------------
+# terminal stages: drain the pipeline into the partition's payload
+# ---------------------------------------------------------------------------
 
 
-class BatchGroupByOperator:
-    """Per-partition hash aggregation producing mergeable partial states.
+def _project(batch: ColumnBatch, projections: Sequence[Tuple[str, Any]]) -> List[Dict[str, Any]]:
+    """SELECT projections of one batch, as output rows."""
+    columns = [(name, evaluate(batch)) for name, evaluate in projections]
+    rows = []
+    for row in range(batch.length):
+        out: Dict[str, Any] = {}
+        for name, column in columns:
+            value = column[row]
+            if hasattr(value, "materialize"):
+                value = value.materialize()
+            out[name] = value
+        rows.append(out)
+    return rows
+
+
+def project_rows(child: Iterator[ColumnBatch], projections: Sequence[Tuple[str, Any]],
+                 limit: Optional[int] = None) -> List[Dict[str, Any]]:
+    """PROJECT: output rows in scan order, pulling no batch past ``limit``."""
+    rows: List[Dict[str, Any]] = []
+    for batch in child:
+        rows.extend(_project(batch, projections))
+        if limit is not None and len(rows) >= limit:
+            return rows[:limit]
+    return rows
+
+
+def project_sorted(child: Iterator[ColumnBatch], projections: Sequence[Tuple[str, Any]],
+                   order_keys: Sequence[Any], order_by: Sequence[OrderKey],
+                   limit: Optional[int] = None) -> List[Tuple[Sequence[Any], Dict[str, Any]]]:
+    """SORT+PROJECT: rows with their sort keys (evaluated pre-projection,
+    columnwise) as the ``(keys, row)`` candidates :func:`sort_candidates` takes."""
+    candidates: List[Tuple[Sequence[Any], Dict[str, Any]]] = []
+    for batch in child:
+        key_columns = [evaluate(batch) for evaluate in order_keys]
+        candidates.extend(([sort_key(column[index]) for column in key_columns], row)
+                          for index, row in enumerate(_project(batch, projections)))
+    if limit is not None and len(candidates) > limit:
+        # Per-partition top-k: under the coordinator's stable comparator a
+        # row beyond this partition's local top-`limit` can never reach
+        # the global answer, so only `limit` candidates cross the
+        # exchange and the coordinator sorts parallelism*limit rows.
+        candidates = sort_candidates(candidates, order_by, limit)
+    return candidates
+
+
+def group_partials(child: Iterator[ColumnBatch], group_keys: Sequence[Tuple[str, Any]],
+                   aggregates: Sequence[AggregateSpec],
+                   argument_evals: Sequence[Optional[Any]]) -> Dict[Tuple[Any, ...], List[Any]]:
+    """GROUP BY (partial): per-partition hash aggregation into mergeable states.
 
     This is the local half of the parallel aggregation in paper Figure 5:
     the ``{key tuple: [states]}`` partials arrive at the coordinator over the
     (conceptual) hash-partition exchange, where :func:`merge_partials` and
     :func:`finalize_groups` combine them.
     """
-
-    def __init__(self, child: Iterator[ColumnBatch],
-                 group_keys: Sequence[Tuple[str, Any]],
-                 aggregates: Sequence[AggregateSpec],
-                 argument_evals: Sequence[Optional[Any]]) -> None:
-        self.child = child
-        self.group_keys = group_keys
-        self.aggregates = aggregates
-        self.argument_evals = argument_evals
-
-    def run(self) -> Dict[Tuple[Any, ...], List[Any]]:
-        functions = [get_aggregate(spec.function) for spec in self.aggregates]
-        groups: Dict[Tuple[Any, ...], List[Any]] = {}
-        for batch in self.child:
-            key_columns = [evaluate(batch) for _, evaluate in self.group_keys]
-            argument_columns = [evaluate(batch) if evaluate is not None else None
-                                for evaluate in self.argument_evals]
-            if not key_columns:
-                states = groups.get(())
-                if states is None:
-                    states = [function.create() for function in functions]
-                    groups[()] = states
-                for index, function in enumerate(functions):
-                    column = argument_columns[index]
-                    if column is None:
-                        # COUNT(*): n accumulates of True fold to merge(state, n).
-                        states[index] = function.merge(states[index], batch.length)
-                        continue
-                    state = states[index]
-                    for value in column:
-                        state = function.accumulate(state, value)
-                    states[index] = state
-                continue
-            for row in range(batch.length):
-                key = tuple(column[row] for column in key_columns)
-                if any(isinstance(part, Missing) for part in key):
+    functions = [get_aggregate(spec.function) for spec in aggregates]
+    groups: Dict[Tuple[Any, ...], List[Any]] = {}
+    for batch in child:
+        key_columns = [evaluate(batch) for _, evaluate in group_keys]
+        argument_columns = [evaluate(batch) if evaluate is not None else None
+                            for evaluate in argument_evals]
+        if not key_columns:
+            states = groups.get(())
+            if states is None:
+                states = [function.create() for function in functions]
+                groups[()] = states
+            for index, function in enumerate(functions):
+                column = argument_columns[index]
+                if column is None:
+                    # COUNT(*): n accumulates of True fold to merge(state, n).
+                    states[index] = function.merge(states[index], batch.length)
                     continue
-                key = tuple(_hashable(part) for part in key)
-                states = groups.get(key)
-                if states is None:
-                    states = [function.create() for function in functions]
-                    groups[key] = states
-                for index, function in enumerate(functions):
-                    column = argument_columns[index]
-                    value = column[row] if column is not None else True
-                    states[index] = function.accumulate(states[index], value)
-        return groups
+                state = states[index]
+                for value in column:
+                    state = function.accumulate(state, value)
+                states[index] = state
+            continue
+        for row in range(batch.length):
+            key = tuple(column[row] for column in key_columns)
+            if any(isinstance(part, Missing) for part in key):
+                continue
+            key = tuple(_hashable(part) for part in key)
+            states = groups.get(key)
+            if states is None:
+                states = [function.create() for function in functions]
+                groups[key] = states
+            for index, function in enumerate(functions):
+                column = argument_columns[index]
+                value = column[row] if column is not None else True
+                states[index] = function.accumulate(states[index], value)
+    return groups

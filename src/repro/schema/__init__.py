@@ -11,7 +11,7 @@ from .nodes import (
     nodes_equal,
 )
 from .schema import InferredSchema
-from .antischema import antischema_size_estimate, extract_antischema
+from .antischema import extract_antischema
 
 __all__ = [
     "FieldNameDictionary",
@@ -24,5 +24,4 @@ __all__ = [
     "leaf_paths",
     "InferredSchema",
     "extract_antischema",
-    "antischema_size_estimate",
 ]

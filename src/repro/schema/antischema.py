@@ -69,24 +69,3 @@ def _strip(value: Any) -> Any:
         return _PLACEHOLDERS[tag]
     # Unmapped scalars (UUID etc.) keep their value: still correct, just larger.
     return value
-
-
-def antischema_size_estimate(antischema: Dict[str, Any]) -> int:
-    """Rough byte estimate of an anti-schema (for memory accounting)."""
-    total = 0
-    stack = [antischema]
-    while stack:
-        value = stack.pop()
-        if isinstance(value, dict):
-            for name, child in value.items():
-                total += len(name) + 2
-                stack.append(child)
-        elif isinstance(value, AMultiset):
-            stack.extend(value.items)
-            total += 2
-        elif isinstance(value, (list, tuple)):
-            stack.extend(value)
-            total += 2
-        else:
-            total += 2
-    return total

@@ -3,7 +3,7 @@
 from .buffer_cache import BufferCache, CacheStats
 from .compression import Codec, NoneCodec, ZlibCodec, compress_page, get_codec, register_codec
 from .device import IOStats, SimulatedStorageDevice
-from .file_manager import BaseFileManager, FileManager, InMemoryFileManager
+from .file_manager import BaseFileManager, InMemoryFileManager
 from .laf import ENTRY_SIZE as LAF_ENTRY_SIZE
 from .laf import LookAsideFile
 from .wal import LogRecord, LogRecordType, WriteAheadLog
@@ -20,7 +20,6 @@ __all__ = [
     "IOStats",
     "SimulatedStorageDevice",
     "BaseFileManager",
-    "FileManager",
     "InMemoryFileManager",
     "LookAsideFile",
     "LAF_ENTRY_SIZE",

@@ -56,14 +56,6 @@ class IOStats(StatsDictMixin):
         self.bytes_written += nbytes
         self.write_ops += 1
 
-    def merged_with(self, other: "IOStats") -> "IOStats":
-        return IOStats(
-            bytes_read=self.bytes_read + other.bytes_read,
-            bytes_written=self.bytes_written + other.bytes_written,
-            read_ops=self.read_ops + other.read_ops,
-            write_ops=self.write_ops + other.write_ops,
-        )
-
     def copy(self) -> "IOStats":
         return IOStats(self.bytes_read, self.bytes_written, self.read_ops, self.write_ops)
 
@@ -221,21 +213,12 @@ class SimulatedStorageDevice:
     def simulated_read_seconds(self) -> float:
         return self.stats.bytes_read / self.read_bandwidth + self.stats.read_ops * self.seek_latency
 
-    @property
-    def simulated_write_seconds(self) -> float:
-        return self.stats.bytes_written / self.write_bandwidth + self.stats.write_ops * self.seek_latency
-
     # -- bookkeeping ----------------------------------------------------------------
 
     def snapshot(self) -> IOStats:
         """Copy of the current counters (use with :meth:`IOStats.diff`)."""
         with self._lock:
             return self.stats.copy()
-
-    def reset(self) -> None:
-        with self._lock:
-            self.stats = IOStats()
-            self.per_class = {}
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

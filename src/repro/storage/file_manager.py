@@ -7,21 +7,15 @@ representation simple: compressed payloads are appended back-to-back and the
 :class:`~repro.storage.laf.LookAsideFile` maps logical page numbers to
 ``(offset, length)`` pairs, exactly as described in paper §2.4.
 
-Two backends are provided:
-
-* :class:`FileManager` — pages live in real files under a base directory
-  (one data file plus one ``.laf`` file per page file when compressed);
-* :class:`InMemoryFileManager` — pages live in process memory.  Benchmarks
-  default to this backend so that measured times reflect the engine's CPU
-  work and the *simulated* device model, not the test machine's disk.
-
-Both backends charge every physical read/write to the
-:class:`~repro.storage.device.SimulatedStorageDevice` they are given.
+Page payloads live in process memory (:class:`InMemoryFileManager`, the
+one backend), so measured times reflect the engine's CPU work and the
+*simulated* device model, not the test machine's disk: every physical
+read/write is charged to the
+:class:`~repro.storage.device.SimulatedStorageDevice` the manager is given.
 """
 
 from __future__ import annotations
 
-import os
 import zlib
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -33,7 +27,7 @@ from .laf import LookAsideFile
 
 
 class _PageFileState:
-    """Book-keeping shared by both backends for one open page file."""
+    """Book-keeping for one open page file."""
 
     __slots__ = ("name", "laf", "page_count", "uncompressed_bytes", "stored_bytes",
                  "checksums")
@@ -51,7 +45,8 @@ class _PageFileState:
 
 
 class BaseFileManager:
-    """Common behaviour of the two backends."""
+    """Page-file bookkeeping, compression, checksums and device accounting
+    over a byte-store backend (the ``_backend_*`` hooks)."""
 
     def __init__(self, device: SimulatedStorageDevice, page_size: int,
                  codec: Optional[Codec] = None) -> None:
@@ -194,7 +189,7 @@ class BaseFileManager:
 
 
 class InMemoryFileManager(BaseFileManager):
-    """Backend keeping page payloads in process memory (default for benches)."""
+    """Backend keeping page payloads in process memory."""
 
     def __init__(self, device: SimulatedStorageDevice, page_size: int,
                  codec: Optional[Codec] = None) -> None:
@@ -219,51 +214,3 @@ class InMemoryFileManager(BaseFileManager):
         if offset + length > len(blob):
             raise PageNotFoundError(f"read past end of {name!r}")
         return bytes(blob[offset:offset + length])
-
-
-class FileManager(BaseFileManager):
-    """Backend persisting page payloads in real files under ``base_dir``."""
-
-    def __init__(self, base_dir: str, device: SimulatedStorageDevice, page_size: int,
-                 codec: Optional[Codec] = None) -> None:
-        super().__init__(device, page_size, codec)
-        self.base_dir = base_dir
-        os.makedirs(base_dir, exist_ok=True)
-
-    def _path(self, name: str) -> str:
-        safe = name.replace("/", "_")
-        return os.path.join(self.base_dir, safe)
-
-    def _backend_create(self, name: str) -> None:
-        with open(self._path(name), "wb"):
-            pass
-
-    def _backend_delete(self, name: str) -> None:
-        try:
-            os.remove(self._path(name))
-        except FileNotFoundError:
-            pass
-
-    def _backend_write(self, name: str, offset: int, payload: bytes) -> None:
-        with open(self._path(name), "r+b") as handle:
-            handle.seek(0, os.SEEK_END)
-            size = handle.tell()
-            if size < offset:
-                handle.write(b"\x00" * (offset - size))
-            handle.seek(offset)
-            handle.write(payload)
-
-    def _backend_read(self, name: str, offset: int, length: int) -> bytes:
-        with open(self._path(name), "rb") as handle:
-            handle.seek(offset)
-            payload = handle.read(length)
-        if len(payload) != length:
-            raise PageNotFoundError(f"short read from {name!r}")
-        return payload
-
-    def close(self) -> None:
-        """Persist LAFs next to their data files (crash-recovery friendly)."""
-        for name, state in self._files.items():
-            if not isinstance(self.codec, NoneCodec):
-                with open(self._path(name) + ".laf", "wb") as handle:
-                    handle.write(state.laf.to_bytes())

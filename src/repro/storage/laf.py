@@ -69,23 +69,3 @@ class LookAsideFile:
             return 0
         offset, length = self._entries[-1]
         return offset + length
-
-    # -- serialization --------------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        parts = [struct.pack("<I", len(self._entries))]
-        parts.extend(_ENTRY.pack(offset, length) for offset, length in self._entries)
-        return b"".join(parts)
-
-    @classmethod
-    def from_bytes(cls, payload: bytes) -> "LookAsideFile":
-        laf = cls()
-        if len(payload) < 4:
-            raise StorageError("LAF payload too short")
-        (count,) = struct.unpack_from("<I", payload, 0)
-        cursor = 4
-        for page_no in range(count):
-            offset, length = _ENTRY.unpack_from(payload, cursor)
-            cursor += ENTRY_SIZE
-            laf.add_entry(page_no, offset, length)
-        return laf

@@ -3,7 +3,7 @@
 from .encoder import VectorEncoder, is_compacted, record_total_length
 from .decoder import VectorRecordView, WILDCARD
 from .batch import BatchExtractor, ColumnBatch
-from .compaction import compact_record, compaction_savings, expand_record, infer_and_compact
+from .compaction import compact_record, expand_record, infer_and_compact
 
 __all__ = [
     "VectorEncoder",
@@ -15,6 +15,5 @@ __all__ = [
     "record_total_length",
     "compact_record",
     "expand_record",
-    "compaction_savings",
     "infer_and_compact",
 ]

@@ -205,8 +205,3 @@ def expand_record(payload: bytes, dictionary: FieldNameDictionary) -> bytes:
         lengths[index] = len(encoded)
         name_bytes += encoded
     return _with_names(payload, header, header[2] & ~FLAG_COMPACTED, lengths, bytes(name_bytes))
-
-
-def compaction_savings(uncompacted: bytes, compacted: bytes) -> int:
-    """Bytes saved by compacting one record (useful in reports and tests)."""
-    return len(uncompacted) - len(compacted)

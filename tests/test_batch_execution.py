@@ -29,6 +29,7 @@ from repro.query import (
     Exists,
     Expr,
     Func,
+    Optimizer,
     QueryExecutor,
     Var,
     explain,
@@ -284,15 +285,20 @@ class TestPlanTimeErrors:
     """What the pipeline cannot run fails when planned, before any scan."""
 
     def _assert_rejected(self, dataset, spec):
-        with pytest.raises(QueryError):
+        """The planner's error is execute()'s and explain()'s: one planner."""
+        with pytest.raises(QueryError) as planned:
             QueryExecutor().prepare_physical(dataset, spec)
-        with pytest.raises(QueryError):
-            QueryExecutor().execute(dataset, spec)
+        for run in (QueryExecutor().execute, explain):
+            with pytest.raises(QueryError) as rejected:
+                run(dataset, spec)
+            assert str(rejected.value) == str(planned.value)
 
     def test_unbound_variable(self, inferred_dataset):
         self._assert_rejected(
             inferred_dataset,
             scan("t").select(("x", Var("nobody"))).build())
+        self._assert_rejected(
+            inferred_dataset, scan("t").select(("a", field("x", "foo"))).build())
         self._assert_rejected(
             inferred_dataset,
             scan("t").where(Comparison("=", field("nobody", "a"), lit(1))).count_star().build())
@@ -345,6 +351,20 @@ class TestExplainIntegration:
     def test_explain_marks_the_unnest_shape(self, inferred_dataset):
         assert "[pushdown]" in explain(inferred_dataset, _q_unnest_pushdown())
         assert "[pushdown]" not in explain(inferred_dataset, _q_unnest_item_var())
+
+    def test_explain_lists_every_column_the_scan_extracts(self, inferred_dataset):
+        """A projected collection whose UNNEST is pushed down is extracted whole
+        *and* item-wise: the optimizer's list drops it, the scan's keeps it."""
+        rendered = inferred_dataset.explain(
+            "SELECT t.readings, r.temp FROM batch_tweets t UNNEST t.readings r")
+        assert "get_values(readings, readings.*.temp)" in rendered
+
+    def test_explain_analyze_times_the_plan_it_shows(self, inferred_dataset, monkeypatch):
+        calls, plan = [], Optimizer.plan
+        monkeypatch.setattr(Optimizer, "plan",
+                            lambda *args, **kw: calls.append(args) or plan(*args, **kw))
+        explain(inferred_dataset, _q_group_avg(), analyze=True)
+        assert len(calls) == 1  # planned once: what is rendered is what ran
 
 
 # ---------------------------------------------------------------------------

@@ -186,13 +186,22 @@ class TestMeasuredParallelism:
         assert len(stats.per_partition) == PARTITIONS
         assert all(partition.bytes_read > 0 for partition in stats.per_partition)
         assert all(partition.records_scanned > 0 for partition in stats.per_partition)
-        assert stats.bytes_read == sum(p.bytes_read for p in stats.per_partition)
-        assert stats.records_scanned == sum(p.records_scanned for p in stats.per_partition)
-        assert stats.simulated_io_seconds == pytest.approx(
-            sum(p.simulated_io_seconds for p in stats.per_partition))
         # Byte totals match a cold sequential run of the same query exactly.
         cold = QueryExecutor(cold_cache=True, parallelism=1).execute(dataset, spec)
         assert cold.stats.bytes_read == stats.bytes_read
+        # Every total is derived from per_partition — it cannot drift from the
+        # sum, whatever the pool width — and stays in the exported dict.
+        totals = dict.fromkeys(("records_scanned", "bytes_read", "bytes_written",
+                                "simulated_io_seconds"))
+        totals.update(batches_processed="batches", slice_cache_hits="slice_hits",
+                      slice_cache_misses="slice_misses")
+        for run in (stats, cold.stats):
+            for total, part in totals.items():
+                expected = sum(getattr(p, part or total) for p in run.per_partition)
+                assert getattr(run, total) == run.to_dict()[total] == pytest.approx(expected)
+                with pytest.raises(AttributeError):
+                    setattr(run, total, 0)
+            assert run.records_scanned == 360 and run.batches_processed >= PARTITIONS
 
     def test_nested_accounting_scopes_pop_by_identity(self):
         """Regression: closing an all-zero inner scope must not pop the

@@ -6,7 +6,6 @@ from repro.config import DeviceKind
 from repro.errors import BufferCacheFullError, PageNotFoundError, StorageError, WALError
 from repro.storage import (
     BufferCache,
-    FileManager,
     InMemoryFileManager,
     LookAsideFile,
     LogRecordType,
@@ -118,13 +117,6 @@ class TestLookAsideFile:
         assert LAF_ENTRY_SIZE == 12
         assert (128 * 1024) // LAF_ENTRY_SIZE == 10922
 
-    def test_serialization_roundtrip(self):
-        laf = LookAsideFile()
-        for page_no in range(5):
-            laf.add_entry(page_no, page_no * 50, 50)
-        restored = LookAsideFile.from_bytes(laf.to_bytes())
-        assert [restored.entry(i) for i in range(5)] == [laf.entry(i) for i in range(5)]
-
 
 class TestFileManager:
     def test_write_read_roundtrip(self):
@@ -194,16 +186,6 @@ class TestFileManager:
         manager.read_page("f", 0)
         assert device.stats.bytes_written == PAGE_SIZE
         assert device.stats.bytes_read == PAGE_SIZE
-
-    def test_real_file_backend_roundtrip(self, tmp_path):
-        device = SimulatedStorageDevice()
-        manager = FileManager(str(tmp_path), device, PAGE_SIZE, ZlibCodec())
-        manager.create_file("data")
-        manager.write_page("data", 0, _page(3))
-        manager.write_page("data", 1, _page(4))
-        assert manager.read_page("data", 1) == _page(4)
-        manager.close()
-        assert (tmp_path / "data").exists()
 
 
 class TestBufferCache:
