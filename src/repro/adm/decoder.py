@@ -24,8 +24,8 @@ import struct
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import DecodingError
-from ..types import (AMultiset, Datatype, MISSING, TypeTag, WILDCARD, navigate, unpack_fixed,
-                     unpack_variable)
+from ..types import (AMultiset, Datatype, MISSING, SCALAR_DECODERS, TypeTag, VARLEN, WILDCARD,
+                     navigate)
 
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
@@ -82,18 +82,17 @@ class ADMDecoder:
         if tag in (TypeTag.ARRAY, TypeTag.MULTISET):
             item_nested = context[1] if isinstance(context, tuple) else None
             return self._decode_collection(buffer, offset, tag, item_nested)
-        if tag is TypeTag.NULL:
-            return None, offset + 1
-        if tag is TypeTag.MISSING:
-            return MISSING, offset + 1
-        if tag.is_fixed_length:
-            width = tag.fixed_length
-            return unpack_fixed(tag, buffer, offset + 1), offset + 1 + width
-        if tag.is_variable_length:
-            length = _read_u32(buffer, offset + 1)
+        width, read, wrap = SCALAR_DECODERS.get(tag, (None, None, None))
+        if width is None:
+            raise DecodingError(f"unexpected tag {tag.name} at offset {offset}")
+        if width == VARLEN:
             start = offset + 5
-            return unpack_variable(tag, bytes(buffer[start:start + length])), start + length
-        raise DecodingError(f"unexpected tag {tag.name} at offset {offset}")
+            end = start + _read_u32(buffer, offset + 1)
+            return read(bytes(buffer[start:end])), end
+        if not width:
+            return wrap, offset + 1  # NULL or MISSING
+        fields = read(buffer, offset + 1)
+        return (fields[0] if wrap is None else wrap(*fields)), offset + 1 + width
 
     def _decode_object(self, buffer: bytes, offset: int,
                        declared: Optional[Datatype]) -> Tuple[Dict[str, Any], int]:

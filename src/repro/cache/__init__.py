@@ -24,7 +24,7 @@ skipped store under injected faults, so chaos runs keep row parity), and
 hold locks declared in :mod:`repro.analysis.lock_hierarchy`.
 """
 
-from .column_cache import (COLUMN_CACHE_BYTES_ENV_VAR, ColumnSliceCache,
+from .column_cache import (COLUMN_CACHE_BYTES_ENV_VAR, ColumnSliceCache, SliceChunk,
                            SliceScanStats, cached_component_scan,
                            column_cache_budget)
 from .plan_cache import (PLAN_CACHE_ENV_VAR, PhysicalPlan, PlanCache,
@@ -36,6 +36,7 @@ __all__ = [
     "PLAN_CACHE_ENV_VAR",
     "PhysicalPlan",
     "PlanCache",
+    "SliceChunk",
     "SliceScanStats",
     "cached_component_scan",
     "column_cache_budget",

@@ -21,6 +21,12 @@ merge/`read_guard` deferred-deletion path) and quarantine events both call
 component's slices leave the cache as soon as the component leaves the
 tree, and memory is not held hostage by dead files.
 
+The cache owns what it holds.  A cold scan hands each freshly decoded value
+tuple to its caller and files its own copy, made by :func:`sized_copy` in the
+one walk that also sizes it; a warm scan yields a copy from the same copier.
+So a caller that mutates a result row — a dict, a list, an object inside a
+multiset — can never reach a cached slice.
+
 The byte budget comes from ``REPRO_COLUMN_CACHE_BYTES`` (default 32 MiB;
 ``0`` disables the cache).  Sizes are estimates (Python object overheads
 approximated per value), which is fine for an eviction budget.
@@ -28,7 +34,6 @@ approximated per value), which is fine for an eviction budget.
 
 from __future__ import annotations
 
-import copy
 import threading
 from collections import OrderedDict
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -37,6 +42,7 @@ from ..config import env_int
 from ..errors import CorruptPageError, PermanentIOError, TransientIOError
 from ..faults import fire_fault
 from ..obs import MetricsRegistry, get_registry
+from ..types import AMultiset, Missing
 
 #: Environment variable bounding the decoded column-slice cache, in bytes
 #: (shared by all datasets of one storage environment).  ``0`` disables the
@@ -73,44 +79,65 @@ class SliceScanStats:
         self.misses = 0
 
 
-class _Chunk:
-    """One cached slice: a run of component-scan rows plus its byte size."""
+#: Base size of a str or bytes; its length is added.
+_STRING_BYTES = 49
+#: Rough resident bytes of the immutable scalars a decoded row holds, by
+#: exact type; any other leaf counts 64.
+_SCALAR_BYTES = {type(None): 8, bool: 8, Missing: 8, int: 28, float: 28,
+                 str: _STRING_BYTES, bytes: _STRING_BYTES}
+
+
+def sized_copy(value: Any) -> Tuple[Any, int]:
+    """``(copy, rough resident bytes)`` of one decoded value, in one walk.
+
+    The copy shares nothing mutable with ``value``: dicts, lists, tuples and
+    multisets are rebuilt all the way down, immutable leaves are shared.
+    """
+    kind = type(value)
+    if kind is list or kind is tuple:
+        total = 56
+        items = []
+        for item in value:
+            size = _SCALAR_BYTES.get(type(item))
+            if size is None:
+                item, size = sized_copy(item)
+            elif size == _STRING_BYTES:
+                size += len(item)
+            total += size
+            items.append(item)
+        return (items if kind is list else tuple(items)), total
+    if kind is dict:  # field names are strings, sized like any other
+        items, total = sized_copy(list(value.values()))
+        return dict(zip(value, items)), total + 8 + sum(map(len, value)) + _STRING_BYTES * len(value)
+    if kind is AMultiset:
+        items, total = sized_copy(value.items)
+        return AMultiset(items), total
+    size = _SCALAR_BYTES.get(kind, 64)
+    return value, size + len(value) if size == _STRING_BYTES else size
+
+
+class SliceChunk:
+    """One cached slice: the cache's own copy of a run of component-scan
+    rows, ``(key, is_antimatter, values)`` each, plus its byte size."""
 
     __slots__ = ("rows", "last", "nbytes")
 
-    def __init__(self, rows: Tuple[Tuple[Any, bool, Optional[Tuple[Any, ...]]], ...],
-                 last: bool) -> None:
-        self.rows = rows
+    def __init__(self, rows: Sequence[Tuple[Any, bool, Optional[Tuple[Any, ...]]]] = (),
+                 last: bool = False) -> None:
+        self.rows: List[Tuple[Any, bool, Optional[Tuple[Any, ...]]]] = []
         self.last = last
-        self.nbytes = 96 + sum(_row_bytes(row) for row in rows)
+        self.nbytes = 96
+        for row in rows:
+            self.append(*row)
 
-
-def _row_bytes(row: Tuple[Any, bool, Optional[Tuple[Any, ...]]]) -> int:
-    total = 80 + _value_bytes(row[0])
-    values = row[2]
-    if values is not None:
-        total += 56
-        for value in values:
-            total += _value_bytes(value)
-    return total
-
-
-def _value_bytes(value: Any, depth: int = 0) -> int:
-    """Rough resident size of one decoded value (eviction accounting only)."""
-    if value is None or isinstance(value, bool):
-        return 8
-    if isinstance(value, (int, float)):
-        return 28
-    if isinstance(value, (str, bytes, bytearray)):
-        return 49 + len(value)
-    if depth >= 4:
-        return 64
-    if isinstance(value, dict):
-        return 64 + sum(_value_bytes(key, depth + 1) + _value_bytes(item, depth + 1)
-                        for key, item in value.items())
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return 56 + sum(_value_bytes(item, depth + 1) for item in value)
-    return 64
+    def append(self, key: Any, is_antimatter: bool, values: Optional[Tuple[Any, ...]]) -> None:
+        """File a copy of one row, sized in the walk that copies it."""
+        size = _SCALAR_BYTES.get(type(key), 64)
+        if values is not None:
+            values, nbytes = sized_copy(values)
+            size += nbytes
+        self.rows.append((key, is_antimatter, values))
+        self.nbytes += 80 + size
 
 
 class ColumnSliceCache:
@@ -123,8 +150,8 @@ class ColumnSliceCache:
                                else max(0, capacity_bytes))
         self.chunk_rows = max(1, chunk_rows)
         self._lock = threading.Lock()
-        #: (component file, paths key, chunk index) -> _Chunk, LRU order.
-        self._entries: "OrderedDict[Tuple[str, Tuple, int], _Chunk]" = OrderedDict()  # guarded-by: _lock
+        #: (component file, paths key, chunk index) -> SliceChunk, LRU order.
+        self._entries: "OrderedDict[Tuple[str, Tuple, int], SliceChunk]" = OrderedDict()  # guarded-by: _lock
         self._bytes = 0  # guarded-by: _lock
         metrics = metrics if metrics is not None else get_registry()
         self._hits = metrics.counter("column_cache_hits")
@@ -152,7 +179,7 @@ class ColumnSliceCache:
     # ------------------------------------------------------------------ chunk API
 
     def get_chunk(self, file_name: str, paths_key: Tuple,
-                  chunk_index: int) -> Optional[_Chunk]:
+                  chunk_index: int) -> Optional[SliceChunk]:
         if not self.enabled:
             return None
         try:
@@ -173,15 +200,13 @@ class ColumnSliceCache:
         return chunk
 
     def store_chunk(self, file_name: str, paths_key: Tuple, chunk_index: int,
-                    rows: Sequence[Tuple[Any, bool, Optional[Tuple[Any, ...]]]],
-                    last: bool) -> None:
+                    chunk: SliceChunk) -> None:
         if not self.enabled:
             return
         try:
             fire_fault("cache.store")
         except (TransientIOError, PermanentIOError, CorruptPageError):
             return  # skipped store: the next scan decodes (and retries) again
-        chunk = _Chunk(tuple(rows), last)
         if chunk.nbytes > self.capacity_bytes:
             return  # one oversized chunk must not wipe the whole cache
         evicted = 0
@@ -231,27 +256,6 @@ def paths_cache_key(paths: Sequence[Sequence[Any]]) -> Tuple:
     return tuple(tuple(path) for path in paths)
 
 
-#: Decoded value types a caller could mutate in place.
-_MUTABLE_CONTAINERS = (dict, list, set, bytearray)
-
-
-def _shield(values: Optional[Tuple[Any, ...]]) -> Optional[Tuple[Any, ...]]:
-    """Caller-safe copy of a cached value tuple (the cache stays pristine).
-
-    Decoded values can contain mutable containers (dicts/lists from subtree
-    capture); yielding those by reference would let a caller that mutates a
-    result row silently corrupt the shared cache and poison later queries.
-    Scalar-only rows — the common case — are returned as-is.
-    """
-    if values is None:
-        return None
-    if any(isinstance(value, _MUTABLE_CONTAINERS) for value in values):
-        return tuple(copy.deepcopy(value)
-                     if isinstance(value, _MUTABLE_CONTAINERS) else value
-                     for value in values)
-    return values
-
-
 def cached_component_scan(cache: ColumnSliceCache, component: Any, decode,
                           extractor, paths_key: Tuple,
                           stats: Optional[SliceScanStats] = None) -> Iterator[Tuple]:
@@ -260,11 +264,13 @@ def cached_component_scan(cache: ColumnSliceCache, component: Any, decode,
     Yields the LSM merge-scan's source items extended with decoded values:
     ``(key, is_antimatter, payload, record, schema, values)``.  Cached
     chunks are served without any page access (``payload`` is empty — the
-    values already carry everything the batch pipeline asked for); on the
-    first missing chunk the scan falls back to ``component.scan()``, skips
-    the rows already served, decodes the remainder through ``decode`` +
-    ``extractor``, and repopulates chunks as it goes.  Anti-matter rows are
-    cached with ``values=None`` so key shadowing survives a warm scan.
+    values already carry everything the batch pipeline asked for), each row
+    as a copy of the cached one; on the first missing chunk the scan falls
+    back to ``component.scan()``, skips the rows already served, decodes the
+    remainder through ``decode`` + ``extractor`` — the caller gets the fresh
+    values, the chunk being filled its own copy — and repopulates chunks as
+    it goes.  Anti-matter rows are cached with ``values=None`` so key
+    shadowing survives a warm scan.
 
     A ``CorruptPageError`` from the fallback propagates to the caller (the
     LSM index quarantines the component, which evicts its chunks); chunks
@@ -279,7 +285,9 @@ def cached_component_scan(cache: ColumnSliceCache, component: Any, decode,
         if chunk is None:
             break
         for key, is_antimatter, values in chunk.rows:
-            yield key, is_antimatter, b"", None, schema, _shield(values)
+            if values is not None:
+                values = sized_copy(values)[0]
+            yield key, is_antimatter, b"", None, schema, values
         served += len(chunk.rows)
         if stats is not None:
             stats.hits += len(chunk.rows)
@@ -287,7 +295,7 @@ def cached_component_scan(cache: ColumnSliceCache, component: Any, decode,
             return
         chunk_index += 1
 
-    buffer: List[Tuple[Any, bool, Optional[Tuple[Any, ...]]]] = []
+    filling = SliceChunk()
     position = 0
     for entry in component.scan():
         position += 1
@@ -299,10 +307,11 @@ def cached_component_scan(cache: ColumnSliceCache, component: Any, decode,
             values = tuple(extractor.extract(decode(entry.value)))
         if stats is not None:
             stats.misses += 1
-        buffer.append((entry.key, entry.is_antimatter, values))
-        yield entry.key, entry.is_antimatter, entry.value, None, schema, _shield(values)
-        if len(buffer) >= cache.chunk_rows:
-            cache.store_chunk(file_name, paths_key, chunk_index, buffer, last=False)
+        filling.append(entry.key, entry.is_antimatter, values)
+        yield entry.key, entry.is_antimatter, entry.value, None, schema, values
+        if len(filling.rows) >= cache.chunk_rows:
+            cache.store_chunk(file_name, paths_key, chunk_index, filling)
             chunk_index += 1
-            buffer = []
-    cache.store_chunk(file_name, paths_key, chunk_index, buffer, last=True)
+            filling = SliceChunk()
+    filling.last = True
+    cache.store_chunk(file_name, paths_key, chunk_index, filling)

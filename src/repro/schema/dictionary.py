@@ -23,7 +23,10 @@ class FieldNameDictionary:
 
     def __init__(self) -> None:
         self._name_to_id: Dict[str, int] = {}
-        self._id_to_name: List[str] = []  # index i holds the name with id i+1
+        #: Index ``i`` holds the name with id ``i + 1``.  The query-side walks
+        #: index it directly (checking ``0 < id <= len``) instead of calling
+        #: :meth:`decode` per field; only :meth:`encode` appends.
+        self.names: List[str] = []
         #: UTF-8 bytes -> id memo of :meth:`encode_utf8`, so the flush-time
         #: pass never decodes an inline name it has met before.  Part of the
         #: dictionary's state: :meth:`copy` carries it, which keeps a schema
@@ -39,9 +42,9 @@ class FieldNameDictionary:
         existing = self._name_to_id.get(name)
         if existing is not None:
             return existing
-        new_id = len(self._id_to_name) + 1
+        new_id = len(self.names) + 1
         self._name_to_id[name] = new_id
-        self._id_to_name.append(name)
+        self.names.append(name)
         return new_id
 
     def encode_utf8(self, raw: bytes) -> int:
@@ -58,19 +61,19 @@ class FieldNameDictionary:
     def decode(self, field_name_id: int) -> str:
         """Return the name for an id; raises SchemaError for unknown ids."""
         index = field_name_id - 1
-        if index < 0 or index >= len(self._id_to_name):
+        if index < 0 or index >= len(self.names):
             raise SchemaError(f"unknown FieldNameID {field_name_id}")
-        return self._id_to_name[index]
+        return self.names[index]
 
     def __len__(self) -> int:
-        return len(self._id_to_name)
+        return len(self.names)
 
     def __contains__(self, name: str) -> bool:
         return name in self._name_to_id
 
     def items(self) -> Iterator[Tuple[int, str]]:
         """Iterate ``(id, name)`` pairs in id order."""
-        for index, name in enumerate(self._id_to_name):
+        for index, name in enumerate(self.names):
             yield index + 1, name
 
     # -- copying / merging ----------------------------------------------------
@@ -78,7 +81,7 @@ class FieldNameDictionary:
     def copy(self) -> "FieldNameDictionary":
         clone = FieldNameDictionary()
         clone._name_to_id = dict(self._name_to_id)
-        clone._id_to_name = list(self._id_to_name)
+        clone.names = list(self.names)
         clone.ids_by_utf8 = dict(self.ids_by_utf8)
         return clone
 
@@ -92,14 +95,14 @@ class FieldNameDictionary:
         """
         if len(self) > len(other):
             return False
-        return all(self._id_to_name[i] == other._id_to_name[i] for i in range(len(self._id_to_name)))
+        return all(self.names[i] == other.names[i] for i in range(len(self.names)))
 
     # -- serialization ----------------------------------------------------------
 
     def to_bytes(self) -> bytes:
         """Serialize as ``count | (len | utf8)*`` for the metadata page."""
-        parts = [_U32.pack(len(self._id_to_name))]
-        for name in self._id_to_name:
+        parts = [_U32.pack(len(self.names))]
+        for name in self.names:
             encoded = name.encode("utf-8")
             parts.append(_U32.pack(len(encoded)))
             parts.append(encoded)

@@ -9,6 +9,8 @@ from .values import (
     ATime,
     MISSING,
     Missing,
+    SCALAR_DECODERS,
+    VARLEN,
     WILDCARD,
     collection_items,
     deep_equals,
@@ -17,7 +19,6 @@ from .values import (
     pack_variable,
     type_tag_of,
     unpack_fixed,
-    unpack_variable,
 )
 from .datatype import Datatype, FieldDeclaration, open_only_primary_key
 
@@ -40,7 +41,8 @@ __all__ = [
     "pack_fixed",
     "unpack_fixed",
     "pack_variable",
-    "unpack_variable",
+    "SCALAR_DECODERS",
+    "VARLEN",
     "Datatype",
     "FieldDeclaration",
     "open_only_primary_key",

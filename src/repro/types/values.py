@@ -250,34 +250,47 @@ def pack_fixed(tag: TypeTag, value: Any) -> bytes:
     raise TypeError_(f"{tag.name} is not a packable fixed-length tag")
 
 
+def _fixed(fmt: str, wrap: Any = None) -> Tuple[int, Any, Any]:
+    layout = struct.Struct(fmt)
+    return layout.size, layout.unpack_from, wrap
+
+
+#: Width class of a string or binary in :data:`SCALAR_DECODERS`.
+VARLEN = -1
+
+#: How every scalar tag is read back, ``tag -> (width, read, wrap)``; keyed by
+#: ``TypeTag``, so the raw tag byte finds its entry too.  ``width > 0`` is a
+#: fixed-length value: ``read`` is a bound ``Struct.unpack_from`` and the value
+#: is its one field, or ``wrap(*fields)``.  Width 0 is NULL or MISSING: the
+#: value is ``wrap`` itself.  ``VARLEN``: ``read(value bytes)``.  The ADM and
+#: vector decoders index this table instead of comparing tags one by one.
+SCALAR_DECODERS = {
+    TypeTag.MISSING: (0, None, MISSING),
+    TypeTag.NULL: (0, None, None),
+    TypeTag.BOOLEAN: _fixed("<?"),
+    TypeTag.INT8: _fixed("<b"),
+    TypeTag.INT16: _fixed("<h"),
+    TypeTag.INT32: _fixed("<i"),
+    TypeTag.INT64: _fixed("<q"),
+    TypeTag.FLOAT: _fixed("<f"),
+    TypeTag.DOUBLE: _fixed("<d"),
+    TypeTag.DATE: _fixed("<i", ADate),
+    TypeTag.TIME: _fixed("<i", ATime),
+    TypeTag.DATETIME: _fixed("<q", ADateTime),
+    TypeTag.POINT: _fixed("<dd", APoint),
+    TypeTag.UUID: _fixed("<16s", lambda raw: _uuid.UUID(bytes=raw)),
+    TypeTag.STRING: (VARLEN, bytes.decode, None),
+    TypeTag.BINARY: (VARLEN, bytes, None),
+}
+
+
 def unpack_fixed(tag: TypeTag, payload: bytes, offset: int = 0) -> Any:
     """Inverse of :func:`pack_fixed`; reads from ``payload[offset:]``."""
-    if tag is TypeTag.BOOLEAN:
-        return payload[offset] != 0
-    if tag is TypeTag.INT8:
-        return struct.unpack_from("<b", payload, offset)[0]
-    if tag is TypeTag.INT16:
-        return struct.unpack_from("<h", payload, offset)[0]
-    if tag is TypeTag.INT32:
-        return struct.unpack_from("<i", payload, offset)[0]
-    if tag is TypeTag.INT64:
-        return struct.unpack_from("<q", payload, offset)[0]
-    if tag is TypeTag.FLOAT:
-        return struct.unpack_from("<f", payload, offset)[0]
-    if tag is TypeTag.DOUBLE:
-        return struct.unpack_from("<d", payload, offset)[0]
-    if tag is TypeTag.DATE:
-        return ADate(struct.unpack_from("<i", payload, offset)[0])
-    if tag is TypeTag.TIME:
-        return ATime(struct.unpack_from("<i", payload, offset)[0])
-    if tag is TypeTag.DATETIME:
-        return ADateTime(struct.unpack_from("<q", payload, offset)[0])
-    if tag is TypeTag.POINT:
-        x, y = struct.unpack_from("<dd", payload, offset)
-        return APoint(x, y)
-    if tag is TypeTag.UUID:
-        return _uuid.UUID(bytes=bytes(payload[offset:offset + 16]))
-    raise TypeError_(f"{tag.name} is not an unpackable fixed-length tag")
+    width, read, wrap = SCALAR_DECODERS.get(tag, (0, None, None))
+    if width <= 0:
+        raise TypeError_(f"{tag.name} is not an unpackable fixed-length tag")
+    fields = read(payload, offset)
+    return fields[0] if wrap is None else wrap(*fields)
 
 
 def pack_variable(tag: TypeTag, value: Any) -> bytes:
@@ -286,15 +299,6 @@ def pack_variable(tag: TypeTag, value: Any) -> bytes:
         return value.encode("utf-8")
     if tag is TypeTag.BINARY:
         return bytes(value)
-    raise TypeError_(f"{tag.name} is not a variable-length tag")
-
-
-def unpack_variable(tag: TypeTag, payload: bytes) -> Any:
-    """Inverse of :func:`pack_variable`."""
-    if tag is TypeTag.STRING:
-        return payload.decode("utf-8")
-    if tag is TypeTag.BINARY:
-        return bytes(payload)
     raise TypeError_(f"{tag.name} is not a variable-length tag")
 
 

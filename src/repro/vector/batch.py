@@ -1,17 +1,31 @@
 """Batched column extraction over vector-based records (ROADMAP item 2).
 
 A :class:`BatchExtractor` compiles the requested paths into a small trie
-once per query, then walks each record's tag/fixed/varlen/name vectors (the
-cursor discipline of :mod:`repro.vector.decoder`) in a tight loop that
+once per query.  Per record it opens the vectors once (tags sliced, name
+entries and varlen lengths bulk-unpacked — the cursor discipline of
+:mod:`repro.vector.decoder`) and walks the tags with one iterator.  Each
+value's name entry is matched against the open container's trie node — a
+compacted id by indexing the dictionary's name list, an inline name by its
+UTF-8 bytes, never decoded — and then
 
-* skips decoding scalars on paths nobody asked for (cursors advance by the
-  tag's known width instead of unpacking the value),
-* skips decoding field names inside irrelevant subtrees, and
-* allocates no per-value event or path objects.
+* a value the trie does not know is **skipped**: a scalar advances its
+  cursor by the width ``layout.WIDTHS`` gives its tag, a nested value runs
+  the tight depth loop that only counts widths, varlen entries and name
+  entries up to its pop marker; once every child a container was asked for
+  has been seen, the rest of the container is skipped the same way;
+* a value a request ends at is decoded from ``layout.TAG_TABLE`` or, when
+  nested, **built** by :func:`~repro.vector.decoder.build_value` — the
+  routine ``materialize()`` applies to the root;
+* a container on the way to a request is entered, and the walk returns at
+  the first tag after which nothing requested can follow.
 
 It computes, from the encoded bytes, what :func:`repro.types.navigate`
-defines over the materialized record (exact paths, aligned single-wildcard
-paths with scalar/object passthrough, subtree capture for nested values):
+defines over the materialized record.  The walk itself handles exact paths
+and the aligned single-wildcard form (one entry per item of the collection,
+scalar/object passthrough); wherever two requests would need the same bytes
+twice — one ends where another passes through, a wildcard beside a name or
+an index, several wildcards — the trie stops at that node, the value there
+is built once and ``navigate`` answers each request from it.
 :meth:`VectorRecordView.get_values` delegates here, and the property suite
 asserts equality with ``navigate`` on random records, for this walk and for
 every other record view.  :class:`ColumnBatch` is the column-major
@@ -23,87 +37,72 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..types import AMultiset, MISSING, navigate, unpack_fixed, unpack_variable
-from .decoder import Path, PathStep, VectorRecordView, WILDCARD
+from ..errors import DecodingError
+from ..types import MISSING, VARLEN, navigate
+from .decoder import Path, PathStep, VectorRecordView, WILDCARD, build_value
 from .layout import (
+    CLOSE,
     DECLARED_FIELD_BIT,
-    FIXED_WIDTH,
     NAME_ENTRY_MAX,
-    POP_MARKER_BIT,
-    RAW_EOV,
-    RAW_MISSING,
-    RAW_MULTISET,
-    RAW_NESTED,
-    RAW_NULL,
+    NESTED,
+    POP_TO_OBJECT,
     RAW_OBJECT,
-    RAW_VARLEN,
-    TAG_OF_RAW,
-    U16,
-    U32,
+    TAG_TABLE,
+    WIDTHS,
 )
+
+#: Shared by every node that has no children to enter; never written.
+_NO_CHILDREN: Dict[Any, "_TrieNode"] = {}
 
 
 class _TrieNode:
-    """One step of the compiled request trie."""
+    """The requests that share the path prefix leading here, compiled.
 
-    __slots__ = ("children", "wild", "exact_ids", "wild_ids", "subtree_ids")
-
-    def __init__(self) -> None:
-        self.children: Dict[PathStep, "_TrieNode"] = {}
-        #: Child reached through the ``"*"`` step (matches int item indexes).
-        self.wild: Optional["_TrieNode"] = None
-        #: Exact requests terminating at this node.
-        self.exact_ids: List[int] = []
-        #: Single-wildcard requests terminating at this node.
-        self.wild_ids: List[int] = []
-        #: On a wild node: every single-wildcard request in its subtree —
-        #: the requests resolved together when the collection at the prefix
-        #: turns out to be a scalar/object (passthrough) or closes (aligned).
-        self.subtree_ids: List[int] = []
-
-
-class _SubtreeCapture:
-    """Builds one nested value inline while the tight walk passes over it.
-
-    Same container discipline as :meth:`VectorRecordView.materialize`: every
-    value goes straight into its parent, a multiset is wrapped when it closes.
+    Exactly one of three shapes: ``capture`` — the value here is decoded (or
+    built) and every listed request answered from it; ``wild`` — the value is
+    the collection of single-wildcard requests, walked item by item; or
+    ``children`` alone — a container to enter.
     """
 
-    __slots__ = ("slot", "stack", "container", "kind", "value")
+    __slots__ = ("children", "fanout", "wild", "rids", "capture", "aligned", "targets")
 
-    def __init__(self, slot: Tuple[Any, ...], raw: int) -> None:
-        self.slot = slot
-        #: One ``(parent container, parent kind, key in parent)`` per open child.
-        self.stack: List[Tuple[Any, int, Optional[PathStep]]] = []
-        self.container: Any = {} if raw == RAW_OBJECT else []
-        self.kind = raw
-        self.value: Any = MISSING
-
-    def feed_scalar(self, step: Optional[PathStep], value: Any) -> None:
-        if self.kind == RAW_OBJECT:
-            self.container[step] = value
-        else:
-            self.container.append(value)
-
-    def feed_enter(self, step: Optional[PathStep], raw: int) -> None:
-        child: Any = {} if raw == RAW_OBJECT else []
-        self.feed_scalar(step, child)
-        self.stack.append((self.container, self.kind, step))
-        self.container, self.kind = child, raw
-
-    def feed_exit(self) -> bool:
-        is_multiset = self.kind == RAW_MULTISET
-        finished = AMultiset(self.container) if is_multiset else self.container
-        if not self.stack:
-            self.value = finished
-            return True
-        self.container, self.kind, step = self.stack.pop()
-        if is_multiset:
-            if self.kind == RAW_OBJECT:
-                self.container[step] = finished
-            else:
-                self.container[-1] = finished
-        return False
+    def __init__(self, pending: List[Tuple[int, Path]], aligned: bool = False) -> None:
+        #: ``(request id, steps still to navigate inside the value)``.
+        self.capture: Optional[List[Tuple[int, Path]]] = None
+        #: Child under ``"*"``, and the ids of every request through it.
+        self.wild: Optional["_TrieNode"] = None
+        self.rids = [rid for rid, _ in pending]
+        #: Children by step; a field name also by its UTF-8 bytes, which is
+        #: how an uncompacted record spells it.  ``fanout`` counts the nodes.
+        self.children: Dict[Any, "_TrieNode"] = _NO_CHILDREN
+        self.fanout = 0
+        #: Below a ``"*"``: results land in the current item's list entry.
+        self.aligned = aligned
+        #: Values in this subtree the walk has to find before it may stop
+        #: early: one per wildcard collection, one per capture outside a ``"*"``.
+        self.targets = 1
+        groups: Dict[PathStep, List[Tuple[int, Path]]] = {}
+        for rid, rest in pending:
+            if rest:
+                groups.setdefault(rest[0], []).append((rid, rest[1:]))
+        wild = groups.get(WILDCARD)
+        if (not all(rest for _, rest in pending)               # a request ends here
+                or wild is not None and (len(groups) > 1       # "*" beside a name or an index
+                                         or any(WILDCARD in rest for _, rest in wild))):  # flattened
+            self.capture = pending
+            self.targets = int(not aligned)
+            return
+        if wild is not None:
+            self.wild = _TrieNode(wild, True)
+            return
+        self.children = {}
+        self.fanout = len(groups)
+        self.targets = 0
+        for step, group in groups.items():
+            child = self.children[step] = _TrieNode(group, aligned)
+            self.targets += child.targets
+            if isinstance(step, str):
+                self.children[step.encode("utf-8")] = child
 
 
 class BatchExtractor:
@@ -112,39 +111,15 @@ class BatchExtractor:
     Record views of other formats resolve the paths themselves: a
     ``DictRecordView`` (memtable row) through its own ``get_values``; an
     ``ADMRecordView``, which navigates by offset and has no consolidated
-    access, with one ``get_field`` per path.  Paths with more than one
-    wildcard (never produced by the optimizer) stay out of the trie and are
-    resolved by ``navigate`` over the materialized record.
+    access, with one ``get_field`` per path.
     """
 
     def __init__(self, paths: Sequence[Sequence[PathStep]]) -> None:
         self.requests: List[Path] = [tuple(path) for path in paths]
-        self.root = _TrieNode()
-        self.exact_count = 0
-        self.wild_ids: List[int] = []
-        self.multi_wild_ids: List[int] = []
-        for rid, request in enumerate(self.requests):
-            stars = sum(1 for step in request if step == WILDCARD)
-            if stars > 1:
-                self.multi_wild_ids.append(rid)
-                continue
-            node = self.root
-            wild_node: Optional[_TrieNode] = None
-            for step in request:
-                if step == WILDCARD:
-                    if node.wild is None:
-                        node.wild = _TrieNode()
-                    node = node.wild
-                    wild_node = node
-                else:
-                    node = node.children.setdefault(step, _TrieNode())
-            if stars == 1:
-                node.wild_ids.append(rid)
-                wild_node.subtree_ids.append(rid)
-                self.wild_ids.append(rid)
-            else:
-                node.exact_ids.append(rid)
-                self.exact_count += 1
+        self.root = _TrieNode(list(enumerate(self.requests)))
+        #: Requests that default to ``[]`` (any wildcard) rather than MISSING.
+        self.list_rids = [rid for rid, request in enumerate(self.requests)
+                          if WILDCARD in request]
 
     def extract(self, view: Any) -> List[Any]:
         """Resolve every compiled path against one record view."""
@@ -154,192 +129,168 @@ class BatchExtractor:
             if hasattr(view, "get_values"):
                 return view.get_values(*self.requests)
             return [view.get_field(*request) for request in self.requests]
-        results = self._extract_vector(view)
-        if self.multi_wild_ids:
-            record = view.materialize()
-            for rid in self.multi_wild_ids:
-                results[rid] = navigate(record, self.requests[rid])
-        return results
+        return self._extract_vector(view)
 
-    # The tight walk: the decoder module's cursor discipline, allocation-free
-    # for untouched values and guided by the trie.
     def _extract_vector(self, view: VectorRecordView) -> List[Any]:
-        payload = view.payload
-        tags_start = view.offset_tags
-        tag_count = view.tag_count
-        fixed_cursor = view.offset_fixed
-        (var_count,) = U32.unpack_from(payload, view.offset_varlen)
-        var_length_cursor = view.offset_varlen + 4
-        var_value_cursor = var_length_cursor + 4 * var_count
-        (name_count,) = U32.unpack_from(payload, view.offset_names)
-        name_entry_cursor = view.offset_names + 4
-        name_bytes_cursor = name_entry_cursor + 2 * name_count
-        datatype = view.datatype
-        dictionary = view.dictionary
-        compacted = view.is_compacted
-
+        node = self.root
+        if node.capture is not None or node.wild is not None:
+            record = view.materialize()  # a request for the root itself
+            return [navigate(record, request) for request in self.requests]
         results: List[Any] = [MISSING] * len(self.requests)
-        for wid in self.wild_ids:
-            results[wid] = []
-        pending_exact = self.exact_count
-        open_wild = set(self.wild_ids)
-        wild_matches: Dict[int, Dict[int, Any]] = {wid: {} for wid in self.wild_ids}
-        wild_counts: Dict[int, int] = {wid: 0 for wid in self.wild_ids}
-        captures: List[_SubtreeCapture] = []
-
-        def resolve(slot: Tuple[Any, ...], value: Any) -> None:
-            nonlocal pending_exact
-            kind = slot[0]
-            if kind == "e":
-                results[slot[1]] = value
-                pending_exact -= 1
-            elif kind == "w":
-                wild_matches[slot[1]][slot[2]] = value
-            else:  # passthrough: the collection itself was an object
-                for wid in slot[1]:
-                    if wid in open_wild:
-                        open_wild.discard(wid)
-                        results[wid] = value
-
-        def close_frame(counting: List[int]) -> None:
-            for wid in counting:
-                if wid in open_wild:
-                    open_wild.discard(wid)
-                    matches = wild_matches[wid]
-                    results[wid] = [matches.get(item, MISSING)
-                                    for item in range(wild_counts[wid])]
-
-        def feed_exits() -> None:
-            kept = []
-            for cap in captures:
-                if cap.feed_exit():
-                    resolve(cap.slot, cap.value)
-                else:
-                    kept.append(cap)
-            captures[:] = kept
-
-        # Frame: [is_object, next_item_index, pairs, counting_ids] where
-        # pairs is [(trie node, wildcard item index)] for the container.
-        stack: List[List[Any]] = []
-
-        index = 0
-        while index < tag_count:
-            raw = payload[tags_start + index]
-            index += 1
-            if raw & POP_MARKER_BIT:
-                frame = stack.pop()
-                close_frame(frame[3])
-                if captures:
-                    feed_exits()
-                if not pending_exact and not open_wild and not captures:
-                    return results
-                continue
-            if raw == RAW_EOV:
-                while stack:
-                    frame = stack.pop()
-                    close_frame(frame[3])
-                    if captures:
-                        feed_exits()
-                break
-
-            # Path step under the parent container (field name or item index).
-            step: Any = None
-            pairs: List[Tuple[_TrieNode, int]] = ()
-            if stack:
-                frame = stack[-1]
-                pairs = frame[2]
-                if frame[0]:  # object parent: consume one name entry
-                    (entry,) = U16.unpack_from(payload, name_entry_cursor)
-                    name_entry_cursor += 2
+        for rid in self.list_rids:
+            results[rid] = []
+        tags, vectors, name_bytes, fixed, var_bytes = view._vectors()
+        payload, entries, lengths, declared, id_names = vectors
+        inline = id_names is None
+        id_count = 0 if inline else len(id_names)
+        name_index = var_index = 0
+        remaining = node.targets
+        # The open container: its trie children (or, for the collection of
+        # wildcard requests, ``wild`` and the result ``lists`` to extend per
+        # item), whether its values carry names, the next item index, and how
+        # many of its requested children are still to come.
+        children, wild, lists = node.children, None, None
+        in_object, item, want = True, 0, node.fanout
+        stack: List[Tuple[Any, ...]] = []
+        cursor = iter(tags)
+        next(cursor)  # the root OBJECT
+        for raw in cursor:
+            width = WIDTHS[raw]
+            if width == CLOSE:
+                depth, closing = 0, True
+            else:
+                if in_object:
+                    entry = entries[name_index]
+                    name_index += 1
                     if entry & DECLARED_FIELD_BIT:
-                        if pairs or captures:
-                            step = datatype.fields[entry & NAME_ENTRY_MAX].name
-                    elif compacted:
-                        if pairs or captures:
-                            step = dictionary.decode(entry)
+                        if entry & NAME_ENTRY_MAX >= len(declared):
+                            raise view._unresolved(entry)
+                        node = children.get(declared[entry & NAME_ENTRY_MAX].name)
+                    elif inline:
+                        node = children.get(payload[name_bytes:name_bytes + entry])
+                        name_bytes += entry
+                    elif 0 < entry <= id_count:
+                        node = children.get(id_names[entry - 1])
                     else:
-                        if pairs or captures:
-                            step = payload[name_bytes_cursor:name_bytes_cursor + entry].decode("utf-8")
-                        name_bytes_cursor += entry
+                        raise view._unresolved(entry)
+                elif lists is None:
+                    node = children.get(item)
+                    item += 1
                 else:
-                    step = frame[1]
-                    frame[1] += 1
-                for wid in frame[3]:
-                    wild_counts[wid] += 1
-                child_pairs: List[Tuple[_TrieNode, int]] = []
-                if pairs and step is not None:
-                    is_item = isinstance(step, int)
-                    for node, ctx in pairs:
-                        nxt = node.children.get(step)
-                        if nxt is not None:
-                            child_pairs.append((nxt, ctx))
-                        if is_item and node.wild is not None:
-                            child_pairs.append((node.wild, step))
-            else:
-                # record root (no parent): matched by the trie root itself
-                child_pairs = [(self.root, -1)]
-
-            if raw in RAW_NESTED:
-                for cap in captures:
-                    cap.feed_enter(step, raw)
-                counting: List[int] = []
-                for node, ctx in child_pairs:
-                    for rid in node.exact_ids:
-                        captures.append(_SubtreeCapture(("e", rid), raw))
-                    for wid in node.wild_ids:
-                        captures.append(_SubtreeCapture(("w", wid, ctx), raw))
-                    if node.wild is not None:
-                        if raw == RAW_OBJECT:
-                            remaining = [wid for wid in node.wild.subtree_ids
-                                         if wid in open_wild]
-                            if remaining:
-                                captures.append(_SubtreeCapture(("p", remaining), raw))
+                    node = wild
+                    for column in lists:
+                        column.append(MISSING)
+                if node is not None:
+                    want -= 1
+                    capture = node.capture
+                    if width == NESTED and capture is None and (
+                            raw != RAW_OBJECT or node.wild is None):
+                        # a container on the way to a request: enter it
+                        stack.append((children, wild, lists, in_object, item, want))
+                        children, wild, in_object, item = node.children, node.wild, raw == RAW_OBJECT, 0
+                        if wild is None:
+                            lists, want = None, node.fanout
+                        else:  # never runs out of items to match
+                            lists, want = [results[rid] for rid in wild.rids], -1
+                        continue
+                    if capture is None and node.wild is None:
+                        node = None  # a scalar where a container was expected
+                if node is None:
+                    if width >= 0:
+                        fixed += width
+                        continue
+                    if width == VARLEN:
+                        var_bytes += lengths[var_index]
+                        var_index += 1
+                        continue
+                    if width != NESTED:
+                        raise DecodingError(f"unexpected tag {raw} in tags vector")
+                    depth, closing, skip_object = 1, False, raw == RAW_OBJECT
+                else:
+                    if width == NESTED:
+                        value, name_index, name_bytes, fixed, var_index, var_bytes = build_value(
+                            view, cursor, raw, vectors,
+                            name_index, name_bytes, fixed, var_index, var_bytes)
+                    else:
+                        _, read, wrap = TAG_TABLE[raw]
+                        if width > 0:
+                            if wrap is None:
+                                (value,) = read(payload, fixed)
+                            else:
+                                value = wrap(*read(payload, fixed))
+                            fixed += width
+                        elif width == VARLEN:
+                            length = lengths[var_index]
+                            var_index += 1
+                            value = read(payload[var_bytes:var_bytes + length])
+                            var_bytes += length
+                        elif not width:
+                            value = wrap  # NULL or MISSING
                         else:
-                            counting.extend(node.wild.subtree_ids)
-                stack.append([raw == RAW_OBJECT, 0, child_pairs, counting])
-                continue
-
-            # scalar value: decode only when someone needs it
-            need_value = bool(captures)
-            if not need_value:
-                for node, _ in child_pairs:
-                    if node.exact_ids or node.wild_ids or node.wild is not None:
-                        need_value = True
-                        break
-            if raw == RAW_NULL:
-                value = None
-            elif raw == RAW_MISSING:
-                value = MISSING
-            elif raw in RAW_VARLEN:
-                (length,) = U32.unpack_from(payload, var_length_cursor)
-                var_length_cursor += 4
-                value = (unpack_variable(TAG_OF_RAW[raw],
-                                         payload[var_value_cursor:var_value_cursor + length])
-                         if need_value else None)
-                var_value_cursor += length
-            else:
-                value = (unpack_fixed(TAG_OF_RAW[raw], payload, fixed_cursor)
-                         if need_value else None)
-                fixed_cursor += FIXED_WIDTH[raw]
-            if need_value:
-                for cap in captures:
-                    cap.feed_scalar(step, value)
-                for node, ctx in child_pairs:
-                    for rid in node.exact_ids:
-                        results[rid] = value
-                        pending_exact -= 1
-                    for wid in node.wild_ids:
-                        wild_matches[wid][ctx] = value
-                    if node.wild is not None:
-                        # scalar where a collection was expected: passthrough
-                        # (an absent one — NULL or MISSING — stays [])
-                        for wid in node.wild.subtree_ids:
-                            if wid in open_wild:
-                                open_wild.discard(wid)
-                                if value is not None and value is not MISSING:
-                                    results[wid] = value
-                if not pending_exact and not open_wild and not captures:
+                            raise DecodingError(f"unexpected tag {raw} in tags vector")
+                    if capture is None:
+                        # a scalar or an object where the wildcard's collection
+                        # was expected: passed through (absent stays [])
+                        if value is not None and value is not MISSING:
+                            for rid in node.wild.rids:
+                                results[rid] = value
+                        remaining -= 1
+                    elif node.aligned:
+                        for rid, rest in capture:
+                            results[rid][-1] = navigate(value, rest) if rest else value
+                    else:
+                        for rid, rest in capture:
+                            results[rid] = navigate(value, rest) if rest else value
+                        remaining -= 1
+                    if not remaining:
+                        return results
+                    if want:
+                        continue
+                    # everything this container was asked for has been seen
+                    if not stack:
+                        return results
+                    depth, closing, skip_object = 1, True, in_object
+            while True:
+                if depth:
+                    # the skipper: count widths, varlen entries and name
+                    # entries up to the pop marker that closes ``depth``
+                    for raw in cursor:
+                        width = WIDTHS[raw]
+                        if width == CLOSE:
+                            depth -= 1
+                            if not depth:
+                                break
+                            skip_object = raw == POP_TO_OBJECT
+                            continue
+                        if skip_object:
+                            if inline:
+                                entry = entries[name_index]
+                                if not entry & DECLARED_FIELD_BIT:
+                                    name_bytes += entry
+                            name_index += 1
+                        if width >= 0:
+                            fixed += width
+                        elif width == VARLEN:
+                            var_bytes += lengths[var_index]
+                            var_index += 1
+                        elif width == NESTED:
+                            depth += 1
+                            skip_object = raw == RAW_OBJECT
+                        else:
+                            raise DecodingError(f"unexpected tag {raw} in tags vector")
+                if not closing:
+                    break
+                # the open container has just closed
+                if not stack:
                     return results
+                if lists is not None:
+                    remaining -= 1
+                    if not remaining:
+                        return results
+                children, wild, lists, in_object, item, want = stack.pop()
+                if want:
+                    break
+                depth, skip_object = 1, in_object
         return results
 
 

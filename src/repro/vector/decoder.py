@@ -18,9 +18,12 @@ Every reader of a record is the same walk: one pass over the tags vector,
 with up to three more cursors advancing in lockstep.
 
 * **tags** — one byte per entry, the first being the root ``OBJECT``.  A
-  byte with ``POP_MARKER_BIT`` closes the innermost open nested value,
-  ``EOV`` closes the record, any other byte is a value: a nested tag opens a
-  container, a scalar tag is a leaf.
+  byte with ``POP_MARKER_BIT`` closes the innermost open nested value (and
+  names the kind of the container it returns to), ``EOV`` closes the record,
+  any other byte is a value: a nested tag opens a container, a scalar tag is
+  a leaf.  ``layout.TAG_TABLE`` gives each of the 256 bytes its class; a byte
+  the format never writes is an explicit ``BAD`` entry and every walk raises
+  ``DecodingError`` on it.
 * **names** — a value whose parent is an object consumes one u16 name entry
   (plus, for an inline name of an uncompacted record, that many bytes of
   the name-bytes tail); items of arrays and multisets consume none.
@@ -28,14 +31,24 @@ with up to three more cursors advancing in lockstep.
 * **varlen** — a string or binary consumes one u32 length and that many
   value bytes.  ``NULL`` and ``MISSING`` consume nothing but their tag.
 
-Three loops specialise that walk by the cursors they touch:
+A read slices the tags vector once and unpacks every name entry and every
+varlen length with one ``struct.unpack_from`` each
+(:meth:`VectorRecordView._vectors`); the tags cursor is then one iterator
+over the slice, handed from walk to walk.  Two query-side walks share it:
 
-* metadata only (tags + names): :func:`~repro.vector.compaction.infer_and_compact`
-  at flush time and :meth:`VectorRecordView.structure`;
-* every value (all four): :meth:`VectorRecordView.materialize`;
-* trie-guided (all four, decoding only what was asked for and stopping
-  early): :class:`~repro.vector.batch.BatchExtractor`, which also serves
-  :meth:`VectorRecordView.get_values`.
+* the **builder**, :func:`build_value`, turns the nested value whose opening
+  tag was just read into Python objects, resolving every name and decoding
+  every scalar on the way (or, for :meth:`VectorRecordView.structure`,
+  substituting placeholders and leaving both value cursors untouched).
+  ``materialize()`` is the builder applied to the root;
+* the **skipper**, the inner loop of :class:`~repro.vector.batch.BatchExtractor`,
+  passes over a value nobody asked for by only counting: widths from
+  ``layout.WIDTHS``, varlen lengths, name entries — no name is resolved and
+  no value decoded.  The extractor steers between the two with its request
+  trie and stops at the first tag after which nothing requested can follow.
+
+The flush side has its own metadata-only loop (tags + names),
+:func:`~repro.vector.compaction.infer_and_compact`.
 """
 
 from __future__ import annotations
@@ -45,7 +58,7 @@ import uuid
 from functools import lru_cache
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..errors import DecodingError
+from ..errors import DecodingError, SchemaError
 from ..types import (
     ADate,
     ADateTime,
@@ -55,25 +68,19 @@ from ..types import (
     Datatype,
     MISSING,
     TypeTag,
+    VARLEN,
     WILDCARD,
-    unpack_fixed,
-    unpack_variable,
 )
 from .layout import (
+    CLOSE,
     DECLARED_FIELD_BIT,
-    FIXED_WIDTH,
     FLAG_COMPACTED,
     HEADER,
     NAME_ENTRY_MAX,
-    POP_MARKER_BIT,
-    RAW_EOV,
-    RAW_MISSING,
+    NESTED,
     RAW_MULTISET,
-    RAW_NESTED,
-    RAW_NULL,
     RAW_OBJECT,
-    RAW_VARLEN,
-    TAG_OF_RAW,
+    TAG_TABLE,
     U32,
 )
 
@@ -182,106 +189,132 @@ class VectorRecordView:
         """Single-path access (the un-consolidated ``getField()``)."""
         return self.get_values(path)[0]
 
-    # -- the full-record walks -------------------------------------------------------
+    # -- the record's vectors, opened once per walk ------------------------------
 
-    def _field_names(self) -> List[str]:
-        """Every name entry resolved to its string, in tag order."""
-        payload = self.payload
-        (count,) = U32.unpack_from(payload, self.offset_names)
-        entries = struct.unpack_from("<%dH" % count, payload, self.offset_names + 4)
-        cursor = self.offset_names + 4 + 2 * count
-        compacted = self.flags & FLAG_COMPACTED
-        dictionary = self.dictionary
-        declared = self.datatype.fields if self.datatype is not None else ()
-        names = []
-        for entry in entries:
-            if entry & DECLARED_FIELD_BIT:
-                index = entry & NAME_ENTRY_MAX
-                if index >= len(declared):
-                    raise DecodingError(
-                        f"declared field index {index} cannot be resolved without a datatype")
-                names.append(declared[index].name)
-            elif compacted:
-                if dictionary is None:
-                    raise DecodingError(
-                        "compacted record requires a field-name dictionary to decode")
-                names.append(dictionary.decode(entry))
-            else:
-                names.append(payload[cursor:cursor + entry].decode("utf-8"))
-                cursor += entry
-        return names
-
-    def _build(self, decode_values: bool) -> Dict[str, Any]:
-        """Build the record in one pass, each value appended straight into its parent.
-
-        With ``decode_values`` off the fixed and varlen cursors are never
-        touched: scalars become the placeholder of their tag.
+    def _vectors(self, values: bool = True) -> Tuple[Any, ...]:
+        """What a walk reads, sliced and bulk-unpacked once: ``(tags, vectors,
+        name_bytes, fixed, var_bytes)`` — the tags vector; ``vectors =
+        (payload, entries, lengths, declared, id_names)`` with the name
+        entries and varlen lengths as tuples; and the three byte cursors at
+        their starts.  ``id_names`` is the dictionary's id -> name list
+        (``None`` for an uncompacted record, whose names are inline);
+        ``values=False`` leaves the varlen vector unread.
         """
         payload = self.payload
         tags = payload[self.offset_tags:self.offset_tags + self.tag_count]
         if not tags or tags[0] != RAW_OBJECT:
             raise DecodingError("vector-based payload does not hold an object record")
-        names = self._field_names()
-        name_index = 0
-        if decode_values:
-            fixed_cursor = self.offset_fixed
+        (count,) = U32.unpack_from(payload, self.offset_names)
+        entries = struct.unpack_from("<%dH" % count, payload, self.offset_names + 4)
+        lengths: Tuple[int, ...] = ()
+        var_bytes = 0
+        if values:
             (var_count,) = U32.unpack_from(payload, self.offset_varlen)
-            var_lengths = struct.unpack_from("<%dI" % var_count, payload, self.offset_varlen + 4)
-            var_index = 0
-            var_cursor = self.offset_varlen + 4 + 4 * var_count
+            lengths = struct.unpack_from("<%dI" % var_count, payload, self.offset_varlen + 4)
+            var_bytes = self.offset_varlen + 4 + 4 * var_count
+        id_names = None
+        if self.flags & FLAG_COMPACTED:
+            id_names = self.dictionary.names if self.dictionary is not None else ()
+        declared = self.datatype.fields if self.datatype is not None else ()
+        return (tags, (payload, entries, lengths, declared, id_names),
+                self.offset_names + 4 + 2 * count, self.offset_fixed, var_bytes)
 
-        root: Dict[str, Any] = {}
-        container: Any = root
-        kind = RAW_OBJECT
-        key: Any = None
-        # One frame per open nested value: its parent container, the parent's
-        # kind, and the key it sits under when the parent is an object.
-        stack: List[Tuple[Any, int, Any]] = []
-        for raw in tags[1:]:
-            if raw & POP_MARKER_BIT:
-                finished, finished_kind = container, kind
-                container, kind, key = stack.pop()
-                if finished_kind == RAW_MULTISET:  # immutable: wrap once complete
-                    if kind == RAW_OBJECT:
-                        container[key] = AMultiset(finished)
-                    else:
-                        container[-1] = AMultiset(finished)
-                continue
-            if raw == RAW_EOV:
+    def _unresolved(self, entry: int) -> Exception:
+        """The error for a name entry that does not lead to a name."""
+        if entry & DECLARED_FIELD_BIT:
+            return DecodingError(f"declared field index {entry & NAME_ENTRY_MAX} "
+                                 f"cannot be resolved without a datatype")
+        if self.dictionary is None:
+            return DecodingError("compacted record requires a field-name dictionary to decode")
+        return SchemaError(f"unknown FieldNameID {entry}")
+
+    def _build(self, decode_values: bool) -> Dict[str, Any]:
+        """The builder applied to the root object."""
+        tags, vectors, name_bytes, fixed, var_bytes = self._vectors(decode_values)
+        cursor = iter(tags)
+        return build_value(self, cursor, next(cursor), vectors, 0, name_bytes, fixed, 0, var_bytes,
+                           None if decode_values else _STRUCTURE_PLACEHOLDERS)[0]
+
+
+def build_value(view: VectorRecordView, tags: Any, raw: int, vectors: Tuple[Any, ...],
+                name_index: int, name_bytes: int, fixed: int, var_index: int, var_bytes: int,
+                placeholders: Optional[Dict[int, Any]] = None) -> Tuple[Any, ...]:
+    """Build the nested value whose opening tag ``raw`` was just read from ``tags``.
+
+    ``tags`` is the iterator over the record's tags vector and ``vectors``
+    what :meth:`VectorRecordView._vectors` returned with it; the builder
+    consumes ``tags`` up to and including the marker that closes the value,
+    each child appended straight into its parent.  Returns ``(value,
+    name_index, name_bytes, fixed, var_index, var_bytes)`` — the value and
+    the five cursors where the caller resumes.  With ``placeholders`` the
+    value cursors are never touched: a scalar becomes the placeholder of its
+    tag.
+    """
+    payload, entries, lengths, declared, id_names = vectors
+    id_count = len(id_names) if id_names is not None else 0
+    top_kind = kind = raw
+    top: Any = {} if raw == RAW_OBJECT else []
+    container = top
+    key: Any = None
+    # One frame per open nested value: its parent container, the parent's
+    # kind, and the key it sits under when the parent is an object.
+    stack: List[Tuple[Any, int, Any]] = []
+    for raw in tags:
+        width, read, wrap = TAG_TABLE[raw]
+        if width == CLOSE:
+            if not stack:
                 break
-            if kind == RAW_OBJECT:
-                key = names[name_index]
-                name_index += 1
-            if raw in RAW_NESTED:
-                child: Any = {} if raw == RAW_OBJECT else []
+            finished, finished_kind = container, kind
+            container, kind, key = stack.pop()
+            if finished_kind == RAW_MULTISET:  # immutable: wrap once complete
                 if kind == RAW_OBJECT:
-                    container[key] = child
+                    container[key] = AMultiset(finished)
                 else:
-                    container.append(child)
-                stack.append((container, kind, key))
-                container, kind = child, raw
-                continue
-            if not decode_values:
-                try:
-                    value = _STRUCTURE_PLACEHOLDERS[raw]
-                except KeyError:
-                    raise DecodingError(f"unexpected tag {raw} in tags vector") from None
-            elif raw == RAW_NULL:
-                value = None
-            elif raw == RAW_MISSING:
-                value = MISSING
-            elif raw in RAW_VARLEN:
-                length = var_lengths[var_index]
-                var_index += 1
-                value = unpack_variable(TAG_OF_RAW[raw], payload[var_cursor:var_cursor + length])
-                var_cursor += length
-            elif raw in FIXED_WIDTH:
-                value = unpack_fixed(TAG_OF_RAW[raw], payload, fixed_cursor)
-                fixed_cursor += FIXED_WIDTH[raw]
+                    container[-1] = AMultiset(finished)
+            continue
+        if kind == RAW_OBJECT:
+            entry = entries[name_index]
+            name_index += 1
+            if entry & DECLARED_FIELD_BIT:
+                if entry & NAME_ENTRY_MAX >= len(declared):
+                    raise view._unresolved(entry)
+                key = declared[entry & NAME_ENTRY_MAX].name
+            elif id_names is None:
+                key = payload[name_bytes:name_bytes + entry].decode()
+                name_bytes += entry
+            elif 0 < entry <= id_count:
+                key = id_names[entry - 1]
             else:
-                raise DecodingError(f"unexpected tag {raw} in tags vector")
-            if kind == RAW_OBJECT:
-                container[key] = value
+                raise view._unresolved(entry)
+        if width == NESTED:
+            value: Any = {} if raw == RAW_OBJECT else []
+            stack.append((container, kind, key))
+        elif placeholders is not None:
+            try:
+                value = placeholders[raw]
+            except KeyError:
+                raise DecodingError(f"unexpected tag {raw} in tags vector") from None
+        elif width > 0:
+            if wrap is None:
+                (value,) = read(payload, fixed)
             else:
-                container.append(value)
-        return root
+                value = wrap(*read(payload, fixed))
+            fixed += width
+        elif width == VARLEN:
+            length = lengths[var_index]
+            var_index += 1
+            value = read(payload[var_bytes:var_bytes + length])
+            var_bytes += length
+        elif not width:
+            value = wrap  # NULL or MISSING
+        else:
+            raise DecodingError(f"unexpected tag {raw} in tags vector")
+        if kind == RAW_OBJECT:
+            container[key] = value
+        else:
+            container.append(value)
+        if width == NESTED:
+            container, kind = value, raw
+    if top_kind == RAW_MULTISET:
+        top = AMultiset(top)
+    return top, name_index, name_bytes, fixed, var_index, var_bytes

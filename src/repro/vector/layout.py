@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import struct
 
-from ..types import TypeTag
+from ..types import SCALAR_DECODERS, TypeTag
 
 HEADER = struct.Struct("<IIBBBBIIII")
 HEADER_SIZE = HEADER.size  # 28 bytes
@@ -70,12 +70,32 @@ NAME_ENTRY_MAX = 0x7FFF
 
 # Raw tag bytes and per-byte tables for the hot loops, which compare the ints
 # they read from the tags vector instead of building TypeTag members.
-RAW_MISSING = TypeTag.MISSING.value
-RAW_NULL = TypeTag.NULL.value
 RAW_EOV = TypeTag.EOV.value
 RAW_OBJECT = TypeTag.OBJECT.value
 RAW_MULTISET = TypeTag.MULTISET.value
 RAW_NESTED = frozenset((TypeTag.OBJECT.value, TypeTag.ARRAY.value, TypeTag.MULTISET.value))
-RAW_VARLEN = frozenset((TypeTag.STRING.value, TypeTag.BINARY.value))
 TAG_OF_RAW = {tag.value: tag for tag in TypeTag}
-FIXED_WIDTH = {tag.value: tag.fixed_length for tag in TypeTag if tag.is_fixed_length}
+
+#: Width classes of a tags-vector byte that is not a scalar (scalars carry
+#: their class in :data:`~repro.types.SCALAR_DECODERS`: a width ``>= 0`` or
+#: ``VARLEN``).  ``CLOSE`` is a pop marker or ``EOV``; ``BAD`` is every byte
+#: the format never writes — an explicit entry, so no walker reads a corrupt
+#: tag as a zero-width value.
+NESTED, CLOSE, BAD = -2, -3, -4
+
+
+def _tag_entry(raw: int):
+    if raw in RAW_NESTED:
+        return (NESTED, None, None)
+    if raw == RAW_EOV or (raw & POP_MARKER_BIT and raw ^ POP_MARKER_BIT in RAW_NESTED):
+        return (CLOSE, None, None)
+    return SCALAR_DECODERS.get(raw, (BAD, None, None))
+
+
+#: ``raw tag byte -> (width class, read, wrap)``: the scalar-decode table
+#: extended to all 256 bytes — what a walk that builds values indexes.
+TAG_TABLE = tuple(_tag_entry(raw) for raw in range(256))
+#: The width classes alone — what a walk that only skips values indexes.
+WIDTHS = tuple(entry[0] for entry in TAG_TABLE)
+#: The pop marker that returns to an enclosing object.
+POP_TO_OBJECT = POP_MARKER_BIT | RAW_OBJECT

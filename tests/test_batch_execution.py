@@ -13,6 +13,7 @@ original (unhashable) values.
 """
 
 import string
+import uuid
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from repro import Dataset, DeviceKind, StorageEnvironment, StorageFormat
 from repro.adm import ADMEncoder, ADMRecordView
 from repro.core.formats import DictRecordView
-from repro.errors import QueryError
+from repro.errors import DecodingError, QueryError
 from repro.query import (
     And,
     Comparison,
@@ -38,9 +39,10 @@ from repro.query import (
     scan,
 )
 from repro.schema import InferredSchema
-from repro.types import Datatype, MISSING, navigate
+from repro.types import (ADate, ADateTime, AMultiset, APoint, ATime, Datatype, FieldDeclaration,
+                         MISSING, TypeTag, navigate)
 from repro.vector import (BatchExtractor, VectorEncoder, VectorRecordView, WILDCARD,
-                          compact_record)
+                          compact_record, infer_and_compact)
 
 from reference import partition_records, reference_rows
 
@@ -582,6 +584,15 @@ def _paths_of(value, prefix=()):
     return paths
 
 
+#: One value of every tag kind the encoder writes: each fixed width (1, 4, 8
+#: and 16 bytes), both varlen types, NULL, MISSING (array items only), every
+#: nesting of containers, and the three empty containers.
+_EVERY_KIND = [
+    True, 7, 2.5, ADate(3), ATime(4), ADateTime(5), APoint(1.0, -2.0), uuid.UUID(int=9),
+    "str", "", b"bin", None, [1, MISSING, "x"], [{"k": 1, "z": [2, []]}, {}],
+    {"a": [1, 2], "o": {"p": "q"}}, AMultiset([1, {"m": "n"}, [3]]), [], {}, AMultiset([]),
+]
+
 _prop_settings = settings(max_examples=40, deadline=None,
                           suppress_health_check=[HealthCheck.too_slow])
 _engine_settings = settings(max_examples=12, deadline=None,
@@ -612,6 +623,48 @@ class TestBatchProperties:
             assert BatchExtractor(paths).extract(view) == expected
         assert views[0].get_values(*paths) == expected
         assert views[-1].get_values(*paths) == expected
+
+    @_prop_settings
+    @given(siblings=st.permutations(_EVERY_KIND), extras=st.lists(_values(2), max_size=3),
+           targets=st.lists(_values(1), min_size=3, max_size=3))
+    def test_requested_field_after_skipped_siblings(self, siblings, extras, targets):
+        """The skipper: whatever a requested field comes after — a sibling of
+        every tag kind, at the root, inside an entered object, inside the
+        items of a wildcard's collection — and however the record spells its
+        names, the walk must land on the right bytes of all four vectors."""
+        skipped = list(siblings) + extras
+        record = {"s%d" % i: value for i, value in enumerate(skipped)}
+        record["box"] = dict({"b%d" % i: value for i, value in enumerate(skipped)},
+                             target=targets[0], tail=skipped)
+        record["items"] = [{"skip": skipped[i:], "target": targets[i], "after": skipped[:i]}
+                           for i in range(3)] + [skipped, {"target": skipped}]
+        record["target"] = targets[1]
+        record.update(("t%d" % i, value) for i, value in enumerate(skipped))
+        record["last"] = 1
+        path_sets = [
+            [("box", "target"), ("items", WILDCARD, "target"), ("target",)],   # stops early
+            [("items", 1, "target"), ("box",), ("absent",), ("last",)],         # skips to the end
+        ]
+        declaring = Datatype.open_type("Wide", [
+            FieldDeclaration(name, TypeTag.ANY, optional=True) for name in reversed(record)])
+        for datatype in (None, declaring):
+            inline = VectorEncoder(datatype).encode(record)
+            schema = InferredSchema(datatype)
+            compacted = infer_and_compact(inline, schema)
+            for payload, dictionary in ((inline, None), (compacted, schema.dictionary)):
+                view = VectorRecordView(payload, datatype, dictionary)
+                for paths in path_sets:
+                    assert BatchExtractor(paths).extract(view) == \
+                        [navigate(record, path) for path in paths]
+                # Early exit leaves the cursors where they are: the tag of
+                # "last" (just before EOV) is never read by the first set.
+                corrupt = bytearray(payload)
+                corrupt[view.offset_tags + view.tag_count - 2] = 126
+                torn = VectorRecordView(bytes(corrupt), datatype, dictionary)
+                assert BatchExtractor(path_sets[0]).extract(torn) == \
+                    [navigate(record, path) for path in path_sets[0]]
+                with pytest.raises(DecodingError):
+                    BatchExtractor(path_sets[1]).extract(torn)
 
     @_engine_settings
     @given(records=st.lists(_records, min_size=1, max_size=12),

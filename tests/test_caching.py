@@ -31,17 +31,19 @@ from repro.cache import (
     ColumnSliceCache,
     PLAN_CACHE_ENV_VAR,
     PlanCache,
+    SliceChunk,
     SliceScanStats,
     cached_component_scan,
     normalize_statement,
 )
-from repro.cache.column_cache import paths_cache_key
+from repro.cache.column_cache import paths_cache_key, sized_copy
 from repro.core import PreparedStatement
 from repro.errors import DatasetError, QuarantinedComponentError
 from repro.faults import FAULTS_ENV_VAR, get_injector
 from repro.config import env_str
 from repro.obs import MetricsRegistry
 from repro.sqlpp import compile as compile_sqlpp
+from repro.types import AMultiset
 
 from reference import partition_records, reference_rows
 
@@ -167,7 +169,7 @@ class TestColumnCacheUnit:
         cache = ColumnSliceCache(capacity_bytes=1 << 20, metrics=MetricsRegistry())
         pkey = paths_cache_key((("user", "name"),))
         rows = [(k, False, ("v%d" % k,)) for k in range(4)]
-        cache.store_chunk("comp_1", pkey, 0, rows, last=True)
+        cache.store_chunk("comp_1", pkey, 0, SliceChunk(rows, last=True))
         chunk = cache.get_chunk("comp_1", pkey, 0)
         assert chunk is not None and list(chunk.rows) == rows and chunk.last
         assert cache.bytes_used > 0
@@ -180,7 +182,7 @@ class TestColumnCacheUnit:
         pkey = paths_cache_key((("name",),))
         for index in range(6):
             cache.store_chunk("comp_1", pkey, index,
-                              [(index, False, ("x" * 50,))], last=False)
+                              SliceChunk([(index, False, ("x" * 50,))], last=False))
         assert cache.bytes_used <= 700
         assert cache.entry_count() < 6
         assert registry.counter("column_cache_evictions").value > 0
@@ -190,14 +192,14 @@ class TestColumnCacheUnit:
     def test_oversized_chunk_is_not_cached(self):
         cache = ColumnSliceCache(capacity_bytes=64, metrics=MetricsRegistry())
         pkey = paths_cache_key((("name",),))
-        cache.store_chunk("comp_1", pkey, 0, [(0, False, ("y" * 500,))], last=True)
+        cache.store_chunk("comp_1", pkey, 0, SliceChunk([(0, False, ("y" * 500,))], last=True))
         assert cache.entry_count() == 0 and cache.bytes_used == 0
 
     def test_invalidate_component_drops_only_its_chunks(self):
         cache = ColumnSliceCache(capacity_bytes=1 << 20, metrics=MetricsRegistry())
         pkey = paths_cache_key((("name",),))
-        cache.store_chunk("comp_1", pkey, 0, [(0, False, ("a",))], last=True)
-        cache.store_chunk("comp_2", pkey, 0, [(0, False, ("b",))], last=True)
+        cache.store_chunk("comp_1", pkey, 0, SliceChunk([(0, False, ("a",))], last=True))
+        cache.store_chunk("comp_2", pkey, 0, SliceChunk([(0, False, ("b",))], last=True))
         cache.invalidate_component("comp_1")
         assert cache.entry_count("comp_1") == 0
         assert cache.get_chunk("comp_2", pkey, 0) is not None
@@ -207,7 +209,7 @@ class TestColumnCacheUnit:
         cache = ColumnSliceCache(metrics=MetricsRegistry())
         assert not cache.enabled
         pkey = paths_cache_key((("name",),))
-        cache.store_chunk("comp_1", pkey, 0, [(0, False, ("a",))], last=True)
+        cache.store_chunk("comp_1", pkey, 0, SliceChunk([(0, False, ("a",))], last=True))
         assert cache.get_chunk("comp_1", pkey, 0) is None
 
     @staticmethod
@@ -251,23 +253,54 @@ class TestColumnCacheUnit:
         assert (cold.hits, cold.misses) == (0, 3)
         assert (warm.hits, warm.misses) == (3, 0)
 
-    def test_served_values_shielded_from_caller_mutation(self):
+    @pytest.mark.parametrize("make, scribble, read", [
+        (lambda i: {"name": "u%d" % i},
+         lambda value: value.__setitem__("name", "scribbled"), lambda value: value["name"]),
+        # a multiset (or a tuple) of objects: immutable itself, mutable inside
+        (lambda i: AMultiset([{"k": i}]),
+         lambda value: value.items[0].__setitem__("k", 999), lambda value: value.items[0]["k"]),
+        (lambda i: ([i],),
+         lambda value: value[0].append(999), lambda value: list(value[0])),
+    ], ids=["dict", "multiset-of-objects", "tuple-of-lists"])
+    def test_served_values_shielded_from_caller_mutation(self, make, scribble, read):
         # Mutating a yielded row (cold or warm) must never reach the cache.
         cache = ColumnSliceCache(capacity_bytes=1 << 20,
                                  metrics=MetricsRegistry(), chunk_rows=2)
-        component = self._fake_component(
-            [(0, {"name": "u0"}, False), (1, {"name": "u1"}, False)])
+        component = self._fake_component([(0, make(0), False), (1, make(1), False)])
+        expected = [read(make(0)), read(make(1))]
         pkey = paths_cache_key((("name",),))
         cold = list(cached_component_scan(cache, component, lambda v: v,
                                           self._IdentityExtractor, pkey))
-        cold[0][5][0]["name"] = "scribbled"  # cold rows share a store pass
+        scribble(cold[0][5][0])  # cold rows are the decoded values themselves
         warm = list(cached_component_scan(cache, component, lambda v: v,
                                           self._IdentityExtractor, pkey))
-        assert [row[5][0]["name"] for row in warm] == ["u0", "u1"]
-        warm[1][5][0]["name"] = "scribbled"  # warm rows come from the cache
+        assert [read(row[5][0]) for row in warm] == expected
+        scribble(warm[1][5][0])  # warm rows come from the cache
         again = list(cached_component_scan(cache, component, lambda v: v,
                                            self._IdentityExtractor, pkey))
-        assert [row[5][0]["name"] for row in again] == ["u0", "u1"]
+        assert [read(row[5][0]) for row in again] == expected
+
+    def test_query_rows_shielded_from_caller_mutation(self, monkeypatch):
+        """End to end: scribbling inside a multiset column of one result must
+        not show up in the next run of the same statement, cold or warm."""
+        monkeypatch.delenv(COLUMN_CACHE_BYTES_ENV_VAR, raising=False)
+        dataset = Dataset.create("ShieldMs", storage_format=StorageFormat.INFERRED)
+        dataset.insert({"id": 0, "ms": AMultiset([{"k": 0}])})
+        dataset.flush_all()
+        statement = "SELECT t.ms AS ms FROM ShieldMs AS t"
+        for _ in range(3):  # the first run fills the cache, the others read it
+            rows = dataset.query(statement).rows
+            assert rows[0]["ms"].items[0]["k"] == 0
+            rows[0]["ms"].items[0]["k"] = 999
+        dataset.close()
+
+    def test_copy_and_size_come_from_one_walk(self):
+        value = {"a": [1, 2.5, "xy", None], "m": AMultiset([{"k": (True, b"b")}])}
+        copy, size = sized_copy(value)
+        assert copy == value and copy is not value
+        assert copy["a"] is not value["a"] and copy["m"].items[0] is not value["m"].items[0]
+        assert size == (64 + (49 + 1) + (56 + 28 + 28 + 51 + 8)
+                        + (49 + 1) + (56 + 64 + (49 + 1) + (56 + 8 + 50)))
 
 
 # ---------------------------------------------------------------------------

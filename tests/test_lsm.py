@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cache import ColumnSliceCache
+from repro.cache import ColumnSliceCache, SliceChunk
 from repro.errors import ComponentStateError, DuplicateKeyError
 from repro.lsm import (
     ComponentId,
@@ -329,7 +329,8 @@ class TestAuxiliaryFileLifecycle:
             index.flush()
         flushed = list(index.components)
         for component in flushed:
-            slices.store_chunk(component.file_name, ("p",), 0, [(0, False, (0,))], last=True)
+            slices.store_chunk(component.file_name, ("p",), 0,
+                               SliceChunk([(0, False, (0,))], last=True))
         files = manager.list_files()
         assert len(files) == 3 * 4
 

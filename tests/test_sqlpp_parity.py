@@ -13,6 +13,8 @@ from repro import Dataset, StorageFormat, compile_sqlpp
 from repro.datasets import sensors, twitter, wos
 from repro.query import QueryExecutor
 
+from reference import partition_records, reference_rows
+
 WORKLOADS = {
     "twitter": (twitter, 300),
     "wos": (wos, 150),
@@ -49,6 +51,28 @@ def test_text_and_builder_plans_return_identical_rows(workload, query_name,
     compiled = compile_sqlpp(module.SQLPP[query_name])
     sqlpp_rows = executor.execute(dataset, compiled.spec).rows
     assert sqlpp_rows == builder_rows
+
+
+@pytest.mark.parametrize("storage_format", (StorageFormat.INFERRED, StorageFormat.SL_VB),
+                         ids=lambda f: f.value)
+@pytest.mark.parametrize("query_name", ("Q1", "Q2", "Q3", "Q4"))
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_vector_formats_match_the_reference_cold_and_warm(workload, query_name, storage_format,
+                                                          monkeypatch):
+    """Both vector formats against the naive interpreter: decoded from the
+    pages (caches dropped) and then served from the slices that run stored."""
+    monkeypatch.delenv("REPRO_COLUMN_CACHE_BYTES", raising=False)
+    module, count = WORKLOADS[workload]
+    dataset = _dataset(workload, storage_format)
+    spec = compile_sqlpp(module.SQLPP[query_name]).spec
+    expected = reference_rows(spec, partition_records(module.generate(count),
+                                                      dataset.partition_count))
+    cold = QueryExecutor(cold_cache=True).execute(dataset, spec)
+    warm = QueryExecutor().execute(dataset, spec)
+    assert cold.rows == expected
+    assert warm.rows == expected
+    assert cold.stats.slice_cache_hits == 0
+    assert warm.stats.slice_cache_misses == 0
 
 
 @pytest.mark.parametrize("query_name", ("Q1", "Q2", "Q3", "Q4"))

@@ -244,3 +244,55 @@ class TestDeclaredFields:
         payload = VectorEncoder(datatype).encode(PAPER_RECORD)
         with pytest.raises(DecodingError):
             VectorRecordView(payload).materialize()
+
+
+# ---------------------------------------------------------------------------
+# undecodable payloads: one typed error from every walker
+# ---------------------------------------------------------------------------
+
+def _undecodable_views():
+    datatype = _datatype()
+    payload = VectorEncoder(datatype).encode(PAPER_RECORD)
+    schema = InferredSchema(datatype)
+    schema.observe(PAPER_RECORD)
+    compacted = compact_record(payload, schema.dictionary)
+    unknown_tag = bytearray(compacted)
+    offset_tags = VectorRecordView(compacted, datatype, schema.dictionary).offset_tags
+    unknown_tag[offset_tags + 2] = 126  # the tag of "name", the second root field
+    return {
+        "declared-index-without-datatype": VectorRecordView(payload),
+        "compacted-without-dictionary": VectorRecordView(compacted, datatype),
+        "unknown-tag-byte": VectorRecordView(bytes(unknown_tag), datatype, schema.dictionary),
+    }
+
+
+class TestUndecodablePayloads:
+    """``materialize`` used to raise ``DecodingError`` where ``get_values``
+    raised ``AttributeError`` or ``KeyError: 126`` for the same bytes."""
+
+    @pytest.mark.parametrize("case", sorted(_undecodable_views()))
+    @pytest.mark.parametrize("read", [
+        lambda view: view.materialize(),
+        lambda view: view.structure(),
+        lambda view: view.get_values(("age",), ("salaries", 1)),
+        lambda view: view.get_values(("no_such_field",)),
+    ], ids=["materialize", "structure", "get_values", "get_values-absent"])
+    def test_every_walker_raises_decoding_error(self, case, read):
+        with pytest.raises(DecodingError):
+            read(_undecodable_views()[case])
+
+    def test_unknown_field_name_id_is_a_schema_error_not_a_wraparound(self):
+        datatype = _datatype()
+        schema = InferredSchema(datatype)
+        schema.observe(PAPER_RECORD)
+        compacted = compact_record(VectorEncoder(datatype).encode(PAPER_RECORD),
+                                   schema.dictionary)
+        view = VectorRecordView(compacted, datatype, schema.dictionary)
+        names_at = view.offset_names + 4
+        for bad_id in (0, len(schema.dictionary) + 1):
+            patched = bytearray(compacted)
+            patched[names_at + 2:names_at + 4] = bad_id.to_bytes(2, "little")  # "name"'s entry
+            for read in (lambda v: v.materialize(), lambda v: v.structure(),
+                         lambda v: v.get_values(("age",))):
+                with pytest.raises(SchemaError):
+                    read(VectorRecordView(bytes(patched), datatype, schema.dictionary))
