@@ -71,8 +71,8 @@ _DECLS: Tuple[LockDecl, ...] = (
              doc="guards the active-reader count and deferred component drops"),
     LockDecl("WriteAheadLog", "_lock", 60, "lock", "storage/wal.py",
              doc="serializes record append / LSN assignment / truncation"),
-    LockDecl("BufferCache", "_lock", 50, "rlock", "storage/buffer_cache.py",
-             doc="guards the frame table; miss fetches run outside it"),
+    LockDecl("BufferCache", "_lock", 50, "lock", "storage/buffer_cache.py",
+             doc="guards the resident-page table; miss fetches run outside it"),
     LockDecl("SimulatedStorageDevice", "_lock", 40, "lock", "storage/device.py",
              doc="guards byte/op counters; simulated latency sleeps run outside it"),
     LockDecl("FaultInjector", "_lock", 35, "lock", "faults/injector.py",

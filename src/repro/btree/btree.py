@@ -17,11 +17,10 @@ from __future__ import annotations
 import bisect
 from typing import Iterator, Optional
 
-from ..errors import StorageError
 from ..storage.buffer_cache import BufferCache
 from .bulk_loader import BTreeInfo
 from .keycodec import Key
-from .pages import LEAF_KIND, LeafEntry, page_kind, unpack_interior, unpack_leaf
+from .pages import LEAF_KIND, LeafEntry, unpack_interior, unpack_leaf
 
 
 class BTree:
@@ -46,28 +45,10 @@ class BTree:
 
     # -- scans -------------------------------------------------------------------------
 
-    def first_entry(self) -> Optional[LeafEntry]:
-        """The smallest-keyed entry (one page read), or None for an empty tree."""
-        if self.info.is_empty:
-            return None
-        entries, _ = self._read_leaf(0)
-        return entries[0] if entries else None
-
-    def last_entry(self) -> Optional[LeafEntry]:
-        """The largest-keyed entry (one page read), or None for an empty tree."""
-        if self.info.is_empty:
-            return None
-        entries, _ = self._read_leaf(self.info.leaf_count - 1)
-        return entries[-1] if entries else None
-
     def scan_all(self) -> Iterator[LeafEntry]:
         """Yield every entry in key order by walking the leaf level."""
         for leaf_no in range(self.info.leaf_count):
-            page = self.buffer_cache.read_page(self.file_name, leaf_no)
-            if page_kind(page) != LEAF_KIND:
-                raise StorageError(f"page {leaf_no} of {self.file_name!r} is not a leaf")
-            entries, _ = unpack_leaf(page)
-            yield from entries
+            yield from self._read_leaf(leaf_no)[0]
 
     def range_scan(self, low: Optional[Key] = None, high: Optional[Key] = None,
                    include_low: bool = True, include_high: bool = True) -> Iterator[LeafEntry]:
@@ -75,12 +56,10 @@ class BTree:
         if self.info.is_empty:
             return
         if low is None:
-            leaf_no = 0
             entries, next_leaf = self._read_leaf(0)
             index = 0
         else:
-            entries, leaf_no = self._descend_to_leaf(low)
-            next_leaf = self._read_leaf(leaf_no)[1]
+            entries, next_leaf = self._descend_to_leaf(low)
             index = self._position(entries, low)
             if not include_low:
                 while index < len(entries) and entries[index].key == low:
@@ -95,8 +74,7 @@ class BTree:
                 index += 1
             if next_leaf is None:
                 return
-            leaf_no = next_leaf
-            entries, next_leaf = self._read_leaf(leaf_no)
+            entries, next_leaf = self._read_leaf(next_leaf)
             index = 0
 
     # -- helpers ---------------------------------------------------------------------------
@@ -106,13 +84,13 @@ class BTree:
         return unpack_leaf(page)
 
     def _descend_to_leaf(self, key: Key):
-        """Follow interior separators down to the leaf that may hold ``key``."""
+        """Follow interior separators down to the leaf that may hold ``key``;
+        returns that leaf's ``(entries, next_leaf)``."""
         page_no = self.info.root_page
         while True:
             page = self.buffer_cache.read_page(self.file_name, page_no)
-            if page_kind(page) == LEAF_KIND:
-                entries, _ = unpack_leaf(page)
-                return entries, page_no
+            if page[0] == LEAF_KIND:
+                return unpack_leaf(page)
             separators, children = unpack_interior(page)
             # child i covers keys < separators[i]; the last child covers the rest.
             index = bisect.bisect_right(separators, key)

@@ -37,7 +37,6 @@ class BTreeInfo:
     leaf_count: int
     page_count: int
     entry_count: int
-    first_leaf: int = 0
 
     @property
     def is_empty(self) -> bool:

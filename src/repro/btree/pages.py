@@ -124,7 +124,3 @@ def unpack_interior(page: bytes) -> Tuple[List[Key], List[int]]:
         separator, cursor = decode_key(page, cursor)
         separators.append(separator)
     return separators, children
-
-
-def page_kind(page: bytes) -> int:
-    return page[0]

@@ -115,7 +115,7 @@ class DataFeed:
             raise FeedError("this feed has already been closed")
         report = FeedReport()
         environments = self.dataset.environments
-        io_before = [environment.device.snapshot() for environment in environments]
+        io_before = [environment.device.stats for environment in environments]
         # Lifecycle counters are reported as per-run deltas, so back-to-back
         # feeds on one dataset do not re-bill earlier runs' maintenance.
         lifecycle_before = self.dataset.ingest_stats()

@@ -2,17 +2,14 @@
 
 Each node controller owns a storage environment (buffer cache, transaction
 log, simulated storage device) and hosts a fixed number of data partitions
-per dataset.  Node 0 doubles as the metadata node, which in AsterixDB holds
-the declared datatypes and dataset definitions; here that role amounts to
-keeping the authoritative copy of every dataset's configuration so that the
-cluster controller can re-create dataset handles.
+per dataset.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
-from ..config import DatasetConfig, StorageConfig
+from ..config import StorageConfig
 from ..core.environment import StorageEnvironment
 
 
@@ -24,17 +21,6 @@ class NodeController:
         self.node_id = node_id
         self.partitions_per_node = partitions_per_node
         self.environment = StorageEnvironment(storage_config, node_id=node_id)
-        #: Metadata-node bookkeeping (only consulted on node 0).
-        self.dataset_catalog: Dict[str, DatasetConfig] = {}
-
-    @property
-    def is_metadata_node(self) -> bool:
-        return self.node_id == 0
-
-    # -- metadata-node duties ------------------------------------------------------
-
-    def register_dataset(self, config: DatasetConfig) -> None:
-        self.dataset_catalog[config.name] = config
 
     # -- reporting ---------------------------------------------------------------------
 

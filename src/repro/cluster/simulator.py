@@ -78,10 +78,6 @@ class ClusterSimulator:
 
     # ------------------------------------------------------------------ datasets
 
-    @property
-    def metadata_node(self) -> NodeController:
-        return self.nodes[0]
-
     def create_dataset(self, name: str, storage_format: StorageFormat = StorageFormat.OPEN,
                        datatype: Optional[Datatype] = None, primary_key: str = "id",
                        dataset_config: Optional[DatasetConfig] = None,
@@ -108,7 +104,6 @@ class ClusterSimulator:
         dataset = Dataset(config, [node.environment for node in self.nodes],
                           partitions_per_environment=self.config.partitions_per_node,
                           datatype=datatype)
-        self.metadata_node.register_dataset(config)
         self.datasets[name] = dataset
         return dataset
 

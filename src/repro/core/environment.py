@@ -17,7 +17,7 @@ from ..config import DeviceKind, StorageConfig
 from ..obs import MetricsRegistry, get_registry
 from ..storage import (
     BufferCache,
-    InMemoryFileManager,
+    FileManager,
     SimulatedStorageDevice,
     WriteAheadLog,
     get_codec,
@@ -40,8 +40,8 @@ class StorageEnvironment:
         self.device = SimulatedStorageDevice(self.config.device_kind,
                                              throttle=self.config.io_throttle,
                                              metrics=self.metrics)
-        self.file_manager = InMemoryFileManager(self.device, self.config.page_size,
-                                                get_codec(self.config.compression))
+        self.file_manager = FileManager(self.device, self.config.page_size,
+                                        get_codec(self.config.compression))
         self.buffer_cache = BufferCache(self.file_manager, self.config.buffer_cache_pages,
                                         metrics=self.metrics)
         self.wal = WriteAheadLog(self.device, metrics=self.metrics)

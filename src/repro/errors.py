@@ -62,6 +62,15 @@ class TransientIOError(StorageError):
     """
 
 
+class RecordTooLargeError(StorageError):
+    """A record cannot fit in one B+-tree leaf page of the configured size.
+
+    Raised by the LSM write path before the record is logged or buffered:
+    accepted, it could never be flushed, and its partition could never
+    persist another write.
+    """
+
+
 class PermanentIOError(StorageError):
     """An I/O operation failed in a way retrying cannot fix (ENOSPC, EIO)."""
 
@@ -92,14 +101,6 @@ class QuarantinedComponentError(StorageError):
 
 class FaultSpecError(StorageError):
     """A ``REPRO_FAULTS`` fault-injection spec string could not be parsed."""
-
-
-class BufferCacheFullError(StorageError):
-    """The buffer cache cannot evict a page to make room (all pinned)."""
-
-
-class WALError(StorageError):
-    """The write-ahead log is corrupt or was used incorrectly."""
 
 
 class ComponentStateError(ReproError):

@@ -22,11 +22,13 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..btree import LeafEntry
+from ..btree.pages import LEAF_HEADER_SIZE
 from ..errors import (
     ComponentStateError,
     CorruptPageError,
     DuplicateKeyError,
     KeyNotFoundError,
+    RecordTooLargeError,
     SchedulerError,
 )
 from ..obs import (COMPONENT_QUARANTINED, MetricsRegistry, StatsDictMixin,
@@ -224,6 +226,7 @@ class LSMBTree:
 
     def insert(self, key: Any, record: Dict[str, Any], encoded: bytes) -> None:
         """Insert a new record (data feeds and loads; key assumed fresh)."""
+        self._check_fits_page(key, encoded)
         if self.check_duplicate_keys and self.search(key) is not None:
             raise DuplicateKeyError(f"primary key {key!r} already exists")
         self._log(LogRecordType.INSERT, key, encoded)
@@ -246,6 +249,7 @@ class LSMBTree:
 
     def upsert(self, key: Any, record: Dict[str, Any], encoded: bytes) -> None:
         """Upsert = delete (if present) followed by an insert with the same key."""
+        self._check_fits_page(key, encoded)
         if self.flush_callback.needs_antischema:
             antischema = self._antischema_for(key)
             if antischema is _NOT_FOUND:
@@ -307,6 +311,20 @@ class LSMBTree:
             if entry is not None:
                 return entry
         return None
+
+    def _check_fits_page(self, key: Any, encoded: bytes) -> None:
+        """Reject a record no leaf page can hold, where it arrives.
+
+        What a flush writes is never larger than ``encoded`` (compaction only
+        removes inline field names), so a record that passes here can always
+        be persisted; one that does not would fail every flush of its
+        memtable, which is re-queued on failure — wedging the partition.
+        """
+        size = LEAF_HEADER_SIZE + LeafEntry(key, encoded).size_on_page
+        if size > self.buffer_cache.page_size:
+            raise RecordTooLargeError(
+                f"record for key {key!r} needs {size} bytes of a leaf page, "
+                f"the page size is {self.buffer_cache.page_size}")
 
     def _log(self, record_type: LogRecordType, key: Any, payload: bytes) -> None:
         if self.wal is not None:
@@ -663,6 +681,7 @@ class LSMBTree:
         for key, record, encoded in rows:
             if memtable.get(key) is not None:
                 raise DuplicateKeyError(f"bulk load saw duplicate primary key {key!r}")
+            self._check_fits_page(key, encoded)
             memtable.put(MemEntry(key, is_antimatter=False, record=record, encoded=encoded))
         if memtable.is_empty:
             return None

@@ -54,3 +54,9 @@ class StatsDictMixin:
         for name in self._DERIVED:
             out[name] = convert_value(getattr(self, name))
         return out
+
+    def diff(self, earlier: "StatsDictMixin") -> "StatsDictMixin":
+        """Field-wise ``self - earlier`` for an all-numeric stats dataclass:
+        what accumulated since an earlier snapshot of the same counters."""
+        return type(self)(**{spec.name: getattr(self, spec.name) - getattr(earlier, spec.name)
+                             for spec in dataclasses.fields(self)})

@@ -14,18 +14,15 @@ This class reproduces that split:
   complexity) while also installing it in the cache so immediately
   following queries do not pay a read.
 
-Pages can be *pinned* to keep them resident while an operator iterates over
-them; eviction only considers unpinned pages, in LRU order.
-
 The cache is shared by every partition of a storage environment, so with
 the parallel query executor it is hit from multiple worker threads at once.
-Frame bookkeeping (lookup, LRU order, install, evict, counters) is guarded
+Bookkeeping (lookup, LRU order, install, evict, counters) is guarded
 by a lock; the underlying file-manager fetch on a miss deliberately happens
 *outside* the lock so that misses against different component files overlap
 — holding the lock across the fetch would serialize exactly the I/O the
 parallel executor is supposed to overlap.  Two threads missing the same
 page concurrently may both fetch it (the first install wins; the loser
-reuses the installed frame and discards its own copy); component files are
+returns the installed page and discards its own copy); component files are
 partition-private, so in practice concurrent same-page misses do not occur.
 """
 
@@ -33,13 +30,12 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Optional, Tuple
 
-from ..errors import BufferCacheFullError
 from ..faults import fire_fault
 from ..obs import MetricsRegistry, StatsDictMixin, get_registry
-from .file_manager import BaseFileManager
+from .file_manager import FileManager
 
 PageKey = Tuple[str, int]
 
@@ -60,29 +56,11 @@ class CacheStats(StatsDictMixin):
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def copy(self) -> "CacheStats":
-        return CacheStats(self.hits, self.misses, self.evictions, self.writes)
-
-    def diff(self, earlier: "CacheStats") -> "CacheStats":
-        """Counters accumulated since an earlier snapshot."""
-        return CacheStats(hits=self.hits - earlier.hits,
-                          misses=self.misses - earlier.misses,
-                          evictions=self.evictions - earlier.evictions,
-                          writes=self.writes - earlier.writes)
-
-
-class _Frame:
-    __slots__ = ("data", "pin_count")
-
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.pin_count = 0
-
 
 class BufferCache:
     """Fixed-capacity LRU cache of uncompressed pages."""
 
-    def __init__(self, file_manager: BaseFileManager, capacity_pages: int,
+    def __init__(self, file_manager: FileManager, capacity_pages: int,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         if capacity_pages <= 0:
             raise ValueError("capacity_pages must be positive")
@@ -90,8 +68,9 @@ class BufferCache:
         self.capacity_pages = capacity_pages
         self.page_size = file_manager.page_size
         self.stats = CacheStats()
-        self._frames: "OrderedDict[PageKey, _Frame]" = OrderedDict()  # guarded-by: _lock
-        self._lock = threading.RLock()
+        #: Resident pages in LRU order (least recently used first).
+        self._frames: "OrderedDict[PageKey, bytes]" = OrderedDict()  # guarded-by: _lock
+        self._lock = threading.Lock()
         metrics = metrics if metrics is not None else get_registry()
         self._hits = metrics.counter("cache_hits")
         self._misses = metrics.counter("cache_misses")
@@ -101,42 +80,31 @@ class BufferCache:
     def stats_snapshot(self) -> CacheStats:
         """Copy of the counters (use with :meth:`CacheStats.diff`)."""
         with self._lock:
-            return self.stats.copy()
+            return replace(self.stats)
 
     # -- reads --------------------------------------------------------------------
 
-    def read_page(self, file_name: str, page_no: int, pin: bool = False) -> bytes:
+    def read_page(self, file_name: str, page_no: int) -> bytes:
         """Return the uncompressed content of a logical page."""
         key = (file_name, page_no)
         with self._lock:
-            frame = self._frames.get(key)
-            if frame is not None:
+            data = self._frames.get(key)
+            if data is not None:
                 self.stats.hits += 1
                 self._hits.inc()
                 self._frames.move_to_end(key)
-                if pin:
-                    frame.pin_count += 1
-                return frame.data
+                return data
             self.stats.misses += 1
             self._misses.inc()
         fire_fault("buffercache.miss")
         data = self.file_manager.read_page(file_name, page_no)
         with self._lock:
-            frame = self._frames.get(key)
-            if frame is None:
-                frame = _Frame(data)
-                self._install(key, frame)
-            else:
+            resident = self._frames.get(key)
+            if resident is not None:
                 self._frames.move_to_end(key)
-            if pin:
-                frame.pin_count += 1
-            return frame.data
-
-    def unpin(self, file_name: str, page_no: int) -> None:
-        with self._lock:
-            frame = self._frames.get((file_name, page_no))
-            if frame is not None and frame.pin_count > 0:
-                frame.pin_count -= 1
+                return resident
+            self._install(key, data)
+            return data
 
     # -- writes ---------------------------------------------------------------------
 
@@ -146,7 +114,7 @@ class BufferCache:
         with self._lock:
             self.stats.writes += 1
             self._cache_writes.inc()
-            self._install((file_name, page_no), _Frame(data))
+            self._install((file_name, page_no), data)
 
     # -- file-level helpers -------------------------------------------------------------
 
@@ -170,26 +138,11 @@ class BufferCache:
     # -- internals ----------------------------------------------------------------------
 
     # requires-lock: _lock
-    def _install(self, key: PageKey, frame: _Frame) -> None:
-        if key in self._frames:
-            existing = self._frames[key]
-            frame.pin_count = existing.pin_count
-        self._frames[key] = frame
+    def _install(self, key: PageKey, data: bytes) -> None:
+        """Make ``data`` the most recently used page, evicting from the LRU end."""
+        self._frames[key] = data
         self._frames.move_to_end(key)
-        self._evict_if_needed(protect=key)
-
-    # requires-lock: _lock
-    def _evict_if_needed(self, protect: PageKey) -> None:
         while len(self._frames) > self.capacity_pages:
-            victim_key = None
-            for key, frame in self._frames.items():
-                if frame.pin_count == 0 and key != protect:
-                    victim_key = key
-                    break
-            if victim_key is None:
-                raise BufferCacheFullError(
-                    f"all {len(self._frames)} cached pages are pinned; cannot evict"
-                )
-            del self._frames[victim_key]
+            self._frames.popitem(last=False)
             self.stats.evictions += 1
             self._evictions.inc()

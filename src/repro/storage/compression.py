@@ -1,58 +1,28 @@
-"""Page-compression codecs (the paper's "syntactic" approach, §2.4).
+"""Page compression (the paper's "syntactic" approach, §2.4).
 
 AsterixDB's page-level compression uses Snappy; Snappy is not available in
-this offline environment, so the default codec is ``zlib`` at a fast level,
+this offline environment, so the one codec is ``zlib`` at its fastest level,
 which has the same compress-on-write / decompress-on-read behaviour and a
-comparable compression profile on JSON-ish page content.  The registry is
-pluggable so alternative codecs (including the no-op codec used by
-uncompressed datasets) can be selected per dataset via
+comparable compression profile on JSON-ish page content.  An uncompressed
+dataset has no codec at all (``None``), selected per dataset via
 :class:`repro.config.StorageConfig`.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Callable, Dict, Optional, Tuple
+from typing import Optional
 
 from ..errors import StorageError
 
 
-class Codec:
-    """A page codec: stateless ``compress``/``decompress`` pair."""
-
-    name = "abstract"
-
-    def compress(self, payload: bytes) -> bytes:
-        raise NotImplementedError
-
-    def decompress(self, payload: bytes, original_size: int) -> bytes:
-        raise NotImplementedError
-
-
-class NoneCodec(Codec):
-    """Identity codec used when compression is disabled."""
-
-    name = "none"
-
-    def compress(self, payload: bytes) -> bytes:
-        return payload
-
-    def decompress(self, payload: bytes, original_size: int) -> bytes:
-        return payload
-
-
-class ZlibCodec(Codec):
-    """zlib/DEFLATE codec standing in for Snappy (see module docstring)."""
+class ZlibCodec:
+    """zlib/DEFLATE page codec standing in for Snappy (see module docstring)."""
 
     name = "zlib"
 
-    def __init__(self, level: int = 1) -> None:
-        if not 0 <= level <= 9:
-            raise StorageError(f"zlib level must be within [0, 9], got {level}")
-        self.level = level
-
     def compress(self, payload: bytes) -> bytes:
-        return zlib.compress(payload, self.level)
+        return zlib.compress(payload, 1)
 
     def decompress(self, payload: bytes, original_size: int) -> bytes:
         expanded = zlib.decompress(payload)
@@ -63,39 +33,26 @@ class ZlibCodec(Codec):
         return expanded
 
 
-_REGISTRY: Dict[str, Callable[[int], Codec]] = {
-    "none": lambda level: NoneCodec(),
-    "zlib": lambda level: ZlibCodec(level),
-    # "snappy" is what the paper (and MongoDB) use; map it onto the zlib
-    # stand-in so experiment configs can keep the paper's codec name.
-    "snappy": lambda level: ZlibCodec(level),
-}
+def get_codec(name: Optional[str]) -> Optional[ZlibCodec]:
+    """Resolve a codec by name; ``None`` means compression is off.
 
-
-def register_codec(name: str, factory: Callable[[int], Codec]) -> None:
-    """Register a custom codec factory (used by tests and extensions)."""
-    _REGISTRY[name] = factory
-
-
-def get_codec(name: Optional[str], level: int = 1) -> Codec:
-    """Resolve a codec by name; ``None`` resolves to the identity codec."""
+    ``"snappy"`` is what the paper (and MongoDB) use; it maps onto the zlib
+    stand-in so experiment configs can keep the paper's codec name.
+    """
     if name is None:
-        return NoneCodec()
-    try:
-        factory = _REGISTRY[name]
-    except KeyError as exc:
-        raise StorageError(f"unknown compression codec {name!r}") from exc
-    return factory(level)
+        return None
+    if name in ("zlib", "snappy"):
+        return ZlibCodec()
+    raise StorageError(f"unknown compression codec {name!r}")
 
 
-def compress_page(codec: Codec, page: bytes) -> Tuple[bytes, bool]:
-    """Compress a page, keeping the original when compression does not pay.
+def compress_page(codec: ZlibCodec, page: bytes) -> bytes:
+    """The payload to store for a page: compressed, or the page itself when
+    compression does not pay.
 
-    Returns ``(payload, was_compressed)``.  Storing an incompressible page
-    uncompressed mirrors what real engines (and Snappy framing) do and keeps
-    the look-aside file meaningful for mixed content.
+    Storing an incompressible page uncompressed mirrors what real engines
+    (and Snappy framing) do; a stored payload of exactly the page size is
+    how a reader knows it was kept.
     """
     compressed = codec.compress(page)
-    if len(compressed) >= len(page):
-        return page, False
-    return compressed, True
+    return compressed if len(compressed) < len(page) else page

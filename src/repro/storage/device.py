@@ -41,32 +41,21 @@ from ..obs import MetricsRegistry, StatsDictMixin, get_registry
 
 @dataclass
 class IOStats(StatsDictMixin):
-    """Cumulative I/O counters of one device (or one component of it)."""
+    """Cumulative I/O counters of one device (or one traffic class of it)."""
 
     bytes_read: int = 0
     bytes_written: int = 0
     read_ops: int = 0
     write_ops: int = 0
 
-    def add_read(self, nbytes: int) -> None:
-        self.bytes_read += nbytes
-        self.read_ops += 1
-
-    def add_write(self, nbytes: int) -> None:
-        self.bytes_written += nbytes
-        self.write_ops += 1
-
-    def copy(self) -> "IOStats":
-        return IOStats(self.bytes_read, self.bytes_written, self.read_ops, self.write_ops)
-
-    def diff(self, earlier: "IOStats") -> "IOStats":
-        """Counters accumulated since an earlier snapshot."""
-        return IOStats(
-            bytes_read=self.bytes_read - earlier.bytes_read,
-            bytes_written=self.bytes_written - earlier.bytes_written,
-            read_ops=self.read_ops - earlier.read_ops,
-            write_ops=self.write_ops - earlier.write_ops,
-        )
+    def add(self, nbytes: int, write: bool) -> None:
+        """Count one operation of ``nbytes``."""
+        if write:
+            self.bytes_written += nbytes
+            self.write_ops += 1
+        else:
+            self.bytes_read += nbytes
+            self.read_ops += 1
 
 
 class SimulatedStorageDevice:
@@ -89,8 +78,9 @@ class SimulatedStorageDevice:
         self.read_bandwidth = profile["read_bandwidth"]
         self.write_bandwidth = profile["write_bandwidth"]
         self.seek_latency = profile["seek_latency"]
-        self.stats = IOStats()
-        self.per_class: Dict[str, IOStats] = {}
+        #: The ledger: one cell per traffic class.  Nothing else is stored —
+        #: the device total (:attr:`stats`) is the sum of these cells.
+        self.per_class: Dict[str, IOStats] = {}  # guarded-by: _lock
         #: Fraction of each operation's simulated seconds to actually sleep
         #: (0.0 = pure accounting; >1.0 stretches device time for tests that
         #: must observe wall-clock overlap).  Mutable at any time.
@@ -107,11 +97,12 @@ class SimulatedStorageDevice:
     def _metrics_for(self, io_class: str) -> Tuple:
         handles = self._metric_handles.get(io_class)
         if handles is None:
+            # (bytes, ops) for reads, then for writes: indexed by ``write``.
             handles = (
-                self.metrics.counter("device_bytes_read", io_class=io_class),
-                self.metrics.counter("device_read_ops", io_class=io_class),
-                self.metrics.counter("device_bytes_written", io_class=io_class),
-                self.metrics.counter("device_write_ops", io_class=io_class),
+                (self.metrics.counter("device_bytes_read", io_class=io_class),
+                 self.metrics.counter("device_read_ops", io_class=io_class)),
+                (self.metrics.counter("device_bytes_written", io_class=io_class),
+                 self.metrics.counter("device_write_ops", io_class=io_class)),
             )
             self._metric_handles[io_class] = handles
         return handles
@@ -122,39 +113,28 @@ class SimulatedStorageDevice:
         # Fault check precedes all accounting so an injected failure models
         # an operation that never reached the device (nothing half-charged).
         fire_fault("device.read")
-        io_class = self._effective_class(io_class)
-        with self._lock:
-            self.stats.add_read(nbytes)
-            self._class_stats(io_class).add_read(nbytes)
-        read_bytes, read_ops, _, _ = self._metrics_for(io_class)
-        read_bytes.inc(nbytes)
-        read_ops.inc()
-        for scope in getattr(self._local, "scopes", ()):
-            scope.add_read(nbytes)
-        if self.throttle > 0.0:
-            time.sleep((nbytes / self.read_bandwidth + self.seek_latency) * self.throttle)
+        self._record(nbytes, io_class, write=False)
 
     def record_write(self, nbytes: int, io_class: str = "data") -> None:
         fire_fault("device.write")
-        io_class = self._effective_class(io_class)
+        self._record(nbytes, io_class, write=True)
+
+    def _record(self, nbytes: int, io_class: str, write: bool) -> None:
+        """Charge one operation: the only code that adds to a device counter."""
+        io_class = getattr(self._local, "io_class", None) or io_class
+        bytes_counter, ops_counter = self._metrics_for(io_class)[write]
         with self._lock:
-            self.stats.add_write(nbytes)
-            self._class_stats(io_class).add_write(nbytes)
-        _, _, write_bytes, write_ops = self._metrics_for(io_class)
-        write_bytes.inc(nbytes)
-        write_ops.inc()
+            cell = self.per_class.get(io_class)
+            if cell is None:
+                cell = self.per_class[io_class] = IOStats()
+            cell.add(nbytes, write)
+        bytes_counter.inc(nbytes)
+        ops_counter.inc()
         for scope in getattr(self._local, "scopes", ()):
-            scope.add_write(nbytes)
+            scope.add(nbytes, write)
         if self.throttle > 0.0:
-            time.sleep((nbytes / self.write_bandwidth + self.seek_latency) * self.throttle)
-
-    def _class_stats(self, io_class: str) -> IOStats:
-        if io_class not in self.per_class:
-            self.per_class[io_class] = IOStats()
-        return self.per_class[io_class]
-
-    def _effective_class(self, io_class: str) -> str:
-        return getattr(self._local, "io_class", None) or io_class
+            bandwidth = self.write_bandwidth if write else self.read_bandwidth
+            time.sleep((nbytes / bandwidth + self.seek_latency) * self.throttle)
 
     @contextmanager
     def io_class_scope(self, io_class: str) -> Iterator[None]:
@@ -209,16 +189,21 @@ class SimulatedStorageDevice:
         write_time = stats.bytes_written / self.write_bandwidth + stats.write_ops * self.seek_latency
         return read_time + write_time
 
-    @property
-    def simulated_read_seconds(self) -> float:
-        return self.stats.bytes_read / self.read_bandwidth + self.stats.read_ops * self.seek_latency
-
     # -- bookkeeping ----------------------------------------------------------------
 
-    def snapshot(self) -> IOStats:
-        """Copy of the current counters (use with :meth:`IOStats.diff`)."""
+    @property
+    def stats(self) -> IOStats:
+        """Total traffic of the device: the per-class cells summed into a fresh
+        object on every read, so a kept one is a snapshot to
+        :meth:`IOStats.diff` a later one against."""
+        total = IOStats()
         with self._lock:
-            return self.stats.copy()
+            for cell in self.per_class.values():
+                total.bytes_read += cell.bytes_read
+                total.bytes_written += cell.bytes_written
+                total.read_ops += cell.read_ops
+                total.write_ops += cell.write_ops
+        return total
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

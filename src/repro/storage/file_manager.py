@@ -1,17 +1,26 @@
-"""File manager: named page files, optionally compressed via LAFs.
+"""File manager: named, write-once page files, optionally compressed.
 
 A *page file* is a named sequence of fixed-size logical pages.  LSM
-components write their pages strictly sequentially (flush, merge, and
-bulk-load all produce components front to back), which keeps the compressed
-representation simple: compressed payloads are appended back-to-back and the
-:class:`~repro.storage.laf.LookAsideFile` maps logical page numbers to
-``(offset, length)`` pairs, exactly as described in paper §2.4.
+components are immutable and written strictly front to back (flush, merge
+and bulk load all build one), so a file is simply the list of its stored
+page payloads: page ``n`` is written exactly once, when the file holds ``n``
+pages, and never again.
 
-Page payloads live in process memory (:class:`InMemoryFileManager`, the
-one backend), so measured times reflect the engine's CPU work and the
-*simulated* device model, not the test machine's disk: every physical
-read/write is charged to the
-:class:`~repro.storage.device.SimulatedStorageDevice` the manager is given.
+With a codec set, pages are stored compressed and therefore have arbitrary
+sizes.  The paper (§2.4) keeps AsterixDB's fixed-size-page layout by storing
+them back to back and recording each page's ``(offset, length)`` in a side
+file, the *look-aside file* (LAF): 12 bytes per page (8-byte offset + 4-byte
+length, so a 128 KB LAF page holds 10 922 entries).  Payloads live in process
+memory here, so nothing needs the offsets; what remains of the LAF is its
+cost, which is arithmetic: its bytes count toward :meth:`FileManager.file_size`
+and every page read or write of a compressed file also charges one LAF entry
+to the device under the ``"laf"`` I/O class — the "extra IO to read a data
+page" the paper mentions.
+
+Measured times therefore reflect the engine's CPU work and the *simulated*
+device model, not the test machine's disk: every physical read/write is
+charged to the :class:`~repro.storage.device.SimulatedStorageDevice` the
+manager is given.
 """
 
 from __future__ import annotations
@@ -21,39 +30,39 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import CorruptPageError, PageNotFoundError, StorageError
 from ..faults import corrupt_payload, fire_fault
-from .compression import Codec, NoneCodec, compress_page
+from .compression import ZlibCodec, compress_page
 from .device import SimulatedStorageDevice
-from .laf import LookAsideFile
+
+#: Bytes of one look-aside entry (u64 offset + u32 length), as in the paper.
+LAF_ENTRY_SIZE = 12
+#: Fixed bytes of a look-aside file before its entries (the entry count).
+_LAF_HEADER_SIZE = 4
 
 
-class _PageFileState:
-    """Book-keeping for one open page file."""
+class _PageFile:
+    """One page file: its stored pages and their total size."""
 
-    __slots__ = ("name", "laf", "page_count", "uncompressed_bytes", "stored_bytes",
-                 "checksums")
+    __slots__ = ("pages", "stored_bytes")
 
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.laf = LookAsideFile()
-        self.page_count = 0
-        self.uncompressed_bytes = 0
-        self.stored_bytes = 0
-        #: CRC32 of each logical (uncompressed) page, keyed by page number;
-        #: verified on every read so bit rot and torn writes surface as
+    def __init__(self) -> None:
+        #: ``(stored payload, CRC32 of the logical page)`` per page number; the
+        #: CRC is verified on every read so bit rot and torn writes surface as
         #: CorruptPageError instead of decoded garbage.
-        self.checksums: Dict[int, int] = {}
+        self.pages: List[Tuple[bytes, int]] = []
+        #: Sum of the payload lengths, kept because the merge policy asks for
+        #: every component's size on every flush.
+        self.stored_bytes = 0
 
 
-class BaseFileManager:
-    """Page-file bookkeeping, compression, checksums and device accounting
-    over a byte-store backend (the ``_backend_*`` hooks)."""
+class FileManager:
+    """Page files with compression, checksums and device accounting."""
 
     def __init__(self, device: SimulatedStorageDevice, page_size: int,
-                 codec: Optional[Codec] = None) -> None:
+                 codec: Optional[ZlibCodec] = None) -> None:
         self.device = device
         self.page_size = page_size
-        self.codec = codec or NoneCodec()
-        self._files: Dict[str, _PageFileState] = {}
+        self.codec = codec
+        self._files: Dict[str, _PageFile] = {}
         self._page_checksum_failures = device.metrics.counter(
             "checksum_failures_total", kind="page")
 
@@ -62,14 +71,10 @@ class BaseFileManager:
     def create_file(self, name: str) -> None:
         if name in self._files:
             raise StorageError(f"page file {name!r} already exists")
-        self._files[name] = _PageFileState(name)
-        self._backend_create(name)
+        self._files[name] = _PageFile()
 
     def delete_file(self, name: str) -> None:
-        if name not in self._files:
-            return
-        del self._files[name]
-        self._backend_delete(name)
+        self._files.pop(name, None)
 
     def exists(self, name: str) -> bool:
         return name in self._files
@@ -78,9 +83,9 @@ class BaseFileManager:
         return sorted(self._files)
 
     def num_pages(self, name: str) -> int:
-        return self._state(name).page_count
+        return len(self._state(name).pages)
 
-    def _state(self, name: str) -> _PageFileState:
+    def _state(self, name: str) -> _PageFile:
         try:
             return self._files[name]
         except KeyError as exc:
@@ -89,59 +94,36 @@ class BaseFileManager:
     # -- page I/O --------------------------------------------------------------------
 
     def write_page(self, name: str, page_no: int, data: bytes) -> None:
-        """Write one logical page (must be exactly ``page_size`` bytes)."""
+        """Append one logical page (exactly ``page_size`` bytes) to a file."""
         fire_fault("file.write_page")
         if len(data) != self.page_size:
             raise StorageError(
                 f"page writes must be exactly {self.page_size} bytes, got {len(data)}"
             )
         state = self._state(name)
-        if page_no > state.page_count:
+        if page_no != len(state.pages):
             raise StorageError(
-                f"pages must be written sequentially (page {page_no}, have {state.page_count})"
+                f"pages are written once, in order (page {page_no} of {name!r}, "
+                f"have {len(state.pages)})"
             )
-        payload, compressed = compress_page(self.codec, data)
-        if page_no == state.page_count:
-            offset = state.laf.end_offset()
-            state.laf.add_entry(page_no, offset, len(payload))
-            state.page_count += 1
-            state.uncompressed_bytes += self.page_size
-            state.stored_bytes += len(payload)
-        else:
-            # Rewrite of an existing page (component metadata page validation).
-            old_offset, old_length = state.laf.entry(page_no)
-            if len(payload) > old_length:
-                # Pad the logical page's slot is impossible for a longer payload;
-                # fall back to storing it uncompressed-size at a new offset only
-                # when it still fits the original slot.  Metadata pages compress
-                # deterministically, so in practice rewrites fit; guard anyway.
-                payload = data
-                compressed = False
-                if len(payload) > old_length and old_length != self.page_size:
-                    raise StorageError(
-                        f"rewritten page {page_no} of {name!r} does not fit its slot"
-                    )
-            state.stored_bytes += len(payload) - old_length
-            state.laf.add_entry(page_no, old_offset, len(payload))
-            offset = old_offset
-        state.checksums[page_no] = zlib.crc32(data)
-        self._backend_write(name, offset, payload)
+        payload = data if self.codec is None else compress_page(self.codec, data)
+        # Charged before the page is kept: a device fault leaves no page behind.
         self.device.record_write(len(payload), io_class="data")
-        if not isinstance(self.codec, NoneCodec):
-            # The LAF entry itself is eventually persisted; charge its bytes.
-            self.device.record_write(12, io_class="laf")
+        if self.codec is not None:
+            self.device.record_write(LAF_ENTRY_SIZE, io_class="laf")
+        state.pages.append((payload, zlib.crc32(data)))
+        state.stored_bytes += len(payload)
 
     def read_page(self, name: str, page_no: int) -> bytes:
         """Read one logical page, decompressing if needed."""
         state = self._state(name)
-        if page_no < 0 or page_no >= state.page_count:
+        if not 0 <= page_no < len(state.pages):
             raise PageNotFoundError(f"page {page_no} of {name!r} does not exist")
-        offset, length = state.laf.entry(page_no)
-        if not isinstance(self.codec, NoneCodec):
-            self.device.record_read(12, io_class="laf")
-        payload = self._backend_read(name, offset, length)
-        self.device.record_read(length, io_class="data")
-        if length == self.page_size:
+        payload, expected = state.pages[page_no]
+        if self.codec is not None:
+            self.device.record_read(LAF_ENTRY_SIZE, io_class="laf")
+        self.device.record_read(len(payload), io_class="data")
+        if len(payload) == self.page_size:
             page = payload
         else:
             try:
@@ -153,8 +135,7 @@ class BaseFileManager:
         # Fault injection corrupts the logical page *before* verification so
         # the checksum path is exactly the one real bit rot would take.
         page = corrupt_payload("file.read_page", page)
-        expected = state.checksums.get(page_no)
-        if expected is not None and zlib.crc32(page) != expected:
+        if zlib.crc32(page) != expected:
             self._page_checksum_failures.inc()
             raise CorruptPageError(
                 f"page {page_no} of {name!r} failed its CRC32 check")
@@ -165,52 +146,15 @@ class BaseFileManager:
     def file_size(self, name: str) -> int:
         """On-disk size of a page file, including its LAF when compressed."""
         state = self._state(name)
-        if isinstance(self.codec, NoneCodec):
+        if self.codec is None:
             return state.stored_bytes
-        return state.stored_bytes + state.laf.size_bytes
+        return state.stored_bytes + _LAF_HEADER_SIZE + LAF_ENTRY_SIZE * len(state.pages)
 
     def total_size(self, names: Optional[Iterable[str]] = None) -> int:
         selected = self.list_files() if names is None else list(names)
         return sum(self.file_size(name) for name in selected if name in self._files)
 
-    # -- backend hooks -----------------------------------------------------------------
 
-    def _backend_create(self, name: str) -> None:
-        raise NotImplementedError
-
-    def _backend_delete(self, name: str) -> None:
-        raise NotImplementedError
-
-    def _backend_write(self, name: str, offset: int, payload: bytes) -> None:
-        raise NotImplementedError
-
-    def _backend_read(self, name: str, offset: int, length: int) -> bytes:
-        raise NotImplementedError
-
-
-class InMemoryFileManager(BaseFileManager):
-    """Backend keeping page payloads in process memory."""
-
-    def __init__(self, device: SimulatedStorageDevice, page_size: int,
-                 codec: Optional[Codec] = None) -> None:
-        super().__init__(device, page_size, codec)
-        self._blobs: Dict[str, bytearray] = {}
-
-    def _backend_create(self, name: str) -> None:
-        self._blobs[name] = bytearray()
-
-    def _backend_delete(self, name: str) -> None:
-        self._blobs.pop(name, None)
-
-    def _backend_write(self, name: str, offset: int, payload: bytes) -> None:
-        blob = self._blobs[name]
-        end = offset + len(payload)
-        if len(blob) < end:
-            blob.extend(b"\x00" * (end - len(blob)))
-        blob[offset:end] = payload
-
-    def _backend_read(self, name: str, offset: int, length: int) -> bytes:
-        blob = self._blobs[name]
-        if offset + length > len(blob):
-            raise PageNotFoundError(f"read past end of {name!r}")
-        return bytes(blob[offset:offset + length])
+#: The name ``perfbench/trace.py`` imports to wrap ``read_page``/``write_page``
+#: (pinned by ``tests/test_perfbench_pins.py``); everything else says FileManager.
+BaseFileManager = FileManager

@@ -24,7 +24,6 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, Iterator, List, Optional
 
-from ..errors import WALError
 from ..faults import corrupt_payload, fire_fault
 from ..obs import MetricsRegistry, get_registry
 from .device import SimulatedStorageDevice
@@ -88,7 +87,6 @@ class WriteAheadLog:
         self.device = device
         self._records: List[LogRecord] = []  # guarded-by: _lock
         self._next_lsn = 1  # guarded-by: _lock
-        self._truncated_up_to = 0  # guarded-by: _lock
         self.bytes_written = 0  # guarded-by: _lock
         metrics = metrics if metrics is not None else get_registry()
         self._appends_metric = metrics.counter("wal_records_appended")
@@ -135,15 +133,6 @@ class WriteAheadLog:
         return len(self._records)
 
     # -- truncation -----------------------------------------------------------------
-
-    def truncate(self, up_to_lsn: int) -> None:
-        """Discard log records with ``lsn <= up_to_lsn`` (component flushed)."""
-        fire_fault("wal.truncate")
-        with self._lock:
-            if up_to_lsn < self._truncated_up_to:
-                raise WALError("cannot truncate backwards")
-            self._records = [record for record in self._records if record.lsn > up_to_lsn]
-            self._truncated_up_to = up_to_lsn
 
     def truncate_partition(self, dataset: str, partition: int, up_to_lsn: int) -> None:
         """Discard one partition's records with ``lsn <= up_to_lsn``.

@@ -37,7 +37,7 @@ from repro.errors import (
 )
 from repro.lsm import FlushCallback, LSMBTree, LSMIOScheduler, NoMergePolicy
 from repro.query import QueryExecutor, field, scan
-from repro.storage import BufferCache, InMemoryFileManager, SimulatedStorageDevice
+from repro.storage import BufferCache, FileManager, SimulatedStorageDevice
 from repro.storage.wal import LogRecordType, WriteAheadLog
 
 PARTITIONS = 4
@@ -115,7 +115,7 @@ class _OpaqueCallback(FlushCallback):
 class TestMaintenanceDecodeError:
     def _index(self):
         device = SimulatedStorageDevice()
-        cache = BufferCache(InMemoryFileManager(device, 2048), 256)
+        cache = BufferCache(FileManager(device, 2048), 256)
         return LSMBTree(name="opaque", partition=0, buffer_cache=cache,
                         memory_budget=1 << 20, merge_policy=NoMergePolicy(),
                         flush_callback=_OpaqueCallback())
@@ -145,9 +145,6 @@ class TestWalPartitionTruncation:
         wal.truncate_partition("ds", 0, up_to_lsn=a2.lsn)
         surviving = list(wal.replay())
         assert [record.lsn for record in surviving] == [b1.lsn]
-        # The global truncate (kept for single-partition callers) still works.
-        wal.truncate(b1.lsn)
-        assert list(wal.replay()) == []
         del a1
 
     def test_truncate_partition_keeps_newer_records_of_same_partition(self):

@@ -6,14 +6,14 @@ import pytest
 
 from repro.btree import BTree, BulkLoader, LeafEntry, decode_key, encode_key
 from repro.errors import EncodingError, StorageError
-from repro.storage import BufferCache, InMemoryFileManager, SimulatedStorageDevice
+from repro.storage import BufferCache, FileManager, SimulatedStorageDevice
 
 PAGE_SIZE = 512
 
 
 def _cache(page_size=PAGE_SIZE, capacity=256):
     device = SimulatedStorageDevice()
-    manager = InMemoryFileManager(device, page_size)
+    manager = FileManager(device, page_size)
     return device, BufferCache(manager, capacity)
 
 
@@ -133,15 +133,31 @@ class TestScans:
 
         tree, device = _build(entries)
         tree.buffer_cache.clear()
-        before = device.snapshot()
+        before = device.stats
         list(tree.range_scan(100, 120))
         selective = device.stats.diff(before).bytes_read
 
         tree.buffer_cache.clear()
-        before = device.snapshot()
+        before = device.stats
         list(tree.scan_all())
         full = device.stats.diff(before).bytes_read
         assert selective < full / 5
+
+    def test_one_leaf_range_scan_reads_each_page_once(self):
+        """A range inside one leaf costs the descent and nothing more: the
+        leaf the descent ends on is not fetched again for its next pointer."""
+        entries = [LeafEntry(i, bytes(40)) for i in range(5000)]
+        tree, _ = _build(entries)
+        cache = tree.buffer_cache
+        before = cache.stats_snapshot()
+        found = tree.search(100)
+        descent = cache.stats_snapshot().diff(before)
+        assert found is not None and descent.hits + descent.misses > 1  # interior + leaf
+
+        before = cache.stats_snapshot()
+        assert [e.key for e in tree.range_scan(100, 101)] == [100, 101]
+        scan = cache.stats_snapshot().diff(before)
+        assert scan.hits + scan.misses == descent.hits + descent.misses
 
     def test_random_workload_against_dict_oracle(self):
         rng = random.Random(42)

@@ -22,13 +22,12 @@ class TestClusterSimulator:
         cluster = _cluster(nodes=3, partitions=2)
         assert len(cluster.nodes) == 3
         assert cluster.total_partitions() == 6
-        assert cluster.metadata_node.is_metadata_node
 
     def test_create_dataset_spreads_partitions(self):
         cluster = _cluster(nodes=2, partitions=2)
         dataset = cluster.create_dataset("tweets", StorageFormat.INFERRED)
         assert dataset.partition_count == 4
-        assert "tweets" in cluster.metadata_node.dataset_catalog
+        assert cluster.dataset("tweets") is dataset
 
     def test_duplicate_dataset_rejected(self):
         cluster = _cluster()

@@ -5,7 +5,8 @@ import pytest
 from repro import Dataset, DeviceKind, StorageEnvironment, StorageFormat
 from repro.config import DatasetConfig, LSMConfig, StorageConfig
 from repro.core.dataset import hash_partition
-from repro.errors import ComponentStateError, DatasetError, KeyNotFoundError
+from repro.errors import (ComponentStateError, DatasetError, KeyNotFoundError,
+                          RecordTooLargeError)
 from repro.types import deep_equals
 
 RECORDS = [
@@ -191,6 +192,36 @@ class TestDatasetBehaviour:
         dataset.insert(RECORDS[0])  # a memtable record must not be swept first
         with pytest.raises(KeyNotFoundError):
             dataset.secondary_range_search("nope", 0, 1)
+
+
+@pytest.mark.parametrize("storage_format", [StorageFormat.OPEN, StorageFormat.INFERRED])
+def test_record_larger_than_a_page_is_refused_on_arrival(storage_format):
+    """An oversized record used to be accepted and then fail every flush of
+    its memtable, which is re-queued on failure: the partition could never
+    persist another write.  It is refused before it is logged instead, on
+    every write path, and the records around it flush normally."""
+    environment = StorageEnvironment(StorageConfig(page_size=1024, buffer_cache_pages=64))
+    dataset = Dataset.create("docs", storage_format, environment=environment)
+    huge = {"id": 2, "text": "x" * 5000}
+    dataset.insert({"id": 1, "text": "before"})
+    logged = len(environment.wal)
+    with pytest.raises(RecordTooLargeError):
+        dataset.insert(huge)
+    with pytest.raises(RecordTooLargeError):
+        dataset.upsert(huge)
+    assert len(environment.wal) == logged
+    dataset.insert({"id": 3, "text": "after"})
+    dataset.flush_all()
+    dataset.insert({"id": 4, "text": "later"})
+    dataset.flush_all()
+    assert sorted(record["id"] for record in dataset.scan()) == [1, 3, 4]
+    assert dataset.get(2) is None
+
+    loaded = Dataset.create("loaded", storage_format, environment=environment)
+    with pytest.raises(RecordTooLargeError):
+        loaded.bulk_load([{"id": 1, "text": "fits"}, huge])
+    loaded.bulk_load([{"id": 1, "text": "fits"}])
+    assert loaded.count() == 1
 
 
 class TestCrashRecoveryEndToEnd:

@@ -16,19 +16,25 @@ The contract pinned down here:
 * queries get a cooperative deadline (``QueryExecutor(deadline=...)``).
 """
 
+import random
 import threading
+import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Dataset, StorageFormat
 from repro.config import env_str
 from repro.errors import (
     CorruptPageError,
     FaultSpecError,
+    PageNotFoundError,
     PermanentIOError,
     QuarantinedComponentError,
     QueryDeadlineError,
     SchedulerError,
+    StorageError,
     TransientIOError,
 )
 from repro.faults import (
@@ -44,7 +50,7 @@ from repro.faults.points import is_registered
 from repro.lsm import ComponentId, LSMBTree, LSMIOScheduler, NoMergePolicy
 from repro.obs import get_registry
 from repro.query import QueryExecutor
-from repro.storage import BufferCache, InMemoryFileManager, SimulatedStorageDevice
+from repro.storage import BufferCache, FileManager, SimulatedStorageDevice, ZlibCodec
 from repro.storage.wal import LogRecordType, WriteAheadLog
 
 PAGE_SIZE = 2048
@@ -65,7 +71,7 @@ def _isolated_injector():
 
 def _cache(capacity=512):
     device = SimulatedStorageDevice()
-    manager = InMemoryFileManager(device, PAGE_SIZE)
+    manager = FileManager(device, PAGE_SIZE)
     return device, manager, BufferCache(manager, capacity)
 
 
@@ -228,6 +234,90 @@ class TestDeterminism:
 
 
 # ---------------------------------------------------------------------------
+# the page store against an oracle
+# ---------------------------------------------------------------------------
+
+_FILE_NAMES = st.sampled_from(["a", "b", "c"])
+_FILE_OPS = st.lists(st.one_of(
+    st.tuples(st.just("create"), _FILE_NAMES),
+    st.tuples(st.just("delete"), _FILE_NAMES),
+    # (file, page-number offset from the append position, content seed, compressible?)
+    st.tuples(st.just("write"), _FILE_NAMES, st.integers(-1, 1), st.integers(0, 255),
+              st.booleans()),
+    st.tuples(st.just("read"), _FILE_NAMES, st.integers(0, 6)),
+), max_size=40)
+
+
+def _content(seed: int, compressible: bool) -> bytes:
+    if compressible:
+        return bytes([seed]) * PAGE_SIZE
+    return random.Random(seed).getrandbits(8 * PAGE_SIZE).to_bytes(PAGE_SIZE, "little")
+
+
+@pytest.mark.parametrize("compressed", [False, True])
+@settings(max_examples=60, deadline=None)
+@given(ops=_FILE_OPS)
+def test_file_manager_against_dict_oracle(compressed, ops):
+    """Any create/write/read/delete sequence agrees with a dict of page lists:
+    contents, page counts, rejected calls, and the size formula
+    ``stored + (4 + 12 x pages when compressed)``; afterwards a corrupted read
+    of every file still trips its CRC."""
+    manager = FileManager(SimulatedStorageDevice(), PAGE_SIZE,
+                          ZlibCodec() if compressed else None)
+    oracle = {}
+
+    def stored_size(page: bytes) -> int:
+        return min(len(zlib.compress(page, 1)), PAGE_SIZE) if compressed else PAGE_SIZE
+
+    for op, name, *args in ops:
+        if op == "create":
+            if name in oracle:
+                with pytest.raises(StorageError):
+                    manager.create_file(name)
+            else:
+                manager.create_file(name)
+                oracle[name] = []
+        elif op == "delete":
+            manager.delete_file(name)  # deleting an unknown file is a no-op
+            oracle.pop(name, None)
+        elif op == "write":
+            offset, seed, compressible = args
+            page = _content(seed, compressible)
+            if name not in oracle or offset != 0:
+                with pytest.raises(StorageError):
+                    manager.write_page(name, len(oracle.get(name, ())) + offset, page)
+            else:
+                manager.write_page(name, len(oracle[name]), page)
+                oracle[name].append(page)
+        else:
+            (page_no,) = args
+            if name not in oracle:
+                with pytest.raises(StorageError):
+                    manager.read_page(name, page_no)
+            elif page_no >= len(oracle[name]):
+                with pytest.raises(PageNotFoundError):
+                    manager.read_page(name, page_no)
+            else:
+                assert manager.read_page(name, page_no) == oracle[name][page_no]
+        assert manager.list_files() == sorted(oracle)
+        for known, pages in oracle.items():
+            assert manager.num_pages(known) == len(pages)
+            laf = 4 + 12 * len(pages) if compressed else 0
+            assert manager.file_size(known) == sum(map(stored_size, pages)) + laf
+    assert manager.total_size() == sum(manager.file_size(known) for known in oracle)
+
+    for known, pages in oracle.items():
+        if pages:
+            get_injector().add_rule("file.read_page", nth=1, error="corrupt", times=1)
+            try:
+                with pytest.raises(CorruptPageError):
+                    manager.read_page(known, 0)
+            finally:
+                get_injector().clear()  # hypothesis examples share the fixture
+            assert manager.read_page(known, 0) == pages[0]
+
+
+# ---------------------------------------------------------------------------
 # checksums: pages and WAL records
 # ---------------------------------------------------------------------------
 
@@ -253,6 +343,10 @@ class TestChecksums:
         with pytest.raises(TransientIOError):
             manager.write_page("f", 0, b"b" * PAGE_SIZE)
         assert device.stats.bytes_written == written_before
+        # ... and keeps nothing: the page can still be written, once.
+        assert manager.num_pages("f") == 0
+        manager.write_page("f", 0, b"b" * PAGE_SIZE)
+        assert manager.read_page("f", 0) == b"b" * PAGE_SIZE
 
     def test_wal_records_carry_content_crc(self):
         wal = WriteAheadLog()

@@ -18,14 +18,14 @@ from repro.lsm import (
     recover_index,
 )
 from repro.btree import LeafEntry
-from repro.storage import BufferCache, InMemoryFileManager, SimulatedStorageDevice, WriteAheadLog
+from repro.storage import BufferCache, FileManager, SimulatedStorageDevice, WriteAheadLog
 
 PAGE_SIZE = 2048
 
 
 def _cache(capacity=512):
     device = SimulatedStorageDevice()
-    manager = InMemoryFileManager(device, PAGE_SIZE)
+    manager = FileManager(device, PAGE_SIZE)
     return device, BufferCache(manager, capacity)
 
 

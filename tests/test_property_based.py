@@ -33,7 +33,7 @@ from repro.btree import BTree, BulkLoader, LeafEntry
 from repro.core import TupleCompactor
 from repro.lsm import LSMBTree, NoMergePolicy
 from repro.schema import InferredSchema, extract_antischema
-from repro.storage import BufferCache, InMemoryFileManager, SimulatedStorageDevice
+from repro.storage import BufferCache, FileManager, SimulatedStorageDevice
 from repro.datasets import sensors, twitter, wos
 from repro.errors import EncodingError
 from repro.types import (
@@ -368,7 +368,7 @@ class TestBTreeOracle:
     def test_lookup_and_range_match_oracle(self, keys, probes, bounds):
         ordered = sorted(keys)
         device = SimulatedStorageDevice()
-        cache = BufferCache(InMemoryFileManager(device, 512), 256)
+        cache = BufferCache(FileManager(device, 512), 256)
         cache.file_manager.create_file("t")
         info = BulkLoader(cache, "t").build([LeafEntry(key, str(key).encode()) for key in ordered])
         tree = BTree(cache, "t", info)
@@ -402,7 +402,7 @@ class TestLSMOracle:
         encoder = VectorEncoder(datatype)
         compactor = TupleCompactor(datatype)
         device = SimulatedStorageDevice()
-        cache = BufferCache(InMemoryFileManager(device, 2048), 512)
+        cache = BufferCache(FileManager(device, 2048), 512)
         index = LSMBTree("oracle", 0, cache, memory_budget=1 << 20,
                          merge_policy=NoMergePolicy(), flush_callback=compactor)
         oracle = {}

@@ -12,14 +12,14 @@ from repro.faults import get_injector
 from repro.lsm import LSMBTree, NoMergePolicy
 from repro.obs import MetricsRegistry
 from repro.schema import InferredSchema
-from repro.storage import BufferCache, InMemoryFileManager, SimulatedStorageDevice
+from repro.storage import BufferCache, FileManager, SimulatedStorageDevice
 from repro.types import TypeTag, deep_equals, open_only_primary_key
 from repro.vector import VectorEncoder, VectorRecordView, compact_record, is_compacted
 
 
 def _compacting_index(memory_budget=1 << 20, maintain_pk=True):
     device = SimulatedStorageDevice()
-    cache = BufferCache(InMemoryFileManager(device, 2048), 512)
+    cache = BufferCache(FileManager(device, 2048), 512)
     datatype = open_only_primary_key("EmployeeType")
     compactor = TupleCompactor(datatype)
     index = LSMBTree("emp", 0, cache, memory_budget, NoMergePolicy(), compactor,
@@ -312,7 +312,7 @@ class TestCompactorRecovery:
         from repro.lsm import recover_index
 
         device = SimulatedStorageDevice()
-        cache = BufferCache(InMemoryFileManager(device, 2048), 512)
+        cache = BufferCache(FileManager(device, 2048), 512)
         datatype = open_only_primary_key("EmployeeType")
         encoder = VectorEncoder(datatype)
 
