@@ -64,9 +64,11 @@ class Datatype:
         return cls(name=name, fields=tuple(fields), is_open=False)
 
     def __post_init__(self) -> None:
-        names = [declaration.name for declaration in self.fields]
-        if len(names) != len(set(names)):
+        names = frozenset(declaration.name for declaration in self.fields)
+        if len(names) != len(self.fields):
             raise TypeError_(f"datatype {self.name!r} declares duplicate field names")
+        #: The declared field names, for membership tests (not a dataclass field).
+        object.__setattr__(self, "name_set", names)
 
     # -- lookups -----------------------------------------------------------
 
@@ -88,7 +90,7 @@ class Datatype:
         return None
 
     def is_declared(self, field_name: str) -> bool:
-        return self.index_of(field_name) is not None
+        return field_name in self.name_set
 
     # -- validation ----------------------------------------------------------
 
@@ -102,9 +104,8 @@ class Datatype:
         """
         if not isinstance(record, dict):
             raise SchemaViolationError(f"expected an object for type {self.name!r}")
-        declared = {declaration.name for declaration in self.fields}
         if not self.is_open:
-            extra = set(record) - declared
+            extra = set(record) - self.name_set
             if extra:
                 raise SchemaViolationError(
                     f"closed type {self.name!r} does not allow undeclared fields {sorted(extra)!r}"

@@ -3,9 +3,10 @@
 Records enter the system as plain Python objects (the JSON-ish output of
 ``json.loads`` plus the wrapper types below for ADM extensions such as
 dates and points).  This module is the single place that decides which
-:class:`~repro.types.typetag.TypeTag` a Python value carries and how it is
-packed into bytes, so the ADM format, the vector-based format, and the
-schema inference all agree on typing.
+:class:`~repro.types.typetag.TypeTag` a Python value carries, how it is
+packed into bytes (:data:`VALUE_ENCODERS`) and read back
+(:data:`SCALAR_DECODERS`), so the ADM format, the vector-based format, and
+the schema inference all agree on typing.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import uuid as _uuid
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
-from ..errors import TypeError_
+from ..errors import EncodingError, TypeError_
 from .typetag import TypeTag
 
 _EPOCH_DATE = _dt.date(1970, 1, 1)
@@ -181,73 +182,90 @@ def navigate(value: Any, path: Sequence[Any]) -> Any:
     return value
 
 
-def type_tag_of(value: Any) -> TypeTag:
-    """Return the :class:`TypeTag` describing a Python value.
+#: Kinds of a :data:`VALUE_ENCODERS` entry: a fixed-length scalar (the packer
+#: returns its bytes), a string or binary (the packer returns its bytes, which
+#: a length prefixes), an object, an array or multiset, and NULL or MISSING
+#: (the tag alone).
+KIND_FIXED, KIND_VAR, KIND_OBJECT, KIND_COLLECTION, KIND_EMPTY = range(5)
 
-    Integers are mapped to ``INT64`` (the paper's examples use a single
-    integer width for inferred fields); narrower widths are only produced
-    by declared closed datatypes.
-    """
-    if value is MISSING or isinstance(value, Missing):
-        return TypeTag.MISSING
-    if value is None:
-        return TypeTag.NULL
-    if isinstance(value, bool):  # must precede int: bool is a subclass of int
-        return TypeTag.BOOLEAN
-    if isinstance(value, int):
-        return TypeTag.INT64
-    if isinstance(value, float):
-        return TypeTag.DOUBLE
-    if isinstance(value, str):
-        return TypeTag.STRING
-    if isinstance(value, (bytes, bytearray)):
-        return TypeTag.BINARY
-    if isinstance(value, ADate):
-        return TypeTag.DATE
-    if isinstance(value, ATime):
-        return TypeTag.TIME
-    if isinstance(value, ADateTime):
-        return TypeTag.DATETIME
-    if isinstance(value, APoint):
-        return TypeTag.POINT
-    if isinstance(value, _uuid.UUID):
-        return TypeTag.UUID
-    if isinstance(value, dict):
-        return TypeTag.OBJECT
-    if isinstance(value, AMultiset):
-        return TypeTag.MULTISET
-    if isinstance(value, (list, tuple)):
-        return TypeTag.ARRAY
+_I32 = struct.Struct("<i").pack
+_I64 = struct.Struct("<q").pack
+_POINT = struct.Struct("<dd").pack
+
+#: How every Python value is written, ``exact type -> (tag, kind, packer)``:
+#: the write-side mirror of :data:`SCALAR_DECODERS`.  The ADM and vector
+#: encoders, schema inference and ``Datatype.validate`` all index it; a
+#: subclass misses it and goes through :func:`encoder_of`.  Integers are
+#: ``INT64`` (the paper's examples use one integer width for inferred fields;
+#: narrower widths come only from declared closed datatypes).
+VALUE_ENCODERS = {
+    bool: (TypeTag.BOOLEAN, KIND_FIXED, struct.Struct("<?").pack),
+    int: (TypeTag.INT64, KIND_FIXED, _I64),
+    float: (TypeTag.DOUBLE, KIND_FIXED, struct.Struct("<d").pack),
+    str: (TypeTag.STRING, KIND_VAR, str.encode),
+    bytes: (TypeTag.BINARY, KIND_VAR, bytes),
+    bytearray: (TypeTag.BINARY, KIND_VAR, bytes),
+    type(None): (TypeTag.NULL, KIND_EMPTY, None),
+    Missing: (TypeTag.MISSING, KIND_EMPTY, None),
+    ADate: (TypeTag.DATE, KIND_FIXED, lambda value: _I32(value.days_since_epoch)),
+    ATime: (TypeTag.TIME, KIND_FIXED, lambda value: _I32(value.millis_since_midnight)),
+    ADateTime: (TypeTag.DATETIME, KIND_FIXED, lambda value: _I64(value.millis_since_epoch)),
+    APoint: (TypeTag.POINT, KIND_FIXED, lambda value: _POINT(value.x, value.y)),
+    _uuid.UUID: (TypeTag.UUID, KIND_FIXED, lambda value: value.bytes),
+    dict: (TypeTag.OBJECT, KIND_OBJECT, None),
+    list: (TypeTag.ARRAY, KIND_COLLECTION, None),
+    tuple: (TypeTag.ARRAY, KIND_COLLECTION, None),
+    AMultiset: (TypeTag.MULTISET, KIND_COLLECTION, None),
+}
+
+# The fallback's order: ``bool`` before ``int`` (bool subclasses int),
+# ``AMultiset`` before the sequences.
+_SUBCLASS_ORDER = (Missing, bool, int, float, str, bytes, bytearray, ADate, ATime, ADateTime,
+                   APoint, _uuid.UUID, dict, AMultiset, list, tuple)
+
+
+def encoder_of(value: Any) -> Tuple[TypeTag, int, Any]:
+    """The :data:`VALUE_ENCODERS` entry of a value, subclasses included."""
+    entry = VALUE_ENCODERS.get(type(value))
+    if entry is not None:
+        return entry
+    for base in _SUBCLASS_ORDER:
+        if isinstance(value, base):
+            return VALUE_ENCODERS[base]
     raise TypeError_(f"value of Python type {type(value).__name__!r} has no ADM mapping: {value!r}")
 
 
-def pack_fixed(tag: TypeTag, value: Any) -> bytes:
-    """Pack a fixed-length scalar into its canonical byte representation."""
-    if tag is TypeTag.BOOLEAN:
-        return b"\x01" if value else b"\x00"
-    if tag is TypeTag.INT8:
-        return struct.pack("<b", value)
-    if tag is TypeTag.INT16:
-        return struct.pack("<h", value)
-    if tag is TypeTag.INT32:
-        return struct.pack("<i", value)
-    if tag is TypeTag.INT64:
-        return struct.pack("<q", value)
-    if tag is TypeTag.FLOAT:
-        return struct.pack("<f", value)
-    if tag is TypeTag.DOUBLE:
-        return struct.pack("<d", value)
-    if tag is TypeTag.DATE:
-        return struct.pack("<i", value.days_since_epoch)
-    if tag is TypeTag.TIME:
-        return struct.pack("<i", value.millis_since_midnight)
-    if tag is TypeTag.DATETIME:
-        return struct.pack("<q", value.millis_since_epoch)
-    if tag is TypeTag.POINT:
-        return struct.pack("<dd", value.x, value.y)
-    if tag is TypeTag.UUID:
-        return value.bytes
-    raise TypeError_(f"{tag.name} is not a packable fixed-length tag")
+def type_tag_of(value: Any) -> TypeTag:
+    """Return the :class:`TypeTag` describing a Python value."""
+    return encoder_of(value)[0]
+
+
+def unencodable(record: Any, error: Exception) -> EncodingError:
+    """The error for a record whose walk raised ``struct.error`` or
+    ``UnicodeEncodeError``.
+
+    An encoder catches both once around its whole walk, so naming the value
+    costs nothing until one fails: a string that is not UTF-8 encodable names
+    itself; for a pack failure this re-walks the record and packs each
+    fixed-length scalar alone to find the first that does not fit its width
+    (an integer outside the int64 range, a date outside int32, ...).
+    """
+    if isinstance(error, UnicodeEncodeError):
+        return EncodingError(f"cannot encode {error.object[:64]!r} as UTF-8: {error.reason}")
+    pending = [record]
+    while pending:
+        value = pending.pop()
+        tag, kind, pack = encoder_of(value)
+        if kind == KIND_FIXED:
+            try:
+                pack(value)
+            except struct.error as exc:
+                return EncodingError(f"cannot encode {value!r} as {tag.name}: {exc}")
+        elif kind == KIND_OBJECT:
+            pending.extend(reversed(list(value.values())))
+        elif kind == KIND_COLLECTION:
+            pending.extend(reversed(list(value)))
+    return EncodingError(f"cannot encode record: {error}")
 
 
 def _fixed(fmt: str, wrap: Any = None) -> Tuple[int, Any, Any]:
@@ -282,24 +300,6 @@ SCALAR_DECODERS = {
     TypeTag.STRING: (VARLEN, bytes.decode, None),
     TypeTag.BINARY: (VARLEN, bytes, None),
 }
-
-
-def unpack_fixed(tag: TypeTag, payload: bytes, offset: int = 0) -> Any:
-    """Inverse of :func:`pack_fixed`; reads from ``payload[offset:]``."""
-    width, read, wrap = SCALAR_DECODERS.get(tag, (0, None, None))
-    if width <= 0:
-        raise TypeError_(f"{tag.name} is not an unpackable fixed-length tag")
-    fields = read(payload, offset)
-    return fields[0] if wrap is None else wrap(*fields)
-
-
-def pack_variable(tag: TypeTag, value: Any) -> bytes:
-    """Encode a variable-length scalar (string/binary) into bytes."""
-    if tag is TypeTag.STRING:
-        return value.encode("utf-8")
-    if tag is TypeTag.BINARY:
-        return bytes(value)
-    raise TypeError_(f"{tag.name} is not a variable-length tag")
 
 
 def deep_equals(left: Any, right: Any) -> bool:

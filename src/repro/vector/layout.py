@@ -68,6 +68,13 @@ DECLARED_FIELD_BIT = 0x8000
 #: Maximum value storable in the low 15 bits of a field-name entry.
 NAME_ENTRY_MAX = 0x7FFF
 
+#: Deepest nesting a record of either format may have: the record itself is
+#: depth 1 and every object or collection one deeper than its parent.  Both
+#: encoders refuse a deeper record on arrival (``EncodingError``), because
+#: every recursive walk that meets it later — flush-time inference, decode,
+#: ``SELECT *`` — must finish inside Python's default recursion limit.
+MAX_NESTING_DEPTH = 128
+
 # Raw tag bytes and per-byte tables for the hot loops, which compare the ints
 # they read from the tags vector instead of building TypeTag members.
 RAW_EOV = TypeTag.EOV.value

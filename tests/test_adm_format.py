@@ -3,6 +3,7 @@
 import pytest
 
 from repro.adm import ADMDecoder, ADMEncoder, ADMRecordView
+from repro.adm.encoder import NAME_LENGTH_MAX
 from repro.errors import DecodingError, EncodingError, SchemaViolationError
 from repro.types import (
     ADate,
@@ -101,6 +102,17 @@ class TestRoundTrip:
             {"id": 1, "name": "Ann", "unexpected": 5})
         decoded = ADMDecoder(datatype).decode(payload)
         assert decoded["unexpected"] == 5
+
+    def test_field_name_up_to_the_u16_length(self):
+        """An open field's name length is a u16: the longest name round-trips,
+        one byte more is an ``EncodingError`` (it used to be a bare
+        ``struct.error``)."""
+        datatype = _open_datatype()
+        longest = "é" * (NAME_LENGTH_MAX // 2) + "x"
+        payload = ADMEncoder(datatype).encode({"id": 1, longest: True})
+        assert ADMDecoder(datatype).decode(payload) == {"id": 1, longest: True}
+        with pytest.raises(EncodingError, match=f"longer than {NAME_LENGTH_MAX} bytes"):
+            ADMEncoder(datatype).encode({"id": 1, longest + "x": True})
 
 
 class TestSizes:

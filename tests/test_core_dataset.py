@@ -5,9 +5,10 @@ import pytest
 from repro import Dataset, DeviceKind, StorageEnvironment, StorageFormat
 from repro.config import DatasetConfig, LSMConfig, StorageConfig
 from repro.core.dataset import hash_partition
-from repro.errors import (ComponentStateError, DatasetError, KeyNotFoundError,
+from repro.errors import (ComponentStateError, DatasetError, EncodingError, KeyNotFoundError,
                           RecordTooLargeError)
 from repro.types import deep_equals
+from repro.vector.layout import MAX_NESTING_DEPTH
 
 RECORDS = [
     {"id": i, "name": f"user{i}", "age": 20 + i % 50,
@@ -222,6 +223,75 @@ def test_record_larger_than_a_page_is_refused_on_arrival(storage_format):
         loaded.bulk_load([{"id": 1, "text": "fits"}, huge])
     loaded.bulk_load([{"id": 1, "text": "fits"}])
     assert loaded.count() == 1
+
+
+@pytest.mark.parametrize("storage_format", [StorageFormat.OPEN, StorageFormat.INFERRED])
+def test_unencodable_value_is_refused_on_arrival(storage_format):
+    """An integer outside int64 (or a string that is not UTF-8) used to
+    escape both encoders as a bare ``struct.error`` (``UnicodeEncodeError``),
+    not a ``ReproError``; it is an ``EncodingError`` naming the value, raised
+    before the record is logged."""
+    environment = StorageEnvironment()
+    dataset = Dataset.create("ints", storage_format, environment=environment)
+    dataset.insert({"id": 1, "edges": [2**63 - 1, -2**63]})
+    logged = len(environment.wal)
+    for bad in ({"id": 2, "big": 2**70}, {"id": 2, "deep": {"ok": 1, "small": [0, -2**63 - 1]}}):
+        culprit = str(bad.get("big", -2**63 - 1))
+        with pytest.raises(EncodingError, match=f"cannot encode {culprit} as INT64"):
+            dataset.insert(bad)
+        with pytest.raises(EncodingError, match=culprit):
+            dataset.upsert(bad)
+    with pytest.raises(EncodingError, match="as UTF-8"):
+        dataset.insert({"id": 2, "text": "\ud800"})
+    assert len(environment.wal) == logged
+    dataset.flush_all()
+    assert dataset.get(1) == {"id": 1, "edges": [2**63 - 1, -2**63]}
+    assert dataset.get(2) is None
+
+
+def _nested(key, depth, leaf="leaf"):
+    """A record ``depth`` levels deep: the record, then arrays and objects in turn."""
+    value = leaf
+    for level in range(depth - 1):
+        value = {"v": value} if level % 2 else [value]
+    return {"id": key, "deep": value}
+
+
+@pytest.mark.parametrize("storage_format", [StorageFormat.OPEN, StorageFormat.INFERRED])
+def test_nesting_depth_limit(storage_format):
+    """A record deeper than ``MAX_NESTING_DEPTH`` is refused before it is
+    logged (it used to be accepted and then break a flush, which wedged the
+    partition, or every ``SELECT *`` over it with ``RecursionError``); one at
+    the limit lives through the whole lifecycle."""
+    environment = StorageEnvironment()
+    lsm = LSMConfig(merge_policy="none", background_maintenance=False)
+    dataset = Dataset.create("deep", storage_format, environment=environment, lsm=lsm)
+    dataset.insert(_nested(1, MAX_NESTING_DEPTH))
+    logged = len(environment.wal)
+    with pytest.raises(EncodingError, match=f"deeper than {MAX_NESTING_DEPTH} levels"):
+        dataset.insert(_nested(2, MAX_NESTING_DEPTH + 1))
+    with pytest.raises(EncodingError):
+        dataset.upsert(_nested(1, MAX_NESTING_DEPTH + 1))
+    assert len(environment.wal) == logged
+    dataset.flush_all()
+    dataset.insert(_nested(3, MAX_NESTING_DEPTH))
+    dataset.flush_all()
+    (partition,) = dataset.partitions
+    partition.index.merge(partition.index.components)
+    assert dataset.get(1) == _nested(1, MAX_NESTING_DEPTH)
+    rows = dataset.query("SELECT * FROM deep AS t").rows
+    assert sorted((row["record"] for row in rows), key=lambda record: record["id"]) == [
+        _nested(1, MAX_NESTING_DEPTH), _nested(3, MAX_NESTING_DEPTH)]
+    dataset.upsert(_nested(1, MAX_NESTING_DEPTH, leaf="changed"))
+    dataset.delete(3)
+    dataset.flush_all()
+    dataset.upsert(_nested(3, MAX_NESTING_DEPTH, leaf="again"))  # not flushed: WAL only
+
+    revived = Dataset.create("deep", storage_format, environment=environment, lsm=lsm)
+    revived.partitions[0].recover()
+    assert revived.get(1) == _nested(1, MAX_NESTING_DEPTH, leaf="changed")
+    assert revived.get(3) == _nested(3, MAX_NESTING_DEPTH, leaf="again")
+    assert revived.count() == 2
 
 
 class TestCrashRecoveryEndToEnd:

@@ -13,14 +13,16 @@ from repro.types import (
     ATime,
     Datatype,
     FieldDeclaration,
+    KIND_FIXED,
     MISSING,
     Missing,
+    SCALAR_DECODERS,
     TypeTag,
+    VALUE_ENCODERS,
     deep_equals,
+    encoder_of,
     open_only_primary_key,
-    pack_fixed,
     type_tag_of,
-    unpack_fixed,
 )
 
 
@@ -79,33 +81,32 @@ class TestTypeTagOf:
             type_tag_of(object())
 
 
-class TestPackUnpackFixed:
+class TestScalarTables:
     @pytest.mark.parametrize(
-        "tag,value",
-        [
-            (TypeTag.BOOLEAN, True),
-            (TypeTag.INT32, -12345),
-            (TypeTag.INT64, 2**40),
-            (TypeTag.DOUBLE, -1.25),
-            (TypeTag.DATE, ADate.from_iso("2018-09-20")),
-            (TypeTag.DATETIME, ADateTime(1556496000000)),
-            (TypeTag.TIME, ATime(456)),
-            (TypeTag.POINT, APoint(24.0, -56.12)),
-        ],
+        "value",
+        [True, False, -12345, 2**40, -1.25, ADate.from_iso("2018-09-20"), ADateTime(1556496000000),
+         ATime(456), APoint(24.0, -56.12), uuid.uuid4()],
     )
-    def test_roundtrip(self, tag, value):
-        packed = pack_fixed(tag, value)
-        assert len(packed) == tag.fixed_length
-        assert unpack_fixed(tag, packed) == value
+    def test_roundtrip(self, value):
+        """A fixed-length scalar packed by VALUE_ENCODERS reads back through SCALAR_DECODERS."""
+        tag, kind, pack = VALUE_ENCODERS[type(value)]
+        assert kind == KIND_FIXED
+        packed = pack(value)
+        width, read, wrap = SCALAR_DECODERS[tag]
+        assert len(packed) == width == tag.fixed_length
+        fields = read(packed, 0)
+        assert (fields[0] if wrap is None else wrap(*fields)) == value
 
-    def test_uuid_roundtrip(self):
-        value = uuid.uuid4()
-        packed = pack_fixed(TypeTag.UUID, value)
-        assert unpack_fixed(TypeTag.UUID, packed) == value
+    def test_every_encoded_scalar_tag_decodes(self):
+        for tag, _, _ in VALUE_ENCODERS.values():
+            assert tag in SCALAR_DECODERS or tag.is_nested
 
-    def test_pack_variable_tag_rejected(self):
-        with pytest.raises(TypeError_):
-            pack_fixed(TypeTag.STRING, "oops")
+    def test_subclass_falls_back_to_its_base_entry(self):
+        class Flag(int):
+            pass
+
+        assert Flag not in VALUE_ENCODERS
+        assert encoder_of(Flag(3)) is VALUE_ENCODERS[int]
 
 
 class TestValueWrappers:
