@@ -8,19 +8,21 @@ access patterns the LSM engine needs:
 * ascending range scans (secondary-index range queries, Figure 24);
 * full sequential scans of the leaf level (dataset scans and LSM merges).
 
-All page reads go through the buffer cache, so hot interior pages are
-served from memory and every miss is charged to the simulated device.
+All page reads go through the buffer cache with :func:`~.pages.unpack_node`
+as the decoder, so a page is parsed once per cache residency: a hit hands
+back the decoded node and a lookup is a bisect per level.  Every miss is
+charged to the simulated device.
 """
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left, bisect_right
 from typing import Iterator, Optional
 
 from ..storage.buffer_cache import BufferCache
 from .bulk_loader import BTreeInfo
 from .keycodec import Key
-from .pages import LEAF_KIND, LeafEntry, unpack_interior, unpack_leaf
+from .pages import LeafEntry, LeafNode, unpack_node
 
 
 class BTree:
@@ -37,10 +39,11 @@ class BTree:
         """Return the entry for ``key`` or ``None`` (anti-matter entries included)."""
         if self.info.is_empty:
             return None
-        leaf_entries, _ = self._descend_to_leaf(key)
-        index = self._position(leaf_entries, key)
-        if index < len(leaf_entries) and leaf_entries[index].key == key:
-            return leaf_entries[index]
+        leaf = self._descend_to_leaf(key)
+        keys = leaf.keys
+        index = bisect_left(keys, key)
+        if index < len(keys) and keys[index] == key:
+            return leaf.entry(index)
         return None
 
     # -- scans -------------------------------------------------------------------------
@@ -48,7 +51,7 @@ class BTree:
     def scan_all(self) -> Iterator[LeafEntry]:
         """Yield every entry in key order by walking the leaf level."""
         for leaf_no in range(self.info.leaf_count):
-            yield from self._read_leaf(leaf_no)[0]
+            yield from self._read_leaf(leaf_no).entries()
 
     def range_scan(self, low: Optional[Key] = None, high: Optional[Key] = None,
                    include_low: bool = True, include_high: bool = True) -> Iterator[LeafEntry]:
@@ -56,47 +59,33 @@ class BTree:
         if self.info.is_empty:
             return
         if low is None:
-            entries, next_leaf = self._read_leaf(0)
-            index = 0
+            leaf = self._read_leaf(0)
+            start = 0
         else:
-            entries, next_leaf = self._descend_to_leaf(low)
-            index = self._position(entries, low)
-            if not include_low:
-                while index < len(entries) and entries[index].key == low:
-                    index += 1
+            leaf = self._descend_to_leaf(low)
+            start = (bisect_left if include_low else bisect_right)(leaf.keys, low)
         while True:
-            while index < len(entries):
-                entry = entries[index]
-                if high is not None:
-                    if entry.key > high or (not include_high and entry.key == high):
-                        return
-                yield entry
-                index += 1
-            if next_leaf is None:
+            keys = leaf.keys
+            stop = len(keys)
+            if high is not None:
+                stop = (bisect_right if include_high else bisect_left)(keys, high)
+            yield from leaf.entries(start, stop)
+            if stop < len(keys) or leaf.next_leaf is None:
                 return
-            entries, next_leaf = self._read_leaf(next_leaf)
-            index = 0
+            leaf = self._read_leaf(leaf.next_leaf)
+            start = 0
 
     # -- helpers ---------------------------------------------------------------------------
 
-    def _read_leaf(self, leaf_no: int):
-        page = self.buffer_cache.read_page(self.file_name, leaf_no)
-        return unpack_leaf(page)
+    def _read_leaf(self, leaf_no: int) -> LeafNode:
+        return self.buffer_cache.read_page(self.file_name, leaf_no, unpack_node)
 
-    def _descend_to_leaf(self, key: Key):
-        """Follow interior separators down to the leaf that may hold ``key``;
-        returns that leaf's ``(entries, next_leaf)``."""
-        page_no = self.info.root_page
-        while True:
-            page = self.buffer_cache.read_page(self.file_name, page_no)
-            if page[0] == LEAF_KIND:
-                return unpack_leaf(page)
-            separators, children = unpack_interior(page)
+    def _descend_to_leaf(self, key: Key) -> LeafNode:
+        """Follow interior separators down to the leaf that may hold ``key``."""
+        read_page, file_name = self.buffer_cache.read_page, self.file_name
+        node = read_page(file_name, self.info.root_page, unpack_node)
+        while type(node) is not LeafNode:
+            separators, children = node
             # child i covers keys < separators[i]; the last child covers the rest.
-            index = bisect.bisect_right(separators, key)
-            page_no = children[index]
-
-    @staticmethod
-    def _position(entries, key: Key) -> int:
-        keys = [entry.key for entry in entries]
-        return bisect.bisect_left(keys, key)
+            node = read_page(file_name, children[bisect_right(separators, key)], unpack_node)
+        return node

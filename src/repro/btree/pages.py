@@ -17,19 +17,29 @@ Interior page::
 Entry flags currently carry a single bit: ``ANTIMATTER`` — the entry is an
 LSM anti-matter (delete) marker whose value bytes hold the serialized
 anti-schema (possibly empty for non-compacting datasets).
+
+A page is decoded once per buffer-cache residency: :func:`unpack_node` is
+the decoder the B-tree hands to ``BufferCache.read_page``, and what it
+returns *is* the cache frame, so a hit does no parsing.  An interior frame
+is ``(separators, children)``; a leaf frame is a :class:`LeafNode` — the
+page bytes plus each entry's key, flags offset and value end — whose values
+are sliced off the page only for the entries a reader asks for.  Frames are
+shared between readers and never mutated.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple, Union
 
 from ..errors import StorageError
 from .keycodec import Key, decode_key, encode_key
 
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
+#: A leaf header after its kind byte: entry count, next leaf (+1).
+_LEAF_HEADER = struct.Struct("<HI")
 
 LEAF_KIND = 1
 INTERIOR_KIND = 0
@@ -73,24 +83,59 @@ def pack_leaf(entries: List[LeafEntry], next_leaf: Optional[int], page_size: int
     return payload + b"\x00" * (page_size - len(payload))
 
 
-def unpack_leaf(page: bytes) -> Tuple[List[LeafEntry], Optional[int]]:
-    """Deserialize a leaf page into its entries and next-leaf pointer."""
+class LeafNode:
+    """A decoded leaf page: the buffer-cache frame of a leaf.
+
+    ``keys[i]`` is entry ``i``'s key, ``flag_offsets[i]`` where its flags
+    byte sits on ``page`` (the value starts 5 bytes later, after the length)
+    and ``value_ends[i]`` where its value stops.  It holds no per-entry
+    objects beyond the keys: :meth:`entry` / :meth:`entries` build a fresh
+    :class:`LeafEntry`, value sliced off the page, for each entry returned.
+    """
+
+    __slots__ = ("page", "keys", "flag_offsets", "value_ends", "next_leaf")
+
+    def __init__(self, page: bytes, keys: List[Key], flag_offsets: List[int],
+                 value_ends: List[int], next_leaf: Optional[int]) -> None:
+        self.page = page
+        self.keys = keys
+        self.flag_offsets = flag_offsets
+        self.value_ends = value_ends
+        self.next_leaf = next_leaf
+
+    def entry(self, index: int) -> LeafEntry:
+        at = self.flag_offsets[index]
+        page = self.page
+        return LeafEntry(self.keys[index], page[at + 5:self.value_ends[index]],
+                         bool(page[at] & FLAG_ANTIMATTER))
+
+    def entries(self, start: int = 0, stop: Optional[int] = None) -> Iterator[LeafEntry]:
+        """Entries ``start`` .. ``stop - 1`` in key order."""
+        page, keys, flag_offsets, value_ends = self.page, self.keys, self.flag_offsets, self.value_ends
+        for index in range(start, len(keys) if stop is None else stop):
+            at = flag_offsets[index]
+            yield LeafEntry(keys[index], page[at + 5:value_ends[index]],
+                            bool(page[at] & FLAG_ANTIMATTER))
+
+
+def unpack_leaf(page: bytes) -> LeafNode:
+    """Decode a leaf page into its :class:`LeafNode` (keys and offsets only)."""
     if page[0] != LEAF_KIND:
         raise StorageError("page is not a leaf page")
-    (count,) = _U16.unpack_from(page, 1)
-    (next_raw,) = _U32.unpack_from(page, 3)
-    next_leaf = None if next_raw == 0 else next_raw - 1
-    entries: List[LeafEntry] = []
+    count, next_raw = _LEAF_HEADER.unpack_from(page, 1)
+    keys: List[Key] = []
+    flag_offsets: List[int] = []
+    value_ends: List[int] = []
     cursor = LEAF_HEADER_SIZE
+    unpack_length = _U32.unpack_from
     for _ in range(count):
         key, cursor = decode_key(page, cursor)
-        flags = page[cursor]
-        (value_length,) = _U32.unpack_from(page, cursor + 1)
-        start = cursor + 5
-        value = bytes(page[start:start + value_length])
-        cursor = start + value_length
-        entries.append(LeafEntry(key, value, bool(flags & FLAG_ANTIMATTER)))
-    return entries, next_leaf
+        keys.append(key)
+        flag_offsets.append(cursor)
+        cursor += 5 + unpack_length(page, cursor + 1)[0]
+        value_ends.append(cursor)
+    return LeafNode(page, keys, flag_offsets, value_ends,
+                    None if next_raw == 0 else next_raw - 1)
 
 
 def pack_interior(separators: List[Key], children: List[int], page_size: int) -> bytes:
@@ -108,19 +153,26 @@ def pack_interior(separators: List[Key], children: List[int], page_size: int) ->
     return payload + b"\x00" * (page_size - len(payload))
 
 
-def unpack_interior(page: bytes) -> Tuple[List[Key], List[int]]:
-    """Deserialize an interior page into separators and child page numbers."""
+def unpack_interior(page: bytes) -> Tuple[List[Key], Tuple[int, ...]]:
+    """Decode an interior page into separators and child page numbers."""
     if page[0] != INTERIOR_KIND:
         raise StorageError("page is not an interior page")
     (count,) = _U16.unpack_from(page, 1)
-    children: List[int] = []
-    cursor = INTERIOR_HEADER_SIZE
-    for _ in range(count + 1):
-        (child,) = _U32.unpack_from(page, cursor)
-        children.append(child)
-        cursor += 4
+    children = struct.unpack_from(f"<{count + 1}I", page, INTERIOR_HEADER_SIZE)
+    cursor = INTERIOR_HEADER_SIZE + 4 * (count + 1)
     separators: List[Key] = []
     for _ in range(count):
         separator, cursor = decode_key(page, cursor)
         separators.append(separator)
     return separators, children
+
+
+#: A page's buffer-cache frame: a leaf node, or an interior ``(separators, children)``.
+Node = Union[LeafNode, Tuple[List[Key], Tuple[int, ...]]]
+
+
+def unpack_node(page: bytes) -> Node:
+    """Decode any B+-tree page: the decoder the B-tree passes to the cache."""
+    if page[0] == LEAF_KIND:
+        return unpack_leaf(page)
+    return unpack_interior(page)

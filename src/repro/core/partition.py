@@ -35,11 +35,19 @@ def _indexable(value: Any) -> Any:
     """The value a secondary index stores for a field, or None to skip it.
 
     Absent (NULL/MISSING) and non-scalar values are not indexed — range
-    predicates over them are never true, so skipping them is lossless.
+    predicates over them are never true, so skipping them is lossless.  NaN
+    satisfies no comparison either, and would break the index's key order,
+    so it is skipped too.  A boolean is indexed as its ``int``: the
+    evaluator compares ``TRUE = 1``, so a probe's candidates for either
+    literal still hold every answer and the re-applied predicate sorts them.
     """
     if value is None or isinstance(value, Missing):
         return None
     if isinstance(value, (dict, list, tuple, AMultiset)):
+        return None
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value != value:
         return None
     return value
 

@@ -14,11 +14,19 @@ This class reproduces that split:
   complexity) while also installing it in the cache so immediately
   following queries do not pay a read.
 
+"Ready to use" goes one step further for B-tree pages: a reader may pass a
+``decode`` function, and the frame then holds what it returned — the
+decoded node, built once when the page became resident — so a hit does no
+parsing.  A frame is charged as one page whatever it holds; the bytes on
+the device, the CRC check on a miss and the hit/miss counts do not change.
+Frames are shared by every reader and never mutated once installed.
+
 The cache is shared by every partition of a storage environment, so with
 the parallel query executor it is hit from multiple worker threads at once.
 Bookkeeping (lookup, LRU order, install, evict, counters) is guarded
-by a lock; the underlying file-manager fetch on a miss deliberately happens
-*outside* the lock so that misses against different component files overlap
+by a lock; the underlying file-manager fetch on a miss, and the decode,
+deliberately happen *outside* the lock so that misses against different
+component files overlap
 — holding the lock across the fetch would serialize exactly the I/O the
 parallel executor is supposed to overlap.  Two threads missing the same
 page concurrently may both fetch it (the first install wins; the loser
@@ -31,7 +39,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 from ..faults import fire_fault
 from ..obs import MetricsRegistry, StatsDictMixin, get_registry
@@ -58,7 +66,7 @@ class CacheStats(StatsDictMixin):
 
 
 class BufferCache:
-    """Fixed-capacity LRU cache of uncompressed pages."""
+    """Fixed-capacity LRU cache of uncompressed pages or their decoded nodes."""
 
     def __init__(self, file_manager: FileManager, capacity_pages: int,
                  metrics: Optional[MetricsRegistry] = None) -> None:
@@ -68,8 +76,9 @@ class BufferCache:
         self.capacity_pages = capacity_pages
         self.page_size = file_manager.page_size
         self.stats = CacheStats()
-        #: Resident pages in LRU order (least recently used first).
-        self._frames: "OrderedDict[PageKey, bytes]" = OrderedDict()  # guarded-by: _lock
+        #: Resident frames (page bytes or decoded nodes) in LRU order, least
+        #: recently used first.
+        self._frames: "OrderedDict[PageKey, Any]" = OrderedDict()  # guarded-by: _lock
         self._lock = threading.Lock()
         metrics = metrics if metrics is not None else get_registry()
         self._hits = metrics.counter("cache_hits")
@@ -84,27 +93,40 @@ class BufferCache:
 
     # -- reads --------------------------------------------------------------------
 
-    def read_page(self, file_name: str, page_no: int) -> bytes:
-        """Return the uncompressed content of a logical page."""
+    def read_page(self, file_name: str, page_no: int,
+                  decode: Optional[Callable[[bytes], Any]] = None) -> Any:
+        """Return a logical page's frame: its uncompressed bytes, or with
+        ``decode`` the node ``decode(bytes)``, built once per residency.
+
+        A page is read with ``decode`` always or never.  A ``bytes`` frame a
+        decoding reader meets — one :meth:`write_page` installed — counts as
+        the hit it is, is decoded and replaced by its node.
+        """
         key = (file_name, page_no)
         with self._lock:
-            data = self._frames.get(key)
-            if data is not None:
+            frame = self._frames.get(key)
+            if frame is not None:
                 self.stats.hits += 1
                 self._hits.inc()
                 self._frames.move_to_end(key)
-                return data
-            self.stats.misses += 1
-            self._misses.inc()
-        fire_fault("buffercache.miss")
-        data = self.file_manager.read_page(file_name, page_no)
+                if decode is None or type(frame) is not bytes:
+                    return frame
+            else:
+                self.stats.misses += 1
+                self._misses.inc()
+        if frame is None:
+            fire_fault("buffercache.miss")
+            # A page failing its CRC raises here, before anything is installed.
+            frame = self.file_manager.read_page(file_name, page_no)
+        node = frame if decode is None else decode(frame)
         with self._lock:
             resident = self._frames.get(key)
-            if resident is not None:
+            if resident is not None and resident is not frame:
+                # Another reader installed this page first: its frame wins.
                 self._frames.move_to_end(key)
                 return resident
-            self._install(key, data)
-            return data
+            self._install(key, node)
+            return node
 
     # -- writes ---------------------------------------------------------------------
 
@@ -138,9 +160,9 @@ class BufferCache:
     # -- internals ----------------------------------------------------------------------
 
     # requires-lock: _lock
-    def _install(self, key: PageKey, data: bytes) -> None:
-        """Make ``data`` the most recently used page, evicting from the LRU end."""
-        self._frames[key] = data
+    def _install(self, key: PageKey, frame: Any) -> None:
+        """Make ``frame`` the most recently used page, evicting from the LRU end."""
+        self._frames[key] = frame
         self._frames.move_to_end(key)
         while len(self._frames) > self.capacity_pages:
             self._frames.popitem(last=False)

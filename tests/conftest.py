@@ -5,11 +5,31 @@ while the tests run is wrapped by :mod:`repro.analysis.locktrack`; after
 the session the accumulated acquisition graph is checked for cycles and
 lock-hierarchy violations, and any finding fails the run (exit status 3)
 even when every individual test passed.  CI runs one tier-1 leg this way.
+
+It also holds the ``isolated_injector`` fixture the fault-arming modules
+share.
 """
 
+import pytest
+
 from repro.analysis import locktrack
+from repro.config import env_str
+from repro.faults import FAULTS_ENV_VAR, get_injector
 
 _installed = False
+
+
+@pytest.fixture
+def isolated_injector():
+    """The global fault injector, empty for the test; afterwards the
+    ``REPRO_FAULTS`` env spec (the CI faulted leg) is restored."""
+    injector = get_injector()
+    injector.clear()
+    yield injector
+    injector.clear()
+    spec = env_str(FAULTS_ENV_VAR)
+    if spec:
+        injector.load_spec(spec)
 
 
 def pytest_configure(config):

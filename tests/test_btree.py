@@ -1,11 +1,13 @@
 """Unit tests for the page-based B+-tree (bulk load + reads)."""
 
 import random
+import sys
+import threading
 
 import pytest
 
-from repro.btree import BTree, BulkLoader, LeafEntry, decode_key, encode_key
-from repro.errors import EncodingError, StorageError
+from repro.btree import BTree, BulkLoader, LeafEntry, decode_key, encode_key, pages
+from repro.errors import CorruptPageError, EncodingError, StorageError
 from repro.storage import BufferCache, FileManager, SimulatedStorageDevice
 
 PAGE_SIZE = 512
@@ -171,3 +173,114 @@ class TestScans:
             assert (found.value if found else None) == expected
         low, high = sorted(rng.sample(range(100000), 2))
         assert [e.key for e in tree.range_scan(low, high)] == [k for k in keys if low <= k <= high]
+
+
+@pytest.fixture
+def decodes(monkeypatch):
+    """Calls of ``unpack_leaf`` / ``unpack_interior``, counted by kind (the
+    cache's decoder looks both up in ``pages`` on every call)."""
+    counts = {"leaf": 0, "interior": 0}
+
+    def counting(kind, original):
+        def wrapper(page):
+            counts[kind] += 1
+            return original(page)
+        return wrapper
+
+    monkeypatch.setattr(pages, "unpack_leaf", counting("leaf", pages.unpack_leaf))
+    monkeypatch.setattr(pages, "unpack_interior", counting("interior", pages.unpack_interior))
+    return counts
+
+
+class TestDecodedFrames:
+    """A page is decoded once per buffer-cache residency; hits parse nothing."""
+
+    def _tree(self):
+        tree, _ = _build([LeafEntry(i, bytes(20)) for i in range(2000)])
+        tree.buffer_cache.clear()
+        return tree
+
+    def test_warm_search_and_range_scan_decode_nothing(self, decodes):
+        tree = self._tree()
+        for key in (0, 999, 1999):
+            assert tree.search(key).key == key
+        assert [e.key for e in tree.range_scan(500, 700)] == list(range(500, 701))
+        cold = dict(decodes)
+        assert cold["leaf"] > 0 and cold["interior"] > 0
+        for key in (0, 999, 1999):
+            assert tree.search(key).key == key
+        assert [e.key for e in tree.range_scan(500, 700)] == list(range(500, 701))
+        assert decodes == cold
+
+    def test_scan_all_after_clear_decodes_each_leaf_once(self, decodes):
+        tree = self._tree()
+        assert [e.key for e in tree.scan_all()] == list(range(2000))
+        assert decodes == {"leaf": tree.info.leaf_count, "interior": 0}
+        assert sum(1 for _ in tree.scan_all()) == 2000
+        assert decodes == {"leaf": tree.info.leaf_count, "interior": 0}
+
+    def test_written_page_decoded_on_first_hit_only(self, decodes):
+        tree, _ = _build([LeafEntry(i, b"v") for i in range(10)])
+        assert tree.info.page_count == 1
+        before = tree.buffer_cache.stats_snapshot()
+        assert tree.search(3).value == b"v"
+        assert tree.search(4).value == b"v"
+        assert len(list(tree.scan_all())) == 10
+        assert decodes == {"leaf": 1, "interior": 0}
+        delta = tree.buffer_cache.stats_snapshot().diff(before)
+        assert (delta.hits, delta.misses) == (3, 0)
+
+    def test_corrupt_page_is_never_installed(self, decodes, isolated_injector):
+        tree = self._tree()
+        isolated_injector.add_rule("file.read_page", nth=1, error="corrupt", times=1)
+        with pytest.raises(CorruptPageError):
+            tree.search(1500)
+        assert tree.buffer_cache.resident_pages == 0
+        assert decodes == {"leaf": 0, "interior": 0}
+        isolated_injector.clear()
+        found = tree.search(1500)
+        assert (found.key, found.value, found.is_antimatter) == (1500, bytes(20), False)
+        assert [e.key for e in tree.range_scan(1498, 1502)] == list(range(1498, 1503))
+
+    def test_concurrent_readers_share_frames_under_eviction(self):
+        # More readers than cores on a cache far smaller than the tree: frames
+        # are decoded, installed, evicted and re-decoded under every reader.
+        tree, _ = _build([LeafEntry(i, i.to_bytes(4, "little") * 5) for i in range(2000)])
+        cache = BufferCache(tree.buffer_cache.file_manager, capacity_pages=8)
+        tree = BTree(cache, tree.file_name, tree.info)
+        errors = []
+
+        def reader(seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(200):
+                    key = rng.randrange(2000)
+                    assert tree.search(key).value == key.to_bytes(4, "little") * 5
+                    assert [e.key for e in tree.range_scan(key, key + 40)] == \
+                        list(range(key, min(key + 41, 2000)))
+            except Exception as exc:  # a thread's failure is reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=reader, args=(seed,)) for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert cache.resident_pages <= 8 and cache.stats.evictions > 0
+
+    def test_mutating_a_returned_entry_does_not_reach_the_frame(self):
+        tree, _ = _build([LeafEntry(i, f"value-{i}".encode()) for i in range(10)])
+        found = tree.search(3)
+        found.key, found.value, found.is_antimatter = 99, b"changed", True
+        assert tree.search(3) == LeafEntry(3, b"value-3")
+        scanned = next(tree.range_scan(3, 3))
+        scanned.value = b"changed"
+        assert [e.value for e in tree.range_scan(3, 4)] == [b"value-3", b"value-4"]
+        assert tree.search(99) is None

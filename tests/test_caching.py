@@ -39,8 +39,7 @@ from repro.cache import (
 from repro.cache.column_cache import paths_cache_key, sized_copy
 from repro.core import PreparedStatement
 from repro.errors import DatasetError, QuarantinedComponentError
-from repro.faults import FAULTS_ENV_VAR, get_injector
-from repro.config import env_str
+from repro.faults import get_injector
 from repro.obs import MetricsRegistry
 from repro.sqlpp import compile as compile_sqlpp
 from repro.types import AMultiset
@@ -64,15 +63,8 @@ def _default_cache_env(monkeypatch):
         monkeypatch.delenv(variable, raising=False)
 
 
-@pytest.fixture(autouse=True)
-def _isolated_injector():
-    injector = get_injector()
-    injector.clear()
-    yield injector
-    injector.clear()
-    spec = env_str(FAULTS_ENV_VAR)
-    if spec:
-        injector.load_spec(spec)
+#: Each test starts from an empty global injector (see ``tests/conftest.py``).
+pytestmark = pytest.mark.usefixtures("isolated_injector")
 
 
 def _records(rows=60):

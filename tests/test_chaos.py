@@ -28,9 +28,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Dataset, LSMConfig, StorageEnvironment, StorageFormat
-from repro.config import env_str
 from repro.errors import ReproError, SchedulerError
-from repro.faults import FAULTS_ENV_VAR, get_injector
+from repro.faults import get_injector
 from repro.storage.wal import LogRecordType
 
 SMALL_BUDGET = 8 * 1024
@@ -48,15 +47,8 @@ _POINTS = [
 _DELETED = object()
 
 
-@pytest.fixture(autouse=True)
-def _isolated_injector():
-    injector = get_injector()
-    injector.clear()
-    yield injector
-    injector.clear()
-    spec = env_str(FAULTS_ENV_VAR)
-    if spec:
-        injector.load_spec(spec)
+#: Each test starts from an empty global injector (see ``tests/conftest.py``).
+pytestmark = pytest.mark.usefixtures("isolated_injector")
 
 
 def _lsm(background=True, **overrides):

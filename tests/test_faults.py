@@ -25,7 +25,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Dataset, StorageFormat
-from repro.config import env_str
 from repro.errors import (
     CorruptPageError,
     FaultSpecError,
@@ -39,7 +38,6 @@ from repro.errors import (
 )
 from repro.faults import (
     FAULT_POINTS,
-    FAULTS_ENV_VAR,
     FaultInjector,
     FaultRule,
     fault_points,
@@ -56,17 +54,8 @@ from repro.storage.wal import LogRecordType, WriteAheadLog
 PAGE_SIZE = 2048
 
 
-@pytest.fixture(autouse=True)
-def _isolated_injector():
-    """Each test starts from an empty global injector; afterwards the
-    ``REPRO_FAULTS`` env spec (the CI faulted leg) is restored."""
-    injector = get_injector()
-    injector.clear()
-    yield injector
-    injector.clear()
-    spec = env_str(FAULTS_ENV_VAR)
-    if spec:
-        injector.load_spec(spec)
+#: Each test starts from an empty global injector (see ``tests/conftest.py``).
+pytestmark = pytest.mark.usefixtures("isolated_injector")
 
 
 def _cache(capacity=512):

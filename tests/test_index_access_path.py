@@ -311,6 +311,30 @@ class TestTypeEdgeCases:
         rows = dataset.query("SELECT VALUE t.id FROM mixed AS t WHERE t.ts = 5").rows
         assert [row["value"] for row in rows] == [1]
 
+    @pytest.mark.parametrize("storage_format", (StorageFormat.OPEN, StorageFormat.INFERRED),
+                             ids=["open", "inferred"])
+    def test_boolean_and_nan_values_do_not_wedge_flushes(self, storage_format):
+        # A boolean is indexed as its int and NaN not at all: flushes keep
+        # working and the probe still returns what the scan returns.
+        dataset = Dataset.create("flags", storage_format)
+        dataset.create_index("ix", "v")
+        dataset.insert_all([{"id": 0, "v": 0}, {"id": 1, "v": 1}, {"id": 3, "v": 5}])
+        dataset.flush_all()
+        dataset.insert_all([{"id": 2, "v": True}, {"id": 4, "v": float("nan")},
+                            {"id": 5, "v": False}, {"id": 6, "v": 1.0}])
+        dataset.flush_all()
+        for predicate in ("t.v = true", "t.v = 1", "t.v >= 0", "t.v <= 10"):
+            text = f"SELECT VALUE t.id FROM flags AS t WHERE {predicate}"
+            via_index, index_result = _rows(dataset, text, "index")
+            via_scan, _ = _rows(dataset, text, "scan")
+            assert index_result.stats.access_path == "IndexProbe"
+            assert via_index == via_scan, predicate
+        assert _rows(dataset, "SELECT VALUE t.id FROM flags AS t WHERE t.v = 1", "index")[0] \
+            == [1, 2, 6]
+        dataset.insert_all([{"id": 7, "v": True}])
+        dataset.flush_all()
+        assert dataset.index_statistics("ix").count == 7  # NaN is the one not indexed
+
     def test_merge_does_not_double_count_statistics(self):
         dataset = Dataset.create("stats", StorageFormat.OPEN)
         dataset.create_index("by_v", "v")

@@ -210,6 +210,27 @@ class TestBufferCache:
         cache.invalidate_file("f")
         assert cache.resident_pages == 0
 
+    def test_decoded_frame_built_once_per_residency(self):
+        _, manager, cache = _make_cache()
+        manager.create_file("f")
+        cache.write_page("f", 0, _page(1))
+        decoded = []
+
+        def decode(page):
+            decoded.append(page)
+            return ("node", page[0])
+
+        # write_page installed bytes: the first decoding hit replaces them.
+        assert cache.read_page("f", 0, decode) == ("node", 1)
+        assert cache.read_page("f", 0, decode) == ("node", 1)
+        assert len(decoded) == 1
+        assert (cache.stats.hits, cache.stats.misses) == (2, 0)
+        cache.clear()
+        assert cache.read_page("f", 0, decode) == ("node", 1)
+        assert cache.read_page("f", 0, decode) == ("node", 1)
+        assert len(decoded) == 2
+        assert (cache.stats.hits, cache.stats.misses, cache.resident_pages) == (3, 1, 1)
+
     def test_compressed_pages_decompressed_in_cache(self):
         _, manager, cache = _make_cache(codec=ZlibCodec())
         manager.create_file("f")
