@@ -7,7 +7,7 @@
   compactor needs to fetch anti-schemas;
 * (c) bulk-loading the WoS workload (sort + bottom-up B+-tree build).
 
-Faithfulness note (also recorded in EXPERIMENTS.md): the paper's ingest win
+Faithfulness note: the paper's ingest win
 for the inferred configuration comes from cheaper *Java* record construction
 and from writing smaller LSM components.  In this pure-Python substrate the
 CPU side inverts (schema inference + compaction in Python outweigh the

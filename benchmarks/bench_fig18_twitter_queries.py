@@ -10,8 +10,9 @@ the on-disk sizes and (ii) compression helps wherever I/O dominates.
 Shape checks target the quantities this substrate models faithfully — bytes
 read / simulated device time per configuration (the SATA-side ordering) and
 result equivalence — while the measured Python CPU seconds are printed for
-completeness (see the faithfulness note in EXPERIMENTS.md: relative CPU
-costs of the Java runtime do not transfer to Python).
+completeness (see the faithfulness note in ``bench_fig17_ingestion.py``'s
+docstring: relative CPU costs of the Java runtime do not transfer to
+Python).
 """
 
 from harness import (

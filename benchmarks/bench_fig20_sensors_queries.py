@@ -62,7 +62,7 @@ def test_fig20_selective_q4_interaction(benchmark):
         {"Query": "Q4", "Optimized CPU (s)": q4_optimized, "Un-optimized CPU (s)": q4_unoptimized},
     ])
     shape_check("Q3 is faster with consolidation+pushdown", q3_optimized < q3_unoptimized)
-    # Deviation note (see EXPERIMENTS.md): the paper observes that the highly
+    # Deviation note: the paper observes that the highly
     # selective Q4 can become *slower* with pushdown, because the consolidated
     # accesses run before the filter.  In this substrate the un-optimized plan
     # pays linear per-item scans for the WHERE fields too, so Q4 still gains

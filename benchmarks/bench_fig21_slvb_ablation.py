@@ -39,7 +39,6 @@ def test_fig21b_sensors_slvb(benchmark):
     # Paper Figure 21b additionally shows SL-VB dipping below *closed* for Sensors,
     # because AsterixDB's ADM format spends 4 bytes of offset on every nested value.
     # This reproduction's ADM encoding has a lower per-value overhead, so SL-VB lands
-    # next to closed instead of below it; the check asserts the closeness (and the
-    # deviation is recorded in EXPERIMENTS.md).
+    # next to closed instead of below it; the check asserts the closeness.
     shape_check("sensors: SL-VB is at least close to the closed size",
                 sizes["sl-vb"] < 1.25 * sizes["closed"])

@@ -73,7 +73,7 @@ def test_table2_format_comparison(benchmark):
     # Avro 1.9x, Protobuf 2.9x slower) reflect the Java implementations; the Python
     # encoders here have different constant factors, so the checks below only assert
     # that construction costs stay within a small factor of each other — the detailed
-    # ordering is printed above and discussed in EXPERIMENTS.md.
+    # ordering is printed above.
     fastest = min(times.values())
     slowest = max(times.values())
     shape_check("construction times stay within ~4x across formats", slowest / fastest < 4.0)

@@ -5,7 +5,7 @@ Every benchmark run exports the engine's metrics-registry activity into
 process-wide registry before the test, diffs it afterwards, and attaches
 the :func:`harness.metrics_summary` of the delta (cache hit rate,
 write amplification, ingest stall seconds, plus every raw counter/gauge/
-histogram).  The saved-JSON consumers in EXPERIMENTS.md read the same
+histogram).  The saved JSON (``--benchmark-json``) thus carries the same
 numbers the engine's own observability layer reports — no parallel
 bookkeeping in the bench modules.
 

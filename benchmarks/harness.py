@@ -10,8 +10,10 @@ lives here so the individual ``bench_*`` modules stay readable.
 Scale note: the paper ingests 122–253 GB per dataset; the benchmarks default
 to a few thousand records per dataset (see ``SCALES``) so the whole harness
 finishes in minutes on a laptop.  The *shape* of each result (who wins, by
-roughly what factor, where the crossovers are) is what EXPERIMENTS.md
-compares against the paper, not absolute numbers.
+roughly what factor, where the crossovers are) is what each module's shape
+checks compare against the paper, not absolute numbers; a module states
+where and why its shape departs from the paper's in its docstring or beside
+the check.
 """
 
 from __future__ import annotations

@@ -69,6 +69,8 @@ class Datatype:
             raise TypeError_(f"datatype {self.name!r} declares duplicate field names")
         #: The declared field names, for membership tests (not a dataclass field).
         object.__setattr__(self, "name_set", names)
+        object.__setattr__(self, "_positions", {
+            declaration.name: index for index, declaration in enumerate(self.fields)})
 
     # -- lookups -----------------------------------------------------------
 
@@ -84,10 +86,7 @@ class Datatype:
 
     def index_of(self, field_name: str) -> Optional[int]:
         """Index of a declared field, as served by the metadata node."""
-        for index, declaration in enumerate(self.fields):
-            if declaration.name == field_name:
-                return index
-        return None
+        return self._positions.get(field_name)
 
     def is_declared(self, field_name: str) -> bool:
         return field_name in self.name_set

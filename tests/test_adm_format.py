@@ -179,3 +179,36 @@ class TestRecordView:
     def test_bad_payload_raises(self):
         with pytest.raises(DecodingError):
             ADMDecoder(None).decode(bytes([255, 0, 0, 0]))
+
+
+#: The five public ADM read entries, each given a payload, its datatype and a
+#: path to the damaged value (the path reaches it, or needs its extent).
+_ENTRIES = {
+    "decode": lambda payload, datatype, path: ADMDecoder(datatype).decode(payload),
+    "decode_value": lambda payload, datatype, path: ADMDecoder(datatype).decode_value(payload),
+    "materialize": lambda payload, datatype, path: ADMRecordView(payload, datatype).materialize(),
+    "get_field": lambda payload, datatype, path: ADMRecordView(payload, datatype).get_field(*path),
+    "get_items": lambda payload, datatype, path: ADMRecordView(payload, datatype).get_items(*path),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRIES))
+def test_every_adm_walker_raises_decoding_error(entry):
+    """A tag byte ADM never writes — at an open value, at the last closed
+    value (whose extent locates the open part), inside an array — and a
+    truncated payload are a ``DecodingError`` from every entry, never a bare
+    ``ValueError``, ``struct.error`` or ``IndexError``."""
+    read = _ENTRIES[entry]
+    datatype = Datatype.open_type("Corruptible", [FieldDeclaration("id", TypeTag.INT64),
+                                                  FieldDeclaration("name", TypeTag.STRING)])
+    payload = ADMEncoder(datatype).encode({"id": 1, "name": "Ann", "tags": ["a", "b"], "n": 5})
+    value_bytes = ADMEncoder(None).encode_value
+    for damaged, path in ((5, ("n",)), ("Ann", ("tags",)), ("b", ("tags",))):
+        at = payload.index(value_bytes(damaged))
+        corrupt = bytearray(payload)
+        corrupt[at] = 126
+        with pytest.raises(DecodingError, match=f"unexpected tag 126 at offset {at}$"):
+            read(bytes(corrupt), datatype, path)
+    for cut in range(len(payload)):
+        with pytest.raises(DecodingError):
+            read(payload[:cut], datatype, ("tags",))

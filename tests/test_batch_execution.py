@@ -593,6 +593,50 @@ _EVERY_KIND = [
     {"a": [1, 2], "o": {"p": "q"}}, AMultiset([1, {"m": "n"}, [3]]), [], {}, AMultiset([]),
 ]
 
+#: A root datatype for ADM views with a closed part: a nested-object and an
+#: item declaration (each with open fields beside it), the field that takes
+#: every kind of ``_EVERY_KIND`` in turn — the last present closed value, so
+#: its extent is where the open part starts — and an optional field no record
+#: carries (offset 0), declared after it.  Generated names are lowercase, so
+#: these never collide with them.
+_DECLARING = Datatype.open_type("Declaring", [
+    FieldDeclaration("Obj", TypeTag.OBJECT, nested=Datatype.open_type("Inner", [
+        FieldDeclaration("X", TypeTag.INT64), FieldDeclaration("Gone", TypeTag.ANY, optional=True)])),
+    FieldDeclaration("Items", TypeTag.ARRAY, item_type=TypeTag.ANY, item_nested=Datatype.open_type(
+        "Item", [FieldDeclaration("K", TypeTag.INT64)])),
+    FieldDeclaration("Last", TypeTag.ANY, optional=True),
+    FieldDeclaration("Absent", TypeTag.ANY, optional=True),
+])
+#: The same declaration plus one field: a record written under ``_DECLARING``
+#: has one closed offset too few for it.
+_WIDER = Datatype.open_type("Wider", _DECLARING.fields + (
+    FieldDeclaration("More", TypeTag.ANY, optional=True),))
+
+
+def _assert_declared_adm_reads(record, paths):
+    """An ADM record with a closed part reads like ``navigate`` over it, with
+    ``record``'s fields in the open parts around the declared ones; under a
+    datatype declaring a different number of fields it is a ``DecodingError``."""
+    for last in _EVERY_KIND:
+        declared = dict(record, Obj=dict(record, X=1), Items=[dict(record, K=2), "s", {"K": 3}],
+                        Last=last)
+        payload = ADMEncoder(_DECLARING).encode(declared)
+        view = ADMRecordView(payload, _DECLARING)
+        requests = paths + [("Last",), ("Absent",), ("Obj", "Gone"), ("Obj", "X"),
+                            ("Items", 0, "K"), ("Items", WILDCARD, "K")]
+        requests += [("Last",) + path for path in _paths_of(last)[:8]]
+        requests += [("Obj",) + path for path in paths[:8]] + [(WILDCARD,), ("Absent", WILDCARD)]
+        expected = [navigate(declared, path) for path in requests]
+        assert [view.get_field(*path) for path in requests] == expected
+        assert BatchExtractor(requests).extract(view) == expected
+        assert view.materialize() == declared
+    wider = ADMRecordView(payload, _WIDER)
+    for read in (wider.materialize, lambda: wider.get_field("Obj"),
+                 lambda: wider.get_field("Obj", "X"), lambda: wider.get_field("nope")):
+        with pytest.raises(DecodingError, match="closed fields"):
+            read()
+
+
 _prop_settings = settings(max_examples=40, deadline=None,
                           suppress_health_check=[HealthCheck.too_slow])
 _engine_settings = settings(max_examples=12, deadline=None,
@@ -604,8 +648,9 @@ class TestBatchProperties:
     @given(record=_records)
     def test_extractor_matches_get_values(self, record):
         """Every way to read a path out of a record — the trie walk over the
-        vector bytes (uncompacted and compacted), offset-guided ADM access,
-        the plain-dict view — must equal ``navigate`` over the record."""
+        vector bytes (uncompacted and compacted), offset-guided ADM access
+        with and without a closed part, the plain-dict view — must equal
+        ``navigate`` over the record."""
         schema = InferredSchema(None)
         schema.observe(record)
         payload = VectorEncoder(None).encode(record)
@@ -623,6 +668,7 @@ class TestBatchProperties:
             assert BatchExtractor(paths).extract(view) == expected
         assert views[0].get_values(*paths) == expected
         assert views[-1].get_values(*paths) == expected
+        _assert_declared_adm_reads(record, list(dict.fromkeys(_paths_of(record)))[:24])
 
     @_prop_settings
     @given(siblings=st.permutations(_EVERY_KIND), extras=st.lists(_values(2), max_size=3),

@@ -17,7 +17,7 @@ from collections import OrderedDict
 
 import pytest
 
-from repro.adm import ADMEncoder
+from repro.adm import ADMDecoder, ADMEncoder
 from repro.errors import TypeError_
 from repro.types import (
     ADate,
@@ -27,6 +27,7 @@ from repro.types import (
     ATime,
     Datatype,
     MISSING,
+    deep_equals,
     open_only_primary_key,
 )
 from repro.vector import VectorEncoder
@@ -168,6 +169,47 @@ def test_vector_encoder_bytes(name):
 @pytest.mark.parametrize("name", sorted(RECORDS))
 def test_adm_encoder_bytes(name):
     assert _encode(ADMEncoder, name) == GOLDEN["adm", name]
+
+
+def _stored(value):
+    """What ``value`` reads back as: a MISSING field dropped, a tuple a list,
+    a bytearray bytes, a subclass its base type (MISSING items stay)."""
+    if isinstance(value, dict):
+        return {name: _stored(child) for name, child in value.items() if child is not MISSING}
+    if isinstance(value, AMultiset):
+        return AMultiset([_stored(item) for item in value.items])
+    if isinstance(value, (list, tuple)):
+        return [_stored(item) for item in value]
+    if isinstance(value, bytearray):
+        return bytes(value)
+    for base in (bool, int, str):
+        if isinstance(value, base):
+            return base(value)
+    return value
+
+
+def _assert_same_types(decoded, expected, where="record"):
+    assert type(decoded) is type(expected), where
+    if isinstance(expected, dict):
+        assert list(decoded) == list(expected), where
+        for name in expected:
+            _assert_same_types(decoded[name], expected[name], f"{where}.{name}")
+    elif isinstance(expected, (list, AMultiset)):
+        items = expected.items if isinstance(expected, AMultiset) else expected
+        decoded_items = decoded.items if isinstance(decoded, AMultiset) else decoded
+        assert len(decoded_items) == len(items), where
+        for index, (left, right) in enumerate(zip(decoded_items, items)):
+            _assert_same_types(left, right, f"{where}[{index}]")
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_adm_decoder_reads_golden_bytes(name):
+    """The decoder reads the pinned bytes back into the corpus record, with
+    the Python type each value is stored as."""
+    decoded = ADMDecoder(_datatype(name)).decode(bytes.fromhex(GOLDEN["adm", name]))
+    expected = _stored(RECORDS[name])
+    assert deep_equals(decoded, expected)
+    _assert_same_types(decoded, expected)
 
 
 @pytest.mark.parametrize("encoder_class", [VectorEncoder, ADMEncoder])
