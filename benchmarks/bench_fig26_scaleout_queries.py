@@ -46,8 +46,6 @@ def _figure26():
                                                io_throttle=QUERY_IO_THROTTLE)[0]
                     for format_name in ("open", "inferred")}
         for format_name, cluster in clusters.items():
-            # Explicit width (one worker per partition): the speedup shape
-            # checks must not depend on the ambient REPRO_PARALLELISM default.
             executor = QueryExecutor(cold_cache=True,
                                      parallelism=cluster.total_partitions())
             for query_name in QUERY_NAMES:

@@ -26,7 +26,7 @@ def main() -> None:
     # CREATE DATASET Employee(EmployeeType) PRIMARY KEY id
     #   WITH {"tuple-compactor-enabled": true};
     # The context manager quiesces background LSM maintenance (flushes and
-    # merges scheduled off the ingest path when REPRO_LSM_SCHEDULER is set)
+    # merges scheduled off the ingest path by LSMConfig(background_maintenance=True))
     # deterministically on exit; with synchronous maintenance it is a no-op.
     with Dataset.create("Employee", StorageFormat.INFERRED, primary_key="id") as employees:
         run_demo(employees)

@@ -40,17 +40,11 @@ from .config import (
     ClusterConfig,
     DatasetConfig,
     DeviceKind,
-    LSM_SCHEDULER_ENV_VAR,
     LSMConfig,
     StorageConfig,
     StorageFormat,
 )
-from .cache import (
-    COLUMN_CACHE_BYTES_ENV_VAR,
-    ColumnSliceCache,
-    PLAN_CACHE_ENV_VAR,
-    PlanCache,
-)
+from .cache import ColumnSliceCache, PlanCache
 from .core import Dataset, Partition, PreparedStatement, StorageEnvironment, TupleCompactor
 from .errors import (
     CorruptPageError,
@@ -104,8 +98,6 @@ __all__ = [
     "TupleCompactor",
     "PlanCache",
     "ColumnSliceCache",
-    "PLAN_CACHE_ENV_VAR",
-    "COLUMN_CACHE_BYTES_ENV_VAR",
     "InferredSchema",
     "ReproError",
     "SchedulerError",
@@ -121,7 +113,6 @@ __all__ = [
     "fault_points",
     "FAULTS_ENV_VAR",
     "LSMIOScheduler",
-    "LSM_SCHEDULER_ENV_VAR",
     "MetricsRegistry",
     "get_registry",
     "get_tracer",

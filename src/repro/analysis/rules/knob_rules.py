@@ -10,7 +10,7 @@ Two failure modes this rule exists for, both observed in real engines:
 
 The rule therefore enforces: (1) no ``os.environ``/``os.getenv`` outside the
 config accessor module; (2) every knob name passed to
-``env_str``/``env_flag``/``env_int`` — resolved through module-level string
+``env_str``/``env_flag`` — resolved through module-level string
 constants like ``TRACE_ENV_VAR = "REPRO_TRACE"`` — appears in the README
 knob table as `` `REPRO_X` ``.
 """
@@ -26,7 +26,7 @@ from ..lint import Finding, Module, Project, Rule, dotted_name
 _KNOB_NAME_RE = re.compile(r"^REPRO_[A-Z0-9_]+$")
 
 #: The accessor functions exported by ``repro.config``.
-_ACCESSORS = ("env_str", "env_flag", "env_int")
+_ACCESSORS = ("env_str", "env_flag")
 
 
 class KnobAccessorRule(Rule):
@@ -64,12 +64,12 @@ class KnobAccessorRule(Rule):
             yield self.finding(
                 module, node.lineno,
                 "direct os.environ access — read knobs through the "
-                "repro.config env accessors (env_str/env_flag/env_int)")
+                "repro.config env accessors (env_str/env_flag)")
         elif isinstance(node, ast.Call) and dotted_name(node.func) == "os.getenv":
             yield self.finding(
                 module, node.lineno,
                 "os.getenv() — read knobs through the repro.config env "
-                "accessors (env_str/env_flag/env_int)")
+                "accessors (env_str/env_flag)")
 
     def _record_accessor_call(self, module: Module, node: ast.Call,
                               constants: Dict[str, Tuple[str, int]]) -> None:

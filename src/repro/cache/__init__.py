@@ -24,22 +24,15 @@ skipped store under injected faults, so chaos runs keep row parity), and
 hold locks declared in :mod:`repro.analysis.lock_hierarchy`.
 """
 
-from .column_cache import (COLUMN_CACHE_BYTES_ENV_VAR, ColumnSliceCache, SliceChunk,
-                           SliceScanStats, cached_component_scan,
-                           column_cache_budget)
-from .plan_cache import (PLAN_CACHE_ENV_VAR, PhysicalPlan, PlanCache,
-                         normalize_statement, plan_cache_capacity)
+from .column_cache import ColumnSliceCache, SliceChunk, SliceScanStats, cached_component_scan
+from .plan_cache import PhysicalPlan, PlanCache, normalize_statement
 
 __all__ = [
-    "COLUMN_CACHE_BYTES_ENV_VAR",
     "ColumnSliceCache",
-    "PLAN_CACHE_ENV_VAR",
     "PhysicalPlan",
     "PlanCache",
     "SliceChunk",
     "SliceScanStats",
     "cached_component_scan",
-    "column_cache_budget",
     "normalize_statement",
-    "plan_cache_capacity",
 ]

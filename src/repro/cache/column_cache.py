@@ -27,9 +27,10 @@ one walk that also sizes it; a warm scan yields a copy from the same copier.
 So a caller that mutates a result row — a dict, a list, an object inside a
 multiset — can never reach a cached slice.
 
-The byte budget comes from ``REPRO_COLUMN_CACHE_BYTES`` (default 32 MiB;
-``0`` disables the cache).  Sizes are estimates (Python object overheads
-approximated per value), which is fine for an eviction budget.
+The byte budget is 32 MiB unless the cache is built with another
+``capacity_bytes``; ``0`` disables the cache.  Sizes are estimates (Python
+object overheads approximated per value), which is fine for an eviction
+budget.
 """
 
 from __future__ import annotations
@@ -38,30 +39,16 @@ import threading
 from collections import OrderedDict
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..config import env_int
 from ..errors import CorruptPageError, PermanentIOError, TransientIOError
 from ..faults import fire_fault
 from ..obs import MetricsRegistry, get_registry
 from ..types import AMultiset, Missing
 
-#: Environment variable bounding the decoded column-slice cache, in bytes
-#: (shared by all datasets of one storage environment).  ``0`` disables the
-#: cache; unset/empty means the default budget.
-COLUMN_CACHE_BYTES_ENV_VAR = "REPRO_COLUMN_CACHE_BYTES"
-
-#: Cache budget when the knob is unset: 32 MiB.
+#: Cache budget (shared by all datasets of one storage environment): 32 MiB.
 DEFAULT_COLUMN_CACHE_BYTES = 32 * 1024 * 1024
 
 #: Component-scan rows per cached chunk (the "batch range" of the key).
 CHUNK_ROWS = 1024
-
-
-def column_cache_budget() -> int:
-    """Resolved slice-cache budget (``REPRO_COLUMN_CACHE_BYTES``, floor 0)."""
-    value = env_int(COLUMN_CACHE_BYTES_ENV_VAR)
-    if value is None:
-        return DEFAULT_COLUMN_CACHE_BYTES
-    return max(0, value)
 
 
 class SliceScanStats:
@@ -143,11 +130,10 @@ class SliceChunk:
 class ColumnSliceCache:
     """Thread-safe byte-accounted LRU over decoded component-scan chunks."""
 
-    def __init__(self, capacity_bytes: Optional[int] = None,
+    def __init__(self, capacity_bytes: int = DEFAULT_COLUMN_CACHE_BYTES,
                  metrics: Optional[MetricsRegistry] = None,
                  chunk_rows: int = CHUNK_ROWS) -> None:
-        self.capacity_bytes = (column_cache_budget() if capacity_bytes is None
-                               else max(0, capacity_bytes))
+        self.capacity_bytes = max(0, capacity_bytes)
         self.chunk_rows = max(1, chunk_rows)
         self._lock = threading.Lock()
         #: (component file, paths key, chunk index) -> SliceChunk, LRU order.

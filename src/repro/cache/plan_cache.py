@@ -18,9 +18,9 @@ one :class:`PhysicalPlan` keyed by
   so differently-configured executors never share entries.
 
 Entries are never invalidated in place: a bumped epoch simply stops
-matching, and the stale entries age out of the LRU.  Capacity comes from
-the ``REPRO_PLAN_CACHE`` knob (default 64 entries; ``0`` disables caching
-entirely).
+matching, and the stale entries age out of the LRU.  A cache holds 64
+entries unless built with another ``capacity``; ``0`` disables caching
+entirely.
 """
 
 from __future__ import annotations
@@ -28,27 +28,14 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Hashable, List, Optional, Tuple
+from typing import Any, Hashable, List, Optional
 
-from ..config import env_int
 from ..errors import CorruptPageError, PermanentIOError, TransientIOError
 from ..faults import fire_fault
 from ..obs import MetricsRegistry, get_registry
 
-#: Environment variable bounding the plan cache (entries per dataset).
-#: ``0`` disables plan caching; unset/empty means the default capacity.
-PLAN_CACHE_ENV_VAR = "REPRO_PLAN_CACHE"
-
-#: Entries per dataset when the knob is unset.
+#: Entries per dataset.
 DEFAULT_PLAN_CACHE_CAPACITY = 64
-
-
-def plan_cache_capacity() -> int:
-    """Resolved plan-cache capacity (``REPRO_PLAN_CACHE``, floor 0)."""
-    value = env_int(PLAN_CACHE_ENV_VAR)
-    if value is None:
-        return DEFAULT_PLAN_CACHE_CAPACITY
-    return max(0, value)
 
 
 def normalize_statement(text: str) -> str:
@@ -128,9 +115,9 @@ class PhysicalPlan:
 class PlanCache:
     """Thread-safe LRU of :class:`PhysicalPlan` entries for one dataset."""
 
-    def __init__(self, capacity: Optional[int] = None,
+    def __init__(self, capacity: int = DEFAULT_PLAN_CACHE_CAPACITY,
                  metrics: Optional[MetricsRegistry] = None) -> None:
-        self.capacity = plan_cache_capacity() if capacity is None else max(0, capacity)
+        self.capacity = max(0, capacity)
         self._lock = threading.Lock()
         self._entries: "OrderedDict[Hashable, PhysicalPlan]" = OrderedDict()  # guarded-by: _lock
         metrics = metrics if metrics is not None else get_registry()

@@ -85,8 +85,7 @@ class ClusterSimulator:
         """Create a dataset spread over every node's partitions.
 
         ``background_maintenance`` forces the asynchronous LSM lifecycle on
-        (or off) for this dataset; ``None`` keeps the config/environment
-        default (the ``REPRO_LSM_SCHEDULER`` variable).
+        (or off) for this dataset; ``None`` keeps the config's setting.
         """
         if name in self.datasets:
             raise ClusterError(f"dataset {name!r} already exists in this cluster")

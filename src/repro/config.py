@@ -15,11 +15,6 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional
 
-#: Environment variable turning background LSM maintenance on by default for
-#: datasets whose :class:`LSMConfig` leaves ``background_maintenance`` unset
-#: (``None``).  Accepted truthy values: "1", "true", "on", "yes".
-LSM_SCHEDULER_ENV_VAR = "REPRO_LSM_SCHEDULER"
-
 #: Flag values :func:`env_flag` accepts as "on".
 _TRUTHY_FLAGS = ("1", "true", "on", "yes")
 
@@ -28,9 +23,9 @@ def env_str(name: str, default: str = "") -> str:
     """Read one ``REPRO_*`` knob as a stripped string.
 
     This module is the engine's *single* environment accessor: every other
-    module reads its knobs through :func:`env_str` / :func:`env_int` /
-    :func:`env_flag` instead of touching ``os.environ`` directly, so the
-    KNOB001 lint rule can prove each knob is documented in the README table
+    module reads its knobs through :func:`env_str` / :func:`env_flag`
+    instead of touching ``os.environ`` directly, so the KNOB001 lint rule
+    can prove each knob is documented in the README table
     (``python -m repro.analysis`` enforces this).
     """
     return os.environ.get(name, default).strip()
@@ -39,26 +34,6 @@ def env_str(name: str, default: str = "") -> str:
 def env_flag(name: str) -> bool:
     """Whether a ``REPRO_*`` on/off knob is set to a truthy flag value."""
     return env_str(name).lower() in _TRUTHY_FLAGS
-
-
-def env_int(name: str) -> Optional[int]:
-    """Read an integer knob; ``None`` when unset/empty.
-
-    Raises :class:`ValueError` (with the knob name) on a non-integer value —
-    callers translate it into their own error type when they need to.
-    """
-    value = env_str(name)
-    if not value:
-        return None
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
-def lsm_scheduler_env_default() -> bool:
-    """Whether :data:`LSM_SCHEDULER_ENV_VAR` asks for background maintenance."""
-    return env_flag(LSM_SCHEDULER_ENV_VAR)
 
 
 class StorageFormat(enum.Enum):
@@ -162,12 +137,10 @@ class LSMConfig:
     maintain_primary_key_index: bool = True
     #: Run flushes and merges on a background scheduler (AsterixDB-style
     #: asynchronous LSM lifecycle) instead of inline on the writer's thread.
-    #: ``None`` defers to the ``REPRO_LSM_SCHEDULER`` environment variable
-    #: (off unless set); an explicit ``True``/``False`` always wins.
     #: The setting only picks *where* a flush or merge task runs — the
     #: lifecycle (seal, build, install) is one path, so both settings write
     #: the same entries in the same flush order.
-    background_maintenance: Optional[bool] = None
+    background_maintenance: bool = False
     #: Background scheduler: worker threads running flushes (across all of a
     #: dataset's partitions — per-index flushes stay serialized in seal order).
     max_flush_workers: int = 2
@@ -191,12 +164,6 @@ class LSMConfig:
             raise ValueError("max_sealed_memtables must be >= 1")
         if self.max_merge_debt < 2:
             raise ValueError("max_merge_debt must be >= 2")
-
-    def resolved_background_maintenance(self) -> bool:
-        """The effective background-maintenance setting (config wins over env)."""
-        if self.background_maintenance is None:
-            return lsm_scheduler_env_default()
-        return self.background_maintenance
 
 
 @dataclass(frozen=True)

@@ -68,11 +68,10 @@ class Dataset:
         self.datatype = datatype if datatype is not None else open_only_primary_key(
             f"{config.name}Type", config.primary_key)
         self.environments = list(environments)
-        # Background LSM lifecycle: when enabled (config knob or the
-        # REPRO_LSM_SCHEDULER environment variable), all partitions share one
+        # Background LSM lifecycle: when enabled, all partitions share one
         # bounded scheduler that runs flushes and merges off the ingest path.
         self.scheduler: Optional[LSMIOScheduler] = None
-        if config.lsm.resolved_background_maintenance():
+        if config.lsm.background_maintenance:
             self.scheduler = LSMIOScheduler(
                 max_flush_workers=config.lsm.max_flush_workers,
                 max_merge_workers=config.lsm.max_merge_workers,
@@ -81,7 +80,8 @@ class Dataset:
         #: Trace id of the most recent traced query (see :meth:`last_trace`).
         self._last_trace_id: Optional[str] = None
         #: Bounded LRU of compiled physical plans (see :meth:`query` and
-        #: :meth:`prepare`); sized by ``REPRO_PLAN_CACHE``, 0 disables it.
+        #: :meth:`prepare`); replace it with ``PlanCache(capacity=0)`` to
+        #: disable plan caching.
         self.plan_cache = PlanCache(metrics=environments[0].metrics)
         #: Dataset-level half of the plan-reuse epoch: bumped by CREATE
         #: INDEX and :meth:`invalidate_plans` (config/stats changes); the
@@ -495,8 +495,8 @@ class PreparedStatement:
     """A SQL++ statement compiled and optimized once, executed many times.
 
     Created by :meth:`Dataset.prepare`.  Holds the physical plan pinned
-    (independent of the shared plan cache, so it works even with
-    ``REPRO_PLAN_CACHE=0``) together with the :meth:`Dataset.reuse_epoch`
+    (independent of the shared plan cache, so it works even when that cache
+    is disabled) together with the :meth:`Dataset.reuse_epoch`
     it was compiled against; :meth:`execute` re-prepares transparently when
     the epoch has moved (CREATE INDEX, flush/merge component swaps,
     :meth:`Dataset.invalidate_plans`), so results are always identical to an

@@ -46,9 +46,10 @@ class StorageEnvironment:
                                         metrics=self.metrics)
         self.wal = WriteAheadLog(self.device, metrics=self.metrics)
         #: Decoded column-slice cache shared by this environment's datasets
-        #: (budget from ``REPRO_COLUMN_CACHE_BYTES``; 0 disables it).  Sits
-        #: above the buffer cache: warm scans skip page reads entirely, and
-        #: the LSM component lifecycle invalidates entries eagerly.
+        #: (32 MiB; install ``ColumnSliceCache(capacity_bytes=0)`` before
+        #: creating a dataset to disable it).  Sits above the buffer cache:
+        #: warm scans skip page reads entirely, and the LSM component
+        #: lifecycle invalidates entries eagerly.
         self.column_cache = ColumnSliceCache(metrics=self.metrics)
 
     # -- reporting -------------------------------------------------------------

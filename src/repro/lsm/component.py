@@ -82,6 +82,10 @@ class InMemoryComponent:
         existing = self._entries.get(entry.key)
         if existing is not None:
             self.size_bytes -= existing.size_bytes
+            if existing.is_antimatter and entry.antischema is None:
+                # A re-insert over a delete in this memtable: the deleted
+                # version's decrement is still owed at this memtable's flush.
+                entry.antischema = existing.antischema
         self._entries[entry.key] = entry
         self.size_bytes += entry.size_bytes
 

@@ -48,7 +48,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..cache import PhysicalPlan
-from ..config import env_int
 from ..core.dataset import Dataset
 from ..errors import QueryDeadlineError, QueryError
 from ..obs import NULL_SPAN, StatsDictMixin
@@ -64,16 +63,7 @@ from .operators import (
 from .optimizer import AccessPathChoice, Optimizer, choose_access_path
 from .plan import QuerySpec
 
-#: Environment variable overriding the *default* worker count (an explicit
-#: ``parallelism=`` argument always wins).  CI runs the suite once with
-#: ``REPRO_PARALLELISM=1`` to keep the sequential path covered.
-PARALLELISM_ENV_VAR = "REPRO_PARALLELISM"
-
-#: Environment variable overriding the default batch size (>= 1; ``1``
-#: stress-tests the chunking logic).
-BATCH_SIZE_ENV_VAR = "REPRO_BATCH_SIZE"
-
-#: Records per ColumnBatch when nothing overrides it.
+#: Records per ColumnBatch unless the executor is given another ``batch_size``.
 DEFAULT_BATCH_SIZE = 1024
 
 
@@ -371,7 +361,7 @@ class QueryExecutor:
                  cold_cache: bool = False,
                  access_path: str = "auto",
                  parallelism: Optional[int] = None,
-                 batch_size: Optional[int] = None,
+                 batch_size: int = DEFAULT_BATCH_SIZE,
                  deadline: Optional[float] = None) -> None:
         #: Optimizer rewrites (paper §3.4.2); both off is the Figure 23
         #: "Inferred (un-op)" plan.
@@ -383,16 +373,13 @@ class QueryExecutor:
         #: Access-path policy: "auto" (cost-based), "scan" (force full scans),
         #: or "index" (probe whenever an indexed predicate exists).
         self.access_path = access_path
-        #: Worker-pool width.  ``None`` means one worker per partition
-        #: (overridable via the ``REPRO_PARALLELISM`` environment variable);
+        #: Worker-pool width.  ``None`` means one worker per partition;
         #: ``1`` runs partitions inline, sequentially, in partition order.
         self.parallelism = parallelism
-        # Env-knob reads are hoisted out of the per-query hot path: each knob
-        # is read (through the repro.config accessors) exactly once, here, and
-        # invalid values fail fast at construction instead of at execute.
-        #: Records per ColumnBatch (>= 1): the argument, else
-        #: ``REPRO_BATCH_SIZE``, else ``DEFAULT_BATCH_SIZE``.
-        self.batch_size = self._read_batch_size(batch_size)
+        if batch_size < 1:
+            raise QueryError(f"batch size must be >= 1, got {batch_size}")
+        #: Records per ColumnBatch.
+        self.batch_size = batch_size
         #: Per-query deadline in seconds; queries that exceed it raise
         #: :class:`~repro.errors.QueryDeadlineError` cooperatively at batch
         #: boundaries.  ``None`` = no deadline; ``0`` expires immediately
@@ -400,7 +387,6 @@ class QueryExecutor:
         if deadline is not None and deadline < 0:
             raise QueryError(f"query deadline must be >= 0 seconds, got {deadline}")
         self.deadline = None if deadline is None else float(deadline)
-        self._env_parallelism = self._read_env_parallelism()
 
     # ------------------------------------------------------------------ public API
 
@@ -553,33 +539,10 @@ class QueryExecutor:
         registry.histogram("query_wall_seconds").observe(stats.wall_seconds)
         registry.counter("query_batches_processed").inc(stats.batches_processed)
 
-    @staticmethod
-    def _read_batch_size(size: Optional[int]) -> int:
-        if size is None:
-            try:
-                size = env_int(BATCH_SIZE_ENV_VAR)
-            except ValueError as exc:
-                raise QueryError(str(exc))
-            if size is None:
-                return DEFAULT_BATCH_SIZE
-        if size < 1:
-            raise QueryError(f"batch size must be >= 1, got {size}")
-        return size
-
-    def _read_env_parallelism(self) -> Optional[int]:
-        if self.parallelism is not None:
-            return None
-        try:
-            return env_int(PARALLELISM_ENV_VAR)
-        except ValueError as exc:
-            raise QueryError(str(exc))
-
     def _resolve_parallelism(self, dataset: Dataset) -> int:
         requested = self.parallelism
         if requested is None:
-            requested = self._env_parallelism
-            if requested is None:
-                requested = dataset.partition_count
+            requested = dataset.partition_count
         if requested < 1:
             raise QueryError(f"parallelism must be >= 1, got {requested}")
         return min(requested, dataset.partition_count)

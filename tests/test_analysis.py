@@ -19,7 +19,6 @@ from repro.analysis import locktrack
 from repro.analysis.lint import (
     SEVERITY_ERROR,
     SEVERITY_WARNING,
-    collect_modules,
     run_analysis,
 )
 from repro.analysis.lock_hierarchy import LOCK_HIERARCHY, LockDecl

@@ -2,10 +2,10 @@
 
 The contract pinned down here:
 
-* **Row-level parity by construction** — a dataset ingesting under the
-  background scheduler ends up with exactly the same rows, counts, and
-  query results as a synchronously-maintained oracle fed the same
-  operations, across ``max_sealed_memtables`` settings;
+* **Row-level parity by construction** — ``tests/test_model.py`` holds
+  both lifecycles, across ``max_sealed_memtables`` settings, to one
+  reference model; here a concurrent query thread must never see torn
+  state while backgrounded ingest runs;
 * **Measured overlap** — with the device's latency-realism throttle on, a
   multi-partition ``DataFeed`` with per-partition ingest threads and
   background flush/merge finishes in measurably less wall time than the
@@ -159,50 +159,7 @@ class TestWalPartitionTruncation:
 # parity with the synchronous oracle
 # ---------------------------------------------------------------------------
 
-def _apply_ops(dataset, records):
-    """Mixed inserts/upserts/deletes; deterministic, exercises anti-schemas."""
-    for position, record in enumerate(records):
-        dataset.insert(record)
-        if position % 5 == 2:
-            dataset.upsert(dict(record, lang="zz", extra_field=position))
-        if position % 11 == 7:
-            dataset.delete(record["id"])
-
-
 class TestBackgroundParity:
-    @pytest.mark.parametrize("max_sealed", [1, 2, 4])
-    @pytest.mark.parametrize("storage_format",
-                             [StorageFormat.OPEN, StorageFormat.INFERRED])
-    def test_row_parity_across_sealed_memtable_settings(self, storage_format, max_sealed):
-        records = list(twitter.generate(220))
-        background = Dataset.create(
-            f"bg_{storage_format.value}_{max_sealed}", storage_format,
-            partitions=PARTITIONS,
-            lsm=_lsm(background=True, max_sealed_memtables=max_sealed))
-        oracle = Dataset.create(
-            f"sync_{storage_format.value}_{max_sealed}", storage_format,
-            partitions=PARTITIONS, lsm=_lsm(background=False))
-        assert background.background_maintenance
-        assert not oracle.background_maintenance
-
-        _apply_ops(background, records)
-        _apply_ops(oracle, records)
-        background.flush_all()
-        oracle.flush_all()
-
-        assert _rows(background) == _rows(oracle)
-        assert background.count() == oracle.count()
-        bg_stats, oracle_stats = background.ingest_stats(), oracle.ingest_stats()
-        for counter in ("inserts", "deletes", "upserts"):
-            assert bg_stats[counter] == oracle_stats[counter]
-
-        spec = (scan("t").group_by(("lang", field("t", "lang")))
-                .aggregate("n", "count").order_by("lang").build())
-        executor = QueryExecutor(parallelism=2)
-        assert (executor.execute(background, spec).rows
-                == executor.execute(oracle, spec).rows)
-        background.close()
-
     def test_queries_see_sealed_memtables_before_flush_completes(self):
         """Reads reconcile mutable + sealed + disk: nothing ingested may go
         missing while its sealed memtable still waits for a flush worker."""
@@ -217,19 +174,6 @@ class TestBackgroundParity:
         dataset.close()
         assert index.sealed_memtables == []
         assert dataset.count() == 400
-
-    def test_env_toggle_enables_scheduler(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LSM_SCHEDULER", "1")
-        dataset = Dataset.create("bg_env", StorageFormat.OPEN)
-        assert dataset.background_maintenance
-        dataset.close()
-        monkeypatch.setenv("REPRO_LSM_SCHEDULER", "0")
-        assert not Dataset.create("bg_env_off", StorageFormat.OPEN).background_maintenance
-        # An explicit config always wins over the environment.
-        monkeypatch.setenv("REPRO_LSM_SCHEDULER", "1")
-        explicit = Dataset.create("bg_env_explicit", StorageFormat.OPEN,
-                                  lsm=LSMConfig(background_maintenance=False))
-        assert not explicit.background_maintenance
 
     def test_close_is_idempotent_and_context_manager_closes(self):
         with Dataset.create("bg_ctx", StorageFormat.OPEN, partitions=2,

@@ -262,8 +262,7 @@ class TestReferenceParity:
         _assert_matches_reference(inferred_dataset, PARITY_QUERIES[query_name],
                                   pushdown_through_unnest=False)
 
-    def test_batch_stats_reported(self, inferred_dataset, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH_SIZE", raising=False)
+    def test_batch_stats_reported(self, inferred_dataset):
         result = QueryExecutor().execute(inferred_dataset, _q_group_avg())
         assert result.stats.batch_size == DEFAULT_BATCH_SIZE
         assert result.stats.batches_processed >= 1
@@ -271,12 +270,6 @@ class TestReferenceParity:
     def test_batch_size_one_batch_count(self, inferred_dataset):
         result = QueryExecutor(batch_size=1).execute(inferred_dataset, _q_group_avg())
         assert result.stats.batches_processed == len(RECORDS)
-
-    def test_batch_size_env_var(self, inferred_dataset, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_SIZE", "7")
-        result = QueryExecutor().execute(inferred_dataset, _q_group_avg())
-        assert result.stats.batch_size == 7
-        assert result.stats.batches_processed == -(-len(RECORDS) // 7)
 
 
 class _Opaque(Expr):
@@ -332,14 +325,10 @@ class TestPlanTimeErrors:
             self._assert_rejected(
                 inferred_dataset, scan("t").where(quantified).count_star().build())
 
-    def test_batch_size_must_be_positive(self, monkeypatch):
+    def test_batch_size_must_be_positive(self):
         for size in (0, -1):
             with pytest.raises(QueryError):
                 QueryExecutor(batch_size=size)
-        for text in ("0", "lots"):
-            monkeypatch.setenv("REPRO_BATCH_SIZE", text)
-            with pytest.raises(QueryError):
-                QueryExecutor()
 
 
 class TestExplainIntegration:
@@ -518,9 +507,8 @@ class TestExtractorViews:
         assert BatchExtractor([("tags", WILDCARD), ("nope", WILDCARD)]).extract(view) == \
             ["solo", []]
 
-    def test_slice_scan_of_an_adm_dataset(self, monkeypatch):
+    def test_slice_scan_of_an_adm_dataset(self):
         """The cached component scan hands ADM views to the extractor."""
-        monkeypatch.delenv("REPRO_COLUMN_CACHE_BYTES", raising=False)
         dataset = _dataset(StorageFormat.OPEN, records=[self.RECORD], name="extract_adm_slices")
         source = dataset.partitions[0].scan_rows(self.PATHS, BatchExtractor(self.PATHS))
         assert [(list(values), view) for values, view in source] == [(self.EXPECTED, None)]

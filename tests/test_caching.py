@@ -8,28 +8,23 @@ The contract pinned down here (PR 10):
 * any event that can change optimizer inputs — ``CREATE INDEX``, flush,
   merge, bulk load, ``invalidate_plans`` — moves the reuse epoch, so stale
   plans stop matching instead of being served;
-* warm scans served by the column-slice cache are row-identical to a
-  cold-cache oracle under arbitrary interleavings of ingest, flush, merge,
-  CREATE INDEX, and queries (hypothesis-driven), and memtable rows are
-  always re-read, so unflushed updates are never hidden by the cache;
+* warm scans served by the column-slice cache are row-identical to cold
+  ones, and memtable rows are always re-read, so unflushed updates are never
+  hidden by the cache (``tests/test_model.py`` holds warm and cold rows to
+  the reference model across random lifecycle interleavings);
 * a quarantined component's cached slices are evicted and queries re-raise
   ``QuarantinedComponentError`` — a poisoned cache can never serve rows
   the storage layer refuses to;
 * ``cache.lookup``/``cache.store`` faults degrade to misses/skipped
   stores: identical rows, never an error surfaced to the query;
-* both knobs (``REPRO_PLAN_CACHE``, ``REPRO_COLUMN_CACHE_BYTES``) disable
-  their layer entirely at 0, with byte-identical results.
+* both caches built with a capacity of 0 disable their layer entirely.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro import Dataset, StorageFormat
 from repro.cache import (
-    COLUMN_CACHE_BYTES_ENV_VAR,
     ColumnSliceCache,
-    PLAN_CACHE_ENV_VAR,
     PlanCache,
     SliceChunk,
     SliceScanStats,
@@ -45,22 +40,6 @@ from repro.sqlpp import compile as compile_sqlpp
 from repro.types import AMultiset
 
 from reference import partition_records, reference_rows
-
-
-@pytest.fixture(autouse=True)
-def _default_cache_env(monkeypatch):
-    """Pin the module to the default cache/execution configuration.
-
-    CI runs the whole tier-1 suite under knob legs that disable the very
-    layers this module asserts on (``REPRO_PLAN_CACHE=0``,
-    ``REPRO_COLUMN_CACHE_BYTES=0``); the
-    knob-off behaviors are covered explicitly by the tests below, so the
-    rest of the module runs against the defaults regardless of the leg.
-    """
-    for variable in (PLAN_CACHE_ENV_VAR, COLUMN_CACHE_BYTES_ENV_VAR,
-                     "REPRO_BATCH_SIZE",
-                     "REPRO_LSM_SCHEDULER"):
-        monkeypatch.delenv(variable, raising=False)
 
 
 #: Each test starts from an empty global injector (see ``tests/conftest.py``).
@@ -118,12 +97,6 @@ class TestPlanCacheUnit:
         cache.put("a", "plan-a")
         assert cache.get("a") is None
         assert len(cache) == 0
-
-    def test_capacity_knob(self, monkeypatch):
-        monkeypatch.setenv(PLAN_CACHE_ENV_VAR, "3")
-        assert PlanCache(metrics=MetricsRegistry()).capacity == 3
-        monkeypatch.setenv(PLAN_CACHE_ENV_VAR, "0")
-        assert not PlanCache(metrics=MetricsRegistry()).enabled
 
     def test_normalize_statement_collapses_whitespace(self):
         assert normalize_statement("SELECT  x\n FROM\t y ") == "SELECT x FROM y"
@@ -196,9 +169,8 @@ class TestColumnCacheUnit:
         assert cache.entry_count("comp_1") == 0
         assert cache.get_chunk("comp_2", pkey, 0) is not None
 
-    def test_zero_budget_disables(self, monkeypatch):
-        monkeypatch.setenv(COLUMN_CACHE_BYTES_ENV_VAR, "0")
-        cache = ColumnSliceCache(metrics=MetricsRegistry())
+    def test_zero_budget_disables(self):
+        cache = ColumnSliceCache(capacity_bytes=0, metrics=MetricsRegistry())
         assert not cache.enabled
         pkey = paths_cache_key((("name",),))
         cache.store_chunk("comp_1", pkey, 0, SliceChunk([(0, False, ("a",))], last=True))
@@ -272,10 +244,9 @@ class TestColumnCacheUnit:
                                            self._IdentityExtractor, pkey))
         assert [read(row[5][0]) for row in again] == expected
 
-    def test_query_rows_shielded_from_caller_mutation(self, monkeypatch):
+    def test_query_rows_shielded_from_caller_mutation(self):
         """End to end: scribbling inside a multiset column of one result must
         not show up in the next run of the same statement, cold or warm."""
-        monkeypatch.delenv(COLUMN_CACHE_BYTES_ENV_VAR, raising=False)
         dataset = Dataset.create("ShieldMs", storage_format=StorageFormat.INFERRED)
         dataset.insert({"id": 0, "ms": AMultiset([{"k": 0}])})
         dataset.flush_all()
@@ -338,11 +309,11 @@ class TestPlanCacheIntegration:
         ).stats.plan_source == "cache"
         dataset.close()
 
-    def test_prepared_statement_preserves_literal_whitespace(self, monkeypatch):
+    def test_prepared_statement_preserves_literal_whitespace(self):
         # Preparing must compile the *original* text: a literal with
         # consecutive spaces has to survive even with the plan cache off.
-        monkeypatch.setenv(PLAN_CACHE_ENV_VAR, "0")
         dataset = _dataset("PsLit", rows=5)
+        dataset.plan_cache = PlanCache(capacity=0, metrics=MetricsRegistry())
         dataset.insert({"id": 100, "name": "n100", "age": 1, "city": "x  y"})
         dataset.flush_all()
         statement = dataset.prepare(
@@ -394,16 +365,6 @@ class TestPlanCacheIntegration:
         assert dataset.query(QUERY, access_path="scan").stats.plan_source == "cache"
         dataset.close()
 
-    def test_knob_zero_disables_plan_cache(self, monkeypatch):
-        monkeypatch.setenv(PLAN_CACHE_ENV_VAR, "0")
-        dataset = _dataset("PcOff")
-        baseline = dataset.query(QUERY)
-        repeat = dataset.query(QUERY)
-        assert baseline.stats.plan_source == "compiled"
-        assert repeat.stats.plan_source == "compiled"
-        assert _rows(baseline) == _rows(repeat)
-        dataset.close()
-
     def test_prepared_statement_reuses_plan(self):
         dataset = _dataset("PsBasic")
         statement = dataset.prepare(QUERY)
@@ -420,9 +381,9 @@ class TestPlanCacheIntegration:
         assert statement.execute().stats.plan_source == "cache"
         dataset.close()
 
-    def test_prepared_statement_works_with_cache_disabled(self, monkeypatch):
-        monkeypatch.setenv(PLAN_CACHE_ENV_VAR, "0")
+    def test_prepared_statement_works_with_cache_disabled(self):
         dataset = _dataset("PsOff")
+        dataset.plan_cache = PlanCache(capacity=0, metrics=MetricsRegistry())
         statement = dataset.prepare(QUERY)
         assert statement.execute().stats.plan_source == "cache"
         dataset.close()
@@ -491,16 +452,6 @@ class TestColumnCacheIntegration:
         assert "updated0" in names and "user0" not in names
         dataset.close()
 
-    def test_knob_zero_disables_column_cache(self, monkeypatch):
-        monkeypatch.setenv(COLUMN_CACHE_BYTES_ENV_VAR, "0")
-        dataset = _dataset("CcOff")
-        cold = dataset.query(QUERY)
-        warm = dataset.query(QUERY)
-        assert warm.stats.slice_cache_hits == 0
-        assert warm.stats.slice_cache_misses == 0
-        assert _rows(cold) == _rows(warm)
-        dataset.close()
-
     def test_dropped_component_evicts_slices(self):
         dataset = _dataset("CcDrop")
         dataset.query(QUERY)
@@ -563,73 +514,3 @@ class TestCacheFaultDegrade:
         assert second.stats.plan_source == "compiled"
         assert _rows(first) == _rows(second)
         dataset.close()
-
-
-# ---------------------------------------------------------------------------
-# interleaved lifecycle parity (hypothesis)
-# ---------------------------------------------------------------------------
-
-_OPS = st.lists(
-    st.one_of(
-        st.tuples(st.just("insert"), st.integers(min_value=0, max_value=200)),
-        st.tuples(st.just("upsert"), st.integers(min_value=0, max_value=200)),
-        st.tuples(st.just("delete"), st.integers(min_value=0, max_value=200)),
-        st.tuples(st.just("flush"), st.just(0)),
-        st.tuples(st.just("merge"), st.just(0)),
-        st.tuples(st.just("create_index"), st.just(0)),
-        st.tuples(st.just("query"), st.integers(min_value=1, max_value=45)),
-    ),
-    min_size=4, max_size=18,
-)
-
-
-class TestInterleavedParity:
-    @settings(max_examples=12, deadline=None,
-              suppress_health_check=[HealthCheck.filter_too_much])
-    @given(ops=_OPS, seed=st.integers(min_value=0, max_value=2**16))
-    def test_warm_results_match_cold_oracle(self, ops, seed):
-        """Arbitrary ingest/flush/merge/CREATE INDEX/query interleavings:
-        every warm (cached) query must be row-identical to a cold-cache
-        oracle run of the same text executed immediately after."""
-        dataset = Dataset.create(f"IlPar{seed}", StorageFormat.INFERRED)
-        try:
-            index_count = 0
-            live = set()
-            for step, (op, arg) in enumerate(ops):
-                if op == "insert":
-                    if arg in live:  # duplicate primary key: model as update
-                        dataset.upsert({"id": arg, "name": f"user{arg}",
-                                        "age": (arg * 7) % 45})
-                    else:
-                        dataset.insert({"id": arg, "name": f"user{arg}",
-                                        "age": (arg * 7) % 45})
-                    live.add(arg)
-                elif op == "upsert":
-                    dataset.upsert({"id": arg, "name": f"upd{arg}-{step}",
-                                    "age": (arg * 3) % 45})
-                    live.add(arg)
-                elif op == "delete":
-                    if arg in live:
-                        dataset.delete(arg)
-                        live.discard(arg)
-                elif op == "flush":
-                    dataset.flush_all()
-                elif op == "merge":
-                    index = dataset.partitions[0].index
-                    if index.component_count() >= 2:
-                        index.merge(list(index.components))
-                elif op == "create_index":
-                    index_count += 1
-                    dataset.query(f"CREATE INDEX iAge{index_count} ON Ds (age)")
-                else:  # query — warm first (whatever the caches hold), then oracle
-                    text = (f"SELECT d.name AS name FROM Ds AS d "
-                            f"WHERE d.age < {arg}")
-                    warm = dataset.query(text)
-                    dataset.invalidate_plans()
-                    for environment in dataset.environments:
-                        environment.drop_caches()
-                    cold = dataset.query(text)
-                    assert cold.stats.plan_source == "compiled"
-                    assert sorted(map(str, warm.rows)) == sorted(map(str, cold.rows))
-        finally:
-            dataset.close()

@@ -6,7 +6,6 @@ from repro.cluster import ClusterSimulator, DataFeed
 from repro.config import ClusterConfig, StorageConfig, StorageFormat
 from repro.datasets import twitter
 from repro.errors import ClusterError, FeedError
-from repro.query import QueryExecutor
 from repro import Dataset
 
 
@@ -46,7 +45,6 @@ class TestClusterSimulator:
         dataset.insert_all(records)
         dataset.flush_all()
         assert all(size > 0 for size in cluster.per_node_storage_sizes())
-        # Explicit width so the assertion holds under REPRO_PARALLELISM=1 too.
         report = cluster.execute("tweets", twitter.QUERIES["Q1"](), parallelism=4)
         assert report.result.rows[0]["count"] == 200
         assert report.parallelism == 4

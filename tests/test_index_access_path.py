@@ -5,13 +5,12 @@ secondary index; whichever the cost model (or a forced override) picks, the
 rows must be identical.  The probe path is a *candidate superset* machine —
 stale index entries, unindexed memtable records, anti-matter — so these
 tests hammer exactly those edges: every storage format, compressed and not,
-random/inverted/open-ended ranges, and the full LSM lifecycle (upsert,
-delete, flush, merge, crash recovery) against a Python-dict oracle.
+and recovery with a torn or missing index tree.  Random, inverted and
+open-ended ranges through the whole LSM lifecycle (upsert, delete, flush,
+merge, crash recovery) are ``tests/test_model.py``'s.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro import Dataset, DeviceKind, StorageEnvironment, StorageFormat
 from repro.datasets.stats import FieldStatistics
@@ -106,100 +105,24 @@ class TestScanIndexParity:
 
 
 # ---------------------------------------------------------------------------
-# property-based: random (possibly empty / inverted / open-ended) ranges
-# ---------------------------------------------------------------------------
-
-_PROPERTY_DATASET = None
-
-
-def _property_dataset():
-    global _PROPERTY_DATASET
-    if _PROPERTY_DATASET is None:
-        dataset = _build(StorageFormat.INFERRED)
-        # Leave the index's blind spots in play: memtable-only records, an
-        # upsert that moves an indexed value, and a delete.
-        dataset.upsert({"id": 3, "ts": 5000, "name": "moved"})
-        dataset.insert({"id": RECORD_COUNT, "ts": 1004, "name": "unflushed"})
-        dataset.delete(10)
-        _PROPERTY_DATASET = dataset
-    return _PROPERTY_DATASET
-
-
-_bounds = st.one_of(st.none(), st.integers(min_value=900, max_value=2400))
-
-
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(low=_bounds, high=_bounds,
-       low_op=st.sampled_from([">", ">="]), high_op=st.sampled_from(["<", "<="]))
-def test_random_ranges_agree(low, high, low_op, high_op):
-    dataset = _property_dataset()
-    text = _range_query(low, high, low_op, high_op)
-    via_index, _ = _rows(dataset, text, "index")
-    via_scan, _ = _rows(dataset, text, "scan")
-    assert via_index == via_scan
-
-
-# ---------------------------------------------------------------------------
 # LSM lifecycle: the probe stays correct through every state transition
 # ---------------------------------------------------------------------------
 
 class TestLsmLifecycle:
-    LOW, HIGH = 100, 400
-
-    def _assert_parity(self, dataset, oracle):
-        text = f"SELECT VALUE t.id FROM apaths AS t WHERE t.ts >= {self.LOW} AND t.ts <= {self.HIGH}"
-        via_index, result = _rows(dataset, text, "index")
-        assert result.stats.access_path == "IndexProbe"
-        expected = sorted(key for key, record in oracle.items()
-                          if self.LOW <= record["ts"] <= self.HIGH)
-        assert via_index == expected
-        via_scan, _ = _rows(dataset, text, "scan")
-        assert via_scan == expected
-
-    def test_upsert_delete_flush_merge_recovery(self):
+    def test_recovery_rebuilds_torn_and_new_index_trees(self):
+        # Crash with one component's by_ts file left INVALID (a crash
+        # mid-build) and a second index that did not exist before the crash:
+        # recovery rebuilds both trees from the primary component instead of
+        # running without.
         environment = StorageEnvironment.for_device(DeviceKind.NVME_SSD,
                                                     page_size=4096, buffer_cache_pages=512)
         dataset = Dataset.create("apaths", StorageFormat.INFERRED, environment=environment)
         dataset.create_index("by_ts", "ts")
-        oracle = {}
-
-        def put(record):
-            oracle[record["id"]] = record
-            dataset.upsert(record)
-
-        for i in range(60):
-            put({"id": i, "ts": i * 10, "payload": f"p{i}"})
-        self._assert_parity(dataset, oracle)            # memtable only
-
+        records = [{"id": i, "ts": i * 10, "payload": f"p{i}"} for i in range(60)]
+        dataset.insert_all(records)
         dataset.flush_all()
-        self._assert_parity(dataset, oracle)            # one component
-
-        for i in range(0, 60, 4):                       # move values in and out of range
-            put({"id": i, "ts": i * 10 + 1000, "payload": "moved"})
-        self._assert_parity(dataset, oracle)            # stale index entries + memtable
-
-        for i in range(5, 60, 10):
-            del oracle[i]
-            dataset.delete(i)
-        self._assert_parity(dataset, oracle)            # anti-matter in the memtable
-
-        dataset.flush_all()
-        self._assert_parity(dataset, oracle)            # two components, shadowed keys
-
-        partition = dataset.partitions[0]
-        assert partition.index.component_count() >= 2
-        partition.index.merge(list(partition.index.components))
-        self._assert_parity(dataset, oracle)            # merged, anti-matter dropped
-
-        put({"id": 200, "ts": 150, "payload": "post-merge, unflushed"})
-
-        # Crash: forget all in-memory state, keep files + WAL, recover — with
-        # one component's by_ts file left INVALID (a crash mid-build) and a
-        # second index that did not exist before the crash.  Recovery rebuilds
-        # both trees from the primary component instead of running without.
         manager = environment.buffer_cache.file_manager
-        torn = partition.index.components[0].secondary_trees["by_ts"].file_name
+        torn = dataset.partitions[0].index.components[0].secondary_trees["by_ts"].file_name
         manager.delete_file(torn)
         manager.create_file(torn)
         revived = Dataset.create("apaths", StorageFormat.INFERRED, environment=environment)
@@ -207,13 +130,14 @@ class TestLsmLifecycle:
         revived.create_index("by_payload", "payload")
         for part in revived.partitions:
             part.recover()
-        self._assert_parity(revived, oracle)            # recovered components + WAL replay
-        text = 'SELECT VALUE t.id FROM apaths AS t WHERE t.payload >= "p1" AND t.payload <= "p3"'
-        via_index, result = _rows(revived, text, "index")
-        assert result.stats.index_name == "by_payload"
-        expected = sorted(key for key, record in oracle.items()
-                          if "p1" <= record["payload"] <= "p3")
-        assert expected and via_index == expected == _rows(revived, text, "scan")[0]
+        payloads = 'SELECT VALUE t.id FROM apaths AS t WHERE t.payload >= "p1" AND t.payload <= "p3"'
+        for text, index_name, expected in (
+                (_range_query(100, 400), "by_ts", list(range(10, 41))),
+                (payloads, "by_payload",
+                 sorted(record["id"] for record in records if "p1" <= record["payload"] <= "p3"))):
+            via_index, result = _rows(revived, text, "index")
+            assert result.stats.index_name == index_name
+            assert via_index == expected == _rows(revived, text, "scan")[0]
 
         # A live component without a tree for a registered index is a broken
         # invariant, not something a probe may skip.
@@ -334,6 +258,16 @@ class TestTypeEdgeCases:
         dataset.insert_all([{"id": 7, "v": True}])
         dataset.flush_all()
         assert dataset.index_statistics("ix").count == 7  # NaN is the one not indexed
+
+    @pytest.mark.xfail(strict=True, raises=TypeError,
+                       reason="no cross-type key order: sorting the secondary entries fails")
+    @pytest.mark.parametrize("storage_format", (StorageFormat.OPEN, StorageFormat.INFERRED),
+                             ids=["open", "inferred"])
+    def test_int_and_string_in_one_indexed_field_do_not_wedge_flushes(self, storage_format):
+        dataset = Dataset.create("wedge", storage_format)
+        dataset.create_index("ix", "v")
+        dataset.insert_all([{"id": 1, "v": 5}, {"id": 2, "v": "five"}])
+        dataset.flush_all()
 
     def test_merge_does_not_double_count_statistics(self):
         dataset = Dataset.create("stats", StorageFormat.OPEN)

@@ -8,7 +8,6 @@ from repro.lsm import (
     ComponentId,
     ComponentWriter,
     ConstantMergePolicy,
-    FlushCallback,
     LSMBTree,
     NoMergePolicy,
     PrefixMergePolicy,

@@ -13,8 +13,6 @@ Invariants covered:
   observed;
 * the B+-tree bulk loader + reader agree with a plain dict/sorted-list
   oracle for random key sets;
-* the LSM index agrees with a dict oracle under random interleavings of
-  inserts, upserts, deletes, and flushes;
 * the SQL++ front-end round-trips: parse → unparse → parse is the identity
   on randomly generated ASTs (expressions and whole queries).
 """
@@ -30,8 +28,6 @@ from repro.sqlpp import ast as sqlast
 from repro.sqlpp import parse, parse_expression, unparse, unparse_expr
 from repro.sqlpp.lexer import KEYWORDS
 from repro.btree import BTree, BulkLoader, LeafEntry
-from repro.core import TupleCompactor
-from repro.lsm import LSMBTree, NoMergePolicy
 from repro.schema import InferredSchema, extract_antischema
 from repro.storage import BufferCache, FileManager, SimulatedStorageDevice
 from repro.datasets import sensors, twitter, wos
@@ -378,57 +374,3 @@ class TestBTreeOracle:
         low, high = min(bounds), max(bounds)
         expected = [key for key in ordered if low <= key <= high]
         assert [entry.key for entry in tree.range_scan(low, high)] == expected
-
-
-# ---------------------------------------------------------------------------
-# LSM index vs dict oracle
-# ---------------------------------------------------------------------------
-
-class _Op:
-    INSERT, UPSERT, DELETE, FLUSH = range(4)
-
-
-_operations = st.lists(
-    st.tuples(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=40)),
-    min_size=1, max_size=80,
-)
-
-
-class TestLSMOracle:
-    @_slow_settings
-    @given(operations=_operations)
-    def test_random_workload_matches_dict(self, operations):
-        datatype = open_only_primary_key("T")
-        encoder = VectorEncoder(datatype)
-        compactor = TupleCompactor(datatype)
-        device = SimulatedStorageDevice()
-        cache = BufferCache(FileManager(device, 2048), 512)
-        index = LSMBTree("oracle", 0, cache, memory_budget=1 << 20,
-                         merge_policy=NoMergePolicy(), flush_callback=compactor)
-        oracle = {}
-        for op, key in operations:
-            record = {"id": key, "value": f"v{key}", "op": op}
-            if op == _Op.INSERT:
-                if key in oracle:
-                    continue
-                index.insert(key, record, encoder.encode(record))
-                oracle[key] = record
-            elif op == _Op.UPSERT:
-                index.upsert(key, record, encoder.encode(record))
-                oracle[key] = record
-            elif op == _Op.DELETE:
-                if key not in oracle:
-                    continue
-                index.delete(key)
-                del oracle[key]
-            else:
-                index.flush()
-        # final comparison via point lookups and a full scan
-        scanned = {result.key for result in index.scan()}
-        assert scanned == set(oracle)
-        for key, record in oracle.items():
-            found = index.search(key)
-            assert found is not None
-            decoded = found.record if found.record is not None else VectorRecordView(
-                found.payload, compactor.datatype, compactor.schema.dictionary).materialize()
-            assert decoded == record

@@ -57,11 +57,9 @@ def test_text_and_builder_plans_return_identical_rows(workload, query_name,
                          ids=lambda f: f.value)
 @pytest.mark.parametrize("query_name", ("Q1", "Q2", "Q3", "Q4"))
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-def test_vector_formats_match_the_reference_cold_and_warm(workload, query_name, storage_format,
-                                                          monkeypatch):
+def test_vector_formats_match_the_reference_cold_and_warm(workload, query_name, storage_format):
     """Both vector formats against the naive interpreter: decoded from the
     pages (caches dropped) and then served from the slices that run stored."""
-    monkeypatch.delenv("REPRO_COLUMN_CACHE_BYTES", raising=False)
     module, count = WORKLOADS[workload]
     dataset = _dataset(workload, storage_format)
     spec = compile_sqlpp(module.SQLPP[query_name]).spec

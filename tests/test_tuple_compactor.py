@@ -163,6 +163,18 @@ class TestDeleteAndUpsertMaintenance:
         assert compactor.schema.field_name_id("only_here") is None
         assert index.search(1) is None
 
+    @pytest.mark.parametrize("write", ["insert", "upsert"])
+    def test_rewrite_after_delete_in_one_memtable_still_decrements(self, write):
+        """The delete's anti-schema survives the write that replaces it."""
+        dataset = Dataset.create("redo", StorageFormat.INFERRED)
+        dataset.insert({"id": 0, "gone": 1})
+        dataset.flush_all()
+        dataset.delete(0)
+        getattr(dataset, write)({"id": 0, "kept": "x"})
+        dataset.flush_all()
+        schema = dataset.partitions[0].compactor.schema
+        assert schema.root.child(schema.field_name_id("gone")) is None
+
     def test_pk_index_limits_lookups_for_fresh_keys(self):
         index, compactor, encoder = _compacting_index(maintain_pk=True)
         for key in range(20):
