@@ -1,4 +1,5 @@
-"""Cost of a B+-tree point lookup, cold and warm (ROADMAP item 2(b)).
+"""Cost of a B+-tree point lookup, cold and warm (ROADMAP item 2(b)), and of
+a bulk build against the leaf decode (item 2(e)).
 
 A plain script, not a pytest module, like ``micro_vector.py``:
 
@@ -14,10 +15,18 @@ over the rounds:
 * warm — every page is resident, so a lookup is one cache hit and one
   bisect per level.
 
-The gate, run by CI with the defaults: warm must cost under 0.25x cold.  A
-hit that re-parses its page (the cost a decoded frame exists to remove)
-lands near 0.9x.  Both numbers come from this process, so the box's speed
-cancels; the exit status is 1 when the gate fails.
+Then, for the three tree shapes a component writes — an ``int`` key with a
+200-byte value (a primary tree), an ``(int, int)`` key whose value is the
+encoded primary key (a secondary tree), and an ``int`` key with no value (a
+primary-key tree) — it prints CPU µs per entry of ``BulkLoader.build`` over
+``entries`` entries and of ``unpack_leaf`` over the leaves that build wrote,
+medians over the rounds.
+
+The gates, run by CI with the defaults: warm must cost under 0.25x cold (a
+hit that re-parses its page lands near 0.9x), and on every shape a build
+must cost under 3.0x the decode of what it built (a loader that encodes
+each key twice lands near 3.6-4.1x).  All numbers come from this process,
+so the box's speed cancels; the exit status is 1 when a gate fails.
 """
 
 from __future__ import annotations
@@ -26,13 +35,21 @@ import random
 import statistics
 import sys
 import time
-from typing import List
+from typing import List, Tuple
 
-from repro.btree import BTree, BulkLoader, LeafEntry
+from repro.btree import BTree, BulkLoader, LeafEntry, encode_key, pages
 from repro.storage import BufferCache, FileManager, SimulatedStorageDevice
 
 PAGE_SIZE = 8 * 1024
 VALUE_SIZE = 200
+#: The tree shapes a component writes: name -> entries for ``count`` keys.
+SHAPES = {
+    "int key, 200-B value": lambda count: [
+        LeafEntry(key, key.to_bytes(4, "little") * (VALUE_SIZE // 4)) for key in range(count)],
+    "(int, int) key, pk value": lambda count: [
+        LeafEntry((key // 4, key), encode_key(key)) for key in range(count)],
+    "int key, no value": lambda count: [LeafEntry(key, b"") for key in range(count)],
+}
 
 
 def _build(entries: int) -> BTree:
@@ -61,6 +78,30 @@ def _us_per_lookup(tree: BTree, keys: List[int], rounds: int, cold: bool) -> flo
     return 1e6 * statistics.median(samples)
 
 
+def _build_vs_unpack(entries: List[LeafEntry], rounds: int) -> Tuple[float, float]:
+    """CPU µs per entry of a bulk build and of decoding the leaves it wrote."""
+    manager = FileManager(SimulatedStorageDevice(), PAGE_SIZE)
+    cache = BufferCache(manager, capacity_pages=64)
+    build_samples: List[float] = []
+    unpack_samples: List[float] = []
+    for round_no in range(rounds):
+        name = f"tree{round_no}"
+        manager.create_file(name)
+        started = time.process_time()
+        info = BulkLoader(cache, name).build(entries)
+        build_samples.append(time.process_time() - started)
+        leaves = [manager.read_page(name, leaf_no) for leaf_no in range(info.leaf_count)]
+        unpack_leaf = pages.unpack_leaf
+        started = time.process_time()
+        for leaf in leaves:
+            unpack_leaf(leaf)
+        unpack_samples.append(time.process_time() - started)
+        cache.invalidate_file(name)
+        manager.delete_file(name)
+    return (1e6 * statistics.median(build_samples) / len(entries),
+            1e6 * statistics.median(unpack_samples) / len(entries))
+
+
 def main(entries: int = 20000, lookups: int = 500, rounds: int = 5) -> int:
     tree = _build(entries)
     keys = random.Random(7).sample(range(entries), lookups)
@@ -76,7 +117,16 @@ def main(entries: int = 20000, lookups: int = 500, rounds: int = 5) -> int:
     print(f"  warm search {warm:8.1f}")
     ratio = warm / cold
     print(f"  warm / cold = {ratio:.3f} (gate: < 0.25)")
-    return 0 if ratio < 0.25 else 1
+    passed = ratio < 0.25
+
+    print(f"bulk build vs unpack_leaf, {entries} entries, median of {rounds} rounds, "
+          f"CPU µs per entry (gate: build / unpack < 3.0)")
+    for shape, make in SHAPES.items():
+        build, unpack = _build_vs_unpack(make(entries), rounds)
+        print(f"  {shape:26s} build {build:6.2f}  unpack {unpack:6.2f}  "
+              f"build / unpack = {build / unpack:.2f}")
+        passed = passed and build / unpack < 3.0
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

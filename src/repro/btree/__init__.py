@@ -2,8 +2,8 @@
 
 from .btree import BTree
 from .bulk_loader import BTreeInfo, BulkLoader
-from .keycodec import Key, decode_key, encode_key, key_size
-from .pages import FLAG_ANTIMATTER, LeafEntry
+from .keycodec import Key, decode_key, encode_key
+from .pages import FLAG_ANTIMATTER, LeafEntry, leaf_head
 
 __all__ = [
     "BTree",
@@ -12,7 +12,7 @@ __all__ = [
     "Key",
     "encode_key",
     "decode_key",
-    "key_size",
     "LeafEntry",
+    "leaf_head",
     "FLAG_ANTIMATTER",
 ]

@@ -6,10 +6,16 @@ indexes — is an *immutable* B+-tree built in one pass from already-sorted
 entries, exactly the "builds a single on-disk component of the B+-tree in a
 bottom-up fashion" path the paper describes for bulk loads (§4.3).
 
-The loader writes leaf pages sequentially (page 0, 1, ...), remembers the
-first key of each, then builds interior levels above them until a single
-root remains.  The root page number is returned so the component's metadata
-page can record it.
+The loader writes leaf pages sequentially (page 0, 1, ...), then builds
+interior levels above them until a single root remains.  The root page
+number is returned so the component's metadata page can record it.
+
+Each key is encoded once.  An entry's head (:func:`~.pages.leaf_head`: key
+bytes, flags, value length) is built when the entry arrives; its length plus
+the value's decides whether the entry still fits the current leaf, and
+:func:`~.pages.pack_leaf` joins the pending heads and values into the page.
+A leaf's first key goes up to the interior level as the bytes its head
+starts with, so separators are never re-encoded either.
 """
 
 from __future__ import annotations
@@ -19,11 +25,12 @@ from typing import Iterable, List, Optional, Tuple
 
 from ..errors import StorageError
 from ..storage.buffer_cache import BufferCache
-from .keycodec import Key, key_size
 from .pages import (
+    HEAD_TAIL_SIZE,
     INTERIOR_HEADER_SIZE,
     LEAF_HEADER_SIZE,
     LeafEntry,
+    leaf_head,
     pack_interior,
     pack_leaf,
 )
@@ -59,16 +66,17 @@ class BulkLoader:
         component), so this loader treats consecutive equal keys as a caller
         bug and rejects them.
         """
-        leaf_first_keys, leaf_count, entry_count = self._write_leaves(entries)
+        leaf_first_keys, entry_count = self._write_leaves(entries)
         if entry_count == 0:
             # An empty component still gets one empty leaf so readers have a
             # well-formed tree to descend into.
-            empty = pack_leaf([], None, self.page_size)
+            empty = pack_leaf([], [], None, self.page_size)
             self.buffer_cache.write_page(self.file_name, 0, empty)
             return BTreeInfo(root_page=0, leaf_count=1, page_count=1, entry_count=0)
 
+        leaf_count = len(leaf_first_keys)
         next_page = leaf_count
-        level = list(enumerate(leaf_first_keys))  # (page_no, first_key)
+        level = list(enumerate(leaf_first_keys))  # (page_no, first key's bytes)
         while len(level) > 1:
             level, next_page = self._write_interior_level(level, next_page)
         root_page = level[0][0]
@@ -81,60 +89,68 @@ class BulkLoader:
 
     # -- leaves ----------------------------------------------------------------------
 
-    def _write_leaves(self, entries: Iterable[LeafEntry]) -> Tuple[List[Key], int, int]:
-        leaf_first_keys: List[Key] = []
-        pending: List[LeafEntry] = []
-        pending_bytes = LEAF_HEADER_SIZE
-        page_no = 0
+    def _write_leaves(self, entries: Iterable[LeafEntry]) -> Tuple[List[bytes], int]:
+        """Write the leaf level; returns each leaf's encoded first key and
+        the number of entries."""
+        page_size = self.page_size
+        write_page, file_name = self.buffer_cache.write_page, self.file_name
+        leaf_first_keys: List[bytes] = []
+        heads: List[bytes] = []
+        values: List[bytes] = []
+        add_head, add_value, head_of = heads.append, values.append, leaf_head
+        used = LEAF_HEADER_SIZE
         entry_count = 0
         previous_key = None
 
-        def flush_pending(next_leaf: Optional[int]) -> None:
-            nonlocal page_no, pending, pending_bytes
-            page = pack_leaf(pending, next_leaf, self.page_size)
-            self.buffer_cache.write_page(self.file_name, page_no, page)
-            leaf_first_keys.append(pending[0].key)
-            page_no += 1
-            pending = []
-            pending_bytes = LEAF_HEADER_SIZE
+        def write_leaf(next_leaf: Optional[int]) -> None:
+            nonlocal entry_count
+            write_page(file_name, len(leaf_first_keys), pack_leaf(heads, values, next_leaf, page_size))
+            leaf_first_keys.append(heads[0][:-HEAD_TAIL_SIZE])
+            entry_count += len(heads)
+            heads.clear()
+            values.clear()
 
         for entry in entries:
-            if previous_key is not None and not entry.key > previous_key:
+            key, value = entry.key, entry.value
+            if previous_key is not None and not key > previous_key:
                 raise StorageError(
-                    f"bulk load requires strictly increasing keys ({entry.key!r} after {previous_key!r})"
+                    f"bulk load requires strictly increasing keys ({key!r} after {previous_key!r})"
                 )
-            previous_key = entry.key
-            entry_size = entry.size_on_page
-            if LEAF_HEADER_SIZE + entry_size > self.page_size:
-                raise StorageError(
-                    f"record for key {entry.key!r} ({entry_size} bytes) exceeds the page size"
-                )
-            if pending and pending_bytes + entry_size > self.page_size:
-                flush_pending(next_leaf=page_no + 1)
-            pending.append(entry)
-            pending_bytes += entry_size
-            entry_count += 1
-        if pending:
-            flush_pending(next_leaf=None)
-        return leaf_first_keys, page_no, entry_count
+            previous_key = key
+            head = head_of(key, entry.is_antimatter, len(value))
+            size = len(head) + len(value)
+            if used + size > page_size:
+                if LEAF_HEADER_SIZE + size > page_size:
+                    raise StorageError(
+                        f"record for key {key!r} ({size} bytes) exceeds the page size"
+                    )
+                write_leaf(next_leaf=len(leaf_first_keys) + 1)
+                used = LEAF_HEADER_SIZE
+            add_head(head)
+            add_value(value)
+            used += size
+        if heads:
+            write_leaf(next_leaf=None)
+        return leaf_first_keys, entry_count
 
     # -- interior levels ----------------------------------------------------------------
 
-    def _write_interior_level(self, level: List[Tuple[int, Key]],
-                              next_page: int) -> Tuple[List[Tuple[int, Key]], int]:
-        """Group ``level`` nodes under new interior pages; return the new level."""
-        new_level: List[Tuple[int, Key]] = []
+    def _write_interior_level(self, level: List[Tuple[int, bytes]],
+                              next_page: int) -> Tuple[List[Tuple[int, bytes]], int]:
+        """Group ``level`` nodes — ``(page, encoded first key)`` — under new
+        interior pages; return the new level."""
+        new_level: List[Tuple[int, bytes]] = []
         index = 0
         while index < len(level):
             children: List[int] = []
-            separators: List[Key] = []
+            separators: List[bytes] = []
             used = INTERIOR_HEADER_SIZE + 4  # header + first child pointer
             first_key = level[index][1]
             children.append(level[index][0])
             index += 1
             while index < len(level):
                 child_page, child_key = level[index]
-                extra = 4 + key_size(child_key)
+                extra = 4 + len(child_key)
                 if used + extra > self.page_size:
                     break
                 children.append(child_page)

@@ -7,6 +7,13 @@ primary key for uniqueness.  The codec therefore supports integers, floats,
 strings, and tuples of those.  Keys are compared as Python values after
 decoding, so the encoding only needs to round-trip, not to be
 order-preserving at the byte level.
+
+:func:`encode_key` dispatches on the key's exact type; the two shapes every
+component writes by the thousand — an ``int`` (primary and primary-key-index
+keys) and an ``(int, int)`` pair (a secondary key over an integer field) —
+are one precompiled ``struct.pack`` each.  A subclass (an ``IntEnum``
+member, a ``str`` subclass) misses the table and falls back to
+``isinstance``, with ``bool`` refused first.
 """
 
 from __future__ import annotations
@@ -27,25 +34,62 @@ _KIND_TUPLE = 3
 _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
 _U16 = struct.Struct("<H")
+#: Whole encodings of the scalar kinds and of the hot ``(int, int)`` pair.
+_INT_KEY = struct.Struct("<Bq")
+_FLOAT_KEY = struct.Struct("<Bd")
+_INT_PAIR_KEY = struct.Struct("<BBBqBq")
+_STR_HEAD = struct.Struct("<BH")
+
+
+def _encode_int(key: int) -> bytes:
+    try:
+        return _INT_KEY.pack(_KIND_INT, key)
+    except struct.error:
+        raise EncodingError(f"cannot encode index key {key} as INT64: out of range") from None
+
+
+def _encode_float(key: float) -> bytes:
+    return _FLOAT_KEY.pack(_KIND_FLOAT, key)
+
+
+def _encode_str(key: str) -> bytes:
+    try:
+        payload = key.encode("utf-8")
+    except UnicodeEncodeError:
+        raise EncodingError(f"index key {key!r} cannot be encoded as UTF-8") from None
+    if len(payload) > 0xFFFF:
+        raise EncodingError("string keys longer than 65535 bytes are not supported")
+    return _STR_HEAD.pack(_KIND_STR, len(payload)) + payload
+
+
+def _encode_tuple(key: tuple) -> bytes:
+    if len(key) == 2 and type(key[0]) is int and type(key[1]) is int:
+        try:
+            return _INT_PAIR_KEY.pack(_KIND_TUPLE, 2, _KIND_INT, key[0], _KIND_INT, key[1])
+        except struct.error:
+            pass  # the part out of range is named below
+    if len(key) > 0xFF:
+        raise EncodingError("tuple keys of more than 255 parts are not supported")
+    return bytes((_KIND_TUPLE, len(key))) + b"".join(map(encode_key, key))
+
+
+#: Exact key type -> encoder.
+_ENCODERS = {int: _encode_int, float: _encode_float, str: _encode_str, tuple: _encode_tuple}
 
 
 def encode_key(key: Key) -> bytes:
-    """Encode a key into bytes (type byte + payload)."""
+    """Encode a key into bytes (type byte + payload).
+
+    Raises :class:`EncodingError` for a boolean, an integer outside the
+    signed 64-bit range, and any other value no leaf can hold."""
+    encoder = _ENCODERS.get(type(key))
+    if encoder is not None:
+        return encoder(key)
     if isinstance(key, bool):
         raise EncodingError("boolean values cannot be index keys")
-    if isinstance(key, int):
-        return bytes([_KIND_INT]) + _I64.pack(key)
-    if isinstance(key, float):
-        return bytes([_KIND_FLOAT]) + _F64.pack(key)
-    if isinstance(key, str):
-        payload = key.encode("utf-8")
-        if len(payload) > 0xFFFF:
-            raise EncodingError("string keys longer than 65535 bytes are not supported")
-        return bytes([_KIND_STR]) + _U16.pack(len(payload)) + payload
-    if isinstance(key, tuple):
-        parts = [bytes([_KIND_TUPLE, len(key)])]
-        parts.extend(encode_key(part) for part in key)
-        return b"".join(parts)
+    for kind, encoder in _ENCODERS.items():
+        if isinstance(key, kind):
+            return encoder(kind(key))
     raise EncodingError(f"unsupported key type {type(key).__name__}")
 
 
@@ -69,8 +113,3 @@ def decode_key(payload: bytes, offset: int = 0) -> Tuple[Key, int]:
             parts.append(part)
         return tuple(parts), cursor
     raise EncodingError(f"unknown key kind {kind}")
-
-
-def key_size(key: Key) -> int:
-    """Encoded size of a key (used when sizing pages during bulk load)."""
-    return len(encode_key(key))

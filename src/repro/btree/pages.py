@@ -8,6 +8,10 @@ Leaf page::
     u8 kind (=1) | u16 n_entries | u32 next_leaf (+1; 0 = none)
     per entry: key | u8 flags | u32 value_length | value bytes
 
+An entry's *head* is everything before its value bytes; :func:`leaf_head`
+is the one place it is built, so its length is both what the bulk loader
+packs a leaf by and what a write is checked against on arrival.
+
 Interior page::
 
     u8 kind (=0) | u16 n_keys | u32 child_0 ... child_n
@@ -40,6 +44,13 @@ _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 #: A leaf header after its kind byte: entry count, next leaf (+1).
 _LEAF_HEADER = struct.Struct("<HI")
+_LEAF_START = struct.Struct("<BHI")
+#: An entry head's tail (flags, value length); and a whole head for an
+#: ``int`` key: ``encode_key``'s int layout (kind 0, int64), then the tail.
+_FLAGS_LENGTH = struct.Struct("<BI")
+_INT_HEAD = struct.Struct("<BqBI")
+#: Bytes of a head after its key.
+HEAD_TAIL_SIZE = _FLAGS_LENGTH.size
 
 LEAF_KIND = 1
 INTERIOR_KIND = 0
@@ -60,27 +71,30 @@ class LeafEntry:
     value: bytes
     is_antimatter: bool = False
 
-    @property
-    def size_on_page(self) -> int:
-        return len(encode_key(self.key)) + 1 + 4 + len(self.value)
+
+def leaf_head(key: Key, is_antimatter: bool, value_length: int) -> bytes:
+    """An entry's on-page head: encoded key, flags byte, u32 value length.
+
+    Raises :class:`~repro.errors.EncodingError` for a key no leaf can hold."""
+    flags = FLAG_ANTIMATTER if is_antimatter else 0
+    if type(key) is int and -0x8000000000000000 <= key <= 0x7FFFFFFFFFFFFFFF:
+        return _INT_HEAD.pack(0, key, flags, value_length)
+    return encode_key(key) + _FLAGS_LENGTH.pack(flags, value_length)
 
 
-def pack_leaf(entries: List[LeafEntry], next_leaf: Optional[int], page_size: int) -> bytes:
-    """Serialize a leaf page and pad it to ``page_size``."""
-    parts = [bytes([LEAF_KIND]), _U16.pack(len(entries)),
-             _U32.pack(0 if next_leaf is None else next_leaf + 1)]
-    for entry in entries:
-        flags = FLAG_ANTIMATTER if entry.is_antimatter else 0
-        parts.append(encode_key(entry.key))
-        parts.append(bytes([flags]))
-        parts.append(_U32.pack(len(entry.value)))
-        parts.append(entry.value)
+def pack_leaf(heads: List[bytes], values: List[bytes], next_leaf: Optional[int],
+              page_size: int) -> bytes:
+    """Serialize a leaf page from its entries' heads (:func:`leaf_head`) and
+    values, and pad it to ``page_size``."""
+    parts = [b""] * (2 * len(heads))
+    parts[0::2] = heads
+    parts[1::2] = values
     payload = b"".join(parts)
-    if len(payload) > page_size:
-        raise StorageError(
-            f"leaf page overflow: {len(payload)} bytes > page size {page_size}"
-        )
-    return payload + b"\x00" * (page_size - len(payload))
+    size = LEAF_HEADER_SIZE + len(payload)
+    if size > page_size:
+        raise StorageError(f"leaf page overflow: {size} bytes > page size {page_size}")
+    header = _LEAF_START.pack(LEAF_KIND, len(heads), 0 if next_leaf is None else next_leaf + 1)
+    return header + payload + bytes(page_size - size)
 
 
 class LeafNode:
@@ -138,19 +152,18 @@ def unpack_leaf(page: bytes) -> LeafNode:
                     None if next_raw == 0 else next_raw - 1)
 
 
-def pack_interior(separators: List[Key], children: List[int], page_size: int) -> bytes:
-    """Serialize an interior page (``len(children) == len(separators) + 1``)."""
+def pack_interior(separators: List[bytes], children: List[int], page_size: int) -> bytes:
+    """Serialize an interior page from its encoded separator keys
+    (``len(children) == len(separators) + 1``)."""
     if len(children) != len(separators) + 1:
         raise StorageError("interior page needs exactly one more child than separators")
-    parts = [bytes([INTERIOR_KIND]), _U16.pack(len(separators))]
-    parts.extend(_U32.pack(child) for child in children)
-    parts.extend(encode_key(separator) for separator in separators)
-    payload = b"".join(parts)
+    payload = b"".join([bytes([INTERIOR_KIND]), _U16.pack(len(separators)),
+                        struct.pack(f"<{len(children)}I", *children), *separators])
     if len(payload) > page_size:
         raise StorageError(
             f"interior page overflow: {len(payload)} bytes > page size {page_size}"
         )
-    return payload + b"\x00" * (page_size - len(payload))
+    return payload + bytes(page_size - len(payload))
 
 
 def unpack_interior(page: bytes) -> Tuple[List[Key], Tuple[int, ...]]:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..btree import BTree, BTreeInfo, BulkLoader, LeafEntry
@@ -235,20 +236,32 @@ class OnDiskComponent:
     # -- auxiliary trees -------------------------------------------------------------
 
     def attach_auxiliaries(self, definitions: Sequence[Any], primary_key_index: bool,
-                           entries: Optional[Sequence[LeafEntry]] = None) -> None:
+                           entries: Optional[Sequence[LeafEntry]] = None,
+                           secondary: Optional[Dict[str, List[LeafEntry]]] = None) -> None:
         """Attach the key-only primary-key index (when ``primary_key_index``)
         and one ``(value, primary key)`` tree per secondary index definition.
 
-        With ``entries`` — the primary tree's leaf entries, in hand after a
-        flush, merge or bulk load, or scanned for a CREATE INDEX backfill —
-        every tree is built.  Without (crash recovery) a file left VALID
-        before the crash is re-opened, and one that is missing or INVALID is
-        rebuilt from a scan of the primary tree, which holds everything an
-        auxiliary tree does.  Auxiliary trees are written through
-        :class:`ComponentWriter` too, so they carry their own footer and
-        metadata and re-open without a rebuild.  A failure leaves what was
-        written so far for the caller to delete (:func:`delete_component_files`,
-        or :meth:`drop_secondary_index` after a failed backfill).
+        How each tree's entries are found depends on who built the component:
+
+        * a **flush** or **bulk load** passes ``entries``, the primary tree's
+          leaf entries; each secondary tree calls its index's extractor once
+          per live entry (the payloads just written);
+        * a **merge** also passes ``secondary``, each index's entries already
+          prepared from the merged inputs' own trees
+          (:func:`merged_secondary_entries`), so no payload is opened;
+        * a **CREATE INDEX backfill** passes ``entries`` scanned off the
+          primary tree: one extractor call per stored record;
+        * **crash recovery** passes neither: a file left VALID before the
+          crash is re-opened, and one that is missing or INVALID is rebuilt
+          from a scan of the primary tree, which holds everything an
+          auxiliary tree does.
+
+        The primary-key tree is always the key-only copy of the primary
+        entries.  Auxiliary trees are written through :class:`ComponentWriter`
+        too, so they carry their own footer and metadata and re-open without
+        a rebuild.  A failure leaves what was written so far for the caller
+        to delete (:func:`delete_component_files`, or
+        :meth:`drop_secondary_index` after a failed backfill).
         """
         from ..datasets.stats import FieldStatistics
 
@@ -271,7 +284,8 @@ class OnDiskComponent:
         for definition in definitions:
             tree, metadata = attach(
                 _IX_INFIX + definition.name,
-                lambda primary: _secondary_entries(definition, primary, self.schema))
+                lambda primary: (secondary[definition.name] if secondary is not None
+                                 else _secondary_entries(definition, primary, self.schema)))
             # The tree is sorted on (value, primary key) — the sort rejects
             # values that do not share an order — so the field's min and max
             # sit in the key range its metadata records, beside the count.
@@ -380,6 +394,32 @@ class ComponentWriter:
 
 def _key_only_entries(entries: Sequence[LeafEntry]) -> List[LeafEntry]:
     return [LeafEntry(entry.key, b"", entry.is_antimatter) for entry in entries]
+
+
+_ENTRY_KEY = attrgetter("key")
+
+
+def merged_secondary_entries(inputs: Sequence[OnDiskComponent], index_name: str,
+                             winners: Dict[Any, int]) -> List[LeafEntry]:
+    """A merged component's entries for one secondary index, from its
+    inputs' trees of that index: the union, in key order, of every input's
+    ``(value, primary key)`` entries whose key survived the merge from that
+    same input (``winners[key]`` is the surviving input's position in
+    ``inputs``; a key whose newest version is anti-matter is absent).
+
+    Raises :class:`ComponentStateError` when an input has no tree for the
+    index — every live component has one — and ``TypeError`` when the
+    inputs' values do not share an order, like a rebuild's sort.
+    """
+    merged: List[LeafEntry] = []
+    for rank, component in enumerate(inputs):
+        tree = component.secondary_trees.get(index_name)
+        if tree is None:
+            raise ComponentStateError(
+                f"component {component.file_name} has no tree for index {index_name!r}")
+        merged.extend(entry for entry in tree.scan_all() if winners.get(entry.key[1]) == rank)
+    merged.sort(key=_ENTRY_KEY)
+    return merged
 
 
 def _secondary_entries(definition: Any, entries: Sequence[LeafEntry],

@@ -21,7 +21,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..btree import LeafEntry
+from ..btree import LeafEntry, leaf_head
 from ..btree.pages import LEAF_HEADER_SIZE
 from ..errors import (
     ComponentStateError,
@@ -38,7 +38,7 @@ from ..schema import InferredSchema, extract_antischema
 from ..storage.buffer_cache import BufferCache
 from ..storage.wal import LogRecordType, WriteAheadLog
 from .component import (ComponentWriter, InMemoryComponent, MemEntry, OnDiskComponent,
-                        delete_component_files)
+                        delete_component_files, merged_secondary_entries)
 from .component_id import ComponentId
 from .lifecycle import FlushCallback
 from .merge_policy import MergePolicy, NoMergePolicy
@@ -236,6 +236,7 @@ class LSMBTree:
 
     def delete(self, key: Any) -> None:
         """Delete by key, inserting an anti-matter entry (paper §2.2, §3.2.2)."""
+        self._check_fits_page(key, b"")
         if self.flush_callback.needs_antischema:
             antischema = self._antischema_for(key)
             if antischema is _NOT_FOUND:
@@ -313,14 +314,18 @@ class LSMBTree:
         return None
 
     def _check_fits_page(self, key: Any, encoded: bytes) -> None:
-        """Reject a record no leaf page can hold, where it arrives.
+        """Reject an entry no leaf page can hold, where it arrives.
 
         What a flush writes is never larger than ``encoded`` (compaction only
-        removes inline field names), so a record that passes here can always
+        removes inline field names), so an entry that passes here can always
         be persisted; one that does not would fail every flush of its
-        memtable, which is re-queued on failure — wedging the partition.
+        memtable, which is re-queued on failure — wedging the partition.  A
+        key the codec cannot encode (a boolean, an integer outside int64)
+        raises :class:`~repro.errors.EncodingError` from :func:`leaf_head`,
+        the same head the bulk loader packs; a delete is checked with an
+        empty value.
         """
-        size = LEAF_HEADER_SIZE + LeafEntry(key, encoded).size_on_page
+        size = LEAF_HEADER_SIZE + len(leaf_head(key, False, len(encoded))) + len(encoded)
         if size > self.buffer_cache.page_size:
             raise RecordTooLargeError(
                 f"record for key {key!r} needs {size} bytes of a leaf page, "
@@ -485,7 +490,7 @@ class LSMBTree:
             schema_bytes, schema = callback.end_flush()
             if self.wal is not None:
                 self.wal.append(LogRecordType.FLUSH_START, self.name, self.partition)
-            return leaf_entries, schema_bytes, schema
+            return leaf_entries, schema_bytes, schema, None
 
         def truncate_log():
             # Per-partition truncation: the log is shared across partitions,
@@ -502,18 +507,21 @@ class LSMBTree:
             fail_before_footer=fail_before_footer)
 
     def _build_and_install(self, component_id: ComponentId,
-                           produce: Callable[[], Tuple[List[LeafEntry], bytes, Optional[InferredSchema]]],
+                           produce: Callable[[], Tuple[List[LeafEntry], bytes, Optional[InferredSchema],
+                                                       Optional[Dict[str, List[LeafEntry]]]]],
                            replacing: Sequence[OnDiskComponent] = (),
                            commit: Optional[Callable[[], None]] = None,
                            fail_before_footer: bool = False) -> OnDiskComponent:
         """The one way a primary component comes into existence.
 
         Flush, bulk load and merge differ only in what they feed this:
-        ``produce()`` returns the sorted leaf entries and the schema to
-        persist (a flush grows the callback's state on the way),
-        ``commit()`` is the caller's last fallible step, and ``replacing``
-        names the components the new one supersedes — a merge's inputs;
-        empty for a flush or load, which add one.
+        ``produce()`` returns the sorted leaf entries, the schema to persist
+        (a flush grows the callback's state on the way) and — from a merge
+        only — each secondary index's prepared entries
+        (:meth:`OnDiskComponent.attach_auxiliaries`); ``commit()`` is the
+        caller's last fallible step, and ``replacing`` names the components
+        the new one supersedes — a merge's inputs; empty for a flush or
+        load, which add one.
 
         Everything before the install is rolled back on failure (callback
         state restored, every partial file deleted), so the caller — or the
@@ -527,13 +535,13 @@ class LSMBTree:
         with _tracer.span("lsm.merge" if replacing else "lsm.flush", index=self.name,
                           partition=self.partition, inputs=len(replacing)) as span:
             try:
-                entries, schema_bytes, schema = produce()
+                entries, schema_bytes, schema, secondary = produce()
                 metadata = ComponentWriter(self.buffer_cache, file_name).write(
                     component_id, entries, schema_bytes, fail_before_footer=fail_before_footer)
                 component = OnDiskComponent(component_id, file_name, self.buffer_cache,
                                             metadata, schema=schema, valid=True)
                 component.attach_auxiliaries(self.secondary_indexes,
-                                             self.maintain_primary_key_index, entries)
+                                             self.maintain_primary_key_index, entries, secondary)
                 if commit is not None:
                     commit()
             except BaseException:
@@ -708,6 +716,11 @@ class LSMBTree:
         it must keep shadowing (paper Figure 4b).  A merge mutates nothing
         until the install, so the inputs stay live if it fails and a retried
         merge task re-selects from scratch.
+
+        The reconcile also records which input each surviving live key came
+        from, and every merged secondary tree is derived from the inputs'
+        trees of the same index (:func:`merged_secondary_entries`): no
+        payload is opened to re-extract an indexed value.
         """
         selected = list(selected)
         for component in selected:
@@ -721,10 +734,18 @@ class LSMBTree:
         def produce():
             sources = [((entry.key, entry) for entry in component.scan())
                        for component in selected]
-            entries = [entry for _, (_, entry) in _reconcile(sources)
-                       if keep_antimatter or not entry.is_antimatter]
+            entries: List[LeafEntry] = []
+            winners: Dict[Any, int] = {}  # live key -> rank of the input it survives from
+            for rank, (key, entry) in _reconcile(sources):
+                if not entry.is_antimatter:
+                    winners[key] = rank
+                elif not keep_antimatter:
+                    continue
+                entries.append(entry)
+            secondary = {definition.name: merged_secondary_entries(selected, definition.name, winners)
+                         for definition in self.secondary_indexes}
             schema_bytes, schema = self.flush_callback.select_merge_schema(selected)
-            return entries, schema_bytes, schema
+            return entries, schema_bytes, schema, secondary
 
         return self._build_and_install(merged_id, produce, replacing=selected)
 

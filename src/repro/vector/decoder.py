@@ -76,6 +76,7 @@ from .layout import (
     DECLARED_FIELD_BIT,
     FLAG_COMPACTED,
     HEADER,
+    HEADER_SIZE,
     NAME_ENTRY_MAX,
     NESTED,
     RAW_MULTISET,
@@ -139,9 +140,18 @@ class VectorRecordView:
         self.payload = payload
         self.datatype = datatype
         self.dictionary = dictionary
-        (self.total_length, self.tag_count, self.flags, _, _, _,
-         self.offset_tags, self.offset_fixed, self.offset_varlen,
-         self.offset_names) = HEADER.unpack_from(payload, 0)
+        try:
+            (self.total_length, self.tag_count, self.flags, _, _, _,
+             self.offset_tags, self.offset_fixed, self.offset_varlen,
+             self.offset_names) = HEADER.unpack_from(payload, 0)
+        except struct.error:
+            raise DecodingError(f"vector-based payload of {len(payload)} bytes is shorter "
+                                f"than its {HEADER_SIZE}-byte header") from None
+        # A payload cut anywhere past its header (inside the values, too) is
+        # shorter than the length the header records.
+        if len(payload) < self.total_length:
+            raise DecodingError(f"vector-based payload truncated: {len(payload)} of "
+                                f"{self.total_length} bytes")
 
     # -- basic properties -------------------------------------------------------
 

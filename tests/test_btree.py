@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro.btree import BTree, BulkLoader, LeafEntry, decode_key, encode_key, pages
+from repro.btree import BTree, BulkLoader, LeafEntry, decode_key, encode_key, leaf_head, pages
 from repro.errors import CorruptPageError, EncodingError, StorageError
 from repro.storage import BufferCache, FileManager, SimulatedStorageDevice
 
@@ -26,6 +26,28 @@ def _build(entries, page_size=PAGE_SIZE):
     return BTree(cache, "tree", info), device
 
 
+#: Every page a component writes starts from these bytes: ``encode_key`` as it
+#: was before its exact-type dispatch, captured as hex.
+GOLDEN_KEYS = [
+    (0, "000000000000000000"),
+    (-1, "00ffffffffffffffff"),
+    (2**63 - 1, "00ffffffffffffff7f"),
+    (-2**63, "000000000000000080"),
+    (0.0, "010000000000000000"),
+    (-0.0, "010000000000000080"),
+    (1.5, "01000000000000f83f"),
+    (float("inf"), "01000000000000f07f"),
+    (float("-inf"), "01000000000000f0ff"),
+    ("", "020000"),
+    ("abc", "020300616263"),
+    ("hütter 日本", "020e0068c3bc7474657220e697a5e69cac"),
+    ((1, 2), "0302000100000000000000000200000000000000"),
+    ((1.5, 7), "030201000000000000f83f000700000000000000"),
+    (("ab", 3), "03020202006162000300000000000000"),
+    (((1, 2), "x"), "0302030200010000000000000000020000000000000002010078"),
+]
+
+
 class TestKeyCodec:
     @pytest.mark.parametrize("key", [0, -5, 2**40, 3.25, "abc", ("a", 1), (1, 2.5, "x")])
     def test_roundtrip(self, key):
@@ -34,9 +56,41 @@ class TestKeyCodec:
         assert decoded == key
         assert consumed == len(payload)
 
+    @pytest.mark.parametrize("key, golden", GOLDEN_KEYS, ids=[repr(key) for key, _ in GOLDEN_KEYS])
+    def test_golden_bytes(self, key, golden):
+        assert encode_key(key).hex() == golden
+        decoded, consumed = decode_key(bytes.fromhex(golden))
+        assert (repr(decoded), consumed) == (repr(key), len(golden) // 2)
+
     def test_bool_rejected(self):
         with pytest.raises(EncodingError):
             encode_key(True)
+
+    @pytest.mark.parametrize("key", [2**63, -2**63 - 1, 2**70, (1, 2**63), ("a", -2**70)])
+    def test_int_outside_int64_rejected(self, key):
+        with pytest.raises(EncodingError, match="INT64"):
+            encode_key(key)
+        with pytest.raises(EncodingError):
+            leaf_head(key, False, 0)
+
+    def test_head_is_what_pack_leaf_writes_per_entry(self):
+        entries = [LeafEntry(-3, b"neg"), LeafEntry(5, b"", is_antimatter=True),
+                   LeafEntry(2**63 - 1, bytes(17))]
+        entries += [LeafEntry(key, value) for key, value in
+                    ((2.5, b"f"), ("k", b"str"), ((1, 2), encode_key(2)), (("a", 1.5), b""))]
+        for group in (entries[:3], entries[3:4], entries[4:5], entries[5:]):
+            heads = [leaf_head(e.key, e.is_antimatter, len(e.value)) for e in group]
+            page = pages.pack_leaf(heads, [e.value for e in group], None, PAGE_SIZE)
+            node = pages.unpack_leaf(page)
+            start = pages.LEAF_HEADER_SIZE
+            for index, (entry, head) in enumerate(zip(group, heads)):
+                end = node.value_ends[index]
+                assert end - start == len(head) + len(entry.value)
+                assert page[start:end] == head + entry.value
+                assert head[:-pages.HEAD_TAIL_SIZE] == encode_key(entry.key)
+                assert node.entry(index) == entry
+                start = end
+            assert page[start:] == bytes(PAGE_SIZE - start)
 
     def test_unsupported_type_rejected(self):
         with pytest.raises(EncodingError):

@@ -249,6 +249,29 @@ def test_unencodable_value_is_refused_on_arrival(storage_format):
     assert dataset.get(2) is None
 
 
+@pytest.mark.parametrize("storage_format", [StorageFormat.OPEN, StorageFormat.INFERRED],
+                         ids=["open", "inferred"])
+def test_unencodable_delete_key_is_refused_on_arrival(storage_format):
+    """A delete of a key no leaf can hold used to be logged and then fail
+    every flush of its partition (a bare ``struct.error`` for an integer
+    outside int64); ``True``, equal to the live key 1, also hid that record.
+    The key is checked like an inserted one's, before the WAL append."""
+    environment = StorageEnvironment()
+    dataset = Dataset.create("keys", storage_format, environment=environment)
+    dataset.insert({"id": 1, "v": "one"})
+    logged = len(environment.wal)
+    for bad in (2**70, -2**63 - 1, True):
+        with pytest.raises(EncodingError):
+            dataset.delete(bad)
+    assert len(environment.wal) == logged
+    assert dataset.get(1) == {"id": 1, "v": "one"}
+    dataset.flush_all()
+    dataset.insert({"id": 2, "v": "two"})
+    dataset.flush_all()
+    assert dataset.get(1) == {"id": 1, "v": "one"}
+    assert dataset.count() == 2
+
+
 def _nested(key, depth, leaf="leaf"):
     """A record ``depth`` levels deep: the record, then arrays and objects in turn."""
     value = leaf

@@ -12,7 +12,8 @@ merge, crash recovery) are ``tests/test_model.py``'s.
 
 import pytest
 
-from repro import Dataset, DeviceKind, StorageEnvironment, StorageFormat
+from repro import (Dataset, DeviceKind, LSMConfig, StorageConfig, StorageEnvironment,
+                   StorageFormat)
 from repro.datasets.stats import FieldStatistics
 from repro.errors import ComponentStateError, SqlppError
 from repro.query import choose_access_path
@@ -145,6 +146,22 @@ class TestLsmLifecycle:
         index.components[-1].drop_secondary_index("by_payload")
         with pytest.raises(ComponentStateError):
             index.secondary_candidate_keys("by_payload", None, None)
+
+    def test_merge_refuses_an_input_without_an_index_tree(self):
+        # A merge derives its index trees from its inputs' trees; a missing
+        # one is a broken invariant, not a reason to rebuild from records.
+        dataset = Dataset.create("gaps", StorageFormat.OPEN,
+                                 lsm=LSMConfig(merge_policy="none", background_maintenance=False))
+        dataset.create_index("by_v", "v")
+        for start in (0, 10):
+            dataset.insert_all({"id": i, "v": i} for i in range(start, start + 10))
+            dataset.flush_all()
+        index = dataset.partitions[0].index
+        inputs = list(index.components)
+        inputs[-1].drop_secondary_index("by_v")
+        with pytest.raises(ComponentStateError, match="no tree for index 'by_v'"):
+            index.merge(inputs)
+        assert index.components == inputs
 
     def test_index_created_after_data_backfills(self):
         dataset = _build(StorageFormat.OPEN, index=False)
@@ -282,6 +299,133 @@ class TestTypeEdgeCases:
         statistics = dataset.index_statistics("by_v")
         assert statistics.count == 120
         assert statistics.min_value == 0 and statistics.max_value == 159
+
+
+# ---------------------------------------------------------------------------
+# merged index trees: derived from the inputs' trees, byte-equal to a rebuild
+# ---------------------------------------------------------------------------
+
+_ABSENT = object()
+#: What the indexed fields hold: ints, a float, booleans (indexed as ints),
+#: and values never indexed — NaN, null, a missing field, an object.
+_INDEXED_VALUES = (3, 7.5, True, float("nan"), None, _ABSENT, {"o": 1}, -2, 11, False, 0, 42)
+
+
+def _versioned(key, turn):
+    """Record ``key`` as written at ``turn``: each turn moves both indexed values."""
+    value = _INDEXED_VALUES[(key + turn) % len(_INDEXED_VALUES)]
+    score = _INDEXED_VALUES[(5 * key + turn) % len(_INDEXED_VALUES)]
+    record = {"id": key, "name": f"n{key % 4}"}
+    if value is not _ABSENT:
+        record["v"] = value
+    if score is not _ABSENT:
+        record["nested"] = {"score": score} if key % 6 else score  # a scalar has no .score
+    return record
+
+
+@pytest.fixture
+def extractor_calls(monkeypatch):
+    """Calls of each secondary index's extractor, by index name."""
+    from repro.core import partition as partition_module
+    from repro.lsm import SecondaryIndexDef
+
+    calls = {}
+
+    def counting_definition(name, extractor, **fields):
+        def counted(payload, schema):
+            calls[name] = calls.get(name, 0) + 1
+            return extractor(payload, schema)
+        return SecondaryIndexDef(name=name, extractor=counted, **fields)
+
+    monkeypatch.setattr(partition_module, "SecondaryIndexDef", counting_definition)
+    return calls
+
+
+@pytest.mark.parametrize("storage_format", list(StorageFormat), ids=[f.value for f in StorageFormat])
+def test_merged_index_trees_equal_a_rebuild(storage_format, extractor_calls):
+    """A merge writes its ``.pk`` and ``.ix.<name>`` trees without calling an
+    extractor, and every page equals what recovery rebuilds from the merged
+    primary tree; a flush calls each extractor once per live record it
+    writes, a CREATE INDEX backfill once per stored record."""
+    environment = StorageEnvironment(StorageConfig(page_size=1024, buffer_cache_pages=256))
+    lsm = LSMConfig(merge_policy="none", background_maintenance=False,
+                    maintain_primary_key_index=True)
+    datatype = None
+    if storage_format is StorageFormat.CLOSED:
+        datatype = Datatype.from_records("MergeType", [{"id": 0, "name": "n"}], is_open=True,
+                                         primary_key="id")
+    indexes = (("by_v", "v"), ("by_score", "nested.score"))
+
+    def open_dataset(registered):
+        dataset = Dataset.create("merged", storage_format, environment=environment, lsm=lsm,
+                                 datatype=datatype)
+        for name, path in indexes[:registered]:
+            dataset.create_index(name, path)
+        return dataset
+
+    dataset = open_dataset(1)
+    manager = environment.buffer_cache.file_manager
+    live = {}
+
+    def flush(writes):
+        """Apply ``(key, turn)`` writes — turn None deletes — then flush and
+        check each registered index's extractor ran once per live entry."""
+        memtable = {}
+        for key, turn in writes:
+            if turn is None:
+                dataset.delete(key)
+                live.pop(key)
+            else:
+                (dataset.upsert if key in live else dataset.insert)(_versioned(key, turn))
+                live[key] = turn
+            memtable[key] = turn is not None
+        extractor_calls.clear()
+        dataset.flush_all()
+        registered = [name for name, _ in dataset.list_secondary_indexes()]
+        assert extractor_calls == {name: sum(memtable.values()) for name in registered}
+
+    def pages_of(component):
+        names = [component.primary_key_file] + [
+            tree.file_name for tree in component.secondary_trees.values()]
+        return {name: [manager.read_page(name, page) for page in range(manager.num_pages(name))]
+                for name in names}
+
+    def merge_and_check(count):
+        nonlocal dataset
+        index = dataset.partitions[0].index
+        extractor_calls.clear()
+        merged = index.merge(index.components[:count])
+        assert extractor_calls == {}
+        written = pages_of(merged)
+        assert len(written) == 3 and all(written.values())
+        for name in written:
+            manager.delete_file(name)
+        environment.buffer_cache.clear()
+        dataset = open_dataset(2)
+        dataset.partitions[0].recover()
+        assert pages_of(dataset.partitions[0].index.components[0]) == written
+        for name, path in indexes:
+            text = f"SELECT VALUE t.id FROM merged AS t WHERE t.{path} >= 0"
+            assert _rows(dataset, text, "index")[0] == _rows(dataset, text, "scan")[0]
+        return merged
+
+    flush([(key, 0) for key in range(48)])
+    flush([(key, 1) for key in range(16)] + [(key, None) for key in range(16, 24)]
+          + [(key, 1) for key in range(48, 64)])
+    extractor_calls.clear()
+    dataset.create_index(*indexes[1])
+    stored = sum(component.record_count for component in dataset.partitions[0].index.components)
+    assert extractor_calls == {"by_score": stored}
+    flush([(key, 2) for key in range(16, 20)] + [(key, 2) for key in range(8, 12)]
+          + [(key, None) for key in range(48, 52)] + [(key, None) for key in range(4)])
+    flush([(key, 3) for key in range(2)] + [(key, None) for key in range(30, 34)]
+          + [(key, 3) for key in range(52, 56)] + [(2, 4), (2, None), (2, 5)])
+
+    kept = merge_and_check(2)  # the newest two: anti-matter must keep shadowing
+    assert kept.metadata.antimatter_count > 0
+    dropped = merge_and_check(3)  # everything: anti-matter is dropped
+    assert dropped.metadata.antimatter_count == 0
+    assert sorted(record["id"] for record in dataset.scan()) == sorted(live)
 
 
 # ---------------------------------------------------------------------------

@@ -281,6 +281,22 @@ class TestUndecodablePayloads:
         with pytest.raises(DecodingError):
             read(_undecodable_views()[case])
 
+    @pytest.mark.parametrize("cut", [3, 40, 200])
+    def test_truncated_payload_is_refused(self, cut):
+        # Cut inside its values, a tweet used to decode silently to wrong values.
+        from repro.datasets import twitter
+
+        payload = VectorEncoder(None).encode(next(twitter.generate(1)))
+        assert len(payload) > cut + 28
+        with pytest.raises(DecodingError, match="truncated"):
+            VectorRecordView(payload[:-cut])
+
+    @pytest.mark.parametrize("length", [0, 1, 27])
+    def test_payload_shorter_than_its_header_is_refused(self, length):
+        payload = VectorEncoder(None).encode(PAPER_RECORD)
+        with pytest.raises(DecodingError, match="header"):
+            VectorRecordView(payload[:length])
+
     def test_unknown_field_name_id_is_a_schema_error_not_a_wraparound(self):
         datatype = _datatype()
         schema = InferredSchema(datatype)
