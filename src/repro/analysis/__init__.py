@@ -1,27 +1,24 @@
-"""Engine-specific static analysis and concurrency-correctness toolkit.
+"""Engine-specific concurrency checks.
 
 Two halves:
 
-* :mod:`repro.analysis.lint` + :mod:`repro.analysis.rules` — an AST lint
-  framework with project rules (lock discipline LOCK001–003, knob
-  documentation KNOB001, metric naming OBS001), runnable as
+* :mod:`repro.analysis.lint` — LOCK001, an AST check that no blocking call
+  runs while an engine lock is held, runnable as
   ``python -m repro.analysis src/``;
 * :mod:`repro.analysis.locktrack` — an opt-in (``REPRO_LOCKTRACK=1``)
   dynamic lock-order tracker that records the per-thread acquisition graph
-  while tier-1 tests run and fails the session on lock-order cycles.
+  while tier-1 tests run and fails the session on lock-order cycles,
+  non-descending acquisitions, undeclared locks and stale declarations.
 
-The lock hierarchy both halves check against lives in
+The lock hierarchy both halves read lives in
 :mod:`repro.analysis.lock_hierarchy`.
 """
 
-from .lint import Finding, Module, Project, Rule, run_analysis
+from .lint import Finding, run_analysis
 from .lock_hierarchy import LOCK_HIERARCHY, LockDecl
 
 __all__ = [
     "Finding",
-    "Module",
-    "Project",
-    "Rule",
     "run_analysis",
     "LOCK_HIERARCHY",
     "LockDecl",

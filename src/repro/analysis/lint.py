@@ -1,238 +1,52 @@
-"""Engine-specific AST lint framework.
+"""LOCK001: no blocking call while holding an engine lock.
 
-Generic linters cannot know that this engine's locks form a hierarchy, that
-its ``REPRO_*`` knobs must be documented, or that the row and batch query
-pipelines dispatch over the same expression nodes — so this module is a
-small visitor framework for *project rules*: each rule inspects parsed
-modules (and, for cross-file invariants, the whole project at once) and
-emits :class:`Finding` objects with a stable rule id, a severity, and an
-exact ``file:line`` anchor.
+A ``with self._lock:`` body must not sleep, touch files or the simulated
+device, or wait on futures/threads: every other thread that needs the lock
+would wait out the I/O too.  The dynamic tracker cannot see this — a lock
+held across I/O is slow, not deadlocked — so it is checked on the AST.
+Locks declared ``allows_blocking=True`` in
+:mod:`repro.analysis.lock_hierarchy` are exempt, and that exemption is the
+only one: it lives in one table, where review sees it.
 
-Vocabulary:
-
-* a **Module** is one parsed source file (path, source text, AST, lines);
-* a **Project** is every scanned module plus repo-level context the rules
-  need (the README text for the knob-table check);
-* a **Rule** implements ``check_module`` (per-file findings) and/or
-  ``finalize`` (whole-project findings, run after every file was seen);
-* a finding is **suppressed** by a ``# repro-lint: disable=RULE`` comment on
-  the flagged line or the line directly above it (several ids may be
-  comma-separated); suppression is deliberate and visible in review.
-
-Severities: ``error`` findings make :func:`run_analysis` (and the
-``python -m repro.analysis`` CLI) exit non-zero; ``warning`` findings are
-reported but only fail under ``--strict``.  The shipped tree must stay free
-of both — CI runs the linter as its own job.
+A lock is a ``self.<attr>`` context manager whose name looks lockish
+(``*_lock``/``*_cond``/``*_mutex``) or whose ``Owner.attr`` is declared.
+A blocking call inside a nested def or lambda is not flagged: it runs when
+the closure is invoked, usually after the lock is released.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence
 
-SEVERITY_ERROR = "error"
-SEVERITY_WARNING = "warning"
+from .lock_hierarchy import LOCK_HIERARCHY
 
-_SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Z0-9_,\s]+)")
+RULE_ID = "LOCK001"
+
+_LOCKISH_ATTR = re.compile(r".*(_lock|_cond|_mutex)$")
+
+#: Calls that block: sleeping, file I/O, simulated-device I/O, futures.
+_BLOCKING_DOTTED = {"time.sleep"}
+_BLOCKING_METHODS = {"result", "read", "write", "flush", "readline", "readlines",
+                     "read_page", "write_page", "delete_file"}
 
 
 @dataclass(frozen=True)
 class Finding:
-    """One rule violation anchored to a source line."""
+    """One blocking call under a lock, anchored to a source line."""
 
-    rule_id: str
-    severity: str
     path: str
     line: int
     message: str
 
     def render(self) -> str:
-        return f"{self.path}:{self.line}: {self.rule_id} {self.severity}: {self.message}"
+        return f"{self.path}:{self.line}: {RULE_ID} {self.message}"
 
 
-class Module:
-    """One parsed source file."""
-
-    def __init__(self, path: Path, rel: str, source: str, tree: ast.Module) -> None:
-        self.path = path
-        #: Path relative to the scan root, using "/" separators (stable rule
-        #: anchors like ``query/expressions.py`` match against this).
-        self.rel = rel
-        self.source = source
-        self.tree = tree
-        self.lines = source.splitlines()
-
-    def line_text(self, line_no: int) -> str:
-        if 1 <= line_no <= len(self.lines):
-            return self.lines[line_no - 1]
-        return ""
-
-    def suppressed_rules(self, line_no: int) -> Iterator[str]:
-        """Rule ids disabled for ``line_no`` (same line or the line above)."""
-        for candidate in (line_no, line_no - 1):
-            match = _SUPPRESS_RE.search(self.line_text(candidate))
-            if match:
-                for rule_id in match.group(1).split(","):
-                    rule_id = rule_id.strip()
-                    if rule_id:
-                        yield rule_id
-
-
-@dataclass
-class Project:
-    """Everything the rules may look at: the modules plus repo context."""
-
-    root: Path
-    modules: List[Module] = field(default_factory=list)
-    #: README text for documentation-drift rules; empty when no README was
-    #: found near the scan root (the rule then only checks accessor usage).
-    readme_text: str = ""
-
-    def module_by_suffix(self, suffix: str) -> Optional[Module]:
-        """The unique module whose relative path ends with ``suffix``."""
-        for module in self.modules:
-            if module.rel.endswith(suffix):
-                return module
-        return None
-
-
-class Rule:
-    """Base class for one lint rule."""
-
-    rule_id: str = "RULE000"
-    severity: str = SEVERITY_ERROR
-    description: str = ""
-
-    def check_module(self, module: Module, project: Project) -> Iterable[Finding]:
-        """Per-file findings (default: none)."""
-        return ()
-
-    def finalize(self, project: Project) -> Iterable[Finding]:
-        """Whole-project findings, after every module was checked."""
-        return ()
-
-    def finding(self, module_or_rel, line: int, message: str,
-                severity: Optional[str] = None) -> Finding:
-        rel = module_or_rel.rel if isinstance(module_or_rel, Module) else str(module_or_rel)
-        return Finding(rule_id=self.rule_id, severity=severity or self.severity,
-                       path=rel, line=line, message=message)
-
-
-# ---------------------------------------------------------------------------
-# scanning
-# ---------------------------------------------------------------------------
-
-def collect_modules(paths: Sequence[Path], root: Optional[Path] = None) -> Tuple[List[Module], List[Finding]]:
-    """Parse every ``.py`` file under ``paths`` (files or directories).
-
-    Unparsable files become findings (rule ``PARSE``) instead of crashing
-    the run — a syntax error must fail the lint job, not hide it.
-    """
-    files: List[Path] = []
-    for path in paths:
-        if path.is_dir():
-            files.extend(sorted(path.rglob("*.py")))
-        elif path.suffix == ".py":
-            files.append(path)
-    modules: List[Module] = []
-    errors: List[Finding] = []
-    base = root if root is not None else _common_root(files)
-    for file_path in files:
-        try:
-            source = file_path.read_text(encoding="utf-8")
-            tree = ast.parse(source, filename=str(file_path))
-        except (SyntaxError, UnicodeDecodeError) as exc:
-            line = getattr(exc, "lineno", 1) or 1
-            errors.append(Finding("PARSE", SEVERITY_ERROR, _relative(file_path, base),
-                                  line, f"cannot parse: {exc}"))
-            continue
-        modules.append(Module(file_path, _relative(file_path, base), source, tree))
-    return modules, errors
-
-
-def _common_root(files: Sequence[Path]) -> Path:
-    if not files:
-        return Path(".")
-    parents = [file_path.resolve().parent for file_path in files]
-    common = parents[0]
-    for parent in parents[1:]:
-        while common not in (parent, *parent.parents):
-            if common.parent == common:
-                break
-            common = common.parent
-    return common
-
-
-def _relative(file_path: Path, base: Path) -> str:
-    try:
-        rel = file_path.resolve().relative_to(base.resolve())
-    except ValueError:
-        rel = file_path
-    return str(rel).replace("\\", "/")
-
-
-def find_readme(start: Path) -> str:
-    """README text for the knob-table rule: walk up from the scan root."""
-    current = start.resolve()
-    for candidate in (current, *current.parents):
-        readme = candidate / "README.md"
-        if readme.is_file():
-            return readme.read_text(encoding="utf-8")
-    return ""
-
-
-def run_analysis(paths: Sequence[Path], rules: Sequence[Rule],
-                 readme_text: Optional[str] = None,
-                 root: Optional[Path] = None) -> List[Finding]:
-    """Run ``rules`` over every module under ``paths``; return live findings.
-
-    Suppressed findings are dropped here (centrally), so individual rules
-    never need to know about the ``# repro-lint: disable=`` syntax.
-    """
-    modules, parse_errors = collect_modules(paths, root=root)
-    scan_root = root if root is not None else (paths[0] if paths else Path("."))
-    project = Project(root=Path(scan_root),
-                      modules=modules,
-                      readme_text=readme_text if readme_text is not None
-                      else find_readme(Path(scan_root)))
-    findings: List[Finding] = list(parse_errors)
-    by_rel: Dict[str, Module] = {module.rel: module for module in modules}
-    for rule in rules:
-        for module in modules:
-            findings.extend(rule.check_module(module, project))
-        findings.extend(rule.finalize(project))
-    live = []
-    for finding in findings:
-        module = by_rel.get(finding.path)
-        if module is not None and finding.rule_id in set(module.suppressed_rules(finding.line)):
-            continue
-        live.append(finding)
-    live.sort(key=lambda f: (f.path, f.line, f.rule_id))
-    return live
-
-
-def render_report(findings: Sequence[Finding], rules: Sequence[Rule],
-                  scanned: Optional[int] = None) -> str:
-    """Human-readable report: one line per finding plus a summary line."""
-    lines = [finding.render() for finding in findings]
-    errors = sum(1 for finding in findings if finding.severity == SEVERITY_ERROR)
-    warnings = len(findings) - errors
-    scope = f" ({scanned} files scanned, {len(rules)} rules)" if scanned is not None else ""
-    if findings:
-        lines.append(f"{len(findings)} finding(s): {errors} error(s), {warnings} warning(s){scope}")
-    else:
-        lines.append(f"clean: no findings{scope}")
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# shared AST helpers used by several rules
-# ---------------------------------------------------------------------------
-
-def self_attribute(node: ast.AST) -> Optional[str]:
+def _self_attribute(node: ast.AST) -> Optional[str]:
     """``self.<attr>`` -> attr name, else None."""
     if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
             and node.value.id == "self"):
@@ -240,7 +54,7 @@ def self_attribute(node: ast.AST) -> Optional[str]:
     return None
 
 
-def dotted_name(node: ast.AST) -> str:
+def _dotted_name(node: ast.AST) -> str:
     """Render ``a.b.c`` attribute/name chains (empty string otherwise)."""
     parts: List[str] = []
     while isinstance(node, ast.Attribute):
@@ -252,13 +66,77 @@ def dotted_name(node: ast.AST) -> str:
     return ""
 
 
-def iter_classes(tree: ast.Module) -> Iterator[ast.ClassDef]:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef):
-            yield node
+def _outside_nested_functions(node: ast.AST) -> Iterator[ast.AST]:
+    """Walk ``node`` without descending into nested function/lambda bodies."""
+    stack = [node]
+    while stack:
+        current = stack.pop()
+        if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        yield current
+        stack.extend(ast.iter_child_nodes(current))
 
 
-def iter_methods(class_node: ast.ClassDef) -> Iterator[ast.FunctionDef]:
-    for node in class_node.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
+def _blocking_reason(node: ast.Call) -> Optional[str]:
+    """Describe why ``node`` blocks, or ``None`` when it does not."""
+    func = node.func
+    if isinstance(func, ast.Name) and func.id == "open":
+        return "open()"
+    dotted = _dotted_name(func)
+    if dotted in _BLOCKING_DOTTED:
+        return f"{dotted}()"
+    if isinstance(func, ast.Attribute):
+        if func.attr == "join" and not node.args and not node.keywords:
+            # str.join always takes an iterable argument; a zero-argument
+            # .join() is a thread/process join and blocks.
+            return ".join()"
+        if func.attr in _BLOCKING_METHODS:
+            return f".{func.attr}()"
+    return None
+
+
+def check_source(source: str, path: str) -> List[Finding]:
+    """Every blocking call under a non-exempt lock in one module's source."""
+    findings: List[Finding] = []
+    for class_node in ast.walk(ast.parse(source, filename=path)):
+        if not isinstance(class_node, ast.ClassDef):
+            continue
+        for with_node in ast.walk(class_node):
+            if not isinstance(with_node, ast.With):
+                continue
+            for item in with_node.items:
+                attr = _self_attribute(item.context_expr)
+                if attr is None:
+                    continue
+                key = f"{class_node.name}.{attr}"
+                decl = LOCK_HIERARCHY.get(key)
+                if decl is None and not _LOCKISH_ATTR.match(attr):
+                    continue
+                if decl is not None and decl.allows_blocking:
+                    continue
+                for statement in with_node.body:
+                    for node in _outside_nested_functions(statement):
+                        reason = _blocking_reason(node) if isinstance(node, ast.Call) else None
+                        if reason is not None:
+                            findings.append(Finding(
+                                path, node.lineno,
+                                f"blocking call {reason} while holding {key} "
+                                f"(declare allows_blocking in the lock hierarchy only "
+                                f"if holding across I/O is the lock's documented job)"))
+    return findings
+
+
+def run_analysis(paths: Sequence[Path]) -> List[Finding]:
+    """LOCK001 over every ``.py`` file under ``paths`` (files or directories).
+
+    A file that does not parse raises :class:`SyntaxError`: a broken file
+    must fail the run, not hide from it.
+    """
+    files: List[Path] = []
+    for path in paths:
+        files.extend(sorted(path.rglob("*.py")) if path.is_dir() else [path])
+    findings: List[Finding] = []
+    for file_path in files:
+        findings.extend(check_source(file_path.read_text(encoding="utf-8"),
+                                     file_path.as_posix()))
+    return sorted(findings, key=lambda finding: (finding.path, finding.line))

@@ -1,34 +1,38 @@
 """Dynamic lock-order tracker (opt-in via ``REPRO_LOCKTRACK=1``).
 
-The static rules prove what the AST shows; this module watches what the
-engine actually *does*.  When installed, ``threading.Lock`` and
-``threading.RLock`` are replaced by factories that wrap every lock created
-from engine code (``src/repro``, excluding this package) in a tracked
-proxy.  Each proxy:
+This module watches what the engine's locks actually *do*.  When
+installed, ``threading.Lock`` and ``threading.RLock`` are replaced by
+factories that wrap every lock created from engine code (``src/repro``,
+excluding this package) in a tracked proxy.  Each creation:
 
-* keys itself as ``"Owner.attr"`` by reading the creation site
+* keys the lock as ``"Owner.attr"`` by reading the creation site
   (``self._read_lock = threading.Lock()`` inside ``LSMBTree.__init__``
-  keys as ``LSMBTree._read_lock``) — the same keys the static hierarchy
-  in :mod:`repro.analysis.lock_hierarchy` uses, so both halves speak one
-  vocabulary;
-* maintains a per-thread stack of held locks and records a directed edge
-  *held → acquired* (with a witness stack, captured once per edge) every
-  time a thread acquires a lock while holding another;
-* checks each such acquisition against the declared hierarchy — a
-  non-descending pair is reported even when no cycle ever materializes.
+  keys as ``LSMBTree._read_lock``) — the keys the hierarchy in
+  :mod:`repro.analysis.lock_hierarchy` declares;
+* is recorded, so the run can tell an engine lock with no declaration and
+  a declaration no lock was created under.
+
+Each proxy then maintains a per-thread stack of held locks and records a
+directed edge *held → acquired* (with a witness stack, captured once per
+edge) every time a thread acquires a lock while holding another, and
+checks each such acquisition against the declared hierarchy — a
+non-descending pair is reported even when no cycle ever materializes.
 
 After the run, :meth:`LockTracker.problems` reports (a) cycles in the
 accumulated acquisition graph — each one a potential deadlock, with the
-witness stacks of its edges — and (b) hierarchy violations.  The tier-1
-conftest wires this into pytest: ``REPRO_LOCKTRACK=1 pytest`` fails the
-session if either list is non-empty.
+witness stacks of its edges — (b) hierarchy violations, (c) undeclared
+lock keys and (d) stale declarations.  The tier-1 conftest wires this into
+pytest: ``REPRO_LOCKTRACK=1 pytest`` fails the session if any is found.
 
 ``threading.Condition`` needs no patching: a condition binds the lock it
 is given, so conditions built over tracked locks are tracked for free.
-(The no-argument ``Condition()`` form would manufacture an *invisible*
-internal RLock — LOCK002 bans it statically.)  Locks created by the
-stdlib (thread pools, queues, condition waiters) come from non-engine
-frames and stay raw.
+Locks created by the stdlib (thread pools, queues, condition waiters)
+come from non-engine frames and stay raw — so does the internal RLock of
+a no-argument ``Condition()``, and a lock made through a name bound by
+``from threading import Lock`` before the tracker was installed.  Neither
+is ever recorded as created, so its declaration reads as stale.  The same
+holds for a lock made while ``repro`` is imported (the module-level
+tracer's): some test must build another instance for the run to see it.
 """
 
 from __future__ import annotations
@@ -80,9 +84,14 @@ class LockTracker:
         self._edges: Dict[Tuple[str, str], str] = {}
         #: Hierarchy violations: (held_key, acquired_key, detail, witness).
         self._violations: List[Tuple[str, str, str, str]] = []
-        self._keys_seen: Set[str] = set()
+        #: Keys of the engine locks created while installed.
+        self._created: Set[str] = set()
 
     # -- wrapper callbacks -------------------------------------------------
+
+    def note_created(self, key: str) -> None:
+        with self._lock:
+            self._created.add(key)
 
     def _stack(self) -> List[str]:
         stack = getattr(self._held, "stack", None)
@@ -96,8 +105,6 @@ class LockTracker:
         if stack:
             self._record_edge(stack[-1], key)
         stack.append(key)
-        with self._lock:
-            self._keys_seen.add(key)
 
     def note_release(self, key: str) -> None:
         stack = self._stack()
@@ -207,11 +214,20 @@ class LockTracker:
         for held, acquired, detail, witness in self.violations():
             lines.append(f"hierarchy violation: {held} -> {acquired}: {detail}")
             lines.append(f"  at {witness}")
+        with self._lock:
+            created = set(self._created)
+        for key in sorted(created - LOCK_HIERARCHY.keys()):
+            lines.append(f"undeclared lock: {key} — give it a level in "
+                         f"analysis/lock_hierarchy.py")
+        for key in sorted(LOCK_HIERARCHY.keys() - created):
+            lines.append(f"stale declaration: no lock was created as {key}")
         return lines
 
     def report(self) -> str:
         edges = self.edges()
-        lines = [f"locktrack: {len(self._keys_seen)} lock keys, "
+        with self._lock:
+            created = len(self._created)
+        lines = [f"locktrack: {created} lock keys created, "
                  f"{len(edges)} acquisition-order edges"]
         for (src, dst), witness in sorted(edges.items()):
             lines.append(f"  {src} -> {dst}  ({witness})")
@@ -222,7 +238,7 @@ class LockTracker:
         with self._lock:
             self._edges.clear()
             self._violations.clear()
-            self._keys_seen.clear()
+            self._created.clear()
 
 
 class TrackedLock:
@@ -356,7 +372,9 @@ def install() -> LockTracker:
             frame = sys._getframe(1)
             if frame is None or not _should_track(frame.f_code.co_filename):
                 return inner
-            return wrapper(inner, _key_from_frame(frame), tracker)
+            key = _key_from_frame(frame)
+            tracker.note_created(key)
+            return wrapper(inner, key, tracker)
         return factory
 
     threading.Lock = make_factory(_originals["Lock"], TrackedLock)

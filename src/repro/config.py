@@ -24,9 +24,8 @@ def env_str(name: str, default: str = "") -> str:
 
     This module is the engine's *single* environment accessor: every other
     module reads its knobs through :func:`env_str` / :func:`env_flag`
-    instead of touching ``os.environ`` directly, so the KNOB001 lint rule
-    can prove each knob is documented in the README table
-    (``python -m repro.analysis`` enforces this).
+    instead of touching ``os.environ`` directly, and names each knob in a
+    ``*_ENV_VAR`` constant; a test holds both to the README knob table.
     """
     return os.environ.get(name, default).strip()
 

@@ -153,9 +153,16 @@ class FaultInjector:
     # -- the hot path ----------------------------------------------------------
 
     def _evaluate(self, point: str) -> Optional[str]:
-        """Return the error class to inject at ``point``, or ``None``."""
+        """Return the error class to inject at ``point``, or ``None``.
+
+        An armed injector refuses a point the registry does not know: a
+        misspelled fire site could never be targeted by a rule.
+        """
         if not self.active:
             return None
+        if not is_registered(point):
+            raise FaultSpecError(f"fault point {point!r} fired but not registered in "
+                                 f"repro.faults.points.FAULT_POINTS")
         triggered = None
         with self._lock:
             hit = False

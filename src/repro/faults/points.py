@@ -1,11 +1,10 @@
 """Central registry of fault-injection point names.
 
 Every place in the engine that calls :func:`repro.faults.fire_fault` or
-:func:`repro.faults.corrupt_payload` names a point registered here, and the
-FAULT001 lint rule (``python -m repro.analysis src/``) proves the two stay in
-sync: firing an unregistered point or registering a point that is never fired
-both fail the build, and each registered point must appear in the README's
-fault-point table.  Keeping the registry in one flat module also makes every
+:func:`repro.faults.corrupt_payload` names a point registered here.  The
+injector refuses a rule for an unregistered point, and an armed injector
+refuses a fire site naming one; a test holds the README's fault-point table
+to this registry.  Keeping the registry in one flat module also makes every
 point discoverable at runtime (``repro.faults.fault_points()``), so chaos
 tests can enumerate the fault surface instead of hard-coding it.
 """
@@ -25,8 +24,6 @@ class FaultPoint:
 
 
 #: Every injection point the engine exposes, in storage-stack order.
-#: FAULT001 extracts this tuple statically, so entries must be literal
-#: ``FaultPoint("name", "...")`` calls.
 FAULT_POINTS: Tuple[FaultPoint, ...] = (
     FaultPoint("device.read",
                "Start of SimulatedStorageDevice.record_read, before counters."),

@@ -34,7 +34,7 @@ from ..errors import (
 from ..obs import (COMPONENT_QUARANTINED, MetricsRegistry, StatsDictMixin,
                    emit_event, get_registry)
 from ..obs import tracer as _tracer
-from ..schema import InferredSchema, extract_antischema
+from ..schema import InferredSchema
 from ..storage.buffer_cache import BufferCache
 from ..storage.wal import LogRecordType, WriteAheadLog
 from .component import (ComponentWriter, InMemoryComponent, MemEntry, OnDiskComponent,
@@ -209,7 +209,7 @@ class LSMBTree:
         # drain_maintenance() wait on.
         self._maintenance_lock = threading.Lock()
         # An explicit plain Lock (not Condition()'s implicit RLock) so the
-        # dynamic lock tracker sees rotation acquisitions (LOCK002).
+        # dynamic lock tracker sees rotation acquisitions.
         self._rotation_cond = threading.Condition(threading.Lock())
         self._inflight_flushes = 0  # guarded-by: _rotation_cond
         self._inflight_merges = 0  # guarded-by: _rotation_cond
@@ -285,8 +285,10 @@ class LSMBTree:
             # A sealed version *will* be observed by the schema: its flush is
             # ordered before the mutable memtable's flush, so by the time this
             # new entry's anti-schema is processed the old version has been
-            # counted — decrement it like a disk-resident version.
-            return extract_antischema(entry.record)
+            # counted — decrement it like a disk-resident version.  Read it
+            # off the bytes the schema will observe: the caller may have
+            # changed its dict since.
+            return self.flush_callback.record_antischema(entry.encoded, None)
 
         # Guarded like the query paths: with background maintenance a merge
         # worker may retire components concurrently with this writer-thread

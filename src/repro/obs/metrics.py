@@ -24,10 +24,13 @@ serialize on each other's unrelated counters.
 
 from __future__ import annotations
 
+import re
 import threading
 from typing import Any, Dict, Optional, Tuple
 
 LabelSet = Tuple[Tuple[str, str], ...]
+
+_METRIC_NAME_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
 
 def _label_key(name: str, labels: Dict[str, Any]) -> str:
@@ -122,15 +125,18 @@ class MetricsRegistry:
     """Get-or-create store of named, labeled instruments.
 
     The registry lock only guards instrument *creation*; updates go through
-    each instrument's own lock.  A name may carry several label sets but
-    only one instrument type — asking for ``counter("x")`` after
-    ``gauge("x")`` is a programming error and raises.
+    each instrument's own lock.  A name must match ``[a-z][a-z0-9_]*`` and
+    keeps one instrument type and one set of label *names* (values vary) —
+    asking for ``counter("x")`` after ``gauge("x")``, or for
+    ``counter("x", kind=...)`` after ``counter("x")``, is a programming
+    error and raises.  The checks run on creation only, never on a lookup.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._instruments: Dict[str, Any] = {}
-        self._types: Dict[str, type] = {}
+        #: name -> (instrument type, sorted label names).
+        self._types: Dict[str, Tuple[type, Tuple[str, ...]]] = {}
 
     # -- instrument access -----------------------------------------------------
 
@@ -153,14 +159,19 @@ class MetricsRegistry:
                         f"metric {key!r} already registered as "
                         f"{type(instrument).__name__}, not {cls.__name__}")
                 return instrument
+            shape = (cls, tuple(sorted(labels)))
             registered = self._types.get(name)
-            if registered is not None and registered is not cls:
+            if registered is None:
+                if not _METRIC_NAME_RE.match(name):
+                    raise ValueError(f"metric name {name!r} does not match [a-z][a-z0-9_]*")
+                self._types[name] = shape
+            elif registered != shape:
                 raise TypeError(
                     f"metric name {name!r} already registered as "
-                    f"{registered.__name__}, not {cls.__name__}")
+                    f"{registered[0].__name__} with labels {list(registered[1])}, "
+                    f"not {cls.__name__} with labels {list(shape[1])}")
             instrument = cls(key)
             self._instruments[key] = instrument
-            self._types[name] = cls
             return instrument
 
     # -- reporting -------------------------------------------------------------

@@ -3,8 +3,9 @@
 With ``REPRO_LOCKTRACK=1`` in the environment, every engine lock created
 while the tests run is wrapped by :mod:`repro.analysis.locktrack`; after
 the session the accumulated acquisition graph is checked for cycles and
-lock-hierarchy violations, and any finding fails the run (exit status 3)
-even when every individual test passed.  CI runs one tier-1 leg this way.
+lock-hierarchy violations, the created locks against the declared ones,
+and any finding fails the run (exit status 3) even when every individual
+test passed.  CI runs one tier-1 leg this way.
 
 It also holds the ``isolated_injector`` fixture the fault-arming modules
 share.

@@ -1,7 +1,11 @@
 """Additional unit tests: aggregates, configuration validation, plan building."""
 
+import re
+from pathlib import Path
+
 import pytest
 
+import repro.config
 from repro.config import (
     ClusterConfig,
     DatasetConfig,
@@ -146,3 +150,15 @@ class TestConfig:
         config = LSMConfig()
         assert config.merge_policy == "prefix"
         assert config.maintain_primary_key_index
+
+    def test_knobs_are_read_in_config_and_documented(self):
+        package = Path(repro.config.__file__).parent
+        readme = (package.parents[1] / "README.md").read_text(encoding="utf-8")
+        documented = set(re.findall(r"^\| `(REPRO_\w+)` \|", readme, re.MULTILINE))
+        knobs = set()
+        for path in package.rglob("*.py"):
+            source = path.read_text(encoding="utf-8")
+            if path != package / "config.py":
+                assert not re.search(r"os\.environ|getenv", source), path
+            knobs.update(re.findall(r'^\w+_ENV_VAR = "(REPRO_\w+)"', source, re.MULTILINE))
+        assert knobs and knobs <= documented

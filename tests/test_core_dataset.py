@@ -272,6 +272,18 @@ def test_unencodable_delete_key_is_refused_on_arrival(storage_format):
     assert dataset.count() == 2
 
 
+@pytest.mark.xfail(strict=True, reason="a memtable entry keeps the caller's dict by reference")
+@pytest.mark.parametrize("storage_format", [StorageFormat.OPEN, StorageFormat.INFERRED],
+                         ids=["open", "inferred"])
+def test_memtable_read_is_not_the_callers_dict(storage_format):
+    dataset = Dataset.create("alias", storage_format)
+    record = {"id": 1, "v": 5}
+    dataset.insert(record)
+    record["v"] = 99
+    assert dataset.get(1)["v"] == 5
+    assert dataset.query("SELECT VALUE t.v FROM alias AS t").rows == [5]
+
+
 def _nested(key, depth, leaf="leaf"):
     """A record ``depth`` levels deep: the record, then arrays and objects in turn."""
     value = leaf

@@ -17,8 +17,10 @@ The contract pinned down here:
 """
 
 import random
+import re
 import threading
 import zlib
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -190,6 +192,37 @@ class TestDeterminism:
         assert all(point.description for point in FAULT_POINTS)
         assert is_registered("device.read")
         assert not is_registered("device.teleport")
+
+    def test_readme_table_lists_every_registered_point(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| Point | Fires in |", 1)[1].split("\n\n", 1)[0]
+        documented = set(re.findall(r"^\| `([\w.]+)` \|", table, re.MULTILINE))
+        assert documented == {point.name for point in fault_points()}
+
+    def test_fire_sites_name_registered_points(self):
+        # A literal fire site must name a registered point (a typo could never
+        # be targeted), and each point must be named somewhere in the engine
+        # outside the registry (the scheduler picks its two by variable).
+        package = Path(__file__).resolve().parents[1] / "src" / "repro"
+        sites, quoted = set(), set()
+        for path in package.rglob("*.py"):
+            if path.parent.name == "faults":
+                continue
+            source = path.read_text(encoding="utf-8")
+            sites.update(re.findall(r'(?:fire_fault|corrupt_payload)\("([^"]+)"', source))
+            quoted.update(re.findall(r'"([a-z_]+\.[a-z_]+)"', source))
+        registered = {point.name for point in fault_points()}
+        assert sites and sites <= registered
+        assert registered <= quoted
+
+    def test_armed_injector_refuses_an_unregistered_fire_site(self):
+        injector = FaultInjector()
+        injector.fire("device.teleport")  # unarmed: a flag read, nothing checked
+        injector.add_rule("device.read", nth=1000)
+        with pytest.raises(FaultSpecError, match="device.teleport"):
+            injector.fire("device.teleport")
+        with pytest.raises(FaultSpecError, match="device.teleport"):
+            injector.corrupt("device.teleport", b"page")
 
     def test_hit_counts_track_consultations(self):
         injector = FaultInjector()

@@ -30,6 +30,7 @@ from repro.obs import (
     MetricsRegistry,
     NULL_SPAN,
     StatsDictMixin,
+    Tracer,
     emit_event,
     get_registry,
     get_tracer,
@@ -113,6 +114,33 @@ class TestMetricsRegistry:
         registry.counter("labeled", a=1)
         with pytest.raises(TypeError):
             registry.histogram("labeled", a=2)
+        for other_labels in ({}, {"b": 1}, {"a": 1, "b": 2}):
+            with pytest.raises(TypeError):
+                registry.counter("labeled", **other_labels)
+
+    def test_names_follow_the_convention(self):
+        registry = MetricsRegistry()
+        for bad in ("Bad-Name", "lsm.flushes", "_x", "1x", "x\n"):
+            with pytest.raises(ValueError):
+                registry.counter(bad)
+        assert registry.snapshot()["counters"] == {}
+        registry.counter("lsm_flushes_2").inc()
+
+    def test_label_order_does_not_change_the_label_set(self):
+        registry = MetricsRegistry()
+        registry.counter("io", a=1, b=2).inc()
+        registry.counter("io", b=3, a=4).inc(2)
+        assert registry.snapshot()["counters"] == {"io{a=1,b=2}": 1, "io{a=4,b=3}": 2}
+
+    def test_refused_instrument_is_not_registered(self):
+        registry = MetricsRegistry()
+        registry.counter("tasks", kind="flush").inc()
+        with pytest.raises(TypeError):
+            registry.counter("tasks", phase="merge")
+        with pytest.raises(TypeError):
+            registry.gauge("tasks", kind="merge")
+        assert registry.snapshot() == {"counters": {"tasks{kind=flush}": 1},
+                                       "gauges": {}, "histograms": {}}
 
     def test_concurrent_increments_are_lossless(self):
         registry = MetricsRegistry()
@@ -196,8 +224,11 @@ class TestTracer:
         assert spans["outer"].parent_id is None
         assert spans["outer"].end >= spans["inner"].end
 
-    def test_exception_is_recorded_on_span(self, _clean_tracer):
-        tracer = _clean_tracer
+    def test_exception_is_recorded_on_span(self):
+        # A tracer of its own: the module-level one is built while `repro`
+        # is imported, before REPRO_LOCKTRACK=1 can wrap its locks, so this
+        # is where that session sees Tracer's locks created and acquired.
+        tracer = Tracer()
         tracer.enable()
         with pytest.raises(RuntimeError):
             with tracer.span("boom"):

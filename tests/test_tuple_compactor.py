@@ -175,6 +175,29 @@ class TestDeleteAndUpsertMaintenance:
         schema = dataset.partitions[0].compactor.schema
         assert schema.root.child(schema.field_name_id("gone")) is None
 
+    @pytest.mark.parametrize("storage_format", (StorageFormat.OPEN, StorageFormat.INFERRED),
+                             ids=["open", "inferred"])
+    def test_mutating_an_inserted_dict_does_not_wedge_flushes(self, storage_format):
+        """A sealed version's anti-schema is read off the bytes the schema
+        observes, not off the dict the caller has since changed."""
+        dataset = Dataset.create("mutated", storage_format)
+        record = {"id": 1, "v": 5}
+        dataset.insert(record)
+        index = dataset.partitions[0].index
+        with index._rotation_cond:
+            index._seal()
+        record["v"] = "x"
+        dataset.upsert({"id": 1, "v": 6})
+        dataset.flush_all()
+        dataset.insert({"id": 2, "v": 7})
+        dataset.flush_all()
+        assert dataset.get(1) == {"id": 1, "v": 6}
+        if storage_format is StorageFormat.INFERRED:
+            schema = dataset.partitions[0].compactor.schema
+            v = schema.root.child(schema.field_name_id("v"))
+            assert (v.tag, v.counter) == (TypeTag.INT64, 2)
+        dataset.close()
+
     def test_pk_index_limits_lookups_for_fresh_keys(self):
         index, compactor, encoder = _compacting_index(maintain_pk=True)
         for key in range(20):
