@@ -16,17 +16,23 @@ over the rounds:
   bisect per level.
 
 Then, for the three tree shapes a component writes — an ``int`` key with a
-200-byte value (a primary tree), an ``(int, int)`` key whose value is the
-encoded primary key (a secondary tree), and an ``int`` key with no value (a
-primary-key tree) — it prints CPU µs per entry of ``BulkLoader.build`` over
-``entries`` entries and of ``unpack_leaf`` over the leaves that build wrote,
-medians over the rounds.
+200-byte value (a primary tree), an ``(int, int)`` key with no value (a
+secondary tree) and an ``int`` key with no value (a primary-key tree) — it
+prints CPU µs per entry of ``BulkLoader.build`` over ``entries`` entries
+and of ``unpack_leaf`` over the leaves that build wrote, medians over the
+rounds.  The two key-only shapes decode as one struct table per leaf; the
+valued one is walked entry by entry.
 
 The gates, run by CI with the defaults: warm must cost under 0.25x cold (a
-hit that re-parses its page lands near 0.9x), and on every shape a build
+hit that re-parses its page lands near 0.9x); on the valued shape a build
 must cost under 3.0x the decode of what it built (a loader that encodes
-each key twice lands near 3.6-4.1x).  All numbers come from this process,
-so the box's speed cancels; the exit status is 1 when a gate fails.
+each key twice lands near 3.6-4.1x); and on each key-only shape the decode
+must cost under 0.5x the valued shape's per entry (a per-entry walk lands
+near 0.9x for an ``int`` key and 2.5x for a pair, the table near 0.07x and
+0.2-0.25x).  The build gate leaves the key-only shapes out: their decode
+is so cheap that a build of unchanged cost reads 4-15x it.  All numbers come from
+this process, so the box's speed cancels; the exit status is 1 when a gate
+fails.
 """
 
 from __future__ import annotations
@@ -37,17 +43,17 @@ import sys
 import time
 from typing import List, Tuple
 
-from repro.btree import BTree, BulkLoader, LeafEntry, encode_key, pages
+from repro.btree import BTree, BulkLoader, LeafEntry, pages
 from repro.storage import BufferCache, FileManager, SimulatedStorageDevice
 
 PAGE_SIZE = 8 * 1024
 VALUE_SIZE = 200
 #: The tree shapes a component writes: name -> entries for ``count`` keys.
+#: The first is the valued one, the others key-only.
 SHAPES = {
     "int key, 200-B value": lambda count: [
         LeafEntry(key, key.to_bytes(4, "little") * (VALUE_SIZE // 4)) for key in range(count)],
-    "(int, int) key, pk value": lambda count: [
-        LeafEntry((key // 4, key), encode_key(key)) for key in range(count)],
+    "(int, int) key, no value": lambda count: [LeafEntry((key // 4, key), b"") for key in range(count)],
     "int key, no value": lambda count: [LeafEntry(key, b"") for key in range(count)],
 }
 
@@ -120,12 +126,20 @@ def main(entries: int = 20000, lookups: int = 500, rounds: int = 5) -> int:
     passed = ratio < 0.25
 
     print(f"bulk build vs unpack_leaf, {entries} entries, median of {rounds} rounds, "
-          f"CPU µs per entry (gate: build / unpack < 3.0)")
+          f"CPU µs per entry (gates: build / unpack < 3.0 on the valued shape, "
+          f"key-only unpack / valued unpack < 0.5)")
+    valued_unpack = None
     for shape, make in SHAPES.items():
         build, unpack = _build_vs_unpack(make(entries), rounds)
-        print(f"  {shape:26s} build {build:6.2f}  unpack {unpack:6.2f}  "
-              f"build / unpack = {build / unpack:.2f}")
-        passed = passed and build / unpack < 3.0
+        line = (f"  {shape:26s} build {build:6.2f}  unpack {unpack:6.2f}  "
+                f"build / unpack = {build / unpack:.2f}")
+        if valued_unpack is None:
+            valued_unpack = unpack
+            passed = passed and build / unpack < 3.0
+        else:
+            line += f"  unpack / valued = {unpack / valued_unpack:.2f}"
+            passed = passed and unpack / valued_unpack < 0.5
+        print(line)
     return 0 if passed else 1
 
 

@@ -13,7 +13,9 @@ component writes by the thousand — an ``int`` (primary and primary-key-index
 keys) and an ``(int, int)`` pair (a secondary key over an integer field) —
 are one precompiled ``struct.pack`` each.  A subclass (an ``IntEnum``
 member, a ``str`` subclass) misses the table and falls back to
-``isinstance``, with ``bool`` refused first.
+``isinstance``, with ``bool`` refused first.  The same two structs state
+those shapes' bytes for the read side too (:data:`FIXED_WIDTH_KEYS`, from
+which ``pages`` builds its table decode of key-only leaves).
 """
 
 from __future__ import annotations
@@ -39,6 +41,10 @@ _INT_KEY = struct.Struct("<Bq")
 _FLOAT_KEY = struct.Struct("<Bd")
 _INT_PAIR_KEY = struct.Struct("<BBBqBq")
 _STR_HEAD = struct.Struct("<BH")
+#: The fixed-width shapes, ``(struct, (field position, value) of each kind
+#: or count byte)``; the struct's other fields are the key's integer parts.
+FIXED_WIDTH_KEYS = ((_INT_KEY, ((0, _KIND_INT),)),
+                    (_INT_PAIR_KEY, ((0, _KIND_TUPLE), (1, 2), (2, _KIND_INT), (4, _KIND_INT))))
 
 
 def _encode_int(key: int) -> bytes:

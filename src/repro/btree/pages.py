@@ -29,16 +29,25 @@ is ``(separators, children)``; a leaf frame is a :class:`LeafNode` — the
 page bytes plus each entry's key, flags offset and value end — whose values
 are sliced off the page only for the entries a reader asks for.  Frames are
 shared between readers and never mutated.
+
+A *key-only* leaf (a primary-key or secondary tree: every value empty) of
+one fixed-width key shape in ``keycodec.FIXED_WIDTH_KEYS`` — ``int`` keys
+in 14-byte entries, ``(int, int)`` keys in 25-byte ones — decodes as one
+precompiled ``Struct.unpack_from`` over its entry table, with ``range``
+offsets.  It is tried when the first entry has the shape's kind bytes and a
+zero length, and kept only when every entry does; any other leaf is walked,
+one ``decode_key`` per entry.  Entries that run past the page end raise
+:class:`StorageError` naming the offset, on either path.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..errors import StorageError
-from .keycodec import Key, decode_key, encode_key
+from .keycodec import FIXED_WIDTH_KEYS, Key, decode_key, encode_key
 
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
@@ -51,6 +60,8 @@ _FLAGS_LENGTH = struct.Struct("<BI")
 _INT_HEAD = struct.Struct("<BqBI")
 #: Bytes of a head after its key.
 HEAD_TAIL_SIZE = _FLAGS_LENGTH.size
+#: The value length of an entry with no value.
+_NO_VALUE = _U32.pack(0)
 
 LEAF_KIND = 1
 INTERIOR_KIND = 0
@@ -109,8 +120,8 @@ class LeafNode:
 
     __slots__ = ("page", "keys", "flag_offsets", "value_ends", "next_leaf")
 
-    def __init__(self, page: bytes, keys: List[Key], flag_offsets: List[int],
-                 value_ends: List[int], next_leaf: Optional[int]) -> None:
+    def __init__(self, page: bytes, keys: Sequence[Key], flag_offsets: Sequence[int],
+                 value_ends: Sequence[int], next_leaf: Optional[int]) -> None:
         self.page = page
         self.keys = keys
         self.flag_offsets = flag_offsets
@@ -132,24 +143,83 @@ class LeafNode:
                             bool(page[at] & FLAG_ANTIMATTER))
 
 
+class _KeyTable:
+    """The table decode of a key-only leaf of one fixed-width key shape."""
+
+    def __init__(self, key: struct.Struct, tags: Tuple[Tuple[int, int], ...]) -> None:
+        fields = list(key.format[1:])
+        #: ``(offset in an entry, byte)`` every entry must hold: the key's
+        #: kind and count bytes, then the four bytes of a zero value length.
+        self.checks = tuple((struct.calcsize("<" + "".join(fields[:at])), byte)
+                            for at, byte in tags)
+        self.checks += tuple((key.size + 1 + at, 0) for at in range(_U32.size))
+        for at, _ in tags:
+            fields[at] = "x"
+        #: One entry as Struct fields: the key's integer parts; its kind
+        #: bytes and the head's flags and length are skipped.
+        self.entry = "".join(fields) + f"{HEAD_TAIL_SIZE}x"
+        self.parts, self.key_size = len(fields) - len(tags), key.size
+        self.stride = key.size + HEAD_TAIL_SIZE
+        #: Where the first entry's value length sits on the page.
+        self.first_length = slice(LEAF_HEADER_SIZE + key.size + 1, LEAF_HEADER_SIZE + self.stride)
+        #: Entry-count bucket -> the Struct of that many entries.
+        self.structs: Dict[int, struct.Struct] = {}
+
+    def decode(self, page: bytes, count: int, next_leaf: Optional[int]) -> Optional[LeafNode]:
+        """The leaf's node, or ``None`` when an entry is not of this shape
+        with an empty value (the walk decodes it instead)."""
+        start, stride, checks = LEAF_HEADER_SIZE, self.stride, self.checks
+        capacity = (len(page) - start) // stride
+        end = start + count * stride
+        # The first entry alone, then every entry, each byte check in C.
+        if count > capacity or any(page[start + at] != byte for at, byte in checks) or any(
+                page[start + at:end:stride].count(byte) != count for at, byte in checks):
+            return None
+        # A Struct per power of two up to the page's capacity: entries past
+        # ``count`` are unpacked and never read.
+        bucket = min(1 << (count - 1).bit_length(), capacity)
+        table = self.structs.get(bucket) or self.structs.setdefault(
+            bucket, struct.Struct("<" + self.entry * bucket))
+        fields, parts = table.unpack_from(page, start), self.parts
+        keys = fields[:count] if parts == 1 else tuple(
+            zip(*(fields[at:count * parts:parts] for at in range(parts))))
+        return LeafNode(page, keys, range(start + self.key_size, end, stride),
+                        range(start + stride, end + stride, stride), next_leaf)
+
+
+#: Kind byte a leaf's first entry starts with -> the table of that key shape.
+_KEY_TABLES = {tags[0][1]: _KeyTable(key, tags) for key, tags in FIXED_WIDTH_KEYS}
+
+
 def unpack_leaf(page: bytes) -> LeafNode:
     """Decode a leaf page into its :class:`LeafNode` (keys and offsets only)."""
     if page[0] != LEAF_KIND:
         raise StorageError("page is not a leaf page")
     count, next_raw = _LEAF_HEADER.unpack_from(page, 1)
+    next_leaf = None if next_raw == 0 else next_raw - 1
+    table = _KEY_TABLES.get(page[LEAF_HEADER_SIZE]) if count else None
+    # A valued leaf costs one slice compare more than the walk.
+    if table is not None and page[table.first_length] == _NO_VALUE:
+        node = table.decode(page, count, next_leaf)
+        if node is not None:
+            return node
     keys: List[Key] = []
     flag_offsets: List[int] = []
     value_ends: List[int] = []
     cursor = LEAF_HEADER_SIZE
     unpack_length = _U32.unpack_from
-    for _ in range(count):
-        key, cursor = decode_key(page, cursor)
-        keys.append(key)
-        flag_offsets.append(cursor)
-        cursor += 5 + unpack_length(page, cursor + 1)[0]
-        value_ends.append(cursor)
-    return LeafNode(page, keys, flag_offsets, value_ends,
-                    None if next_raw == 0 else next_raw - 1)
+    try:
+        for _ in range(count):
+            key, at = decode_key(page, cursor)
+            keys.append(key)
+            flag_offsets.append(at)
+            cursor = at + 5 + unpack_length(page, at + 1)[0]
+            value_ends.append(cursor)
+    except (struct.error, IndexError):
+        raise StorageError(f"leaf entry at offset {cursor} runs past the page end") from None
+    if cursor > len(page):
+        raise StorageError(f"leaf value ending at offset {cursor} runs past the page end")
+    return LeafNode(page, keys, flag_offsets, value_ends, next_leaf)
 
 
 def pack_interior(separators: List[bytes], children: List[int], page_size: int) -> bytes:
@@ -171,12 +241,16 @@ def unpack_interior(page: bytes) -> Tuple[List[Key], Tuple[int, ...]]:
     if page[0] != INTERIOR_KIND:
         raise StorageError("page is not an interior page")
     (count,) = _U16.unpack_from(page, 1)
-    children = struct.unpack_from(f"<{count + 1}I", page, INTERIOR_HEADER_SIZE)
-    cursor = INTERIOR_HEADER_SIZE + 4 * (count + 1)
+    cursor = INTERIOR_HEADER_SIZE
     separators: List[Key] = []
-    for _ in range(count):
-        separator, cursor = decode_key(page, cursor)
-        separators.append(separator)
+    try:
+        children = struct.unpack_from(f"<{count + 1}I", page, cursor)
+        cursor += 4 * (count + 1)
+        for _ in range(count):
+            separator, cursor = decode_key(page, cursor)
+            separators.append(separator)
+    except (struct.error, IndexError):
+        raise StorageError(f"interior entry at offset {cursor} runs past the page end") from None
     return separators, children
 
 

@@ -15,11 +15,11 @@ lookups, scans, secondary indexes, bulk load, flush, and statistics.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..cache import PhysicalPlan, PlanCache, normalize_statement
 from ..config import DatasetConfig, StorageFormat
-from ..errors import DatasetError
+from ..errors import DatasetError, SchemaViolationError, TypeError_
 from ..lsm import LSMIOScheduler
 from ..obs import MetricsRegistry
 from ..obs import tracer as _tracer
@@ -67,6 +67,7 @@ class Dataset:
         self.config = config
         self.datatype = datatype if datatype is not None else open_only_primary_key(
             f"{config.name}Type", config.primary_key)
+        self._admitted_key_types: Set[type] = set()
         self.environments = list(environments)
         # Background LSM lifecycle: when enabled, all partitions share one
         # bounded scheduler that runs flushes and merges off the ingest path.
@@ -147,7 +148,19 @@ class Dataset:
     def upsert(self, record: Dict[str, Any]) -> None:
         self._partition_for(self._key_of(record)).upsert(record)
 
+    def _check_key(self, key: Any) -> None:
+        """Refuse a key the declared primary-key type refuses in a record: it
+        could never share an order with the stored keys, and every later
+        flush would fail.  An ``int``, ``float`` or ``str`` key's check
+        depends on its type alone, so it runs once per type."""
+        kind = type(key)
+        if kind not in self._admitted_key_types:
+            self.datatype.validate_field(self.config.primary_key, key)
+            if kind in (int, float, str):
+                self._admitted_key_types.add(kind)
+
     def delete(self, key: Any) -> None:
+        self._check_key(key)
         self._partition_for(key).delete(key)
 
     def bulk_load(self, records: Iterable[Dict[str, Any]]) -> None:
@@ -225,6 +238,10 @@ class Dataset:
     # ------------------------------------------------------------------ reads
 
     def get(self, key: Any) -> Optional[Dict[str, Any]]:
+        try:
+            self._check_key(key)
+        except (SchemaViolationError, TypeError_):
+            return None  # no stored record has such a key
         return self._partition_for(key).search(key)
 
     def scan(self) -> Iterator[Dict[str, Any]]:

@@ -425,8 +425,9 @@ def merged_secondary_entries(inputs: Sequence[OnDiskComponent], index_name: str,
 def _secondary_entries(definition: Any, entries: Sequence[LeafEntry],
                        schema: Optional[InferredSchema]) -> List[LeafEntry]:
     """One secondary index's leaf entries for a component: ``(value, primary
-    key)`` composites in order, each pointing back at its primary key.
-    Raises ``TypeError`` when the indexed values do not share an order."""
+    key)`` composites in order, key-only — a reader takes the primary key
+    from the key's second part.  Raises ``TypeError`` when the indexed
+    values do not share an order."""
     keyed = []
     for entry in entries:
         if entry.is_antimatter:
@@ -435,7 +436,7 @@ def _secondary_entries(definition: Any, entries: Sequence[LeafEntry],
         if value is not None:
             keyed.append((value, entry.key))
     keyed.sort()
-    return [LeafEntry(key, encode_key(key[1])) for key in keyed]
+    return [LeafEntry(key, b"") for key in keyed]
 
 
 def _delete_file(buffer_cache: BufferCache, file_name: str) -> None:

@@ -120,6 +120,13 @@ class Datatype:
                 )
             self._validate_field(declaration, record[declaration.name])
 
+    def validate_field(self, field_name: str, value: Any) -> None:
+        """Check one value against its field's declaration, as :meth:`validate`
+        does inside a record; an undeclared field admits anything."""
+        position = self._positions.get(field_name)
+        if position is not None:
+            self._validate_field(self.fields[position], value)
+
     def _validate_field(self, declaration: FieldDeclaration, value: Any) -> None:
         if value is None:
             if declaration.optional:

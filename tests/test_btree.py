@@ -1,10 +1,13 @@
 """Unit tests for the page-based B+-tree (bulk load + reads)."""
 
 import random
+import struct
 import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.btree import BTree, BulkLoader, LeafEntry, decode_key, encode_key, leaf_head, pages
 from repro.errors import CorruptPageError, EncodingError, StorageError
@@ -95,6 +98,113 @@ class TestKeyCodec:
     def test_unsupported_type_rejected(self):
         with pytest.raises(EncodingError):
             encode_key({"not": "a key"})
+
+
+def _pack(entries, page_size=PAGE_SIZE):
+    heads = [leaf_head(entry.key, entry.is_antimatter, len(entry.value)) for entry in entries]
+    return pages.pack_leaf(heads, [entry.value for entry in entries], None, page_size)
+
+
+def _walk(page):
+    """A leaf's ``(keys, flags, values)``, one ``decode_key`` per entry."""
+    (count,) = struct.unpack_from("<H", page, 1)
+    cursor = pages.LEAF_HEADER_SIZE
+    keys, flags, values = [], [], []
+    for _ in range(count):
+        key, cursor = decode_key(page, cursor)
+        flag, length = struct.unpack_from("<BI", page, cursor)
+        keys.append(key)
+        flags.append(flag)
+        values.append(page[cursor + 5:cursor + 5 + length])
+        cursor += 5 + length
+    return keys, flags, values
+
+
+_INT64 = st.integers(-2**63, 2**63 - 1)
+_SCALAR = st.one_of(_INT64, st.floats(allow_nan=False), st.text(max_size=4))
+#: The table shapes, and keys that share some of their bytes: other widths,
+#: other kinds in the same places, pairs with a float part.
+_KEYS = [_INT64, st.tuples(_INT64, _INT64),
+         st.one_of(_SCALAR, st.tuples(_SCALAR), st.tuples(_SCALAR, _SCALAR),
+                   st.tuples(_INT64, _INT64, _INT64))]
+
+
+@st.composite
+def _leaves(draw):
+    """A page ``pack_leaf`` writes, and its entries: empty values, some
+    valued, or key-only but for one later entry; as many as fit the page."""
+    page_size = draw(st.sampled_from([64, 256]))
+    keys = draw(st.lists(draw(st.sampled_from(_KEYS)), max_size=40))
+    mode = draw(st.sampled_from(["key-only", "valued", "one later valued"]))
+    if mode == "valued":
+        values = draw(st.lists(st.binary(max_size=12), min_size=len(keys), max_size=len(keys)))
+    else:
+        values = [b""] * len(keys)
+        if mode == "one later valued" and len(keys) > 1:
+            values[draw(st.integers(1, len(keys) - 1))] = draw(st.binary(min_size=1, max_size=12))
+    flags = draw(st.lists(st.booleans(), min_size=len(keys), max_size=len(keys)))
+    entries, size = [], pages.LEAF_HEADER_SIZE
+    for key, value, is_antimatter in zip(keys, values, flags):
+        size += len(leaf_head(key, is_antimatter, len(value))) + len(value)
+        if size > page_size:
+            break
+        entries.append(LeafEntry(key, value, is_antimatter))
+    return _pack(entries, page_size), entries
+
+
+@settings(max_examples=300, deadline=None)
+@given(_leaves())
+def test_unpack_leaf_equals_a_per_entry_walk(leaf):
+    """Whichever way ``unpack_leaf`` decodes a leaf — one struct table for a
+    key-only leaf of ``int`` or ``(int, int)`` keys, else the walk — it
+    gives the keys, flags and values a per-entry ``decode_key`` walk does."""
+    page, entries = leaf
+    node = pages.unpack_leaf(page)
+    shapes = {(type(entry.key), *map(type, entry.key if type(entry.key) is tuple else ()))
+              for entry in entries}
+    key_only = all(entry.value == b"" for entry in entries)
+    # The table (its offsets are ranges) serves exactly the leaves it fits.
+    assert isinstance(node.flag_offsets, range) == (
+        key_only and shapes in ({(int,)}, {(tuple, int, int)}))
+    keys, flags, values = _walk(page)
+    assert repr(list(node.keys)) == repr(keys) == repr([entry.key for entry in entries])
+    decoded = list(node.entries())
+    assert decoded == [node.entry(index) for index in range(len(keys))] == entries
+    assert [entry.is_antimatter for entry in decoded] == [bool(flag) for flag in flags]
+    assert [entry.value for entry in decoded] == values
+
+
+class TestMalformedPages:
+    """A page whose entries run past its end raises ``StorageError`` naming
+    the offset, on the walk and on the table path alike — not a bare
+    ``struct.error``, and not a value cut short at the page end."""
+
+    SHAPES = {"valued": [LeafEntry(key, b"v" * 9) for key in range(3)],
+              "int key-only": [LeafEntry(key, b"") for key in range(3)],
+              "pair key-only": [LeafEntry((key, -key), b"") for key in range(3)]}
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_leaf_entry_count_past_the_page(self, shape):
+        page = bytearray(_pack(self.SHAPES[shape]))
+        struct.pack_into("<H", page, 1, 1000)
+        with pytest.raises(StorageError, match="offset"):
+            pages.unpack_leaf(bytes(page))
+
+    @pytest.mark.parametrize("index", [0, 2])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_leaf_value_length_past_the_page(self, shape, index):
+        page = bytearray(_pack(self.SHAPES[shape]))
+        at = pages.unpack_leaf(bytes(page)).flag_offsets[index]
+        struct.pack_into("<I", page, at + 1, PAGE_SIZE)
+        with pytest.raises(StorageError, match="offset"):
+            pages.unpack_leaf(bytes(page))
+
+    @pytest.mark.parametrize("count", [100, 1000])
+    def test_interior_entry_count_past_the_page(self, count):
+        page = bytearray(pages.pack_interior([encode_key(10)], [0, 1], PAGE_SIZE))
+        struct.pack_into("<H", page, 1, count)
+        with pytest.raises(StorageError, match="offset"):
+            pages.unpack_interior(bytes(page))
 
 
 class TestBulkLoadAndSearch:

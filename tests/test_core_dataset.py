@@ -6,7 +6,7 @@ from repro import Dataset, DeviceKind, StorageEnvironment, StorageFormat
 from repro.config import DatasetConfig, LSMConfig, StorageConfig
 from repro.core.dataset import hash_partition
 from repro.errors import (ComponentStateError, DatasetError, EncodingError, KeyNotFoundError,
-                          RecordTooLargeError)
+                          RecordTooLargeError, SchemaViolationError)
 from repro.types import deep_equals
 from repro.vector.layout import MAX_NESTING_DEPTH
 
@@ -260,8 +260,9 @@ def test_unencodable_delete_key_is_refused_on_arrival(storage_format):
     dataset = Dataset.create("keys", storage_format, environment=environment)
     dataset.insert({"id": 1, "v": "one"})
     logged = len(environment.wal)
-    for bad in (2**70, -2**63 - 1, True):
-        with pytest.raises(EncodingError):
+    for bad, error in ((2**70, EncodingError), (-2**63 - 1, EncodingError),
+                       (True, SchemaViolationError)):
+        with pytest.raises(error):
             dataset.delete(bad)
     assert len(environment.wal) == logged
     assert dataset.get(1) == {"id": 1, "v": "one"}
@@ -270,6 +271,30 @@ def test_unencodable_delete_key_is_refused_on_arrival(storage_format):
     dataset.flush_all()
     assert dataset.get(1) == {"id": 1, "v": "one"}
     assert dataset.count() == 2
+
+
+@pytest.mark.parametrize("flushed", [False, True], ids=["memtable", "flushed"])
+@pytest.mark.parametrize("storage_format", list(StorageFormat), ids=lambda f: f.name.lower())
+def test_key_of_the_wrong_declared_type(storage_format, flushed):
+    """A delete of a key the declared primary-key type cannot hold used to be
+    logged and then make every flush and count raise a bare ``TypeError``
+    (a ``str`` among ``int`` keys); ``get`` of one raised once the data was
+    flushed, and ``get(True)`` returned id 1's record.  The key is checked
+    against the declaration, as an inserted record's is."""
+    environment = StorageEnvironment()
+    dataset = Dataset.create("keys", storage_format, environment=environment)
+    dataset.insert_all({"id": key, "v": key} for key in range(6))
+    if flushed:
+        dataset.flush_all()
+    logged = len(environment.wal)
+    with pytest.raises(SchemaViolationError, match="declared field 'id' expects INT64"):
+        dataset.delete("x")
+    assert len(environment.wal) == logged
+    assert dataset.get(1) == {"id": 1, "v": 1}  # an admitted int does not admit a bool
+    for key in ("x", True, None):
+        assert dataset.get(key) is None
+    dataset.flush_all()
+    assert dataset.count() == 6 and dataset.get(1) == {"id": 1, "v": 1}
 
 
 @pytest.mark.xfail(strict=True, reason="a memtable entry keeps the caller's dict by reference")
