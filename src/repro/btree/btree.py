@@ -6,7 +6,8 @@ access patterns the LSM engine needs:
 
 * point lookup (primary-key existence checks, upsert anti-schema fetches);
 * ascending range scans (secondary-index range queries, Figure 24);
-* full sequential scans of the leaf level (dataset scans and LSM merges).
+* full sequential scans of the leaf level, entry by entry or leaf by leaf
+  (dataset scans and LSM merges).
 
 All page reads go through the buffer cache with :func:`~.pages.unpack_node`
 as the decoder, so a page is parsed once per cache residency: a hit hands
@@ -50,8 +51,13 @@ class BTree:
 
     def scan_all(self) -> Iterator[LeafEntry]:
         """Yield every entry in key order by walking the leaf level."""
+        for leaf in self.leaves():
+            yield from leaf.entries()
+
+    def leaves(self) -> Iterator[LeafNode]:
+        """Yield the leaf level's decoded nodes in key order."""
         for leaf_no in range(self.info.leaf_count):
-            yield from self._read_leaf(leaf_no).entries()
+            yield self._read_leaf(leaf_no)
 
     def range_scan(self, low: Optional[Key] = None, high: Optional[Key] = None,
                    include_low: bool = True, include_high: bool = True) -> Iterator[LeafEntry]:

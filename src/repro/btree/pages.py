@@ -116,9 +116,11 @@ class LeafNode:
     and ``value_ends[i]`` where its value stops.  It holds no per-entry
     objects beyond the keys: :meth:`entry` / :meth:`entries` build a fresh
     :class:`LeafEntry`, value sliced off the page, for each entry returned.
+    A leaf is also one key-sorted *run* of the LSM reconcile: ``keys`` plus
+    :attr:`antimatter`.
     """
 
-    __slots__ = ("page", "keys", "flag_offsets", "value_ends", "next_leaf")
+    __slots__ = ("page", "keys", "flag_offsets", "value_ends", "next_leaf", "_antimatter")
 
     def __init__(self, page: bytes, keys: Sequence[Key], flag_offsets: Sequence[int],
                  value_ends: Sequence[int], next_leaf: Optional[int]) -> None:
@@ -127,6 +129,16 @@ class LeafNode:
         self.flag_offsets = flag_offsets
         self.value_ends = value_ends
         self.next_leaf = next_leaf
+        self._antimatter: Optional[Tuple[int, ...]] = None
+
+    @property
+    def antimatter(self) -> Tuple[int, ...]:
+        """Positions of the anti-matter entries, ascending (found on first use)."""
+        if self._antimatter is None:
+            page = self.page
+            self._antimatter = tuple(index for index, at in enumerate(self.flag_offsets)
+                                     if page[at] & FLAG_ANTIMATTER)
+        return self._antimatter
 
     def entry(self, index: int) -> LeafEntry:
         at = self.flag_offsets[index]

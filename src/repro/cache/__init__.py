@@ -14,9 +14,9 @@ profitable):
 * :class:`ColumnSliceCache` — per-environment cache of decoded column
   slices keyed ``(component file, path set, chunk index)`` with
   byte-accounted LRU eviction, invalidated through the LSM lifecycle
-  (component drops and quarantine events evict eagerly; immutable
-  components plus never-reused file names make stale reads structurally
-  impossible).
+  (component drops, quarantine events and the writing of a component file
+  evict eagerly, so a slice never outlives the file contents it was
+  decoded from).
 
 Both publish hit/miss/eviction metrics into the shared registry, fire the
 ``cache.lookup`` / ``cache.store`` fault points (degrading to a miss /

@@ -4,50 +4,52 @@ The paper's columnar layout makes repeated analytical scans decode-bound:
 the pages may already sit in the buffer cache, but every scan still walks
 each record's vectors and re-decodes the requested columns.  This cache
 memoizes the *decoded* slices instead.  Entries are chunks of an on-disk
-component's scan stream — for one path set, chunk ``i`` holds rows
-``i*chunk_rows .. (i+1)*chunk_rows - 1`` of the component in key order,
-each row as ``(key, is_antimatter, values)`` with ``values`` aligned to the
-extractor's request paths (``None`` for anti-matter rows, which must keep
-shadowing older components during the merge-scan).  A warm scan serves
-whole chunks without touching the B+-tree, the buffer cache, or the
+component's scan stream — for one path set, consecutive whole leaves of the
+component in key order, at least ``chunk_rows`` rows each (the last chunk
+may hold fewer) — stored column-major: the keys, the positions of the
+anti-matter rows (which must keep shadowing older components during the
+LSM reconcile), and one list of decoded values per requested path.  A
+chunk is one *run* of the LSM scan (``LSMBTree.scan``), so a warm scan
+serves whole chunks without touching the B+-tree, the buffer cache, or the
 simulated device: device bytes read drop to zero.
 
-Lifecycle safety comes from two facts.  Components are immutable and their
-file names are never reused (sequence numbers only grow, across recovery
-too), so an entry can never describe different data than it was built
-from.  And the LSM index evicts eagerly anyway — component drops (the
-merge/`read_guard` deferred-deletion path) and quarantine events both call
-:meth:`ColumnSliceCache.invalidate_component` — so a merged-away or corrupt
-component's slices leave the cache as soon as the component leaves the
-tree, and memory is not held hostage by dead files.
+Lifecycle safety comes from the LSM index, which calls
+:meth:`ColumnSliceCache.invalidate_component` whenever a component file's
+slices could go stale or dead.  Component files are immutable once
+written, but a file name is written again when a dataset is re-created
+under the same name, so the index evicts a file's slices before it writes
+a component file: an entry never describes other data than it was built
+from.  Component drops (the merge/`read_guard` deferred-deletion path) and
+quarantine events evict too, so a merged-away or corrupt component's
+slices leave the cache as soon as the component leaves the tree, and
+memory is not held hostage by dead files.
 
-The cache owns what it holds.  A cold scan hands each freshly decoded value
-tuple to its caller and files its own copy, made by :func:`sized_copy` in the
-one walk that also sizes it; a warm scan yields a copy from the same copier.
-So a caller that mutates a result row — a dict, a list, an object inside a
-multiset — can never reach a cached slice.
+Chunks are handed out by reference: neither a warm hit nor a cold miss
+copies a value, so nothing downstream may mutate what a scan yields.  The
+query executor copies a result once on its way out of a plan that read
+this cache, so a caller mutating its rows never reaches a cached slice.
 
 The byte budget is 32 MiB unless the cache is built with another
-``capacity_bytes``; ``0`` disables the cache.  Sizes are estimates (Python
-object overheads approximated per value), which is fine for an eviction
-budget.
+``capacity_bytes``; ``0`` disables the cache.  A chunk's size counts the
+encoded payload bytes its rows were decoded from plus a fixed overhead per
+row, an estimate that needs no walk over the decoded values.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import CorruptPageError, PermanentIOError, TransientIOError
 from ..faults import fire_fault
 from ..obs import MetricsRegistry, get_registry
-from ..types import AMultiset, Missing
 
 #: Cache budget (shared by all datasets of one storage environment): 32 MiB.
 DEFAULT_COLUMN_CACHE_BYTES = 32 * 1024 * 1024
 
-#: Component-scan rows per cached chunk (the "batch range" of the key).
+#: Component-scan rows a cached chunk holds at least (the "batch range" of
+#: the key): it closes at the first leaf boundary past them.
 CHUNK_ROWS = 1024
 
 
@@ -66,65 +68,44 @@ class SliceScanStats:
         self.misses = 0
 
 
-#: Base size of a str or bytes; its length is added.
-_STRING_BYTES = 49
-#: Rough resident bytes of the immutable scalars a decoded row holds, by
-#: exact type; any other leaf counts 64.
-_SCALAR_BYTES = {type(None): 8, bool: 8, Missing: 8, int: 28, float: 28,
-                 str: _STRING_BYTES, bytes: _STRING_BYTES}
-
-
-def sized_copy(value: Any) -> Tuple[Any, int]:
-    """``(copy, rough resident bytes)`` of one decoded value, in one walk.
-
-    The copy shares nothing mutable with ``value``: dicts, lists, tuples and
-    multisets are rebuilt all the way down, immutable leaves are shared.
-    """
-    kind = type(value)
-    if kind is list or kind is tuple:
-        total = 56
-        items = []
-        for item in value:
-            size = _SCALAR_BYTES.get(type(item))
-            if size is None:
-                item, size = sized_copy(item)
-            elif size == _STRING_BYTES:
-                size += len(item)
-            total += size
-            items.append(item)
-        return (items if kind is list else tuple(items)), total
-    if kind is dict:  # field names are strings, sized like any other
-        items, total = sized_copy(list(value.values()))
-        return dict(zip(value, items)), total + 8 + sum(map(len, value)) + _STRING_BYTES * len(value)
-    if kind is AMultiset:
-        items, total = sized_copy(value.items)
-        return AMultiset(items), total
-    size = _SCALAR_BYTES.get(kind, 64)
-    return value, size + len(value) if size == _STRING_BYTES else size
+#: Estimated resident bytes of a chunk, and of each row on top of the
+#: encoded payload bytes it was decoded from.
+_CHUNK_BYTES = 96
+_ROW_BYTES = 80
 
 
 class SliceChunk:
-    """One cached slice: the cache's own copy of a run of component-scan
-    rows, ``(key, is_antimatter, values)`` each, plus its byte size."""
+    """A run of one component's scan rows, column-major: ``keys`` in key
+    order, the ascending ``antimatter`` positions, and ``columns`` — one
+    list of decoded values per requested path, ``None`` at anti-matter rows.
 
-    __slots__ = ("rows", "last", "nbytes")
+    ``nbytes`` is the size the cache's byte budget charges (see the module
+    docstring).  Nothing mutates a chunk once a scan has yielded it.
+    """
 
-    def __init__(self, rows: Sequence[Tuple[Any, bool, Optional[Tuple[Any, ...]]]] = (),
-                 last: bool = False) -> None:
-        self.rows: List[Tuple[Any, bool, Optional[Tuple[Any, ...]]]] = []
+    __slots__ = ("keys", "antimatter", "columns", "nbytes", "last")
+
+    def __init__(self, keys: Sequence[Any], antimatter: List[int], columns: List[List[Any]],
+                 encoded_bytes: int, last: bool = False) -> None:
+        self.keys = keys
+        self.antimatter = antimatter
+        self.columns = columns
+        self.nbytes = _CHUNK_BYTES + _ROW_BYTES * len(keys) + encoded_bytes
         self.last = last
-        self.nbytes = 96
-        for row in rows:
-            self.append(*row)
 
-    def append(self, key: Any, is_antimatter: bool, values: Optional[Tuple[Any, ...]]) -> None:
-        """File a copy of one row, sized in the walk that copies it."""
-        size = _SCALAR_BYTES.get(type(key), 64)
-        if values is not None:
-            values, nbytes = sized_copy(values)
-            size += nbytes
-        self.rows.append((key, is_antimatter, values))
-        self.nbytes += 80 + size
+    @classmethod
+    def empty(cls, width: int) -> "SliceChunk":
+        """A chunk with no rows and ``width`` columns, to :meth:`extend`."""
+        return cls([], [], [[] for _ in range(width)], 0)
+
+    def extend(self, run: "SliceChunk") -> None:
+        """Append another chunk's rows (references only, no value copied)."""
+        offset = len(self.keys)
+        self.keys.extend(run.keys)
+        self.antimatter.extend(position + offset for position in run.antimatter)
+        for column, values in zip(self.columns, run.columns):
+            column.extend(values)
+        self.nbytes += run.nbytes - _CHUNK_BYTES
 
 
 class ColumnSliceCache:
@@ -216,7 +197,7 @@ class ColumnSliceCache:
     # ------------------------------------------------------------------ lifecycle
 
     def invalidate_component(self, file_name: str) -> None:
-        """Drop every chunk of one component (drop/merge/quarantine hook)."""
+        """Drop every chunk of one component file (the LSM lifecycle hook)."""
         with self._lock:
             stale = [key for key in self._entries if key[0] == file_name]
             for key in stale:
@@ -244,60 +225,68 @@ def paths_cache_key(paths: Sequence[Sequence[Any]]) -> Tuple:
 
 def cached_component_scan(cache: ColumnSliceCache, component: Any, decode,
                           extractor, paths_key: Tuple,
-                          stats: Optional[SliceScanStats] = None) -> Iterator[Tuple]:
-    """Scan one on-disk component through the slice cache.
+                          stats: Optional[SliceScanStats] = None) -> Iterator[SliceChunk]:
+    """Scan one on-disk component through the slice cache, as runs.
 
-    Yields the LSM merge-scan's source items extended with decoded values:
-    ``(key, is_antimatter, payload, record, schema, values)``.  Cached
-    chunks are served without any page access (``payload`` is empty — the
-    values already carry everything the batch pipeline asked for), each row
-    as a copy of the cached one; on the first missing chunk the scan falls
-    back to ``component.scan()``, skips the rows already served, decodes the
-    remainder through ``decode`` + ``extractor`` — the caller gets the fresh
-    values, the chunk being filled its own copy — and repopulates chunks as
-    it goes.  Anti-matter rows are cached with ``values=None`` so key
-    shadowing survives a warm scan.
+    Yields :class:`SliceChunk` runs covering the component's rows in key
+    order (``component_source`` of ``LSMBTree.scan``).  Cached chunks are
+    served as they are, without any page access; on the first missing chunk
+    the scan falls back to ``component.leaves()``, skips the rows already
+    served, and decodes each remaining leaf through ``decode`` +
+    ``extractor`` into a run of its own, which it yields and appends to the
+    chunk being filled — the caller and the cache share the decoded values.
+    Anti-matter rows are kept (with ``None`` values) so key shadowing
+    survives a warm scan.
 
     A ``CorruptPageError`` from the fallback propagates to the caller (the
     LSM index quarantines the component, which evicts its chunks); chunks
     stored before the corruption was hit are evicted with the rest.
     """
     file_name = component.file_name
-    schema = component.schema
     served = 0
     chunk_index = 0
     while True:
         chunk = cache.get_chunk(file_name, paths_key, chunk_index)
         if chunk is None:
             break
-        for key, is_antimatter, values in chunk.rows:
-            if values is not None:
-                values = sized_copy(values)[0]
-            yield key, is_antimatter, b"", None, schema, values
-        served += len(chunk.rows)
+        served += len(chunk.keys)
         if stats is not None:
-            stats.hits += len(chunk.rows)
+            stats.hits += len(chunk.keys)
+        yield chunk
         if chunk.last:
             return
         chunk_index += 1
 
-    filling = SliceChunk()
+    width = len(paths_key)
+    blank = (None,) * width
+    extract = extractor.extract
+    filling = SliceChunk.empty(width)
     position = 0
-    for entry in component.scan():
-        position += 1
-        if position <= served:
-            continue  # replay past the rows the cached prefix already served
-        if entry.is_antimatter:
-            values: Optional[Tuple[Any, ...]] = None
-        else:
-            values = tuple(extractor.extract(decode(entry.value)))
+    for leaf in component.leaves():
+        keys = leaf.keys
+        skip = min(len(keys), max(0, served - position))  # rows a cached chunk served
+        position += len(keys)
+        if skip == len(keys):
+            continue
+        rows: List[Sequence[Any]] = []
+        antimatter: List[int] = []
+        encoded = 0
+        for entry in leaf.entries(skip):
+            if entry.is_antimatter:
+                antimatter.append(len(rows))
+                rows.append(blank)
+            else:
+                rows.append(extract(decode(entry.value)))
+            encoded += len(entry.value)
         if stats is not None:
-            stats.misses += 1
-        filling.append(entry.key, entry.is_antimatter, values)
-        yield entry.key, entry.is_antimatter, entry.value, None, schema, values
-        if len(filling.rows) >= cache.chunk_rows:
+            stats.misses += len(rows)
+        run = SliceChunk(keys[skip:] if skip else keys, antimatter,
+                         [list(column) for column in zip(*rows)] if width else [], encoded)
+        yield run
+        filling.extend(run)
+        if len(filling.keys) >= cache.chunk_rows:
             cache.store_chunk(file_name, paths_key, chunk_index, filling)
             chunk_index += 1
-            filling = SliceChunk()
+            filling = SliceChunk.empty(width)
     filling.last = True
     cache.store_chunk(file_name, paths_key, chunk_index, filling)

@@ -17,10 +17,12 @@ one :class:`PhysicalPlan` keyed by
 * the executor's plan-relevant knobs (optimizer flags, access-path policy),
   so differently-configured executors never share entries.
 
-Entries are never invalidated in place: a bumped epoch simply stops
-matching, and the stale entries age out of the LRU.  A cache holds 64
-entries unless built with another ``capacity``; ``0`` disables caching
-entirely.
+Epochs only move forward, so an entry of an earlier epoch can never match
+again.  The cache drops them all as soon as it learns of a newer epoch — from
+a put, or from :meth:`PlanCache.retire` after a flush — instead of leaving
+dead plans for the LRU to age out: a cached plan is some eighty objects the
+garbage collector walks on every full collection.  A cache holds 64 entries
+unless built with another ``capacity``; ``0`` disables caching entirely.
 """
 
 from __future__ import annotations
@@ -120,6 +122,7 @@ class PlanCache:
         self.capacity = max(0, capacity)
         self._lock = threading.Lock()
         self._entries: "OrderedDict[Hashable, PhysicalPlan]" = OrderedDict()  # guarded-by: _lock
+        self._epoch: Hashable = None  # guarded-by: _lock
         metrics = metrics if metrics is not None else get_registry()
         self._hits = metrics.counter("plan_cache_hits")
         self._misses = metrics.counter("plan_cache_misses")
@@ -155,16 +158,21 @@ class PlanCache:
             self._hits.inc()
         return plan
 
-    def put(self, key: Hashable, plan: PhysicalPlan) -> None:
-        """Insert/refresh ``key``, evicting least-recently-used overflow."""
+    def put(self, key: Hashable, plan: PhysicalPlan, epoch: Hashable = None) -> None:
+        """Insert/refresh ``key``, evicting least-recently-used overflow.
+
+        ``epoch`` is the dataset state the plan was built against (the
+        ``reuse_epoch`` part of ``key``); a put under a new epoch first
+        evicts every entry of the old one (see :meth:`retire`).
+        """
         if not self.enabled:
             return
         try:
             fire_fault("cache.store")
         except (TransientIOError, PermanentIOError, CorruptPageError):
             return  # skipped store: the next execution re-plans and retries
-        evicted = 0
         with self._lock:
+            evicted = self._retire(epoch)
             self._entries[key] = plan
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
@@ -174,6 +182,25 @@ class PlanCache:
         if evicted:
             self._evictions.inc(evicted)
         self._entries_gauge.set(size)
+
+    def retire(self, epoch: Hashable) -> None:
+        """Evict every entry cached under another epoch than ``epoch``, the
+        dataset's current one: none of them can match again."""
+        with self._lock:
+            evicted = self._retire(epoch)
+            size = len(self._entries)
+        if evicted:
+            self._evictions.inc(evicted)
+            self._entries_gauge.set(size)
+
+    def _retire(self, epoch: Hashable) -> int:
+        """:meth:`retire`'s eviction, returning its count; caller holds ``_lock``."""
+        if epoch == self._epoch:
+            return 0
+        evicted = len(self._entries)
+        self._entries.clear()
+        self._epoch = epoch
+        return evicted
 
     def clear(self) -> None:
         with self._lock:

@@ -174,6 +174,8 @@ class Dataset:
     def flush_all(self) -> None:
         for partition in self.partitions:
             partition.flush()
+        # A flush moves the reuse epoch: plans cached before it never match again.
+        self.plan_cache.retire(self.reuse_epoch())
 
     # ------------------------------------------------------------------ lifecycle
 
@@ -337,7 +339,8 @@ class Dataset:
         """
         if not isinstance(query, str):
             return runner.prepare_physical(self, query), None
-        key = (normalize_statement(query), self.reuse_epoch(), runner.plan_signature())
+        epoch = self.reuse_epoch()
+        key = (normalize_statement(query), epoch, runner.plan_signature())
         physical = self.plan_cache.get(key)
         if physical is not None:
             return physical, "cache"
@@ -348,7 +351,7 @@ class Dataset:
         if isinstance(compiled, CompiledCreateIndex):
             return compiled, None
         physical = runner.prepare_physical(self, compiled.spec)
-        self.plan_cache.put(key, physical)
+        self.plan_cache.put(key, physical, epoch)
         return physical, "compiled"
 
     def _run(self, query: Any, runner: Any,
@@ -376,7 +379,8 @@ class Dataset:
         (bumped on flush install, bulk load, merge swap, secondary-index
         backfill, and quarantine), so any event that can change optimizer
         inputs or access-path viability yields a fresh epoch — stale plans
-        simply stop matching and age out of the LRU.
+        stop matching, and the plan cache evicts them at its next put or
+        after :meth:`flush_all`.
         """
         return (self._plan_epoch,
                 tuple(partition.index.structure_version for partition in self.partitions))

@@ -8,16 +8,16 @@ whose schema is entirely independent of other partitions' schemas
 (paper §3.4.1).
 
 It is also the only translator between the two: the LSM index hands out
-stored rows (:class:`~repro.lsm.lsm_index.SearchResult`) from lookups, scans
-and probes alike, and :meth:`Partition._view` is the one place a stored row
-becomes a record view.
+stored rows — a :class:`~repro.lsm.lsm_index.SearchResult` from lookups and
+probes, runs of rows from scans — and this class turns them into record
+views (:meth:`Partition._view`, :meth:`Partition.scan_runs`).
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..cache import cached_component_scan
+from ..cache import SliceChunk, cached_component_scan
 from ..cache.column_cache import paths_cache_key
 from ..config import DatasetConfig
 from ..errors import KeyNotFoundError
@@ -141,16 +141,19 @@ class Partition:
             return None
         return self._view(result.payload, result.schema, result.record).materialize()
 
-    def scan_rows(self, paths: Sequence[Tuple[Any, ...]] = (), extractor: Any = None,
-                  slice_stats: Any = None) -> Iterator[Tuple[Any, Any]]:
-        """The row stream of a full scan: one ``(values, view)`` pair per live
-        record in key order, exactly one of the two non-None.
+    def scan_runs(self, paths: Sequence[Tuple[Any, ...]] = (), extractor: Any = None,
+                  slice_stats: Any = None) -> Iterator[Tuple[Any, Any, int, int]]:
+        """A full scan as the LSM index's live runs, in key order: one
+        ``(columns, views, start, stop)`` per run — rows ``start .. stop - 1``
+        of either ``columns`` or ``views``, the other None.
 
         Given an ``extractor`` (compiled for ``paths``) and an enabled
         column-slice cache, on-disk components are scanned through the cache
-        and their rows arrive decoded: ``values`` is the tuple of column
-        values aligned with ``paths``.  Every other row — memtable hits, and
-        all rows otherwise — arrives as its record ``view``.
+        and their rows arrive decoded: ``columns`` holds one sequence of
+        values per path, the cached chunk's own lists, handed out by
+        reference — read them, never mutate them.  Every other run —
+        memtable rows, and all rows otherwise — arrives as a list of record
+        ``views``.
         """
         cache = self.environment.column_cache
         source = None
@@ -162,16 +165,23 @@ class Partition:
                     cache, component, lambda payload: self._view(payload, component.schema),
                     extractor, pkey, slice_stats)
 
-        for result in self.index.scan(component_source=source):
-            if result.values is not None:
-                yield result.values, None
-            else:
-                yield None, self._view(result.payload, result.schema, result.record)
+        view = self._view
+        for component, run, start, stop in self.index.scan(component_source=source):
+            if component is None:  # a memtable run
+                views = [view(entry.encoded, None, entry.record)
+                         for entry in run.entries[start:stop]]
+            elif type(run) is SliceChunk:
+                yield run.columns, None, start, stop
+                continue
+            else:  # a B+-tree leaf
+                views = [view(entry.value, component.schema)
+                         for entry in run.entries(start, stop)]
+            yield None, views, 0, len(views)
 
     def scan_views(self) -> Iterator[Any]:
         """Yield a record view per live record."""
-        for _, view in self.scan_rows():
-            yield view
+        for _, views, _, _ in self.scan_runs():
+            yield from views
 
     def scan_records(self) -> Iterator[Dict[str, Any]]:
         for view in self.scan_views():

@@ -30,6 +30,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..btree import BTree, BTreeInfo, BulkLoader, LeafEntry
 from ..btree.keycodec import decode_key, encode_key
+from ..btree.pages import LeafNode
 from ..errors import ComponentStateError, QuarantinedComponentError, StorageError
 from ..schema import InferredSchema
 from ..storage.buffer_cache import BufferCache
@@ -221,6 +222,12 @@ class OnDiskComponent:
         if not self.valid:
             raise ComponentStateError(f"component {self.component_id} is not VALID")
         return self.btree.scan_all()
+
+    def leaves(self) -> Iterator[LeafNode]:
+        """The primary tree's leaves in key order: the component's runs."""
+        if not self.valid:
+            raise ComponentStateError(f"component {self.component_id} is not VALID")
+        return self.btree.leaves()
 
     def key_may_exist(self, key: Any) -> bool:
         """Existence check served by the primary-key index when present."""

@@ -17,9 +17,10 @@ from __future__ import annotations
 import heapq
 import threading
 import time
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..btree import LeafEntry, leaf_head
 from ..btree.pages import LEAF_HEADER_SIZE
@@ -111,17 +112,24 @@ class SealedMemtable:
 
 @dataclass
 class SearchResult:
-    """Payload returned by point lookups and scans."""
+    """One record a point lookup or an index probe returns."""
 
     key: Any
     payload: bytes
     schema: Optional[InferredSchema]
-    from_memory: bool = False
     record: Optional[Dict[str, Any]] = None  # set only for memtable hits
-    #: Decoded column values (aligned to the scan's requested paths) when the
-    #: row was served through the column-slice cache; None on every other
-    #: path, in which case callers decode ``payload`` as before.
-    values: Optional[Tuple[Any, ...]] = None
+
+
+class MemtableRun:
+    """One memtable snapshot as a run of the reconcile: its entries in key
+    order, their keys, and where its anti-matter entries sit."""
+
+    __slots__ = ("entries", "keys", "antimatter")
+
+    def __init__(self, entries: List[MemEntry]) -> None:
+        self.entries = entries
+        self.keys = [entry.key for entry in entries]
+        self.antimatter = [index for index, entry in enumerate(entries) if entry.is_antimatter]
 
 
 class LSMBTree:
@@ -538,6 +546,7 @@ class LSMBTree:
                           partition=self.partition, inputs=len(replacing)) as span:
             try:
                 entries, schema_bytes, schema, secondary = produce()
+                self._evict_slices(file_name)
                 metadata = ComponentWriter(self.buffer_cache, file_name).write(
                     component_id, entries, schema_bytes, fail_before_footer=fail_before_footer)
                 component = OnDiskComponent(component_id, file_name, self.buffer_cache,
@@ -734,16 +743,16 @@ class LSMBTree:
                               for component in self.components)
 
         def produce():
-            sources = [((entry.key, entry) for entry in component.scan())
-                       for component in selected]
             entries: List[LeafEntry] = []
             winners: Dict[Any, int] = {}  # live key -> rank of the input it survives from
-            for rank, (key, entry) in _reconcile(sources):
-                if not entry.is_antimatter:
-                    winners[key] = rank
-                elif not keep_antimatter:
-                    continue
-                entries.append(entry)
+            for rank, leaf, start, stop in _reconcile([component.leaves()
+                                                       for component in selected]):
+                for entry in leaf.entries(start, stop):
+                    if not entry.is_antimatter:
+                        winners[entry.key] = rank
+                    elif not keep_antimatter:
+                        continue
+                    entries.append(entry)
             secondary = {definition.name: merged_secondary_entries(selected, definition.name, winners)
                          for definition in self.secondary_indexes}
             schema_bytes, schema = self.flush_callback.select_merge_schema(selected)
@@ -773,15 +782,17 @@ class LSMBTree:
             component.valid = False
             # Evict decoded slices before the files go away: a cached read
             # must never resurrect a merged-away component.
-            self._evict_slices(component)
+            self._evict_slices(component.file_name)
             delete_component_files(self.buffer_cache, component.file_name)
 
-    def _evict_slices(self, component: OnDiskComponent) -> None:
-        """Drop a component's decoded column slices: the one eviction hook,
-        called when the component leaves the tree (drop) and when it is
-        quarantined."""
+    def _evict_slices(self, file_name: str) -> None:
+        """Drop a component file's decoded column slices: the one eviction
+        hook, called when the component leaves the tree (drop), when it is
+        quarantined, and before a component file of that name is written —
+        a dataset re-created under the same name writes the same file names
+        again, and slices of the old files must not describe the new ones."""
         if self.column_cache is not None:
-            self.column_cache.invalidate_component(component.file_name)
+            self.column_cache.invalidate_component(file_name)
 
     @contextmanager
     def read_guard(self):
@@ -902,7 +913,7 @@ class LSMBTree:
             swept = self.memory_entries_snapshot()
             for entry in swept:
                 if not entry.is_antimatter:
-                    yield SearchResult(entry.key, entry.encoded, schema, True, entry.record)
+                    yield SearchResult(entry.key, entry.encoded, schema, entry.record)
             memtable_keys = {entry.key for entry in swept}
             keys = self.secondary_candidate_keys(index_name, low, high,
                                                  low_inclusive, high_inclusive)
@@ -927,8 +938,7 @@ class LSMBTree:
             if entry is not None:
                 if entry.is_antimatter:
                     return None
-                return SearchResult(key, entry.encoded, self.current_schema(), from_memory=True,
-                                    record=entry.record)
+                return SearchResult(key, entry.encoded, self.current_schema(), entry.record)
             return self._search_disk(key)
 
     def _search_disk(self, key: Any) -> Optional[SearchResult]:
@@ -975,14 +985,24 @@ class LSMBTree:
             # A corrupt component's decoded slices must not outlive its
             # quarantine: evict them so every later read goes through
             # _raise_if_quarantined instead of a warm cache.
-            self._evict_slices(component)
+            self._evict_slices(component.file_name)
             emit_event(COMPONENT_QUARANTINED, dataset=self.name,
                        partition=self.partition, component=component.file_name,
                        reason=str(exc))
         raise component.quarantined_error() from exc
 
-    def scan(self, component_source=None) -> Iterator[SearchResult]:
-        """Full scan in key order, reconciling duplicates by recency.
+    def scan(self, component_source=None) -> Iterator[Tuple[Optional[OnDiskComponent], Any, int, int]]:
+        """Full scan in key order, as live runs: ``(component, run, start,
+        stop)`` says rows ``start .. stop - 1`` of ``run`` are the newest
+        versions of their keys, none of them anti-matter.
+
+        A run is a key-sorted slice of one source that no other source
+        interleaves (see :func:`_reconcile`): a :class:`MemtableRun`
+        (``component`` is None), or a run ``component_source`` yields for
+        an on-disk ``component`` — by default its B+-tree leaves
+        (:class:`~repro.btree.pages.LeafNode`).  ``component_source`` is the
+        column-slice cache hook: its runs must cover the component's rows in
+        key order, each with ``keys`` and ``antimatter`` like a leaf.
 
         All sources are snapshotted up front so the scan stays consistent
         while a concurrent flush runs, and the order matters: the mutable
@@ -993,43 +1013,35 @@ class LSMBTree:
         least one snapshot (duplicates reconcile by recency rank), never in
         none.  The read guard keeps concurrent merges from deleting
         snapshotted components' files while this generator is live.
-
-        ``component_source(component)``, when given, replaces the raw
-        ``component.scan()`` iterator per on-disk component (the column-slice
-        cache hook).  It must yield the same rows in the same key order as
-        the component itself, as ``(key, is_antimatter, payload, record,
-        schema, values)`` items; ``values`` flows through to
-        :attr:`SearchResult.values` for rows that win reconciliation.
         """
         with self.read_guard():
-            memory_snapshots = self._memory_snapshots()
-            schema = self.current_schema()
+            memory_runs = [MemtableRun(entries) for entries in self._memory_snapshots()]
             components = list(self.components)
             self._raise_if_quarantined(components)
+            runs_of = component_source or OnDiskComponent.leaves
 
-            def component_iterator(component: OnDiskComponent):
+            def component_runs(component: OnDiskComponent):
                 try:
-                    if component_source is not None:
-                        yield from component_source(component)
-                    else:
-                        for entry in component.scan():
-                            yield entry.key, entry.is_antimatter, entry.value, None, component.schema, None
+                    yield from runs_of(component)
                 except CorruptPageError as exc:
                     self._quarantine_component(component, exc)
 
             # Sources newest first: mutable memtable, sealed memtables, then
-            # components.  Items are (key, is_antimatter, payload, record,
-            # schema, values).
-            sources: List[Iterator[Tuple]] = [
-                ((entry.key, entry.is_antimatter, entry.encoded, entry.record, schema, None)
-                 for entry in entries)
-                for entries in memory_snapshots]
-            sources.extend(component_iterator(component) for component in components)
-            memory_ranks = len(memory_snapshots)
-            for rank, item in _reconcile(sources):
-                if not item[1]:  # a winning anti-matter entry hides the key
-                    yield SearchResult(item[0], item[2], item[4], from_memory=rank < memory_ranks,
-                                       record=item[3], values=item[5])
+            # components; a source's position is its recency rank.
+            sources: List[Any] = [[run] for run in memory_runs]
+            sources.extend(component_runs(component) for component in components)
+            owners: List[Optional[OnDiskComponent]] = [None] * len(memory_runs) + components
+            for rank, run, start, stop in _reconcile(sources):
+                antimatter = run.antimatter
+                if antimatter:  # a winning anti-matter row hides its key
+                    for position in antimatter[bisect_left(antimatter, start):]:
+                        if position >= stop:
+                            break
+                        if position > start:
+                            yield owners[rank], run, start, position
+                        start = position + 1
+                if start < stop:
+                    yield owners[rank], run, start, stop
 
     # ------------------------------------------------------------------ inspection
 
@@ -1078,7 +1090,7 @@ class LSMBTree:
 
     def exact_count(self) -> int:
         """Exact number of live records (reconciles shadowed/deleted keys)."""
-        return sum(1 for _ in self.scan())
+        return sum(stop - start for _, _, start, stop in self.scan())
 
 
 _NOT_FOUND = object()
@@ -1088,33 +1100,53 @@ def _no_failure_latch() -> None:
     """Stands in for ``scheduler.raise_if_failed`` when there is no scheduler."""
 
 
-def _reconcile(sources: Sequence[Iterator[Tuple]]) -> Iterator[Tuple[int, Tuple]]:
-    """Newest-wins k-way merge: the one reconcile scans and merges share.
+def _reconcile(sources: Sequence[Iterable[Any]]) -> Iterator[Tuple[int, Any, int, int]]:
+    """Newest-wins merge of key-sorted runs: the one reconcile scans, counts
+    and merges share.
 
-    ``sources`` are key-sorted iterators of tuples whose first element is
-    the key, ordered newest first (a source's position is its recency
-    rank).  Yields ``(rank, item)`` for the newest version of every key, in
-    key order — anti-matter winners included; what to do with one is the
-    consumer's call (a scan hides the key, a merge keeps the entry while
-    anything older remains).
+    ``sources`` are ordered newest first (a source's position is its recency
+    rank); each yields *runs* in key order — objects whose ``keys`` list is
+    sorted, unique, and above every key of the source's earlier runs.
+    Yields ``(rank, run, start, stop)``: rows ``start .. stop - 1`` of one
+    run of source ``rank`` are the newest versions of their keys, and the
+    slices arrive in key order.  Anti-matter winners are included; what to
+    do with one is the consumer's call (a scan hides the key, a merge keeps
+    the entry while anything older remains).
+
+    Each step emits the largest slice of the smallest head whose keys sit
+    below every other source's head key, found by one bisect.  A key that
+    heads several sources is resolved newest first, one key at a time: the
+    newest row is emitted and every older source steps past it.
     """
-    heap = []
+    cursors: List[List[Any]] = []  # per rank: [run, position, remaining runs]
+    heap: List[Tuple[Any, int]] = []  # (head key, rank); ranks are distinct
+
+    def advance(rank: int, position: int) -> None:
+        cursor = cursors[rank]
+        run = cursor[0]
+        if run is None or position >= len(run.keys):
+            run = next((run for run in cursor[2] if run.keys), None)
+            if run is None:
+                return
+            cursor[0], position = run, 0
+        cursor[1] = position
+        heapq.heappush(heap, (run.keys[position], rank))
+
     for rank, source in enumerate(sources):
-        item = next(source, None)
-        if item is not None:
-            heap.append((item[0], rank, item, source))
-    heapq.heapify(heap)
-    newest_key = _NOT_FOUND
+        cursors.append([None, 0, iter(source)])
+        advance(rank, 0)
     while heap:
-        # Ordered by (key, rank) — ranks are distinct, so the tuples never
-        # compare further — which makes the first entry popped for a key its
-        # newest version; later ones for the same key are shadowed.
-        key, rank, item, source = heap[0]
-        following = next(source, None)
-        if following is not None:
-            heapq.heapreplace(heap, (following[0], rank, following, source))
+        key, rank = heapq.heappop(heap)
+        run, start = cursors[rank][0], cursors[rank][1]
+        if not heap:
+            stop = len(run.keys)
+        elif heap[0][0] == key:
+            stop = start + 1
+            while heap and heap[0][0] == key:
+                _, older = heapq.heappop(heap)
+                advance(older, cursors[older][1] + 1)
         else:
-            heapq.heappop(heap)
-        if key != newest_key:
-            newest_key = key
-            yield rank, item
+            stop = bisect_left(run.keys, heap[0][0], start + 1)
+        yield rank, run, start, stop
+        advance(rank, stop)
+

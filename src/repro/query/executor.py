@@ -52,6 +52,7 @@ from ..core.dataset import Dataset
 from ..errors import QueryDeadlineError, QueryError
 from ..obs import NULL_SPAN, StatsDictMixin
 from ..obs import tracer as _tracer
+from ..types import deep_copy
 from .batch_compile import compile_query
 from .operators import (
     BatchScanOperator,
@@ -497,6 +498,11 @@ class QueryExecutor:
         coordinator_started = time.perf_counter()
         with _tracer.span("query.coordinator"):
             rows = self._coordinator_stage(spec, outputs)
+            if not physical.batch_plan.needs_views and not choice.uses_index:
+                # The plan read the column-slice cache, whose values travel
+                # by reference all the way here: the result leaves as its
+                # own copy, so mutating it can never reach a cached slice.
+                rows = deep_copy(rows)
         ended = time.perf_counter()
         stats.coordinator_seconds = ended - coordinator_started
         stats.wall_seconds = ended - started

@@ -194,7 +194,10 @@ _FUNCTIONS: Dict[str, Callable[..., Any]] = {
 
 
 def register_function(name: str, implementation: Callable[..., Any]) -> None:
-    """Register a custom scalar function usable from :class:`Func`."""
+    """Register a custom scalar function usable from :class:`Func`.
+
+    ``implementation`` must not mutate its arguments: a plan that reads the
+    column-slice cache passes it the cached values themselves."""
     _FUNCTIONS[name] = implementation
 
 

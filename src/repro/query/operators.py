@@ -15,6 +15,7 @@ vector-based format it fills one column per requested path with a single
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..cache import SliceScanStats
@@ -180,7 +181,7 @@ def unnest_batch(batch: ColumnBatch, item_lists: Sequence[Sequence[Any]],
 
 
 class BatchScanOperator:
-    """Data source: chunks a partition's record views into ColumnBatches.
+    """Data source: chunks a partition's scan runs into ColumnBatches.
 
     Also the index-probe source when ``probe`` is given (candidate views
     instead of a full scan).  The candidates are a superset of the answer
@@ -215,43 +216,60 @@ class BatchScanOperator:
         #: Column-slice cache row hits/misses of this scan (EXPLAIN ANALYZE).
         self.slice_stats = SliceScanStats()
 
-    def _rows(self) -> Iterator[Tuple[Any, Any]]:
-        """``(values, view)`` per candidate: ``values`` for a row the slice
-        cache served decoded, else the ``view`` to extract from."""
+    def _runs(self) -> Iterator[Tuple[Any, Any, int, int]]:
+        """``(columns, views, start, stop)`` runs (:meth:`Partition.scan_runs`):
+        rows ``start .. stop - 1`` of the decoded ``columns`` the slice cache
+        served, or of the record ``views`` to extract from."""
         if self.probe is not None:
             probe = self.probe
-            return ((None, view) for view in self.partition.probe_views(
-                probe.index_name, probe.low, probe.high,
-                probe.low_inclusive, probe.high_inclusive))
+            candidates = self.partition.probe_views(probe.index_name, probe.low, probe.high,
+                                                    probe.low_inclusive, probe.high_inclusive)
+            # A batch's worth of candidates per run keeps the probe as lazy
+            # as the batches it fills.
+            runs = iter(lambda: list(islice(candidates, self.batch_size)), [])
+            return ((None, views, 0, len(views)) for views in runs)
         if self.use_slice_cache:
-            return self.partition.scan_rows(self.scan_paths, self.extractor, self.slice_stats)
-        return self.partition.scan_rows()
+            return self.partition.scan_runs(self.scan_paths, self.extractor, self.slice_stats)
+        return self.partition.scan_runs()
 
     def __iter__(self) -> Iterator[ColumnBatch]:
-        pending: List[Tuple[Any, Any]] = []
-        for row in self._rows():
-            self.records_scanned += 1
-            pending.append(row)
-            if len(pending) >= self.batch_size:
-                yield self._emit(pending)
-                pending = []
-        if pending:
-            yield self._emit(pending)
-
-    def _emit(self, rows: List[Tuple[Any, Any]]) -> ColumnBatch:
-        self.batches_emitted += 1
+        """Fill each batch run by run: a decoded run's columns by one
+        ``extend`` of a slice per column, a run of views by one extract per
+        row.  Every batch but the last holds exactly ``batch_size`` rows."""
+        size = self.batch_size
+        extract = self.extractor.extract if self.scan_paths else None
         columns: List[List[Any]] = [[] for _ in self.scan_paths]
-        if columns:
-            extract = self.extractor.extract
-            for values, view in rows:
-                if values is None:
-                    values = extract(view)
-                for column, value in zip(columns, values):
-                    column.append(value)
+        views: List[Any] = []
+        filled = 0
+        for run_columns, run_views, start, stop in self._runs():
+            while start < stop:
+                end = min(stop, start + size - filled)
+                if run_columns is not None:
+                    for column, values in zip(columns, run_columns):
+                        column.extend(values[start:end])
+                else:
+                    taken = run_views[start:end]
+                    if extract is not None:
+                        for view in taken:
+                            for column, value in zip(columns, extract(view)):
+                                column.append(value)
+                    views.extend(taken)
+                filled += end - start
+                start = end
+                if filled == size:
+                    yield self._emit(columns, views, filled)
+                    columns = [[] for _ in self.scan_paths]
+                    views = []
+                    filled = 0
+        if filled:
+            yield self._emit(columns, views, filled)
+
+    def _emit(self, columns: List[List[Any]], views: List[Any], length: int) -> ColumnBatch:
+        self.batches_emitted += 1
+        self.records_scanned += length
         keyed = {(self.record_var, tuple(path)): column
                  for path, column in zip(self.scan_paths, columns)}
-        views = None if self.use_slice_cache else [view for _, view in rows]
-        return ColumnBatch(views, keyed, len(rows))
+        return ColumnBatch(None if self.use_slice_cache else views, keyed, length)
 
 
 class BatchLetOperator:

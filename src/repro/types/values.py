@@ -302,6 +302,22 @@ SCALAR_DECODERS = {
 }
 
 
+def deep_copy(value: Any) -> Any:
+    """A copy of ``value`` that shares nothing mutable with it: dicts,
+    lists, tuples and multisets are rebuilt all the way down, every other
+    value is shared."""
+    kind = type(value)
+    if kind is dict:
+        return {key: deep_copy(item) for key, item in value.items()}
+    if kind is list:
+        return [deep_copy(item) for item in value]
+    if kind is tuple:
+        return tuple(deep_copy(item) for item in value)
+    if kind is AMultiset:
+        return AMultiset([deep_copy(item) for item in value.items])
+    return value
+
+
 def deep_equals(left: Any, right: Any) -> bool:
     """Structural equality that treats multisets as unordered collections."""
     if isinstance(left, AMultiset) and isinstance(right, AMultiset):

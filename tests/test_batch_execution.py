@@ -510,8 +510,9 @@ class TestExtractorViews:
     def test_slice_scan_of_an_adm_dataset(self):
         """The cached component scan hands ADM views to the extractor."""
         dataset = _dataset(StorageFormat.OPEN, records=[self.RECORD], name="extract_adm_slices")
-        source = dataset.partitions[0].scan_rows(self.PATHS, BatchExtractor(self.PATHS))
-        assert [(list(values), view) for values, view in source] == [(self.EXPECTED, None)]
+        source = dataset.partitions[0].scan_runs(self.PATHS, BatchExtractor(self.PATHS))
+        assert [([column[start] for column in columns], views, stop - start)
+                for columns, views, start, stop in source] == [(self.EXPECTED, None, 1)]
 
     @pytest.mark.parametrize("storage_format", [StorageFormat.OPEN, StorageFormat.INFERRED])
     def test_memtable_and_disk_records_extract_alike(self, storage_format):

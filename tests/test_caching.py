@@ -14,7 +14,11 @@ The contract pinned down here (PR 10):
   the reference model across random lifecycle interleavings);
 * a quarantined component's cached slices are evicted and queries re-raise
   ``QuarantinedComponentError`` — a poisoned cache can never serve rows
-  the storage layer refuses to;
+  the storage layer refuses to, nor can a dataset re-created under the same
+  name be served the old component files' slices;
+* cached chunks travel by reference and a plan that read them returns its
+  result as a copy, so mutating a result never reaches the cache (or a
+  memtable record);
 * ``cache.lookup``/``cache.store`` faults degrade to misses/skipped
   stores: identical rows, never an error surfaced to the query;
 * both caches built with a capacity of 0 disable their layer entirely.
@@ -31,8 +35,9 @@ from repro.cache import (
     cached_component_scan,
     normalize_statement,
 )
-from repro.cache.column_cache import paths_cache_key, sized_copy
-from repro.core import PreparedStatement
+from repro.cache.column_cache import paths_cache_key
+from repro.core import PreparedStatement, StorageEnvironment
+from repro.datasets import wos  # noqa: F401  -- registers to_array
 from repro.errors import DatasetError, QuarantinedComponentError
 from repro.faults import get_injector
 from repro.obs import MetricsRegistry
@@ -91,6 +96,22 @@ class TestPlanCacheUnit:
         assert registry.counter("plan_cache_evictions").value == 1
         assert registry.gauge("plan_cache_entries").value == 2
 
+    def test_a_newer_epoch_evicts_every_older_entry(self):
+        # Epochs only move forward: an entry of an older one can never match.
+        registry = MetricsRegistry()
+        cache = PlanCache(capacity=4, metrics=registry)
+        cache.put(("a", 1), "plan-a", epoch=1)
+        cache.put(("b", 1), "plan-b", epoch=1)
+        cache.retire(1)  # the current epoch: every entry stays
+        assert len(cache) == 2
+        cache.put(("a", 2), "plan-a2", epoch=2)
+        assert len(cache) == 1 and cache.get(("b", 1)) is None
+        assert cache.get(("a", 2)) == "plan-a2"
+        cache.retire(3)
+        assert len(cache) == 0
+        assert registry.counter("plan_cache_evictions").value == 3
+        assert registry.gauge("plan_cache_entries").value == 0
+
     def test_zero_capacity_disables(self):
         cache = PlanCache(capacity=0, metrics=MetricsRegistry())
         assert not cache.enabled
@@ -129,14 +150,20 @@ class TestPlanCacheUnit:
 # column-slice cache: unit behavior
 # ---------------------------------------------------------------------------
 
+def _chunk(keys, values, last=False, encoded_bytes=0):
+    """A one-column chunk of live rows."""
+    return SliceChunk(list(keys), [], [list(values)], encoded_bytes, last=last)
+
+
 class TestColumnCacheUnit:
     def test_store_get_roundtrip_and_accounting(self):
         cache = ColumnSliceCache(capacity_bytes=1 << 20, metrics=MetricsRegistry())
         pkey = paths_cache_key((("user", "name"),))
-        rows = [(k, False, ("v%d" % k,)) for k in range(4)]
-        cache.store_chunk("comp_1", pkey, 0, SliceChunk(rows, last=True))
+        values = ["v%d" % k for k in range(4)]
+        cache.store_chunk("comp_1", pkey, 0, _chunk(range(4), values, last=True))
         chunk = cache.get_chunk("comp_1", pkey, 0)
-        assert chunk is not None and list(chunk.rows) == rows and chunk.last
+        assert chunk is not None and chunk.keys == [0, 1, 2, 3] and chunk.last
+        assert chunk.columns == [values]
         assert cache.bytes_used > 0
         assert cache.entry_count("comp_1") == 1
         assert cache.get_chunk("comp_1", pkey, 1) is None
@@ -147,24 +174,35 @@ class TestColumnCacheUnit:
         pkey = paths_cache_key((("name",),))
         for index in range(6):
             cache.store_chunk("comp_1", pkey, index,
-                              SliceChunk([(index, False, ("x" * 50,))], last=False))
+                              _chunk([index], ["x" * 50], encoded_bytes=50))
         assert cache.bytes_used <= 700
         assert cache.entry_count() < 6
         assert registry.counter("column_cache_evictions").value > 0
         # Oldest chunks went first.
         assert cache.get_chunk("comp_1", pkey, 0) is None
 
+    def test_chunk_size_counts_encoded_bytes(self):
+        small = _chunk([0, 1], ["a", "b"], encoded_bytes=10)
+        large = _chunk([0, 1], ["a", "b"], encoded_bytes=510)
+        assert large.nbytes - small.nbytes == 500
+        filling = SliceChunk.empty(1)
+        filling.extend(small)
+        filling.extend(SliceChunk([2, 3], [1], [["c", None]], 510))
+        assert filling.nbytes == small.nbytes + large.nbytes - SliceChunk.empty(1).nbytes
+        assert (filling.keys, filling.antimatter, filling.columns) == (
+            [0, 1, 2, 3], [3], [["a", "b", "c", None]])
+
     def test_oversized_chunk_is_not_cached(self):
         cache = ColumnSliceCache(capacity_bytes=64, metrics=MetricsRegistry())
         pkey = paths_cache_key((("name",),))
-        cache.store_chunk("comp_1", pkey, 0, SliceChunk([(0, False, ("y" * 500,))], last=True))
+        cache.store_chunk("comp_1", pkey, 0, _chunk([0], ["y" * 500], last=True, encoded_bytes=500))
         assert cache.entry_count() == 0 and cache.bytes_used == 0
 
     def test_invalidate_component_drops_only_its_chunks(self):
         cache = ColumnSliceCache(capacity_bytes=1 << 20, metrics=MetricsRegistry())
         pkey = paths_cache_key((("name",),))
-        cache.store_chunk("comp_1", pkey, 0, SliceChunk([(0, False, ("a",))], last=True))
-        cache.store_chunk("comp_2", pkey, 0, SliceChunk([(0, False, ("b",))], last=True))
+        cache.store_chunk("comp_1", pkey, 0, _chunk([0], ["a"], last=True))
+        cache.store_chunk("comp_2", pkey, 0, _chunk([0], ["b"], last=True))
         cache.invalidate_component("comp_1")
         assert cache.entry_count("comp_1") == 0
         assert cache.get_chunk("comp_2", pkey, 0) is not None
@@ -173,24 +211,32 @@ class TestColumnCacheUnit:
         cache = ColumnSliceCache(capacity_bytes=0, metrics=MetricsRegistry())
         assert not cache.enabled
         pkey = paths_cache_key((("name",),))
-        cache.store_chunk("comp_1", pkey, 0, SliceChunk([(0, False, ("a",))], last=True))
+        cache.store_chunk("comp_1", pkey, 0, _chunk([0], ["a"], last=True))
         assert cache.get_chunk("comp_1", pkey, 0) is None
 
     @staticmethod
     def _fake_component(rows):
-        """Minimal stand-in for an on-disk component: scan() yields entries."""
+        """Minimal stand-in for an on-disk component: one leaf per row."""
         class Entry:
             def __init__(self, key, value, is_antimatter):
                 self.key = key
                 self.value = value
                 self.is_antimatter = is_antimatter
 
+        class Leaf:
+            def __init__(self, row):
+                self.keys = [row[0]]
+                self.row = row
+
+            def entries(self, start=0):
+                return iter([Entry(*self.row)][start:])
+
         class Component:
             file_name = "comp_fake"
             schema = None
 
-            def scan(self):
-                return iter(Entry(*row) for row in rows)
+            def leaves(self):
+                return iter(Leaf(row) for row in rows)
 
         return Component()
 
@@ -206,43 +252,50 @@ class TestColumnCacheUnit:
         cache = ColumnSliceCache(capacity_bytes=1 << 20,
                                  metrics=MetricsRegistry(), chunk_rows=2)
         component = self._fake_component(
-            [(0, {"v": 0}, False), (1, None, True), (2, {"v": 2}, False)])
+            [(0, b"v0", False), (1, b"", True), (2, b"v2", False)])
         pkey = paths_cache_key((("v",),))
         cold = SliceScanStats()
-        list(cached_component_scan(cache, component, lambda v: v,
-                                   self._IdentityExtractor, pkey, cold))
+        cold_runs = list(cached_component_scan(cache, component, lambda v: v,
+                                               self._IdentityExtractor, pkey, cold))
         warm = SliceScanStats()
-        list(cached_component_scan(cache, component, lambda v: v,
-                                   self._IdentityExtractor, pkey, warm))
+        warm_runs = list(cached_component_scan(cache, component, lambda v: v,
+                                               self._IdentityExtractor, pkey, warm))
         assert (cold.hits, cold.misses) == (0, 3)
         assert (warm.hits, warm.misses) == (3, 0)
+        # Cold: a run per leaf; warm: a chunk per two rows, anti-matter kept.
+        assert [run.keys for run in cold_runs] == [[0], [1], [2]]
+        assert [(run.keys, run.antimatter, run.columns) for run in warm_runs] == [
+            ([0, 1], [1], [[b"v0", None]]), ([2], [], [[b"v2"]])]
 
-    @pytest.mark.parametrize("make, scribble, read", [
-        (lambda i: {"name": "u%d" % i},
-         lambda value: value.__setitem__("name", "scribbled"), lambda value: value["name"]),
-        # a multiset (or a tuple) of objects: immutable itself, mutable inside
-        (lambda i: AMultiset([{"k": i}]),
-         lambda value: value.items[0].__setitem__("k", 999), lambda value: value.items[0]["k"]),
-        (lambda i: ([i],),
-         lambda value: value[0].append(999), lambda value: list(value[0])),
-    ], ids=["dict", "multiset-of-objects", "tuple-of-lists"])
-    def test_served_values_shielded_from_caller_mutation(self, make, scribble, read):
-        # Mutating a yielded row (cold or warm) must never reach the cache.
+    def test_a_missing_chunk_resumes_after_the_rows_served(self):
         cache = ColumnSliceCache(capacity_bytes=1 << 20,
                                  metrics=MetricsRegistry(), chunk_rows=2)
-        component = self._fake_component([(0, make(0), False), (1, make(1), False)])
-        expected = [read(make(0)), read(make(1))]
-        pkey = paths_cache_key((("name",),))
-        cold = list(cached_component_scan(cache, component, lambda v: v,
-                                          self._IdentityExtractor, pkey))
-        scribble(cold[0][5][0])  # cold rows are the decoded values themselves
-        warm = list(cached_component_scan(cache, component, lambda v: v,
-                                          self._IdentityExtractor, pkey))
-        assert [read(row[5][0]) for row in warm] == expected
-        scribble(warm[1][5][0])  # warm rows come from the cache
-        again = list(cached_component_scan(cache, component, lambda v: v,
-                                           self._IdentityExtractor, pkey))
-        assert [read(row[5][0]) for row in again] == expected
+        component = self._fake_component([(key, b"v%d" % key, False) for key in range(5)])
+        pkey = paths_cache_key((("v",),))
+        list(cached_component_scan(cache, component, lambda v: v,
+                                   self._IdentityExtractor, pkey))
+        assert cache.entry_count() == 3  # rows 0-1, 2-3 and 4
+        get_injector().add_rule("cache.lookup", nth=2, times=1)  # chunk 1 misses
+        stats = SliceScanStats()
+        runs = list(cached_component_scan(cache, component, lambda v: v,
+                                          self._IdentityExtractor, pkey, stats))
+        assert [(run.keys, run.columns) for run in runs] == [
+            ([0, 1], [[b"v0", b"v1"]]), ([2], [[b"v2"]]), ([3], [[b"v3"]]), ([4], [[b"v4"]])]
+        assert (stats.hits, stats.misses) == (2, 3)
+
+    def test_warm_hit_hands_out_the_cached_chunk(self):
+        """No copy on either side: the cold run's values are the cached ones,
+        and a warm hit yields the cached chunk itself."""
+        cache = ColumnSliceCache(capacity_bytes=1 << 20, metrics=MetricsRegistry())
+        value = {"k": [1]}
+        component = self._fake_component([(0, value, False)])
+        pkey = paths_cache_key((("v",),))
+        (cold,) = cached_component_scan(cache, component, lambda v: v,
+                                        self._IdentityExtractor, pkey)
+        (warm,) = cached_component_scan(cache, component, lambda v: v,
+                                        self._IdentityExtractor, pkey)
+        assert cold.columns[0][0] is value and warm.columns[0][0] is value
+        assert warm is cache.get_chunk("comp_fake", pkey, 0)
 
     def test_query_rows_shielded_from_caller_mutation(self):
         """End to end: scribbling inside a multiset column of one result must
@@ -256,14 +309,6 @@ class TestColumnCacheUnit:
             assert rows[0]["ms"].items[0]["k"] == 0
             rows[0]["ms"].items[0]["k"] = 999
         dataset.close()
-
-    def test_copy_and_size_come_from_one_walk(self):
-        value = {"a": [1, 2.5, "xy", None], "m": AMultiset([{"k": (True, b"b")}])}
-        copy, size = sized_copy(value)
-        assert copy == value and copy is not value
-        assert copy["a"] is not value["a"] and copy["m"].items[0] is not value["m"].items[0]
-        assert size == (64 + (49 + 1) + (56 + 28 + 28 + 51 + 8)
-                        + (49 + 1) + (56 + 64 + (49 + 1) + (56 + 8 + 50)))
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +391,23 @@ class TestPlanCacheIntegration:
             dataset.query(QUERY)
             index.merge(list(index.components))
             assert dataset.query(QUERY).stats.plan_source == "compiled"
+        dataset.close()
+
+    def test_stale_plans_leave_the_cache(self):
+        dataset = _dataset("PcRetire")
+        dataset.query(QUERY)
+        dataset.flush_all()  # nothing to flush: the epoch and the plan stay
+        assert len(dataset.plan_cache) == 1
+        dataset.insert({"id": 1000, "name": "user1000", "age": 1})
+        dataset.flush_all()
+        assert len(dataset.plan_cache) == 0
+        # A flush the LSM tree makes on its own is seen at the next put.
+        dataset.query(QUERY)
+        dataset.insert({"id": 1001, "name": "user1001", "age": 1})
+        dataset.partitions[0].flush()
+        dataset.query("SELECT d.name AS name FROM Ds AS d WHERE d.age < 30")
+        assert len(dataset.plan_cache) == 1
+        assert dataset.query(QUERY).stats.plan_source == "compiled"
         dataset.close()
 
     def test_invalidate_plans_forces_recompile(self):
@@ -486,6 +548,112 @@ class TestColumnCacheIntegration:
         # ...and a warm query re-raises instead of serving cached values.
         with pytest.raises(QuarantinedComponentError):
             dataset.query(QUERY)
+        dataset.close()
+
+
+    def test_a_limit_decodes_within_one_leaf(self):
+        dataset = _dataset("CcLimit", rows=2000)
+        (component,) = dataset.partitions[0].index.components
+        first_leaf = next(component.leaves())
+        result = dataset.query("SELECT d.name AS name FROM Ds AS d LIMIT 3")
+        assert len(result.rows) == 3
+        assert result.stats.slice_cache_misses == len(first_leaf.keys) < 2000
+        dataset.close()
+
+    def test_recreated_dataset_is_not_served_the_old_files_slices(self):
+        """A dataset re-created under the same name writes the same
+        component file names again: the old files' slices must go."""
+        environment = StorageEnvironment()
+        statement = "SELECT VALUE sum(t.v) FROM Again AS t"
+        for base, total in ((0, 45), (100, 1045)):
+            dataset = Dataset.create("Again", StorageFormat.INFERRED, environment=environment)
+            dataset.insert_all([{"id": key, "v": base + key} for key in range(10)])
+            dataset.flush_all()
+            assert dataset.query(statement).rows == [{"sum": total}]
+            assert dataset.query(statement, cold_cache=True).rows == [{"sum": total}]
+            assert dataset.get(3) == {"id": 3, "v": base + 3}
+            dataset.close()
+
+
+# ---------------------------------------------------------------------------
+# ownership: cached values travel by reference, results leave as copies
+# ---------------------------------------------------------------------------
+
+#: (value of field ``v`` of record ``i``, a mutation inside such a value).
+_SHAPES = {
+    "dict": (lambda i: {"name": "u%d" % i},
+             lambda value: value.__setitem__("name", "scribbled")),
+    "multiset-of-objects": (lambda i: AMultiset([{"k": i}]),
+                            lambda value: value.items[0].__setitem__("k", 999)),
+    # a multiset holds its items as a tuple: here, a tuple of lists
+    "tuple-of-lists": (lambda i: AMultiset([[i], [i + 1]]),
+                       lambda value: value.items[0].append(999)),
+}
+
+
+class TestResultsOwnTheirValues:
+    """A plan that reads the column-slice cache gets the cached values
+    themselves; the coordinator copies its result once on the way out, so
+    mutating a result never reaches the cache (or a memtable record)."""
+
+    @pytest.mark.parametrize("served", ["cold", "warm"])
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    def test_scribbled_rows_never_reach_the_next_run(self, shape, served):
+        make, scribble = _SHAPES[shape]
+        dataset = Dataset.create("OwnShape", StorageFormat.INFERRED)
+        dataset.insert_all([{"id": key, "v": make(key)} for key in range(3)])
+        dataset.flush_all()
+        statement = "SELECT t.v AS v FROM OwnShape AS t"
+        expected = [{"v": make(key)} for key in range(3)]
+        if served == "warm":
+            dataset.query(statement)  # fills the cache: the next run hits it
+        result = dataset.query(statement, cold_cache=served == "cold")
+        assert (result.stats.slice_cache_hits > 0) == (served == "warm")
+        assert result.rows == expected
+        for row in result.rows:
+            scribble(row["v"])
+        warm = dataset.query(statement)
+        assert warm.stats.slice_cache_hits > 0 and warm.rows == expected
+        dataset.close()
+
+    @pytest.mark.parametrize("statement, expected, scribble", [
+        ("SELECT t.tags AS tags, COUNT(*) AS n FROM OwnExit AS t GROUP BY t.tags",
+         [{"tags": [key, key + 1], "n": 1} for key in range(3)],
+         lambda rows: rows[0]["tags"].append(999)),
+        ("SELECT MIN(t.tags) AS lo, MAX(t.tags) AS hi FROM OwnExit AS t",
+         [{"lo": [0, 1], "hi": [2, 3]}],
+         lambda rows: (rows[0]["lo"].append(999), rows[0]["hi"].append(999))),
+        ("SELECT listify(t.tags) AS every FROM OwnExit AS t",  # SQL++'s ARRAY_AGG
+         [{"every": [[key, key + 1] for key in range(3)]}],
+         lambda rows: rows[0]["every"][0].append(999)),
+        ("SELECT to_array(t.tags) AS a FROM OwnExit AS t",
+         [{"a": [key, key + 1]} for key in range(3)],
+         lambda rows: rows[0]["a"].append(999)),
+    ], ids=["group-by-list-key", "min-max-of-lists", "array-agg", "to-array"])
+    def test_every_exit_copies(self, statement, expected, scribble):
+        dataset = Dataset.create("OwnExit", StorageFormat.INFERRED)
+        dataset.insert_all([{"id": key, "tags": [key, key + 1]} for key in range(3)])
+        dataset.flush_all()
+        for run in range(3):  # the first run fills the cache, the others read it
+            result = dataset.query(statement)
+            assert (result.stats.slice_cache_hits > 0) == (run > 0)
+            assert result.rows == expected
+            scribble(result.rows)
+        dataset.close()
+
+    def test_an_unflushed_row_is_copied_too(self):
+        dataset = Dataset.create("OwnMem", StorageFormat.INFERRED)
+        dataset.insert({"id": 0, "tags": [0]})
+        dataset.flush_all()
+        dataset.insert({"id": 1, "tags": [1]})  # stays in the memtable
+        statement = "SELECT t.tags AS tags FROM OwnMem AS t"
+        for _ in range(3):
+            result = dataset.query(statement)
+            assert result.stats.slice_cache_hits + result.stats.slice_cache_misses > 0
+            assert result.rows == [{"tags": [0]}, {"tags": [1]}]
+            for row in result.rows:
+                row["tags"].append(999)
+        assert dataset.get(1) == {"id": 1, "tags": [1]}
         dataset.close()
 
 

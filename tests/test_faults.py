@@ -66,6 +66,11 @@ def _cache(capacity=512):
     return device, manager, BufferCache(manager, capacity)
 
 
+def _scan_keys(index):
+    """The keys of a full scan, in scan order."""
+    return [key for _, run, start, stop in index.scan() for key in run.keys[start:stop]]
+
+
 def _index(cache, **overrides):
     defaults = dict(name="ds", partition=0, buffer_cache=cache,
                     memory_budget=1 << 20, merge_policy=NoMergePolicy())
@@ -509,7 +514,7 @@ class TestFlushRetrySafety:
         index.drain_maintenance()
         scheduler.close()
         assert index.exact_count() == 200
-        assert sorted(result.key for result in index.scan()) == list(range(200))
+        assert _scan_keys(index) == list(range(200))
 
     def test_flush_rollback_preserves_compactor_schema(self):
         """A transient flush failure must restore the tuple compactor's
@@ -551,7 +556,7 @@ class TestFlushRetrySafety:
         assert index.component_count() == 0 and cache.file_manager.list_files() == []
         assert [sealed.up_to_lsn for sealed in index.sealed_memtables] == [sealed_up_to]
         assert index.memory_component.is_empty
-        assert [result.key for result in index.scan()] == list(range(20))
+        assert _scan_keys(index) == list(range(20))
         assert all(index.search(key).payload == b"old-%03d" % key for key in range(20))
 
         for key in range(20, 30):
@@ -584,7 +589,7 @@ class TestFlushRetrySafety:
         assert [entry.key for entry in index.components[0].scan()] == [3] + list(range(20, 30))
         index.drain_maintenance()
         assert index.stats.flushes == 2 and index.stats.ingest_stall_seconds == 0.0
-        assert [result.key for result in index.scan()] == list(range(30))
+        assert _scan_keys(index) == list(range(30))
         assert index.search(3).payload == b"new-003"
 
 
@@ -697,5 +702,5 @@ class TestRecoveryIntegration:
         resubmitted = index.resume_maintenance()
         assert resubmitted >= 1
         index.drain_maintenance()
-        assert sorted(result.key for result in index.scan()) == list(range(120))
+        assert _scan_keys(index) == list(range(120))
         scheduler.close()

@@ -1,5 +1,7 @@
 """Unit tests for the LSM engine: components, flush, merge, policies, recovery."""
 
+import random
+
 import pytest
 
 from repro.cache import ColumnSliceCache, SliceChunk
@@ -17,6 +19,7 @@ from repro.lsm import (
     recover_index,
 )
 from repro.btree import LeafEntry
+from repro.lsm.lsm_index import _reconcile
 from repro.storage import BufferCache, FileManager, SimulatedStorageDevice, WriteAheadLog
 
 PAGE_SIZE = 2048
@@ -26,6 +29,11 @@ def _cache(capacity=512):
     device = SimulatedStorageDevice()
     manager = FileManager(device, PAGE_SIZE)
     return device, BufferCache(manager, capacity)
+
+
+def _scan_keys(index):
+    """The keys of a full scan, in scan order."""
+    return [key for _, run, start, stop in index.scan() for key in run.keys[start:stop]]
 
 
 def _index(memory_budget=4096, merge_policy=None, wal=None, cache=None,
@@ -94,11 +102,11 @@ class TestFlushAndSearch:
         index = _index()
         for key in range(20):
             index.insert(key, {"id": key}, _payload(key))
-        assert index.search(5).from_memory
+        assert index.search(5).record is not None  # a memtable hit
         index.flush()
         assert index.component_count() == 1
         result = index.search(5)
-        assert result is not None and not result.from_memory
+        assert result is not None and result.record is None
         assert index.search(99) is None
 
     def test_automatic_flush_on_budget(self):
@@ -144,10 +152,11 @@ class TestFlushAndSearch:
         index.delete(3)
         index.upsert(4, {"id": 4}, b"new-4")
         index.insert(100, {"id": 100}, _payload(100))
-        keys = [result.key for result in index.scan()]
-        assert keys == [0, 1, 2, 4, 5, 6, 7, 8, 9, 100]
-        by_key = {result.key: result for result in index.scan()}
-        assert by_key[4].payload == b"new-4"
+        assert _scan_keys(index) == [0, 1, 2, 4, 5, 6, 7, 8, 9, 100]
+        in_memory = {run.keys[row]: run.entries[row].encoded
+                     for component, run, start, stop in index.scan() if component is None
+                     for row in range(start, stop)}
+        assert in_memory == {4: b"new-4", 100: _payload(100)}
 
     def test_storage_size_grows_with_flushes(self):
         index = _index()
@@ -171,7 +180,7 @@ class TestBulkLoad:
         index = _index()
         rows = [(key, {"id": key}, _payload(key)) for key in reversed(range(50))]
         index.load(rows)
-        assert [r.key for r in index.scan()] == list(range(50))
+        assert _scan_keys(index) == list(range(50))
 
     def test_load_requires_empty_index(self):
         index = _index()
@@ -280,7 +289,106 @@ class TestMergeSemantics:
             if key % 100 == 99:
                 index.flush()
         index.flush()
-        assert sorted(r.key for r in index.scan()) == list(range(400))
+        assert _scan_keys(index) == list(range(400))
+
+
+class _Run:
+    """A reconcile run: sorted keys, each row tagged with its source."""
+
+    def __init__(self, keys, rank):
+        self.keys = keys
+        self.ranks = [rank] * len(keys)
+
+
+def _runs_of(rng, keys, rank):
+    """``keys`` cut into runs at random points, empty runs mixed in."""
+    runs, start = [], 0
+    while start < len(keys):
+        if rng.random() < 0.2:
+            runs.append(_Run([], rank))
+        stop = start + rng.choice([1, 1, 2, 5, 50])
+        runs.append(_Run(keys[start:stop], rank))
+        start = stop
+    if rng.random() < 0.3:
+        runs.append(_Run([], rank))
+    return runs
+
+
+def _scan_rows(index):
+    """``{key: payload}`` of a full scan, memtable and component rows alike."""
+    rows = {}
+    for component, run, start, stop in index.scan():
+        if component is None:
+            rows.update((run.keys[row], run.entries[row].encoded) for row in range(start, stop))
+        else:
+            rows.update((entry.key, entry.value) for entry in run.entries(start, stop))
+    return rows
+
+
+class TestRunReconcile:
+    """The run-at-a-time reconcile against a plain newest-wins dict."""
+
+    @pytest.mark.parametrize("layout", ["disjoint", "interleaved", "equal"])
+    @pytest.mark.parametrize("seed", range(15))
+    def test_reconcile_matches_a_newest_wins_dict(self, layout, seed):
+        rng = random.Random(seed)
+        shared = sorted(rng.sample(range(100), rng.randint(0, 30)))
+        sources, reference = [], {}
+        for rank in range(rng.randint(0, 5)):
+            if layout == "disjoint":
+                keys = list(range(100 * rank, 100 * rank + rng.randint(0, 40)))
+            elif layout == "interleaved":
+                keys = sorted(rng.sample(range(100), rng.randint(0, 40)))
+            else:
+                keys = shared
+            sources.append(_runs_of(rng, keys, rank))
+            for key in keys:
+                reference.setdefault(key, rank)  # ranks run newest first
+        emitted = []
+        for rank, run, start, stop in _reconcile(sources):
+            assert 0 <= start < stop <= len(run.keys)
+            assert run.ranks[start:stop] == [rank] * (stop - start)
+            emitted.extend((key, rank) for key in run.keys[start:stop])
+        assert emitted == sorted(reference.items())
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_scan_count_and_merges_match_a_newest_wins_dict(self, seed):
+        """Anti-matter that wins (a newer delete) and loses (a newer
+        re-insert), through scans, ``exact_count`` and merges that keep
+        their anti-matter (older components remain) or drop it (none do)."""
+        rng = random.Random(seed)
+        index = _index(memory_budget=1 << 20)
+        reference = {}
+
+        def write(count):
+            for _ in range(count):
+                key = rng.randrange(60)
+                if rng.random() < 0.3:
+                    index.delete(key)
+                    reference.pop(key, None)
+                else:
+                    payload = _payload(key, size=rng.choice([8, 64, 300]))
+                    index.upsert(key, {"id": key}, payload)
+                    reference[key] = payload
+
+        def check():
+            assert _scan_keys(index) == sorted(reference)
+            assert _scan_rows(index) == reference
+            assert index.exact_count() == len(reference)
+
+        for _ in range(rng.randint(3, 6)):
+            write(rng.randint(0, 40))
+            index.flush()
+        write(rng.randint(0, 15))  # left in the memtable
+        check()
+        newest = index.components[:2]
+        kept = index.merge(newest)  # older components remain: anti-matter stays
+        assert kept.metadata.antimatter_count == sum(
+            1 for entry in kept.scan() if entry.is_antimatter)
+        check()
+        merged = index.merge(list(index.components))  # nothing older: it goes
+        assert merged.metadata.antimatter_count == 0
+        check()
 
 
 class TestPrimaryKeyIndex:
@@ -329,7 +437,7 @@ class TestAuxiliaryFileLifecycle:
         flushed = list(index.components)
         for component in flushed:
             slices.store_chunk(component.file_name, ("p",), 0,
-                               SliceChunk([(0, False, (0,))], last=True))
+                               SliceChunk([0], [], [[0]], 0, last=True))
         files = manager.list_files()
         assert len(files) == 3 * 4
 
@@ -385,7 +493,7 @@ class TestWALAndRecovery:
         assert report.valid_components == 1
         assert report.replayed_log_records == 6
         assert report.flushed_after_replay
-        assert sorted(r.key for r in fresh.scan()) == list(range(16))
+        assert _scan_keys(fresh) == list(range(16))
 
     def test_recovery_removes_invalid_component(self):
         _, cache = _cache()
@@ -401,7 +509,7 @@ class TestWALAndRecovery:
         assert report.valid_components == 0      # nothing valid survived the crash
         assert report.flushed_after_replay       # ...but the WAL replay re-flushed it
         assert fresh.component_count() == 1
-        assert sorted(r.key for r in fresh.scan()) == list(range(8))
+        assert _scan_keys(fresh) == list(range(8))
 
     def test_recovery_without_wal_only_discovers_components(self):
         _, cache = _cache()
@@ -413,4 +521,4 @@ class TestWALAndRecovery:
         report = recover_index(fresh)
         assert report.valid_components == 1
         assert report.replayed_log_records == 0
-        assert sorted(r.key for r in fresh.scan()) == list(range(5))
+        assert _scan_keys(fresh) == list(range(5))

@@ -72,7 +72,7 @@ class TestFlushTimeInference:
         index, compactor, encoder = _compacting_index()
         _insert(index, encoder, {"id": 1, "name": "Ann"})
         result = index.search(1)
-        assert result.from_memory
+        assert result.record is not None  # a memtable hit
         assert not is_compacted(result.payload)
 
     def test_schema_persisted_in_metadata(self):
