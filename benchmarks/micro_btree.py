@@ -1,5 +1,6 @@
-"""Cost of a B+-tree point lookup, cold and warm (ROADMAP item 2(b)), and of
-a bulk build against the leaf decode (item 2(e)).
+"""Cost of a B+-tree point lookup, cold and warm (ROADMAP item 2(b)), of a
+bulk build against the leaf decode (item 2(e)), and of an LSM point lookup
+over several components.
 
 A plain script, not a pytest module, like ``micro_vector.py``:
 
@@ -23,15 +24,25 @@ and of ``unpack_leaf`` over the leaves that build wrote, medians over the
 rounds.  The two key-only shapes decode as one struct table per leaf; the
 valued one is walked entry by entry.
 
+Last, it flushes four components of ``entries`` / 4 keys each into one
+``LSMBTree`` (component ``c`` holds the keys ``c`` mod 5, so every key 4
+mod 5 lies inside every component's key range and in none of them), warms
+every page, and prints CPU µs per ``LSMBTree.search`` of an absent key and
+of a present one, and per ``BTree.search`` of a present key in one
+component's tree alone: one warm descent.
+
 The gates, run by CI with the defaults: warm must cost under 0.25x cold (a
 hit that re-parses its page lands near 0.9x); on the valued shape a build
 must cost under 3.0x the decode of what it built (a loader that encodes
-each key twice lands near 3.6-4.1x); and on each key-only shape the decode
+each key twice lands near 3.6-4.1x); on each key-only shape the decode
 must cost under 0.5x the valued shape's per entry (a per-entry walk lands
 near 0.9x for an ``int`` key and 2.5x for a pair, the table near 0.07x and
-0.2-0.25x).  The build gate leaves the key-only shapes out: their decode
-is so cheap that a build of unchanged cost reads 4-15x it.  All numbers come from
-this process, so the box's speed cancels; the exit status is 1 when a gate
+0.2-0.25x; the build gate leaves the key-only shapes out: their decode is
+so cheap that a build of unchanged cost reads 4-15x it); and the
+absent-key LSM lookup must cost under 2.5x one warm descent (the key-hash
+fences rule out all four components at 1.6-1.8x; a lookup that descends
+every component's tree lands near 4-5x).  All numbers come from this
+process, so the box's speed cancels; the exit status is 1 when a gate
 fails.
 """
 
@@ -41,9 +52,10 @@ import random
 import statistics
 import sys
 import time
-from typing import List, Tuple
+from typing import Callable, List, Tuple
 
 from repro.btree import BTree, BulkLoader, LeafEntry, pages
+from repro.lsm import LSMBTree
 from repro.storage import BufferCache, FileManager, SimulatedStorageDevice
 
 PAGE_SIZE = 8 * 1024
@@ -108,6 +120,34 @@ def _build_vs_unpack(entries: List[LeafEntry], rounds: int) -> Tuple[float, floa
             1e6 * statistics.median(unpack_samples) / len(entries))
 
 
+def _four_components(entries: int) -> LSMBTree:
+    """An LSM index of four flushed components; component ``c`` holds the
+    keys ``c`` mod 5 below ``entries`` * 5 / 4."""
+    manager = FileManager(SimulatedStorageDevice(), PAGE_SIZE)
+    cache = BufferCache(manager, capacity_pages=2 * entries * VALUE_SIZE // PAGE_SIZE + 64)
+    index = LSMBTree("micro", 0, cache, memory_budget=1 << 40)
+    for offset in range(4):
+        for key in range(offset, entries * 5 // 4, 5):
+            index.insert(key, None, key.to_bytes(4, "little") * (VALUE_SIZE // 4))
+        index.flush()
+    return index
+
+
+def _us_per_call(calls: List[Tuple[Callable[[int], object], List[int]]],
+                 rounds: int) -> List[float]:
+    """CPU µs per call of each ``(function, keys)``, the median over the
+    rounds; each round times every function in turn, so a slow stretch of
+    the host lands on all of them alike."""
+    samples: List[List[float]] = [[] for _ in calls]
+    for _ in range(rounds):
+        for sample, (call, keys) in zip(samples, calls):
+            started = time.process_time()
+            for key in keys:
+                call(key)
+            sample.append((time.process_time() - started) / len(keys))
+    return [1e6 * statistics.median(sample) for sample in samples]
+
+
 def main(entries: int = 20000, lookups: int = 500, rounds: int = 5) -> int:
     tree = _build(entries)
     keys = random.Random(7).sample(range(entries), lookups)
@@ -140,6 +180,28 @@ def main(entries: int = 20000, lookups: int = 500, rounds: int = 5) -> int:
             line += f"  unpack / valued = {unpack / valued_unpack:.2f}"
             passed = passed and unpack / valued_unpack < 0.5
         print(line)
+
+    index = _four_components(entries)
+    rng = random.Random(11)
+    absent = [5 * rng.randrange(entries // 4) + 4 for _ in range(lookups)]
+    present = [5 * rng.randrange(entries // 4) + rng.randrange(4) for _ in range(lookups)]
+    oldest = index.components[-1].btree  # holds the keys 0 mod 5
+    alone = [5 * rng.randrange(entries // 4) for _ in range(lookups)]
+    for key in absent:
+        assert index.search(key) is None
+    for key in present:  # also makes every page the timed lookups touch resident
+        assert index.search(key).key == key
+    for key in alone:
+        assert oldest.search(key).key == key
+    print(f"LSM point lookup over {len(index.components)} components of {entries // 4} keys, "
+          f"warm, median of {rounds} rounds, CPU µs per lookup")
+    missing, found, descent = _us_per_call(
+        [(index.search, absent), (index.search, present), (oldest.search, alone)], rounds)
+    print(f"  absent key  {missing:8.1f}")
+    print(f"  present key {found:8.1f}")
+    print(f"  one descent {descent:8.1f}")
+    print(f"  absent / one descent = {missing / descent:.2f} (gate: < 2.5)")
+    passed = passed and missing / descent < 2.5
     return 0 if passed else 1
 
 

@@ -4,7 +4,7 @@ A :class:`BTree` wraps a page file that was produced by the
 :class:`~repro.btree.bulk_loader.BulkLoader`.  It offers exactly the three
 access patterns the LSM engine needs:
 
-* point lookup (primary-key existence checks, upsert anti-schema fetches);
+* point lookup (gets, upsert anti-schema fetches, index-probe candidates);
 * ascending range scans (secondary-index range queries, Figure 24);
 * full sequential scans of the leaf level, entry by entry or leaf by leaf
   (dataset scans and LSM merges).

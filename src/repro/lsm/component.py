@@ -17,14 +17,26 @@ component's Metadata Page before setting the component as VALID").
 The component owns what hangs off it: its primary-key and secondary index
 trees (:meth:`OnDiskComponent.attach_auxiliaries` builds or re-opens them;
 only this module knows their file names), each index's field statistics,
-the reason it was quarantined, and how its files die
+its key-hash fence, the reason it was quarantined, and how its files die
 (:func:`delete_component_files`).
+
+The *key-hash fence* is the sorted ``hash()`` of every key the primary tree
+holds, anti-matter keys included: one ``array("q")`` per component, 8 bytes
+a key, kept in memory only (``str`` hashes differ between processes) and
+rebuilt from the key-only primary-key tree when a component is re-opened.
+Equal keys hash equal, so a key whose hash is not in the fence is not in
+the tree: :meth:`OnDiskComponent.search` answers it without reading a page.
+A collision (``hash(-1) == hash(-2)``) only costs the descent it would have
+cost anyway.
 """
 
 from __future__ import annotations
 
 import struct
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import attrgetter
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -183,7 +195,8 @@ class OnDiskComponent:
         self.schema = schema
         self.valid = valid
         self.btree = BTree(buffer_cache, file_name, metadata.btree_info)
-        #: Optional key-only B+-tree used to cheapen upsert existence checks.
+        #: Optional key-only B+-tree: the source of a re-opened component's
+        #: key-hash fence.
         self.primary_key_index: Optional[BTree] = None
         self.primary_key_file: Optional[str] = None
         #: Per secondary index name: this component's opened B+-tree and the
@@ -191,6 +204,9 @@ class OnDiskComponent:
         #: has a tree for every index registered on its LSM index.
         self.secondary_trees: Dict[str, BTree] = {}
         self.secondary_stats: Dict[str, Any] = {}
+        #: The key-hash fence (see the module docstring), set by
+        #: :meth:`attach_auxiliaries` before the component goes live.
+        self.key_hashes: Optional[array] = None
         #: Why reads of this component fail — one of its pages failed its
         #: CRC32 check — or None.  With no replica to route to, every read
         #: touching a quarantined component raises QuarantinedComponentError:
@@ -214,8 +230,15 @@ class OnDiskComponent:
         return total
 
     def search(self, key: Any) -> Optional[LeafEntry]:
+        """The entry stored for ``key`` (anti-matter included) or None; a
+        key the fence rules out costs no page read."""
         if not self.valid:
             raise ComponentStateError(f"component {self.component_id} is not VALID")
+        hashes = self.key_hashes
+        code = hash(key)
+        at = bisect_left(hashes, code)
+        if at == len(hashes) or hashes[at] != code:
+            return None
         return self.btree.search(key)
 
     def scan(self) -> Iterator[LeafEntry]:
@@ -229,12 +252,6 @@ class OnDiskComponent:
             raise ComponentStateError(f"component {self.component_id} is not VALID")
         return self.btree.leaves()
 
-    def key_may_exist(self, key: Any) -> bool:
-        """Existence check served by the primary-key index when present."""
-        if self.primary_key_index is not None:
-            return self.primary_key_index.search(key) is not None
-        return self.search(key) is not None
-
     def quarantined_error(self) -> QuarantinedComponentError:
         return QuarantinedComponentError(
             f"component {self.file_name} is quarantined: {self.quarantine_reason}",
@@ -246,7 +263,8 @@ class OnDiskComponent:
                            entries: Optional[Sequence[LeafEntry]] = None,
                            secondary: Optional[Dict[str, List[LeafEntry]]] = None) -> None:
         """Attach the key-only primary-key index (when ``primary_key_index``)
-        and one ``(value, primary key)`` tree per secondary index definition.
+        and one ``(value, primary key)`` tree per secondary index definition,
+        then build the key-hash fence.
 
         How each tree's entries are found depends on who built the component:
 
@@ -262,6 +280,12 @@ class OnDiskComponent:
           crash is re-opened, and one that is missing or INVALID is rebuilt
           from a scan of the primary tree, which holds everything an
           auxiliary tree does.
+
+        The fence hashes the keys of ``entries``; a re-open that rebuilt no
+        tree reads them back off the primary-key tree, or off the primary
+        leaves when the index keeps none.  There it can meet a corrupt page:
+        the :class:`~repro.errors.CorruptPageError` propagates like any
+        other read's, and recovery quarantines the component.
 
         The primary-key tree is always the key-only copy of the primary
         entries.  Auxiliary trees are written through :class:`ComponentWriter`
@@ -301,6 +325,12 @@ class OnDiskComponent:
                 statistics.min_value, statistics.max_value = metadata.min_key[0], metadata.max_key[0]
             self.secondary_trees[definition.name] = tree
             self.secondary_stats[definition.name] = statistics
+        if entries is None:
+            keyed = self.primary_key_index if self.primary_key_index is not None else self.btree
+            keys = chain.from_iterable(leaf.keys for leaf in keyed.leaves())
+        else:
+            keys = map(_ENTRY_KEY, entries)
+        self.key_hashes = array("q", sorted(map(hash, keys)))
 
     def drop_secondary_index(self, index_name: str) -> None:
         """Forget one secondary index: tree, statistics and file, attached or

@@ -277,9 +277,9 @@ class LSMBTree:
 
         Follows the paper's §3.2.2 maintenance protocol: a point lookup
         retrieves the old record so its schema can be decremented during the
-        next flush.  The primary-key index, when maintained, answers the
-        common "key does not exist yet" case without touching the (larger)
-        primary components.
+        next flush.  The components' key-hash fences answer the common "key
+        does not exist yet" case without reading a page; only a lookup that
+        finds a live stored version counts in ``maintenance_point_lookups``.
         """
         entry = self._memory_lookup(key)
         if entry is not None:
@@ -303,13 +303,10 @@ class LSMBTree:
         # lookup, and the read guard keeps the snapshotted components' files
         # alive until the lookup finishes.
         with self.read_guard():
-            if self.maintain_primary_key_index:
-                if not any(component.key_may_exist(key) for component in list(self.components)):
-                    return _NOT_FOUND
             result = self._search_disk(key)
-            self.stats.maintenance_point_lookups += 1
             if result is None:
                 return _NOT_FOUND
+            self.stats.maintenance_point_lookups += 1
             return self.flush_callback.record_antischema(result.payload, result.schema)
 
     def _memory_lookup(self, key: Any) -> Optional[MemEntry]:
@@ -977,6 +974,13 @@ class LSMBTree:
     def _quarantine_component(self, component: OnDiskComponent,
                               exc: CorruptPageError) -> None:
         """Record a corrupt component and surface the typed error."""
+        self.quarantine(component, exc)
+        raise component.quarantined_error() from exc
+
+    def quarantine(self, component: OnDiskComponent, exc: CorruptPageError) -> None:
+        """Record ``component`` as corrupt: every later read touching it
+        raises :class:`~repro.errors.QuarantinedComponentError`.  Recovery
+        calls this for a component it could not re-open whole."""
         with self._read_lock:
             first_offender = component.quarantine_reason is None
             component.quarantine_reason = str(exc)
@@ -989,7 +993,6 @@ class LSMBTree:
             emit_event(COMPONENT_QUARANTINED, dataset=self.name,
                        partition=self.partition, component=component.file_name,
                        reason=str(exc))
-        raise component.quarantined_error() from exc
 
     def scan(self, component_source=None) -> Iterator[Tuple[Optional[OnDiskComponent], Any, int, int]]:
         """Full scan in key order, as live runs: ``(component, run, start,

@@ -8,7 +8,9 @@ Recovery follows AsterixDB's protocol:
 2. reload the surviving VALID components, newest first — each re-opens its
    VALID auxiliary trees and rebuilds, from its primary tree, any tree a
    registered index lacks (:meth:`OnDiskComponent.attach_auxiliaries`; the
-   component never "just runs without it") — and load the
+   component never "just runs without it"), reading its keys back for its
+   key-hash fence — a corrupt page met on the way quarantines the
+   component instead of failing recovery — and load the
    *newest* valid component's persisted schema into the tuple compactor
    ("As C0 is the newest valid flushed component, the recovery manager will
    read and load the schema S0 into memory");
@@ -28,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from ..errors import ReproError
+from ..errors import CorruptPageError, ReproError
 from ..schema import InferredSchema
 from ..storage.wal import LogRecordType, WriteAheadLog
 from ..types import Datatype
@@ -87,7 +89,12 @@ def recover_index(index: LSMBTree, wal: Optional[WriteAheadLog] = None,
             schema = InferredSchema.from_bytes(metadata.schema_bytes, datatype)
         component = OnDiskComponent(metadata.component_id, file_name, index.buffer_cache,
                                     metadata, schema=schema, valid=True)
-        component.attach_auxiliaries(index.secondary_indexes, index.maintain_primary_key_index)
+        try:
+            component.attach_auxiliaries(index.secondary_indexes, index.maintain_primary_key_index)
+        except CorruptPageError as exc:
+            # Like a corrupt page met by a read: the component stays, and
+            # every read that needs it raises QuarantinedComponentError.
+            index.quarantine(component, exc)
         recovered.append(component)
     recovered.sort(key=lambda component: component.component_id, reverse=True)
     index.components = recovered

@@ -187,8 +187,8 @@ class TestBackgroundParity:
         assert dataset.get(10_000) is not None
 
     def test_upsert_antischema_lookups_survive_concurrent_merges(self):
-        """Regression: the writer's maintenance lookups (anti-schema fetch,
-        primary-key existence check) take the read guard, so a background
+        """Regression: the writer's maintenance lookups (the anti-schema
+        fetch) take the read guard, so a background
         merge retiring components mid-lookup defers its file deletions
         instead of yanking pages out from under the writer."""
         environment = StorageEnvironment(StorageConfig(

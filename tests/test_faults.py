@@ -27,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Dataset, StorageFormat
+from repro.core import StorageEnvironment
 from repro.errors import (
     CorruptPageError,
     FaultSpecError,
@@ -633,6 +634,33 @@ class TestQuarantine:
         get_injector().add_rule("file.read_page", nth=1, error="corrupt", times=1)
         with pytest.raises(QuarantinedComponentError):
             list(index.scan())
+
+    def test_corrupt_key_page_met_at_reopen_quarantines_the_component(self):
+        """Re-opening a component reads its whole key tree back for the
+        key-hash fence; bit rot there ends like a read meeting it: the
+        component is quarantined and reads of it raise, recovery does not."""
+        environment = StorageEnvironment()
+        dataset = Dataset.create("reopen", StorageFormat.INFERRED, environment=environment)
+        dataset.insert_all({"id": key, "v": key % 5} for key in range(200))
+        dataset.flush_all()
+        (component,) = dataset.partitions[0].index.components
+        pages = environment.buffer_cache.file_manager._files[component.primary_key_file].pages
+        payload, crc = pages[0]
+        pages[0] = (bytes(len(payload)), crc)  # the first leaf of the .pk tree
+        environment.drop_caches()
+        events_before = _counter_value("events_total", event="component_quarantined")
+
+        revived = Dataset.create("reopen", StorageFormat.INFERRED, environment=environment)
+        revived.partitions[0].recover()
+        assert list(revived.partitions[0].index.quarantined_components()) == [component.file_name]
+        assert _counter_value(
+            "events_total", event="component_quarantined") == events_before + 1
+        with pytest.raises(QuarantinedComponentError):
+            revived.get(3)
+        with pytest.raises(QuarantinedComponentError):
+            revived.count()
+        revived.insert({"id": 1000, "v": 1})  # new writes still land in memory
+        revived.close()
 
     def test_memtable_reads_survive_quarantine(self):
         index, cache = self._flushed_index()

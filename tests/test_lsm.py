@@ -399,8 +399,11 @@ class TestPrimaryKeyIndex:
         index.flush()
         component = index.components[0]
         assert component.primary_key_index is not None
-        assert component.key_may_exist(7)
-        assert not component.key_may_exist(999)
+        assert component.search(7).key == 7
+        before = index.buffer_cache.stats_snapshot()
+        assert component.search(999) is None  # the fence answers: no page read
+        after = index.buffer_cache.stats_snapshot()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
 
     def test_pk_index_smaller_than_primary(self):
         index = _index(maintain_primary_key_index=True)
@@ -410,6 +413,112 @@ class TestPrimaryKeyIndex:
         component = index.components[0]
         manager = index.buffer_cache.file_manager
         assert manager.file_size(component.primary_key_file) < manager.file_size(component.file_name)
+
+
+#: Keys of every kind the key codec accepts, with the awkward hashes:
+#: ``hash(-1) == hash(-2)``, ``hash(2**61 - 1) == hash(0)``, the int64
+#: extremes, non-ASCII strings and pairs of those ints.
+_FENCE_POOLS = {
+    "int": [-2**63, 2**63 - 1, -1, -2, 0, 1, 2**61 - 1, 2**61, -(2**61), 7, -7],
+    "str": ["", "a", "é", "e\u0301", "ß", "日本語", "Ωμέγα", "😀", "naïve", "-1", "-2"],
+    "pair": [(-1, -2), (-2, -1), (-1, -1), (-2, -2), (0, 2**61 - 1), (-2**63, 2**63 - 1)],
+}
+#: Looked up but never written; ``1.0`` and ``-2.0`` equal ints of the pool.
+_FENCE_EXTRA = {
+    "int": [1.0, -2.0, 0.5, 2**63 - 2, 2**62 + 1],
+    "str": ["zz", "日本", "😀😀"],
+    "pair": [(-1, -3), (2**62, 0)],
+}
+
+
+def _fence_pool(kind, rng):
+    draw = {"int": lambda: rng.randint(-2**40, 2**40),
+            "str": lambda: "".join(rng.choice("aéz日😀-1") for _ in range(rng.randint(1, 5))),
+            "pair": lambda: (rng.randint(-40, 40), rng.randint(-40, 40))}[kind]
+    return list(dict.fromkeys(_FENCE_POOLS[kind] + [draw() for _ in range(150)]))
+
+
+def _check_fences(index, model, lookups):
+    """Each component's fence holds its primary tree's keys, one hash per
+    entry, and a lookup through it agrees with the tree and with ``model``."""
+    for component in index.components:
+        stored = {entry.key: entry for entry in component.scan()}
+        fence = component.key_hashes
+        assert list(fence) == sorted(fence) and len(fence) == len(stored)
+        assert {hash(key) for key in stored} <= set(fence)
+        for key in lookups:
+            found, expected = component.search(key), stored.get(key)
+            assert (found is None) == (expected is None), key
+            if found is not None:
+                assert (found.value, found.is_antimatter) == (expected.value, expected.is_antimatter)
+    for key in lookups:
+        result = index.search(key)
+        assert (None if result is None else result.payload) == model.get(key), key
+
+
+class TestKeyHashFence:
+    @pytest.mark.parametrize("kind", sorted(_FENCE_POOLS))
+    @pytest.mark.parametrize("maintain_pk", [False, True])
+    def test_fence_agrees_with_the_tree(self, kind, maintain_pk):
+        """Components built by flush, merge (anti-matter kept, then dropped),
+        crash-recovery re-open (from the .pk tree, or the primary leaves
+        without one) and bulk load, against a dict."""
+        rng = random.Random(f"fence-{kind}-{maintain_pk}")
+        pool = _fence_pool(kind, rng)
+        lookups = pool + _FENCE_EXTRA[kind]
+        _, cache = _cache()
+        index = _index(cache=cache, maintain_primary_key_index=maintain_pk)
+        model = {}
+        for _ in range(4):
+            for key in rng.sample(pool, 60):
+                if key in model and rng.random() < 0.4:
+                    index.delete(key)
+                    del model[key]
+                else:
+                    model[key] = b"v%d" % rng.randrange(10**6)
+                    index.upsert(key, {}, model[key])
+            index.flush()
+        doomed = next(iter(model))  # an anti-matter entry in the newest component
+        index.delete(doomed)
+        del model[doomed]
+        index.flush()
+        assert len(index.components) >= 3
+        _check_fences(index, model, lookups)
+
+        kept = index.merge(index.components[:2])
+        assert kept.metadata.antimatter_count > 0
+        _check_fences(index, model, lookups)
+        dropped = index.merge(list(index.components))
+        assert dropped.metadata.antimatter_count == 0
+        _check_fences(index, model, lookups)
+
+        revived = _index(cache=cache, maintain_primary_key_index=maintain_pk)
+        recover_index(revived)
+        assert (revived.components[0].primary_key_index is not None) == maintain_pk
+        _check_fences(revived, model, lookups)
+
+        loaded = _index(maintain_primary_key_index=maintain_pk)
+        loaded.load([(key, {}, payload) for key, payload in model.items()])
+        _check_fences(loaded, model, lookups)
+
+    def test_absent_get_reads_no_page(self):
+        index = _index()
+        for keys in (range(-1, 25), range(25, 50), range(50, 75), range(75, 100)):
+            for key in keys:
+                index.insert(key, {"id": key}, _payload(key))
+            index.flush()
+        assert len(index.components) == 4
+        cache = index.buffer_cache
+        before = cache.stats_snapshot()
+        assert index.search(10_000) is None
+        assert index.search(12.5) is None
+        after = cache.stats_snapshot()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+        # hash(-2) == hash(-1): the fence admits -2 and one descent says no.
+        assert index.search(-2) is None
+        after_collision = cache.stats_snapshot()
+        assert after_collision.hits + after_collision.misses > after.hits + after.misses
+        assert index.search(60).key == 60
 
 
 class TestAuxiliaryFileLifecycle:
