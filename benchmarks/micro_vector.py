@@ -7,12 +7,13 @@ without a 30 s perfbench run.
 
 Prints µs per record — the median over the rounds of (CPU time of one pass
 over all records) / records — for the vector and ADM encoders, the
-flush-time infer+compact, ``materialize``, ``structure`` and a 4-path
+flush-time infer+compact and anti-schema remove (``InferredSchema.remove``
+of each compacted payload), ``materialize``, ``structure`` and a 4-path
 ``BatchExtractor.extract`` over generated tweets, and for ADM
 ``materialize`` and one ``get_field`` per path of the same four over the
 ADM payloads of the same tweets.
 
-Three gates, run by CI at ``500 5``; each compares two numbers from this
+Four gates, run by CI at ``500 5``; each compares two numbers from this
 process, so the box's speed cancels, and the exit status is 1 when any
 fails:
 
@@ -24,7 +25,12 @@ fails:
 * rebuilding an ADM record must cost under 3.5x rebuilding its vector-based
   record ("adm materialize" below 3.5 x "materialize"), so the open-vs-
   inferred query comparison (Fig. 18-22) measures the formats rather than
-  an interpreted walk — ROADMAP item 2(d).
+  an interpreted walk — ROADMAP item 2(d);
+* decrementing the schema by a stored record must cost under 1.5x
+  inferring it ("anti-schema remove" below 1.5 x "infer + compact"): the
+  delete side of §3.2.2 is one walk of the tag and field-id vectors like
+  the insert side, not a skeleton dict walked by name (about 2.8x) —
+  ROADMAP item 8.
 """
 
 from __future__ import annotations
@@ -69,10 +75,16 @@ def main(records: int = 2000, rounds: int = 7) -> int:
         for payload in payloads:
             infer_and_compact(payload, fresh)
 
+    def remove_all() -> None:
+        counted = schema.snapshot()
+        for payload in compacted:
+            counted.remove(payload)
+
     loops = [
         ("vector encode", lambda: [encoder.encode(tweet) for tweet in tweets]),
         ("adm encode", lambda: [adm_encoder.encode(tweet) for tweet in tweets]),
         ("infer + compact", infer_and_compact_all),
+        ("anti-schema remove", remove_all),
         ("materialize", lambda: [view.materialize() for view in views]),
         ("structure", lambda: [view.structure() for view in views]),
         ("extract, 4 paths", lambda: [extractor.extract(view) for view in views]),
@@ -91,7 +103,9 @@ def main(records: int = 2000, rounds: int = 7) -> int:
     print(f"  vector / adm encode      = {encode:.2f} (gate: < 0.7)")
     adm = cost["adm materialize"] / cost["materialize"]
     print(f"  adm / vector materialize = {adm:.2f} (gate: < 3.5)")
-    return 0 if extract < 1 and encode < 0.7 and adm < 3.5 else 1
+    remove = cost["anti-schema remove"] / cost["infer + compact"]
+    print(f"  remove / infer + compact = {remove:.2f} (gate: < 1.5)")
+    return 0 if extract < 1 and encode < 0.7 and adm < 3.5 and remove < 1.5 else 1
 
 
 if __name__ == "__main__":

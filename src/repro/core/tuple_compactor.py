@@ -10,8 +10,10 @@ it:
    (:class:`~repro.schema.InferredSchema`) and, in the same pass, rewriting
    the record into its compacted form — field names replaced by the
    schema's ``FieldNameID``\\ s (§3.3.2);
-2. processes the anti-schemas carried by delete/upsert entries, decrementing
-   the schema's counters so it can shrink again (§3.2.2);
+2. processes the anti-schemas carried by delete/upsert entries — the
+   superseded versions' stored payloads — decrementing the schema's
+   counters in one walk of their tags and field-name vectors, so the
+   schema can shrink again (§3.2.2);
 3. persists a snapshot of the inferred schema into the new component's
    metadata page (§3.1.1).
 
@@ -31,7 +33,7 @@ from ..lsm.component_id import ComponentId
 from ..lsm.lifecycle import FlushCallback
 from ..schema import InferredSchema
 from ..types import Datatype
-from ..vector import VectorRecordView, infer_and_compact
+from ..vector import infer_and_compact
 
 
 class TupleCompactor(FlushCallback):
@@ -85,9 +87,9 @@ class TupleCompactor(FlushCallback):
             self.bytes_saved += len(encoded) - len(compacted)
         return compacted
 
-    def process_antischema(self, antischema: Optional[Dict[str, Any]]) -> None:
-        if antischema:
-            self.schema.remove(antischema)
+    def process_antischema(self, payload: bytes) -> None:
+        """Decrement the schema by a superseded version's stored bytes."""
+        self.schema.remove(payload)
 
     def end_flush(self) -> Tuple[bytes, Optional[InferredSchema]]:
         snapshot = self.schema.snapshot()
@@ -108,15 +110,3 @@ class TupleCompactor(FlushCallback):
         """Adopt a schema recovered from the newest valid on-disk component."""
         schema.datatype = self.datatype
         self.schema = schema
-
-    def record_antischema(self, payload: bytes, component_schema: Optional[InferredSchema]) -> Dict[str, Any]:
-        """The anti-schema of a stored record: its skeleton, values unread (§3.2.2).
-
-        Field-name ids are stable across schema versions within a partition
-        (the dictionary is append-only), so the *current* dictionary decodes
-        records compacted against any earlier snapshot.
-        """
-        dictionary = self.schema.dictionary
-        if component_schema is not None and len(component_schema.dictionary) > len(dictionary):
-            dictionary = component_schema.dictionary
-        return VectorRecordView(payload, self.datatype, dictionary).structure()

@@ -111,16 +111,6 @@ class ComponentStateError(ReproError):
     """
 
 
-class MaintenanceDecodeError(ComponentStateError):
-    """A delete/upsert needed to decode a stored payload but the index's
-    flush callback provides no ``record_antischema()`` method.
-
-    Raised by :meth:`~repro.lsm.LSMBTree._decode_for_maintenance` when an
-    anti-schema fetch (paper §3.2.2) hits an index that stores opaque
-    payloads it cannot interpret.
-    """
-
-
 class SchedulerError(ReproError):
     """The background LSM maintenance scheduler failed or was misused.
 

@@ -66,9 +66,11 @@ class MemEntry:
     record: Optional[Dict[str, Any]] = None
     encoded: bytes = b""
     #: Anti-schema of the record version this entry supersedes (delete/upsert
-    #: over an already-flushed record); processed by the tuple compactor at
-    #: flush time and never written to disk.
-    antischema: Optional[Dict[str, Any]] = None
+    #: over a record the schema has counted or will count): that version's
+    #: stored payload bytes — compacted from a disk component, uncompacted
+    #: from a sealed memtable.  Processed by the tuple compactor at flush
+    #: time and never written to disk.
+    antischema: Optional[bytes] = None
 
     @property
     def size_bytes(self) -> int:

@@ -11,9 +11,12 @@ defines the equivalent interface.
 
     callback.begin_flush(component_id)
     for entry in memtable (key order):
-        callback.process_antischema(antischema)        # deletes & upserts
+        callback.process_antischema(old_payload)   # deletes & upserts of a stored key
         payload = callback.transform_record(key, record, encoded)   # inserts
     schema_bytes, schema = callback.end_flush()
+
+where ``old_payload`` is the stored bytes of the version the entry
+supersedes, fetched by the delete or upsert's point lookup (paper §3.2.2).
 
 and, for merges::
 
@@ -28,7 +31,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Sequence, Tuple
 
-from ..errors import MaintenanceDecodeError
 from ..schema import InferredSchema
 from .component import OnDiskComponent
 from .component_id import ComponentId
@@ -37,10 +39,11 @@ from .component_id import ComponentId
 class FlushCallback:
     """Pass-through lifecycle callback (no schema inference, no compaction)."""
 
-    #: Whether delete/upsert operations must fetch the old record's
-    #: anti-schema via a point lookup (paper §3.2.2).  Pass-through datasets
-    #: skip that lookup entirely, which is why the paper's open/closed
-    #: configurations ingest the 50 %-update workload at insert-only speed.
+    #: Whether delete/upsert operations must fetch the old record's stored
+    #: payload — its anti-schema — via a point lookup (paper §3.2.2).
+    #: Pass-through datasets skip that lookup entirely, which is why the
+    #: paper's open/closed configurations ingest the 50 %-update workload at
+    #: insert-only speed.
     needs_antischema = False
 
     #: The partition's current in-memory schema; ``None`` when the callback
@@ -58,8 +61,9 @@ class FlushCallback:
         """
         return encoded
 
-    def process_antischema(self, antischema: Optional[Dict[str, Any]]) -> None:
-        """Handle the anti-schema carried by a delete/upsert entry."""
+    def process_antischema(self, payload: bytes) -> None:
+        """Handle the anti-schema carried by a delete/upsert entry: the
+        stored payload of the version it supersedes."""
 
     def end_flush(self) -> Tuple[bytes, Optional[InferredSchema]]:
         """Called after the last entry; returns the schema blob to persist."""
@@ -79,15 +83,6 @@ class FlushCallback:
 
     def load_schema(self, schema: InferredSchema) -> None:
         """Adopt the schema recovery read from the newest valid component."""
-
-    def record_antischema(self, payload: bytes,
-                          component_schema: Optional[InferredSchema]) -> Dict[str, Any]:
-        """The anti-schema of a stored payload, for a delete/upsert over an
-        already-flushed record (only asked for when ``needs_antischema``)."""
-        raise MaintenanceDecodeError(
-            "this index stores opaque payloads; deletes/upserts need a flush callback "
-            "that overrides record_antischema()"
-        )
 
     def snapshot_state(self) -> Any:
         """Capture whatever cumulative state a flush mutates.

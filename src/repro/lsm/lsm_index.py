@@ -273,7 +273,8 @@ class LSMBTree:
         self._flush_if_full()
 
     def _antischema_for(self, key: Any):
-        """Fetch the anti-schema of the record version ``key`` currently has.
+        """Fetch the anti-schema of the record version ``key`` currently has:
+        its stored payload bytes.
 
         Follows the paper's §3.2.2 maintenance protocol: a point lookup
         retrieves the old record so its schema can be decremented during the
@@ -293,10 +294,10 @@ class LSMBTree:
             # A sealed version *will* be observed by the schema: its flush is
             # ordered before the mutable memtable's flush, so by the time this
             # new entry's anti-schema is processed the old version has been
-            # counted — decrement it like a disk-resident version.  Read it
-            # off the bytes the schema will observe: the caller may have
-            # changed its dict since.
-            return self.flush_callback.record_antischema(entry.encoded, None)
+            # counted — decrement it like a disk-resident version, by the
+            # bytes the schema will observe: the caller may have changed its
+            # dict since.
+            return entry.encoded
 
         # Guarded like the query paths: with background maintenance a merge
         # worker may retire components concurrently with this writer-thread
@@ -307,7 +308,7 @@ class LSMBTree:
             if result is None:
                 return _NOT_FOUND
             self.stats.maintenance_point_lookups += 1
-            return self.flush_callback.record_antischema(result.payload, result.schema)
+            return result.payload
 
     def _memory_lookup(self, key: Any) -> Optional[MemEntry]:
         """Newest in-memory version of ``key``: mutable, then sealed memtables."""
@@ -487,7 +488,7 @@ class LSMBTree:
             callback.begin_flush(component_id)
             leaf_entries: List[LeafEntry] = []
             for entry in memtable.sorted_entries():
-                if entry.antischema is not None or entry.is_antimatter:
+                if entry.antischema is not None:
                     callback.process_antischema(entry.antischema)
                 if entry.is_antimatter:
                     leaf_entries.append(LeafEntry(entry.key, b"", is_antimatter=True))

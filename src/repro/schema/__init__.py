@@ -11,7 +11,6 @@ from .nodes import (
     nodes_equal,
 )
 from .schema import InferredSchema
-from .antischema import extract_antischema
 
 __all__ = [
     "FieldNameDictionary",
@@ -23,5 +22,4 @@ __all__ = [
     "nodes_equal",
     "leaf_paths",
     "InferredSchema",
-    "extract_antischema",
 ]

@@ -8,9 +8,9 @@ compactor needs (paper §3.1–3.2):
 * ``observe(record)`` — add one record's structure during a flush, growing
   the tree and counters ("the newly inferred schema is a super-set of all
   previously inferred schemas").
-* ``remove(record)`` — process an *anti-schema*: decrement counters along a
-  deleted/updated record's structure and prune nodes whose counter reaches
-  zero (Figure 11), collapsing unions that lose all but one branch.
+* ``remove(payload)`` — process an *anti-schema*: decrement counters along
+  a deleted/updated record's stored bytes and prune nodes whose counter
+  reaches zero (Figure 11), collapsing unions that lose all but one branch.
 * ``merge_newest`` — during LSM merges only the most recent schema needs to
   be kept (monotonicity), so merging is a choice, not a tree union; the
   classmethod documents and enforces that.
@@ -28,7 +28,7 @@ import struct
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import SchemaError
-from ..types import AMultiset, Datatype, MISSING, Missing, TypeTag, type_tag_of
+from ..types import AMultiset, Datatype, Missing, TypeTag, type_tag_of
 from .dictionary import FieldNameDictionary
 from .nodes import (
     CollectionNode,
@@ -150,64 +150,17 @@ class InferredSchema:
 
     # ------------------------------------------------------------------ delete
 
-    def remove(self, record: Dict[str, Any]) -> None:
+    def remove(self, payload: bytes) -> None:
         """Process the *anti-schema* of a deleted (or overwritten) record.
 
+        ``payload`` is the old version's stored vector-based bytes.
         Decrements the counters along the record's structure and prunes any
         node whose counter reaches zero; a union that loses all but one of
         its branches collapses back to the surviving branch (paper §3.2.2).
         """
-        if not isinstance(record, dict):
-            raise SchemaError("only object records can be removed")
-        self.root.decrement()
-        self._remove_object_fields(self.root, record, is_root=True)
-        self.version += 1
+        from ..vector.compaction import remove_encoded
 
-    def _remove_object_fields(self, node: ObjectNode, record: Dict[str, Any], is_root: bool) -> None:
-        skip = self._declared_root_names() if is_root else set()
-        for name, value in record.items():
-            if name in skip or isinstance(value, Missing):
-                continue
-            field_name_id = self.dictionary.lookup(name)
-            if field_name_id is None:
-                raise SchemaError(f"anti-schema references unknown field {name!r}")
-            child = node.child(field_name_id)
-            if child is None:
-                raise SchemaError(f"anti-schema references untracked field {name!r}")
-            replacement = self._remove_value(child, value)
-            if replacement is None:
-                node.remove_child(field_name_id)
-            else:
-                node.set_child(field_name_id, replacement)
-
-    def _remove_value(self, node: SchemaNode, value: Any) -> Optional[SchemaNode]:
-        tag = type_tag_of(value)
-        if isinstance(node, UnionNode):
-            option = node.option(tag)
-            if option is None:
-                raise SchemaError(f"anti-schema type {tag.name} absent from union")
-            replacement = self._remove_value(option, value)
-            if replacement is None:
-                node.remove_option(tag)
-            else:
-                node.set_option(replacement)
-            node.decrement()
-            if node.is_dead or not node.options:
-                return None
-            return node.collapse_if_single()
-        if node.tag is not tag:
-            raise SchemaError(
-                f"anti-schema type {tag.name} does not match schema node {node.tag.name}"
-            )
-        if isinstance(node, ObjectNode):
-            self._remove_object_fields(node, value, is_root=False)
-        elif isinstance(node, CollectionNode):
-            for item in value:
-                if node.item is None:
-                    raise SchemaError("anti-schema removes items from an empty collection node")
-                node.item = self._remove_value(node.item, item)
-        node.decrement()
-        return None if node.is_dead else node
+        remove_encoded(payload, self)
 
     # ------------------------------------------------------------------ merge
 

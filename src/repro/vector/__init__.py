@@ -3,7 +3,7 @@
 from .encoder import VectorEncoder, is_compacted, record_total_length
 from .decoder import VectorRecordView, WILDCARD
 from .batch import BatchExtractor, ColumnBatch
-from .compaction import compact_record, expand_record, infer_and_compact
+from .compaction import compact_record, expand_record, infer_and_compact, remove_encoded
 
 __all__ = [
     "VectorEncoder",
@@ -16,4 +16,5 @@ __all__ = [
     "compact_record",
     "expand_record",
     "infer_and_compact",
+    "remove_encoded",
 ]

@@ -7,11 +7,17 @@ names vector and the header change; the tags vector and both value vectors
 are copied through untouched, which is why compaction is cheap enough to
 run inside LSM flush operations.
 
-:func:`infer_and_compact` is what a flush runs: schema inference and
-compaction fused into the metadata-only walk of the record (see the cursor
-discipline in :mod:`repro.vector.decoder`).  :func:`compact_record` is the
-bytes-side half alone — with ``InferredSchema.observe(view.structure())`` it
-forms the reference the fused pass is tested against.
+:func:`infer_and_compact` and :func:`remove_encoded` are the two halves of
+the tuple compactor's schema maintenance, each one metadata-only walk of a
+record's tags and field-name vectors (see the cursor discipline in
+:mod:`repro.vector.decoder`).  A flush runs the first on every inserted
+record: schema inference and compaction fused.  It runs the second on the
+stored payload of every version a delete or upsert superseded: the
+anti-schema decrement of paper §3.2.2.  :func:`compact_record` is the
+bytes-side half of the first alone — with
+``InferredSchema.observe(view.structure())`` it forms the reference the
+insert walk is tested against; ``tests/reference.py`` holds the dict walk
+the delete walk is tested against.
 
 Where the paper signals compaction by zeroing the fourth header offset,
 this implementation keeps the offset (the section still holds the ID
@@ -157,6 +163,117 @@ def infer_and_compact(payload: bytes, schema, compact: bool = True) -> bytes:
     if not compact:
         return payload
     return _with_names(payload, header, header[2] | FLAG_COMPACTED, ids)
+
+
+def remove_encoded(payload: bytes, schema) -> None:
+    """Decrement ``schema`` by one stored record: its anti-schema (§3.2.2).
+
+    The delete-side twin of :func:`infer_and_compact`: one loop over the
+    tags vector, consuming one name entry per child of an object.  A
+    compacted record's entries are ``FieldNameID``\\ s; an uncompacted one
+    (a version still in a sealed memtable when it was superseded) resolves
+    its inline names through the dictionary.  Declared fields are skipped
+    with their subtree.  Each value's node is decremented once its subtree
+    is done (post-order): a node whose counter reaches zero is pruned from
+    its parent, and a union left with one branch collapses to that branch
+    (Figure 11).  An anti-schema the schema does not describe raises
+    :class:`SchemaError`.
+    """
+    header = HEADER.unpack_from(payload, 0)
+    tag_count, offset_tags, offset_names = header[1], header[6], header[9]
+    entries = _name_entries(payload, offset_names)
+    dictionary = schema.dictionary
+    known_id = None if header[2] & FLAG_COMPACTED else dictionary.ids_by_utf8.get
+    name_cursor = offset_names + 4 + 2 * len(entries)
+    name_index = 0
+
+    root = schema.root
+    if root.counter <= 0:
+        root.decrement()  # raises the underflow error
+    root.counter -= 1
+    # ``node`` is the open container; None inside a declared field.
+    node = root
+    in_object = True
+    stack = []
+    field_name_id = 0
+    for raw in payload[offset_tags + 1:offset_tags + tag_count]:  # [0] is the root OBJECT
+        if raw & POP_MARKER_BIT:
+            node, in_object, field_name_id, union, child = stack.pop()
+            if child is None:
+                continue
+        elif raw == RAW_EOV:
+            break
+        else:
+            inferred = node is not None
+            if in_object:
+                entry = entries[name_index]
+                name_index += 1
+                if entry & DECLARED_FIELD_BIT:
+                    inferred = False
+                elif known_id is None:
+                    field_name_id = entry
+                else:
+                    name = payload[name_cursor:name_cursor + entry]
+                    name_cursor += entry
+                    if inferred:
+                        field_name_id = known_id(name)
+                        if field_name_id is None:  # a name observe() or from_bytes() gave its id
+                            decoded = name.decode("utf-8")
+                            field_name_id = dictionary.lookup(decoded)
+                            if field_name_id is None:
+                                raise SchemaError(f"anti-schema references unknown field {decoded!r}")
+            child = union = None
+            if inferred:
+                slot = node.fields.get(field_name_id) if in_object else node.item
+                if slot is None:
+                    raise SchemaError(f"anti-schema references untracked field #{field_name_id}"
+                                      if in_object else
+                                      "anti-schema removes items from an empty collection node")
+                if type(slot) is UnionNode:
+                    union = slot
+                    child = union.options.get(raw)
+                    if child is None:
+                        raise SchemaError(f"anti-schema type {TAG_OF_RAW[raw].name} absent from union")
+                elif slot.tag == raw:
+                    child = slot
+                else:
+                    raise SchemaError(f"anti-schema type {TAG_OF_RAW[raw].name} does not match "
+                                      f"schema node {slot.tag.name}")
+            if raw in RAW_NESTED:
+                stack.append((node, in_object, field_name_id, union, child))
+                node, in_object = child, raw == RAW_OBJECT
+                continue
+            if child is None:
+                continue
+        # ``child``'s subtree is done: decrement it, then prune or collapse.
+        counter = child.counter
+        if counter <= 0:
+            child.decrement()  # raises the underflow error
+        child.counter = counter - 1
+        if union is None:
+            if counter > 1:
+                continue
+        else:
+            if counter == 1:
+                del union.options[child.tag]
+            counter = union.counter
+            if counter <= 0:
+                union.decrement()
+            union.counter = counter - 1
+            if counter > 1 and union.options:
+                if len(union.options) > 1:
+                    continue
+                child = next(iter(union.options.values()))
+                if in_object:
+                    node.fields[field_name_id] = child
+                else:
+                    node.item = child
+                continue
+        if in_object:
+            del node.fields[field_name_id]
+        else:
+            node.item = None
+    schema.version += 1
 
 
 def compact_record(payload: bytes, dictionary: FieldNameDictionary) -> bytes:

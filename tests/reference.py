@@ -12,19 +12,28 @@ operator and function *tables* (``Comparison._OPS``, ``Arithmetic._OPS``,
 walk by the property suite) — and no evaluation code: no column batches, no
 compiled evaluators, no optimizer rewrites, no storage.  Agreement with it
 is evidence, not tautology.
+
+It also keeps the dict side of the tuple compactor's delete maintenance
+(paper §3.2.2): :func:`extract_antischema` builds a record's skeleton and
+:func:`remove_antischema` walks it by name, decrementing an
+``InferredSchema`` — the oracle the engine's one-pass
+``InferredSchema.remove`` over stored bytes is checked against, counter for
+counter.
 """
 
-from typing import Any, Dict, Iterable, Iterator, List, Sequence
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.core.dataset import hash_partition
 from repro.core.formats import DictRecordView
-from repro.errors import QueryError
+from repro.errors import QueryError, SchemaError
 from repro.query import (And, Arithmetic, Comparison, Exists, FieldAccess, Func, IsTest, Literal,
                          Not, Or, QuerySpec, Var, get_aggregate)
 from repro.query.expressions import _FUNCTIONS
 from repro.query.operators import (_hashable, finalize_groups, merge_partials, order_and_limit,
                                    sort_key)
-from repro.types import AMultiset, MISSING, Missing, navigate
+from repro.schema import CollectionNode, InferredSchema, ObjectNode, SchemaNode, UnionNode
+from repro.types import (ADate, ADateTime, AMultiset, APoint, ATime, MISSING, Missing, TypeTag,
+                         navigate, type_tag_of)
 
 
 def _absent(value: Any) -> bool:
@@ -161,3 +170,98 @@ def reference_rows(spec: QuerySpec,
                         reverse=spec.order_by[position].descending)
     rows = [row for _, row in candidates]
     return rows if spec.limit is None else rows[:spec.limit]
+
+
+# ---------------------------------------------------------------------------
+# anti-schema maintenance, dict side
+# ---------------------------------------------------------------------------
+
+#: Placeholder scalar per type tag; values are irrelevant, the type matters.
+_PLACEHOLDERS = {
+    TypeTag.BOOLEAN: False,
+    TypeTag.INT64: 0,
+    TypeTag.DOUBLE: 0.0,
+    TypeTag.STRING: "",
+    TypeTag.BINARY: b"",
+    TypeTag.DATE: ADate(0),
+    TypeTag.TIME: ATime(0),
+    TypeTag.DATETIME: ADateTime(0),
+    TypeTag.POINT: APoint(0.0, 0.0),
+}
+
+
+def extract_antischema(record: Dict[str, Any]) -> Dict[str, Any]:
+    """``record``'s anti-schema: same names, nesting and value *types*, every
+    scalar replaced by a placeholder (what ``VectorRecordView.structure()``
+    returns for its stored bytes)."""
+    return {name: _strip(value) for name, value in record.items() if not isinstance(value, Missing)}
+
+
+def _strip(value: Any) -> Any:
+    if value is None or isinstance(value, Missing):
+        return value
+    if isinstance(value, dict):
+        return {name: _strip(child) for name, child in value.items() if not isinstance(child, Missing)}
+    if isinstance(value, AMultiset):
+        return AMultiset(_strip(item) for item in value.items)
+    if isinstance(value, (list, tuple)):
+        return [_strip(item) for item in value]
+    # Unmapped scalars (UUID etc.) keep their value: still correct, just larger.
+    return _PLACEHOLDERS.get(type_tag_of(value), value)
+
+
+def remove_antischema(schema: InferredSchema, antischema: Dict[str, Any]) -> None:
+    """Decrement ``schema`` by a dict anti-schema, walking it by name: prune
+    what reaches zero, collapse a union left with one branch (Figure 11)."""
+    if not isinstance(antischema, dict):
+        raise SchemaError("only object records can be removed")
+    schema.root.decrement()
+    _remove_object_fields(schema, schema.root, antischema, is_root=True)
+    schema.version += 1
+
+
+def _remove_object_fields(schema: InferredSchema, node: ObjectNode, record: Dict[str, Any],
+                          is_root: bool) -> None:
+    skip = schema._declared_root_names() if is_root else set()
+    for name, value in record.items():
+        if name in skip or isinstance(value, Missing):
+            continue
+        field_name_id = schema.dictionary.lookup(name)
+        if field_name_id is None:
+            raise SchemaError(f"anti-schema references unknown field {name!r}")
+        child = node.child(field_name_id)
+        if child is None:
+            raise SchemaError(f"anti-schema references untracked field {name!r}")
+        replacement = _remove_value(schema, child, value)
+        if replacement is None:
+            node.remove_child(field_name_id)
+        else:
+            node.set_child(field_name_id, replacement)
+
+
+def _remove_value(schema: InferredSchema, node: SchemaNode, value: Any) -> Optional[SchemaNode]:
+    tag = type_tag_of(value)
+    if isinstance(node, UnionNode):
+        option = node.option(tag)
+        if option is None:
+            raise SchemaError(f"anti-schema type {tag.name} absent from union")
+        replacement = _remove_value(schema, option, value)
+        if replacement is None:
+            node.remove_option(tag)
+        else:
+            node.set_option(replacement)
+        node.decrement()
+        if node.is_dead or not node.options:
+            return None
+        return node.collapse_if_single()
+    if node.tag is not tag:
+        raise SchemaError(f"anti-schema type {tag.name} does not match schema node {node.tag.name}")
+    if isinstance(node, ObjectNode):
+        _remove_object_fields(schema, node, value, is_root=False)
+    elif isinstance(node, CollectionNode):
+        for item in value:
+            if node.item is None:
+                raise SchemaError("anti-schema removes items from an empty collection node")
+            node.item = _remove_value(schema, node.item, item)
+    node.decrement()
+    return None if node.is_dead else node

@@ -29,15 +29,9 @@ from repro import Dataset, DeviceKind, LSMConfig, StorageEnvironment, StorageFor
 from repro.cluster import DataFeed
 from repro.config import StorageConfig
 from repro.datasets import twitter
-from repro.errors import (
-    ComponentStateError,
-    KeyNotFoundError,
-    MaintenanceDecodeError,
-    SchedulerError,
-)
-from repro.lsm import FlushCallback, LSMBTree, LSMIOScheduler, NoMergePolicy
+from repro.errors import KeyNotFoundError, SchedulerError
+from repro.lsm import LSMIOScheduler
 from repro.query import QueryExecutor, field, scan
-from repro.storage import BufferCache, FileManager, SimulatedStorageDevice
 from repro.storage.wal import LogRecordType, WriteAheadLog
 
 PARTITIONS = 4
@@ -100,36 +94,6 @@ class TestScheduler:
             scheduler.drain()
         with pytest.raises(SchedulerError):
             scheduler.close()
-
-
-# ---------------------------------------------------------------------------
-# typed maintenance-decode error (satellite fix)
-# ---------------------------------------------------------------------------
-
-class _OpaqueCallback(FlushCallback):
-    """Requires anti-schemas but cannot decode stored payloads."""
-
-    needs_antischema = True
-
-
-class TestMaintenanceDecodeError:
-    def _index(self):
-        device = SimulatedStorageDevice()
-        cache = BufferCache(FileManager(device, 2048), 256)
-        return LSMBTree(name="opaque", partition=0, buffer_cache=cache,
-                        memory_budget=1 << 20, merge_policy=NoMergePolicy(),
-                        flush_callback=_OpaqueCallback())
-
-    def test_delete_of_flushed_record_raises_typed_error(self):
-        index = self._index()
-        index.insert(1, {"id": 1}, b"payload-1")
-        index.flush()
-        with pytest.raises(MaintenanceDecodeError):
-            index.delete(1)
-
-    def test_typed_error_is_a_component_state_error(self):
-        # Callers catching the old, broader type keep working.
-        assert issubclass(MaintenanceDecodeError, ComponentStateError)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,12 @@ import random
 import pytest
 
 from repro.cache import ColumnSliceCache, SliceChunk
-from repro.errors import ComponentStateError, DuplicateKeyError
+from repro.errors import ComponentStateError, DuplicateKeyError, KeyNotFoundError
 from repro.lsm import (
     ComponentId,
     ComponentWriter,
     ConstantMergePolicy,
+    FlushCallback,
     LSMBTree,
     NoMergePolicy,
     PrefixMergePolicy,
@@ -413,6 +414,60 @@ class TestPrimaryKeyIndex:
         component = index.components[0]
         manager = index.buffer_cache.file_manager
         assert manager.file_size(component.primary_key_file) < manager.file_size(component.file_name)
+
+
+class _RecordingCallback(FlushCallback):
+    """Asks for anti-schemas, marks what a flush stores, records removals."""
+
+    needs_antischema = True
+
+    def __init__(self):
+        self.removed = []
+
+    def transform_record(self, key, record, encoded):
+        return b"stored:" + encoded
+
+    def process_antischema(self, payload):
+        self.removed.append(payload)
+
+
+class TestAntischemaPayload:
+    """A delete/upsert carries the superseded version's stored bytes."""
+
+    def _index(self):
+        _, cache = _cache()
+        callback = _RecordingCallback()
+        return LSMBTree(name="ds", partition=0, buffer_cache=cache, memory_budget=1 << 20,
+                        merge_policy=NoMergePolicy(), flush_callback=callback), callback
+
+    def test_disk_version_is_its_stored_payload(self):
+        index, callback = self._index()
+        index.insert(1, {"id": 1}, b"v1")
+        index.insert(2, {"id": 2}, b"w1")
+        index.flush()
+        index.delete(1)
+        index.upsert(2, {"id": 2}, b"w2")
+        index.upsert(3, {"id": 3}, b"x1")  # fresh key: nothing to decrement
+        with pytest.raises(KeyNotFoundError):
+            index.delete(4)
+        assert [index.memory_component.get(key).antischema for key in (1, 2, 3)] == [
+            b"stored:v1", b"stored:w1", None]
+        assert index.stats.maintenance_point_lookups == 2
+        index.flush()
+        assert callback.removed == [b"stored:v1", b"stored:w1"]
+
+    def test_sealed_version_is_its_encoded_bytes(self):
+        index, callback = self._index()
+        index.insert(1, {"id": 1}, b"v1")
+        with index._rotation_cond:
+            index._seal()
+        index.upsert(1, {"id": 1}, b"v2")  # sealed: counted by the flush before this one
+        assert index.memory_component.get(1).antischema == b"v1"
+        index.upsert(1, {"id": 1}, b"v3")  # v2 was never counted: carry v1 forward
+        assert index.memory_component.get(1).antischema == b"v1"
+        assert index.stats.maintenance_point_lookups == 0
+        index.flush()
+        assert callback.removed == [b"v1"]
 
 
 #: Keys of every kind the key codec accepts, with the awkward hashes:

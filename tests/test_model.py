@@ -8,9 +8,9 @@ lifecycle.  Its rules interleave inserts, upserts, deletes, flushes, merges,
 a bulk load, CREATE INDEX, crash-and-recover and queries.  Every query must
 return exactly the rows ``reference_rows`` computes over the dict, ``get``
 and ``count`` must agree with it, and once everything is flushed each
-INFERRED partition's schema must be the schema of its live records — union
-promotion and anti-schema removal (paper §3.2.2) across flush, merge and
-recovery.
+INFERRED partition's schema must be the schema of its live records, every
+node's counter included — union promotion and anti-schema removal (paper
+§3.2.2) across flush, merge and recovery.
 
 Records carry a field whose type changes from record to record (int,
 string, list, object); the indexed fields stay numeric, because an int and a
@@ -30,7 +30,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition,
 
 from repro import (ColumnSliceCache, Dataset, LSMConfig, MetricsRegistry, PlanCache, StorageConfig,
                    StorageEnvironment, StorageFormat, compile_sqlpp)
-from repro.schema import InferredSchema, leaf_paths
+from repro.schema import CollectionNode, InferredSchema, ObjectNode, UnionNode, leaf_paths
 from repro.types import Datatype
 
 from reference import partition_records, reference_rows
@@ -81,6 +81,19 @@ _bounds = st.sampled_from([None, -5, 0, 3, 10, 25, 50, 99, 105])
 _queries = st.sampled_from(_STATEMENTS) | st.builds(
     _range, st.sampled_from([path for _, path in _INDEXES]), _bounds, _bounds,
     st.sampled_from([">", ">="]), st.sampled_from(["<", "<="]))
+
+
+def _counted_nodes(node, dictionary, path=()):
+    """``(path, node kind, tag, counter)`` of every node, fields by name."""
+    yield path, type(node).__name__, node.tag, node.counter
+    if isinstance(node, ObjectNode):
+        for field_name_id, child in node.fields.items():
+            yield from _counted_nodes(child, dictionary, path + (dictionary.decode(field_name_id),))
+    elif isinstance(node, UnionNode):
+        for child in node.options.values():
+            yield from _counted_nodes(child, dictionary, path + ("|",))
+    elif isinstance(node, CollectionNode) and node.item is not None:
+        yield from _counted_nodes(node.item, dictionary, path + ("[]",))
 
 
 class EngineModel(RuleBasedStateMachine):
@@ -240,6 +253,8 @@ class EngineModel(RuleBasedStateMachine):
             schema = partition.current_schema()
             assert sorted(leaf_paths(schema.root, schema.dictionary)) \
                 == sorted(leaf_paths(expected.root, expected.dictionary))
+            assert sorted(_counted_nodes(schema.root, schema.dictionary)) \
+                == sorted(_counted_nodes(expected.root, expected.dictionary))
 
 
 TestEngineModel = EngineModel.TestCase

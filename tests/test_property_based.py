@@ -6,8 +6,11 @@ Invariants covered:
 * vector-based compaction is lossless and never grows a record;
 * the flush-time fused infer-and-compact pass equals its reference
   ``observe(structure()) + compact_record`` byte for byte and counter for
-  counter on heterogeneous nested records, and the one-pass builders equal
-  the dict side on the three dataset generators;
+  counter on heterogeneous nested records, the one-pass anti-schema removal
+  over stored bytes (compacted or not) equals the dict walk in
+  ``reference.py`` counter for counter, and the one-pass builders and the
+  removal equal the dict side on the three dataset generators and a
+  DBLP-shaped corpus;
 * schema inference is insensitive to record order, monotone under
   observation, and returns to the empty schema after removing everything it
   observed;
@@ -28,7 +31,7 @@ from repro.sqlpp import ast as sqlast
 from repro.sqlpp import parse, parse_expression, unparse, unparse_expr
 from repro.sqlpp.lexer import KEYWORDS
 from repro.btree import BTree, BulkLoader, LeafEntry
-from repro.schema import InferredSchema, extract_antischema
+from repro.schema import InferredSchema
 from repro.storage import BufferCache, FileManager, SimulatedStorageDevice
 from repro.datasets import sensors, twitter, wos
 from repro.errors import EncodingError
@@ -39,6 +42,8 @@ from repro.types import (
 from repro.vector import (
     VectorEncoder, VectorRecordView, compact_record, expand_record, infer_and_compact,
 )
+
+from reference import extract_antischema, remove_antischema
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -148,6 +153,33 @@ _DECLARING = Datatype.open_type("T", [
 ])
 
 
+#: DBLP-shaped records, as a JSON loader would turn the XML slice in
+#: SNIPPETS.md: ``author`` is a scalar in one record and a list (of strings
+#: and attribute-bearing objects) in the next, ``ee`` an object, a string or
+#: a list, entity-escaped unicode appears decoded and raw in values and in
+#: field names, and ``crossref`` / ``volume`` / ``booktitle`` are optional.
+_DBLP = [
+    {"id": 1, "key": "journals/pvldb/SchmittKAMM23", "year": 2023, "volume": "16",
+     "author": [{"orcid": "0009-0005-7656-7526", "text": "Daniel Ulrich Schmitt"}, "Daniel Kocher"],
+     "ee": [{"type": "oa", "text": "https://www.vldb.org/pvldb/vol16/p2686-schmitt.pdf"},
+            "https://doi.org/10.14778/3611479.3611480"]},
+    {"id": 2, "key": "conf/sigmod/HutterAK0L22", "year": 2022, "author": "Thomas Hütter",
+     "booktitle": "SIGMOD Conference", "ee": "https://doi.org/10.1145/3514221.3517850",
+     "crossref": "conf/sigmod/2022"},
+    {"id": 3, "key": "journals/pacmmod/ThielKAHMS23", "year": 2023, "volume": 1,
+     "author": ["Konstantin Emil Thiel", {"orcid": "0000-0002-7190-6825", "text": "Thomas H&uuml;tter"}],
+     "ee": {"type": "oa", "text": "https://doi.org/10.1145/3588925"}},
+    {"id": 4, "key": "journals/pvldb/SchalerHS23", "author": "Christine Sch&auml;ler",
+     "H&uuml;tter": {"note": "Sch\u00e4ler"}, "Hütter": ["ß", 0]},
+    {"id": 5, "key": "conf/sigmod/2022", "year": "2022", "booktitle": None,
+     "author": [], "ee": {"type": "doi"}},
+]
+
+_CORPORA = {module.__name__: (lambda module=module: module.generate(60))
+            for module in (twitter, wos, sensors)}
+_CORPORA["dblp"] = lambda: _DBLP
+
+
 def _reference(schema, datatype, payload):
     """What a flush did before the passes were fused: three walks."""
     schema.observe(VectorRecordView(payload, datatype).structure())
@@ -156,8 +188,8 @@ def _reference(schema, datatype, payload):
 
 class TestFusedInferAndCompact:
     @_slow_settings
-    @given(records=_typed_records, declaring=st.booleans())
-    def test_equals_reference_and_removes_back_to_empty(self, records, declaring):
+    @given(records=_typed_records, declaring=st.booleans(), data=st.data())
+    def test_equals_reference_and_removes_back_to_empty(self, records, declaring, data):
         datatype = _DECLARING if declaring else open_only_primary_key("T")
         encoder = VectorEncoder(datatype)
         fused, reference, inferring = (InferredSchema(datatype) for _ in range(3))
@@ -172,10 +204,12 @@ class TestFusedInferAndCompact:
         assert fused.dictionary.ids_by_utf8 == {
             name.encode("utf-8"): name_id for name_id, name in fused.dictionary.items()}
 
-        for key, payload in enumerate(payloads):
+        for key in data.draw(st.permutations(range(len(payloads)))):
             view = VectorRecordView(compacted[key], datatype, fused.dictionary)
             assert deep_equals(view.materialize(), dict(records[key], id=key))
-            fused.remove(VectorRecordView(payload, datatype).structure())
+            fused.remove(data.draw(st.sampled_from([payloads[key], compacted[key]])))
+            remove_antischema(reference, VectorRecordView(payloads[key], datatype).structure())
+            assert fused.structurally_equal(reference, compare_counters=True)
         assert fused.root.counter == 0 and not fused.root.fields
         assert fused.version == 2 * len(payloads)
 
@@ -186,17 +220,25 @@ class TestFusedInferAndCompact:
             infer_and_compact(compacted, schema)
         assert compact_record(compacted, schema.dictionary) is compacted
 
-    @pytest.mark.parametrize("generator", [twitter, wos, sensors], ids=lambda module: module.__name__)
-    def test_builders_equal_the_dict_side(self, generator):
+    @pytest.mark.parametrize("corpus", list(_CORPORA))
+    def test_builders_equal_the_dict_side(self, corpus):
         datatype = open_only_primary_key("T")
         schema = InferredSchema(datatype)
-        for record in generator.generate(60):
+        stored = []
+        for record in _CORPORA[corpus]():
             payload = VectorEncoder(datatype).encode(record)
             compacted = infer_and_compact(payload, schema)
             for view in (VectorRecordView(payload, datatype),
                          VectorRecordView(compacted, datatype, schema.dictionary)):
                 assert deep_equals(view.materialize(), record)
                 assert view.structure() == extract_antischema(record)
+            stored.append((record, payload, compacted))
+        reference = schema.snapshot()
+        for index, (record, payload, compacted) in enumerate(stored):
+            schema.remove(compacted if index % 2 else payload)
+            remove_antischema(reference, extract_antischema(record))
+            assert schema.structurally_equal(reference, compare_counters=True)
+        assert schema.root.counter == 0 and not schema.root.fields
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +278,7 @@ class TestSchemaInvariants:
         schema = InferredSchema()
         schema.observe_all(records)
         for record in records:
-            schema.remove(extract_antischema(record))
+            schema.remove(VectorEncoder(None).encode(record))
         assert schema.field_count == 0
         assert schema.root.counter == 0
 

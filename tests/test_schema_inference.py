@@ -10,7 +10,6 @@ from repro.schema import (
     ObjectNode,
     ScalarNode,
     UnionNode,
-    extract_antischema,
     leaf_paths,
     nodes_equal,
 )
@@ -21,6 +20,9 @@ from repro.types import (
     TypeTag,
     open_only_primary_key,
 )
+from repro.vector import VectorEncoder
+
+from reference import extract_antischema, remove_antischema
 
 PAPER_FIGURE10_RECORD = {
     "id": 1,
@@ -39,6 +41,15 @@ SIMPLE_RECORDS = [{"id": i, "name": f"user{i}"} for i in range(2, 7)]
 
 def _employee_schema():
     return InferredSchema(open_only_primary_key("EmployeeType"))
+
+
+def _remove(schema, record):
+    """``schema.remove`` of ``record``'s stored bytes, held counter-equal to
+    the dict reference run on a copy."""
+    expected = schema.snapshot()
+    remove_antischema(expected, extract_antischema(record))
+    schema.remove(VectorEncoder(schema.datatype).encode(record))
+    assert schema.structurally_equal(expected, compare_counters=True)
 
 
 class TestFieldNameDictionary:
@@ -159,7 +170,7 @@ class TestMaintenance:
         schema.observe(PAPER_FIGURE10_RECORD)
         schema.observe_all(SIMPLE_RECORDS)
 
-        schema.remove(extract_antischema(PAPER_FIGURE10_RECORD))
+        _remove(schema, PAPER_FIGURE10_RECORD)
 
         root = schema.root
         assert root.counter == 5
@@ -172,7 +183,7 @@ class TestMaintenance:
         schema = _employee_schema()
         schema.observe({"id": 0, "name": "Kim", "age": 26})
         schema.observe({"id": 3, "name": "Bob", "age": "old"})
-        schema.remove(extract_antischema({"id": 3, "name": "Bob", "age": "old"}))
+        _remove(schema, {"id": 3, "name": "Bob", "age": "old"})
 
         age = schema.root.child(schema.field_name_id("age"))
         assert isinstance(age, ScalarNode)
@@ -183,13 +194,13 @@ class TestMaintenance:
         schema = _employee_schema()
         schema.observe({"id": 0, "name": "Kim"})
         with pytest.raises(SchemaError):
-            schema.remove({"never_seen": 1})
+            schema.remove(VectorEncoder(schema.datatype).encode({"id": 0, "never_seen": 1}))
 
     def test_remove_then_observe_again(self):
         schema = _employee_schema()
         record = {"id": 1, "tags": ["a", "b"]}
         schema.observe(record)
-        schema.remove(extract_antischema(record))
+        _remove(schema, record)
         assert schema.field_count == 0
         schema.observe(record)
         tags = schema.root.child(schema.field_name_id("tags"))
@@ -200,9 +211,9 @@ class TestMaintenance:
         schema = _employee_schema()
         record = {"id": 1, "name": "Ann"}
         schema.observe(record)
-        schema.remove(extract_antischema(record))
+        _remove(schema, record)
         with pytest.raises(SchemaError):
-            schema.remove(extract_antischema(record))
+            schema.remove(VectorEncoder(schema.datatype).encode(record))
 
 
 class TestAntischema:
