@@ -1,6 +1,7 @@
 """Cost of a B+-tree point lookup, cold and warm (ROADMAP item 2(b)), of a
-bulk build against the leaf decode (item 2(e)), and of an LSM point lookup
-over several components.
+bulk build against the leaf decode (item 2(e)), of an LSM point lookup
+over several components, and of an index probe beside a full memtable
+(item 9).
 
 A plain script, not a pytest module, like ``micro_vector.py``:
 
@@ -31,6 +32,12 @@ every page, and prints CPU µs per ``LSMBTree.search`` of an absent key and
 of a present one, and per ``BTree.search`` of a present key in one
 component's tree alone: one warm descent.
 
+Then it loads ``PROBE_TWEETS`` generated tweets into two one-partition
+INFERRED datasets with an index on ``id`` and flushes them, adds as many
+more, unflushed and none in the range, to the second one's memtable, and
+prints CPU µs per query of an 11-row ``id`` range forced onto the index
+(``access_path="index"``) over each, the median over the rounds.
+
 The gates, run by CI with the defaults: warm must cost under 0.25x cold (a
 hit that re-parses its page lands near 0.9x); on the valued shape a build
 must cost under 3.0x the decode of what it built (a loader that encodes
@@ -41,9 +48,12 @@ near 0.9x for an ``int`` key and 2.5x for a pair, the table near 0.07x and
 so cheap that a build of unchanged cost reads 4-15x it); and the
 absent-key LSM lookup must cost under 2.5x one warm descent (the key-hash
 fences rule out all four components at 1.6-1.8x; a lookup that descends
-every component's tree lands near 4-5x).  All numbers come from this
-process, so the box's speed cancels; the exit status is 1 when a gate
-fails.
+every component's tree lands near 4-5x); and the probe beside the full
+memtable must cost under 2x the probe beside the empty one (each entry
+compares the indexed value it caches with the bounds: 1.5-1.9x; a probe
+that decodes every memtable record as a candidate lands near 17-28x).
+All numbers come from this process, so the box's speed cancels; the exit
+status is 1 when a gate fails.
 """
 
 from __future__ import annotations
@@ -54,12 +64,18 @@ import sys
 import time
 from typing import Callable, List, Tuple
 
+from repro import Dataset, StorageFormat
 from repro.btree import BTree, BulkLoader, LeafEntry, pages
+from repro.datasets import twitter
 from repro.lsm import LSMBTree
 from repro.storage import BufferCache, FileManager, SimulatedStorageDevice
 
 PAGE_SIZE = 8 * 1024
 VALUE_SIZE = 200
+#: Tweets flushed before the index probe, and as many held in one memtable.
+PROBE_TWEETS = 2000
+PROBE_QUERIES = 20
+PROBE = "SELECT VALUE t.text FROM tweets AS t WHERE t.id >= 1000 AND t.id <= 1010"
 #: The tree shapes a component writes: name -> entries for ``count`` keys.
 #: The first is the valued one, the others key-only.
 SHAPES = {
@@ -133,6 +149,28 @@ def _four_components(entries: int) -> LSMBTree:
     return index
 
 
+def _probe_dataset(memtable: bool) -> Dataset:
+    """``PROBE_TWEETS`` tweets flushed, indexed on ``id``; with ``memtable``,
+    as many more unflushed, none of them in ``PROBE``'s range."""
+    dataset = Dataset.create("tweets", StorageFormat.INFERRED)
+    dataset.create_index("by_id", "id")
+    dataset.insert_all(twitter.generate(PROBE_TWEETS))
+    dataset.flush_all()
+    if memtable:
+        dataset.insert_all(twitter.generate(PROBE_TWEETS, start_id=PROBE_TWEETS))
+        assert len(dataset.partitions[0].index.memory_component) == PROBE_TWEETS
+    return dataset
+
+
+def _probe(dataset: Dataset) -> Callable[[int], object]:
+    """``PROBE`` forced onto the index, planned and its pages made resident."""
+    def probe(_: int) -> None:
+        assert len(dataset.query(PROBE, access_path="index").rows) == 11
+
+    probe(0)
+    return probe
+
+
 def _us_per_call(calls: List[Tuple[Callable[[int], object], List[int]]],
                  rounds: int) -> List[float]:
     """CPU µs per call of each ``(function, keys)``, the median over the
@@ -202,6 +240,16 @@ def main(entries: int = 20000, lookups: int = 500, rounds: int = 5) -> int:
     print(f"  one descent {descent:8.1f}")
     print(f"  absent / one descent = {missing / descent:.2f} (gate: < 2.5)")
     passed = passed and missing / descent < 2.5
+
+    beside_empty, beside_full = _probe_dataset(memtable=False), _probe_dataset(memtable=True)
+    print(f"11-row index probe over {PROBE_TWEETS} flushed tweets, median of {rounds} rounds, "
+          f"CPU µs per query")
+    empty, full = _us_per_call([(_probe(beside_empty), list(range(PROBE_QUERIES))),
+                                (_probe(beside_full), list(range(PROBE_QUERIES)))], rounds)
+    print(f"  empty memtable          {empty:8.1f}")
+    print(f"  {PROBE_TWEETS} tweets in memtable {full:8.1f}")
+    print(f"  full / empty = {full / empty:.2f} (gate: < 2.0)")
+    passed = passed and full / empty < 2.0
     return 0 if passed else 1
 
 

@@ -225,9 +225,9 @@ class Partition:
         """Range query through a secondary index: keys first, then records.
 
         Kept for the storage-level API; candidates whose *newest* version
-        drifted out of the range (an upsert after the indexing flush) are
-        re-checked here, and unflushed memtable records are swept in, so the
-        result matches a scan-with-predicate exactly.
+        drifted out of the range (an upsert after the version that placed
+        the key in it) are re-checked here, so the result matches a
+        scan-with-predicate exactly.
         """
         definition = self.index.secondary_index_def(index_name)
         if definition is None:
@@ -249,8 +249,9 @@ class Partition:
     def probe_views(self, index_name: str, low: Any, high: Any,
                     low_inclusive: bool = True, high_inclusive: bool = True) -> Iterator[Any]:
         """Candidate record views for an index probe (the query engine's
-        source): the rows of :meth:`LSMBTree.probe` — a *superset* of the
-        true answer, so callers must re-apply the predicate."""
+        source): the rows of :meth:`LSMBTree.probe`, in primary-key order —
+        a *superset* of the true answer, so callers must re-apply the
+        predicate."""
         for result in self.index.probe(index_name, low, high, low_inclusive, high_inclusive):
             yield self._view(result.payload, result.schema, result.record)
 

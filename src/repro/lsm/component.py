@@ -56,6 +56,9 @@ _FOOTER = struct.Struct("<IIIII")  # magic, valid, metadata_start, metadata_page
 _PK_SUFFIX = ".pk"
 _IX_INFIX = ".ix."
 
+#: The sort key of memtable and leaf entries alike.
+_ENTRY_KEY = attrgetter("key")
+
 
 @dataclass
 class MemEntry:
@@ -71,6 +74,11 @@ class MemEntry:
     #: from a sealed memtable.  Processed by the tuple compactor at flush
     #: time and never written to disk.
     antischema: Optional[bytes] = None
+    #: Each secondary index's value for this version, by its definition
+    #: object: filled by the first probe that needs it
+    #: (:func:`memtable_secondary_keys`), never on the write path.  A put
+    #: replaces the entry, so a cached value always describes this version.
+    indexed: Optional[Dict[Any, Any]] = None
 
     @property
     def size_bytes(self) -> int:
@@ -105,17 +113,49 @@ class InMemoryComponent:
         self._entries[entry.key] = entry
         self.size_bytes += entry.size_bytes
 
-    def sorted_entries(self) -> List[MemEntry]:
-        """Entries in key order (the flush path sorts once here).
+    def snapshot(self) -> List[MemEntry]:
+        """The entries, unordered, as a *snapshot*: the copy of the entry
+        dict is a single C-level operation (atomic under the GIL), so
+        concurrent readers — parallel query workers scanning while another
+        partition of the same dataset flushes — never observe a half-mutated
+        dict."""
+        return list(self._entries.values())
 
-        The returned list is a *snapshot*: the copy of the entry dict is a
-        single C-level operation (atomic under the GIL), so concurrent
-        readers — parallel query workers scanning while another partition of
-        the same dataset flushes — never observe a half-mutated dict.
-        """
-        entries = list(self._entries.values())
-        entries.sort(key=lambda entry: entry.key)
+    def sorted_entries(self) -> List[MemEntry]:
+        """A :meth:`snapshot` in key order (the flush path sorts once here)."""
+        entries = self.snapshot()
+        entries.sort(key=_ENTRY_KEY)
         return entries
+
+
+def memtable_secondary_keys(entries: Sequence[MemEntry], definition: Any, low: Any, high: Any,
+                            low_inclusive: bool, high_inclusive: bool) -> List[Any]:
+    """Keys of the memtable ``entries`` whose value for the secondary index
+    ``definition`` lies in the range, by the bound comparisons of
+    :meth:`OnDiskComponent.secondary_keys`.  A value that does not share an
+    order with the bounds places its entry outside the range, as such a
+    component places all of its entries."""
+    matched: List[Any] = []
+    for entry in entries:
+        try:
+            value = entry.indexed[definition]
+        except (KeyError, TypeError):  # not cached yet (TypeError: no cache at all)
+            # Two probes filling one cache store the same value: no lock.
+            if entry.indexed is None:
+                entry.indexed = {}
+            value = entry.indexed[definition] = (
+                None if entry.is_antimatter else definition.extractor(entry.encoded, None))
+        if value is None:
+            continue
+        try:
+            if low is not None and (value < low or (not low_inclusive and value == low)):
+                continue
+            if high is not None and (value > high or (not high_inclusive and value == high)):
+                continue
+        except TypeError:
+            continue
+        matched.append(entry.key)
+    return matched
 
 
 @dataclass
@@ -433,9 +473,6 @@ class ComponentWriter:
 
 def _key_only_entries(entries: Sequence[LeafEntry]) -> List[LeafEntry]:
     return [LeafEntry(entry.key, b"", entry.is_antimatter) for entry in entries]
-
-
-_ENTRY_KEY = attrgetter("key")
 
 
 def merged_secondary_entries(inputs: Sequence[OnDiskComponent], index_name: str,

@@ -20,7 +20,9 @@ import time
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set,
+                    Tuple)
 
 from ..btree import LeafEntry, leaf_head
 from ..btree.pages import LEAF_HEADER_SIZE
@@ -39,14 +41,15 @@ from ..schema import InferredSchema
 from ..storage.buffer_cache import BufferCache
 from ..storage.wal import LogRecordType, WriteAheadLog
 from .component import (ComponentWriter, InMemoryComponent, MemEntry, OnDiskComponent,
-                        delete_component_files, merged_secondary_entries)
+                        delete_component_files, memtable_secondary_keys,
+                        merged_secondary_entries)
 from .component_id import ComponentId
 from .lifecycle import FlushCallback
 from .merge_policy import MergePolicy, NoMergePolicy
 from .scheduler import LSMIOScheduler
 
 
-@dataclass
+@dataclass(eq=False)  # hashed by identity: memtable entries cache values by definition
 class SecondaryIndexDef:
     """Definition of one secondary index over the primary index's records.
 
@@ -120,13 +123,18 @@ class SearchResult:
     record: Optional[Dict[str, Any]] = None  # set only for memtable hits
 
 
+_KEY = attrgetter("key")
+
+
 class MemtableRun:
     """One memtable snapshot as a run of the reconcile: its entries in key
-    order, their keys, and where its anti-matter entries sit."""
+    order (the snapshot is sorted in place), their keys, and where its
+    anti-matter entries sit."""
 
     __slots__ = ("entries", "keys", "antimatter")
 
     def __init__(self, entries: List[MemEntry]) -> None:
+        entries.sort(key=_KEY)
         self.entries = entries
         self.keys = [entry.key for entry in entries]
         self.antimatter = [index for index, entry in enumerate(entries) if entry.is_antimatter]
@@ -870,58 +878,63 @@ class LSMBTree:
 
     def secondary_candidate_keys(self, index_name: str, low: Any, high: Any,
                                  low_inclusive: bool = True,
-                                 high_inclusive: bool = True) -> List[Any]:
-        """Distinct primary keys whose indexed value lies in the given range.
+                                 high_inclusive: bool = True) -> Set[Any]:
+        """Distinct primary keys of which some version — in a memtable,
+        mutable or sealed, or in a component's ``.ix`` tree — has its indexed
+        value in the given range.
 
-        Candidates, not answers: a key may have been re-written since the
-        component that indexed it was built, so callers must re-check the
-        predicate against the key's *newest* record version (the executor's
-        residual filter does exactly that).  Keys are deduplicated across
-        components; anti-matter reconciliation is likewise the caller's
-        point-lookup problem.
+        A memtable entry is judged by the value it caches for the index
+        (:func:`~repro.lsm.component.memtable_secondary_keys`), a component
+        by :meth:`OnDiskComponent.secondary_keys`: the same comparisons.
+        Candidates, not answers: a key may have been re-written or deleted
+        since the version that placed it in the range, so callers must look
+        up its *newest* version and re-check the predicate (the executor's
+        residual filter does exactly that).  The snapshots are taken in
+        :meth:`scan`'s order, so a concurrent flush cannot hide a version.
         """
-        if self.secondary_index_def(index_name) is None:
+        definition = self.secondary_index_def(index_name)
+        if definition is None:
             raise KeyNotFoundError(f"unknown secondary index {index_name!r}")
+        keys = set()
+        for entries in self._memory_snapshots():
+            keys.update(memtable_secondary_keys(entries, definition, low, high,
+                                                low_inclusive, high_inclusive))
         components = list(self.components)
         self._raise_if_quarantined(components)
-        keys: Dict[Any, None] = {}  # insertion-ordered set
         for component in components:
             try:
-                keys.update(dict.fromkeys(component.secondary_keys(
-                    index_name, low, high, low_inclusive, high_inclusive)))
+                keys.update(component.secondary_keys(
+                    index_name, low, high, low_inclusive, high_inclusive))
             except CorruptPageError as exc:
                 self._quarantine_component(component, exc)
-        return list(keys)
+        return keys
 
     def probe(self, index_name: str, low: Any, high: Any, low_inclusive: bool = True,
               high_inclusive: bool = True) -> Iterator[SearchResult]:
-        """Index-probe candidates, leaving the index the way a scan does.
+        """Index-probe candidates in primary-key order, as a scan yields them.
 
-        Yields the newest version of every record the secondary index places
-        in the range, plus every live memtable record — mutable *and* sealed,
-        reconciled newest wins: the in-memory components are not
-        secondary-indexed, so they are swept wholesale (a memory-only
-        operation).  The stream is a *superset* of the true answer: callers
-        must re-apply the predicate, because an indexed key's newest version
-        may no longer satisfy it.  One read guard spans the sweep, the
+        Yields the newest live version of every key
+        :meth:`secondary_candidate_keys` returns, looked up newest first:
+        the memtables, then the components.  Only in-range memtable entries
+        become candidates; an entry's indexed value is extracted once, by
+        the first probe that needs it, and cached on the entry.  The stream
+        is a *superset* of the true answer (Luo & Carey's validation):
+        callers must re-apply the predicate, because a candidate's newest
+        version may no longer satisfy it.  One read guard spans the
         candidate keys and the lookups.
         """
         with self.read_guard():
+            keys = sorted(self.secondary_candidate_keys(index_name, low, high,
+                                                        low_inclusive, high_inclusive))
             schema = self.current_schema()
-            swept = self.memory_entries_snapshot()
-            for entry in swept:
-                if not entry.is_antimatter:
-                    yield SearchResult(entry.key, entry.encoded, schema, entry.record)
-            memtable_keys = {entry.key for entry in swept}
-            keys = self.secondary_candidate_keys(index_name, low, high,
-                                                 low_inclusive, high_inclusive)
-            keys.sort()
             for key in keys:
-                if key in memtable_keys:
-                    continue  # the memtable sweep already yielded the newest version
-                result = self._search_disk(key)
-                if result is not None:
-                    yield result
+                entry = self._memory_lookup(key)
+                if entry is None:
+                    result = self._search_disk(key)
+                    if result is not None:
+                        yield result
+                elif not entry.is_antimatter:
+                    yield SearchResult(key, entry.encoded, schema, entry.record)
 
     # ------------------------------------------------------------------ read path
 
@@ -1063,10 +1076,10 @@ class LSMBTree:
         return len(self.components)
 
     def _memory_snapshots(self) -> List[List[MemEntry]]:
-        """Key-ordered snapshots of the in-memory components, newest first:
+        """Unordered snapshots of the in-memory components, newest first:
         the mutable memtable *before* the sealed list (see :meth:`scan`)."""
-        snapshots = [self.memory_component.sorted_entries()]
-        snapshots.extend(sealed.memtable.sorted_entries()
+        snapshots = [self.memory_component.snapshot()]
+        snapshots.extend(sealed.memtable.snapshot()
                          for sealed in reversed(list(self.sealed_memtables)))
         return snapshots
 
@@ -1075,14 +1088,12 @@ class LSMBTree:
 
         Reconciles the mutable memtable with the sealed (flush-pending)
         memtables — the mutable version wins, then sealed newest-first — and
-        returns the winners in key order.  The index-probe path sweeps this
-        instead of the raw memtable, since sealed entries are not yet
-        secondary-indexed either.
+        returns the winners in key order.
         """
         merged: Dict[Any, MemEntry] = {}
         for entries in reversed(self._memory_snapshots()):  # oldest -> newest
             merged.update((entry.key, entry) for entry in entries)
-        return sorted(merged.values(), key=lambda entry: entry.key)
+        return sorted(merged.values(), key=_KEY)
 
     def record_count(self) -> int:
         """Live records across disk components and the memtables (approximate:

@@ -185,9 +185,10 @@ class BatchScanOperator:
 
     Also the index-probe source when ``probe`` is given (candidate views
     instead of a full scan).  The candidates are a superset of the answer
-    (stale index entries, unindexed memtable records — see
-    ``Partition.probe_views``), so the probe's residual predicate (the
-    query's full WHERE clause) is always re-applied by the SELECT downstream.
+    (the newest version of a key an older, in-range version made a
+    candidate — see ``LSMBTree.probe``), so the probe's residual predicate
+    (the query's full WHERE clause) is always re-applied by the SELECT
+    downstream.
 
     The ``extractor`` resolves every requested path of a record in one pass
     (a single trie-guided walk for vector-based records), and full scans may

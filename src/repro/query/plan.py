@@ -46,9 +46,10 @@ class IndexProbe:
     """Access path: probe one secondary index, then fetch + re-filter records.
 
     ``low``/``high`` bound the indexed field (None = open-ended); the probe
-    yields a *candidate superset* (stale index entries, unindexed memtable
-    records), so ``residual`` — the query's full WHERE predicate — is always
-    re-applied to the fetched records.  ``range_conjuncts`` records which
+    yields, in primary-key order, the newest version of every key some
+    version of which — on disk or in a memtable — had its indexed value in
+    range: a *candidate superset*, so ``residual`` — the query's full WHERE
+    predicate — is always re-applied to the fetched records.  ``range_conjuncts`` records which
     conjuncts the index absorbed, for EXPLAIN output.
     """
 
