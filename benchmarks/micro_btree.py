@@ -1,7 +1,7 @@
 """Cost of a B+-tree point lookup, cold and warm (ROADMAP item 2(b)), of a
 bulk build against the leaf decode (item 2(e)), of an LSM point lookup
-over several components, and of an index probe beside a full memtable
-(item 9).
+over several components, of an index probe beside a full memtable
+(item 9), and of re-opening a component (item 10).
 
 A plain script, not a pytest module, like ``micro_vector.py``:
 
@@ -17,11 +17,12 @@ over the rounds:
 * warm — every page is resident, so a lookup is one cache hit and one
   bisect per level.
 
-Then, for the three tree shapes a component writes — an ``int`` key with a
-200-byte value (a primary tree), an ``(int, int)`` key with no value (a
-secondary tree) and an ``int`` key with no value (a primary-key tree) — it
-prints CPU µs per entry of ``BulkLoader.build`` over ``entries`` entries
-and of ``unpack_leaf`` over the leaves that build wrote, medians over the
+Then, for three tree shapes — an ``int`` key with a 200-byte value (a
+primary tree), an ``(int, int)`` key with no value (a secondary tree) and
+an ``int`` key with no value (a key-only primary-key tree, which no
+component writes any more; its table decode remains) — it prints CPU µs
+per entry of ``BulkLoader.build`` over ``entries`` entries and of
+``unpack_leaf`` over the leaves that build wrote, medians over the
 rounds.  The two key-only shapes decode as one struct table per leaf; the
 valued one is walked entry by entry.
 
@@ -38,6 +39,12 @@ more, unflushed and none in the range, to the second one's memtable, and
 prints CPU µs per query of an 11-row ``id`` range forced onto the index
 (``access_path="index"``) over each, the median over the rounds.
 
+Last, it flushes one component of ``entries`` keys with 200-byte values
+and prints CPU µs per key of re-opening it as crash recovery does —
+``attach_auxiliaries`` rebuilding its key-hash fence from its primary
+leaves — and of a walk collecting the keys of ``BTree.leaves()``, the
+buffer cache cleared before each, medians over three times the rounds.
+
 The gates, run by CI with the defaults: warm must cost under 0.25x cold (a
 hit that re-parses its page lands near 0.9x); on the valued shape a build
 must cost under 3.0x the decode of what it built (a loader that encodes
@@ -51,7 +58,10 @@ fences rule out all four components at 1.6-1.8x; a lookup that descends
 every component's tree lands near 4-5x); and the probe beside the full
 memtable must cost under 2x the probe beside the empty one (each entry
 compares the indexed value it caches with the bounds: 1.5-1.9x; a probe
-that decodes every memtable record as a candidate lands near 17-28x).
+that decodes every memtable record as a candidate lands near 17-28x); and
+the re-open must cost at most 1.2x the cold key walk (hashing and sorting
+the keys the leaves hold: 1.04-1.12x; a rebuild that makes a
+``LeafEntry`` of every entry through ``scan()`` lands near 1.9x).
 All numbers come from this process, so the box's speed cancels; the exit
 status is 1 when a gate fails.
 """
@@ -62,12 +72,15 @@ import random
 import statistics
 import sys
 import time
+from itertools import chain
+from operator import truediv
 from typing import Callable, List, Tuple
 
 from repro import Dataset, StorageFormat
 from repro.btree import BTree, BulkLoader, LeafEntry, pages
 from repro.datasets import twitter
 from repro.lsm import LSMBTree
+from repro.lsm.component import OnDiskComponent, read_component_metadata
 from repro.storage import BufferCache, FileManager, SimulatedStorageDevice
 
 PAGE_SIZE = 8 * 1024
@@ -76,8 +89,8 @@ VALUE_SIZE = 200
 PROBE_TWEETS = 2000
 PROBE_QUERIES = 20
 PROBE = "SELECT VALUE t.text FROM tweets AS t WHERE t.id >= 1000 AND t.id <= 1010"
-#: The tree shapes a component writes: name -> entries for ``count`` keys.
-#: The first is the valued one, the others key-only.
+#: Tree shapes: name -> entries for ``count`` keys.  The first is the valued
+#: one, the others key-only.
 SHAPES = {
     "int key, 200-B value": lambda count: [
         LeafEntry(key, key.to_bytes(4, "little") * (VALUE_SIZE // 4)) for key in range(count)],
@@ -136,17 +149,56 @@ def _build_vs_unpack(entries: List[LeafEntry], rounds: int) -> Tuple[float, floa
             1e6 * statistics.median(unpack_samples) / len(entries))
 
 
+def _lsm_index(entries: int) -> LSMBTree:
+    """An empty LSM index whose cache holds ``entries`` valued entries."""
+    manager = FileManager(SimulatedStorageDevice(), PAGE_SIZE)
+    cache = BufferCache(manager, capacity_pages=2 * entries * VALUE_SIZE // PAGE_SIZE + 64)
+    return LSMBTree("micro", 0, cache, memory_budget=1 << 40)
+
+
+def _insert(index: LSMBTree, keys: range) -> None:
+    for key in keys:
+        index.insert(key, None, key.to_bytes(4, "little") * (VALUE_SIZE // 4))
+
+
 def _four_components(entries: int) -> LSMBTree:
     """An LSM index of four flushed components; component ``c`` holds the
     keys ``c`` mod 5 below ``entries`` * 5 / 4."""
-    manager = FileManager(SimulatedStorageDevice(), PAGE_SIZE)
-    cache = BufferCache(manager, capacity_pages=2 * entries * VALUE_SIZE // PAGE_SIZE + 64)
-    index = LSMBTree("micro", 0, cache, memory_budget=1 << 40)
+    index = _lsm_index(entries)
     for offset in range(4):
-        for key in range(offset, entries * 5 // 4, 5):
-            index.insert(key, None, key.to_bytes(4, "little") * (VALUE_SIZE // 4))
+        _insert(index, range(offset, entries * 5 // 4, 5))
         index.flush()
     return index
+
+
+def _reopen_vs_key_walk(entries: int, rounds: int) -> Tuple[float, float, float]:
+    """CPU µs per key of re-opening a flushed component of ``entries`` keys
+    (its fence rebuilt from its primary leaves) and of collecting the keys
+    of its tree's leaves, the buffer cache cleared before each, and the
+    median over the rounds of each round's ratio of the two."""
+    index = _lsm_index(entries)
+    _insert(index, range(entries))
+    built = index.flush()
+    cache, tree = index.buffer_cache, built.btree
+    metadata = read_component_metadata(cache, built.file_name)
+    reopen_samples: List[float] = []
+    walk_samples: List[float] = []
+    for _ in range(rounds):
+        reopened = OnDiskComponent(metadata.component_id, built.file_name, cache, metadata,
+                                   valid=True)
+        cache.clear()
+        started = time.process_time()
+        reopened.attach_auxiliaries([])
+        reopen_samples.append(time.process_time() - started)
+        assert reopened.key_hashes == built.key_hashes
+        cache.clear()
+        started = time.process_time()
+        keys = list(chain.from_iterable(leaf.keys for leaf in tree.leaves()))
+        walk_samples.append(time.process_time() - started)
+        assert len(keys) == entries
+    return (1e6 * statistics.median(reopen_samples) / entries,
+            1e6 * statistics.median(walk_samples) / entries,
+            statistics.median(map(truediv, reopen_samples, walk_samples)))
 
 
 def _probe_dataset(memtable: bool) -> Dataset:
@@ -250,6 +302,15 @@ def main(entries: int = 20000, lookups: int = 500, rounds: int = 5) -> int:
     print(f"  {PROBE_TWEETS} tweets in memtable {full:8.1f}")
     print(f"  full / empty = {full / empty:.2f} (gate: < 2.0)")
     passed = passed and full / empty < 2.0
+
+    # Each round takes ~40 ms and the gate's margin is ~10 %: more rounds.
+    reopen, walk, ratio = _reopen_vs_key_walk(entries, 3 * rounds)
+    print(f"re-open of one component of {entries} keys, cold, median of {3 * rounds} rounds, "
+          f"CPU µs per key")
+    print(f"  fence rebuild  {reopen:6.3f}")
+    print(f"  leaf key walk  {walk:6.3f}")
+    print(f"  rebuild / walk = {ratio:.2f} (gate: <= 1.2)")
+    passed = passed and ratio <= 1.2
     return 0 if passed else 1
 
 

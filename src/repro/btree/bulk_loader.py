@@ -1,8 +1,8 @@
 """Bottom-up B+-tree bulk loading.
 
 Every on-disk structure in the LSM engine — flushed components, merged
-components, bulk-loaded datasets, and per-component secondary/primary-key
-indexes — is an *immutable* B+-tree built in one pass from already-sorted
+components, bulk-loaded datasets, and per-component secondary indexes —
+is an *immutable* B+-tree built in one pass from already-sorted
 entries, exactly the "builds a single on-disk component of the B+-tree in a
 bottom-up fashion" path the paper describes for bulk loads (§4.3).
 

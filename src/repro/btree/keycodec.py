@@ -9,9 +9,9 @@ decoding, so the encoding only needs to round-trip, not to be
 order-preserving at the byte level.
 
 :func:`encode_key` dispatches on the key's exact type; the two shapes every
-component writes by the thousand — an ``int`` (primary and primary-key-index
-keys) and an ``(int, int)`` pair (a secondary key over an integer field) —
-are one precompiled ``struct.pack`` each.  A subclass (an ``IntEnum``
+component writes by the thousand — an ``int`` (a primary key) and an
+``(int, int)`` pair (a secondary key over an integer field) — are one
+precompiled ``struct.pack`` each.  A subclass (an ``IntEnum``
 member, a ``str`` subclass) misses the table and falls back to
 ``isinstance``, with ``bool`` refused first.  The same two structs state
 those shapes' bytes for the read side too (:data:`FIXED_WIDTH_KEYS`, from

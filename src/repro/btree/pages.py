@@ -30,7 +30,7 @@ page bytes plus each entry's key, flags offset and value end — whose values
 are sliced off the page only for the entries a reader asks for.  Frames are
 shared between readers and never mutated.
 
-A *key-only* leaf (a primary-key or secondary tree: every value empty) of
+A *key-only* leaf (a secondary tree: every value empty) of
 one fixed-width key shape in ``keycodec.FIXED_WIDTH_KEYS`` — ``int`` keys
 in 14-byte entries, ``(int, int)`` keys in 25-byte ones — decodes as one
 precompiled ``Struct.unpack_from`` over its entry table, with ``range``

@@ -131,11 +131,6 @@ class LSMConfig:
     max_mergable_component_size: int = 1024 * 1024 * 1024
     #: Prefix policy: merge once this many mergeable components accumulate.
     max_tolerable_component_count: int = 5
-    #: Keep a primary-key-only index beside each component (Luo & Carey's
-    #: optimization the paper adopts for Figure 17b).  Upsert existence
-    #: checks go to the in-memory key-hash fence; this tree is what a
-    #: re-opened component rebuilds its fence from.
-    maintain_primary_key_index: bool = True
     #: Run flushes and merges on a background scheduler (AsterixDB-style
     #: asynchronous LSM lifecycle) instead of inline on the writer's thread.
     #: The setting only picks *where* a flush or merge task runs — the

@@ -82,7 +82,6 @@ class Partition:
             merge_policy=merge_policy,
             flush_callback=callback,
             wal=environment.wal,
-            maintain_primary_key_index=config.lsm.maintain_primary_key_index,
             scheduler=scheduler,
             max_sealed_memtables=config.lsm.max_sealed_memtables,
             max_merge_debt=config.lsm.max_merge_debt,

@@ -14,16 +14,16 @@ enabled — the serialized schema snapshot that covers the component
 (paper §3.1: "the component's inferred in-memory schema is persisted in the
 component's Metadata Page before setting the component as VALID").
 
-The component owns what hangs off it: its primary-key and secondary index
-trees (:meth:`OnDiskComponent.attach_auxiliaries` builds or re-opens them;
-only this module knows their file names), each index's field statistics,
-its key-hash fence, the reason it was quarantined, and how its files die
+The component owns what hangs off it: its secondary index trees
+(:meth:`OnDiskComponent.attach_auxiliaries` builds or re-opens them; only
+this module knows their file names), each index's field statistics, its
+key-hash fence, the reason it was quarantined, and how its files die
 (:func:`delete_component_files`).
 
 The *key-hash fence* is the sorted ``hash()`` of every key the primary tree
 holds, anti-matter keys included: one ``array("q")`` per component, 8 bytes
 a key, kept in memory only (``str`` hashes differ between processes) and
-rebuilt from the key-only primary-key tree when a component is re-opened.
+rebuilt from the primary tree's leaves when a component is re-opened.
 Equal keys hash equal, so a key whose hash is not in the fence is not in
 the tree: :meth:`OnDiskComponent.search` answers it without reading a page.
 A collision (``hash(-1) == hash(-2)``) only costs the descent it would have
@@ -51,9 +51,8 @@ from .component_id import ComponentId
 _FOOTER_MAGIC = 0x4C534D43  # "LSMC"
 _FOOTER = struct.Struct("<IIIII")  # magic, valid, metadata_start, metadata_pages, metadata_length
 
-#: What follows a component's own file name in its auxiliary files' names:
-#: the primary-key index, and (before the index's name) a secondary index.
-_PK_SUFFIX = ".pk"
+#: What follows a component's own file name, before the index's name, in a
+#: secondary index file's name.
 _IX_INFIX = ".ix."
 
 #: The sort key of memtable and leaf entries alike.
@@ -237,10 +236,6 @@ class OnDiskComponent:
         self.schema = schema
         self.valid = valid
         self.btree = BTree(buffer_cache, file_name, metadata.btree_info)
-        #: Optional key-only B+-tree: the source of a re-opened component's
-        #: key-hash fence.
-        self.primary_key_index: Optional[BTree] = None
-        self.primary_key_file: Optional[str] = None
         #: Per secondary index name: this component's opened B+-tree and the
         #: indexed field's statistics for the cost model.  A live component
         #: has a tree for every index registered on its LSM index.
@@ -266,10 +261,7 @@ class OnDiskComponent:
         return self.metadata.entry_count
 
     def size_bytes(self) -> int:
-        total = self.buffer_cache.file_manager.file_size(self.file_name)
-        if self.primary_key_file is not None:
-            total += self.buffer_cache.file_manager.file_size(self.primary_key_file)
-        return total
+        return self.buffer_cache.file_manager.file_size(self.file_name)
 
     def search(self, key: Any) -> Optional[LeafEntry]:
         """The entry stored for ``key`` (anti-matter included) or None; a
@@ -301,12 +293,11 @@ class OnDiskComponent:
 
     # -- auxiliary trees -------------------------------------------------------------
 
-    def attach_auxiliaries(self, definitions: Sequence[Any], primary_key_index: bool,
+    def attach_auxiliaries(self, definitions: Sequence[Any],
                            entries: Optional[Sequence[LeafEntry]] = None,
                            secondary: Optional[Dict[str, List[LeafEntry]]] = None) -> None:
-        """Attach the key-only primary-key index (when ``primary_key_index``)
-        and one ``(value, primary key)`` tree per secondary index definition,
-        then build the key-hash fence.
+        """Attach one ``(value, primary key)`` tree per secondary index
+        definition, then build the key-hash fence.
 
         How each tree's entries are found depends on who built the component:
 
@@ -324,52 +315,41 @@ class OnDiskComponent:
           auxiliary tree does.
 
         The fence hashes the keys of ``entries``; a re-open that rebuilt no
-        tree reads them back off the primary-key tree, or off the primary
-        leaves when the index keeps none.  There it can meet a corrupt page:
+        tree reads them back off the primary tree's leaves (the keys only:
+        no :class:`LeafEntry` is made).  There it can meet a corrupt page:
         the :class:`~repro.errors.CorruptPageError` propagates like any
         other read's, and recovery quarantines the component.
 
-        The primary-key tree is always the key-only copy of the primary
-        entries.  Auxiliary trees are written through :class:`ComponentWriter`
-        too, so they carry their own footer and metadata and re-open without
-        a rebuild.  A failure leaves what was written so far for the caller
+        Secondary trees are written through :class:`ComponentWriter` too,
+        so they carry their own footer and metadata and re-open without a
+        rebuild.  A failure leaves what was written so far for the caller
         to delete (:func:`delete_component_files`, or
         :meth:`drop_secondary_index` after a failed backfill).
         """
         from ..datasets.stats import FieldStatistics
 
         reopen = entries is None
-
-        def attach(suffix: str, derive) -> Tuple[BTree, ComponentMetadata]:
-            nonlocal entries
-            file_name = self.file_name + suffix
+        for definition in definitions:
+            file_name = self.file_name + _IX_INFIX + definition.name
             metadata = read_component_metadata(self.buffer_cache, file_name) if reopen else None
             if metadata is None:
                 if entries is None:
                     entries = list(self.scan())
+                derived = (secondary[definition.name] if secondary is not None
+                           else _secondary_entries(definition, entries, self.schema))
                 metadata = ComponentWriter(self.buffer_cache, file_name).write(
-                    self.component_id, derive(entries))
-            return BTree(self.buffer_cache, file_name, metadata.btree_info), metadata
-
-        if primary_key_index:
-            self.primary_key_index, _ = attach(_PK_SUFFIX, _key_only_entries)
-            self.primary_key_file = self.primary_key_index.file_name
-        for definition in definitions:
-            tree, metadata = attach(
-                _IX_INFIX + definition.name,
-                lambda primary: (secondary[definition.name] if secondary is not None
-                                 else _secondary_entries(definition, primary, self.schema)))
+                    self.component_id, derived)
             # The tree is sorted on (value, primary key) — the sort rejects
             # values that do not share an order — so the field's min and max
             # sit in the key range its metadata records, beside the count.
             statistics = FieldStatistics(definition.field_path or (), metadata.record_count)
             if metadata.min_key is not None:
                 statistics.min_value, statistics.max_value = metadata.min_key[0], metadata.max_key[0]
-            self.secondary_trees[definition.name] = tree
+            self.secondary_trees[definition.name] = BTree(
+                self.buffer_cache, file_name, metadata.btree_info)
             self.secondary_stats[definition.name] = statistics
         if entries is None:
-            keyed = self.primary_key_index if self.primary_key_index is not None else self.btree
-            keys = chain.from_iterable(leaf.keys for leaf in keyed.leaves())
+            keys = chain.from_iterable(leaf.keys for leaf in self.btree.leaves())
         else:
             keys = map(_ENTRY_KEY, entries)
         self.key_hashes = array("q", sorted(map(hash, keys)))
@@ -469,10 +449,6 @@ class ComponentWriter:
             self.buffer_cache.write_page(self.file_name, start_page + pages, page)
             pages += 1
         return pages
-
-
-def _key_only_entries(entries: Sequence[LeafEntry]) -> List[LeafEntry]:
-    return [LeafEntry(entry.key, b"", entry.is_antimatter) for entry in entries]
 
 
 def merged_secondary_entries(inputs: Sequence[OnDiskComponent], index_name: str,

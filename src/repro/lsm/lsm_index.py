@@ -147,7 +147,6 @@ class LSMBTree:
                  memory_budget: int, merge_policy: Optional[MergePolicy] = None,
                  flush_callback: Optional[FlushCallback] = None,
                  wal: Optional[WriteAheadLog] = None,
-                 maintain_primary_key_index: bool = False,
                  check_duplicate_keys: bool = False,
                  scheduler: Optional[LSMIOScheduler] = None,
                  max_sealed_memtables: int = 2,
@@ -161,7 +160,6 @@ class LSMBTree:
         self.merge_policy = merge_policy or NoMergePolicy()
         self.flush_callback = flush_callback or FlushCallback()
         self.wal = wal
-        self.maintain_primary_key_index = maintain_primary_key_index
         self.check_duplicate_keys = check_duplicate_keys
         #: Where maintenance tasks run: on this scheduler's workers, or —
         #: ``None`` — on the thread that triggered them (:meth:`_submit_or_run`).
@@ -557,8 +555,7 @@ class LSMBTree:
                     component_id, entries, schema_bytes, fail_before_footer=fail_before_footer)
                 component = OnDiskComponent(component_id, file_name, self.buffer_cache,
                                             metadata, schema=schema, valid=True)
-                component.attach_auxiliaries(self.secondary_indexes,
-                                             self.maintain_primary_key_index, entries, secondary)
+                component.attach_auxiliaries(self.secondary_indexes, entries, secondary)
                 if commit is not None:
                     commit()
             except BaseException:
@@ -839,7 +836,7 @@ class LSMBTree:
                 raise ComponentStateError(f"secondary index {definition.name!r} already exists")
             try:
                 for component in self.components:
-                    component.attach_auxiliaries([definition], False, list(component.scan()))
+                    component.attach_auxiliaries([definition], list(component.scan()))
             except Exception:
                 # Atomic create: a backfill failure (e.g. values of incomparable
                 # mixed types that cannot share one sort order) must not leave a
@@ -1067,9 +1064,8 @@ class LSMBTree:
         return self.flush_callback.schema
 
     def storage_size(self) -> int:
-        """Total on-disk bytes of the valid components: each one's primary
-        B+-tree file and its primary-key index file.  Secondary-index files
-        are not counted."""
+        """Total on-disk bytes of the valid components' primary B+-tree
+        files.  Secondary-index files are not counted."""
         return sum(component.size_bytes() for component in self.components)
 
     def component_count(self) -> int:

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from ..errors import CorruptPageError, ReproError
+from ..errors import CorruptPageError, QuarantinedComponentError, ReproError
 from ..schema import InferredSchema
 from ..storage.wal import LogRecordType, WriteAheadLog
 from ..types import Datatype
@@ -90,7 +90,7 @@ def recover_index(index: LSMBTree, wal: Optional[WriteAheadLog] = None,
         component = OnDiskComponent(metadata.component_id, file_name, index.buffer_cache,
                                     metadata, schema=schema, valid=True)
         try:
-            component.attach_auxiliaries(index.secondary_indexes, index.maintain_primary_key_index)
+            component.attach_auxiliaries(index.secondary_indexes)
         except CorruptPageError as exc:
             # Like a corrupt page met by a read: the component stays, and
             # every read that needs it raises QuarantinedComponentError.
@@ -129,8 +129,15 @@ def recover_index(index: LSMBTree, wal: Optional[WriteAheadLog] = None,
             decoded = payload_decoder(record.payload)
             if record.record_type is LogRecordType.INSERT:
                 index.insert(record.key, decoded, record.payload)
-            else:
+                continue
+            try:
                 index.upsert(record.key, decoded, record.payload)
+            except QuarantinedComponentError:
+                # The superseded version sits in a component quarantined
+                # at re-open: its anti-schema cannot be read, so the
+                # upsert lands without one, like a delete above.
+                index.memory_component.put(MemEntry(record.key, is_antimatter=False,
+                                                    record=decoded, encoded=record.payload))
 
     if flush_after_replay and not index.memory_component.is_empty:
         index.flush()

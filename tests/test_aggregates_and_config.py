@@ -149,7 +149,6 @@ class TestConfig:
     def test_lsm_config_defaults(self):
         config = LSMConfig()
         assert config.merge_policy == "prefix"
-        assert config.maintain_primary_key_index
 
     def test_knobs_are_read_in_config_and_documented(self):
         package = Path(repro.config.__file__).parent

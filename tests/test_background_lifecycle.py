@@ -219,14 +219,17 @@ class TestBackgroundParity:
 
     def test_backpressure_stalls_writer_and_is_reported(self):
         """With one sealed memtable allowed and a throttled device, the
-        writer must block on rotation and the stall time must be recorded."""
+        writer must block on rotation and the stall time must be recorded.
+        The 4 KiB budget seals a memtable every 14 records, so the writer
+        fills the next one before the throttled flush of the last ends (at
+        8 KiB the flush keeps up with the writer)."""
         environment = StorageEnvironment(StorageConfig(
             page_size=1024, device_kind=DeviceKind.SATA_SSD, io_throttle=40.0))
         dataset = Dataset.create(
             "bg_stall", StorageFormat.OPEN, environment=environment,
             partitions=1,
             lsm=_lsm(background=True, max_sealed_memtables=1,
-                     memory_component_budget=8 * 1024))
+                     memory_component_budget=4 * 1024))
         dataset.insert_all({"id": i, "pad": "s" * 200} for i in range(160))
         dataset.close()
         assert dataset.ingest_stats()["ingest_stall_seconds"] > 0.0

@@ -635,24 +635,32 @@ class TestQuarantine:
         with pytest.raises(QuarantinedComponentError):
             list(index.scan())
 
+    @staticmethod
+    def _zero_first_primary_leaf(environment, dataset):
+        """Zero page 0 of the dataset's one component — its first primary
+        leaf — keeping the stale CRC, and drop the caches."""
+        (component,) = dataset.partitions[0].index.components
+        pages = environment.buffer_cache.file_manager._files[component.file_name].pages
+        payload, crc = pages[0]
+        pages[0] = (bytes(len(payload)), crc)
+        environment.drop_caches()
+        return component
+
     def test_corrupt_key_page_met_at_reopen_quarantines_the_component(self):
-        """Re-opening a component reads its whole key tree back for the
+        """Re-opening a component reads its primary leaves back for the
         key-hash fence; bit rot there ends like a read meeting it: the
         component is quarantined and reads of it raise, recovery does not."""
         environment = StorageEnvironment()
         dataset = Dataset.create("reopen", StorageFormat.INFERRED, environment=environment)
         dataset.insert_all({"id": key, "v": key % 5} for key in range(200))
         dataset.flush_all()
-        (component,) = dataset.partitions[0].index.components
-        pages = environment.buffer_cache.file_manager._files[component.primary_key_file].pages
-        payload, crc = pages[0]
-        pages[0] = (bytes(len(payload)), crc)  # the first leaf of the .pk tree
-        environment.drop_caches()
+        component = self._zero_first_primary_leaf(environment, dataset)
         events_before = _counter_value("events_total", event="component_quarantined")
 
         revived = Dataset.create("reopen", StorageFormat.INFERRED, environment=environment)
         revived.partitions[0].recover()
         assert list(revived.partitions[0].index.quarantined_components()) == [component.file_name]
+        assert revived.partitions[0].index.components[0].key_hashes is None
         assert _counter_value(
             "events_total", event="component_quarantined") == events_before + 1
         with pytest.raises(QuarantinedComponentError):
@@ -660,6 +668,27 @@ class TestQuarantine:
         with pytest.raises(QuarantinedComponentError):
             revived.count()
         revived.insert({"id": 1000, "v": 1})  # new writes still land in memory
+        revived.close()
+
+    def test_logged_upsert_replays_over_a_component_quarantined_at_reopen(self):
+        """A logged upsert whose old version sits in a component quarantined
+        at re-open replays without its anti-schema, as a logged delete does:
+        recovery finishes and flushes the new version."""
+        environment = StorageEnvironment()
+        dataset = Dataset.create("replay", StorageFormat.INFERRED, environment=environment)
+        dataset.insert_all({"id": key, "v": key % 5} for key in range(200))
+        dataset.flush_all()
+        dataset.upsert({"id": 3, "v": "three"})
+        component = self._zero_first_primary_leaf(environment, dataset)
+
+        revived = Dataset.create("replay", StorageFormat.INFERRED, environment=environment)
+        revived.partitions[0].recover()
+        index = revived.partitions[0].index
+        assert list(index.quarantined_components()) == [component.file_name]
+        assert len(index.components) == 2 and index.memory_component.is_empty
+        assert [entry.key for entry in index.components[0].scan()] == [3]
+        with pytest.raises(QuarantinedComponentError):
+            revived.get(3)  # the read snapshot still needs the quarantined component
         revived.close()
 
     def test_memtable_reads_survive_quarantine(self):

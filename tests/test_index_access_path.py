@@ -470,13 +470,12 @@ def extractor_calls(monkeypatch):
 
 @pytest.mark.parametrize("storage_format", list(StorageFormat), ids=[f.value for f in StorageFormat])
 def test_merged_index_trees_equal_a_rebuild(storage_format, extractor_calls):
-    """A merge writes its ``.pk`` and ``.ix.<name>`` trees without calling an
+    """A merge writes its ``.ix.<name>`` trees without calling an
     extractor, and every page equals what recovery rebuilds from the merged
     primary tree; a flush calls each extractor once per live record it
     writes, a CREATE INDEX backfill once per stored record."""
     environment = StorageEnvironment(StorageConfig(page_size=1024, buffer_cache_pages=256))
-    lsm = LSMConfig(merge_policy="none", background_maintenance=False,
-                    maintain_primary_key_index=True)
+    lsm = LSMConfig(merge_policy="none", background_maintenance=False)
     datatype = None
     if storage_format is StorageFormat.CLOSED:
         datatype = Datatype.from_records("MergeType", [{"id": 0, "name": "n"}], is_open=True,
@@ -512,8 +511,7 @@ def test_merged_index_trees_equal_a_rebuild(storage_format, extractor_calls):
         assert extractor_calls == {name: sum(memtable.values()) for name in registered}
 
     def pages_of(component):
-        names = [component.primary_key_file] + [
-            tree.file_name for tree in component.secondary_trees.values()]
+        names = [tree.file_name for tree in component.secondary_trees.values()]
         return {name: [manager.read_page(name, page) for page in range(manager.num_pages(name))]
                 for name in names}
 
@@ -524,7 +522,7 @@ def test_merged_index_trees_equal_a_rebuild(storage_format, extractor_calls):
         merged = index.merge(index.components[:count])
         assert extractor_calls == {}
         written = pages_of(merged)
-        assert len(written) == 3 and all(written.values())
+        assert len(written) == 2 and all(written.values())
         for name in written:
             manager.delete_file(name)
         environment.buffer_cache.clear()

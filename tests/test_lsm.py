@@ -5,6 +5,8 @@ import random
 import pytest
 
 from repro.cache import ColumnSliceCache, SliceChunk
+from repro.config import LSMConfig, StorageFormat
+from repro.core import Dataset, StorageEnvironment
 from repro.errors import ComponentStateError, DuplicateKeyError, KeyNotFoundError
 from repro.lsm import (
     ComponentId,
@@ -38,13 +40,12 @@ def _scan_keys(index):
 
 
 def _index(memory_budget=4096, merge_policy=None, wal=None, cache=None,
-           maintain_primary_key_index=False, check_duplicate_keys=False):
+           check_duplicate_keys=False):
     if cache is None:
         _, cache = _cache()
     return LSMBTree(
         name="ds", partition=0, buffer_cache=cache, memory_budget=memory_budget,
         merge_policy=merge_policy or NoMergePolicy(), wal=wal,
-        maintain_primary_key_index=maintain_primary_key_index,
         check_duplicate_keys=check_duplicate_keys,
     )
 
@@ -392,30 +393,6 @@ class TestRunReconcile:
         check()
 
 
-class TestPrimaryKeyIndex:
-    def test_pk_index_answers_existence(self):
-        index = _index(maintain_primary_key_index=True)
-        for key in range(30):
-            index.insert(key, {"id": key}, _payload(key))
-        index.flush()
-        component = index.components[0]
-        assert component.primary_key_index is not None
-        assert component.search(7).key == 7
-        before = index.buffer_cache.stats_snapshot()
-        assert component.search(999) is None  # the fence answers: no page read
-        after = index.buffer_cache.stats_snapshot()
-        assert (after.hits, after.misses) == (before.hits, before.misses)
-
-    def test_pk_index_smaller_than_primary(self):
-        index = _index(maintain_primary_key_index=True)
-        for key in range(100):
-            index.insert(key, {"id": key}, _payload(key, size=256))
-        index.flush()
-        component = index.components[0]
-        manager = index.buffer_cache.file_manager
-        assert manager.file_size(component.primary_key_file) < manager.file_size(component.file_name)
-
-
 class _RecordingCallback(FlushCallback):
     """Asks for anti-schemas, marks what a flush stores, records removals."""
 
@@ -513,16 +490,15 @@ def _check_fences(index, model, lookups):
 
 class TestKeyHashFence:
     @pytest.mark.parametrize("kind", sorted(_FENCE_POOLS))
-    @pytest.mark.parametrize("maintain_pk", [False, True])
-    def test_fence_agrees_with_the_tree(self, kind, maintain_pk):
+    def test_fence_agrees_with_the_tree(self, kind):
         """Components built by flush, merge (anti-matter kept, then dropped),
-        crash-recovery re-open (from the .pk tree, or the primary leaves
-        without one) and bulk load, against a dict."""
-        rng = random.Random(f"fence-{kind}-{maintain_pk}")
+        crash-recovery re-open (from the primary leaves) and bulk load,
+        against a dict."""
+        rng = random.Random(f"fence-{kind}")
         pool = _fence_pool(kind, rng)
         lookups = pool + _FENCE_EXTRA[kind]
         _, cache = _cache()
-        index = _index(cache=cache, maintain_primary_key_index=maintain_pk)
+        index = _index(cache=cache)
         model = {}
         for _ in range(4):
             for key in rng.sample(pool, 60):
@@ -547,14 +523,57 @@ class TestKeyHashFence:
         assert dropped.metadata.antimatter_count == 0
         _check_fences(index, model, lookups)
 
-        revived = _index(cache=cache, maintain_primary_key_index=maintain_pk)
+        revived = _index(cache=cache)
         recover_index(revived)
-        assert (revived.components[0].primary_key_index is not None) == maintain_pk
         _check_fences(revived, model, lookups)
 
-        loaded = _index(maintain_primary_key_index=maintain_pk)
+        loaded = _index()
         loaded.load([(key, {}, payload) for key, payload in model.items()])
         _check_fences(loaded, model, lookups)
+
+    @pytest.mark.parametrize("storage_format", [StorageFormat.OPEN, StorageFormat.INFERRED],
+                             ids=lambda storage_format: storage_format.value)
+    def test_reopened_fence_equals_the_built_one(self, storage_format):
+        """A re-opened component hashes its primary leaves into exactly the
+        fence its flush or merge built, anti-matter keys included; and no
+        flush, merge or CREATE INDEX backfill writes a ``.pk`` file."""
+        environment = StorageEnvironment()
+        manager = environment.buffer_cache.file_manager
+        lsm = LSMConfig(merge_policy="none")
+
+        def no_pk_files():
+            assert manager.list_files() and not any(
+                name.endswith(".pk") for name in manager.list_files())
+
+        dataset = Dataset.create("fenced", storage_format, environment=environment, lsm=lsm)
+        dataset.insert_all({"id": key, "v": key % 7} for key in range(120))
+        dataset.flush_all()
+        for key in range(0, 120, 3):
+            dataset.delete(key)
+        dataset.upsert({"id": 500, "v": 1})
+        dataset.flush_all()
+        no_pk_files()
+        dataset.create_index("by_v", "v")
+        no_pk_files()
+        dataset.upsert({"id": 1, "v": 6})
+        dataset.delete(2)
+        dataset.flush_all()
+        index = dataset.partitions[0].index
+        kept = index.merge(index.components[:2])  # the oldest survives: anti-matter stays
+        assert kept.metadata.antimatter_count > 0
+        no_pk_files()
+        built = {component.file_name: component.key_hashes for component in index.components}
+        assert len(built) == 2
+
+        revived = Dataset.create("fenced", storage_format, environment=environment, lsm=lsm)
+        revived.create_index("by_v", "v")
+        environment.drop_caches()
+        revived.partitions[0].recover()
+        reopened = {component.file_name: component.key_hashes
+                    for component in revived.partitions[0].index.components}
+        assert reopened == built
+        assert revived.get(2) is None and revived.get(1)["v"] == 6
+        revived.close()
 
     def test_absent_get_reads_no_page(self):
         index = _index()
@@ -575,18 +594,50 @@ class TestKeyHashFence:
         assert after_collision.hits + after_collision.misses > after.hits + after.misses
         assert index.search(60).key == 60
 
+    def test_reopened_component_rules_out_absent_keys_without_a_page_read(self):
+        """The fence a re-open hashes from the primary leaves answers a miss
+        on its own, as the one a flush built does."""
+        _, cache = _cache()
+        index = _index(cache=cache)
+        for key in range(30):
+            index.insert(key, {"id": key}, _payload(key))
+        index.flush()
+        revived = _index(cache=cache)
+        recover_index(revived)
+        component = revived.components[0]
+        assert component.search(7).key == 7
+        before = cache.stats_snapshot()
+        assert component.search(999) is None
+        after = cache.stats_snapshot()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    def test_component_size_is_its_primary_tree_file(self):
+        """A flushed or merged component writes one file, its primary tree,
+        and that file is all its size counts."""
+        index = _index()
+        for batch in range(2):
+            for key in range(batch * 100, batch * 100 + 100):
+                index.insert(key, {"id": key}, _payload(key, size=256))
+            index.flush()
+        index.merge(list(index.components))
+        manager = index.buffer_cache.file_manager
+        (component,) = index.components
+        assert manager.list_files() == [component.file_name]
+        assert component.size_bytes() == manager.file_size(component.file_name)
+        assert index.storage_size() == component.size_bytes()
+
 
 class TestAuxiliaryFileLifecycle:
     @pytest.mark.parametrize("reader_held", [False, True])
     def test_only_live_components_keep_files_and_slices(self, reader_held):
-        """A component's primary, ``.pk`` and ``.ix.*`` files and its cached
+        """A component's primary and ``.ix.*`` files and its cached
         slices all go with it — right away, or when the last reader leaves —
         and a failed CREATE INDEX backfill leaves nothing behind."""
         _, cache = _cache()
         manager = cache.file_manager
         slices = ColumnSliceCache(capacity_bytes=1 << 20)
         index = LSMBTree(name="ds", partition=0, buffer_cache=cache, memory_budget=1 << 20,
-                         maintain_primary_key_index=True, column_cache=slices)
+                         column_cache=slices)
 
         def key_of(payload):
             return int(payload.split(b"-", 1)[0])
@@ -603,7 +654,7 @@ class TestAuxiliaryFileLifecycle:
             slices.store_chunk(component.file_name, ("p",), 0,
                                SliceChunk([0], [], [[0]], 0, last=True))
         files = manager.list_files()
-        assert len(files) == 3 * 4
+        assert len(files) == 3 * 3
 
         # Values that cannot share one sort order, in the component the
         # backfill reaches last: the trees already built are taken back.
@@ -627,7 +678,7 @@ class TestAuxiliaryFileLifecycle:
         index.drain_maintenance()
         (merged,) = index.components
         assert manager.list_files() == sorted(
-            merged.file_name + suffix for suffix in ("", ".pk", ".ix.by_mod3", ".ix.by_mod7"))
+            merged.file_name + suffix for suffix in ("", ".ix.by_mod3", ".ix.by_mod7"))
         assert [slices.entry_count(component.file_name) for component in flushed] == [0, 0, 0]
         assert index.secondary_statistics("by_mod7").count == 60
 

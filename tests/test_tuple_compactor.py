@@ -17,13 +17,12 @@ from repro.types import TypeTag, deep_equals, open_only_primary_key
 from repro.vector import VectorEncoder, VectorRecordView, compact_record, is_compacted
 
 
-def _compacting_index(memory_budget=1 << 20, maintain_pk=True):
+def _compacting_index(memory_budget=1 << 20):
     device = SimulatedStorageDevice()
     cache = BufferCache(FileManager(device, 2048), 512)
     datatype = open_only_primary_key("EmployeeType")
     compactor = TupleCompactor(datatype)
-    index = LSMBTree("emp", 0, cache, memory_budget, NoMergePolicy(), compactor,
-                     maintain_primary_key_index=maintain_pk)
+    index = LSMBTree("emp", 0, cache, memory_budget, NoMergePolicy(), compactor)
     encoder = VectorEncoder(datatype)
     return index, compactor, encoder
 
@@ -198,14 +197,14 @@ class TestDeleteAndUpsertMaintenance:
             assert (v.tag, v.counter) == (TypeTag.INT64, 2)
         dataset.close()
 
-    def test_pk_index_limits_lookups_for_fresh_keys(self):
-        index, compactor, encoder = _compacting_index(maintain_pk=True)
+    def test_key_hash_fence_limits_lookups_for_fresh_keys(self):
+        index, compactor, encoder = _compacting_index()
         for key in range(20):
             _insert(index, encoder, {"id": key, "name": f"u{key}"})
         index.flush()
         before = index.stats.maintenance_point_lookups
         _upsert(index, encoder, {"id": 1000, "name": "fresh"})
-        assert index.stats.maintenance_point_lookups == before  # pk index said "absent"
+        assert index.stats.maintenance_point_lookups == before  # the fence said "absent"
         _upsert(index, encoder, {"id": 3, "name": "existing"})
         assert index.stats.maintenance_point_lookups == before + 1
 
