@@ -64,7 +64,9 @@ _DECLS: Tuple[LockDecl, ...] = (
     LockDecl("LSMBTree", "_rotation_cond", 90,
              doc="guards memtable rotation state; writers wait on it for backpressure"),
     LockDecl("LSMIOScheduler", "_lock", 80,
-             doc="guards the background task queue (the _idle condition shares it)"),
+             doc="guards the per-(index, kind) queued/pending submission counts and "
+                 "the failure latch (the _idle condition shares it); taken under "
+                 "an index's _rotation_cond by backpressure and orphan counting"),
     LockDecl("LSMBTree", "_read_lock", 70,
              doc="guards the active-reader count and deferred component drops"),
     LockDecl("WriteAheadLog", "_lock", 60,

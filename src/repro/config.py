@@ -125,10 +125,8 @@ class LSMConfig:
     #: Size, in bytes of encoded records, after which the in-memory component
     #: is flushed to disk.
     memory_component_budget: int = 8 * 1024 * 1024
-    #: Merge policy name: "prefix", "constant", or "none".
+    #: Merge policy name: "prefix" or "none".
     merge_policy: str = "prefix"
-    #: Prefix policy: maximum size (bytes) of a component eligible for merging.
-    max_mergable_component_size: int = 1024 * 1024 * 1024
     #: Prefix policy: merge once this many mergeable components accumulate.
     max_tolerable_component_count: int = 5
     #: Run flushes and merges on a background scheduler (AsterixDB-style
@@ -137,29 +135,14 @@ class LSMConfig:
     #: lifecycle (seal, build, install) is one path, so both settings write
     #: the same entries in the same flush order.
     background_maintenance: bool = False
-    #: Background scheduler: worker threads running flushes (across all of a
-    #: dataset's partitions — per-index flushes stay serialized in seal order).
-    max_flush_workers: int = 2
-    #: Background scheduler: worker threads running merges.
-    max_merge_workers: int = 1
     #: Backpressure: how many *sealed* (immutable, flush-pending) memtables a
     #: partition may accumulate before its writer blocks waiting for a flush
     #: to complete (AsterixDB's "wait for the flush to finish" behaviour).
     max_sealed_memtables: int = 2
-    #: Backpressure: while a merge is pending/in flight, writers also stall
-    #: once this many on-disk components pile up (merge debt), so ingestion
-    #: cannot outrun maintenance indefinitely.
-    max_merge_debt: int = 12
 
     def __post_init__(self) -> None:
-        if self.max_flush_workers < 1:
-            raise ValueError("max_flush_workers must be >= 1")
-        if self.max_merge_workers < 1:
-            raise ValueError("max_merge_workers must be >= 1")
         if self.max_sealed_memtables < 1:
             raise ValueError("max_sealed_memtables must be >= 1")
-        if self.max_merge_debt < 2:
-            raise ValueError("max_merge_debt must be >= 2")
 
 
 @dataclass(frozen=True)

@@ -73,10 +73,7 @@ class Dataset:
         # bounded scheduler that runs flushes and merges off the ingest path.
         self.scheduler: Optional[LSMIOScheduler] = None
         if config.lsm.background_maintenance:
-            self.scheduler = LSMIOScheduler(
-                max_flush_workers=config.lsm.max_flush_workers,
-                max_merge_workers=config.lsm.max_merge_workers,
-                metrics=environments[0].metrics)
+            self.scheduler = LSMIOScheduler(metrics=environments[0].metrics)
         self._closed = False
         #: Trace id of the most recent traced query (see :meth:`last_trace`).
         self._last_trace_id: Optional[str] = None
@@ -193,7 +190,7 @@ class Dataset:
         if a background operation failed.
         """
         for partition in self.partitions:
-            partition.drain()
+            partition.index.drain_maintenance()
 
     def resume_maintenance(self) -> Optional[BaseException]:
         """Acknowledge a background maintenance failure and resume.
@@ -210,7 +207,7 @@ class Dataset:
             return None
         failure = self.scheduler.clear_failure()
         for partition in self.partitions:
-            partition.resume_maintenance()
+            partition.index.resume_maintenance()
         return failure
 
     def close(self) -> None:

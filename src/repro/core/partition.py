@@ -69,11 +69,8 @@ class Partition:
         else:
             self.compactor = None
             callback = FlushCallback()
-        merge_policy = make_merge_policy(
-            config.lsm.merge_policy,
-            config.lsm.max_mergable_component_size,
-            config.lsm.max_tolerable_component_count,
-        )
+        merge_policy = make_merge_policy(config.lsm.merge_policy,
+                                         config.lsm.max_tolerable_component_count)
         self.index = LSMBTree(
             name=config.name,
             partition=partition_id,
@@ -84,7 +81,6 @@ class Partition:
             wal=environment.wal,
             scheduler=scheduler,
             max_sealed_memtables=config.lsm.max_sealed_memtables,
-            max_merge_debt=config.lsm.max_merge_debt,
             metrics=environment.metrics,
             column_cache=environment.column_cache,
         )
@@ -114,14 +110,6 @@ class Partition:
 
     def flush(self) -> None:
         self.index.flush()
-
-    def drain(self) -> None:
-        """Wait until this partition's background flushes/merges are quiet."""
-        self.index.drain_maintenance()
-
-    def resume_maintenance(self) -> int:
-        """Requeue flush work orphaned by a cleared background failure."""
-        return self.index.resume_maintenance()
 
     # ------------------------------------------------------------------ reads
 

@@ -41,14 +41,10 @@ class TupleCompactor(FlushCallback):
 
     needs_antischema = True
 
-    def __init__(self, datatype: Optional[Datatype] = None, compact: bool = True) -> None:
+    def __init__(self, datatype: Optional[Datatype] = None) -> None:
         #: The partition's current in-memory schema (grows across flushes).
         self.schema = InferredSchema(datatype)
         self.datatype = datatype
-        #: ``compact=False`` turns the compactor into a pure schema inferrer;
-        #: the Figure 21 SL-VB ablation uses the plain pass-through callback
-        #: instead, but this switch is useful for targeted experiments.
-        self.compact = compact
         self.flush_count = 0
         self.records_compacted = 0
         self.bytes_saved = 0
@@ -81,10 +77,9 @@ class TupleCompactor(FlushCallback):
         describes — rather than re-using the Python dict that happens to
         still be in the memtable; the value vectors are copied through.
         """
-        compacted = infer_and_compact(encoded, self.schema, self.compact)
-        if self.compact:
-            self.records_compacted += 1
-            self.bytes_saved += len(encoded) - len(compacted)
+        compacted = infer_and_compact(encoded, self.schema)
+        self.records_compacted += 1
+        self.bytes_saved += len(encoded) - len(compacted)
         return compacted
 
     def process_antischema(self, payload: bytes) -> None:

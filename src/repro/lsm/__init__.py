@@ -18,14 +18,13 @@ from .lsm_index import (
     SecondaryIndexDef,
 )
 from .merge_policy import (
-    ConstantMergePolicy,
     MergePolicy,
     NoMergePolicy,
     PrefixMergePolicy,
     make_merge_policy,
 )
 from .recovery import RecoveryReport, recover_index
-from .scheduler import LSMIOScheduler, SchedulerStats
+from .scheduler import LSMIOScheduler
 
 __all__ = [
     "ComponentId",
@@ -42,12 +41,10 @@ __all__ = [
     "IngestStats",
     "MergePolicy",
     "NoMergePolicy",
-    "ConstantMergePolicy",
     "PrefixMergePolicy",
     "make_merge_policy",
     "RecoveryReport",
     "recover_index",
     "SealedMemtable",
     "LSMIOScheduler",
-    "SchedulerStats",
 ]

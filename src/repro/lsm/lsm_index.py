@@ -48,6 +48,11 @@ from .lifecycle import FlushCallback
 from .merge_policy import MergePolicy, NoMergePolicy
 from .scheduler import LSMIOScheduler
 
+#: Backpressure: while a merge of an index is pending, its writer also
+#: stalls once this many on-disk components pile up (merge debt), so
+#: ingestion cannot outrun maintenance indefinitely.
+MAX_MERGE_DEBT = 12
+
 
 @dataclass(eq=False)  # hashed by identity: memtable entries cache values by definition
 class SecondaryIndexDef:
@@ -147,10 +152,8 @@ class LSMBTree:
                  memory_budget: int, merge_policy: Optional[MergePolicy] = None,
                  flush_callback: Optional[FlushCallback] = None,
                  wal: Optional[WriteAheadLog] = None,
-                 check_duplicate_keys: bool = False,
                  scheduler: Optional[LSMIOScheduler] = None,
                  max_sealed_memtables: int = 2,
-                 max_merge_debt: int = 12,
                  metrics: Optional[MetricsRegistry] = None,
                  column_cache=None) -> None:
         self.name = name
@@ -160,17 +163,13 @@ class LSMBTree:
         self.merge_policy = merge_policy or NoMergePolicy()
         self.flush_callback = flush_callback or FlushCallback()
         self.wal = wal
-        self.check_duplicate_keys = check_duplicate_keys
         #: Where maintenance tasks run: on this scheduler's workers, or —
         #: ``None`` — on the thread that triggered them (:meth:`_submit_or_run`).
+        #: The scheduler also counts this index's submissions; the index
+        #: asks it (:meth:`drain_maintenance`, backpressure) instead of
+        #: keeping counts of its own.
         self.scheduler = scheduler
-        #: Surfaces a latched background failure on the caller's thread
-        #: (backpressure waits, drain).  Without a scheduler every task runs
-        #: on, and raises to, its caller: there is no latch.
-        self._raise_if_maintenance_failed: Callable[[], None] = (
-            scheduler.raise_if_failed if scheduler is not None else _no_failure_latch)
         self.max_sealed_memtables = max_sealed_memtables
-        self.max_merge_debt = max_merge_debt
         #: Decoded column-slice cache shared by the owning environment's
         #: datasets (:class:`repro.cache.ColumnSliceCache`), or None.  The
         #: index only *invalidates* it (:meth:`_evict_slices`); population
@@ -217,17 +216,13 @@ class LSMBTree:
         # structure-mutating operations (flush, merge, CREATE INDEX) of this
         # index — the background pools parallelize *across* partitions,
         # never within one.
-        # The rotation condition guards the sealed-memtable list and the
-        # in-flight counters (submissions a scheduler holds; always zero
-        # without one), and is what backpressured writers and
-        # drain_maintenance() wait on.
+        # The rotation condition guards the sealed-memtable list, and is
+        # what backpressured writers wait on: a flush notifies it when it
+        # pops a sealed memtable, a merge task when it has run.
         self._maintenance_lock = threading.Lock()
         # An explicit plain Lock (not Condition()'s implicit RLock) so the
         # dynamic lock tracker sees rotation acquisitions.
         self._rotation_cond = threading.Condition(threading.Lock())
-        self._inflight_flushes = 0  # guarded-by: _rotation_cond
-        self._inflight_merges = 0  # guarded-by: _rotation_cond
-        self._merge_scheduled = False  # guarded-by: _rotation_cond
 
     # ------------------------------------------------------------------ naming
 
@@ -241,8 +236,6 @@ class LSMBTree:
     def insert(self, key: Any, record: Dict[str, Any], encoded: bytes) -> None:
         """Insert a new record (data feeds and loads; key assumed fresh)."""
         self._check_fits_page(key, encoded)
-        if self.check_duplicate_keys and self.search(key) is not None:
-            raise DuplicateKeyError(f"primary key {key!r} already exists")
         self._log(LogRecordType.INSERT, key, encoded)
         self.memory_component.put(MemEntry(key, is_antimatter=False, record=record, encoded=encoded))
         self.stats.inserts += 1
@@ -355,31 +348,31 @@ class LSMBTree:
 
     # ------------------------------------------------------------------ where maintenance runs
 
-    def _submit_or_run(self, reserve: Callable[[], bool], merge: bool = False) -> None:
+    def _submit_or_run(self, ready: Callable[[], bool], merge: bool = False) -> None:
         """Run one flush or merge task — the only place that decides where.
 
-        While a scheduler is configured and accepting work, ``reserve()``
-        books the submission (False = nothing to do) and a worker runs the
-        task; the scheduler retries its transient failures and latches the
-        rest.  Otherwise — no scheduler, a closed one, or one that closed
-        between the check and the submission — the same work runs right
-        here through the public :meth:`flush` / :meth:`maybe_merge`, and a
-        failure reaches the caller directly: un-retried and un-latched.
+        While a scheduler is configured and accepting work, ``ready()``
+        says whether there is work (False = nothing to do), the scheduler
+        counts the submission and a worker runs the task; the scheduler
+        retries its transient failures and latches the rest.  Otherwise —
+        no scheduler, a closed one, or one that closed between the check
+        and the submission — the same work runs right here through the
+        public :meth:`flush` / :meth:`maybe_merge`, and a failure reaches
+        the caller directly: un-retried and un-latched.
         """
-        task, retire, inline = (
-            (self._background_merge, self._retire_merge_submission, self.maybe_merge) if merge
-            else (self._background_flush, self._retire_flush_submission, self.flush))
         scheduler = self.scheduler
         if scheduler is not None and not scheduler.closed:
-            if not reserve():
+            if not ready():
                 return
             try:
-                submit = scheduler.submit_merge if merge else scheduler.submit_flush
-                submit(task, on_abandoned=retire)
+                if merge:
+                    scheduler.submit_merge(self, self._background_merge)
+                else:
+                    scheduler.submit_flush(self, self._background_flush)
                 return
             except SchedulerError:
-                retire()
-        inline()
+                pass
+        (self.maybe_merge if merge else self.flush)()
 
     # ------------------------------------------------------------------ seal -> build -> install
 
@@ -407,15 +400,16 @@ class LSMBTree:
 
         Writer backpressure (AsterixDB-style) lives here: when the sealed
         queue is at ``max_sealed_memtables``, or merge debt has piled past
-        ``max_merge_debt`` components while a merge is pending, the writer
-        blocks until the workers catch up.  A failed background operation
-        surfaces as :class:`~repro.errors.SchedulerError` instead of hanging.
+        :data:`MAX_MERGE_DEBT` components while a merge is pending, the
+        writer blocks until the workers catch up.  A failed background
+        operation surfaces as :class:`~repro.errors.SchedulerError` instead
+        of hanging.
         """
         stall_started: Optional[float] = None
         with self._rotation_cond:
             while (len(self.sealed_memtables) >= self.max_sealed_memtables
                    or self._merge_debt_exceeded()):
-                self._raise_if_maintenance_failed()
+                self.scheduler.raise_if_failed()
                 if stall_started is None:
                     stall_started = time.perf_counter()
                 self._rotation_cond.wait(timeout=0.05)
@@ -423,17 +417,13 @@ class LSMBTree:
                 stalled = time.perf_counter() - stall_started
                 self.stats.ingest_stall_seconds += stalled
                 self._stall_metric.inc(stalled)
-            if not self._seal():
-                return False
-            self._inflight_flushes += 1
-            return True
+            return self._seal()
 
     def _merge_debt_exceeded(self) -> bool:
-        """True while a merge is pending and components have piled up past
-        the debt cap — never true without a merge in flight (no deadlock)."""
-        if not (self._merge_scheduled or self._inflight_merges):
-            return False
-        return len(self.components) >= self.max_merge_debt
+        """True while components have piled up past the debt cap and a merge
+        is pending — never true without a merge in flight (no deadlock)."""
+        return (len(self.components) >= MAX_MERGE_DEBT
+                and self.scheduler.pending(self, "merge") > 0)
 
     def flush(self, fail_before_footer: bool = False) -> Optional[OnDiskComponent]:
         """Persist everything in memory: a synchronous barrier.
@@ -477,7 +467,7 @@ class LSMBTree:
             self.sealed_memtables.pop(0)
             self._sealed_gauge.set(len(self.sealed_memtables))
             self._rotation_cond.notify_all()
-        self._submit_or_run(self._reserve_merge, merge=True)
+        self._submit_or_run(self._wants_merge, merge=True)
         return component
 
     def _flush_memtable(self, memtable: InMemoryComponent, up_to_lsn: int,
@@ -596,59 +586,23 @@ class LSMBTree:
 
     # ------------------------------------------------------------------ on a worker
 
-    def _reserve_merge(self) -> bool:
-        """Book the (single) pending merge submission if the policy wants one."""
-        with self._rotation_cond:
-            if (self._merge_scheduled
-                    or len(self.merge_policy.select_merge(self.components)) < 2):
-                return False
-            self._merge_scheduled = True
-            return True
-
-    def _count_flush_submission(self) -> bool:
-        with self._rotation_cond:
-            self._inflight_flushes += 1
-        return True
+    def _wants_merge(self) -> bool:
+        """Whether the merge policy would merge the current components."""
+        return len(self.merge_policy.select_merge(self.components)) >= 2
 
     def _background_flush(self) -> None:
-        """Flush the oldest sealed memtable (runs on a flush worker).
-
-        ``_inflight_flushes`` is per-*submission*, not per-attempt: the
-        scheduler may run this task several times (transient-failure
-        retries), so the count drops only on success here — or exactly once
-        via ``on_abandoned`` when the scheduler gives up on the submission
-        (including giving up before the task body ever ran).
-        """
+        """Flush the oldest sealed memtable (runs on a flush worker)."""
         with self._maintenance_lock, self._maintenance_io_scope():
             self._flush_oldest_sealed()
-        self._retire_flush_submission()
-
-    def _retire_flush_submission(self) -> None:
-        """Drop one flush submission's in-flight count (done or abandoned)."""
-        with self._rotation_cond:
-            self._inflight_flushes -= 1
-            self._rotation_cond.notify_all()
-
-    def _retire_merge_submission(self) -> None:
-        """Unblock drain when the scheduler abandons a merge submission
-        (``_inflight_merges`` is attempt-local, but ``_merge_scheduled`` is
-        per-submission and would otherwise stay set forever)."""
-        with self._rotation_cond:
-            self._merge_scheduled = False
-            self._rotation_cond.notify_all()
 
     def _background_merge(self) -> None:
-        """Re-evaluate the merge policy and merge (runs on a merge worker)."""
+        """Re-evaluate the merge policy and merge (runs on a merge worker),
+        then wake writers a merge debt holds back."""
         try:
-            with self._maintenance_lock:
-                with self._rotation_cond:
-                    self._merge_scheduled = False
-                    self._inflight_merges += 1
-                with self._maintenance_io_scope():
-                    self.maybe_merge()
+            with self._maintenance_lock, self._maintenance_io_scope():
+                self.maybe_merge()
         finally:
             with self._rotation_cond:
-                self._inflight_merges -= 1
                 self._rotation_cond.notify_all()
 
     def _maintenance_io_scope(self):
@@ -661,12 +615,15 @@ class LSMBTree:
         When a background flush exhausts its retry budget, its task dies with
         the sealed memtable still queued and nothing would ever flush it.
         Called by :meth:`~repro.core.dataset.Dataset.resume_maintenance`
-        after ``clear_failure()``; returns the number of orphans it found.
+        after ``clear_failure()``; returns the number of orphans it found:
+        sealed memtables beyond the flushes the scheduler still has pending.
         """
+        scheduler = self.scheduler
         with self._rotation_cond:
-            orphaned = max(0, len(self.sealed_memtables) - self._inflight_flushes)
+            pending = scheduler.pending(self, "flush") if scheduler is not None else 0
+            orphaned = max(0, len(self.sealed_memtables) - pending)
         for _ in range(orphaned):
-            self._submit_or_run(self._count_flush_submission)
+            self._submit_or_run(_ready)
         return orphaned
 
     def drain_maintenance(self) -> None:
@@ -676,14 +633,12 @@ class LSMBTree:
         ``Dataset.close()``/``flush_all()`` call this so post-drain state
         (component counts, stats, WAL) is the same wherever maintenance
         runs.  Raises :class:`~repro.errors.SchedulerError` if maintenance
-        failed — also after the fact: an abandoned submission retires its
-        count but leaves the failure latched.
+        failed — also after the fact: an abandoned submission stops being
+        pending but leaves the failure latched.  Without a scheduler every
+        task ran on its caller, so there is nothing to wait for.
         """
-        with self._rotation_cond:
-            while self._inflight_flushes or self._inflight_merges or self._merge_scheduled:
-                self._raise_if_maintenance_failed()
-                self._rotation_cond.wait(timeout=0.05)
-        self._raise_if_maintenance_failed()
+        if self.scheduler is not None:
+            self.scheduler.drain(self)
 
     # ------------------------------------------------------------------ bulk load
 
@@ -1107,8 +1062,9 @@ class LSMBTree:
 _NOT_FOUND = object()
 
 
-def _no_failure_latch() -> None:
-    """Stands in for ``scheduler.raise_if_failed`` when there is no scheduler."""
+def _ready() -> bool:
+    """The ``ready`` check of a submission that always has work."""
+    return True
 
 
 def _reconcile(sources: Sequence[Iterable[Any]]) -> Iterator[Tuple[int, Any, int, int]]:

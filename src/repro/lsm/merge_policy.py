@@ -3,8 +3,7 @@
 AsterixDB's default is the *prefix* merge policy (paper §4.3): it merges the
 suffix of most-recent small components once their count crosses a threshold,
 and never touches components that have already grown past the maximum
-mergeable size.  A constant policy (merge everything once ``k`` components
-accumulate) and a no-merge policy are provided for experiments that want to
+mergeable size.  A no-merge policy is provided for experiments that want to
 isolate flush behaviour from merge behaviour.
 """
 
@@ -14,6 +13,9 @@ from typing import List, Sequence
 
 from ..errors import ReproError
 from .component import OnDiskComponent
+
+#: Prefix policy: maximum size (bytes) of a component eligible for merging.
+MAX_MERGABLE_COMPONENT_SIZE = 1024 * 1024 * 1024
 
 
 class MergePolicy:
@@ -39,22 +41,6 @@ class NoMergePolicy(MergePolicy):
         return []
 
 
-class ConstantMergePolicy(MergePolicy):
-    """Merge *all* components whenever at least ``component_threshold`` exist."""
-
-    name = "constant"
-
-    def __init__(self, component_threshold: int = 5) -> None:
-        if component_threshold < 2:
-            raise ReproError("constant merge policy needs a threshold of at least 2")
-        self.component_threshold = component_threshold
-
-    def select_merge(self, components: Sequence[OnDiskComponent]) -> List[OnDiskComponent]:
-        if len(components) >= self.component_threshold:
-            return list(components)
-        return []
-
-
 class PrefixMergePolicy(MergePolicy):
     """AsterixDB's prefix merge policy.
 
@@ -68,7 +54,7 @@ class PrefixMergePolicy(MergePolicy):
 
     name = "prefix"
 
-    def __init__(self, max_mergable_component_size: int = 1024 * 1024 * 1024,
+    def __init__(self, max_mergable_component_size: int = MAX_MERGABLE_COMPONENT_SIZE,
                  max_tolerable_component_count: int = 5) -> None:
         if max_tolerable_component_count < 2:
             raise ReproError("prefix merge policy needs a component count of at least 2")
@@ -91,13 +77,11 @@ class PrefixMergePolicy(MergePolicy):
         return []
 
 
-def make_merge_policy(name: str, max_mergable_component_size: int,
-                      max_tolerable_component_count: int) -> MergePolicy:
-    """Build a merge policy from an :class:`~repro.config.LSMConfig` triple."""
+def make_merge_policy(name: str, max_tolerable_component_count: int) -> MergePolicy:
+    """Build a merge policy from an :class:`~repro.config.LSMConfig` pair."""
     if name == "prefix":
-        return PrefixMergePolicy(max_mergable_component_size, max_tolerable_component_count)
-    if name == "constant":
-        return ConstantMergePolicy(max_tolerable_component_count)
+        return PrefixMergePolicy(
+            max_tolerable_component_count=max_tolerable_component_count)
     if name == "none":
         return NoMergePolicy()
     raise ReproError(f"unknown merge policy {name!r}")

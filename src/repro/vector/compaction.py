@@ -76,7 +76,7 @@ def _id_overflow(field_name_id: int) -> EncodingError:
     return EncodingError(f"FieldNameID {field_name_id} exceeds the 15-bit entry capacity")
 
 
-def infer_and_compact(payload: bytes, schema, compact: bool = True) -> bytes:
+def infer_and_compact(payload: bytes, schema) -> bytes:
     """Fold one uncompacted record into ``schema`` and return its compacted form.
 
     One loop over the tags vector, consuming one name entry per child of an
@@ -87,8 +87,6 @@ def infer_and_compact(payload: bytes, schema, compact: bool = True) -> bytes:
     come out exactly as ``schema.observe(view.structure())`` leaves them.
     Fields the datatype declares are not inferred (their description lives
     in the catalog) but names nested under them still get ids.
-
-    ``compact=False`` infers only and returns ``payload`` unchanged.
     """
     header = HEADER.unpack_from(payload, 0)
     if header[2] & FLAG_COMPACTED:
@@ -124,7 +122,7 @@ def infer_and_compact(payload: bytes, schema, compact: bool = True) -> bytes:
                 field_name_id = known_id(name)
                 if field_name_id is None:
                     field_name_id = dictionary.encode_utf8(name)
-                if field_name_id > NAME_ENTRY_MAX and compact:
+                if field_name_id > NAME_ENTRY_MAX:
                     raise _id_overflow(field_name_id)
                 ids[name_index] = field_name_id
             name_index += 1
@@ -160,8 +158,6 @@ def infer_and_compact(payload: bytes, schema, compact: bool = True) -> bytes:
             stack.append((node, in_object))
             node, in_object = child, raw == RAW_OBJECT
     schema.version += 1
-    if not compact:
-        return payload
     return _with_names(payload, header, header[2] | FLAG_COMPACTED, ids)
 
 

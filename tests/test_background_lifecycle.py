@@ -19,7 +19,9 @@ The contract pinned down here:
   same row set.
 """
 
+import sys
 import threading
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -30,8 +32,10 @@ from repro.cluster import DataFeed
 from repro.config import StorageConfig
 from repro.datasets import twitter
 from repro.errors import KeyNotFoundError, SchedulerError
-from repro.lsm import LSMIOScheduler
+from repro.lsm import LSMBTree, LSMIOScheduler, NoMergePolicy, PrefixMergePolicy
+from repro.obs import MetricsRegistry
 from repro.query import QueryExecutor, field, scan
+from repro.storage import BufferCache, FileManager, SimulatedStorageDevice
 from repro.storage.wal import LogRecordType, WriteAheadLog
 
 PARTITIONS = 4
@@ -59,7 +63,7 @@ def _rows(dataset):
 
 class TestScheduler:
     def test_drain_waits_for_submitted_work(self):
-        scheduler = LSMIOScheduler(max_flush_workers=2)
+        scheduler = LSMIOScheduler()
         done = []
         gate = threading.Event()
 
@@ -68,12 +72,91 @@ class TestScheduler:
             done.append(1)
 
         for _ in range(4):
-            scheduler.submit_flush(task)
-        assert scheduler.pending == 4
+            scheduler.submit_flush(None, task)
+        assert scheduler.pending() == 4
         gate.set()
         scheduler.drain()
         assert done == [1, 1, 1, 1]
-        assert scheduler.pending == 0
+        assert scheduler.pending() == 0
+        scheduler.close()
+
+    def test_drain_waits_only_for_its_own_index(self):
+        """Two indexes share one scheduler: A's drain returns while B's merge
+        is still held, and B's drain then waits for that merge."""
+        cache = BufferCache(FileManager(SimulatedStorageDevice(), 4096), 256)
+        scheduler = LSMIOScheduler()
+
+        def index(name, merge_policy):
+            return LSMBTree(name=name, partition=0, buffer_cache=cache, memory_budget=2048,
+                            merge_policy=merge_policy, scheduler=scheduler,
+                            max_sealed_memtables=4)
+
+        a = index("a", NoMergePolicy())
+        b = index("b", PrefixMergePolicy(max_tolerable_component_count=2))
+        started, release = threading.Event(), threading.Event()
+        original = b.maybe_merge
+
+        def held_merge():
+            started.set()
+            release.wait(timeout=30)
+            return original()
+
+        b.maybe_merge = held_merge
+        key = rotations = 0
+        while rotations < 2:  # two sealed memtables: two flushes, then a merge
+            b.insert(key, {"id": key}, b"%06d" % key * 20)
+            key += 1
+            rotations += b.memory_component.is_empty
+        assert started.wait(timeout=10)
+
+        for a_key in range(200):  # background flushes of A beside B's merge
+            a.insert(a_key, {"id": a_key}, b"%06d" % a_key * 20)
+        drained = threading.Thread(target=a.drain_maintenance, daemon=True)
+        drained.start()
+        drained.join(timeout=10)
+        assert not drained.is_alive()
+        assert a.stats.flushes >= 2 and b.stats.merges == 0
+
+        release.set()
+        b.drain_maintenance()
+        assert b.stats.merges == 1 and b.component_count() == 1
+        scheduler.close()
+        assert a.exact_count() == 200 and b.exact_count() == key
+
+    def test_counts_hold_under_concurrent_submitters(self):
+        """The counts are read-modify-writes under the scheduler's lock: six
+        threads submit for one owner, beside the workers finishing its
+        tasks, with a tiny switch interval, then each drains it.  Every
+        drain returns and nothing is left pending; a lost update would
+        leave the drains waiting."""
+        metrics = MetricsRegistry()
+        scheduler = LSMIOScheduler(metrics=metrics)
+        owner, accepted = object(), []
+
+        def submit_and_drain():
+            futures = []
+            for _ in range(600):
+                futures.append(scheduler.submit_flush(owner, lambda: None))
+                futures.append(scheduler.submit_merge(owner, lambda: None))
+            scheduler.drain(owner)
+            accepted.append(sum(future is not None for future in futures))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=submit_and_drain, daemon=True) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 30
+            for thread in threads:
+                thread.join(timeout=max(0.0, deadline - time.monotonic()))
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(accepted) == 6 and scheduler.pending() == 0
+        completed = sum(metrics.counter("scheduler_tasks_completed", kind=kind).value
+                        for kind in ("flush", "merge"))
+        assert completed == sum(accepted) >= 6 * 600
         scheduler.close()
 
     def test_close_is_idempotent_and_rejects_new_work(self):
@@ -81,7 +164,7 @@ class TestScheduler:
         scheduler.close()
         scheduler.close()
         with pytest.raises(SchedulerError):
-            scheduler.submit_flush(lambda: None)
+            scheduler.submit_flush(None, lambda: None)
 
     def test_background_failure_surfaces_on_drain(self):
         scheduler = LSMIOScheduler()
@@ -89,7 +172,7 @@ class TestScheduler:
         def boom():
             raise ValueError("flush exploded")
 
-        scheduler.submit_flush(boom)
+        scheduler.submit_flush(None, boom)
         with pytest.raises(SchedulerError, match="flush exploded"):
             scheduler.drain()
         with pytest.raises(SchedulerError):

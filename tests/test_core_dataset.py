@@ -306,7 +306,7 @@ def test_memtable_read_is_not_the_callers_dict(storage_format):
     dataset.insert(record)
     record["v"] = 99
     assert dataset.get(1)["v"] == 5
-    assert dataset.query("SELECT VALUE t.v FROM alias AS t").rows == [5]
+    assert dataset.query("SELECT VALUE t.v FROM alias AS t").rows == [{"value": 5}]
 
 
 def _nested(key, depth, leaf="leaf"):

@@ -48,8 +48,8 @@ from repro.faults import (
     parse_spec,
 )
 from repro.faults.points import is_registered
-from repro.lsm import ComponentId, LSMBTree, LSMIOScheduler, NoMergePolicy
-from repro.obs import get_registry
+from repro.lsm import ComponentId, LSMBTree, LSMIOScheduler, NoMergePolicy, PrefixMergePolicy
+from repro.obs import MetricsRegistry, get_registry
 from repro.query import QueryExecutor
 from repro.storage import BufferCache, FileManager, SimulatedStorageDevice, ZlibCodec
 from repro.storage.wal import LogRecordType, WriteAheadLog
@@ -421,21 +421,21 @@ class TestChecksums:
 
 class TestSchedulerResilience:
     def test_transient_failures_retried_within_budget(self):
-        before = _counter_value("maintenance_retries_total", kind="flush")
         get_injector().add_rule("scheduler.flush", nth=1, times=2)
-        scheduler = LSMIOScheduler(retry_budget=4, backoff_base=0.0001)
+        metrics = MetricsRegistry()
+        scheduler = LSMIOScheduler(metrics=metrics, retry_budget=4, backoff_base=0.0001)
         ran = []
-        scheduler.submit_flush(lambda: ran.append(1))
+        scheduler.submit_flush(None, lambda: ran.append(1))
         scheduler.close()  # drains; no failure may surface
         assert ran == [1]
-        assert scheduler.stats.flush_retries == 2
-        assert scheduler.stats.flushes_completed == 1
-        assert _counter_value("maintenance_retries_total", kind="flush") == before + 2
+        assert metrics.counter("maintenance_retries_total", kind="flush").value == 2
+        assert metrics.counter("scheduler_tasks_completed", kind="flush").value == 1
+        assert metrics.counter("maintenance_retries_total", kind="merge").value == 0
 
     def test_budget_exhaustion_latches_failure(self):
         get_injector().add_rule("scheduler.flush", nth=1)  # always fire
         scheduler = LSMIOScheduler(retry_budget=2, backoff_base=0.0001)
-        scheduler.submit_flush(lambda: None)
+        scheduler.submit_flush(None, lambda: None)
         with pytest.raises(SchedulerError):
             scheduler.drain()
         # The latch is sticky: nothing clears it implicitly.
@@ -447,37 +447,79 @@ class TestSchedulerResilience:
         # After clearing, the scheduler accepts and completes new work.
         get_injector().clear()
         done = []
-        scheduler.submit_flush(lambda: done.append(1))
+        scheduler.submit_flush(None, lambda: done.append(1))
         scheduler.close()
         assert done == [1]
 
     def test_permanent_failures_are_not_retried(self):
         get_injector().add_rule("scheduler.flush", nth=1, error="permanent")
-        scheduler = LSMIOScheduler(retry_budget=5, backoff_base=0.0001)
-        scheduler.submit_flush(lambda: None)
+        metrics = MetricsRegistry()
+        scheduler = LSMIOScheduler(metrics=metrics, retry_budget=5, backoff_base=0.0001)
+        scheduler.submit_flush(None, lambda: None)
         with pytest.raises(SchedulerError) as excinfo:
             scheduler.drain()
         assert isinstance(excinfo.value.__cause__, PermanentIOError)
-        assert scheduler.stats.flush_retries == 0
+        assert metrics.counter("maintenance_retries_total", kind="flush").value == 0
+        assert metrics.counter("scheduler_tasks_completed", kind="flush").value == 0
+        assert scheduler.pending() == 0
         scheduler.clear_failure()
         scheduler.close()
 
     def test_zero_budget_surfaces_first_transient(self):
         get_injector().add_rule("scheduler.flush", nth=1, times=1)
         scheduler = LSMIOScheduler(retry_budget=0)
-        scheduler.submit_flush(lambda: None)
+        scheduler.submit_flush(None, lambda: None)
         with pytest.raises(SchedulerError):
             scheduler.drain()
         scheduler.clear_failure()
         scheduler.close()
 
+    def test_merge_abandoned_before_its_body_does_not_wedge_drain(self):
+        """A merge the scheduler gives up on before its task body runs must
+        stop counting as pending: once the failure is cleared, drain returns
+        and the next flush can schedule a merge again."""
+        _, _, cache = _cache()
+        scheduler = LSMIOScheduler(retry_budget=0, backoff_base=0.0001)
+        index = _index(cache, scheduler=scheduler,
+                       merge_policy=PrefixMergePolicy(max_tolerable_component_count=2))
+        get_injector().add_rule("scheduler.merge", nth=1, times=1, error="permanent")
+        merged = []
+        original = index.maybe_merge
+
+        def observed_merge():
+            merged.append(1)
+            return original()
+
+        index.maybe_merge = observed_merge
+
+        def insert(keys):
+            for key in keys:
+                index.insert(key, {"id": key}, b"v%03d" % key)
+
+        insert(range(10))
+        index.flush()
+        insert(range(10, 20))
+        with pytest.raises(SchedulerError) as excinfo:
+            index.flush()  # its merge submission dies at the fault point
+        assert isinstance(excinfo.value.__cause__, PermanentIOError)
+        assert merged == [] and index.component_count() == 2
+        assert isinstance(scheduler.clear_failure(), PermanentIOError)
+        index.drain_maintenance()  # nothing pending: returns at once
+
+        insert(range(20, 30))
+        index.flush()
+        assert merged == [1]
+        assert index.component_count() == 1 and index.stats.merges == 1
+        assert _scan_keys(index) == list(range(30))
+        scheduler.close()
+
     def test_concurrent_raise_if_failed_is_safe(self):
         """Regression: raise_if_failed reads the latch under the lock, so
         concurrent failers/readers never race on a half-written latch."""
-        scheduler = LSMIOScheduler(max_flush_workers=2, retry_budget=0)
+        scheduler = LSMIOScheduler(retry_budget=0)
         get_injector().add_rule("scheduler.flush", nth=2)  # some tasks fail
         for _ in range(8):
-            scheduler.submit_flush(lambda: None)
+            scheduler.submit_flush(None, lambda: None)
         errors = []
 
         def poll():

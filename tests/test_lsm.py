@@ -11,7 +11,6 @@ from repro.errors import ComponentStateError, DuplicateKeyError, KeyNotFoundErro
 from repro.lsm import (
     ComponentId,
     ComponentWriter,
-    ConstantMergePolicy,
     FlushCallback,
     LSMBTree,
     NoMergePolicy,
@@ -39,14 +38,12 @@ def _scan_keys(index):
     return [key for _, run, start, stop in index.scan() for key in run.keys[start:stop]]
 
 
-def _index(memory_budget=4096, merge_policy=None, wal=None, cache=None,
-           check_duplicate_keys=False):
+def _index(memory_budget=4096, merge_policy=None, wal=None, cache=None):
     if cache is None:
         _, cache = _cache()
     return LSMBTree(
         name="ds", partition=0, buffer_cache=cache, memory_budget=memory_budget,
         merge_policy=merge_policy or NoMergePolicy(), wal=wal,
-        check_duplicate_keys=check_duplicate_keys,
     )
 
 
@@ -122,12 +119,6 @@ class TestFlushAndSearch:
         index = _index()
         assert index.flush() is None
 
-    def test_duplicate_key_check(self):
-        index = _index(check_duplicate_keys=True)
-        index.insert(1, {"id": 1}, _payload(1))
-        with pytest.raises(DuplicateKeyError):
-            index.insert(1, {"id": 1}, _payload(1))
-
     def test_delete_creates_antimatter_and_hides_record(self):
         index = _index()
         index.insert(1, {"id": 1}, _payload(1))
@@ -200,8 +191,8 @@ class TestMergePolicies:
     def test_no_merge_policy(self):
         assert NoMergePolicy().select_merge([object(), object()]) == []
 
-    def test_constant_policy_threshold(self):
-        index = _index(merge_policy=ConstantMergePolicy(3))
+    def test_prefix_policy_threshold(self):
+        index = _index(merge_policy=PrefixMergePolicy(max_tolerable_component_count=3))
         for batch in range(3):
             for key in range(batch * 10, batch * 10 + 10):
                 index.insert(key, {"id": key}, _payload(key))
@@ -230,11 +221,13 @@ class TestMergePolicies:
         assert policy.select_merge(large_first) == []
 
     def test_make_merge_policy(self):
-        assert isinstance(make_merge_policy("prefix", 1, 2), PrefixMergePolicy)
-        assert isinstance(make_merge_policy("constant", 1, 2), ConstantMergePolicy)
-        assert isinstance(make_merge_policy("none", 1, 2), NoMergePolicy)
-        with pytest.raises(Exception):
-            make_merge_policy("bogus", 1, 2)
+        policy = make_merge_policy("prefix", 2)
+        assert isinstance(policy, PrefixMergePolicy)
+        assert policy.max_tolerable_component_count == 2
+        assert isinstance(make_merge_policy("none", 2), NoMergePolicy)
+        for retired in ("constant", "bogus"):
+            with pytest.raises(Exception):
+                make_merge_policy(retired, 2)
 
 
 class TestMergeSemantics:
@@ -285,7 +278,7 @@ class TestMergeSemantics:
         assert not old_files & new_files
 
     def test_merge_preserves_all_live_records(self):
-        index = _index(merge_policy=ConstantMergePolicy(4))
+        index = _index(merge_policy=PrefixMergePolicy(max_tolerable_component_count=4))
         for key in range(400):
             index.insert(key, {"id": key}, _payload(key))
             if key % 100 == 99:

@@ -328,17 +328,17 @@ class TestOnePassEverywhere:
                 payload, reference.dictionary)
         assert index.components[0].metadata.schema_bytes == reference.to_bytes()
 
-    def test_compact_off_infers_without_rewriting(self):
+    def test_transform_infers_compacts_and_counts_the_bytes_saved(self):
         datatype = open_only_primary_key("EmployeeType")
-        inferring, compacting = TupleCompactor(datatype, compact=False), TupleCompactor(datatype)
+        compacting, reference = TupleCompactor(datatype), InferredSchema(datatype)
         payload = VectorEncoder(datatype).encode({"id": 1, "name": "Ann", "tags": ["a", {"b": 1}]})
-        assert inferring.transform_record(1, None, payload) is payload
-        assert is_compacted(compacting.transform_record(1, None, payload))
-        assert inferring.schema.to_bytes() == compacting.schema.to_bytes()
-        assert (inferring.records_compacted, inferring.bytes_saved) == (0, 0)
+        compacted = compacting.transform_record(1, None, payload)
+        reference.observe(VectorRecordView(payload, datatype).structure())
+        assert compacted == compact_record(payload, reference.dictionary)
+        assert is_compacted(compacted)
+        assert compacting.schema.to_bytes() == reference.to_bytes()
         assert compacting.records_compacted == 1
-        assert compacting.bytes_saved == len(payload) - len(compact_record(
-            payload, compacting.schema.dictionary))
+        assert compacting.bytes_saved == len(payload) - len(compacted) > 0
 
 
 class TestCompactorRecovery:
