@@ -37,7 +37,7 @@ Then it loads ``PROBE_TWEETS`` generated tweets into two one-partition
 INFERRED datasets with an index on ``id`` and flushes them, adds as many
 more, unflushed and none in the range, to the second one's memtable, and
 prints CPU µs per query of an 11-row ``id`` range forced onto the index
-(``access_path="index"``) over each, the median over the rounds.
+(``access_path="index"``) over each, the median over three times the rounds.
 
 Last, it flushes one component of ``entries`` keys with 200-byte values
 and prints CPU µs per key of re-opening it as crash recovery does —
@@ -57,8 +57,10 @@ absent-key LSM lookup must cost under 2.5x one warm descent (the key-hash
 fences rule out all four components at 1.6-1.8x; a lookup that descends
 every component's tree lands near 4-5x); and the probe beside the full
 memtable must cost under 2x the probe beside the empty one (each entry
-compares the indexed value it caches with the bounds: 1.5-1.9x; a probe
-that decodes every memtable record as a candidate lands near 17-28x); and
+compares the indexed value it caches with the bounds: 1.5-2.0x, the upper
+end since extraction plans made the disk candidates both sides share
+cheaper; a probe that decodes every memtable record as a candidate lands
+near 17-28x); and
 the re-open must cost at most 1.2x the cold key walk (hashing and sorting
 the keys the leaves hold: 1.04-1.12x; a rebuild that makes a
 ``LeafEntry`` of every entry through ``scan()`` lands near 1.9x).
@@ -293,11 +295,12 @@ def main(entries: int = 20000, lookups: int = 500, rounds: int = 5) -> int:
     print(f"  absent / one descent = {missing / descent:.2f} (gate: < 2.5)")
     passed = passed and missing / descent < 2.5
 
+    # The gate once read 2.05 on an unchanged tree with 5 rounds: more rounds.
     beside_empty, beside_full = _probe_dataset(memtable=False), _probe_dataset(memtable=True)
-    print(f"11-row index probe over {PROBE_TWEETS} flushed tweets, median of {rounds} rounds, "
-          f"CPU µs per query")
+    print(f"11-row index probe over {PROBE_TWEETS} flushed tweets, median of {3 * rounds} "
+          f"rounds, CPU µs per query")
     empty, full = _us_per_call([(_probe(beside_empty), list(range(PROBE_QUERIES))),
-                                (_probe(beside_full), list(range(PROBE_QUERIES)))], rounds)
+                                (_probe(beside_full), list(range(PROBE_QUERIES)))], 3 * rounds)
     print(f"  empty memtable          {empty:8.1f}")
     print(f"  {PROBE_TWEETS} tweets in memtable {full:8.1f}")
     print(f"  full / empty = {full / empty:.2f} (gate: < 2.0)")

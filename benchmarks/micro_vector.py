@@ -8,12 +8,15 @@ without a 30 s perfbench run.
 Prints µs per record — the median over the rounds of (CPU time of one pass
 over all records) / records — for the vector and ADM encoders, the
 flush-time infer+compact and anti-schema remove (``InferredSchema.remove``
-of each compacted payload), ``materialize``, ``structure`` and a 4-path
-``BatchExtractor.extract`` over generated tweets, and for ADM
-``materialize`` and one ``get_field`` per path of the same four over the
-ADM payloads of the same tweets.
+of each compacted payload), ``materialize``, ``structure``, a 4-path
+``BatchExtractor.extract`` and the twitter Q3 paths (``user.name``,
+``entities.hashtags[*].text``) extracted at first sight (a fresh extractor
+each round, so every layout's plan is compiled once) and once seen (every
+layout's plan kept) over generated tweets, and for ADM ``materialize`` and
+one ``get_field`` per path of the same four over the ADM payloads of the
+same tweets.
 
-Four gates, run by CI at ``500 5``; each compares two numbers from this
+Five gates, run by CI at ``500 5``; each compares two numbers from this
 process, so the box's speed cancels, and the exit status is 1 when any
 fails:
 
@@ -30,7 +33,11 @@ fails:
   inferring it ("anti-schema remove" below 1.5 x "infer + compact"): the
   delete side of §3.2.2 is one walk of the tag and field-id vectors like
   the insert side, not a skeleton dict walked by name (about 2.8x) —
-  ROADMAP item 8.
+  ROADMAP item 8;
+* reading the Q3 paths from records whose layouts have plans must cost
+  under 0.6x reading them at first sight ("extract, seen" below 0.6 x
+  "extract, first sight"): a kept plan reads its values by offset instead of
+  walking the tags (about 1.0 with no plans kept).
 """
 
 from __future__ import annotations
@@ -47,6 +54,7 @@ from repro.types import open_only_primary_key
 from repro.vector import BatchExtractor, VectorEncoder, VectorRecordView, infer_and_compact
 
 PATHS = (("user", "name"), ("text",), ("entities", "hashtags", "*", "text"), ("timestamp_ms",))
+Q3_PATHS = (("user", "name"), ("entities", "hashtags", "*", "text"))
 
 
 def _us_per_record(passes: Callable[[], object], records: int, rounds: int) -> float:
@@ -69,11 +77,19 @@ def main(records: int = 2000, rounds: int = 7) -> int:
     views = [VectorRecordView(payload, datatype, schema.dictionary) for payload in compacted]
     adm_views = [ADMRecordView(adm_encoder.encode(tweet), datatype) for tweet in tweets]
     extractor = BatchExtractor(PATHS)
+    seen = BatchExtractor(Q3_PATHS)
+    for view in views:
+        seen.extract(view)
 
     def infer_and_compact_all() -> None:
         fresh = InferredSchema(datatype)
         for payload in payloads:
             infer_and_compact(payload, fresh)
+
+    def extract_at_first_sight() -> None:
+        fresh = BatchExtractor(Q3_PATHS)
+        for view in views:
+            fresh.extract(view)
 
     def remove_all() -> None:
         counted = schema.snapshot()
@@ -88,6 +104,8 @@ def main(records: int = 2000, rounds: int = 7) -> int:
         ("materialize", lambda: [view.materialize() for view in views]),
         ("structure", lambda: [view.structure() for view in views]),
         ("extract, 4 paths", lambda: [extractor.extract(view) for view in views]),
+        ("extract, first sight", extract_at_first_sight),
+        ("extract, seen", lambda: [seen.extract(view) for view in views]),
         ("adm materialize", lambda: [view.materialize() for view in adm_views]),
         ("adm get_field, 4 paths",
          lambda: [[view.get_field(*path) for path in PATHS] for view in adm_views]),
@@ -105,7 +123,9 @@ def main(records: int = 2000, rounds: int = 7) -> int:
     print(f"  adm / vector materialize = {adm:.2f} (gate: < 3.5)")
     remove = cost["anti-schema remove"] / cost["infer + compact"]
     print(f"  remove / infer + compact = {remove:.2f} (gate: < 1.5)")
-    return 0 if extract < 1 and encode < 0.7 and adm < 3.5 and remove < 1.5 else 1
+    plans = cost["extract, seen"] / cost["extract, first sight"]
+    print(f"  seen / first sight       = {plans:.2f} (gate: < 0.6)")
+    return 0 if extract < 1 and encode < 0.7 and adm < 3.5 and remove < 1.5 and plans < 0.6 else 1
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from ..lsm import LSMBTree, LSMIOScheduler, SecondaryIndexDef, make_merge_policy
 from ..lsm.lifecycle import FlushCallback
 from ..schema import InferredSchema
 from ..types import AMultiset, Datatype, Missing
-from ..vector import BatchExtractor
+from ..vector import extractor_for
 from .environment import StorageEnvironment
 from .formats import DictRecordView, RecordFormatCodec
 from .tuple_compactor import TupleCompactor
@@ -181,10 +181,10 @@ class Partition:
         field_path = tuple(field_path)
         # Built once per index: flushes, merges and the range search's
         # re-check all read the indexed field through it.  Vector-based
-        # records go through one compiled extractor; ADM views navigate by
-        # offsets and have no consolidated access.
+        # records go through the path's shared extractor; ADM views navigate
+        # by offsets and have no consolidated access.
         if self.config.storage_format.uses_vector_format:
-            extract = BatchExtractor((field_path,)).extract
+            extract = extractor_for((field_path,)).extract
 
             def read(view: Any) -> Any:
                 return _indexable(extract(view)[0])

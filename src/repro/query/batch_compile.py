@@ -32,6 +32,7 @@ from typing import Any, Callable, Iterator, List, Optional, Set, Tuple
 from ..errors import QueryError
 from ..types import MISSING, Missing, collection_items
 from ..vector.batch import BatchExtractor, ColumnBatch
+from ..vector.decoder import extractor_for
 from .expressions import (
     _FUNCTIONS,
     And,
@@ -60,7 +61,7 @@ from .operators import (
     project_sorted,
     unnest_batch,
 )
-from .optimizer import AccessPathChoice, AccessPlan, Path
+from .optimizer import AccessPathChoice, AccessPlan, Path, conjuncts
 from .plan import QuerySpec
 
 #: A compiled expression: batch in, one value per row out.
@@ -279,6 +280,45 @@ def _is_test(expr: IsTest) -> Callable[[Any], bool]:
 # whole-query planning
 # ---------------------------------------------------------------------------
 
+def _free_variables(expr: Expr) -> Set[str]:
+    """The variables ``expr`` reads from its environment."""
+    if isinstance(expr, Var):
+        return {expr.name}
+    if isinstance(expr, FieldAccess):
+        return {expr.source}
+    if isinstance(expr, Exists):
+        return _free_variables(expr.collection) | (
+            _free_variables(expr.predicate) - {expr.item_var})
+    return set().union(*map(_free_variables, expr.children()))
+
+
+def _split_where(spec: QuerySpec) -> Tuple[Optional[Expr], Optional[Expr]]:
+    """The WHERE clause as ``(before the UNNESTs, after them)``.
+
+    A conjunct that reads only the record variable and the LET names (none
+    of them rebound by an UNNEST) has one value for every item of a record,
+    so it runs before the UNNESTs: tested once per record, and a record it
+    rejects is never flattened.  The rest of the conjuncts run after them.
+    """
+    if spec.where is None or not spec.unnests:
+        return None, spec.where
+    visible = ({spec.record_var} | {clause.name for clause in spec.lets}) - {
+        clause.item_var for clause in spec.unnests}
+    before: List[Expr] = []
+    after: List[Expr] = []
+    for conjunct in conjuncts(spec.where):
+        (before if _free_variables(conjunct) <= visible else after).append(conjunct)
+    if not before:
+        return None, spec.where
+    return _conjoin(before), _conjoin(after)
+
+
+def _conjoin(parts: List[Expr]) -> Optional[Expr]:
+    if len(parts) > 1:
+        return And(*parts)
+    return parts[0] if parts else None
+
+
 @dataclass
 class Stage:
     """One step of a partition's pipeline, in the one list that both runs
@@ -298,15 +338,17 @@ class BatchQueryPlan:
     """Everything the partition pipeline needs, compiled once per query.
 
     The plan is immutable and shared across partition workers: the
-    extractor's request trie is read-only after construction, and every
-    evaluator closure only reads the batch it is given.
+    extractor — one per path set, shared with every other reader of those
+    paths — only ever adds read-only plans to its table, and every evaluator
+    closure only reads the batch it is given.
     """
 
     #: Columns the scan extracts per record — every path an evaluator
     #: addresses (a superset of the access plan's scan paths).
     scan_paths: List[Path]
     extractor: BatchExtractor
-    #: The source, then LET / UNNEST / SELECT, then the terminal stage.
+    #: The source, then LET / SELECT / UNNEST / SELECT (a WHERE split by
+    #: :func:`_split_where`), then the terminal stage.
     stages: List[Stage]
     #: The LIMIT a partition may stop scanning at: set only when neither an
     #: ORDER BY nor an aggregation needs every row first.
@@ -324,6 +366,7 @@ def compile_query(spec: QuerySpec, access_plan: AccessPlan,
 
     Clauses bind their names in pipeline order (LETs, then UNNESTs, then
     everything downstream), so a later clause sees every earlier binding.
+    The WHERE conjuncts that need no UNNEST item filter before the UNNESTs.
     """
     ctx = _Context(spec.record_var, set(access_plan.scan_paths), access_plan.consolidate)
     stages = [Stage(f"IndexProbe({choice.path.index_name})" if choice.uses_index
@@ -336,6 +379,16 @@ def compile_query(spec: QuerySpec, access_plan: AccessPlan,
         stages.append(Stage("LET", ", ".join(f"{clause.name} = {render_expr(clause.expr)}"
                                              for clause in spec.lets),
                             partial(BatchLetOperator, lets=lets)))
+    before_unnest, after_unnest = _split_where(spec)
+    names = (["SELECT[0]", "SELECT[1]"] if before_unnest is not None and after_unnest is not None
+             else ["SELECT"])
+
+    def select(name: str, where: Expr) -> Stage:
+        return Stage(name, render_expr(where),
+                     partial(BatchSelectOperator, predicate=compile_expr(where, ctx)))
+
+    if before_unnest is not None:
+        stages.append(select(names[0], before_unnest))
     for position, unnest_plan in enumerate(access_plan.unnest_plans):
         clause = unnest_plan.clause
         detail = f"{render_expr(clause.collection)} AS {clause.item_var}"
@@ -352,10 +405,8 @@ def compile_query(spec: QuerySpec, access_plan: AccessPlan,
             ctx.bound.add(clause.item_var)
         name = "UNNEST" if len(access_plan.unnest_plans) == 1 else f"UNNEST[{position}]"
         stages.append(Stage(name, detail, operator))
-    if spec.where is not None:
-        stages.append(Stage("SELECT", render_expr(spec.where),
-                            partial(BatchSelectOperator,
-                                    predicate=compile_expr(spec.where, ctx))))
+    if after_unnest is not None:
+        stages.append(select(names[-1], after_unnest))
     plain_limit = None
     if spec.is_aggregation:
         if any(isinstance(key.expr_or_column, Expr) for key in spec.order_by):
@@ -391,6 +442,6 @@ def compile_query(spec: QuerySpec, access_plan: AccessPlan,
 
     scan_paths = sorted(ctx.record_paths,
                         key=lambda path: (len(path), tuple(map(str, path))))
-    return BatchQueryPlan(scan_paths=scan_paths, extractor=BatchExtractor(scan_paths),
+    return BatchQueryPlan(scan_paths=scan_paths, extractor=extractor_for(tuple(scan_paths)),
                           stages=stages, plain_limit=plain_limit,
                           needs_views=ctx.uses_views)

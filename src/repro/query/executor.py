@@ -531,8 +531,9 @@ class QueryExecutor:
                                        and partition.operators[-1].rows_out >= plain_limit):
                 return None
             # [-1] is the terminal stage (PROJECT / GROUP BY / SORT); [-2] is
-            # the last pipeline operator — SELECT when a WHERE clause exists,
-            # otherwise the scan/unnest feeding it.
+            # the last pipeline operator, whose rows passed every WHERE
+            # conjunct: a SELECT, an UNNEST of the records a SELECT before it
+            # kept, or the scan/unnest when there is no WHERE clause.
             matched += partition.operators[-2].rows_out
         return matched
 

@@ -263,14 +263,14 @@ class AccessPathChoice:
         return isinstance(self.path, IndexProbe)
 
 
-def _conjuncts(predicate: Optional[Expr]) -> List[Expr]:
+def conjuncts(predicate: Optional[Expr]) -> List[Expr]:
     """Flatten a WHERE tree's top-level AND into a conjunct list."""
     if predicate is None:
         return []
     if isinstance(predicate, And):
         flattened: List[Expr] = []
         for operand in predicate.operands:
-            flattened.extend(_conjuncts(operand))
+            flattened.extend(conjuncts(operand))
         return flattened
     return [predicate]
 
@@ -311,7 +311,7 @@ def extract_key_range(predicate: Optional[Expr], record_var: str, field_path: Pa
     high_inclusive = True
     used: List[Expr] = []
     try:
-        for conjunct in _conjuncts(predicate):
+        for conjunct in conjuncts(predicate):
             bound = _comparison_bound(conjunct, record_var, field_path)
             if bound is None:
                 continue

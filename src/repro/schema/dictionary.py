@@ -10,12 +10,35 @@ purposes and so an "unknown" sentinel never collides with a real name.
 
 from __future__ import annotations
 
+import itertools
 import struct
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..errors import SchemaError
 
 _U32 = struct.Struct("<I")
+
+
+#: Serial numbers of :class:`IdFamily`, never reused within a process.
+_family_serials = itertools.count(1)
+
+
+class IdFamily:
+    """A dictionary and its copies, as long as they agree on every id.
+
+    Copies of one dictionary (a schema snapshot per flush, a rollback copy)
+    share their family and its count of ids handed out.  A copy that falls
+    behind the family and then assigns an id, which another member already
+    gave a name, starts a family of its own.  So within one family an id
+    always names the same field, and the query side keys its extraction
+    plans on the family's ``serial`` rather than on one copy.
+    """
+
+    __slots__ = ("serial", "assigned")
+
+    def __init__(self, assigned: int = 0) -> None:
+        self.serial = next(_family_serials)
+        self.assigned = assigned
 
 
 class FieldNameDictionary:
@@ -34,6 +57,7 @@ class FieldNameDictionary:
         #: loops may read it (``ids_by_utf8.get``) but fill it only through
         #: :meth:`encode_utf8`.
         self.ids_by_utf8: Dict[bytes, int] = {}
+        self.family = IdFamily()
 
     # -- core mapping ---------------------------------------------------------
 
@@ -43,6 +67,9 @@ class FieldNameDictionary:
         if existing is not None:
             return existing
         new_id = len(self.names) + 1
+        if self.family.assigned >= new_id:  # another copy gave this id out
+            self.family = IdFamily(len(self.names))
+        self.family.assigned = new_id
         self._name_to_id[name] = new_id
         self.names.append(name)
         return new_id
@@ -83,6 +110,7 @@ class FieldNameDictionary:
         clone._name_to_id = dict(self._name_to_id)
         clone.names = list(self.names)
         clone.ids_by_utf8 = dict(self.ids_by_utf8)
+        clone.family = self.family
         return clone
 
     def is_prefix_of(self, other: "FieldNameDictionary") -> bool:

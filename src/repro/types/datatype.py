@@ -69,6 +69,10 @@ class Datatype:
             raise TypeError_(f"datatype {self.name!r} declares duplicate field names")
         #: The declared field names, for membership tests (not a dataclass field).
         object.__setattr__(self, "name_set", names)
+        #: The declared field names by index — what a declared-field entry of
+        #: a vector-based record names, and so part of an extraction plan's key.
+        object.__setattr__(self, "name_order",
+                           tuple(declaration.name for declaration in self.fields))
         object.__setattr__(self, "_positions", {
             declaration.name: index for index, declaration in enumerate(self.fields)})
 

@@ -1,23 +1,61 @@
 """Batched column extraction over vector-based records (ROADMAP item 2).
 
 A :class:`BatchExtractor` compiles the requested paths into a small trie
-once per query.  Per record it opens the vectors once (tags sliced, name
-entries and varlen lengths bulk-unpacked — the cursor discipline of
-:mod:`repro.vector.decoder`) and walks the tags with one iterator.  Each
-value's name entry is matched against the open container's trie node — a
-compacted id by indexing the dictionary's name list, an inline name by its
-UTF-8 bytes, never decoded — and then
+once per query.  It reads a record by **replaying a plan**: where each
+request's value lives in that record, worked out once per record *layout*
+and kept in a bounded table.
 
-* a value the trie does not know is **skipped**: a scalar advances its
-  cursor by the width ``layout.WIDTHS`` gives its tag, a nested value runs
-  the tight depth loop that only counts widths, varlen entries and name
-  entries up to its pop marker; once every child a container was asked for
-  has been seen, the rest of the container is skipped the same way;
-* a value a request ends at is decoded from ``layout.TAG_TABLE`` or, when
-  nested, **built** by :func:`~repro.vector.decoder.build_value` — the
-  routine ``materialize()`` applies to the root;
-* a container on the way to a request is entered, and the walk returns at
-  the first tag after which nothing requested can follow.
+Key
+    A plan is valid for every record that walks the same way, and the walk
+    depends only on the record's metadata and on how its names resolve.  So
+    the key is the record's tags-vector bytes, its name-entries section (with
+    the inline name bytes, for an uncompacted record), the serial of the
+    view's dictionary *family* (:class:`~repro.schema.dictionary.IdFamily`;
+    serials are never reused) and the names the datatype declares, by index.
+    Within a family an id always names the same field: every flush's schema
+    snapshot shares its partition's family, so one plan serves the records of
+    every component, while a schema rolled back after a failed flush starts
+    a family of its own once it gives out an id again.  A plan also records
+    the largest id it resolved; a view whose dictionary is too short for it
+    is walked again, and raises as the walk does.
+
+Plan
+    What the replay reads, all offsets relative to the record's own vectors:
+    every requested fixed-width value with one ``struct.Struct`` read at
+    ``offset_fixed`` (pad bytes over the values between them); a varlen
+    value by its index into the varlen lengths; NULL and MISSING as
+    constants; a wildcard's collection as the list of its items' values; a
+    requested nested value by :func:`~repro.vector.decoder.build_value`
+    started from the cursors the walk recorded, with :func:`navigate` applied
+    for any steps left.  Keys and plans are tuples of bytes, numbers and
+    strings, which the cyclic collector stops tracking: a full table adds
+    nothing to what a full collection walks.
+
+Cap
+    An extractor keeps at most :data:`PLAN_CAPACITY` plans.  A full table
+    drops its oldest quarter, so plans for dictionaries no component uses
+    any more age out instead of pinning it.
+
+One path
+    Every value a vector record yields comes out of a replayed plan.  A
+    record whose layout has no plan is walked once to compile one, and the
+    plan is then replayed like any other.  The walk is the trie walk over
+    the cursors of :mod:`repro.vector.decoder`: each value's name entry is
+    matched against the open container's trie node — a compacted id by
+    indexing the dictionary's name list, an inline name by its UTF-8 bytes,
+    never decoded — and then
+
+    * a value the trie does not know is **skipped**: a scalar advances its
+      cursor by the width ``layout.WIDTHS`` gives its tag, a nested value
+      runs the tight depth loop that only counts widths, varlen entries and
+      name entries up to its pop marker; once every child a container was
+      asked for has been seen, the rest of the container is skipped the same
+      way;
+    * a value a request ends at is **located**: its cursor is recorded in
+      the plan (a nested one is then skipped);
+    * a container on the way to a request is entered, and the walk stops at
+      the first tag after which nothing requested can follow — so the plan
+      of a torn record reads exactly what the walk read.
 
 It computes, from the encoded bytes, what :func:`repro.types.navigate`
 defines over the materialized record.  The walk itself handles exact paths
@@ -27,18 +65,23 @@ twice — one ends where another passes through, a wildcard beside a name or
 an index, several wildcards — the trie stops at that node, the value there
 is built once and ``navigate`` answers each request from it.
 :meth:`VectorRecordView.get_values` delegates here, and the property suite
-asserts equality with ``navigate`` on random records, for this walk and for
-every other record view.  :class:`ColumnBatch` is the column-major
-container the batch operators consume; the scan operator fills it with one
-extractor applied across N records.
+asserts equality with ``navigate`` on random records, for these plans and
+for every other record view.  Plans are immutable and a replay writes only
+its own lists, so threads share an extractor without a lock.  :class:`ColumnBatch` is the column-major container the batch
+operators consume; the scan operator fills it with one extractor applied
+across N records.
 """
 
 from __future__ import annotations
 
+import struct
+import sys
+from functools import lru_cache
+from operator import length_hint
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import DecodingError
-from ..types import MISSING, VARLEN, navigate
+from ..types import MISSING, VARLEN, TypeTag, navigate
 from .decoder import Path, PathStep, VectorRecordView, WILDCARD, build_value
 from .layout import (
     CLOSE,
@@ -50,6 +93,12 @@ from .layout import (
     TAG_TABLE,
     WIDTHS,
 )
+
+#: Plans one extractor keeps.  Generated tweets repeat about 290 layouts
+#: per 1 600 records and dictionary family (one per partition); a sensor
+#: partition repeats one.  A plan and its key take 0.3-0.8 KiB, and the
+#: tables of a busy process stay full, so this bounds their memory.
+PLAN_CAPACITY = 768
 
 #: Shared by every node that has no children to enter; never written.
 _NO_CHILDREN: Dict[Any, "_TrieNode"] = {}
@@ -105,8 +154,184 @@ class _TrieNode:
                 self.children[step.encode("utf-8")] = child
 
 
+def _field_layout(width: int, read: Any) -> Optional[Tuple[str, int]]:
+    if width <= 0:
+        return None
+    layout = read.__self__  # a fixed-width scalar's read is a bound Struct.unpack_from
+    return layout.format[1:], len(layout.unpack(bytes(width)))
+
+
+#: ``raw tag -> (struct format without its byte order, fields it unpacks)``
+#: for every fixed-width scalar: the pieces a plan's one read is made of.
+_FIELD_LAYOUTS = tuple(_field_layout(width, read) for width, read, _ in TAG_TABLE)
+
+#: The ``Struct`` of a format a plan reads with, found at every replay: a
+#: plan holds the format string, which the cyclic collector does not track.
+_struct = lru_cache(maxsize=PLAN_CAPACITY)(struct.Struct)
+
+# What the walk records for a located value: ``(source, k)``, the k-th of
+# the constants, the fixed-width fields, the varlen reads, the nested builds
+# or the navigations.  A replay lists them in that order, constants first
+# (and then the copies that line up a wildcard's items).
+_CONSTANT, _FIXED, _VAR, _NESTED, _NAVIGATED = range(5)
+_MISSING_REF, _NULL_REF = (_CONSTANT, 0), (_CONSTANT, 1)
+#: A varlen value is a string (decoded) or a binary (its bytes).
+_RAW_STRING = TypeTag.STRING.value
+
+
+#: A finished plan: ``(fixed, wraps, lengths, var_reads, nested, sources,
+#: rests, copies, picks, lists, ids)`` — see :class:`_PlanBuilder`.
+Plan = Tuple[Any, ...]
+
+
+def _groups(flat: Tuple[int, ...], size: int) -> Any:
+    """The consecutive ``size``-tuples a flat tuple of a plan holds."""
+    return zip(*[iter(flat)] * size)
+
+
+class _PlanBuilder:
+    """Where every request's value lives in records of one layout, as one
+    walk finds it: :meth:`scalar`, :meth:`build` and :meth:`navigate` for
+    each value it locates, :meth:`finish` at the end.
+
+    A replay (:func:`_replay`) lists the values it reads — MISSING and NULL;
+    the fixed-width fields (one ``Struct`` of format ``fixed``; ``wraps``
+    holds ``(field, fields, tag)`` triples whose fields become that tag's
+    value type); the varlen values (``lengths`` reads the varlen count and
+    the lengths up to the last one read; ``var_reads`` holds each one's
+    index, or its complement for a binary); the nested builds (``nested``
+    holds six cursors each); ``navigate(values[source], rest)`` for each of
+    ``sources`` and ``rests``; and ``values[i]`` for each of ``copies``, so
+    the items of every wildcard's collection sit side by side.  ``picks``
+    gives each request its value by index, ``lists`` holds a ``(request,
+    start, stop)`` triple per wildcard request, whose value is the list
+    ``values[start:stop]``, and ``ids`` is the largest field-name id the walk
+    resolved.  So a plan is a tuple of numbers, strings and flat tuples of
+    them, which the cyclic collector stops tracking once the plan has lived
+    through a collection or two, however many plans the tables hold.
+    """
+
+    __slots__ = ("formats", "end", "fields", "wraps", "var_reads", "nested", "navigated")
+
+    def __init__(self) -> None:
+        #: The fixed-width read's format pieces, its end relative to
+        #: ``offset_fixed`` and the fields it unpacks, so far.
+        self.formats: List[str] = []
+        self.end = self.fields = 0
+        self.wraps: List[int] = []
+        self.var_reads: List[int] = []
+        self.nested: List[int] = []
+        self.navigated: List[Tuple[Tuple[int, int], Path]] = []
+
+    def scalar(self, raw: int, fixed: int, var_index: int) -> Tuple[int, int]:
+        """A requested scalar at these cursors (its tag's width is checked)."""
+        width, _, wrap = TAG_TABLE[raw]
+        if width > 0:
+            layout, count = _FIELD_LAYOUTS[raw]
+            if fixed > self.end:
+                self.formats.append("%dx" % (fixed - self.end))
+            self.formats.append(layout)
+            self.end = fixed + width
+            if wrap is not None:
+                self.wraps += (2 + self.fields, count, raw)
+            self.fields += count
+            return (_FIXED, self.fields - count)
+        if width == VARLEN:
+            self.var_reads.append(var_index if raw == _RAW_STRING else ~var_index)
+            return (_VAR, len(self.var_reads) - 1)
+        return _NULL_REF if wrap is None else _MISSING_REF
+
+    def build(self, position: int, raw: int, name_index: int, name_bytes: int,
+              fixed: int, var_index: int) -> Tuple[int, int]:
+        """A requested nested value: its opening tag ``raw`` was read just
+        before tags-vector ``position``, its children start at these cursors
+        (``name_bytes`` relative to ``offset_names``)."""
+        self.nested += (position, raw, name_index, name_bytes, fixed, var_index)
+        return (_NESTED, len(self.nested) // 6 - 1)
+
+    def navigate(self, ref: Tuple[int, int], rest: Path) -> Tuple[int, int]:
+        if not rest:
+            return ref
+        self.navigated.append((ref, rest))
+        return (_NAVIGATED, len(self.navigated) - 1)
+
+    def finish(self, results: List[Any], ids: int) -> Plan:
+        """The plan: ``results`` holds each request's reference (a list of
+        them for a wildcard's items), ``ids`` the largest field-name id the
+        walk resolved."""
+        var_first = 2 + self.fields
+        nested_first = var_first + len(self.var_reads)
+        navigated_first = nested_first + len(self.nested) // 6
+        firsts = (0, 2, var_first, nested_first, navigated_first)
+        copies: List[int] = []
+        copies_first = navigated_first + len(self.navigated)
+        picks: List[int] = []
+        lists: List[int] = []
+        for rid, entry in enumerate(results):
+            if entry.__class__ is list:
+                items = [firsts[kind] + k for kind, k in entry]
+                start = items[0] if items else 0
+                if items != list(range(start, start + len(items))):
+                    start = copies_first + len(copies)
+                    copies += items
+                lists += (rid, start, start + len(items))
+                entry = _MISSING_REF
+            picks.append(firsts[entry[0]] + entry[1])
+        # the last varlen value read has the largest index (a binary's complement)
+        last = max(self.var_reads[-1], ~self.var_reads[-1]) if self.var_reads else 0
+        return (sys.intern("<" + "".join(self.formats)) if self.formats else None,
+                tuple(self.wraps),
+                sys.intern("<%dI" % (last + 2)) if self.var_reads else None,
+                tuple(self.var_reads),
+                tuple(self.nested),
+                tuple([firsts[kind] + k for (kind, k), _ in self.navigated]),
+                tuple([rest for _, rest in self.navigated]),
+                tuple(copies), tuple(picks), tuple(lists), ids)
+
+
+def _replay(plan: Plan, view: VectorRecordView) -> List[Any]:
+    """Read one record's requested values through its layout's plan."""
+    (fixed, wraps, lengths_format, var_reads, nested, sources, rests, copies,
+     picks, lists, _) = plan
+    payload = view.payload
+    values: List[Any] = [MISSING, None]
+    if fixed is not None:
+        values += _struct(fixed).unpack_from(payload, view.offset_fixed)
+        if wraps:
+            for slot, count, raw in _groups(wraps, 3):
+                values[slot] = TAG_TABLE[raw][2](*values[slot:slot + count])
+    if lengths_format is not None:
+        lengths = _struct(lengths_format).unpack_from(payload, view.offset_varlen)
+        if lengths[0] < len(lengths) - 1:
+            raise DecodingError(f"varlen vector holds {lengths[0]} values, its tags "
+                                f"at least {len(lengths) - 1}")
+        first = view.offset_varlen + 4 + 4 * lengths[0]
+        for var_index in var_reads:
+            index = var_index if var_index >= 0 else ~var_index  # a binary's complement
+            start = first + sum(lengths[1:index + 1])
+            value = payload[start:start + lengths[index + 1]]
+            values.append(value.decode() if var_index >= 0 else value)
+    if nested:
+        tags, vectors, _, _, first = view._vectors()
+        for position, raw, name_index, name_bytes, fixed_at, var_index in _groups(nested, 6):
+            values.append(build_value(
+                view, iter(tags[position:]), raw, vectors, name_index,
+                view.offset_names + name_bytes, view.offset_fixed + fixed_at,
+                var_index, first + sum(vectors[2][:var_index]))[0])
+    if sources:
+        for source, rest in zip(sources, rests):
+            values.append(navigate(values[source], rest))
+    if copies:
+        values += [values[index] for index in copies]
+    results = [values[index] for index in picks]
+    if lists:
+        for rid, start, stop in _groups(lists, 3):
+            results[rid] = values[start:stop]
+    return results
+
+
 class BatchExtractor:
-    """Compiled multi-path extractor, reusable across records.
+    """Compiled multi-path extractor, reusable across records and threads.
 
     Record views of other formats resolve the paths themselves: a
     ``DictRecordView`` (memtable row) through its own ``get_values``; an
@@ -120,6 +345,9 @@ class BatchExtractor:
         #: Requests that default to ``[]`` (any wildcard) rather than MISSING.
         self.list_rids = [rid for rid, request in enumerate(self.requests)
                           if WILDCARD in request]
+        #: Record layout -> its plan, at most ``PLAN_CAPACITY`` of them, in
+        #: the order they were made.
+        self.plans: Dict[Tuple[Any, ...], Plan] = {}
 
     def extract(self, view: Any) -> List[Any]:
         """Resolve every compiled path against one record view."""
@@ -129,21 +357,52 @@ class BatchExtractor:
             if hasattr(view, "get_values"):
                 return view.get_values(*self.requests)
             return [view.get_field(*request) for request in self.requests]
-        return self._extract_vector(view)
+        payload = view.payload
+        id_names = view._resolvers()[0]
+        # What the name entries mean: inline names (None), or the ids of one
+        # dictionary family (0: a compacted record read with no dictionary);
+        # and the declared fields' names by index.
+        family = None
+        if id_names is not None:
+            family = view.dictionary.family.serial if view.dictionary is not None else 0
+        key = (payload[view.offset_tags:view.offset_tags + view.tag_count],
+               payload[view.offset_names:view.total_length], family,
+               view.datatype.name_order if view.datatype is not None else ())
+        plans = self.plans
+        plan = plans.get(key)
+        # A plan resolved ids (its last item) past the end of the view's names
+        # only when the view's dictionary is an older copy in the family than
+        # the one it was made with: walk the record again, to raise as the
+        # walk does.
+        if plan is None or plan[-1] > len(id_names or ()):
+            plan = self._compile(view)
+            if len(plans) >= PLAN_CAPACITY:
+                # Drop the oldest quarter: plans of dictionaries no component
+                # uses any more are the first to go.  ``list(plans)`` is one C
+                # call, so no other thread's insert can interleave with it.
+                for old in list(plans)[:PLAN_CAPACITY // 4]:
+                    plans.pop(old, None)
+            plans[key] = plan
+        return _replay(plan, view)
 
-    def _extract_vector(self, view: VectorRecordView) -> List[Any]:
+    def _compile(self, view: VectorRecordView) -> Plan:
+        """Walk one record and record where each request's value lives."""
+        tags, vectors, name_bytes, _, _ = view._vectors(values=False)
+        payload, entries, _, declared, id_names = vectors
+        located = _PlanBuilder()
+        names_at = view.offset_names
         node = self.root
         if node.capture is not None or node.wild is not None:
-            record = view.materialize()  # a request for the root itself
-            return [navigate(record, request) for request in self.requests]
-        results: List[Any] = [MISSING] * len(self.requests)
+            # a request for the root itself: the whole record, built
+            record = located.build(1, RAW_OBJECT, 0, name_bytes - names_at, 0, 0)
+            return located.finish([located.navigate(record, request)
+                                   for request in self.requests], 0)
+        results: List[Any] = [_MISSING_REF] * len(self.requests)
         for rid in self.list_rids:
             results[rid] = []
-        tags, vectors, name_bytes, fixed, var_bytes = view._vectors()
-        payload, entries, lengths, declared, id_names = vectors
         inline = id_names is None
         id_count = 0 if inline else len(id_names)
-        name_index = var_index = 0
+        name_index = fixed = var_index = ids = 0
         remaining = node.targets
         # The open container: its trie children (or, for the collection of
         # wildcard requests, ``wild`` and the result ``lists`` to extend per
@@ -171,6 +430,8 @@ class BatchExtractor:
                         name_bytes += entry
                     elif 0 < entry <= id_count:
                         node = children.get(id_names[entry - 1])
+                        if entry > ids:
+                            ids = entry
                     else:
                         raise view._unresolved(entry)
                 elif lists is None:
@@ -179,7 +440,7 @@ class BatchExtractor:
                 else:
                     node = wild
                     for column in lists:
-                        column.append(MISSING)
+                        column.append(_MISSING_REF)
                 if node is not None:
                     want -= 1
                     capture = node.capture
@@ -200,56 +461,52 @@ class BatchExtractor:
                         fixed += width
                         continue
                     if width == VARLEN:
-                        var_bytes += lengths[var_index]
                         var_index += 1
                         continue
                     if width != NESTED:
                         raise DecodingError(f"unexpected tag {raw} in tags vector")
                     depth, closing, skip_object = 1, False, raw == RAW_OBJECT
                 else:
+                    depth = 0
                     if width == NESTED:
-                        value, name_index, name_bytes, fixed, var_index, var_bytes = build_value(
-                            view, cursor, raw, vectors,
-                            name_index, name_bytes, fixed, var_index, var_bytes)
-                    else:
-                        _, read, wrap = TAG_TABLE[raw]
+                        ref = located.build(len(tags) - length_hint(cursor), raw,
+                                            name_index, name_bytes - names_at, fixed, var_index)
+                        depth = 1  # its tags are still ahead of the cursor
+                    elif width >= VARLEN:
+                        ref = located.scalar(raw, fixed, var_index)
                         if width > 0:
-                            if wrap is None:
-                                (value,) = read(payload, fixed)
-                            else:
-                                value = wrap(*read(payload, fixed))
                             fixed += width
                         elif width == VARLEN:
-                            length = lengths[var_index]
                             var_index += 1
-                            value = read(payload[var_bytes:var_bytes + length])
-                            var_bytes += length
-                        elif not width:
-                            value = wrap  # NULL or MISSING
-                        else:
-                            raise DecodingError(f"unexpected tag {raw} in tags vector")
+                    else:
+                        raise DecodingError(f"unexpected tag {raw} in tags vector")
                     if capture is None:
                         # a scalar or an object where the wildcard's collection
                         # was expected: passed through (absent stays [])
-                        if value is not None and value is not MISSING:
+                        if ref is not _NULL_REF and ref is not _MISSING_REF:
                             for rid in node.wild.rids:
-                                results[rid] = value
+                                results[rid] = ref
                         remaining -= 1
                     elif node.aligned:
                         for rid, rest in capture:
-                            results[rid][-1] = navigate(value, rest) if rest else value
+                            results[rid][-1] = located.navigate(ref, rest)
                     else:
                         for rid, rest in capture:
-                            results[rid] = navigate(value, rest) if rest else value
+                            results[rid] = located.navigate(ref, rest)
                         remaining -= 1
                     if not remaining:
-                        return results
+                        return located.finish(results, ids)
                     if want:
-                        continue
-                    # everything this container was asked for has been seen
-                    if not stack:
-                        return results
-                    depth, closing, skip_object = 1, True, in_object
+                        if not depth:
+                            continue
+                        closing, skip_object = False, raw == RAW_OBJECT
+                    elif not stack:
+                        return located.finish(results, ids)
+                    else:
+                        # everything this container was asked for has been
+                        # seen: skip the rest of it (a located nested value too)
+                        skip_object = raw == RAW_OBJECT if depth else in_object
+                        depth, closing = depth + 1, True
             while True:
                 if depth:
                     # the skipper: count widths, varlen entries and name
@@ -271,7 +528,6 @@ class BatchExtractor:
                         if width >= 0:
                             fixed += width
                         elif width == VARLEN:
-                            var_bytes += lengths[var_index]
                             var_index += 1
                         elif width == NESTED:
                             depth += 1
@@ -282,17 +538,16 @@ class BatchExtractor:
                     break
                 # the open container has just closed
                 if not stack:
-                    return results
+                    return located.finish(results, ids)
                 if lists is not None:
                     remaining -= 1
                     if not remaining:
-                        return results
+                        return located.finish(results, ids)
                 children, wild, lists, in_object, item, want = stack.pop()
                 if want:
                     break
                 depth, skip_object = 1, in_object
-        return results
-
+        return located.finish(results, ids)
 
 class ColumnBatch:
     """Column-major container for N records' requested value slices.

@@ -41,11 +41,14 @@ over the slice, handed from walk to walk.  Two query-side walks share it:
   every scalar on the way (or, for :meth:`VectorRecordView.structure`,
   substituting placeholders and leaving both value cursors untouched).
   ``materialize()`` is the builder applied to the root;
-* the **skipper**, the inner loop of :class:`~repro.vector.batch.BatchExtractor`,
-  passes over a value nobody asked for by only counting: widths from
-  ``layout.WIDTHS``, varlen lengths, name entries — no name is resolved and
-  no value decoded.  The extractor steers between the two with its request
-  trie and stops at the first tag after which nothing requested can follow.
+* the **skipper**, the inner loop of :class:`~repro.vector.batch.BatchExtractor`'s
+  plan compiler, passes over a value nobody asked for by only counting:
+  widths from ``layout.WIDTHS``, varlen entries, name entries — no name is
+  resolved and no value decoded.  The compiler steers with its request trie,
+  records where each requested value starts, and stops at the first tag
+  after which nothing requested can follow; the plan it makes reads those
+  values straight from the cursors it recorded, for every record of the
+  same layout.
 
 The flush side has its own metadata-only loop (tags + names),
 :func:`~repro.vector.compaction.infer_and_compact`.
@@ -114,8 +117,10 @@ _STRUCTURE_PLACEHOLDERS = {
 
 
 @lru_cache(maxsize=256)
-def _extractor_for(paths: Tuple[Path, ...]):
-    """The compiled extractor serving ``get_values`` for one path set."""
+def extractor_for(paths: Tuple[Path, ...]):
+    """The one compiled extractor of a path set, so every reader of the same
+    paths — ``get_values``, a query's scan, a secondary index's flushes and
+    probes — shares its table of plans."""
     from .batch import BatchExtractor  # batch imports this module
 
     return BatchExtractor(paths)
@@ -191,9 +196,11 @@ class VectorRecordView:
 
         The scan stops as soon as every exact path has been resolved and
         every wildcard collection has been closed, so access cost grows with
-        the position of the requested values within the record (Figure 22).
+        the position of the requested values within the record (Figure 22)
+        — once per record layout: the extractor keeps what the scan found as
+        a plan that reads the values by offset.
         """
-        return _extractor_for(tuple(map(tuple, paths))).extract(self)
+        return extractor_for(tuple(map(tuple, paths))).extract(self)
 
     def get_field(self, *path: PathStep) -> Any:
         """Single-path access (the un-consolidated ``getField()``)."""
@@ -222,12 +229,18 @@ class VectorRecordView:
             (var_count,) = U32.unpack_from(payload, self.offset_varlen)
             lengths = struct.unpack_from("<%dI" % var_count, payload, self.offset_varlen + 4)
             var_bytes = self.offset_varlen + 4 + 4 * var_count
+        id_names, declared = self._resolvers()
+        return (tags, (payload, entries, lengths, declared, id_names),
+                self.offset_names + 4 + 2 * count, self.offset_fixed, var_bytes)
+
+    def _resolvers(self) -> Tuple[Optional[List[str]], Tuple[Any, ...]]:
+        """What the name entries resolve against: ``(id_names, declared)`` —
+        the dictionary's id -> name list (``None`` for an uncompacted record,
+        whose names are inline) and the datatype's declared fields."""
         id_names = None
         if self.flags & FLAG_COMPACTED:
             id_names = self.dictionary.names if self.dictionary is not None else ()
-        declared = self.datatype.fields if self.datatype is not None else ()
-        return (tags, (payload, entries, lengths, declared, id_names),
-                self.offset_names + 4 + 2 * count, self.offset_fixed, var_bytes)
+        return id_names, self.datatype.fields if self.datatype is not None else ()
 
     def _unresolved(self, entry: int) -> Exception:
         """The error for a name entry that does not lead to a name."""

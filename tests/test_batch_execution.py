@@ -12,7 +12,10 @@ collections (SQL++ singleton semantics), and group-by keys returning their
 original (unhashable) values.
 """
 
+import random
 import string
+import sys
+import threading
 import uuid
 
 import pytest
@@ -22,7 +25,9 @@ from hypothesis import strategies as st
 from repro import Dataset, DeviceKind, StorageEnvironment, StorageFormat
 from repro.adm import ADMEncoder, ADMRecordView
 from repro.core.formats import DictRecordView
-from repro.errors import DecodingError, QueryError
+from repro.core.tuple_compactor import TupleCompactor
+from repro.datasets import sensors, twitter
+from repro.errors import DecodingError, QueryError, SchemaError
 from repro.query import (
     And,
     Comparison,
@@ -43,6 +48,7 @@ from repro.types import (ADate, ADateTime, AMultiset, APoint, ATime, Datatype, F
                          MISSING, TypeTag, navigate)
 from repro.vector import (BatchExtractor, VectorEncoder, VectorRecordView, WILDCARD,
                           compact_record, infer_and_compact)
+from repro.vector import batch as vector_batch
 
 from reference import partition_records, reference_rows
 
@@ -530,6 +536,151 @@ class TestExtractorViews:
 
 
 # ---------------------------------------------------------------------------
+# extraction plans: one per record layout, never across name mappings
+# ---------------------------------------------------------------------------
+
+def _tweet_views(count):
+    """Compacted generated tweets (about 60 layouts per 200) with the values
+    every read of ``TWEET_PATHS`` must return."""
+    schema = InferredSchema(None)
+    encoder = VectorEncoder(None)
+    tweets = list(twitter.generate(count))
+    views = [VectorRecordView(infer_and_compact(encoder.encode(tweet), schema), None,
+                              schema.dictionary) for tweet in tweets]
+    expected = [[navigate(tweet, path) for path in TWEET_PATHS] for tweet in tweets]
+    return views, expected
+
+
+TWEET_PATHS = [("user", "name"), ("entities", "hashtags", WILDCARD, "text"), ("text",),
+               ("timestamp_ms",), ("coordinates",), ("user",)]
+
+
+class TestExtractionPlans:
+    def test_same_layout_under_two_dictionaries_never_shares_a_plan(self):
+        """Two partitions' schemas number the same names the other way round,
+        so their records carry the same bytes but mean other fields."""
+        extractor = BatchExtractor([("x",), ("y",)])
+        views = []
+        for names in (("x", "y"), ("y", "x")):
+            schema = InferredSchema(None)
+            schema.observe(dict.fromkeys(names, 0))
+            record = {names[0]: 10, names[1]: 20}
+            payload = compact_record(VectorEncoder(None).encode(record), schema.dictionary)
+            views.append(VectorRecordView(payload, None, schema.dictionary))
+        assert views[0].payload == views[1].payload
+        assert extractor.extract(views[0]) == [10, 20]
+        assert extractor.extract(views[1]) == [20, 10]
+        assert len(extractor.plans) == 2
+
+    def test_copies_of_one_dictionary_share_plans(self):
+        """Every flush's schema snapshot is a copy in its partition's family:
+        one plan reads the records of all of them, and a copy too short for
+        a record's ids raises like the walk."""
+        schema = InferredSchema(None)
+        schema.observe({"a": 1})
+        older = schema.snapshot().dictionary
+        schema.observe({"a": 1, "b": 2})
+        newer, newest = schema.snapshot().dictionary, schema.snapshot().dictionary
+        payload = compact_record(VectorEncoder(None).encode({"a": 1, "b": 2}), newer)
+        extractor = BatchExtractor([("a",), ("b",)])
+        assert extractor.extract(VectorRecordView(payload, None, newer)) == [1, 2]
+        assert extractor.extract(VectorRecordView(payload, None, newest)) == [1, 2]
+        assert len(extractor.plans) == 1
+        with pytest.raises(SchemaError, match="unknown FieldNameID 2"):
+            extractor.extract(VectorRecordView(payload, None, older))
+        assert extractor.extract(VectorRecordView(payload, None, newest)) == [1, 2]
+
+    def test_rolled_back_flush_then_reassigned_id_serves_the_new_name(self):
+        """A failed flush's ids are rolled back with its schema; the id it
+        gave ``a`` then goes to ``b``, and a record carrying it reads ``b``."""
+        compactor = TupleCompactor(None)
+        state = compactor.snapshot_state()
+        encoder = VectorEncoder(None)
+        extractor = BatchExtractor([("a",), ("b",)])
+        first = compactor.transform_record(1, None, encoder.encode({"a": 1}))
+        rolled_back = compactor.schema.dictionary
+        assert extractor.extract(VectorRecordView(first, None, rolled_back)) == [1, MISSING]
+        compactor.restore_state(state)
+        second = compactor.transform_record(1, None, encoder.encode({"b": 1}))
+        dictionary = compactor.schema.dictionary
+        assert second == first and dictionary.lookup("b") == rolled_back.lookup("a") == 1
+        assert extractor.extract(VectorRecordView(second, None, dictionary)) == [MISSING, 1]
+        assert extractor.extract(VectorRecordView(first, None, rolled_back)) == [1, MISSING]
+
+    def test_declared_entries_resolve_under_their_own_datatype(self):
+        """Declared-field indexes mean what the view's datatype declares: the
+        same bytes read ``p`` first under one datatype and ``q`` under another."""
+        declare = lambda *names: Datatype.open_type(
+            "Pair", [FieldDeclaration(name, TypeTag.INT64) for name in names])
+        first, second = declare("p", "q"), declare("q", "p")
+        payload = VectorEncoder(first).encode({"p": 1, "q": 2})
+        assert VectorEncoder(second).encode({"q": 1, "p": 2}) == payload
+        extractor = BatchExtractor([("p",), ("q",)])
+        for _ in range(2):
+            assert extractor.extract(VectorRecordView(payload, first)) == [1, 2]
+            assert extractor.extract(VectorRecordView(payload, second)) == [2, 1]
+        with pytest.raises(DecodingError, match="without a datatype"):
+            extractor.extract(VectorRecordView(payload))
+        assert len(extractor.plans) == 2
+
+    def test_every_value_kind_reads_through_its_plan(self):
+        """Each fixed width (and the wrapped date, time, point and UUID), both
+        varlen types, NULL, MISSING items and nested values, requested
+        directly and through a wildcard, at a miss and at a hit."""
+        record = {"k%d" % index: value for index, value in enumerate(_EVERY_KIND)}
+        paths = [(name,) for name in record] + [("mixed", WILDCARD, "v"), ("k13", 1, "z")]
+        record["mixed"] = [{"v": value} for value in _EVERY_KIND] + [MISSING, 5]
+        expected = [navigate(record, path) for path in paths]
+        schema = InferredSchema(None)
+        inline = VectorEncoder(None).encode(record)
+        compacted = infer_and_compact(inline, schema)
+        extractor = BatchExtractor(paths)
+        for view in (VectorRecordView(inline), VectorRecordView(compacted, None, schema.dictionary)):
+            assert extractor.extract(view) == expected
+            assert extractor.extract(view) == expected
+
+    def test_a_full_table_stays_correct(self, monkeypatch):
+        monkeypatch.setattr(vector_batch, "PLAN_CAPACITY", 4)
+        views, expected = _tweet_views(200)
+        extractor = BatchExtractor(TWEET_PATHS)
+        for _ in range(2):
+            assert [extractor.extract(view) for view in views] == expected
+            assert 0 < len(extractor.plans) <= 4
+
+    @pytest.mark.parametrize("capacity", [vector_batch.PLAN_CAPACITY, 8])
+    def test_threads_share_one_extractor_without_a_lock(self, monkeypatch, capacity):
+        """Six threads read through one extractor while the interpreter
+        switches between them as often as it can; with a small table they
+        also drop its oldest quarter under each other."""
+        monkeypatch.setattr(vector_batch, "PLAN_CAPACITY", capacity)
+        views, expected = _tweet_views(150)
+        extractor = BatchExtractor(TWEET_PATHS)
+        wrong = []
+
+        def read(seed):
+            order = list(range(len(views)))
+            random.Random(seed).shuffle(order)
+            try:
+                for index in order + order:
+                    if extractor.extract(views[index]) != expected[index]:
+                        wrong.append(index)
+            except Exception as exc:  # a thread's error would otherwise only warn
+                wrong.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(seed,)) for seed in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
+
+
+# ---------------------------------------------------------------------------
 # property-based parity
 # ---------------------------------------------------------------------------
 
@@ -626,6 +777,29 @@ def _assert_declared_adm_reads(record, paths):
             read()
 
 
+def _revalued(value, salt):
+    """``value`` with every scalar replaced by another of its type: the same
+    tags and names, other fixed-width bytes and varlen lengths."""
+    if isinstance(value, dict):
+        return {key: _revalued(item, salt) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_revalued(item, salt) for item in value]
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + salt
+    if isinstance(value, str):
+        return value + "x" * salt
+    return value
+
+
+def _layout(view):
+    """The bytes a record's plan is keyed on: its tags and name section."""
+    payload = view.payload
+    return (payload[view.offset_tags:view.offset_tags + view.tag_count],
+            payload[view.offset_names:view.total_length])
+
+
 _prop_settings = settings(max_examples=40, deadline=None,
                           suppress_health_check=[HealthCheck.too_slow])
 _engine_settings = settings(max_examples=12, deadline=None,
@@ -652,9 +826,13 @@ class TestBatchProperties:
         paths += [("definitely_not_a_field",), ("definitely_not_a_field", WILDCARD),
                   (WILDCARD,), (0,)]
         expected = [navigate(record, path) for path in paths]
+        extractor = BatchExtractor(paths)
         for view in views:
             assert [view.get_field(*path) for path in paths] == expected
-            assert BatchExtractor(paths).extract(view) == expected
+            plans = len(extractor.plans)
+            assert extractor.extract(view) == expected  # a miss: walked, then replayed
+            assert extractor.extract(view) == expected  # a hit: replayed
+            assert len(extractor.plans) == plans + isinstance(view, VectorRecordView)
         assert views[0].get_values(*paths) == expected
         assert views[-1].get_values(*paths) == expected
         _assert_declared_adm_reads(record, list(dict.fromkeys(_paths_of(record)))[:24])
@@ -701,6 +879,30 @@ class TestBatchProperties:
                 with pytest.raises(DecodingError):
                     BatchExtractor(path_sets[1]).extract(torn)
 
+    @_prop_settings
+    @given(record=_records, salt=st.integers(min_value=1, max_value=5))
+    def test_one_plan_reads_records_of_one_layout(self, record, salt):
+        """Records with the same tags and names but other values — other
+        fixed-width bytes, varlen values of other lengths — share one plan,
+        and it reads each record's own values."""
+        twin = _revalued(record, salt)
+        schema = InferredSchema(None)
+        schema.observe(record)
+        paths = list(dict.fromkeys(_paths_of(record)))[:32] + [("definitely_not_a_field",)]
+        extractor = BatchExtractor(paths)
+        for dictionary in (None, schema.dictionary):
+            views = []
+            for value in (record, twin):
+                payload = VectorEncoder(None).encode(value)
+                if dictionary is not None:
+                    payload = compact_record(payload, dictionary)
+                views.append(VectorRecordView(payload, None, dictionary))
+            assert _layout(views[0]) == _layout(views[1])
+            plans = len(extractor.plans)
+            for view, value in zip(views, (record, twin)):
+                assert extractor.extract(view) == [navigate(value, path) for path in paths]
+            assert len(extractor.plans) == plans + 1
+
     @_engine_settings
     @given(records=st.lists(_records, min_size=1, max_size=12),
            storage_format=st.sampled_from([StorageFormat.OPEN, StorageFormat.INFERRED]))
@@ -721,3 +923,60 @@ class TestBatchProperties:
         ]
         for make_spec in queries:
             _assert_matches_reference(dataset, make_spec, records)
+
+
+class TestFilterBeforeUnnest:
+    """A WHERE conjunct that reads no UNNEST item filters the records before
+    the UNNESTs flatten them."""
+
+    @pytest.mark.parametrize("options", [{}, {"consolidate_field_access": False}])
+    @pytest.mark.parametrize("storage_format", [StorageFormat.OPEN, StorageFormat.INFERRED])
+    def test_sensors_q4_tests_each_report_once(self, storage_format, options):
+        records = list(sensors.generate(140))
+        dataset = _dataset(storage_format, partitions=2, records=records,
+                           name=f"filter_q4_{storage_format.value}")
+        result = _assert_matches_reference(dataset, sensors.QUERIES["Q4"], records, **options)
+        partitions = result.stats.per_partition
+        assert [op.operator for op in partitions[0].operators] == [
+            "FullScan", "SELECT", "UNNEST", "GROUP BY (partial)"]
+        low = sensors.REPORT_TIME_BASE - 1
+        in_window = [record for record in records
+                     if low < record["report_time"] < low + 2 * sensors.REPORT_INTERVAL_MS]
+        assert 0 < len(in_window) < len(records)
+        assert sum(partition.operators[0].rows_out for partition in partitions) == len(records)
+        assert sum(partition.operators[1].rows_out for partition in partitions) == len(in_window)
+        # the rows that left the filter are still the (report, reading) pairs
+        assert result.stats.actual_matched_rows == sum(
+            len(record["readings"]) for record in in_window)
+
+    @_engine_settings
+    @given(rows=st.lists(st.tuples(_records, st.lists(_values(1), max_size=4)),
+                         min_size=1, max_size=10),
+           threshold=st.integers(min_value=-1, max_value=10),
+           storage_format=st.sampled_from([StorageFormat.OPEN, StorageFormat.INFERRED]))
+    def test_random_where_around_unnest_matches_reference(self, rows, threshold, storage_format):
+        """Conjuncts on the record, on a LET name and on a quantifier whose
+        variable shadows the item run before the UNNEST; the ones on the item
+        after it."""
+        records = [dict(record, id=index, items=items)
+                   for index, (record, items) in enumerate(rows)]
+        dataset = _dataset(storage_format, partitions=2, records=records, name="filter_random")
+
+        def make_spec():
+            return (scan("t")
+                    .let("late", Comparison(">", field("t", "id"), lit(threshold)))
+                    .unnest(field("t", "items"), "item")
+                    .where(And(Comparison("<", field("t", "id"), lit(threshold + 5)),
+                               Var("late"),
+                               Exists(field("t", "items"), "item",
+                                      Comparison("!=", Var("item"), lit(0))),
+                               Comparison("!=", Var("item"), field("t", "id"))))
+                    .select(("id", field("t", "id")), ("item", Var("item")))
+                    .build())
+
+        result = _assert_matches_reference(dataset, make_spec, records)
+        assert [op.operator for op in result.stats.per_partition[0].operators] == [
+            "FullScan", "LET", "SELECT[0]", "UNNEST", "SELECT[1]", "PROJECT"]
+        before, after = [line.split(": ", 1)[1] for line in explain(dataset, make_spec()).splitlines()
+                         if line.strip().startswith("-> SELECT[")]
+        assert "SOME item" in before and "late" in before and "SOME" not in after
