@@ -56,11 +56,11 @@ so cheap that a build of unchanged cost reads 4-15x it); and the
 absent-key LSM lookup must cost under 2.5x one warm descent (the key-hash
 fences rule out all four components at 1.6-1.8x; a lookup that descends
 every component's tree lands near 4-5x); and the probe beside the full
-memtable must cost under 2x the probe beside the empty one (each entry
-compares the indexed value it caches with the bounds: 1.5-2.0x, the upper
-end since extraction plans made the disk candidates both sides share
-cheaper; a probe that decodes every memtable record as a candidate lands
-near 17-28x); and
+memtable must cost under 2x the probe beside the empty one (one pass over
+the memtable's column of indexed values: 1.24-1.46x over ten runs; a walk
+that looks up the value each entry caches read 1.5-2.1x, over 2.0 once the
+planning both sides share got cheaper; a probe that decodes every memtable
+record as a candidate lands near 17-28x); and
 the re-open must cost at most 1.2x the cold key walk (hashing and sorting
 the keys the leaves hold: 1.04-1.12x; a rebuild that makes a
 ``LeafEntry`` of every entry through ``scan()`` lands near 1.9x).

@@ -5,8 +5,8 @@ Two bounded LRU layers sit above the page-level
 front door, and the decode-side reuse the paper's columnar layout makes
 profitable):
 
-* :class:`PlanCache` — per-dataset physical-plan cache keyed by normalized
-  SQL++ text plus the dataset's reuse epoch, so ``Dataset.prepare`` /
+* :class:`PlanCache` — per-dataset physical-plan cache keyed by the SQL++
+  statement's token lexemes plus the dataset's reuse epoch, so ``Dataset.prepare`` /
   repeated ``Dataset.query(text)`` skip parse → bind → optimize entirely.
   Any ``CREATE INDEX``, component lifecycle event (flush/merge/quarantine,
   which is also when per-component ``FieldStatistics`` change), or explicit
@@ -25,7 +25,7 @@ hold locks declared in :mod:`repro.analysis.lock_hierarchy`.
 """
 
 from .column_cache import ColumnSliceCache, SliceChunk, SliceScanStats, cached_component_scan
-from .plan_cache import PhysicalPlan, PlanCache, normalize_statement
+from .plan_cache import PhysicalPlan, PlanCache
 
 __all__ = [
     "ColumnSliceCache",
@@ -34,5 +34,4 @@ __all__ = [
     "SliceChunk",
     "SliceScanStats",
     "cached_component_scan",
-    "normalize_statement",
 ]

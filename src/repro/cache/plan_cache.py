@@ -7,9 +7,14 @@ after rewrites, the cost-based access-path choice, and the compiled batch
 plan (whose stage list is what EXPLAIN prints and the executor runs) — as
 one :class:`PhysicalPlan` keyed by
 
-* the *normalized* statement text (whitespace and comments outside string
-  literals collapsed; quoted literals are preserved verbatim, so two
-  queries that differ only inside a string never share a plan),
+* the statement's *lexemes*, each token's source text in order
+  (:class:`repro.sqlpp.lexer.Lexed`): whitespace and comments are not
+  lexemes, so reformatted and commented copies of a query share a plan,
+  while a string literal is one lexeme quoted and escaped as written, so
+  queries that differ inside a string never do.  A token's kind and value
+  are a function of its lexeme, so equal keys are equal token streams, and
+  a text the lexer refuses holds a lexeme no valid text has: it never
+  matches a cached plan,
 * the dataset's **reuse epoch** (schema/index epoch plus every partition's
   LSM structure version — flush, merge, ``CREATE INDEX``, bulk load, and
   quarantine all bump it, and component swaps are exactly when per-component
@@ -30,7 +35,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Hashable, List, Optional
+from typing import Any, Hashable, Optional
 
 from ..errors import CorruptPageError, PermanentIOError, TransientIOError
 from ..faults import fire_fault
@@ -38,63 +43,6 @@ from ..obs import MetricsRegistry, get_registry
 
 #: Entries per dataset.
 DEFAULT_PLAN_CACHE_CAPACITY = 64
-
-
-def normalize_statement(text: str) -> str:
-    """Canonical cache-key form of a SQL++ statement.
-
-    Collapses runs of whitespace and comments *outside* string literals to
-    a single space, so reformatted copies of one query share a plan.  The
-    pass mirrors the lexer's trivia and string rules (both quote kinds,
-    backslash escapes, ``--`` line and ``/* */`` block comments) without
-    importing it: quoted literals are copied verbatim, so queries that
-    differ only in the spacing *inside* a string literal never unify — the
-    bound constant differs, and sharing a plan would return wrong results.
-    Malformed text (an unterminated string) is preserved from the anomaly
-    onward; the compiler reports the error with positions intact.
-    """
-    out: List[str] = []
-    i = 0
-    n = len(text)
-    pending_space = False
-    while i < n:
-        char = text[i]
-        if char in " \t\r\n":
-            pending_space = bool(out)
-            i += 1
-            continue
-        if text.startswith("--", i):
-            end = text.find("\n", i)
-            i = n if end < 0 else end
-            pending_space = bool(out)
-            continue
-        if text.startswith("/*", i):
-            end = text.find("*/", i + 2)
-            if end < 0:
-                break  # unterminated comment: nothing lexable remains
-            i = end + 2
-            pending_space = bool(out)
-            continue
-        if pending_space:
-            out.append(" ")
-            pending_space = False
-        if char in "'\"":
-            j = i + 1
-            while j < n:
-                if text[j] == "\\":
-                    j += 2  # escape pair: \' or \" must not close the string
-                    continue
-                if text[j] == char:
-                    j += 1
-                    break
-                j += 1
-            j = min(j, n)
-            out.append(text[i:j])
-            i = j
-            continue
-        out.append(char)
-        i += 1
-    return "".join(out)
 
 
 @dataclass

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..cache import PhysicalPlan, PlanCache, normalize_statement
+from ..cache import PhysicalPlan, PlanCache
 from ..config import DatasetConfig, StorageFormat
 from ..errors import DatasetError, SchemaViolationError, TypeError_
 from ..lsm import LSMIOScheduler
@@ -251,7 +251,8 @@ class Dataset:
         return sum(partition.record_count() for partition in self.partitions)
 
     def approximate_record_count(self) -> int:
-        """Record count from component metadata only — no page reads.
+        """Record count from counters only — no page reads, no sort: each
+        component's metadata and each memtable's live count.
 
         Slightly over-counts keys that are shadowed across components; used
         by the optimizer's cost model, which must not do I/O while planning.
@@ -280,7 +281,7 @@ class Dataset:
         dataset the method is called on.
 
         Physical plans are memoized in :attr:`plan_cache`, keyed by the
-        normalized statement text, the dataset's :meth:`reuse_epoch`, and
+        statement's token lexemes, the dataset's :meth:`reuse_epoch`, and
         the executor's plan signature — a repeat of the same text skips
         parse → bind → optimize entirely (``stats.plan_source == "cache"``)
         until a CREATE INDEX, flush/merge component swap, or
@@ -330,21 +331,25 @@ class Dataset:
         optimize all skipped), ``"compiled"``, or ``None`` for a prebuilt
         spec, which has no text to key a cache entry.  :meth:`query`,
         :class:`PreparedStatement` and :meth:`explain` all plan here, so
-        this is the only place a statement is normalized and the plan cache
-        probed or filled.  A CREATE INDEX statement has no plan: its compiled
-        form comes back in the plan's place, with source ``None``.
+        this is the only place a statement is split into the lexemes that
+        key the plan cache, and the cache probed or filled.  A CREATE INDEX
+        statement has no plan: its compiled form comes back in the plan's
+        place, with source ``None``.
         """
         if not isinstance(query, str):
             return runner.prepare_physical(self, query), None
+        from ..sqlpp.lexer import Lexed
+
+        lexed = Lexed(query)
         epoch = self.reuse_epoch()
-        key = (normalize_statement(query), epoch, runner.plan_signature())
+        key = (lexed.lexemes, epoch, runner.plan_signature())
         physical = self.plan_cache.get(key)
         if physical is not None:
             return physical, "cache"
         from ..sqlpp import CompiledCreateIndex
         from ..sqlpp import compile as compile_sqlpp
 
-        compiled = compile_sqlpp(query)
+        compiled = compile_sqlpp(query, lexed)
         if isinstance(compiled, CompiledCreateIndex):
             return compiled, None
         physical = runner.prepare_physical(self, compiled.spec)

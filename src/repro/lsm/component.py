@@ -37,8 +37,8 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import attrgetter
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from operator import attrgetter, ge, gt, le, lt
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..btree import BTree, BTreeInfo, BulkLoader, LeafEntry
 from ..btree.keycodec import decode_key, encode_key
@@ -73,11 +73,6 @@ class MemEntry:
     #: from a sealed memtable.  Processed by the tuple compactor at flush
     #: time and never written to disk.
     antischema: Optional[bytes] = None
-    #: Each secondary index's value for this version, by its definition
-    #: object: filled by the first probe that needs it
-    #: (:func:`memtable_secondary_keys`), never on the write path.  A put
-    #: replaces the entry, so a cached value always describes this version.
-    indexed: Optional[Dict[Any, Any]] = None
 
     @property
     def size_bytes(self) -> int:
@@ -85,11 +80,23 @@ class MemEntry:
 
 
 class InMemoryComponent:
-    """The mutable component receiving all writes (one per partition index)."""
+    """The mutable component receiving all writes (one per partition index).
+
+    It counts its live (not anti-matter) entries as they are put.  For each
+    secondary index a probe asks about, it keeps a *column*: key -> the
+    index's value of the key's entry, when not ``None``.  The first probe
+    fills it; then puts log their keys, and a probe re-reads only the keys
+    logged since, publishing a new column with one assignment.
+    """
 
     def __init__(self) -> None:
         self._entries: Dict[Any, MemEntry] = {}
         self.size_bytes = 0
+        self.live = 0  # entries that are not anti-matter
+        #: ``(column, log position it reflects)`` by index definition;
+        #: ``None`` while the first probe fills it.
+        self._columns: Dict[Any, Optional[Tuple[Dict[Any, Any], int]]] = {}
+        self._written: List[Any] = []  # keys put since a column was asked for
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -105,12 +112,16 @@ class InMemoryComponent:
         existing = self._entries.get(entry.key)
         if existing is not None:
             self.size_bytes -= existing.size_bytes
+            self.live -= not existing.is_antimatter
             if existing.is_antimatter and entry.antischema is None:
                 # A re-insert over a delete in this memtable: the deleted
                 # version's decrement is still owed at this memtable's flush.
                 entry.antischema = existing.antischema
         self._entries[entry.key] = entry
         self.size_bytes += entry.size_bytes
+        self.live += not entry.is_antimatter
+        if self._columns:  # after the store: a probe that misses the log sees the entry
+            self._written.append(entry.key)
 
     def snapshot(self) -> List[MemEntry]:
         """The entries, unordered, as a *snapshot*: the copy of the entry
@@ -120,41 +131,78 @@ class InMemoryComponent:
         dict."""
         return list(self._entries.values())
 
+    def keys(self):
+        return self._entries.keys()
+
+    def live_outside(self, keys: Set[Any]) -> int:
+        """Live entries whose key is not in ``keys`` (of a sealed memtable)."""
+        entries = self._entries
+        return self.live - sum(1 for key in entries.keys() & keys
+                               if not entries[key].is_antimatter)
+
     def sorted_entries(self) -> List[MemEntry]:
         """A :meth:`snapshot` in key order (the flush path sorts once here)."""
         entries = self.snapshot()
         entries.sort(key=_ENTRY_KEY)
         return entries
 
+    def secondary_keys(self, definition: Any, low: Any, high: Any,
+                       low_inclusive: bool, high_inclusive: bool) -> List[Any]:
+        """Keys whose value for the secondary index ``definition`` is in the
+        range: one pass over its column.  A value that does not share an
+        order with the bounds is outside, as in
+        :meth:`OnDiskComponent.secondary_keys`."""
+        column = self._column(definition)
+        above = ge if low_inclusive else gt
+        below = le if high_inclusive else lt
+        try:
+            if low is None:
+                return [key for key, value in column.items() if below(value, high)]
+            if high is None:
+                return [key for key, value in column.items() if above(value, low)]
+            if low_inclusive and high_inclusive:
+                return [key for key, value in column.items() if low <= value <= high]
+            return [key for key, value in column.items()
+                    if above(value, low) and below(value, high)]
+        except TypeError:  # values of another order than the bounds': judge one by one
+            return [key for key, value in column.items()
+                    if _in_range(value, low, high, above, below)]
 
-def memtable_secondary_keys(entries: Sequence[MemEntry], definition: Any, low: Any, high: Any,
-                            low_inclusive: bool, high_inclusive: bool) -> List[Any]:
-    """Keys of the memtable ``entries`` whose value for the secondary index
-    ``definition`` lies in the range, by the bound comparisons of
-    :meth:`OnDiskComponent.secondary_keys`.  A value that does not share an
-    order with the bounds places its entry outside the range, as such a
-    component places all of its entries."""
-    matched: List[Any] = []
-    for entry in entries:
-        try:
-            value = entry.indexed[definition]
-        except (KeyError, TypeError):  # not cached yet (TypeError: no cache at all)
-            # Two probes filling one cache store the same value: no lock.
-            if entry.indexed is None:
-                entry.indexed = {}
-            value = entry.indexed[definition] = (
-                None if entry.is_antimatter else definition.extractor(entry.encoded, None))
-        if value is None:
-            continue
-        try:
-            if low is not None and (value < low or (not low_inclusive and value == low)):
-                continue
-            if high is not None and (value > high or (not high_inclusive and value == high)):
-                continue
-        except TypeError:
-            continue
-        matched.append(entry.key)
-    return matched
+    def _column(self, definition: Any) -> Dict[Any, Any]:
+        """``definition``'s column, up to date with every finished put."""
+        state = self._columns.get(definition)
+        if state is None:
+            # Registered first: a put the snapshot misses is logged past ``done``.
+            self._columns[definition] = None
+            done = len(self._written)
+            column: Dict[Any, Any] = {}
+            changed: Iterator[MemEntry] = iter(self.snapshot())
+        else:
+            column, start = state
+            done = len(self._written)
+            if start == done:
+                return column
+            column = dict(column)
+            entries = self._entries
+            changed = (entries[key] for key in set(self._written[start:done]))
+        extractor = definition.extractor
+        for entry in changed:
+            value = None if entry.is_antimatter else extractor(entry.encoded, None)
+            if value is None:
+                column.pop(entry.key, None)
+            else:
+                column[entry.key] = value
+        self._columns[definition] = (column, done)
+        return column
+
+
+def _in_range(value: Any, low: Any, high: Any, above: Callable, below: Callable) -> bool:
+    """Whether ``value`` is within the bounds; False when it cannot be compared."""
+    try:
+        return ((low is None or above(value, low))
+                and (high is None or below(value, high)))
+    except TypeError:
+        return False
 
 
 @dataclass

@@ -41,8 +41,7 @@ from ..schema import InferredSchema
 from ..storage.buffer_cache import BufferCache
 from ..storage.wal import LogRecordType, WriteAheadLog
 from .component import (ComponentWriter, InMemoryComponent, MemEntry, OnDiskComponent,
-                        delete_component_files, memtable_secondary_keys,
-                        merged_secondary_entries)
+                        delete_component_files, merged_secondary_entries)
 from .component_id import ComponentId
 from .lifecycle import FlushCallback
 from .merge_policy import MergePolicy, NoMergePolicy
@@ -191,6 +190,8 @@ class LSMBTree:
         #: On-disk components, newest first.
         self.components: List[OnDiskComponent] = []
         self.secondary_indexes: List[SecondaryIndexDef] = []
+        #: (component list, statistics) by index (:meth:`secondary_statistics`).
+        self._statistics: Dict[SecondaryIndexDef, Tuple[List[OnDiskComponent], Any]] = {}
         self.stats = IngestStats()
         # Lifecycle counters published into the shared metrics registry
         # (cross-partition totals; per-index detail stays in self.stats).
@@ -817,15 +818,23 @@ class LSMBTree:
         Keys shadowed across components (or by unflushed memtable writes)
         still contribute once per indexed version; the cost model only needs
         an estimate.  Returns None for an unknown index.
+
+        Derived once per component list (flush, merge and recovery install
+        a new one) and shared: read it, never mutate it.
         """
         definition = self.secondary_index_def(index_name)
         if definition is None:
             return None
+        components = self.components
+        cached = self._statistics.get(definition)
+        if cached is not None and cached[0] is components:
+            return cached[1]
         from ..datasets.stats import FieldStatistics
 
         merged = FieldStatistics(field_path=definition.field_path or ())
-        for component in list(self.components):
+        for component in components:
             merged = merged.merge(component.secondary_stats[index_name])
+        self._statistics[definition] = (components, merged)
         return merged
 
     def secondary_candidate_keys(self, index_name: str, low: Any, high: Any,
@@ -835,9 +844,9 @@ class LSMBTree:
         mutable or sealed, or in a component's ``.ix`` tree — has its indexed
         value in the given range.
 
-        A memtable entry is judged by the value it caches for the index
-        (:func:`~repro.lsm.component.memtable_secondary_keys`), a component
-        by :meth:`OnDiskComponent.secondary_keys`: the same comparisons.
+        A memtable is judged by its column of the index's values
+        (:meth:`InMemoryComponent.secondary_keys`), a component by
+        :meth:`OnDiskComponent.secondary_keys`: the same comparisons.
         Candidates, not answers: a key may have been re-written or deleted
         since the version that placed it in the range, so callers must look
         up its *newest* version and re-check the predicate (the executor's
@@ -848,8 +857,8 @@ class LSMBTree:
         if definition is None:
             raise KeyNotFoundError(f"unknown secondary index {index_name!r}")
         keys = set()
-        for entries in self._memory_snapshots():
-            keys.update(memtable_secondary_keys(entries, definition, low, high,
+        for memtable in self._memtables():
+            keys.update(memtable.secondary_keys(definition, low, high,
                                                 low_inclusive, high_inclusive))
         components = list(self.components)
         self._raise_if_quarantined(components)
@@ -869,7 +878,7 @@ class LSMBTree:
         :meth:`secondary_candidate_keys` returns, looked up newest first:
         the memtables, then the components.  Only in-range memtable entries
         become candidates; an entry's indexed value is extracted once, by
-        the first probe that needs it, and cached on the entry.  The stream
+        the first probe that needs it, into its memtable's column.  The stream
         is a *superset* of the true answer (Luo & Carey's validation):
         callers must re-apply the predicate, because a candidate's newest
         version may no longer satisfy it.  One read guard spans the
@@ -1026,32 +1035,30 @@ class LSMBTree:
     def component_count(self) -> int:
         return len(self.components)
 
+    def _memtables(self) -> List[InMemoryComponent]:
+        """The in-memory components, newest first: the mutable memtable is
+        taken *before* the sealed list (see :meth:`scan`)."""
+        memtables = [self.memory_component]
+        memtables.extend(sealed.memtable for sealed in reversed(list(self.sealed_memtables)))
+        return memtables
+
     def _memory_snapshots(self) -> List[List[MemEntry]]:
-        """Unordered snapshots of the in-memory components, newest first:
-        the mutable memtable *before* the sealed list (see :meth:`scan`)."""
-        snapshots = [self.memory_component.snapshot()]
-        snapshots.extend(sealed.memtable.snapshot()
-                         for sealed in reversed(list(self.sealed_memtables)))
-        return snapshots
-
-    def memory_entries_snapshot(self) -> List[MemEntry]:
-        """Newest in-memory version of every key with an in-memory entry.
-
-        Reconciles the mutable memtable with the sealed (flush-pending)
-        memtables — the mutable version wins, then sealed newest-first — and
-        returns the winners in key order.
-        """
-        merged: Dict[Any, MemEntry] = {}
-        for entries in reversed(self._memory_snapshots()):  # oldest -> newest
-            merged.update((entry.key, entry) for entry in entries)
-        return sorted(merged.values(), key=_KEY)
+        """Unordered snapshots of the in-memory components, newest first."""
+        return [memtable.snapshot() for memtable in self._memtables()]
 
     def record_count(self) -> int:
-        """Live records across disk components and the memtables (approximate:
-        exact when keys are not duplicated across components/memtables)."""
+        """Live records across disk components and the memtables, from their
+        counters: no page reads, no sort.  A key in memory counts once, when
+        its newest version is live (sealed memtables' keys are checked
+        against newer memtables'); one in several components, or in a
+        component and a memtable, counts once per copy."""
         disk = sum(component.record_count for component in list(self.components))
-        memory = sum(1 for entry in self.memory_entries_snapshot()
-                     if not entry.is_antimatter)
+        memtables = self._memtables()
+        memory = memtables[0].live
+        newer: Set[Any] = set()
+        for newest, older in zip(memtables, memtables[1:]):
+            newer.update(newest.keys())
+            memory += older.live_outside(newer)
         return disk + memory
 
     def exact_count(self) -> int:

@@ -33,20 +33,22 @@ from ..errors import SqlppError
 from . import ast
 from .ast import unparse, unparse_expr
 from .binder import Binder, CompiledCreateIndex, CompiledQuery, bind, bind_statement
-from .lexer import Lexer, Token, tokenize
+from .lexer import Lexed, Token, tokenize
 from .parser import Parser, parse, parse_expression, parse_statement
 
 
-def compile(text: str):  # noqa: A001 - mirrors the stdlib name on purpose
+def compile(text: str, lexed: "Lexed | None" = None):  # noqa: A001 - mirrors the stdlib name
     """Compile one SQL++ statement: queries yield a :class:`CompiledQuery`,
     ``CREATE INDEX`` yields a :class:`CompiledCreateIndex`.
 
-    Parsing and binding each record a span when tracing is on (see
-    :mod:`repro.obs`), so a traced query shows its full front-end cost."""
+    ``lexed`` is ``text`` already split into lexemes (the plan cache's key),
+    so a caller that holds it does not pay for the split twice.  Parsing and
+    binding each record a span when tracing is on (see :mod:`repro.obs`), so
+    a traced query shows its front-end cost past that split."""
     from ..obs import tracer
 
     with tracer.span("sqlpp.parse"):
-        statement = parse_statement(text)
+        statement = Parser((lexed or Lexed(text)).tokens()).parse_statement()
     with tracer.span("sqlpp.bind"):
         return bind_statement(statement)
 
@@ -54,7 +56,7 @@ def compile(text: str):  # noqa: A001 - mirrors the stdlib name on purpose
 __all__ = [
     "SqlppError",
     "Token",
-    "Lexer",
+    "Lexed",
     "tokenize",
     "Parser",
     "parse",

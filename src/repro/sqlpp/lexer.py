@@ -1,4 +1,4 @@
-"""Hand-written SQL++ lexer with precise source positions.
+"""SQL++ lexer: one compiled regex pass, with precise source positions.
 
 Tokenizes the slice of SQL++ the paper's queries use (Appendix A):
 keywords, identifiers, string/number literals, comparison and arithmetic
@@ -6,12 +6,32 @@ operators, path punctuation (``.``, ``[``, ``]``), and ``--`` line /
 ``/* */`` block comments.  Every token carries its 1-based line and column
 so downstream errors (parser and binder alike) can point at the exact spot
 in the query string — the :class:`~repro.errors.SqlppError` contract.
+
+:class:`Lexed` is one ``findall`` of a master regex that splits a statement
+into *lexemes* — each token's source text — and the comments and
+whitespace between them, and does nothing else, so it costs a few
+microseconds.
+Its :attr:`Lexed.lexemes` are the plan cache's key (``Dataset._plan``):
+a token's kind and value are a function of its lexeme alone, so equal
+lexeme tuples are equal token streams (``t.value`` and ``t.VALUE`` stay
+two keys), and a lexeme that is an error — an unterminated comment or
+string, a stray character — is an error wherever it appears, so a text the
+lexer refuses can never match a cached plan.  :meth:`Lexed.tokens` builds
+the :class:`Token` list and raises the errors; only a cache miss pays for
+it, and the parser reads those tokens instead of lexing again.
+
+Unicode rule: a word starts with a letter (``str.isalpha``) or ``_`` and
+goes on over ``\\w`` (``str.isalnum`` or ``_``); a number's digits are
+decimal digits (``str.isdecimal``, regex ``\\d``).  A digit that is not
+decimal, such as ``'²'``, starts no token: it is an unexpected character.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, List, Optional
+import re
+from dataclasses import dataclass
+from operator import itemgetter
+from typing import Any, List, Optional, Tuple
 
 from ..errors import SqlppError
 
@@ -25,12 +45,25 @@ KEYWORDS = frozenset({
     "CREATE", "INDEX", "ON",
 })
 
-#: Multi-character operators, longest first so ``<=`` wins over ``<``.
-_TWO_CHAR_OPS = ("<=", ">=", "!=", "<>")
-_ONE_CHAR_OPS = "=<>+-*/%()[],.;"
+_OPS = frozenset(("<=", ">=", "!=", "<>", *"=<>+-*/%()[],.;"))
 
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "\\": "\\", "'": "'", '"': '"',
             "/": "/", "b": "\b", "f": "\f"}
+
+#: Whitespace and comments.  Nothing follows them in a pattern, so a greedy
+#: match takes all of them and no lexeme starts inside them.
+_TRIVIA = r"(?:[ \t\r\n]+|--[^\n]*|/\*.*?\*/)*"
+_STRING = re.compile(r"'(?:[^'\\]|\\.)*'" r'|"(?:[^"\\]|\\.)*"', re.S)
+#: One lexeme, then the trivia after it.  The alternatives, in order: a
+#: number, a word, a string, an unterminated string or block comment (taken
+#: to the end of the text: an error, and no rescan of the rest), an
+#: operator, any other character (an error).
+_LEXEME = re.compile(
+    r"(\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|\w+|" + _STRING.pattern
+    + r"""|['"].*|/\*.*|<=|>=|!=|<>|[=<>+\-*/%()\[\],.;]|.)(""" + _TRIVIA + ")", re.S)
+_LEADING = re.compile(_TRIVIA, re.S)
+_ESCAPE = re.compile(r"\\(.?)", re.S)
+_FIRST = itemgetter(0)
 
 
 @dataclass
@@ -50,148 +83,90 @@ class Token:
         return "end of query" if self.kind == "eof" else repr(self.text)
 
 
-class Lexer:
-    """Single-pass scanner over a query string."""
+class Lexed:
+    """One statement split into lexemes; its tokens are built on demand.
+
+    Splitting raises nothing: every error surfaces from :meth:`tokens`."""
+
+    __slots__ = ("source", "start", "pairs", "lexemes")
 
     def __init__(self, source: str) -> None:
         self.source = source
-        self.position = 0
-        self.line = 1
-        self.column = 1
-
-    # ------------------------------------------------------------------ driver
+        self.start = _LEADING.match(source).end()
+        #: ``(lexeme, trivia after it)`` pairs, in source order.
+        self.pairs: List[Tuple[str, str]] = _LEXEME.findall(source, self.start)
+        #: Every token's source text: the plan cache's key.
+        self.lexemes: Tuple[str, ...] = tuple(map(_FIRST, self.pairs))
 
     def tokens(self) -> List[Token]:
-        result: List[Token] = []
-        while True:
-            token = self.next_token()
-            result.append(token)
-            if token.kind == "eof":
-                return result
-
-    def next_token(self) -> Token:
-        self._skip_trivia()
-        if self.position >= len(self.source):
-            return Token("eof", "", self.line, self.column)
-        line, column = self.line, self.column
-        char = self.source[self.position]
-        if char.isalpha() or char == "_":
-            return self._word(line, column)
-        if char.isdigit():
-            return self._number(line, column)
-        if char in "'\"":
-            return self._string(line, column)
-        two = self.source[self.position:self.position + 2]
-        if two in _TWO_CHAR_OPS:
-            self._advance(2)
-            return Token("op", two, line, column)
-        if char in _ONE_CHAR_OPS:
-            self._advance(1)
-            return Token("op", char, line, column)
-        raise SqlppError(f"unexpected character {char!r}", line, column, char)
-
-    # ------------------------------------------------------------------ scanners
-
-    def _word(self, line: int, column: int) -> Token:
-        start = self.position
-        while (self.position < len(self.source)
-               and (self.source[self.position].isalnum() or self.source[self.position] == "_")):
-            self._advance(1)
-        text = self.source[start:self.position]
-        upper = text.upper()
-        if upper in KEYWORDS:
-            # ``value`` keeps the original spelling: keywords may still appear
-            # as field names after '.' (e.g. ``subject.value``).
-            return Token("keyword", upper, line, column, value=text)
-        return Token("ident", text, line, column, value=text)
-
-    def _number(self, line: int, column: int) -> Token:
-        start = self.position
-        self._digits()
-        is_float = False
-        if self._current() == "." and self._peek_at(1).isdigit():
-            is_float = True
-            self._advance(1)
-            self._digits()
-        if self._current() in "eE":
-            after = self._peek_at(1)
-            sign = 1 if after in "+-" else 0
-            if self.source[self.position + 1 + sign:self.position + 2 + sign].isdigit():
-                is_float = True
-                self._advance(1 + sign)
-                self._digits()
-        text = self.source[start:self.position]
-        return Token("number", text, line, column,
-                     value=float(text) if is_float else int(text))
-
-    def _string(self, line: int, column: int) -> Token:
-        quote = self.source[self.position]
-        self._advance(1)
-        pieces: List[str] = []
-        while True:
-            if self.position >= len(self.source):
-                raise SqlppError("unterminated string literal", line, column, quote)
-            char = self.source[self.position]
-            if char == quote:
-                self._advance(1)
-                break
-            if char == "\\":
-                escape = self._peek_at(1)
-                if escape not in _ESCAPES:
-                    raise SqlppError(f"unknown escape sequence \\{escape}",
-                                     self.line, self.column, "\\" + escape)
-                pieces.append(_ESCAPES[escape])
-                self._advance(2)
-                continue
-            pieces.append(char)
-            self._advance(1)
-        literal = "".join(pieces)
-        return Token("string", quote + literal + quote, line, column, value=literal)
-
-    def _digits(self) -> None:
-        while self._current().isdigit():
-            self._advance(1)
-
-    # ------------------------------------------------------------------ trivia
-
-    def _skip_trivia(self) -> None:
-        while self.position < len(self.source):
-            char = self.source[self.position]
-            if char in " \t\r\n":
-                self._advance(1)
-            elif self.source.startswith("--", self.position):
-                while self.position < len(self.source) and self.source[self.position] != "\n":
-                    self._advance(1)
-            elif self.source.startswith("/*", self.position):
-                line, column = self.line, self.column
-                self._advance(2)
-                while not self.source.startswith("*/", self.position):
-                    if self.position >= len(self.source):
-                        raise SqlppError("unterminated block comment", line, column, "/*")
-                    self._advance(1)
-                self._advance(2)
+        """The tokens, ``eof`` last; raises :class:`SqlppError` at the first
+        lexeme that is no token."""
+        source = self.source
+        offset = self.start
+        line = source.count("\n", 0, offset) + 1
+        line_start = source.rfind("\n", 0, offset) + 1
+        tokens: List[Token] = []
+        append = tokens.append
+        for lexeme, trivia in self.pairs:
+            column = offset - line_start + 1
+            first = lexeme[0]
+            if lexeme in _OPS:
+                append(Token("op", lexeme, line, column))
+            elif first.isdecimal():
+                append(Token("number", lexeme, line, column,
+                             int(lexeme) if lexeme.isdecimal() else float(lexeme)))
+            elif first.isalpha() or first == "_":
+                # ``value`` keeps the original spelling: keywords may still
+                # appear as field names after '.' (e.g. ``subject.value``).
+                upper = lexeme.upper()
+                if upper in KEYWORDS:
+                    append(Token("keyword", upper, line, column, lexeme))
+                else:
+                    append(Token("ident", lexeme, line, column, lexeme))
+            elif first in "'\"" and _STRING.fullmatch(lexeme):
+                body = lexeme[1:-1]
+                if "\\" in body:
+                    body = _ESCAPE.sub(lambda match: self._escape(match, offset + 1), body)
+                append(Token("string", first + body + first, line, column, body))
             else:
-                return
+                self._fail(lexeme, offset)
+            end = offset + len(lexeme) + len(trivia)
+            if "\n" in trivia or "\n" in lexeme:  # a string literal may span lines
+                line += source.count("\n", offset, end)
+                line_start = source.rfind("\n", offset, end) + 1
+            offset = end
+        tokens.append(Token("eof", "", line, offset - line_start + 1))
+        return tokens
 
-    # ------------------------------------------------------------------ cursor
+    def _escape(self, match: "re.Match", base: int) -> str:
+        """What an escape at ``base + match.start()`` stands for; raises on
+        an unknown one."""
+        escape = match.group(1) or "\0"  # a backslash at the very end
+        if escape not in _ESCAPES:
+            line, column = self._position(base + match.start())
+            raise SqlppError(f"unknown escape sequence \\{escape}", line, column,
+                             "\\" + escape)
+        return _ESCAPES[escape]
 
-    def _current(self) -> str:
-        return self.source[self.position] if self.position < len(self.source) else "\0"
+    def _fail(self, lexeme: str, offset: int) -> None:
+        """Raise the error a lexeme that is no token stands for."""
+        line, column = self._position(offset)
+        first = lexeme[0]
+        if lexeme.startswith("/*"):
+            raise SqlppError("unterminated block comment", line, column, "/*")
+        if first in "'\"":
+            # Unterminated: the first unknown escape on the way to the end of
+            # the text is reported before the missing quote.
+            for match in _ESCAPE.finditer(self.source, offset + 1):
+                self._escape(match, 0)
+            raise SqlppError("unterminated string literal", line, column, first)
+        raise SqlppError(f"unexpected character {first!r}", line, column, first)
 
-    def _peek_at(self, offset: int) -> str:
-        index = self.position + offset
-        return self.source[index] if index < len(self.source) else "\0"
-
-    def _advance(self, count: int) -> None:
-        for _ in range(count):
-            if self.source[self.position] == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-            self.position += 1
+    def _position(self, offset: int) -> Tuple[int, int]:
+        line_start = self.source.rfind("\n", 0, offset) + 1
+        return self.source.count("\n", 0, offset) + 1, offset - line_start + 1
 
 
 def tokenize(source: str) -> List[Token]:
     """Tokenize ``source``, raising :class:`SqlppError` on lexical errors."""
-    return Lexer(source).tokens()
+    return Lexed(source).tokens()

@@ -50,10 +50,11 @@ MAX_EXPR_DEPTH = 64
 
 
 class Parser:
-    """Parses one SQL++ query string into an :class:`repro.sqlpp.ast.Query`."""
+    """Parses one SQL++ statement, from its tokens (``eof`` last), into an
+    :class:`repro.sqlpp.ast.Query` or :class:`repro.sqlpp.ast.CreateIndex`."""
 
-    def __init__(self, source: str) -> None:
-        self.tokens = tokenize(source)
+    def __init__(self, tokens: List[Token]) -> None:
+        self.tokens = tokens
         self.index = 0
         self._depth = 0
 
@@ -431,18 +432,18 @@ class Parser:
 
 def parse(source: str) -> ast.Query:
     """Parse a SQL++ query string into its AST (:class:`repro.sqlpp.ast.Query`)."""
-    return Parser(source).parse_query()
+    return Parser(tokenize(source)).parse_query()
 
 
 def parse_statement(source: str) -> ast.Node:
     """Parse one statement: a :class:`~repro.sqlpp.ast.Query` or a
     :class:`~repro.sqlpp.ast.CreateIndex`."""
-    return Parser(source).parse_statement()
+    return Parser(tokenize(source)).parse_statement()
 
 
 def parse_expression(source: str) -> ast.Expr:
     """Parse a standalone SQL++ expression (used by tests and the REPL-minded)."""
-    parser = Parser(source)
+    parser = Parser(tokenize(source))
     expr = parser.parse_expression()
     if parser.current.kind != "eof":
         parser._fail("expected end of expression")

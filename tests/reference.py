@@ -19,18 +19,25 @@ It also keeps the dict side of the tuple compactor's delete maintenance
 ``InferredSchema`` — the oracle the engine's one-pass
 ``InferredSchema.remove`` over stored bytes is checked against, counter for
 counter.
+
+It keeps the LSM index's record count as a reconcile of snapshots
+(:func:`reference_record_count`), the oracle of the counters the memtables
+keep.  And it keeps the character-at-a-time SQL++ lexer the engine used before its
+one-regex scanner: :func:`reference_tokenize`, the oracle the scanner's
+tokens and errors are checked against, position for position.
 """
 
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.core.dataset import hash_partition
 from repro.core.formats import DictRecordView
-from repro.errors import QueryError, SchemaError
+from repro.errors import QueryError, SchemaError, SqlppError
 from repro.query import (And, Arithmetic, Comparison, Exists, FieldAccess, Func, IsTest, Literal,
                          Not, Or, QuerySpec, Var, get_aggregate)
 from repro.query.expressions import _FUNCTIONS
 from repro.query.operators import (_hashable, finalize_groups, merge_partials, order_and_limit,
                                    sort_key)
+from repro.sqlpp.lexer import KEYWORDS, Token
 from repro.schema import CollectionNode, InferredSchema, ObjectNode, SchemaNode, UnionNode
 from repro.types import (ADate, ADateTime, AMultiset, APoint, ATime, MISSING, Missing, TypeTag,
                          navigate, type_tag_of)
@@ -265,3 +272,175 @@ def _remove_value(schema: InferredSchema, node: SchemaNode, value: Any) -> Optio
             node.item = _remove_value(schema, node.item, item)
     node.decrement()
     return None if node.is_dead else node
+
+
+# ---------------------------------------------------------------------------
+# the LSM index's record count
+# ---------------------------------------------------------------------------
+
+def reference_memtable_live(memtable: Any) -> int:
+    """Entries of one memtable that are not anti-matter, by a snapshot."""
+    return sum(1 for entry in memtable.snapshot() if not entry.is_antimatter)
+
+
+def reference_record_count(index: Any) -> int:
+    """Live records of an ``LSMBTree``: each disk component's record count,
+    plus the in-memory keys whose newest version (the mutable memtable's,
+    then the sealed memtables' newest first) is live — the memtables'
+    entries merged by key and sorted, as the engine once counted them."""
+    merged: Dict[Any, Any] = {}
+    for sealed in index.sealed_memtables:  # oldest -> newest
+        merged.update((entry.key, entry) for entry in sealed.memtable.snapshot())
+    merged.update((entry.key, entry) for entry in index.memory_component.snapshot())
+    memory = sum(1 for entry in sorted(merged.values(), key=lambda entry: entry.key)
+                 if not entry.is_antimatter)
+    return sum(component.record_count for component in index.components) + memory
+
+
+# ---------------------------------------------------------------------------
+# the character-at-a-time lexer
+# ---------------------------------------------------------------------------
+
+_TWO_CHAR_OPS = ("<=", ">=", "!=", "<>")
+_ONE_CHAR_OPS = "=<>+-*/%()[],.;"
+_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "\\": "\\", "'": "'", '"': '"',
+            "/": "/", "b": "\b", "f": "\f"}
+
+
+class _ReferenceLexer:
+    """Single-pass scanner over a query string, one character at a time."""
+
+    def __init__(self, source: str) -> None:
+        self.source = source
+        self.position = 0
+        self.line = 1
+        self.column = 1
+
+    def tokens(self) -> List[Token]:
+        result: List[Token] = []
+        while True:
+            token = self.next_token()
+            result.append(token)
+            if token.kind == "eof":
+                return result
+
+    def next_token(self) -> Token:
+        self._skip_trivia()
+        if self.position >= len(self.source):
+            return Token("eof", "", self.line, self.column)
+        line, column = self.line, self.column
+        char = self.source[self.position]
+        if char.isalpha() or char == "_":
+            return self._word(line, column)
+        if char.isdigit():
+            return self._number(line, column)
+        if char in "'\"":
+            return self._string(line, column)
+        two = self.source[self.position:self.position + 2]
+        if two in _TWO_CHAR_OPS:
+            self._advance(2)
+            return Token("op", two, line, column)
+        if char in _ONE_CHAR_OPS:
+            self._advance(1)
+            return Token("op", char, line, column)
+        raise SqlppError(f"unexpected character {char!r}", line, column, char)
+
+    def _word(self, line: int, column: int) -> Token:
+        start = self.position
+        while (self.position < len(self.source)
+               and (self.source[self.position].isalnum() or self.source[self.position] == "_")):
+            self._advance(1)
+        text = self.source[start:self.position]
+        upper = text.upper()
+        if upper in KEYWORDS:
+            return Token("keyword", upper, line, column, value=text)
+        return Token("ident", text, line, column, value=text)
+
+    def _number(self, line: int, column: int) -> Token:
+        start = self.position
+        self._digits()
+        is_float = False
+        if self._current() == "." and self._peek_at(1).isdigit():
+            is_float = True
+            self._advance(1)
+            self._digits()
+        if self._current() in "eE":
+            after = self._peek_at(1)
+            sign = 1 if after in "+-" else 0
+            if self.source[self.position + 1 + sign:self.position + 2 + sign].isdigit():
+                is_float = True
+                self._advance(1 + sign)
+                self._digits()
+        text = self.source[start:self.position]
+        return Token("number", text, line, column,
+                     value=float(text) if is_float else int(text))
+
+    def _string(self, line: int, column: int) -> Token:
+        quote = self.source[self.position]
+        self._advance(1)
+        pieces: List[str] = []
+        while True:
+            if self.position >= len(self.source):
+                raise SqlppError("unterminated string literal", line, column, quote)
+            char = self.source[self.position]
+            if char == quote:
+                self._advance(1)
+                break
+            if char == "\\":
+                escape = self._peek_at(1)
+                if escape not in _ESCAPES:
+                    raise SqlppError(f"unknown escape sequence \\{escape}",
+                                     self.line, self.column, "\\" + escape)
+                pieces.append(_ESCAPES[escape])
+                self._advance(2)
+                continue
+            pieces.append(char)
+            self._advance(1)
+        literal = "".join(pieces)
+        return Token("string", quote + literal + quote, line, column, value=literal)
+
+    def _digits(self) -> None:
+        while self._current().isdigit():
+            self._advance(1)
+
+    def _skip_trivia(self) -> None:
+        while self.position < len(self.source):
+            char = self.source[self.position]
+            if char in " \t\r\n":
+                self._advance(1)
+            elif self.source.startswith("--", self.position):
+                while self.position < len(self.source) and self.source[self.position] != "\n":
+                    self._advance(1)
+            elif self.source.startswith("/*", self.position):
+                line, column = self.line, self.column
+                self._advance(2)
+                while not self.source.startswith("*/", self.position):
+                    if self.position >= len(self.source):
+                        raise SqlppError("unterminated block comment", line, column, "/*")
+                    self._advance(1)
+                self._advance(2)
+            else:
+                return
+
+    def _current(self) -> str:
+        return self.source[self.position] if self.position < len(self.source) else "\0"
+
+    def _peek_at(self, offset: int) -> str:
+        index = self.position + offset
+        return self.source[index] if index < len(self.source) else "\0"
+
+    def _advance(self, count: int) -> None:
+        for _ in range(count):
+            if self.source[self.position] == "\n":
+                self.line += 1
+                self.column = 1
+            else:
+                self.column += 1
+            self.position += 1
+
+
+def reference_tokenize(source: str) -> List[Token]:
+    """``source``'s tokens, one character at a time; raises :class:`SqlppError`
+    on lexical errors (and ``ValueError`` on a digit ``int`` cannot read, such
+    as ``'²'``: the one case the engine's scanner deliberately differs on)."""
+    return _ReferenceLexer(source).tokens()

@@ -33,12 +33,11 @@ from repro.cache import (
     SliceChunk,
     SliceScanStats,
     cached_component_scan,
-    normalize_statement,
 )
 from repro.cache.column_cache import paths_cache_key
 from repro.core import PreparedStatement, StorageEnvironment
 from repro.datasets import wos  # noqa: F401  -- registers to_array
-from repro.errors import DatasetError, QuarantinedComponentError
+from repro.errors import DatasetError, QuarantinedComponentError, SqlppError
 from repro.faults import get_injector
 from repro.obs import MetricsRegistry
 from repro.sqlpp import compile as compile_sqlpp
@@ -119,31 +118,84 @@ class TestPlanCacheUnit:
         assert cache.get("a") is None
         assert len(cache) == 0
 
-    def test_normalize_statement_collapses_whitespace(self):
-        assert normalize_statement("SELECT  x\n FROM\t y ") == "SELECT x FROM y"
 
-    def test_normalize_statement_preserves_string_literals(self):
-        # Whitespace *inside* a quoted literal is part of the bound constant:
-        # collapsing it would alias two different queries onto one plan.
-        assert (normalize_statement("SELECT  'x  y'\n FROM t")
-                == "SELECT 'x  y' FROM t")
-        assert (normalize_statement("WHERE a = 'x  y'")
-                != normalize_statement("WHERE a = 'x y'"))
-        assert (normalize_statement("WHERE a = 'x\ty'")
-                != normalize_statement("WHERE a = 'x y'"))
-        # Escaped quotes must not terminate the literal early.
-        assert (normalize_statement("SELECT 'don\\'t  stop'  FROM t")
-                == "SELECT 'don\\'t  stop' FROM t")
-        assert (normalize_statement('SELECT "a \\" b"  FROM t')
-                == 'SELECT "a \\" b" FROM t')
+# ---------------------------------------------------------------------------
+# plan cache: the key is the statement's lexemes
+# ---------------------------------------------------------------------------
 
-    def test_normalize_statement_strips_comments_outside_literals(self):
-        assert normalize_statement("SELECT x -- trailing\nFROM y") == "SELECT x FROM y"
-        assert normalize_statement("SELECT/* c */x  FROM y") == "SELECT x FROM y"
-        assert (normalize_statement("SELECT '--not  a comment' FROM y")
-                == "SELECT '--not  a comment' FROM y")
-        assert (normalize_statement("SELECT '/* nor  this */' FROM y")
-                == "SELECT '/* nor  this */' FROM y")
+class TestPlanKey:
+    """Two texts share a plan exactly when their tokens' source texts are
+    equal: layout and comments never matter, a literal's spelling always."""
+
+    @staticmethod
+    def _sources(dataset, *texts):
+        return [dataset.query(text).stats.plan_source for text in texts]
+
+    def test_reformatted_copies_share_a_plan(self):
+        dataset = _dataset("Ds")
+        assert self._sources(
+            dataset,
+            "SELECT d.name AS name FROM Ds AS d WHERE d.age < 20",
+            "SELECT  d.name AS name\n FROM\tDs AS d\r\n WHERE d.age<20 ",
+            "\n\tSELECT d . name AS name FROM Ds AS d WHERE d.age <\n20",
+        ) == ["compiled", "cache", "cache"]
+
+    def test_copies_with_comments_share_a_plan(self):
+        dataset = _dataset("Ds")
+        assert self._sources(
+            dataset,
+            "SELECT d.name AS name FROM Ds AS d WHERE d.age < 20",
+            "SELECT d.name AS name -- trailing\nFROM Ds AS d WHERE d.age < 20 -- end",
+            "/* lead */SELECT/* c */d.name AS name FROM Ds AS d WHERE d.age < 20/**/",
+        ) == ["compiled", "cache", "cache"]
+
+    def test_a_literal_is_keyed_as_written(self):
+        # Whitespace, tabs and comment markers inside a quoted literal are
+        # part of the bound constant: sharing a plan would return wrong rows.
+        dataset = _dataset("Ds")
+        texts = ["SELECT VALUE d.id FROM Ds AS d WHERE d.name = 'x  y'",
+                 "SELECT VALUE d.id FROM Ds AS d WHERE d.name = 'x y'",
+                 "SELECT VALUE d.id FROM Ds AS d WHERE d.name = 'x\ty'",
+                 "SELECT VALUE d.id FROM Ds AS d WHERE d.name = '--x y'",
+                 "SELECT VALUE d.id FROM Ds AS d WHERE d.name = '/* x y */'",
+                 "SELECT VALUE d.id FROM Ds AS d WHERE d.name = 'x y  '"]
+        assert self._sources(dataset, *texts) == ["compiled"] * len(texts)
+        assert self._sources(dataset, *texts) == ["cache"] * len(texts)
+
+    def test_escaped_quotes_are_keyed_as_written(self):
+        # An escaped quote does not end its literal, so what follows it is
+        # still the literal's; and two spellings of one value are two keys.
+        dataset = _dataset("Ds")
+        texts = ["SELECT VALUE d.id FROM Ds AS d WHERE d.name = 'don\\'t  stop'",
+                 "SELECT VALUE d.id FROM Ds AS d WHERE d.name = 'don\\'t stop'",
+                 'SELECT VALUE d.id FROM Ds AS d WHERE d.name = "don\'t stop"',
+                 'SELECT VALUE d.id FROM Ds AS d WHERE d.name = "a \\" b"',
+                 'SELECT VALUE d.id FROM Ds AS d WHERE d.name = "a \\"  b"']
+        assert self._sources(dataset, *texts) == ["compiled"] * len(texts)
+        assert self._sources(dataset, texts[0], texts[3]) == ["cache", "cache"]
+
+    def test_keyword_spelling_is_part_of_the_key(self):
+        dataset = _dataset("Ds")
+        assert self._sources(dataset,
+                             "SELECT VALUE d.name FROM Ds AS d WHERE d.age < 2",
+                             "select value d.name from Ds as d where d.age < 2",
+                             "SELECT VALUE d.name FROM Ds AS d WHERE d.age < 2",
+                             ) == ["compiled", "compiled", "cache"]
+
+    def test_a_text_the_lexer_refuses_never_runs_a_cached_plan(self):
+        # The key of a text with an unterminated comment holds the comment,
+        # so the cached plan of the text before it cannot match.
+        dataset = _dataset("Ds")
+        text = "SELECT VALUE d.id FROM Ds AS d"
+        assert self._sources(dataset, text, text) == ["compiled", "cache"]
+        for broken in (text + " /* never closed", text + " 'never closed",
+                       text + " WHERE d.name = 'a\\q'", text + " @"):
+            with pytest.raises(SqlppError) as raised:
+                dataset.query(broken)
+            with pytest.raises(SqlppError) as fresh:
+                _dataset("Ds").query(broken)
+            assert (raised.value.line, raised.value.column, str(raised.value)) == \
+                (fresh.value.line, fresh.value.column, str(fresh.value))
 
 
 # ---------------------------------------------------------------------------

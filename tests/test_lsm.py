@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache import ColumnSliceCache, SliceChunk
 from repro.config import LSMConfig, StorageFormat
@@ -21,8 +23,11 @@ from repro.lsm import (
     recover_index,
 )
 from repro.btree import LeafEntry
+from repro.lsm.component import InMemoryComponent, MemEntry
 from repro.lsm.lsm_index import _reconcile
 from repro.storage import BufferCache, FileManager, SimulatedStorageDevice, WriteAheadLog
+
+from reference import reference_memtable_live, reference_record_count
 
 PAGE_SIZE = 2048
 
@@ -618,6 +623,138 @@ class TestKeyHashFence:
         assert manager.list_files() == [component.file_name]
         assert component.size_bytes() == manager.file_size(component.file_name)
         assert index.storage_size() == component.size_bytes()
+
+
+# ---------------------------------------------------------------------------
+# memtable counters and columns, against the snapshot walks they replace
+# ---------------------------------------------------------------------------
+
+def _valued(key, value):
+    """A payload carrying ``value`` (``None``: the index skips the record)."""
+    return f"{key}:{'' if value is None else value}".encode()
+
+
+def _value_of(payload, schema):
+    text = payload.decode().split(":", 1)[1]
+    if not text:
+        return None
+    return text if text.startswith("s") else int(text)
+
+
+_WRITES = st.lists(st.one_of(
+    st.tuples(st.just("write"), st.integers(0, 7), st.one_of(st.none(), st.integers(0, 20))),
+    st.tuples(st.just("delete"), st.integers(0, 7), st.none()),
+    st.tuples(st.just("rotate"), st.none(), st.none()),
+    st.tuples(st.just("flush"), st.none(), st.none()),
+), max_size=40)
+
+
+class TestMemtableCounters:
+    @pytest.mark.parametrize("background", [False, True], ids=["sync", "background"])
+    @settings(max_examples=60, deadline=None)
+    @given(operations=_WRITES)
+    def test_live_counts_and_record_count_match_the_snapshot_walk(self, background, operations):
+        """Inserts, upserts, deletes (of live and of unknown keys) and
+        re-inserts over a delete, rotations and flushes.  In the background
+        lifecycle a rotation leaves its memtable sealed, as a flush worker
+        finds it, and a flush persists the oldest sealed one, as the worker
+        does; synchronously, both seal and flush everything at once."""
+        _, cache = _cache()
+        index = LSMBTree(name="ds", partition=0, buffer_cache=cache, memory_budget=1 << 20,
+                         merge_policy=NoMergePolicy(), max_sealed_memtables=64)
+        index.add_secondary_index(SecondaryIndexDef("by_v", _value_of))
+        live = set()
+        for operation, key, value in operations:
+            if operation == "write":
+                write = index.upsert if key in live else index.insert
+                write(key, {"id": key}, _valued(key, value))
+                live.add(key)
+            elif operation == "delete":
+                index.delete(key)
+                live.discard(key)
+            elif not background:
+                index.flush()
+            elif operation == "rotate":
+                with index._rotation_cond:
+                    index._seal()
+            else:
+                index._background_flush()
+            memtables = [index.memory_component] + [
+                sealed.memtable for sealed in index.sealed_memtables]
+            assert [memtable.live for memtable in memtables] == [
+                reference_memtable_live(memtable) for memtable in memtables]
+            assert index.record_count() == reference_record_count(index)
+
+    def test_statistics_are_derived_once_per_component_list(self):
+        _, cache = _cache()
+        index = LSMBTree(name="ds", partition=0, buffer_cache=cache, memory_budget=1 << 20)
+        index.add_secondary_index(SecondaryIndexDef("by_v", _value_of))
+        for key in range(5):
+            index.insert(key, {"id": key}, _valued(key, key))
+        index.flush()
+        first = index.secondary_statistics("by_v")
+        assert index.secondary_statistics("by_v") is first
+        assert (first.count, first.min_value, first.max_value) == (5, 0, 4)
+        index.insert(9, {"id": 9}, _valued(9, 90))  # a memtable write: no new list
+        assert index.secondary_statistics("by_v") is first
+        index.flush()
+        second = index.secondary_statistics("by_v")
+        assert (second.count, second.max_value) == (6, 90)
+        index.merge(list(index.components))
+        assert index.secondary_statistics("by_v").count == 6
+        assert index.secondary_statistics("unknown") is None
+
+
+def _walked_keys(memtable, definition, low, high, low_inclusive, high_inclusive):
+    """The keys a per-entry walk of a memtable snapshot places in the range."""
+    keys = set()
+    for entry in memtable.snapshot():
+        value = None if entry.is_antimatter else definition.extractor(entry.encoded, None)
+        if value is None:
+            continue
+        try:
+            if low is not None and (value < low or (not low_inclusive and value == low)):
+                continue
+            if high is not None and (value > high or (not high_inclusive and value == high)):
+                continue
+        except TypeError:
+            continue
+        keys.add(entry.key)
+    return keys
+
+
+_BOUND = st.one_of(st.none(), st.integers(-1, 21), st.sampled_from(["s", "s5", "t"]))
+_COLUMN_OPERATIONS = st.lists(st.one_of(
+    st.tuples(st.just("put"), st.integers(0, 9),
+              st.one_of(st.none(), st.integers(0, 20), st.sampled_from(["s1", "s7"]))),
+    st.tuples(st.just("delete"), st.integers(0, 9), st.none()),
+    st.tuples(st.just("probe"), st.tuples(_BOUND, _BOUND, st.booleans(), st.booleans()),
+              st.sampled_from([0, 1])),
+), max_size=40)
+
+
+class TestMemtableColumns:
+    @settings(max_examples=80, deadline=None)
+    @given(operations=_COLUMN_OPERATIONS)
+    def test_a_probe_sees_every_put_before_it(self, operations):
+        """Writes interleaved with probes of two indexes — ints, strings,
+        values the index skips, deletes, every kind of bound: each probe's
+        keys are the walk's over the entries as they are then."""
+        memtable = InMemoryComponent()
+        definitions = [SecondaryIndexDef("by_v", _value_of),
+                       SecondaryIndexDef("by_neg", lambda payload, schema: (
+                           None if isinstance(_value_of(payload, schema), str)
+                           else -(_value_of(payload, schema) or 0)))]
+        for operation, argument, value in operations:
+            if operation == "put":
+                memtable.put(MemEntry(argument, False, {"id": argument}, _valued(argument, value)))
+            elif operation == "delete":
+                memtable.put(MemEntry(argument, True))
+            else:
+                definition = definitions[value]
+                keys = memtable.secondary_keys(definition, *argument)
+                assert len(keys) == len(set(keys))
+                assert set(keys) == _walked_keys(memtable, definition, *argument)
 
 
 class TestAuxiliaryFileLifecycle:
