@@ -86,17 +86,21 @@ class InMemoryComponent:
     secondary index a probe asks about, it keeps a *column*: key -> the
     index's value of the key's entry, when not ``None``.  The first probe
     fills it; then puts log their keys, and a probe re-reads only the keys
-    logged since, publishing a new column with one assignment.
+    logged since, publishing a new column with one assignment.  The log
+    never holds more keys than the memtable has entries: a put that would
+    make it longer drops the columns and the log, and the next probe fills
+    its column afresh.
     """
 
     def __init__(self) -> None:
         self._entries: Dict[Any, MemEntry] = {}
         self.size_bytes = 0
         self.live = 0  # entries that are not anti-matter
-        #: ``(column, log position it reflects)`` by index definition;
-        #: ``None`` while the first probe fills it.
-        self._columns: Dict[Any, Optional[Tuple[Dict[Any, Any], int]]] = {}
-        self._written: List[Any] = []  # keys put since a column was asked for
+        #: ``(columns, log)``, replaced as one: ``columns`` maps an index
+        #: definition to ``(column, log position it reflects)``, ``None``
+        #: while the first probe fills it; ``log`` holds the keys put since
+        #: a column was asked for.
+        self._columns: Tuple[Dict[Any, Any], List[Any]] = ({}, [])
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -120,8 +124,11 @@ class InMemoryComponent:
         self._entries[entry.key] = entry
         self.size_bytes += entry.size_bytes
         self.live += not entry.is_antimatter
-        if self._columns:  # after the store: a probe that misses the log sees the entry
-            self._written.append(entry.key)
+        columns, log = self._columns
+        if columns:  # after the store: a probe that misses the log sees the entry
+            log.append(entry.key)
+            if len(log) > len(self._entries):
+                self._columns = ({}, [])
 
     def snapshot(self) -> List[MemEntry]:
         """The entries, unordered, as a *snapshot*: the copy of the entry
@@ -132,6 +139,9 @@ class InMemoryComponent:
         return list(self._entries.values())
 
     def keys(self):
+        """A live view of the keys.  ``set.update`` and ``&`` over it run in
+        C without releasing the GIL, so they see the dict whole, as
+        :meth:`snapshot` does."""
         return self._entries.keys()
 
     def live_outside(self, keys: Set[Any]) -> int:
@@ -156,35 +166,32 @@ class InMemoryComponent:
         above = ge if low_inclusive else gt
         below = le if high_inclusive else lt
         try:
-            if low is None:
-                return [key for key, value in column.items() if below(value, high)]
-            if high is None:
-                return [key for key, value in column.items() if above(value, low)]
-            if low_inclusive and high_inclusive:
+            if low is not None and high is not None and low_inclusive and high_inclusive:
                 return [key for key, value in column.items() if low <= value <= high]
             return [key for key, value in column.items()
-                    if above(value, low) and below(value, high)]
+                    if (low is None or above(value, low)) and (high is None or below(value, high))]
         except TypeError:  # values of another order than the bounds': judge one by one
             return [key for key, value in column.items()
                     if _in_range(value, low, high, above, below)]
 
     def _column(self, definition: Any) -> Dict[Any, Any]:
         """``definition``'s column, up to date with every finished put."""
-        state = self._columns.get(definition)
+        columns, log = self._columns  # a put that drops them leaves these whole
+        state = columns.get(definition)
         if state is None:
             # Registered first: a put the snapshot misses is logged past ``done``.
-            self._columns[definition] = None
-            done = len(self._written)
+            columns[definition] = None
+            done = len(log)
             column: Dict[Any, Any] = {}
             changed: Iterator[MemEntry] = iter(self.snapshot())
         else:
             column, start = state
-            done = len(self._written)
+            done = len(log)
             if start == done:
                 return column
             column = dict(column)
             entries = self._entries
-            changed = (entries[key] for key in set(self._written[start:done]))
+            changed = (entries[key] for key in set(log[start:done]))
         extractor = definition.extractor
         for entry in changed:
             value = None if entry.is_antimatter else extractor(entry.encoded, None)
@@ -192,7 +199,7 @@ class InMemoryComponent:
                 column.pop(entry.key, None)
             else:
                 column[entry.key] = value
-        self._columns[definition] = (column, done)
+        columns[definition] = (column, done)
         return column
 
 

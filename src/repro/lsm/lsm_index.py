@@ -993,7 +993,7 @@ class LSMBTree:
         snapshotted components' files while this generator is live.
         """
         with self.read_guard():
-            memory_runs = [MemtableRun(entries) for entries in self._memory_snapshots()]
+            memory_runs = [MemtableRun(memtable.snapshot()) for memtable in self._memtables()]
             components = list(self.components)
             self._raise_if_quarantined(components)
             runs_of = component_source or OnDiskComponent.leaves
@@ -1041,10 +1041,6 @@ class LSMBTree:
         memtables = [self.memory_component]
         memtables.extend(sealed.memtable for sealed in reversed(list(self.sealed_memtables)))
         return memtables
-
-    def _memory_snapshots(self) -> List[List[MemEntry]]:
-        """Unordered snapshots of the in-memory components, newest first."""
-        return [memtable.snapshot() for memtable in self._memtables()]
 
     def record_count(self) -> int:
         """Live records across disk components and the memtables, from their

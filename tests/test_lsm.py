@@ -756,6 +756,22 @@ class TestMemtableColumns:
                 assert len(keys) == len(set(keys))
                 assert set(keys) == _walked_keys(memtable, definition, *argument)
 
+    def test_the_log_stays_within_the_memtable_under_hot_key_upserts(self):
+        """Upserts of one key between probes do not grow the memtable, so
+        they must not grow the log past its entries either; a probe after
+        the log was dropped still sees the newest version."""
+        memtable = InMemoryComponent()
+        definition = SecondaryIndexDef("by_v", _value_of)
+        for key in range(3):
+            memtable.put(MemEntry(key, False, {"id": key}, _valued(key, key)))
+        assert memtable.secondary_keys(definition, 0, 2, True, True) == [0, 1, 2]
+        for _ in range(4):
+            for value in range(100):
+                memtable.put(MemEntry(1, False, {"id": 1}, _valued(1, 10 + value)))
+                assert len(memtable._columns[1]) <= len(memtable)
+            assert memtable.secondary_keys(definition, 109, 109, True, True) == [1]
+            assert memtable.secondary_keys(definition, 0, 2, True, True) == [0, 2]
+
 
 class TestAuxiliaryFileLifecycle:
     @pytest.mark.parametrize("reader_held", [False, True])
