@@ -8,12 +8,10 @@ index's storage size — fetching the matching records from a smaller primary
 index costs less I/O — and pre-declaring the schema is *not* required for
 the gain (inferred ≤ closed).
 
-Unlike the seed version of this module (which called
-``Partition.secondary_range_search`` directly), the range queries now run
-through ``Dataset.query()`` as SQL++ text, so the *optimizer* decides the
-access path: at low selectivity its cost model must route the predicate
-through the secondary index (IndexProbe), and at 50 % it must fall back to
-the sequential scan.  Shape checks use bytes read through the buffer cache
+The range queries run through ``Dataset.query()`` as SQL++ text, so the
+*optimizer* decides the access path: at low selectivity its cost model must
+route the predicate through the secondary index (IndexProbe), and at 50 % it
+must fall back to the sequential scan.  Shape checks use bytes read through the buffer cache
 (the faithful I/O proxy): the cost-based index path at selectivity 0.001
 reads strictly less than a forced full scan, selective probes read far less
 than 50 % scans, and at scan-bound selectivities the byte counts follow

@@ -64,7 +64,6 @@ def build_cluster(nodes: int, format_name: str, io_throttle: float = 0.0,
 
         dataset_config = DatasetConfig(
             name="tweets", primary_key="id", storage_format=_FORMATS[format_name],
-            tuple_compactor_enabled=_FORMATS[format_name] is StorageFormat.INFERRED,
             storage=cluster.storage_config,
             lsm=LSMConfig(memory_component_budget=memory_budget,
                           max_tolerable_component_count=3))

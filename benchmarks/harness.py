@@ -144,7 +144,7 @@ def build_dataset(workload: str, format_name: str, compression: Optional[str] = 
                              storage_format, environment=environment, datatype=datatype,
                              partitions=partitions)
     if secondary_index is not None:
-        dataset.create_secondary_index(*secondary_index)
+        dataset.create_index(*secondary_index)
 
     built = BuiltDataset(dataset, environment, storage_format, compression)
     started = time.perf_counter()

@@ -18,7 +18,8 @@ over the rounds:
   bisect per level.
 
 Then, for three tree shapes — an ``int`` key with a 200-byte value (a
-primary tree), an ``(int, int)`` key with no value (a secondary tree) and
+primary tree), a ranked ``(int, int, int)`` key with no value (a secondary
+tree over an integer field: rank, value, primary key) and
 an ``int`` key with no value (a key-only primary-key tree, which no
 component writes any more; its table decode remains) — it prints CPU µs
 per entry of ``BulkLoader.build`` over ``entries`` entries and of
@@ -51,7 +52,7 @@ must cost under 3.0x the decode of what it built (a loader that encodes
 each key twice lands near 3.6-4.1x); on each key-only shape the decode
 must cost under 0.5x the valued shape's per entry (a per-entry walk lands
 near 0.9x for an ``int`` key and 2.5x for a pair, the table near 0.07x and
-0.2-0.25x; the build gate leaves the key-only shapes out: their decode is
+0.3-0.35x; the build gate leaves the key-only shapes out: their decode is
 so cheap that a build of unchanged cost reads 4-15x it); and the
 absent-key LSM lookup must cost under 2.5x one warm descent (the key-hash
 fences rule out all four components at 1.6-1.8x; a lookup that descends
@@ -96,7 +97,8 @@ PROBE = "SELECT VALUE t.text FROM tweets AS t WHERE t.id >= 1000 AND t.id <= 101
 SHAPES = {
     "int key, 200-B value": lambda count: [
         LeafEntry(key, key.to_bytes(4, "little") * (VALUE_SIZE // 4)) for key in range(count)],
-    "(int, int) key, no value": lambda count: [LeafEntry((key // 4, key), b"") for key in range(count)],
+    "(int, int, int) key, no value": lambda count: [
+        LeafEntry((1, key // 4, key), b"") for key in range(count)],
     "int key, no value": lambda count: [LeafEntry(key, b"") for key in range(count)],
 }
 
@@ -263,7 +265,7 @@ def main(entries: int = 20000, lookups: int = 500, rounds: int = 5) -> int:
     valued_unpack = None
     for shape, make in SHAPES.items():
         build, unpack = _build_vs_unpack(make(entries), rounds)
-        line = (f"  {shape:26s} build {build:6.2f}  unpack {unpack:6.2f}  "
+        line = (f"  {shape:29s} build {build:6.2f}  unpack {unpack:6.2f}  "
                 f"build / unpack = {build / unpack:.2f}")
         if valued_unpack is None:
             valued_unpack = unpack

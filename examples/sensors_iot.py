@@ -38,7 +38,7 @@ def main() -> None:
         if storage_format is StorageFormat.CLOSED:
             datatype = Datatype.from_example("SensorType", records[0], primary_key="id")
         dataset = Dataset.create(f"sensors_{storage_format.value}", storage_format, datatype=datatype)
-        dataset.create_secondary_index("by_report_time", ("report_time",))
+        dataset.create_index("by_report_time", "report_time")
         dataset.insert_all(records)
         dataset.flush_all()
         datasets[storage_format] = dataset
@@ -50,8 +50,12 @@ def main() -> None:
     print("== Secondary index: readings reported in the first hour ==")
     low = sensors.REPORT_TIME_BASE
     high = low + 60 * 60 * 1000
-    hits = inferred.secondary_range_search("by_report_time", low, high)
-    print(f"  matching reports: {len(hits)} of {count}")
+    text = (f"SELECT VALUE s.id FROM {inferred.config.name} AS s "
+            f"WHERE s.report_time >= {low} AND s.report_time <= {high}")
+    hits = inferred.query(text, access_path="index")
+    assert hits.stats.access_path == "IndexProbe"
+    assert hits.rows == inferred.query(text, access_path="scan").rows
+    print(f"  matching reports: {len(hits.rows)} of {count}")
     print()
 
     print("== Sensors Q2 / Q3, optimized vs un-optimized field access ==")

@@ -91,7 +91,6 @@ class ClusterSimulator:
             raise ClusterError(f"dataset {name!r} already exists in this cluster")
         config = dataset_config or DatasetConfig(
             name=name, primary_key=primary_key, storage_format=storage_format,
-            tuple_compactor_enabled=storage_format is StorageFormat.INFERRED,
             storage=self.storage_config,
         )
         if background_maintenance is not None:

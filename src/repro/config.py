@@ -152,8 +152,6 @@ class DatasetConfig:
     name: str
     primary_key: str = "id"
     storage_format: StorageFormat = StorageFormat.OPEN
-    #: The ``{"tuple-compactor-enabled": true}`` WITH-clause of Figure 8.
-    tuple_compactor_enabled: bool = False
     storage: StorageConfig = field(default_factory=StorageConfig)
     lsm: LSMConfig = field(default_factory=LSMConfig)
 
@@ -162,15 +160,12 @@ class DatasetConfig:
             raise ValueError("dataset name must be non-empty")
         if not self.primary_key:
             raise ValueError("primary_key must be non-empty")
-        # "inferred" implies the tuple compactor; keep the two flags coherent
-        # so experiment configs cannot silently disagree with themselves.
-        if self.storage_format is StorageFormat.INFERRED and not self.tuple_compactor_enabled:
-            object.__setattr__(self, "tuple_compactor_enabled", True)
-        if self.tuple_compactor_enabled and not self.storage_format.uses_vector_format:
-            raise ValueError(
-                "tuple-compactor-enabled requires a vector-based storage format "
-                f"(got {self.storage_format.value})"
-            )
+
+    @property
+    def tuple_compactor_enabled(self) -> bool:
+        """The ``{"tuple-compactor-enabled": true}`` WITH-clause of Figure 8:
+        what the inferred format is."""
+        return self.storage_format is StorageFormat.INFERRED
 
 
 @dataclass(frozen=True)

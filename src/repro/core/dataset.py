@@ -109,7 +109,6 @@ class Dataset:
         # config so consumers (e.g. the access-path cost model) see the real
         # device profile and page size, not the defaults.
         config = DatasetConfig(name=name, primary_key=primary_key, storage_format=storage_format,
-                               tuple_compactor_enabled=storage_format is StorageFormat.INFERRED,
                                storage=environment.config)
         if config_overrides:
             config = replace(config, **config_overrides)
@@ -458,10 +457,6 @@ class Dataset:
         # cached plans compiled without it stop matching.
         self._plan_epoch += 1
 
-    def create_secondary_index(self, name: str, field_path: Tuple[str, ...]) -> None:
-        """Storage-level alias of :meth:`create_index` (kept for the benchmarks)."""
-        self.create_index(name, field_path)
-
     def list_secondary_indexes(self) -> List[Tuple[str, Tuple[str, ...]]]:
         """``(name, field_path)`` of every secondary index (same on all partitions)."""
         return self.partitions[0].list_secondary_indexes()
@@ -481,12 +476,6 @@ class Dataset:
         if isinstance(field_path, str):
             return tuple(step for step in field_path.split(".") if step)
         return tuple(field_path)
-
-    def secondary_range_search(self, index_name: str, low: Any, high: Any) -> List[Dict[str, Any]]:
-        results: List[Dict[str, Any]] = []
-        for partition in self.partitions:
-            results.extend(partition.secondary_range_search(index_name, low, high))
-        return results
 
     # ------------------------------------------------------------------ schemas & stats
 

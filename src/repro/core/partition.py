@@ -20,36 +20,14 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 from ..cache import SliceChunk, cached_component_scan
 from ..cache.column_cache import paths_cache_key
 from ..config import DatasetConfig
-from ..errors import KeyNotFoundError
 from ..lsm import LSMBTree, LSMIOScheduler, SecondaryIndexDef, make_merge_policy, recover_index
 from ..lsm.lifecycle import FlushCallback
 from ..schema import InferredSchema
-from ..types import AMultiset, Datatype, Missing
+from ..types import Datatype
 from ..vector import extractor_for
 from .environment import StorageEnvironment
 from .formats import DictRecordView, RecordFormatCodec
 from .tuple_compactor import TupleCompactor
-
-
-def _indexable(value: Any) -> Any:
-    """The value a secondary index stores for a field, or None to skip it.
-
-    Absent (NULL/MISSING) and non-scalar values are not indexed — range
-    predicates over them are never true, so skipping them is lossless.  NaN
-    satisfies no comparison either, and would break the index's key order,
-    so it is skipped too.  A boolean is indexed as its ``int``: the
-    evaluator compares ``TRUE = 1``, so a probe's candidates for either
-    literal still hold every answer and the re-applied predicate sorts them.
-    """
-    if value is None or isinstance(value, Missing):
-        return None
-    if isinstance(value, (dict, list, tuple, AMultiset)):
-        return None
-    if isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value != value:
-        return None
-    return value
 
 
 class Partition:
@@ -179,24 +157,21 @@ class Partition:
     def create_secondary_index(self, name: str, field_path: Tuple[str, ...]) -> None:
         codec = self.codec
         field_path = tuple(field_path)
-        # Built once per index: flushes, merges and the range search's
-        # re-check all read the indexed field through it.  Vector-based
-        # records go through the path's shared extractor; ADM views navigate
-        # by offsets and have no consolidated access.
+        # Built once per index: flushes, merges and probes all read the
+        # indexed field through it.  Vector-based records go through the
+        # path's shared extractor; ADM views navigate by offsets and have no
+        # consolidated access.
         if self.config.storage_format.uses_vector_format:
             extract = extractor_for((field_path,)).extract
 
-            def read(view: Any) -> Any:
-                return _indexable(extract(view)[0])
+            def extractor(payload: bytes, schema: Optional[InferredSchema]) -> Any:
+                return extract(codec.view(payload, schema))[0]
         else:
-            def read(view: Any) -> Any:
-                return _indexable(view.get_field(*field_path))
-
-        def extractor(payload: bytes, schema: Optional[InferredSchema]) -> Any:
-            return read(codec.view(payload, schema))
+            def extractor(payload: bytes, schema: Optional[InferredSchema]) -> Any:
+                return codec.view(payload, schema).get_field(*field_path)
 
         self.index.add_secondary_index(SecondaryIndexDef(
-            name=name, extractor=extractor, field_path=field_path, read=read))
+            name=name, extractor=extractor, field_path=field_path))
 
     def list_secondary_indexes(self) -> List[Tuple[str, Tuple[str, ...]]]:
         """``(name, field_path)`` of every secondary index on this partition."""
@@ -207,31 +182,6 @@ class Partition:
         """The named index's :class:`~repro.datasets.stats.FieldStatistics`,
         aggregated over this partition's live components."""
         return self.index.secondary_statistics(index_name)
-
-    def secondary_range_search(self, index_name: str, low: Any, high: Any) -> List[Dict[str, Any]]:
-        """Range query through a secondary index: keys first, then records.
-
-        Kept for the storage-level API; candidates whose *newest* version
-        drifted out of the range (an upsert after the version that placed
-        the key in it) are re-checked here, so the result matches a
-        scan-with-predicate exactly.
-        """
-        definition = self.index.secondary_index_def(index_name)
-        if definition is None:
-            raise KeyNotFoundError(f"unknown secondary index {index_name!r}")
-        read = definition.read
-        records = []
-        for view in self.probe_views(index_name, low, high):
-            value = read(view)
-            if value is None:
-                continue
-            try:
-                if (low is not None and value < low) or (high is not None and value > high):
-                    continue
-            except TypeError:
-                continue
-            records.append(view.materialize())
-        return records
 
     def probe_views(self, index_name: str, low: Any, high: Any,
                     low_inclusive: bool = True, high_inclusive: bool = True) -> Iterator[Any]:

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..types import AMultiset, Missing, TypeTag, type_tag_of
+from ..types.values import RANK_NUMBER
 
 #: Selectivity assumed for range predicates the statistics cannot interpolate
 #: (non-numeric fields, empty statistics): pessimistic enough that the cost
@@ -32,50 +33,35 @@ DEFAULT_RANGE_SELECTIVITY = 0.1
 
 @dataclass
 class FieldStatistics:
-    """Min/max/count summary of one field's indexed (present, scalar) values."""
+    """Count and least/greatest :func:`~repro.types.index_key` of one
+    field's indexed values."""
 
     field_path: Tuple[str, ...] = ()
     count: int = 0
-    min_value: Any = None
-    max_value: Any = None
+    min_key: Optional[Tuple[int, Any]] = None
+    max_key: Optional[Tuple[int, Any]] = None
 
-    def observe(self, value: Any) -> None:
-        """Fold one indexed value into the summary (absent values never reach here)."""
-        if self.count == 0:
-            self.min_value = value
-            self.max_value = value
-        else:
-            try:
-                if value < self.min_value:
-                    self.min_value = value
-                if value > self.max_value:
-                    self.max_value = value
-            except TypeError:
-                # Mixed-type fields: keep the count, stop trusting the bounds.
-                self.min_value = None
-                self.max_value = None
-        self.count += 1
+    @property
+    def min_value(self) -> Any:
+        return None if self.min_key is None else self.min_key[1]
+
+    @property
+    def max_value(self) -> Any:
+        return None if self.max_key is None else self.max_key[1]
 
     def merge(self, other: "FieldStatistics") -> "FieldStatistics":
         """Combine two summaries (e.g. across a dataset's partitions)."""
-        merged = FieldStatistics(field_path=self.field_path or other.field_path)
-        merged.count = self.count + other.count
+        merged = FieldStatistics(self.field_path or other.field_path, self.count + other.count)
         nonempty = [stats for stats in (self, other) if stats.count]
-        if nonempty and all(stats.min_value is not None for stats in nonempty):
-            try:
-                merged.min_value = min(stats.min_value for stats in nonempty)
-                merged.max_value = max(stats.max_value for stats in nonempty)
-            except TypeError:
-                merged.min_value = None
-                merged.max_value = None
+        if nonempty:
+            merged.min_key = min(stats.min_key for stats in nonempty)
+            merged.max_key = max(stats.max_key for stats in nonempty)
         return merged
 
     @property
     def _numeric_bounds(self) -> Optional[Tuple[float, float]]:
-        if (isinstance(self.min_value, (int, float)) and not isinstance(self.min_value, bool)
-                and isinstance(self.max_value, (int, float))
-                and not isinstance(self.max_value, bool)):
-            return float(self.min_value), float(self.max_value)
+        if self.count and self.min_key[0] == self.max_key[0] == RANK_NUMBER:
+            return float(self.min_key[1]), float(self.max_key[1])
         return None
 
     def estimate_range_selectivity(self, low: Any = None, high: Any = None) -> float:

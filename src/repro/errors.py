@@ -168,10 +168,6 @@ class SqlppError(QueryError):
         self.token = token
 
 
-class OptimizerError(QueryError):
-    """An optimizer rewrite produced or encountered an invalid plan."""
-
-
 class FeedError(ReproError):
     """A data feed was misconfigured or used after being closed."""
 

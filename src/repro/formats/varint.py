@@ -3,8 +3,6 @@ encoders used in the Table 2 comparison."""
 
 from __future__ import annotations
 
-from typing import Tuple
-
 
 def encode_varint(value: int) -> bytes:
     """Unsigned LEB128 varint."""
@@ -21,31 +19,10 @@ def encode_varint(value: int) -> bytes:
             return bytes(out)
 
 
-def decode_varint(payload: bytes, offset: int = 0) -> Tuple[int, int]:
-    result = 0
-    shift = 0
-    while True:
-        byte = payload[offset]
-        offset += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, offset
-        shift += 7
-
-
 def zigzag(value: int) -> int:
     """Map a signed integer onto an unsigned one (Avro/Thrift-CP/Protobuf sint)."""
     return (value << 1) ^ (value >> 63)
 
 
-def unzigzag(value: int) -> int:
-    return (value >> 1) ^ -(value & 1)
-
-
 def encode_zigzag_varint(value: int) -> bytes:
     return encode_varint(zigzag(value))
-
-
-def decode_zigzag_varint(payload: bytes, offset: int = 0) -> Tuple[int, int]:
-    raw, offset = decode_varint(payload, offset)
-    return unzigzag(raw), offset

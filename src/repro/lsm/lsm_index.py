@@ -40,6 +40,7 @@ from ..obs import tracer as _tracer
 from ..schema import InferredSchema
 from ..storage.buffer_cache import BufferCache
 from ..storage.wal import LogRecordType, WriteAheadLog
+from ..types import ranked_bounds
 from .component import (ComponentWriter, InMemoryComponent, MemEntry, OnDiskComponent,
                         delete_component_files, merged_secondary_entries)
 from .component_id import ComponentId
@@ -58,9 +59,8 @@ class SecondaryIndexDef:
     """Definition of one secondary index over the primary index's records.
 
     ``extractor`` receives the stored payload bytes and the component's
-    schema and returns the indexed value (or ``None`` to skip the record).
-    ``read`` does the same for an already opened record view (the range
-    search's re-check); the LSM index itself never calls it.
+    schema and returns the field's value; the index files it under its
+    :func:`~repro.types.index_key`, and skips the record when that is None.
     ``field_path`` is the indexed field's path when the index covers a plain
     field access — the optimizer matches WHERE conjuncts against it.  Field
     statistics (min/max/count for the cost model) live per component in
@@ -71,7 +71,6 @@ class SecondaryIndexDef:
     name: str
     extractor: Callable[[bytes, Optional[InferredSchema]], Any]
     field_path: Optional[Tuple[str, ...]] = None
-    read: Optional[Callable[[Any], Any]] = None
 
 
 @dataclass
@@ -794,9 +793,8 @@ class LSMBTree:
                 for component in self.components:
                     component.attach_auxiliaries([definition], list(component.scan()))
             except Exception:
-                # Atomic create: a backfill failure (e.g. values of incomparable
-                # mixed types that cannot share one sort order) must not leave a
-                # half-built index behind.
+                # Atomic create: a backfill failure (a write fault, a value no
+                # key can hold) must not leave a half-built index behind.
                 for component in self.components:
                     component.drop_secondary_index(definition.name)
                 raise
@@ -844,7 +842,8 @@ class LSMBTree:
         mutable or sealed, or in a component's ``.ix`` tree — has its indexed
         value in the given range.
 
-        A memtable is judged by its column of the index's values
+        The bounds are ranked once (:func:`ranked_bounds`); a memtable is
+        judged by its column of the index's values of their rank
         (:meth:`InMemoryComponent.secondary_keys`), a component by
         :meth:`OnDiskComponent.secondary_keys`: the same comparisons.
         Candidates, not answers: a key may have been re-written or deleted
@@ -856,16 +855,19 @@ class LSMBTree:
         definition = self.secondary_index_def(index_name)
         if definition is None:
             raise KeyNotFoundError(f"unknown secondary index {index_name!r}")
-        keys = set()
+        keys: Set[Any] = set()
+        bounds = ranked_bounds(low, high)
+        if bounds is None:  # bounds of two ranks: no value lies between them
+            return keys
         for memtable in self._memtables():
-            keys.update(memtable.secondary_keys(definition, low, high,
+            keys.update(memtable.secondary_keys(definition, *bounds,
                                                 low_inclusive, high_inclusive))
         components = list(self.components)
         self._raise_if_quarantined(components)
         for component in components:
             try:
                 keys.update(component.secondary_keys(
-                    index_name, low, high, low_inclusive, high_inclusive))
+                    index_name, *bounds, low_inclusive, high_inclusive))
             except CorruptPageError as exc:
                 self._quarantine_component(component, exc)
         return keys

@@ -56,8 +56,7 @@ class RecoveryReport:
 
 def recover_index(index: LSMBTree, wal: Optional[WriteAheadLog] = None,
                   datatype: Optional[Datatype] = None,
-                  payload_decoder: Optional[Callable[[bytes], Dict[str, Any]]] = None,
-                  flush_after_replay: bool = True) -> RecoveryReport:
+                  payload_decoder: Optional[Callable[[bytes], Dict[str, Any]]] = None) -> RecoveryReport:
     """Bring a freshly constructed index back to its pre-crash state.
 
     Parameters
@@ -139,7 +138,7 @@ def recover_index(index: LSMBTree, wal: Optional[WriteAheadLog] = None,
                 index.memory_component.put(MemEntry(record.key, is_antimatter=False,
                                                     record=decoded, encoded=record.payload))
 
-    if flush_after_replay and not index.memory_component.is_empty:
+    if not index.memory_component.is_empty:
         index.flush()
         report.flushed_after_replay = True
     return report

@@ -226,10 +226,6 @@ class Tracer:
             return NULL_SPAN
         return ActiveSpan(self, name, attributes)
 
-    def current_span(self):
-        """The innermost open span of the calling context (or ``None``)."""
-        return _current_span.get()
-
     def wrap_context(self, fn: Callable) -> Callable:
         """Bind ``fn`` to a snapshot of the submitting thread's context.
 

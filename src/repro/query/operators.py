@@ -19,7 +19,7 @@ from itertools import islice
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..cache import SliceScanStats
-from ..types import AMultiset, MISSING, Missing, collection_items
+from ..types import AMultiset, MISSING, Missing, collection_items, sort_key
 from ..vector.batch import ColumnBatch
 from .aggregates import get_aggregate
 from .expressions import access_path, is_absent
@@ -54,31 +54,6 @@ def finalize_groups(groups: Dict[Tuple[Any, ...], List[Any]], spec: QuerySpec) -
             row[aggregate.output] = function.finalize(state)
         rows.append(row)
     return rows
-
-
-#: Type ranks of :func:`sort_key`, in ascending order.
-_RANK_BOOL, _RANK_NUMBER, _RANK_STRING, _RANK_OTHER, _RANK_ABSENT = range(5)
-
-
-def sort_key(value: Any) -> Tuple[int, Any]:
-    """Total-order sort key for one ORDER BY value.
-
-    Open schemas make mixed-type columns routine (an int in one record, a
-    string in another), and raw comparisons across types raise ``TypeError``.
-    Ranking by type first, value within the type second, gives every pair of
-    values a defined order.  Ascending, that order is booleans, numbers,
-    strings, everything else by textual form, and NULL/MISSING **last**;
-    ``DESC`` reverses all of it, absent values included.
-    """
-    if is_absent(value):
-        return (_RANK_ABSENT, 0)
-    if isinstance(value, bool):
-        return (_RANK_BOOL, value)
-    if isinstance(value, (int, float)):
-        return (_RANK_NUMBER, value)
-    if isinstance(value, str):
-        return (_RANK_STRING, value)
-    return (_RANK_OTHER, str(value))
 
 
 def sort_candidates(candidates: List[Tuple[Sequence[Any], Any]], order_by: Sequence[OrderKey],

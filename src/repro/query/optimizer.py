@@ -32,6 +32,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..config import DEVICE_PROFILES
 from ..errors import QueryError
+from ..types import index_key
 from .expressions import (
     And,
     Arithmetic,
@@ -45,7 +46,6 @@ from .expressions import (
     Not,
     Or,
     Var,
-    is_absent,
 )
 from .plan import FullScan, IndexProbe, QuerySpec, UnnestClause
 
@@ -276,10 +276,12 @@ def conjuncts(predicate: Optional[Expr]) -> List[Expr]:
 
 
 def _comparison_bound(conjunct: Expr, record_var: str, field_path: Path):
-    """``(op, literal)`` with the field on the left, or None if not usable.
+    """``(op, literal, its index key)`` with the field on the left, or None
+    if not usable.
 
     Usable conjuncts are comparisons between exactly the indexed field path
-    (on the scan variable) and a literal, in either operand order.
+    (on the scan variable) and a literal an index can file
+    (:func:`~repro.types.index_key`), in either operand order.
     """
     if not isinstance(conjunct, Comparison) or conjunct.op == "!=":
         return None
@@ -293,45 +295,35 @@ def _comparison_bound(conjunct: Expr, record_var: str, field_path: Path):
         op, literal = flipped[conjunct.op], left.value
     else:
         return None
-    if is_absent(literal) or isinstance(literal, (dict, list, tuple)):
-        return None
-    return op, literal
+    key = index_key(literal)
+    return None if key is None else (op, literal, key)
 
 
 def extract_key_range(predicate: Optional[Expr], record_var: str, field_path: Path):
     """Combine every usable conjunct over ``field_path`` into one key range.
 
-    Returns ``(low, low_inclusive, high, high_inclusive, used_conjuncts)`` or
-    None when no conjunct constrains the field (or the bounds cannot be
-    combined, e.g. mixed-type literals).
+    Bounds are compared by :func:`~repro.types.index_key`, the order the
+    index files values in; a tighter bound is a greater low or a lesser
+    high, or the same one exclusive.  Returns ``(low, low_inclusive, high,
+    high_inclusive, used_conjuncts)`` or None when no conjunct constrains
+    the field.
     """
-    low: Any = None
-    high: Any = None
-    low_inclusive = True
-    high_inclusive = True
+    low = low_key = high = high_key = None
+    low_inclusive = high_inclusive = True
     used: List[Expr] = []
-    try:
-        for conjunct in conjuncts(predicate):
-            bound = _comparison_bound(conjunct, record_var, field_path)
-            if bound is None:
-                continue
-            op, literal = bound
-            if op == "=":
-                if low is None or literal > low or (literal == low and not low_inclusive):
-                    low, low_inclusive = literal, True
-                if high is None or literal < high or (literal == high and not high_inclusive):
-                    high, high_inclusive = literal, True
-            elif op in (">", ">="):
-                inclusive = op == ">="
-                if low is None or literal > low or (literal == low and not inclusive):
-                    low, low_inclusive = literal, inclusive
-            else:  # "<" or "<="
-                inclusive = op == "<="
-                if high is None or literal < high or (literal == high and not inclusive):
-                    high, high_inclusive = literal, inclusive
-            used.append(conjunct)
-    except TypeError:
-        return None
+    for conjunct in conjuncts(predicate):
+        bound = _comparison_bound(conjunct, record_var, field_path)
+        if bound is None:
+            continue
+        op, literal, key = bound
+        inclusive = op in ("=", ">=", "<=")
+        if op in ("=", ">", ">=") and (
+                low_key is None or key > low_key or (key == low_key and not inclusive)):
+            low, low_key, low_inclusive = literal, key, inclusive
+        if op in ("=", "<", "<=") and (
+                high_key is None or key < high_key or (key == high_key and not inclusive)):
+            high, high_key, high_inclusive = literal, key, inclusive
+        used.append(conjunct)
     if not used:
         return None
     return low, low_inclusive, high, high_inclusive, used

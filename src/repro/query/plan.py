@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import QueryError
+from ..types import ranked_bounds
 from .aggregates import get_aggregate
 from .expressions import Expr, FieldAccess, Var
 
@@ -68,17 +69,15 @@ class IndexProbe:
 
     @property
     def is_empty_range(self) -> bool:
-        """True when the extracted bounds cannot match anything (e.g. x > 5 AND x < 3)."""
-        if self.low is None or self.high is None:
+        """True when the extracted bounds cannot match anything (e.g. x > 5
+        AND x < 3, or bounds of two ranks: x > 5 AND x < 'a')."""
+        bounds = ranked_bounds(self.low, self.high)
+        if bounds is None:
+            return True
+        _, low, high = bounds
+        if low is None or high is None:
             return False
-        try:
-            if self.low > self.high:
-                return True
-            if self.low == self.high and not (self.low_inclusive and self.high_inclusive):
-                return True
-        except TypeError:
-            return False
-        return False
+        return low > high or (low == high and not (self.low_inclusive and self.high_inclusive))
 
     def describe(self) -> str:
         low_bracket = "[" if self.low_inclusive else "("

@@ -182,6 +182,65 @@ def navigate(value: Any, path: Sequence[Any]) -> Any:
     return value
 
 
+#: Type ranks of :func:`sort_key`, in ascending order.
+RANK_BOOL, RANK_NUMBER, RANK_STRING, RANK_OTHER, RANK_ABSENT = range(5)
+
+
+def sort_key(value: Any) -> Tuple[int, Any]:
+    """The one statement of value order: ``(type rank, value)``.
+
+    Open schemas make mixed-type fields routine (an int in one record, a
+    string in another), and raw comparisons across types raise
+    ``TypeError``.  Ranking by type first, value within the type second,
+    gives every pair of values a defined order: booleans, numbers, strings,
+    everything else by textual form, and NULL/MISSING **last** (``DESC``
+    reverses all of it, absent values included).  ORDER BY sorts by it;
+    secondary indexes file their keys by it (:func:`index_key`).
+    """
+    if value is None or isinstance(value, Missing):
+        return (RANK_ABSENT, 0)
+    if isinstance(value, bool):
+        return (RANK_BOOL, value)
+    if isinstance(value, (int, float)):
+        return (RANK_NUMBER, value)
+    if isinstance(value, str):
+        return (RANK_STRING, value)
+    return (RANK_OTHER, str(value))
+
+
+def index_key(value: Any) -> Optional[Tuple[int, Any]]:
+    """The :func:`sort_key` a secondary index files ``value`` under (a
+    probe bound goes through it too), or None when no index holds it.
+
+    Absent (NULL/MISSING) and non-scalar values are not indexed — range
+    predicates over them are never true, so skipping them is lossless.  NaN
+    satisfies no comparison either, so it is skipped too.  A boolean is
+    filed as its ``int``: the evaluator compares ``TRUE = 1``, so a probe's
+    candidates for either literal still hold every answer and the
+    re-applied predicate sorts them.
+    """
+    if isinstance(value, (dict, list, tuple, AMultiset)) or value != value:
+        return None
+    if isinstance(value, bool):
+        return (RANK_NUMBER, int(value))
+    key = sort_key(value)
+    return None if key[0] == RANK_ABSENT else key
+
+
+def ranked_bounds(low: Any, high: Any) -> Optional[Tuple[Optional[int], Any, Any]]:
+    """A probe's bounds as ``(rank, low, high)``: the rank of their
+    :func:`index_key` and the values an index files under it.
+    A comparison across ranks is never true, so a range holds keys of its
+    bounds' rank only: bounds of two ranks give None (no key), and no bound
+    at all gives rank None (every key)."""
+    low_key, high_key = index_key(low), index_key(high)
+    if low_key is None:
+        return (None, None, None) if high_key is None else (high_key[0], None, high_key[1])
+    if high_key is None:
+        return low_key[0], low_key[1], None
+    return (low_key[0], low_key[1], high_key[1]) if low_key[0] == high_key[0] else None
+
+
 #: Kinds of a :data:`VALUE_ENCODERS` entry: a fixed-length scalar (the packer
 #: returns its bytes), a string or binary (the packer returns its bytes, which
 #: a length prefixes), an object, an array or multiset, and NULL or MISSING

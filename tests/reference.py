@@ -35,12 +35,11 @@ from repro.errors import QueryError, SchemaError, SqlppError
 from repro.query import (And, Arithmetic, Comparison, Exists, FieldAccess, Func, IsTest, Literal,
                          Not, Or, QuerySpec, Var, get_aggregate)
 from repro.query.expressions import _FUNCTIONS
-from repro.query.operators import (_hashable, finalize_groups, merge_partials, order_and_limit,
-                                   sort_key)
+from repro.query.operators import _hashable, finalize_groups, merge_partials, order_and_limit
 from repro.sqlpp.lexer import KEYWORDS, Token
 from repro.schema import CollectionNode, InferredSchema, ObjectNode, SchemaNode, UnionNode
 from repro.types import (ADate, ADateTime, AMultiset, APoint, ATime, MISSING, Missing, TypeTag,
-                         navigate, type_tag_of)
+                         navigate, sort_key, type_tag_of)
 
 
 def _absent(value: Any) -> bool:

@@ -110,11 +110,6 @@ class TestConfig:
         config = DatasetConfig(name="d", storage_format=StorageFormat.INFERRED)
         assert config.tuple_compactor_enabled
 
-    def test_compactor_requires_vector_format(self):
-        with pytest.raises(ValueError):
-            DatasetConfig(name="d", storage_format=StorageFormat.OPEN,
-                          tuple_compactor_enabled=True)
-
     def test_dataset_config_validation(self):
         with pytest.raises(ValueError):
             DatasetConfig(name="")

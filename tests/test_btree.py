@@ -45,6 +45,9 @@ GOLDEN_KEYS = [
     ("abc", "020300616263"),
     ("hütter 日本", "020e0068c3bc7474657220e697a5e69cac"),
     ((1, 2), "0302000100000000000000000200000000000000"),
+    ((1, 5, 7), "0401000500000000000000000700000000000000"),
+    ((2, "ab", 7), "04020202006162000700000000000000"),
+    ((300, 1, 2), "0303002c01000000000000000100000000000000000200000000000000"),
     ((1.5, 7), "030201000000000000f83f000700000000000000"),
     (("ab", 3), "03020202006162000300000000000000"),
     (((1, 2), "x"), "0302030200010000000000000000020000000000000002010078"),
@@ -122,11 +125,13 @@ def _walk(page):
 
 _INT64 = st.integers(-2**63, 2**63 - 1)
 _SCALAR = st.one_of(_INT64, st.floats(allow_nan=False), st.text(max_size=4))
+_RANK = st.integers(0, 0xFF)
 #: The table shapes, and keys that share some of their bytes: other widths,
-#: other kinds in the same places, pairs with a float part.
-_KEYS = [_INT64, st.tuples(_INT64, _INT64),
-         st.one_of(_SCALAR, st.tuples(_SCALAR), st.tuples(_SCALAR, _SCALAR),
-                   st.tuples(_INT64, _INT64, _INT64))]
+#: other kinds in the same places, ranked keys with a float or string part,
+#: triples that are not ranked.
+_KEYS = [_INT64, st.tuples(_RANK, _INT64, _INT64),
+         st.one_of(_SCALAR, st.tuples(_SCALAR), st.tuples(_INT64, _INT64),
+                   st.tuples(_RANK, _SCALAR, _SCALAR), st.tuples(_INT64, _INT64, _INT64))]
 
 
 @st.composite
@@ -156,16 +161,18 @@ def _leaves(draw):
 @given(_leaves())
 def test_unpack_leaf_equals_a_per_entry_walk(leaf):
     """Whichever way ``unpack_leaf`` decodes a leaf — one struct table for a
-    key-only leaf of ``int`` or ``(int, int)`` keys, else the walk — it
+    key-only leaf of ``int`` or ranked ``(int, int, int)`` keys, else the walk — it
     gives the keys, flags and values a per-entry ``decode_key`` walk does."""
     page, entries = leaf
     node = pages.unpack_leaf(page)
     shapes = {(type(entry.key), *map(type, entry.key if type(entry.key) is tuple else ()))
               for entry in entries}
+    ranked = all(type(entry.key[0]) is int and 0 <= entry.key[0] <= 0xFF
+                 for entry in entries if type(entry.key) is tuple)
     key_only = all(entry.value == b"" for entry in entries)
     # The table (its offsets are ranges) serves exactly the leaves it fits.
     assert isinstance(node.flag_offsets, range) == (
-        key_only and shapes in ({(int,)}, {(tuple, int, int)}))
+        key_only and (shapes == {(int,)} or ranked and shapes == {(tuple, int, int, int)}))
     keys, flags, values = _walk(page)
     assert repr(list(node.keys)) == repr(keys) == repr([entry.key for entry in entries])
     decoded = list(node.entries())
@@ -181,7 +188,8 @@ class TestMalformedPages:
 
     SHAPES = {"valued": [LeafEntry(key, b"v" * 9) for key in range(3)],
               "int key-only": [LeafEntry(key, b"") for key in range(3)],
-              "pair key-only": [LeafEntry((key, -key), b"") for key in range(3)]}
+              "pair key-only": [LeafEntry((key, -key), b"") for key in range(3)],
+              "secondary key-only": [LeafEntry((1, key, -key), b"") for key in range(3)]}
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_leaf_entry_count_past_the_page(self, shape):

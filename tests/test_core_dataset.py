@@ -154,45 +154,54 @@ class TestDatasetBehaviour:
 
     def test_secondary_index_range_search(self):
         dataset = _dataset(StorageFormat.INFERRED)
-        dataset.create_secondary_index("by_age", ("age",))
+        dataset.create_index("by_age", ("age",))
         dataset.insert_all(RECORDS)
         dataset.flush_all()
-        results = dataset.secondary_range_search("by_age", 30, 35)
-        expected = [record for record in RECORDS if 30 <= record["age"] <= 35]
-        assert {record["id"] for record in results} == {record["id"] for record in expected}
+        expected = {record["id"] for record in RECORDS if 30 <= record["age"] <= 35}
+        assert _probed_ids(dataset, "t.age >= 30 AND t.age <= 35") == expected
 
     def test_secondary_index_on_open_dataset(self):
         dataset = _dataset(StorageFormat.OPEN)
-        dataset.create_secondary_index("by_followers", ("profile", "followers"))
+        dataset.create_index("by_followers", ("profile", "followers"))
         dataset.insert_all(RECORDS[:100])
         dataset.flush_all()
-        results = dataset.secondary_range_search("by_followers", 0, 70)
-        assert {record["id"] for record in results} == set(range(11))
+        assert _probed_ids(dataset, "t.profile.followers >= 0 AND t.profile.followers <= 70") \
+            == set(range(11))
 
     @pytest.mark.parametrize("storage_format", [StorageFormat.INFERRED, StorageFormat.OPEN])
     def test_rejected_duplicate_index_leaves_the_original_answering(self, storage_format):
-        # The re-check reads the field the *registered* definition names; a
+        # The probe reads the field the *registered* definition names; a
         # rejected CREATE INDEX of the same name over another field (before
         # and after data exists, so the backfill path is covered too) must
         # not change that.
         dataset = _dataset(storage_format)
-        dataset.create_secondary_index("ix", ("age",))
+        dataset.create_index("ix", ("age",))
         with pytest.raises(ComponentStateError, match="already exists"):
-            dataset.create_secondary_index("ix", ("profile", "followers"))
+            dataset.create_index("ix", ("profile", "followers"))
         dataset.insert_all(RECORDS)
         dataset.flush_all()
         expected = {record["id"] for record in RECORDS if 30 <= record["age"] <= 35}
-        assert {r["id"] for r in dataset.secondary_range_search("ix", 30, 35)} == expected
+        assert _probed_ids(dataset, "t.age >= 30 AND t.age <= 35") == expected
         with pytest.raises(ComponentStateError, match="already exists"):
-            dataset.create_secondary_index("ix", ("profile", "followers"))
+            dataset.create_index("ix", ("profile", "followers"))
         assert dataset.list_secondary_indexes() == [("ix", ("age",))]
-        assert {r["id"] for r in dataset.secondary_range_search("ix", 30, 35)} == expected
+        assert _probed_ids(dataset, "t.age >= 30 AND t.age <= 35") == expected
 
     def test_range_search_of_unknown_index_raises(self):
         dataset = _dataset(StorageFormat.INFERRED)
         dataset.insert(RECORDS[0])  # a memtable record must not be swept first
         with pytest.raises(KeyNotFoundError):
-            dataset.secondary_range_search("nope", 0, 1)
+            list(dataset.partitions[0].probe_views("nope", 0, 1))
+
+
+def _probed_ids(dataset, predicate):
+    """The ids an index probe returns for ``predicate``, asserted to be an
+    index probe's and to equal the scan's."""
+    text = f"SELECT VALUE t.id FROM users AS t WHERE {predicate}"
+    via_index = dataset.query(text, access_path="index")
+    assert via_index.stats.access_path == "IndexProbe"
+    assert via_index.rows == dataset.query(text, access_path="scan").rows
+    return {row["value"] for row in via_index.rows}
 
 
 @pytest.mark.parametrize("storage_format", [StorageFormat.OPEN, StorageFormat.INFERRED])

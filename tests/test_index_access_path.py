@@ -22,11 +22,11 @@ import pytest
 from repro import (Dataset, DeviceKind, LSMConfig, StorageConfig, StorageEnvironment,
                    StorageFormat)
 from repro.datasets.stats import FieldStatistics
-from repro.errors import ComponentStateError, SqlppError
+from repro.errors import ComponentStateError, SqlppError, TransientIOError
 from repro.query import choose_access_path
 from repro.sqlpp import CompiledCreateIndex
 from repro.sqlpp import compile as compile_sqlpp
-from repro.types import Datatype
+from repro.types import ADate, Datatype
 
 RECORD_COUNT = 400
 SELECTIVITIES = (0.001, 0.01, 0.1, 0.5)
@@ -245,19 +245,33 @@ class TestTypeEdgeCases:
         via_scan = sorted(r["value"] for r in dataset.query(stringy, access_path="scan").rows)
         assert via_index == via_scan == [5, 6, 7, 8, 9, 48, 49]  # lexicographic order
 
-    def test_failed_backfill_leaves_no_half_built_index(self):
-        # Mixed-type values cannot share one sort order; CREATE INDEX must
-        # fail atomically: no registered index, no orphan .ix files.
+    def test_failed_backfill_leaves_no_half_built_index(self, isolated_injector):
+        # A write fault in the second component the backfill reaches: CREATE
+        # INDEX must fail atomically — no registered index, no orphan .ix
+        # files — and succeed, mixed-type values and all, once retried.
         dataset = Dataset.create("mixed", StorageFormat.OPEN)
         dataset.insert_all([{"id": 1, "ts": 5}, {"id": 2, "ts": "five"}])
         dataset.flush_all()
-        with pytest.raises(TypeError):
+        dataset.insert_all([{"id": 3, "ts": 6}])
+        dataset.flush_all()
+        # A one-leaf tree is three page writes: leaf, metadata, footer.
+        isolated_injector.add_rule("file.write_page", nth=4, times=1)
+        with pytest.raises(TransientIOError):
             dataset.create_index("by_ts", "ts")
+        assert isolated_injector.hit_counts()["file.write_page"] == 4
         assert dataset.list_secondary_indexes() == []
         files = dataset.environments[0].file_manager.list_files()
         assert not any(".ix." in name for name in files)
         rows = dataset.query("SELECT VALUE t.id FROM mixed AS t WHERE t.ts = 5").rows
         assert [row["value"] for row in rows] == [1]
+        isolated_injector.clear()
+        dataset.create_index("by_ts", "ts")
+        for predicate, expected in (("t.ts = 5", [1]), ("t.ts >= 0", [1, 3]),
+                                    ("t.ts >= 'a'", [2])):
+            text = f"SELECT VALUE t.id FROM mixed AS t WHERE {predicate}"
+            via_index, result = _rows(dataset, text, "index")
+            assert result.stats.access_path == "IndexProbe"
+            assert via_index == _rows(dataset, text, "scan")[0] == expected
 
     @pytest.mark.parametrize("storage_format", (StorageFormat.OPEN, StorageFormat.INFERRED),
                              ids=["open", "inferred"])
@@ -283,15 +297,31 @@ class TestTypeEdgeCases:
         dataset.flush_all()
         assert dataset.index_statistics("ix").count == 7  # NaN is the one not indexed
 
-    @pytest.mark.xfail(strict=True, raises=TypeError,
-                       reason="no cross-type key order: sorting the secondary entries fails")
     @pytest.mark.parametrize("storage_format", (StorageFormat.OPEN, StorageFormat.INFERRED),
                              ids=["open", "inferred"])
     def test_int_and_string_in_one_indexed_field_do_not_wedge_flushes(self, storage_format):
-        dataset = Dataset.create("wedge", storage_format)
+        # Index keys rank by type first: an int, a string and a date in one
+        # field share one key order, so every flush after them still
+        # succeeds, and so does the flush that ends a recovery.
+        environment = StorageEnvironment()
+        dataset = Dataset.create("wedge", storage_format, environment=environment)
         dataset.create_index("ix", "v")
-        dataset.insert_all([{"id": 1, "v": 5}, {"id": 2, "v": "five"}])
+        dataset.insert_all([{"id": 1, "v": 5}, {"id": 2, "v": "five"}, {"id": 6, "v": ADate(9)}])
         dataset.flush_all()
+        dataset.insert_all([{"id": 3, "v": 6}])
+        dataset.flush_all()
+        assert dataset.partitions[0].index.memory_component.is_empty
+        assert dataset.index_statistics("ix").count == 4
+        dataset.insert_all([{"id": 4, "v": "abc"}, {"id": 5, "v": 0}])  # left to the WAL
+        revived = Dataset.create("wedge", storage_format, environment=environment)
+        revived.create_index("ix", "v")
+        for partition in revived.partitions:
+            assert partition.recover().index.memory_component.is_empty
+        for predicate, expected in (("t.v >= 0", [1, 3, 5]), ("t.v >= 'a'", [2, 4])):
+            text = f"SELECT VALUE t.id FROM wedge AS t WHERE {predicate}"
+            via_index, result = _rows(revived, text, "index")
+            assert result.stats.access_path == "IndexProbe"
+            assert via_index == _rows(revived, text, "scan")[0] == expected
 
     def test_merge_does_not_double_count_statistics(self):
         dataset = Dataset.create("stats", StorageFormat.OPEN)
@@ -355,15 +385,24 @@ class TestMemtableCandidates:
         assert _same_rows(dataset, "t.v > 10") == [3]
 
     def test_int_and_string_in_one_indexed_field_in_the_memtable(self, storage_format):
-        # Flushing these would raise (see the xfail above); unflushed, each
-        # value is compared with the bounds on its own.
+        # A bound probes the keys of its own rank: the same rows in the
+        # memtable, after a flush and after a merge.
         dataset = Dataset.create("mem", storage_format)
         dataset.create_index("ix", "v")
         dataset.insert_all([{"id": 1, "v": 5}, {"id": 2, "v": "five"}, {"id": 3, "v": 7}])
-        assert _same_rows(dataset, "t.v >= 0") == [1, 3]
-        assert _same_rows(dataset, "t.v < 6") == [1]
-        assert _same_rows(dataset, "t.v = 'five'") == [2]
-        assert _same_rows(dataset, "t.v >= 'a'") == [2]
+        for step in ("memtable", "flush", "merge"):
+            if step == "flush":
+                dataset.flush_all()
+            elif step == "merge":
+                dataset.upsert({"id": 3, "v": 7})  # a second component to merge
+                dataset.flush_all()
+                index = dataset.partitions[0].index
+                index.merge(list(index.components))
+                assert len(index.components) == 1
+            assert _same_rows(dataset, "t.v >= 0") == [1, 3], step
+            assert _same_rows(dataset, "t.v < 6") == [1], step
+            assert _same_rows(dataset, "t.v = 'five'") == [2], step
+            assert _same_rows(dataset, "t.v >= 'a'") == [2], step
 
     def test_create_index_over_a_mutable_and_a_sealed_memtable(self, storage_format):
         dataset = Dataset.create("mem", storage_format)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.cache import ColumnSliceCache, SliceChunk
 from repro.config import LSMConfig, StorageFormat
 from repro.core import Dataset, StorageEnvironment
-from repro.errors import ComponentStateError, DuplicateKeyError, KeyNotFoundError
+from repro.errors import ComponentStateError, DuplicateKeyError, EncodingError, KeyNotFoundError
 from repro.lsm import (
     ComponentId,
     ComponentWriter,
@@ -26,6 +26,7 @@ from repro.btree import LeafEntry
 from repro.lsm.component import InMemoryComponent, MemEntry
 from repro.lsm.lsm_index import _reconcile
 from repro.storage import BufferCache, FileManager, SimulatedStorageDevice, WriteAheadLog
+from repro.types import ranked_bounds
 
 from reference import reference_memtable_live, reference_record_count
 
@@ -723,6 +724,15 @@ def _walked_keys(memtable, definition, low, high, low_inclusive, high_inclusive)
     return keys
 
 
+def _column_keys(memtable, definition, low, high, low_inclusive, high_inclusive):
+    """The memtable's keys for a probe's bounds, ranked as the LSM index
+    ranks them; bounds of two ranks hold no key."""
+    bounds = ranked_bounds(low, high)
+    if bounds is None:
+        return []
+    return memtable.secondary_keys(definition, *bounds, low_inclusive, high_inclusive)
+
+
 _BOUND = st.one_of(st.none(), st.integers(-1, 21), st.sampled_from(["s", "s5", "t"]))
 _COLUMN_OPERATIONS = st.lists(st.one_of(
     st.tuples(st.just("put"), st.integers(0, 9),
@@ -752,7 +762,7 @@ class TestMemtableColumns:
                 memtable.put(MemEntry(argument, True))
             else:
                 definition = definitions[value]
-                keys = memtable.secondary_keys(definition, *argument)
+                keys = _column_keys(memtable, definition, *argument)
                 assert len(keys) == len(set(keys))
                 assert set(keys) == _walked_keys(memtable, definition, *argument)
 
@@ -764,13 +774,13 @@ class TestMemtableColumns:
         definition = SecondaryIndexDef("by_v", _value_of)
         for key in range(3):
             memtable.put(MemEntry(key, False, {"id": key}, _valued(key, key)))
-        assert memtable.secondary_keys(definition, 0, 2, True, True) == [0, 1, 2]
+        assert _column_keys(memtable, definition, 0, 2, True, True) == [0, 1, 2]
         for _ in range(4):
             for value in range(100):
                 memtable.put(MemEntry(1, False, {"id": 1}, _valued(1, 10 + value)))
                 assert len(memtable._columns[1]) <= len(memtable)
-            assert memtable.secondary_keys(definition, 109, 109, True, True) == [1]
-            assert memtable.secondary_keys(definition, 0, 2, True, True) == [0, 2]
+            assert _column_keys(memtable, definition, 109, 109, True, True) == [1]
+            assert _column_keys(memtable, definition, 0, 2, True, True) == [0, 2]
 
 
 class TestAuxiliaryFileLifecycle:
@@ -802,14 +812,14 @@ class TestAuxiliaryFileLifecycle:
         files = manager.list_files()
         assert len(files) == 3 * 3
 
-        # Values that cannot share one sort order, in the component the
-        # backfill reaches last: the trees already built are taken back.
-        def mixed(payload, schema):
+        # Values no key can hold (past INT64), in the component the backfill
+        # reaches last: the trees already built are taken back.
+        def unkeyable(payload, schema):
             key = key_of(payload)
-            return str(key) if key < 20 and key % 2 else key
+            return 2 ** 70 if key < 20 and key % 2 else key
 
-        with pytest.raises(TypeError):
-            index.add_secondary_index(SecondaryIndexDef("bad", mixed))
+        with pytest.raises(EncodingError, match="INT64"):
+            index.add_secondary_index(SecondaryIndexDef("bad", unkeyable))
         assert manager.list_files() == files
         assert index.secondary_statistics("bad") is None
         assert not any("bad" in component.secondary_trees or "bad" in component.secondary_stats

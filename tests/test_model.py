@@ -13,10 +13,10 @@ node's counter included — union promotion and anti-schema removal (paper
 §3.2.2) across flush, merge and recovery.
 
 Records carry a field whose type changes from record to record (int,
-string, list, object); the indexed fields stay numeric, because an int and a
-string in one indexed field still wedge flushes (see
-``test_index_access_path.py::TestTypeEdgeCases``).  A failure prints the
-rule sequence that reproduces it; ``--hypothesis-seed=N`` replays a run.
+string, list, object), and one index covers it: its probes, numeric and
+string bounds alike, must return what the scan returns across flush, merge
+and recovery.  A failure prints the rule sequence that reproduces it;
+``--hypothesis-seed=N`` replays a run.
 
 ``test_fixed_walk`` drives the same machine through one fixed rule sequence
 per storage format and setting, so no setting's code path depends on the
@@ -53,7 +53,7 @@ def _record(key, v, shape):
 _CLOSED_TYPE = Datatype.from_records("ModelType", [_record(0, v, shape) for v in range(10)
                                                    for shape in range(len(_SHAPES))],
                                      is_open=True, primary_key="id")
-_INDEXES = (("ix_v", "v"), ("ix_score", "nested.score"))
+_INDEXES = (("ix_v", "v"), ("ix_score", "nested.score"), ("ix_shape", "shape"))
 _STATEMENTS = (
     "SELECT VALUE count(*) FROM M AS t",
     "SELECT VALUE t.id FROM M AS t",
@@ -68,7 +68,8 @@ _STATEMENTS = (
 
 
 def _range(path, low, high, low_op, high_op):
-    """A possibly empty, inverted or open-ended range over an indexable field."""
+    """A possibly empty, inverted, open-ended or mixed-type range over an
+    indexable field (string bounds are SQL++ string literals)."""
     conjuncts = [f"t.{path} {op} {bound}" for op, bound in ((low_op, low), (high_op, high))
                  if bound is not None]
     return "SELECT VALUE t.id FROM M AS t" + "".join(
@@ -77,7 +78,7 @@ def _range(path, low, high, low_op, high_op):
 
 _values = st.integers(0, 99)
 _shapes = st.integers(0, len(_SHAPES) - 1)
-_bounds = st.sampled_from([None, -5, 0, 3, 10, 25, 50, 99, 105])
+_bounds = st.sampled_from([None, -5, 0, 3, 10, 25, 50, 99, 105, "'s'", "'s3'", "'s50'", "'t'"])
 _queries = st.sampled_from(_STATEMENTS) | st.builds(
     _range, st.sampled_from([path for _, path in _INDEXES]), _bounds, _bounds,
     st.sampled_from([">", ">="]), st.sampled_from(["<", "<="]))
@@ -186,7 +187,7 @@ class EngineModel(RuleBasedStateMachine):
         self.written = True
 
     @precondition(lambda self: len(self.indexes) < len(_INDEXES))
-    @rule(pick=st.integers(0, 1))
+    @rule(pick=st.integers(0, len(_INDEXES) - 1))
     def create_index(self, pick):
         missing = [index for index in _INDEXES if index not in self.indexes]
         name, path = missing[pick % len(missing)]
@@ -269,7 +270,10 @@ _SETTINGS = {"serial": dict(parallelism=1), "small-batches": dict(batch_size=7),
 _DEFAULTS = dict(compression=None, partitions=3, batch_size=1024, parallelism=None,
                  plan_cache=True, column_cache=True, background=False, max_sealed=1)
 _WALK_QUERIES = _STATEMENTS + (_range("v", 10, 50, ">=", "<"), _range("nested.score", 3, None, ">", "<"),
-                               _range("v", 50, 10, ">", "<="))
+                               _range("v", 50, 10, ">", "<="), _range("shape", 10, None, ">=", "<"),
+                               _range("shape", "'s1'", "'s5'", ">=", "<="),
+                               _range("shape", None, "'s50'", ">", "<"),
+                               _range("shape", 3, "'t'", ">", "<"))
 
 
 def _query_all(machine):
@@ -288,6 +292,7 @@ def test_fixed_walk(storage_format, setting):
         machine.bulk_load([(key, key * 3 % 100, key % 4) for key in range(0, 24, 2)])
         machine.query(_STATEMENTS[4], "auto", 2)
         machine.create_index(0)
+        machine.create_index(1)  # ix_shape, over every shape
         for key in range(1, 24, 2):
             machine.insert(key, key * 7 % 100, key % 4)
         machine.flush_all()
