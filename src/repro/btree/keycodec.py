@@ -3,7 +3,7 @@
 Primary keys in the paper's datasets are integers.  A secondary-index key
 is a ``(rank, value, primary key)`` triple: the indexed value's
 :func:`~repro.types.index_key` — its type rank, then the value (a number, a
-string, or the textual form of anything else) — with the primary key
+string, or a date's, time's or datetime's integer count) — with the primary key
 appended for uniqueness (the Figure 24 experiment indexes a bigint
 timestamp).  The codec therefore supports integers, floats, strings, and
 tuples of those.  Keys are compared as Python values after decoding, so the

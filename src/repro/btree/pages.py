@@ -33,9 +33,9 @@ shared between readers and never mutated.
 A *key-only* leaf (a secondary tree: every value empty) of
 one fixed-width key shape in ``keycodec.FIXED_WIDTH_KEYS`` — ``int`` keys
 in 14-byte entries, ranked ``(int, int, int)`` keys (a secondary key over
-an integer field: rank, value, primary key) in 25-byte ones — decodes as one
-precompiled ``Struct.unpack_from`` over its entry table, with ``range``
-offsets.  A shape is found by its first kind byte alone, so there is one
+an integer, date, time or datetime field: rank, value, primary key) in
+25-byte ones — decodes as one precompiled ``Struct.unpack_from`` over its
+entry table, with ``range`` offsets.  A shape is found by its first kind byte alone, so there is one
 shape per kind.  It is tried when the first entry has the shape's kind
 bytes and a zero length, and kept only when every entry does; any other
 leaf — a secondary key over a string field, say — is walked, one

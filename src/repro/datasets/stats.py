@@ -41,14 +41,6 @@ class FieldStatistics:
     min_key: Optional[Tuple[int, Any]] = None
     max_key: Optional[Tuple[int, Any]] = None
 
-    @property
-    def min_value(self) -> Any:
-        return None if self.min_key is None else self.min_key[1]
-
-    @property
-    def max_value(self) -> Any:
-        return None if self.max_key is None else self.max_key[1]
-
     def merge(self, other: "FieldStatistics") -> "FieldStatistics":
         """Combine two summaries (e.g. across a dataset's partitions)."""
         merged = FieldStatistics(self.field_path or other.field_path, self.count + other.count)

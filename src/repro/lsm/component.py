@@ -529,7 +529,7 @@ def _secondary_entries(definition: Any, entries: Sequence[LeafEntry],
             continue
         key = index_key(definition.extractor(entry.value, schema))
         if key is not None:
-            keyed.append((*key, entry.key))
+            keyed.append(key + (entry.key,))
     keyed.sort()
     return [LeafEntry(key, b"") for key in keyed]
 

@@ -183,7 +183,12 @@ def navigate(value: Any, path: Sequence[Any]) -> Any:
 
 
 #: Type ranks of :func:`sort_key`, in ascending order.
-RANK_BOOL, RANK_NUMBER, RANK_STRING, RANK_OTHER, RANK_ABSENT = range(5)
+(RANK_BOOL, RANK_NUMBER, RANK_STRING, RANK_DATE, RANK_TIME, RANK_DATETIME,
+ RANK_OTHER, RANK_ABSENT) = range(8)
+
+#: The rank of each exact type that is its own sort value: one dict probe
+#: for the common case; subclasses take :func:`sort_key`'s general path.
+_RANK_OF_TYPE = {bool: RANK_BOOL, int: RANK_NUMBER, float: RANK_NUMBER, str: RANK_STRING}
 
 
 def sort_key(value: Any) -> Tuple[int, Any]:
@@ -193,10 +198,15 @@ def sort_key(value: Any) -> Tuple[int, Any]:
     string in another), and raw comparisons across types raise
     ``TypeError``.  Ranking by type first, value within the type second,
     gives every pair of values a defined order: booleans, numbers, strings,
-    everything else by textual form, and NULL/MISSING **last** (``DESC``
-    reverses all of it, absent values included).  ORDER BY sorts by it;
-    secondary indexes file their keys by it (:func:`index_key`).
+    dates, times and datetimes (each by its stored count, the order the
+    evaluator compares them in), everything else by textual form, and
+    NULL/MISSING **last** (``DESC`` reverses all of it, absent values
+    included).  ORDER BY sorts by it; secondary indexes file their keys by
+    it (:func:`index_key`).
     """
+    rank = _RANK_OF_TYPE.get(type(value))
+    if rank is not None:
+        return (rank, value)
     if value is None or isinstance(value, Missing):
         return (RANK_ABSENT, 0)
     if isinstance(value, bool):
@@ -205,6 +215,12 @@ def sort_key(value: Any) -> Tuple[int, Any]:
         return (RANK_NUMBER, value)
     if isinstance(value, str):
         return (RANK_STRING, value)
+    if isinstance(value, ADate):
+        return (RANK_DATE, value.days_since_epoch)
+    if isinstance(value, ATime):
+        return (RANK_TIME, value.millis_since_midnight)
+    if isinstance(value, ADateTime):
+        return (RANK_DATETIME, value.millis_since_epoch)
     return (RANK_OTHER, str(value))
 
 
@@ -214,17 +230,23 @@ def index_key(value: Any) -> Optional[Tuple[int, Any]]:
 
     Absent (NULL/MISSING) and non-scalar values are not indexed — range
     predicates over them are never true, so skipping them is lossless.  NaN
-    satisfies no comparison either, so it is skipped too.  A boolean is
-    filed as its ``int``: the evaluator compares ``TRUE = 1``, so a probe's
-    candidates for either literal still hold every answer and the
-    re-applied predicate sorts them.
+    satisfies no comparison either, so it is skipped too.  Values ranked
+    "other" (points, binaries) are skipped because their textual order is
+    not the evaluator's: a predicate over such a literal runs as a scan, and
+    no indexed bound compares true with them.  A boolean is filed as its
+    ``int``: the evaluator compares ``TRUE = 1``, so a probe's candidates
+    for either literal still hold every answer and the re-applied predicate
+    sorts them.
     """
-    if isinstance(value, (dict, list, tuple, AMultiset)) or value != value:
+    rank = _RANK_OF_TYPE.get(type(value))
+    if rank is not None and rank != RANK_BOOL:
+        return (rank, value) if value == value else None
+    if value is None or isinstance(value, (dict, list, tuple, AMultiset)) or value != value:
         return None
     if isinstance(value, bool):
         return (RANK_NUMBER, int(value))
     key = sort_key(value)
-    return None if key[0] == RANK_ABSENT else key
+    return key if key[0] < RANK_OTHER else None
 
 
 def ranked_bounds(low: Any, high: Any) -> Optional[Tuple[Optional[int], Any, Any]]:

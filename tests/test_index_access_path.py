@@ -23,10 +23,13 @@ from repro import (Dataset, DeviceKind, LSMConfig, StorageConfig, StorageEnviron
                    StorageFormat)
 from repro.datasets.stats import FieldStatistics
 from repro.errors import ComponentStateError, SqlppError, TransientIOError
-from repro.query import choose_access_path
+from repro.query import QueryExecutor, choose_access_path
+from repro.query.expressions import Comparison, field, lit
+from repro.query.plan import scan
 from repro.sqlpp import CompiledCreateIndex
 from repro.sqlpp import compile as compile_sqlpp
-from repro.types import ADate, Datatype
+from repro.types import ADate, ADateTime, APoint, ATime, Datatype
+from repro.types.values import RANK_NUMBER
 
 RECORD_COUNT = 400
 SELECTIVITIES = (0.001, 0.01, 0.1, 0.5)
@@ -323,6 +326,41 @@ class TestTypeEdgeCases:
             assert result.stats.access_path == "IndexProbe"
             assert via_index == _rows(revived, text, "scan")[0] == expected
 
+    @pytest.mark.parametrize("storage_format", (StorageFormat.OPEN, StorageFormat.INFERRED),
+                             ids=["open", "inferred"])
+    def test_temporal_literals_probe_in_the_evaluators_order(self, storage_format):
+        # No SQL++ literal is a datetime, but a built query can hold one.  A
+        # datetime is keyed by its millisecond count, the order the evaluator
+        # compares in (as text, 'datetime(1000)' sorts below 'datetime(20)').
+        # A point has no such order: it is not indexed and its literal scans.
+        dataset = Dataset.create("temporal", storage_format)
+        dataset.create_index("ix", "ts")
+        dataset.insert_all([{"id": 1, "ts": ADateTime(1000)}, {"id": 2, "ts": ADateTime(20)},
+                            {"id": 3, "ts": ADateTime(999)}, {"id": 4, "ts": ATime(5)},
+                            {"id": 5, "ts": ADate(10 ** 7)}, {"id": 6, "ts": APoint(1.0, 2.0)},
+                            {"id": 7, "ts": 20}])
+        cases = ((">=", ADateTime(20), [1, 2, 3]), ("<", ADateTime(1000), [2, 3]),
+                 ("=", ATime(5), [4]), (">", ADate(0), [5]), ("=", APoint(1.0, 2.0), [6]))
+
+        def ids(op, literal, access_path):
+            spec = (scan("t").where(Comparison(op, field("t", "ts"), lit(literal)))
+                    .select(("id", field("t", "id"))).build())
+            result = QueryExecutor(access_path=access_path).execute(dataset, spec)
+            return sorted(row["id"] for row in result.rows), result.stats.access_path
+
+        for step in ("memtable", "flush"):
+            if step == "flush":
+                dataset.flush_all()  # an out-of-range date has no text, and needs none
+            for op, literal, expected in cases:
+                via_index, path = ids(op, literal, "index")
+                expected_path = "FullScan" if isinstance(literal, APoint) else "IndexProbe"
+                assert path == expected_path, (step, literal)
+                assert via_index == ids(op, literal, "scan")[0] == expected, (step, literal)
+        assert dataset.index_statistics("ix").count == 6  # all but the point
+        ordered = dataset.query("SELECT VALUE t.id FROM temporal AS t WHERE t.id <= 3 "
+                                "ORDER BY t.ts").rows
+        assert [row["value"] for row in ordered] == [2, 3, 1]
+
     def test_merge_does_not_double_count_statistics(self):
         dataset = Dataset.create("stats", StorageFormat.OPEN)
         dataset.create_index("by_v", "v")
@@ -335,7 +373,7 @@ class TestTypeEdgeCases:
         partition.index.merge(list(partition.index.components))
         statistics = dataset.index_statistics("by_v")
         assert statistics.count == 120
-        assert statistics.min_value == 0 and statistics.max_value == 159
+        assert (statistics.min_key, statistics.max_key) == ((RANK_NUMBER, 0), (RANK_NUMBER, 159))
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +663,7 @@ class TestCreateIndexSurface:
         statistics = dataset.index_statistics("by_ts")
         assert isinstance(statistics, FieldStatistics)
         assert statistics.count == RECORD_COUNT
-        assert statistics.min_value == 1000
+        assert statistics.min_key == (RANK_NUMBER, 1000)
         narrow = compile_sqlpp(_range_query(1000, 1003)).spec
         choice = choose_access_path(narrow, dataset)
         assert choice.uses_index

@@ -27,6 +27,7 @@ from repro.lsm.component import InMemoryComponent, MemEntry
 from repro.lsm.lsm_index import _reconcile
 from repro.storage import BufferCache, FileManager, SimulatedStorageDevice, WriteAheadLog
 from repro.types import ranked_bounds
+from repro.types.values import RANK_NUMBER
 
 from reference import reference_memtable_live, reference_record_count
 
@@ -695,12 +696,12 @@ class TestMemtableCounters:
         index.flush()
         first = index.secondary_statistics("by_v")
         assert index.secondary_statistics("by_v") is first
-        assert (first.count, first.min_value, first.max_value) == (5, 0, 4)
+        assert (first.count, first.min_key, first.max_key) == (5, (RANK_NUMBER, 0), (RANK_NUMBER, 4))
         index.insert(9, {"id": 9}, _valued(9, 90))  # a memtable write: no new list
         assert index.secondary_statistics("by_v") is first
         index.flush()
         second = index.secondary_statistics("by_v")
-        assert (second.count, second.max_value) == (6, 90)
+        assert (second.count, second.max_key) == (6, (RANK_NUMBER, 90))
         index.merge(list(index.components))
         assert index.secondary_statistics("by_v").count == 6
         assert index.secondary_statistics("unknown") is None

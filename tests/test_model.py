@@ -131,7 +131,7 @@ class EngineModel(RuleBasedStateMachine):
             self.dataset.plan_cache = PlanCache(capacity=0, metrics=self.dataset.metrics)
         for name, path in self.indexes:
             self.dataset.create_index(name, path)
-        self.planned = set()
+        self.planned, self.unsure = set(), set()
         self.tallies = {"inserts": 0, "upserts": 0, "deletes": 0}
         self.base = dict(self.tallies)
 
@@ -222,10 +222,20 @@ class EngineModel(RuleBasedStateMachine):
             assert stats.parallelism == min(self.parallelism or self.partitions, self.partitions)
             assert all(partition.batches == -(-partition.records_scanned // width)
                        for partition in stats.per_partition)
-            if dataset.reuse_epoch() == epoch:  # no background flush or merge ran meanwhile
-                cached = self.plan_cache and (text, access_path, epoch) in self.planned
+            after = dataset.reuse_epoch()
+            planned = (text, access_path, after)
+            if after != epoch:
+                # A background flush or merge ran meanwhile: the engine keyed
+                # its plan by an epoch from `epoch` to `after`, so the next
+                # run at `after` may or may not hit it.
+                self.unsure.add(planned)
+                continue
+            if planned in self.unsure:
+                self.unsure.discard(planned)
+            else:
+                cached = self.plan_cache and planned in self.planned
                 assert stats.plan_source == ("cache" if cached else "compiled")
-                self.planned.add((text, access_path, epoch))
+            self.planned.add(planned)
         assert dataset.get(key) == self.model.get(key)
         assert dataset.count() == len(self.model)
         ingest = dataset.ingest_stats()
