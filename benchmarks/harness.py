@@ -225,7 +225,7 @@ def repeated_query_caching(workload: str, query_names: Sequence[str],
     measurements: Dict[str, Dict[str, Any]] = {}
     for query_name in query_names:
         text = generator.SQLPP[query_name]
-        dataset.invalidate_plans()
+        dataset.plan_cache.clear()
         built.environment.drop_caches()
         started = time.perf_counter()
         cold = dataset.query(text)

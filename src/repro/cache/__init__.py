@@ -6,11 +6,10 @@ front door, and the decode-side reuse the paper's columnar layout makes
 profitable):
 
 * :class:`PlanCache` — per-dataset physical-plan cache keyed by the SQL++
-  statement's token lexemes plus the dataset's reuse epoch, so ``Dataset.prepare`` /
-  repeated ``Dataset.query(text)`` skip parse → bind → optimize entirely.
-  Any ``CREATE INDEX``, component lifecycle event (flush/merge/quarantine,
-  which is also when per-component ``FieldStatistics`` change), or explicit
-  ``invalidate_plans()`` bumps the epoch and strands stale entries.
+  statement's token lexemes plus the executor's optimizer flags, so
+  repeated ``Dataset.query(text)`` calls skip parse → bind → rewrite →
+  compile.  A plan holds nothing data-dependent (the executor costs the
+  access path on every run), so entries live until LRU eviction.
 * :class:`ColumnSliceCache` — per-environment cache of decoded column
   slices keyed ``(component file, path set, chunk index)`` with
   byte-accounted LRU eviction, invalidated through the LSM lifecycle

@@ -1,11 +1,10 @@
 """Bounded LRU cache of compiled physical plans (prepared statements).
 
-``Dataset.query(text)`` historically re-lexed, re-parsed, re-bound, and
-re-optimized the SQL++ text on every call.  This cache memoizes the result
-of that whole front half — the effective :class:`~repro.query.plan.QuerySpec`
-after rewrites, the cost-based access-path choice, and the compiled batch
-plan (whose stage list is what EXPLAIN prints and the executor runs) — as
-one :class:`PhysicalPlan` keyed by
+The cache memoizes the front half of a query — parse → bind → rewrite →
+compile, everything the statement text and the optimizer flags fix — as one
+:class:`PhysicalPlan`: the effective :class:`~repro.query.plan.QuerySpec`
+after rewrites and the compiled batch plan (whose stage list is what EXPLAIN
+prints and the executor runs).  An entry is keyed by
 
 * the statement's *lexemes*, each token's source text in order
   (:class:`repro.sqlpp.lexer.Lexed`): whitespace and comments are not
@@ -14,20 +13,16 @@ one :class:`PhysicalPlan` keyed by
   queries that differ inside a string never do.  A token's kind and value
   are a function of its lexeme, so equal keys are equal token streams, and
   a text the lexer refuses holds a lexeme no valid text has: it never
-  matches a cached plan,
-* the dataset's **reuse epoch** (schema/index epoch plus every partition's
-  LSM structure version — flush, merge, ``CREATE INDEX``, bulk load, and
-  quarantine all bump it, and component swaps are exactly when per-component
-  ``FieldStatistics`` change, so a stats refresh re-optimizes too), and
-* the executor's plan-relevant knobs (optimizer flags, access-path policy),
-  so differently-configured executors never share entries.
+  matches a cached plan, and
+* the executor's optimizer flags, so differently-rewritten plans never
+  share entries.
 
-Epochs only move forward, so an entry of an earlier epoch can never match
-again.  The cache drops them all as soon as it learns of a newer epoch — from
-a put, or from :meth:`PlanCache.retire` after a flush — instead of leaving
-dead plans for the LRU to age out: a cached plan is some eighty objects the
-garbage collector walks on every full collection.  A cache holds 64 entries
-unless built with another ``capacity``; ``0`` disables caching entirely.
+Nothing in a plan depends on the data: the access path (full scan or index
+probe) is costed by the executor on every run, against the dataset's
+statistics at that moment.  So flushes, merges, bulk loads and CREATE INDEX
+never make an entry stale, and entries live until LRU eviction.  A cache
+holds 64 entries unless built with another ``capacity``; ``0`` disables
+caching entirely.
 """
 
 from __future__ import annotations
@@ -47,7 +42,8 @@ DEFAULT_PLAN_CACHE_CAPACITY = 64
 
 @dataclass
 class PhysicalPlan:
-    """Everything the executor needs downstream of parse → bind → optimize.
+    """Everything the executor needs downstream of parse → bind → rewrite,
+    except the access path, which it costs per run.
 
     Fields are deliberately loosely typed: this module sits below
     :mod:`repro.query` in the import graph, and the executor is the only
@@ -56,8 +52,6 @@ class PhysicalPlan:
 
     #: Effective :class:`~repro.query.plan.QuerySpec` (rewrites applied).
     spec: Any
-    #: Cost-based :class:`~repro.query.optimizer.AccessPathChoice`.
-    choice: Any
     #: Compiled :class:`~repro.query.batch_compile.BatchQueryPlan`.
     batch_plan: Any
 
@@ -70,7 +64,6 @@ class PlanCache:
         self.capacity = max(0, capacity)
         self._lock = threading.Lock()
         self._entries: "OrderedDict[Hashable, PhysicalPlan]" = OrderedDict()  # guarded-by: _lock
-        self._epoch: Hashable = None  # guarded-by: _lock
         metrics = metrics if metrics is not None else get_registry()
         self._hits = metrics.counter("plan_cache_hits")
         self._misses = metrics.counter("plan_cache_misses")
@@ -106,21 +99,16 @@ class PlanCache:
             self._hits.inc()
         return plan
 
-    def put(self, key: Hashable, plan: PhysicalPlan, epoch: Hashable = None) -> None:
-        """Insert/refresh ``key``, evicting least-recently-used overflow.
-
-        ``epoch`` is the dataset state the plan was built against (the
-        ``reuse_epoch`` part of ``key``); a put under a new epoch first
-        evicts every entry of the old one (see :meth:`retire`).
-        """
+    def put(self, key: Hashable, plan: PhysicalPlan) -> None:
+        """Insert/refresh ``key``, evicting least-recently-used overflow."""
         if not self.enabled:
             return
         try:
             fire_fault("cache.store")
         except (TransientIOError, PermanentIOError, CorruptPageError):
             return  # skipped store: the next execution re-plans and retries
+        evicted = 0
         with self._lock:
-            evicted = self._retire(epoch)
             self._entries[key] = plan
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
@@ -130,25 +118,6 @@ class PlanCache:
         if evicted:
             self._evictions.inc(evicted)
         self._entries_gauge.set(size)
-
-    def retire(self, epoch: Hashable) -> None:
-        """Evict every entry cached under another epoch than ``epoch``, the
-        dataset's current one: none of them can match again."""
-        with self._lock:
-            evicted = self._retire(epoch)
-            size = len(self._entries)
-        if evicted:
-            self._evictions.inc(evicted)
-            self._entries_gauge.set(size)
-
-    def _retire(self, epoch: Hashable) -> int:
-        """:meth:`retire`'s eviction, returning its count; caller holds ``_lock``."""
-        if epoch == self._epoch:
-            return 0
-        evicted = len(self._entries)
-        self._entries.clear()
-        self._epoch = epoch
-        return evicted
 
     def clear(self) -> None:
         with self._lock:

@@ -81,11 +81,6 @@ class Dataset:
         #: :meth:`prepare`); replace it with ``PlanCache(capacity=0)`` to
         #: disable plan caching.
         self.plan_cache = PlanCache(metrics=environments[0].metrics)
-        #: Dataset-level half of the plan-reuse epoch: bumped by CREATE
-        #: INDEX and :meth:`invalidate_plans` (config/stats changes); the
-        #: per-partition ``structure_version`` half covers flush/merge/
-        #: bulk-load component swaps and quarantine.
-        self._plan_epoch = 0
         self.partitions: List[Partition] = []
         partition_id = 0
         for environment in self.environments:
@@ -170,8 +165,6 @@ class Dataset:
     def flush_all(self) -> None:
         for partition in self.partitions:
             partition.flush()
-        # A flush moves the reuse epoch: plans cached before it never match again.
-        self.plan_cache.retire(self.reuse_epoch())
 
     # ------------------------------------------------------------------ lifecycle
 
@@ -280,11 +273,13 @@ class Dataset:
         dataset the method is called on.
 
         Physical plans are memoized in :attr:`plan_cache`, keyed by the
-        statement's token lexemes, the dataset's :meth:`reuse_epoch`, and
-        the executor's plan signature — a repeat of the same text skips
-        parse → bind → optimize entirely (``stats.plan_source == "cache"``)
-        until a CREATE INDEX, flush/merge component swap, or
-        :meth:`invalidate_plans` call moves the epoch forward.
+        statement's token lexemes and the executor's plan signature — a
+        repeat of the same text skips parse → bind → rewrite → compile
+        (``stats.plan_source == "cache"``) until the entry ages out of the
+        LRU.  No plan holds the access path: every run costs a full scan
+        against the index probes the dataset's current indexes and
+        statistics allow, so a cached statement still switches to a new
+        index or a newly selective range.
         """
         from ..query.executor import ExecutionStats, QueryResult
 
@@ -298,15 +293,14 @@ class Dataset:
 
     def prepare(self, text: str, executor: Optional[Any] = None,
                 **executor_options) -> "PreparedStatement":
-        """Parse, bind, and optimize ``text`` once; execute it many times.
+        """Parse, bind, and compile ``text`` once; execute it many times.
 
         Returns a :class:`PreparedStatement` whose :meth:`~PreparedStatement.execute`
         reuses the compiled physical plan directly (no plan-cache probe, no
-        re-parse) while the dataset's :meth:`reuse_epoch` is unchanged, and
-        transparently re-prepares after CREATE INDEX, component swaps, or
-        :meth:`invalidate_plans`.  ``executor``/``executor_options`` follow
-        the same rules as :meth:`query`; CREATE INDEX statements cannot be
-        prepared.
+        re-parse) for the statement's whole lifetime; each execution costs
+        the access path afresh, as :meth:`query` does.
+        ``executor``/``executor_options`` follow the same rules as
+        :meth:`query`; CREATE INDEX statements cannot be prepared.
         """
         return PreparedStatement(self, text, self._runner(executor, executor_options))
 
@@ -327,7 +321,7 @@ class Dataset:
         :class:`~repro.query.plan.QuerySpec`; returns the
         :class:`~repro.cache.PhysicalPlan` ``runner.prepare_physical`` built
         and where it came from — ``"cache"`` (plan-cache hit: parse, bind and
-        optimize all skipped), ``"compiled"``, or ``None`` for a prebuilt
+        compile all skipped), ``"compiled"``, or ``None`` for a prebuilt
         spec, which has no text to key a cache entry.  :meth:`query`,
         :class:`PreparedStatement` and :meth:`explain` all plan here, so
         this is the only place a statement is split into the lexemes that
@@ -340,8 +334,7 @@ class Dataset:
         from ..sqlpp.lexer import Lexed
 
         lexed = Lexed(query)
-        epoch = self.reuse_epoch()
-        key = (lexed.lexemes, epoch, runner.plan_signature())
+        key = (lexed.lexemes, runner.plan_signature())
         physical = self.plan_cache.get(key)
         if physical is not None:
             return physical, "cache"
@@ -352,7 +345,7 @@ class Dataset:
         if isinstance(compiled, CompiledCreateIndex):
             return compiled, None
         physical = runner.prepare_physical(self, compiled.spec)
-        self.plan_cache.put(key, physical, epoch)
+        self.plan_cache.put(key, physical)
         return physical, "compiled"
 
     def _run(self, query: Any, runner: Any,
@@ -371,31 +364,6 @@ class Dataset:
             result = runner.execute_physical(self, physical)
             result.stats.plan_source = source
             return result, physical
-
-    def reuse_epoch(self) -> Tuple:
-        """The dataset state a cached physical plan is valid against.
-
-        Combines the dataset-level plan epoch (CREATE INDEX, config/stats
-        invalidations) with every partition's LSM ``structure_version``
-        (bumped on flush install, bulk load, merge swap, secondary-index
-        backfill, and quarantine), so any event that can change optimizer
-        inputs or access-path viability yields a fresh epoch — stale plans
-        stop matching, and the plan cache evicts them at its next put or
-        after :meth:`flush_all`.
-        """
-        return (self._plan_epoch,
-                tuple(partition.index.structure_version for partition in self.partitions))
-
-    def invalidate_plans(self) -> None:
-        """Force re-planning of every cached/prepared statement.
-
-        Call after out-of-band changes the engine cannot observe (e.g.
-        mutating executor-relevant configuration in place or refreshing
-        statistics externally).  Bumps the plan epoch and drops the cache's
-        current entries.
-        """
-        self._plan_epoch += 1
-        self.plan_cache.clear()
 
     def explain(self, query: Any, analyze: bool = False, executor: Optional[Any] = None,
                 **executor_options: Any) -> str:
@@ -453,9 +421,6 @@ class Dataset:
             raise DatasetError("create_index needs a non-empty field path")
         for partition in self.partitions:
             partition.create_secondary_index(name, path)
-        # A new index changes access-path planning: move the reuse epoch so
-        # cached plans compiled without it stop matching.
-        self._plan_epoch += 1
 
     def list_secondary_indexes(self) -> List[Tuple[str, Tuple[str, ...]]]:
         """``(name, field_path)`` of every secondary index (same on all partitions)."""
@@ -504,15 +469,15 @@ class Dataset:
 
 
 class PreparedStatement:
-    """A SQL++ statement compiled and optimized once, executed many times.
+    """A SQL++ statement compiled once, executed many times.
 
-    Created by :meth:`Dataset.prepare`.  Holds the physical plan pinned
-    (independent of the shared plan cache, so it works even when that cache
-    is disabled) together with the :meth:`Dataset.reuse_epoch`
-    it was compiled against; :meth:`execute` re-prepares transparently when
-    the epoch has moved (CREATE INDEX, flush/merge component swaps,
-    :meth:`Dataset.invalidate_plans`), so results are always identical to an
-    uncached :meth:`Dataset.query` of the same text.
+    Created by :meth:`Dataset.prepare`.  Holds the physical plan pinned for
+    its whole lifetime (independent of the shared plan cache, so it works
+    even when that cache is disabled).  The plan holds nothing the data can
+    make stale: each :meth:`execute` costs the access path against the
+    dataset as it is then, so a statement prepared before a CREATE INDEX or
+    a load probes the new index as soon as that is cheaper, and its results
+    are always identical to an uncached :meth:`Dataset.query` of the text.
     """
 
     def __init__(self, dataset: Dataset, text: str, executor: Any) -> None:
@@ -521,7 +486,6 @@ class PreparedStatement:
         #: so string literals keep their spacing byte-for-byte.
         self.text = text
         self._executor = executor
-        self._epoch = dataset.reuse_epoch()
         # Planning through the dataset seeds the shared cache too: plain
         # dataset.query(text) calls with a signature-compatible executor hit.
         self._physical, _ = dataset._plan(text, executor)
@@ -529,15 +493,7 @@ class PreparedStatement:
             raise DatasetError("only queries can be prepared, not CREATE INDEX")
 
     def execute(self):
-        """Run the prepared plan; returns a :class:`~repro.query.QueryResult`.
-
-        ``result.stats.plan_source`` is ``"cache"`` when the pinned plan was
-        reused as-is; after a reuse-epoch change the statement is planned
-        again on this call and the source says how (``"compiled"``, unless
-        the shared plan cache already held the new epoch's plan).
-        """
-        epoch = self._dataset.reuse_epoch()
-        pinned = (self._physical, "cache") if epoch == self._epoch else None
-        result, self._physical = self._dataset._run(self.text, self._executor, pinned)
-        self._epoch = epoch
+        """Run the pinned plan; returns a :class:`~repro.query.QueryResult`
+        whose ``stats.plan_source`` is ``"cache"``."""
+        result, _ = self._dataset._run(self.text, self._executor, (self._physical, "cache"))
         return result

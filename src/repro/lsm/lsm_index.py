@@ -173,13 +173,6 @@ class LSMBTree:
         #: index only *invalidates* it (:meth:`_evict_slices`); population
         #: happens on the scan path via ``component_source``.
         self.column_cache = column_cache
-        #: Monotone component-lifecycle counter: bumped by every flush,
-        #: merge, bulk load, CREATE INDEX backfill, and quarantine — i.e.
-        #: whenever the component set (and with it the per-component
-        #: FieldStatistics the optimizer prices against) changes.  Part of
-        #: the dataset's plan-cache reuse epoch.
-        self.structure_version = 0
-
         self.memory_component = InMemoryComponent()
         #: Sealed (immutable, flush-pending) memtables, oldest first: what
         #: every flush consumes.  Flushed strictly in order so component
@@ -565,7 +558,6 @@ class LSMBTree:
             components = [existing for existing in self.components if id(existing) not in replaced]
             components.insert(position, component)
             self.components = components
-            self.structure_version += 1
             for existing in replacing:
                 self._drop_component(existing)
             size = component.size_bytes()
@@ -799,7 +791,6 @@ class LSMBTree:
                     component.drop_secondary_index(definition.name)
                 raise
             self.secondary_indexes.append(definition)
-            self.structure_version += 1
 
     def secondary_index_def(self, index_name: str) -> Optional[SecondaryIndexDef]:
         for definition in self.secondary_indexes:
@@ -962,7 +953,6 @@ class LSMBTree:
             first_offender = component.quarantine_reason is None
             component.quarantine_reason = str(exc)
         if first_offender:
-            self.structure_version += 1
             # A corrupt component's decoded slices must not outlive its
             # quarantine: evict them so every later read goes through
             # _raise_if_quarantined instead of a warm cache.

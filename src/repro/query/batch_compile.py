@@ -61,7 +61,7 @@ from .operators import (
     project_sorted,
     unnest_batch,
 )
-from .optimizer import AccessPathChoice, AccessPlan, Path, conjuncts
+from .optimizer import AccessPlan, Path, conjuncts
 from .plan import QuerySpec
 
 #: A compiled expression: batch in, one value per row out.
@@ -326,11 +326,10 @@ class Stage:
     step's cost record ``name``; EXPLAIN prints ``name`` and ``detail``."""
 
     name: str
-    detail: str = ""
+    detail: str
     #: Upstream batch iterator -> this stage's batches; the last stage drains
-    #: its input into the partition's payload instead.  ``None`` on the source
-    #: stage: the executor opens the scan (its partition, its batch size).
-    operator: Optional[Callable[[Iterator[ColumnBatch]], Any]] = None
+    #: its input into the partition's payload instead.
+    operator: Callable[[Iterator[ColumnBatch]], Any]
 
 
 @dataclass
@@ -347,8 +346,9 @@ class BatchQueryPlan:
     #: addresses (a superset of the access plan's scan paths).
     scan_paths: List[Path]
     extractor: BatchExtractor
-    #: The source, then LET / SELECT / UNNEST / SELECT (a WHERE split by
-    #: :func:`_split_where`), then the terminal stage.
+    #: LET / SELECT / UNNEST / SELECT (a WHERE split by
+    #: :func:`_split_where`), then the terminal stage.  The source before
+    #: them is the access path, which the executor costs on every run.
     stages: List[Stage]
     #: The LIMIT a partition may stop scanning at: set only when neither an
     #: ORDER BY nor an aggregation needs every row first.
@@ -359,8 +359,7 @@ class BatchQueryPlan:
     needs_views: bool
 
 
-def compile_query(spec: QuerySpec, access_plan: AccessPlan,
-                  choice: AccessPathChoice) -> BatchQueryPlan:
+def compile_query(spec: QuerySpec, access_plan: AccessPlan) -> BatchQueryPlan:
     """Compile ``spec`` — the access plan's *effective* spec (EXISTS rewrites
     applied) — into a :class:`BatchQueryPlan`, or raise :class:`QueryError`.
 
@@ -369,8 +368,7 @@ def compile_query(spec: QuerySpec, access_plan: AccessPlan,
     The WHERE conjuncts that need no UNNEST item filter before the UNNESTs.
     """
     ctx = _Context(spec.record_var, set(access_plan.scan_paths), access_plan.consolidate)
-    stages = [Stage(f"IndexProbe({choice.path.index_name})" if choice.uses_index
-                    else "FullScan")]
+    stages: List[Stage] = []
     if spec.lets:
         lets: List[Tuple[str, ColumnEval]] = []
         for clause in spec.lets:

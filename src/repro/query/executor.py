@@ -1,9 +1,11 @@
 """Query executor: parallel per-partition pipelines + a coordinator stage.
 
-Execution follows the paper's Hyracks job model (Figure 5): every partition
-folds the compiled plan's stage list (:class:`~repro.query.batch_compile.Stage`:
-the scan, then LET / UNNEST / SELECT over column batches, then a terminal
-projection, sort or partial aggregation) into one local pipeline; results
+Execution follows the paper's Hyracks job model (Figure 5): each run costs
+the access path once, then every partition opens that scan or index probe
+and folds the compiled plan's stage list over it
+(:class:`~repro.query.batch_compile.Stage`: LET / UNNEST / SELECT over
+column batches, then a terminal projection, sort or partial aggregation)
+into one local pipeline; results
 then flow through a conceptual exchange to a coordinator stage that merges
 partial aggregates, applies global ordering and LIMIT, and returns the rows.
 :meth:`QueryExecutor.prepare_physical` is the one planner — EXPLAIN,
@@ -277,8 +279,8 @@ class ExecutionStats(StatsDictMixin):
 class QueryResult:
     rows: List[Dict[str, Any]]
     stats: ExecutionStats
-    #: The optimizer's access-path decision (costs, candidates) for EXPLAIN
-    #: surfaces and benchmark assertions.
+    #: The access-path decision this run made (costs, candidates), for
+    #: EXPLAIN ANALYZE and benchmark assertions.
     access_path: Optional[AccessPathChoice] = None
 
     def __iter__(self):
@@ -418,38 +420,41 @@ class QueryExecutor:
             return result, physical
 
     def prepare_physical(self, dataset: Dataset, spec: QuerySpec) -> PhysicalPlan:
-        """Optimize ``spec`` down to the physical plan without executing it.
+        """Rewrite and compile ``spec`` down to the physical plan without
+        executing it.
 
         The engine's one planner: execution, EXPLAIN, prepared statements
         and the plan cache all hold what this returns, so what is shown or
-        cached is what runs.  The plan is immutable and shared safely across
-        executions and threads; pair it with :meth:`execute_physical`.  Cache
-        keys must include :meth:`plan_signature` — the plan bakes in this
-        executor's optimizer flags and access-path policy.  A query the
-        pipeline cannot run raises :class:`~repro.errors.QueryError` here,
-        before any I/O.
+        cached is what runs.  The plan depends only on ``spec``, the
+        dataset's storage format and this executor's optimizer flags — the
+        access path is costed per run — so it is immutable and shared safely
+        across executions, threads and dataset changes; pair it with
+        :meth:`execute_physical`.  Cache keys must include
+        :meth:`plan_signature`.  A query the pipeline cannot run raises
+        :class:`~repro.errors.QueryError` here, before any I/O.
         """
         with _tracer.span("query.optimize"):
             access_plan = Optimizer(self.consolidate_field_access,
                                     self.pushdown_through_unnest).plan(
                 spec, dataset.config.storage_format.uses_vector_format)
             effective_spec = access_plan.effective_spec(spec)
-            choice = choose_access_path(effective_spec, dataset, force=self.access_path)
-            return PhysicalPlan(spec=effective_spec, choice=choice,
-                                batch_plan=compile_query(effective_spec, access_plan, choice))
+            return PhysicalPlan(spec=effective_spec,
+                                batch_plan=compile_query(effective_spec, access_plan))
 
     def plan_signature(self) -> Tuple:
         """The plan-relevant part of this executor's configuration.
 
         Two executors with equal signatures produce interchangeable
-        :class:`PhysicalPlan` objects for the same spec and dataset state,
-        so the signature is part of every plan-cache key.
+        :class:`PhysicalPlan` objects for the same spec, so the signature is
+        part of every plan-cache key.
         """
-        return (self.consolidate_field_access, self.pushdown_through_unnest,
-                self.access_path)
+        return (self.consolidate_field_access, self.pushdown_through_unnest)
 
     def _execute(self, dataset: Dataset, physical: PhysicalPlan) -> QueryResult:
-        spec, choice = physical.spec, physical.choice
+        spec = physical.spec
+        # Costed once per run, before any partition starts, against the
+        # dataset as it is now: every partition runs the same access path.
+        choice = choose_access_path(spec, dataset, force=self.access_path)
         stats = ExecutionStats(access_path=choice.path.name,
                                index_name=choice.path.index_name if choice.uses_index else None,
                                estimated_rows=choice.estimated_rows,
@@ -476,7 +481,7 @@ class QueryExecutor:
         if stats.parallelism <= 1:
             for index, partition in enumerate(dataset.partitions):
                 output, partition_stats = self._run_partition(
-                    index, partition, physical, token, guard)
+                    index, partition, physical, choice, token, guard)
                 outputs.append(output)
                 stats.per_partition.append(partition_stats)
         else:
@@ -486,7 +491,7 @@ class QueryExecutor:
                 # context copy (a Context can only be entered once at a
                 # time), and the no-op path returns the method unchanged.
                 futures = [pool.submit(_tracer.wrap_context(self._run_partition),
-                                       index, partition, physical, token, guard)
+                                       index, partition, physical, choice, token, guard)
                            for index, partition in enumerate(dataset.partitions)]
                 for future in futures:
                     output, partition_stats = future.result()
@@ -557,7 +562,7 @@ class QueryExecutor:
     # ------------------------------------------------------------------ local stage
 
     def _run_partition(self, index: int, partition, physical: PhysicalPlan,
-                       token: Optional[LimitCancellation],
+                       choice: AccessPathChoice, token: Optional[LimitCancellation],
                        guard: Optional[_DeadlineGuard]):
         """One partition's full local pipeline (runs on a worker thread)."""
         partition_stats = PartitionStats(partition_id=partition.partition_id)
@@ -574,7 +579,7 @@ class QueryExecutor:
         with _tracer.span("query.partition",
                           partition=partition.partition_id) as partition_span:
             with device.accounting_scope() as io_scope:
-                scan, probes = self._local_pipeline(partition, physical)
+                scan, probes = self._local_pipeline(partition, physical, choice)
                 pipeline: Iterator = probes[-1]
                 if guard is not None:
                     pipeline = guard.guarded(pipeline)
@@ -629,23 +634,24 @@ class QueryExecutor:
                 partition_stats.cancelled = True
                 return
 
-    def _local_pipeline(self, partition, physical: PhysicalPlan):
-        """Fold the plan's stage list into this partition's operator chain,
-        each stage behind an :class:`_OperatorProbe` named after it; returns
-        the scan and the probes in pipeline order (the last is the chain's tail)."""
-        spec, choice, batch_plan = physical.spec, physical.choice, physical.batch_plan
+    def _local_pipeline(self, partition, physical: PhysicalPlan, choice: AccessPathChoice):
+        """Open the scan ``choice`` names and fold the plan's stage list over
+        it into this partition's operator chain, each step behind an
+        :class:`_OperatorProbe` named after it; returns the scan and the
+        probes in pipeline order (the last is the chain's tail)."""
+        spec, batch_plan = physical.spec, physical.batch_plan
         batch_size = self.batch_size
         if batch_plan.plain_limit is not None:
             # Plain LIMIT: chunking by at most `limit` keeps the scan lazy —
             # it stops within one batch of the limit being satisfied (it may
             # overshoot by less than one batch when a WHERE filters rows).
             batch_size = min(batch_size, batch_plan.plain_limit)
-        source, *operators, _ = batch_plan.stages
+        *operators, _ = batch_plan.stages
         scan = BatchScanOperator(partition, spec.record_var, batch_plan.scan_paths,
                                  batch_size, batch_plan.extractor,
                                  probe=choice.path if choice.uses_index else None,
                                  use_slice_cache=not batch_plan.needs_views)
-        probes = [_OperatorProbe(scan, source.name)]
+        probes = [_OperatorProbe(scan, choice.stage_name)]
         for stage in operators:
             probes.append(_OperatorProbe(stage.operator(probes[-1]), stage.name))
         return scan, probes

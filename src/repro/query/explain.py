@@ -2,13 +2,15 @@
 
 ``explain(dataset, query)`` asks the dataset for the physical plan exactly
 as :meth:`~repro.core.dataset.Dataset.query` would — same planner call
-(:meth:`QueryExecutor.prepare_physical`), same plan cache — and renders it
-as indented text: the access-path decision with its costs, the plan's own
-stage list (the one the executor folds into operators, so the names here
-are the names in ``stats.per_partition[i].operators``) and the columns the
-scan extracts.  Nothing is executed unless ``analyze=True``, which runs that
-same plan object and appends the measured cost record.  Benchmarks and tests
-assert on the rendered access-path line ("IndexProbe(...)" vs "FullScan").
+(:meth:`QueryExecutor.prepare_physical`), same plan cache — costs its access
+path the way a run does, and renders both as indented text: the access-path
+decision with its costs, the source stage it names and the plan's own stage
+list (what the executor folds into operators, so the names here are the
+names in ``stats.per_partition[i].operators``) and the columns the scan
+extracts.  Nothing is executed unless ``analyze=True``, which runs that same
+plan object, renders the access path that run chose, and appends the
+measured cost record.  Benchmarks and tests assert on the rendered
+access-path line ("IndexProbe(...)" vs "FullScan").
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Any, Optional, Union
 from ..cache import PhysicalPlan
 from ..obs import CARDINALITY_MISESTIMATE, emit_event
 from .expressions import render_expr
-from .optimizer import AccessPathChoice
+from .optimizer import AccessPathChoice, choose_access_path
 from .plan import QuerySpec
 
 
@@ -54,17 +56,22 @@ def explain(dataset, query: Union[str, QuerySpec], analyze: bool = False,
     if not isinstance(physical, PhysicalPlan):
         raise ValueError("explain() renders query plans; CREATE INDEX has none")
     spec, batch_plan = physical.spec, physical.batch_plan
+    if analyze:
+        result, _ = dataset._run(query, runner, planned=(physical, source))
+        choice = result.access_path
+    else:
+        choice = choose_access_path(spec, dataset, force=runner.access_path)
 
     lines = [f"QUERY PLAN over dataset {dataset.config.name!r} "
              f"(format={dataset.config.storage_format.value}, "
              f"partitions={dataset.partition_count}, "
              f"~{dataset.approximate_record_count()} records)"]
-    lines.extend("  " + line for line in _access_path_lines(physical.choice))
+    lines.extend("  " + line for line in _access_path_lines(choice))
 
     lines.append("  pipeline (per partition):")
-    for position, stage in enumerate(batch_plan.stages):
-        lines.append(("    -> " if position else "    ") + stage.name
-                     + (f": {stage.detail}" if stage.detail else ""))
+    lines.append("    " + choice.stage_name)
+    for stage in batch_plan.stages:
+        lines.append(f"    -> {stage.name}: {stage.detail}")
 
     coordinator = []
     if spec.is_aggregation:
@@ -78,8 +85,10 @@ def explain(dataset, query: Union[str, QuerySpec], analyze: bool = False,
         coordinator.append("ORDER BY " + ", ".join(rendered_keys))
     if spec.limit is not None:
         coordinator.append(f"LIMIT {spec.limit}")
+    width = runner._resolve_parallelism(dataset)
     lines.append(f"  exchange: {dataset.partition_count} partition stream(s) "
-                 "merged in partition order (worker pool, default one worker per partition)")
+                 "merged in partition order ("
+                 + ("inline" if width == 1 else f"worker pool of {width}") + ")")
     lines.append("  coordinator: " + ("; ".join(coordinator) if coordinator else "concatenate"))
 
     if batch_plan.scan_paths:
@@ -88,7 +97,6 @@ def explain(dataset, query: Union[str, QuerySpec], analyze: bool = False,
     lines.append(f"  execution: batch (size={runner.batch_size})")
 
     if analyze:
-        result, _ = dataset._run(query, runner, planned=(physical, source))
         lines.extend(_analyze_lines(dataset, result.stats))
     return "\n".join(lines)
 

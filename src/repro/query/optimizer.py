@@ -262,6 +262,11 @@ class AccessPathChoice:
     def uses_index(self) -> bool:
         return isinstance(self.path, IndexProbe)
 
+    @property
+    def stage_name(self) -> str:
+        """The source stage's name in the operator stats and in EXPLAIN."""
+        return f"IndexProbe({self.path.index_name})" if self.uses_index else "FullScan"
+
 
 def conjuncts(predicate: Optional[Expr]) -> List[Expr]:
     """Flatten a WHERE tree's top-level AND into a conjunct list."""

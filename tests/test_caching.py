@@ -5,9 +5,10 @@ The contract pinned down here (PR 10):
 * repeated ``Dataset.query(text)`` calls reuse the compiled physical plan
   (``stats.plan_source == "cache"``) and return rows identical to a cold
   compile; ``Dataset.prepare`` pins a plan without the shared cache;
-* any event that can change optimizer inputs — ``CREATE INDEX``, flush,
-  merge, bulk load, ``invalidate_plans`` — moves the reuse epoch, so stale
-  plans stop matching instead of being served;
+* a plan holds nothing data-dependent: ``CREATE INDEX``, flush, merge and
+  bulk load leave cached and prepared plans in place, and every run costs
+  its access path afresh, so a cached statement still flips to an index
+  probe once its range becomes selective;
 * warm scans served by the column-slice cache are row-identical to cold
   ones, and memtable rows are always re-read, so unflushed updates are never
   hidden by the cache (``tests/test_model.py`` holds warm and cold rows to
@@ -94,22 +95,6 @@ class TestPlanCacheUnit:
         assert cache.get("c") == "plan-c"
         assert registry.counter("plan_cache_evictions").value == 1
         assert registry.gauge("plan_cache_entries").value == 2
-
-    def test_a_newer_epoch_evicts_every_older_entry(self):
-        # Epochs only move forward: an entry of an older one can never match.
-        registry = MetricsRegistry()
-        cache = PlanCache(capacity=4, metrics=registry)
-        cache.put(("a", 1), "plan-a", epoch=1)
-        cache.put(("b", 1), "plan-b", epoch=1)
-        cache.retire(1)  # the current epoch: every entry stays
-        assert len(cache) == 2
-        cache.put(("a", 2), "plan-a2", epoch=2)
-        assert len(cache) == 1 and cache.get(("b", 1)) is None
-        assert cache.get(("a", 2)) == "plan-a2"
-        cache.retire(3)
-        assert len(cache) == 0
-        assert registry.counter("plan_cache_evictions").value == 3
-        assert registry.gauge("plan_cache_entries").value == 0
 
     def test_zero_capacity_disables(self):
         cache = PlanCache(capacity=0, metrics=MetricsRegistry())
@@ -418,81 +403,62 @@ class TestPlanCacheIntegration:
         assert [row["id"] for row in statement.execute().rows] == [100]
         dataset.close()
 
-    def test_create_index_moves_epoch(self):
-        dataset = _dataset("PcIdx")
-        dataset.query(QUERY)
-        assert dataset.query(QUERY).stats.plan_source == "cache"
-        epoch_before = dataset.reuse_epoch()
-        dataset.query("CREATE INDEX iAge ON Ds (age)")
-        assert dataset.reuse_epoch() != epoch_before
-        replanned = dataset.query(QUERY)
-        assert replanned.stats.plan_source == "compiled"
-        assert _rows(replanned) == _rows(dataset.query(QUERY))
-        dataset.close()
-
-    def test_flush_and_merge_move_epoch(self):
+    def test_flush_and_merge_keep_the_plan(self):
         dataset = _dataset("PcFlush")
         dataset.query(QUERY)
-        dataset.insert({"id": 1000, "name": "user1000", "age": 1})
+        added = {"id": 1000, "name": "user1000", "age": 1}
+        dataset.insert(added)
         dataset.flush_all()
+        assert len(dataset.plan_cache) == 1
         after_flush = dataset.query(QUERY)
-        assert after_flush.stats.plan_source == "compiled"
-        assert "user1000" in _rows(after_flush)
+        assert after_flush.stats.plan_source == "cache"
         index = dataset.partitions[0].index
-        if index.component_count() >= 2:
-            dataset.query(QUERY)
-            index.merge(list(index.components))
-            assert dataset.query(QUERY).stats.plan_source == "compiled"
+        index.merge(list(index.components))
+        assert index.component_count() == 1
+        merged = dataset.query(QUERY)
+        assert merged.stats.plan_source == "cache"
+        assert _rows(after_flush) == _rows(merged) == _reference_names(_records() + [added])
         dataset.close()
 
-    def test_stale_plans_leave_the_cache(self):
-        dataset = _dataset("PcRetire")
-        dataset.query(QUERY)
-        dataset.flush_all()  # nothing to flush: the epoch and the plan stay
-        assert len(dataset.plan_cache) == 1
-        dataset.insert({"id": 1000, "name": "user1000", "age": 1})
+    def test_a_cached_statement_flips_to_an_index_probe(self):
+        # First run on an empty indexed dataset: the scan is the cheaper
+        # path.  Loaded and flushed, the same cached plan probes the index.
+        dataset = Dataset.create("PcFlip", StorageFormat.INFERRED)
+        dataset.create_index("iAge", "age")
+        text = "SELECT d.name AS name FROM Ds AS d WHERE d.age = 7"
+        empty = dataset.query(text)
+        assert (empty.stats.plan_source, empty.stats.access_path) == ("compiled", "FullScan")
+        records = [{"id": key, "name": f"user{key}", "age": key} for key in range(2000)]
+        dataset.bulk_load(records)
         dataset.flush_all()
-        assert len(dataset.plan_cache) == 0
-        # A flush the LSM tree makes on its own is seen at the next put.
-        dataset.query(QUERY)
-        dataset.insert({"id": 1001, "name": "user1001", "age": 1})
-        dataset.partitions[0].flush()
-        dataset.query("SELECT d.name AS name FROM Ds AS d WHERE d.age < 30")
-        assert len(dataset.plan_cache) == 1
-        assert dataset.query(QUERY).stats.plan_source == "compiled"
-        dataset.close()
-
-    def test_invalidate_plans_forces_recompile(self):
-        dataset = _dataset("PcInval")
-        dataset.query(QUERY)
-        dataset.invalidate_plans()
-        assert len(dataset.plan_cache) == 0
-        assert dataset.query(QUERY).stats.plan_source == "compiled"
+        loaded = dataset.query(text)
+        assert (loaded.stats.plan_source, loaded.stats.access_path) == ("cache", "IndexProbe")
+        assert _rows(loaded) == ["user7"]
         dataset.close()
 
     def test_executor_signature_partitions_entries(self):
+        # Optimizer flags shape the plan; the access-path policy only a run.
         dataset = _dataset("PcSig")
+        dataset.create_index("iAge", "age")
         dataset.query(QUERY)  # default-executor entry
-        forced_scan = dataset.query(QUERY, access_path="scan")
-        assert forced_scan.stats.plan_source == "compiled"
-        assert _rows(forced_scan) == _reference_names(_records())
-        assert dataset.query(QUERY, access_path="scan").stats.plan_source == "cache"
+        probed = dataset.query(QUERY, access_path="index")
+        assert (probed.stats.plan_source, probed.stats.access_path) == ("cache", "IndexProbe")
+        unrewritten = dataset.query(QUERY, consolidate_field_access=False)
+        assert unrewritten.stats.plan_source == "compiled"
+        assert _rows(probed) == _rows(unrewritten) == _reference_names(_records())
         dataset.close()
 
-    def test_prepared_statement_reuses_plan(self):
-        dataset = _dataset("PsBasic")
-        statement = dataset.prepare(QUERY)
+    def test_prepared_statement_probes_an_index_created_after_it(self):
+        dataset = _dataset("PsIdx", rows=2000)
+        text = "SELECT d.name AS name FROM Ds AS d WHERE d.id = 7"
+        statement = dataset.prepare(text)
         assert isinstance(statement, PreparedStatement)
-        oracle = _reference_names(_records())
-        first = statement.execute()
-        assert first.stats.plan_source == "cache"
-        assert _rows(first) == oracle
-        # Epoch move (CREATE INDEX) re-prepares transparently.
-        dataset.query("CREATE INDEX iAge2 ON Ds (age)")
-        replanned = statement.execute()
-        assert replanned.stats.plan_source == "compiled"
-        assert _rows(replanned) == oracle
-        assert statement.execute().stats.plan_source == "cache"
+        before = statement.execute()
+        assert (before.stats.plan_source, before.stats.access_path) == ("cache", "FullScan")
+        dataset.query("CREATE INDEX iId ON Ds (id)")
+        after = statement.execute()
+        assert (after.stats.plan_source, after.stats.access_path) == ("cache", "IndexProbe")
+        assert _rows(before) == _rows(after) == ["user7"]
         dataset.close()
 
     def test_prepared_statement_works_with_cache_disabled(self):

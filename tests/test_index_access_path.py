@@ -14,6 +14,7 @@ whole LSM lifecycle (upsert, delete, flush, merge, crash recovery) are
 ``tests/test_model.py``'s.
 """
 
+import importlib
 import sys
 import threading
 
@@ -25,7 +26,8 @@ from repro.datasets.stats import FieldStatistics
 from repro.errors import ComponentStateError, SqlppError, TransientIOError
 from repro.query import QueryExecutor, choose_access_path
 from repro.query.expressions import Comparison, field, lit
-from repro.query.plan import scan
+from repro.query.optimizer import AccessPathChoice
+from repro.query.plan import FullScan, scan
 from repro.sqlpp import CompiledCreateIndex
 from repro.sqlpp import compile as compile_sqlpp
 from repro.types import ADate, ADateTime, APoint, ATime, Datatype
@@ -219,6 +221,17 @@ class TestExplain:
         assert "FullScan(forced)" in dataset.explain(narrow, access_path="scan")
         forced = dataset.explain(_range_query(1000, 4000), access_path="index")
         assert "IndexProbe(index=by_ts" in forced and "forced" in forced
+
+    def test_analyze_renders_the_access_path_its_run_chose(self, monkeypatch):
+        # A costing after the run (say, after a concurrent flush) may
+        # disagree with the run: ANALYZE shows the path that ran.
+        dataset = _build(StorageFormat.INFERRED, device=DeviceKind.SATA_SSD)
+        narrow = _range_query(1000, 1003)
+        monkeypatch.setattr(importlib.import_module("repro.query.explain"), "choose_access_path",
+                            lambda spec, ds, force: AccessPathChoice(FullScan("re-costed")))
+        assert "FullScan(re-costed)" in dataset.explain(narrow)
+        analyzed = dataset.explain(narrow, analyze=True)
+        assert "access path: IndexProbe(index=by_ts" in analyzed and "FullScan" not in analyzed
 
     def test_no_usable_index_reports_why(self):
         dataset = _build(StorageFormat.INFERRED)

@@ -131,7 +131,7 @@ class EngineModel(RuleBasedStateMachine):
             self.dataset.plan_cache = PlanCache(capacity=0, metrics=self.dataset.metrics)
         for name, path in self.indexes:
             self.dataset.create_index(name, path)
-        self.planned, self.unsure = set(), set()
+        self.planned = set()
         self.tallies = {"inserts": 0, "upserts": 0, "deletes": 0}
         self.base = dict(self.tallies)
 
@@ -214,7 +214,6 @@ class EngineModel(RuleBasedStateMachine):
         plain_limit = not spec.is_aggregation and not spec.order_by and spec.limit is not None
         width = min(self.batch_size, spec.limit) if plain_limit else self.batch_size
         for _ in range(2):  # the second run may be served by the plan and slice caches
-            epoch = dataset.reuse_epoch()
             result = dataset.query(text, access_path=access_path, batch_size=self.batch_size,
                                    parallelism=self.parallelism)
             stats = result.stats
@@ -222,20 +221,10 @@ class EngineModel(RuleBasedStateMachine):
             assert stats.parallelism == min(self.parallelism or self.partitions, self.partitions)
             assert all(partition.batches == -(-partition.records_scanned // width)
                        for partition in stats.per_partition)
-            after = dataset.reuse_epoch()
-            planned = (text, access_path, after)
-            if after != epoch:
-                # A background flush or merge ran meanwhile: the engine keyed
-                # its plan by an epoch from `epoch` to `after`, so the next
-                # run at `after` may or may not hit it.
-                self.unsure.add(planned)
-                continue
-            if planned in self.unsure:
-                self.unsure.discard(planned)
-            else:
-                cached = self.plan_cache and planned in self.planned
-                assert stats.plan_source == ("cache" if cached else "compiled")
-            self.planned.add(planned)
+            # Only the text keys a plan: no write, flush, merge or index retires it.
+            cached = self.plan_cache and text in self.planned
+            assert stats.plan_source == ("cache" if cached else "compiled")
+            self.planned.add(text)
         assert dataset.get(key) == self.model.get(key)
         assert dataset.count() == len(self.model)
         ingest = dataset.ingest_stats()

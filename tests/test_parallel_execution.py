@@ -127,6 +127,13 @@ class TestParallelSequentialParity:
         assert fanned_out.rows == sequential.rows
         assert fanned_out.stats.parallelism == 2
 
+    @pytest.mark.parametrize("parallelism,shown", [(1, "inline"), (2, "worker pool of 2"),
+                                                   (None, f"worker pool of {PARTITIONS}")])
+    def test_explain_renders_the_resolved_exchange_width(self, parallelism, shown):
+        dataset = _build(StorageFormat.INFERRED, name="par_explain", count=40)
+        plan = dataset.explain("SELECT VALUE t.id FROM tweets AS t", parallelism=parallelism)
+        assert f"merged in partition order ({shown})" in plan
+
     def test_limit_cancellation_skips_unneeded_partitions(self):
         dataset = _build(StorageFormat.OPEN, name="par_limit", count=400)
         spec = scan("t").select(("id", field("t", "id"))).limit(3).build()
