@@ -25,9 +25,9 @@ def _figure7():
 
     time_rows = []
     for query_name in ("Q2", "Q4"):
-        spec = twitter.QUERIES[query_name]()
-        open_stats = run_query(open_built, spec).stats
-        closed_stats = run_query(closed_built, spec).stats
+        text = twitter.SQLPP[query_name]
+        open_stats = run_query(open_built, text).stats
+        closed_stats = run_query(closed_built, text).stats
         open_io = simulated_device_seconds(open_stats, DeviceKind.SATA_SSD)
         closed_io = simulated_device_seconds(closed_stats, DeviceKind.SATA_SSD)
         time_rows.append({"Query": f"Twitter {query_name}",

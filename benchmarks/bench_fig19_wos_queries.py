@@ -13,7 +13,6 @@ from harness import (
     check_compression_reduces_io,
     check_io_correlates_with_storage,
     check_results_agree,
-    check_sqlpp_parity,
     print_table,
     query_figure,
 )
@@ -28,4 +27,3 @@ def test_fig19_wos_queries(benchmark):
     check_io_correlates_with_storage("wos", measurements, QUERY_NAMES)
     check_compression_reduces_io("wos", measurements, QUERY_NAMES)
     check_results_agree(measurements, QUERY_NAMES)
-    check_sqlpp_parity("wos", QUERY_NAMES)

@@ -19,7 +19,6 @@ from harness import DeviceKind, print_table, shape_check
 
 from repro import Dataset, StorageEnvironment, StorageFormat
 from repro.adm import ADMEncoder, ADMRecordView
-from repro.query import Comparison, QueryExecutor, field, lit, scan
 from repro.types import Datatype, open_only_primary_key
 from repro.vector import VectorEncoder, VectorRecordView
 
@@ -35,12 +34,8 @@ def _wide_record(record_id: int):
     return record
 
 
-def _count_query(position: int):
-    name = f"field_{position:03d}"
-    return (scan("t")
-            .where(Comparison(">=", field("t", name), lit(0)))
-            .count_star()
-            .build())
+def _count_query(position: int) -> str:
+    return f"SELECT VALUE count(*) FROM Wide AS t WHERE t.field_{position:03d} >= 0"
 
 
 def _build_datasets():
@@ -61,7 +56,6 @@ def _build_datasets():
 
 
 def _figure22a(datasets):
-    executor = QueryExecutor(cold_cache=True)
     timings = {}
     rows = []
     for format_name, dataset in datasets.items():
@@ -70,7 +64,7 @@ def _figure22a(datasets):
             # few-millisecond queries cannot distort the position comparison
             best = None
             for _ in range(3):
-                result = executor.execute(dataset, _count_query(position))
+                result = dataset.query(_count_query(position), cold_cache=True)
                 assert result.rows[0]["count"] == RECORDS
                 seconds = result.stats.wall_seconds
                 best = seconds if best is None else min(best, seconds)

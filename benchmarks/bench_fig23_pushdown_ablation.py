@@ -22,10 +22,10 @@ def _figure23():
     rows = []
     timings = {}
     for query_name in QUERY_NAMES:
-        spec = sensors.QUERIES[query_name]()
-        closed_result = run_query(closed, spec)
-        optimized = run_query(inferred, spec, consolidate=True, pushdown=True)
-        unoptimized = run_query(inferred, spec, consolidate=False, pushdown=False)
+        text = sensors.SQLPP[query_name]
+        closed_result = run_query(closed, text)
+        optimized = run_query(inferred, text, consolidate=True, pushdown=True)
+        unoptimized = run_query(inferred, text, consolidate=False, pushdown=False)
         assert optimized.rows == unoptimized.rows
         timings[query_name] = {
             "closed": closed_result.stats.wall_seconds,

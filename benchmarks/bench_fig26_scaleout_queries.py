@@ -49,7 +49,7 @@ def _figure26():
             executor = QueryExecutor(cold_cache=True,
                                      parallelism=cluster.total_partitions())
             for query_name in QUERY_NAMES:
-                report = cluster.execute("tweets", twitter.QUERIES[query_name](), executor)
+                report = cluster.execute("tweets", twitter.SQLPP[query_name], executor)
                 measurements[(nodes, format_name, query_name)] = report
                 rows.append({"Nodes": nodes, "Format": format_name, "Query": query_name,
                              "Parallel (s)": report.parallel_seconds,

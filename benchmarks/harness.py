@@ -28,7 +28,7 @@ from repro import Dataset, DeviceKind, StorageEnvironment, StorageFormat
 from repro.cluster import DataFeed, FeedReport
 from repro.config import DEVICE_PROFILES
 from repro.datasets import sensors, twitter, wos
-from repro.query import ExecutionStats, QueryExecutor, QueryResult, QuerySpec
+from repro.query import ExecutionStats, QueryResult
 from repro.types import Datatype
 
 #: Smallest supported value of ``REPRO_BENCH_SCALE``.  Below ~0.5 the
@@ -179,11 +179,12 @@ def build_dataset(workload: str, format_name: str, compression: Optional[str] = 
 # query execution helpers
 # ---------------------------------------------------------------------------
 
-def run_query(built: BuiltDataset, spec: QuerySpec, consolidate: bool = True,
+def run_query(built: BuiltDataset, text: str, consolidate: bool = True,
               pushdown: bool = True, cold: bool = True) -> QueryResult:
-    executor = QueryExecutor(consolidate_field_access=consolidate,
-                             pushdown_through_unnest=pushdown, cold_cache=cold)
-    return executor.execute(built.dataset, spec)
+    """Run the SQL++ ``text`` through ``Dataset.query``.  ``stats.wall_seconds``
+    is taken inside the executor, so parse and compile stay out of it."""
+    return built.dataset.query(text, consolidate_field_access=consolidate,
+                               pushdown_through_unnest=pushdown, cold_cache=cold)
 
 
 def simulated_device_seconds(stats: ExecutionStats, device: DeviceKind) -> float:
@@ -191,14 +192,6 @@ def simulated_device_seconds(stats: ExecutionStats, device: DeviceKind) -> float
     profile = DEVICE_PROFILES[device]
     return (stats.bytes_read / profile["read_bandwidth"]
             + stats.bytes_written / profile["write_bandwidth"])
-
-
-def query_time(built: BuiltDataset, spec: QuerySpec, device: DeviceKind,
-               consolidate: bool = True, pushdown: bool = True) -> Tuple[float, QueryResult]:
-    """Headline query metric: CPU wall time + simulated I/O time on ``device``."""
-    result = run_query(built, spec, consolidate=consolidate, pushdown=pushdown, cold=True)
-    total = result.stats.wall_seconds + simulated_device_seconds(result.stats, device)
-    return total, result
 
 
 def repeated_query_caching(workload: str, query_names: Sequence[str],
@@ -290,24 +283,24 @@ def check_warm_cache_speedup(workload: str, measurements: Dict, queries: Iterabl
 
 def query_figure(workload: str, formats: Sequence[str] = ("open", "closed", "inferred"),
                  compressions: Sequence[Optional[str]] = (None, "snappy"),
-                 queries: Optional[Dict[str, Any]] = None) -> Tuple[List[Dict[str, Any]], Dict]:
+                 queries: Optional[Dict[str, str]] = None) -> Tuple[List[Dict[str, Any]], Dict]:
     """Shared driver of the Figure 18/19/20 query experiments.
 
-    Runs each of the workload's Q1–Q4 once per (format, compression)
-    configuration with a cold buffer cache and reports, per run: the measured
-    CPU (wall) seconds, the bytes read, and the simulated I/O seconds on both
-    the SATA and NVMe profiles.  Each run's device-specific headline time is
+    Runs each of the workload's Q1–Q4 SQL++ texts once per (format,
+    compression) configuration with a cold buffer cache and reports, per
+    run: the measured CPU (wall) seconds, the bytes read, and the simulated
+    I/O seconds on both the SATA and NVMe profiles.  Each run's device-specific headline time is
     CPU + simulated I/O for that device, mirroring how the paper's execution
     times combine both costs.
     """
-    queries = queries or GENERATORS[workload].QUERIES
+    queries = queries or GENERATORS[workload].SQLPP
     rows: List[Dict[str, Any]] = []
     measurements: Dict[Tuple[str, Optional[str], str], Dict[str, float]] = {}
     for compression in compressions:
         for format_name in formats:
             built = build_dataset(workload, format_name, compression=compression)
-            for query_name, build_query in queries.items():
-                result = run_query(built, build_query(), cold=True)
+            for query_name, text in queries.items():
+                result = run_query(built, text, cold=True)
                 stats = result.stats
                 sata = simulated_device_seconds(stats, DeviceKind.SATA_SSD)
                 nvme = simulated_device_seconds(stats, DeviceKind.NVME_SSD)
@@ -318,7 +311,7 @@ def query_figure(workload: str, formats: Sequence[str] = ("open", "closed", "inf
                     "nvme_io": nvme,
                     "sata_total": stats.wall_seconds + sata,
                     "nvme_total": stats.wall_seconds + nvme,
-                    "rows": len(result.rows),
+                    "rows": result.rows,
                 }
                 measurements[(format_name, compression, query_name)] = measurement
                 rows.append({
@@ -364,33 +357,15 @@ def check_compression_reduces_io(workload: str, measurements: Dict, queries: Ite
                         compressed < raw)
 
 
-def check_sqlpp_parity(workload: str, queries: Iterable[str],
-                       format_name: str = "inferred") -> None:
-    """The workload's SQL++ query texts compile to plans whose output matches
-    the fluent-builder plans' output on the same dataset (Appendix A texts)."""
-    from repro.sqlpp import compile as compile_sqlpp
-
-    generator = GENERATORS[workload]
-    built = build_dataset(workload, format_name)
-    executor = QueryExecutor()
-    for query_name in queries:
-        builder_rows = executor.execute(built.dataset,
-                                        generator.QUERIES[query_name]()).rows
-        sqlpp_rows = executor.execute(built.dataset,
-                                      compile_sqlpp(generator.SQLPP[query_name]).spec).rows
-        shape_check(f"{workload} {query_name}: SQL++ text and builder plan agree",
-                    builder_rows == sqlpp_rows)
-
-
 def check_results_agree(measurements: Dict, queries: Iterable[str],
                         formats: Sequence[str] = ("open", "closed", "inferred")) -> None:
-    """All configurations must return the same number of rows for each query."""
+    """All configurations must return the same rows for each query."""
     for query_name in queries:
-        counts = {measurements[(format_name, compression, query_name)]["rows"]
-                  for format_name in formats for compression in (None, "snappy")
-                  if (format_name, compression, query_name) in measurements}
-        shape_check(f"{query_name}: every configuration returns the same row count",
-                    len(counts) == 1)
+        results = [measurements[(format_name, compression, query_name)]["rows"]
+                   for format_name in formats for compression in (None, "snappy")
+                   if (format_name, compression, query_name) in measurements]
+        shape_check(f"{query_name}: every configuration returns the same rows",
+                    all(rows == results[0] for rows in results))
 
 
 def lifecycle_columns(report: FeedReport) -> Dict[str, Any]:

@@ -18,7 +18,6 @@ Run with::
 """
 
 from repro import Dataset, StorageEnvironment, StorageFormat
-from repro.query import QueryExecutor, field, scan
 
 
 def show_components(dataset: Dataset) -> None:
@@ -75,13 +74,12 @@ def run_phases(dataset: Dataset, environment: StorageEnvironment) -> None:
     print("  recovered schema contains 'reason':",
           revived.partitions[0].compactor.schema.field_name_id("reason") is not None)
 
-    query = (scan("e")
-             .group_by(("kind", field("e", "kind")))
-             .aggregate("n", "count", None)
-             .order_by("n", descending=True)
-             .build())
-    rows = QueryExecutor().execute(revived, query).rows
+    rows = revived.query("""
+        SELECT kind, count(*) AS n FROM events AS e
+        GROUP BY e.kind AS kind ORDER BY n DESC
+    """).rows
     print("  events by kind after recovery:", rows)
+    assert rows[0] == {"kind": "click", "n": 4}, "recovery must keep every logged record"
 
 
 if __name__ == "__main__":

@@ -59,8 +59,8 @@ def main() -> None:
     print()
 
     print("== Sensors Q2 / Q3, optimized vs un-optimized field access ==")
-    # The queries run from their SQL++ text (sensors.SQLPP); the compiled
-    # plans hit the same consolidation/pushdown rewrites as builder plans.
+    # The queries run from their SQL++ text (sensors.SQLPP); the two
+    # executors compile them with and without the rewrites.
     optimized = QueryExecutor(cold_cache=True)
     unoptimized = QueryExecutor(consolidate_field_access=False,
                                 pushdown_through_unnest=False, cold_cache=True)
@@ -68,7 +68,6 @@ def main() -> None:
         fast = inferred.query(sensors.SQLPP[name], executor=optimized)
         slow = inferred.query(sensors.SQLPP[name], executor=unoptimized)
         assert fast.rows == slow.rows
-        assert fast.rows == optimized.execute(inferred, sensors.QUERIES[name]()).rows
         print(f"  {name}: consolidated+pushdown {fast.stats.wall_seconds:6.3f}s   "
               f"un-optimized {slow.stats.wall_seconds:6.3f}s   rows={len(fast.rows)}")
     print()

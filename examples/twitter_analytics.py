@@ -63,8 +63,7 @@ def main() -> None:
     executor = QueryExecutor(cold_cache=True)
     for query_name in ("Q2", "Q3"):
         # The queries run from their Appendix A SQL++ text: Dataset.query()
-        # compiles the string through repro.sqlpp into the same plan the
-        # fluent builder (twitter.QUERIES) produces.
+        # compiles the string through repro.sqlpp into the engine's plan.
         print(f"== Twitter {query_name} ==")
         print("   " + " ".join(twitter.SQLPP[query_name].split()))
         for label, dataset in datasets.items():

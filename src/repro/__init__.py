@@ -17,8 +17,8 @@ The package implements, from scratch and in Python:
   evaluation section.
 
 * a SQL++ text front-end (lexer, recursive-descent parser, AST, binder)
-  compiling query strings into the same executable plans the fluent builder
-  produces, plus ``CREATE INDEX`` DDL;
+  compiling query strings into the engine's executable plans, plus
+  ``CREATE INDEX`` DDL — the one way a query is stated;
 * cost-based access-path selection: WHERE predicates over secondary-indexed
   fields are routed through an index probe or a full scan, whichever the
   device-profile cost model prices cheaper, with an ``explain()`` surface

@@ -27,7 +27,7 @@ from ..config import ClusterConfig, DatasetConfig, StorageConfig, StorageFormat
 from ..core.dataset import Dataset
 from ..errors import ClusterError
 from ..obs import StatsDictMixin
-from ..query import QueryExecutor, QueryResult, QuerySpec
+from ..query import QueryExecutor, QueryResult
 from ..types import Datatype, open_only_primary_key
 from .node import NodeController
 
@@ -159,16 +159,17 @@ class ClusterSimulator:
 
     # ------------------------------------------------------------------ queries
 
-    def execute(self, dataset_name: str, spec: QuerySpec,
+    def execute(self, dataset_name: str, text: str,
                 executor: Optional[QueryExecutor] = None,
                 parallelism: Optional[int] = None) -> ClusterQueryReport:
-        """Run a query against all partitions on a real worker pool."""
+        """Run the SQL++ query ``text`` against all partitions on a real
+        worker pool."""
         dataset = self.dataset(dataset_name)
         if executor is None:
             executor = QueryExecutor(parallelism=parallelism)
         elif parallelism is not None:
             raise ClusterError("pass either a prebuilt executor or parallelism, not both")
-        result = executor.execute(dataset, spec)
+        result = dataset.query(text, executor=executor)
         stats = result.stats
         throttle = max((node.environment.device.throttle for node in self.nodes), default=0.0)
         unslept_io = stats.simulated_io_seconds * max(0.0, 1.0 - throttle)

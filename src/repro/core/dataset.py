@@ -256,10 +256,10 @@ class Dataset:
     def query(self, text: str, executor: Optional[Any] = None, **executor_options):
         """Compile and run a SQL++ query string against this dataset.
 
-        The text is compiled by :mod:`repro.sqlpp` into the same
-        :class:`~repro.query.plan.QuerySpec` the fluent builder produces and
-        executed with a :class:`~repro.query.QueryExecutor` (a fresh one per
-        call unless ``executor`` is given; ``executor_options`` — e.g.
+        The text is compiled by :mod:`repro.sqlpp` into a
+        :class:`~repro.query.plan.QuerySpec` and executed with a
+        :class:`~repro.query.QueryExecutor` (a fresh one per call unless
+        ``executor`` is given; ``executor_options`` — e.g.
         ``cold_cache=True`` or ``parallelism=4`` — configure the fresh one;
         partitions fan out across a worker pool, one worker per partition by
         default, and ``parallelism=1`` runs them sequentially).  Returns the
@@ -314,26 +314,21 @@ class Dataset:
                 "pass either a prebuilt executor or executor options, not both")
         return executor if executor is not None else QueryExecutor(**executor_options)
 
-    def _plan(self, query: Any, runner: Any) -> Tuple[Any, Optional[str]]:
-        """The one road from a statement to its physical plan.
+    def _plan(self, text: str, runner: Any) -> Tuple[Any, Optional[str]]:
+        """The one road from a SQL++ statement to its physical plan.
 
-        ``query`` is SQL++ text or a prebuilt
-        :class:`~repro.query.plan.QuerySpec`; returns the
-        :class:`~repro.cache.PhysicalPlan` ``runner.prepare_physical`` built
-        and where it came from — ``"cache"`` (plan-cache hit: parse, bind and
-        compile all skipped), ``"compiled"``, or ``None`` for a prebuilt
-        spec, which has no text to key a cache entry.  :meth:`query`,
-        :class:`PreparedStatement` and :meth:`explain` all plan here, so
-        this is the only place a statement is split into the lexemes that
-        key the plan cache, and the cache probed or filled.  A CREATE INDEX
-        statement has no plan: its compiled form comes back in the plan's
-        place, with source ``None``.
+        Returns the :class:`~repro.cache.PhysicalPlan`
+        ``runner.prepare_physical`` built and where it came from —
+        ``"cache"`` (plan-cache hit: parse, bind and compile all skipped) or
+        ``"compiled"``.  :meth:`query`, :class:`PreparedStatement` and
+        :meth:`explain` all plan here, so this is the only place a statement
+        is split into the lexemes that key the plan cache, and the cache
+        probed or filled.  A CREATE INDEX statement has no plan: its compiled
+        form comes back in the plan's place, with source ``None``.
         """
-        if not isinstance(query, str):
-            return runner.prepare_physical(self, query), None
         from ..sqlpp.lexer import Lexed
 
-        lexed = Lexed(query)
+        lexed = Lexed(text)
         key = (lexed.lexemes, runner.plan_signature())
         physical = self.plan_cache.get(key)
         if physical is not None:
@@ -341,36 +336,34 @@ class Dataset:
         from ..sqlpp import CompiledCreateIndex
         from ..sqlpp import compile as compile_sqlpp
 
-        compiled = compile_sqlpp(query, lexed)
+        compiled = compile_sqlpp(text, lexed)
         if isinstance(compiled, CompiledCreateIndex):
             return compiled, None
         physical = runner.prepare_physical(self, compiled.spec)
         self.plan_cache.put(key, physical)
         return physical, "compiled"
 
-    def _run(self, query: Any, runner: Any,
+    def _run(self, text: str, runner: Any,
              planned: Optional[Tuple[Any, Optional[str]]] = None) -> Tuple[Any, Any]:
-        """Plan ``query`` (unless the caller brings the ``(plan, source)`` it
+        """Plan ``text`` (unless the caller brings the ``(plan, source)`` it
         already holds) and execute it under one ``query`` span; returns the
         result, stamped with the plan's source, and the plan that ran.  A
         CREATE INDEX statement runs nothing here: ``(None, compiled)``."""
-        label = query.strip()[:200] if isinstance(query, str) else "<query spec>"
-        with _tracer.span("query", text=label) as span:
+        with _tracer.span("query", text=text.strip()[:200]) as span:
             if span.trace_id:
                 self._last_trace_id = span.trace_id
-            physical, source = planned or self._plan(query, runner)
+            physical, source = planned or self._plan(text, runner)
             if not isinstance(physical, PhysicalPlan):
                 return None, physical
             result = runner.execute_physical(self, physical)
             result.stats.plan_source = source
             return result, physical
 
-    def explain(self, query: Any, analyze: bool = False, executor: Optional[Any] = None,
+    def explain(self, text: str, analyze: bool = False, executor: Optional[Any] = None,
                 **executor_options: Any) -> str:
-        """Render the plan (access path, pipeline, costs) for ``query``.
+        """Render the plan (access path, pipeline, costs) for the SQL++
+        statement ``text``; see :mod:`repro.query.explain`.
 
-        ``query`` is a SQL++ string or a prebuilt
-        :class:`~repro.query.plan.QuerySpec`; see :mod:`repro.query.explain`.
         The plan rendered is the one :meth:`query` would run with the same
         ``executor``/``executor_options`` (e.g. ``access_path="scan"``,
         ``parallelism=1``, ``cold_cache=True``) — it comes from the same
@@ -381,7 +374,7 @@ class Dataset:
         """
         from ..query.explain import explain as explain_plan
 
-        return explain_plan(self, query, analyze=analyze, executor=executor,
+        return explain_plan(self, text, analyze=analyze, executor=executor,
                             **executor_options)
 
     # ------------------------------------------------------------------ observability

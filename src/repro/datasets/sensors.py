@@ -10,7 +10,7 @@ than open, and smaller than closed thanks to the eliminated per-object
 offsets), so the generator reproduces it directly at a reduced reading
 count.
 
-``QUERIES`` holds the four queries of Appendix A.3:
+``SQLPP`` holds the four queries of Appendix A.3 as SQL++ text:
 
 * Q1 — ``COUNT(*)`` over unnested readings
 * Q2 — global min/max reading temperature
@@ -23,7 +23,6 @@ from __future__ import annotations
 import random
 from typing import Any, Dict, Iterator
 
-from ..query import And, Comparison, QuerySpec, field, lit, scan
 
 DEFAULT_SCALE = 1500
 
@@ -80,66 +79,11 @@ def generate(count: int = DEFAULT_SCALE, seed: int = 13, start_id: int = 0,
 # Appendix A.3 queries
 # ---------------------------------------------------------------------------
 
-def q1_count_readings() -> QuerySpec:
-    """SELECT count(*) FROM Sensors s, s.readings r."""
-    return (scan("s")
-            .unnest(field("s", "readings"), "r")
-            .count_star()
-            .build())
-
-
-def q2_min_max() -> QuerySpec:
-    """SELECT max(r.temp), min(r.temp) FROM Sensors s, s.readings r."""
-    return (scan("s")
-            .unnest(field("s", "readings"), "r")
-            .aggregate("max_temp", "max", field("r", "temp"))
-            .aggregate("min_temp", "min", field("r", "temp"))
-            .build())
-
-
-def q3_top_sensors_by_avg() -> QuerySpec:
-    """Top-10 sensors with the highest average reading."""
-    return (scan("s")
-            .unnest(field("s", "readings"), "r")
-            .group_by(("sid", field("s", "sensor_id")))
-            .aggregate("avg_temp", "avg", field("r", "temp"))
-            .order_by("avg_temp", descending=True)
-            .limit(10)
-            .build())
-
-
-def q4_top_sensors_one_day(day_start: int = REPORT_TIME_BASE - 1,
-                           window_ms: int = 2 * REPORT_INTERVAL_MS) -> QuerySpec:
-    """Q3 restricted to a short reporting window (selective filter).
-
-    The paper filters to one day out of the dataset's full time range, a
-    ~0.001 % selectivity at its 25 M-record scale.  The scaled-down generator
-    spans only minutes of report time, so the default window here covers two
-    report intervals — selective relative to the generated span — while the
-    ``day_start``/``window_ms`` parameters let benchmarks pick any
-    selectivity explicitly.
-    """
-    day_end = day_start + window_ms
-    return (scan("s")
-            .unnest(field("s", "readings"), "r")
-            .where(And(Comparison(">", field("s", "report_time"), lit(day_start)),
-                       Comparison("<", field("s", "report_time"), lit(day_end))))
-            .group_by(("sid", field("s", "sensor_id")))
-            .aggregate("avg_temp", "avg", field("r", "temp"))
-            .order_by("avg_temp", descending=True)
-            .limit(10)
-            .build())
-
-
-QUERIES = {
-    "Q1": q1_count_readings,
-    "Q2": q2_min_max,
-    "Q3": q3_top_sensors_by_avg,
-    "Q4": q4_top_sensors_one_day,
-}
-
-#: SQL++ text versions of the same queries (Q4 at its default window);
-#: tests/test_sqlpp_parity.py asserts result parity with ``QUERIES``.
+#: The four queries as SQL++ text; tests/test_sqlpp_parity.py holds their
+#: rows to the reference model.  The paper's Q4 filters to one day out of the
+#: dataset's full time range, a ~0.001 % selectivity at its 25 M-record scale;
+#: the scaled-down generator spans only minutes of report time, so Q4's window
+#: covers two report intervals, selective relative to the generated span.
 SQLPP = {
     "Q1": "SELECT VALUE count(*) FROM Sensors AS s UNNEST s.readings AS r",
     "Q2": """

@@ -10,7 +10,7 @@ at a configurable scale.  Roughly one record in ``sparse_every`` carries a
 few extra rarely-seen fields so the inferred schema keeps growing slowly,
 as it does for real tweets.
 
-``QUERIES`` holds the four queries of Appendix A.1:
+``SQLPP`` holds the four queries of Appendix A.1 as SQL++ text:
 
 * Q1 — ``COUNT(*)``
 * Q2 — top-10 users by average tweet length (GROUP BY / ORDER BY)
@@ -24,7 +24,6 @@ from __future__ import annotations
 import random
 from typing import Any, Dict, Iterator, Optional
 
-from ..query import Comparison, Exists, Func, QuerySpec, field, lit, scan
 
 #: Default number of records used by the benchmark harness (scaled from the
 #: paper's 77.6 M tweets down to something a laptop reproduces in seconds).
@@ -132,51 +131,8 @@ def generate_update(record: Dict[str, Any], rng: random.Random,
 # Appendix A.1 queries
 # ---------------------------------------------------------------------------
 
-def q1_count() -> QuerySpec:
-    """SELECT VALUE count(*) FROM Tweets."""
-    return scan("t").count_star().build()
-
-
-def q2_top_users_by_avg_length() -> QuerySpec:
-    """Top-10 users whose tweets' average length is largest."""
-    return (scan("t")
-            .group_by(("uname", field("t", "user", "name")))
-            .aggregate("a", "avg", Func("length", field("t", "text")))
-            .order_by("a", descending=True)
-            .limit(10)
-            .build())
-
-
-def q3_top_users_with_hashtag(hashtag: str = "jobs") -> QuerySpec:
-    """Top-10 users with the most tweets containing a popular hashtag."""
-    predicate = Comparison("=", Func("lowercase", field("ht", "text")), lit(hashtag))
-    return (scan("t")
-            .where(Exists(field("t", "entities", "hashtags"), "ht", predicate))
-            .group_by(("uname", field("t", "user", "name")))
-            .aggregate("c", "count", None)
-            .order_by("c", descending=True)
-            .limit(10)
-            .build())
-
-
-def q4_order_by_timestamp() -> QuerySpec:
-    """SELECT * FROM Tweets ORDER BY timestamp_ms."""
-    return (scan("t")
-            .select_record()
-            .order_by(field("t", "timestamp_ms"))
-            .build())
-
-
-QUERIES = {
-    "Q1": q1_count,
-    "Q2": q2_top_users_by_avg_length,
-    "Q3": q3_top_users_with_hashtag,
-    "Q4": q4_order_by_timestamp,
-}
-
-#: The same four queries as SQL++ text (Appendix A.1 verbatim, modulo the
-#: dataset name).  ``repro.sqlpp`` compiles each to a plan equivalent to its
-#: ``QUERIES`` twin — tests/test_sqlpp_parity.py asserts result parity.
+#: The four queries as SQL++ text (Appendix A.1 verbatim, modulo the dataset
+#: name); tests/test_sqlpp_parity.py holds their rows to the reference model.
 SQLPP = {
     "Q1": "SELECT VALUE count(*) FROM Tweets AS t",
     "Q2": """

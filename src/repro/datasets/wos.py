@@ -10,7 +10,7 @@ field that is an object for single-institute papers and an array of objects
 otherwise, which is exactly the heterogeneity the tuple compactor's union
 nodes have to absorb.
 
-``QUERIES`` holds the four queries of Appendix A.2:
+``SQLPP`` holds the four queries of Appendix A.2 as SQL++ text:
 
 * Q1 — ``COUNT(*)``
 * Q2 — top-10 subject categories by number of publications
@@ -24,7 +24,7 @@ import random
 from itertools import combinations
 from typing import Any, Dict, Iterator, List
 
-from ..query import And, Comparison, Func, QuerySpec, Var, field, lit, register_function, scan
+from ..query import register_function
 
 DEFAULT_SCALE = 2500
 
@@ -159,78 +159,13 @@ def _register_pair_function() -> None:
 _register_pair_function()
 
 
-def q1_count() -> QuerySpec:
-    """SELECT VALUE count(*) FROM Publications."""
-    return scan("t").count_star().build()
-
-
-def q2_top_subjects() -> QuerySpec:
-    """Top-10 subject categories (UNNEST subjects, filter ascatype, GROUP BY)."""
-    return (scan("t")
-            .unnest(field("t", *_SUBJECT_PATH), "subject")
-            .where(Comparison("=", field("subject", "ascatype"), lit("extended")))
-            .group_by(("v", field("subject", "value")))
-            .aggregate("cnt", "count", None)
-            .order_by("cnt", descending=True)
-            .limit(10)
-            .build())
-
-
-def q3_us_collaborators() -> QuerySpec:
-    """Top-10 countries that co-published the most with US-based institutes.
-
-    The record-level predicates (multi-country, includes USA) and the
-    item-level predicate (country != USA) are combined into one conjunction
-    evaluated after the UNNEST, which is equivalent for this query because
-    the record-level predicates do not depend on the unnested item.
-    """
-    return (scan("t")
-            .let("countries", Func("array_distinct",
-                                   field("t", *(_ADDRESS_PATH + ("*", "address_spec", "country")))))
-            .unnest(Var("countries"), "country")
-            .where(And(
-                Func("is_array", field("t", *_ADDRESS_PATH)),
-                Comparison(">", Func("array_count", Var("countries")), lit(1)),
-                Func("array_contains", Var("countries"), lit("USA")),
-                Comparison("!=", Var("country"), lit("USA")),
-            ))
-            .group_by(("country", Var("country")))
-            .aggregate("cnt", "count", None)
-            .order_by("cnt", descending=True)
-            .limit(10)
-            .build())
-
-
-def q4_country_pairs() -> QuerySpec:
-    """Top-10 pairs of countries with the most co-published articles."""
-    return (scan("t")
-            .let("countries", Func("array_distinct",
-                                   field("t", *(_ADDRESS_PATH + ("*", "address_spec", "country")))))
-            .let("pairs", Func("array_pairs", Var("countries")))
-            .where(And(Func("is_array", field("t", *_ADDRESS_PATH)),
-                       Comparison(">", Func("array_count", Var("countries")), lit(1))))
-            .unnest(Var("pairs"), "pair")
-            .group_by(("pair", Var("pair")))
-            .aggregate("cnt", "count", None)
-            .order_by("cnt", descending=True)
-            .limit(10)
-            .build())
-
-
-QUERIES = {
-    "Q1": q1_count,
-    "Q2": q2_top_subjects,
-    "Q3": q3_us_collaborators,
-    "Q4": q4_country_pairs,
-}
-
 _ADDRESS_SQLPP = "t." + ".".join(_ADDRESS_PATH)
 _SUBJECT_SQLPP = "t." + ".".join(_SUBJECT_PATH)
 
-#: SQL++ text versions of the same queries.  ``[*]`` is the wildcard path
-#: step the engine's record views understand (the paper's consolidated
-#: ``getValues`` shape); ``array_pairs`` is the workload-registered function
-#: above.  tests/test_sqlpp_parity.py asserts result parity with ``QUERIES``.
+#: The four queries as SQL++ text.  ``[*]`` is the wildcard path step the
+#: engine's record views understand (the paper's consolidated ``getValues``
+#: shape); ``array_pairs`` is the workload-registered function above.
+#: tests/test_sqlpp_parity.py holds their rows to the reference model.
 SQLPP = {
     "Q1": "SELECT VALUE count(*) FROM Publications AS t",
     "Q2": f"""

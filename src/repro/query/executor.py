@@ -194,10 +194,10 @@ class ExecutionStats(StatsDictMixin):
     #: execution (shared caches: concurrent work on them is counted too).
     cache_hits: int = 0
     cache_misses: int = 0
-    #: Where the physical plan came from: "cache" (plan-cache hit — parse,
-    #: bind, and optimize were all skipped), "compiled" (cache miss or a
-    #: cache-bypassing path), or None when the executor was driven with a
-    #: prebuilt QuerySpec directly.
+    #: Where the physical plan of a SQL++ statement came from: "cache"
+    #: (plan-cache hit — parse, bind, and optimize were all skipped) or
+    #: "compiled" (cache miss).  None off the statement road: a QuerySpec
+    #: run through :meth:`QueryExecutor.execute` directly, or CREATE INDEX.
     plan_source: Optional[str] = None
 
     records_scanned = _partition_total(

@@ -1,6 +1,6 @@
 """Compact plan renderer: which access path won, and why.
 
-``explain(dataset, query)`` asks the dataset for the physical plan exactly
+``explain(dataset, text)`` asks the dataset for the physical plan exactly
 as :meth:`~repro.core.dataset.Dataset.query` would — same planner call
 (:meth:`QueryExecutor.prepare_physical`), same plan cache — costs its access
 path the way a run does, and renders both as indented text: the access-path
@@ -15,13 +15,12 @@ access-path line ("IndexProbe(...)" vs "FullScan").
 
 from __future__ import annotations
 
-from typing import Any, Optional, Union
+from typing import Any, Optional
 
 from ..cache import PhysicalPlan
 from ..obs import CARDINALITY_MISESTIMATE, emit_event
 from .expressions import render_expr
 from .optimizer import AccessPathChoice, choose_access_path
-from .plan import QuerySpec
 
 
 def _access_path_lines(choice: AccessPathChoice) -> list:
@@ -41,9 +40,9 @@ def _access_path_lines(choice: AccessPathChoice) -> list:
     return lines
 
 
-def explain(dataset, query: Union[str, QuerySpec], analyze: bool = False,
+def explain(dataset, text: str, analyze: bool = False,
             executor: Optional[Any] = None, **executor_options) -> str:
-    """Render the plan for ``query`` over ``dataset``.
+    """Render the plan for the SQL++ statement ``text`` over ``dataset``.
 
     ``executor`` / ``executor_options`` (e.g. ``access_path="scan"``,
     ``parallelism=1``) mean what they mean to ``dataset.query``.  Without
@@ -52,12 +51,12 @@ def explain(dataset, query: Union[str, QuerySpec], analyze: bool = False,
     inclusive wall time / bytes read, plus buffer-cache activity and the
     estimated-vs-actual cardinality error."""
     runner = dataset._runner(executor, executor_options)
-    physical, source = dataset._plan(query, runner)
+    physical, source = dataset._plan(text, runner)
     if not isinstance(physical, PhysicalPlan):
         raise ValueError("explain() renders query plans; CREATE INDEX has none")
     spec, batch_plan = physical.spec, physical.batch_plan
     if analyze:
-        result, _ = dataset._run(query, runner, planned=(physical, source))
+        result, _ = dataset._run(text, runner, planned=(physical, source))
         choice = result.access_path
     else:
         choice = choose_access_path(spec, dataset, force=runner.access_path)
@@ -119,9 +118,7 @@ def _analyze_lines(dataset, stats) -> list:
                      f"{_format_seconds(op.seconds):>10}  {op.bytes_read:>12,}"
                      f"  {op.batches:>8}")
     lines.append("    (time is inclusive wall time, summed across partitions)")
-    if stats.plan_source is not None:
-        lines.append("    plan: cached" if stats.plan_source == "cache"
-                     else "    plan: compiled")
+    lines.append("    plan: cached" if stats.plan_source == "cache" else "    plan: compiled")
     cache_total = stats.cache_hits + stats.cache_misses
     if cache_total:
         lines.append(f"    buffer cache: {stats.cache_hits} hit(s) / "

@@ -259,12 +259,3 @@ def render_expr(expr: Expr) -> str:
                 f"SATISFIES {render_expr(expr.predicate)}")
     return repr(expr)
 
-
-# -- convenience constructors used by workload query definitions ----------------
-
-def field(source: str, *path: Any) -> FieldAccess:
-    return FieldAccess(source, path)
-
-
-def lit(value: Any) -> Literal:
-    return Literal(value)

@@ -43,8 +43,14 @@ def merge_partials(partials: Sequence[Dict[Tuple[Any, ...], List[Any]]],
 
 
 def finalize_groups(groups: Dict[Tuple[Any, ...], List[Any]], spec: QuerySpec) -> List[Dict[str, Any]]:
-    """Turn merged group states into output rows."""
+    """Turn merged group states into output rows.
+
+    Aggregates without GROUP BY make one row even over no input (SQL: count
+    0, every other aggregate null) — what each function's fresh state
+    finalizes to."""
     functions = [get_aggregate(aggregate.function) for aggregate in spec.aggregates]
+    if not groups and not spec.group_keys:
+        groups = {(): [function.create() for function in functions]}
     rows = []
     for key, states in groups.items():
         row: Dict[str, Any] = {}

@@ -1,23 +1,24 @@
-"""Logical query specification and the fluent builder used by workloads.
+"""Logical query specification: what :mod:`repro.sqlpp`'s binder produces.
 
-The builder covers the SQL++ shapes used throughout the paper's evaluation
-(Appendix A): scans, UNNEST, WHERE, GROUP BY with aggregates, ORDER BY,
-LIMIT, COUNT(*), and plain projections.  It intentionally does *not* try to
-be a general SQL++ implementation — the goal is a declarative way to express
-the twelve experiment queries (plus the examples) against the storage
-engine's record views, with enough structure for the optimizer to apply the
-paper's field-access consolidation and pushdown rewrites.
+A :class:`QuerySpec` holds the SQL++ shapes used throughout the paper's
+evaluation (Appendix A): scans, LET, UNNEST, WHERE, GROUP BY with
+aggregates, ORDER BY, LIMIT, COUNT(*), and plain projections, with enough
+structure for the optimizer to apply the paper's field-access consolidation
+and pushdown rewrites.  Queries are stated as SQL++ text
+(``Dataset.query``); the binder is the one producer of specs, and the access
+paths (:class:`FullScan`, :class:`IndexProbe`) are what the optimizer
+chooses between.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, List, Optional, Tuple, Union
 
 from ..errors import QueryError
 from ..types import ranked_bounds
 from .aggregates import get_aggregate
-from .expressions import Expr, FieldAccess, Var
+from .expressions import Expr
 
 
 @dataclass
@@ -143,71 +144,3 @@ class QuerySpec:
         is what triggers the schema broadcast of paper §3.4.1.
         """
         return bool(self.group_keys) or bool(self.order_by) or bool(self.aggregates)
-
-
-class QueryBuilder:
-    """Fluent builder for :class:`QuerySpec` (see datasets' QUERIES modules)."""
-
-    def __init__(self, record_var: str = "t") -> None:
-        self._spec = QuerySpec(record_var=record_var)
-
-    # -- clauses -----------------------------------------------------------------
-
-    def let(self, name: str, expr: Expr) -> "QueryBuilder":
-        self._spec.lets.append(LetClause(name, expr))
-        return self
-
-    def unnest(self, collection: Expr, item_var: str) -> "QueryBuilder":
-        self._spec.unnests.append(UnnestClause(collection, item_var))
-        return self
-
-    def where(self, predicate: Expr) -> "QueryBuilder":
-        if self._spec.where is not None:
-            raise QueryError("where() may only be called once; combine predicates with And()")
-        self._spec.where = predicate
-        return self
-
-    def group_by(self, *keys: Tuple[str, Expr]) -> "QueryBuilder":
-        self._spec.group_keys.extend(keys)
-        return self
-
-    def aggregate(self, output: str, function: str, argument: Optional[Expr] = None) -> "QueryBuilder":
-        self._spec.aggregates.append(AggregateSpec(output, function, argument))
-        return self
-
-    def count_star(self, output: str = "count") -> "QueryBuilder":
-        return self.aggregate(output, "count", None)
-
-    def select(self, *projections: Tuple[str, Expr]) -> "QueryBuilder":
-        self._spec.projections.extend(projections)
-        return self
-
-    def select_record(self, output: str = "record") -> "QueryBuilder":
-        """``SELECT *`` — project the whole record (paper's Twitter Q4)."""
-        return self.select((output, Var(self._spec.record_var)))
-
-    def order_by(self, expr_or_column: Union[Expr, str], descending: bool = False) -> "QueryBuilder":
-        self._spec.order_by.append(OrderKey(expr_or_column, descending))
-        return self
-
-    def limit(self, count: int) -> "QueryBuilder":
-        if count <= 0:
-            raise QueryError("limit must be positive")
-        self._spec.limit = count
-        return self
-
-    # -- finish --------------------------------------------------------------------
-
-    def build(self) -> QuerySpec:
-        spec = self._spec
-        if not spec.is_aggregation and not spec.projections:
-            # Default to SELECT * when nothing was projected.
-            spec.projections = [("record", Var(spec.record_var))]
-        if spec.group_keys and spec.projections:
-            raise QueryError("grouped queries project their group keys and aggregates only")
-        return spec
-
-
-def scan(record_var: str = "t") -> QueryBuilder:
-    """Entry point: ``scan("t")`` reads like ``FROM Dataset AS t``."""
-    return QueryBuilder(record_var)

@@ -1,9 +1,8 @@
 """SQL++ text front-end: lexer, parser, AST, and binder.
 
 Compiles query strings covering the paper's SQL++ dialect (Appendix A) into
-the engine's :class:`~repro.query.plan.QuerySpec`, so textual queries run
-through the same optimizer rewrites and partitioned executor as
-builder-constructed plans::
+the engine's :class:`~repro.query.plan.QuerySpec`, which the optimizer
+rewrites and the partitioned executor runs::
 
     from repro import Dataset, StorageFormat
 

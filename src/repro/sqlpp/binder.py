@@ -3,11 +3,10 @@
 The binder is deliberately a *translator*, not a second planner: it resolves
 names against the query's variable scope (FROM alias, UNNEST aliases, LET
 names), maps AST expressions onto the existing
-:mod:`repro.query.expressions` node classes, and assembles the same
-:class:`~repro.query.plan.QuerySpec` the fluent builder produces — so parsed
-queries flow unchanged through the optimizer's consolidation/pushdown
-rewrites and the partitioned executor, and a text query and its builder twin
-yield byte-identical plans.
+:mod:`repro.query.expressions` node classes, and assembles the
+:class:`~repro.query.plan.QuerySpec` — so parsed queries flow unchanged
+through the optimizer's consolidation/pushdown rewrites and the partitioned
+executor.
 
 Binding errors are :class:`~repro.errors.SqlppError` with the position of
 the offending AST node (unbound identifiers, unknown functions, aggregates

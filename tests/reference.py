@@ -162,6 +162,11 @@ def reference_rows(spec: QuerySpec,
     if spec.is_aggregation:
         merged = merge_partials([_partial(spec, records) for records in partitions],
                                 spec.aggregates)
+        if not merged and not spec.group_keys:
+            # Aggregates without GROUP BY make one row even over no input:
+            # count 0, listify an empty list, every other aggregate null.
+            return [{aggregate.output: {"count": 0, "listify": []}.get(aggregate.function)
+                     for aggregate in spec.aggregates}]
         return order_and_limit(finalize_groups(merged, spec), spec)
     candidates = []
     for records in partitions:

@@ -1,4 +1,4 @@
-"""Additional unit tests: aggregates, configuration validation, plan building."""
+"""Additional unit tests: aggregates, configuration validation, query specs."""
 
 import re
 from pathlib import Path
@@ -16,11 +16,11 @@ from repro.config import (
     StorageFormat,
 )
 from repro.errors import QueryError
-from repro.query import get_aggregate, scan
+from repro.query import get_aggregate
 from repro.query.aggregates import AvgAggregate, CountAggregate, ListifyAggregate
 from repro.query.plan import AggregateSpec
 from repro.query.operators import merge_partials, order_and_limit
-from repro.query import field, lit, Comparison
+from repro.sqlpp import compile as compile_sqlpp
 from repro.types import MISSING
 
 
@@ -74,32 +74,23 @@ class TestAggregates:
         assert merged[("b",)] == [1]
 
 
-class TestPlanBuilder:
-    def test_count_star_build(self):
-        spec = scan("t").count_star().build()
+class TestQuerySpec:
+    def test_count_star_repartitions(self):
+        spec = compile_sqlpp("SELECT VALUE count(*) FROM x AS t").spec
         assert spec.is_aggregation and spec.repartitions
 
-    def test_default_projection_is_whole_record(self):
-        spec = scan("t").build()
+    def test_select_star_projects_the_whole_record(self):
+        spec = compile_sqlpp("SELECT * FROM x AS t").spec
         assert spec.projections[0][0] == "record"
-
-    def test_double_where_rejected(self):
-        builder = scan("t").where(Comparison("=", field("t", "a"), lit(1)))
-        with pytest.raises(QueryError):
-            builder.where(Comparison("=", field("t", "b"), lit(2)))
-
-    def test_bad_limit_rejected(self):
-        with pytest.raises(QueryError):
-            scan("t").limit(0)
 
     def test_aggregate_requires_argument(self):
         with pytest.raises(QueryError):
-            scan("t").aggregate("a", "avg", None).build()
+            AggregateSpec("a", "avg", None)
 
     def test_order_and_limit_on_rows(self):
-        spec = (scan("t").group_by(("k", field("t", "k")))
-                .aggregate("n", "count", None)
-                .order_by("n", descending=True).limit(2).build())
+        spec = compile_sqlpp("""
+            SELECT k, count(*) AS n FROM x AS t GROUP BY t.k AS k ORDER BY n DESC LIMIT 2
+        """).spec
         rows = [{"k": "a", "n": 3}, {"k": "b", "n": 9}, {"k": "c", "n": 5}]
         ordered = order_and_limit(rows, spec)
         assert [row["k"] for row in ordered] == ["b", "c"]

@@ -34,7 +34,7 @@ from repro.datasets import twitter
 from repro.errors import KeyNotFoundError, SchedulerError
 from repro.lsm import LSMBTree, LSMIOScheduler, NoMergePolicy, PrefixMergePolicy
 from repro.obs import MetricsRegistry
-from repro.query import QueryExecutor, field, scan
+from repro.query import QueryExecutor
 from repro.storage import BufferCache, FileManager, SimulatedStorageDevice
 from repro.storage.wal import LogRecordType, WriteAheadLog
 
@@ -477,7 +477,7 @@ class TestConcurrentIngestStress:
                                 lsm=_lsm(background=False,
                                          memory_component_budget=2048))
 
-        spec = scan("t").select(("id", field("t", "id"))).build()
+        text = "SELECT t.id AS id FROM stress_bg AS t"
         executor = QueryExecutor(parallelism=2)
         failures = []
         done = threading.Event()
@@ -485,7 +485,7 @@ class TestConcurrentIngestStress:
         def query_loop():
             try:
                 while not done.is_set():
-                    ids = [row["id"] for row in executor.execute(background, spec).rows]
+                    ids = [row["id"] for row in background.query(text, executor=executor).rows]
                     assert len(ids) == len(set(ids)), "duplicate key in concurrent scan"
             except Exception as exc:  # pragma: no cover - failure reporting
                 failures.append(repr(exc))

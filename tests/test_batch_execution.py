@@ -17,12 +17,14 @@ import string
 import sys
 import threading
 import uuid
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import Dataset, DeviceKind, StorageEnvironment, StorageFormat
+import repro.sqlpp
+from repro import Dataset, DeviceKind, StorageEnvironment, StorageFormat, compile_sqlpp
 from repro.adm import ADMEncoder, ADMRecordView
 from repro.core.formats import DictRecordView
 from repro.core.tuple_compactor import TupleCompactor
@@ -30,19 +32,22 @@ from repro.datasets import sensors, twitter
 from repro.errors import DecodingError, QueryError, SchemaError
 from repro.query import (
     And,
+    AggregateSpec,
     Comparison,
     DEFAULT_BATCH_SIZE,
     Exists,
     Expr,
-    Func,
+    FieldAccess,
+    Literal,
     Optimizer,
+    OrderKey,
     QueryExecutor,
+    QuerySpec,
+    UnnestClause,
     Var,
     explain,
-    field,
-    lit,
-    scan,
 )
+from repro.query.plan import LetClause
 from repro.schema import InferredSchema
 from repro.types import (ADate, ADateTime, AMultiset, APoint, ATime, Datatype, FieldDeclaration,
                          MISSING, TypeTag, navigate)
@@ -94,125 +99,63 @@ def partitioned_dataset():
     return _dataset(partitions=4, name="batch_tweets_p4")
 
 
-def _q_count():
-    return scan("t").count_star().build()
-
-
-def _q_group_avg():
-    return (scan("t")
-            .group_by(("name", field("t", "user", "name")))
-            .aggregate("avg_len", "avg", Func("length", field("t", "text")))
-            .order_by("avg_len", descending=True)
-            .build())
-
-
-def _q_exists_filter():
-    predicate = Comparison("=", field("ht", "text"), lit("jobs"))
-    return (scan("t")
-            .where(Exists(field("t", "entities", "hashtags"), "ht", predicate))
-            .group_by(("name", field("t", "user", "name")))
-            .count_star()
-            .build())
-
-
-def _q_order_project():
-    return (scan("t")
-            .select(("id", field("t", "id")), ("ts", field("t", "timestamp_ms")))
-            .order_by(field("t", "timestamp_ms"))
-            .limit(25)
-            .build())
-
-
-def _q_select_star():
-    return scan("t").select_record().order_by(field("t", "id")).limit(10).build()
-
-
-def _q_let_where():
-    return (scan("t")
-            .let("length", Func("length", field("t", "text")))
-            .where(Comparison(">", Var("length"), lit(20)))
-            .select(("id", field("t", "id")), ("length", Var("length")))
-            .build())
-
-
-def _q_unnest_pushdown():
-    return (scan("t")
-            .unnest(field("t", "readings"), "r")
-            .group_by(("id", field("t", "id")))
-            .aggregate("max_temp", "max", field("r", "temp"))
-            .build())
-
-
-def _q_unnest_item_var():
-    """Whole-item uses defeat the access pushdown: the generic UNNEST runs."""
-    return (scan("t")
-            .unnest(field("t", "readings"), "r")
-            .where(Comparison(">", field("r", "temp"), lit(40.0)))
-            .select(("id", field("t", "id")), ("reading", Var("r")))
-            .build())
-
-
-def _q_two_unnests():
-    return (scan("t")
-            .unnest(field("t", "readings"), "r")
-            .unnest(field("t", "entities", "hashtags"), "ht")
-            .group_by(("tag", field("ht", "text")))
-            .aggregate("max_temp", "max", field("r", "temp"))
-            .build())
-
-
-def _q_chained_unnests():
-    """The second UNNEST iterates a field of the first one's item."""
-    return (scan("t")
-            .unnest(field("t", "groups"), "g")
-            .unnest(field("g", "members"), "m")
-            .group_by(("member", Var("m")))
-            .count_star("n")
-            .build())
-
-
-def _q_nested_exists():
-    """Nested quantifiers; the inner one re-binds (shadows) the outer name."""
-    inner = Exists(field("g", "members"), "g", Comparison("=", Var("g"), field("t", "id")))
-    return (scan("t")
-            .where(Exists(field("t", "groups"), "g", inner))
-            .select(("id", field("t", "id")))
-            .build())
-
-
-def _q_exists_row_and_item():
-    """The predicate mixes the item variable with a row-only subexpression."""
-    predicate = Comparison("=", field("ht", "text"),
-                           Func("lowercase", field("t", "user", "name")))
-    return (scan("t")
-            .where(Exists(field("t", "entities", "hashtags"), "ht", predicate))
-            .select(("id", field("t", "id")))
-            .build())
-
-
 PARITY_QUERIES = {
-    "count_star": _q_count,
-    "group_avg": _q_group_avg,
-    "exists_filter": _q_exists_filter,
-    "order_project": _q_order_project,
-    "select_star": _q_select_star,
-    "let_where": _q_let_where,
-    "unnest_pushdown": _q_unnest_pushdown,
-    "unnest_item_var": _q_unnest_item_var,
-    "two_unnests": _q_two_unnests,
-    "chained_unnests": _q_chained_unnests,
-    "nested_exists": _q_nested_exists,
-    "exists_row_and_item": _q_exists_row_and_item,
+    "count_star": "SELECT VALUE count(*) FROM tweets AS t",
+    "group_avg": """
+        SELECT name, avg(length(t.text)) AS avg_len FROM tweets AS t
+        GROUP BY t.user.name AS name ORDER BY avg_len DESC""",
+    "exists_filter": """
+        SELECT name, count(*) AS count FROM tweets AS t
+        WHERE SOME ht IN t.entities.hashtags SATISFIES ht.text = 'jobs'
+        GROUP BY t.user.name AS name""",
+    "order_project": """
+        SELECT t.id AS id, t.timestamp_ms AS ts FROM tweets AS t
+        ORDER BY t.timestamp_ms LIMIT 25""",
+    "select_star": "SELECT * FROM tweets AS t ORDER BY t.id LIMIT 10",
+    "let_where": """
+        SELECT t.id AS id, length AS length FROM tweets AS t
+        LET length = length(t.text) WHERE length > 20""",
+    "unnest_pushdown": """
+        SELECT id, max(r.temp) AS max_temp FROM tweets AS t UNNEST t.readings AS r
+        GROUP BY t.id AS id""",
+    # Whole-item uses defeat the access pushdown: the generic UNNEST runs.
+    "unnest_item_var": """
+        SELECT t.id AS id, r AS reading FROM tweets AS t UNNEST t.readings AS r
+        WHERE r.temp > 40.0""",
+    "two_unnests": """
+        SELECT tag, max(r.temp) AS max_temp
+        FROM tweets AS t UNNEST t.readings AS r UNNEST t.entities.hashtags AS ht
+        GROUP BY ht.text AS tag""",
+    # The second UNNEST iterates a field of the first one's item.
+    "chained_unnests": """
+        SELECT member, count(*) AS n
+        FROM tweets AS t UNNEST t.groups AS g UNNEST g.members AS m
+        GROUP BY m AS member""",
+    # Nested quantifiers; the inner one re-binds (shadows) the outer name,
+    # which SQL++ text cannot state.
+    "nested_exists": QuerySpec(
+        where=Exists(FieldAccess("t", ("groups",)), "g",
+                     Exists(FieldAccess("g", ("members",)), "g",
+                            Comparison("=", Var("g"), FieldAccess("t", ("id",))))),
+        projections=[("id", FieldAccess("t", ("id",)))]),
+    # The predicate mixes the item variable with a row-only subexpression.
+    "exists_row_and_item": """
+        SELECT t.id AS id FROM tweets AS t
+        WHERE SOME ht IN t.entities.hashtags SATISFIES ht.text = lowercase(t.user.name)""",
 }
 
 ALL_FORMATS = [StorageFormat.OPEN, StorageFormat.CLOSED, StorageFormat.INFERRED,
                StorageFormat.SL_VB]
 
 
-def _assert_matches_reference(dataset, make_spec, records=RECORDS, **options):
-    result = QueryExecutor(**options).execute(dataset, make_spec())
-    expected = reference_rows(make_spec(),
-                              partition_records(records, dataset.partition_count))
+def _assert_matches_reference(dataset, query, records=RECORDS, **options):
+    """``query`` is SQL++ text, run through ``dataset.query``, or a spec the
+    text cannot state, run through ``QueryExecutor.execute``."""
+    if isinstance(query, str):
+        result, spec = dataset.query(query, **options), compile_sqlpp(query).spec
+    else:
+        result, spec = QueryExecutor(**options).execute(dataset, query), query
+    expected = reference_rows(spec, partition_records(records, dataset.partition_count))
     assert result.rows == expected
     assert result.stats.batches_processed > 0
     return result
@@ -252,8 +195,8 @@ class TestReferenceParity:
     def test_parity_unflushed_memtable(self, storage_format):
         dataset = _dataset(storage_format, name=f"batch_memtable_{storage_format.value}",
                            flush=False)
-        for make_spec in PARITY_QUERIES.values():
-            _assert_matches_reference(dataset, make_spec)
+        for query in PARITY_QUERIES.values():
+            _assert_matches_reference(dataset, query)
 
     @pytest.mark.parametrize("query_name", sorted(PARITY_QUERIES))
     @pytest.mark.parametrize("pushdown", [True, False])
@@ -269,12 +212,12 @@ class TestReferenceParity:
                                   pushdown_through_unnest=False)
 
     def test_batch_stats_reported(self, inferred_dataset):
-        result = QueryExecutor().execute(inferred_dataset, _q_group_avg())
+        result = inferred_dataset.query(PARITY_QUERIES["group_avg"])
         assert result.stats.batch_size == DEFAULT_BATCH_SIZE
         assert result.stats.batches_processed >= 1
 
     def test_batch_size_one_batch_count(self, inferred_dataset):
-        result = QueryExecutor(batch_size=1).execute(inferred_dataset, _q_group_avg())
+        result = inferred_dataset.query(PARITY_QUERIES["group_avg"], batch_size=1)
         assert result.stats.batches_processed == len(RECORDS)
 
 
@@ -282,54 +225,66 @@ class _Opaque(Expr):
     """An Expr subclass the plan compiler has no case for."""
 
 
+_COUNT = AggregateSpec("count", "count")
+_READINGS = FieldAccess("t", ("readings",))
+
+
 class TestPlanTimeErrors:
-    """What the pipeline cannot run fails when planned, before any scan."""
+    """What the pipeline cannot run fails when planned, before any scan.
+
+    The binder makes none of these specs from SQL++ text, so each is built
+    from the expression classes."""
 
     def _assert_rejected(self, dataset, spec):
-        """The planner's error is execute()'s and explain()'s: one planner."""
+        """The planner's error is execute()'s and explain()'s: one planner.
+        explain() states its query as text, so the compiler is stubbed to
+        bind a fresh statement to ``spec``."""
         with pytest.raises(QueryError) as planned:
             QueryExecutor().prepare_physical(dataset, spec)
-        for run in (QueryExecutor().execute, explain):
-            with pytest.raises(QueryError) as rejected:
-                run(dataset, spec)
-            assert str(rejected.value) == str(planned.value)
+        text = f"SELECT * FROM unplannable_{uuid.uuid4().hex} AS t"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(repro.sqlpp, "compile", lambda *args: SimpleNamespace(spec=spec))
+            for run in (lambda: QueryExecutor().execute(dataset, spec),
+                        lambda: explain(dataset, text)):
+                with pytest.raises(QueryError) as rejected:
+                    run()
+                assert str(rejected.value) == str(planned.value)
 
     def test_unbound_variable(self, inferred_dataset):
+        self._assert_rejected(inferred_dataset, QuerySpec(projections=[("x", Var("nobody"))]))
+        self._assert_rejected(
+            inferred_dataset, QuerySpec(projections=[("a", FieldAccess("x", ("foo",)))]))
         self._assert_rejected(
             inferred_dataset,
-            scan("t").select(("x", Var("nobody"))).build())
-        self._assert_rejected(
-            inferred_dataset, scan("t").select(("a", field("x", "foo"))).build())
-        self._assert_rejected(
-            inferred_dataset,
-            scan("t").where(Comparison("=", field("nobody", "a"), lit(1))).count_star().build())
+            QuerySpec(where=Comparison("=", FieldAccess("nobody", ("a",)), Literal(1)),
+                      aggregates=[_COUNT]))
 
     def test_let_cannot_see_a_later_unnest(self, inferred_dataset):
         """LETs bind before UNNESTs, as in the pipeline order."""
         self._assert_rejected(
             inferred_dataset,
-            scan("t").let("x", Var("r")).unnest(field("t", "readings"), "r")
-            .count_star().build())
+            QuerySpec(lets=[LetClause("x", Var("r"))], unnests=[UnnestClause(_READINGS, "r")],
+                      aggregates=[_COUNT]))
 
     def test_order_by_column_name_in_non_grouped_query(self, inferred_dataset):
         self._assert_rejected(
             inferred_dataset,
-            scan("t").select(("id", field("t", "id"))).order_by("id").build())
+            QuerySpec(projections=[("id", FieldAccess("t", ("id",)))], order_by=[OrderKey("id")]))
 
     def test_order_by_expression_in_grouped_query(self, inferred_dataset):
         self._assert_rejected(
             inferred_dataset,
-            scan("t").group_by(("id", field("t", "id"))).count_star("n")
-            .order_by(Var("n")).build())
+            QuerySpec(group_keys=[("id", FieldAccess("t", ("id",)))],
+                      aggregates=[AggregateSpec("n", "count")], order_by=[OrderKey(Var("n"))]))
 
     def test_unknown_expr_subclass(self, inferred_dataset):
-        self._assert_rejected(
-            inferred_dataset, scan("t").select(("x", _Opaque())).build())
+        self._assert_rejected(inferred_dataset, QuerySpec(projections=[("x", _Opaque())]))
         for unplannable in (_Opaque(), Var("nobody")):
-            quantified = Exists(field("t", "readings"), "r",
-                                And(Comparison("=", Var("r"), lit(1)), unplannable))
-            self._assert_rejected(
-                inferred_dataset, scan("t").where(quantified).count_star().build())
+            quantified = Exists(_READINGS, "r",
+                                And(Comparison("=", Var("r"), Literal(1)), unplannable))
+            self._assert_rejected(inferred_dataset,
+                                  QuerySpec(where=quantified, aggregates=[_COUNT]))
+
 
     def test_batch_size_must_be_positive(self):
         for size in (0, -1):
@@ -339,15 +294,15 @@ class TestPlanTimeErrors:
 
 class TestExplainIntegration:
     def test_explain_shows_execution_line(self, inferred_dataset):
-        rendered = explain(inferred_dataset, _q_group_avg(), analyze=True,
+        rendered = explain(inferred_dataset, PARITY_QUERIES["group_avg"], analyze=True,
                            batch_size=DEFAULT_BATCH_SIZE)
         assert f"execution: batch (size={DEFAULT_BATCH_SIZE})" in rendered
         assert "batch(es))" in rendered
         assert "fallback" not in rendered
 
     def test_explain_marks_the_unnest_shape(self, inferred_dataset):
-        assert "[pushdown]" in explain(inferred_dataset, _q_unnest_pushdown())
-        assert "[pushdown]" not in explain(inferred_dataset, _q_unnest_item_var())
+        assert "[pushdown]" in explain(inferred_dataset, PARITY_QUERIES["unnest_pushdown"])
+        assert "[pushdown]" not in explain(inferred_dataset, PARITY_QUERIES["unnest_item_var"])
 
     def test_explain_lists_every_column_the_scan_extracts(self, inferred_dataset):
         """A projected collection whose UNNEST is pushed down is extracted whole
@@ -360,7 +315,8 @@ class TestExplainIntegration:
         calls, plan = [], Optimizer.plan
         monkeypatch.setattr(Optimizer, "plan",
                             lambda *args, **kw: calls.append(args) or plan(*args, **kw))
-        explain(inferred_dataset, _q_group_avg(), analyze=True)
+        inferred_dataset.plan_cache.clear()
+        explain(inferred_dataset, PARITY_QUERIES["group_avg"], analyze=True)
         assert len(calls) == 1  # planned once: what is rendered is what ran
 
 
@@ -383,14 +339,8 @@ class TestRegressions:
             {"id": 7, "v": "a"},
         ]
         dataset = _dataset(records=records, name="batch_mixed_order")
-
-        def make_spec():
-            return (scan("t")
-                    .select(("id", field("t", "id")), ("v", field("t", "v")))
-                    .order_by(field("t", "v"))
-                    .build())
-
-        result = _assert_matches_reference(dataset, make_spec, records)
+        result = _assert_matches_reference(
+            dataset, "SELECT t.id AS id, t.v AS v FROM x AS t ORDER BY t.v", records)
         ids = [r["id"] for r in result.rows]
         # Type-ranked groups, each internally sorted; absent values sort last.
         assert ids.index(3) < ids.index(6)          # bool before numbers
@@ -413,20 +363,14 @@ class TestRegressions:
         dataset = _dataset(records=records, name=f"batch_scalar_unnest_{flush}",
                            flush=flush)
 
-        def make_spec(item_path=()):
-            return (scan("t")
-                    .unnest(field("t", "tags"), "tag")
-                    .group_by(("id", field("t", "id")))
-                    .aggregate("n", "count", field("tag", *item_path) if item_path else None)
-                    .build())
-
+        text = "SELECT id, count({}) AS n FROM x AS t UNNEST t.tags AS tag GROUP BY t.id AS id"
         for pushdown in (True, False):
-            result = _assert_matches_reference(dataset, make_spec, records,
+            result = _assert_matches_reference(dataset, text.format("*"), records,
                                                pushdown_through_unnest=pushdown)
             assert {r["id"]: r["n"] for r in result.rows} == {0: 2, 1: 1, 4: 1}
             # An item path makes the pushdown engage: "solo".text is MISSING,
             # but the singleton still produces its one row.
-            result = _assert_matches_reference(dataset, lambda: make_spec(("text",)),
+            result = _assert_matches_reference(dataset, text.format("tag.text"),
                                                records, pushdown_through_unnest=pushdown)
             assert {r["id"]: r["n"] for r in result.rows} == {0: 0, 1: 0, 4: 0}
 
@@ -441,14 +385,8 @@ class TestRegressions:
             {"id": 4, "k": "plain"},
         ]
         dataset = _dataset(records=records, name="batch_group_keys")
-
-        def make_spec():
-            return (scan("t")
-                    .group_by(("k", field("t", "k")))
-                    .count_star("n")
-                    .build())
-
-        result = _assert_matches_reference(dataset, make_spec, records)
+        result = _assert_matches_reference(
+            dataset, "SELECT k, count(*) AS n FROM x AS t GROUP BY t.k AS k", records)
         by_count = {repr(r["k"]): r["n"] for r in result.rows}
         assert by_count == {"[1, 2]": 2, "{'a': 1}": 2, "'plain'": 1}
         assert {type(r["k"]) for r in result.rows} == {list, dict, str}
@@ -471,14 +409,8 @@ class TestRegressions:
         dataset = _dataset(storage_format, records=records, flush=False,
                            name=f"batch_wildcards_{storage_format.value}")
 
-        def one_wildcard():
-            return (scan("t").select(("id", field("t", "id")),
-                                     ("ts", field("t", "tags", WILDCARD, "t"))).build())
-
-        def two_wildcards():
-            return (scan("t").select(("id", field("t", "id")),
-                                     ("vs", field("t", "rows", WILDCARD, WILDCARD, "v"))).build())
-
+        one_wildcard = "SELECT t.id AS id, t.tags[*].t AS ts FROM x AS t"
+        two_wildcards = "SELECT t.id AS id, t.rows[*][*].v AS vs FROM x AS t"
         for flushed in (False, True):
             if flushed:
                 dataset.flush_all()
@@ -909,20 +841,11 @@ class TestBatchProperties:
     def test_engine_matches_reference_on_random_records(self, records, storage_format):
         records = [dict(record, id=index) for index, record in enumerate(records)]
         dataset = _dataset(storage_format, records=records, name="batch_prop")
-        queries = [
-            scan("t").count_star().build,
-            lambda: scan("t").select_record().order_by(field("t", "id")).build(),
-            lambda: (scan("t")
-                     .group_by(("k", field("t", "k")))
-                     .aggregate("n", "count", field("t", "id"))
-                     .build()),
-            lambda: (scan("t")
-                     .unnest(field("t", "k"), "item")
-                     .select(("id", field("t", "id")), ("item", Var("item")))
-                     .build()),
-        ]
-        for make_spec in queries:
-            _assert_matches_reference(dataset, make_spec, records)
+        for text in ("SELECT VALUE count(*) FROM x AS t",
+                     "SELECT * FROM x AS t ORDER BY t.id",
+                     "SELECT k, count(t.id) AS n FROM x AS t GROUP BY t.k AS k",
+                     "SELECT t.id AS id, item AS item FROM x AS t UNNEST t.k AS item"):
+            _assert_matches_reference(dataset, text, records)
 
 
 class TestFilterBeforeUnnest:
@@ -935,7 +858,7 @@ class TestFilterBeforeUnnest:
         records = list(sensors.generate(140))
         dataset = _dataset(storage_format, partitions=2, records=records,
                            name=f"filter_q4_{storage_format.value}")
-        result = _assert_matches_reference(dataset, sensors.QUERIES["Q4"], records, **options)
+        result = _assert_matches_reference(dataset, sensors.SQLPP["Q4"], records, **options)
         partitions = result.stats.per_partition
         assert [op.operator for op in partitions[0].operators] == [
             "FullScan", "SELECT", "UNNEST", "GROUP BY (partial)"]
@@ -962,21 +885,22 @@ class TestFilterBeforeUnnest:
                    for index, (record, items) in enumerate(rows)]
         dataset = _dataset(storage_format, partitions=2, records=records, name="filter_random")
 
-        def make_spec():
-            return (scan("t")
-                    .let("late", Comparison(">", field("t", "id"), lit(threshold)))
-                    .unnest(field("t", "items"), "item")
-                    .where(And(Comparison("<", field("t", "id"), lit(threshold + 5)),
-                               Var("late"),
-                               Exists(field("t", "items"), "item",
-                                      Comparison("!=", Var("item"), lit(0))),
-                               Comparison("!=", Var("item"), field("t", "id"))))
-                    .select(("id", field("t", "id")), ("item", Var("item")))
-                    .build())
+        # SQL++ text cannot shadow the item: the spec is built.
+        record_id = FieldAccess("t", ("id",))
+        spec = QuerySpec(
+            lets=[LetClause("late", Comparison(">", record_id, Literal(threshold)))],
+            unnests=[UnnestClause(FieldAccess("t", ("items",)), "item")],
+            where=And(Comparison("<", record_id, Literal(threshold + 5)),
+                      Var("late"),
+                      Exists(FieldAccess("t", ("items",)), "item",
+                             Comparison("!=", Var("item"), Literal(0))),
+                      Comparison("!=", Var("item"), record_id)),
+            projections=[("id", record_id), ("item", Var("item"))])
 
-        result = _assert_matches_reference(dataset, make_spec, records)
+        result = _assert_matches_reference(dataset, spec, records)
         assert [op.operator for op in result.stats.per_partition[0].operators] == [
             "FullScan", "LET", "SELECT[0]", "UNNEST", "SELECT[1]", "PROJECT"]
-        before, after = [line.split(": ", 1)[1] for line in explain(dataset, make_spec()).splitlines()
-                         if line.strip().startswith("-> SELECT[")]
+        physical = QueryExecutor().prepare_physical(dataset, spec)
+        before, after = [stage.detail for stage in physical.batch_plan.stages
+                         if stage.name.startswith("SELECT[")]
         assert "SOME item" in before and "late" in before and "SOME" not in after

@@ -45,7 +45,7 @@ class TestClusterSimulator:
         dataset.insert_all(records)
         dataset.flush_all()
         assert all(size > 0 for size in cluster.per_node_storage_sizes())
-        report = cluster.execute("tweets", twitter.QUERIES["Q1"](), parallelism=4)
+        report = cluster.execute("tweets", twitter.SQLPP["Q1"], parallelism=4)
         assert report.result.rows[0]["count"] == 200
         assert report.parallelism == 4
         assert report.measured_wall_seconds > 0
@@ -63,9 +63,8 @@ class TestClusterSimulator:
         dataset = cluster.create_dataset("tweets", StorageFormat.INFERRED)
         dataset.insert_all(twitter.generate(200))
         dataset.flush_all()
-        spec = twitter.QUERIES["Q3"]()
-        sequential = cluster.execute("tweets", spec, parallelism=1)
-        parallel = cluster.execute("tweets", spec, parallelism=4)
+        sequential = cluster.execute("tweets", twitter.SQLPP["Q3"], parallelism=1)
+        parallel = cluster.execute("tweets", twitter.SQLPP["Q3"], parallelism=4)
         assert sequential.result.rows == parallel.result.rows
         assert sequential.parallelism == 1
         assert parallel.parallelism == 4
@@ -75,7 +74,7 @@ class TestClusterSimulator:
         dataset = cluster.create_dataset("tweets", StorageFormat.INFERRED)
         dataset.insert_all(twitter.generate(150))
         dataset.flush_all()
-        report = cluster.execute("tweets", twitter.QUERIES["Q2"]())
+        report = cluster.execute("tweets", twitter.SQLPP["Q2"])
         assert report.schema_broadcast_bytes > 0
 
     def test_storage_scales_with_nodes(self):

@@ -13,7 +13,6 @@ from repro.formats import (
     decode_document,
     encode_document,
 )
-from repro.query import QueryExecutor
 from repro.vector import VectorEncoder
 from repro.types import open_only_primary_key
 
@@ -75,10 +74,9 @@ class TestWorkloadQueries:
                                      storage_format)
             dataset.insert_all(records)
             dataset.flush_all()
-            executor = QueryExecutor()
             per_query = {}
-            for name, build in module.QUERIES.items():
-                rows = executor.execute(dataset, build()).rows
+            for name, text in module.SQLPP.items():
+                rows = dataset.query(text).rows
                 if name == "Q4" and module is twitter:
                     rows = [row["record"]["id"] for row in rows]  # compare by id ordering
                 per_query[name] = rows
@@ -90,7 +88,7 @@ class TestWorkloadQueries:
         dataset = Dataset.create("t_q1", StorageFormat.INFERRED)
         dataset.insert_all(records)
         dataset.flush_all()
-        result = QueryExecutor().execute(dataset, twitter.QUERIES["Q1"]())
+        result = dataset.query(twitter.SQLPP["Q1"])
         assert result.rows[0]["count"] == 100
 
     def test_sensors_q1_counts_readings(self):
@@ -98,7 +96,7 @@ class TestWorkloadQueries:
         dataset = Dataset.create("s_q1", StorageFormat.INFERRED)
         dataset.insert_all(records)
         dataset.flush_all()
-        result = QueryExecutor().execute(dataset, sensors.QUERIES["Q1"]())
+        result = dataset.query(sensors.SQLPP["Q1"])
         assert result.rows[0]["count"] == 50 * sensors.READINGS_PER_RECORD
 
     def test_wos_q3_excludes_usa(self):
@@ -106,7 +104,7 @@ class TestWorkloadQueries:
         dataset = Dataset.create("w_q3", StorageFormat.INFERRED)
         dataset.insert_all(records)
         dataset.flush_all()
-        result = QueryExecutor().execute(dataset, wos.QUERIES["Q3"]())
+        result = dataset.query(wos.SQLPP["Q3"])
         assert result.rows, "expected at least one collaborating country"
         assert all(row["country"] != "USA" for row in result.rows)
 
@@ -115,7 +113,7 @@ class TestWorkloadQueries:
         dataset = Dataset.create("w_q4", StorageFormat.INFERRED)
         dataset.insert_all(records)
         dataset.flush_all()
-        result = QueryExecutor().execute(dataset, wos.QUERIES["Q4"]())
+        result = dataset.query(wos.SQLPP["Q4"])
         assert result.rows
         for row in result.rows:
             assert len(row["pair"]) == 2

@@ -24,10 +24,10 @@ from repro import (Dataset, DeviceKind, LSMConfig, StorageConfig, StorageEnviron
                    StorageFormat)
 from repro.datasets.stats import FieldStatistics
 from repro.errors import ComponentStateError, SqlppError, TransientIOError
-from repro.query import QueryExecutor, choose_access_path
-from repro.query.expressions import Comparison, field, lit
+from repro.query import QueryExecutor, QuerySpec, choose_access_path
+from repro.query.expressions import Comparison, FieldAccess, Literal
 from repro.query.optimizer import AccessPathChoice
-from repro.query.plan import FullScan, scan
+from repro.query.plan import FullScan
 from repro.sqlpp import CompiledCreateIndex
 from repro.sqlpp import compile as compile_sqlpp
 from repro.types import ADate, ADateTime, APoint, ATime, Datatype
@@ -356,8 +356,8 @@ class TestTypeEdgeCases:
                  ("=", ATime(5), [4]), (">", ADate(0), [5]), ("=", APoint(1.0, 2.0), [6]))
 
         def ids(op, literal, access_path):
-            spec = (scan("t").where(Comparison(op, field("t", "ts"), lit(literal)))
-                    .select(("id", field("t", "id"))).build())
+            spec = QuerySpec(where=Comparison(op, FieldAccess("t", ("ts",)), Literal(literal)),
+                             projections=[("id", FieldAccess("t", ("id",)))])
             result = QueryExecutor(access_path=access_path).execute(dataset, spec)
             return sorted(row["id"] for row in result.rows), result.stats.access_path
 

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro import Dataset, DeviceKind, StorageEnvironment, StorageFormat
 from repro.config import LSMConfig, StorageConfig
 from repro.datasets import twitter
-from repro.query import Comparison, QueryExecutor, field, lit, scan
+from repro.query import QueryExecutor
 
 PARTITIONS = 4
 RECORD_COUNT = 240
@@ -41,30 +41,20 @@ def _build(storage_format: StorageFormat, partitions: int = PARTITIONS,
     return dataset
 
 
-def _specs():
-    """Query shapes covering every coordinator branch."""
-    return {
-        "project": scan("t").select(("id", field("t", "id")),
-                                    ("lang", field("t", "lang"))).build(),
-        "filtered": (scan("t")
-                     .where(Comparison(">=", field("t", "retweet_count"), lit(500)))
-                     .select(("id", field("t", "id")),
-                             ("rt", field("t", "retweet_count"))).build()),
-        "group_by": (scan("t")
-                     .group_by(("lang", field("t", "lang")))
-                     .aggregate("n", "count")
-                     .aggregate("max_rt", "max", field("t", "retweet_count"))
-                     .order_by("lang").build()),
-        "global_count": scan("t").count_star().build(),
-        "order_by": (scan("t")
-                     .select(("id", field("t", "id")),
-                             ("favs", field("t", "favorite_count")))
-                     .order_by(field("t", "favorite_count"), descending=True)
-                     .limit(25).build()),
-        "limit_no_order": (scan("t")
-                           .select(("id", field("t", "id")))
-                           .limit(17).build()),
-    }
+#: Query shapes covering every coordinator branch.
+QUERIES_BY_SHAPE = {
+    "project": "SELECT t.id AS id, t.lang AS lang FROM tweets AS t",
+    "filtered": "SELECT t.id AS id, t.retweet_count AS rt FROM tweets AS t"
+                " WHERE t.retweet_count >= 500",
+    "group_by": "SELECT lang, count(*) AS n, max(t.retweet_count) AS max_rt FROM tweets AS t"
+                " GROUP BY t.lang AS lang ORDER BY lang",
+    "global_count": "SELECT VALUE count(*) FROM tweets AS t",
+    "order_by": "SELECT t.id AS id, t.favorite_count AS favs FROM tweets AS t"
+                " ORDER BY t.favorite_count DESC LIMIT 25",
+    "limit_no_order": "SELECT t.id AS id FROM tweets AS t LIMIT 17",
+}
+
+_IDS = "SELECT t.id AS id FROM tweets AS t"
 
 
 def _multiset(rows):
@@ -75,8 +65,8 @@ class TestParallelSequentialParity:
     @pytest.mark.parametrize("storage_format", FORMATS, ids=lambda f: f.value)
     def test_rows_identical_across_parallelism(self, storage_format):
         dataset = _build(storage_format)
-        for name, spec in _specs().items():
-            results = {degree: QueryExecutor(parallelism=degree).execute(dataset, spec)
+        for name, text in QUERIES_BY_SHAPE.items():
+            results = {degree: dataset.query(text, parallelism=degree)
                        for degree in (1, 2, PARTITIONS)}
             baseline = results[1]
             for degree in (2, PARTITIONS):
@@ -92,12 +82,10 @@ class TestParallelSequentialParity:
     def test_index_probe_parity(self):
         dataset = _build(StorageFormat.OPEN, name="par_ix")
         dataset.create_index("rt_ix", "retweet_count")
-        spec = (scan("t")
-                .where(Comparison("<", field("t", "retweet_count"), lit(120)))
-                .select(("id", field("t", "id"))).build())
-        probe_seq = QueryExecutor(access_path="index", parallelism=1).execute(dataset, spec)
-        probe_par = QueryExecutor(access_path="index", parallelism=PARTITIONS).execute(dataset, spec)
-        scan_par = QueryExecutor(access_path="scan", parallelism=PARTITIONS).execute(dataset, spec)
+        text = _IDS + " WHERE t.retweet_count < 120"
+        probe_seq = dataset.query(text, access_path="index", parallelism=1)
+        probe_par = dataset.query(text, access_path="index", parallelism=PARTITIONS)
+        scan_par = dataset.query(text, access_path="scan", parallelism=PARTITIONS)
         assert probe_seq.stats.access_path == "IndexProbe"
         assert probe_par.rows == probe_seq.rows
         assert _multiset(scan_par.rows) == _multiset(probe_par.rows)
@@ -106,15 +94,12 @@ class TestParallelSequentialParity:
         """Regression: each ORDER BY key honours its own ASC/DESC direction
         (the coordinator used to apply the first key's direction to all)."""
         dataset = _build(StorageFormat.OPEN, name="par_mixed")
-        spec = (scan("t")
-                .select(("lang", field("t", "lang")),
-                        ("rt", field("t", "retweet_count")),
-                        ("id", field("t", "id")))
-                .order_by(field("t", "lang"))
-                .order_by(field("t", "retweet_count"), descending=True)
-                .build())
+        text = """
+            SELECT t.lang AS lang, t.retweet_count AS rt, t.id AS id FROM tweets AS t
+            ORDER BY t.lang, t.retweet_count DESC
+        """
         for degree in (1, PARTITIONS):
-            rows = QueryExecutor(parallelism=degree).execute(dataset, spec).rows
+            rows = dataset.query(text, parallelism=degree).rows
             expected = sorted(sorted(rows, key=lambda r: -r["rt"]), key=lambda r: r["lang"])
             assert [(r["lang"], r["rt"]) for r in rows] == \
                 [(r["lang"], r["rt"]) for r in expected], f"parallelism={degree}"
@@ -136,9 +121,9 @@ class TestParallelSequentialParity:
 
     def test_limit_cancellation_skips_unneeded_partitions(self):
         dataset = _build(StorageFormat.OPEN, name="par_limit", count=400)
-        spec = scan("t").select(("id", field("t", "id"))).limit(3).build()
-        sequential = QueryExecutor(parallelism=1).execute(dataset, spec)
-        parallel = QueryExecutor(parallelism=PARTITIONS).execute(dataset, spec)
+        text = _IDS + " LIMIT 3"
+        sequential = dataset.query(text, parallelism=1)
+        parallel = dataset.query(text, parallelism=PARTITIONS)
         assert parallel.rows == sequential.rows
         assert len(parallel.rows) == 3
         # The sequential run must cancel every partition after the first one
@@ -171,12 +156,9 @@ class TestMeasuredParallelism:
         generous slack: the expected ratio with 4 workers is ~0.3.
         """
         dataset = self._throttled_dataset()
-        spec = (scan("t")
-                .where(Comparison("<", field("t", "value"), lit(8)))
-                .select(("id", field("t", "id")), ("value", field("t", "value")))
-                .build())
-        sequential = QueryExecutor(cold_cache=True, parallelism=1).execute(dataset, spec)
-        parallel = QueryExecutor(cold_cache=True, parallelism=PARTITIONS).execute(dataset, spec)
+        text = "SELECT t.id AS id, t.value AS v FROM par_speedup AS t WHERE t.value < 8"
+        sequential = dataset.query(text, cold_cache=True, parallelism=1)
+        parallel = dataset.query(text, cold_cache=True, parallelism=PARTITIONS)
 
         assert parallel.rows == sequential.rows
         assert parallel.stats.access_path == "FullScan"
@@ -187,14 +169,13 @@ class TestMeasuredParallelism:
 
     def test_per_partition_accounting_sums_to_totals(self):
         dataset = self._throttled_dataset()
-        spec = scan("t").select(("id", field("t", "id"))).build()
-        result = QueryExecutor(cold_cache=True, parallelism=PARTITIONS).execute(dataset, spec)
+        result = dataset.query(_IDS, cold_cache=True, parallelism=PARTITIONS)
         stats = result.stats
         assert len(stats.per_partition) == PARTITIONS
         assert all(partition.bytes_read > 0 for partition in stats.per_partition)
         assert all(partition.records_scanned > 0 for partition in stats.per_partition)
         # Byte totals match a cold sequential run of the same query exactly.
-        cold = QueryExecutor(cold_cache=True, parallelism=1).execute(dataset, spec)
+        cold = dataset.query(_IDS, cold_cache=True, parallelism=1)
         assert cold.stats.bytes_read == stats.bytes_read
         # Every total is derived from per_partition — it cannot drift from the
         # sum, whatever the pool width — and stays in the exported dict.
@@ -225,9 +206,8 @@ class TestMeasuredParallelism:
 
     def test_coordinator_time_is_measured_not_inferred(self):
         dataset = _build(StorageFormat.OPEN, name="par_coord")
-        spec = (scan("t").group_by(("lang", field("t", "lang")))
-                .aggregate("n", "count").order_by("lang").build())
-        stats = QueryExecutor(parallelism=PARTITIONS).execute(dataset, spec).stats
+        text = "SELECT lang, count(*) AS n FROM tweets AS t GROUP BY t.lang AS lang ORDER BY lang"
+        stats = dataset.query(text, parallelism=PARTITIONS).stats
         assert stats.coordinator_seconds >= 0.0
         assert stats.sequential_equivalent_seconds == pytest.approx(
             sum(stats.per_partition_seconds) + stats.coordinator_seconds)
@@ -258,7 +238,6 @@ class TestConcurrentQueriesWithFlushes:
 
         extra_ids = list(range(base_count, base_count + sum(batches)))
         universe = set(range(base_count + sum(batches)))
-        spec = scan("t").select(("id", field("t", "id"))).build()
         executor = QueryExecutor(parallelism=PARTITIONS)
         failures = []
         done = threading.Event()
@@ -279,7 +258,7 @@ class TestConcurrentQueriesWithFlushes:
         def query_loop():
             try:
                 while not done.is_set():
-                    ids = [row["id"] for row in executor.execute(dataset, spec).rows]
+                    ids = [row["id"] for row in dataset.query(_IDS, executor=executor).rows]
                     assert len(ids) == len(set(ids)), "duplicate keys in concurrent scan"
                     assert set(ids) <= universe, "phantom keys in concurrent scan"
                     assert len(ids) >= base_count, "concurrent scan lost preloaded keys"
@@ -311,5 +290,5 @@ class TestConcurrentQueriesWithFlushes:
             assert not thread.is_alive(), "query thread did not finish within 30s"
         assert not failures, failures
 
-        final_ids = {row["id"] for row in executor.execute(dataset, spec).rows}
+        final_ids = {row["id"] for row in dataset.query(_IDS, executor=executor).rows}
         assert final_ids == universe
