@@ -18,9 +18,9 @@ over the rounds:
   bisect per level.
 
 Then, for three tree shapes — an ``int`` key with a 200-byte value (a
-primary tree), a ranked ``(int, int, int)`` key with no value (a secondary
-tree over an integer field: rank, value, primary key) and
-an ``int`` key with no value (a key-only primary-key tree, which no
+primary tree), an 18-byte index key with no value (a secondary tree over
+an integer field: the value's ``index_key`` bytes, then the primary key's)
+and an ``int`` key with no value (a key-only primary-key tree, which no
 component writes any more; its table decode remains) — it prints CPU µs
 per entry of ``BulkLoader.build`` over ``entries`` entries and of
 ``unpack_leaf`` over the leaves that build wrote, medians over the
@@ -51,14 +51,15 @@ hit that re-parses its page lands near 0.9x); on the valued shape a build
 must cost under 3.0x the decode of what it built (a loader that encodes
 each key twice lands near 3.6-4.1x); on each key-only shape the decode
 must cost under 0.5x the valued shape's per entry (a per-entry walk lands
-near 0.9x for an ``int`` key and 2.5x for a pair, the table near 0.07x and
-0.3-0.35x; the build gate leaves the key-only shapes out: their decode is
-so cheap that a build of unchanged cost reads 4-15x it); and the
+near 0.9x for an ``int`` key, the table near 0.05-0.09x for an ``int``
+key and 0.06-0.13x for an index key; the build gate leaves the key-only
+shapes out: their decode is so cheap that a build of unchanged cost reads
+4-20x it); and the
 absent-key LSM lookup must cost under 2.5x one warm descent (the key-hash
 fences rule out all four components at 1.6-1.8x; a lookup that descends
 every component's tree lands near 4-5x); and the probe beside the full
 memtable must cost under 2x the probe beside the empty one (one pass over
-the memtable's column of indexed values: 1.24-1.46x over ten runs; a walk
+the memtable's column of index keys: 1.33-1.48x over five runs; a walk
 that looks up the value each entry caches read 1.5-2.1x, over 2.0 once the
 planning both sides share got cheaper; a probe that decodes every memtable
 record as a candidate lands near 17-28x); and
@@ -80,11 +81,12 @@ from operator import truediv
 from typing import Callable, List, Tuple
 
 from repro import Dataset, StorageFormat
-from repro.btree import BTree, BulkLoader, LeafEntry, pages
+from repro.btree import BTree, BulkLoader, LeafEntry, encode_key, pages
 from repro.datasets import twitter
 from repro.lsm import LSMBTree
 from repro.lsm.component import OnDiskComponent, read_component_metadata
 from repro.storage import BufferCache, FileManager, SimulatedStorageDevice
+from repro.types import index_key
 
 PAGE_SIZE = 8 * 1024
 VALUE_SIZE = 200
@@ -97,8 +99,9 @@ PROBE = "SELECT VALUE t.text FROM tweets AS t WHERE t.id >= 1000 AND t.id <= 101
 SHAPES = {
     "int key, 200-B value": lambda count: [
         LeafEntry(key, key.to_bytes(4, "little") * (VALUE_SIZE // 4)) for key in range(count)],
-    "(int, int, int) key, no value": lambda count: [
-        LeafEntry((1, key // 4, key), b"") for key in range(count)],
+    "index key, no value": lambda count: [
+        LeafEntry(key, b"") for key in sorted(
+            index_key(key // 4) + encode_key(key) for key in range(count))],
     "int key, no value": lambda count: [LeafEntry(key, b"") for key in range(count)],
 }
 

@@ -32,12 +32,11 @@ shared between readers and never mutated.
 
 A *key-only* leaf (a secondary tree: every value empty) of
 one fixed-width key shape in ``keycodec.FIXED_WIDTH_KEYS`` — ``int`` keys
-in 14-byte entries, ranked ``(int, int, int)`` keys (a secondary key over
-an integer, date, time or datetime field: rank, value, primary key) in
-25-byte ones — decodes as one precompiled ``Struct.unpack_from`` over its
-entry table, with ``range`` offsets.  A shape is found by its first kind byte alone, so there is one
-shape per kind.  It is tried when the first entry has the shape's kind
-bytes and a zero length, and kept only when every entry does; any other
+in 14-byte entries, 18-byte secondary keys (a number's, date's, time's or
+datetime's index key, then an ``int`` primary key) in 23-byte ones —
+decodes as one precompiled ``Struct.unpack_from`` over its entry table,
+with ``range`` offsets.  A shape is found by its first byte; it is kept
+only when every entry has its fixed bytes and a zero length.  Any other
 leaf — a secondary key over a string field, say — is walked, one
 ``decode_key`` per entry.  Entries that run past the page end raise
 :class:`StorageError` naming the offset, on either path.
@@ -161,19 +160,14 @@ class LeafNode:
 class _KeyTable:
     """The table decode of a key-only leaf of one fixed-width key shape."""
 
-    def __init__(self, key: struct.Struct, tags: Tuple[Tuple[int, int], ...]) -> None:
-        fields = list(key.format[1:])
+    def __init__(self, key: struct.Struct, fixed: Tuple[Tuple[int, int], ...]) -> None:
         #: ``(offset in an entry, byte)`` every entry must hold: the key's
-        #: kind and count bytes, then the four bytes of a zero value length.
-        self.checks = tuple((struct.calcsize("<" + "".join(fields[:at])), byte)
-                            for at, byte in tags)
-        self.checks += tuple((key.size + 1 + at, 0) for at in range(_U32.size))
-        for at, _ in tags:
-            fields[at] = "x"
-        #: One entry as Struct fields: the key's integer parts; its kind
-        #: bytes and the head's flags and length are skipped.
-        self.entry = "".join(fields) + f"{HEAD_TAIL_SIZE}x"
-        self.parts, self.key_size = len(fields) - len(tags), key.size
+        #: fixed bytes, then the four bytes of a zero value length.
+        self.checks = fixed + tuple((key.size + 1 + at, 0) for at in range(_U32.size))
+        #: One entry as Struct fields: the key's one field; the head's flags
+        #: and length are skipped.
+        self.entry = key.format.lstrip("<") + f"{HEAD_TAIL_SIZE}x"
+        self.key_size = key.size
         self.stride = key.size + HEAD_TAIL_SIZE
         #: Where the first entry's value length sits on the page.
         self.first_length = slice(LEAF_HEADER_SIZE + key.size + 1, LEAF_HEADER_SIZE + self.stride)
@@ -195,15 +189,13 @@ class _KeyTable:
         bucket = min(1 << (count - 1).bit_length(), capacity)
         table = self.structs.get(bucket) or self.structs.setdefault(
             bucket, struct.Struct("<" + self.entry * bucket))
-        fields, parts = table.unpack_from(page, start), self.parts
-        keys = fields[:count] if parts == 1 else tuple(
-            zip(*(fields[at:count * parts:parts] for at in range(parts))))
+        keys = table.unpack_from(page, start)[:count]
         return LeafNode(page, keys, range(start + self.key_size, end, stride),
                         range(start + stride, end + stride, stride), next_leaf)
 
 
-#: Kind byte a leaf's first entry starts with -> the table of that key shape.
-_KEY_TABLES = {tags[0][1]: _KeyTable(key, tags) for key, tags in FIXED_WIDTH_KEYS}
+#: Byte a leaf's first entry starts with -> the table of that key shape.
+_KEY_TABLES = {fixed[0][1]: _KeyTable(key, fixed) for key, fixed in FIXED_WIDTH_KEYS}
 
 
 def unpack_leaf(page: bytes) -> LeafNode:
@@ -230,7 +222,7 @@ def unpack_leaf(page: bytes) -> LeafNode:
             flag_offsets.append(at)
             cursor = at + 5 + unpack_length(page, at + 1)[0]
             value_ends.append(cursor)
-    except (struct.error, IndexError):
+    except (struct.error, IndexError, ValueError):
         raise StorageError(f"leaf entry at offset {cursor} runs past the page end") from None
     if cursor > len(page):
         raise StorageError(f"leaf value ending at offset {cursor} runs past the page end")
@@ -264,7 +256,7 @@ def unpack_interior(page: bytes) -> Tuple[List[Key], Tuple[int, ...]]:
         for _ in range(count):
             separator, cursor = decode_key(page, cursor)
             separators.append(separator)
-    except (struct.error, IndexError):
+    except (struct.error, IndexError, ValueError):
         raise StorageError(f"interior entry at offset {cursor} runs past the page end") from None
     return separators, children
 

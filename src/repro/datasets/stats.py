@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..types import AMultiset, Missing, TypeTag, type_tag_of
-from ..types.values import RANK_NUMBER
+from ..types.values import INDEX_KEY_BASE, RANK_NUMBER, index_key_number
 
 #: Selectivity assumed for range predicates the statistics cannot interpolate
 #: (non-numeric fields, empty statistics): pessimistic enough that the cost
@@ -38,8 +38,8 @@ class FieldStatistics:
 
     field_path: Tuple[str, ...] = ()
     count: int = 0
-    min_key: Optional[Tuple[int, Any]] = None
-    max_key: Optional[Tuple[int, Any]] = None
+    min_key: Optional[bytes] = None
+    max_key: Optional[bytes] = None
 
     def merge(self, other: "FieldStatistics") -> "FieldStatistics":
         """Combine two summaries (e.g. across a dataset's partitions)."""
@@ -52,8 +52,8 @@ class FieldStatistics:
 
     @property
     def _numeric_bounds(self) -> Optional[Tuple[float, float]]:
-        if self.count and self.min_key[0] == self.max_key[0] == RANK_NUMBER:
-            return float(self.min_key[1]), float(self.max_key[1])
+        if self.count and self.min_key[0] == self.max_key[0] == INDEX_KEY_BASE + RANK_NUMBER:
+            return index_key_number(self.min_key), index_key_number(self.max_key)
         return None
 
     def estimate_range_selectivity(self, low: Any = None, high: Any = None) -> float:

@@ -34,20 +34,20 @@ from __future__ import annotations
 
 import struct
 from array import array
-from collections import defaultdict
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import attrgetter, ge, gt, le, lt
+from operator import attrgetter
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..btree import BTree, BTreeInfo, BulkLoader, LeafEntry
-from ..btree.keycodec import decode_key, encode_key
+from ..btree.keycodec import decode_key, encode_key, index_primary_key
 from ..btree.pages import LeafNode
 from ..errors import ComponentStateError, QuarantinedComponentError, StorageError
 from ..schema import InferredSchema
 from ..storage.buffer_cache import BufferCache
 from ..types import index_key
+from ..types.values import index_value_end
 from .component_id import ComponentId
 
 _FOOTER_MAGIC = 0x4C534D43  # "LSMC"
@@ -85,16 +85,13 @@ class InMemoryComponent:
     """The mutable component receiving all writes (one per partition index).
 
     It counts its live (not anti-matter) entries as they are put.  For each
-    secondary index a probe asks about, it keeps *columns*, one per rank of
-    :func:`~repro.types.index_key`: key -> the value the index files the
-    key's entry under, for the entries it files under that rank.  Within a
-    rank values compare with each other, so a probe sweeps one column with
-    plain comparisons.  The first probe fills them; then puts log their
-    keys, and a probe re-reads only the keys logged since, publishing new
-    columns with one assignment.  The log
-    never holds more keys than the memtable has entries: a put that would
-    make it longer drops the columns and the log, and the next probe fills
-    its column afresh.
+    secondary index a probe asks about, it keeps a *column*: key -> the
+    :func:`~repro.types.index_key` its entry is filed under.  The first
+    probe fills it; then puts log their keys, and a probe re-reads only the
+    keys logged since, publishing a new column with one assignment.  The
+    log never holds more keys than the memtable has entries: a put that
+    would make it longer drops the columns and the log, and the next probe
+    fills its column afresh.
     """
 
     def __init__(self) -> None:
@@ -102,8 +99,8 @@ class InMemoryComponent:
         self.size_bytes = 0
         self.live = 0  # entries that are not anti-matter
         #: ``(columns, log)``, replaced as one: ``columns`` maps an index
-        #: definition to ``(rank -> column, log position they reflect)``,
-        #: ``None`` while the first probe fills them; ``log`` holds the keys
+        #: definition to ``(column, log position it reflects)``, ``None``
+        #: while the first probe fills it; ``log`` holds the keys
         #: put since a column was asked for.
         self._columns: Tuple[Dict[Any, Any], List[Any]] = ({}, [])
 
@@ -161,49 +158,39 @@ class InMemoryComponent:
         entries.sort(key=_ENTRY_KEY)
         return entries
 
-    def secondary_keys(self, definition: Any, rank: Optional[int], low: Any, high: Any,
-                       low_inclusive: bool, high_inclusive: bool) -> List[Any]:
-        """Keys whose value for the secondary index ``definition`` is in the
-        range, given as :func:`~repro.types.ranked_bounds`: one pass over the
-        column of the bounds' rank."""
-        columns = self._column(definition)
-        if rank is None:
-            return [key for column in columns.values() for key in column]
-        column = columns.get(rank, {})
-        if low is not None and high is not None and low_inclusive and high_inclusive:
-            return [key for key, value in column.items() if low <= value <= high]
-        above = ge if low_inclusive else gt
-        below = le if high_inclusive else lt
-        return [key for key, value in column.items()
-                if (low is None or above(value, low)) and (high is None or below(value, high))]
+    def secondary_keys(self, definition: Any, lo: bytes, hi: bytes) -> List[Any]:
+        """Keys whose index key for the secondary index ``definition`` is in
+        ``[lo, hi)`` (:func:`~repro.types.index_key_range`): one pass over
+        its column."""
+        return [key for key, value in self._column(definition).items() if lo <= value < hi]
 
-    def _column(self, definition: Any) -> Dict[int, Dict[Any, Any]]:
-        """``definition``'s columns by rank, up to date with every finished put."""
+    def _column(self, definition: Any) -> Dict[Any, bytes]:
+        """``definition``'s column, up to date with every finished put."""
         columns, log = self._columns  # a put that drops them leaves these whole
         state = columns.get(definition)
         if state is None:
             # Registered first: a put the snapshot misses is logged past ``done``.
             columns[definition] = None
             done = len(log)
-            ranks: Dict[int, Dict[Any, Any]] = defaultdict(dict)
+            column: Dict[Any, bytes] = {}
             changed: Iterator[MemEntry] = iter(self.snapshot())
         else:
-            ranks, start = state
+            column, start = state
             done = len(log)
             if start == done:
-                return ranks
-            ranks = defaultdict(dict, {rank: dict(column) for rank, column in ranks.items()})
+                return column
+            column = dict(column)
             entries = self._entries
             changed = (entries[key] for key in set(log[start:done]))
         extractor = definition.extractor
         for entry in changed:
             key = None if entry.is_antimatter else index_key(extractor(entry.encoded, None))
-            for column in ranks.values():
+            if key is None:
                 column.pop(entry.key, None)
-            if key is not None:
-                ranks[key[0]][entry.key] = key[1]
-        columns[definition] = (ranks, done)
-        return ranks
+            else:
+                column[entry.key] = key
+        columns[definition] = (column, done)
+        return column
 
 
 @dataclass
@@ -345,8 +332,8 @@ class OnDiskComponent:
     def attach_auxiliaries(self, definitions: Sequence[Any],
                            entries: Optional[Sequence[LeafEntry]] = None,
                            secondary: Optional[Dict[str, List[LeafEntry]]] = None) -> None:
-        """Attach one ``(rank, value, primary key)`` tree per secondary index
-        definition, then build the key-hash fence.
+        """Attach one tree of index keys (:func:`_secondary_entries`) per
+        secondary index definition, then build the key-hash fence.
 
         How each tree's entries are found depends on who built the component:
 
@@ -388,12 +375,12 @@ class OnDiskComponent:
                            else _secondary_entries(definition, entries, self.schema))
                 metadata = ComponentWriter(self.buffer_cache, file_name).write(
                     self.component_id, derived)
-            # The tree is sorted on (rank, value, primary key), so the
-            # field's least and greatest index keys head the key range its
-            # metadata records, beside the count.
+            # The tree is sorted on index keys: the field's least and greatest
+            # head the key range its metadata records, beside the count.
             statistics = FieldStatistics(definition.field_path or (), metadata.record_count)
             if metadata.min_key is not None:
-                statistics.min_key, statistics.max_key = metadata.min_key[:2], metadata.max_key[:2]
+                statistics.min_key = metadata.min_key[:index_value_end(metadata.min_key)]
+                statistics.max_key = metadata.max_key[:index_value_end(metadata.max_key)]
             self.secondary_trees[definition.name] = BTree(
                 self.buffer_cache, file_name, metadata.btree_info)
             self.secondary_stats[definition.name] = statistics
@@ -410,27 +397,19 @@ class OnDiskComponent:
         self.secondary_stats.pop(index_name, None)
         _delete_file(self.buffer_cache, self.file_name + _IX_INFIX + index_name)
 
-    def secondary_keys(self, index_name: str, rank: Optional[int], low: Any, high: Any,
-                       low_inclusive: bool, high_inclusive: bool) -> List[Any]:
-        """Primary keys whose indexed value this component places in the
-        range, given as :func:`~repro.types.ranked_bounds`."""
+    def secondary_tree(self, index_name: str) -> BTree:
+        """The tree of one secondary index; every live component has one."""
         tree = self.secondary_trees.get(index_name)
         if tree is None:
             raise ComponentStateError(
                 f"component {self.file_name} has no tree for index {index_name!r}")
-        if rank is None:
-            return [entry.key[2] for entry in tree.scan_all()]
-        matched: List[Any] = []
-        # The keys are (rank, value, primary key); a shorter tuple compares
-        # below every key it starts.
-        for entry in tree.range_scan((rank,) if low is None else (rank, low), None):
-            entry_rank, value, primary_key = entry.key
-            if entry_rank != rank or high is not None and (
-                    value > high or (not high_inclusive and value == high)):
-                break
-            if low_inclusive or low is None or value != low:
-                matched.append(primary_key)
-        return matched
+        return tree
+
+    def secondary_keys(self, index_name: str, lo: bytes, hi: bytes) -> List[Any]:
+        """Primary keys whose index key this component files in ``[lo, hi)``
+        (:func:`~repro.types.index_key_range`)."""
+        return [index_primary_key(entry.key) for entry in
+                self.secondary_tree(index_name).range_scan(lo, hi, include_high=False)]
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         state = "VALID" if self.valid else "INVALID"
@@ -499,37 +478,34 @@ def merged_secondary_entries(inputs: Sequence[OnDiskComponent], index_name: str,
                              winners: Dict[Any, int]) -> List[LeafEntry]:
     """A merged component's entries for one secondary index, from its
     inputs' trees of that index: the union, in key order, of every input's
-    ``(rank, value, primary key)`` entries whose key survived the merge from
-    that same input (``winners[key]`` is the surviving input's position in
-    ``inputs``; a key whose newest version is anti-matter is absent).
+    index keys whose primary key survived the merge from that same input
+    (``winners[key]`` is the surviving input's position in ``inputs``; a key
+    whose newest version is anti-matter is absent).  The keys are written
+    as they were read: bytes in, bytes out.
 
     Raises :class:`ComponentStateError` when an input has no tree for the
-    index — every live component has one.
+    index (:meth:`OnDiskComponent.secondary_tree`).
     """
-    merged: List[LeafEntry] = []
+    merged: List[bytes] = []
     for position, component in enumerate(inputs):
-        tree = component.secondary_trees.get(index_name)
-        if tree is None:
-            raise ComponentStateError(
-                f"component {component.file_name} has no tree for index {index_name!r}")
-        merged.extend(entry for entry in tree.scan_all() if winners.get(entry.key[2]) == position)
-    merged.sort(key=_ENTRY_KEY)
-    return merged
+        merged.extend(key for leaf in component.secondary_tree(index_name).leaves()
+                      for key in leaf.keys if winners.get(index_primary_key(key)) == position)
+    merged.sort()
+    return [LeafEntry(key, b"") for key in merged]
 
 
 def _secondary_entries(definition: Any, entries: Sequence[LeafEntry],
                        schema: Optional[InferredSchema]) -> List[LeafEntry]:
     """One secondary index's leaf entries for a component: each live entry's
-    :func:`~repro.types.index_key` and primary key as one ``(rank, value,
-    primary key)`` key, in order, key-only — a reader takes the primary key
-    from the key's last part."""
+    :func:`~repro.types.index_key` with its primary key's bytes appended, in
+    order, key-only — a reader takes the primary key from the key's end."""
     keyed = []
     for entry in entries:
         if entry.is_antimatter:
             continue
         key = index_key(definition.extractor(entry.value, schema))
         if key is not None:
-            keyed.append(key + (entry.key,))
+            keyed.append(key + encode_key(entry.key))
     keyed.sort()
     return [LeafEntry(key, b"") for key in keyed]
 

@@ -40,7 +40,7 @@ from ..obs import tracer as _tracer
 from ..schema import InferredSchema
 from ..storage.buffer_cache import BufferCache
 from ..storage.wal import LogRecordType, WriteAheadLog
-from ..types import ranked_bounds
+from ..types import index_key_range
 from .component import (ComponentWriter, InMemoryComponent, MemEntry, OnDiskComponent,
                         delete_component_files, merged_secondary_entries)
 from .component_id import ComponentId
@@ -785,8 +785,8 @@ class LSMBTree:
                 for component in self.components:
                     component.attach_auxiliaries([definition], list(component.scan()))
             except Exception:
-                # Atomic create: a backfill failure (a write fault, a value no
-                # key can hold) must not leave a half-built index behind.
+                # Atomic create: a backfill failure (a write fault, a payload
+                # the extractor cannot read) must not leave a half-built index.
                 for component in self.components:
                     component.drop_secondary_index(definition.name)
                 raise
@@ -833,10 +833,10 @@ class LSMBTree:
         mutable or sealed, or in a component's ``.ix`` tree — has its indexed
         value in the given range.
 
-        The bounds are ranked once (:func:`ranked_bounds`); a memtable is
-        judged by its column of the index's values of their rank
-        (:meth:`InMemoryComponent.secondary_keys`), a component by
-        :meth:`OnDiskComponent.secondary_keys`: the same comparisons.
+        The bounds are encoded once, as one interval of index keys
+        (:func:`index_key_range`); a memtable is judged by its column of the
+        index's keys (:meth:`InMemoryComponent.secondary_keys`), a component
+        by :meth:`OnDiskComponent.secondary_keys`: the same byte comparisons.
         Candidates, not answers: a key may have been re-written or deleted
         since the version that placed it in the range, so callers must look
         up its *newest* version and re-check the predicate (the executor's
@@ -847,18 +847,16 @@ class LSMBTree:
         if definition is None:
             raise KeyNotFoundError(f"unknown secondary index {index_name!r}")
         keys: Set[Any] = set()
-        bounds = ranked_bounds(low, high)
-        if bounds is None:  # bounds of two ranks: no value lies between them
+        bounds = index_key_range(low, high, low_inclusive, high_inclusive)
+        if bounds is None:  # e.g. bounds of two ranks: no value lies between them
             return keys
         for memtable in self._memtables():
-            keys.update(memtable.secondary_keys(definition, *bounds,
-                                                low_inclusive, high_inclusive))
+            keys.update(memtable.secondary_keys(definition, *bounds))
         components = list(self.components)
         self._raise_if_quarantined(components)
         for component in components:
             try:
-                keys.update(component.secondary_keys(
-                    index_name, *bounds, low_inclusive, high_inclusive))
+                keys.update(component.secondary_keys(index_name, *bounds))
             except CorruptPageError as exc:
                 self._quarantine_component(component, exc)
         return keys

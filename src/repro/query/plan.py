@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, List, Optional, Tuple, Union
 
 from ..errors import QueryError
-from ..types import ranked_bounds
+from ..types import index_key_range
 from .aggregates import get_aggregate
 from .expressions import Expr
 
@@ -72,13 +72,8 @@ class IndexProbe:
     def is_empty_range(self) -> bool:
         """True when the extracted bounds cannot match anything (e.g. x > 5
         AND x < 3, or bounds of two ranks: x > 5 AND x < 'a')."""
-        bounds = ranked_bounds(self.low, self.high)
-        if bounds is None:
-            return True
-        _, low, high = bounds
-        if low is None or high is None:
-            return False
-        return low > high or (low == high and not (self.low_inclusive and self.high_inclusive))
+        return index_key_range(self.low, self.high, self.low_inclusive,
+                               self.high_inclusive) is None
 
     def describe(self) -> str:
         low_bracket = "[" if self.low_inclusive else "("

@@ -224,43 +224,99 @@ def sort_key(value: Any) -> Tuple[int, Any]:
     return (RANK_OTHER, str(value))
 
 
-def index_key(value: Any) -> Optional[Tuple[int, Any]]:
-    """The :func:`sort_key` a secondary index files ``value`` under (a
-    probe bound goes through it too), or None when no index holds it.
+#: An index key's first byte is this plus its value's rank: above every
+#: ``encode_key`` kind byte, so no primary key starts like an index key.
+INDEX_KEY_BASE = 0x10
+_NUMBER_BYTE = INDEX_KEY_BASE + RANK_NUMBER
+_STRING_HEAD = bytes((INDEX_KEY_BASE + RANK_STRING,))
+_SIGN, _ALL_BITS = 1 << 63, (1 << 64) - 1
+_DOUBLE, _BITS = struct.Struct(">d"), struct.Struct(">Q")
+#: A number, date, time or datetime key: rank byte, then 8 ordered bytes.
+_FIXED_INDEX_KEY = struct.Struct(">BQ")
+#: Each UTF-8 byte plus one (UTF-8 never uses 0xFF).
+_SHIFT_UP = bytes(range(1, 256)) + b"\xff"
 
-    Absent (NULL/MISSING) and non-scalar values are not indexed — range
-    predicates over them are never true, so skipping them is lossless.  NaN
-    satisfies no comparison either, so it is skipped too.  Values ranked
-    "other" (points, binaries) are skipped because their textual order is
-    not the evaluator's: a predicate over such a literal runs as a scan, and
-    no indexed bound compares true with them.  A boolean is filed as its
-    ``int``: the evaluator compares ``TRUE = 1``, so a probe's candidates
-    for either literal still hold every answer and the re-applied predicate
-    sorts them.
+
+def index_key(value: Any) -> Optional[bytes]:
+    """The bytes a secondary index files ``value`` under (and a probe bound
+    is encoded by), or None when no index holds it.
+
+    Byte order is :func:`sort_key` order: a rank byte (:data:`INDEX_KEY_BASE`
+    + rank), then a number's double, big-endian with the sign bit flipped
+    (every bit of a negative one) and ``-0.0`` folded into ``0.0``; a
+    string's UTF-8 bytes, each plus one, and a 0x00 terminator, so no
+    length or escape is needed; a date's, time's or datetime's count plus
+    2**63, big-endian.  Doubles are exact up to 2**53; a larger int rounds
+    monotonically, so two numbers may share a key but never swap
+    (:func:`index_key_range` widens its bounds there).  A secondary tree
+    appends the primary key's ``encode_key`` bytes, whose kind byte sorts
+    below the 0xFF a bound appends.
+
+    Not indexed: absent (NULL/MISSING) and non-scalar values and NaN, which
+    no range predicate is true of; values ranked "other" (points, binaries),
+    whose textual order is not the evaluator's (their literals plan a scan);
+    and what no record stores (a number no double holds, a string UTF-8
+    cannot encode, a count outside int64).  A boolean is filed as its
+    ``int``: the evaluator compares ``TRUE = 1``.
     """
     rank = _RANK_OF_TYPE.get(type(value))
-    if rank is not None and rank != RANK_BOOL:
-        return (rank, value) if value == value else None
-    if value is None or isinstance(value, (dict, list, tuple, AMultiset)) or value != value:
-        return None
-    if isinstance(value, bool):
-        return (RANK_NUMBER, int(value))
-    key = sort_key(value)
-    return key if key[0] < RANK_OTHER else None
+    if rank is None:
+        if value is None or isinstance(value, (dict, list, tuple, AMultiset)):
+            return None
+        rank, value = sort_key(value)
+    try:
+        if rank <= RANK_NUMBER:
+            if value != value:
+                return None
+            (bits,) = _BITS.unpack(_DOUBLE.pack(float(value) + 0.0))
+            return _FIXED_INDEX_KEY.pack(_NUMBER_BYTE, bits ^ (_ALL_BITS if bits & _SIGN else _SIGN))
+        if rank == RANK_STRING:
+            return _STRING_HEAD + value.encode().translate(_SHIFT_UP) + b"\x00"
+        if rank < RANK_OTHER:
+            return _FIXED_INDEX_KEY.pack(INDEX_KEY_BASE + rank, value + _SIGN)
+    except (OverflowError, UnicodeEncodeError, struct.error):
+        pass
+    return None
 
 
-def ranked_bounds(low: Any, high: Any) -> Optional[Tuple[Optional[int], Any, Any]]:
-    """A probe's bounds as ``(rank, low, high)``: the rank of their
-    :func:`index_key` and the values an index files under it.
-    A comparison across ranks is never true, so a range holds keys of its
-    bounds' rank only: bounds of two ranks give None (no key), and no bound
-    at all gives rank None (every key)."""
+def index_value_end(key: bytes, offset: int = 0) -> int:
+    """Where the value of the index key at ``offset`` ends and its primary key starts."""
+    return key.index(0, offset + 1) + 1 if key[offset] == _STRING_HEAD[0] else offset + 9
+
+
+def index_key_number(key: bytes) -> float:
+    """The double a number's :func:`index_key` holds."""
+    (bits,) = _BITS.unpack_from(key, 1)
+    return _DOUBLE.unpack(_BITS.pack(bits ^ (_SIGN if bits & _SIGN else _ALL_BITS)))[0]
+
+
+def index_key_range(low: Any, high: Any, low_inclusive: bool = True,
+                    high_inclusive: bool = True) -> Optional[Tuple[bytes, bytes]]:
+    """A probe's bounds as one half-open interval ``[lo, hi)`` of index keys
+    — bare, or with a primary key appended — or None when it holds none.
+
+    A comparison across ranks is never true, so bounds of two ranks give
+    None, a missing bound (or one no index holds) is its rank's edge, and
+    no bound at all spans every key.  An exclusive bound of magnitude 2**53
+    or more is applied inclusively: a larger int shares its key with a
+    neighbouring double, so ``v > 2**53`` must still find ``2**53 + 1``.
+    """
     low_key, high_key = index_key(low), index_key(high)
     if low_key is None:
-        return (None, None, None) if high_key is None else (high_key[0], None, high_key[1])
+        lo = high_key[:1] if high_key else b""
+    else:
+        lo = low_key if _widened(low_key, low_inclusive) else low_key + b"\xff"
     if high_key is None:
-        return low_key[0], low_key[1], None
-    return (low_key[0], low_key[1], high_key[1]) if low_key[0] == high_key[0] else None
+        hi = bytes((low_key[0] + 1,)) if low_key else b"\xff"
+    else:
+        hi = high_key + b"\xff" if _widened(high_key, high_inclusive) else high_key
+    if low_key and high_key and low_key[0] != high_key[0] or lo >= hi:
+        return None
+    return lo, hi
+
+
+def _widened(key: bytes, inclusive: bool) -> bool:
+    return inclusive or key[0] == _NUMBER_BYTE and abs(index_key_number(key)) >= 2 ** 53
 
 
 #: Kinds of a :data:`VALUE_ENCODERS` entry: a fixed-length scalar (the packer

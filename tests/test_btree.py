@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from repro.btree import BTree, BulkLoader, LeafEntry, decode_key, encode_key, leaf_head, pages
 from repro.errors import CorruptPageError, EncodingError, StorageError
 from repro.storage import BufferCache, FileManager, SimulatedStorageDevice
+from repro.types import ADate, ADateTime, ATime, index_key
 
 PAGE_SIZE = 512
 
@@ -29,8 +30,14 @@ def _build(entries, page_size=PAGE_SIZE):
     return BTree(cache, "tree", info), device
 
 
+def _ix(value, primary_key):
+    """A secondary tree's key: ``value``'s index key, then the primary key."""
+    return index_key(value) + encode_key(primary_key)
+
+
 #: Every page a component writes starts from these bytes: ``encode_key`` as it
-#: was before its exact-type dispatch, captured as hex.
+#: was before its exact-type dispatch, captured as hex; then secondary keys,
+#: ``index_key`` bytes and a primary key's, as they became order-preserving.
 GOLDEN_KEYS = [
     (0, "000000000000000000"),
     (-1, "00ffffffffffffffff"),
@@ -44,18 +51,18 @@ GOLDEN_KEYS = [
     ("", "020000"),
     ("abc", "020300616263"),
     ("hütter 日本", "020e0068c3bc7474657220e697a5e69cac"),
-    ((1, 2), "0302000100000000000000000200000000000000"),
-    ((1, 5, 7), "0401000500000000000000000700000000000000"),
-    ((2, "ab", 7), "04020202006162000700000000000000"),
-    ((300, 1, 2), "0303002c01000000000000000100000000000000000200000000000000"),
-    ((1.5, 7), "030201000000000000f83f000700000000000000"),
-    (("ab", 3), "03020202006162000300000000000000"),
-    (((1, 2), "x"), "0302030200010000000000000000020000000000000002010078"),
+    (_ix(5, 7), "11c014000000000000000700000000000000"),
+    (_ix(-1.5, 7), "114007ffffffffffff000700000000000000"),
+    (_ix(-0.0, 1), "118000000000000000000100000000000000"),
+    (_ix("ab", 7), "12626300000700000000000000"),
+    (_ix(ADateTime(-1), 3), "157fffffffffffffff000300000000000000"),
+    (_ix(2**53 + 1, -1), "11c34000000000000000ffffffffffffffff"),
+    (_ix("a\x00ÿ", "k"), "126201c4c0000201006b"),
 ]
 
 
 class TestKeyCodec:
-    @pytest.mark.parametrize("key", [0, -5, 2**40, 3.25, "abc", ("a", 1), (1, 2.5, "x")])
+    @pytest.mark.parametrize("key", [0, -5, 2**40, 3.25, "abc", _ix("a", 1), _ix(2.5, "x")])
     def test_roundtrip(self, key):
         payload = encode_key(key)
         decoded, consumed = decode_key(payload)
@@ -72,7 +79,7 @@ class TestKeyCodec:
         with pytest.raises(EncodingError):
             encode_key(True)
 
-    @pytest.mark.parametrize("key", [2**63, -2**63 - 1, 2**70, (1, 2**63), ("a", -2**70)])
+    @pytest.mark.parametrize("key", [2**63, -2**63 - 1, 2**70, 2**64, -2**70])
     def test_int_outside_int64_rejected(self, key):
         with pytest.raises(EncodingError, match="INT64"):
             encode_key(key)
@@ -83,7 +90,7 @@ class TestKeyCodec:
         entries = [LeafEntry(-3, b"neg"), LeafEntry(5, b"", is_antimatter=True),
                    LeafEntry(2**63 - 1, bytes(17))]
         entries += [LeafEntry(key, value) for key, value in
-                    ((2.5, b"f"), ("k", b"str"), ((1, 2), encode_key(2)), (("a", 1.5), b""))]
+                    ((2.5, b"f"), ("k", b"str"), (_ix(1, 2), encode_key(2)), (_ix("a", 1.5), b""))]
         for group in (entries[:3], entries[3:4], entries[4:5], entries[5:]):
             heads = [leaf_head(e.key, e.is_antimatter, len(e.value)) for e in group]
             page = pages.pack_leaf(heads, [e.value for e in group], None, PAGE_SIZE)
@@ -98,9 +105,11 @@ class TestKeyCodec:
                 start = end
             assert page[start:] == bytes(PAGE_SIZE - start)
 
-    def test_unsupported_type_rejected(self):
+    @pytest.mark.parametrize("key", [{"not": "a key"}, (1, 2), b"", encode_key(5)])
+    def test_unsupported_type_rejected(self, key):
+        """Neither a tuple nor bytes that do not start like an index key."""
         with pytest.raises(EncodingError):
-            encode_key({"not": "a key"})
+            encode_key(key)
 
 
 def _pack(entries, page_size=PAGE_SIZE):
@@ -124,14 +133,16 @@ def _walk(page):
 
 
 _INT64 = st.integers(-2**63, 2**63 - 1)
+_INT32 = st.integers(-2**31, 2**31 - 1)
 _SCALAR = st.one_of(_INT64, st.floats(allow_nan=False), st.text(max_size=4))
-_RANK = st.integers(0, 0xFF)
+#: Values of an 8-byte index key: numbers, dates, times, datetimes.
+_FIXED_VALUE = st.one_of(_INT64, st.floats(allow_nan=False), st.builds(ADate, _INT32),
+                         st.builds(ATime, _INT32), st.builds(ADateTime, _INT64))
 #: The table shapes, and keys that share some of their bytes: other widths,
-#: other kinds in the same places, ranked keys with a float or string part,
-#: triples that are not ranked.
-_KEYS = [_INT64, st.tuples(_RANK, _INT64, _INT64),
-         st.one_of(_SCALAR, st.tuples(_SCALAR), st.tuples(_INT64, _INT64),
-                   st.tuples(_RANK, _SCALAR, _SCALAR), st.tuples(_INT64, _INT64, _INT64))]
+#: string index keys, 8-byte index keys with a float or string primary key.
+_KEYS = [_INT64, st.builds(_ix, _FIXED_VALUE, _INT64),
+         st.one_of(_SCALAR, st.builds(_ix, _FIXED_VALUE, _SCALAR),
+                   st.builds(_ix, st.text(max_size=4), _SCALAR))]
 
 
 @st.composite
@@ -157,22 +168,30 @@ def _leaves(draw):
     return _pack(entries, page_size), entries
 
 
+def _table_shape(key):
+    """The table a key fits — ``int``, or the rank byte of an 18-byte index
+    key with an ``int`` primary key — or None."""
+    if type(key) is int:
+        return int
+    if type(key) is bytes and len(key) == 18 and key[0] != index_key("")[0] and key[9] == 0:
+        return key[0]
+    return None
+
+
 @settings(max_examples=300, deadline=None)
 @given(_leaves())
 def test_unpack_leaf_equals_a_per_entry_walk(leaf):
     """Whichever way ``unpack_leaf`` decodes a leaf — one struct table for a
-    key-only leaf of ``int`` or ranked ``(int, int, int)`` keys, else the walk — it
-    gives the keys, flags and values a per-entry ``decode_key`` walk does."""
+    key-only leaf of ``int`` keys or of 18-byte index keys (an 8-byte value,
+    an ``int`` primary key) of one rank, else the walk — it gives the keys,
+    flags and values a per-entry ``decode_key`` walk does."""
     page, entries = leaf
     node = pages.unpack_leaf(page)
-    shapes = {(type(entry.key), *map(type, entry.key if type(entry.key) is tuple else ()))
-              for entry in entries}
-    ranked = all(type(entry.key[0]) is int and 0 <= entry.key[0] <= 0xFF
-                 for entry in entries if type(entry.key) is tuple)
+    shapes = {_table_shape(entry.key) for entry in entries}
     key_only = all(entry.value == b"" for entry in entries)
     # The table (its offsets are ranges) serves exactly the leaves it fits.
     assert isinstance(node.flag_offsets, range) == (
-        key_only and (shapes == {(int,)} or ranked and shapes == {(tuple, int, int, int)}))
+        key_only and len(shapes) == 1 and None not in shapes)
     keys, flags, values = _walk(page)
     assert repr(list(node.keys)) == repr(keys) == repr([entry.key for entry in entries])
     decoded = list(node.entries())
@@ -188,8 +207,8 @@ class TestMalformedPages:
 
     SHAPES = {"valued": [LeafEntry(key, b"v" * 9) for key in range(3)],
               "int key-only": [LeafEntry(key, b"") for key in range(3)],
-              "pair key-only": [LeafEntry((key, -key), b"") for key in range(3)],
-              "secondary key-only": [LeafEntry((1, key, -key), b"") for key in range(3)]}
+              "string key-only": [LeafEntry(_ix(f"s{key}", key), b"") for key in range(3)],
+              "secondary key-only": [LeafEntry(_ix(key, -key), b"") for key in range(3)]}
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_leaf_entry_count_past_the_page(self, shape):

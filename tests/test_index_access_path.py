@@ -23,15 +23,14 @@ import pytest
 from repro import (Dataset, DeviceKind, LSMConfig, StorageConfig, StorageEnvironment,
                    StorageFormat)
 from repro.datasets.stats import FieldStatistics
-from repro.errors import ComponentStateError, SqlppError, TransientIOError
+from repro.errors import ComponentStateError, RecordTooLargeError, SqlppError, TransientIOError
 from repro.query import QueryExecutor, QuerySpec, choose_access_path
-from repro.query.expressions import Comparison, FieldAccess, Literal
+from repro.query.expressions import And, Comparison, FieldAccess, Literal
 from repro.query.optimizer import AccessPathChoice
 from repro.query.plan import FullScan
 from repro.sqlpp import CompiledCreateIndex
 from repro.sqlpp import compile as compile_sqlpp
-from repro.types import ADate, ADateTime, APoint, ATime, Datatype
-from repro.types.values import RANK_NUMBER
+from repro.types import ADate, ADateTime, APoint, ATime, Datatype, index_key
 
 RECORD_COUNT = 400
 SELECTIVITIES = (0.001, 0.01, 0.1, 0.5)
@@ -374,6 +373,119 @@ class TestTypeEdgeCases:
                                 "ORDER BY t.ts").rows
         assert [row["value"] for row in ordered] == [2, 3, 1]
 
+    #: Values a byte key must file right, over two flushes: NUL strings,
+    #: ints past 2**53 beside the double they round to, a signed zero.
+    HARD_VALUES = ({1: "a", 2: "a\x00", 3: "a\x00b", 4: "\x00", 5: "", 6: "ÿ", 7: 2**53 + 1},
+                   {8: float(2**53), 9: 2**53, 10: -0.0, 11: 0, 12: 2**53 - 1,
+                    13: -(2**53) - 1, 14: 0.5})
+    #: Conjunctions of ``t.v <op> <literal>``; exclusive bounds at 2**53 too.
+    HARD_PREDICATES = (
+        ((">", 2**53),), ((">", float(2**53)),), ((">=", 2**53 + 1),), (("<", 2**53 + 1),),
+        (("=", 2**53 + 1),), (("<", float(2**53)),), (("<=", -(2**53)),),
+        ((">", 2**53 - 1), ("<", 2**53 + 1)), ((">", 2**53), ("<", 2**53 + 2)),
+        (("=", 0),), (("=", -0.0),), ((">", -0.0),), (("<", 0.0),), ((">=", -0.0), ("<=", 0.5)),
+        (("=", "a"),), ((">", "a"),), (("<", "a\x00"),), ((">=", "a\x00"),), (("=", "\x00"),),
+        (("<=", ""),), ((">", ""),), (("<", "ÿ"),), ((">", "a"), ("<", "a\x00c")),
+    )
+
+    @pytest.mark.parametrize("storage_format", (StorageFormat.OPEN, StorageFormat.INFERRED),
+                             ids=["open", "inferred"])
+    def test_hard_values_probe_like_the_scan(self, storage_format):
+        # Each predicate's probe returns the scan's rows, and the rows the
+        # evaluator's own comparisons pick, in the memtable, after a flush,
+        # after a merge and after a re-open (statistics from .ix metadata).
+        environment = StorageEnvironment()
+        lsm = LSMConfig(merge_policy="none")
+        dataset = Dataset.create("hard", storage_format, environment=environment, lsm=lsm)
+        dataset.create_index("ix", "v")
+        written = {}
+
+        def holds(value, op, literal):
+            try:
+                return Comparison._OPS[op](value, literal) is True
+            except TypeError:
+                return False
+
+        def check(dataset, step):
+            for conditions in self.HARD_PREDICATES:
+                where = And(*(Comparison(op, FieldAccess("t", ("v",)), Literal(literal))
+                              for op, literal in conditions))
+                spec = QuerySpec(where=where, projections=[("id", FieldAccess("t", ("id",)))])
+                rows = {}
+                for access_path in ("index", "scan"):
+                    result = QueryExecutor(access_path=access_path).execute(dataset, spec)
+                    rows[access_path] = [row["id"] for row in result.rows]
+                    rows[result.stats.access_path] = True
+                assert rows["IndexProbe"] and rows["FullScan"]
+                expected = [key for key, value in sorted(written.items())
+                            if all(holds(value, op, literal) for op, literal in conditions)]
+                assert sorted(rows["index"]) == sorted(rows["scan"]) == expected, (
+                    step, conditions)
+
+        for batch in self.HARD_VALUES:
+            written.update(batch)
+            dataset.insert_all({"id": key, "v": value} for key, value in batch.items())
+            check(dataset, "memtable")
+            dataset.flush_all()
+            check(dataset, "flush")
+        index = dataset.partitions[0].index
+        index.merge(list(index.components))
+        assert len(index.components) == 1
+        check(dataset, "merge")
+        statistics = dataset.index_statistics("ix")
+        assert (statistics.count, statistics.min_key, statistics.max_key) == (
+            14, index_key(-(2**53) - 1), index_key("ÿ"))
+        revived = Dataset.create("hard", storage_format, environment=environment, lsm=lsm)
+        revived.create_index("ix", "v")
+        for partition in revived.partitions:
+            partition.recover()
+        check(revived, "reopen")
+        assert revived.index_statistics("ix") == statistics
+
+    @pytest.mark.parametrize("storage_format", (StorageFormat.OPEN, StorageFormat.INFERRED),
+                             ids=["open", "inferred"])
+    def test_long_string_keys_do_not_wedge_flushes(self, storage_format):
+        # A string key carries no length: a 70 000-byte indexed string on
+        # 256 KiB pages flushes, and so does every flush after it.
+        environment = StorageEnvironment(StorageConfig(page_size=256 * 1024,
+                                                       buffer_cache_pages=64))
+        dataset = Dataset.create("long", storage_format, environment=environment)
+        dataset.create_index("ix", "s")
+        dataset.insert_all([{"id": 1, "s": "x" * 70000}, {"id": 2, "s": "y"}])
+        dataset.flush_all()
+        dataset.insert_all([{"id": 3, "s": "x" * 70001}, {"id": 4, "s": "x"}])
+        dataset.flush_all()
+        assert dataset.partitions[0].index.memory_component.is_empty
+        assert dataset.index_statistics("ix").count == 4
+        for predicate, expected in (("t.s > 'x'", [1, 2, 3]), ("t.s < 'y'", [1, 3, 4]),
+                                    ("t.s >= 'xx'", [1, 2, 3]), ("t.s = 'y'", [2])):
+            text = f"SELECT VALUE t.id FROM long AS t WHERE {predicate}"
+            via_index, result = _rows(dataset, text, "index")
+            assert result.stats.access_path == "IndexProbe"
+            assert via_index == _rows(dataset, text, "scan")[0] == expected, predicate
+
+    @pytest.mark.parametrize("storage_format", (StorageFormat.OPEN, StorageFormat.INFERRED),
+                             ids=["open", "inferred"])
+    def test_the_widest_indexed_string_a_leaf_takes_is_probed(self, storage_format):
+        # At the default page size, the longest string a record can hold in
+        # one leaf is indexed too: its key is no longer than its record.
+        dataset = Dataset.create("widest", storage_format)
+        dataset.create_index("ix", "s")
+        length = dataset.config.storage.page_size
+        while True:
+            try:
+                dataset.insert({"id": 1, "s": "x" * length})
+                break
+            except RecordTooLargeError:
+                length -= 1
+        dataset.insert({"id": 2, "s": "x"})
+        dataset.flush_all()
+        for predicate, expected in (("t.s > 'x'", [1]), ("t.s >= 'x'", [1, 2])):
+            text = f"SELECT VALUE t.id FROM widest AS t WHERE {predicate}"
+            via_index, result = _rows(dataset, text, "index")
+            assert result.stats.access_path == "IndexProbe"
+            assert via_index == _rows(dataset, text, "scan")[0] == expected, predicate
+
     def test_merge_does_not_double_count_statistics(self):
         dataset = Dataset.create("stats", StorageFormat.OPEN)
         dataset.create_index("by_v", "v")
@@ -386,7 +498,7 @@ class TestTypeEdgeCases:
         partition.index.merge(list(partition.index.components))
         statistics = dataset.index_statistics("by_v")
         assert statistics.count == 120
-        assert (statistics.min_key, statistics.max_key) == ((RANK_NUMBER, 0), (RANK_NUMBER, 159))
+        assert (statistics.min_key, statistics.max_key) == (index_key(0), index_key(159))
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +788,7 @@ class TestCreateIndexSurface:
         statistics = dataset.index_statistics("by_ts")
         assert isinstance(statistics, FieldStatistics)
         assert statistics.count == RECORD_COUNT
-        assert statistics.min_key == (RANK_NUMBER, 1000)
+        assert statistics.min_key == index_key(1000)
         narrow = compile_sqlpp(_range_query(1000, 1003)).spec
         choice = choose_access_path(narrow, dataset)
         assert choice.uses_index

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from repro.cache import ColumnSliceCache, SliceChunk
 from repro.config import LSMConfig, StorageFormat
 from repro.core import Dataset, StorageEnvironment
-from repro.errors import ComponentStateError, DuplicateKeyError, EncodingError, KeyNotFoundError
+from repro.errors import (ComponentStateError, DecodingError, DuplicateKeyError,
+                          KeyNotFoundError)
 from repro.lsm import (
     ComponentId,
     ComponentWriter,
@@ -26,8 +27,7 @@ from repro.btree import LeafEntry
 from repro.lsm.component import InMemoryComponent, MemEntry
 from repro.lsm.lsm_index import _reconcile
 from repro.storage import BufferCache, FileManager, SimulatedStorageDevice, WriteAheadLog
-from repro.types import ranked_bounds
-from repro.types.values import RANK_NUMBER
+from repro.types import index_key, index_key_range
 
 from reference import reference_memtable_live, reference_record_count
 
@@ -447,26 +447,27 @@ class TestAntischemaPayload:
         assert callback.removed == [b"v1"]
 
 
-#: Keys of every kind the key codec accepts, with the awkward hashes:
-#: ``hash(-1) == hash(-2)``, ``hash(2**61 - 1) == hash(0)``, the int64
-#: extremes, non-ASCII strings and pairs of those ints.
+#: Keys of every primary-key kind the key codec accepts, with the awkward
+#: hashes: ``hash(-1) == hash(-2)``, ``hash(2**61 - 1) == hash(0)``, the
+#: int64 extremes, non-ASCII strings, and floats hashing like those ints.
 _FENCE_POOLS = {
     "int": [-2**63, 2**63 - 1, -1, -2, 0, 1, 2**61 - 1, 2**61, -(2**61), 7, -7],
     "str": ["", "a", "é", "e\u0301", "ß", "日本語", "Ωμέγα", "😀", "naïve", "-1", "-2"],
-    "pair": [(-1, -2), (-2, -1), (-1, -1), (-2, -2), (0, 2**61 - 1), (-2**63, 2**63 - 1)],
+    "float": [-1.0, -2.0, 0.0, 0.5, -0.5, 2.0**61, float("inf"), float("-inf"), 1e300, -1e-300],
 }
-#: Looked up but never written; ``1.0`` and ``-2.0`` equal ints of the pool.
+#: Looked up but never written; ``1.0`` and ``-2.0`` equal ints of the pool,
+#: ``-2`` and ``-0.0`` floats of it.
 _FENCE_EXTRA = {
     "int": [1.0, -2.0, 0.5, 2**63 - 2, 2**62 + 1],
     "str": ["zz", "日本", "😀😀"],
-    "pair": [(-1, -3), (2**62, 0)],
+    "float": [-2, -0.0, 0.25, 2**61 + 1, 2.0**53 + 2],
 }
 
 
 def _fence_pool(kind, rng):
     draw = {"int": lambda: rng.randint(-2**40, 2**40),
             "str": lambda: "".join(rng.choice("aéz日😀-1") for _ in range(rng.randint(1, 5))),
-            "pair": lambda: (rng.randint(-40, 40), rng.randint(-40, 40))}[kind]
+            "float": lambda: rng.randint(-400, 400) / 8}[kind]
     return list(dict.fromkeys(_FENCE_POOLS[kind] + [draw() for _ in range(150)]))
 
 
@@ -696,12 +697,12 @@ class TestMemtableCounters:
         index.flush()
         first = index.secondary_statistics("by_v")
         assert index.secondary_statistics("by_v") is first
-        assert (first.count, first.min_key, first.max_key) == (5, (RANK_NUMBER, 0), (RANK_NUMBER, 4))
+        assert (first.count, first.min_key, first.max_key) == (5, index_key(0), index_key(4))
         index.insert(9, {"id": 9}, _valued(9, 90))  # a memtable write: no new list
         assert index.secondary_statistics("by_v") is first
         index.flush()
         second = index.secondary_statistics("by_v")
-        assert (second.count, second.max_key) == (6, (RANK_NUMBER, 90))
+        assert (second.count, second.max_key) == (6, index_key(90))
         index.merge(list(index.components))
         assert index.secondary_statistics("by_v").count == 6
         assert index.secondary_statistics("unknown") is None
@@ -726,12 +727,12 @@ def _walked_keys(memtable, definition, low, high, low_inclusive, high_inclusive)
 
 
 def _column_keys(memtable, definition, low, high, low_inclusive, high_inclusive):
-    """The memtable's keys for a probe's bounds, ranked as the LSM index
-    ranks them; bounds of two ranks hold no key."""
-    bounds = ranked_bounds(low, high)
+    """The memtable's keys for a probe's bounds, encoded as the LSM index
+    encodes them; bounds of two ranks hold no key."""
+    bounds = index_key_range(low, high, low_inclusive, high_inclusive)
     if bounds is None:
         return []
-    return memtable.secondary_keys(definition, *bounds, low_inclusive, high_inclusive)
+    return memtable.secondary_keys(definition, *bounds)
 
 
 _BOUND = st.one_of(st.none(), st.integers(-1, 21), st.sampled_from(["s", "s5", "t"]))
@@ -813,14 +814,16 @@ class TestAuxiliaryFileLifecycle:
         files = manager.list_files()
         assert len(files) == 3 * 3
 
-        # Values no key can hold (past INT64), in the component the backfill
+        # Payloads the extractor cannot read, in the component the backfill
         # reaches last: the trees already built are taken back.
-        def unkeyable(payload, schema):
+        def unreadable(payload, schema):
             key = key_of(payload)
-            return 2 ** 70 if key < 20 and key % 2 else key
+            if key < 20 and key % 2:
+                raise DecodingError(f"cannot read payload {payload!r}")
+            return key
 
-        with pytest.raises(EncodingError, match="INT64"):
-            index.add_secondary_index(SecondaryIndexDef("bad", unkeyable))
+        with pytest.raises(DecodingError, match="cannot read"):
+            index.add_secondary_index(SecondaryIndexDef("bad", unreadable))
         assert manager.list_files() == files
         assert index.secondary_statistics("bad") is None
         assert not any("bad" in component.secondary_trees or "bad" in component.secondary_stats

@@ -3,8 +3,13 @@
 import uuid
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.btree import encode_key
+from repro.btree.keycodec import index_primary_key
 from repro.errors import SchemaViolationError, TypeError_
+from repro.query.expressions import Comparison
 from repro.types import (
     ADate,
     ADateTime,
@@ -21,7 +26,10 @@ from repro.types import (
     VALUE_ENCODERS,
     deep_equals,
     encoder_of,
+    index_key,
+    index_key_range,
     open_only_primary_key,
+    sort_key,
     type_tag_of,
 )
 
@@ -233,3 +241,116 @@ class TestDatatype:
         assert datatype.declared_names == ["id"]
         assert datatype.is_open
         datatype.validate({"id": 3, "anything": {"nested": True}})
+
+
+#: Values an order-preserving index key has to get right: signed zeros,
+#: infinities, ints around 2**53 (where doubles stop being exact) and the
+#: int64 edges, booleans, NUL and astral strings, pre-epoch dates.
+HARD_VALUES = [
+    -0.0, 0.0, 0, 0.5, -1.5, 1e-300, float("inf"), float("-inf"),
+    2**53 - 1, 2**53, 2**53 + 1, float(2**53), -(2**53) - 1, 2**63 - 1, -(2**63 - 1), 2**64,
+    True, False, "", "\x00", "\x01", "a", "a\x00", "a\x00b", "ab", "ÿ", "\x7f", "日本", "😀",
+    "\U0010ffff", ADate(-1), ADate(0), ADate(-2**31), ATime(0), ATime(5), ADateTime(-5),
+    ADateTime(-2**63), ADateTime(2**63 - 1),
+]
+_VALUES = st.one_of(
+    st.sampled_from(HARD_VALUES), st.integers(-2**64, 2**64), st.floats(allow_nan=False),
+    st.text(max_size=6), st.booleans(), st.builds(ADate, st.integers(-2**31, 2**31 - 1)),
+    st.builds(ATime, st.integers(-2**31, 2**31 - 1)),
+    st.builds(ADateTime, st.integers(-2**63, 2**63 - 1)))
+_PRIMARY_KEYS = st.one_of(st.integers(-2**63, 2**63 - 1), st.floats(allow_nan=False),
+                          st.text(max_size=4))
+_OPERATORS = ("=", "<", "<=", ">", ">=")
+
+
+def _filed(value):
+    """What an index orders ``value`` as: a boolean as its int."""
+    return int(value) if isinstance(value, bool) else value
+
+
+def _is_number(value):
+    return isinstance(value, (int, float))
+
+
+def _check_order(a, b):
+    """``index_key`` orders ``a`` and ``b`` as ``sort_key`` does, and ties
+    only equal values or numbers with one double."""
+    key_a, key_b = index_key(a), index_key(b)
+    order_a, order_b = sort_key(_filed(a)), sort_key(_filed(b))
+    if order_a < order_b:
+        assert key_a <= key_b, (a, b)
+    if order_a == order_b:
+        assert key_a == key_b, (a, b)
+    if key_a == key_b:
+        assert order_a == order_b or (
+            _is_number(a) and _is_number(b) and float(a) == float(b)), (a, b)
+
+
+def _check_suffixes(a, b, pk_a, pk_b):
+    """Appending any primary keys keeps the order, and each reads back."""
+    entry_a, entry_b = index_key(a) + encode_key(pk_a), index_key(b) + encode_key(pk_b)
+    if index_key(a) < index_key(b):
+        assert entry_a < entry_b, (a, b, pk_a, pk_b)
+    assert (index_primary_key(entry_a), index_primary_key(entry_b)) == (pk_a, pk_b)
+
+
+def _check_membership(value, op, bound, pk):
+    """``[lo, hi)`` for ``field op bound`` holds ``value``, bare or with a
+    primary key, whenever the evaluator says the comparison is true; and
+    only then when the bound is exact (not a number of magnitude 2**53 or
+    more, which may share its key with a neighbouring int)."""
+    if op == "=":
+        bounds = index_key_range(bound, bound)
+    elif op in (">", ">="):
+        bounds = index_key_range(bound, None, low_inclusive=op == ">=")
+    else:
+        bounds = index_key_range(None, bound, high_inclusive=op == "<=")
+    key = index_key(value)
+    inside = bounds is not None and bounds[0] <= key < bounds[1]
+    assert inside == (bounds is not None and bounds[0] <= key + encode_key(pk) < bounds[1])
+    try:
+        holds = Comparison._OPS[op](value, bound) is True
+    except TypeError:
+        holds = False
+    if holds:
+        assert inside, (value, op, bound)
+    if not _is_number(bound) or abs(float(bound)) < 2**53:
+        assert inside == holds, (value, op, bound)
+
+
+class TestIndexKeyOrder:
+    """``index_key`` is order-preserving bytes: byte order is ``sort_key``
+    order, so leaves, merges, memtable columns and probe bounds compare
+    secondary keys as bytes."""
+
+    def test_hard_values_pairwise(self):
+        for a in HARD_VALUES:
+            for b in HARD_VALUES:
+                _check_order(a, b)
+                _check_suffixes(a, b, 7, -1)
+                for op in _OPERATORS:
+                    _check_membership(a, op, b, "k")
+
+    @settings(max_examples=400, deadline=None)
+    @given(_VALUES, _VALUES, _PRIMARY_KEYS, _PRIMARY_KEYS, st.sampled_from(_OPERATORS))
+    def test_order_suffixes_and_ranges(self, a, b, pk_a, pk_b, op):
+        _check_order(a, b)
+        _check_suffixes(a, b, pk_a, pk_b)
+        _check_membership(a, op, b, pk_a)
+
+    def test_edges(self):
+        assert index_key(-0.0) == index_key(0.0) == index_key(0)
+        assert index_key(True) == index_key(1) == index_key(1.0)
+        assert index_key(2**53 + 1) == index_key(float(2**53))
+        assert index_key("a") < index_key("a\x00") < index_key("a\x00b") < index_key("a\x01")
+        assert len(index_key(0)) == 9 and len(index_key("x" * 70000)) == 70002
+        # Nothing an index cannot hold: NaN, absent, non-scalar, points, no double.
+        assert {index_key(value) for value in (float("nan"), None, MISSING, [1], {"a": 1},
+                                               APoint(1.0, 2.0), 10**400)} == {None}
+        # Bounds of two ranks, or crossed ones, hold no key; none at all, every key.
+        assert index_key_range(5, "a") is None and index_key_range(5, 3) is None
+        assert index_key_range(5, 5, low_inclusive=False) is None
+        assert index_key_range(None, None) == (b"", b"\xff")
+        # Exclusive bounds of magnitude 2**53 are widened to inclusive.
+        low, _ = index_key_range(2**53, None, low_inclusive=False)
+        assert low == index_key(2**53) <= index_key(2**53 + 1)
