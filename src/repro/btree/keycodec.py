@@ -24,7 +24,7 @@ import struct
 from typing import Tuple, Union
 
 from ..errors import EncodingError
-from ..types.values import (INDEX_KEY_BASE, RANK_DATE, RANK_DATETIME, RANK_NUMBER, RANK_TIME,
+from ..types.values import (FIXED_INDEX_KEY_RANKS, FIXED_INDEX_KEY_SIZE, INDEX_KEY_BASE,
                             index_value_end)
 
 #: A primary key, or a secondary index key's bytes.
@@ -43,8 +43,9 @@ _STR_HEAD = struct.Struct("<BH")
 #: every such key holds, ...))``: an ``int``, and an index key of an 8-byte
 #: value (one shape per rank) followed by an ``int`` primary key.
 FIXED_WIDTH_KEYS = ((struct.Struct("<xq"), ((0, _KIND_INT),)),) + tuple(
-    (struct.Struct("18s"), ((0, INDEX_KEY_BASE + rank), (9, _KIND_INT)))
-    for rank in (RANK_NUMBER, RANK_DATE, RANK_TIME, RANK_DATETIME))
+    (struct.Struct(f"{FIXED_INDEX_KEY_SIZE + _INT_KEY.size}s"),
+     ((0, INDEX_KEY_BASE + rank), (FIXED_INDEX_KEY_SIZE, _KIND_INT)))
+    for rank in FIXED_INDEX_KEY_RANKS)
 
 
 def _encode_int(key: int) -> bytes:

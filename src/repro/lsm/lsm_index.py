@@ -30,6 +30,7 @@ from ..errors import (
     ComponentStateError,
     CorruptPageError,
     DuplicateKeyError,
+    EncodingError,
     KeyNotFoundError,
     RecordTooLargeError,
     SchedulerError,
@@ -320,11 +321,13 @@ class LSMBTree:
         removes inline field names), so an entry that passes here can always
         be persisted; one that does not would fail every flush of its
         memtable, which is re-queued on failure — wedging the partition.  A
-        key the codec cannot encode (a boolean, an integer outside int64)
-        raises :class:`~repro.errors.EncodingError` from :func:`leaf_head`,
-        the same head the bulk loader packs; a delete is checked with an
-        empty value.
+        key the codec cannot encode as a primary key (a boolean, an integer
+        outside int64, ``bytes``, which it writes as an index key) raises
+        :class:`~repro.errors.EncodingError`, as from :func:`leaf_head`, the
+        head the bulk loader packs; a delete is checked with an empty value.
         """
+        if isinstance(key, bytes):
+            raise EncodingError(f"primary key {key[:16]!r} is bytes: only an index key can be")
         size = LEAF_HEADER_SIZE + len(leaf_head(key, False, len(encoded))) + len(encoded)
         if size > self.buffer_cache.page_size:
             raise RecordTooLargeError(

@@ -28,8 +28,6 @@ import re
 import threading
 from typing import Any, Dict, Optional, Tuple
 
-LabelSet = Tuple[Tuple[str, str], ...]
-
 _METRIC_NAME_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
 

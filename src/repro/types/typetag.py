@@ -108,13 +108,6 @@ _FIXED_LENGTH_SIZES = {
     TypeTag.UUID: 16,
 }
 
-#: Number of distinct value types a UNION schema node may fan out to.  The
-#: paper notes AsterixDB has 27 value types; this model has a comparable
-#: (slightly smaller) set.
-VALUE_TYPE_COUNT = sum(
-    1 for tag in TypeTag if tag.is_scalar or tag.is_nested or tag in (TypeTag.NULL, TypeTag.MISSING)
-)
-
 
 def tag_name(tag: TypeTag) -> str:
     """Lower-case display name used in schema dumps and error messages."""

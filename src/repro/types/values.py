@@ -233,6 +233,10 @@ _SIGN, _ALL_BITS = 1 << 63, (1 << 64) - 1
 _DOUBLE, _BITS = struct.Struct(">d"), struct.Struct(">Q")
 #: A number, date, time or datetime key: rank byte, then 8 ordered bytes.
 _FIXED_INDEX_KEY = struct.Struct(">BQ")
+#: The ranks whose index key is :data:`FIXED_INDEX_KEY_SIZE` bytes long
+#: (any other indexed value is a string, which ends at its terminator).
+FIXED_INDEX_KEY_RANKS = (RANK_NUMBER, RANK_DATE, RANK_TIME, RANK_DATETIME)
+FIXED_INDEX_KEY_SIZE = _FIXED_INDEX_KEY.size
 #: Each UTF-8 byte plus one (UTF-8 never uses 0xFF).
 _SHIFT_UP = bytes(range(1, 256)) + b"\xff"
 
@@ -281,7 +285,9 @@ def index_key(value: Any) -> Optional[bytes]:
 
 def index_value_end(key: bytes, offset: int = 0) -> int:
     """Where the value of the index key at ``offset`` ends and its primary key starts."""
-    return key.index(0, offset + 1) + 1 if key[offset] == _STRING_HEAD[0] else offset + 9
+    if key[offset] == _STRING_HEAD[0]:
+        return key.index(0, offset + 1) + 1
+    return offset + FIXED_INDEX_KEY_SIZE
 
 
 def index_key_number(key: bytes) -> float:

@@ -54,7 +54,6 @@ from ..types import SCALAR_DECODERS, TypeTag
 HEADER = struct.Struct("<IIBBBBIIII")
 HEADER_SIZE = HEADER.size  # 28 bytes
 
-U16 = struct.Struct("<H")
 U32 = struct.Struct("<I")
 
 FLAG_COMPACTED = 0x01

@@ -7,7 +7,7 @@ from repro.config import DatasetConfig, LSMConfig, StorageConfig
 from repro.core.dataset import hash_partition
 from repro.errors import (ComponentStateError, DatasetError, EncodingError, KeyNotFoundError,
                           RecordTooLargeError, SchemaViolationError)
-from repro.types import deep_equals
+from repro.types import Datatype, FieldDeclaration, TypeTag, deep_equals
 from repro.vector.layout import MAX_NESTING_DEPTH
 
 RECORDS = [
@@ -280,6 +280,28 @@ def test_unencodable_delete_key_is_refused_on_arrival(storage_format):
     dataset.flush_all()
     assert dataset.get(1) == {"id": 1, "v": "one"}
     assert dataset.count() == 2
+
+
+@pytest.mark.parametrize("storage_format", [StorageFormat.OPEN, StorageFormat.INFERRED],
+                         ids=["open", "inferred"])
+def test_binary_primary_key_is_refused_on_arrival(storage_format):
+    """A datatype may declare its key BINARY, but the leaf codec reads
+    ``bytes`` as a secondary index key: such a record used to be logged and
+    then misread once flushed.  It is an ``EncodingError`` before the WAL
+    append, and the partition flushes on."""
+    environment = StorageEnvironment()
+    datatype = Datatype.open_type("BinaryKeyed", [FieldDeclaration("id", TypeTag.BINARY)])
+    dataset = Dataset.create("binary", storage_format, environment=environment,
+                             datatype=datatype)
+    logged = len(environment.wal)
+    for write in (dataset.insert, dataset.upsert):
+        with pytest.raises(EncodingError, match="primary key"):
+            write({"id": b"\x11abc", "v": 1})
+    with pytest.raises(EncodingError, match="primary key"):
+        dataset.delete(b"\x11abc")
+    assert len(environment.wal) == logged
+    dataset.flush_all()
+    assert dataset.count() == 0
 
 
 @pytest.mark.parametrize("flushed", [False, True], ids=["memtable", "flushed"])

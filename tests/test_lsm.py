@@ -10,7 +10,7 @@ from repro.cache import ColumnSliceCache, SliceChunk
 from repro.config import LSMConfig, StorageFormat
 from repro.core import Dataset, StorageEnvironment
 from repro.errors import (ComponentStateError, DecodingError, DuplicateKeyError,
-                          KeyNotFoundError)
+                          EncodingError, KeyNotFoundError)
 from repro.lsm import (
     ComponentId,
     ComponentWriter,
@@ -23,7 +23,7 @@ from repro.lsm import (
     read_component_metadata,
     recover_index,
 )
-from repro.btree import LeafEntry
+from repro.btree import LeafEntry, encode_key
 from repro.lsm.component import InMemoryComponent, MemEntry
 from repro.lsm.lsm_index import _reconcile
 from repro.storage import BufferCache, FileManager, SimulatedStorageDevice, WriteAheadLog
@@ -852,6 +852,27 @@ class TestWALAndRecovery:
         assert len(wal) > 0
         index.flush()
         assert list(wal.replay(dataset="ds", partition=0)) == []
+
+    @pytest.mark.parametrize("key", [b"\x11abc", index_key(5) + encode_key(1), b""],
+                             ids=["torn", "index-key", "empty"])
+    def test_bytes_primary_key_refused_before_the_log(self, key):
+        """The leaf codec writes ``bytes`` verbatim as a secondary index key;
+        as a primary key they were logged, flushed and then misread from the
+        leaf.  Every write path refuses them before the WAL append."""
+        wal = WriteAheadLog()
+        index = _index(wal=wal)
+        index.insert(1, {"id": 1}, _payload(1))
+        logged = len(wal)
+        for write in (lambda: index.insert(key, {"id": key}, _payload(1)),
+                      lambda: index.upsert(key, {"id": key}, _payload(1)),
+                      lambda: index.delete(key)):
+            with pytest.raises(EncodingError, match="primary key"):
+                write()
+        assert len(wal) == logged
+        with pytest.raises(EncodingError, match="primary key"):
+            _index().load([(key, {"id": key}, _payload(1))])
+        index.flush()
+        assert _scan_keys(index) == [1]
 
     def test_recovery_replays_unflushed_records(self):
         _, cache = _cache()
