@@ -1,7 +1,8 @@
 """Cost of a B+-tree point lookup, cold and warm (ROADMAP item 2(b)), of a
 bulk build against the leaf decode (item 2(e)), of an LSM point lookup
 over several components, of an index probe beside a full memtable
-(item 9), and of re-opening a component (item 10).
+(item 9) and with new bounds on every call, and of re-opening a component
+(item 10).
 
 A plain script, not a pytest module, like ``micro_vector.py``:
 
@@ -38,7 +39,9 @@ Then it loads ``PROBE_TWEETS`` generated tweets into two one-partition
 INFERRED datasets with an index on ``id`` and flushes them, adds as many
 more, unflushed and none in the range, to the second one's memtable, and
 prints CPU µs per query of an 11-row ``id`` range forced onto the index
-(``access_path="index"``) over each, the median over three times the rounds.
+(``access_path="index"``) over each, the median over three times the rounds;
+then, over the first dataset, CPU µs per query of that text repeated and of
+the same shape with new bounds on every call (a text never seen before).
 
 Last, it flushes one component of ``entries`` keys with 200-byte values
 and prints CPU µs per key of re-opening it as crash recovery does —
@@ -62,7 +65,9 @@ memtable must cost under 2x the probe beside the empty one (one pass over
 the memtable's column of index keys: 1.33-1.48x over five runs; a walk
 that looks up the value each entry caches read 1.5-2.1x, over 2.0 once the
 planning both sides share got cheaper; a probe that decodes every memtable
-record as a candidate lands near 17-28x); and
+record as a candidate lands near 17-28x); and the probe with new bounds
+must cost under 1.15x the repeated text (one cached plan per shape, the
+bounds read per run: 1.05x; re-planning every new text read 1.59x); and
 the re-open must cost at most 1.2x the cold key walk (hashing and sorting
 the keys the leaves hold: 1.04-1.12x; a rebuild that makes a
 ``LeafEntry`` of every entry through ``scan()`` lands near 1.9x).
@@ -76,7 +81,7 @@ import random
 import statistics
 import sys
 import time
-from itertools import chain
+from itertools import chain, count
 from operator import truediv
 from typing import Callable, List, Tuple
 
@@ -93,7 +98,8 @@ VALUE_SIZE = 200
 #: Tweets flushed before the index probe, and as many held in one memtable.
 PROBE_TWEETS = 2000
 PROBE_QUERIES = 20
-PROBE = "SELECT VALUE t.text FROM tweets AS t WHERE t.id >= 1000 AND t.id <= 1010"
+PROBE_SHAPE = "SELECT VALUE t.text FROM tweets AS t WHERE t.id >= {} AND t.id <= {}"
+PROBE = PROBE_SHAPE.format(1000, 1010)
 #: Tree shapes: name -> entries for ``count`` keys.  The first is the valued
 #: one, the others key-only.
 SHAPES = {
@@ -230,6 +236,20 @@ def _probe(dataset: Dataset) -> Callable[[int], object]:
     return probe
 
 
+def _fresh_probe(dataset: Dataset) -> Callable[[int], object]:
+    """``PROBE``'s shape forced onto the index, its range moved on every
+    call: each call's text is one the dataset has never seen."""
+    lows = count()
+
+    def probe(_: int) -> None:
+        low = next(lows)
+        text = PROBE_SHAPE.format(low, low + 10)
+        assert len(dataset.query(text, access_path="index").rows) == 11
+
+    probe(0)
+    return probe
+
+
 def _us_per_call(calls: List[Tuple[Callable[[int], object], List[int]]],
                  rounds: int) -> List[float]:
     """CPU µs per call of each ``(function, keys)``, the median over the
@@ -310,6 +330,16 @@ def main(entries: int = 20000, lookups: int = 500, rounds: int = 5) -> int:
     print(f"  {PROBE_TWEETS} tweets in memtable {full:8.1f}")
     print(f"  full / empty = {full / empty:.2f} (gate: < 2.0)")
     passed = passed and full / empty < 2.0
+
+    print(f"the same probe with new bounds on every call, median of {3 * rounds} rounds, "
+          f"CPU µs per query")
+    same, fresh = _us_per_call([(_probe(beside_empty), list(range(PROBE_QUERIES))),
+                                (_fresh_probe(beside_empty), list(range(PROBE_QUERIES)))],
+                               3 * rounds)
+    print(f"  same text  {same:8.1f}")
+    print(f"  new bounds {fresh:8.1f}")
+    print(f"  new / same = {fresh / same:.2f} (gate: < 1.15)")
+    passed = passed and fresh / same < 1.15
 
     # Each round takes ~40 ms and the gate's margin is ~10 %: more rounds.
     reopen, walk, ratio = _reopen_vs_key_walk(entries, 3 * rounds)

@@ -45,7 +45,7 @@ from .config import (
     StorageFormat,
 )
 from .cache import ColumnSliceCache, PlanCache
-from .core import Dataset, Partition, PreparedStatement, StorageEnvironment, TupleCompactor
+from .core import Dataset, Partition, StorageEnvironment, TupleCompactor
 from .errors import (
     CorruptPageError,
     FaultSpecError,
@@ -93,7 +93,6 @@ __all__ = [
     "ClusterConfig",
     "Dataset",
     "Partition",
-    "PreparedStatement",
     "StorageEnvironment",
     "TupleCompactor",
     "PlanCache",

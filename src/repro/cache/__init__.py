@@ -1,15 +1,16 @@
 """Query-level reuse caches: physical plans and decoded column slices.
 
 Two bounded LRU layers sit above the page-level
-:class:`~repro.storage.BufferCache` (ROADMAP item 1's prepared-statement
-front door, and the decode-side reuse the paper's columnar layout makes
+:class:`~repro.storage.BufferCache` (ROADMAP item 1's plan-reuse front
+door, and the decode-side reuse the paper's columnar layout makes
 profitable):
 
 * :class:`PlanCache` — per-dataset physical-plan cache keyed by the SQL++
-  statement's token lexemes plus the executor's optimizer flags, so
-  repeated ``Dataset.query(text)`` calls skip parse → bind → rewrite →
-  compile.  A plan holds nothing data-dependent (the executor costs the
-  access path on every run), so entries live until LRU eviction.
+  statement's shape (its lexemes, literals replaced by their kinds) plus
+  the executor's optimizer flags, so ``Dataset.query(text)`` calls of a
+  seen shape skip parse → bind → rewrite → compile.  A plan holds nothing
+  data-dependent (the executor costs the access path on every run), so
+  entries live until LRU eviction.
 * :class:`ColumnSliceCache` — per-environment cache of decoded column
   slices keyed ``(component file, path set, chunk index)`` with
   byte-accounted LRU eviction, invalidated through the LSM lifecycle

@@ -1,4 +1,4 @@
-"""Bounded LRU cache of compiled physical plans (prepared statements).
+"""Bounded LRU cache of compiled physical plans, one per statement shape.
 
 The cache memoizes the front half of a query — parse → bind → rewrite →
 compile, everything the statement text and the optimizer flags fix — as one
@@ -6,14 +6,14 @@ compile, everything the statement text and the optimizer flags fix — as one
 after rewrites and the compiled batch plan (whose stage list is what EXPLAIN
 prints and the executor runs).  An entry is keyed by
 
-* the statement's *lexemes*, each token's source text in order
-  (:class:`repro.sqlpp.lexer.Lexed`): whitespace and comments are not
-  lexemes, so reformatted and commented copies of a query share a plan,
-  while a string literal is one lexeme quoted and escaped as written, so
-  queries that differ inside a string never do.  A token's kind and value
-  are a function of its lexeme, so equal keys are equal token streams, and
-  a text the lexer refuses holds a lexeme no valid text has: it never
-  matches a cached plan, and
+* the statement's *shape* (:attr:`repro.sqlpp.lexer.Lexed.shape`): its
+  lexemes, each token's source text, with every number and string literal
+  replaced by its kind.  Whitespace and comments are not lexemes, so
+  reformatted and commented copies of a query share a plan, and so do texts
+  that differ only in constants: each run reads those from its own
+  parameters, never from the plan.  A literal that shapes the plan (a LIMIT
+  count, say) stays as written, and a text the lexer refuses never matches
+  a cached plan, and
 * the executor's optimizer flags, so differently-rewritten plans never
   share entries.
 
@@ -43,7 +43,7 @@ DEFAULT_PLAN_CACHE_CAPACITY = 64
 @dataclass
 class PhysicalPlan:
     """Everything the executor needs downstream of parse → bind → rewrite,
-    except the access path, which it costs per run.
+    except the access path and the literals' values, which come with a run.
 
     Fields are deliberately loosely typed: this module sits below
     :mod:`repro.query` in the import graph, and the executor is the only

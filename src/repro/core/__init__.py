@@ -1,6 +1,6 @@
 """Core public API: datasets, partitions, the tuple compactor, record codecs."""
 
-from .dataset import Dataset, PreparedStatement, hash_partition
+from .dataset import Dataset, hash_partition
 from .environment import StorageEnvironment
 from .formats import DictRecordView, RecordFormatCodec
 from .partition import Partition
@@ -8,7 +8,6 @@ from .tuple_compactor import TupleCompactor
 
 __all__ = [
     "Dataset",
-    "PreparedStatement",
     "hash_partition",
     "StorageEnvironment",
     "Partition",

@@ -57,9 +57,7 @@ class Dataset:
         # The environment's StorageConfig is the physical truth (device
         # profile, page size, compression): sync it into the dataset config
         # so consumers like the access-path cost model never price against
-        # stale defaults.  Previously only Dataset.create did this, letting
-        # datasets built through this bare constructor disagree with their
-        # own environments.
+        # stale defaults.
         if config.storage is not environments[0].config:
             from dataclasses import replace
 
@@ -77,9 +75,8 @@ class Dataset:
         self._closed = False
         #: Trace id of the most recent traced query (see :meth:`last_trace`).
         self._last_trace_id: Optional[str] = None
-        #: Bounded LRU of compiled physical plans (see :meth:`query` and
-        #: :meth:`prepare`); replace it with ``PlanCache(capacity=0)`` to
-        #: disable plan caching.
+        #: Bounded LRU of compiled physical plans (see :meth:`query`);
+        #: replace it with ``PlanCache(capacity=0)`` to disable plan caching.
         self.plan_cache = PlanCache(metrics=environments[0].metrics)
         self.partitions: List[Partition] = []
         partition_id = 0
@@ -99,15 +96,10 @@ class Dataset:
         """Single-node convenience factory (most examples and tests use this)."""
         from dataclasses import replace
 
-        environment = environment or StorageEnvironment()
-        # Carry the environment's physical storage config into the dataset
-        # config so consumers (e.g. the access-path cost model) see the real
-        # device profile and page size, not the defaults.
-        config = DatasetConfig(name=name, primary_key=primary_key, storage_format=storage_format,
-                               storage=environment.config)
-        if config_overrides:
-            config = replace(config, **config_overrides)
-        return cls(config, [environment], partitions_per_environment=partitions, datatype=datatype)
+        config = replace(DatasetConfig(name=name, primary_key=primary_key,
+                                       storage_format=storage_format), **config_overrides)
+        return cls(config, [environment or StorageEnvironment()],
+                   partitions_per_environment=partitions, datatype=datatype)
 
     # ------------------------------------------------------------------ writes
 
@@ -273,13 +265,12 @@ class Dataset:
         dataset the method is called on.
 
         Physical plans are memoized in :attr:`plan_cache`, keyed by the
-        statement's token lexemes and the executor's plan signature — a
-        repeat of the same text skips parse → bind → rewrite → compile
-        (``stats.plan_source == "cache"``) until the entry ages out of the
-        LRU.  No plan holds the access path: every run costs a full scan
-        against the index probes the dataset's current indexes and
-        statistics allow, so a cached statement still switches to a new
-        index or a newly selective range.
+        statement's shape (:attr:`repro.sqlpp.lexer.Lexed.shape`) and the
+        executor's plan signature: a text of a seen shape skips parse → bind
+        → rewrite → compile (``stats.plan_source == "cache"``) and runs with
+        its own literals.  No plan holds the access path: every run costs a
+        full scan against the index probes its literals and the dataset's
+        indexes and statistics allow.
         """
         from ..query.executor import ExecutionStats, QueryResult
 
@@ -291,19 +282,6 @@ class Dataset:
             return QueryResult(rows=[], stats=ExecutionStats())
         return result
 
-    def prepare(self, text: str, executor: Optional[Any] = None,
-                **executor_options) -> "PreparedStatement":
-        """Parse, bind, and compile ``text`` once; execute it many times.
-
-        Returns a :class:`PreparedStatement` whose :meth:`~PreparedStatement.execute`
-        reuses the compiled physical plan directly (no plan-cache probe, no
-        re-parse) for the statement's whole lifetime; each execution costs
-        the access path afresh, as :meth:`query` does.
-        ``executor``/``executor_options`` follow the same rules as
-        :meth:`query`; CREATE INDEX statements cannot be prepared.
-        """
-        return PreparedStatement(self, text, self._runner(executor, executor_options))
-
     @staticmethod
     def _runner(executor: Optional[Any], executor_options: Dict[str, Any]):
         """The executor a statement runs on: the caller's, or a fresh one."""
@@ -314,48 +292,48 @@ class Dataset:
                 "pass either a prebuilt executor or executor options, not both")
         return executor if executor is not None else QueryExecutor(**executor_options)
 
-    def _plan(self, text: str, runner: Any) -> Tuple[Any, Optional[str]]:
+    def _plan(self, text: str, runner: Any) -> Tuple[Any, Optional[str], Tuple[Any, ...]]:
         """The one road from a SQL++ statement to its physical plan.
 
         Returns the :class:`~repro.cache.PhysicalPlan`
-        ``runner.prepare_physical`` built and where it came from —
-        ``"cache"`` (plan-cache hit: parse, bind and compile all skipped) or
-        ``"compiled"``.  :meth:`query`, :class:`PreparedStatement` and
-        :meth:`explain` all plan here, so this is the only place a statement
-        is split into the lexemes that key the plan cache, and the cache
-        probed or filled.  A CREATE INDEX statement has no plan: its compiled
-        form comes back in the plan's place, with source ``None``.
+        ``runner.prepare_physical`` built, where it came from — ``"cache"``
+        (plan-cache hit: parse, bind and compile all skipped) or
+        ``"compiled"`` — and the run's parameters.  :meth:`query` and
+        :meth:`explain` both plan here, so this is the only place a statement
+        is lexed for the plan cache's key and the cache probed or filled.  A
+        CREATE INDEX statement has no plan: its compiled form comes back in
+        the plan's place, with source ``None``.
         """
         from ..sqlpp.lexer import Lexed
 
         lexed = Lexed(text)
-        key = (lexed.lexemes, runner.plan_signature())
+        key = (lexed.shape, runner.plan_signature())
         physical = self.plan_cache.get(key)
         if physical is not None:
-            return physical, "cache"
+            return physical, "cache", lexed.params()
         from ..sqlpp import CompiledCreateIndex
         from ..sqlpp import compile as compile_sqlpp
 
         compiled = compile_sqlpp(text, lexed)
         if isinstance(compiled, CompiledCreateIndex):
-            return compiled, None
+            return compiled, None, ()
         physical = runner.prepare_physical(self, compiled.spec)
         self.plan_cache.put(key, physical)
-        return physical, "compiled"
+        return physical, "compiled", compiled.params
 
     def _run(self, text: str, runner: Any,
-             planned: Optional[Tuple[Any, Optional[str]]] = None) -> Tuple[Any, Any]:
-        """Plan ``text`` (unless the caller brings the ``(plan, source)`` it
-        already holds) and execute it under one ``query`` span; returns the
+             planned: Optional[Tuple[Any, ...]] = None) -> Tuple[Any, Any]:
+        """Plan ``text`` (unless the caller brings what :meth:`_plan`
+        returned for it) and execute it under one ``query`` span; returns the
         result, stamped with the plan's source, and the plan that ran.  A
         CREATE INDEX statement runs nothing here: ``(None, compiled)``."""
         with _tracer.span("query", text=text.strip()[:200]) as span:
             if span.trace_id:
                 self._last_trace_id = span.trace_id
-            physical, source = planned or self._plan(text, runner)
+            physical, source, params = planned or self._plan(text, runner)
             if not isinstance(physical, PhysicalPlan):
                 return None, physical
-            result = runner.execute_physical(self, physical)
+            result = runner.execute_physical(self, physical, params)
             result.stats.plan_source = source
             return result, physical
 
@@ -459,34 +437,3 @@ class Dataset:
         if schema is None:
             return "<no inferred schema: tuple compactor disabled>"
         return schema.describe()
-
-
-class PreparedStatement:
-    """A SQL++ statement compiled once, executed many times.
-
-    Created by :meth:`Dataset.prepare`.  Holds the physical plan pinned for
-    its whole lifetime (independent of the shared plan cache, so it works
-    even when that cache is disabled).  The plan holds nothing the data can
-    make stale: each :meth:`execute` costs the access path against the
-    dataset as it is then, so a statement prepared before a CREATE INDEX or
-    a load probes the new index as soon as that is cheaper, and its results
-    are always identical to an uncached :meth:`Dataset.query` of the text.
-    """
-
-    def __init__(self, dataset: Dataset, text: str, executor: Any) -> None:
-        self._dataset = dataset
-        #: The statement exactly as prepared — this is what gets compiled,
-        #: so string literals keep their spacing byte-for-byte.
-        self.text = text
-        self._executor = executor
-        # Planning through the dataset seeds the shared cache too: plain
-        # dataset.query(text) calls with a signature-compatible executor hit.
-        self._physical, _ = dataset._plan(text, executor)
-        if not isinstance(self._physical, PhysicalPlan):
-            raise DatasetError("only queries can be prepared, not CREATE INDEX")
-
-    def execute(self):
-        """Run the pinned plan; returns a :class:`~repro.query.QueryResult`
-        whose ``stats.plan_source`` is ``"cache"``."""
-        result, _ = self._dataset._run(self.text, self._executor, (self._physical, "cache"))
-        return result

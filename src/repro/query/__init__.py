@@ -31,7 +31,6 @@ from .expressions import (
 from .optimizer import (
     AccessPathChoice,
     AccessPlan,
-    IndexCandidate,
     Optimizer,
     choose_access_path,
     extract_key_range,
@@ -57,7 +56,6 @@ __all__ = [
     "Optimizer",
     "AccessPlan",
     "AccessPathChoice",
-    "IndexCandidate",
     "FullScan",
     "IndexProbe",
     "choose_access_path",

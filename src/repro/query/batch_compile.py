@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Iterator, List, Optional, Set, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..errors import QueryError
 from ..types import MISSING, Missing, collection_items
@@ -118,8 +118,11 @@ class _Context:
 def compile_expr(expr: Expr, ctx: _Context) -> ColumnEval:
     """Compile one expression into a column evaluator (or raise QueryError)."""
     if isinstance(expr, Literal):
-        value = expr.value
-        return lambda batch: [value] * batch.length
+        if expr.slot is None:
+            value = expr.value
+            return lambda batch: [value] * batch.length
+        slot = expr.slot
+        return lambda batch: [batch.params[slot]] * batch.length
 
     if isinstance(expr, Var):
         name = expr.name
@@ -323,10 +326,11 @@ def _conjoin(parts: List[Expr]) -> Optional[Expr]:
 class Stage:
     """One step of a partition's pipeline, in the one list that both runs
     and renders: the executor folds ``operator`` over the scan and names the
-    step's cost record ``name``; EXPLAIN prints ``name`` and ``detail``."""
+    step's cost record ``name``; EXPLAIN prints ``name`` and the ``detail``
+    of a run's parameters."""
 
     name: str
-    detail: str
+    detail: Callable[[Sequence[Any]], str]
     #: Upstream batch iterator -> this stage's batches; the last stage drains
     #: its input into the partition's payload instead.
     operator: Callable[[Iterator[ColumnBatch]], Any]
@@ -374,24 +378,23 @@ def compile_query(spec: QuerySpec, access_plan: AccessPlan) -> BatchQueryPlan:
         for clause in spec.lets:
             lets.append((clause.name, compile_expr(clause.expr, ctx)))
             ctx.bound.add(clause.name)
-        stages.append(Stage("LET", ", ".join(f"{clause.name} = {render_expr(clause.expr)}"
-                                             for clause in spec.lets),
-                            partial(BatchLetOperator, lets=lets)))
+        stages.append(Stage("LET", lambda params: ", ".join(
+            f"{clause.name} = {render_expr(clause.expr, params)}" for clause in spec.lets),
+            partial(BatchLetOperator, lets=lets)))
     before_unnest, after_unnest = _split_where(spec)
     names = (["SELECT[0]", "SELECT[1]"] if before_unnest is not None and after_unnest is not None
              else ["SELECT"])
 
     def select(name: str, where: Expr) -> Stage:
-        return Stage(name, render_expr(where),
+        return Stage(name, partial(render_expr, where),
                      partial(BatchSelectOperator, predicate=compile_expr(where, ctx)))
 
     if before_unnest is not None:
         stages.append(select(names[0], before_unnest))
     for position, unnest_plan in enumerate(access_plan.unnest_plans):
         clause = unnest_plan.clause
-        detail = f"{render_expr(clause.collection)} AS {clause.item_var}"
+        suffix = f" AS {clause.item_var}" + (" [pushdown]" if unnest_plan.pushed_down else "")
         if unnest_plan.pushed_down:
-            detail += " [pushdown]"
             operator = partial(BatchPushdownUnnestOperator, record_var=spec.record_var,
                                item_var=clause.item_var,
                                pushdown_paths=dict(unnest_plan.pushdown_paths))
@@ -402,7 +405,8 @@ def compile_query(spec: QuerySpec, access_plan: AccessPlan) -> BatchQueryPlan:
                                collection=compile_expr(clause.collection, ctx))
             ctx.bound.add(clause.item_var)
         name = "UNNEST" if len(access_plan.unnest_plans) == 1 else f"UNNEST[{position}]"
-        stages.append(Stage(name, detail, operator))
+        stages.append(Stage(name, lambda params, collection=clause.collection, suffix=suffix:
+                            render_expr(collection, params) + suffix, operator))
     if after_unnest is not None:
         stages.append(select(names[-1], after_unnest))
     plain_limit = None
@@ -411,8 +415,9 @@ def compile_query(spec: QuerySpec, access_plan: AccessPlan) -> BatchQueryPlan:
             raise QueryError("grouped queries must ORDER BY an output column")
         keys = ", ".join(name for name, _ in spec.group_keys) or "<global>"
         aggregates = ", ".join(f"{agg.function}->{agg.output}" for agg in spec.aggregates)
+        detail = f"[{keys}] AGGREGATE [{aggregates}]"
         stages.append(Stage(
-            "GROUP BY (partial)", f"[{keys}] AGGREGATE [{aggregates}]",
+            "GROUP BY (partial)", lambda params: detail,
             partial(group_partials,
                     group_keys=[(name, compile_expr(expr, ctx))
                                 for name, expr in spec.group_keys],
@@ -427,14 +432,14 @@ def compile_query(spec: QuerySpec, access_plan: AccessPlan) -> BatchQueryPlan:
             if not all(isinstance(key.expr_or_column, Expr) for key in spec.order_by):
                 raise QueryError("non-grouped queries must ORDER BY an expression")
             stages.append(Stage(
-                "SORT+PROJECT", outputs,
+                "SORT+PROJECT", lambda params: outputs,
                 partial(project_sorted, projections=projections,
                         order_keys=[compile_expr(key.expr_or_column, ctx)
                                     for key in spec.order_by],
                         order_by=spec.order_by, limit=spec.limit)))
         else:
             plain_limit = spec.limit
-            stages.append(Stage("PROJECT", outputs,
+            stages.append(Stage("PROJECT", lambda params: outputs,
                                 partial(project_rows, projections=projections,
                                         limit=spec.limit)))
 

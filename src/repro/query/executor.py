@@ -8,8 +8,9 @@ column batches, then a terminal projection, sort or partial aggregation)
 into one local pipeline; results
 then flow through a conceptual exchange to a coordinator stage that merges
 partial aggregates, applies global ordering and LIMIT, and returns the rows.
-:meth:`QueryExecutor.prepare_physical` is the one planner — EXPLAIN,
-prepared statements and the plan cache all hold what it returns — and
+:meth:`QueryExecutor.prepare_physical` is the one planner — EXPLAIN and
+the plan cache hold what it returns, and a run brings its own parameters
+(the literals' values) — and
 :class:`ExecutionStats` is the one cost record: every stage is timed on
 every run (two clock reads per batch), and EXPLAIN ANALYZE, the tracer's
 ``operator.*`` spans and the metrics registry all read that record.
@@ -393,28 +394,31 @@ class QueryExecutor:
 
     # ------------------------------------------------------------------ public API
 
-    def execute(self, dataset: Dataset, spec: QuerySpec) -> QueryResult:
-        """Optimize and run ``spec``."""
-        return self._spanned(dataset, spec=spec)[0]
+    def execute(self, dataset: Dataset, spec: QuerySpec,
+                params: Sequence[Any] = ()) -> QueryResult:
+        """Optimize and run ``spec``, its literals' slots read from ``params``."""
+        return self._spanned(dataset, params, spec=spec)[0]
 
-    def execute_physical(self, dataset: Dataset, physical: PhysicalPlan) -> QueryResult:
+    def execute_physical(self, dataset: Dataset, physical: PhysicalPlan,
+                         params: Sequence[Any]) -> QueryResult:
         """Run a plan :meth:`prepare_physical` returned (now or on an earlier
-        call: the plan cache and prepared statements hold such plans)."""
-        return self._spanned(dataset, physical=physical)[0]
+        call: the plan cache holds such plans) with the run's parameters."""
+        return self._spanned(dataset, params, physical=physical)[0]
 
-    def execute_prepared(self, dataset: Dataset,
-                         spec: QuerySpec) -> Tuple[QueryResult, PhysicalPlan]:
+    def execute_prepared(self, dataset: Dataset, spec: QuerySpec,
+                         params: Sequence[Any] = ()) -> Tuple[QueryResult, PhysicalPlan]:
         """:meth:`execute`, returning the plan it ran alongside the result."""
-        return self._spanned(dataset, spec=spec)
+        return self._spanned(dataset, params, spec=spec)
 
-    def _spanned(self, dataset: Dataset, spec: Optional[QuerySpec] = None,
+    def _spanned(self, dataset: Dataset, params: Sequence[Any],
+                 spec: Optional[QuerySpec] = None,
                  physical: Optional[PhysicalPlan] = None) -> Tuple[QueryResult, PhysicalPlan]:
         """The one ``query.execute`` span: plan ``spec`` unless the caller
         brought a plan, run it, label the span with the outcome."""
         with _tracer.span("query.execute", dataset=dataset.config.name) as execute_span:
             if physical is None:
                 physical = self.prepare_physical(dataset, spec)
-            result = self._execute(dataset, physical)
+            result = self._execute(dataset, physical, params)
             execute_span.set_attribute("rows", len(result.rows))
             execute_span.set_attribute("access_path", result.stats.access_path)
             return result, physical
@@ -423,13 +427,13 @@ class QueryExecutor:
         """Rewrite and compile ``spec`` down to the physical plan without
         executing it.
 
-        The engine's one planner: execution, EXPLAIN, prepared statements
-        and the plan cache all hold what this returns, so what is shown or
-        cached is what runs.  The plan depends only on ``spec``, the
-        dataset's storage format and this executor's optimizer flags — the
-        access path is costed per run — so it is immutable and shared safely
-        across executions, threads and dataset changes; pair it with
-        :meth:`execute_physical`.  Cache keys must include
+        The engine's one planner: execution, EXPLAIN and the plan cache all
+        hold what this returns, so what is shown or cached is what runs.  The
+        plan depends only on ``spec`` (its literals' slots, not their values),
+        the dataset's storage format and this executor's optimizer flags —
+        the access path is costed per run, from the run's parameters — so it
+        is immutable and shared safely across executions, threads and dataset
+        changes; pair it with :meth:`execute_physical`.  Cache keys must include
         :meth:`plan_signature`.  A query the pipeline cannot run raises
         :class:`~repro.errors.QueryError` here, before any I/O.
         """
@@ -450,11 +454,12 @@ class QueryExecutor:
         """
         return (self.consolidate_field_access, self.pushdown_through_unnest)
 
-    def _execute(self, dataset: Dataset, physical: PhysicalPlan) -> QueryResult:
+    def _execute(self, dataset: Dataset, physical: PhysicalPlan,
+                 params: Sequence[Any]) -> QueryResult:
         spec = physical.spec
         # Costed once per run, before any partition starts, against the
         # dataset as it is now: every partition runs the same access path.
-        choice = choose_access_path(spec, dataset, force=self.access_path)
+        choice = choose_access_path(spec, dataset, self.access_path, params)
         stats = ExecutionStats(access_path=choice.path.name,
                                index_name=choice.path.index_name if choice.uses_index else None,
                                estimated_rows=choice.estimated_rows,
@@ -481,7 +486,7 @@ class QueryExecutor:
         if stats.parallelism <= 1:
             for index, partition in enumerate(dataset.partitions):
                 output, partition_stats = self._run_partition(
-                    index, partition, physical, choice, token, guard)
+                    index, partition, physical, choice, params, token, guard)
                 outputs.append(output)
                 stats.per_partition.append(partition_stats)
         else:
@@ -491,7 +496,7 @@ class QueryExecutor:
                 # context copy (a Context can only be entered once at a
                 # time), and the no-op path returns the method unchanged.
                 futures = [pool.submit(_tracer.wrap_context(self._run_partition),
-                                       index, partition, physical, choice, token, guard)
+                                       index, partition, physical, choice, params, token, guard)
                            for index, partition in enumerate(dataset.partitions)]
                 for future in futures:
                     output, partition_stats = future.result()
@@ -562,8 +567,8 @@ class QueryExecutor:
     # ------------------------------------------------------------------ local stage
 
     def _run_partition(self, index: int, partition, physical: PhysicalPlan,
-                       choice: AccessPathChoice, token: Optional[LimitCancellation],
-                       guard: Optional[_DeadlineGuard]):
+                       choice: AccessPathChoice, params: Sequence[Any],
+                       token: Optional[LimitCancellation], guard: Optional[_DeadlineGuard]):
         """One partition's full local pipeline (runs on a worker thread)."""
         partition_stats = PartitionStats(partition_id=partition.partition_id)
         partition_started = time.perf_counter()
@@ -579,7 +584,7 @@ class QueryExecutor:
         with _tracer.span("query.partition",
                           partition=partition.partition_id) as partition_span:
             with device.accounting_scope() as io_scope:
-                scan, probes = self._local_pipeline(partition, physical, choice)
+                scan, probes = self._local_pipeline(partition, physical, choice, params)
                 pipeline: Iterator = probes[-1]
                 if guard is not None:
                     pipeline = guard.guarded(pipeline)
@@ -634,7 +639,8 @@ class QueryExecutor:
                 partition_stats.cancelled = True
                 return
 
-    def _local_pipeline(self, partition, physical: PhysicalPlan, choice: AccessPathChoice):
+    def _local_pipeline(self, partition, physical: PhysicalPlan, choice: AccessPathChoice,
+                        params: Sequence[Any]):
         """Open the scan ``choice`` names and fold the plan's stage list over
         it into this partition's operator chain, each step behind an
         :class:`_OperatorProbe` named after it; returns the scan and the
@@ -650,7 +656,7 @@ class QueryExecutor:
         scan = BatchScanOperator(partition, spec.record_var, batch_plan.scan_paths,
                                  batch_size, batch_plan.extractor,
                                  probe=choice.path if choice.uses_index else None,
-                                 use_slice_cache=not batch_plan.needs_views)
+                                 use_slice_cache=not batch_plan.needs_views, params=params)
         probes = [_OperatorProbe(scan, choice.stage_name)]
         for stage in operators:
             probes.append(_OperatorProbe(stage.operator(probes[-1]), stage.name))

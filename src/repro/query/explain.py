@@ -3,7 +3,8 @@
 ``explain(dataset, text)`` asks the dataset for the physical plan exactly
 as :meth:`~repro.core.dataset.Dataset.query` would — same planner call
 (:meth:`QueryExecutor.prepare_physical`), same plan cache — costs its access
-path the way a run does, and renders both as indented text: the access-path
+path the way a run does, and renders both, with this text's literals, as
+indented text: the access-path
 decision with its costs, the source stage it names and the plan's own stage
 list (what the executor folds into operators, so the names here are the
 names in ``stats.per_partition[i].operators``) and the columns the scan
@@ -23,7 +24,7 @@ from .expressions import render_expr
 from .optimizer import AccessPathChoice, choose_access_path
 
 
-def _access_path_lines(choice: AccessPathChoice) -> list:
+def _access_path_lines(choice: AccessPathChoice, params) -> list:
     lines = [f"access path: {choice.path.describe()}"]
     if choice.forced:
         lines.append("  (access path forced, not cost-based)")
@@ -36,7 +37,7 @@ def _access_path_lines(choice: AccessPathChoice) -> list:
     else:
         lines.append(f"  cost model: scan {choice.scan_cost_seconds * 1e6:.1f}us")
     if choice.uses_index and choice.path.residual is not None:
-        lines.append(f"  residual filter: {render_expr(choice.path.residual)}")
+        lines.append(f"  residual filter: {render_expr(choice.path.residual, params)}")
     return lines
 
 
@@ -51,26 +52,27 @@ def explain(dataset, text: str, analyze: bool = False,
     inclusive wall time / bytes read, plus buffer-cache activity and the
     estimated-vs-actual cardinality error."""
     runner = dataset._runner(executor, executor_options)
-    physical, source = dataset._plan(text, runner)
+    planned = dataset._plan(text, runner)
+    physical, _, params = planned
     if not isinstance(physical, PhysicalPlan):
         raise ValueError("explain() renders query plans; CREATE INDEX has none")
     spec, batch_plan = physical.spec, physical.batch_plan
     if analyze:
-        result, _ = dataset._run(text, runner, planned=(physical, source))
+        result, _ = dataset._run(text, runner, planned)
         choice = result.access_path
     else:
-        choice = choose_access_path(spec, dataset, force=runner.access_path)
+        choice = choose_access_path(spec, dataset, runner.access_path, params)
 
     lines = [f"QUERY PLAN over dataset {dataset.config.name!r} "
              f"(format={dataset.config.storage_format.value}, "
              f"partitions={dataset.partition_count}, "
              f"~{dataset.approximate_record_count()} records)"]
-    lines.extend("  " + line for line in _access_path_lines(choice))
+    lines.extend("  " + line for line in _access_path_lines(choice, params))
 
     lines.append("  pipeline (per partition):")
     lines.append("    " + choice.stage_name)
     for stage in batch_plan.stages:
-        lines.append(f"    -> {stage.name}: {stage.detail}")
+        lines.append(f"    -> {stage.name}: {stage.detail(params)}")
 
     coordinator = []
     if spec.is_aggregation:
@@ -79,7 +81,7 @@ def explain(dataset, text: str, analyze: bool = False,
         rendered_keys = []
         for key in spec.order_by:
             text = (key.expr_or_column if isinstance(key.expr_or_column, str)
-                    else render_expr(key.expr_or_column))
+                    else render_expr(key.expr_or_column, params))
             rendered_keys.append(text + (" DESC" if key.descending else ""))
         coordinator.append("ORDER BY " + ", ".join(rendered_keys))
     if spec.limit is not None:

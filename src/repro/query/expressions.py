@@ -21,7 +21,7 @@ and nothing else.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from ..errors import QueryError
 from ..types import MISSING, Missing, collection_items, navigate
@@ -45,8 +45,16 @@ class Expr:
 
 
 class Literal(Expr):
-    def __init__(self, value: Any) -> None:
+    """A constant.  One bound from a statement's text has a ``slot``: a run
+    reads it from its parameters; ``value`` is what the compiled text wrote."""
+
+    def __init__(self, value: Any, slot: Optional[int] = None) -> None:
         self.value = value
+        self.slot = slot
+
+    def value_in(self, params: Sequence[Any]) -> Any:
+        """The value a run with parameters ``params`` reads."""
+        return self.value if self.slot is None else params[self.slot]
 
     def __repr__(self) -> str:
         return f"Literal({self.value!r})"
@@ -229,10 +237,11 @@ class Exists(Expr):
         return (self.collection, self.predicate)
 
 
-def render_expr(expr: Expr) -> str:
-    """Render an expression tree back to readable SQL++-ish text (EXPLAIN)."""
+def render_expr(expr: Expr, params: Sequence[Any] = ()) -> str:
+    """Render an expression tree back to readable SQL++-ish text (EXPLAIN),
+    its literals as a run with parameters ``params`` reads them."""
     if isinstance(expr, Literal):
-        return repr(expr.value)
+        return repr(expr.value_in(params))
     if isinstance(expr, Var):
         return expr.name
     if isinstance(expr, FieldAccess):
@@ -240,22 +249,21 @@ def render_expr(expr: Expr) -> str:
                         else f".{step}" for step in expr.path)
         return f"{expr.source}{steps}"
     if isinstance(expr, Comparison):
-        return f"{render_expr(expr.left)} {expr.op} {render_expr(expr.right)}"
+        return f"{render_expr(expr.left, params)} {expr.op} {render_expr(expr.right, params)}"
     if isinstance(expr, Arithmetic):
-        return f"({render_expr(expr.left)} {expr.op} {render_expr(expr.right)})"
+        return f"({render_expr(expr.left, params)} {expr.op} {render_expr(expr.right, params)})"
     if isinstance(expr, And):
-        return " AND ".join(f"({render_expr(operand)})" for operand in expr.operands)
+        return " AND ".join(f"({render_expr(operand, params)})" for operand in expr.operands)
     if isinstance(expr, Or):
-        return " OR ".join(f"({render_expr(operand)})" for operand in expr.operands)
+        return " OR ".join(f"({render_expr(operand, params)})" for operand in expr.operands)
     if isinstance(expr, Not):
-        return f"NOT ({render_expr(expr.operand)})"
+        return f"NOT ({render_expr(expr.operand, params)})"
     if isinstance(expr, IsTest):
         negation = "NOT " if expr.negated else ""
-        return f"{render_expr(expr.operand)} IS {negation}{expr.kind.upper()}"
+        return f"{render_expr(expr.operand, params)} IS {negation}{expr.kind.upper()}"
     if isinstance(expr, Func):
-        return f"{expr.name}({', '.join(render_expr(argument) for argument in expr.args)})"
+        return f"{expr.name}({', '.join(render_expr(argument, params) for argument in expr.args)})"
     if isinstance(expr, Exists):
-        return (f"SOME {expr.item_var} IN {render_expr(expr.collection)} "
-                f"SATISFIES {render_expr(expr.predicate)}")
+        return (f"SOME {expr.item_var} IN {render_expr(expr.collection, params)} "
+                f"SATISFIES {render_expr(expr.predicate, params)}")
     return repr(expr)
-

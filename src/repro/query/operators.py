@@ -180,7 +180,7 @@ class BatchScanOperator:
 
     def __init__(self, partition, record_var: str, scan_paths: Sequence[Tuple[Any, ...]],
                  batch_size: int, extractor, probe: Optional[IndexProbe] = None,
-                 use_slice_cache: bool = False) -> None:
+                 use_slice_cache: bool = False, params: Sequence[Any] = ()) -> None:
         self.partition = partition
         self.record_var = record_var
         self.scan_paths = list(scan_paths)
@@ -192,6 +192,8 @@ class BatchScanOperator:
         #: executor checks ``BatchQueryPlan.needs_views``): their batches
         #: are built column-first with ``views=None``.
         self.use_slice_cache = use_slice_cache
+        #: The run's parameters, handed to every batch.
+        self.params = params
         #: Records (or index-probe candidates) examined.
         self.records_scanned = 0
         self.batches_emitted = 0
@@ -251,7 +253,8 @@ class BatchScanOperator:
         self.records_scanned += length
         keyed = {(self.record_var, tuple(path)): column
                  for path, column in zip(self.scan_paths, columns)}
-        return ColumnBatch(None if self.use_slice_cache else views, keyed, length)
+        return ColumnBatch(None if self.use_slice_cache else views, keyed, length,
+                           self.params)
 
 
 class BatchLetOperator:

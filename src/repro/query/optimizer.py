@@ -27,7 +27,7 @@ position-independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..config import DEVICE_PROFILES
@@ -189,8 +189,6 @@ class Optimizer:
         new_where = _rewrite_expr(spec.where, record_var)
         if new_where is spec.where:
             return spec
-        from dataclasses import replace
-
         return replace(spec, where=new_where)
 
 
@@ -233,21 +231,11 @@ PROBE_DESCENT_PAGES = 2
 
 
 @dataclass
-class IndexCandidate:
-    """One secondary index the optimizer considered, with its cost estimate."""
-
-    probe: IndexProbe
-    selectivity: float
-    estimated_rows: float
-    cost_seconds: float
-
-
-@dataclass
 class AccessPathChoice:
     """Outcome of access-path selection, with the numbers behind it.
 
-    ``path`` is what the executor runs; the costs and candidates are kept so
-    EXPLAIN can show *why* the optimizer picked it.
+    ``path`` is what the executor runs; the costs are kept so EXPLAIN can
+    show *why* the optimizer picked it.
     """
 
     path: Any  # FullScan | IndexProbe
@@ -255,7 +243,6 @@ class AccessPathChoice:
     probe_cost_seconds: Optional[float] = None
     estimated_selectivity: Optional[float] = None
     estimated_rows: Optional[float] = None
-    candidates: List[IndexCandidate] = field(default_factory=list)
     forced: bool = False
 
     @property
@@ -280,13 +267,14 @@ def conjuncts(predicate: Optional[Expr]) -> List[Expr]:
     return [predicate]
 
 
-def _comparison_bound(conjunct: Expr, record_var: str, field_path: Path):
+def _comparison_bound(conjunct: Expr, record_var: str, field_path: Path,
+                      params: Sequence[Any]):
     """``(op, literal, its index key)`` with the field on the left, or None
     if not usable.
 
     Usable conjuncts are comparisons between exactly the indexed field path
-    (on the scan variable) and a literal an index can file
-    (:func:`~repro.types.index_key`), in either operand order.
+    (on the scan variable) and a literal whose value in ``params`` an index
+    can file (:func:`~repro.types.index_key`), in either operand order.
     """
     if not isinstance(conjunct, Comparison) or conjunct.op == "!=":
         return None
@@ -294,30 +282,29 @@ def _comparison_bound(conjunct: Expr, record_var: str, field_path: Path):
     flipped = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "="}
     if (isinstance(left, FieldAccess) and left.source == record_var
             and left.path == field_path and isinstance(right, Literal)):
-        op, literal = conjunct.op, right.value
+        op, literal = conjunct.op, right.value_in(params)
     elif (isinstance(right, FieldAccess) and right.source == record_var
           and right.path == field_path and isinstance(left, Literal)):
-        op, literal = flipped[conjunct.op], left.value
+        op, literal = flipped[conjunct.op], left.value_in(params)
     else:
         return None
     key = index_key(literal)
     return None if key is None else (op, literal, key)
 
 
-def extract_key_range(predicate: Optional[Expr], record_var: str, field_path: Path):
+def extract_key_range(predicate: Optional[Expr], record_var: str, field_path: Path,
+                      params: Sequence[Any] = ()):
     """Combine every usable conjunct over ``field_path`` into one key range.
 
     Bounds are compared by :func:`~repro.types.index_key`, the order the
     index files values in; a tighter bound is a greater low or a lesser
     high, or the same one exclusive.  Returns ``(low, low_inclusive, high,
-    high_inclusive, used_conjuncts)`` or None when no conjunct constrains
-    the field.
+    high_inclusive)`` or None when no conjunct constrains the field.
     """
     low = low_key = high = high_key = None
     low_inclusive = high_inclusive = True
-    used: List[Expr] = []
     for conjunct in conjuncts(predicate):
-        bound = _comparison_bound(conjunct, record_var, field_path)
+        bound = _comparison_bound(conjunct, record_var, field_path, params)
         if bound is None:
             continue
         op, literal, key = bound
@@ -328,14 +315,15 @@ def extract_key_range(predicate: Optional[Expr], record_var: str, field_path: Pa
         if op in ("=", "<", "<=") and (
                 high_key is None or key < high_key or (key == high_key and not inclusive)):
             high, high_key, high_inclusive = literal, key, inclusive
-        used.append(conjunct)
-    if not used:
+    if low_key is None and high_key is None:
         return None
-    return low, low_inclusive, high, high_inclusive, used
+    return low, low_inclusive, high, high_inclusive
 
 
-def choose_access_path(spec: QuerySpec, dataset, force: str = "auto") -> AccessPathChoice:
-    """Pick a full scan or a secondary-index probe for one query over ``dataset``.
+def choose_access_path(spec: QuerySpec, dataset, force: str = "auto",
+                       params: Sequence[Any] = ()) -> AccessPathChoice:
+    """Pick a full scan or a secondary-index probe for one run of a query
+    over ``dataset``, its literals read from the run's ``params``.
 
     The cost model is deliberately small (this is the paper's Figure 24
     regime, not a Selinger reconstruction): a full scan pays one seek plus a
@@ -368,18 +356,17 @@ def choose_access_path(spec: QuerySpec, dataset, force: str = "auto") -> AccessP
                                 forced=force == "index")
 
     record_count = dataset.approximate_record_count()
-    candidates: List[IndexCandidate] = []
+    candidates: List[AccessPathChoice] = []
     for index_name, field_path in indexes:
         if not field_path:
             continue
-        key_range = extract_key_range(spec.where, spec.record_var, tuple(field_path))
+        key_range = extract_key_range(spec.where, spec.record_var, tuple(field_path), params)
         if key_range is None:
             continue
-        low, low_inclusive, high, high_inclusive, used = key_range
+        low, low_inclusive, high, high_inclusive = key_range
         probe = IndexProbe(index_name=index_name, field_path=tuple(field_path),
                            low=low, high=high, low_inclusive=low_inclusive,
-                           high_inclusive=high_inclusive, residual=spec.where,
-                           range_conjuncts=tuple(used))
+                           high_inclusive=high_inclusive, residual=spec.where)
         statistics = dataset.index_statistics(index_name)
         if probe.is_empty_range:
             selectivity = 0.0
@@ -390,26 +377,19 @@ def choose_access_path(spec: QuerySpec, dataset, force: str = "auto") -> AccessP
         estimated_rows = selectivity * record_count
         probe_cost = (seek + PROBE_DESCENT_PAGES * page_size / read_bandwidth
                       + estimated_rows * (seek + page_size / read_bandwidth))
-        candidates.append(IndexCandidate(probe, selectivity, estimated_rows, probe_cost))
+        candidates.append(AccessPathChoice(probe, scan_cost, probe_cost, selectivity,
+                                           estimated_rows, forced=force == "index"))
 
     if not candidates:
         return AccessPathChoice(FullScan("no indexed predicate in the WHERE clause"),
                                 scan_cost_seconds=scan_cost, forced=force == "index")
 
-    best = min(candidates, key=lambda candidate: candidate.cost_seconds)
-    if force == "index" or best.cost_seconds < scan_cost:
-        return AccessPathChoice(best.probe, scan_cost_seconds=scan_cost,
-                                probe_cost_seconds=best.cost_seconds,
-                                estimated_selectivity=best.selectivity,
-                                estimated_rows=best.estimated_rows,
-                                candidates=candidates, forced=force == "index")
-    reason = (f"estimated selectivity {best.selectivity:.2%} makes the sequential "
+    best = min(candidates, key=lambda candidate: candidate.probe_cost_seconds)
+    if force == "index" or best.probe_cost_seconds < scan_cost:
+        return best
+    reason = (f"estimated selectivity {best.estimated_selectivity:.2%} makes the sequential "
               "scan cheaper")
-    return AccessPathChoice(FullScan(reason), scan_cost_seconds=scan_cost,
-                            probe_cost_seconds=best.cost_seconds,
-                            estimated_selectivity=best.selectivity,
-                            estimated_rows=best.estimated_rows,
-                            candidates=candidates)
+    return replace(best, path=FullScan(reason))
 
 
 def _substitute_access(expr: Expr, item_var: str, item_path: Path) -> Expr:

@@ -51,8 +51,7 @@ class IndexProbe:
     yields, in primary-key order, the newest version of every key some
     version of which — on disk or in a memtable — had its indexed value in
     range: a *candidate superset*, so ``residual`` — the query's full WHERE
-    predicate — is always re-applied to the fetched records.  ``range_conjuncts`` records which
-    conjuncts the index absorbed, for EXPLAIN output.
+    predicate — is always re-applied to the fetched records.
     """
 
     index_name: str
@@ -62,7 +61,6 @@ class IndexProbe:
     low_inclusive: bool = True
     high_inclusive: bool = True
     residual: Optional[Expr] = None
-    range_conjuncts: Tuple[Expr, ...] = ()
 
     @property
     def name(self) -> str:

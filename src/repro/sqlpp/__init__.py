@@ -21,7 +21,7 @@ or, staying at the compiler level::
         GROUP BY t.user.name AS uname
         ORDER BY c DESC LIMIT 10
     ''')
-    executor.execute(dataset, compiled.spec)
+    executor.execute(dataset, compiled.spec, compiled.params)
 
 Malformed queries raise :class:`~repro.errors.SqlppError` with the 1-based
 line/column (and offending token) of the failure — from the lexer, the
@@ -40,16 +40,20 @@ def compile(text: str, lexed: "Lexed | None" = None):  # noqa: A001 - mirrors th
     """Compile one SQL++ statement: queries yield a :class:`CompiledQuery`,
     ``CREATE INDEX`` yields a :class:`CompiledCreateIndex`.
 
-    ``lexed`` is ``text`` already split into lexemes (the plan cache's key),
-    so a caller that holds it does not pay for the split twice.  Parsing and
-    binding each record a span when tracing is on (see :mod:`repro.obs`), so
-    a traced query shows its front-end cost past that split."""
+    ``lexed`` is ``text`` already split into lexemes, so a caller that holds
+    it does not pay for the split twice.  Parsing and binding each record a
+    span when tracing is on (see :mod:`repro.obs`), so a traced query shows
+    its front-end cost past that split."""
     from ..obs import tracer
 
     with tracer.span("sqlpp.parse"):
-        statement = Parser((lexed or Lexed(text)).tokens()).parse_statement()
+        tokens = (lexed or Lexed(text)).tokens()
+        statement = Parser(tokens).parse_statement()
     with tracer.span("sqlpp.bind"):
-        return bind_statement(statement)
+        compiled = bind_statement(statement)
+    if isinstance(compiled, CompiledQuery):
+        compiled.params = tuple(token.value for token in tokens if token.slot is not None)
+    return compiled
 
 
 __all__ = [

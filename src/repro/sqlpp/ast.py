@@ -40,11 +40,14 @@ class Expr(Node):
 @dataclass
 class NumberLit(Expr):
     value: Union[int, float] = 0
+    #: Where a plan reads the value (``Token.slot``); equality ignores it.
+    slot: Optional[int] = field(default=None, compare=False, repr=False)
 
 
 @dataclass
 class StringLit(Expr):
     value: str = ""
+    slot: Optional[int] = field(default=None, compare=False, repr=False)
 
 
 @dataclass

@@ -16,7 +16,7 @@ outside SELECT, SELECT items missing from GROUP BY, ...).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, List, Optional, Sequence, Set, Tuple
 
 from ..errors import QueryError, SqlppError
 from ..query.expressions import (
@@ -50,11 +50,12 @@ FUNCTION_ALIASES = {
 
 @dataclass
 class CompiledQuery:
-    """A bound query: the FROM dataset name plus the executable plan."""
+    """A bound query: the FROM dataset name plus the executable plan, whose
+    literals read their values from ``params`` by slot."""
 
     dataset: str
     spec: QuerySpec
-    tree: ast.Query
+    params: Tuple[Any, ...] = ()
 
 
 @dataclass
@@ -64,11 +65,21 @@ class CompiledCreateIndex:
     dataset: str
     index_name: str
     field_path: Tuple[str, ...]
-    tree: ast.CreateIndex
 
 
 def _error(node: ast.Node, message: str, token: Optional[str] = None) -> "SqlppError":
     raise SqlppError(message, node.line, node.column, token)
+
+
+def _implicit_name(expr: ast.Expr) -> Optional[str]:
+    """The name an unaliased item gets: an identifier's, or a path's last field."""
+    if isinstance(expr, ast.Ident):
+        return expr.name
+    if isinstance(expr, ast.Path):
+        for step in reversed(expr.steps):
+            if isinstance(step, str) and step != "*":
+                return step
+    return None
 
 
 class Binder:
@@ -108,20 +119,15 @@ class Binder:
 
         if not spec.is_aggregation and not spec.projections:
             spec.projections = [("record", Var(record_var))]
-        return CompiledQuery(dataset=query.from_clause.dataset, spec=spec, tree=query)
+        return CompiledQuery(dataset=query.from_clause.dataset, spec=spec)
 
     # ------------------------------------------------------------------ SELECT
 
     def _group_alias(self, key: ast.GroupKey) -> str:
-        if key.alias:
-            return key.alias
-        if isinstance(key.expr, ast.Ident):
-            return key.expr.name
-        if isinstance(key.expr, ast.Path):
-            for step in reversed(key.expr.steps):
-                if isinstance(step, str) and step != "*":
-                    return step
-        _error(key, "GROUP BY expression needs an AS alias")
+        alias = key.alias or _implicit_name(key.expr)
+        if alias is None:
+            _error(key, "GROUP BY expression needs an AS alias")
+        return alias
 
     def _bind_select(self, spec: QuerySpec, group_keys: List[Tuple[str, ast.Expr]]) -> None:
         select = self.query.select
@@ -134,7 +140,8 @@ class Binder:
                 spec.projections.append(("value", self.bind_expr(select.value)))
             else:
                 for index, item in enumerate(select.items):
-                    spec.projections.append((self._output_name(item, index),
+                    spec.projections.append((item.alias or _implicit_name(item.expr)
+                                             or f"${index + 1}",
                                              self.bind_expr(item.expr)))
             return
 
@@ -195,18 +202,6 @@ class Binder:
             return AggregateSpec(output, "count", argument)
         return AggregateSpec(output, name, argument)
 
-    def _output_name(self, item: ast.SelectItem, index: int) -> str:
-        if item.alias:
-            return item.alias
-        expr = item.expr
-        if isinstance(expr, ast.Ident):
-            return expr.name
-        if isinstance(expr, ast.Path):
-            for step in reversed(expr.steps):
-                if isinstance(step, str) and step != "*":
-                    return step
-        return f"${index + 1}"
-
     # ------------------------------------------------------------------ ORDER BY
 
     def _bind_order_by(self, spec: QuerySpec) -> None:
@@ -231,10 +226,8 @@ class Binder:
     # ------------------------------------------------------------------ expressions
 
     def bind_expr(self, expr: ast.Expr) -> Expr:
-        if isinstance(expr, ast.NumberLit):
-            return Literal(expr.value)
-        if isinstance(expr, ast.StringLit):
-            return Literal(expr.value)
+        if isinstance(expr, (ast.NumberLit, ast.StringLit)):
+            return Literal(expr.value, expr.slot)
         if isinstance(expr, ast.BoolLit):
             return Literal(expr.value)
         if isinstance(expr, ast.NullLit):
@@ -320,8 +313,6 @@ def bind_statement(statement: ast.Node):
     if isinstance(statement, ast.CreateIndex):
         if not statement.field_path:
             _error(statement, "CREATE INDEX needs a non-empty field path")
-        return CompiledCreateIndex(dataset=statement.dataset,
-                                   index_name=statement.name,
-                                   field_path=statement.field_path,
-                                   tree=statement)
+        return CompiledCreateIndex(dataset=statement.dataset, index_name=statement.name,
+                                   field_path=statement.field_path)
     return bind(statement)

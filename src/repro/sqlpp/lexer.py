@@ -11,14 +11,15 @@ in the query string — the :class:`~repro.errors.SqlppError` contract.
 into *lexemes* — each token's source text — and the comments and
 whitespace between them, and does nothing else, so it costs a few
 microseconds.
-Its :attr:`Lexed.lexemes` are the plan cache's key (``Dataset._plan``):
-a token's kind and value are a function of its lexeme alone, so equal
-lexeme tuples are equal token streams (``t.value`` and ``t.VALUE`` stay
-two keys), and a lexeme that is an error — an unterminated comment or
-string, a stray character — is an error wherever it appears, so a text the
-lexer refuses can never match a cached plan.  :meth:`Lexed.tokens` builds
-the :class:`Token` list and raises the errors; only a cache miss pays for
-it, and the parser reads those tokens instead of lexing again.
+Its :attr:`Lexed.shape`, the plan cache's key (``Dataset._plan``), is the
+lexemes with each literal not shaping the plan (:func:`_shape`) replaced
+by its kind; :meth:`Lexed.params` are the literals' values, by slot.  Any
+other lexeme is kept, so a text the lexer refuses keeps its error lexeme —
+an unterminated comment or string, a stray character — and never matches a
+cached plan, except a string's unknown escape, which :meth:`Lexed.params`
+raises as :meth:`Lexed.tokens` does.  :meth:`Lexed.tokens` builds the
+:class:`Token` list and raises the errors; only a cache miss pays for it,
+and the parser reads those tokens instead of lexing again.
 
 Unicode rule: a word starts with a letter (``str.isalpha``) or ``_`` and
 goes on over ``\\w`` (``str.isalnum`` or ``_``); a number's digits are
@@ -65,6 +66,9 @@ _LEADING = re.compile(_TRIVIA, re.S)
 _ESCAPE = re.compile(r"\\(.?)", re.S)
 _FIRST = itemgetter(0)
 
+#: A parameter's kind in a shape: no lexeme can be either (``<`` lexes alone).
+NUMBER, STRING = "<number>", "<string>"
+
 
 @dataclass
 class Token:
@@ -75,6 +79,8 @@ class Token:
     line: int
     column: int
     value: Any = None
+    #: A number's or string's position in the run's parameters.
+    slot: Optional[int] = None
 
     def matches(self, kind: str, text: Optional[str] = None) -> bool:
         return self.kind == kind and (text is None or self.text == text)
@@ -86,17 +92,33 @@ class Token:
 class Lexed:
     """One statement split into lexemes; its tokens are built on demand.
 
-    Splitting raises nothing: every error surfaces from :meth:`tokens`."""
+    Splitting raises nothing: errors surface from :meth:`tokens` (and a
+    string's unknown escape from :meth:`params`)."""
 
-    __slots__ = ("source", "start", "pairs", "lexemes")
+    __slots__ = ("source", "start", "pairs", "lexemes", "shape")
 
     def __init__(self, source: str) -> None:
         self.source = source
         self.start = _LEADING.match(source).end()
         #: ``(lexeme, trivia after it)`` pairs, in source order.
         self.pairs: List[Tuple[str, str]] = _LEXEME.findall(source, self.start)
-        #: Every token's source text: the plan cache's key.
+        #: Every token's source text, and the plan cache's key (:func:`_shape`).
         self.lexemes: Tuple[str, ...] = tuple(map(_FIRST, self.pairs))
+        self.shape: Tuple[str, ...] = _shape(self.lexemes)
+
+    def params(self) -> Tuple[Any, ...]:
+        """Every number's and string's value, in order: the run's parameters.
+        For a text whose shape holds no error lexeme: raises what
+        :meth:`tokens` raises for the first string with an unknown escape."""
+        values = []
+        for lexeme in self.lexemes:
+            if lexeme[0].isdecimal():
+                values.append(_number(lexeme))
+            elif lexeme[0] in "'\"":
+                if "\\" in lexeme:  # escapes decode (or fail) where tokens() has positions
+                    return tuple(token.value for token in self.tokens() if token.slot is not None)
+                values.append(lexeme[1:-1])
+        return tuple(values)
 
     def tokens(self) -> List[Token]:
         """The tokens, ``eof`` last; raises :class:`SqlppError` at the first
@@ -107,14 +129,15 @@ class Lexed:
         line_start = source.rfind("\n", 0, offset) + 1
         tokens: List[Token] = []
         append = tokens.append
+        slot = 0
         for lexeme, trivia in self.pairs:
             column = offset - line_start + 1
             first = lexeme[0]
             if lexeme in _OPS:
                 append(Token("op", lexeme, line, column))
             elif first.isdecimal():
-                append(Token("number", lexeme, line, column,
-                             int(lexeme) if lexeme.isdecimal() else float(lexeme)))
+                append(Token("number", lexeme, line, column, _number(lexeme), slot))
+                slot += 1
             elif first.isalpha() or first == "_":
                 # ``value`` keeps the original spelling: keywords may still
                 # appear as field names after '.' (e.g. ``subject.value``).
@@ -127,7 +150,8 @@ class Lexed:
                 body = lexeme[1:-1]
                 if "\\" in body:
                     body = _ESCAPE.sub(lambda match: self._escape(match, offset + 1), body)
-                append(Token("string", first + body + first, line, column, body))
+                append(Token("string", first + body + first, line, column, body, slot))
+                slot += 1
             else:
                 self._fail(lexeme, offset)
             end = offset + len(lexeme) + len(trivia)
@@ -165,6 +189,35 @@ class Lexed:
     def _position(self, offset: int) -> Tuple[int, int]:
         line_start = self.source.rfind("\n", 0, offset) + 1
         return self.source.count("\n", 0, offset) + 1, offset - line_start + 1
+
+
+def _number(lexeme: str) -> Any:
+    return int(lexeme) if lexeme.isdecimal() else float(lexeme)
+
+
+def _shape(lexemes: Tuple[str, ...]) -> Tuple[str, ...]:
+    """``lexemes``, each number and string literal replaced by its kind unless
+    its value shapes the plan or decides whether the text binds: after
+    ``LIMIT`` or ``[``; after ``-``, past ``(`` and ``+`` (the binder folds
+    ``- 5`` into ``-5``); anywhere in a grouped query, whose binder matches
+    items to GROUP BY keys by equality, literals included."""
+    if any(lexeme.upper() == "GROUP" for lexeme in lexemes):
+        return lexemes
+    shape = list(lexemes)
+    for position, lexeme in enumerate(lexemes):
+        first = lexeme[0]
+        if first.isdecimal():
+            kind = NUMBER
+        elif first in "'\"" and _STRING.fullmatch(lexeme):
+            kind = STRING
+        else:
+            continue
+        before = position - 1
+        while before >= 0 and lexemes[before] in ("(", "+"):
+            before -= 1
+        if before < 0 or lexemes[before].upper() not in ("-", "[", "LIMIT"):
+            shape[position] = kind
+    return tuple(shape)
 
 
 def tokenize(source: str) -> List[Token]:

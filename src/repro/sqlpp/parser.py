@@ -376,10 +376,10 @@ class Parser:
         token = self.current
         if token.kind == "number":
             self._advance()
-            return ast.NumberLit(value=token.value, **self._pos(token))
+            return ast.NumberLit(value=token.value, slot=token.slot, **self._pos(token))
         if token.kind == "string":
             self._advance()
-            return ast.StringLit(value=token.value, **self._pos(token))
+            return ast.StringLit(value=token.value, slot=token.slot, **self._pos(token))
         if token.kind == "keyword":
             if token.text in ("TRUE", "FALSE"):
                 self._advance()

@@ -555,24 +555,25 @@ class ColumnBatch:
     ``columns`` is keyed ``(variable, path) -> list of values``; a variable
     bound whole (a LET name, an UNNEST item) uses the empty path.  ``views``
     retains the record views for whole-record projections (``SELECT t``)
-    and is replicated through UNNEST flattening.
+    and is replicated through UNNEST flattening; ``params`` are the run's.
     """
 
-    __slots__ = ("length", "views", "columns")
+    __slots__ = ("length", "views", "columns", "params")
 
     def __init__(self, views: Optional[List[Any]],
                  columns: Dict[Tuple[str, Path], List[Any]],
-                 length: Optional[int] = None) -> None:
+                 length: Optional[int] = None, params: Sequence[Any] = ()) -> None:
         self.views = views
         self.columns = columns
         self.length = len(views) if length is None else length
+        self.params = params
 
     def take(self, indices: Sequence[int]) -> "ColumnBatch":
         """Row subset (the batch SELECT's filtered output)."""
         views = [self.views[i] for i in indices] if self.views is not None else None
         columns = {key: [column[i] for i in indices]
                    for key, column in self.columns.items()}
-        return ColumnBatch(views, columns, len(indices))
+        return ColumnBatch(views, columns, len(indices), self.params)
 
     def __len__(self) -> int:
         return self.length

@@ -901,6 +901,6 @@ class TestFilterBeforeUnnest:
         assert [op.operator for op in result.stats.per_partition[0].operators] == [
             "FullScan", "LET", "SELECT[0]", "UNNEST", "SELECT[1]", "PROJECT"]
         physical = QueryExecutor().prepare_physical(dataset, spec)
-        before, after = [stage.detail for stage in physical.batch_plan.stages
+        before, after = [stage.detail(()) for stage in physical.batch_plan.stages
                          if stage.name.startswith("SELECT[")]
         assert "SOME item" in before and "late" in before and "SOME" not in after

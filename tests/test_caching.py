@@ -1,14 +1,17 @@
-"""Plan cache, prepared statements, and the decoded column-slice cache.
+"""Plan cache and the decoded column-slice cache.
 
-The contract pinned down here (PR 10):
+The contract pinned down here:
 
-* repeated ``Dataset.query(text)`` calls reuse the compiled physical plan
-  (``stats.plan_source == "cache"``) and return rows identical to a cold
-  compile; ``Dataset.prepare`` pins a plan without the shared cache;
+* ``Dataset.query(text)`` calls of one statement shape — the text's lexemes
+  with each literal replaced by its kind — reuse one compiled physical plan
+  (``stats.plan_source == "cache"``), each run reading its own literals'
+  values, and return rows identical to a cold compile; a literal that
+  shapes the plan (a LIMIT count, a path index, a negated number, a grouped
+  query's matched items) keys it as written;
 * a plan holds nothing data-dependent: ``CREATE INDEX``, flush, merge and
-  bulk load leave cached and prepared plans in place, and every run costs
-  its access path afresh, so a cached statement still flips to an index
-  probe once its range becomes selective;
+  bulk load leave cached plans in place, and every run costs its access
+  path afresh, so a cached shape still flips to an index probe once its
+  range becomes selective;
 * warm scans served by the column-slice cache are row-identical to cold
   ones, and memtable rows are always re-read, so unflushed updates are never
   hidden by the cache (``tests/test_model.py`` holds warm and cold rows to
@@ -36,7 +39,7 @@ from repro.cache import (
     cached_component_scan,
 )
 from repro.cache.column_cache import paths_cache_key
-from repro.core import PreparedStatement, StorageEnvironment
+from repro.core import StorageEnvironment
 from repro.datasets import wos  # noqa: F401  -- registers to_array
 from repro.errors import DatasetError, QuarantinedComponentError, SqlppError
 from repro.faults import get_injector
@@ -69,6 +72,17 @@ QUERY = "SELECT d.name AS name FROM Ds AS d WHERE d.age < 20"
 
 def _rows(result):
     return sorted(row["name"] for row in result.rows)
+
+
+def _sources(dataset, *texts):
+    return [dataset.query(text).stats.plan_source for text in texts]
+
+
+def _fresh_rows(text, make=lambda: _dataset("Ds")):
+    """``text``'s rows on a dataset that never planned anything."""
+    result = make().query(text)
+    assert result.stats.plan_source == "compiled"
+    return result.rows
 
 
 def _reference_names(records):
@@ -105,20 +119,17 @@ class TestPlanCacheUnit:
 
 
 # ---------------------------------------------------------------------------
-# plan cache: the key is the statement's lexemes
+# plan cache: the key is the statement's shape
 # ---------------------------------------------------------------------------
 
 class TestPlanKey:
-    """Two texts share a plan exactly when their tokens' source texts are
-    equal: layout and comments never matter, a literal's spelling always."""
-
-    @staticmethod
-    def _sources(dataset, *texts):
-        return [dataset.query(text).stats.plan_source for text in texts]
+    """Two texts share a plan exactly when their shapes are equal: layout,
+    comments and the values of literals that do not shape the plan never
+    matter, a literal's kind and the spelling of every other token always."""
 
     def test_reformatted_copies_share_a_plan(self):
         dataset = _dataset("Ds")
-        assert self._sources(
+        assert _sources(
             dataset,
             "SELECT d.name AS name FROM Ds AS d WHERE d.age < 20",
             "SELECT  d.name AS name\n FROM\tDs AS d\r\n WHERE d.age<20 ",
@@ -127,41 +138,62 @@ class TestPlanKey:
 
     def test_copies_with_comments_share_a_plan(self):
         dataset = _dataset("Ds")
-        assert self._sources(
+        assert _sources(
             dataset,
             "SELECT d.name AS name FROM Ds AS d WHERE d.age < 20",
             "SELECT d.name AS name -- trailing\nFROM Ds AS d WHERE d.age < 20 -- end",
             "/* lead */SELECT/* c */d.name AS name FROM Ds AS d WHERE d.age < 20/**/",
         ) == ["compiled", "cache", "cache"]
 
-    def test_a_literal_is_keyed_as_written(self):
+    def test_a_literal_is_a_parameter_not_a_key(self):
         # Whitespace, tabs and comment markers inside a quoted literal are
-        # part of the bound constant: sharing a plan would return wrong rows.
-        dataset = _dataset("Ds")
+        # part of the constant, which each run reads for itself: one plan,
+        # and every text its own rows.
+        def make():
+            dataset = _dataset("Ds")
+            for key, name in enumerate(["x  y", "x y", "x\ty", "--x y", "/* x y */"]):
+                dataset.insert({"id": 100 + key, "name": name, "age": 1})
+            return dataset
+
+        dataset = make()
         texts = ["SELECT VALUE d.id FROM Ds AS d WHERE d.name = 'x  y'",
                  "SELECT VALUE d.id FROM Ds AS d WHERE d.name = 'x y'",
                  "SELECT VALUE d.id FROM Ds AS d WHERE d.name = 'x\ty'",
                  "SELECT VALUE d.id FROM Ds AS d WHERE d.name = '--x y'",
                  "SELECT VALUE d.id FROM Ds AS d WHERE d.name = '/* x y */'",
                  "SELECT VALUE d.id FROM Ds AS d WHERE d.name = 'x y  '"]
-        assert self._sources(dataset, *texts) == ["compiled"] * len(texts)
-        assert self._sources(dataset, *texts) == ["cache"] * len(texts)
+        assert _sources(dataset, *texts) == ["compiled"] + ["cache"] * (len(texts) - 1)
+        assert _sources(dataset, *texts) == ["cache"] * len(texts)
+        assert [[row["value"] for row in dataset.query(text).rows] for text in texts] == [
+            [100], [101], [102], [103], [104], []]
+        assert [dataset.query(text).rows for text in texts] == [
+            _fresh_rows(text, make) for text in texts]
 
-    def test_escaped_quotes_are_keyed_as_written(self):
+    def test_escaped_quotes_are_parameters(self):
         # An escaped quote does not end its literal, so what follows it is
-        # still the literal's; and two spellings of one value are two keys.
-        dataset = _dataset("Ds")
+        # still the literal's; both quote characters are one kind, string.
+        def make():
+            dataset = _dataset("Ds")
+            for key, name in enumerate(["don't  stop", "don't stop", 'a " b']):
+                dataset.insert({"id": 100 + key, "name": name, "age": 1})
+            return dataset
+
+        dataset = make()
         texts = ["SELECT VALUE d.id FROM Ds AS d WHERE d.name = 'don\\'t  stop'",
                  "SELECT VALUE d.id FROM Ds AS d WHERE d.name = 'don\\'t stop'",
                  'SELECT VALUE d.id FROM Ds AS d WHERE d.name = "don\'t stop"',
                  'SELECT VALUE d.id FROM Ds AS d WHERE d.name = "a \\" b"',
                  'SELECT VALUE d.id FROM Ds AS d WHERE d.name = "a \\"  b"']
-        assert self._sources(dataset, *texts) == ["compiled"] * len(texts)
-        assert self._sources(dataset, texts[0], texts[3]) == ["cache", "cache"]
+        assert _sources(dataset, *texts) == ["compiled"] + ["cache"] * (len(texts) - 1)
+        assert _sources(dataset, texts[0], texts[3]) == ["cache", "cache"]
+        assert [[row["value"] for row in dataset.query(text).rows] for text in texts] == [
+            [100], [101], [101], [102], []]
+        assert [dataset.query(text).rows for text in texts] == [
+            _fresh_rows(text, make) for text in texts]
 
     def test_keyword_spelling_is_part_of_the_key(self):
         dataset = _dataset("Ds")
-        assert self._sources(dataset,
+        assert _sources(dataset,
                              "SELECT VALUE d.name FROM Ds AS d WHERE d.age < 2",
                              "select value d.name from Ds as d where d.age < 2",
                              "SELECT VALUE d.name FROM Ds AS d WHERE d.age < 2",
@@ -172,7 +204,7 @@ class TestPlanKey:
         # so the cached plan of the text before it cannot match.
         dataset = _dataset("Ds")
         text = "SELECT VALUE d.id FROM Ds AS d"
-        assert self._sources(dataset, text, text) == ["compiled", "cache"]
+        assert _sources(dataset, text, text) == ["compiled", "cache"]
         for broken in (text + " /* never closed", text + " 'never closed",
                        text + " WHERE d.name = 'a\\q'", text + " @"):
             with pytest.raises(SqlppError) as raised:
@@ -181,6 +213,102 @@ class TestPlanKey:
                 _dataset("Ds").query(broken)
             assert (raised.value.line, raised.value.column, str(raised.value)) == \
                 (fresh.value.line, fresh.value.column, str(fresh.value))
+
+
+class TestShapeKeys:
+    """Literals are the run's parameters: texts of one shape run one plan,
+    except where a literal shapes the plan or decides whether a text binds."""
+
+    @staticmethod
+    def _same_error(dataset, text, make):
+        """``text`` raises on ``dataset`` what it raises on a fresh one."""
+        with pytest.raises(SqlppError) as raised:
+            dataset.query(text)
+        with pytest.raises(SqlppError) as fresh:
+            make().query(text)
+        assert (raised.value.line, raised.value.column, str(raised.value)) == \
+            (fresh.value.line, fresh.value.column, str(fresh.value))
+
+    @staticmethod
+    def _tagged():
+        dataset = Dataset.create("Ds", StorageFormat.INFERRED, partitions=2)
+        dataset.insert_all({"id": key, "age": key % 45, "city": f"c{key % 7}",
+                            "tags": [f"t{key % 5}", f"t{key % 3}"]} for key in range(60))
+        dataset.flush_all()
+        return dataset
+
+    def test_texts_differing_in_where_literals_run_one_plan(self):
+        texts = [f"SELECT t.id AS id, t.age + {shift} AS shifted FROM Ds AS t "
+                 f"LET old = t.age > {age} "
+                 f"WHERE old AND t.city != 'c{city}' "
+                 f"AND SOME g IN t.tags SATISFIES g = 't{tag}' "
+                 f"ORDER BY t.age % {modulus} DESC, t.id"
+                 for shift, age, city, tag, modulus in ((1, 20, 3, 4, 7), (3, 7, 1, 0, 5),
+                                                        (2.5, 40, 6, 2, 11))]
+        dataset = self._tagged()
+        results = [dataset.query(text, batch_size=7) for text in texts]
+        assert [result.stats.plan_source for result in results] == ["compiled", "cache", "cache"]
+        assert len(dataset.plan_cache) == 1
+        expected = [self._tagged().query(text, batch_size=7).rows for text in texts]
+        assert [result.rows for result in results] == expected
+        assert all(expected) and expected[0] != expected[1] != expected[2]
+
+    def test_plan_shaping_literals_each_compile_their_own_plan(self):
+        groups = (["SELECT VALUE t.id FROM Ds AS t ORDER BY t.id LIMIT 3",
+                   "SELECT VALUE t.id FROM Ds AS t ORDER BY t.id LIMIT 4"],
+                  ["SELECT VALUE t.tags[0] FROM Ds AS t WHERE t.id < 4",
+                   "SELECT VALUE t.tags[1] FROM Ds AS t WHERE t.id < 4"],
+                  ["SELECT VALUE t.id FROM Ds AS t WHERE t.age < -5 + 10",
+                   "SELECT VALUE t.id FROM Ds AS t WHERE t.age < 5 + 10",
+                   "SELECT VALUE t.id FROM Ds AS t WHERE t.age < -7 + 10",
+                   "SELECT VALUE t.id FROM Ds AS t WHERE t.age < -(+(8)) + 10"])
+        dataset = self._tagged()
+        for texts in groups:
+            assert _sources(dataset, *texts) == ["compiled"] * len(texts)
+            rows = [dataset.query(text).rows for text in texts]
+            assert rows == [self._tagged().query(text).rows for text in texts]
+            assert len({repr(row) for row in rows}) == len(texts)
+
+    def test_a_grouped_text_that_does_not_bind_never_runs_the_cached_plan(self):
+        dataset = _dataset("Ds")
+        valid = "SELECT t.age + 1 AS k, count(*) AS c FROM Ds AS t GROUP BY t.age + 1 AS k"
+        assert _sources(dataset, valid, valid) == ["compiled", "cache"]
+        self._same_error(dataset, valid.replace("GROUP BY t.age + 1", "GROUP BY t.age + 2"),
+                         lambda: _dataset("Ds"))
+        other = valid.replace("+ 1", "+ 2")
+        assert _sources(dataset, other) == ["compiled"]
+        assert dataset.query(other).rows == _dataset("Ds").query(other).rows
+
+    def test_a_parameter_the_lexer_refuses_never_runs_the_cached_plan(self):
+        dataset = _dataset("Ds")
+        text = "SELECT VALUE d.id FROM Ds AS d WHERE d.name = 'a'"
+        assert _sources(dataset, text, text) == ["compiled", "cache"]
+        for broken in ("SELECT VALUE d.id FROM Ds AS d WHERE d.name = 'a\\q'",
+                       "SELECT VALUE d.id\nFROM Ds AS d\nWHERE d.name = 'ok\\n\nthen \\q'"):
+            self._same_error(dataset, broken, lambda: _dataset("Ds"))
+        assert _sources(dataset, text) == ["cache"]
+
+    def test_a_number_and_a_string_are_two_shapes(self):
+        dataset = _dataset("Ds")
+        texts = ["SELECT VALUE d.id FROM Ds AS d WHERE d.age = 5",
+                 "SELECT VALUE d.id FROM Ds AS d WHERE d.age = '5'"]
+        assert _sources(dataset, *texts) == ["compiled", "compiled"]
+        assert _sources(dataset, *texts) == ["cache", "cache"]
+        assert [len(dataset.query(text).rows) for text in texts] == [2, 0]
+
+    def test_explain_renders_the_run_s_literals(self):
+        dataset = _dataset("Ds", rows=2000)
+        dataset.create_index("iId", "id")
+        texts = [f"SELECT d.name AS name FROM Ds AS d WHERE d.id >= {low} AND d.id <= {low + 3}"
+                 for low in (100, 700, 1300)]
+        renderings = [dataset.explain(texts[0], analyze=True),
+                      dataset.explain(texts[1], analyze=True), dataset.explain(texts[2])]
+        assert "plan: compiled" in renderings[0] and "plan: cached" in renderings[1]
+        for low, rendering in zip((100, 700, 1300), renderings):
+            assert f"IndexProbe(index=iId, field=id, range=[{low}, {low + 3}])" in rendering
+            bounds = f"(d.id >= {low}) AND (d.id <= {low + 3})"
+            assert f"residual filter: {bounds}" in rendering
+            assert f"-> SELECT: {bounds}" in rendering
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +499,10 @@ class TestPlanCacheIntegration:
         assert len(dataset.plan_cache) == 1
         dataset.close()
 
-    def test_string_literal_whitespace_not_conflated(self):
-        # The REVIEW.md high-severity repro: two queries differing only by
-        # whitespace inside a quoted literal must get distinct plans (and
-        # distinct, correct rows) — never the other's cached constant.
+    def test_string_literal_whitespace_shares_the_plan_not_the_rows(self):
+        # Two queries differing only by whitespace inside a quoted literal
+        # share one plan, and each run reads its own constant: distinct,
+        # correct rows — never the other's.
         dataset = _dataset("PcLit", rows=5)
         dataset.insert({"id": 100, "name": "n100", "age": 1, "city": "x y"})
         dataset.insert({"id": 101, "name": "n101", "age": 1, "city": "x  y"})
@@ -385,22 +513,9 @@ class TestPlanCacheIntegration:
             "SELECT d.id AS id FROM Ds AS d WHERE d.city = 'x  y'")
         assert [row["id"] for row in single.rows] == [100]
         assert [row["id"] for row in double.rows] == [101]
-        assert double.stats.plan_source == "compiled"  # its own cache entry
-        assert dataset.query(
-            "SELECT d.id AS id FROM Ds AS d WHERE d.city = 'x  y'"
-        ).stats.plan_source == "cache"
-        dataset.close()
-
-    def test_prepared_statement_preserves_literal_whitespace(self):
-        # Preparing must compile the *original* text: a literal with
-        # consecutive spaces has to survive even with the plan cache off.
-        dataset = _dataset("PsLit", rows=5)
-        dataset.plan_cache = PlanCache(capacity=0, metrics=MetricsRegistry())
-        dataset.insert({"id": 100, "name": "n100", "age": 1, "city": "x  y"})
-        dataset.flush_all()
-        statement = dataset.prepare(
-            "SELECT d.id AS id FROM Ds AS d WHERE d.city = 'x  y'")
-        assert [row["id"] for row in statement.execute().rows] == [100]
+        assert single.stats.plan_source == "compiled"
+        assert double.stats.plan_source == "cache"  # the shape's one entry
+        assert len(dataset.plan_cache) == 1
         dataset.close()
 
     def test_flush_and_merge_keep_the_plan(self):
@@ -448,33 +563,19 @@ class TestPlanCacheIntegration:
         assert _rows(probed) == _rows(unrewritten) == _reference_names(_records())
         dataset.close()
 
-    def test_prepared_statement_probes_an_index_created_after_it(self):
-        dataset = _dataset("PsIdx", rows=2000)
-        text = "SELECT d.name AS name FROM Ds AS d WHERE d.id = 7"
-        statement = dataset.prepare(text)
-        assert isinstance(statement, PreparedStatement)
-        before = statement.execute()
-        assert (before.stats.plan_source, before.stats.access_path) == ("cache", "FullScan")
+    def test_a_cached_shape_flips_to_an_index_created_after_it(self):
+        dataset = _dataset("PcIdx", rows=2000)
+        before = dataset.query("SELECT d.name AS name FROM Ds AS d WHERE d.id = 7")
+        assert (before.stats.plan_source, before.stats.access_path) == ("compiled", "FullScan")
         dataset.query("CREATE INDEX iId ON Ds (id)")
-        after = statement.execute()
+        after = dataset.query("SELECT d.name AS name FROM Ds AS d WHERE d.id = 8")
         assert (after.stats.plan_source, after.stats.access_path) == ("cache", "IndexProbe")
-        assert _rows(before) == _rows(after) == ["user7"]
+        assert (_rows(before), _rows(after)) == (["user7"], ["user8"])
         dataset.close()
 
-    def test_prepared_statement_works_with_cache_disabled(self):
-        dataset = _dataset("PsOff")
-        dataset.plan_cache = PlanCache(capacity=0, metrics=MetricsRegistry())
-        statement = dataset.prepare(QUERY)
-        assert statement.execute().stats.plan_source == "cache"
-        dataset.close()
-
-    def test_prepare_rejects_create_index_and_arg_conflicts(self):
-        dataset = _dataset("PsReject", rows=5)
-        with pytest.raises(DatasetError):
-            dataset.prepare("CREATE INDEX iX ON Ds (age)")
+    def test_query_rejects_an_executor_with_options(self):
+        dataset = _dataset("PcReject", rows=5)
         from repro.query import QueryExecutor
-        with pytest.raises(DatasetError):
-            dataset.prepare(QUERY, executor=QueryExecutor(), parallelism=1)
         with pytest.raises(DatasetError):
             dataset.query(QUERY, executor=QueryExecutor(), parallelism=1)
         dataset.close()

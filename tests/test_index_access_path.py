@@ -227,7 +227,7 @@ class TestExplain:
         dataset = _build(StorageFormat.INFERRED, device=DeviceKind.SATA_SSD)
         narrow = _range_query(1000, 1003)
         monkeypatch.setattr(importlib.import_module("repro.query.explain"), "choose_access_path",
-                            lambda spec, ds, force: AccessPathChoice(FullScan("re-costed")))
+                            lambda *_: AccessPathChoice(FullScan("re-costed")))
         assert "FullScan(re-costed)" in dataset.explain(narrow)
         analyzed = dataset.explain(narrow, analyze=True)
         assert "access path: IndexProbe(index=by_ts" in analyzed and "FullScan" not in analyzed
@@ -789,10 +789,10 @@ class TestCreateIndexSurface:
         assert isinstance(statistics, FieldStatistics)
         assert statistics.count == RECORD_COUNT
         assert statistics.min_key == index_key(1000)
-        narrow = compile_sqlpp(_range_query(1000, 1003)).spec
-        choice = choose_access_path(narrow, dataset)
+        narrow = compile_sqlpp(_range_query(1000, 1003))
+        choice = choose_access_path(narrow.spec, dataset, params=narrow.params)
         assert choice.uses_index
         assert choice.estimated_selectivity < 0.02
-        wide = compile_sqlpp(_range_query(None, None)).spec
-        choice = choose_access_path(wide, dataset)
+        wide = compile_sqlpp(_range_query(None, None))
+        choice = choose_access_path(wide.spec, dataset, params=wide.params)
         assert not choice.uses_index

@@ -121,6 +121,28 @@ class TestLexerParity:
             return
         assert _outcome(tokenize, text) == expected
 
+    @settings(max_examples=400, deadline=None)
+    @given(text=_TEXTS)
+    @example(text="'a' 7 /* 'x\\q' */ \"\\q\"")  # the first bad escape after good literals
+    def test_params_are_the_literals_or_the_lexer_s_error(self, text):
+        """A text that lexes has the values of its number and string tokens,
+        by slot, as parameters.  A text that does not keeps a lexeme no valid
+        text has in its shape, or its parameters raise the lexer's error: it
+        can never run the plan of a text that lexes."""
+        lexed = Lexed(text)
+        expected = _outcome(tokenize, text)
+        if isinstance(expected, list):
+            literals = [token for token in tokenize(text) if token.slot is not None]
+            assert [token.slot for token in literals] == list(range(len(literals)))
+            assert lexed.params() == tuple(token.value for token in literals)
+            return
+        kept = [lexeme for lexeme, kept in zip(lexed.lexemes, lexed.shape) if lexeme == kept]
+        if all(isinstance(_outcome(tokenize, lexeme), list) for lexeme in kept):
+            with pytest.raises(SqlppError) as raised:
+                lexed.params()
+            error = raised.value
+            assert (str(error), error.line, error.column, error.token) == expected
+
     @settings(max_examples=200, deadline=None)
     @given(text=_TEXTS, separators=st.lists(
         st.sampled_from([" ", "\n", "\t ", " /* * */ ", " -- c\n", "\r\n  "]), min_size=1))
