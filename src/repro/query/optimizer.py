@@ -411,4 +411,12 @@ def _substitute_access(expr: Expr, item_var: str, item_path: Path) -> Expr:
     if isinstance(expr, Func):
         return Func(expr.name, *[_substitute_access(argument, item_var, item_path)
                                  for argument in expr.args])
+    if isinstance(expr, Exists):
+        # a nested quantifier: its collection may read the item; its
+        # predicate does too, unless it re-binds (shadows) the item's name
+        predicate = expr.predicate
+        if expr.item_var != item_var:
+            predicate = _substitute_access(predicate, item_var, item_path)
+        return Exists(_substitute_access(expr.collection, item_var, item_path),
+                      expr.item_var, predicate)
     return expr

@@ -70,10 +70,6 @@ class TypeTag(enum.IntEnum):
         return self in (TypeTag.ARRAY, TypeTag.MULTISET)
 
     @property
-    def is_scalar(self) -> bool:
-        return self in _FIXED_LENGTH_SIZES or self in _VARIABLE_LENGTH_TAGS
-
-    @property
     def is_fixed_length(self) -> bool:
         return self in _FIXED_LENGTH_SIZES
 

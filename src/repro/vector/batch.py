@@ -2,22 +2,39 @@
 
 A :class:`BatchExtractor` compiles the requested paths into a small trie
 once per query.  It reads a record by **replaying a plan**: where each
-request's value lives in that record, worked out once per record *layout*
-and kept in a bounded table.
+request's value lives in that record, worked out once per *prefix* a walk
+read and kept in a bounded table.
 
 Key
-    A plan is valid for every record that walks the same way, and the walk
-    depends only on the record's metadata and on how its names resolve.  So
-    the key is the record's tags-vector bytes, its name-entries section (with
-    the inline name bytes, for an uncompacted record), the serial of the
+    A plan is valid for every record whose walk reads the same bytes, and
+    the walk stops at the first tag after which nothing requested can
+    follow.  So the key is what the walk read: the tags up to where it
+    stopped, the name entries it consumed and the inline name bytes up to
+    its name cursor (an uncompacted record's names), with the serial of the
     view's dictionary *family* (:class:`~repro.schema.dictionary.IdFamily`;
     serials are never reused) and the names the datatype declares, by index.
-    Within a family an id always names the same field: every flush's schema
-    snapshot shares its partition's family, so one plan serves the records of
-    every component, while a schema rolled back after a failed flush starts
-    a family of its own once it gives out an id again.  A plan also records
-    the largest id it resolved; a view whose dictionary is too short for it
-    is walked again, and raises as the walk does.
+    Records that differ only past that point share one plan: 1 600
+    generated tweets repeat about 275 layouts, but make 1 plan for
+    ``timestamp_ms`` (a tweet's second field), 2 for ``text, user.name`` and
+    16 for ``user.name, entities.hashtags[*].text``.  A walk that ran off
+    the end of a torn tags vector (no EOV) depended on where the tags end:
+    its plan is keyed on the record's whole layout.  Within a family an id
+    always names the same field: every flush's schema snapshot shares its
+    partition's family, so one plan serves the records of every component,
+    while a schema rolled back after a failed flush starts a family of its
+    own once it gives out an id again.  A plan also records the largest id
+    it resolved; a view whose dictionary is too short for it is walked
+    again, and raises as the walk does.
+
+Lookup
+    How far a record's walk would go is known only after walking it, so a
+    read does not start from the prefix key.  It looks the record's whole
+    layout up in ``layouts``, an index from layout to plan: one slice of
+    each section and one probe, as cheap as when plans were keyed by layout
+    (trying every prefix shape on each read cost 0.7 µs more per tweet).  A
+    layout first seen tries the few prefix ``shapes`` of the keys in
+    ``plans`` — a slice of each section and a probe per shape — and only
+    when none matches is the record walked.
 
 Plan
     What the replay reads, all offsets relative to the record's own vectors:
@@ -32,13 +49,13 @@ Plan
     nothing to what a full collection walks.
 
 Cap
-    An extractor keeps at most :data:`PLAN_CAPACITY` plans.  A full table
-    drops its oldest quarter, so plans for dictionaries no component uses
-    any more age out instead of pinning it.
+    An extractor keeps at most :data:`PLAN_CAPACITY` plans and as many
+    layouts.  A full table drops its oldest quarter, so plans for
+    dictionaries no component uses any more age out instead of pinning it.
 
 One path
     Every value a vector record yields comes out of a replayed plan.  A
-    record whose layout has no plan is walked once to compile one, and the
+    record whose prefix has no plan is walked once to compile one, and the
     plan is then replayed like any other.  The walk is the trie walk over
     the cursors of :mod:`repro.vector.decoder`: each value's name entry is
     matched against the open container's trie node — a compacted id by
@@ -66,10 +83,12 @@ an index, several wildcards — the trie stops at that node, the value there
 is built once and ``navigate`` answers each request from it.
 :meth:`VectorRecordView.get_values` delegates here, and the property suite
 asserts equality with ``navigate`` on random records, for these plans and
-for every other record view.  Plans are immutable and a replay writes only
-its own lists, so threads share an extractor without a lock.  :class:`ColumnBatch` is the column-major container the batch
-operators consume; the scan operator fills it with one extractor applied
-across N records.
+for every other record view.  Plans are immutable, a new shape replaces the
+``shapes`` tuple (one lost to a race costs a walk) and a replay writes only
+its own lists, so threads share an extractor without a lock.
+:class:`ColumnBatch` is the column-major container the batch operators
+consume; the scan operator fills it with one extractor applied across N
+records.
 """
 
 from __future__ import annotations
@@ -91,13 +110,16 @@ from .layout import (
     POP_TO_OBJECT,
     RAW_OBJECT,
     TAG_TABLE,
+    U32,
     WIDTHS,
 )
 
-#: Plans one extractor keeps.  Generated tweets repeat about 290 layouts
-#: per 1 600 records and dictionary family (one per partition); a sensor
-#: partition repeats one.  A plan and its key take 0.3-0.8 KiB, and the
-#: tables of a busy process stay full, so this bounds their memory.
+#: Plans, and layouts, one extractor keeps.  Generated tweets repeat about
+#: 275 layouts per 1 600 records and dictionary family (one per
+#: partition), which share 1-16 plans per path set of the twitter queries;
+#: a sensor partition repeats one layout.  A layout key or a plan with its
+#: key takes 0.3-0.8 KiB, and the layout tables of a busy process stay full,
+#: so this bounds their memory.
 PLAN_CAPACITY = 768
 
 #: Shared by every node that has no children to enter; never written.
@@ -245,7 +267,8 @@ class _PlanBuilder:
               fixed: int, var_index: int) -> Tuple[int, int]:
         """A requested nested value: its opening tag ``raw`` was read just
         before tags-vector ``position``, its children start at these cursors
-        (``name_bytes`` relative to ``offset_names``)."""
+        (``name_bytes`` relative to the start of the inline name bytes, which
+        moves with the record's name-entry count)."""
         self.nested += (position, raw, name_index, name_bytes, fixed, var_index)
         return (_NESTED, len(self.nested) // 6 - 1)
 
@@ -312,11 +335,11 @@ def _replay(plan: Plan, view: VectorRecordView) -> List[Any]:
             value = payload[start:start + lengths[index + 1]]
             values.append(value.decode() if var_index >= 0 else value)
     if nested:
-        tags, vectors, _, _, first = view._vectors()
+        tags, vectors, names_at, _, first = view._vectors()
         for position, raw, name_index, name_bytes, fixed_at, var_index in _groups(nested, 6):
             values.append(build_value(
                 view, iter(tags[position:]), raw, vectors, name_index,
-                view.offset_names + name_bytes, view.offset_fixed + fixed_at,
+                names_at + name_bytes, view.offset_fixed + fixed_at,
                 var_index, first + sum(vectors[2][:var_index]))[0])
     if sources:
         for source, rest in zip(sources, rests):
@@ -328,6 +351,17 @@ def _replay(plan: Plan, view: VectorRecordView) -> List[Any]:
         for rid, start, stop in _groups(lists, 3):
             results[rid] = values[start:stop]
     return results
+
+
+def _make_room(table: Dict[Tuple[Any, ...], Plan]) -> bool:
+    """Drop a full table's oldest quarter: plans of dictionaries no component
+    uses any more are the first to go.  ``list(table)`` is one C call, so no
+    other thread's insert can interleave with it."""
+    if len(table) < PLAN_CAPACITY:
+        return False
+    for old in list(table)[:PLAN_CAPACITY // 4]:
+        table.pop(old, None)
+    return True
 
 
 class BatchExtractor:
@@ -345,9 +379,15 @@ class BatchExtractor:
         #: Requests that default to ``[]`` (any wildcard) rather than MISSING.
         self.list_rids = [rid for rid, request in enumerate(self.requests)
                           if WILDCARD in request]
-        #: Record layout -> its plan, at most ``PLAN_CAPACITY`` of them, in
-        #: the order they were made.
+        #: What a walk read -> its plan, at most ``PLAN_CAPACITY`` of them,
+        #: in the order they were made.
         self.plans: Dict[Tuple[Any, ...], Plan] = {}
+        #: ``(tag bytes, end of the name entries, inline name bytes)`` read
+        #: by the walks of ``plans``, counted from each section's start.
+        self.shapes: Tuple[Tuple[int, int, int], ...] = ()
+        #: Record layout -> the plan that reads it, at most
+        #: ``PLAN_CAPACITY`` of them.
+        self.layouts: Dict[Tuple[Any, ...], Plan] = {}
 
     def extract(self, view: Any) -> List[Any]:
         """Resolve every compiled path against one record view."""
@@ -365,38 +405,69 @@ class BatchExtractor:
         family = None
         if id_names is not None:
             family = view.dictionary.family.serial if view.dictionary is not None else 0
-        key = (payload[view.offset_tags:view.offset_tags + view.tag_count],
-               payload[view.offset_names:view.total_length], family,
-               view.datatype.name_order if view.datatype is not None else ())
-        plans = self.plans
-        plan = plans.get(key)
+        layout = (payload[view.offset_tags:view.offset_tags + view.tag_count],
+                  payload[view.offset_names:view.total_length], family,
+                  view.datatype.name_order if view.datatype is not None else ())
+        plan = self.layouts.get(layout)
         # A plan resolved ids (its last item) past the end of the view's names
         # only when the view's dictionary is an older copy in the family than
         # the one it was made with: walk the record again, to raise as the
         # walk does.
         if plan is None or plan[-1] > len(id_names or ()):
-            plan = self._compile(view)
-            if len(plans) >= PLAN_CAPACITY:
-                # Drop the oldest quarter: plans of dictionaries no component
-                # uses any more are the first to go.  ``list(plans)`` is one C
-                # call, so no other thread's insert can interleave with it.
-                for old in list(plans)[:PLAN_CAPACITY // 4]:
-                    plans.pop(old, None)
-            plans[key] = plan
+            plan = self._plan(view, layout, len(id_names or ()))
         return _replay(plan, view)
 
-    def _compile(self, view: VectorRecordView) -> Plan:
-        """Walk one record and record where each request's value lives."""
+    def _plan(self, view: VectorRecordView, layout: Tuple[Any, ...], id_count: int) -> Plan:
+        """The plan of a layout first seen: the plan of a prefix some walk
+        read that the record starts with too, else the one its own walk
+        makes."""
+        tags, names, family, name_order = layout
+        inline = 4 + 2 * U32.unpack_from(view.payload, view.offset_names)[0]
+        plans = self.plans
+        for n, entries_end, k in self.shapes:
+            # (a record with fewer name entries than a prefix holds is walked,
+            # to raise as the walk does)
+            if entries_end <= inline:
+                plan = plans.get((tags[:n], names[4:entries_end], names[inline:inline + k],
+                                  family, name_order))
+                if plan is not None and plan[-1] <= id_count:
+                    break
+        else:
+            plan, read = self._compile(view)
+            key = layout  # a walk that ran off the end of a torn tags vector
+            if read is not None:
+                n, m, k = read
+                entries_end = 4 + 2 * m
+                key = (tags[:n], names[4:entries_end], names[inline:inline + k],
+                       family, name_order)
+            if _make_room(plans):
+                self.shapes = tuple(dict.fromkeys(
+                    (len(old[0]), 4 + len(old[1]), len(old[2]))
+                    for old in list(plans) if len(old) == 5))
+            plans[key] = plan
+            if read is not None and (n, entries_end, k) not in self.shapes:
+                self.shapes += ((n, entries_end, k),)
+        _make_room(self.layouts)
+        self.layouts[layout] = plan
+        return plan
+
+    def _compile(self, view: VectorRecordView) -> Tuple[Plan, Optional[Tuple[int, int, int]]]:
+        """Walk one record and record where each request's value lives.
+
+        Returns the plan and what the walk read: the tags, the name entries
+        and the inline name bytes up to where it stopped, or ``None`` when it
+        ran off the end of the tags vector without closing the record.
+        """
         tags, vectors, name_bytes, _, _ = view._vectors(values=False)
         payload, entries, _, declared, id_names = vectors
         located = _PlanBuilder()
-        names_at = view.offset_names
+        names_at = name_bytes
         node = self.root
         if node.capture is not None or node.wild is not None:
             # a request for the root itself: the whole record, built
-            record = located.build(1, RAW_OBJECT, 0, name_bytes - names_at, 0, 0)
+            record = located.build(1, RAW_OBJECT, 0, 0, 0, 0)
             return located.finish([located.navigate(record, request)
-                                   for request in self.requests], 0)
+                                   for request in self.requests], 0), (1, 0, 0)
         results: List[Any] = [_MISSING_REF] * len(self.requests)
         for rid in self.list_rids:
             results[rid] = []
@@ -495,13 +566,15 @@ class BatchExtractor:
                             results[rid] = located.navigate(ref, rest)
                         remaining -= 1
                     if not remaining:
-                        return located.finish(results, ids)
+                        return located.finish(results, ids), (
+                            len(tags) - length_hint(cursor), name_index, name_bytes - names_at)
                     if want:
                         if not depth:
                             continue
                         closing, skip_object = False, raw == RAW_OBJECT
                     elif not stack:
-                        return located.finish(results, ids)
+                        return located.finish(results, ids), (
+                            len(tags) - length_hint(cursor), name_index, name_bytes - names_at)
                     else:
                         # everything this container was asked for has been
                         # seen: skip the rest of it (a located nested value too)
@@ -536,18 +609,19 @@ class BatchExtractor:
                             raise DecodingError(f"unexpected tag {raw} in tags vector")
                 if not closing:
                     break
-                # the open container has just closed
-                if not stack:
-                    return located.finish(results, ids)
+                # the open container has just closed (or the skipper ran off
+                # the end of a torn tags vector: ``depth`` is left open)
+                if not stack or lists is not None and remaining == 1:
+                    return located.finish(results, ids), None if depth else (
+                        len(tags) - length_hint(cursor), name_index, name_bytes - names_at)
                 if lists is not None:
                     remaining -= 1
-                    if not remaining:
-                        return located.finish(results, ids)
                 children, wild, lists, in_object, item, want = stack.pop()
                 if want:
                     break
                 depth, skip_object = 1, in_object
-        return located.finish(results, ids)
+        return located.finish(results, ids), None
+
 
 class ColumnBatch:
     """Column-major container for N records' requested value slices.

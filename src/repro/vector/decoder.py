@@ -47,8 +47,8 @@ over the slice, handed from walk to walk.  Two query-side walks share it:
   resolved and no value decoded.  The compiler steers with its request trie,
   records where each requested value starts, and stops at the first tag
   after which nothing requested can follow; the plan it makes reads those
-  values straight from the cursors it recorded, for every record of the
-  same layout.
+  values straight from the cursors it recorded, for every record that
+  starts with the tags and names it read.
 
 The flush side has its own metadata-only loop (tags + names),
 :func:`~repro.vector.compaction.infer_and_compact`.
@@ -197,8 +197,8 @@ class VectorRecordView:
         The scan stops as soon as every exact path has been resolved and
         every wildcard collection has been closed, so access cost grows with
         the position of the requested values within the record (Figure 22)
-        — once per record layout: the extractor keeps what the scan found as
-        a plan that reads the values by offset.
+        — once per prefix a scan read: the extractor keeps what the scan
+        found as a plan that reads the values by offset.
         """
         return extractor_for(tuple(map(tuple, paths))).extract(self)
 

@@ -40,6 +40,7 @@ from repro.query import (
     FieldAccess,
     Literal,
     Optimizer,
+    Or,
     OrderKey,
     QueryExecutor,
     QuerySpec,
@@ -137,6 +138,19 @@ PARITY_QUERIES = {
         where=Exists(FieldAccess("t", ("groups",)), "g",
                      Exists(FieldAccess("g", ("members",)), "g",
                             Comparison("=", Var("g"), FieldAccess("t", ("id",))))),
+        projections=[("id", FieldAccess("t", ("id",)))]),
+    # A quantifier inside a pushed-down one: the inner collection reads the
+    # outer item, which the pushdown turns into the item's ``members``.
+    "exists_in_exists": """
+        SELECT t.id AS id FROM tweets AS t
+        WHERE SOME g IN t.groups SATISFIES (SOME m IN g.members SATISFIES m = 1)""",
+    # The same, the inner quantifier re-binding the outer name: its
+    # predicate's ``g.members`` reads a member (MISSING), not the group's.
+    "exists_in_exists_shadowed": QuerySpec(
+        where=Exists(FieldAccess("t", ("groups",)), "g",
+                     Exists(FieldAccess("g", ("members",)), "g",
+                            Or(Comparison("=", FieldAccess("g", ("members",)), Literal(1)),
+                               Comparison("=", FieldAccess("t", ("id",)), Literal(3))))),
         projections=[("id", FieldAccess("t", ("id",)))]),
     # The predicate mixes the item variable with a row-only subexpression.
     "exists_row_and_item": """
@@ -468,7 +482,7 @@ class TestExtractorViews:
 
 
 # ---------------------------------------------------------------------------
-# extraction plans: one per record layout, never across name mappings
+# extraction plans: one per prefix a walk read, never across name mappings
 # ---------------------------------------------------------------------------
 
 def _tweet_views(count):
@@ -570,6 +584,101 @@ class TestExtractionPlans:
         for view in (VectorRecordView(inline), VectorRecordView(compacted, None, schema.dictionary)):
             assert extractor.extract(view) == expected
             assert extractor.extract(view) == expected
+
+    def test_layouts_sharing_a_prefix_share_the_plan_of_a_path_inside_it(self):
+        """A plan is keyed by what its walk read: records whose tags and names
+        agree up to where the walk stopped share it, wherever they differ
+        later; a path past the point where they differ gets a plan each."""
+        records = [{"a": 1, "b": "x", "c": 2.5},
+                   {"a": 7, "b": "yz", "d": [1, {"e": 2}], "c": "late"}]
+        schema = InferredSchema(None)
+        for record in records:
+            schema.observe(record)
+        cases = [([("a",)], 1), ([("b",), ("a",)], 1), ([("c",)], 2),
+                 ([("a",), ("d", 1, "e")], 2), ([("zz",)], 2)]
+        for dictionary in (None, schema.dictionary):
+            views = []
+            for record in records:
+                payload = VectorEncoder(None).encode(record)
+                if dictionary is not None:
+                    payload = compact_record(payload, dictionary)
+                views.append(VectorRecordView(payload, None, dictionary))
+            assert _layout(views[0]) != _layout(views[1])
+            for paths, plans in cases:
+                extractor = BatchExtractor(paths)
+                for _ in range(2):
+                    for view, record in zip(views, records):
+                        assert extractor.extract(view) == [navigate(record, path)
+                                                           for path in paths]
+                assert len(extractor.plans) == plans, paths
+
+    def test_inline_names_of_one_length_never_share_a_plan(self):
+        """Uncompacted records spell their names inline: the same tags and
+        name lengths under other names are another prefix."""
+        records = [{"ab": 1, "cd": 2}, {"cd": 3, "ab": 4}]
+        views = [VectorRecordView(VectorEncoder(None).encode(record)) for record in records]
+        assert _layout(views[0])[0] == _layout(views[1])[0]
+        for paths in ([("ab",)], [("cd",)], [("ab",), ("cd",)]):
+            extractor = BatchExtractor(paths)
+            for _ in range(2):
+                for view, record in zip(views, records):
+                    assert extractor.extract(view) == [navigate(record, path)
+                                                       for path in paths]
+            assert len(extractor.plans) == 2
+
+    def test_a_shared_prefix_builds_nested_values_past_it(self):
+        """Uncompacted records with other name-entry counts share the plan of
+        a walk that stopped at a nested value; the value is built from each
+        record's own inline names, which start after its own entries."""
+        records = [
+            {"id": 1, "group": {"members": [{"n": "ann"}], "size": 1}},
+            {"id": 2, "group": {"members": [{"n": "bo"}, {"n": "cy", "role": "x"}]},
+             "extra": {"k": 1, "kk": [{"deep": None}]}, "more": 2},
+            {"id": 3, "group": {"members": []}},
+        ]
+        views = [VectorRecordView(VectorEncoder(None).encode(record)) for record in records]
+        counts = {view.payload[view.offset_names:view.offset_names + 4] for view in views}
+        assert len(counts) == len(records)  # name-entry counts all differ
+        for paths, plans in (([("group", "members")], 1), ([("id",), ("group",)], 1),
+                             ([("group", "members", "*", "n")], 3),
+                             ([("group", "members", 0)], 2)):
+            extractor = BatchExtractor(paths)
+            for _ in range(2):
+                for view, record in zip(views, records):
+                    assert extractor.extract(view) == [navigate(record, path)
+                                                       for path in paths]
+            assert len(extractor.plans) == plans, paths
+
+    def test_a_torn_tags_vector_never_shares_a_plan_with_a_longer_record(self):
+        """A walk that ran off the end of tags with no EOV read no more than
+        a prefix of a longer record's tags, but what it found depends on
+        where they ended: its plan is keyed on its whole layout."""
+        def torn(record, cut, dictionary=None):
+            payload = VectorEncoder(None).encode(record)
+            if dictionary is not None:
+                payload = compact_record(payload, dictionary)
+            view = VectorRecordView(payload, None, dictionary)
+            cut_payload = bytearray(payload)
+            cut_payload[4:8] = (view.tag_count - cut).to_bytes(4, "little")  # header tag count
+            return VectorRecordView(bytes(cut_payload), None, dictionary)
+
+        whole = [{"a": 1, "b": 2}, {"a": {"x": 1}, "b": 2}, {"a": [1, 2], "b": 2}]
+        cases = [(whole[0], 2, [("b",)]),                  # no EOV
+                 (whole[1], 3, [("b",)]),                  # inside a skipped object
+                 (whole[1], 3, [("a", "x"), ("b",)]),      # after a located value
+                 (whole[2], 3, [("a", "*"), ("b",)]),      # inside a wildcard's items
+                 (whole[1], 1, [("a", "x", "y")])]         # skipping the rest of the root
+        for record, cut, paths in cases:
+            schema = InferredSchema(None)
+            schema.observe(record)
+            for dictionary in (None, schema.dictionary):
+                short = torn(record, cut, dictionary)
+                longer = torn(record, 0, dictionary)
+                extractor = BatchExtractor(paths)
+                assert extractor.extract(short)[-1] is MISSING  # "b" is past the end
+                assert extractor.extract(longer) == [navigate(record, path) for path in paths]
+                assert extractor.extract(short)[-1] is MISSING
+                assert len(extractor.plans) == 2
 
     def test_a_full_table_stays_correct(self, monkeypatch):
         monkeypatch.setattr(vector_batch, "PLAN_CAPACITY", 4)

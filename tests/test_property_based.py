@@ -11,6 +11,9 @@ Invariants covered:
   ``reference.py`` counter for counter, and the one-pass builders and the
   removal equal the dict side on the three dataset generators and a
   DBLP-shaped corpus;
+* over the same corpora, one ``BatchExtractor`` — whose plans records share
+  up to where their walks stopped — reads ``navigate``'s value for every
+  path, uncompacted and compacted;
 * schema inference is insensitive to record order, monotone under
   observation, and returns to the empty schema after removing everything it
   observed;
@@ -36,12 +39,12 @@ from repro.storage import BufferCache, FileManager, SimulatedStorageDevice
 from repro.datasets import sensors, twitter, wos
 from repro.errors import EncodingError
 from repro.types import (
-    ADate, AMultiset, Datatype, FieldDeclaration, MISSING, TypeTag, deep_equals,
+    ADate, AMultiset, Datatype, FieldDeclaration, MISSING, TypeTag, deep_equals, navigate,
     open_only_primary_key,
 )
 from repro.vector import (
-    VectorEncoder, VectorRecordView, compact_record, expand_record, infer_and_compact,
-    is_compacted,
+    BatchExtractor, VectorEncoder, VectorRecordView, compact_record, expand_record,
+    infer_and_compact, is_compacted,
 )
 
 from reference import extract_antischema, remove_antischema
@@ -174,6 +177,15 @@ _DBLP = [
      "H&uuml;tter": {"note": "Sch\u00e4ler"}, "Hütter": ["ß", 0]},
     {"id": 5, "key": "conf/sigmod/2022", "year": "2022", "booktitle": None,
      "author": [], "ee": {"type": "doi"}},
+    # Two layouts that agree up to the end of ``author`` and differ after it.
+    {"id": 6, "key": "journals/pvldb/AlkowaileetAC20", "year": 2020, "volume": "13",
+     "author": [{"orcid": "0000-0001-9436-6034", "text": "Wail Y. Alkowaileet"},
+                "Sattam Alsubaiee"],
+     "ee": "https://doi.org/10.14778/3397230.3397231"},
+    {"id": 7, "key": "journals/pvldb/AlkowaileetAC20a", "year": 2020, "volume": "13",
+     "author": [{"orcid": "0000-0001-9436-6034", "text": "W. Alkowaileet"}, "M. J. Carey"],
+     "ee": [{"type": "oa", "text": "https://www.vldb.org/pvldb/vol13/p1234.pdf"}],
+     "crossref": "journals/pvldb/2020"},
 ]
 
 _CORPORA = {module.__name__: (lambda module=module: module.generate(60))
@@ -239,6 +251,61 @@ class TestFusedInferAndCompact:
             remove_antischema(reference, extract_antischema(record))
             assert schema.structurally_equal(reference, compare_counters=True)
         assert schema.root.counter == 0 and not schema.root.fields
+
+
+def _corpus_paths(value, prefix=()):
+    """Every name path of a record, with an index and a ``"*"`` at each list."""
+    paths = [prefix] if prefix else []
+    if isinstance(value, dict):
+        for key, child in value.items():
+            paths.extend(_corpus_paths(child, prefix + (key,)))
+    elif isinstance(value, list):
+        for step in (0, "*"):
+            for item in value[:1]:
+                paths.extend(_corpus_paths(item, prefix + (step,)))
+            paths.append(prefix + (step,))
+    return paths
+
+
+def _stored_views(records, datatype):
+    """Each record uncompacted and compacted, under one schema's dictionary."""
+    schema = InferredSchema(datatype)
+    stored = []
+    for record in records:
+        payload = VectorEncoder(datatype).encode(record)
+        compacted = infer_and_compact(payload, schema)
+        stored += [(record, VectorRecordView(payload, datatype)),
+                   (record, VectorRecordView(compacted, datatype, schema.dictionary))]
+    return stored
+
+
+class TestExtractionPlansOverCorpora:
+    @pytest.mark.parametrize("corpus", list(_CORPORA))
+    def test_one_extractor_reads_every_record(self, corpus):
+        """One extractor per path, and one for all of them, over every record
+        of a corpus, stored both ways, twice: each read is ``navigate``'s."""
+        records = list(_CORPORA[corpus]())
+        stored = _stored_views(records, open_only_primary_key("T"))
+        paths = sorted({path for record in records for path in _corpus_paths(record)}, key=repr)
+        for requests in [[path] for path in paths] + [paths]:
+            extractor = BatchExtractor(requests)
+            for _ in range(2):
+                for record, view in stored:
+                    assert extractor.extract(view) == [navigate(record, path)
+                                                       for path in requests]
+
+    def test_dblp_layouts_sharing_a_prefix_share_its_plans(self):
+        """A path inside the prefix two layouts share reads both through one
+        plan per form (uncompacted, compacted); a path past it needs two."""
+        records = _DBLP[-2:]
+        stored = _stored_views(records, open_only_primary_key("T"))
+        for requests, plans in (([("year",)], 2), ([("author", "*", "text")], 2),
+                                ([("volume",), ("author", 1)], 2), ([("ee",)], 4),
+                                ([("crossref",)], 4)):
+            extractor = BatchExtractor(requests)
+            for record, view in stored:
+                assert extractor.extract(view) == [navigate(record, path) for path in requests]
+            assert len(extractor.plans) == plans, requests
 
 
 # ---------------------------------------------------------------------------
