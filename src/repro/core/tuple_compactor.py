@@ -9,7 +9,10 @@ it:
    folding them into the partition's in-memory schema
    (:class:`~repro.schema.InferredSchema`) and, in the same pass, rewriting
    the record into its compacted form — field names replaced by the
-   schema's ``FieldNameID``\\ s (§3.3.2);
+   schema's ``FieldNameID``\\ s (§3.3.2).  The scan runs once per record
+   *layout* (tags vector plus names section) the schema meets: it keeps
+   what the scan did — the counters it incremented, the ids it wrote — as
+   a plan, and a record of a layout seen before replays that plan;
 2. processes the anti-schemas carried by delete/upsert entries — the
    superseded versions' stored payloads — decrementing the schema's
    counters in one walk of their tags and field-name vectors, so the
@@ -60,7 +63,8 @@ class TupleCompactor(FlushCallback):
         The schema (and its counters) grow record by record during a flush;
         if the flush fails mid-way and is retried, replaying the memtable
         against the mutated schema would double-count every observed field
-        — so the engine restores this snapshot first.
+        — so the engine restores this snapshot first.  The copy keeps no
+        flush-time plans: a retry walks each layout again.
         """
         return (self.schema.snapshot(), self.flush_count,
                 self.records_compacted, self.bytes_saved)
@@ -74,8 +78,9 @@ class TupleCompactor(FlushCallback):
 
         :func:`~repro.vector.infer_and_compact` reads only the type-tag and
         field-name vectors of ``encoded`` — the flush-time scan the paper
-        describes — rather than re-using the Python dict that happens to
-        still be in the memtable; the value vectors are copied through.
+        describes, or the plan of a layout it scanned before — rather than
+        re-using the Python dict that happens to still be in the memtable;
+        the value vectors are copied through.
         """
         compacted = infer_and_compact(encoded, self.schema)
         self.records_compacted += 1

@@ -24,13 +24,16 @@ from ..types import TypeTag, tag_name
 class SchemaNode:
     """Base class for all schema tree nodes."""
 
-    __slots__ = ("counter",)
+    __slots__ = ("counter", "plan_slot")
 
     #: TypeTag this node describes; overridden per subclass/instance.
     tag: TypeTag = TypeTag.ANY
 
     def __init__(self, counter: int = 0) -> None:
         self.counter = counter
+        #: This node's position in its schema's ``plan_nodes``, or -1: how a
+        #: flush-time plan names the node (see ``InferredSchema.plans``).
+        self.plan_slot = -1
 
     # -- counters --------------------------------------------------------------
 

@@ -17,6 +17,12 @@ compactor needs (paper §3.1–3.2):
 * ``to_bytes`` / ``from_bytes`` — persistence into a component's metadata
   page.
 
+It also holds the flush-time plans of
+:func:`~repro.vector.compaction.infer_and_compact` (``plans``,
+``replay_plan``, ``keep_plan``, ``drop_plans``): what walking a record
+layout did to this schema object, replayed for the next record of that
+layout.  Plans belong to the object; no copy carries them.
+
 Declared fields (the dataset's pre-declared datatype, at the root level)
 are *not* inferred — their description already lives in the metadata node —
 matching the paper's treatment of the ``id`` field.
@@ -25,6 +31,7 @@ matching the paper's treatment of the ``id`` field.
 from __future__ import annotations
 
 import struct
+from array import array
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import SchemaError
@@ -42,6 +49,12 @@ from .nodes import (
 
 _U32 = struct.Struct("<I")
 _U8 = struct.Struct("<B")
+
+#: Record layouts one schema keeps flush-time plans for.  A partition of
+#: generated tweets keeps about 100 (a union promotion drops them all); a
+#: tweet's key takes about 0.5 KiB and its plan 0.25 KiB, so this bounds a
+#: table to under 1 MiB.  A full table drops its oldest quarter.
+PLAN_CAPACITY = 1024
 
 
 class InferredSchema:
@@ -61,6 +74,67 @@ class InferredSchema:
         #: Monotonically increasing version; bumped on every mutation so
         #: on-disk components can record which schema snapshot covered them.
         self.version = 0
+        #: Flush-time plans of :func:`~repro.vector.compaction.infer_and_compact`:
+        #: uncompacted record layout -> the ``plan_slot`` of each node its
+        #: walk incremented (in walk order, with repeats; an ``array("I")``'s
+        #: bytes), then the packed ``FieldNameID`` entries it wrote.  One
+        #: ``bytes`` per plan, so a plan adds nothing the cyclic collector
+        #: tracks or counts.  A copy (:meth:`snapshot`, :meth:`from_bytes`)
+        #: starts with none.
+        self.plans: Dict[bytes, bytes] = {}
+        #: Every node with a slot, at that slot: a node's ``plan_slot`` is
+        #: either -1 or its index here.
+        self.plan_nodes: List[SchemaNode] = []
+
+    # ------------------------------------------------------------------ plans
+
+    def replay_plan(self, plan: bytes, id_count: int) -> bytes:
+        """Fold in one more record of a planned layout, as its walk would:
+        increment the root and every node ``plan`` names and bump the
+        version.  Returns the plan's ``id_count`` packed ids."""
+        ids_at = len(plan) - 2 * id_count
+        nodes = self.plan_nodes
+        self.root.counter += 1
+        for slot in array("I", plan[:ids_at]):
+            nodes[slot].counter += 1
+        self.version += 1
+        return plan[ids_at:]
+
+    def slotted(self, node: SchemaNode) -> SchemaNode:
+        """``node``, which has no slot, with the next one."""
+        node.plan_slot = len(self.plan_nodes)
+        self.plan_nodes.append(node)
+        return node
+
+    def keep_plan(self, layout: bytes, trail: List[int], ids: bytes) -> None:
+        """Store the plan of a walk that promoted nothing: ``trail`` holds the
+        ``plan_slot`` of every node it incremented, ``ids`` its packed entries.
+
+        A trail that names a node with no slot (a copy's tree, nodes
+        :meth:`observe` made, every node after :meth:`drop_plans`) stores no
+        plan; every node of the tree gets a slot instead, for the next walk.
+        """
+        if -1 in trail:
+            pending = [self.root]
+            for node in pending:
+                if node.plan_slot < 0:
+                    self.slotted(node)
+                pending.extend(node.children())
+            return
+        plans = self.plans
+        if len(plans) >= PLAN_CAPACITY:
+            for old in list(plans)[:PLAN_CAPACITY // 4]:
+                del plans[old]
+        plans[layout] = array("I", trail).tobytes() + ids
+
+    def drop_plans(self) -> None:
+        """Forget every plan and slot: a node some plan increments has been
+        replaced in its parent (a union promotion, a collapse) or has left the
+        tree (a prune)."""
+        self.plans.clear()
+        for node in self.plan_nodes:
+            node.plan_slot = -1
+        self.plan_nodes.clear()
 
     # ------------------------------------------------------------------ infer
 
@@ -68,6 +142,7 @@ class InferredSchema:
         """Infer/extend the schema from one record (insert path)."""
         if not isinstance(record, dict):
             raise SchemaError("only object records can be observed")
+        self.drop_plans()  # it may promote a node some plan increments
         self.root.increment()
         self._observe_object_fields(self.root, record, is_root=True)
         self.version += 1

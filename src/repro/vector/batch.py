@@ -101,7 +101,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import DecodingError
 from ..types import MISSING, VARLEN, TypeTag, navigate
-from .decoder import Path, PathStep, VectorRecordView, WILDCARD, build_value
+from .decoder import Path, PathStep, VectorRecordView, WILDCARD, build_value, torn_record
 from .layout import (
     CLOSE,
     DECLARED_FIELD_BIT,
@@ -433,7 +433,10 @@ class BatchExtractor:
                 if plan is not None and plan[-1] <= id_count:
                     break
         else:
-            plan, read = self._compile(view)
+            try:
+                plan, read = self._compile(view)
+            except IndexError:  # a name entry the record lacks
+                raise torn_record() from None
             key = layout  # a walk that ran off the end of a torn tags vector
             if read is not None:
                 n, m, k = read

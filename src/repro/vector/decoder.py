@@ -259,6 +259,13 @@ class VectorRecordView:
                            None if decode_values else _STRUCTURE_PLACEHOLDERS)[0]
 
 
+def torn_record() -> DecodingError:
+    """The error of a walk whose tags need a name entry, a varlen length or
+    an open value that the record does not hold."""
+    return DecodingError("vector-based record is torn: its tags vector needs more name "
+                         "entries, value lengths or open values than it holds")
+
+
 def build_value(view: VectorRecordView, tags: Any, raw: int, vectors: Tuple[Any, ...],
                 name_index: int, name_bytes: int, fixed: int, var_index: int, var_bytes: int,
                 placeholders: Optional[Dict[int, Any]] = None) -> Tuple[Any, ...]:
@@ -282,62 +289,65 @@ def build_value(view: VectorRecordView, tags: Any, raw: int, vectors: Tuple[Any,
     # One frame per open nested value: its parent container, the parent's
     # kind, and the key it sits under when the parent is an object.
     stack: List[Tuple[Any, int, Any]] = []
-    for raw in tags:
-        width, read, wrap = TAG_TABLE[raw]
-        if width == CLOSE:
-            if not stack:
-                break
-            finished, finished_kind = container, kind
-            container, kind, key = stack.pop()
-            if finished_kind == RAW_MULTISET:  # immutable: wrap once complete
-                if kind == RAW_OBJECT:
-                    container[key] = AMultiset(finished)
+    try:
+        for raw in tags:
+            width, read, wrap = TAG_TABLE[raw]
+            if width == CLOSE:
+                if not stack:
+                    break
+                finished, finished_kind = container, kind
+                container, kind, key = stack.pop()
+                if finished_kind == RAW_MULTISET:  # immutable: wrap once complete
+                    if kind == RAW_OBJECT:
+                        container[key] = AMultiset(finished)
+                    else:
+                        container[-1] = AMultiset(finished)
+                continue
+            if kind == RAW_OBJECT:
+                entry = entries[name_index]
+                name_index += 1
+                if entry & DECLARED_FIELD_BIT:
+                    if entry & NAME_ENTRY_MAX >= len(declared):
+                        raise view._unresolved(entry)
+                    key = declared[entry & NAME_ENTRY_MAX].name
+                elif id_names is None:
+                    key = payload[name_bytes:name_bytes + entry].decode()
+                    name_bytes += entry
+                elif 0 < entry <= id_count:
+                    key = id_names[entry - 1]
                 else:
-                    container[-1] = AMultiset(finished)
-            continue
-        if kind == RAW_OBJECT:
-            entry = entries[name_index]
-            name_index += 1
-            if entry & DECLARED_FIELD_BIT:
-                if entry & NAME_ENTRY_MAX >= len(declared):
                     raise view._unresolved(entry)
-                key = declared[entry & NAME_ENTRY_MAX].name
-            elif id_names is None:
-                key = payload[name_bytes:name_bytes + entry].decode()
-                name_bytes += entry
-            elif 0 < entry <= id_count:
-                key = id_names[entry - 1]
+            if width == NESTED:
+                value: Any = {} if raw == RAW_OBJECT else []
+                stack.append((container, kind, key))
+            elif placeholders is not None:
+                try:
+                    value = placeholders[raw]
+                except KeyError:
+                    raise DecodingError(f"unexpected tag {raw} in tags vector") from None
+            elif width > 0:
+                if wrap is None:
+                    (value,) = read(payload, fixed)
+                else:
+                    value = wrap(*read(payload, fixed))
+                fixed += width
+            elif width == VARLEN:
+                length = lengths[var_index]
+                var_index += 1
+                value = read(payload[var_bytes:var_bytes + length])
+                var_bytes += length
+            elif not width:
+                value = wrap  # NULL or MISSING
             else:
-                raise view._unresolved(entry)
-        if width == NESTED:
-            value: Any = {} if raw == RAW_OBJECT else []
-            stack.append((container, kind, key))
-        elif placeholders is not None:
-            try:
-                value = placeholders[raw]
-            except KeyError:
-                raise DecodingError(f"unexpected tag {raw} in tags vector") from None
-        elif width > 0:
-            if wrap is None:
-                (value,) = read(payload, fixed)
+                raise DecodingError(f"unexpected tag {raw} in tags vector")
+            if kind == RAW_OBJECT:
+                container[key] = value
             else:
-                value = wrap(*read(payload, fixed))
-            fixed += width
-        elif width == VARLEN:
-            length = lengths[var_index]
-            var_index += 1
-            value = read(payload[var_bytes:var_bytes + length])
-            var_bytes += length
-        elif not width:
-            value = wrap  # NULL or MISSING
-        else:
-            raise DecodingError(f"unexpected tag {raw} in tags vector")
-        if kind == RAW_OBJECT:
-            container[key] = value
-        else:
-            container.append(value)
-        if width == NESTED:
-            container, kind = value, raw
+                container.append(value)
+            if width == NESTED:
+                container, kind = value, raw
+    except IndexError:  # a name entry or a varlen length the record lacks
+        raise torn_record() from None
     if top_kind == RAW_MULTISET:
         top = AMultiset(top)
     return top, name_index, name_bytes, fixed, var_index, var_bytes

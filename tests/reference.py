@@ -18,7 +18,9 @@ It also keeps the dict side of the tuple compactor's delete maintenance
 :func:`remove_antischema` walks it by name, decrementing an
 ``InferredSchema`` — the oracle the engine's one-pass
 ``InferredSchema.remove`` over stored bytes is checked against, counter for
-counter.
+counter.  :class:`WalkedSchema` is the oracle of the flush-time plans: an
+``InferredSchema`` that keeps none, so ``infer_and_compact`` walks every
+record it is given.
 
 It keeps the LSM index's record count as a reconcile of snapshots
 (:func:`reference_record_count`), the oracle of the counters the memtables
@@ -226,6 +228,7 @@ def remove_antischema(schema: InferredSchema, antischema: Dict[str, Any]) -> Non
     what reaches zero, collapse a union left with one branch (Figure 11)."""
     if not isinstance(antischema, dict):
         raise SchemaError("only object records can be removed")
+    schema.drop_plans()
     schema.root.decrement()
     _remove_object_fields(schema, schema.root, antischema, is_root=True)
     schema.version += 1
@@ -276,6 +279,22 @@ def _remove_value(schema: InferredSchema, node: SchemaNode, value: Any) -> Optio
             node.item = _remove_value(schema, node.item, item)
     node.decrement()
     return None if node.is_dead else node
+
+
+class WalkedSchema(InferredSchema):
+    """An ``InferredSchema`` that never keeps a flush-time plan: every record
+    ``infer_and_compact`` folds into it is walked."""
+
+    def keep_plan(self, layout: bytes, trail: List[int], ids: bytes) -> None:
+        pass
+
+
+def assert_same_schema(planned: InferredSchema, walked: InferredSchema) -> None:
+    """``planned`` holds what ``walked`` holds: every counter, the bytes a
+    component persists, and the version."""
+    assert planned.structurally_equal(walked, compare_counters=True)
+    assert planned.to_bytes() == walked.to_bytes()
+    assert planned.version == walked.version
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from repro.vector import (
     infer_and_compact, is_compacted,
 )
 
-from reference import extract_antischema, remove_antischema
+from reference import WalkedSchema, assert_same_schema, extract_antischema, remove_antischema
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -224,6 +224,43 @@ class TestFusedInferAndCompact:
             assert fused.structurally_equal(reference, compare_counters=True)
         assert fused.root.counter == 0 and not fused.root.fields
         assert fused.version == 2 * len(payloads)
+
+    @_slow_settings
+    @given(records=_typed_records, declaring=st.booleans(), data=st.data())
+    def test_plans_replay_what_the_walk_does(self, records, declaring, data):
+        """Each record twice in a row, then all of them again; then some
+        removed for good (prunes, collapses) and folded in once more.  After
+        every step the planned schema holds what a walked one holds."""
+        datatype = _DECLARING if declaring else open_only_primary_key("T")
+        encoder = VectorEncoder(datatype)
+        planned, walked = InferredSchema(datatype), WalkedSchema(datatype)
+        payloads = [encoder.encode(dict(record, id=key)) for key, record in enumerate(records)]
+        keys = list(range(len(payloads)))
+        for key in [key for key in keys for _ in range(2)] + keys:
+            payload = payloads[key]
+            assert infer_and_compact(payload, planned) == infer_and_compact(payload, walked)
+            assert_same_schema(planned, walked)
+        gone = data.draw(st.permutations(keys))[:data.draw(st.integers(0, len(keys)))]
+        for key in gone:
+            for _ in range(3):
+                planned.remove(payloads[key])
+                walked.remove(payloads[key])
+                assert_same_schema(planned, walked)
+        for key in gone + gone:
+            payload = payloads[key]
+            assert infer_and_compact(payload, planned) == infer_and_compact(payload, walked)
+            assert_same_schema(planned, walked)
+
+    @pytest.mark.parametrize("corpus", list(_CORPORA))
+    def test_plans_over_a_corpus_inserted_twice(self, corpus):
+        datatype = open_only_primary_key("T")
+        planned, walked = InferredSchema(datatype), WalkedSchema(datatype)
+        records = list(_CORPORA[corpus]())
+        for record in records + records:
+            payload = VectorEncoder(datatype).encode(record)
+            assert infer_and_compact(payload, planned) == infer_and_compact(payload, walked)
+            assert_same_schema(planned, walked)
+        assert planned.plans and not walked.plans
 
     def test_compacted_input_is_rejected(self):
         schema = InferredSchema()

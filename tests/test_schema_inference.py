@@ -1,5 +1,7 @@
 """Unit tests for schema inference, maintenance, and serialization."""
 
+from array import array
+
 import pytest
 
 from repro.errors import SchemaError
@@ -20,9 +22,9 @@ from repro.types import (
     TypeTag,
     open_only_primary_key,
 )
-from repro.vector import VectorEncoder
+from repro.vector import VectorEncoder, infer_and_compact
 
-from reference import extract_antischema, remove_antischema
+from reference import WalkedSchema, assert_same_schema, extract_antischema, remove_antischema
 
 PAPER_FIGURE10_RECORD = {
     "id": 1,
@@ -232,6 +234,84 @@ class TestAntischema:
         assert type_tag_of(anti["a"]) is TypeTag.DOUBLE
         assert type_tag_of(anti["b"]) is TypeTag.STRING
         assert type_tag_of(anti["c"][0]) is TypeTag.BOOLEAN
+
+
+def _in_step(steps):
+    """Run ``(operation, record)`` steps on a schema that keeps flush-time
+    plans and on one that walks every record, checking after each step that
+    both hold the same; returns the planned schema."""
+    encoder = VectorEncoder(None)
+    planned, walked = InferredSchema(), WalkedSchema()
+    for operation, record in steps:
+        payload = encoder.encode(record)
+        if operation == "infer":
+            assert infer_and_compact(payload, planned) == infer_and_compact(payload, walked)
+        elif operation == "remove":
+            planned.remove(payload)
+            walked.remove(payload)
+        else:
+            getattr(planned, operation)(record)
+            getattr(walked, operation)(record)
+        assert_same_schema(planned, walked)
+    return planned
+
+
+class TestFlushPlans:
+    """A record layout the schema has walked is folded in again by replaying
+    its plan; every replay must leave what a walk leaves."""
+
+    def test_a_layout_seen_before_replays_its_plan(self):
+        record = {"a": 1, "b": [{"c": "x"}, {"c": "y"}]}
+        planned = _in_step([("infer", record)] * 2)  # a walk stores the plan, a replay
+        assert len(planned.plans) == 1
+        # the slots of a, b, b's item twice and c twice, then the ids of a, b, c, c
+        assert len(next(iter(planned.plans.values()))) == 6 * array("I").itemsize + 4 * 2
+        _in_step([("infer", record)] * 4)
+
+    def test_an_array_item_promoted_mid_walk(self):
+        """The walk of ``[1, "a", 2]`` increments the item node, promotes it
+        on ``"a"`` and increments the new union on ``2``: it stores no plan,
+        and the plan of ``[1, 2]``, through the replaced node, is dropped."""
+        ints, mixed = {"xs": [1, 2]}, {"xs": [1, "a", 2]}
+        planned = _in_step([("infer", ints)] * 3 + [("infer", mixed)])
+        assert not planned.plans
+        _in_step([("infer", ints)] * 3 + [("infer", mixed)]
+                 + [("infer", ints), ("infer", mixed)] * 3)
+
+    def test_a_field_promoted_by_its_last_value(self):
+        number, text = {"n": 1}, {"n": "a"}
+        _in_step([("infer", number)] * 3 + [("infer", text)] * 3 + [("infer", number)] * 2)
+
+    @pytest.mark.parametrize("pruned", [{"x": 1}, {"x": [{"y": 1}]}, {"x": {"y": 1}, "z": 2}])
+    def test_a_layout_folded_in_again_after_a_prune_on_its_path(self, pruned):
+        _in_step([("infer", pruned)] * 3 + [("remove", pruned)] * 3 + [("infer", pruned)] * 3)
+
+    def test_a_layout_folded_in_again_after_a_collapse_on_its_path(self):
+        """Removing the strings prunes the unions' STRING branches and
+        collapses them: a plan of ``text`` kept past that would count the
+        detached branches, where a walk promotes the fields again."""
+        ints, text = {"x": 1, "w": [1]}, {"x": "s", "w": ["s"]}
+        _in_step([("infer", ints)] * 3 + [("infer", text)] * 3 + [("infer", ints)] * 2
+                 + [("remove", text)] * 3 + [("infer", text), ("infer", ints)] * 2
+                 + [("remove", ints)] * 7 + [("infer", ints)] * 2)
+
+    def test_observe_and_the_dict_remove_drop_the_plans(self):
+        _in_step([("infer", {"x": 1})] * 3 + [("observe", {"x": "s"})] + [("infer", {"x": 1})] * 2)
+        planned = _in_step([("infer", {"x": 1})] * 3)
+        remove_antischema(planned, extract_antischema({"x": 1}))
+        assert not planned.plans
+
+    def test_copies_start_with_no_plans(self):
+        planned = _in_step([("infer", {"x": 1, "y": [2.5]})] * 3)
+        assert planned.plans
+        for copy in (planned.snapshot(), InferredSchema.from_bytes(planned.to_bytes())):
+            assert not copy.plans and not copy.plan_nodes
+            payload = VectorEncoder(None).encode({"x": 1, "y": [2.5]})
+            walked = WalkedSchema.from_bytes(planned.to_bytes())
+            for _ in range(3):
+                assert infer_and_compact(payload, copy) == infer_and_compact(payload, walked)
+                assert_same_schema(copy, walked)
+            assert copy.plans
 
 
 class TestMergeAndSnapshot:

@@ -14,7 +14,10 @@ from repro.obs import MetricsRegistry
 from repro.schema import InferredSchema
 from repro.storage import BufferCache, FileManager, SimulatedStorageDevice
 from repro.types import TypeTag, deep_equals, open_only_primary_key
-from repro.vector import VectorEncoder, VectorRecordView, compact_record, is_compacted
+from repro.vector import (VectorEncoder, VectorRecordView, compact_record, infer_and_compact,
+                          is_compacted)
+
+from reference import WalkedSchema, assert_same_schema
 
 
 def _compacting_index(memory_budget=1 << 20):
@@ -339,6 +342,76 @@ class TestOnePassEverywhere:
         assert compacting.schema.to_bytes() == reference.to_bytes()
         assert compacting.records_compacted == 1
         assert compacting.bytes_saved == len(payload) - len(compacted) > 0
+
+
+def _walked_flushes(datatype, batches):
+    """What walking every record of each flushed batch, in key order, leaves:
+    the schema and each key's compacted payload."""
+    walked, encoder, stored = WalkedSchema(datatype), VectorEncoder(datatype), {}
+    for batch in batches:
+        for record in sorted(batch, key=lambda record: record["id"]):
+            stored[record["id"]] = infer_and_compact(encoder.encode(record), walked)
+    return walked, stored
+
+
+class TestFlushPlansInTheEngine:
+    """The live schema of a partition keeps flush-time plans across flushes;
+    a rolled-back flush and a recovered partition start with none.  Either
+    way the partition ends where walking every record ends."""
+
+    @pytest.mark.parametrize("point", ["device.write", "file.write_page"])
+    def test_a_failed_then_retried_flush_equals_a_clean_one_and_the_walk(self, point,
+                                                                         isolated_injector):
+        records = list(twitter.generate(90))
+        batches = [records[:30], records[30:60], records[60:]]
+        clean, clean_compactor, encoder = _compacting_index()
+        retried, compactor, _ = _compacting_index()
+        for number, batch in enumerate(batches):
+            for index in (clean, retried):
+                for record in batch:
+                    _insert(index, encoder, record)
+            clean.flush()
+            if number == 1:  # folds every record in, replaying plans, then the write fails
+                isolated_injector.add_rule(point, nth=1, times=1)
+                with pytest.raises(TransientIOError):
+                    retried.flush()
+                assert compactor.schema.version == 30 and not compactor.schema.plans
+            retried.flush()
+        walked, stored = _walked_flushes(compactor.datatype, batches)
+        for schema in (compactor.schema, clean_compactor.schema):
+            assert_same_schema(schema, walked)
+            assert schema.plans
+        for key, payload in stored.items():
+            assert retried.search(key).payload == clean.search(key).payload == payload
+
+    def test_a_recovered_partition_folds_records_in_as_the_walk_does(self):
+        from repro.lsm import recover_index
+
+        records = list(twitter.generate(90))
+        batches = [records[:30], records[30:60], records[60:]]
+        crashed, compactor, encoder = _compacting_index()
+        control, control_compactor, _ = _compacting_index()
+        for batch in batches[:2]:
+            for index in (crashed, control):
+                for record in batch:
+                    _insert(index, encoder, record)
+                index.flush()
+        assert compactor.schema.plans
+        recovered_compactor = TupleCompactor(compactor.datatype)
+        recovered = LSMBTree("emp", 0, crashed.buffer_cache, 1 << 20, NoMergePolicy(),
+                             recovered_compactor)
+        assert recover_index(recovered, datatype=compactor.datatype).schema_loaded
+        assert not recovered_compactor.schema.plans
+        for index in (recovered, control):
+            for record in batches[2]:
+                _insert(index, encoder, record)
+            index.flush()
+        walked, stored = _walked_flushes(compactor.datatype, batches)
+        for schema in (recovered_compactor.schema, control_compactor.schema):
+            assert_same_schema(schema, walked)
+        assert recovered_compactor.schema.plans
+        for key, payload in stored.items():
+            assert recovered.search(key).payload == control.search(key).payload == payload
 
 
 class TestCompactorRecovery:

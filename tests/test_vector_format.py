@@ -16,10 +16,12 @@ from repro.types import (
     open_only_primary_key,
 )
 from repro.vector import (
+    BatchExtractor,
     VectorEncoder,
     VectorRecordView,
     compact_record,
     expand_record,
+    infer_and_compact,
     is_compacted,
     record_total_length,
 )
@@ -280,6 +282,39 @@ class TestUndecodablePayloads:
     def test_every_walker_raises_decoding_error(self, case, read):
         with pytest.raises(DecodingError):
             read(_undecodable_views()[case])
+
+    @staticmethod
+    def _one_name_entry_short(compacted):
+        """``{"a": 1, "b": 2}`` with its name-entry count set to 1, and the
+        schema that compacted it."""
+        schema = InferredSchema()
+        payload = VectorEncoder(None).encode({"a": 1, "b": 2})
+        if compacted:
+            payload = infer_and_compact(payload, schema)
+        patched = bytearray(payload)
+        names_at = VectorRecordView(payload).offset_names
+        patched[names_at:names_at + 4] = (1).to_bytes(4, "little")
+        return bytes(patched), schema
+
+    def test_materialize_of_a_record_short_of_name_entries(self):
+        payload, schema = self._one_name_entry_short(compacted=True)
+        with pytest.raises(DecodingError):
+            VectorRecordView(payload, None, schema.dictionary).materialize()
+
+    def test_extract_of_a_record_short_of_name_entries(self):
+        payload, schema = self._one_name_entry_short(compacted=True)
+        with pytest.raises(DecodingError):
+            BatchExtractor([("b",)]).extract(VectorRecordView(payload, None, schema.dictionary))
+
+    def test_infer_and_compact_of_a_record_short_of_name_entries(self):
+        payload, _ = self._one_name_entry_short(compacted=False)
+        with pytest.raises(DecodingError):
+            infer_and_compact(payload, InferredSchema())
+
+    def test_remove_of_a_record_short_of_name_entries(self):
+        payload, schema = self._one_name_entry_short(compacted=True)
+        with pytest.raises(DecodingError):
+            schema.remove(payload)
 
     @pytest.mark.parametrize("cut", [3, 40, 200])
     def test_truncated_payload_is_refused(self, cut):
