@@ -171,7 +171,7 @@ def _lsm_index(entries: int) -> LSMBTree:
 
 def _insert(index: LSMBTree, keys: range) -> None:
     for key in keys:
-        index.insert(key, None, key.to_bytes(4, "little") * (VALUE_SIZE // 4))
+        index.insert(key, key.to_bytes(4, "little") * (VALUE_SIZE // 4))
 
 
 def _four_components(entries: int) -> LSMBTree:

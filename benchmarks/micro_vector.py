@@ -21,6 +21,10 @@ generated tweets, and for ADM ``materialize`` and
 one ``get_field`` per path of the same four over the ADM payloads of the
 same tweets.
 
+The rounds run round-robin: each round times every loop once, so a burst
+of load from elsewhere on the box falls on both sides of a gate alike
+rather than on the rows that happened to run during it.
+
 Seven gates, run by CI at ``500 5``; each compares two numbers from this
 process, so the box's speed cancels, and the exit status is 1 when any
 fails:
@@ -62,7 +66,7 @@ from __future__ import annotations
 import statistics
 import sys
 import time
-from typing import Callable, List
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.adm import ADMEncoder, ADMRecordView
 from repro.datasets import twitter
@@ -74,13 +78,16 @@ PATHS = (("user", "name"), ("text",), ("entities", "hashtags", "*", "text"), ("t
 Q3_PATHS = (("user", "name"), ("entities", "hashtags", "*", "text"))
 
 
-def _us_per_record(passes: Callable[[], object], records: int, rounds: int) -> float:
-    samples: List[float] = []
+def _us_per_record(loops: Sequence[Tuple[str, Callable[[], object]]], records: int,
+                   rounds: int) -> Dict[str, float]:
+    """Each loop's median µs per record, every round timing every loop once."""
+    samples: Dict[str, List[float]] = {name: [] for name, _ in loops}
     for _ in range(rounds):
-        started = time.process_time()
-        passes()
-        samples.append((time.process_time() - started) / records)
-    return 1e6 * statistics.median(samples)
+        for name, passes in loops:
+            started = time.process_time()
+            passes()
+            samples[name].append((time.process_time() - started) / records)
+    return {name: 1e6 * statistics.median(times) for name, times in samples.items()}
 
 
 def main(records: int = 2000, rounds: int = 7) -> int:
@@ -142,9 +149,8 @@ def main(records: int = 2000, rounds: int = 7) -> int:
          lambda: [[view.get_field(*path) for path in PATHS] for view in adm_views]),
     ]
     print(f"{records} tweets, median of {rounds} rounds, CPU µs per record")
-    cost = {}
-    for name, passes in loops:
-        cost[name] = _us_per_record(passes, records, rounds)
+    cost = _us_per_record(loops, records, rounds)
+    for name, _ in loops:
         print(f"  {name:<26}{cost[name]:8.1f}")
     extract = cost["extract, 4 paths"] / cost["materialize"]
     print(f"  extract / materialize    = {extract:.2f} (gate: < 1)")

@@ -61,11 +61,6 @@ class StorageFormat(enum.Enum):
         """Whether records are physically stored in the vector-based format."""
         return self in (StorageFormat.INFERRED, StorageFormat.SL_VB)
 
-    @property
-    def compacts_records(self) -> bool:
-        """Whether the tuple compactor strips field names during flushes."""
-        return self is StorageFormat.INFERRED
-
 
 class DeviceKind(enum.Enum):
     """Storage device classes evaluated in the paper."""

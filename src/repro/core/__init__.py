@@ -2,7 +2,7 @@
 
 from .dataset import Dataset, hash_partition
 from .environment import StorageEnvironment
-from .formats import DictRecordView, RecordFormatCodec
+from .formats import RecordFormatCodec
 from .partition import Partition
 from .tuple_compactor import TupleCompactor
 
@@ -13,5 +13,4 @@ __all__ = [
     "Partition",
     "TupleCompactor",
     "RecordFormatCodec",
-    "DictRecordView",
 ]

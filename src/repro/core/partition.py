@@ -9,8 +9,9 @@ whose schema is entirely independent of other partitions' schemas
 
 It is also the only translator between the two: the LSM index hands out
 stored rows — a :class:`~repro.lsm.lsm_index.SearchResult` from lookups and
-probes, runs of rows from scans — and this class turns them into record
-views (:meth:`Partition._view`, :meth:`Partition.scan_runs`).
+probes, runs of rows from scans — and this class opens their bytes as record
+views through the codec, memtable rows and component rows alike
+(:meth:`Partition.scan_runs`).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from ..schema import InferredSchema
 from ..types import Datatype
 from ..vector import extractor_for
 from .environment import StorageEnvironment
-from .formats import DictRecordView, RecordFormatCodec
+from .formats import RecordFormatCodec
 from .tuple_compactor import TupleCompactor
 
 
@@ -72,18 +73,16 @@ class Partition:
             raise KeyError(f"record is missing the primary key {self.config.primary_key!r}") from exc
 
     def insert(self, record: Dict[str, Any]) -> None:
-        key = self._key_of(record)
-        self.index.insert(key, record, self.codec.encode(record))
+        self.index.insert(self._key_of(record), self.codec.encode(record))
 
     def upsert(self, record: Dict[str, Any]) -> None:
-        key = self._key_of(record)
-        self.index.upsert(key, record, self.codec.encode(record))
+        self.index.upsert(self._key_of(record), self.codec.encode(record))
 
     def delete(self, key: Any) -> None:
         self.index.delete(key)
 
     def bulk_load(self, records: Sequence[Dict[str, Any]]) -> None:
-        rows = [(self._key_of(record), record, self.codec.encode(record)) for record in records]
+        rows = [(self._key_of(record), self.codec.encode(record)) for record in records]
         self.index.load(rows)
 
     def flush(self) -> None:
@@ -91,20 +90,11 @@ class Partition:
 
     # ------------------------------------------------------------------ reads
 
-    def _view(self, payload: bytes, schema: Optional[InferredSchema],
-              record: Optional[Dict[str, Any]] = None) -> Any:
-        """The one stored row → record view conversion: the dict of a row
-        still in a memtable, else the payload opened under the schema of the
-        component it came from."""
-        if record is not None:
-            return DictRecordView(record)
-        return self.codec.view(payload, schema or self.current_schema())
-
     def search(self, key: Any) -> Optional[Dict[str, Any]]:
         result = self.index.search(key)
         if result is None:
             return None
-        return self._view(result.payload, result.schema, result.record).materialize()
+        return self.codec.view(result.payload, result.schema).materialize()
 
     def scan_runs(self, paths: Sequence[Tuple[Any, ...]] = (), extractor: Any = None,
                   slice_stats: Any = None) -> Iterator[Tuple[Any, Any, int, int]]:
@@ -118,8 +108,9 @@ class Partition:
         values per path, the cached chunk's own lists, handed out by
         reference — read them, never mutate them.  Every other run —
         memtable rows, and all rows otherwise — arrives as a list of record
-        ``views``.
+        ``views`` over the stored bytes.
         """
+        view = self.codec.view
         cache = self.environment.column_cache
         source = None
         if extractor is not None and cache.enabled:
@@ -127,14 +118,12 @@ class Partition:
 
             def source(component):
                 return cached_component_scan(
-                    cache, component, lambda payload: self._view(payload, component.schema),
+                    cache, component, lambda payload: view(payload, component.schema),
                     extractor, pkey, slice_stats)
 
-        view = self._view
         for component, run, start, stop in self.index.scan(component_source=source):
-            if component is None:  # a memtable run
-                views = [view(entry.encoded, None, entry.record)
-                         for entry in run.entries[start:stop]]
+            if component is None:  # a memtable run: uncompacted, no schema needed
+                views = [view(entry.encoded) for entry in run.entries[start:stop]]
             elif type(run) is SliceChunk:
                 yield run.columns, None, start, stop
                 continue
@@ -189,8 +178,9 @@ class Partition:
         source): the rows of :meth:`LSMBTree.probe`, in primary-key order —
         a *superset* of the true answer, so callers must re-apply the
         predicate."""
+        view = self.codec.view
         for result in self.index.probe(index_name, low, high, low_inclusive, high_inclusive):
-            yield self._view(result.payload, result.schema, result.record)
+            yield view(result.payload, result.schema)
 
     # ------------------------------------------------------------------ maintenance & stats
 
@@ -213,10 +203,5 @@ class Partition:
         components); recovery re-discovers valid components, reloads the
         newest schema, replays the WAL, and flushes (paper §3.1.2).
         """
-        recover_index(
-            self.index,
-            wal=self.environment.wal,
-            datatype=self.datatype,
-            payload_decoder=lambda payload: self.codec.decode(payload, None),
-        )
+        recover_index(self.index, wal=self.environment.wal, datatype=self.datatype)
         return self

@@ -29,7 +29,7 @@ Crash recovery re-loads the newest valid component's schema via
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 from ..lsm.component import OnDiskComponent
 from ..lsm.component_id import ComponentId
@@ -73,14 +73,13 @@ class TupleCompactor(FlushCallback):
         (self.schema, self.flush_count,
          self.records_compacted, self.bytes_saved) = state
 
-    def transform_record(self, key: Any, record: Optional[Dict[str, Any]], encoded: bytes) -> bytes:
+    def transform_record(self, key: Any, encoded: bytes) -> bytes:
         """Infer the record's schema and compact it, in one pass.
 
         :func:`~repro.vector.infer_and_compact` reads only the type-tag and
         field-name vectors of ``encoded`` — the flush-time scan the paper
-        describes, or the plan of a layout it scanned before — rather than
-        re-using the Python dict that happens to still be in the memtable;
-        the value vectors are copied through.
+        describes, or the plan of a layout it scanned before; the value
+        vectors are copied through.
         """
         compacted = infer_and_compact(encoded, self.schema)
         self.records_compacted += 1
@@ -107,6 +106,9 @@ class TupleCompactor(FlushCallback):
     # ------------------------------------------------------------------ recovery & maintenance
 
     def load_schema(self, schema: InferredSchema) -> None:
-        """Adopt a schema recovered from the newest valid on-disk component."""
-        schema.datatype = self.datatype
-        self.schema = schema
+        """Adopt a copy of the schema recovered from the newest valid on-disk
+        component: later flushes grow the copy, never the component's own
+        schema.  The copy's dictionary stays in the component's family, so
+        extraction plans serve both."""
+        self.schema = schema.snapshot()
+        self.schema.datatype = self.datatype

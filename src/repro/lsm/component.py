@@ -67,7 +67,8 @@ class MemEntry:
 
     key: Any
     is_antimatter: bool
-    record: Optional[Dict[str, Any]] = None
+    #: The record's in-memory encoding (uncompacted): the only form of it
+    #: the memtable keeps.
     encoded: bytes = b""
     #: Anti-schema of the record version this entry supersedes (delete/upsert
     #: over a record the schema has counted or will count): that version's

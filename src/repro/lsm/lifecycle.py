@@ -12,11 +12,13 @@ defines the equivalent interface.
     callback.begin_flush(component_id)
     for entry in memtable (key order):
         callback.process_antischema(old_payload)   # deletes & upserts of a stored key
-        payload = callback.transform_record(key, record, encoded)   # inserts
+        payload = callback.transform_record(key, encoded)   # inserts
     schema_bytes, schema = callback.end_flush()
 
-where ``old_payload`` is the stored bytes of the version the entry
-supersedes, fetched by the delete or upsert's point lookup (paper §3.2.2).
+where ``encoded`` is the record's in-memory encoding — the memtable holds
+nothing else of it — and ``old_payload`` is the stored bytes of the version
+the entry supersedes, fetched by the delete or upsert's point lookup (paper
+§3.2.2).
 
 and, for merges::
 
@@ -29,7 +31,7 @@ compactor run with the default pass-through behaviour.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 from ..schema import InferredSchema
 from .component import OnDiskComponent
@@ -46,14 +48,10 @@ class FlushCallback:
     #: insert-only speed.
     needs_antischema = False
 
-    #: The partition's current in-memory schema; ``None`` when the callback
-    #: infers nothing (pass-through datasets).
-    schema: Optional[InferredSchema] = None
-
     def begin_flush(self, component_id: ComponentId) -> None:
         """Called when a flush starts, before any entry is processed."""
 
-    def transform_record(self, key: Any, record: Optional[Dict[str, Any]], encoded: bytes) -> bytes:
+    def transform_record(self, key: Any, encoded: bytes) -> bytes:
         """Transform one inserted record's payload before it is written.
 
         The default keeps the in-memory encoding unchanged; the tuple

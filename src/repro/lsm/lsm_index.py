@@ -119,12 +119,13 @@ class SealedMemtable:
 
 @dataclass
 class SearchResult:
-    """One record a point lookup or an index probe returns."""
+    """One record a point lookup or an index probe returns: its stored bytes
+    and the schema of the component they came from (None for a memtable
+    row, which is uncompacted)."""
 
     key: Any
     payload: bytes
-    schema: Optional[InferredSchema]
-    record: Optional[Dict[str, Any]] = None  # set only for memtable hits
+    schema: Optional[InferredSchema] = None
 
 
 _KEY = attrgetter("key")
@@ -227,11 +228,11 @@ class LSMBTree:
 
     # ------------------------------------------------------------------ write path
 
-    def insert(self, key: Any, record: Dict[str, Any], encoded: bytes) -> None:
-        """Insert a new record (data feeds and loads; key assumed fresh)."""
+    def insert(self, key: Any, encoded: bytes) -> None:
+        """Insert a new record's encoding (data feeds and loads; key assumed fresh)."""
         self._check_fits_page(key, encoded)
         self._log(LogRecordType.INSERT, key, encoded)
-        self.memory_component.put(MemEntry(key, is_antimatter=False, record=record, encoded=encoded))
+        self.memory_component.put(MemEntry(key, is_antimatter=False, encoded=encoded))
         self.stats.inserts += 1
         self._flush_if_full()
 
@@ -249,7 +250,7 @@ class LSMBTree:
         self.stats.deletes += 1
         self._flush_if_full()
 
-    def upsert(self, key: Any, record: Dict[str, Any], encoded: bytes) -> None:
+    def upsert(self, key: Any, encoded: bytes) -> None:
         """Upsert = delete (if present) followed by an insert with the same key."""
         self._check_fits_page(key, encoded)
         if self.flush_callback.needs_antischema:
@@ -260,7 +261,7 @@ class LSMBTree:
             antischema = None
         self._log(LogRecordType.UPSERT, key, encoded)
         self.memory_component.put(
-            MemEntry(key, is_antimatter=False, record=record, encoded=encoded, antischema=antischema)
+            MemEntry(key, is_antimatter=False, encoded=encoded, antischema=antischema)
         )
         self.stats.upserts += 1
         self._flush_if_full()
@@ -288,8 +289,7 @@ class LSMBTree:
             # ordered before the mutable memtable's flush, so by the time this
             # new entry's anti-schema is processed the old version has been
             # counted — decrement it like a disk-resident version, by the
-            # bytes the schema will observe: the caller may have changed its
-            # dict since.
+            # bytes the schema will observe.
             return entry.encoded
 
         # Guarded like the query paths: with background maintenance a merge
@@ -485,7 +485,7 @@ class LSMBTree:
                 if entry.is_antimatter:
                     leaf_entries.append(LeafEntry(entry.key, b"", is_antimatter=True))
                 else:
-                    payload = callback.transform_record(entry.key, entry.record, entry.encoded)
+                    payload = callback.transform_record(entry.key, entry.encoded)
                     leaf_entries.append(LeafEntry(entry.key, payload, is_antimatter=False))
             schema_bytes, schema = callback.end_flush()
             if self.wal is not None:
@@ -637,7 +637,7 @@ class LSMBTree:
 
     # ------------------------------------------------------------------ bulk load
 
-    def load(self, rows: Sequence[Tuple[Any, Dict[str, Any], bytes]]) -> Optional[OnDiskComponent]:
+    def load(self, rows: Sequence[Tuple[Any, bytes]]) -> Optional[OnDiskComponent]:
         """Bulk-load pre-encoded records into a single on-disk component.
 
         This is AsterixDB's LOAD path (paper §4.3): the rows are sorted by
@@ -650,11 +650,11 @@ class LSMBTree:
         if not self.memory_component.is_empty or self.sealed_memtables or self.components:
             raise ComponentStateError("bulk load requires an empty index")
         memtable = InMemoryComponent()
-        for key, record, encoded in rows:
+        for key, encoded in rows:
             if memtable.get(key) is not None:
                 raise DuplicateKeyError(f"bulk load saw duplicate primary key {key!r}")
             self._check_fits_page(key, encoded)
-            memtable.put(MemEntry(key, is_antimatter=False, record=record, encoded=encoded))
+            memtable.put(MemEntry(key, is_antimatter=False, encoded=encoded))
         if memtable.is_empty:
             return None
         with self._maintenance_lock:
@@ -881,7 +881,6 @@ class LSMBTree:
         with self.read_guard():
             keys = sorted(self.secondary_candidate_keys(index_name, low, high,
                                                         low_inclusive, high_inclusive))
-            schema = self.current_schema()
             for key in keys:
                 entry = self._memory_lookup(key)
                 if entry is None:
@@ -889,22 +888,23 @@ class LSMBTree:
                     if result is not None:
                         yield result
                 elif not entry.is_antimatter:
-                    yield SearchResult(key, entry.encoded, schema, entry.record)
+                    yield SearchResult(key, entry.encoded)
 
     # ------------------------------------------------------------------ read path
 
     def search(self, key: Any) -> Optional[SearchResult]:
         """Point lookup: memtable first, then components newest to oldest.
 
-        Guarded like scans: the component-list snapshot inside
-        ``_search_disk`` must keep its files alive across a concurrent merge.
+        The disk lookup is guarded like scans: the component-list snapshot
+        inside ``_search_disk`` must keep its files alive across a concurrent
+        merge.  A memtable hit reads no file.  A key a flush moves between
+        the two lookups is found on disk: the flush installs its component
+        before it drops the sealed memtable.
         """
+        entry = self._memory_lookup(key)
+        if entry is not None:
+            return None if entry.is_antimatter else SearchResult(key, entry.encoded)
         with self.read_guard():
-            entry = self._memory_lookup(key)
-            if entry is not None:
-                if entry.is_antimatter:
-                    return None
-                return SearchResult(key, entry.encoded, self.current_schema(), entry.record)
             return self._search_disk(key)
 
     def _search_disk(self, key: Any) -> Optional[SearchResult]:
@@ -1015,10 +1015,6 @@ class LSMBTree:
                     yield owners[rank], run, start, stop
 
     # ------------------------------------------------------------------ inspection
-
-    def current_schema(self) -> Optional[InferredSchema]:
-        """Schema exposed by the flush callback (None for pass-through datasets)."""
-        return self.flush_callback.schema
 
     def storage_size(self) -> int:
         """Total on-disk bytes of the valid components' primary B+-tree

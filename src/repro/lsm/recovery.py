@@ -28,7 +28,7 @@ over a freshly constructed index.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import List, Optional
 
 from ..errors import CorruptPageError, QuarantinedComponentError, ReproError
 from ..schema import InferredSchema
@@ -55,8 +55,7 @@ class RecoveryReport:
 
 
 def recover_index(index: LSMBTree, wal: Optional[WriteAheadLog] = None,
-                  datatype: Optional[Datatype] = None,
-                  payload_decoder: Optional[Callable[[bytes], Dict[str, Any]]] = None) -> RecoveryReport:
+                  datatype: Optional[Datatype] = None) -> RecoveryReport:
     """Bring a freshly constructed index back to its pre-crash state.
 
     Parameters
@@ -69,10 +68,9 @@ def recover_index(index: LSMBTree, wal: Optional[WriteAheadLog] = None,
         discovery/validation happens.
     datatype:
         Declared datatype used to deserialize persisted schemas.
-    payload_decoder:
-        Decodes a WAL payload back into a record dict for replayed
-        inserts/upserts (needed because the memtable keeps record objects
-        alongside their encodings).
+
+    Replayed inserts and upserts put their logged payloads back into the
+    memtable as they are: the memtable holds nothing but those bytes.
     """
     report = RecoveryReport()
     recovered: List[OnDiskComponent] = []
@@ -123,20 +121,17 @@ def recover_index(index: LSMBTree, wal: Optional[WriteAheadLog] = None,
                     # plain anti-matter entry.
                     index.memory_component.put(MemEntry(record.key, is_antimatter=True))
                 continue
-            if payload_decoder is None:
-                raise ReproError("replaying inserts requires a payload_decoder")
-            decoded = payload_decoder(record.payload)
             if record.record_type is LogRecordType.INSERT:
-                index.insert(record.key, decoded, record.payload)
+                index.insert(record.key, record.payload)
                 continue
             try:
-                index.upsert(record.key, decoded, record.payload)
+                index.upsert(record.key, record.payload)
             except QuarantinedComponentError:
                 # The superseded version sits in a component quarantined
                 # at re-open: its anti-schema cannot be read, so the
                 # upsert lands without one, like a delete above.
                 index.memory_component.put(MemEntry(record.key, is_antimatter=False,
-                                                    record=decoded, encoded=record.payload))
+                                                    encoded=record.payload))
 
     if not index.memory_component.is_empty:
         index.flush()

@@ -367,10 +367,10 @@ def _make_room(table: Dict[Tuple[Any, ...], Plan]) -> bool:
 class BatchExtractor:
     """Compiled multi-path extractor, reusable across records and threads.
 
-    Record views of other formats resolve the paths themselves: a
-    ``DictRecordView`` (memtable row) through its own ``get_values``; an
-    ``ADMRecordView``, which navigates by offset and has no consolidated
-    access, with one ``get_field`` per path.
+    A record of the other format, an ``ADMRecordView``, navigates by offset
+    and has no consolidated access: it resolves the paths itself, with one
+    ``get_field`` per path.  Memtable and component rows alike arrive as
+    one of these two views.
     """
 
     def __init__(self, paths: Sequence[Sequence[PathStep]]) -> None:
@@ -394,8 +394,6 @@ class BatchExtractor:
         if not self.requests:
             return []
         if not isinstance(view, VectorRecordView):
-            if hasattr(view, "get_values"):
-                return view.get_values(*self.requests)
             return [view.get_field(*request) for request in self.requests]
         payload = view.payload
         id_names = view._resolvers()[0]

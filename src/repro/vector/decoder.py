@@ -140,6 +140,9 @@ class VectorRecordView:
         FieldNameID entries of compacted records.
     """
 
+    __slots__ = ("payload", "datatype", "dictionary", "total_length", "tag_count", "flags",
+                 "offset_tags", "offset_fixed", "offset_varlen", "offset_names")
+
     def __init__(self, payload: bytes, datatype: Optional[Datatype] = None,
                  dictionary=None) -> None:
         self.payload = payload

@@ -8,8 +8,8 @@ coordinator functions the engine itself uses (``merge_partials`` /
 ``finalize_groups`` / ``order_and_limit``).  With the engine it shares the
 operator and function *tables* (``Comparison._OPS``, ``Arithmetic._OPS``,
 ``_FUNCTIONS``), the ``sort_key`` ordering and path navigation
-(``DictRecordView`` is ``repro.types.navigate``, itself held to the vector
-walk by the property suite) — and no evaluation code: no column batches, no
+(``repro.types.navigate``, which the property suite holds the vector walk
+and the ADM view to) — and no evaluation code: no column batches, no
 compiled evaluators, no optimizer rewrites, no storage.  Agreement with it
 is evidence, not tautology.
 
@@ -32,7 +32,6 @@ tokens and errors are checked against, position for position.
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.core.dataset import hash_partition
-from repro.core.formats import DictRecordView
 from repro.errors import QueryError, SchemaError, SqlppError
 from repro.query import (And, Arithmetic, Comparison, Exists, FieldAccess, Func, IsTest, Literal,
                          Not, Or, QuerySpec, Var, get_aggregate)
@@ -57,7 +56,7 @@ def _items(collection: Any) -> Any:
 
 def evaluate(expr: Any, env: Dict[str, Any]) -> Any:
     """The value of ``expr`` where ``env`` maps variable names to plain values
-    (the scan variable to a ``DictRecordView``)."""
+    (the scan variable to its record dict)."""
     if isinstance(expr, Literal):
         return expr.value
     if isinstance(expr, Var):
@@ -65,10 +64,7 @@ def evaluate(expr: Any, env: Dict[str, Any]) -> Any:
             raise QueryError(f"unbound variable ${expr.name}")
         return env[expr.name]
     if isinstance(expr, FieldAccess):
-        value = env.get(expr.source, MISSING)
-        if isinstance(value, DictRecordView):
-            return value.get_field(*expr.path)
-        return navigate(value, expr.path)
+        return navigate(env.get(expr.source, MISSING), expr.path)
     if isinstance(expr, (Comparison, Arithmetic)):
         left, right = evaluate(expr.left, env), evaluate(expr.right, env)
         if _absent(left) or _absent(right):
@@ -130,7 +126,7 @@ def _unnested(collection: Any) -> List[Any]:
 def _bindings(spec: QuerySpec, records: Sequence[Dict[str, Any]]) -> Iterator[Dict[str, Any]]:
     """One environment per (record, unnested items...) combination passing WHERE."""
     for record in records:
-        env = {spec.record_var: DictRecordView(record)}
+        env = {spec.record_var: record}
         for clause in spec.lets:
             env[clause.name] = evaluate(clause.expr, env)
         envs = [env]
@@ -175,9 +171,7 @@ def reference_rows(spec: QuerySpec,
         for env in _bindings(spec, records):
             keys = [sort_key(evaluate(key.expr_or_column, env)) for key in spec.order_by]
             values = [(name, evaluate(expr, env)) for name, expr in spec.projections]
-            candidates.append((keys, {
-                name: value.record if isinstance(value, DictRecordView) else value
-                for name, value in values}))
+            candidates.append((keys, dict(values)))
     for position in range(len(spec.order_by) - 1, -1, -1):
         candidates.sort(key=lambda pair: pair[0][position],
                         reverse=spec.order_by[position].descending)

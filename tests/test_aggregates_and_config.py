@@ -129,8 +129,8 @@ class TestConfig:
         assert StorageFormat.INFERRED.uses_vector_format
         assert StorageFormat.SL_VB.uses_vector_format
         assert not StorageFormat.OPEN.uses_vector_format
-        assert StorageFormat.INFERRED.compacts_records
-        assert not StorageFormat.SL_VB.compacts_records
+        assert DatasetConfig(name="d", storage_format=StorageFormat.INFERRED).tuple_compactor_enabled
+        assert not DatasetConfig(name="d", storage_format=StorageFormat.SL_VB).tuple_compactor_enabled
 
     def test_lsm_config_defaults(self):
         config = LSMConfig()

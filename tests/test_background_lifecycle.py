@@ -104,13 +104,13 @@ class TestScheduler:
         b.maybe_merge = held_merge
         key = rotations = 0
         while rotations < 2:  # two sealed memtables: two flushes, then a merge
-            b.insert(key, {"id": key}, b"%06d" % key * 20)
+            b.insert(key, b"%06d" % key * 20)
             key += 1
             rotations += b.memory_component.is_empty
         assert started.wait(timeout=10)
 
         for a_key in range(200):  # background flushes of A beside B's merge
-            a.insert(a_key, {"id": a_key}, b"%06d" % a_key * 20)
+            a.insert(a_key, b"%06d" % a_key * 20)
         drained = threading.Thread(target=a.drain_maintenance, daemon=True)
         drained.start()
         drained.join(timeout=10)

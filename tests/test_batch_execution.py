@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 import repro.sqlpp
 from repro import Dataset, DeviceKind, StorageEnvironment, StorageFormat, compile_sqlpp
 from repro.adm import ADMEncoder, ADMRecordView
-from repro.core.formats import DictRecordView
 from repro.core.tuple_compactor import TupleCompactor
 from repro.datasets import sensors, twitter
 from repro.errors import DecodingError, QueryError, SchemaError
@@ -452,8 +451,13 @@ class TestExtractorViews:
         assert not hasattr(view, "get_values")
         assert BatchExtractor(self.PATHS).extract(view) == self.EXPECTED
 
-    def test_dict_view_keeps_get_values_wildcard_semantics(self):
-        view = DictRecordView(self.RECORD)
+    @pytest.mark.parametrize("view", [
+        lambda record: VectorRecordView(VectorEncoder(None).encode(record)),
+        lambda record: ADMRecordView(ADMEncoder(None).encode(record))],
+        ids=["vector", "adm"])
+    def test_memtable_views_keep_wildcard_semantics(self, view):
+        """A memtable row's view (uncompacted vector bytes, or ADM bytes)."""
+        view = view(self.RECORD)
         assert BatchExtractor(self.PATHS).extract(view) == self.EXPECTED
         # Passthrough of a non-collection at the wildcard prefix, [] when absent.
         assert BatchExtractor([("tags", WILDCARD), ("nope", WILDCARD)]).extract(view) == \
@@ -466,18 +470,23 @@ class TestExtractorViews:
         assert [([column[start] for column in columns], views, stop - start)
                 for columns, views, start, stop in source] == [(self.EXPECTED, None, 1)]
 
-    @pytest.mark.parametrize("storage_format", [StorageFormat.OPEN, StorageFormat.INFERRED])
-    def test_memtable_and_disk_records_extract_alike(self, storage_format):
+    @pytest.mark.parametrize("storage_format, view_type",
+                             [(StorageFormat.OPEN, ADMRecordView),
+                              (StorageFormat.INFERRED, VectorRecordView)])
+    def test_memtable_and_disk_records_extract_alike(self, storage_format, view_type):
+        """Both sides are the format's own view over stored bytes."""
         dataset = _dataset(storage_format, records=[self.RECORD],
                            name=f"extract_views_{storage_format.value}", flush=False)
         extractor = BatchExtractor(self.PATHS)
         partition = dataset.partitions[0]
         (memtable_view,) = partition.scan_views()
-        assert isinstance(memtable_view, DictRecordView)
+        assert type(memtable_view) is view_type
         assert extractor.extract(memtable_view) == self.EXPECTED
         dataset.flush_all()
         (disk_view,) = partition.scan_views()
-        assert not isinstance(disk_view, DictRecordView)
+        assert type(disk_view) is view_type
+        if view_type is VectorRecordView:  # compacted by the flush
+            assert disk_view.is_compacted and not memtable_view.is_compacted
         assert extractor.extract(disk_view) == self.EXPECTED
 
 
@@ -543,11 +552,11 @@ class TestExtractionPlans:
         state = compactor.snapshot_state()
         encoder = VectorEncoder(None)
         extractor = BatchExtractor([("a",), ("b",)])
-        first = compactor.transform_record(1, None, encoder.encode({"a": 1}))
+        first = compactor.transform_record(1, encoder.encode({"a": 1}))
         rolled_back = compactor.schema.dictionary
         assert extractor.extract(VectorRecordView(first, None, rolled_back)) == [1, MISSING]
         compactor.restore_state(state)
-        second = compactor.transform_record(1, None, encoder.encode({"b": 1}))
+        second = compactor.transform_record(1, encoder.encode({"b": 1}))
         dictionary = compactor.schema.dictionary
         assert second == first and dictionary.lookup("b") == rolled_back.lookup("a") == 1
         assert extractor.extract(VectorRecordView(second, None, dictionary)) == [MISSING, 1]
@@ -853,16 +862,15 @@ class TestBatchProperties:
     def test_extractor_matches_get_values(self, record):
         """Every way to read a path out of a record — the trie walk over the
         vector bytes (uncompacted and compacted), offset-guided ADM access
-        with and without a closed part, the plain-dict view — must equal
-        ``navigate`` over the record."""
+        with and without a closed part — must equal ``navigate`` over the
+        record."""
         schema = InferredSchema(None)
         schema.observe(record)
         payload = VectorEncoder(None).encode(record)
         views = [VectorRecordView(payload),
                  VectorRecordView(compact_record(payload, schema.dictionary), None,
                                   schema.dictionary),
-                 ADMRecordView(ADMEncoder(None).encode(record)),
-                 DictRecordView(record)]
+                 ADMRecordView(ADMEncoder(None).encode(record))]
         paths = list(dict.fromkeys(_paths_of(record)))[:32]
         paths += [("definitely_not_a_field",), ("definitely_not_a_field", WILDCARD),
                   (WILDCARD,), (0,)]
@@ -875,7 +883,7 @@ class TestBatchProperties:
             assert extractor.extract(view) == expected  # a hit: replayed
             assert len(extractor.plans) == plans + isinstance(view, VectorRecordView)
         assert views[0].get_values(*paths) == expected
-        assert views[-1].get_values(*paths) == expected
+        assert views[1].get_values(*paths) == expected
         _assert_declared_adm_reads(record, list(dict.fromkeys(_paths_of(record)))[:24])
 
     @_prop_settings

@@ -328,10 +328,10 @@ def test_key_of_the_wrong_declared_type(storage_format, flushed):
     assert dataset.count() == 6 and dataset.get(1) == {"id": 1, "v": 1}
 
 
-@pytest.mark.xfail(strict=True, reason="a memtable entry keeps the caller's dict by reference")
 @pytest.mark.parametrize("storage_format", [StorageFormat.OPEN, StorageFormat.INFERRED],
                          ids=["open", "inferred"])
 def test_memtable_read_is_not_the_callers_dict(storage_format):
+    """The memtable keeps the record's bytes, not the dict handed to insert."""
     dataset = Dataset.create("alias", storage_format)
     record = {"id": 1, "v": 5}
     dataset.insert(record)

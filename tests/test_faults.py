@@ -494,7 +494,7 @@ class TestSchedulerResilience:
 
         def insert(keys):
             for key in keys:
-                index.insert(key, {"id": key}, b"v%03d" % key)
+                index.insert(key, b"v%03d" % key)
 
         insert(range(10))
         index.flush()
@@ -553,7 +553,7 @@ class TestFlushRetrySafety:
         index = _index(cache, scheduler=scheduler, memory_budget=4096,
                        max_sealed_memtables=4)
         for key in range(200):
-            index.insert(key, {"id": key}, (b"%06d" % key) * 16)
+            index.insert(key, (b"%06d" % key) * 16)
         index.drain_maintenance()
         scheduler.close()
         assert index.exact_count() == 200
@@ -591,7 +591,7 @@ class TestFlushRetrySafety:
         wal = WriteAheadLog()
         index = _index(cache, wal=wal)
         for key in range(20):
-            index.insert(key, {"id": key}, b"old-%03d" % key)
+            index.insert(key, b"old-%03d" % key)
         sealed_up_to = wal.last_lsn
         get_injector().add_rule("device.write", nth=1, times=1)
         with pytest.raises(TransientIOError):
@@ -603,8 +603,8 @@ class TestFlushRetrySafety:
         assert all(index.search(key).payload == b"old-%03d" % key for key in range(20))
 
         for key in range(20, 30):
-            index.insert(key, {"id": key}, b"new-%03d" % key)
-        index.upsert(3, {"id": 3}, b"new-003")  # shadows the sealed version
+            index.insert(key, b"new-%03d" % key)
+        index.upsert(3, b"new-003")  # shadows the sealed version
         assert index.search(3).payload == b"new-003"
         index.drain_maintenance()  # nothing was submitted anywhere: returns
 
@@ -645,7 +645,7 @@ class TestQuarantine:
         _, _, cache = _cache(capacity=4)  # tiny cache: reads go to disk
         index = _index(cache)
         for key in range(rows):
-            index.insert(key, {"id": key}, (b"%06d" % key) * 8)
+            index.insert(key, (b"%06d" % key) * 8)
         index.flush()
         return index, cache
 
@@ -740,8 +740,8 @@ class TestQuarantine:
         with pytest.raises(QuarantinedComponentError):
             index.search(0)
         # New, unflushed data never touches the quarantined component.
-        index.insert(1000, {"id": 1000}, b"fresh" * 8)
-        assert index.search(1000).record == {"id": 1000}
+        index.insert(1000, b"fresh" * 8)
+        assert index.search(1000).payload == b"fresh" * 8
 
 
 # ---------------------------------------------------------------------------
@@ -794,7 +794,7 @@ class TestRecoveryIntegration:
                        max_sealed_memtables=8)
         get_injector().add_rule("scheduler.flush", nth=1, times=1)
         for key in range(120):
-            index.insert(key, {"id": key}, (b"%06d" % key) * 16)
+            index.insert(key, (b"%06d" % key) * 16)
         with pytest.raises(SchedulerError):
             index.drain_maintenance()
         assert scheduler.clear_failure() is not None

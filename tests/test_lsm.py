@@ -25,7 +25,7 @@ from repro.lsm import (
 )
 from repro.btree import LeafEntry, encode_key
 from repro.lsm.component import InMemoryComponent, MemEntry
-from repro.lsm.lsm_index import _reconcile
+from repro.lsm.lsm_index import SearchResult, _reconcile
 from repro.storage import BufferCache, FileManager, SimulatedStorageDevice, WriteAheadLog
 from repro.types import index_key, index_key_range
 
@@ -107,18 +107,18 @@ class TestFlushAndSearch:
     def test_insert_search_before_and_after_flush(self):
         index = _index()
         for key in range(20):
-            index.insert(key, {"id": key}, _payload(key))
-        assert index.search(5).record is not None  # a memtable hit
+            index.insert(key, _payload(key))
+        assert index.search(5) == SearchResult(5, _payload(5))  # a memtable hit: no schema
         index.flush()
         assert index.component_count() == 1
         result = index.search(5)
-        assert result is not None and result.record is None
+        assert result is not None and result.payload == _payload(5)
         assert index.search(99) is None
 
     def test_automatic_flush_on_budget(self):
         index = _index(memory_budget=1500)
         for key in range(40):
-            index.insert(key, {"id": key}, _payload(key))
+            index.insert(key, _payload(key))
         assert index.stats.flushes >= 1
         assert index.component_count() >= 1
 
@@ -128,7 +128,7 @@ class TestFlushAndSearch:
 
     def test_delete_creates_antimatter_and_hides_record(self):
         index = _index()
-        index.insert(1, {"id": 1}, _payload(1))
+        index.insert(1, _payload(1))
         index.flush()
         index.delete(1)
         assert index.search(1) is None
@@ -137,9 +137,9 @@ class TestFlushAndSearch:
 
     def test_upsert_overwrites(self):
         index = _index()
-        index.insert(1, {"id": 1, "v": "a"}, b"version-a")
+        index.insert(1, b"version-a")
         index.flush()
-        index.upsert(1, {"id": 1, "v": "b"}, b"version-b")
+        index.upsert(1, b"version-b")
         assert index.search(1).payload == b"version-b"
         index.flush()
         assert index.search(1).payload == b"version-b"
@@ -147,11 +147,11 @@ class TestFlushAndSearch:
     def test_scan_reconciles_recency_and_antimatter(self):
         index = _index()
         for key in range(10):
-            index.insert(key, {"id": key}, _payload(key))
+            index.insert(key, _payload(key))
         index.flush()
         index.delete(3)
-        index.upsert(4, {"id": 4}, b"new-4")
-        index.insert(100, {"id": 100}, _payload(100))
+        index.upsert(4, b"new-4")
+        index.insert(100, _payload(100))
         assert _scan_keys(index) == [0, 1, 2, 4, 5, 6, 7, 8, 9, 100]
         in_memory = {run.keys[row]: run.entries[row].encoded
                      for component, run, start, stop in index.scan() if component is None
@@ -162,7 +162,7 @@ class TestFlushAndSearch:
         index = _index()
         assert index.storage_size() == 0
         for key in range(50):
-            index.insert(key, {"id": key}, _payload(key))
+            index.insert(key, _payload(key))
         index.flush()
         assert index.storage_size() > 0
 
@@ -170,7 +170,7 @@ class TestFlushAndSearch:
 class TestBulkLoad:
     def test_load_builds_single_component(self):
         index = _index()
-        rows = [(key, {"id": key}, _payload(key)) for key in range(200)]
+        rows = [(key, _payload(key)) for key in range(200)]
         index.load(rows)
         assert index.component_count() == 1
         assert index.search(150) is not None
@@ -178,20 +178,20 @@ class TestBulkLoad:
 
     def test_load_sorts_input(self):
         index = _index()
-        rows = [(key, {"id": key}, _payload(key)) for key in reversed(range(50))]
+        rows = [(key, _payload(key)) for key in reversed(range(50))]
         index.load(rows)
         assert _scan_keys(index) == list(range(50))
 
     def test_load_requires_empty_index(self):
         index = _index()
-        index.insert(1, {"id": 1}, _payload(1))
+        index.insert(1, _payload(1))
         with pytest.raises(ComponentStateError):
-            index.load([(2, {"id": 2}, _payload(2))])
+            index.load([(2, _payload(2))])
 
     def test_load_rejects_duplicates(self):
         index = _index()
         with pytest.raises(DuplicateKeyError):
-            index.load([(1, {"id": 1}, b"a"), (1, {"id": 1}, b"b")])
+            index.load([(1, b"a"), (1, b"b")])
 
 
 class TestMergePolicies:
@@ -202,7 +202,7 @@ class TestMergePolicies:
         index = _index(merge_policy=PrefixMergePolicy(max_tolerable_component_count=3))
         for batch in range(3):
             for key in range(batch * 10, batch * 10 + 10):
-                index.insert(key, {"id": key}, _payload(key))
+                index.insert(key, _payload(key))
             index.flush()
         # third flush triggers a merge of all three components
         assert index.component_count() == 1
@@ -241,11 +241,11 @@ class TestMergeSemantics:
     def test_merge_garbage_collects_annihilated_pairs(self):
         """Figure 4b: a record and its anti-matter annihilate during the merge."""
         index = _index()
-        index.insert(0, {"id": 0}, _payload(0))
-        index.insert(1, {"id": 1}, _payload(1))
+        index.insert(0, _payload(0))
+        index.insert(1, _payload(1))
         index.flush()
         index.delete(0)
-        index.insert(2, {"id": 2}, _payload(2))
+        index.insert(2, _payload(2))
         index.flush()
         assert index.component_count() == 2
         merged = index.merge(list(index.components))
@@ -256,11 +256,11 @@ class TestMergeSemantics:
 
     def test_merge_keeps_antimatter_when_older_components_remain(self):
         index = _index()
-        index.insert(0, {"id": 0}, _payload(0))
+        index.insert(0, _payload(0))
         index.flush()
         index.delete(0)
         index.flush()
-        index.insert(5, {"id": 5}, _payload(5))
+        index.insert(5, _payload(5))
         index.flush()
         assert index.component_count() == 3
         # merge only the two newest components (C1: antimatter for 0, C2: insert 5)
@@ -276,7 +276,7 @@ class TestMergeSemantics:
         manager = index.buffer_cache.file_manager
         for batch in range(2):
             for key in range(batch * 5, batch * 5 + 5):
-                index.insert(key, {"id": key}, _payload(key))
+                index.insert(key, _payload(key))
             index.flush()
         old_files = set(manager.list_files())
         index.merge(list(index.components))
@@ -287,7 +287,7 @@ class TestMergeSemantics:
     def test_merge_preserves_all_live_records(self):
         index = _index(merge_policy=PrefixMergePolicy(max_tolerable_component_count=4))
         for key in range(400):
-            index.insert(key, {"id": key}, _payload(key))
+            index.insert(key, _payload(key))
             if key % 100 == 99:
                 index.flush()
         index.flush()
@@ -370,7 +370,7 @@ class TestRunReconcile:
                     reference.pop(key, None)
                 else:
                     payload = _payload(key, size=rng.choice([8, 64, 300]))
-                    index.upsert(key, {"id": key}, payload)
+                    index.upsert(key, payload)
                     reference[key] = payload
 
         def check():
@@ -401,7 +401,7 @@ class _RecordingCallback(FlushCallback):
     def __init__(self):
         self.removed = []
 
-    def transform_record(self, key, record, encoded):
+    def transform_record(self, key, encoded):
         return b"stored:" + encoded
 
     def process_antischema(self, payload):
@@ -419,12 +419,12 @@ class TestAntischemaPayload:
 
     def test_disk_version_is_its_stored_payload(self):
         index, callback = self._index()
-        index.insert(1, {"id": 1}, b"v1")
-        index.insert(2, {"id": 2}, b"w1")
+        index.insert(1, b"v1")
+        index.insert(2, b"w1")
         index.flush()
         index.delete(1)
-        index.upsert(2, {"id": 2}, b"w2")
-        index.upsert(3, {"id": 3}, b"x1")  # fresh key: nothing to decrement
+        index.upsert(2, b"w2")
+        index.upsert(3, b"x1")  # fresh key: nothing to decrement
         with pytest.raises(KeyNotFoundError):
             index.delete(4)
         assert [index.memory_component.get(key).antischema for key in (1, 2, 3)] == [
@@ -435,12 +435,12 @@ class TestAntischemaPayload:
 
     def test_sealed_version_is_its_encoded_bytes(self):
         index, callback = self._index()
-        index.insert(1, {"id": 1}, b"v1")
+        index.insert(1, b"v1")
         with index._rotation_cond:
             index._seal()
-        index.upsert(1, {"id": 1}, b"v2")  # sealed: counted by the flush before this one
+        index.upsert(1, b"v2")  # sealed: counted by the flush before this one
         assert index.memory_component.get(1).antischema == b"v1"
-        index.upsert(1, {"id": 1}, b"v3")  # v2 was never counted: carry v1 forward
+        index.upsert(1, b"v3")  # v2 was never counted: carry v1 forward
         assert index.memory_component.get(1).antischema == b"v1"
         assert index.stats.maintenance_point_lookups == 0
         index.flush()
@@ -508,7 +508,7 @@ class TestKeyHashFence:
                     del model[key]
                 else:
                     model[key] = b"v%d" % rng.randrange(10**6)
-                    index.upsert(key, {}, model[key])
+                    index.upsert(key, model[key])
             index.flush()
         doomed = next(iter(model))  # an anti-matter entry in the newest component
         index.delete(doomed)
@@ -529,7 +529,7 @@ class TestKeyHashFence:
         _check_fences(revived, model, lookups)
 
         loaded = _index()
-        loaded.load([(key, {}, payload) for key, payload in model.items()])
+        loaded.load(list(model.items()))
         _check_fences(loaded, model, lookups)
 
     @pytest.mark.parametrize("storage_format", [StorageFormat.OPEN, StorageFormat.INFERRED],
@@ -580,7 +580,7 @@ class TestKeyHashFence:
         index = _index()
         for keys in (range(-1, 25), range(25, 50), range(50, 75), range(75, 100)):
             for key in keys:
-                index.insert(key, {"id": key}, _payload(key))
+                index.insert(key, _payload(key))
             index.flush()
         assert len(index.components) == 4
         cache = index.buffer_cache
@@ -601,7 +601,7 @@ class TestKeyHashFence:
         _, cache = _cache()
         index = _index(cache=cache)
         for key in range(30):
-            index.insert(key, {"id": key}, _payload(key))
+            index.insert(key, _payload(key))
         index.flush()
         revived = _index(cache=cache)
         recover_index(revived)
@@ -618,7 +618,7 @@ class TestKeyHashFence:
         index = _index()
         for batch in range(2):
             for key in range(batch * 100, batch * 100 + 100):
-                index.insert(key, {"id": key}, _payload(key, size=256))
+                index.insert(key, _payload(key, size=256))
             index.flush()
         index.merge(list(index.components))
         manager = index.buffer_cache.file_manager
@@ -670,7 +670,7 @@ class TestMemtableCounters:
         for operation, key, value in operations:
             if operation == "write":
                 write = index.upsert if key in live else index.insert
-                write(key, {"id": key}, _valued(key, value))
+                write(key, _valued(key, value))
                 live.add(key)
             elif operation == "delete":
                 index.delete(key)
@@ -693,12 +693,12 @@ class TestMemtableCounters:
         index = LSMBTree(name="ds", partition=0, buffer_cache=cache, memory_budget=1 << 20)
         index.add_secondary_index(SecondaryIndexDef("by_v", _value_of))
         for key in range(5):
-            index.insert(key, {"id": key}, _valued(key, key))
+            index.insert(key, _valued(key, key))
         index.flush()
         first = index.secondary_statistics("by_v")
         assert index.secondary_statistics("by_v") is first
         assert (first.count, first.min_key, first.max_key) == (5, index_key(0), index_key(4))
-        index.insert(9, {"id": 9}, _valued(9, 90))  # a memtable write: no new list
+        index.insert(9, _valued(9, 90))  # a memtable write: no new list
         assert index.secondary_statistics("by_v") is first
         index.flush()
         second = index.secondary_statistics("by_v")
@@ -759,7 +759,7 @@ class TestMemtableColumns:
                            else -(_value_of(payload, schema) or 0)))]
         for operation, argument, value in operations:
             if operation == "put":
-                memtable.put(MemEntry(argument, False, {"id": argument}, _valued(argument, value)))
+                memtable.put(MemEntry(argument, False, _valued(argument, value)))
             elif operation == "delete":
                 memtable.put(MemEntry(argument, True))
             else:
@@ -775,11 +775,11 @@ class TestMemtableColumns:
         memtable = InMemoryComponent()
         definition = SecondaryIndexDef("by_v", _value_of)
         for key in range(3):
-            memtable.put(MemEntry(key, False, {"id": key}, _valued(key, key)))
+            memtable.put(MemEntry(key, False, _valued(key, key)))
         assert _column_keys(memtable, definition, 0, 2, True, True) == [0, 1, 2]
         for _ in range(4):
             for value in range(100):
-                memtable.put(MemEntry(1, False, {"id": 1}, _valued(1, 10 + value)))
+                memtable.put(MemEntry(1, False, _valued(1, 10 + value)))
                 assert len(memtable._columns[1]) <= len(memtable)
             assert _column_keys(memtable, definition, 109, 109, True, True) == [1]
             assert _column_keys(memtable, definition, 0, 2, True, True) == [0, 2]
@@ -805,7 +805,7 @@ class TestAuxiliaryFileLifecycle:
                 name, lambda payload, schema, modulus=modulus: key_of(payload) % modulus))
         for first in (0, 20, 40):
             for key in range(first, first + 20):
-                index.insert(key, {"id": key}, _payload(key))
+                index.insert(key, _payload(key))
             index.flush()
         flushed = list(index.components)
         for component in flushed:
@@ -848,7 +848,7 @@ class TestWALAndRecovery:
         wal = WriteAheadLog()
         index = _index(wal=wal)
         for key in range(10):
-            index.insert(key, {"id": key}, _payload(key))
+            index.insert(key, _payload(key))
         assert len(wal) > 0
         index.flush()
         assert list(wal.replay(dataset="ds", partition=0)) == []
@@ -861,16 +861,16 @@ class TestWALAndRecovery:
         leaf.  Every write path refuses them before the WAL append."""
         wal = WriteAheadLog()
         index = _index(wal=wal)
-        index.insert(1, {"id": 1}, _payload(1))
+        index.insert(1, _payload(1))
         logged = len(wal)
-        for write in (lambda: index.insert(key, {"id": key}, _payload(1)),
-                      lambda: index.upsert(key, {"id": key}, _payload(1)),
+        for write in (lambda: index.insert(key, _payload(1)),
+                      lambda: index.upsert(key, _payload(1)),
                       lambda: index.delete(key)):
             with pytest.raises(EncodingError, match="primary key"):
                 write()
         assert len(wal) == logged
         with pytest.raises(EncodingError, match="primary key"):
-            _index().load([(key, {"id": key}, _payload(1))])
+            _index().load([(key, _payload(1))])
         index.flush()
         assert _scan_keys(index) == [1]
 
@@ -879,13 +879,13 @@ class TestWALAndRecovery:
         wal = WriteAheadLog()
         index = _index(wal=wal, cache=cache)
         for key in range(10):
-            index.insert(key, {"id": key}, _payload(key))
+            index.insert(key, _payload(key))
         index.flush()
         for key in range(10, 16):
-            index.insert(key, {"id": key}, _payload(key))
+            index.insert(key, _payload(key))
         # crash: lose the memtable, keep files + WAL
         fresh = _index(wal=wal, cache=cache)
-        report = recover_index(fresh, wal=wal, payload_decoder=lambda payload: {"raw": True})
+        report = recover_index(fresh, wal=wal)
         assert report.valid_components == 1
         assert report.replayed_log_records == 6
         assert report.flushed_after_replay
@@ -896,11 +896,11 @@ class TestWALAndRecovery:
         wal = WriteAheadLog()
         index = _index(wal=wal, cache=cache)
         for key in range(8):
-            index.insert(key, {"id": key}, _payload(key))
+            index.insert(key, _payload(key))
         with pytest.raises(ComponentStateError):
             index.flush(fail_before_footer=True)  # crash mid-flush
         fresh = _index(wal=wal, cache=cache)
-        report = recover_index(fresh, wal=wal, payload_decoder=lambda payload: {"raw": True})
+        report = recover_index(fresh, wal=wal)
         assert report.invalid_components_removed == 1
         assert report.valid_components == 0      # nothing valid survived the crash
         assert report.flushed_after_replay       # ...but the WAL replay re-flushed it
@@ -911,7 +911,7 @@ class TestWALAndRecovery:
         _, cache = _cache()
         index = _index(cache=cache)
         for key in range(5):
-            index.insert(key, {"id": key}, _payload(key))
+            index.insert(key, _payload(key))
         index.flush()
         fresh = _index(cache=cache)
         report = recover_index(fresh)

@@ -12,6 +12,11 @@ INFERRED partition's schema must be the schema of its live records, every
 node's counter included — union promotion and anti-schema removal (paper
 §3.2.2) across flush, merge and recovery.
 
+The engine never shares a dict with its caller: every record the model
+writes, the ``get`` result and every returned row are changed in place
+after the call (a scalar overwritten, a list appended to, a field added)
+before the engine is read again.
+
 Records carry a field whose type changes from record to record (int,
 string, list, object), and one index covers it: its probes, numeric and
 string bounds alike, must return what the scan returns across flush, merge
@@ -22,6 +27,8 @@ and recovery.  A failure prints the rule sequence that reproduces it;
 per storage format and setting, so no setting's code path depends on the
 random search drawing it.
 """
+
+import copy
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -85,6 +92,23 @@ _queries = st.sampled_from(_STATEMENTS) | st.builds(
     st.sampled_from([">", ">="]), st.sampled_from(["<", "<="]))
 
 
+def _tamper(value):
+    """Change a dict or list in place, as a caller may change what it
+    handed the engine or got back from it: at every level a scalar is
+    overwritten, a list appended to and a field added."""
+    if isinstance(value, dict):
+        for name, child in list(value.items()):
+            if isinstance(child, (dict, list)):
+                _tamper(child)
+            else:
+                value[name] = "tampered"
+        value["tampered"] = True
+    elif isinstance(value, list):
+        for child in value:
+            _tamper(child)
+        value.append("tampered")
+
+
 def _counted_nodes(node, dictionary, path=()):
     """``(path, node kind, tag, counter)`` of every node, fields by name."""
     yield path, type(node).__name__, node.tag, node.counter
@@ -142,7 +166,8 @@ class EngineModel(RuleBasedStateMachine):
 
     def _write(self, kind, record):
         getattr(self.dataset, kind)(record)
-        self.model[record["id"]] = record
+        self.model[record["id"]] = copy.deepcopy(record)
+        _tamper(record)
         self.tallies[kind + "s"] += 1
         self.written = True
 
@@ -183,8 +208,9 @@ class EngineModel(RuleBasedStateMachine):
     def bulk_load(self, rows):
         records = [_record(*row) for row in rows]
         self.dataset.bulk_load(records)
-        self.model.update((record["id"], record) for record in records)
+        self.model.update((record["id"], copy.deepcopy(record)) for record in records)
         self.tallies["inserts"] += len(records)
+        _tamper(records)
         self.written = True
 
     @precondition(lambda self: len(self.indexes) < len(_INDEXES))
@@ -228,7 +254,11 @@ class EngineModel(RuleBasedStateMachine):
             cached = self.plan_cache and shape in self.planned
             assert stats.plan_source == ("cache" if cached else "compiled")
             self.planned.add(shape)
-        assert dataset.get(key) == self.model.get(key)
+            _tamper(result.rows)
+        for _ in range(2):
+            got = dataset.get(key)
+            assert got == self.model.get(key)
+            _tamper(got)
         assert dataset.count() == len(self.model)
         ingest = dataset.ingest_stats()
         assert {counter: ingest[counter] - self.base[counter] for counter in self.tallies} \

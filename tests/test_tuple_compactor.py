@@ -31,11 +31,11 @@ def _compacting_index(memory_budget=1 << 20):
 
 
 def _insert(index, encoder, record):
-    index.insert(record["id"], record, encoder.encode(record))
+    index.insert(record["id"], encoder.encode(record))
 
 
 def _upsert(index, encoder, record):
-    index.upsert(record["id"], record, encoder.encode(record))
+    index.upsert(record["id"], encoder.encode(record))
 
 
 class TestFlushTimeInference:
@@ -74,7 +74,7 @@ class TestFlushTimeInference:
         index, compactor, encoder = _compacting_index()
         _insert(index, encoder, {"id": 1, "name": "Ann"})
         result = index.search(1)
-        assert result.record is not None  # a memtable hit
+        assert result.schema is None  # a memtable hit
         assert not is_compacted(result.payload)
 
     def test_schema_persisted_in_metadata(self):
@@ -335,7 +335,7 @@ class TestOnePassEverywhere:
         datatype = open_only_primary_key("EmployeeType")
         compacting, reference = TupleCompactor(datatype), InferredSchema(datatype)
         payload = VectorEncoder(datatype).encode({"id": 1, "name": "Ann", "tags": ["a", {"b": 1}]})
-        compacted = compacting.transform_record(1, None, payload)
+        compacted = compacting.transform_record(1, payload)
         reference.observe(VectorRecordView(payload, datatype).structure())
         assert compacted == compact_record(payload, reference.dictionary)
         assert is_compacted(compacted)
@@ -425,10 +425,9 @@ class TestCompactorRecovery:
 
         compactor = TupleCompactor(datatype)
         index = LSMBTree("emp", 0, cache, 1 << 20, NoMergePolicy(), compactor)
-        index.insert(0, {"id": 0, "name": "Kim"}, encoder.encode({"id": 0, "name": "Kim"}))
+        index.insert(0, encoder.encode({"id": 0, "name": "Kim"}))
         index.flush()
-        index.insert(1, {"id": 1, "name": "Ann", "age": 5},
-                     encoder.encode({"id": 1, "name": "Ann", "age": 5}))
+        index.insert(1, encoder.encode({"id": 1, "name": "Ann", "age": 5}))
         index.flush()
 
         fresh_compactor = TupleCompactor(datatype)
@@ -441,3 +440,25 @@ class TestCompactorRecovery:
         entry = fresh.search(1)
         decoded = VectorRecordView(entry.payload, datatype, fresh_compactor.schema.dictionary).materialize()
         assert decoded["age"] == 5
+
+    def test_later_flushes_grow_a_copy_of_the_recovered_schema(self):
+        """Recovery adopts a copy of the newest component's schema: flushes
+        after it grow the partition's schema and leave the component's own
+        as its metadata page has it.  The copy's dictionary stays in the
+        component's family, so extraction plans serve both."""
+        from repro.lsm import recover_index
+
+        index, compactor, encoder = _compacting_index()
+        _insert(index, encoder, {"id": 0, "a": 1})
+        index.flush()
+        fresh_compactor = TupleCompactor(compactor.datatype)
+        fresh = LSMBTree("emp", 0, index.buffer_cache, 1 << 20, NoMergePolicy(), fresh_compactor)
+        recover_index(fresh, datatype=compactor.datatype)
+        (component,) = fresh.components
+        assert fresh_compactor.schema is not component.schema
+        assert fresh_compactor.schema.dictionary.family is component.schema.dictionary.family
+        _insert(fresh, encoder, {"id": 1, "b": "x"})
+        fresh.flush()
+        assert component.schema.field_count == 1
+        assert component.schema.to_bytes() == component.metadata.schema_bytes
+        assert fresh_compactor.schema.field_count == 2

@@ -115,7 +115,7 @@ class TestGetValues:
         # One entry per collection item: the scalar "Not_Available" dependent
         # has no .name, so it contributes a MISSING hole rather than silently
         # shrinking the result (keeps wildcard extraction aligned with the
-        # collection's cardinality, as DictRecordView already does).
+        # collection's cardinality, as ``navigate`` over the record does).
         datatype = _datatype()
         view = VectorRecordView(VectorEncoder(datatype).encode(APPENDIX_RECORD), datatype)
         (names,) = view.get_values(("dependents", "*", "name"))
