@@ -15,6 +15,7 @@ vector-based format it fills one column per requested path with a single
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import islice
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -111,6 +112,10 @@ class _HashableKey:
 
     def __repr__(self) -> str:
         return f"_HashableKey({self.original!r})"
+
+
+#: The key kinds :func:`_key_column` converts: the unhashable ones and MISSING.
+_CONVERTED_KINDS = (list, dict, AMultiset, Missing)
 
 
 def _hashable(value: Any) -> Any:
@@ -422,6 +427,15 @@ def project_sorted(child: Iterator[ColumnBatch], projections: Sequence[Tuple[str
     return candidates
 
 
+def _key_column(column: List[Any]) -> List[Any]:
+    """A GROUP BY key column as hashable parts (MISSING kept as itself): the
+    column itself unless it holds a list, dict, multiset or MISSING, and then
+    converted whole by :func:`_hashable`."""
+    if any(issubclass(kind, _CONVERTED_KINDS) for kind in set(map(type, column))):
+        return list(map(_hashable, column))
+    return column
+
+
 def group_partials(child: Iterator[ColumnBatch], group_keys: Sequence[Tuple[str, Any]],
                    aggregates: Sequence[AggregateSpec],
                    argument_evals: Sequence[Optional[Any]]) -> Dict[Tuple[Any, ...], List[Any]]:
@@ -431,40 +445,41 @@ def group_partials(child: Iterator[ColumnBatch], group_keys: Sequence[Tuple[str,
     the ``{key tuple: [states]}`` partials arrive at the coordinator over the
     (conceptual) hash-partition exchange, where :func:`merge_partials` and
     :func:`finalize_groups` combine them.
+
+    Per batch, one pass sorts the row indices into groups by key, then each
+    aggregate folds a group's argument values in one ``fold`` call (without
+    GROUP BY, the whole column; COUNT(*) merges the row count).  The states
+    are bit-identical to folding row by row: groups keep first-appearance
+    order (and the first-seen key object), a group's values are folded in
+    row order (so floats add in the same order and the first minimum or
+    maximum is kept), a key with a MISSING part is skipped while NULL is a
+    group of its own, True, 1 and 1.0 are one group, and a bad value raises
+    the same exception type.
     """
     functions = [get_aggregate(spec.function) for spec in aggregates]
     groups: Dict[Tuple[Any, ...], List[Any]] = {}
     for batch in child:
         key_columns = [evaluate(batch) for _, evaluate in group_keys]
-        argument_columns = [evaluate(batch) if evaluate is not None else None
-                            for evaluate in argument_evals]
-        if not key_columns:
-            states = groups.get(())
-            if states is None:
-                states = [function.create() for function in functions]
-                groups[()] = states
-            for index, function in enumerate(functions):
-                column = argument_columns[index]
-                if column is None:
-                    # COUNT(*): n accumulates of True fold to merge(state, n).
-                    states[index] = function.merge(states[index], batch.length)
-                    continue
-                state = states[index]
-                for value in column:
-                    state = function.accumulate(state, value)
-                states[index] = state
-            continue
-        for row in range(batch.length):
-            key = tuple(column[row] for column in key_columns)
-            if any(isinstance(part, Missing) for part in key):
-                continue
-            key = tuple(_hashable(part) for part in key)
+        columns = [evaluate(batch) if evaluate is not None else None for evaluate in argument_evals]
+        buckets: Dict[Tuple[Any, ...], Optional[List[int]]] = {(): None}
+        if key_columns:
+            hashable = [_key_column(column) for column in key_columns]
+            buckets = defaultdict(list)
+            for row, key in enumerate(zip(*hashable)):
+                buckets[key].append(row)
+            if any(new is not old for new, old in zip(hashable, key_columns)):
+                # Only a converted column can hold MISSING.
+                for key in [key for key in buckets if MISSING in key]:
+                    del buckets[key]
+        for key, rows in buckets.items():
             states = groups.get(key)
             if states is None:
-                states = [function.create() for function in functions]
-                groups[key] = states
-            for index, function in enumerate(functions):
-                column = argument_columns[index]
-                value = column[row] if column is not None else True
-                states[index] = function.accumulate(states[index], value)
+                states = groups[key] = [function.create() for function in functions]
+            for index, (function, column) in enumerate(zip(functions, columns)):
+                if column is None:  # COUNT(*)
+                    states[index] = function.merge(states[index],
+                                                   batch.length if rows is None else len(rows))
+                else:
+                    states[index] = function.fold(states[index], column if rows is None
+                                                  else [column[row] for row in rows])
     return groups

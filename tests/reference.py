@@ -150,7 +150,7 @@ def _partial(spec: QuerySpec, records: Sequence[Dict[str, Any]]) -> Dict[Any, Li
                                    [function.create() for function in functions])
         for index, (function, aggregate) in enumerate(zip(functions, spec.aggregates)):
             value = True if aggregate.argument is None else evaluate(aggregate.argument, env)
-            states[index] = function.accumulate(states[index], value)
+            states[index] = function.fold(states[index], [value])
     return groups
 
 

@@ -1,9 +1,13 @@
 """Additional unit tests: aggregates, configuration validation, query specs."""
 
+import math
 import re
+import struct
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.config
 from repro.config import (
@@ -17,7 +21,7 @@ from repro.config import (
 )
 from repro.errors import QueryError
 from repro.query import get_aggregate
-from repro.query.aggregates import AvgAggregate, CountAggregate, ListifyAggregate
+from repro.query.aggregates import _REGISTRY, AvgAggregate, CountAggregate, ListifyAggregate
 from repro.query.plan import AggregateSpec
 from repro.query.operators import merge_partials, order_and_limit
 from repro.sqlpp import compile as compile_sqlpp
@@ -29,17 +33,16 @@ class TestAggregates:
         count = CountAggregate()
         state = count.create()
         for value in (1, None, MISSING, "x"):
-            state = count.accumulate(state, value)
+            state = count.fold(state, [value])
         assert count.finalize(state) == 2
+        assert count.fold(count.create(), [1, None, MISSING, "x"]) == 2
 
     def test_avg_merges_partials(self):
         avg = AvgAggregate()
         left = avg.create()
         right = avg.create()
-        for value in (2, 4):
-            left = avg.accumulate(left, value)
-        for value in (6,):
-            right = avg.accumulate(right, value)
+        left = avg.fold(left, [2, 4])
+        right = avg.fold(right, [6])
         assert avg.finalize(avg.merge(left, right)) == 4.0
 
     def test_avg_of_nothing_is_null(self):
@@ -53,13 +56,14 @@ class TestAggregates:
             aggregate = get_aggregate(name)
             state = aggregate.create()
             for value in values:
-                state = aggregate.accumulate(state, value)
+                state = aggregate.fold(state, [value])
+            assert aggregate.finalize(aggregate.fold(aggregate.create(), values)) == expected
             assert aggregate.finalize(state) == expected
 
     def test_listify_collects_and_merges(self):
         listify = ListifyAggregate()
-        left = listify.accumulate(listify.create(), "a")
-        right = listify.accumulate(listify.create(), "b")
+        left = listify.fold(listify.create(), ["a"])
+        right = listify.fold(listify.create(), ["b", None])
         assert listify.finalize(listify.merge(left, right)) == ["a", "b"]
 
     def test_unknown_aggregate_rejected(self):
@@ -72,6 +76,91 @@ class TestAggregates:
         merged = merge_partials(partials, specs)
         assert merged[("a",)] == [5]
         assert merged[("b",)] == [1]
+
+
+def _same(left, right) -> bool:
+    """Equal value for value, floats bit for bit (-0.0 is not 0.0, NaN is NaN)."""
+    if isinstance(left, float) or isinstance(right, float):
+        return (type(left) is type(right)
+                and struct.pack("<d", left) == struct.pack("<d", right))
+    if isinstance(left, (tuple, list)):
+        return (type(left) is type(right) and len(left) == len(right)
+                and all(_same(a, b) for a, b in zip(left, right)))
+    return type(left) is type(right) and left == right
+
+
+def _outcome(step):
+    """``("ok", state)`` or ``("raised", exception type)``."""
+    try:
+        return "ok", step()
+    except Exception as exc:  # the type is what both sides must agree on
+        return "raised", type(exc)
+
+
+_FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e16, -1e16]))
+_NUMBERS = st.one_of(st.none(), st.just(MISSING), st.booleans(),
+                     st.integers(-2 ** 60, 2 ** 60), _FLOATS)
+_WITH_STRINGS = st.one_of(_NUMBERS, st.text(max_size=3))
+
+
+@st.composite
+def _aggregate_and_values(draw):
+    name = draw(st.sampled_from(sorted(_REGISTRY)))
+    values = draw(st.lists(_WITH_STRINGS if name in ("min", "max", "listify") else _NUMBERS,
+                           max_size=12))
+    return name, values, draw(st.integers(0, len(values)))
+
+
+class TestFoldIsARowByRowFold:
+    """``fold(state, values)`` gives the state folding ``values`` one at a
+    time gives — the per-row semantics the reference model keeps."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_aggregate_and_values())
+    def test_one_call_equals_one_value_at_a_time(self, drawn):
+        name, values, split = drawn
+        aggregate = _REGISTRY[name]
+
+        def one_by_one():
+            state = aggregate.create()
+            for value in values:
+                state = aggregate.fold(state, [value])
+            return aggregate.finalize(state)
+
+        def in_one_call():
+            return aggregate.finalize(aggregate.fold(aggregate.create(), values))
+
+        def in_two_calls():  # two batches of one group
+            state = aggregate.fold(aggregate.create(), values[:split])
+            return aggregate.finalize(aggregate.fold(state, values[split:]))
+
+        expected = _outcome(one_by_one)
+        for actual in (_outcome(in_one_call), _outcome(in_two_calls)):
+            assert actual[0] == expected[0], (actual, expected)
+            if expected[0] == "raised":
+                assert actual[1] is expected[1]
+            else:
+                assert _same(actual[1], expected[1]), (actual, expected)
+
+    def test_sum_and_avg_add_left_to_right(self):
+        values = [1e16, 1.0, -1e16]
+        # Compensated summation (math.fsum, and sum() from Python 3.12) keeps
+        # the 1.0; a left fold rounds it away, as adding row by row does.
+        assert math.fsum(values) == 1.0
+        avg = get_aggregate("avg")
+        assert _same(avg.fold(avg.create(), values), (0.0, 3))
+        assert _same(avg.finalize(avg.fold(avg.create(), values)), 0.0)
+        total = get_aggregate("sum")
+        assert _same(total.fold(total.create(), values), 0.0)
+
+    def test_min_and_max_keep_the_first_extreme(self):
+        assert _same(get_aggregate("min").fold(None, [0.0, -0.0]), 0.0)
+        assert _same(get_aggregate("max").fold(-0.0, [0.0]), -0.0)
+        # A NaN met first never compares smaller, so row by row it stays.
+        assert math.isnan(get_aggregate("min").fold(None, [math.nan, 1.0]))
+        assert get_aggregate("min").fold(1.0, [math.nan, 0.0]) == 0.0
+        assert get_aggregate("max").fold(True, [1, 1.0]) is True
 
 
 class TestQuerySpec:

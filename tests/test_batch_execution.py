@@ -47,6 +47,7 @@ from repro.query import (
     Var,
     explain,
 )
+from repro.query.operators import group_partials
 from repro.query.plan import LetClause
 from repro.schema import InferredSchema
 from repro.types import (ADate, ADateTime, AMultiset, APoint, ATime, Datatype, FieldDeclaration,
@@ -55,7 +56,8 @@ from repro.vector import (BatchExtractor, VectorEncoder, VectorRecordView, WILDC
                           compact_record, infer_and_compact)
 from repro.vector import batch as vector_batch
 
-from reference import partition_records, reference_rows
+from reference import _partial as reference_partial
+from reference import evaluate, partition_records, reference_rows
 
 RECORDS = [
     {
@@ -432,6 +434,82 @@ class TestRegressions:
                 [["a", MISSING, "b"], [], "solo", {"t": "obj"}, []]
             result = _assert_matches_reference(dataset, two_wildcards, records)
             assert [row["vs"] for row in result.rows] == [[1, 2], [], [3], [], [4]]
+
+
+# ---------------------------------------------------------------------------
+# the partial GROUP BY kernel against a row-by-row fold
+# ---------------------------------------------------------------------------
+
+_KEYS = ["a", 7, None, "absent", [1, 2], {"p": 1}, AMultiset([1, "x"]), True, "b",
+         1, [1, 2], 1.0, AMultiset([1, "x"]), {"p": 1}, 7, "a"]
+_SECOND_KEYS = ["x", "absent", None, "y", "x"]
+_VALUES = [1, 2.5, None, "absent", True, -0.0, 0.0, 1e16, 1.0, -1e16, 3, 0.1]
+_TEXTS = ["m", None, "c", "absent", "z", "c"]
+GROUP_RECORDS = [
+    {name: value for name, value in (("id", i), ("k", _KEYS[i % len(_KEYS)]),
+                                     ("j", _SECOND_KEYS[i % len(_SECOND_KEYS)]),
+                                     ("v", _VALUES[i % len(_VALUES)]),
+                                     ("s", _TEXTS[i % len(_TEXTS)]))
+     if value != "absent"}
+    for i in range(97)
+]
+_AGGREGATES = ("count(*) AS n, count(t.v) AS c, sum(t.v) AS total, avg(t.v) AS mean, "
+               "min(t.v) AS lo, max(t.v) AS hi, max(t.s) AS last, listify(t.s) AS texts")
+GROUP_QUERIES = {
+    "one_key": f"SELECT k, {_AGGREGATES} FROM x AS t GROUP BY t.k AS k",
+    "two_keys": f"SELECT k, j, {_AGGREGATES} FROM x AS t GROUP BY t.k AS k, t.j AS j",
+    "no_key": f"SELECT {_AGGREGATES} FROM x AS t",
+}
+
+
+@pytest.fixture(scope="module")
+def group_dataset():
+    return _dataset(records=GROUP_RECORDS, partitions=4, name="batch_group_kernel")
+
+
+class TestGroupKernel:
+    """``group_partials`` folds a batch's groups in one call per aggregate;
+    its states, rows and group order must be those of folding row by row
+    (``tests/reference.py``).  Compared by ``repr``, so ``True`` is not
+    ``1``, ``-0.0`` is not ``0.0`` and every float is compared bit for bit."""
+
+    @pytest.mark.parametrize("query_name", sorted(GROUP_QUERIES))
+    @pytest.mark.parametrize("batch_size", [1, 3, 1024])
+    def test_partials_equal_a_row_by_row_fold(self, query_name, batch_size):
+        spec = compile_sqlpp(GROUP_QUERIES[query_name]).spec
+
+        def column(expr, records):
+            return [evaluate(expr, {spec.record_var: record}) for record in records]
+
+        def batches():
+            for start in range(0, len(GROUP_RECORDS), batch_size):
+                records = GROUP_RECORDS[start:start + batch_size]
+                columns = {name: column(expr, records) for name, expr in spec.group_keys}
+                columns.update((aggregate.output, column(aggregate.argument, records))
+                               for aggregate in spec.aggregates if aggregate.argument is not None)
+                yield vector_batch.ColumnBatch(None, columns, len(records))
+
+        group_keys = [(name, lambda batch, name=name: batch.columns[name])
+                      for name, _ in spec.group_keys]
+        arguments = [None if aggregate.argument is None
+                     else lambda batch, name=aggregate.output: batch.columns[name]
+                     for aggregate in spec.aggregates]
+        partials = group_partials(batches(), group_keys, spec.aggregates, arguments)
+        assert repr(list(partials.items())) == repr(list(reference_partial(spec, GROUP_RECORDS)
+                                                         .items()))
+
+    @pytest.mark.parametrize("query_name", sorted(GROUP_QUERIES))
+    @pytest.mark.parametrize("batch_size", [1, 3, 1024])
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_rows_and_group_order_through_the_engine(self, group_dataset, query_name,
+                                                     batch_size, parallelism):
+        result = _assert_matches_reference(group_dataset, GROUP_QUERIES[query_name], GROUP_RECORDS,
+                                           batch_size=batch_size, parallelism=parallelism)
+        spec = compile_sqlpp(GROUP_QUERIES[query_name]).spec
+        expected = reference_rows(spec, partition_records(GROUP_RECORDS, 4))
+        assert repr(result.rows) == repr(expected)
+        if spec.group_keys:  # True, 1 and 1.0 are one key, whichever came first
+            assert len({repr(row["k"]) for row in result.rows if row["k"] == 1}) == 1
 
 
 # ---------------------------------------------------------------------------
