@@ -93,7 +93,7 @@ _DECLS: Tuple[LockDecl, ...] = (
     LockDecl("MetricsRegistry", "_lock", 12,
              doc="guards the instrument table (create/lookup)"),
     LockDecl("Counter", "_lock", 10,
-             doc="guards one counter's per-label cells"),
+             doc="guards one counter's value and the cells it follows"),
     LockDecl("Gauge", "_lock", 10,
              doc="guards one gauge's per-label cells"),
     LockDecl("Histogram", "_lock", 10,

@@ -187,15 +187,13 @@ class LSMBTree:
         #: (component list, statistics) by index (:meth:`secondary_statistics`).
         self._statistics: Dict[SecondaryIndexDef, Tuple[List[OnDiskComponent], Any]] = {}
         self.stats = IngestStats()
-        # Lifecycle counters published into the shared metrics registry
-        # (cross-partition totals; per-index detail stays in self.stats).
+        # Lifecycle counters in the shared metrics registry: cross-partition
+        # totals of what each index's self.stats keeps.
         metrics = metrics if metrics is not None else get_registry()
-        self._flushes_metric = metrics.counter("lsm_flushes")
-        self._merges_metric = metrics.counter("lsm_merges")
+        for field in ("flushes", "merges", "bytes_flushed", "bytes_merged",
+                      "ingest_stall_seconds"):
+            metrics.counter(f"lsm_{field}").follow(self, self.stats, field)
         self._seals_metric = metrics.counter("lsm_memtable_seals")
-        self._bytes_flushed_metric = metrics.counter("lsm_bytes_flushed")
-        self._bytes_merged_metric = metrics.counter("lsm_bytes_merged")
-        self._stall_metric = metrics.counter("lsm_ingest_stall_seconds")
         self._sealed_gauge = metrics.gauge("lsm_sealed_memtables")
         self._next_sequence = 0
         # Reader bookkeeping: scans/probes snapshot the component list, so a
@@ -412,7 +410,6 @@ class LSMBTree:
             if stall_started is not None:
                 stalled = time.perf_counter() - stall_started
                 self.stats.ingest_stall_seconds += stalled
-                self._stall_metric.inc(stalled)
             return self._seal()
 
     def _merge_debt_exceeded(self) -> bool:
@@ -567,14 +564,10 @@ class LSMBTree:
             if replacing:
                 self.stats.merges += 1
                 self.stats.bytes_merged += size
-                self._merges_metric.inc()
-                self._bytes_merged_metric.inc(size)
             else:
                 self._next_sequence += 1
                 self.stats.flushes += 1
                 self.stats.bytes_flushed += size
-                self._flushes_metric.inc()
-                self._bytes_flushed_metric.inc(size)
             span.set_attribute("component", file_name)
             span.set_attribute("bytes", size)
         return component

@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import re
 import threading
-from typing import Any, Dict, Optional, Tuple
+import weakref
+from typing import Any, Dict, List, Optional, Tuple
 
 _METRIC_NAME_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
@@ -40,14 +41,19 @@ def _label_key(name: str, labels: Dict[str, Any]) -> str:
 
 
 class Counter:
-    """Monotonically increasing counter."""
+    """Monotonically increasing counter: incremented, or :meth:`follow`-ing
+    numbers engine objects already keep, so each is stored once."""
 
-    __slots__ = ("key", "_lock", "_value")
+    __slots__ = ("key", "_lock", "_value", "_followed", "_retired")
 
     def __init__(self, key: str) -> None:
         self.key = key
         self._lock = threading.Lock()
         self._value = 0.0
+        self._followed: Dict[int, Tuple[Any, str]] = {}  # guarded-by: _lock
+        #: Followed cells whose owners were collected.  Their finalizers
+        #: append without the lock: the collector may run one under it.
+        self._retired: List[int] = []
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
@@ -55,10 +61,28 @@ class Counter:
         with self._lock:
             self._value += amount
 
+    def follow(self, owner: Any, cell: Any, field: str) -> None:
+        """Count ``cell.<field>``: read live while ``owner`` lives, folded in
+        at its last value once ``owner`` is collected, so dropping an
+        environment never lowers the counter.  ``cell`` must not refer to
+        ``owner``."""
+        with self._lock:
+            self._fold_retired()
+            self._followed[id(cell)] = (cell, field)
+        weakref.finalize(owner, self._retired.append, id(cell)).atexit = False
+
+    # requires-lock: _lock
+    def _fold_retired(self) -> None:
+        while self._retired:
+            cell, field = self._followed.pop(self._retired.pop())
+            self._value += getattr(cell, field)
+
     @property
     def value(self) -> float:
         with self._lock:
-            return self._value
+            self._fold_retired()
+            return self._value + sum(getattr(cell, field)
+                                     for cell, field in self._followed.values())
 
 
 class Gauge:

@@ -81,10 +81,8 @@ class BufferCache:
         self._frames: "OrderedDict[PageKey, Any]" = OrderedDict()  # guarded-by: _lock
         self._lock = threading.Lock()
         metrics = metrics if metrics is not None else get_registry()
-        self._hits = metrics.counter("cache_hits")
-        self._misses = metrics.counter("cache_misses")
-        self._evictions = metrics.counter("cache_evictions")
-        self._cache_writes = metrics.counter("cache_writes")
+        for field in ("hits", "misses", "evictions", "writes"):
+            metrics.counter(f"cache_{field}").follow(self, self.stats, field)
 
     def stats_snapshot(self) -> CacheStats:
         """Copy of the counters (use with :meth:`CacheStats.diff`)."""
@@ -107,13 +105,11 @@ class BufferCache:
             frame = self._frames.get(key)
             if frame is not None:
                 self.stats.hits += 1
-                self._hits.inc()
                 self._frames.move_to_end(key)
                 if decode is None or type(frame) is not bytes:
                     return frame
             else:
                 self.stats.misses += 1
-                self._misses.inc()
         if frame is None:
             fire_fault("buffercache.miss")
             # A page failing its CRC raises here, before anything is installed.
@@ -135,7 +131,6 @@ class BufferCache:
         self.file_manager.write_page(file_name, page_no, data)
         with self._lock:
             self.stats.writes += 1
-            self._cache_writes.inc()
             self._install((file_name, page_no), data)
 
     # -- file-level helpers -------------------------------------------------------------
@@ -167,4 +162,3 @@ class BufferCache:
         while len(self._frames) > self.capacity_pages:
             self._frames.popitem(last=False)
             self.stats.evictions += 1
-            self._evictions.inc()

@@ -14,7 +14,10 @@ Devices are shared by every partition living in one storage environment, so
 with the parallel query executor multiple worker threads charge I/O
 concurrently.  Two mechanisms support that:
 
-* the global counters are guarded by a lock, and
+* one locked cell per traffic class counts every byte and operation once;
+  the device total and the ``device_*`` registry counters are read from the
+  cells (a log record's bytes land in the ``"log"`` cell unless an
+  :meth:`~SimulatedStorageDevice.io_class_scope` re-tags them), and
 * :meth:`SimulatedStorageDevice.accounting_scope` opens a *thread-local*
   scope that additionally accumulates every operation recorded from the
   current thread.  The executor wraps each partition pipeline in a scope,
@@ -58,6 +61,14 @@ class IOStats(StatsDictMixin):
             self.read_ops += 1
 
 
+class _ThreadScopes(threading.local):
+    """One thread's open scopes; a thread that never opened one reads the
+    class attributes, so the hot path needs no ``getattr`` default."""
+
+    io_class: Optional[str] = None
+    scopes: Tuple[IOStats, ...] = ()
+
+
 class SimulatedStorageDevice:
     """Accounts I/O volume and converts it into simulated seconds.
 
@@ -79,33 +90,16 @@ class SimulatedStorageDevice:
         self.write_bandwidth = profile["write_bandwidth"]
         self.seek_latency = profile["seek_latency"]
         #: The ledger: one cell per traffic class.  Nothing else is stored —
-        #: the device total (:attr:`stats`) is the sum of these cells.
+        #: the device total (:attr:`stats`) is the sum of these cells, and the
+        #: ``device_*`` counters read them.
         self.per_class: Dict[str, IOStats] = {}  # guarded-by: _lock
         #: Fraction of each operation's simulated seconds to actually sleep
         #: (0.0 = pure accounting; >1.0 stretches device time for tests that
         #: must observe wall-clock overlap).  Mutable at any time.
         self.throttle = throttle
         self._lock = threading.Lock()
-        self._local = threading.local()
+        self._local = _ThreadScopes()
         self.metrics = metrics if metrics is not None else get_registry()
-        # Counter handles resolved once per io_class: the metrics registry's
-        # get-or-create does a dict lookup under a lock, which is too much
-        # for the per-page hot path; incrementing a resolved handle is one
-        # cheap per-instrument lock.
-        self._metric_handles: Dict[str, Tuple] = {}
-
-    def _metrics_for(self, io_class: str) -> Tuple:
-        handles = self._metric_handles.get(io_class)
-        if handles is None:
-            # (bytes, ops) for reads, then for writes: indexed by ``write``.
-            handles = (
-                (self.metrics.counter("device_bytes_read", io_class=io_class),
-                 self.metrics.counter("device_read_ops", io_class=io_class)),
-                (self.metrics.counter("device_bytes_written", io_class=io_class),
-                 self.metrics.counter("device_write_ops", io_class=io_class)),
-            )
-            self._metric_handles[io_class] = handles
-        return handles
 
     # -- recording -------------------------------------------------------------
 
@@ -121,16 +115,17 @@ class SimulatedStorageDevice:
 
     def _record(self, nbytes: int, io_class: str, write: bool) -> None:
         """Charge one operation: the only code that adds to a device counter."""
-        io_class = getattr(self._local, "io_class", None) or io_class
-        bytes_counter, ops_counter = self._metrics_for(io_class)[write]
+        local = self._local
+        io_class = local.io_class or io_class
         with self._lock:
             cell = self.per_class.get(io_class)
             if cell is None:
                 cell = self.per_class[io_class] = IOStats()
+                for field in ("bytes_read", "bytes_written", "read_ops", "write_ops"):
+                    self.metrics.counter(f"device_{field}", io_class=io_class).follow(
+                        self, cell, field)
             cell.add(nbytes, write)
-        bytes_counter.inc(nbytes)
-        ops_counter.inc()
-        for scope in getattr(self._local, "scopes", ()):
+        for scope in local.scopes:
             scope.add(nbytes, write)
         if self.throttle > 0.0:
             bandwidth = self.write_bandwidth if write else self.read_bandwidth
@@ -148,7 +143,7 @@ class SimulatedStorageDevice:
         path.  Scopes are thread-local and restore the previous tag on exit,
         so nesting works and concurrent workers never see each other's tag.
         """
-        previous = getattr(self._local, "io_class", None)
+        previous = self._local.io_class
         self._local.io_class = io_class
         try:
             yield
@@ -164,20 +159,15 @@ class SimulatedStorageDevice:
         global counters keep accumulating under the lock.
         """
         scope = IOStats()
-        stack = getattr(self._local, "scopes", None)
-        if stack is None:
-            stack = []
-            self._local.scopes = stack
-        stack.append(scope)
+        local = self._local
+        local.scopes += (scope,)
         try:
             yield scope
         finally:
-            # Pop by position, not list.remove(): IOStats compares by value,
-            # so remove() could pop a different (equal-counter) nested scope.
-            for index in range(len(stack) - 1, -1, -1):
-                if stack[index] is scope:
-                    del stack[index]
-                    break
+            # Drop by identity, not by value: IOStats compares by value, so
+            # an equal-counter nested scope must not be dropped in its place.
+            local.scopes = tuple(open_scope for open_scope in local.scopes
+                                 if open_scope is not scope)
 
     # -- simulated time ----------------------------------------------------------
 

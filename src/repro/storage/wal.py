@@ -7,7 +7,10 @@ be truncated once the component's validity bit is set.  The paper observes
 that continuous data-feed ingestion is bottlenecked by flushing these log
 records to the device — which is why the Twitter feed experiment shows
 little difference between SATA and NVMe — so the log charges its writes to
-the simulated device under a dedicated ``"log"`` I/O class.
+the simulated device under a dedicated ``"log"`` I/O class.  A record is
+charged 28 header bytes, its key's UTF-8 text and its payload, counted once
+in the log's own totals (which ``wal_records_appended`` / ``wal_bytes_written``
+read) and once in the device's ``"log"`` cell (``device_*{io_class=log}``).
 
 The log itself is an in-memory list of :class:`LogRecord`; durability in a
 real deployment would come from fsyncing an append-only file, but crash
@@ -22,27 +25,22 @@ import enum
 import threading
 import zlib
 from dataclasses import dataclass
-from typing import Any, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..faults import corrupt_payload, fire_fault
 from ..obs import MetricsRegistry, get_registry
-from .device import SimulatedStorageDevice
+from .device import IOStats, SimulatedStorageDevice
 
 #: Fixed per-record header overhead charged to the device (type, LSN, sizes).
 _LOG_HEADER_BYTES = 28
 
 
-def _record_crc(record_type: "LogRecordType", dataset: str, partition: int,
-                key: Any, payload: Optional[bytes]) -> int:
-    """CRC32 over a record's logical content (LSN excluded, so the checksum
-    can be computed before the log lock assigns one)."""
+def _crc_seed(record_type: "LogRecordType", dataset: str, partition: int) -> int:
+    """CRC32 of the fields a record shares with every record of its type,
+    dataset and partition: the start of each of their checksums."""
     crc = zlib.crc32(record_type.value.encode("utf-8"))
     crc = zlib.crc32(dataset.encode("utf-8"), crc)
-    crc = zlib.crc32(str(partition).encode("utf-8"), crc)
-    crc = zlib.crc32(repr(key).encode("utf-8"), crc)
-    if payload is not None:
-        crc = zlib.crc32(payload, crc)
-    return crc
+    return zlib.crc32(str(partition).encode("utf-8"), crc)
 
 
 class LogRecordType(enum.Enum):
@@ -52,31 +50,32 @@ class LogRecordType(enum.Enum):
     FLUSH_START = "flush-start"
     FLUSH_END = "flush-end"
 
+    # Members are singletons compared by identity; the identity hash keeps
+    # the log's per-record seed lookup out of ``Enum.__hash__``'s frame.
+    __hash__ = object.__hash__
+
 
 @dataclass
 class LogRecord:
     """One WAL entry."""
 
+    __slots__ = ("lsn", "record_type", "dataset", "partition", "key", "payload", "crc")
     lsn: int
     record_type: LogRecordType
     dataset: str
     partition: int
-    key: Any = None
-    payload: Optional[bytes] = None
-    #: CRC32 of the logical content at append time; a mismatch later marks
-    #: the record as torn (see :meth:`WriteAheadLog.drop_torn_tail`).
-    crc: int = 0
+    key: Any
+    payload: Optional[bytes]
+    #: CRC32 of the logical content at append time (LSN excluded, so it is
+    #: computed before the log lock assigns one); a mismatch later marks the
+    #: record as torn (see :meth:`WriteAheadLog.drop_torn_tail`).
+    crc: int
 
     def content_crc(self) -> int:
         """Recompute the CRC32 of the record's current content."""
-        return _record_crc(self.record_type, self.dataset, self.partition,
-                           self.key, self.payload)
-
-    @property
-    def size_bytes(self) -> int:
-        payload_size = len(self.payload) if self.payload is not None else 0
-        key_size = len(str(self.key)) if self.key is not None else 0
-        return _LOG_HEADER_BYTES + key_size + payload_size
+        key_bytes = b"" if self.key is None else str(self.key).encode("utf-8")
+        crc = zlib.crc32(key_bytes, _crc_seed(self.record_type, self.dataset, self.partition))
+        return zlib.crc32(self.payload, crc) if self.payload else crc
 
 
 class WriteAheadLog:
@@ -86,11 +85,13 @@ class WriteAheadLog:
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self.device = device
         self._records: List[LogRecord] = []  # guarded-by: _lock
-        self._next_lsn = 1  # guarded-by: _lock
-        self.bytes_written = 0  # guarded-by: _lock
+        #: The log's totals: records appended (``write_ops``, also the last
+        #: LSN handed out) and their charged ``bytes_written``.
+        self._appended = IOStats()  # guarded-by: _lock
+        self._crc_seeds: Dict[Tuple[LogRecordType, str, int], int] = {}
         metrics = metrics if metrics is not None else get_registry()
-        self._appends_metric = metrics.counter("wal_records_appended")
-        self._bytes_metric = metrics.counter("wal_bytes_written")
+        metrics.counter("wal_records_appended").follow(self, self._appended, "write_ops")
+        metrics.counter("wal_bytes_written").follow(self, self._appended, "bytes_written")
         self._wal_checksum_failures = metrics.counter(
             "checksum_failures_total", kind="wal")
         # Background LSM maintenance appends FLUSH markers and truncates from
@@ -108,26 +109,33 @@ class WriteAheadLog:
         # no longer match its CRC (a torn record for recovery to drop), and
         # an injected device/transient failure raises before the record is
         # logged, so a failed append leaves no trace.
-        crc = _record_crc(record_type, dataset, partition, key, payload)
+        seed = self._crc_seeds.get((record_type, dataset, partition))
+        if seed is None:
+            seed = self._crc_seeds[record_type, dataset, partition] = _crc_seed(
+                record_type, dataset, partition)
+        # A key is charged and checksummed as its UTF-8 text.
+        key_bytes = b"" if key is None else str(key).encode("utf-8")
+        crc = zlib.crc32(key_bytes, seed)
+        size = _LOG_HEADER_BYTES + len(key_bytes)
         if payload:
+            crc = zlib.crc32(payload, crc)
+            size += len(payload)
             payload = corrupt_payload("wal.append", payload)
         else:
             fire_fault("wal.append")
         record = LogRecord(0, record_type, dataset, partition, key, payload, crc)
         if self.device is not None:
-            self.device.record_write(record.size_bytes, io_class="log")
+            self.device.record_write(size, io_class="log")
         with self._lock:
-            record.lsn = self._next_lsn
-            self._next_lsn += 1
+            appended = self._appended
+            appended.add(size, True)
+            record.lsn = appended.write_ops
             self._records.append(record)
-            self.bytes_written += record.size_bytes
-        self._appends_metric.inc()
-        self._bytes_metric.inc(record.size_bytes)
         return record
 
     @property
     def last_lsn(self) -> int:
-        return self._next_lsn - 1
+        return self._appended.write_ops
 
     def __len__(self) -> int:
         return len(self._records)

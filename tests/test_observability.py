@@ -14,15 +14,19 @@ Covers the guarantees the layer advertises (README "Observability"):
   divergence emits a structured warning.
 """
 
+import gc
 import json
 import logging
+import sys
 import threading
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import Dataset, LSMConfig, StorageFormat, metrics_delta
+from repro import Dataset, LSMConfig, StorageEnvironment, StorageFormat, metrics_delta
+from repro.config import StorageConfig
 from repro.cluster import DataFeed
 from repro.datasets import sensors, twitter, wos
 from repro.obs import (
@@ -37,6 +41,7 @@ from repro.obs import (
     validate_trace_lines,
 )
 from repro.query import ExecutionStats, OperatorStats, PartitionStats, QueryExecutor
+from repro.storage import LogRecordType, SimulatedStorageDevice, WriteAheadLog
 from repro.query.explain import _analyze_lines
 
 #: Small memtables so ingest produces flushes and merges mid-run.
@@ -167,6 +172,85 @@ class TestMetricsRegistry:
         assert delta["gauges"]["g"] == 9  # gauges keep the current value
         assert delta["histograms"]["h"]["count"] == 0
         assert delta["histograms"]["h"]["min"] == 0.0  # zeroed: no new samples
+
+    def test_followed_counters_keep_their_value_when_the_owner_is_dropped(self):
+        registry = MetricsRegistry()
+
+        def write(records):
+            device = SimulatedStorageDevice(metrics=registry)
+            wal = WriteAheadLog(device, registry)
+            for key in range(records):
+                wal.append(LogRecordType.INSERT, "ds", 0, key=key, payload=b"row")
+            return weakref.ref(device.per_class["log"]), weakref.ref(device)
+
+        cell, device = write(10)
+        gc.collect()
+        assert device() is None
+        counters = registry.snapshot()["counters"]
+        # 10 records of 28 + 1 + 3 bytes: the readings outlive the device.
+        assert counters["device_bytes_written{io_class=log}"] == 320
+        assert counters["device_write_ops{io_class=log}"] == 10
+        assert counters["wal_bytes_written"] == 320
+        assert counters["wal_records_appended"] == 10
+        assert cell() is None  # the fold let the counter drop the cell
+        write(5)
+        counters = registry.snapshot()["counters"]
+        assert counters["device_write_ops{io_class=log}"] == 15
+        assert counters["wal_records_appended"] == 15
+
+    def test_dropping_an_environment_keeps_every_counter(self):
+        registry = MetricsRegistry()
+
+        def ingest():
+            environment = StorageEnvironment(StorageConfig(), metrics=registry)
+            dataset = Dataset.create("dropped", StorageFormat.INFERRED,
+                                     environment=environment, partitions=2,
+                                     lsm=LSMConfig(memory_component_budget=8 * 1024,
+                                                   background_maintenance=False))
+            dataset.insert_all(twitter.generate(120))
+            dataset.flush_all()
+            dataset.query("SELECT count(*) AS n FROM tweets AS t", cold_cache=True)
+            dataset.close()
+            return registry.snapshot()["counters"], weakref.ref(environment.device)
+
+        before, device = ingest()
+        gc.collect()
+        assert device() is None
+        assert registry.snapshot()["counters"] == before
+        assert before["lsm_flushes"] > 0 and before["cache_misses"] > 0
+        assert before["wal_records_appended"] > 120
+
+    def test_followed_counters_lose_nothing_under_concurrent_writers(self):
+        registry = MetricsRegistry()
+        device = SimulatedStorageDevice(metrics=registry)
+        readings = []
+
+        def write():
+            for _ in range(300):
+                device.record_write(3, io_class="log")
+                SimulatedStorageDevice(metrics=registry).record_write(1, io_class="log")
+
+        def read():
+            for _ in range(300):
+                readings.append(registry.counter("device_write_ops", io_class="log").value)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=write) for _ in range(6)]
+            threads.append(threading.Thread(target=read))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        gc.collect()
+        counters = registry.snapshot()["counters"]
+        assert counters["device_write_ops{io_class=log}"] == 6 * 300 * 2
+        assert counters["device_bytes_written{io_class=log}"] == 6 * 300 * 4
+        assert readings == sorted(readings)  # monotonic while devices die
 
 
 # ---------------------------------------------------------------------------

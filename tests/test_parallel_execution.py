@@ -204,6 +204,69 @@ class TestMeasuredParallelism:
         assert outer.bytes_read == 100
         assert inner.bytes_read == 0
 
+    def test_thread_without_scopes_charges_the_class_it_names(self):
+        from repro.storage.device import SimulatedStorageDevice
+
+        device = SimulatedStorageDevice()
+        worker = threading.Thread(target=device.record_write, args=(10,),
+                                  kwargs={"io_class": "log"})
+        with device.io_class_scope("maintenance"), device.accounting_scope() as mine:
+            worker.start()
+            worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert device.per_class["log"].write_ops == 1
+        assert "maintenance" not in device.per_class
+        assert mine.write_ops == 0
+
+    def test_nested_scopes_on_two_threads_stay_private(self):
+        from repro.storage.device import SimulatedStorageDevice
+
+        device = SimulatedStorageDevice()
+        barrier = threading.Barrier(2, timeout=10)
+        seen = {}
+
+        def work(tag, nbytes):
+            with device.io_class_scope(tag), device.accounting_scope() as outer:
+                barrier.wait()  # both threads hold open scopes from here on
+                with device.io_class_scope(tag + "-inner"), \
+                        device.accounting_scope() as inner:
+                    barrier.wait()
+                    device.record_read(nbytes)
+                    barrier.wait()
+                device.record_write(nbytes)
+                barrier.wait()
+            seen[tag] = (outer.to_dict(), inner.to_dict())
+
+        threads = [threading.Thread(target=work, args=(tag, nbytes))
+                   for tag, nbytes in (("a", 10), ("b", 1000))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        for tag, nbytes in (("a", 10), ("b", 1000)):
+            outer, inner = seen[tag]
+            assert outer == {"bytes_read": nbytes, "bytes_written": nbytes,
+                             "read_ops": 1, "write_ops": 1}
+            assert inner == {"bytes_read": nbytes, "bytes_written": 0,
+                             "read_ops": 1, "write_ops": 0}
+            assert device.per_class[tag + "-inner"].bytes_read == nbytes
+            assert device.per_class[tag].bytes_written == nbytes
+
+    def test_scope_opened_after_all_closed_starts_empty(self):
+        from repro.storage.device import SimulatedStorageDevice
+
+        device = SimulatedStorageDevice()
+        with device.accounting_scope() as first:
+            with device.accounting_scope():
+                device.record_read(100)
+        device.record_read(7)
+        with device.accounting_scope() as second:
+            assert second.read_ops == 0
+            device.record_read(1)
+        assert (first.read_ops, second.read_ops, second.bytes_read) == (1, 1, 1)
+        assert device.stats.read_ops == 3
+
     def test_coordinator_time_is_measured_not_inferred(self):
         dataset = _build(StorageFormat.OPEN, name="par_coord")
         text = "SELECT lang, count(*) AS n FROM tweets AS t GROUP BY t.lang AS lang ORDER BY lang"

@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import DeviceKind
 from repro.errors import PageNotFoundError, StorageError
+from repro.obs import MetricsRegistry
 from repro.storage import (
     LAF_ENTRY_SIZE,
     BufferCache,
@@ -261,6 +262,53 @@ class TestWriteAheadLog:
         wal = WriteAheadLog(device)
         wal.append(LogRecordType.INSERT, "ds", 0, key=1, payload=b"abc")
         assert device.per_class["log"].bytes_written > 0
+
+    def test_key_is_charged_its_utf8_bytes(self):
+        registry = MetricsRegistry()
+        device = SimulatedStorageDevice(metrics=registry)
+        wal = WriteAheadLog(device, registry)
+        wal.append(LogRecordType.INSERT, "ds", 0, key="ééé", payload=b"ab")
+        # 28 header bytes + 6 UTF-8 bytes of key + 2 of payload (not 3 chars).
+        assert device.per_class["log"].bytes_written == 36
+        wal.append(LogRecordType.INSERT, "ds", 0, key=12345, payload=b"ab")
+        assert device.per_class["log"].bytes_written == 36 + 35
+        counters = registry.snapshot()["counters"]
+        assert counters["wal_bytes_written"] == 71
+        assert counters["wal_records_appended"] == 2 == wal.last_lsn
+
+    @pytest.mark.parametrize("field, torn", [
+        ("record_type", LogRecordType.UPSERT), ("dataset", "dt"), ("partition", 1),
+        ("key", 7), ("key", "k7"), ("payload", b"p7"), ("payload", None)])
+    def test_crc_covers_every_field(self, field, torn):
+        wal = WriteAheadLog()
+        for key in range(5):
+            wal.append(LogRecordType.INSERT, "ds", 0,
+                       key=key if key != 2 else "k2", payload=b"p%d" % key)
+        assert wal.drop_torn_tail() == 0
+        setattr(wal._records[2], field, torn)
+        assert wal.drop_torn_tail() == 3
+        assert [record.key for record in wal.replay()] == [0, 1]
+
+    def test_datasets_sharing_partitions_keep_distinct_seeds(self):
+        wal = WriteAheadLog()
+        first = wal.append(LogRecordType.INSERT, "a", 0, key=1, payload=b"row")
+        second = wal.append(LogRecordType.INSERT, "b", 0, key=1, payload=b"row")
+        assert first.crc != second.crc and len(wal._crc_seeds) == 2
+        assert [record.crc for record in wal.replay()] == [
+            record.content_crc() for record in wal.replay()]
+        first.dataset = "b"
+        assert wal.drop_torn_tail() == 2
+
+    def test_one_fault_point_hit_per_record(self, isolated_injector):
+        for point in ("wal.append", "device.write"):
+            isolated_injector.add_rule(point, nth=10 ** 9)
+        registry = MetricsRegistry()
+        wal = WriteAheadLog(SimulatedStorageDevice(metrics=registry), registry)
+        wal.append(LogRecordType.INSERT, "ds", 0, key=1, payload=b"row")
+        wal.append(LogRecordType.DELETE, "ds", 0, key=1, payload=b"")
+        wal.append(LogRecordType.FLUSH_START, "ds", 0)
+        wal.append(LogRecordType.UPSERT, "ds", 1, key="k", payload=b"row")
+        assert isolated_injector.hit_counts() == {"wal.append": 4, "device.write": 4}
 
     def test_drop_after_simulates_crash(self):
         wal = WriteAheadLog()
