@@ -5,13 +5,17 @@ The paper scales the Twitter workload proportionally with the cluster size
 totals growing linearly: the inferred dataset keeps the lowest storage
 footprint and the highest ingest rate at every cluster size.
 
-The cluster simulator runs every node in one process, so the node counts are
+Each node is one :class:`~repro.core.StorageEnvironment` (its own buffer
+cache, log and device), and a cluster is one dataset over N of them with two
+partitions each.  Every node runs in one process, so the node counts are
 scaled down (1/2/4) and the checked shapes are: (i) total storage grows
 roughly linearly with node count (data volume is proportional), (ii) at
 every cluster size the storage ordering inferred < closed < open holds, and
 (iii) the per-node write volume stays roughly constant — the "linear
 scale-out" claim expressed in the substrate's faithful currency.
 """
+
+from dataclasses import replace
 
 from harness import (
     lifecycle_columns,
@@ -23,9 +27,11 @@ from harness import (
     shape_check,
 )
 
-from repro.cluster import ClusterSimulator, DataFeed
-from repro.config import ClusterConfig, StorageConfig, StorageFormat
+from repro.cluster import DataFeed
+from repro.config import DatasetConfig, LSMConfig, StorageConfig, StorageFormat
+from repro.core import Dataset, StorageEnvironment
 from repro.datasets import twitter
+from repro.storage import IOStats
 
 NODE_COUNTS = (1, 2, 4)
 RECORDS_PER_NODE = max(150, int(400 * scale_factor()))
@@ -35,9 +41,10 @@ _FORMATS = {"open": StorageFormat.OPEN, "closed": StorageFormat.CLOSED,
 
 def build_cluster(nodes: int, format_name: str, io_throttle: float = 0.0,
                   ingest_throttle: float = 0.0,
-                  background_maintenance=None, per_partition_ingest: bool = False,
+                  background_maintenance: bool = False, per_partition_ingest: bool = False,
                   memory_budget=None):
-    """Build and ingest one scale-out cluster.
+    """Build and ingest one scale-out cluster: a ``tweets`` dataset with two
+    partitions on each of ``nodes`` storage environments.
 
     ``io_throttle`` dials in the devices' latency realism *after* ingestion
     (so only queries pay real sleeps) — the Figure 26 query benchmark uses
@@ -48,34 +55,42 @@ def build_cluster(nodes: int, format_name: str, io_throttle: float = 0.0,
     asynchronous LSM lifecycle and the per-partition ingest threads, and
     ``memory_budget`` shrinks the memtables so flushes happen mid-feed.
     """
-    cluster = ClusterSimulator(
-        ClusterConfig(node_count=nodes, partitions_per_node=2),
-        StorageConfig(page_size=8 * 1024, buffer_cache_pages=2048, compression="snappy",
-                      io_throttle=ingest_throttle),
-    )
+    storage = StorageConfig(page_size=8 * 1024, buffer_cache_pages=2048, compression="snappy",
+                            io_throttle=ingest_throttle)
     datatype = None
     if format_name == "closed":
         from harness import closed_datatype_for
 
         datatype = closed_datatype_for("twitter", records_for("twitter", RECORDS_PER_NODE))
-    dataset_config = None
+    lsm = LSMConfig(background_maintenance=background_maintenance)
     if memory_budget is not None:
-        from repro.config import DatasetConfig, LSMConfig
-
-        dataset_config = DatasetConfig(
-            name="tweets", primary_key="id", storage_format=_FORMATS[format_name],
-            storage=cluster.storage_config,
-            lsm=LSMConfig(memory_component_budget=memory_budget,
-                          max_tolerable_component_count=3))
-    dataset = cluster.create_dataset("tweets", _FORMATS[format_name], datatype=datatype,
-                                     dataset_config=dataset_config,
-                                     background_maintenance=background_maintenance)
+        lsm = replace(lsm, memory_component_budget=memory_budget,
+                      max_tolerable_component_count=3)
+    config = DatasetConfig(name="tweets", storage_format=_FORMATS[format_name],
+                           storage=storage, lsm=lsm)
+    dataset = Dataset(config, [StorageEnvironment(storage) for _ in range(nodes)],
+                      partitions_per_environment=2, datatype=datatype)
     feed = DataFeed(dataset, per_partition_ingest=per_partition_ingest)
     report = feed.run(twitter.generate(RECORDS_PER_NODE * nodes))
     feed.close()
     if io_throttle:
-        cluster.set_io_throttle(io_throttle)
-    return cluster, report
+        for environment in dataset.environments:
+            environment.device.throttle = io_throttle
+    return dataset, report
+
+
+def _storage_size(dataset: Dataset) -> int:
+    return sum(environment.storage_size() for environment in dataset.environments)
+
+
+def _maintenance_io_seconds(dataset: Dataset):
+    """Simulated device seconds of each node's background flush/merge
+    traffic: the maintenance workers tag their I/O with the "maintenance"
+    class, so this is the time the asynchronous LSM lifecycle moved off
+    the ingest path (none under synchronous maintenance)."""
+    return [environment.device.simulated_seconds(
+                environment.device.per_class.get("maintenance", IOStats()))
+            for environment in dataset.environments]
 
 
 def _figure25():
@@ -84,8 +99,8 @@ def _figure25():
     reports = []
     for nodes in NODE_COUNTS:
         for format_name in _FORMATS:
-            cluster, report = build_cluster(nodes, format_name)
-            total = cluster.total_storage_size()
+            dataset, report = build_cluster(nodes, format_name)
+            total = _storage_size(dataset)
             storage[(nodes, format_name)] = total
             reports.append(({"nodes": nodes, "format": format_name}, report))
             rows.append({"Nodes": nodes, "Format": format_name,
@@ -123,19 +138,18 @@ def _figure25b():
     results = {}
     for label, background, per_partition in (("synchronous", False, False),
                                              ("background", True, True)):
-        cluster, report = build_cluster(
+        dataset, report = build_cluster(
             2, "inferred", ingest_throttle=_OVERLAP_THROTTLE,
             background_maintenance=background, per_partition_ingest=per_partition,
             memory_budget=24 * 1024)
-        results[label] = (cluster, report)
+        results[label] = (dataset, report)
     rows = [{"Mode": label, "Ingest threads": report.ingest_threads,
              "Ingest wall (s)": report.wall_seconds,
              # Device time the async lifecycle moved off the ingest path
              # (tagged by the maintenance workers; 0 in synchronous mode).
-             "Maintenance I/O (s)": sum(node.maintenance_io_seconds()
-                                        for node in cluster.nodes),
+             "Maintenance I/O (s)": sum(_maintenance_io_seconds(dataset)),
              **lifecycle_columns(report)}
-            for label, (cluster, report) in results.items()]
+            for label, (dataset, report) in results.items()]
     return rows, results
 
 
@@ -143,18 +157,17 @@ def test_fig25b_background_ingest_overlap(benchmark):
     rows, results = benchmark.pedantic(_figure25b, rounds=1, iterations=1)
     print_table("Figure 25b — scale-out feed: background LSM lifecycle vs "
                 f"synchronous (SATA realism x{_OVERLAP_THROTTLE})", rows)
-    sync_cluster, sync_report = results["synchronous"]
-    bg_cluster, bg_report = results["background"]
+    sync_dataset, sync_report = results["synchronous"]
+    bg_dataset, bg_report = results["background"]
     benchmark.extra_info["wall_seconds"] = {
         "synchronous": sync_report.wall_seconds, "background": bg_report.wall_seconds}
     shape_check("background flush/merge with per-partition ingest beats the "
                 "synchronous sequential pipeline on wall time",
                 bg_report.wall_seconds < sync_report.wall_seconds * 0.8)
     shape_check("background maintenance device traffic is tagged per node",
-                sum(node.maintenance_io_seconds() for node in bg_cluster.nodes) > 0.0
-                and all(node.maintenance_io_seconds() == 0.0
-                        for node in sync_cluster.nodes))
-    sync_rows = sorted(row["id"] for row in sync_cluster.dataset("tweets").scan())
-    bg_rows = sorted(row["id"] for row in bg_cluster.dataset("tweets").scan())
+                sum(_maintenance_io_seconds(bg_dataset)) > 0.0
+                and all(seconds == 0.0 for seconds in _maintenance_io_seconds(sync_dataset)))
+    sync_rows = sorted(row["id"] for row in sync_dataset.scan())
+    bg_rows = sorted(row["id"] for row in bg_dataset.scan())
     shape_check("post-ingest row sets are identical across modes", sync_rows == bg_rows)
-    bg_cluster.close()
+    bg_dataset.close()

@@ -5,15 +5,16 @@ stay roughly flat as nodes are added (linear scale-out), the inferred
 dataset is the fastest at every size, and the schema broadcast required by
 the repartitioning queries (Q2/Q3) has no visible impact.
 
-Since PR 3 the executor fans partitions out over a real worker pool, so the
-"Parallel (s)" column is *measured* wall time, not a simulated maximum, and
-the measured speedup (sequential-equivalent over wall) is reported per run.
-The node devices run with a latency-realism throttle (enabled after
-ingestion) so cold reads cost real, GIL-releasing wall time — otherwise the
-pure-Python CPU work would serialize on the GIL and hide the overlap a real
-cluster gets for free.
+Each cluster is one dataset over N storage environments (see
+``bench_fig25_scaleout_ingest.build_cluster``).  The executor fans its
+partitions out over a real worker pool, so the "Measured wall (s)" column is
+measured, not a simulated maximum, and the measured speedup
+(sequential-equivalent over wall) is reported per run.  The node devices run
+with a latency-realism throttle (enabled after ingestion) so cold reads cost
+real, GIL-releasing wall time — otherwise the pure-Python CPU work would
+serialize on the GIL and hide the overlap a real cluster gets for free.
 
-Checked shapes on the simulator: (i) the measured parallel time grows far
+Checked shapes: (i) the measured parallel time grows far
 slower than the total sequential-equivalent work as nodes double, (ii) real
 overlap happens — the largest cluster's measured speedup clearly exceeds 1,
 (iii) the schema broadcast happens exactly for the repartitioning queries on
@@ -42,23 +43,22 @@ def _figure26():
     from repro.query import QueryExecutor
 
     for nodes in NODE_COUNTS:
-        clusters = {format_name: build_cluster(nodes, format_name,
+        datasets = {format_name: build_cluster(nodes, format_name,
                                                io_throttle=QUERY_IO_THROTTLE)[0]
                     for format_name in ("open", "inferred")}
-        for format_name, cluster in clusters.items():
-            executor = QueryExecutor(cold_cache=True,
-                                     parallelism=cluster.total_partitions())
+        for format_name, dataset in datasets.items():
+            executor = QueryExecutor(cold_cache=True, parallelism=dataset.partition_count)
             for query_name in QUERY_NAMES:
-                report = cluster.execute("tweets", twitter.SQLPP[query_name], executor)
-                measurements[(nodes, format_name, query_name)] = report
+                result = dataset.query(twitter.SQLPP[query_name], executor=executor)
+                stats = result.stats
+                measurements[(nodes, format_name, query_name)] = stats
                 rows.append({"Nodes": nodes, "Format": format_name, "Query": query_name,
-                             "Parallel (s)": report.parallel_seconds,
-                             "Measured wall (s)": report.measured_wall_seconds,
-                             "Seq-equivalent (s)": report.sequential_seconds,
-                             "Speedup": report.measured_speedup,
-                             "Workers": report.parallelism,
-                             "Broadcast bytes": report.schema_broadcast_bytes,
-                             "Rows": len(report.result.rows)})
+                             "Measured wall (s)": stats.wall_seconds,
+                             "Seq-equivalent (s)": stats.sequential_equivalent_seconds,
+                             "Speedup": stats.measured_speedup,
+                             "Workers": stats.parallelism,
+                             "Broadcast bytes": stats.schema_broadcast_bytes,
+                             "Rows": len(result.rows)})
     return rows, measurements
 
 
@@ -70,25 +70,26 @@ def test_fig26_scaleout_queries(benchmark):
     for query_name in QUERY_NAMES:
         small = measurements[(smallest, "inferred", query_name)]
         large = measurements[(largest, "inferred", query_name)]
-        sequential_growth = large.sequential_seconds / max(small.sequential_seconds, 1e-9)
-        parallel_growth = large.parallel_seconds / max(small.parallel_seconds, 1e-9)
+        sequential_growth = (large.sequential_equivalent_seconds
+                             / max(small.sequential_equivalent_seconds, 1e-9))
+        parallel_growth = large.wall_seconds / max(small.wall_seconds, 1e-9)
         shape_check(f"{query_name}: measured parallel time scales far better than sequential work",
                     parallel_growth < sequential_growth)
         shape_check(f"{query_name}: bytes read are lower for inferred than open",
-                    measurements[(largest, "inferred", query_name)].result.stats.bytes_read
-                    <= measurements[(largest, "open", query_name)].result.stats.bytes_read * 1.05)
+                    measurements[(largest, "inferred", query_name)].bytes_read
+                    <= measurements[(largest, "open", query_name)].bytes_read * 1.05)
 
     # Real overlap: at the largest cluster the worker pool must beat the
     # sequential-equivalent time outright.  The bound is deliberately loose
     # (the throttled device sleeps overlap perfectly; Python CPU time does
     # not), asserted only where the fan-out is widest.
     for query_name in QUERY_NAMES:
-        report = measurements[(largest, "inferred", query_name)]
+        stats = measurements[(largest, "inferred", query_name)]
         shape_check(f"{query_name}: measured speedup beats 1.15x at {largest} nodes "
-                    f"(got {report.measured_speedup:.2f})",
-                    report.measured_speedup > 1.15)
+                    f"(got {stats.measured_speedup:.2f})",
+                    stats.measured_speedup > 1.15)
         shape_check(f"{query_name}: wall time below sequential-equivalent",
-                    report.measured_wall_seconds < report.sequential_seconds)
+                    stats.wall_seconds < stats.sequential_equivalent_seconds)
 
     # Schema broadcast: only the repartitioning queries on the inferred dataset ship
     # schemas.  At the paper's 3.2 TB scale the broadcast volume is utterly
@@ -98,11 +99,11 @@ def test_fig26_scaleout_queries(benchmark):
     # bound is widened proportionally (the per-query volumes are printed above).
     broadcast_bound = 0.35 / scale_factor()
     for query_name in ("Q2", "Q3"):
-        report = measurements[(largest, "inferred", query_name)]
+        stats = measurements[(largest, "inferred", query_name)]
         shape_check(f"{query_name}: repartitioning query broadcast schemas",
-                    report.schema_broadcast_bytes > 0)
+                    stats.schema_broadcast_bytes > 0)
         shape_check(f"{query_name}: broadcast volume is small relative to the data read",
-                    report.schema_broadcast_bytes
-                    < broadcast_bound * max(report.result.stats.bytes_read, 1))
-    q1_report = measurements[(largest, "open", "Q1")]
-    shape_check("non-vector datasets never broadcast schemas", q1_report.schema_broadcast_bytes == 0)
+                    stats.schema_broadcast_bytes
+                    < broadcast_bound * max(stats.bytes_read, 1))
+    q1_stats = measurements[(largest, "open", "Q1")]
+    shape_check("non-vector datasets never broadcast schemas", q1_stats.schema_broadcast_bytes == 0)

@@ -37,7 +37,6 @@ Quick start::
 """
 
 from .config import (
-    ClusterConfig,
     DatasetConfig,
     DeviceKind,
     LSMConfig,
@@ -90,7 +89,6 @@ __all__ = [
     "DatasetConfig",
     "StorageConfig",
     "LSMConfig",
-    "ClusterConfig",
     "Dataset",
     "Partition",
     "StorageEnvironment",

@@ -1,6 +1,6 @@
 """ADM physical record format (the paper's open/closed baseline)."""
 
 from .encoder import ADMEncoder
-from .decoder import ADMDecoder, ADMRecordView
+from .decoder import ADMRecordView
 
-__all__ = ["ADMEncoder", "ADMDecoder", "ADMRecordView"]
+__all__ = ["ADMEncoder", "ADMRecordView"]

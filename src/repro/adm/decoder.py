@@ -1,11 +1,12 @@
 """Decoder and lazy navigation for the ADM physical record format.
 
-Two access styles are provided:
+:class:`ADMRecordView` provides two access styles:
 
-* :func:`ADMDecoder.decode` — materialize the whole record back into Python
-  objects (dicts, lists, :class:`~repro.types.AMultiset`, value wrappers).
-* :class:`ADMRecordView` — lazy field access that follows the embedded
-  offset tables without materializing siblings.  This is the
+* :meth:`~ADMRecordView.materialize` — decode the whole record back into
+  Python objects (dicts, lists, :class:`~repro.types.AMultiset`, value
+  wrappers).
+* :meth:`~ADMRecordView.get_field` — lazy field access that follows the
+  embedded offset tables without materializing siblings.  This is the
   "logarithmic/direct time" access the paper contrasts with the
   vector-based format's linear scan (§3.3.1), and it is what the query
   engine's ``get_field`` uses for open/closed datasets.
@@ -210,39 +211,6 @@ def _open_value(buffer: bytes, offset: int, closed: Tuple[int, ...], name: str) 
     return None
 
 
-def _decode(payload: bytes, context: TypeContext) -> Any:
-    """The value at the start of ``payload``, every read error a ``DecodingError``."""
-    try:
-        value, end = _value(payload, 0, context)
-    except (struct.error, IndexError, UnicodeDecodeError) as exc:
-        raise _corrupt(payload, exc) from None
-    if end > len(payload):
-        raise _overrun(0, end, payload)
-    return value
-
-
-def _decode_record(payload: bytes, datatype: Optional[Datatype]) -> Dict[str, Any]:
-    record = _decode(payload, datatype)
-    if type(record) is not dict:
-        raise DecodingError("top-level ADM payload is not an object")
-    return record
-
-
-class ADMDecoder:
-    """Decodes ADM physical bytes back into Python values."""
-
-    def __init__(self, datatype: Optional[Datatype] = None) -> None:
-        self.datatype = datatype
-
-    def decode(self, payload: bytes) -> Dict[str, Any]:
-        """Materialize a full record."""
-        return _decode_record(payload, self.datatype)
-
-    def decode_value(self, payload: bytes) -> Any:
-        """Materialize an arbitrary tagged value."""
-        return _decode(payload, None)
-
-
 class ADMRecordView:
     """Lazy field access over an encoded ADM record.
 
@@ -257,7 +225,16 @@ class ADMRecordView:
 
     def materialize(self) -> Dict[str, Any]:
         """Decode the full record."""
-        return _decode_record(self.payload, self.datatype)
+        payload = self.payload
+        try:
+            record, end = _value(payload, 0, self.datatype)
+        except (struct.error, IndexError, UnicodeDecodeError) as exc:
+            raise _corrupt(payload, exc) from None
+        if end > len(payload):
+            raise _overrun(0, end, payload)
+        if type(record) is not dict:
+            raise DecodingError("top-level ADM payload is not an object")
+        return record
 
     def get_field(self, *path: Any) -> Any:
         """Follow ``path`` (field names and array indexes) and return the value.

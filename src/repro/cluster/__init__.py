@@ -1,13 +1,5 @@
-"""Cluster simulation: node controllers, data feeds, the cluster simulator."""
+"""Data feeds: continuous ingestion into a dataset (paper §4.3)."""
 
 from .feed import DataFeed, FeedReport
-from .node import NodeController
-from .simulator import ClusterQueryReport, ClusterSimulator
 
-__all__ = [
-    "NodeController",
-    "DataFeed",
-    "FeedReport",
-    "ClusterSimulator",
-    "ClusterQueryReport",
-]
+__all__ = ["DataFeed", "FeedReport"]

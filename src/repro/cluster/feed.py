@@ -20,9 +20,16 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..core.dataset import Dataset, hash_partition
+from ..core.environment import StorageEnvironment
 from ..errors import FeedError
 from ..obs import StatsDictMixin, metrics_delta
 from ..obs import tracer as _tracer
+
+
+def _bytes_written(environment: StorageEnvironment, io_class: str) -> int:
+    """Bytes ``environment``'s device has written under ``io_class`` so far."""
+    cell = environment.device.per_class.get(io_class)
+    return 0 if cell is None else cell.bytes_written
 
 
 @dataclass
@@ -116,6 +123,7 @@ class DataFeed:
         report = FeedReport()
         environments = self.dataset.environments
         io_before = [environment.device.stats for environment in environments]
+        log_before = [_bytes_written(environment, "log") for environment in environments]
         # Lifecycle counters are reported as per-run deltas, so back-to-back
         # feeds on one dataset do not re-bill earlier runs' maintenance.
         lifecycle_before = self.dataset.ingest_stats()
@@ -149,12 +157,11 @@ class DataFeed:
             self.dataset.drain()
             span.set_attribute("records", report.records_ingested)
         report.metrics = metrics_delta(self.dataset.metrics.snapshot(), metrics_before)
-        for environment, before in zip(environments, io_before):
+        for environment, before, log in zip(environments, io_before, log_before):
             delta = environment.device.stats.diff(before)
             report.simulated_io_seconds += environment.device.simulated_seconds(delta)
             report.data_bytes_written += delta.bytes_written
-            report.log_bytes_written += environment.device.per_class.get(
-                "log", type(delta)()).bytes_written
+            report.log_bytes_written += _bytes_written(environment, "log") - log
         stats = self.dataset.ingest_stats()
         report.flushes = stats["flushes"] - lifecycle_before["flushes"]
         report.merges = stats["merges"] - lifecycle_before["merges"]
@@ -241,12 +248,8 @@ class DataFeed:
         """Device bytes written under the "maintenance" I/O class — flush and
         merge traffic executed by background workers (0 in synchronous mode,
         where maintenance runs on the writer's thread untagged)."""
-        total = 0
-        for environment in self.dataset.environments:
-            stats = environment.device.per_class.get("maintenance")
-            if stats is not None:
-                total += stats.bytes_written
-        return total
+        return sum(_bytes_written(environment, "maintenance")
+                   for environment in self.dataset.environments)
 
     def close(self) -> None:
         """Flush whatever is still in the in-memory components and close.

@@ -1,4 +1,4 @@
-"""Configuration objects shared across the storage engine and the cluster.
+"""Configuration objects shared across the storage engine and its datasets.
 
 The paper's experiments vary a small number of knobs — the storage format
 (open / closed / inferred / schema-less vector-based), whether page-level
@@ -161,21 +161,3 @@ class DatasetConfig:
         """The ``{"tuple-compactor-enabled": true}`` WITH-clause of Figure 8:
         what the inferred format is."""
         return self.storage_format is StorageFormat.INFERRED
-
-
-@dataclass(frozen=True)
-class ClusterConfig:
-    """Topology of a simulated AsterixDB cluster (paper Figure 3)."""
-
-    node_count: int = 1
-    partitions_per_node: int = 2
-
-    def __post_init__(self) -> None:
-        if self.node_count <= 0:
-            raise ValueError("node_count must be positive")
-        if self.partitions_per_node <= 0:
-            raise ValueError("partitions_per_node must be positive")
-
-    @property
-    def total_partitions(self) -> int:
-        return self.node_count * self.partitions_per_node

@@ -4,8 +4,12 @@ In AsterixDB (paper Figure 3) each node controller owns a buffer cache, an
 in-memory-component memory budget, and a transaction log that its data
 partitions share, while each partition manages its own files on its own
 storage device.  A :class:`StorageEnvironment` bundles exactly those per-node
-resources so datasets and the cluster simulator can create partitions
-against it without re-plumbing devices and caches everywhere.
+resources, so it *is* the node: a multi-node cluster is one
+:class:`~repro.core.Dataset` over N environments, with a fixed number of
+partitions on each::
+
+    Dataset(config, [StorageEnvironment(storage) for _ in range(n)],
+            partitions_per_environment=p)
 """
 
 from __future__ import annotations
@@ -28,10 +32,8 @@ class StorageEnvironment:
     """Everything a node needs to host dataset partitions."""
 
     def __init__(self, storage_config: Optional[StorageConfig] = None,
-                 node_id: int = 0,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self.config = storage_config or StorageConfig()
-        self.node_id = node_id
         #: Metrics registry every component of this environment publishes
         #: into; defaults to the process-wide registry so cluster-level
         #: consumers see one coherent snapshot (pass a fresh registry for
@@ -69,9 +71,8 @@ class StorageEnvironment:
 
     @classmethod
     def for_device(cls, device_kind: DeviceKind, compression: Optional[str] = None,
-                   page_size: int = 16 * 1024, buffer_cache_pages: int = 4096,
-                   node_id: int = 0) -> "StorageEnvironment":
+                   page_size: int = 16 * 1024,
+                   buffer_cache_pages: int = 4096) -> "StorageEnvironment":
         """Convenience factory used heavily by benchmarks and examples."""
         return cls(StorageConfig(page_size=page_size, buffer_cache_pages=buffer_cache_pages,
-                                 device_kind=device_kind, compression=compression),
-                   node_id=node_id)
+                                 device_kind=device_kind, compression=compression))

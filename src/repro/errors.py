@@ -170,7 +170,3 @@ class SqlppError(QueryError):
 
 class FeedError(ReproError):
     """A data feed was misconfigured or used after being closed."""
-
-
-class ClusterError(ReproError):
-    """Cluster-level misconfiguration (bad partition counts, node ids...)."""

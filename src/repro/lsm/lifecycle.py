@@ -76,9 +76,6 @@ class FlushCallback:
         """
         return b"", None
 
-    def on_component_deleted(self, component: OnDiskComponent) -> None:
-        """Called when a merged-away (or invalid) component is dropped."""
-
     def load_schema(self, schema: InferredSchema) -> None:
         """Adopt the schema recovery read from the newest valid component."""
 

@@ -707,7 +707,6 @@ class LSMBTree:
         return self._build_and_install(merged_id, produce, replacing=selected)
 
     def _drop_component(self, component: OnDiskComponent) -> None:
-        self.flush_callback.on_component_deleted(component)
         with self._read_lock:
             self._deferred_drops.append(component)
         self._drain_drops()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.adm import ADMDecoder, ADMEncoder, ADMRecordView
+from repro.adm import ADMEncoder, ADMRecordView
 from repro.adm.encoder import NAME_LENGTH_MAX
 from repro.errors import DecodingError, EncodingError, SchemaViolationError
 from repro.types import (
@@ -55,37 +55,37 @@ class TestRoundTrip:
     def test_open_roundtrip(self):
         datatype = _open_datatype()
         payload = ADMEncoder(datatype).encode(EMPLOYEE_RECORD)
-        decoded = ADMDecoder(datatype).decode(payload)
+        decoded = ADMRecordView(payload, datatype).materialize()
         assert deep_equals(decoded, EMPLOYEE_RECORD)
 
     def test_closed_roundtrip(self):
         datatype = _closed_datatype()
         payload = ADMEncoder(datatype).encode(EMPLOYEE_RECORD)
-        decoded = ADMDecoder(datatype).decode(payload)
+        decoded = ADMRecordView(payload, datatype).materialize()
         assert deep_equals(decoded, EMPLOYEE_RECORD)
 
     def test_no_datatype_roundtrip(self):
         record = {"a": 1, "b": [True, None, "x"], "c": {"d": 2.5}}
         payload = ADMEncoder(None).encode(record)
-        decoded = ADMDecoder(None).decode(record and payload)
+        decoded = ADMRecordView(payload).materialize()
         assert deep_equals(decoded, record)
 
     def test_empty_record(self):
         payload = ADMEncoder(None).encode({})
-        assert ADMDecoder(None).decode(payload) == {}
+        assert ADMRecordView(payload).materialize() == {}
 
     def test_optional_declared_field_absent(self):
         datatype = _closed_datatype()
         record = {"id": 9, "name": "Sam"}
         payload = ADMEncoder(datatype).encode(record)
-        decoded = ADMDecoder(datatype).decode(payload)
+        decoded = ADMRecordView(payload, datatype).materialize()
         assert decoded == record
 
     def test_nulls_and_missing(self):
         record = {"id": 1, "maybe": None}
         datatype = _open_datatype()
         payload = ADMEncoder(datatype).encode(record)
-        assert ADMDecoder(datatype).decode(payload) == {"id": 1, "maybe": None}
+        assert ADMRecordView(payload, datatype).materialize() == {"id": 1, "maybe": None}
 
     def test_top_level_must_be_object(self):
         with pytest.raises(EncodingError):
@@ -100,7 +100,7 @@ class TestRoundTrip:
         datatype = _closed_datatype()
         payload = ADMEncoder(datatype, validate=False).encode(
             {"id": 1, "name": "Ann", "unexpected": 5})
-        decoded = ADMDecoder(datatype).decode(payload)
+        decoded = ADMRecordView(payload, datatype).materialize()
         assert decoded["unexpected"] == 5
 
     def test_field_name_up_to_the_u16_length(self):
@@ -110,7 +110,7 @@ class TestRoundTrip:
         datatype = _open_datatype()
         longest = "é" * (NAME_LENGTH_MAX // 2) + "x"
         payload = ADMEncoder(datatype).encode({"id": 1, longest: True})
-        assert ADMDecoder(datatype).decode(payload) == {"id": 1, longest: True}
+        assert ADMRecordView(payload, datatype).materialize() == {"id": 1, longest: True}
         with pytest.raises(EncodingError, match=f"longer than {NAME_LENGTH_MAX} bytes"):
             ADMEncoder(datatype).encode({"id": 1, longest + "x": True})
 
@@ -125,7 +125,7 @@ class TestSizes:
     def test_value_encoding_scalar(self):
         encoder = ADMEncoder(None)
         payload = encoder.encode_value(42)
-        assert ADMDecoder(None).decode_value(payload) == 42
+        assert ADMRecordView(payload).get_field() == 42
 
 
 class TestRecordView:
@@ -171,21 +171,14 @@ class TestRecordView:
         assert view.get_items("name") == ["Ann"]
         assert view.get_items("nonexistent") == []
 
-    def test_materialize_matches_decode(self):
-        datatype = _open_datatype()
-        payload = ADMEncoder(datatype).encode(EMPLOYEE_RECORD)
-        assert deep_equals(ADMRecordView(payload, datatype).materialize(), EMPLOYEE_RECORD)
-
     def test_bad_payload_raises(self):
         with pytest.raises(DecodingError):
-            ADMDecoder(None).decode(bytes([255, 0, 0, 0]))
+            ADMRecordView(bytes([255, 0, 0, 0])).materialize()
 
 
-#: The five public ADM read entries, each given a payload, its datatype and a
+#: The three public ADM read entries, each given a payload, its datatype and a
 #: path to the damaged value (the path reaches it, or needs its extent).
 _ENTRIES = {
-    "decode": lambda payload, datatype, path: ADMDecoder(datatype).decode(payload),
-    "decode_value": lambda payload, datatype, path: ADMDecoder(datatype).decode_value(payload),
     "materialize": lambda payload, datatype, path: ADMRecordView(payload, datatype).materialize(),
     "get_field": lambda payload, datatype, path: ADMRecordView(payload, datatype).get_field(*path),
     "get_items": lambda payload, datatype, path: ADMRecordView(payload, datatype).get_items(*path),

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import repro.config
 from repro.config import (
-    ClusterConfig,
     DatasetConfig,
     DEVICE_PROFILES,
     DeviceKind,
@@ -201,11 +200,6 @@ class TestConfig:
             StorageConfig(page_size=64)
         with pytest.raises(ValueError):
             StorageConfig(buffer_cache_pages=0)
-
-    def test_cluster_config(self):
-        assert ClusterConfig(node_count=3, partitions_per_node=2).total_partitions == 6
-        with pytest.raises(ValueError):
-            ClusterConfig(node_count=0)
 
     def test_device_profiles_match_paper(self):
         sata = DEVICE_PROFILES[DeviceKind.SATA_SSD]

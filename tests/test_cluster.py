@@ -1,93 +1,75 @@
-"""Tests for the cluster simulator and data feeds."""
+"""Tests for a dataset spread over several storage environments (the
+multi-node topology of paper Figure 3) and for data feeds."""
 
 import pytest
 
-from repro.cluster import ClusterSimulator, DataFeed
-from repro.config import ClusterConfig, StorageConfig, StorageFormat
+from repro.cluster import DataFeed
+from repro.config import DatasetConfig, StorageConfig, StorageFormat
+from repro.core import StorageEnvironment
 from repro.datasets import twitter
-from repro.errors import ClusterError, FeedError
+from repro.errors import FeedError
+from repro.query import QueryExecutor
 from repro import Dataset
 
 
-def _cluster(nodes=2, partitions=2, compression=None):
-    return ClusterSimulator(
-        ClusterConfig(node_count=nodes, partitions_per_node=partitions),
-        StorageConfig(page_size=4096, buffer_cache_pages=512, compression=compression),
-    )
+def _multi_node(nodes=2, partitions=2):
+    """An inferred ``tweets`` dataset with ``partitions`` partitions on each
+    of ``nodes`` environments."""
+    storage = StorageConfig(page_size=4096, buffer_cache_pages=512)
+    environments = [StorageEnvironment(storage) for _ in range(nodes)]
+    config = DatasetConfig(name="tweets", storage_format=StorageFormat.INFERRED)
+    return Dataset(config, environments, partitions_per_environment=partitions)
 
 
-class TestClusterSimulator:
-    def test_topology(self):
-        cluster = _cluster(nodes=3, partitions=2)
-        assert len(cluster.nodes) == 3
-        assert cluster.total_partitions() == 6
+def _loaded(count, nodes=2, partitions=2):
+    dataset = _multi_node(nodes, partitions)
+    dataset.insert_all(twitter.generate(count))
+    dataset.flush_all()
+    return dataset
 
-    def test_create_dataset_spreads_partitions(self):
-        cluster = _cluster(nodes=2, partitions=2)
-        dataset = cluster.create_dataset("tweets", StorageFormat.INFERRED)
-        assert dataset.partition_count == 4
-        assert cluster.dataset("tweets") is dataset
 
-    def test_duplicate_dataset_rejected(self):
-        cluster = _cluster()
-        cluster.create_dataset("tweets")
-        with pytest.raises(ClusterError):
-            cluster.create_dataset("tweets")
+class TestMultiNodeDataset:
+    def test_partitions_spread_over_environments(self):
+        dataset = _multi_node(nodes=3, partitions=2)
+        assert dataset.partition_count == 6
+        assert [dataset.environments.index(partition.environment)
+                for partition in dataset.partitions] == [0, 0, 1, 1, 2, 2]
+        assert [partition.partition_id for partition in dataset.partitions] == list(range(6))
 
-    def test_unknown_dataset_rejected(self):
-        with pytest.raises(ClusterError):
-            _cluster().dataset("nope")
-
-    def test_ingest_and_query_across_nodes(self):
-        cluster = _cluster(nodes=2, partitions=2)
-        dataset = cluster.create_dataset("tweets", StorageFormat.INFERRED)
-        records = list(twitter.generate(200))
-        dataset.insert_all(records)
-        dataset.flush_all()
-        assert all(size > 0 for size in cluster.per_node_storage_sizes())
-        report = cluster.execute("tweets", twitter.SQLPP["Q1"], parallelism=4)
-        assert report.result.rows[0]["count"] == 200
-        assert report.parallelism == 4
-        assert report.measured_wall_seconds > 0
-        # Timings are now *measured* from a real worker-pool run.  A tiny
-        # dataset leaves no room for speedup (pool spin-up dominates), so
-        # only assert coherence: wall time may exceed the sequential
+    def test_ingest_and_query_across_environments(self):
+        dataset = _loaded(200)
+        assert all(environment.storage_size() > 0 for environment in dataset.environments)
+        result = dataset.query(twitter.SQLPP["Q1"], executor=QueryExecutor(parallelism=4))
+        assert result.rows[0]["count"] == 200
+        stats = result.stats
+        assert stats.parallelism == 4
+        assert stats.wall_seconds > 0
+        # A tiny dataset leaves no room for speedup (pool spin-up dominates),
+        # so only assert coherence: wall time may exceed the sequential
         # equivalent by scheduling overhead alone (generous slack).
-        assert report.measured_wall_seconds <= report.sequential_seconds + 0.25
-        assert report.measured_speedup == pytest.approx(
-            report.result.stats.measured_speedup)
-        assert len(report.result.stats.per_partition) == 4
+        assert stats.wall_seconds <= stats.sequential_equivalent_seconds + 0.25
+        assert len(stats.per_partition) == 4
 
     def test_parallelism_one_matches_fanout_rows(self):
-        cluster = _cluster(nodes=2, partitions=2)
-        dataset = cluster.create_dataset("tweets", StorageFormat.INFERRED)
-        dataset.insert_all(twitter.generate(200))
-        dataset.flush_all()
-        sequential = cluster.execute("tweets", twitter.SQLPP["Q3"], parallelism=1)
-        parallel = cluster.execute("tweets", twitter.SQLPP["Q3"], parallelism=4)
-        assert sequential.result.rows == parallel.result.rows
-        assert sequential.parallelism == 1
-        assert parallel.parallelism == 4
+        dataset = _loaded(200)
+        sequential = dataset.query(twitter.SQLPP["Q3"], executor=QueryExecutor(parallelism=1))
+        parallel = dataset.query(twitter.SQLPP["Q3"], executor=QueryExecutor(parallelism=4))
+        assert sequential.rows == parallel.rows
+        assert sequential.stats.parallelism == 1
+        assert parallel.stats.parallelism == 4
 
     def test_repartitioning_query_broadcasts_schemas(self):
-        cluster = _cluster(nodes=2, partitions=2)
-        dataset = cluster.create_dataset("tweets", StorageFormat.INFERRED)
-        dataset.insert_all(twitter.generate(150))
-        dataset.flush_all()
-        report = cluster.execute("tweets", twitter.SQLPP["Q2"])
-        assert report.schema_broadcast_bytes > 0
+        assert _loaded(150).query(twitter.SQLPP["Q2"]).stats.schema_broadcast_bytes > 0
 
-    def test_storage_scales_with_nodes(self):
-        """Scale-out shape: double the nodes + double the data => ~double storage."""
+    def test_storage_scales_with_environments(self):
+        """Scale-out shape: double the environments + double the data =>
+        ~double storage."""
         sizes = {}
         for nodes in (1, 2):
-            cluster = _cluster(nodes=nodes, partitions=1)
-            dataset = cluster.create_dataset("tweets", StorageFormat.INFERRED)
-            dataset.insert_all(twitter.generate(150 * nodes))
-            dataset.flush_all()
-            sizes[nodes] = cluster.total_storage_size()
-        ratio = sizes[2] / sizes[1]
-        assert 1.5 < ratio < 2.5
+            dataset = _loaded(150 * nodes, nodes=nodes, partitions=1)
+            sizes[nodes] = sum(environment.storage_size()
+                               for environment in dataset.environments)
+        assert 1.5 < sizes[2] / sizes[1] < 2.5
 
 
 class TestDataFeed:
@@ -132,7 +114,15 @@ class TestDataFeed:
             DataFeed(dataset, update_ratio=1.5, update_generator=twitter.generate_update)
 
     def test_log_bytes_accounted(self):
+        """Each run reports the log bytes it wrote, not the device's running
+        total: back-to-back runs on one dataset stay within their own data
+        bytes."""
         dataset = Dataset.create("feed_log", StorageFormat.OPEN)
         feed = DataFeed(dataset)
-        report = feed.run(twitter.generate(50))
-        assert report.log_bytes_written > 0
+        device = dataset.environments[0].device
+        logged = 0
+        for start_id in (0, 100):
+            report = feed.run(twitter.generate(100, start_id=start_id))
+            assert 0 < report.log_bytes_written <= report.data_bytes_written
+            assert report.log_bytes_written == device.per_class["log"].bytes_written - logged
+            logged = device.per_class["log"].bytes_written

@@ -17,7 +17,7 @@ from collections import OrderedDict
 
 import pytest
 
-from repro.adm import ADMDecoder, ADMEncoder
+from repro.adm import ADMEncoder, ADMRecordView
 from repro.errors import TypeError_
 from repro.types import (
     ADate,
@@ -206,7 +206,7 @@ def _assert_same_types(decoded, expected, where="record"):
 def test_adm_decoder_reads_golden_bytes(name):
     """The decoder reads the pinned bytes back into the corpus record, with
     the Python type each value is stored as."""
-    decoded = ADMDecoder(_datatype(name)).decode(bytes.fromhex(GOLDEN["adm", name]))
+    decoded = ADMRecordView(bytes.fromhex(GOLDEN["adm", name]), _datatype(name)).materialize()
     expected = _stored(RECORDS[name])
     assert deep_equals(decoded, expected)
     _assert_same_types(decoded, expected)

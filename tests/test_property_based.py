@@ -29,7 +29,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.adm import ADMDecoder, ADMEncoder
+from repro.adm import ADMEncoder, ADMRecordView
 from repro.sqlpp import ast as sqlast
 from repro.sqlpp import parse, parse_expression, unparse, unparse_expr
 from repro.sqlpp.lexer import KEYWORDS
@@ -90,7 +90,7 @@ class TestFormatRoundTrips:
     @given(record=_records)
     def test_adm_roundtrip(self, record):
         payload = ADMEncoder(None).encode(record)
-        assert deep_equals(ADMDecoder(None).decode(payload), record)
+        assert deep_equals(ADMRecordView(payload).materialize(), record)
 
     @_slow_settings
     @given(record=_records)
