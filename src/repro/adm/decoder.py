@@ -35,7 +35,7 @@ never decodes a name it was not asked for.  The public entries catch a read
 past the payload's end (``struct.error``, ``IndexError``) or a name that is
 not UTF-8 once, around the whole walk, and raise ``DecodingError``; an
 object or collection whose length runs past the payload is refused at its
-header, naming its offset.
+header, naming its offset, and so is a string or binary whose length does.
 
 ``benchmarks/micro_vector.py`` (2 000 generated tweets, CPU µs per record,
 median of 7 rounds, two runs, one core of an x86-64 Xeon, CPython 3.11)
@@ -121,6 +121,8 @@ def _value(buffer: bytes, offset: int, context: TypeContext) -> Tuple[Any, int]:
     if width == VARLEN:
         start = offset + 5
         end = start + _U32(buffer, offset + 1)[0]
+        if end > len(buffer):
+            raise _overrun(offset, end - offset, buffer)
         return read(buffer[start:end]), end
     if width == NESTED:
         if raw == RAW_OBJECT:

@@ -54,6 +54,9 @@ class Dataset:
                  datatype: Optional[Datatype] = None) -> None:
         if not environments:
             raise DatasetError("a dataset needs at least one storage environment")
+        if partitions_per_environment < 1:
+            raise DatasetError(f"partitions_per_environment must be at least 1, "
+                               f"got {partitions_per_environment}")
         # The environment's StorageConfig is the physical truth (device
         # profile, page size, compression): sync it into the dataset config
         # so consumers like the access-path cost model never price against

@@ -127,6 +127,17 @@ class TestSizes:
         payload = encoder.encode_value(42)
         assert ADMRecordView(payload).get_field() == 42
 
+    @pytest.mark.parametrize("value", ["hello world", b"\x00\x01\x02", 42, [1, 2, "x"],
+                                       {"a": "bcdef"}],
+                             ids=["string", "binary", "int", "array", "object"])
+    def test_truncated_value_raises(self, value):
+        """A value payload cut anywhere is a ``DecodingError`` from the
+        whole-value read, never a shortened string."""
+        payload = ADMEncoder(None).encode_value(value)
+        for cut in range(len(payload)):
+            with pytest.raises(DecodingError):
+                ADMRecordView(payload[:cut]).get_field()
+
 
 class TestRecordView:
     def test_declared_field_access(self):
@@ -171,14 +182,35 @@ class TestRecordView:
         assert view.get_items("name") == ["Ann"]
         assert view.get_items("nonexistent") == []
 
+    def test_materialize_matches_decode(self):
+        datatype = _open_datatype()
+        payload = ADMEncoder(datatype).encode(EMPLOYEE_RECORD)
+        assert deep_equals(ADMRecordView(payload, datatype).materialize(), EMPLOYEE_RECORD)
+
+    def test_string_length_past_the_end_raises(self):
+        """A string whose length runs past the payload is refused at its
+        header by both reads, not returned as the bytes that are there."""
+        datatype = _open_datatype()
+        payload = ADMEncoder(datatype).encode({"id": 1, "name": "Annabel"})
+        at = payload.index(ADMEncoder(None).encode_value("Annabel"))
+        corrupt = bytearray(payload)
+        corrupt[at + 1:at + 5] = (1000).to_bytes(4, "little")
+        view = ADMRecordView(bytes(corrupt), datatype)
+        with pytest.raises(DecodingError, match=f"value at offset {at} claims 1005 bytes"):
+            view.get_field("name")
+        with pytest.raises(DecodingError, match=f"value at offset {at} claims 1005 bytes"):
+            view.materialize()
+
     def test_bad_payload_raises(self):
         with pytest.raises(DecodingError):
             ADMRecordView(bytes([255, 0, 0, 0])).materialize()
 
 
-#: The three public ADM read entries, each given a payload, its datatype and a
-#: path to the damaged value (the path reaches it, or needs its extent).
+#: The public ADM read entries, each given a payload, its datatype and a path
+#: to the damaged value (the path reaches it, or needs its extent).  "value"
+#: is ``get_field`` with no path: the whole-value read of a tagged value.
 _ENTRIES = {
+    "value": lambda payload, datatype, path: ADMRecordView(payload, datatype).get_field(),
     "materialize": lambda payload, datatype, path: ADMRecordView(payload, datatype).materialize(),
     "get_field": lambda payload, datatype, path: ADMRecordView(payload, datatype).get_field(*path),
     "get_items": lambda payload, datatype, path: ADMRecordView(payload, datatype).get_items(*path),

@@ -7,7 +7,7 @@ from repro.cluster import DataFeed
 from repro.config import DatasetConfig, StorageConfig, StorageFormat
 from repro.core import StorageEnvironment
 from repro.datasets import twitter
-from repro.errors import FeedError
+from repro.errors import DatasetError, FeedError
 from repro.query import QueryExecutor
 from repro import Dataset
 
@@ -35,6 +35,31 @@ class TestMultiNodeDataset:
         assert [dataset.environments.index(partition.environment)
                 for partition in dataset.partitions] == [0, 0, 1, 1, 2, 2]
         assert [partition.partition_id for partition in dataset.partitions] == list(range(6))
+
+    def test_topology_needs_environments_and_partitions(self):
+        config = DatasetConfig(name="tweets")
+        with pytest.raises(DatasetError, match="at least one storage environment"):
+            Dataset(config, [])
+        with pytest.raises(DatasetError, match="partitions_per_environment must be at least 1"):
+            Dataset(config, [StorageEnvironment()], partitions_per_environment=0)
+
+    @pytest.mark.parametrize("query", sorted(twitter.SQLPP))
+    def test_rows_match_one_environment(self, query):
+        """Four partitions answer alike whether they sit on one environment
+        or two: which node hosts a partition never changes a row."""
+        spread = _loaded(200, nodes=2, partitions=2)
+        single = _loaded(200, nodes=1, partitions=4)
+        assert spread.query(twitter.SQLPP[query]).rows == single.query(twitter.SQLPP[query]).rows
+
+    def test_point_operations_route_across_environments(self):
+        dataset = _loaded(60, nodes=3, partitions=1)
+        for key in range(60):
+            assert dataset.get(key)["id"] == key
+        dataset.delete(7)
+        dataset.upsert(dict(dataset.get(8), lang="xx"))
+        assert dataset.get(7) is None
+        assert dataset.get(8)["lang"] == "xx"
+        assert dataset.count() == 59
 
     def test_ingest_and_query_across_environments(self):
         dataset = _loaded(200)
@@ -126,3 +151,13 @@ class TestDataFeed:
             assert 0 < report.log_bytes_written <= report.data_bytes_written
             assert report.log_bytes_written == device.per_class["log"].bytes_written - logged
             logged = device.per_class["log"].bytes_written
+
+    def test_log_bytes_summed_over_environments(self):
+        """A feed into a dataset on several environments reports the log
+        bytes every environment's device wrote."""
+        dataset = _multi_node(nodes=2, partitions=1)
+        report = DataFeed(dataset).run(twitter.generate(100))
+        logged = [environment.device.per_class["log"].bytes_written
+                  for environment in dataset.environments]
+        assert all(logged)
+        assert report.log_bytes_written == sum(logged)
