@@ -18,6 +18,9 @@ the slice cache builds it) over three paths a Twitter query reads —
 * warm — every chunk is cached, so the scan only moves what the cache
   holds into column batches.
 
+Then it times the cold scan once more for no path at all, as ``COUNT(*)``
+scans: each leaf's keys and anti-matter positions are the whole run.
+
 Then it prints, per cached chunk, the rows it holds and the objects
 reachable from it that ``gc.is_tracked`` reports after a full collection.
 
@@ -30,7 +33,10 @@ row of each, timed round-robin.
 The gates: warm must cost under 0.05x cold.  A scan that moves rows one at
 a time (a generator frame, a heap step and a result object per row, and a
 copy of every cached value) lands near 0.15x; one that moves key runs and
-hands the cached columns out by reference lands near 0.01x.  Grouped by
+hands the cached columns out by reference lands near 0.01x.  The cold
+scan for no path must cost under 0.12x the 3-path one: one that opens no
+record lands near 0.08x, one that opens a view per row and extracts nothing
+from it near 0.17x.  Grouped by
 name must cost under 0.5x grouped by a distinct key: a kernel that folds
 each group's values in one call per aggregate lands near 0.25x, one that
 folds row by row near 0.8x.  All numbers come from this process, so the
@@ -53,19 +59,20 @@ from repro.vector import BatchExtractor, ColumnBatch
 
 PATHS = [("user", "name"), ("text",), ("entities", "hashtags")]
 GATE = 0.05
+KEYS_GATE = 0.12
 GROUP_GATE = 0.5
 
 
-def _us_per_row(dataset: Dataset, rounds: int, cold: bool) -> float:
+def _us_per_row(dataset: Dataset, rounds: int, cold: bool, paths=PATHS) -> float:
     partition = dataset.partitions[0]
     environment = partition.environment
-    extractor = BatchExtractor(PATHS)
+    extractor = BatchExtractor(paths)
     samples: List[float] = []
     rows = 0
     for _ in range(rounds):
         if cold:
             environment.drop_caches()
-        scan = BatchScanOperator(partition, "t", PATHS, 1024, extractor, use_slice_cache=True)
+        scan = BatchScanOperator(partition, "t", paths, 1024, extractor, use_slice_cache=True)
         started = time.process_time()
         rows = sum(len(batch) for batch in scan)
         samples.append(time.process_time() - started)
@@ -127,9 +134,12 @@ def main(records: int = 1646, rounds: int = 15) -> int:
           f"{len(PATHS)} paths, median of {rounds} rounds, CPU µs per row")
     cold = _us_per_row(dataset, rounds, cold=True)
     warm = _us_per_row(dataset, rounds, cold=False)
+    keys = _us_per_row(dataset, rounds, cold=True, paths=[])
     ratio = warm / cold
+    keys_ratio = keys / cold
     print(f"  cold scan {cold:8.2f}")
     print(f"  warm scan {warm:8.2f}   ({ratio:.3f}x cold, gate < {GATE}x)")
+    print(f"  cold scan, no paths {keys:8.2f}   ({keys_ratio:.3f}x cold, gate < {KEYS_GATE}x)")
     for rows, tracked in _tracked_per_chunk(dataset.environments[0].column_cache):
         print(f"  cached chunk of {rows} rows: {tracked} collector-tracked objects")
     grouped, distinct, names = _group_us_per_row(dataset, rounds)
@@ -141,6 +151,10 @@ def main(records: int = 1646, rounds: int = 15) -> int:
     status = 0
     if ratio >= GATE:
         print(f"FAIL: a warm scan costs {ratio:.3f}x a cold one, gate < {GATE}x")
+        status = 1
+    if keys_ratio >= KEYS_GATE:
+        print(f"FAIL: a cold scan for no path costs {keys_ratio:.3f}x a 3-path one, "
+              f"gate < {KEYS_GATE}x")
         status = 1
     if group_ratio >= GROUP_GATE:
         print(f"FAIL: grouping by name costs {group_ratio:.3f}x a distinct key per row, "

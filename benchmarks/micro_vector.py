@@ -26,7 +26,7 @@ The rounds run round-robin: each round times every loop once, so a burst
 of load from elsewhere on the box falls on both sides of a gate alike
 rather than on the rows that happened to run during it.
 
-Eight gates, run by CI at ``500 5``; each compares two numbers from this
+Nine gates, run by CI at ``500 5``; each compares two numbers from this
 process, so the box's speed cancels, and the exit status is 1 when any
 fails:
 
@@ -66,7 +66,17 @@ fails:
   counted once per number, in the log's totals and the device's cell,
   which the registry counters read (0.15-0.16 at ``500 5`` on a 2-core
   box; 0.33-0.35 with a CRC rebuilt from strings and four locked counter
-  increments per record).
+  increments per record);
+* reading the four paths from an ADM record must cost under 0.5x building
+  it ("adm get_field, 4 paths" below 0.5 x "adm encode", the encoder being
+  a walk of the same tweets in the same format): each path is resolved
+  once into a kept form and an open field is found by one byte search
+  checked against the offset table (0.31-0.44 over ten runs at ``500 5``
+  on a 2-core box; 0.54-0.73 when every call re-derives the path and
+  compares names entry by entry).  "adm materialize" has no gate of its
+  own beyond 3.5x vector: its flat walk reads 0.73-0.81x "adm encode", and
+  the walk with a ``_value`` call per scalar 0.84-1.14x, too close for a
+  same-run bound.
 """
 
 from __future__ import annotations
@@ -185,8 +195,10 @@ def main(records: int = 2000, rounds: int = 7) -> int:
     print(f"  fresh / first sight      = {shared:.2f} (gate: < 0.33)")
     logged = cost["wal append"] / cost["vector encode"]
     print(f"  wal append / encode      = {logged:.2f} (gate: < 0.2)")
+    adm_paths = cost["adm get_field, 4 paths"] / cost["adm encode"]
+    print(f"  adm get_field / encode   = {adm_paths:.2f} (gate: < 0.5)")
     return 0 if (extract < 1 and encode < 0.7 and adm < 3.5 and remove < 1.5 and planned < 0.75
-                 and plans < 0.6 and shared < 0.33 and logged < 0.2) else 1
+                 and plans < 0.6 and shared < 0.33 and logged < 0.2 and adm_paths < 0.5) else 1
 
 
 if __name__ == "__main__":

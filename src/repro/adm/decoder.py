@@ -27,27 +27,46 @@ its entry, ``NESTED`` splits on the byte into an object or a collection, and
 a byte ADM never writes (the vector format's ``CLOSE`` markers, ``BAD``)
 raises ``DecodingError`` naming its offset.  An object's ``total_length,
 n_closed`` header is one unpack, and each closed, open and item offset
-table one ``struct.unpack_from("<nI")``.  A full decode takes the open-part
-header from the ends its closed values returned; ``get_field`` finds it from
-the largest closed offset and the extent of the value there, and matches an
-open field's name as bytes — UTF-8 length first, then the bytes — so it
-never decodes a name it was not asked for.  The public entries catch a read
-past the payload's end (``struct.error``, ``IndexError``) or a name that is
-not UTF-8 once, around the whole walk, and raise ``DecodingError``; an
-object or collection whose length runs past the payload is refused at its
-header, naming its offset, and so is a string or binary whose length does.
+table one unpack through a ``Struct`` kept per entry count.
 
-``benchmarks/micro_vector.py`` (2 000 generated tweets, CPU µs per record,
-median of 7 rounds, two runs, one core of an x86-64 Xeon, CPython 3.11)
-measures "adm materialize" 46.0–54.9 (111.7–114.2 for the recursive
-``TypeTag``-constructing walk this replaced), 2.2–2.5x vector
-"materialize" (4.6–5.1x before), and "adm get_field, 4 paths" 28.7–31.5
-(63.7–68.6).
+*One flat walk.*  ``materialize`` is ``_object`` and ``_collection``: each
+loop decodes its fixed-width, varlen, NULL and MISSING values inline and
+calls a walk again only for a nested value.  The open-part header comes
+from the ends the closed values returned.
+
+*Compiled paths.*  What a path alone decides is resolved once and kept in a
+table keyed on the path (at most ``PATH_CAPACITY`` entries; a full one drops
+its oldest quarter): where its first ``"*"`` is, each index, and each name's
+open-field entry — its ``u16`` UTF-8 length, then its bytes.  A call then
+walks only the record.  A declared name reads its closed offset; an open
+one is found by one byte search for its entry over the object's open part,
+taken only at an offset the open-offset table lists (a value may hold the
+same bytes), so no name is decoded or compared entry by entry in Python.
+``get_field`` finds the open part from the largest closed offset and the
+extent of the value there.  From the first ``"*"`` on, the value found by
+offset is handed to :func:`~repro.types.navigate`.
+
+The public entries catch a read past the payload's end (``struct.error``,
+``IndexError``) or a name that is not UTF-8 once, around the whole walk, and
+raise ``DecodingError``; an object or collection whose length runs past the
+payload is refused at its header, naming its offset, and so is a string or
+binary whose length does.
+
+``benchmarks/micro_vector.py`` at ``500 5`` (generated tweets, CPU µs per
+record, median of 5 rounds, runs alternating with the walk this replaced on
+one 2-core x86-64 box, CPython 3.11) measures "adm materialize" 36.3–38.7
+(43.6–44.1 with a ``_value`` call per scalar; at 2 000 tweets, 111.7–114.2
+for the recursive ``TypeTag``-constructing walk before that) and "adm
+get_field, 4 paths" 18.0–21.9 (27.8–31.1 when every call re-derived its path
+and compared open names entry by entry; 63.7–68.6 at 2 000 tweets before
+that).  It gates the
+second below 0.5x "adm encode", which walks the same tweets.
 """
 
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
 from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
 from ..errors import DecodingError
@@ -62,6 +81,18 @@ _U32 = struct.Struct("<I").unpack_from
 _OBJECT_HEAD = struct.Struct("<IH").unpack_from
 #: What follows a collection's tag: ``total_length, n_items``.
 _COLLECTION_HEAD = struct.Struct("<II").unpack_from
+
+#: Paths :meth:`ADMRecordView.get_field` keeps compiled, and offset-table
+#: ``Struct``s kept per entry count; a full path table drops its oldest
+#: quarter.
+PATH_CAPACITY = 1024
+
+
+@lru_cache(maxsize=PATH_CAPACITY)
+def _table(count: int):
+    """``unpack_from`` of an offset table of ``count`` ``u32``s."""
+    return struct.Struct("<%dI" % count).unpack_from
+
 
 #: Type context threaded through decoding (see module docstring).
 TypeContext = Union[None, Datatype, Tuple[str, Optional[Datatype]]]
@@ -98,17 +129,10 @@ def _closed_mismatch(n_closed: int, declared: Datatype) -> DecodingError:
                          f"{declared.name!r} declares {len(declared.fields)}")
 
 
-# -- the walk ---------------------------------------------------------------------
-
-def _head(unpack, buffer: bytes, offset: int) -> Tuple[int, int]:
-    """``(total_length, count)`` of the object or collection at ``offset``,
-    ``unpack`` being its header layout; one that claims more bytes than the
-    payload has left is refused."""
-    total_length, count = unpack(buffer, offset + 1)
-    if offset + total_length > len(buffer):
-        raise _overrun(offset, total_length, buffer)
-    return total_length, count
-
+# -- the flat walk ----------------------------------------------------------------
+#
+# Each loop decodes its scalars inline — fixed-width, varlen, NULL and
+# MISSING — and calls itself only for a nested value.
 
 def _value(buffer: bytes, offset: int, context: TypeContext) -> Tuple[Any, int]:
     """``(value, end)`` of the tagged value at ``offset``."""
@@ -139,7 +163,10 @@ def _object(buffer: bytes, offset: int, declared: Optional[Datatype]) -> Tuple[D
         tag | total_length(4) | n_closed(2) | closed_offsets(4*n) | closed_values...
             | n_open(2) | open_offsets(4*n) | (name_len(2) | name | value)...
     """
-    total_length, n_closed = _head(_OBJECT_HEAD, buffer, offset)
+    total_length, n_closed = _OBJECT_HEAD(buffer, offset + 1)
+    size = len(buffer)
+    if offset + total_length > size:
+        raise _overrun(offset, total_length, buffer)
     if declared is not None and n_closed != len(declared.fields):
         raise _closed_mismatch(n_closed, declared)
     record: Dict[str, Any] = {}
@@ -147,8 +174,7 @@ def _object(buffer: bytes, offset: int, declared: Optional[Datatype]) -> Tuple[D
     # declaration order, so at the largest end among the present ones.
     open_header = offset + 7 + 4 * n_closed
     if n_closed:
-        closed = struct.unpack_from("<%dI" % n_closed, buffer, offset + 7)
-        for index, value_offset in enumerate(closed):
+        for index, value_offset in enumerate(_table(n_closed)(buffer, offset + 7)):
             if not value_offset:
                 continue  # an absent optional field
             if declared is None:
@@ -156,14 +182,53 @@ def _object(buffer: bytes, offset: int, declared: Optional[Datatype]) -> Tuple[D
             else:
                 declaration = declared.fields[index]
                 name, context = declaration.name, _context_for_declaration(declaration)
-            record[name], end = _value(buffer, offset + value_offset, context)
+            at = offset + value_offset
+            raw = buffer[at]
+            width, read, wrap = TAG_TABLE[raw]
+            if width > 0:
+                end = at + 1 + width
+                record[name] = read(buffer, at + 1)[0] if wrap is None else wrap(*read(buffer, at + 1))
+            elif width == VARLEN:
+                end = at + 5 + _U32(buffer, at + 1)[0]
+                if end > size:
+                    raise _overrun(at, end - at, buffer)
+                record[name] = read(buffer[at + 5:end])
+            elif width == NESTED:
+                if raw == RAW_OBJECT:
+                    record[name], end = _object(
+                        buffer, at, context if type(context) is Datatype else None)
+                else:
+                    record[name], end = _collection(
+                        buffer, at, raw, context[1] if type(context) is tuple else None)
+            elif not width:
+                end = at + 1
+                record[name] = wrap
+            else:
+                raise _bad_tag(raw, at)
             if end > open_header:
                 open_header = end
     (n_open,) = _U16(buffer, open_header)
-    for entry_offset in struct.unpack_from("<%dI" % n_open, buffer, open_header + 2):
-        name_start = offset + entry_offset + 2
-        name_end = name_start + (buffer[name_start - 2] | buffer[name_start - 1] << 8)
-        record[str(buffer[name_start:name_end], "utf-8")] = _value(buffer, name_end, None)[0]
+    if n_open:
+        for entry_offset in _table(n_open)(buffer, open_header + 2):
+            name_start = offset + entry_offset + 2
+            at = name_start + (buffer[name_start - 2] | buffer[name_start - 1] << 8)
+            raw = buffer[at]
+            width, read, wrap = TAG_TABLE[raw]
+            if width > 0:
+                value = read(buffer, at + 1)[0] if wrap is None else wrap(*read(buffer, at + 1))
+            elif width == VARLEN:
+                end = at + 5 + _U32(buffer, at + 1)[0]
+                if end > size:
+                    raise _overrun(at, end - at, buffer)
+                value = read(buffer[at + 5:end])
+            elif width == NESTED:
+                value = (_object(buffer, at, None) if raw == RAW_OBJECT
+                         else _collection(buffer, at, raw, None))[0]
+            elif not width:
+                value = wrap
+            else:
+                raise _bad_tag(raw, at)
+            record[str(buffer[name_start:at], "utf-8")] = value
     return record, offset + total_length
 
 
@@ -173,9 +238,31 @@ def _collection(buffer: bytes, offset: int, raw: int,
 
         tag | total_length(4) | n_items(4) | item_offsets(4*n) | items...
     """
-    total_length, n_items = _head(_COLLECTION_HEAD, buffer, offset)
-    items = [_value(buffer, offset + item_offset, item_nested)[0]
-             for item_offset in struct.unpack_from("<%dI" % n_items, buffer, offset + 9)]
+    total_length, n_items = _COLLECTION_HEAD(buffer, offset + 1)
+    size = len(buffer)
+    if offset + total_length > size:
+        raise _overrun(offset, total_length, buffer)
+    items = []
+    append = items.append
+    if n_items:
+        for item_offset in _table(n_items)(buffer, offset + 9):
+            at = offset + item_offset
+            item_raw = buffer[at]
+            width, read, wrap = TAG_TABLE[item_raw]
+            if width > 0:
+                append(read(buffer, at + 1)[0] if wrap is None else wrap(*read(buffer, at + 1)))
+            elif width == VARLEN:
+                end = at + 5 + _U32(buffer, at + 1)[0]
+                if end > size:
+                    raise _overrun(at, end - at, buffer)
+                append(read(buffer[at + 5:end]))
+            elif width == NESTED:
+                append((_object(buffer, at, item_nested) if item_raw == RAW_OBJECT
+                        else _collection(buffer, at, item_raw, None))[0])
+            elif not width:
+                append(wrap)
+            else:
+                raise _bad_tag(item_raw, at)
     if raw == RAW_MULTISET:
         return AMultiset(items), offset + total_length
     return items, offset + total_length
@@ -194,23 +281,41 @@ def _extent(buffer: bytes, offset: int) -> int:
     raise _bad_tag(raw, offset)
 
 
-def _open_value(buffer: bytes, offset: int, closed: Tuple[int, ...], name: str) -> Optional[int]:
-    """Offset of the value of the object at ``offset``'s open field ``name``,
-    or ``None``; ``closed`` is the object's closed-offsets table."""
-    last = max(closed, default=0)
-    if last:
-        open_header = offset + last + _extent(buffer, offset + last)
-    else:
-        open_header = offset + 7 + 4 * len(closed)
-    (n_open,) = _U16(buffer, open_header)
-    key = name.encode("utf-8")
-    length = len(key)
-    for entry_offset in struct.unpack_from("<%dI" % n_open, buffer, open_header + 2):
-        name_start = offset + entry_offset + 2
-        if buffer[name_start - 2] | buffer[name_start - 1] << 8 == length \
-                and buffer[name_start:name_start + length] == key:
-            return name_start + length
-    return None
+# -- compiled paths ---------------------------------------------------------------
+
+#: path -> ``(steps, rest)``: ``steps`` is one ``(step, entry)`` per step
+#: followed by offset — ``entry`` is a name's open-field entry (its ``u16``
+#: length, then its UTF-8 bytes), ``None`` for an index — and ``rest`` is
+#: ``None``, or the path from the first step not followed by offset on:
+#: a ``"*"`` or a name too long for an entry, whose value ``navigate``
+#: reads (``steps`` is ``None`` when a ``"*"`` is the first step), or a
+#: step that is neither a name nor an index, refused when reached.  Keyed
+#: on the path tuple itself, so a name and an index never share an entry
+#: ("1" != 1); ``True`` is the index 1 either way.
+_paths: Dict[Tuple[Any, ...], Tuple[Any, Any]] = {}
+
+
+def _compile(path: Tuple[Any, ...]) -> Tuple[Any, Any]:
+    """Resolve what ``path`` alone decides, once, and keep it."""
+    steps = []
+    rest = None
+    for at, step in enumerate(path):
+        # (a name no encoder could write still compiles: it matches nothing)
+        name = step.encode("utf-8", "surrogatepass") if isinstance(step, str) else None
+        if step == WILDCARD or not isinstance(step, (str, int)) \
+                or name is not None and len(name) > 0xFFFF:
+            rest = path[at:]
+            break
+        steps.append((step, None if name is None else len(name).to_bytes(2, "little") + name))
+    compiled = (None if rest is not None and rest[0] == WILDCARD and not steps
+                else tuple(steps), rest)
+    if len(_paths) >= PATH_CAPACITY:
+        # ``list(table)`` is one C call, so no other thread's insert can
+        # interleave with it.
+        for old in list(_paths)[:PATH_CAPACITY // 4]:
+            _paths.pop(old, None)
+    _paths[path] = compiled
+    return compiled
 
 
 class ADMRecordView:
@@ -246,47 +351,88 @@ class ADMRecordView:
         is followed by offset; the decoded value found there is handed to
         :func:`~repro.types.navigate`, which defines what wildcards return.
         """
-        if WILDCARD in path:
-            at = path.index(WILDCARD)
-            prefix = self.get_field(*path[:at]) if at else self.materialize()
-            return navigate(prefix, path[at:])
+        steps, rest = _paths.get(path) or _compile(path)
+        if steps is None:
+            return navigate(self.materialize(), rest)
         buffer = self.payload
+        size = len(buffer)
         offset, context = 0, self.datatype
         try:
-            for step in path:
+            for step, entry in steps:
                 raw = buffer[offset]
-                if raw == RAW_OBJECT and isinstance(step, str):
-                    _, n_closed = _head(_OBJECT_HEAD, buffer, offset)
-                    closed = struct.unpack_from("<%dI" % n_closed, buffer, offset + 7)
-                    if type(context) is Datatype:
-                        if n_closed != len(context.fields):
-                            raise _closed_mismatch(n_closed, context)
-                        index = context.index_of(step)
-                        if index is not None:
-                            if not closed[index]:
-                                return MISSING
-                            offset += closed[index]
-                            context = _context_for_declaration(context.fields[index])
-                            continue
-                    found = _open_value(buffer, offset, closed, step)
-                    if found is None:
-                        return MISSING
-                    offset, context = found, None
-                elif raw in _RAW_COLLECTIONS and isinstance(step, int):
-                    _, n_items = _head(_COLLECTION_HEAD, buffer, offset)
+                if raw == RAW_OBJECT and entry is not None:
+                    total_length, n_closed = _OBJECT_HEAD(buffer, offset + 1)
+                    if offset + total_length > size:
+                        raise _overrun(offset, total_length, buffer)
+                    open_header = offset + 7
+                    if n_closed:
+                        if type(context) is Datatype:
+                            if n_closed != len(context.fields):
+                                raise _closed_mismatch(n_closed, context)
+                            index = context.index_of(step)
+                            if index is not None:
+                                value_offset = _U32(buffer, open_header + 4 * index)[0]
+                                if not value_offset:
+                                    break
+                                offset += value_offset
+                                context = _context_for_declaration(context.fields[index])
+                                continue
+                        last = max(_table(n_closed)(buffer, open_header))
+                        if last:
+                            open_header = offset + last + _extent(buffer, offset + last)
+                        else:
+                            open_header += 4 * n_closed
+                    elif type(context) is Datatype and context.fields:
+                        raise _closed_mismatch(n_closed, context)
+                    # The open part's entries sit after its offset table: find
+                    # the name's entry bytes there, and take a match only at
+                    # an offset the table lists (a value may hold them too).
+                    (n_open,) = _U16(buffer, open_header)
+                    if not n_open:
+                        break
+                    starts = _table(n_open)(buffer, open_header + 2)
+                    end = offset + total_length
+                    found = buffer.find(entry, open_header + 2 + 4 * n_open, end)
+                    while found >= 0 and found - offset not in starts:
+                        found = buffer.find(entry, found + 1, end)
+                    if found < 0:
+                        break
+                    offset, context = found + len(entry), None
+                elif raw in _RAW_COLLECTIONS and entry is None:
+                    total_length, n_items = _COLLECTION_HEAD(buffer, offset + 1)
+                    if offset + total_length > size:
+                        raise _overrun(offset, total_length, buffer)
                     if not 0 <= step < n_items:
-                        return MISSING
+                        break
                     offset += _U32(buffer, offset + 9 + 4 * step)[0]
                     context = context[1] if type(context) is tuple else None
-                elif not isinstance(step, (str, int)):
-                    raise DecodingError(f"unsupported path step {step!r}")
                 elif WIDTHS[raw] <= CLOSE:
                     raise _bad_tag(raw, offset)
                 else:
-                    return MISSING
-            return _value(buffer, offset, context)[0]
+                    break
+            else:
+                if rest is not None:
+                    if not isinstance(rest[0], str):
+                        raise DecodingError(f"unsupported path step {rest[0]!r}")
+                    return navigate(_value(buffer, offset, context)[0], rest)
+                raw = buffer[offset]
+                width, read, wrap = TAG_TABLE[raw]
+                if width > 0:
+                    return read(buffer, offset + 1)[0] if wrap is None \
+                        else wrap(*read(buffer, offset + 1))
+                if width == VARLEN:
+                    end = offset + 5 + _U32(buffer, offset + 1)[0]
+                    if end > size:
+                        raise _overrun(offset, end - offset, buffer)
+                    return read(buffer[offset + 5:end])
+                if not width:
+                    return wrap  # NULL or MISSING
+                return _value(buffer, offset, context)[0]
         except (struct.error, IndexError, UnicodeDecodeError) as exc:
             raise _corrupt(buffer, exc) from None
+        # A step was absent: the value is MISSING, and so is what a "*" after
+        # it reads from there.
+        return MISSING if rest is None else navigate(MISSING, rest)
 
     def get_items(self, *path: Any) -> Sequence[Any]:
         """Return all items of the collection found at ``path`` (for UNNEST)."""

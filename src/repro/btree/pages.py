@@ -148,6 +148,11 @@ class LeafNode:
         return LeafEntry(self.keys[index], page[at + 5:self.value_ends[index]],
                          bool(page[at] & FLAG_ANTIMATTER))
 
+    def value_bytes(self, start: int = 0) -> int:
+        """Total length of the values of entries ``start`` .. the last."""
+        count = len(self.keys) - start
+        return sum(self.value_ends[start:]) - sum(self.flag_offsets[start:]) - 5 * count
+
     def entries(self, start: int = 0, stop: Optional[int] = None) -> Iterator[LeafEntry]:
         """Entries ``start`` .. ``stop - 1`` in key order."""
         page, keys, flag_offsets, value_ends = self.page, self.keys, self.flag_offsets, self.value_ends

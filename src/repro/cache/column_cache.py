@@ -236,7 +236,9 @@ def cached_component_scan(cache: ColumnSliceCache, component: Any, decode,
     ``extractor`` into a run of its own, which it yields and appends to the
     chunk being filled — the caller and the cache share the decoded values.
     Anti-matter rows are kept (with ``None`` values) so key shadowing
-    survives a warm scan.
+    survives a warm scan.  With no path requested (``COUNT(*)``) a run is
+    the leaf's keys and anti-matter positions alone: no record is decoded,
+    and the chunk is charged the same payload bytes.
 
     A ``CorruptPageError`` from the fallback propagates to the caller (the
     LSM index quarantines the component, which evicts its chunks); chunks
@@ -268,20 +270,27 @@ def cached_component_scan(cache: ColumnSliceCache, component: Any, decode,
         position += len(keys)
         if skip == len(keys):
             continue
-        rows: List[Sequence[Any]] = []
-        antimatter: List[int] = []
-        encoded = 0
-        for entry in leaf.entries(skip):
-            if entry.is_antimatter:
-                antimatter.append(len(rows))
-                rows.append(blank)
-            else:
-                rows.append(extract(decode(entry.value)))
-            encoded += len(entry.value)
+        if width:
+            rows: List[Sequence[Any]] = []
+            antimatter: List[int] = []
+            encoded = 0
+            for entry in leaf.entries(skip):
+                if entry.is_antimatter:
+                    antimatter.append(len(rows))
+                    rows.append(blank)
+                else:
+                    rows.append(extract(decode(entry.value)))
+                encoded += len(entry.value)
+            columns = [list(column) for column in zip(*rows)]
+        else:
+            # No path to read: the leaf's keys, anti-matter positions and
+            # value lengths are the whole run, and no record is opened.
+            antimatter = [at - skip for at in leaf.antimatter if at >= skip]
+            encoded = leaf.value_bytes(skip)
+            columns = []
+        run = SliceChunk(keys[skip:] if skip else keys, antimatter, columns, encoded)
         if stats is not None:
-            stats.misses += len(rows)
-        run = SliceChunk(keys[skip:] if skip else keys, antimatter,
-                         [list(column) for column in zip(*rows)] if width else [], encoded)
+            stats.misses += len(run.keys)
         yield run
         filling.extend(run)
         if len(filling.keys) >= cache.chunk_rows:

@@ -106,12 +106,15 @@ class Partition:
         column-slice cache, on-disk components are scanned through the cache
         and their rows arrive decoded: ``columns`` holds one sequence of
         values per path, the cached chunk's own lists, handed out by
-        reference — read them, never mutate them.  Every other run —
+        reference — read them, never mutate them.  Given an ``extractor``
+        for no path at all (``COUNT(*)``), every run arrives as ``()``
+        columns, cache or no cache: no record is opened.  Every other run —
         memtable rows, and all rows otherwise — arrives as a list of record
         ``views`` over the stored bytes.
         """
         view = self.codec.view
         cache = self.environment.column_cache
+        keys_only = extractor is not None and not paths
         source = None
         if extractor is not None and cache.enabled:
             pkey = paths_cache_key(paths)
@@ -122,6 +125,9 @@ class Partition:
                     extractor, pkey, slice_stats)
 
         for component, run, start, stop in self.index.scan(component_source=source):
+            if keys_only:
+                yield (), None, start, stop
+                continue
             if component is None:  # a memtable run: uncompacted, no schema needed
                 views = [view(entry.encoded) for entry in run.entries[start:stop]]
             elif type(run) is SliceChunk:

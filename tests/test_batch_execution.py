@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 import repro.sqlpp
 from repro import Dataset, DeviceKind, StorageEnvironment, StorageFormat, compile_sqlpp
 from repro.adm import ADMEncoder, ADMRecordView
+from repro.adm import decoder as adm_decoder
 from repro.core.tuple_compactor import TupleCompactor
 from repro.datasets import sensors, twitter
 from repro.errors import DecodingError, QueryError, SchemaError
@@ -881,6 +882,14 @@ _WIDER = Datatype.open_type("Wider", _DECLARING.fields + (
     FieldDeclaration("More", TypeTag.ANY, optional=True),))
 
 
+class _ClearedBeforeEveryRead(dict):
+    """An ADM path table that forgets everything before each lookup."""
+
+    def get(self, key, default=None):
+        self.clear()
+        return default
+
+
 def _assert_declared_adm_reads(record, paths):
     """An ADM record with a closed part reads like ``navigate`` over it, with
     ``record``'s fields in the open parts around the declared ones; under a
@@ -891,12 +900,21 @@ def _assert_declared_adm_reads(record, paths):
         payload = ADMEncoder(_DECLARING).encode(declared)
         view = ADMRecordView(payload, _DECLARING)
         requests = paths + [("Last",), ("Absent",), ("Obj", "Gone"), ("Obj", "X"),
-                            ("Items", 0, "K"), ("Items", WILDCARD, "K")]
+                            ("Items", 0, "K"), ("Items", WILDCARD, "K"), ("Items", -1, "K"),
+                            ("Items", True, "K"), ("Obj", False)]
         requests += [("Last",) + path for path in _paths_of(last)[:8]]
         requests += [("Obj",) + path for path in paths[:8]] + [(WILDCARD,), ("Absent", WILDCARD)]
         expected = [navigate(declared, path) for path in requests]
         assert [view.get_field(*path) for path in requests] == expected
         assert BatchExtractor(requests).extract(view) == expected
+        # By repr too, against the materialized record (closed fields first):
+        # True is not 1, a multiset not a list; and with every path compiled
+        # afresh.
+        exact = repr([navigate(view.materialize(), path) for path in requests])
+        assert repr([view.get_field(*path) for path in requests]) == exact
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(adm_decoder, "_paths", _ClearedBeforeEveryRead())
+            assert repr([view.get_field(*path) for path in requests]) == exact
         assert view.materialize() == declared
     wider = ADMRecordView(payload, _WIDER)
     for read in (wider.materialize, lambda: wider.get_field("Obj"),

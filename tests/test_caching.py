@@ -40,12 +40,13 @@ from repro.cache import (
 )
 from repro.cache.column_cache import paths_cache_key
 from repro.core import StorageEnvironment
+from repro.core.formats import RecordFormatCodec
 from repro.datasets import wos  # noqa: F401  -- registers to_array
 from repro.errors import DatasetError, QuarantinedComponentError, SqlppError
 from repro.faults import get_injector
 from repro.obs import MetricsRegistry
 from repro.sqlpp import compile as compile_sqlpp
-from repro.types import AMultiset
+from repro.types import AMultiset, Datatype
 
 from reference import partition_records, reference_rows
 
@@ -708,6 +709,66 @@ _SHAPES = {
     "tuple-of-lists": (lambda i: AMultiset([[i], [i + 1]]),
                        lambda value: value.items[0].append(999)),
 }
+
+
+COUNT_STAR = "SELECT VALUE count(*) FROM Ds AS d"
+
+
+def _chunk_charge(component):
+    """What the per-row walk charges a component's one cached chunk: a fixed
+    cost, one per row, and every row's stored value bytes."""
+    rows = [entry for leaf in component.leaves() for entry in leaf.entries()]
+    return SliceChunk([None] * len(rows), [], [], sum(len(entry.value) for entry in rows)).nbytes
+
+
+class TestCountStarReadsNoRecord:
+    """``COUNT(*)`` reads no field, so it opens no record: not from a cold
+    component, not from a cached chunk, not from the memtable, on every
+    format and with the slice cache on or off."""
+
+    @pytest.mark.parametrize("cache_bytes", [None, 0], ids=["cache", "no-cache"])
+    @pytest.mark.parametrize("storage_format", list(StorageFormat), ids=lambda f: f.name)
+    def test_count_star_opens_no_view(self, storage_format, cache_bytes, monkeypatch):
+        records = {key: record for key, record in enumerate(_records(60))}
+        environment = StorageEnvironment()
+        if cache_bytes is not None:
+            environment.column_cache = ColumnSliceCache(capacity_bytes=cache_bytes)
+        datatype = (Datatype.from_records("Row", records.values(), primary_key="id")
+                    if storage_format is StorageFormat.CLOSED else None)
+        dataset = Dataset.create("Ds", storage_format, environment=environment,
+                                 datatype=datatype)
+        dataset.insert_all(list(records.values()))
+        dataset.flush_all()
+        dataset.delete(3)  # anti-matter in a component
+        dataset.flush_all()
+        for key, record in ((5, dict(records[5], name="upserted")),   # memtable rows
+                            (100, dict(records[7], id=100))):
+            dataset.upsert(record)
+            records[key] = record
+        dataset.delete(7)  # anti-matter in the memtable
+        del records[3], records[7]
+
+        opened = []
+        view = RecordFormatCodec.view
+        monkeypatch.setattr(RecordFormatCodec, "view",
+                            lambda codec, *args: opened.append(args) or view(codec, *args))
+        expected = reference_rows(compile_sqlpp(COUNT_STAR).spec,
+                                  partition_records(records.values()))
+        environment.drop_caches()
+        for _ in range(2):  # cold, then warm
+            assert dataset.query(COUNT_STAR).rows == expected == [{"count": len(records)}]
+            assert opened == []
+
+        cache = environment.column_cache
+        components = list(dataset.partitions[0].index.components)
+        assert len(components) == 2
+        for component in components:
+            chunk = cache.get_chunk(component.file_name, (), 0)
+            if cache.enabled:
+                assert chunk.last and chunk.nbytes == _chunk_charge(component)
+            else:
+                assert chunk is None
+        dataset.close()
 
 
 class TestResultsOwnTheirValues:

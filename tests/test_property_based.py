@@ -24,12 +24,14 @@ Invariants covered:
 """
 
 import string
+import struct
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.adm import ADMEncoder, ADMRecordView
+from repro.adm import decoder as adm_decoder
 from repro.sqlpp import ast as sqlast
 from repro.sqlpp import parse, parse_expression, unparse, unparse_expr
 from repro.sqlpp.lexer import KEYWORDS
@@ -37,7 +39,7 @@ from repro.btree import BTree, BulkLoader, LeafEntry
 from repro.schema import InferredSchema
 from repro.storage import BufferCache, FileManager, SimulatedStorageDevice
 from repro.datasets import sensors, twitter, wos
-from repro.errors import EncodingError
+from repro.errors import DecodingError, EncodingError
 from repro.types import (
     ADate, AMultiset, Datatype, FieldDeclaration, MISSING, TypeTag, deep_equals, navigate,
     open_only_primary_key,
@@ -343,6 +345,209 @@ class TestExtractionPlansOverCorpora:
             for record, view in stored:
                 assert extractor.extract(view) == [navigate(record, path) for path in requests]
             assert len(extractor.plans) == plans, requests
+
+
+# ---------------------------------------------------------------------------
+# compiled ADM paths against navigate
+# ---------------------------------------------------------------------------
+
+# Names that spell indexes: a compiled path keyed without its steps' kinds
+# would read ``("0",)`` through the entry of ``(0,)``.
+_adm_names = st.sampled_from(["a", "b", "0", "1", "name", "é"])
+
+_adm_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=-(2 ** 62), max_value=2 ** 62),
+    st.floats(allow_nan=False, allow_infinity=False, width=64),
+    st.text(max_size=8),
+    st.binary(max_size=4),
+    st.builds(ADate, st.integers(min_value=-1000, max_value=1000)),
+)
+
+
+def _adm_values(depth: int = 3):
+    if depth == 0:
+        return _adm_scalars
+    children = _adm_values(depth - 1)
+    return st.one_of(
+        _adm_scalars,
+        st.lists(st.one_of(children, st.just(MISSING)), max_size=4),
+        st.lists(children, max_size=3).map(AMultiset),
+        st.dictionaries(_adm_names, children, max_size=4),
+    )
+
+
+_adm_records = st.dictionaries(_adm_names, _adm_values(), max_size=5)
+
+#: Names, indexes (negative and past the end too), booleans and ``"*"``.
+_adm_steps = st.one_of(_adm_names, st.integers(min_value=-2, max_value=3), st.booleans(),
+                       st.just("*"))
+_adm_paths = st.lists(st.lists(_adm_steps, max_size=4).map(tuple), min_size=1, max_size=12)
+
+#: A nested-object declaration and an item declaration, each with open fields
+#: beside its declared ones, and an optional field that may be absent.
+_ADM_DECLARED = Datatype.open_type("Declared", [
+    FieldDeclaration("obj", TypeTag.OBJECT, nested=Datatype.open_type("Inner", [
+        FieldDeclaration("x", TypeTag.INT64), FieldDeclaration("gone", TypeTag.ANY, optional=True)])),
+    FieldDeclaration("items", TypeTag.ARRAY, item_type=TypeTag.ANY, item_nested=Datatype.open_type(
+        "Item", [FieldDeclaration("k", TypeTag.INT64)])),
+    FieldDeclaration("last", TypeTag.ANY, optional=True),
+])
+_declared_steps = st.one_of(st.sampled_from(["obj", "items", "last", "x", "k", "gone"]), _adm_steps)
+_declared_paths = st.lists(st.lists(_declared_steps, max_size=4).map(tuple),
+                           min_size=1, max_size=12)
+
+
+@st.composite
+def _declared_records(draw):
+    record = draw(_adm_records)
+    record["obj"] = dict(draw(_adm_records), x=draw(st.integers(-(2 ** 62), 2 ** 62)))
+    record["items"] = draw(st.lists(st.one_of(
+        _adm_scalars, _adm_records.map(lambda item: dict(item, k=0))), max_size=3))
+    if draw(st.booleans()):
+        record["last"] = draw(_adm_values(2))
+    return record
+
+
+class _ClearedBeforeEveryRead(dict):
+    """A path table that forgets everything before each lookup."""
+
+    def get(self, key, default=None):
+        self.clear()
+        return default
+
+
+def _assert_reads_navigate(view, paths):
+    """Every path, read twice (compiled, then kept), is ``navigate`` over the
+    materialized record, compared by ``repr``: ``True`` is not ``1``, a
+    multiset not a list, a wrapped scalar not its number."""
+    record = view.materialize()
+    for _ in range(2):
+        for path in paths:
+            assert repr(view.get_field(*path)) == repr(navigate(record, path)), path
+
+
+def _string_at_end(payload: bytes, text: str) -> int:
+    """Offset of the string value ``text`` that ends ``payload``."""
+    return len(payload) - 5 - len(text.encode("utf-8"))
+
+
+def _overlong(payload: bytes, at: int) -> bytes:
+    """``payload`` with the varlen value at ``at`` claiming more bytes than
+    the payload has."""
+    corrupt = bytearray(payload)
+    corrupt[at + 1:at + 5] = len(payload).to_bytes(4, "little")
+    return bytes(corrupt)
+
+
+class TestCompiledADMPaths:
+    """``ADMRecordView.get_field`` resolves each path once into a kept form:
+    whatever the record, the path or the table's state, it reads what
+    ``navigate`` reads over the whole record, and refuses bytes the walk
+    would have refused."""
+
+    @_slow_settings
+    @given(record=_adm_records, paths=_adm_paths,
+           datatype=st.sampled_from([None, Datatype.open_type("Open", [])]))
+    def test_open_records(self, record, paths, datatype):
+        view = ADMRecordView(ADMEncoder(datatype).encode(record), datatype)
+        assert deep_equals(view.materialize(), record)
+        _assert_reads_navigate(view, paths)
+
+    @_slow_settings
+    @given(record=_declared_records(), paths=_declared_paths)
+    def test_declared_records(self, record, paths):
+        view = ADMRecordView(ADMEncoder(_ADM_DECLARED).encode(record), _ADM_DECLARED)
+        assert deep_equals(view.materialize(), record)
+        _assert_reads_navigate(view, paths)
+
+    @_slow_settings
+    @given(record=_declared_records(), paths=_declared_paths)
+    def test_table_cleared_before_every_read(self, record, paths):
+        view = ADMRecordView(ADMEncoder(_ADM_DECLARED).encode(record), _ADM_DECLARED)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(adm_decoder, "_paths", _ClearedBeforeEveryRead())
+            _assert_reads_navigate(view, paths)
+            _assert_reads_navigate(ADMRecordView(ADMEncoder(None).encode(record)), paths)
+
+    @_slow_settings
+    @given(record=_adm_records, orders=st.lists(st.randoms(use_true_random=False),
+                                                min_size=2, max_size=4),
+           paths=_adm_paths)
+    def test_one_path_over_fields_in_other_orders(self, record, orders, paths):
+        """The same fields written in other orders, at every depth, put each
+        name at another offset: a kept path finds it by name each time."""
+        def shuffled(value, rng):
+            if isinstance(value, dict):
+                items = list(value.items())
+                rng.shuffle(items)
+                return {key: shuffled(item, rng) for key, item in items}
+            if isinstance(value, list):
+                return [shuffled(item, rng) for item in value]
+            return value
+
+        for rng in orders:
+            variant = shuffled(record, rng)
+            _assert_reads_navigate(ADMRecordView(ADMEncoder(None).encode(variant)), paths)
+
+    def test_names_no_encoder_writes_read_missing(self):
+        """A name too long for an open-field entry, or one that is not
+        UTF-8, is in no record: MISSING, with or without a ``"*"`` after it;
+        a step that is neither a name nor an index is refused once reached."""
+        record = {"a": [1, {"b": 2}], "c": "x"}
+        view = ADMRecordView(ADMEncoder(None).encode(record))
+        for name in ("x" * 70_000, "\ud800"):
+            for path in ((name,), ("a", name), ("a", 1, name), (name, "*")):
+                assert repr(view.get_field(*path)) == repr(navigate(record, path))
+        assert view.get_field("absent", 1.5) is MISSING
+        with pytest.raises(DecodingError, match="unsupported path step 1.5"):
+            view.get_field("a", 1.5)
+
+    @_slow_settings
+    @given(record=_declared_records(), paths=_declared_paths, data=st.data())
+    def test_truncated_payloads_raise(self, record, paths, data):
+        payload = ADMEncoder(_ADM_DECLARED).encode(record)
+        cut = data.draw(st.integers(min_value=0, max_value=len(payload) - 1))
+        view = ADMRecordView(payload[:cut], _ADM_DECLARED)
+        # A read that starts at the root object checks its length first.
+        reads = [view.materialize, view.get_field]
+        reads += [lambda path=path: view.get_field(*path) for path in paths
+                  if path and isinstance(path[0], str)]
+        for read in reads:
+            with pytest.raises(DecodingError):
+                read()
+
+    @_slow_settings
+    @given(record=_declared_records(), text=st.text(max_size=6))
+    def test_a_string_past_the_payload_is_refused(self, record, text):
+        """A string whose length runs past the payload's end — a closed
+        value, an open value, an object's last field, a collection's last
+        item — is refused by every read that decodes it, even where every
+        enclosing length still fits."""
+        record = dict(record, last=text)
+        payload = ADMEncoder(_ADM_DECLARED).encode(record)
+        closed_at = struct.unpack_from("<I", payload, 7 + 4 * 2)[0]  # "last"
+        cases = [(closed_at, ("last",))]
+        for tail, path in (({"tail": text}, ("tail",)), ({"box": {"tail": text}}, ("box", "tail")),
+                           ({"list": [1, text]}, ("list", 1))):
+            grown = dict(record)
+            for name in tail:
+                grown.pop(name, None)
+            grown.update(tail)
+            cases.append((grown, path))
+        for case, path in cases:
+            if isinstance(case, int):
+                corrupt = _overlong(payload, case)
+            else:
+                encoded = ADMEncoder(_ADM_DECLARED).encode(case)
+                corrupt = _overlong(encoded, _string_at_end(encoded, text))
+            view = ADMRecordView(corrupt, _ADM_DECLARED)
+            for read in (view.materialize, lambda: view.get_field(*path),
+                         lambda: view.get_field(path[0], "*")):
+                with pytest.raises(DecodingError, match="past the end"):
+                    read()
 
 
 # ---------------------------------------------------------------------------
